@@ -73,6 +73,8 @@ examples:
 	for script in examples/*.py; do $(PYTHON) $$script || exit 1; done
 
 # Where a request's time goes: cProfile over a canned fig6-style
-# workload.  `--path {incremental,fused,naive}` selects the tier.
+# workload.  `--path {incremental,fused,naive}` selects the tier on a
+# local engine; `--path cluster` profiles the served path (3 tablets,
+# NameServer.request_batch).
 profile:
 	$(PYTHON) tools/profile.py

@@ -11,9 +11,16 @@ Three request engines answer the same deployed feature script over
 3. **incremental** — ingest-time per-key window state: a warm-key
    request costs O(aggregates), no scan and no fold at all.
 
-Asserted shape: fused ≥ 2× the naive path's median request latency,
-and the incremental hit path ≥ 5× the fused path on warm keys — with
-all three producing the same feature rows first.
+Asserted shape, all three producing the same feature rows first: each
+tier is a multiple of the one before it — fused ≥ 3.5× the naive path's
+median request latency (recorded 6.3×) and the incremental hit path
+≥ 3× the fused path on warm keys (recorded 4.9×).  The floors follow
+the recorded ratios (``BENCH_online.json``), not the other way round:
+when the second level became a contiguous array the fused scan-fold
+went 0.45 → 0.29 ms on one box while the hit path stayed at 0.06 ms,
+so fused/naive rose from 4.6× to 6.3× and incremental/fused fell from
+7.8× to 4.9× without the hit path slowing down at all (the floors were
+2× and 5× against the older records).
 """
 
 from __future__ import annotations
@@ -108,9 +115,9 @@ def test_fused_fold_and_incremental_state(benchmark, fold_workload):
          ["incremental hit", incremental_ms,
           naive_ms / incremental_ms]])
 
-    assert fused_speedup >= 2.0, \
+    assert fused_speedup >= 3.5, \
         f"fused fold only {fused_speedup:.2f}x over the naive path"
-    assert incremental_speedup >= 5.0, \
+    assert incremental_speedup >= 3.0, \
         f"incremental hit only {incremental_speedup:.2f}x over fused scan"
 
     benchmark.extra_info["fused_speedup"] = fused_speedup

@@ -8,7 +8,12 @@ Two closed-loop scenarios over the simulated cluster:
    execute every window scan; the micro-batching frontend collapses
    identical concurrent requests (single-flight) and shares window
    scans inside each batch — it must clear **≥2×** the serial
-   throughput.
+   throughput.  The herd's windows hold 3,000 rows each: for the
+   ratio to measure batching at all, the scan + fold a collapsed
+   request saves (≈0.5 ms) has to outweigh the frontend's own
+   hand-offs and 1 ms batching window.  (At 600 rows a whole request
+   costs 0.14–0.25 ms and the ratio reads 1.2–1.9× whatever the
+   frontend does — EXPERIMENTS.md, "Contiguous second level".)
 
 2. **Load shedding vs unbounded queueing.**  A slow cluster (injected
    per-RPC delay) saturates a 1-worker frontend.  The bounded frontend
@@ -32,6 +37,7 @@ from repro.serving import FrontendServer
 
 CLIENTS = 16
 HOT_ROWS = 4
+HISTORY_ROWS = 3_000  # per hot key, all inside the window
 ANCHOR_TS = 10_000
 
 FEATURE_SQL = (
@@ -50,7 +56,7 @@ def serving_cluster():
     cluster.create_table("t", schema, [IndexDef(("uid",), "ts")],
                          partitions=2, replicas=2)
     for uid in range(HOT_ROWS):
-        for k in range(600):
+        for k in range(HISTORY_ROWS):
             cluster.put("t", (uid, 1_000 + k, float(k % 10)))
     cluster.deploy("feat", FEATURE_SQL)
     yield cluster, obs

@@ -30,7 +30,9 @@ high-availability layer).  Responsibilities:
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
+import operator
 import os
 import shutil
 import threading
@@ -161,30 +163,9 @@ class _ClusterTableView:
                     end_ts: Optional[int] = None,
                     limit: Optional[int] = None
                     ) -> Iterator[Tuple[int, Row]]:
-        return self._rerouting(
-            lambda: self._window_scan_once(keys, ts_column, key_value,
-                                           start_ts, end_ts, limit))
-
-    def _window_scan_once(self, keys: Sequence[str], ts_column: str,
-                          key_value: Any, start_ts: Optional[int],
-                          end_ts: Optional[int], limit: Optional[int]
-                          ) -> Iterator[Tuple[int, Row]]:
-        ns = self._ns
-        ctx = ns._obs.tracer.inject()
-        merged: List[Tuple[int, Row]] = []
-        for partition_id in self._partitions_for(keys, key_value):
-            ns._m_routes.inc()
-            merged.extend(ns.routed_read(
-                self.name, partition_id,
-                lambda tablet, timeout_ms, pid=partition_id:
-                    tablet.window_scan(
-                        self.name, pid, keys, ts_column, key_value,
-                        start_ts=start_ts, end_ts=end_ts, limit=limit,
-                        trace_ctx=ctx, timeout_ms=timeout_ms)))
-        merged.sort(key=lambda pair: pair[0], reverse=True)
-        if limit is not None:
-            merged = merged[:limit]
-        return iter(merged)
+        return itertools.chain.from_iterable(self.window_scan_blocks(
+            keys, ts_column, key_value, start_ts=start_ts, end_ts=end_ts,
+            limit=limit))
 
     def window_scan_blocks(self, keys: Sequence[str], ts_column: str,
                            key_value: Any, start_ts: Optional[int] = None,
@@ -192,15 +173,45 @@ class _ClusterTableView:
                            limit: Optional[int] = None,
                            block_rows: int = 256
                            ) -> List[List[Tuple[int, Row]]]:
-        """Chunked window scan over the cluster (one merged block).
+        """Chunked window scan over the cluster, newest-first.
 
-        The cross-partition merge materialises the row list anyway, so
-        the chunked API hands the engine that list as a single block —
-        the fused kernels then fold it without per-row iterator hops.
+        A key that routes to one partition (every scan on the partition
+        column) gets that tablet's storage blocks back as they are — no
+        copy, sort or re-chunking between the store and the fold.  Only
+        the fan-out over a non-partition index merges, and hands the
+        merged rows back as a single block.
         """
-        merged = list(self.window_scan(keys, ts_column, key_value,
-                                       start_ts=start_ts, end_ts=end_ts,
-                                       limit=limit))
+        return self._rerouting(
+            lambda: self._window_scan_blocks_once(
+                keys, ts_column, key_value, start_ts, end_ts, limit,
+                block_rows))
+
+    def _window_scan_blocks_once(self, keys: Sequence[str], ts_column: str,
+                                 key_value: Any, start_ts: Optional[int],
+                                 end_ts: Optional[int],
+                                 limit: Optional[int], block_rows: int
+                                 ) -> List[List[Tuple[int, Row]]]:
+        ns = self._ns
+        ctx = ns._obs.tracer.inject()
+        scans: List[List[List[Tuple[int, Row]]]] = []
+        for partition_id in self._partitions_for(keys, key_value):
+            ns._m_routes.inc()
+            scans.append(ns.routed_read(
+                self.name, partition_id,
+                lambda tablet, timeout_ms, pid=partition_id:
+                    tablet.window_scan_blocks(
+                        self.name, pid, keys, ts_column, key_value,
+                        start_ts=start_ts, end_ts=end_ts, limit=limit,
+                        block_rows=block_rows, trace_ctx=ctx,
+                        timeout_ms=timeout_ms)))
+        if len(scans) == 1:
+            return scans[0]
+        # Stable sort: rows with equal timestamps keep partition order.
+        merged = [pair for blocks in scans for block in blocks
+                  for pair in block]
+        merged.sort(key=operator.itemgetter(0), reverse=True)
+        if limit is not None:
+            merged = merged[:limit]
         return [merged] if merged else []
 
     def last_join_lookup(self, keys: Sequence[str], key_value: Any,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import DeadlineExceededError, StorageError
 from ..memory.governor import MemoryGovernor
@@ -283,19 +283,23 @@ class TabletServer:
     # ------------------------------------------------------------------
     # serving-path reads (trace-context aware — the simulated RPC surface)
 
-    def window_scan(self, table: str, partition_id: int,
-                    keys: Sequence[str], ts_column: str, key_value: Any,
-                    start_ts: Optional[int] = None,
-                    end_ts: Optional[int] = None,
-                    limit: Optional[int] = None,
-                    trace_ctx: Optional[Dict[str, int]] = None,
-                    timeout_ms: Optional[float] = None
-                    ) -> list:
+    def window_scan_blocks(self, table: str, partition_id: int,
+                           keys: Sequence[str], ts_column: str,
+                           key_value: Any,
+                           start_ts: Optional[int] = None,
+                           end_ts: Optional[int] = None,
+                           limit: Optional[int] = None,
+                           block_rows: int = 256,
+                           trace_ctx: Optional[Dict[str, int]] = None,
+                           timeout_ms: Optional[float] = None
+                           ) -> List[List[Tuple[int, Row]]]:
         """Scan one partition's window rows, resuming the caller's trace.
 
-        ``trace_ctx`` is what the nameserver's :meth:`Tracer.inject`
-        produced — the same trace-context propagation a real RPC carries,
-        which stitches the tablet-side spans into the request trace.
+        Returns the store's newest-first ``(ts, row)`` blocks as they
+        are.  ``trace_ctx`` is what the nameserver's
+        :meth:`Tracer.inject` produced — the same trace-context
+        propagation a real RPC carries, which stitches the tablet-side
+        spans into the request trace.
         """
         self._check_serving(timeout_ms)
         self._m_scans.inc()
@@ -307,11 +311,11 @@ class TabletServer:
             seek.set_tag(index=index.name)
         with tracer.start_from(trace_ctx, "window.scan", tablet=self.name,
                                table=table, partition=partition_id) as span:
-            rows = list(store.window_scan(
+            blocks = list(store.window_scan_blocks(
                 keys, ts_column, key_value, start_ts=start_ts,
-                end_ts=end_ts, limit=limit))
-            span.set_tag(rows=len(rows))
-        return rows
+                end_ts=end_ts, limit=limit, block_rows=block_rows))
+            span.set_tag(rows=sum(map(len, blocks)))
+        return blocks
 
     def last_join_lookup(self, table: str, partition_id: int,
                          keys: Sequence[str], key_value: Any,

@@ -501,18 +501,26 @@ class OnlineEngine:
         if join.residual_fn is None:
             hit = table.last_join_lookup(join.key_columns, key_value)
             return hit[1] if hit is not None else None
-        # Residual condition: walk candidates newest-first until one passes.
+        # Residual condition: walk candidates newest-first until one
+        # passes.  A scan copies its run out, so fetch a growing newest
+        # prefix: an early hit never pays for the key's whole history.
+        # (Inserts between rounds can only push rows further back, so
+        # skipping ``seen`` re-probes a row at worst, never misses one.)
         index = table.find_index(join.key_columns)
-        candidates = table.window_scan(join.key_columns, index.ts_column,
-                                       key_value)
-        for _ts, candidate in candidates:
-            probe = list(combined)
-            probe[join.start_slot:
-                  join.start_slot + join.right_width] = candidate
-            counters.rows_scanned += 1
-            if join.residual_fn(tuple(probe)) is True:
-                return candidate
-        return None
+        seen, limit = 0, 32
+        while True:
+            candidates = list(table.window_scan(
+                join.key_columns, index.ts_column, key_value, limit=limit))
+            for _ts, candidate in candidates[seen:]:
+                probe = list(combined)
+                probe[join.start_slot:
+                      join.start_slot + join.right_width] = candidate
+                counters.rows_scanned += 1
+                if join.residual_fn(tuple(probe)) is True:
+                    return candidate
+            if len(candidates) < limit:
+                return None
+            seen, limit = len(candidates), limit * 8
 
     # ------------------------------------------------------------------
     # windows
@@ -586,10 +594,11 @@ class OnlineEngine:
         """Scan the window's sources into newest-first row blocks.
 
         Single-source windows stream the storage layer's blocks through
-        unchanged (no merge step at all); unions fall back to a k-way
-        merge over block cursors.  Storage objects without the chunked
-        API (e.g. cluster table views, which merge partitions remotely)
-        degrade to the per-row iterator path.
+        unchanged (no merge step at all) — memtables, disk tables and
+        cluster table views all serve the chunked API; unions fall back
+        to a k-way merge over block cursors.  Only a source without
+        ``window_scan_blocks`` (or ``block_scan=False``) takes the
+        per-row iterator path.
         """
         if limit is not None and limit <= 0:
             return []  # e.g. ROWS BETWEEN 0 PRECEDING: only the request row

@@ -217,7 +217,7 @@ class MemTable:
                            ) -> Iterator[List[Tuple[int, Row]]]:
         """Chunked :meth:`window_scan`: newest-first blocks of ``(ts, row)``.
 
-        One index seek, then level-0 pointer hops batched into lists —
+        One key seek and two bisects, then slices of the key's array —
         the scan shape the fused fold kernels consume (no per-row
         iterator resumes on the request hot path).
         """
@@ -240,9 +240,8 @@ class MemTable:
         self._m_seeks.inc()
         if before_ts is None:
             return structure.latest(key_value)
-        for ts, row in structure.scan(key_value, start_ts=before_ts):
-            return ts, row
-        return None
+        return next(structure.scan(key_value, start_ts=before_ts, limit=1),
+                    None)
 
     # ------------------------------------------------------------------
     # maintenance

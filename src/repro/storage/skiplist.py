@@ -1,30 +1,36 @@
-"""Refined two-level skiplist for time-series data (paper Section 7.2).
+"""Two-level time-series index (paper Section 7.2).
 
 The first level is a skiplist ordered by **key** (e.g. user id); each key
-node points to a second-level structure holding all tuples for that key
-ordered by **timestamp descending**.  Newest-first ordering makes the two
-hot online operations cheap:
+node points to a second level holding all tuples for that key *pre-ranked
+by timestamp*.  Here the second level is one contiguous, timestamp-
+ascending array per key (:class:`_TimeList`) rather than the paper's
+linked nodes — it keeps every property Section 7.2 relies on and drops the
+per-tuple node, pointer cells and pointer hops:
 
-* ``LAST JOIN`` — fetching the single most recent tuple for a key is O(1)
-  once the key node is found.
+* ``LAST JOIN`` — the most recent tuple for a key is the array's last
+  element, O(1) once the key node is found.
 * ``PARTITION BY key ORDER BY ts ROWS BETWEEN ... PRECEDING`` — a window
-  scan walks the per-key list from its head and stops at the window bound.
+  is the run between two bisects (O(log n) seek), read newest-first as a
+  reversed slice and handed to callers whole or in blocks.
+* In-order arrival (the stream case) is an O(1) append; a late tuple is a
+  bisect plus one C-level insert.
+* Out-of-date data removal (TTL): expired tuples are a prefix of the
+  array, so eviction is one batch deletion per key.
 
-Concurrency follows the paper's lock-free discipline: pointer updates go
-through :class:`AtomicReference.compare_and_set` retry loops rather than a
-structure-wide lock.  (CPython's GIL makes individual pointer writes atomic
-anyway; the CAS loops keep the *algorithm* faithful and are exercised by the
-concurrency tests.)
-
-Out-of-date data removal (TTL) exploits the timestamp ordering: expired
-tuples are contiguous at the tail of each per-key list, so eviction is a
-single truncation (batch deletion).
+Concurrency: the first level follows the paper's lock-free discipline —
+pointer updates go through :class:`AtomicReference.compare_and_set` retry
+loops rather than a structure-wide lock.  (CPython's GIL makes individual
+pointer writes atomic anyway; the CAS loops keep the *algorithm* faithful
+and are exercised by the concurrency tests.)  The second level takes a
+per-key lock for the duration of one bisect + slice or one mutation, so
+readers and writers of different keys never wait on each other.
 """
 
 from __future__ import annotations
 
 import random
 import threading
+from bisect import bisect_left, bisect_right
 from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from ..schema import TTLKind, TTLSpec
@@ -144,12 +150,16 @@ class SkipList:
             if height > self._height:
                 self._height = height
             node = _SkipNode(key, value, height)
-            for level in range(height):
+            for level in range(1, height):
                 node.forwards[level].set(
                     predecessors[level].forwards[level].get())
-            # Publish at level 0 first; on contention restart the search.
+            # Publish at level 0 first, against the successor that was
+            # *checked* above: a node that slipped in since (this key,
+            # or one that sorts before it) fails the CAS and restarts
+            # the search instead of being linked behind a duplicate.
+            node.forwards[0].set(candidate)
             if not predecessors[0].forwards[0].compare_and_set(
-                    node.forwards[0].get(), node):
+                    candidate, node):
                 continue
             for level in range(1, height):
                 while True:
@@ -219,76 +229,78 @@ class SkipList:
             return None
         return node.key, node.value
 
-    def items_from(self, key: Any) -> Iterator[Tuple[Any, Any]]:
-        """Yield ``(key, value)`` ascending, starting at the first
-        key >= ``key`` — an O(log n) seek instead of a scan."""
-        node = self._find_predecessors(key)[0].forwards[0].get()
-        while node is not None:
-            yield node.key, node.value
-            node = node.forwards[0].get()
 
-    def truncate_from(self, key: Any) -> int:
-        """Unlink every entry with key >= ``key``; returns removed count.
+class _Top:
+    """Sorts after every row, so ``(ts, _TOP)`` sorts after every pair
+    stamped ``ts`` — and ``(ts,)``, being shorter, before all of them.
+    Bisecting on these probes never compares two rows and needs no
+    ``key=`` (Python 3.10+; the package supports 3.9)."""
 
-        A tail truncation: at each level the predecessor's forward
-        pointer is cut, so the whole suffix detaches in O(log n) pointer
-        swings — the batch-deletion primitive TTL eviction relies on.
-        """
-        predecessors = self._find_predecessors(key)
-        first_removed = predecessors[0].forwards[0].get()
-        if first_removed is None:
-            return 0
-        removed = 0
-        node = first_removed
-        while node is not None:
-            removed += 1
-            node = node.forwards[0].get()
-        for level in range(self._height - 1, -1, -1):
-            target = predecessors[level].forwards[level].get()
-            if target is not None and target.key >= key:
-                predecessors[level].forwards[level].set(None)
-        with self._size_lock:
-            self._size -= removed
-        return removed
+    __slots__ = ()
+
+    def __lt__(self, other: Any) -> bool:
+        return False
+
+
+_TOP = _Top()
 
 
 class _TimeList:
-    """Per-key second level: a *secondary skiplist* of (ts, row).
+    """Per-key second level: one contiguous array of ``(ts, row)`` pairs,
+    timestamp-ascending (the paper's pre-ranking, Section 7.2).
 
-    Entries are keyed by ``(-ts, seq)`` so ascending skiplist order is
-    newest-first time order; ``seq`` keeps duplicate timestamps distinct
-    (newer insertions first, matching stream arrival).  The skiplist form
-    — the paper's "linked list (or a secondary skiplist)" — makes seeking
-    into the middle of a long history O(log n), which is what keeps
-    long-window raw-edge scans off the O(n) path.
+    Among equal timestamps later arrivals sit *after* earlier ones, so a
+    newest-first read (the reversed array) sees the latest arrival first,
+    matching stream order.  The newest tuple is the last element, a
+    window is the run between two bisects, and every TTL rule deletes a
+    prefix — one C-level cut instead of a node walk.
+
+    Concurrency: a per-key lock is held around each bisect + slice and
+    around each mutation (append, late insert, prefix delete); nothing
+    wider than this key is ever locked.  A reader copies its run out
+    under the lock and works on that private copy afterwards, and pairs
+    are immutable tuples, so it can never see a torn ``(ts, row)`` or a
+    window shifted by a concurrent insert or eviction.
     """
 
-    __slots__ = ("_list", "_seq")
+    __slots__ = ("_pairs", "_lock")
 
     def __init__(self) -> None:
-        self._list = SkipList()
-        self._seq = 0
+        self._pairs: List[Tuple[int, Any]] = []
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        return len(self._list)
+        return len(self._pairs)
 
     def insert(self, ts: int, row: Any) -> None:
-        self._seq += 1
-        # Negated seq: among equal timestamps, later arrivals sort first
-        # (a fresh insert lands at the head, like a stream buffer).
-        self._list.insert((-ts, -self._seq), row)
+        pair = (ts, row)
+        with self._lock:
+            pairs = self._pairs
+            if not pairs or ts >= pairs[-1][0]:
+                pairs.append(pair)  # in-order arrival: the stream case
+            else:
+                pairs.insert(bisect_right(pairs, (ts, _TOP)), pair)
 
     def newest(self) -> Optional[Tuple[int, Any]]:
         """The most recent ``(ts, row)`` — the LAST JOIN fast path."""
-        first = self._list.first_at_or_after((-(2 ** 63), -(2 ** 63)))
-        if first is None:
-            return None
-        (neg_ts, _seq), row = first
-        return -neg_ts, row
+        with self._lock:
+            return self._pairs[-1] if self._pairs else None
 
-    def iter_desc(self) -> Iterator[Tuple[int, Any]]:
-        for (neg_ts, _seq), row in self._list.items():
-            yield -neg_ts, row
+    def _window(self, start_ts: Optional[int], end_ts: Optional[int],
+                limit: Optional[int]) -> List[Tuple[int, Any]]:
+        """A private newest-first copy of the run in ``[end_ts, start_ts]``
+        (both inclusive), capped to the ``limit`` newest pairs."""
+        with self._lock:
+            pairs = self._pairs
+            hi = len(pairs) if start_ts is None \
+                else bisect_right(pairs, (start_ts, _TOP))
+            lo = 0 if end_ts is None \
+                else bisect_left(pairs, (end_ts,), 0, hi)
+            if limit is not None:
+                lo = max(lo, hi - limit)
+            window = pairs[lo:hi]
+        window.reverse()
+        return window
 
     def scan(self, start_ts: Optional[int] = None,
              end_ts: Optional[int] = None,
@@ -297,86 +309,49 @@ class _TimeList:
 
         ``start_ts`` is the *newest* bound (inclusive), ``end_ts`` the
         oldest (inclusive) — mirroring ``ROWS_RANGE BETWEEN x PRECEDING
-        AND CURRENT ROW`` semantics.  The start bound is an O(log n)
-        seek, not a scan from the head.
+        AND CURRENT ROW`` semantics.  Both bounds are O(log n) bisects;
+        the run is copied out eagerly, so a caller that stops early
+        should pass a ``limit``.
         """
-        if start_ts is None:
-            items = self._list.items()
-        else:
-            items = self._list.items_from((-start_ts, -(2 ** 63)))
-        count = 0
-        for (neg_ts, _seq), row in items:
-            ts = -neg_ts
-            if end_ts is not None and ts < end_ts:
-                break  # ordered: everything further is older
-            yield ts, row
-            count += 1
-            if limit is not None and count >= limit:
-                break
+        return iter(self._window(start_ts, end_ts, limit))
 
     def scan_blocks(self, start_ts: Optional[int] = None,
                     end_ts: Optional[int] = None,
                     limit: Optional[int] = None,
                     block_rows: int = 256
                     ) -> Iterator[List[Tuple[int, Any]]]:
-        """Like :meth:`scan`, but yields *blocks* (lists) of ``(ts, row)``.
+        """Like :meth:`scan`, but yields *blocks* (lists) of at most
+        ``block_rows`` pairs — slices of the same run, which the fold
+        kernels consume with tight loops and no per-row iterator hops."""
+        window = self._window(start_ts, end_ts, limit)
+        return (window[at:at + block_rows]
+                for at in range(0, len(window), block_rows))
 
-        The per-row iterator protocol dominates scan cost for long
-        windows — every tuple pays a generator resume plus an
-        ``AtomicReference.get`` call.  Here the level-0 walk runs inside
-        one frame, touching ``_value`` directly (reads of a published
-        pointer are wait-free; see :class:`AtomicReference`), and hands
-        the caller ``block_rows``-sized lists it can fold with tight
-        loops.
+    def evict(self, kind: TTLKind, horizon: Optional[int],
+              keep: int) -> int:
+        """Apply one TTL rule; returns the number of tuples removed.
+
+        ``horizon`` expires tuples with ``ts < horizon`` (None: no time
+        bound), ``keep`` everything but the ``keep`` newest (0: no count
+        bound).  Both sets are prefixes of the array, so ``ABS_OR_LAT``
+        cuts the longer one and ``ABS_AND_LAT`` (a tuple must violate
+        both bounds) the shorter.
         """
-        lst = self._list
-        if start_ts is None:
-            node = lst._head.forwards[0]._value
-        else:
-            node = lst._find_predecessors(
-                (-start_ts, -(2 ** 63)))[0].forwards[0]._value
-        remaining = limit
-        block: List[Tuple[int, Any]] = []
-        append = block.append
-        while node is not None:
-            ts = -node.key[0]
-            if end_ts is not None and ts < end_ts:
-                break  # ordered: everything further is older
-            append((ts, node.value))
-            if remaining is not None:
-                remaining -= 1
-                if remaining == 0:
-                    break
-            if len(block) >= block_rows:
-                yield block
-                block = []
-                append = block.append
-            node = node.forwards[0]._value
-        if block:
-            yield block
-
-    def truncate_before(self, horizon_ts: int) -> int:
-        """Drop all tuples with ts < ``horizon_ts``; return removed count.
-
-        Expired tuples are contiguous at the tail (oldest end), so this
-        is one batched suffix truncation.
-        """
-        return self._list.truncate_from((-horizon_ts + 1, -(2 ** 63)))
-
-    def truncate_to_count(self, keep: int) -> int:
-        """Keep only the ``keep`` newest tuples; return removed count."""
-        if keep <= 0:
-            return self._list.truncate_from((-(2 ** 63), -(2 ** 63)))
-        walked = 0
-        for key, _row in self._list.items():
-            walked += 1
-            if walked == keep + 1:
-                return self._list.truncate_from(key)
-        return 0
-
-    def truncate_from_key(self, key: Tuple[int, int]) -> int:
-        """Truncate everything at or after an internal key (evictor use)."""
-        return self._list.truncate_from(key)
+        with self._lock:
+            pairs = self._pairs
+            expired = 0 if horizon is None \
+                else bisect_left(pairs, (horizon,))
+            excess = max(len(pairs) - keep, 0) if keep else 0
+            if kind is TTLKind.ABSOLUTE:
+                cut = expired
+            elif kind is TTLKind.LATEST:
+                cut = excess
+            elif kind is TTLKind.ABS_OR_LAT:
+                cut = max(expired, excess)
+            else:
+                cut = min(expired, excess)
+            del pairs[:cut]
+        return cut
 
 
 class TimeSeriesIndex:
@@ -390,10 +365,10 @@ class TimeSeriesIndex:
                  seed: Optional[int] = None) -> None:
         self._keys = SkipList(seed=seed)
         self.ttl = ttl
-        self._rows = 0
 
     def __len__(self) -> int:
-        return self._rows
+        """Tuples held — O(keys): summed over the per-key arrays."""
+        return sum(len(time_list) for _key, time_list in self._keys.items())
 
     @property
     def key_count(self) -> int:
@@ -401,9 +376,7 @@ class TimeSeriesIndex:
 
     def put(self, key: Any, ts: int, row: Any) -> None:
         """Insert one tuple under ``key`` ordered by ``ts``."""
-        time_list = self._keys.get_or_insert(key, _TimeList)
-        time_list.insert(ts, row)
-        self._rows += 1
+        self._keys.get_or_insert(key, _TimeList).insert(ts, row)
 
     def latest(self, key: Any) -> Optional[Tuple[int, Any]]:
         """Return the newest ``(ts, row)`` for ``key`` (LAST JOIN path)."""
@@ -428,8 +401,8 @@ class TimeSeriesIndex:
                     ) -> Iterator[List[Tuple[int, Any]]]:
         """Yield newest-first blocks of ``(ts, row)`` for ``key``.
 
-        The chunked counterpart of :meth:`scan` — see
-        :meth:`_TimeList.scan_blocks` for why blocks beat per-row hops.
+        The chunked counterpart of :meth:`scan`: the same run, sliced
+        into lists of at most ``block_rows`` pairs.
         """
         time_list = self._keys.get(key)
         if time_list is None:
@@ -440,7 +413,7 @@ class TimeSeriesIndex:
     def scan_all(self) -> Iterator[Tuple[Any, int, Any]]:
         """Yield every ``(key, ts, row)``, keys ascending, ts descending."""
         for key, time_list in self._keys.items():
-            for ts, row in time_list.iter_desc():
+            for ts, row in time_list.scan():
                 yield key, ts, row
 
     def evict(self, now_ts: int) -> int:
@@ -454,38 +427,5 @@ class TimeSeriesIndex:
         if spec.unbounded:
             return 0
         horizon = (now_ts - spec.abs_ttl_ms) if spec.abs_ttl_ms else None
-        removed = 0
-        for _key, time_list in self._keys.items():
-            removed += self._evict_list(time_list, spec, horizon)
-        self._rows -= removed
-        return removed
-
-    @staticmethod
-    def _evict_list(time_list: _TimeList, spec: TTLSpec,
-                    horizon: Optional[int]) -> int:
-        if spec.kind is TTLKind.ABSOLUTE:
-            return time_list.truncate_before(horizon) if horizon else 0
-        if spec.kind is TTLKind.LATEST:
-            return (time_list.truncate_to_count(spec.lat_ttl)
-                    if spec.lat_ttl else 0)
-        if spec.kind is TTLKind.ABS_OR_LAT:
-            removed = 0
-            if horizon is not None:
-                removed += time_list.truncate_before(horizon)
-            if spec.lat_ttl:
-                removed += time_list.truncate_to_count(spec.lat_ttl)
-            return removed
-        # ABS_AND_LAT: a tuple must violate both bounds to be evicted,
-        # i.e. keep anything inside the horizon OR inside the latest-N
-        # prefix.  Both protections are prefixes of the newest-first
-        # order, so the first unprotected entry starts the evictable
-        # suffix.
-        if horizon is None or not spec.lat_ttl:
-            return 0
-        keep = spec.lat_ttl
-        index = 0
-        for key, _row in time_list._list.items():
-            if index >= keep and -key[0] < horizon:
-                return time_list.truncate_from_key(key)
-            index += 1
-        return 0
+        return sum(time_list.evict(spec.kind, horizon, spec.lat_ttl)
+                   for _key, time_list in self._keys.items())

@@ -1,5 +1,7 @@
 """Concurrency tests: lock-free reads under writes (paper Section 7.2)."""
 
+import random
+import sys
 import threading
 
 
@@ -46,6 +48,80 @@ class TestSkiplistReadersWriters:
         for thread in threads:
             thread.join(timeout=10)
         assert not errors
+
+    def test_one_key_writers_evictor_readers_seeded(self):
+        """Several writers on ONE key (in-order and late rows), a TTL
+        evictor and bounded-iteration readers, all driven from seeds with
+        no sleeps: every block a reader sees is newest-first and inside
+        its bounds, every row still sits beside its own timestamp, and
+        the rows left equal inserted - evicted."""
+        index = TimeSeriesIndex(
+            ttl=TTLSpec(kind=TTLKind.ABS_OR_LAT, abs_ttl_ms=300,
+                        lat_ttl=500), seed=0)
+        writers, per_writer, span = 3, 1_000, 10_000
+        evicted = []
+        errors = []
+
+        def writer(wid):
+            rng = random.Random(100 + wid)
+            for step in range(per_writer):
+                ts = step * 10 + wid  # in-order within this writer
+                if rng.random() < 0.3:
+                    ts = rng.randrange(ts + 1)  # a late row
+                index.put("k", ts, (wid, step, ts))
+
+        def evictor():
+            rng = random.Random(7)
+            evicted.append(sum(index.evict(rng.randrange(span))
+                               for _ in range(300)))
+
+        def reader(rid):
+            rng = random.Random(200 + rid)
+            try:
+                for _ in range(400):
+                    start_ts = rng.choice((None, rng.randrange(span)))
+                    end_ts = rng.choice((None, rng.randrange(span)))
+                    limit = rng.choice((None, rng.randrange(1, 300)))
+                    block_rows = rng.randrange(1, 64)
+                    blocks = list(index.scan_blocks(
+                        "k", start_ts=start_ts, end_ts=end_ts,
+                        limit=limit, block_rows=block_rows))
+                    pairs = [pair for block in blocks for pair in block]
+                    stamps = [ts for ts, _row in pairs]
+                    assert all(len(block) <= block_rows
+                               for block in blocks)
+                    assert stamps == sorted(stamps, reverse=True)
+                    assert all(row[2] == ts for ts, row in pairs)
+                    assert start_ts is None or not stamps \
+                        or stamps[0] <= start_ts
+                    assert end_ts is None or not stamps \
+                        or stamps[-1] >= end_ts
+                    assert limit is None or len(pairs) <= limit
+                    newest = index.latest("k")
+                    assert newest is None or newest[1][2] == newest[0]
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(wid,))
+                   for wid in range(writers)]
+        threads.append(threading.Thread(target=evictor))
+        threads += [threading.Thread(target=reader, args=(rid,))
+                    for rid in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # force interleavings inside one op
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        left = list(index.scan("k"))
+        assert len(left) == len(index) \
+            == writers * per_writer - evicted[0]
+        assert len({row for _ts, row in left}) == len(left)
 
 
 class TestConcurrentRequests:

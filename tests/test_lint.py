@@ -131,3 +131,28 @@ class TestAggregateMergeCoverage:
         findings = list(lint.check_aggregate_merge_coverage(tmp_path))
         assert [f[3] for f in findings] == ["AGG001"]
         assert "wrapped" in findings[0][4]
+
+
+class TestBisectKey:
+    """PY39 — ``bisect(key=)`` is 3.10+; the package supports 3.9."""
+
+    def test_library_code_is_clean(self):
+        findings = [f for f in lint.lint([str(ROOT / "src")])
+                    if f[3] == "PY39"]
+        assert findings == [], findings
+
+    def test_key_argument_is_a_finding(self, tmp_path):
+        module = tmp_path / "src" / "m.py"
+        module.parent.mkdir()
+        module.write_text(
+            "import bisect\n"
+            "from bisect import bisect_right, insort\n"
+            "def f(pairs, ts, key):\n"
+            "    bisect.bisect_left(pairs, ts, key=key)\n"
+            "    insort(pairs, ts, key=key)\n"
+            "    pairs.sort(key=key)\n"
+            "    return bisect_right(pairs, (ts,), 0, len(pairs))\n")
+        findings = [f for f in lint.lint([str(tmp_path)])
+                    if f[3] == "PY39"]
+        assert [(f[1], f[3]) for f in findings] == [(4, "PY39"),
+                                                    (5, "PY39")]

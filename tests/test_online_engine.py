@@ -161,6 +161,27 @@ class TestLastJoin:
         row = engine.execute_request(compiled, ("A", 400, 1.0, 1))
         assert row == ("A", "old-tech")
 
+    @pytest.mark.parametrize("depth", [1, 32, 33, 256, 257, 400])
+    def test_residual_hit_at_any_depth(self, trades, profile, depth):
+        # The walk fetches a growing newest-first prefix (32, 256, …):
+        # a match behind `depth - 1` newer non-matching candidates is
+        # found, each candidate is probed once, and a key with no
+        # match at all pads NULLs.
+        for uts in range(21, 20 + depth):
+            profile.insert(("A", uts, "noise"))
+        sql = ("SELECT trades.sym AS sym, profile.uts AS uts "
+               "FROM trades LAST JOIN profile ON trades.sym = profile.sym "
+               "AND profile.sector = '{}'")
+        tables = {"trades": trades, "profile": profile}
+        engine, compiled = build_engine(sql.format("tech"), tables)
+        assert engine.execute_request(
+            compiled, ("A", 400, 1.0, 1)) == ("A", 20)
+        assert engine.stats.rows_scanned == depth
+        engine, compiled = build_engine(sql.format("absent"), tables)
+        assert engine.execute_request(
+            compiled, ("A", 400, 1.0, 1)) == ("A", None)
+        assert engine.stats.rows_scanned == depth + 1
+
     def test_join_column_in_window_argument(self, trades, profile):
         # Aggregates reference only the primary table; joined columns in
         # the projection coexist with window features.

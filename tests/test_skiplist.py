@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.schema import TTLKind, TTLSpec
 from repro.storage.skiplist import AtomicReference, SkipList, TimeSeriesIndex
+from tests.test_fused_fold import _ttls
 
 
 class TestAtomicReference:
@@ -67,6 +68,22 @@ class TestSkipList:
         first = skiplist.get_or_insert("k", list)
         second = skiplist.get_or_insert("k", list)
         assert first is second
+
+    def test_insert_racing_same_key_never_duplicates(self):
+        """A twin insert of the same key landing between the duplicate
+        check and the level-0 publish must lose the CAS, not be linked
+        in front of its twin (rows put under the hidden node vanish)."""
+        skiplist = SkipList(seed=0)
+        random_height = skiplist._random_height
+
+        def twin_lands_first():
+            skiplist._random_height = random_height
+            assert skiplist.insert("k", "twin")
+            return random_height()
+        skiplist._random_height = twin_lands_first
+        assert not skiplist.insert("k", "late")
+        assert list(skiplist.items()) == [("k", "twin")]
+        assert len(skiplist) == 1
 
     def test_concurrent_inserts_distinct_keys(self):
         skiplist = SkipList(seed=0)
@@ -223,3 +240,95 @@ def test_scan_matches_sorted_reference(puts):
     for key, stamps in reference.items():
         got = [ts for ts, _row in index.scan(key)]
         assert got == sorted(stamps, reverse=True)
+
+
+# ----------------------------------------------------------------------
+# model-based property test: the index against a plain sorted list
+
+_MODEL_KEYS = ("a", "b", "c")
+_bound = st.one_of(st.none(), st.integers(0, 3200))
+_model_ops = st.lists(st.one_of(
+    # kind resolves against the key's state when the op runs: "next" is
+    # an in-order arrival, "late" lands below the key's newest ts, "dup"
+    # repeats a timestamp the key already holds.
+    st.tuples(st.just("put"), st.sampled_from(_MODEL_KEYS),
+              st.sampled_from(("next", "late", "dup")),
+              st.integers(0, 400)),
+    st.tuples(st.just("scan"), st.sampled_from(_MODEL_KEYS + ("cold",)),
+              _bound, _bound, st.one_of(st.none(), st.integers(0, 12)),
+              st.integers(1, 7)),
+    st.tuples(st.just("latest"), st.sampled_from(_MODEL_KEYS + ("cold",))),
+    st.tuples(st.just("evict"), st.integers(0, 4000))),
+    min_size=1, max_size=80)
+
+
+def _model_evict(newest_first, spec, now_ts):
+    """Survivors of one TTL sweep over a newest-first list of pairs."""
+    horizon = now_ts - spec.abs_ttl_ms if spec.abs_ttl_ms else None
+    survivors = []
+    for rank, pair in enumerate(newest_first):
+        expired = horizon is not None and pair[0] < horizon
+        beyond = bool(spec.lat_ttl) and rank >= spec.lat_ttl
+        if spec.kind is TTLKind.ABSOLUTE:
+            evicted = expired
+        elif spec.kind is TTLKind.LATEST:
+            evicted = beyond
+        elif spec.kind is TTLKind.ABS_OR_LAT:
+            evicted = expired or beyond
+        else:
+            evicted = expired and beyond
+        if not evicted:
+            survivors.append(pair)
+    return survivors
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_model_ops, ttl=_ttls)
+def test_index_matches_sorted_list_model(ops, ttl):
+    """Random interleavings of in-order, late and duplicate-timestamp
+    puts, bounded scans, ``latest`` and TTL sweeps agree with a plain
+    list kept newest-first (ties: later arrival first)."""
+    spec = ttl or TTLSpec()
+    index = TimeSeriesIndex(ttl=spec, seed=0)
+    model = {}  # key → [(ts, row)] newest-first
+    for seq, op in enumerate(ops):
+        if op[0] == "put":
+            _, key, kind, value = op
+            held = model.setdefault(key, [])
+            if kind == "next" or not held:
+                ts = (held[0][0] if held else 0) + value
+            elif kind == "late":
+                ts = value % (held[0][0] + 1)
+            else:
+                ts = held[value % len(held)][0]
+            row = (key, ts, seq)
+            index.put(key, ts, row)
+            # Before every pair that is not newer: ties go newest first.
+            at = next((i for i, pair in enumerate(held) if pair[0] <= ts),
+                      len(held))
+            held.insert(at, (ts, row))
+        elif op[0] == "scan":
+            _, key, start_ts, end_ts, limit, block_rows = op
+            expected = [pair for pair in model.get(key, [])
+                        if (start_ts is None or pair[0] <= start_ts)
+                        and (end_ts is None or pair[0] >= end_ts)]
+            expected = expected[:limit]
+            assert list(index.scan(key, start_ts=start_ts, end_ts=end_ts,
+                                   limit=limit)) == expected
+            blocks = list(index.scan_blocks(
+                key, start_ts=start_ts, end_ts=end_ts, limit=limit,
+                block_rows=block_rows))
+            assert all(1 <= len(block) <= block_rows for block in blocks)
+            assert [pair for block in blocks for pair in block] == expected
+        elif op[0] == "latest":
+            held = model.get(op[1])
+            assert index.latest(op[1]) == (held[0] if held else None)
+        else:
+            before = sum(len(held) for held in model.values())
+            for key, held in model.items():
+                model[key] = _model_evict(held, spec, op[1])
+            after = sum(len(held) for held in model.values())
+            assert index.evict(op[1]) == before - after
+        assert len(index) == sum(len(held) for held in model.values())
+    assert [(key, ts, row) for key, ts, row in index.scan_all()] == [
+        (key, ts, row) for key in sorted(model) for ts, row in model[key]]

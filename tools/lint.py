@@ -28,6 +28,12 @@ reliably:
   an explicit drain, work queued to them (e.g. binlog closures) is
   abandoned.  Tests and benchmarks may spawn throwaway threads, so the
   rule is scoped to library code.
+* **PY39** — ``key=`` passed to ``bisect_left``/``bisect_right``/
+  ``insort*`` in library code (``src/``).  The parameter exists from
+  Python 3.10 only, the package declares ``requires-python >= 3.9``,
+  and the test run sees just one interpreter — on 3.9 the call is a
+  ``TypeError`` at the first late insert or bounded scan.  Bisect on a
+  probe that compares like the key instead (``(ts,)``, ``(ts, _TOP)``).
 * **AGG001** — an aggregate registered in
   ``src/repro/sql/functions.py`` (listed in ``_AGGREGATE_CLASSES``)
   that neither defines/inherits a real ``merge`` method nor has a
@@ -473,6 +479,28 @@ def check_aggregate_merge_coverage(
                "(src/repro/offline/partial.py)")
 
 
+_BISECT_NAMES = {"bisect", "bisect_left", "bisect_right",
+                 "insort", "insort_left", "insort_right"}
+
+
+def check_bisect_key(path: pathlib.Path,
+                     tree: ast.Module) -> Iterator[Finding]:
+    """PY39 — ``bisect*(..., key=)`` needs Python 3.10 (src only)."""
+    if "src" not in path.parts:
+        return
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) \
+            else getattr(func, "id", None)
+        if name in _BISECT_NAMES and any(
+                keyword.arg == "key" for keyword in node.keywords):
+            yield (str(path), node.lineno, node.col_offset + 1, "PY39",
+                   f"{name}(key=...) needs Python 3.10; the package "
+                   "supports 3.9 — bisect on a comparable probe instead")
+
+
 def lint(paths: List[str]) -> List[Finding]:
     findings: List[Finding] = []
     for path in iter_python_files(paths):
@@ -486,7 +514,7 @@ def lint(paths: List[str]) -> List[Finding]:
         for checker in (check_unused_imports, check_bare_except,
                         check_singleton_compare, check_mutable_defaults,
                         check_loop_lambda_alloc,
-                        check_daemon_thread_lifecycle):
+                        check_daemon_thread_lifecycle, check_bisect_key):
             findings.extend(checker(path, tree))
     return findings
 

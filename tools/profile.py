@@ -12,12 +12,17 @@ so the effect of the hot-path overhaul is directly visible:
 * ``fused``   — block-based scans + fused fold kernels, no ingest-time
   state;
 * ``naive``   — the pre-overhaul per-row iterator merge and per-row
-  per-state fold.
+  per-state fold;
+* ``cluster`` — the path users are actually served: the same data on 3
+  tablets (``partitions=4, replicas=2``) answered through
+  ``NameServer.request_batch``, so routing, the tablet RPC surface and
+  the cluster table view are in the profile.
 
 Usage::
 
     make profile                       # incremental tier, 400 requests
     python tools/profile.py --path naive --rounds 200 --top 20
+    python tools/profile.py --path cluster
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ import cProfile   # noqa: E402
 import pstats     # noqa: E402
 
 from repro import OpenMLDB                              # noqa: E402
+from repro.cluster import NameServer, TabletServer      # noqa: E402
 from repro.online.engine import OnlineEngine            # noqa: E402
 from repro.workloads.microbench import (MicroBenchConfig,  # noqa: E402
                                         build_feature_sql, generate)
@@ -49,9 +55,22 @@ CONFIG = MicroBenchConfig(keys=120, rows_per_key=100, windows=2,
                           seed=17)
 
 
-def build_workload():
+def build_workload(path):
+    """Load the canned workload; returns (operation, requests, close)."""
     data = generate(CONFIG, request_count=160)
     sql = build_feature_sql(CONFIG)
+    if path == "cluster":
+        cluster = NameServer(
+            [TabletServer(f"tablet-{index}") for index in range(3)])
+        for name, schema in data.schemas.items():
+            cluster.create_table(name, schema, data.indexes[name],
+                                 partitions=4, replicas=2)
+        for name, rows in data.rows.items():
+            for row in rows:
+                cluster.put(name, row)
+        cluster.deploy("bench", sql)
+        return (lambda row: cluster.request_batch("bench", [row]),
+                data.requests, cluster.close)
     db = OpenMLDB()
     for name, schema in data.schemas.items():
         db.create_table(name, schema, indexes=data.indexes[name])
@@ -59,7 +78,7 @@ def build_workload():
         db.insert_many(name, rows)
     db.deploy("bench", sql)
     db.replicator.wait_idle(timeout=10.0)
-    return db, data.requests
+    return make_operation(db, path), data.requests, db.close
 
 
 def make_operation(db, path):
@@ -77,7 +96,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         description="cProfile the online request path")
     parser.add_argument("--path", default="incremental",
-                        choices=("incremental", "fused", "naive"),
+                        choices=("incremental", "fused", "naive",
+                                 "cluster"),
                         help="execution tier to profile")
     parser.add_argument("--rounds", type=int, default=400,
                         help="request count to profile (cycled)")
@@ -85,8 +105,7 @@ def main(argv=None):
                         help="rows to print per ranking")
     args = parser.parse_args(argv)
 
-    db, requests = build_workload()
-    operation = make_operation(db, args.path)
+    operation, requests, close = build_workload(args.path)
     for row in requests[:20]:  # warm caches outside the profile
         operation(row)
 
@@ -95,7 +114,7 @@ def main(argv=None):
     for index in range(args.rounds):
         operation(requests[index % len(requests)])
     profiler.disable()
-    db.close()
+    close()
 
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.strip_dirs()
