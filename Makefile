@@ -1,8 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint verify verify-docs bench bench-smoke recover-smoke \
-	offline-smoke elastic-smoke adaptive-smoke slo-smoke examples \
+.PHONY: test lint verify verify-docs bench bench-smoke smoke examples \
 	profile
 
 test:
@@ -21,8 +20,7 @@ lint:
 		$(PYTHON) tools/lint.py src tests benchmarks; \
 	fi
 
-verify: lint test recover-smoke offline-smoke elastic-smoke \
-	adaptive-smoke slo-smoke bench-smoke
+verify: lint test bench-smoke
 
 # Extract and execute every fenced python block in README.md and
 # docs/*.md — documentation code must actually run.
@@ -37,43 +35,19 @@ bench:
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/test_fig_serving_throughput.py -q
 
-# Offline parallel round trip: a tiny process-pool run (with spill)
-# must stay byte-identical to serial.  Hermetic — falls back to the
-# thread pool where multiprocessing is unavailable.
-offline-smoke:
-	$(PYTHON) -m pytest tests/test_offline_parallel.py -q -k smoke
-
-# Crash/restart round trip: a tablet dies losing its memory, restarts
-# from snapshot + binlog-tail replay, and must lose no acknowledged
-# write.  Cheap enough to gate every verify run.
-recover-smoke:
-	$(PYTHON) -m pytest tests/test_crash_recovery.py -q -k smoke
-
-# Elastic data plane round trip: split -> migrate -> rebalance under
-# sustained closed-loop traffic, plus tenant shedding — zero
-# acknowledged-write loss and byte-identical answers vs a twin.
-elastic-smoke:
-	$(PYTHON) -m pytest tests/test_elastic.py -q -k smoke
-
-# Adaptive execution round trip: the cost router promotes hot keys and
-# re-buckets preaggs mid-stream while answers stay byte-identical to a
-# static twin.
-adaptive-smoke:
-	$(PYTHON) -m pytest tests/test_adaptive.py -q -k smoke
-
-# Tiny target-QPS run over the ad CTR workload: the paced-load SLO
-# search must find a sustained rate inside the latency budget.  Also
-# runs the streaming skew smoke (byte-identical train/serve vectors
-# for both new workloads).
-slo-smoke:
-	$(PYTHON) -m pytest tests/test_slo.py tests/test_streams.py -q \
-		-k smoke
+# Quick pre-push gate: every test named *smoke* — crash/restart
+# recovery, the offline process pool (with spill), split -> migrate ->
+# rebalance under traffic, adaptive promotion and re-bucketing, the
+# paced-load SLO search and the streaming train/serve skew check.
+# `test` runs them too; this is the quick subset.
+smoke:
+	$(PYTHON) -m pytest -q -k smoke
 
 examples:
 	for script in examples/*.py; do $(PYTHON) $$script || exit 1; done
 
 # Where a request's time goes: cProfile over a canned fig6-style
-# workload.  `--path {incremental,fused,naive}` selects the tier on a
+# workload.  `--path {incremental,fused}` selects the tier on a
 # local engine; `--path cluster` profiles the served path (3 tablets,
 # NameServer.request_batch).
 profile:

@@ -1,9 +1,9 @@
 """repro.adaptive — self-tuning execution driven by live measurements.
 
-PR 4 left the online request path with three execution tiers
-(ingest-time incremental state, fused block scan-fold, naive per-row
-fold) plus the long-window pre-aggregation path, all selected by
-hand-coded eligibility rules fixed at deploy time.  The observability
+The online request path has two execution tiers (ingest-time
+incremental state, fused block scan-fold) plus the long-window
+pre-aggregation path, all selected by hand-coded eligibility rules
+fixed at deploy time.  The observability
 layer already measures exactly the signals needed to choose between
 them — incremental hit/fallback counters, scan block counts, stage
 timings, governor bytes — so this package closes the loop:
@@ -23,8 +23,9 @@ Every adaptation is answer-invariant by construction: promotion
 replays the table log in arrival order under the state lock, demotion
 just reverts a key to the scan path, and bucket re-sizing swaps in a
 freshly backfilled aggregator only when provably no row was lost or
-duplicated.  ``tests/test_adaptive.py`` pins this with the same
-differential oracle as ``tests/test_fused_fold.py``.
+duplicated.  ``tests/test_adaptive.py`` pins this by comparing every
+adaptive answer with a static twin's, exact ``==`` on integer data —
+the contract ``tests/test_fused_fold.py`` holds the tiers to.
 
 See docs/architecture.md §"Adaptive execution" for a walkthrough and
 docs/observability.md for the ``online.router.*`` series and the

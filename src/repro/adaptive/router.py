@@ -12,9 +12,7 @@ The router sits on the online request path.  Per window, per request,
 
 An unmeasured tier costs 0.0, which makes the greedy argmin try each
 available tier at least once before settling — self-calibration without
-a separate exploration phase.  The naive per-row tier is never chosen:
-the fused kernel computes the identical answer from the identical rows
-strictly faster, so it exists only as an ablation baseline.
+a separate exploration phase.
 
 Between requests (every ``tick_interval`` requests), :meth:`tick`
 adapts state:

@@ -1274,16 +1274,32 @@ class NameServer:
             compiled = self._deployments[name]
         except KeyError:
             raise StorageError(f"unknown deployment {name!r}") from None
-        self._m_requests.inc()
         deadline = Deadline.after(timeout_ms) \
             if timeout_ms is not None else None
+        return self._execute_row(name, compiled, row, deadline,
+                                 "nameserver")
+
+    def _execute_row(self, name: str, compiled: CompiledQuery,
+                     row: Sequence[Any], deadline: Optional[Any],
+                     frontend: str,
+                     shared: Optional[Dict[Any, Any]] = None
+                     ) -> Dict[str, Any]:
+        """One request tuple under its deadline and root span.
+
+        The per-row step :meth:`request` and :meth:`request_batch`
+        share; the latency series observes failed requests too.
+        """
+        self._m_requests.inc()
         start = time.perf_counter()
-        with deadline_scope(deadline):
-            with self._obs.tracer.span("deployment.execute",
-                                       deployment=name,
-                                       frontend="nameserver"):
-                features = self._engine.execute_request(compiled, row)
-        self._h_request.observe((time.perf_counter() - start) * 1_000)
+        try:
+            with deadline_scope(deadline), self._obs.tracer.span(
+                    "deployment.execute", deployment=name,
+                    frontend=frontend):
+                features = self._engine.execute_request(
+                    compiled, row, shared_fetch=shared)
+        finally:
+            self._h_request.observe(
+                (time.perf_counter() - start) * 1_000)
         return dict(zip(compiled.output_names, features))
 
     def request_batch(self, name: str, rows: Sequence[Sequence[Any]],
@@ -1321,22 +1337,13 @@ class NameServer:
         with self._obs.tracer.span("deployment.execute_batch",
                                    deployment=name, batch=len(rows)):
             for index, row in enumerate(rows):
-                self._m_requests.inc()
-                deadline = deadlines[index] if deadlines else None
-                start = time.perf_counter()
                 try:
-                    with deadline_scope(deadline):
-                        with self._obs.tracer.span(
-                                "deployment.execute", deployment=name,
-                                frontend="serving.batch"):
-                            features = self._engine.execute_request(
-                                compiled, row, shared_fetch=shared)
-                    outcome: Any = dict(zip(compiled.output_names,
-                                            features))
+                    outcome: Any = self._execute_row(
+                        name, compiled, row,
+                        deadlines[index] if deadlines else None,
+                        "serving.batch", shared)
                 except OpenMLDBError as exc:
                     outcome = exc
-                self._h_request.observe(
-                    (time.perf_counter() - start) * 1_000)
                 outcomes.append(outcome)
         return outcomes
 

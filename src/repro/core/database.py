@@ -62,8 +62,9 @@ class OpenMLDB:
         max_memory_mb: optional write limit (Section 8.2 isolation).
         seed: storage-structure RNG seed, for reproducible layouts.
         observability: collect metrics and per-request trace spans
-            (see :mod:`repro.obs`).  Off by default — the disabled
-            path adds nothing measurable to the request path.
+            (see :mod:`repro.obs`).  Off by default — the same request
+            body runs either way; disabled, its spans and series are
+            shared no-ops (a few no-op calls per request).
         data_dir: root directory for durability.  When set, inserts
             write through a file-backed binlog, :meth:`snapshot` pins
             table images, and a fresh instance over the same directory
@@ -105,9 +106,8 @@ class OpenMLDB:
         self._preview_cache: Dict[Tuple[str, int], List[Row]] = {}
         self._seed = seed
         self._lock = threading.Lock()
-        if observability:
-            self._h_request = self.obs.registry.histogram(
-                "online.request.ms")
+        self._h_request = self.obs.registry.histogram(
+            "online.request.ms")
 
     # ------------------------------------------------------------------
     # catalog / DDL
@@ -379,17 +379,12 @@ class OpenMLDB:
         preagg = deployment.preaggs if deployment.uses_preagg else None
         incremental = (deployment.incrementals
                        if deployment.uses_incremental else None)
-        router = deployment.router
-        if not self.obs.enabled:
-            return self.online_engine.execute_request(
-                deployment.compiled, row, preagg=preagg,
-                incremental=incremental, router=router)
         start = time.perf_counter()
         with self.obs.tracer.span("deployment.execute",
                                   deployment=deployment_name):
             features = self.online_engine.execute_request(
                 deployment.compiled, row, preagg=preagg,
-                incremental=incremental, router=router)
+                incremental=incremental, router=deployment.router)
         self._h_request.observe((time.perf_counter() - start) * 1_000)
         return features
 

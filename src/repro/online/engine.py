@@ -4,25 +4,35 @@ Implements **online request mode**: each incoming request tuple is
 treated as virtually inserted into its table, the deployed (compiled)
 feature script runs against it, and a single feature row comes back.
 
-The fast path per request:
+There is one request body, :meth:`OnlineEngine.execute_request`, and it
+is always instrumented.  Per request:
 
 1. Resolve each ``LAST JOIN`` through the right table's stream index —
-   the newest matching tuple is O(1) thanks to the two-level skiplist.
+   the newest matching tuple is the last element of the key's
+   time-ordered array (``index.seek`` span).
 2. For every window, first consult **incremental window state** (per-key
-   running aggregates maintained at ingest time); on a hit the window
-   costs O(aggregates).  Otherwise fetch the window's rows as *blocks*
-   via index scans bounded by the request timestamp (window unions merge
-   several tables' scans newest-first) and fold them through the
-   window's **fused kernel** — or, for deployed *long windows*, ask the
-   pre-aggregation manager for merged bucket states and scan only the
-   raw head/tail spans (Section 5.1's query refinement).
-3. Project the output row.
+   running aggregates maintained at ingest time; ``incremental.lookup``
+   span); on a hit the window costs O(aggregates).  Otherwise fetch the
+   window's rows as *blocks* from the storage layer's chunked
+   ``window_scan_blocks`` (``window.scan``; window unions merge several
+   tables' block streams newest-first) and fold them through the
+   window's **fused kernel** (``agg.fold``) — or, for deployed *long
+   windows*, ask the pre-aggregation manager for merged bucket states
+   and scan only the raw head/tail spans (``preagg.lookup``, Section
+   5.1's query refinement).
+3. Project the output row (``encode``).
 
 The engine keeps no per-request state across calls; window/preagg state
 lives in the storage layer and the ingest-time aggregators.  Statistics
-are accumulated per request in a local counter bundle and applied to
-:class:`EngineStats` under its lock in one step, so concurrent requests
-from the serving frontend's worker pool never lose increments.
+are accumulated per request in a local counter bundle and, when the
+request ends — with a feature row, a ``WHERE`` rejection, or a deadline
+expiring mid-plan — applied to :class:`EngineStats` under its lock and
+mirrored into the ``online.*`` registry series in one step, so
+concurrent requests never lose increments and the two views agree.
+With observability disabled (the default) the spans are one shared
+no-op object and the series no-op counters: a request pays a few no-op
+calls (under 1 µs measured, see EXPERIMENTS.md § "One request body")
+and records nothing.
 """
 
 from __future__ import annotations
@@ -136,27 +146,18 @@ class OnlineEngine:
     """Request-mode executor over a set of tables.
 
     Args:
-        tables: table name → storage object (``MemTable`` or ``DiskTable``
-            — both expose the same read API).
-        obs: observability handle.  Disabled (the default) keeps the
-            request path exactly as fast as the uninstrumented engine;
-            enabled adds per-stage trace spans and metric series.
-        fused_fold: fold windows through the compiler's fused kernels
-            (:meth:`CompiledWindow.compute_blocks`).  ``False`` selects
-            the pre-fusion per-row/per-state fold — the ablation
-            baseline.
-        block_scan: fetch window rows through the storage layer's
-            chunked ``window_scan_blocks`` API.  ``False`` selects the
-            per-row iterator scans (ablation baseline).
+        tables: table name → storage object (``MemTable``, ``DiskTable``
+            or a cluster table view — all serve the same read API,
+            ``window_scan_blocks`` included).
+        obs: observability handle.  The request path is always
+            instrumented; the disabled default hands out one shared
+            no-op span and no-op counters, so it pays a few no-op calls
+            per request and records nothing.
     """
 
     def __init__(self, tables: Mapping[str, Any],
-                 obs: Optional[Observability] = None,
-                 fused_fold: bool = True,
-                 block_scan: bool = True) -> None:
+                 obs: Optional[Observability] = None) -> None:
         self._tables = tables
-        self._fused_fold = fused_fold
-        self._block_scan = block_scan
         self.stats = EngineStats()
         self._obs = obs or NULL_OBS
         registry = self._obs.registry
@@ -172,6 +173,31 @@ class OnlineEngine:
         self._m_incr_hits = registry.counter("online.incremental.hits")
         self._m_incr_fallbacks = registry.counter(
             "online.incremental.fallbacks")
+
+    def _publish(self, counters: _RequestCounters) -> None:
+        """Mirror one request's deltas into the ``online.*`` series.
+
+        The only place the engine touches the registry, called beside
+        :meth:`EngineStats.apply` with the same bundle — so the registry
+        and ``EngineStats`` cannot disagree about the same traffic.
+        """
+        self._m_requests.inc()
+        if counters.rows_scanned:
+            self._m_rows_scanned.inc(counters.rows_scanned)
+        if counters.scan_blocks:
+            self._m_scan_blocks.inc(counters.scan_blocks)
+        if counters.preagg_bucket_merges:
+            self._m_preagg_merges.inc(counters.preagg_bucket_merges)
+        if counters.preagg_raw_rows:
+            self._m_preagg_raw.inc(counters.preagg_raw_rows)
+        if counters.join_lookups:
+            self._m_join_lookups.inc(counters.join_lookups)
+        if counters.shared_scan_hits:
+            self._m_shared_scans.inc(counters.shared_scan_hits)
+        if counters.incremental_hits:
+            self._m_incr_hits.inc(counters.incremental_hits)
+        if counters.incremental_fallbacks:
+            self._m_incr_fallbacks.inc(counters.incremental_fallbacks)
 
     # ------------------------------------------------------------------
 
@@ -214,278 +240,141 @@ class OnlineEngine:
             DeadlineExceededError: the ambient request deadline (see
                 :mod:`repro.serving.deadline`) ran out mid-plan.
         """
-        if self._obs.enabled:
-            return self._execute_request_traced(compiled, request_row,
-                                                preagg, shared_fetch,
-                                                incremental, router)
+        span_of = self._obs.tracer.span  # bound once per request
         deadline = current_deadline()
         plan = compiled.plan
         validated = plan.table_schema.validate_row(request_row)
         counters = _RequestCounters()
-
-        # Build the combined row: primary columns then each join's.
-        combined: List[Any] = [None] * compiled.combined_width
-        combined[:len(validated)] = validated
-        for join in compiled.joins:
-            matched = self._resolve_join(join, combined, counters)
-            if matched is not None:
-                combined[join.start_slot:
-                         join.start_slot + join.right_width] = matched
-        combined_tuple = tuple(combined)
-
-        if compiled.where_fn is not None \
-                and compiled.where_fn(combined_tuple) is not True:
-            self.stats.apply(counters)
-            raise ExecutionError(
-                "request tuple filtered out by WHERE predicate")
-
-        # Window aggregates, with row fetches shared between windows that
-        # the compiler recognised as identical definitions.
-        aggregate_values: List[Any] = [None] * compiled.aggregate_count
-        fetched: Dict[str, List[List[Row]]] = {}
-        for name, window in compiled.windows.items():
-            if not window.aggregates:
-                continue
-            if deadline is not None:
-                deadline.check("request")
-            canonical = compiled.merged_windows.get(name, name)
-            slots_src = preagg.get(name) if preagg is not None else None
-            # Keyed by the window's own name: merged siblings share a
-            # scan but carry distinct aggregate slots.
-            state = incremental.get(name) \
-                if incremental is not None else None
-            router_key = None
-            if router is not None:
-                router_key = window.partition_key(validated)
-                router.note_request(name, router_key)
-                if slots_src:
-                    # The requested span informs bucket sizing whatever
-                    # tier ends up serving this request.
-                    router.observe_span(
-                        name, window.plan.range_preceding_ms or 0)
-                tier = router.decide(name, router_key,
-                                     has_incremental=state is not None,
-                                     has_preagg=bool(slots_src))
-                if tier != "preagg":
-                    slots_src = None
-                if tier == "scan":
-                    state = None
-            # Empty path: alias the shared immutable map instead of
-            # allocating a dict per window per request.
-            preagg_slots: Mapping[int, PreAggregator] = \
-                dict(slots_src) if slots_src else _NO_PREAGG
-            raw_aggregates = [compiled_agg for compiled_agg
-                              in window.aggregates
-                              if compiled_agg.slot not in preagg_slots]
-            if raw_aggregates or not preagg_slots:
-                results = None
-                if state is not None and not preagg_slots:
-                    if router is not None:
-                        started = perf_counter()
-                        results = state.compute(validated)
-                        router.observe_incremental(
-                            name, (perf_counter() - started) * 1_000.0,
-                            hit=results is not None)
-                    else:
-                        results = state.compute(validated)
-                    if results is not None:
-                        counters.incremental_hits += 1
-                        counters.note_window(name, hit=True)
-                    else:
-                        counters.incremental_fallbacks += 1
-                        counters.note_window(name, hit=False)
-                if results is None:
-                    scan_started = perf_counter() \
-                        if router is not None else 0.0
-                    blocks_before = counters.scan_blocks
-                    if canonical not in fetched:
-                        fetched[canonical] = self._window_blocks(
-                            compiled, window, validated, counters,
-                            shared_fetch, canonical)
-                    results = self._fold_window(window, fetched[canonical])
-                    if router is not None:
-                        router.observe_scan(
-                            name, router_key,
-                            (perf_counter() - scan_started) * 1_000.0,
-                            counters.scan_blocks - blocks_before)
-                for slot, value in results.items():
-                    if slot not in preagg_slots:
-                        aggregate_values[slot] = value
-            if preagg_slots:
-                preagg_started = perf_counter() \
-                    if router is not None else 0.0
-                for slot, aggregator in preagg_slots.items():
-                    aggregate_values[slot] = self._preagg_value(
-                        compiled, window, aggregator, validated, counters)
-                if router is not None:
-                    router.observe_preagg(
-                        name,
-                        (perf_counter() - preagg_started) * 1_000.0)
-        extended = combined_tuple + tuple(aggregate_values)
-        projected = compiled.project(extended)
-        self.stats.apply(counters)
-        if router is not None:
-            router.after_request()
-        return projected
-
-    # ------------------------------------------------------------------
-    # traced request path (observability enabled)
-
-    def _execute_request_traced(
-            self, compiled: CompiledQuery, request_row: Sequence[Any],
-            preagg: Optional[Mapping[str, Mapping[int, PreAggregator]]],
-            shared_fetch: Optional[Dict[Any, List[List[Row]]]] = None,
-            incremental: Optional[Mapping[str, Any]] = None,
-            router: Optional[Any] = None
-    ) -> Row:
-        """:meth:`execute_request` with per-stage spans and metrics.
-
-        Control flow mirrors the untraced body exactly; the untraced
-        version stays separate so the default-off path adds nothing to
-        the request latency the paper's Figure 6 measures.
-        """
-        tracer = self._obs.tracer
-        deadline = current_deadline()
-        plan = compiled.plan
-        validated = plan.table_schema.validate_row(request_row)
-        counters = _RequestCounters()
-        self._m_requests.inc()
-
-        combined: List[Any] = [None] * compiled.combined_width
-        combined[:len(validated)] = validated
-        for join in compiled.joins:
-            with tracer.span("index.seek",
+        try:
+            # Build the combined row: primary columns then each join's.
+            combined: List[Any] = [None] * compiled.combined_width
+            combined[:len(validated)] = validated
+            for join in compiled.joins:
+                with span_of("index.seek",
                              table=join.plan.right_table) as span:
-                matched = self._resolve_join(join, combined, counters)
-                span.set_tag(hit=matched is not None)
-            if matched is not None:
-                combined[join.start_slot:
-                         join.start_slot + join.right_width] = matched
-        combined_tuple = tuple(combined)
+                    matched = self._resolve_join(join, combined, counters)
+                    span.set_tag(hit=matched is not None)
+                if matched is not None:
+                    combined[join.start_slot:
+                             join.start_slot + join.right_width] = matched
+            combined_tuple = tuple(combined)
 
-        if compiled.where_fn is not None \
-                and compiled.where_fn(combined_tuple) is not True:
-            self.stats.apply(counters)
-            raise ExecutionError(
-                "request tuple filtered out by WHERE predicate")
+            if compiled.where_fn is not None \
+                    and compiled.where_fn(combined_tuple) is not True:
+                raise ExecutionError(
+                    "request tuple filtered out by WHERE predicate")
 
-        aggregate_values: List[Any] = [None] * compiled.aggregate_count
-        fetched: Dict[str, List[List[Row]]] = {}
-        for name, window in compiled.windows.items():
-            if not window.aggregates:
-                continue
-            if deadline is not None:
-                deadline.check("request")
-            canonical = compiled.merged_windows.get(name, name)
-            slots_src = preagg.get(name) if preagg is not None else None
-            state = incremental.get(name) \
-                if incremental is not None else None
-            router_key = None
-            if router is not None:
-                router_key = window.partition_key(validated)
-                router.note_request(name, router_key)
-                if slots_src:
-                    # The requested span informs bucket sizing whatever
-                    # tier ends up serving this request.
-                    router.observe_span(
-                        name, window.plan.range_preceding_ms or 0)
-                with tracer.span("router.decide", window=name) as span:
-                    tier = router.decide(name, router_key,
-                                         has_incremental=state is not None,
-                                         has_preagg=bool(slots_src))
-                    span.set_tag(tier=tier)
-                if tier != "preagg":
-                    slots_src = None
-                if tier == "scan":
-                    state = None
-            # Empty path: alias the shared immutable map instead of
-            # allocating a dict per window per request.
-            preagg_slots: Mapping[int, PreAggregator] = \
-                dict(slots_src) if slots_src else _NO_PREAGG
-            raw_aggregates = [compiled_agg for compiled_agg
-                              in window.aggregates
-                              if compiled_agg.slot not in preagg_slots]
-            if raw_aggregates or not preagg_slots:
-                results = None
-                if state is not None and not preagg_slots:
-                    with tracer.span("incremental.lookup",
+            # Window aggregates, with row fetches shared between windows
+            # that the compiler recognised as identical definitions.
+            aggregate_values: List[Any] = [None] * compiled.aggregate_count
+            fetched: Dict[str, List[List[Row]]] = {}
+            for name, window in compiled.windows.items():
+                if not window.aggregates:
+                    continue
+                if deadline is not None:
+                    deadline.check("request")
+                canonical = compiled.merged_windows.get(name, name)
+                slots_src = preagg.get(name) if preagg is not None else None
+                # Keyed by the window's own name: merged siblings share a
+                # scan but carry distinct aggregate slots.
+                state = incremental.get(name) \
+                    if incremental is not None else None
+                router_key = None
+                if router is not None:
+                    router_key = window.partition_key(validated)
+                    router.note_request(name, router_key)
+                    if slots_src:
+                        # The requested span informs bucket sizing
+                        # whatever tier ends up serving this request.
+                        router.observe_span(
+                            name, window.plan.range_preceding_ms or 0)
+                    with span_of("router.decide", window=name) as span:
+                        tier = router.decide(
+                            name, router_key,
+                            has_incremental=state is not None,
+                            has_preagg=bool(slots_src))
+                        span.set_tag(tier=tier)
+                    if tier != "preagg":
+                        slots_src = None
+                    if tier == "scan":
+                        state = None
+                # Empty path: alias the shared immutable map instead of
+                # allocating a dict per window per request.
+                preagg_slots: Mapping[int, PreAggregator] = \
+                    dict(slots_src) if slots_src else _NO_PREAGG
+                if not preagg_slots or any(
+                        compiled_agg.slot not in preagg_slots
+                        for compiled_agg in window.aggregates):
+                    results = None
+                    if state is not None and not preagg_slots:
+                        with span_of("incremental.lookup",
                                      window=name) as span:
-                        if router is not None:
                             started = perf_counter()
                             results = state.compute(validated)
-                            router.observe_incremental(
-                                name,
-                                (perf_counter() - started) * 1_000.0,
-                                hit=results is not None)
+                            hit = results is not None
+                            if router is not None:
+                                router.observe_incremental(
+                                    name,
+                                    (perf_counter() - started) * 1_000.0,
+                                    hit=hit)
+                            span.set_tag(hit=hit)
+                        if hit:
+                            counters.incremental_hits += 1
                         else:
-                            results = state.compute(validated)
-                        span.set_tag(hit=results is not None)
-                    if results is not None:
-                        counters.incremental_hits += 1
-                        counters.note_window(name, hit=True)
-                        self._m_incr_hits.inc()
-                    else:
-                        counters.incremental_fallbacks += 1
-                        counters.note_window(name, hit=False)
-                        self._m_incr_fallbacks.inc()
-                if results is None:
-                    scan_started = perf_counter() \
-                        if router is not None else 0.0
-                    blocks_before = counters.scan_blocks
-                    if canonical not in fetched:
-                        scanned_before = counters.rows_scanned
-                        with tracer.span("window.scan", window=name) as span:
-                            fetched[canonical] = self._window_blocks(
-                                compiled, window, validated, counters,
-                                shared_fetch, canonical)
-                            span.set_tag(rows=sum(
-                                len(block)
-                                for block in fetched[canonical]))
-                        self._m_rows_scanned.inc(
-                            counters.rows_scanned - scanned_before)
-                        self._m_scan_blocks.inc(
-                            counters.scan_blocks - blocks_before)
-                    blocks = fetched[canonical]
-                    with tracer.span("agg.fold", window=name,
-                                     rows=sum(len(block)
-                                              for block in blocks)):
-                        results = self._fold_window(window, blocks)
-                    if router is not None:
-                        router.observe_scan(
-                            name, router_key,
-                            (perf_counter() - scan_started) * 1_000.0,
-                            counters.scan_blocks - blocks_before)
-                for slot, value in results.items():
-                    if slot not in preagg_slots:
-                        aggregate_values[slot] = value
-            if preagg_slots:
-                preagg_started = perf_counter() \
-                    if router is not None else 0.0
-                for slot, aggregator in preagg_slots.items():
-                    merges_before = counters.preagg_bucket_merges
-                    raw_before = counters.preagg_raw_rows
-                    with tracer.span("preagg.lookup", window=name,
+                            counters.incremental_fallbacks += 1
+                        counters.note_window(name, hit)
+                    if results is None:
+                        scan_started = perf_counter()
+                        blocks_before = counters.scan_blocks
+                        if canonical not in fetched:
+                            rows_before = counters.rows_scanned
+                            with span_of("window.scan",
+                                         window=name) as span:
+                                fetched[canonical] = self._window_blocks(
+                                    compiled, window, validated, counters,
+                                    shared_fetch, canonical)
+                                span.set_tag(rows=counters.rows_scanned
+                                             - rows_before)
+                        with span_of("agg.fold", window=name):
+                            results = window.compute_blocks(
+                                fetched[canonical])
+                        if router is not None:
+                            router.observe_scan(
+                                name, router_key,
+                                (perf_counter() - scan_started) * 1_000.0,
+                                counters.scan_blocks - blocks_before)
+                    for slot, value in results.items():
+                        if slot not in preagg_slots:
+                            aggregate_values[slot] = value
+                if preagg_slots:
+                    preagg_started = perf_counter()
+                    for slot, aggregator in preagg_slots.items():
+                        merges_before = counters.preagg_bucket_merges
+                        raw_before = counters.preagg_raw_rows
+                        with span_of("preagg.lookup", window=name,
                                      func=aggregator.func_name) as span:
-                        aggregate_values[slot] = self._preagg_value(
-                            compiled, window, aggregator, validated,
-                            counters)
-                        span.set_tag(
-                            bucket_merges=(counters.preagg_bucket_merges
-                                           - merges_before),
-                            raw_rows=counters.preagg_raw_rows - raw_before)
-                    self._m_preagg_merges.inc(
-                        counters.preagg_bucket_merges - merges_before)
-                    self._m_preagg_raw.inc(
-                        counters.preagg_raw_rows - raw_before)
-                if router is not None:
-                    router.observe_preagg(
-                        name,
-                        (perf_counter() - preagg_started) * 1_000.0)
-        extended = combined_tuple + tuple(aggregate_values)
-        with tracer.span("encode"):
-            projected = compiled.project(extended)
-        self._m_join_lookups.inc(len(compiled.joins))
-        self.stats.apply(counters)
+                            aggregate_values[slot] = self._preagg_value(
+                                compiled, window, aggregator, validated,
+                                counters)
+                            span.set_tag(
+                                bucket_merges=(
+                                    counters.preagg_bucket_merges
+                                    - merges_before),
+                                raw_rows=(counters.preagg_raw_rows
+                                          - raw_before))
+                    if router is not None:
+                        router.observe_preagg(
+                            name,
+                            (perf_counter() - preagg_started) * 1_000.0)
+            extended = combined_tuple + tuple(aggregate_values)
+            with span_of("encode"):
+                projected = compiled.project(extended)
+        finally:
+            # Runs for a WHERE-rejected request and for one whose
+            # deadline or storage read failed mid-plan too: the work
+            # they did is counted, once, in both places.
+            self.stats.apply(counters)
+            self._publish(counters)
         if router is not None:
             router.after_request()
         return projected
@@ -524,13 +413,6 @@ class OnlineEngine:
 
     # ------------------------------------------------------------------
     # windows
-
-    def _fold_window(self, window: CompiledWindow,
-                     blocks: List[List[Row]]) -> Dict[int, Any]:
-        if self._fused_fold:
-            return window.compute_blocks(blocks)
-        rows = [row for block in blocks for row in block]
-        return window.compute_naive(rows)
 
     def _window_blocks(self, compiled: CompiledQuery,
                        window: CompiledWindow, request_row: Row,
@@ -579,7 +461,6 @@ class OnlineEngine:
                 shared[cache_key] = stored
         else:
             counters.shared_scan_hits += 1
-            self._m_shared_scans.inc()
 
         blocks: List[List[Row]] = [] if plan.exclude_current_row \
             else [[request_row]]
@@ -595,36 +476,22 @@ class OnlineEngine:
 
         Single-source windows stream the storage layer's blocks through
         unchanged (no merge step at all) — memtables, disk tables and
-        cluster table views all serve the chunked API; unions fall back
-        to a k-way merge over block cursors.  Only a source without
-        ``window_scan_blocks`` (or ``block_scan=False``) takes the
-        per-row iterator path.
+        cluster table views all serve the chunked API; unions k-way
+        merge over block cursors.
         """
         if limit is not None and limit <= 0:
             return []  # e.g. ROWS BETWEEN 0 PRECEDING: only the request row
-        if self._block_scan:
-            block_scans = [getattr(source, "window_scan_blocks", None)
-                           for source in sources]
-            if all(scan is not None for scan in block_scans):
-                if len(block_scans) == 1:
-                    return [[pair[1] for pair in block]
-                            for block in block_scans[0](
-                                plan.partition_columns, plan.order_column,
-                                key, start_ts=anchor_ts, end_ts=end_ts,
-                                limit=limit)]
-                merged = _merge_blocks_newest_first(
-                    [iter(scan(plan.partition_columns, plan.order_column,
-                               key, start_ts=anchor_ts, end_ts=end_ts))
-                     for scan in block_scans], limit=limit)
-                return [merged] if merged else []
-        iterators = [
-            source.window_scan(plan.partition_columns, plan.order_column,
-                               key, start_ts=anchor_ts, end_ts=end_ts)
-            for source in sources
-        ]
-        merged_rows = [pair[1] for pair
-                       in _merge_newest_first(iterators, limit=limit)]
-        return [merged_rows] if merged_rows else []
+        if len(sources) == 1:
+            return [[pair[1] for pair in block]
+                    for block in sources[0].window_scan_blocks(
+                        plan.partition_columns, plan.order_column, key,
+                        start_ts=anchor_ts, end_ts=end_ts, limit=limit)]
+        merged = _merge_blocks_newest_first(
+            [iter(source.window_scan_blocks(
+                plan.partition_columns, plan.order_column, key,
+                start_ts=anchor_ts, end_ts=end_ts))
+             for source in sources], limit=limit)
+        return [merged] if merged else []
 
     # ------------------------------------------------------------------
     # pre-aggregation path
@@ -681,28 +548,15 @@ class OnlineEngine:
         state = None
         add = function.add
         extract = aggregator.extract_args
-        scan_blocks = getattr(table, "window_scan_blocks", None) \
-            if self._block_scan else None
-        if scan_blocks is not None:
-            blocks = list(scan_blocks(plan.partition_columns,
-                                      plan.order_column, key,
-                                      start_ts=span[1], end_ts=span[0]))
-            counters.preagg_raw_rows += sum(len(block) for block in blocks)
-            for block_index in range(len(blocks) - 1, -1, -1):
-                block = blocks[block_index]
-                for pair_index in range(len(block) - 1, -1, -1):
-                    if state is None:
-                        state = function.create()
-                    add(state, *extract(block[pair_index][1]))
-            return state
-        rows = list(table.window_scan(plan.partition_columns,
-                                      plan.order_column, key,
-                                      start_ts=span[1], end_ts=span[0]))
-        counters.preagg_raw_rows += len(rows)
-        for _ts, row in reversed(rows):  # oldest → newest
-            if state is None:
-                state = function.create()
-            add(state, *extract(row))
+        blocks = list(table.window_scan_blocks(
+            plan.partition_columns, plan.order_column, key,
+            start_ts=span[1], end_ts=span[0]))
+        counters.preagg_raw_rows += sum(len(block) for block in blocks)
+        for block in reversed(blocks):  # oldest → newest
+            for _ts, row in reversed(block):
+                if state is None:
+                    state = function.create()
+                add(state, *extract(row))
         return state
 
 
@@ -722,29 +576,6 @@ def _cap_blocks(blocks: List[List[Row]], maxsize: int) -> List[List[Row]]:
     return capped
 
 
-def _merge_newest_first(iterators: List[Iterator[Tuple[int, Row]]],
-                        limit: Optional[int]) -> List[Tuple[int, Row]]:
-    """k-way merge of newest-first (ts, row) streams, optionally capped."""
-    if limit is not None and limit <= 0:
-        return []  # e.g. ROWS BETWEEN 0 PRECEDING: only the request row
-    heads: List[Optional[Tuple[int, Row]]] = [
-        next(iterator, None) for iterator in iterators]
-    merged: List[Tuple[int, Row]] = []
-    while True:
-        best_slot = -1
-        best_ts: Optional[int] = None
-        for slot, head in enumerate(heads):
-            if head is not None and (best_ts is None or head[0] > best_ts):
-                best_ts = head[0]
-                best_slot = slot
-        if best_slot < 0:
-            return merged
-        merged.append(heads[best_slot])  # type: ignore[arg-type]
-        if limit is not None and len(merged) >= limit:
-            return merged
-        heads[best_slot] = next(iterators[best_slot], None)
-
-
 def _merge_blocks_newest_first(
         block_iterators: List[Iterator[List[Tuple[int, Row]]]],
         limit: Optional[int]) -> List[Row]:
@@ -753,7 +584,7 @@ def _merge_blocks_newest_first(
     Cursors advance by list indexing within each source's current block,
     so the per-row cost is a few tuple compares — no generator resumes
     until a source exhausts a block.  Ties keep the earlier source first
-    (the primary table leads), matching :func:`_merge_newest_first`.
+    (the primary table leads).
     """
     blocks: List[Optional[List[Tuple[int, Row]]]] = []
     positions: List[int] = []

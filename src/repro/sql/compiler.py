@@ -76,40 +76,6 @@ def _multiset_result(func_name: str, constants: Tuple[Any, ...],
     return ",".join(key for key, _count in ranked[:top_n])
 
 
-class _SumCountState:
-    """Shared (total, count) accumulator for the sum/count/avg family."""
-
-    __slots__ = ("total", "count")
-
-    def __init__(self) -> None:
-        self.total = 0
-        self.count = 0
-
-    def add(self, value: Any) -> None:
-        if value is not None:
-            self.total += value
-            self.count += 1
-
-    def results(self, func_name: str, constants: Tuple[Any, ...]) -> Any:
-        return _sumcount_result(func_name, self.total, self.count)
-
-
-class _MultisetState:
-    """Shared value-multiset for min/max/distinct_count/topn_frequency."""
-
-    __slots__ = ("counter",)
-
-    def __init__(self) -> None:
-        self.counter: Counter = Counter()
-
-    def add(self, value: Any) -> None:
-        if value is not None:
-            self.counter[value] += 1
-
-    def results(self, func_name: str, constants: Tuple[Any, ...]) -> Any:
-        return _multiset_result(func_name, constants, self.counter)
-
-
 @dataclasses.dataclass
 class CompiledAggregate:
     """One aggregate binding with its compiled argument extractor."""
@@ -148,8 +114,6 @@ class CompiledWindow:
             schema.position(name) for name in plan.partition_columns)
         self.order_position = schema.position(plan.order_column)
         self._aggregates: List[CompiledAggregate] = []
-        self._group_factories: List[Callable[[], Any]] = []
-        self._group_arg_fns: List[Callable[[Row], Tuple[Any, ...]]] = []
         self._group_scalar_fns: List[RowFn] = []
         self._group_families: List[str] = []
         self._group_keys: Dict[Tuple[Any, ...], int] = {}
@@ -173,17 +137,13 @@ class CompiledWindow:
         if len(arg_fns) == 1:
             if name in _SUMCOUNT_FAMILY:
                 family = "sumcount"
-                factory: Callable[[], Any] = _SumCountState
             elif name in _MULTISET_FAMILY:
                 family = "multiset"
-                factory = _MultisetState
         if family is not None:
             group_key = (family, binding.value_args)
             group = self._group_keys.get(group_key)
             if group is None:
-                group = len(self._group_factories)
-                self._group_factories.append(factory)
-                self._group_arg_fns.append(arg_fn)
+                group = len(self._group_families)
                 self._group_scalar_fns.append(arg_fns[0])
                 self._group_families.append(family)
                 self._group_keys[group_key] = group
@@ -243,9 +203,9 @@ class CompiledWindow:
             results: Dict[int, Any] = {}
             # Accumulation runs oldest → newest (blocks arrive newest-
             # first) so float sums and Counter insertion order are
-            # bit-identical to the naive fold and the ingest-time
-            # incremental state; ``reversed`` on a list block stays a
-            # C-level iterator, so ``map`` still drives the loop.
+            # bit-identical to the ingest-time incremental state;
+            # ``reversed`` on a list block stays a C-level iterator, so
+            # ``map`` still drives the loop.
             for scalar_fn, outs in sumcounts:
                 total = 0
                 count = 0
@@ -304,7 +264,7 @@ class CompiledWindow:
     @property
     def state_groups(self) -> int:
         """Number of shared accumulators (cycle-binding observability)."""
-        return len(self._group_factories)
+        return len(self._group_families)
 
     @property
     def aggregates(self) -> Tuple[CompiledAggregate, ...]:
@@ -334,37 +294,6 @@ class CompiledWindow:
         is the kernel's own accumulation loops.
         """
         return self._fold(blocks_newest_first)
-
-    def compute_naive(self, rows_newest_first: Sequence[Row]
-                      ) -> Dict[int, Any]:
-        """The pre-fusion fold: per-row, per-state method dispatch.
-
-        Kept as the ablation baseline (``benchmarks/
-        test_ablation_fused_fold.py``) and as an independent oracle for
-        the differential tests — it shares the state classes but not the
-        fused kernel's loop structure.
-        """
-        group_states = [factory() for factory in self._group_factories]
-        instances: List[Tuple[CompiledAggregate, AggregateFunction, Any]] = []
-        for compiled in self._aggregates:
-            if compiled.instance_factory is not None:
-                function = compiled.instance_factory()
-                instances.append((compiled, function, function.create()))
-        group_pairs = list(zip(group_states, self._group_arg_fns))
-        for row in reversed(rows_newest_first):  # oldest → newest
-            for state, arg_fn in group_pairs:
-                state.add(arg_fn(row)[0])
-            for compiled, function, state in instances:
-                function.add(state, *compiled.arg_fn(row))
-        results: Dict[int, Any] = {}
-        for compiled in self._aggregates:
-            if compiled.shared_group is not None:
-                state = group_states[compiled.shared_group]
-                results[compiled.slot] = state.results(
-                    compiled.binding.func_name, compiled.binding.constants)
-        for compiled, function, state in instances:
-            results[compiled.slot] = function.result(state)
-        return results
 
 
 @dataclasses.dataclass

@@ -7,8 +7,8 @@ Four layers of coverage:
    governor budget rollback, pressure sweeps, re-bucket hysteresis,
    snapshot/restore warm start.
 2. **Engine satellites**: per-window incremental attribution, and the
-   empty-preagg fast path staying answer-identical in both the traced
-   and untraced bodies.
+   empty-preagg fast path staying answer-identical with observability
+   on and off.
 3. **Differential invariance** (the tentpole's safety contract):
    a Hypothesis-driven schedule randomly promotes/demotes incremental
    keys and re-sizes preagg buckets *mid-stream*, and every answer must
@@ -16,7 +16,7 @@ Four layers of coverage:
    data, exact ``==``, same contract as ``tests/test_fused_fold.py``.
    Includes a durable crash (snapshot + recover) and a cluster
    ``FaultInjector.crash_restart`` with router-state survival.
-4. **Smoke tests** (``-k smoke`` → ``make adaptive-smoke``): compact
+4. **Smoke tests** (``-k smoke`` → ``make smoke``): compact
    end-to-end runs of the promotion and re-bucketing loops.
 """
 
@@ -347,7 +347,7 @@ class TestEngineSatellites:
         assert db.online_engine.stats.incremental_fallbacks == 1
 
     def test_attribution_without_observability(self):
-        db = OpenMLDB()  # untraced body
+        db = OpenMLDB()  # observability off
         db.execute("CREATE TABLE t (k string, ts timestamp, a int, "
                    "INDEX(KEY=k, TS=ts))")
         db.deploy("feat", FEATURE_SQL)
@@ -360,8 +360,8 @@ class TestEngineSatellites:
     @pytest.mark.parametrize("observability", [False, True])
     def test_empty_preagg_mapping_matches_none(self, observability):
         """Satellite 1: the empty-preagg fast path (no per-request dict
-        copy) must answer identically to passing no preagg at all, in
-        both the traced and the untraced body."""
+        copy) must answer identically to passing no preagg at all,
+        with observability on and off."""
         db = OpenMLDB(observability=observability)
         db.execute("CREATE TABLE t (k string, ts timestamp, a int, "
                    "INDEX(KEY=k, TS=ts))")
@@ -585,7 +585,7 @@ class TestAnswerInvariance:
 
 
 # ----------------------------------------------------------------------
-# 4. smoke (make adaptive-smoke)
+# 4. smoke (make smoke)
 
 
 class TestAdaptiveSmoke:

@@ -71,7 +71,7 @@ class TestClusterCrashRestart:
     def test_crash_restart_smoke(self, tmp_path, cluster_schema):
         """Kill-with-memory-loss -> snapshot + binlog-tail recovery.
 
-        The ``recover-smoke`` make target selects this test: it is the
+        ``make smoke`` (``-k smoke``) selects this test: it is the
         cheap end-to-end gate that the durability substrate still
         round-trips a real crash.
         """

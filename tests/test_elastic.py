@@ -1,7 +1,7 @@
 """Elastic-data-plane smoke: split, migrate, and rebalance under
 sustained closed-loop traffic with zero acknowledged-write loss.
 
-`make elastic-smoke` runs this module with ``-k smoke``.
+`make smoke` runs this module's ``-k smoke`` tests.
 """
 
 import threading

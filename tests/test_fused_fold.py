@@ -1,15 +1,17 @@
 """Differential test — every execution tier computes the same features.
 
-Three request paths answer the same deployed window script:
+Two request paths answer the same deployed window script:
 
-1. **naive** — per-row iterator merge, per-row per-state dispatch
-   (``OnlineEngine(fused_fold=False, block_scan=False)``);
-2. **fused** — block-based scans feeding the compiler's fused fold
+1. **fused** — block-based scans feeding the compiler's fused fold
    kernel;
-3. **incremental** — ingest-time per-key window state (the default
+2. **incremental** — ingest-time per-key window state (the default
    ``request_row`` path once a deployment is incremental-eligible).
 
-All three are compared row-for-row against an *independent* reference:
+Each runs on two instances fed the same events — observability off and
+``OpenMLDB(observability=True)`` — because the engine has one request
+body and the two must agree on features *and* on ``EngineStats`` after
+every request.  All are compared row-for-row against an *independent*
+reference:
 a plain-Python per-key store that re-implements the frame arithmetic
 (ROWS / ROWS_RANGE, MAXSIZE, EXCLUDE CURRENT_ROW), the storage tie
 order, all four TTL truncations, and hand-rolled aggregate semantics —
@@ -35,7 +37,7 @@ from hypothesis import strategies as st
 
 from repro import OpenMLDB
 from repro.baselines.interp import interpret_expr
-from repro.online.engine import OnlineEngine
+from repro.online.engine import _COUNTER_FIELDS
 from repro.schema import IndexDef, Schema, TTLKind, TTLSpec
 from repro.sql import ast
 
@@ -148,14 +150,15 @@ _ttls = st.one_of(
               lat_ttl=st.integers(1, 6)))
 
 
-def _build_db(events, deploy_at, frame, maxsize, exclude, ttl):
+def _build_db(events, deploy_at, frame, maxsize, exclude, ttl,
+              observability=False):
     kind, bound = frame
     frame_sql = (f"ROWS_RANGE BETWEEN {bound} PRECEDING AND CURRENT ROW"
                  if kind == "range"
                  else f"ROWS BETWEEN {bound} PRECEDING AND CURRENT ROW")
     opts = ("" if maxsize is None else f" MAXSIZE {maxsize}") \
         + (" EXCLUDE CURRENT_ROW" if exclude else "")
-    db = OpenMLDB()
+    db = OpenMLDB(observability=observability)
     schema = Schema.from_pairs([("k", "string"), ("ts", "timestamp"),
                                 ("a", "int"), ("b", "int")])
     db.create_table("t", schema,
@@ -169,6 +172,12 @@ def _build_db(events, deploy_at, frame, maxsize, exclude, ttl):
     return db
 
 
+def _build_twins(*args, **kwargs):
+    """The same scenario twice: observability off, and on."""
+    return tuple(_build_db(*args, observability=observability, **kwargs)
+                 for observability in (False, True))
+
+
 def _requests(events):
     max_ts = max(ts for _k, ts, _a, _b in events)
     anchors = (max_ts + 17, max_ts, max_ts // 2)
@@ -179,20 +188,27 @@ def _requests(events):
     return rows, max_ts
 
 
-def _check_all_paths(db, naive_engine, store, frame, maxsize, exclude,
+def _counters(db):
+    stats = db.online_engine.stats
+    return {field: getattr(stats, field)
+            for field in ("requests",) + _COUNTER_FIELDS}
+
+
+def _check_all_paths(db, traced_db, store, frame, maxsize, exclude,
                      requests):
-    compiled = db.deployments["d"].compiled
     for request in requests:
         expected = _reference_features(store, request, frame, maxsize,
                                        exclude)
-        # Default path: fused kernels + incremental state where eligible.
-        assert tuple(db.request_row("d", request)) == expected
-        # Fused scan-fold without ingest-time state.
-        assert tuple(db.online_engine.execute_request(
-            compiled, request)) == expected
-        # Pre-overhaul naive fold over the per-row iterator merge.
-        assert tuple(naive_engine.execute_request(
-            compiled, request)) == expected
+        for instance in (db, traced_db):
+            # Default path: fused kernels + incremental state where
+            # eligible.
+            assert tuple(instance.request_row("d", request)) == expected
+            # Fused scan-fold without ingest-time state.
+            assert tuple(instance.online_engine.execute_request(
+                instance.deployments["d"].compiled, request)) == expected
+        # One body: observability changes what is recorded, never what
+        # is computed or counted.
+        assert _counters(traced_db) == _counters(db)
 
 
 @settings(max_examples=40, deadline=None)
@@ -203,16 +219,15 @@ def _check_all_paths(db, naive_engine, store, frame, maxsize, exclude,
 def test_all_tiers_match_reference(events, deploy_frac, frame, maxsize,
                                    exclude, ttl, evict_offset):
     deploy_at = len(events) * deploy_frac // 100
-    db = _build_db(events, deploy_at, frame, maxsize, exclude, ttl)
+    db, traced_db = _build_twins(events, deploy_at, frame, maxsize,
+                                 exclude, ttl)
     try:
         deployment = db.deployments["d"]
         assert deployment.uses_incremental  # every aggregate is invertible
-        naive_engine = OnlineEngine(db.tables, fused_fold=False,
-                                    block_scan=False)
         store = _reference_store(events)
         requests, max_ts = _requests(events)
 
-        _check_all_paths(db, naive_engine, store, frame, maxsize, exclude,
+        _check_all_paths(db, traced_db, store, frame, maxsize, exclude,
                          requests)
         # Warm keys at fresh anchors must have taken the O(aggregates)
         # path, not fallen back to a scan.
@@ -221,11 +236,13 @@ def test_all_tiers_match_reference(events, deploy_frac, frame, maxsize,
         if ttl is not None:
             evict_ts = max_ts + evict_offset
             db.evict_expired(evict_ts)
+            traced_db.evict_expired(evict_ts)
             _reference_evict(store, ttl, evict_ts)
-            _check_all_paths(db, naive_engine, store, frame, maxsize,
+            _check_all_paths(db, traced_db, store, frame, maxsize,
                              exclude, requests)
     finally:
         db.close()
+        traced_db.close()
 
 
 # ----------------------------------------------------------------------
@@ -237,18 +254,19 @@ def test_out_of_order_inserts_byte_identical():
               ("u1", 2000, None, 9),   # late arrival, far in the past
               ("u1", 4000, 6, 9), ("u1", 5000, 1, 2)]  # duplicate ts
     frame = ("range", 2000)
-    db = _build_db(events, deploy_at=2, frame=frame, maxsize=None,
-                   exclude=False, ttl=None)
+    db, traced_db = _build_twins(events, deploy_at=2, frame=frame,
+                                 maxsize=None, exclude=False, ttl=None)
     try:
-        naive = OnlineEngine(db.tables, fused_fold=False, block_scan=False)
         store = _reference_store(events)
         requests = [("u1", 6000, 5, 5), ("u1", 5000, None, 5),
                     ("u1", 3000, 2, 2)]  # past anchor → fallback scan
-        _check_all_paths(db, naive, store, frame, None, False, requests)
+        _check_all_paths(db, traced_db, store, frame, None, False,
+                         requests)
         assert db.online_engine.stats.incremental_hits >= 2
         assert db.online_engine.stats.incremental_fallbacks >= 1
     finally:
         db.close()
+        traced_db.close()
 
 
 def test_ttl_evicted_rows_byte_identical():
@@ -258,17 +276,21 @@ def test_ttl_evicted_rows_byte_identical():
               (1000, 1400, 1800, 2200, 2600, 3000)]
     frame = ("range", 2500)
     ttl = TTLSpec(kind=TTLKind.ABSOLUTE, abs_ttl_ms=800)
-    db = _build_db(events, deploy_at=6, frame=frame, maxsize=None,
-                   exclude=False, ttl=ttl)
+    db, traced_db = _build_twins(events, deploy_at=6, frame=frame,
+                                 maxsize=None, exclude=False, ttl=ttl)
     try:
-        naive = OnlineEngine(db.tables, fused_fold=False, block_scan=False)
         store = _reference_store(events)
         before = tuple(db.request_row("d", ("u2", 3100, 1, 1)))
+        assert tuple(traced_db.request_row("d", ("u2", 3100, 1, 1))) \
+            == before
         db.evict_expired(3000)
+        traced_db.evict_expired(3000)
         _reference_evict(store, ttl, 3000)
         requests = [("u2", 3100, 1, 1), ("u2", 3000, None, None)]
-        _check_all_paths(db, naive, store, frame, None, False, requests)
+        _check_all_paths(db, traced_db, store, frame, None, False,
+                         requests)
         after = tuple(db.request_row("d", ("u2", 3100, 1, 1)))
         assert before != after  # the TTL sweep really narrowed the window
     finally:
         db.close()
+        traced_db.close()

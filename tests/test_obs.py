@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 
 from repro import OpenMLDB
 from repro.cluster import NameServer, TabletServer
+from repro.errors import DeadlineExceededError, ExecutionError
 from repro.obs import (BUCKET_BOUNDS_MS, Ewma, Histogram,
                        MetricsRegistry, NULL_COUNTER, NULL_SPAN,
                        Observability, RateWindow, Tracer)
 from repro.schema import IndexDef, Schema
+from repro.serving.deadline import Deadline, deadline_scope
 
 
 # ----------------------------------------------------------------------
@@ -390,6 +392,67 @@ class TestSingleNodeWiring:
         assert not db.obs.enabled
         assert db.obs.registry.series_count == 0
         assert db.obs.tracer.export() == []
+
+    def test_registry_equals_engine_stats_on_every_exit(self):
+        """One publish step feeds both views, whatever ends the request.
+
+        Three exits used to diverge: rows a residual ``LAST JOIN``
+        walked never reached ``online.rows_scanned``; a ``WHERE``
+        rejection dropped its ``online.join_lookups``; and a deadline
+        expiring mid-plan skipped ``EngineStats`` altogether.
+        """
+        db = OpenMLDB(observability=True)
+        db.execute(
+            "CREATE TABLE txns (card string, ts timestamp, amount double,"
+            " INDEX(KEY=card, TS=ts))")
+        db.execute(
+            "CREATE TABLE cards (cid string, cts timestamp, tier string,"
+            " INDEX(KEY=cid, TS=cts))")
+        for k in range(6):
+            db.insert("txns", ("c1", 1_000 + k * 100, float(k)))
+        for k, tier in enumerate(("gold", "basic", "basic")):
+            db.insert("cards", ("c1", 100 + k, tier))
+        db.deploy(
+            "feat",
+            "SELECT txns.card AS card, cards.tier AS tier, "
+            "  count(amount) OVER w AS n "
+            "FROM txns LAST JOIN cards ON txns.card = cards.cid "
+            "  AND cards.tier = 'gold' "
+            "WHERE txns.amount > 0 "
+            "WINDOW w AS (PARTITION BY card ORDER BY ts "
+            "  ROWS BETWEEN 3 PRECEDING AND CURRENT ROW)")
+        stats = db.online_engine.stats
+        registry = db.obs.registry
+
+        def check(requests, join_lookups, rows_scanned):
+            assert (stats.requests, stats.join_lookups,
+                    stats.rows_scanned) \
+                == (requests, join_lookups, rows_scanned)
+            for series, field in (
+                    ("online.requests", "requests"),
+                    ("online.rows_scanned", "rows_scanned"),
+                    ("online.scan.blocks", "scan_blocks"),
+                    ("online.join_lookups", "join_lookups"),
+                    ("online.incremental.hits", "incremental_hits"),
+                    ("online.incremental.fallbacks",
+                     "incremental_fallbacks")):
+                assert registry.get(series).value \
+                    == getattr(stats, field), series
+
+        # (a) residual join: walks past two 'basic' rows to the gold
+        # one; the stale anchor falls back to a three-row window scan.
+        assert db.request("feat", ("c1", 1_250, 1.0)) \
+            == {"card": "c1", "tier": "gold", "n": 4}
+        check(1, 1, 3 + 3)
+        # (b) WHERE rejects the tuple after the join already ran.
+        with pytest.raises(ExecutionError):
+            db.request("feat", ("c1", 1_250, -1.0))
+        check(2, 2, 6 + 3)
+        # (c) the deadline is spent when the window loop checks it.
+        with deadline_scope(Deadline.after(0)):
+            with pytest.raises(DeadlineExceededError):
+                db.request("feat", ("c1", 1_250, 1.0))
+        check(3, 3, 9 + 3)
 
     def test_preagg_counters_via_long_window(self):
         db = OpenMLDB(observability=True)

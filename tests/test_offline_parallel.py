@@ -21,7 +21,7 @@ compared bit-for-bit against the serial fold.
 Hypothesis drives the schedule: randomized frames (unbounded, ROWS,
 ROWS_RANGE), NULLs, duplicate and out-of-order timestamps, keys with
 zero rows, and ``workers=1``.  The ``smoke`` tests at the bottom are
-the ``make offline-smoke`` gate: one tiny process-pool + spill run.
+part of the ``make smoke`` gate: one tiny process-pool + spill run.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ def test_empty_table_every_mode(shared_engine_factory):
 
 
 # ----------------------------------------------------------------------
-# make offline-smoke
+# make smoke
 
 
 def _smoke_data():

@@ -138,7 +138,7 @@ class TestSLOSearch:
 
 
 def test_slo_smoke_ctr_workload():
-    """Tiny end-to-end SLO run over the ad CTR workload (make slo-smoke)."""
+    """Tiny end-to-end SLO run over the ad CTR workload (make smoke)."""
     config = adctr.AdCTRConfig(campaigns=40, heavy_hitters=3,
                                events=1_500)
     db = OpenMLDB()

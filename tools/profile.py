@@ -4,15 +4,13 @@ actually spend its time?
 
 Runs cProfile over a canned fig6-style MicroBench workload (two
 windows, one LAST JOIN, two union tables) and prints the top functions
-by cumulative and by self time.  ``--path`` selects the execution tier
-so the effect of the hot-path overhaul is directly visible:
+by cumulative and by self time.  ``--path`` selects the execution
+tier:
 
 * ``incremental`` (default) — the deployed request path: ingest-time
   window state where eligible, fused kernels elsewhere;
 * ``fused``   — block-based scans + fused fold kernels, no ingest-time
   state;
-* ``naive``   — the pre-overhaul per-row iterator merge and per-row
-  per-state fold;
 * ``cluster`` — the path users are actually served: the same data on 3
   tablets (``partitions=4, replicas=2``) answered through
   ``NameServer.request_batch``, so routing, the tablet RPC surface and
@@ -21,7 +19,7 @@ so the effect of the hot-path overhaul is directly visible:
 Usage::
 
     make profile                       # incremental tier, 400 requests
-    python tools/profile.py --path naive --rounds 200 --top 20
+    python tools/profile.py --path fused --rounds 200 --top 20
     python tools/profile.py --path cluster
 """
 
@@ -46,7 +44,6 @@ import pstats     # noqa: E402
 
 from repro import OpenMLDB                              # noqa: E402
 from repro.cluster import NameServer, TabletServer      # noqa: E402
-from repro.online.engine import OnlineEngine            # noqa: E402
 from repro.workloads.microbench import (MicroBenchConfig,  # noqa: E402
                                         build_feature_sql, generate)
 
@@ -82,22 +79,17 @@ def build_workload(path):
 
 
 def make_operation(db, path):
-    deployment = db.deployments["bench"]
-    compiled = deployment.compiled
     if path == "incremental":
         return lambda row: db.request_row("bench", row)
-    if path == "fused":
-        return lambda row: db.online_engine.execute_request(compiled, row)
-    naive = OnlineEngine(db.tables, fused_fold=False, block_scan=False)
-    return lambda row: naive.execute_request(compiled, row)
+    compiled = db.deployments["bench"].compiled
+    return lambda row: db.online_engine.execute_request(compiled, row)
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
         description="cProfile the online request path")
     parser.add_argument("--path", default="incremental",
-                        choices=("incremental", "fused", "naive",
-                                 "cluster"),
+                        choices=("incremental", "fused", "cluster"),
                         help="execution tier to profile")
     parser.add_argument("--rounds", type=int, default=400,
                         help="request count to profile (cycled)")
