@@ -7,13 +7,22 @@ Two closed-loop scenarios over the simulated cluster:
    concurrent lookups for the same entity).  Direct serial requests
    execute every window scan; the micro-batching frontend collapses
    identical concurrent requests (single-flight) and shares window
-   scans inside each batch — it must clear **≥2×** the serial
-   throughput.  The herd's windows hold 3,000 rows each: for the
-   ratio to measure batching at all, the scan + fold a collapsed
-   request saves (≈0.5 ms) has to outweigh the frontend's own
-   hand-offs and 1 ms batching window.  (At 600 rows a whole request
-   costs 0.14–0.25 ms and the ratio reads 1.2–1.9× whatever the
-   frontend does — EXPERIMENTS.md, "Contiguous second level".)
+   scans inside each batch.  The gate is what single-flight
+   *guarantees*, as counts: each of the 192 requests is either
+   executed or answered by an in-flight twin, the engine executes at
+   most one per distinct row per iteration (48), so at least 144 are
+   deduplicated — and the frontend is not slower than serial.  On a
+   quiet box the herd collapses completely (12 executed, 180
+   deduplicated, every run); with a CPU hog beside it 13–32 executed,
+   which is why the recorded 180 is not the floor.  The throughput
+   ratio is recorded, not gated: it used to be ``≥ 2×``, which
+   measures how expensive the scan the herd skips is against the
+   frontend's fixed 1 ms batching window, and so broke each time the
+   scan got cheaper with nothing in the frontend changed — at 600-row
+   windows when the second level became contiguous (the windows were
+   grown to 3,000 rows to keep it), and at 3,000 rows when the fold
+   went columnar (five runs: 2.0–2.6×, parent 3.0–4.1× —
+   EXPERIMENTS.md, "Column blocks").
 
 2. **Load shedding vs unbounded queueing.**  A slow cluster (injected
    per-RPC delay) saturates a 1-worker frontend.  The bounded frontend
@@ -70,37 +79,48 @@ def test_batched_frontend_beats_serial_throughput(benchmark,
     iters = 12
     rows = [(uid, ANCHOR_TS, 0.0) for uid in range(HOT_ROWS)]
 
+    def count(series_name):
+        series = obs.registry.get(series_name)
+        return series.value if series is not None else 0
+
     # Serial baseline: every client calls the cluster directly; every
     # request executes its own window scans.
     serial = closed_loop(
         CLIENTS, iters,
         lambda cid, i: cluster.request("feat", rows[i % HOT_ROWS]))
     assert not serial.timed_out and not serial.errors
-
+    executed_before = count("online.requests")
+    assert executed_before == CLIENTS * iters  # serial: every one runs
+    deduped_before = count("serving.dedup")
     with FrontendServer(cluster, obs=obs, max_queue=256, workers=2,
                         max_batch=8, max_wait_ms=1.0) as frontend:
         front = closed_loop(
             CLIENTS, iters,
             lambda cid, i: frontend.request("feat", rows[i % HOT_ROWS]))
     assert not front.timed_out and not front.errors
+    herd_executed = count("online.requests") - executed_before
+    herd_deduped = count("serving.dedup") - deduped_before
 
     serial_qps = serial.qps
     front_qps = front.qps
-    deduped = obs.registry.get("serving.dedup").value
     print(f"\nserving throughput: serial {serial_qps:,.0f} req/s, "
           f"frontend {front_qps:,.0f} req/s "
-          f"({front_qps / serial_qps:.1f}x, {deduped} deduped)")
+          f"({front_qps / serial_qps:.1f}x; {herd_executed} executed, "
+          f"{herd_deduped} deduped of {CLIENTS * iters})")
 
-    # The herd collapses: most requests ride an in-flight twin.
-    assert deduped > 0
-    assert front_qps >= 2.0 * serial_qps
+    # The herd collapses: a row is executed at most once per iteration,
+    # everyone else rides the in-flight twin.
+    assert herd_executed + herd_deduped == CLIENTS * iters
+    assert herd_executed <= HOT_ROWS * iters
+    assert front_qps >= serial_qps
 
     benchmark.extra_info["serial_qps"] = serial_qps
     benchmark.extra_info["frontend_qps"] = front_qps
     benchmark.extra_info["speedup"] = front_qps / serial_qps
     record_bench("fig_serving_throughput", serial_qps=serial_qps,
                  frontend_qps=front_qps,
-                 speedup=front_qps / serial_qps)
+                 speedup=front_qps / serial_qps,
+                 herd_executed=herd_executed, herd_deduped=herd_deduped)
     benchmark.pedantic(cluster.request, args=("feat", rows[0]),
                        rounds=10, iterations=1)
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-import operator
 import os
 import shutil
 import threading
@@ -55,6 +54,7 @@ from ..sql.compiler import CompilationCache, CompiledQuery
 from ..sql.parser import parse
 from ..storage.encoding import RowCodec
 from ..storage.persist import (FileBinlog, RecoveryReport, SnapshotStore)
+from ..storage.skiplist import ColumnBlock
 from .failover import HeartbeatMonitor, RetryPolicy, catch_up, elect_leader
 from .tablet import TabletServer
 
@@ -171,15 +171,14 @@ class _ClusterTableView:
                            key_value: Any, start_ts: Optional[int] = None,
                            end_ts: Optional[int] = None,
                            limit: Optional[int] = None,
-                           block_rows: int = 256
-                           ) -> List[List[Tuple[int, Row]]]:
+                           block_rows: int = 256) -> List[ColumnBlock]:
         """Chunked window scan over the cluster, newest-first.
 
         A key that routes to one partition (every scan on the partition
-        column) gets that tablet's storage blocks back as they are — no
-        copy, sort or re-chunking between the store and the fold.  Only
-        the fan-out over a non-partition index merges, and hands the
-        merged rows back as a single block.
+        column) gets that tablet's :class:`ColumnBlock` s back as they
+        are — no copy, sort or re-chunking between the store and the
+        fold.  Only the fan-out over a non-partition index merges, and
+        lays the merged rows out as a single block.
         """
         return self._rerouting(
             lambda: self._window_scan_blocks_once(
@@ -190,10 +189,10 @@ class _ClusterTableView:
                                  key_value: Any, start_ts: Optional[int],
                                  end_ts: Optional[int],
                                  limit: Optional[int], block_rows: int
-                                 ) -> List[List[Tuple[int, Row]]]:
+                                 ) -> List[ColumnBlock]:
         ns = self._ns
         ctx = ns._obs.tracer.inject()
-        scans: List[List[List[Tuple[int, Row]]]] = []
+        scans: List[List[ColumnBlock]] = []
         for partition_id in self._partitions_for(keys, key_value):
             ns._m_routes.inc()
             scans.append(ns.routed_read(
@@ -206,13 +205,9 @@ class _ClusterTableView:
                         timeout_ms=timeout_ms)))
         if len(scans) == 1:
             return scans[0]
-        # Stable sort: rows with equal timestamps keep partition order.
-        merged = [pair for blocks in scans for block in blocks
-                  for pair in block]
-        merged.sort(key=operator.itemgetter(0), reverse=True)
-        if limit is not None:
-            merged = merged[:limit]
-        return [merged] if merged else []
+        # Rows with equal timestamps keep partition order.
+        merged = ColumnBlock.merged(scans, len(self.schema), limit)
+        return [merged] if len(merged) else []
 
     def last_join_lookup(self, keys: Sequence[str], key_value: Any,
                          before_ts: Optional[int] = None

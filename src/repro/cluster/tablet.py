@@ -32,6 +32,7 @@ from ..schema import IndexDef, Row, Schema
 from ..serving.deadline import current_deadline
 from ..storage.memtable import MemTable
 from ..storage.persist import SnapshotStore
+from ..storage.skiplist import ColumnBlock
 
 __all__ = ["Shard", "TabletServer"]
 
@@ -292,11 +293,11 @@ class TabletServer:
                            block_rows: int = 256,
                            trace_ctx: Optional[Dict[str, int]] = None,
                            timeout_ms: Optional[float] = None
-                           ) -> List[List[Tuple[int, Row]]]:
+                           ) -> List[ColumnBlock]:
         """Scan one partition's window rows, resuming the caller's trace.
 
-        Returns the store's newest-first ``(ts, row)`` blocks as they
-        are.  ``trace_ctx`` is what the nameserver's
+        Returns the store's newest-first
+        :class:`~repro.storage.skiplist.ColumnBlock` s as they are.  ``trace_ctx`` is what the nameserver's
         :meth:`Tracer.inject` produced — the same trace-context
         propagation a real RPC carries, which stitches the tablet-side
         spans into the request trace.

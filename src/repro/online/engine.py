@@ -13,10 +13,10 @@ is always instrumented.  Per request:
 2. For every window, first consult **incremental window state** (per-key
    running aggregates maintained at ingest time; ``incremental.lookup``
    span); on a hit the window costs O(aggregates).  Otherwise fetch the
-   window's rows as *blocks* from the storage layer's chunked
+   window as column blocks from the storage layer's chunked
    ``window_scan_blocks`` (``window.scan``; window unions merge several
-   tables' block streams newest-first) and fold them through the
-   window's **fused kernel** (``agg.fold``) — or, for deployed *long
+   tables' block streams newest-first) and reduce them with the
+   window's **fold** (``agg.fold``) — or, for deployed *long
    windows*, ask the pre-aggregation manager for merged bucket states
    and scan only the raw head/tail spans (``preagg.lookup``, Section
    5.1's query refinement).
@@ -40,8 +40,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 from time import perf_counter
-from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import (Any, Dict, List, Mapping, Optional, Sequence, Tuple)
 
 from ..errors import ExecutionError
 from ..obs import NULL_OBS, Observability
@@ -49,6 +48,7 @@ from ..schema import Row
 from ..serving.deadline import current_deadline
 from ..sql.compiler import CompiledJoin, CompiledQuery, CompiledWindow
 from ..storage.memtable import normalize_ts
+from ..storage.skiplist import ColumnBlock
 from .preagg import PreAggregator
 
 __all__ = ["OnlineEngine", "EngineStats"]
@@ -204,7 +204,7 @@ class OnlineEngine:
     def execute_request(
             self, compiled: CompiledQuery, request_row: Sequence[Any],
             preagg: Optional[Mapping[str, Mapping[int, PreAggregator]]] = None,
-            shared_fetch: Optional[Dict[Any, List[List[Row]]]] = None,
+            shared_fetch: Optional[Dict[Any, List[ColumnBlock]]] = None,
             incremental: Optional[Mapping[str, Any]] = None,
             router: Optional[Any] = None
     ) -> Row:
@@ -267,7 +267,7 @@ class OnlineEngine:
             # Window aggregates, with row fetches shared between windows
             # that the compiler recognised as identical definitions.
             aggregate_values: List[Any] = [None] * compiled.aggregate_count
-            fetched: Dict[str, List[List[Row]]] = {}
+            fetched: Dict[str, List[ColumnBlock]] = {}
             for name, window in compiled.windows.items():
                 if not window.aggregates:
                     continue
@@ -417,16 +417,17 @@ class OnlineEngine:
     def _window_blocks(self, compiled: CompiledQuery,
                        window: CompiledWindow, request_row: Row,
                        counters: _RequestCounters,
-                       shared: Optional[Dict[Any, List[List[Row]]]] = None,
-                       cache_name: Optional[str] = None) -> List[List[Row]]:
-        """Fetch a window's rows as newest-first blocks, request row first.
+                       shared: Optional[Dict[Any, List[ColumnBlock]]] = None,
+                       cache_name: Optional[str] = None
+                       ) -> List[ColumnBlock]:
+        """Fetch a window as newest-first blocks, request row first.
 
-        With ``shared`` (one dict per micro-batch), the *stored* row
-        blocks of a scan are cached under ``(window, partition key,
-        anchor ts)`` and reused by later requests in the batch that
-        resolve to the identical scan — the request row itself is
-        prepended per request, so requests sharing a key/timestamp but
-        carrying different payloads stay correct.
+        With ``shared`` (one dict per micro-batch), the *stored* blocks
+        of a scan are cached under ``(window, partition key, anchor
+        ts)`` and reused by later requests in the batch that resolve to
+        the identical scan — the request row itself is prepended per
+        request as a block of its own, so requests sharing a
+        key/timestamp but carrying different payloads stay correct.
         """
         plan = window.plan
         primary = compiled.plan.table
@@ -454,7 +455,7 @@ class OnlineEngine:
             sources.extend(self._tables[union_table]
                            for union_table in plan.union_tables)
             stored = self._fetch_stored_blocks(
-                sources, plan, key, anchor_ts, end_ts, limit)
+                sources, window, key, anchor_ts, end_ts, limit)
             counters.rows_scanned += sum(len(block) for block in stored)
             counters.scan_blocks += len(stored)
             if cache_key is not None:
@@ -462,36 +463,39 @@ class OnlineEngine:
         else:
             counters.shared_scan_hits += 1
 
-        blocks: List[List[Row]] = [] if plan.exclude_current_row \
-            else [[request_row]]
+        blocks: List[ColumnBlock] = [] if plan.exclude_current_row \
+            else [ColumnBlock.of_row(anchor_ts, request_row)]
         blocks.extend(stored)
         if plan.maxsize is not None:
             blocks = _cap_blocks(blocks, plan.maxsize)
         return blocks
 
-    def _fetch_stored_blocks(self, sources: List[Any], plan: Any, key: Any,
+    def _fetch_stored_blocks(self, sources: List[Any],
+                             window: CompiledWindow, key: Any,
                              anchor_ts: int, end_ts: Optional[int],
-                             limit: Optional[int]) -> List[List[Row]]:
-        """Scan the window's sources into newest-first row blocks.
+                             limit: Optional[int]) -> List[ColumnBlock]:
+        """Scan the window's sources into newest-first blocks.
 
-        Single-source windows stream the storage layer's blocks through
-        unchanged (no merge step at all) — memtables, disk tables and
-        cluster table views all serve the chunked API; unions k-way
-        merge over block cursors.
+        A single-source window hands the storage layer's blocks to the
+        fold unchanged — memtables, disk tables and cluster table views
+        all serve :class:`ColumnBlock` s; a union merges its sources'
+        scans, primary table first on a tie, into one block.
         """
         if limit is not None and limit <= 0:
             return []  # e.g. ROWS BETWEEN 0 PRECEDING: only the request row
+        plan = window.plan
         if len(sources) == 1:
-            return [[pair[1] for pair in block]
-                    for block in sources[0].window_scan_blocks(
-                        plan.partition_columns, plan.order_column, key,
-                        start_ts=anchor_ts, end_ts=end_ts, limit=limit)]
-        merged = _merge_blocks_newest_first(
-            [iter(source.window_scan_blocks(
+            return list(sources[0].window_scan_blocks(
                 plan.partition_columns, plan.order_column, key,
-                start_ts=anchor_ts, end_ts=end_ts))
-             for source in sources], limit=limit)
-        return [merged] if merged else []
+                start_ts=anchor_ts, end_ts=end_ts, limit=limit))
+        # A union: the ``limit`` newest of the merge need at most
+        # ``limit`` from each source.
+        merged = ColumnBlock.merged(
+            [source.window_scan_blocks(
+                plan.partition_columns, plan.order_column, key,
+                start_ts=anchor_ts, end_ts=end_ts, limit=limit)
+             for source in sources], window.width, limit)
+        return [merged] if len(merged) else []
 
     # ------------------------------------------------------------------
     # pre-aggregation path
@@ -553,66 +557,23 @@ class OnlineEngine:
             start_ts=span[1], end_ts=span[0]))
         counters.preagg_raw_rows += sum(len(block) for block in blocks)
         for block in reversed(blocks):  # oldest → newest
-            for _ts, row in reversed(block):
+            for row in block.rows():
                 if state is None:
                     state = function.create()
                 add(state, *extract(row))
         return state
 
 
-def _cap_blocks(blocks: List[List[Row]], maxsize: int) -> List[List[Row]]:
+def _cap_blocks(blocks: List[ColumnBlock],
+                maxsize: int) -> List[ColumnBlock]:
     """Truncate a block list to at most ``maxsize`` total rows."""
-    capped: List[List[Row]] = []
+    capped: List[ColumnBlock] = []
     remaining = maxsize
     for block in blocks:
         if remaining <= 0:
             break
-        if len(block) <= remaining:
-            capped.append(block)
-            remaining -= len(block)
-        else:
-            capped.append(block[:remaining])
-            remaining = 0
+        if len(block) > remaining:
+            block = block.newest(remaining)
+        capped.append(block)
+        remaining -= len(block)
     return capped
-
-
-def _merge_blocks_newest_first(
-        block_iterators: List[Iterator[List[Tuple[int, Row]]]],
-        limit: Optional[int]) -> List[Row]:
-    """k-way merge over *block* streams, producing one merged row list.
-
-    Cursors advance by list indexing within each source's current block,
-    so the per-row cost is a few tuple compares — no generator resumes
-    until a source exhausts a block.  Ties keep the earlier source first
-    (the primary table leads).
-    """
-    blocks: List[Optional[List[Tuple[int, Row]]]] = []
-    positions: List[int] = []
-    for iterator in block_iterators:
-        blocks.append(next(iterator, None))
-        positions.append(0)
-    merged: List[Row] = []
-    append = merged.append
-    while True:
-        best_slot = -1
-        best_ts: Optional[int] = None
-        for slot, block in enumerate(blocks):
-            if block is None:
-                continue
-            ts = block[positions[slot]][0]
-            if best_ts is None or ts > best_ts:
-                best_ts = ts
-                best_slot = slot
-        if best_slot < 0:
-            return merged
-        block = blocks[best_slot]
-        position = positions[best_slot]
-        append(block[position][1])  # type: ignore[index]
-        if limit is not None and len(merged) >= limit:
-            return merged
-        position += 1
-        if position >= len(block):  # type: ignore[arg-type]
-            blocks[best_slot] = next(block_iterators[best_slot], None)
-            positions[best_slot] = 0
-        else:
-            positions[best_slot] = position

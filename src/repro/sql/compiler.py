@@ -28,15 +28,20 @@ import dataclasses
 import threading
 import time
 from collections import Counter
+from functools import reduce
+from operator import add
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
 from ..errors import CompileError, PlanError
 from ..obs import NULL_OBS, Observability
 from ..schema import Row, Schema
+from ..storage.memtable import normalize_ts
+from ..storage.skiplist import ColumnBlock
+from ..types import ColumnType
 from . import ast
 from .expressions import RowFn, Scope, compile_expr
-from .functions import AggregateFunction, get_aggregate
+from .functions import AggregateFunction, aggregate_class, get_aggregate
 from .planner import (AggregateBinding, JoinPlan, QueryPlan, WindowPlan,
                       build_plan)
 
@@ -49,8 +54,9 @@ __all__ = [
 # ----------------------------------------------------------------------
 # cycle binding: shared intermediate states
 
-_SUMCOUNT_FAMILY = ("sum", "count", "avg")
-_MULTISET_FAMILY = ("min", "max", "distinct_count", "topn_frequency")
+#: Columns whose values are Python ints: their sum is exact in any
+#: order, so builtin ``sum`` may reduce a slice of them.
+_INTEGER_TYPES = (ColumnType.SMALLINT, ColumnType.INT, ColumnType.BIGINT)
 
 
 def _sumcount_result(func_name: str, total: Any, count: int) -> Any:
@@ -62,18 +68,39 @@ def _sumcount_result(func_name: str, total: Any, count: int) -> Any:
 
 
 def _multiset_result(func_name: str, constants: Tuple[Any, ...],
-                     counter: Counter) -> Any:
+                     lowest: Any, highest: Any, distinct: Any) -> Any:
+    """One ``multiset`` member's value from the group's shared state:
+    the extremes and the set / Counter of the argument's values."""
     if func_name == "min":
-        return min(counter) if counter else None
+        return lowest
     if func_name == "max":
-        return max(counter) if counter else None
+        return highest
     if func_name == "distinct_count":
-        return len(counter)
+        return len(distinct)
     # topn_frequency
     top_n = int(constants[0])
-    ranked = sorted(((str(key), count) for key, count in counter.items()),
+    ranked = sorted(((str(key), count) for key, count in distinct.items()),
                     key=lambda item: (-item[1], item[0]))
     return ",".join(key for key, _count in ranked[:top_n])
+
+
+def _left_fold(values: List[Any], total: Any) -> Any:
+    """``total + v0 + v1 + …`` strictly left to right — the float-safe
+    spelling of ``sum(values, total)``."""
+    return reduce(add, values, total)
+
+
+def _present(values: List[Any]) -> List[Any]:
+    return [value for value in values if value is not None]
+
+
+def _value_lists(group: "_StateGroup", blocks: Sequence[ColumnBlock],
+                 row_views: Sequence[List[Row]]) -> List[List[Any]]:
+    """The group's argument over each block, oldest block first: the
+    column slice of a bare column, else the expression over the rows."""
+    if group.position is not None:
+        return [block.column(group.position) for block in blocks]
+    return [list(map(group.scalar_fn, rows)) for rows in row_views]
 
 
 @dataclasses.dataclass
@@ -91,39 +118,57 @@ class CompiledAggregate:
         return self.binding.slot
 
 
+@dataclasses.dataclass
+class _StateGroup:
+    """One shared accumulator: a fold family over one argument."""
+
+    family: str
+    scalar_fn: RowFn
+    #: The argument's position in the row when it is a bare column — the
+    #: fold then reads the block's column slice instead of its rows.
+    position: Optional[int]
+    #: The bare column holds Python ints (see ``_INTEGER_TYPES``).
+    integral: bool
+
+
 class CompiledWindow:
-    """All aggregates of one window, ready to fold over its rows.
+    """All aggregates of one window, ready to fold over its blocks.
 
-    ``compute`` takes the window rows **newest-first** (the storage
-    layer's natural order) and returns ``{slot: value}``.  Internally it
-    folds oldest→newest so order-sensitive aggregates see time order.
+    ``compute_blocks`` takes the window as newest-first
+    :class:`~repro.storage.skiplist.ColumnBlock` s (what every storage
+    layer's ``window_scan_blocks`` hands out) and returns ``{slot:
+    value}``; ``compute`` wraps plain newest-first rows into one block
+    and calls the same fold.  Accumulation runs oldest → newest, so
+    order-sensitive aggregates see time order and float sums are
+    bit-identical to ingest-time state.
 
-    Compilation emits one **fused fold kernel** per window: a single
-    closure that advances every aggregate's state in one pass over the
-    scan.  Order-insensitive families fold column-at-a-time with local
-    accumulators (``map`` over each block drives the C-level column
-    extractors), so the hot loop carries no per-row method dispatch and
-    allocates nothing per row.  Order-sensitive aggregates fold in a
-    second, oldest→newest pass within the same kernel.
+    Compilation emits exactly one **fold closure** per window.  Order-
+    insensitive single-argument aggregates are cycle-bound into state
+    groups, and each group is reduced a block at a time by C-level
+    builtins over a *column* of the block: the strided slice when the
+    argument is a bare column, otherwise the argument expression mapped
+    over the block's zipped row view.  Everything else walks that row
+    view through the :class:`AggregateFunction` protocol.
     """
 
     def __init__(self, plan: WindowPlan, schema: Schema,
                  scope: Scope) -> None:
         self.plan = plan
+        self.width = len(schema)
         self.partition_positions = tuple(
             schema.position(name) for name in plan.partition_columns)
         self.order_position = schema.position(plan.order_column)
         self._aggregates: List[CompiledAggregate] = []
-        self._group_scalar_fns: List[RowFn] = []
-        self._group_families: List[str] = []
+        self._groups: List[_StateGroup] = []
         self._group_keys: Dict[Tuple[Any, ...], int] = {}
         for binding in plan.aggregates:
-            self._aggregates.append(self._compile_binding(binding, scope))
+            self._aggregates.append(
+                self._compile_binding(binding, schema, scope))
         self._fold = self._build_fold_kernel()
 
     # -- compilation --------------------------------------------------
 
-    def _compile_binding(self, binding: AggregateBinding,
+    def _compile_binding(self, binding: AggregateBinding, schema: Schema,
                          scope: Scope) -> CompiledAggregate:
         arg_fns = [compile_expr(arg, scope) for arg in binding.value_args]
         if len(arg_fns) == 1:
@@ -133,20 +178,21 @@ class CompiledWindow:
             arg_fn = lambda row: tuple(fn(row) for fn in arg_fns)  # noqa: E731
 
         name = binding.func_name
-        family: Optional[str] = None
-        if len(arg_fns) == 1:
-            if name in _SUMCOUNT_FAMILY:
-                family = "sumcount"
-            elif name in _MULTISET_FAMILY:
-                family = "multiset"
-        if family is not None:
-            group_key = (family, binding.value_args)
+        declared = aggregate_class(name)
+        if len(arg_fns) == 1 and not declared.order_sensitive \
+                and declared.fold_family != "rows":
+            group_key = (declared.fold_family, binding.value_args)
             group = self._group_keys.get(group_key)
             if group is None:
-                group = len(self._group_families)
-                self._group_scalar_fns.append(arg_fns[0])
-                self._group_families.append(family)
-                self._group_keys[group_key] = group
+                group = self._group_keys[group_key] = len(self._groups)
+                argument = binding.value_args[0]
+                position = scope.resolve(argument) \
+                    if isinstance(argument, ast.ColumnRef) else None
+                self._groups.append(_StateGroup(
+                    family=declared.fold_family, scalar_fn=arg_fns[0],
+                    position=position,
+                    integral=position is not None and schema.columns[
+                        position].type in _INTEGER_TYPES))
             return CompiledAggregate(binding=binding, arg_fn=arg_fn,
                                      shared_group=group)
         constants = binding.constants
@@ -155,106 +201,122 @@ class CompiledWindow:
             instance_factory=lambda: get_aggregate(name, *constants))
 
     def _build_fold_kernel(
-            self) -> Callable[[Sequence[Sequence[Row]]], Dict[int, Any]]:
-        """Specialise one fold closure for this window's aggregate mix.
+            self) -> Callable[[Sequence[ColumnBlock]], Dict[int, Any]]:
+        """Specialise the fold closure for this window's aggregate mix.
 
         The classification happens *here*, at compile time; the returned
-        kernel only runs tight loops.  Three order-insensitive programs:
+        kernel only runs C-level reductions over one value list per
+        block.  Per state group:
 
-        * ``sumcount`` — one (total, count) pair per distinct argument
-          expression, shared by sum/count/avg (cycle binding);
-        * ``multiset`` — a :class:`Counter` per argument expression, but
-          only when distinct_count/topn_frequency need true multiplicity;
-        * ``minmax`` — min/max-only groups skip the Counter entirely and
-          reduce each block with C-level ``min``/``max``.
+        * ``sumcount`` — one (total, count) pair shared by sum/count/avg
+          (cycle binding).  The count is ``len``.  The total is builtin
+          ``sum`` for integer columns only; any other argument keeps a
+          sequential oldest → newest left fold (``reduce(add)``), because
+          Python ≥ 3.12's ``sum`` is compensated for floats and would
+          break byte-identity with the incremental state and the offline
+          engine.  A count-only group adds nothing up.
+        * ``multiset`` — a ``set`` of the values when distinct_count is
+          asked for, a :class:`Counter` only when topn_frequency needs
+          multiplicity (fed oldest → newest: ties print the first-seen
+          key), and min/max read off its keys; a min/max-only group
+          skips the container and compares per-block ``min``/``max``
+          across blocks.
 
-        Everything else (order-sensitive, multi-argument) folds through
-        the generic :class:`AggregateFunction` protocol, oldest→newest.
+        NULLs never cost the fast path a pass of its own: adding or
+        comparing one raises ``TypeError``, and only then is the block
+        filtered and reduced again; the containers take them and drop
+        the one NULL key at the end.  Everything else — order-sensitive,
+        multi-argument, ``fold_family = "rows"`` — folds through the
+        generic :class:`AggregateFunction` protocol over the zipped row
+        view.
         """
-        sumcount_programs: List[Tuple[RowFn, Tuple[Tuple[str, int], ...]]] = []
-        multiset_programs: List[
-            Tuple[RowFn, Tuple[Tuple[str, Tuple[Any, ...], int], ...]]] = []
-        minmax_programs: List[Tuple[RowFn, Tuple[Tuple[str, int], ...]]] = []
-        for group, family in enumerate(self._group_families):
-            members = tuple(compiled for compiled in self._aggregates
-                            if compiled.shared_group == group)
-            scalar_fn = self._group_scalar_fns[group]
-            if family == "sumcount":
-                sumcount_programs.append((scalar_fn, tuple(
-                    (c.binding.func_name, c.slot) for c in members)))
-            elif any(c.binding.func_name in ("distinct_count",
-                                             "topn_frequency")
-                     for c in members):
-                multiset_programs.append((scalar_fn, tuple(
-                    (c.binding.func_name, c.binding.constants, c.slot)
-                    for c in members)))
+        sumcounts = []
+        multisets = []
+        for group, state in enumerate(self._groups):
+            members = [compiled for compiled in self._aggregates
+                       if compiled.shared_group == group]
+            names = {compiled.binding.func_name for compiled in members}
+            outs = tuple((c.binding.func_name, c.binding.constants, c.slot)
+                         for c in members)
+            if state.family == "sumcount":
+                accumulate = None if not names & {"sum", "avg"} \
+                    else sum if state.integral else _left_fold
+                sumcounts.append((state, accumulate, outs))
             else:
-                minmax_programs.append((scalar_fn, tuple(
-                    (c.binding.func_name, c.slot) for c in members)))
+                distinct_type = Counter if "topn_frequency" in names \
+                    else set if "distinct_count" in names else None
+                multisets.append((state, distinct_type, outs))
         generic_programs = tuple(
             (compiled.arg_fn, compiled.instance_factory, compiled.slot)
             for compiled in self._aggregates
             if compiled.instance_factory is not None)
-        sumcounts = tuple(sumcount_programs)
-        multisets = tuple(multiset_programs)
-        minmaxes = tuple(minmax_programs)
+        walks_rows = bool(generic_programs) or any(
+            state.position is None for state in self._groups)
 
-        def fold(blocks: Sequence[Sequence[Row]]) -> Dict[int, Any]:
+        def fold(blocks: Sequence[ColumnBlock]) -> Dict[int, Any]:
             results: Dict[int, Any] = {}
-            # Accumulation runs oldest → newest (blocks arrive newest-
-            # first) so float sums and Counter insertion order are
-            # bit-identical to the ingest-time incremental state;
-            # ``reversed`` on a list block stays a C-level iterator, so
-            # ``map`` still drives the loop.
-            for scalar_fn, outs in sumcounts:
+            # Blocks arrive newest-first and hold their tuples oldest →
+            # newest: reversing the block order puts every value list in
+            # time order end to end.
+            ordered = blocks[::-1]
+            row_views = [block.rows() for block in ordered] \
+                if walks_rows else ()
+            for group, accumulate, outs in sumcounts:
                 total = 0
                 count = 0
-                for block_index in range(len(blocks) - 1, -1, -1):
-                    for value in map(scalar_fn,
-                                     reversed(blocks[block_index])):
-                        if value is not None:
-                            total += value
-                            count += 1
-                for func_name, slot in outs:
+                for values in _value_lists(group, ordered, row_views):
+                    if accumulate is None:
+                        count += len(values) - values.count(None)
+                        continue
+                    try:
+                        total = accumulate(values, total)
+                    except TypeError:  # a NULL does not add: skip them
+                        values = _present(values)
+                        total = accumulate(values, total)
+                    count += len(values)
+                for func_name, _constants, slot in outs:
                     results[slot] = _sumcount_result(func_name, total, count)
-            for scalar_fn, typed_outs in multisets:
-                counter: Counter = Counter()
-                update = counter.update
-                for block_index in range(len(blocks) - 1, -1, -1):
-                    update(value for value in
-                           map(scalar_fn, reversed(blocks[block_index]))
-                           if value is not None)
-                for func_name, constants, slot in typed_outs:
-                    results[slot] = _multiset_result(func_name, constants,
-                                                     counter)
-            for scalar_fn, outs in minmaxes:
-                lowest = None
-                highest = None
-                for block in blocks:
-                    values = [value for value in map(scalar_fn, block)
-                              if value is not None]
-                    if values:
-                        block_min = min(values)
-                        block_max = max(values)
+            for group, distinct_type, outs in multisets:
+                lowest = highest = distinct = None
+                value_lists = _value_lists(group, ordered, row_views)
+                if distinct_type is not None:
+                    distinct = distinct_type()
+                    for values in value_lists:
+                        distinct.update(values)
+                    if distinct_type is set:
+                        distinct.discard(None)
+                    else:
+                        distinct.pop(None, None)
+                    if distinct:
+                        lowest, highest = min(distinct), max(distinct)
+                else:
+                    for values in value_lists:
+                        try:
+                            block_min, block_max = min(values), max(values)
+                        except TypeError:  # a NULL does not compare
+                            values = _present(values)
+                            if not values:
+                                continue
+                            block_min, block_max = min(values), max(values)
+                        if block_min is None:
+                            continue  # a lone NULL: nothing compared it
                         if lowest is None or block_min < lowest:
                             lowest = block_min
                         if highest is None or block_max > highest:
                             highest = block_max
-                for func_name, slot in outs:
-                    results[slot] = (lowest if func_name == "min"
-                                     else highest)
+                for func_name, constants, slot in outs:
+                    results[slot] = _multiset_result(
+                        func_name, constants, lowest, highest, distinct)
             if generic_programs:
                 live = []
                 for arg_fn, factory, slot in generic_programs:
                     function = factory()
                     live.append((function.add, function.create(), arg_fn,
                                  function, slot))
-                for block_index in range(len(blocks) - 1, -1, -1):
-                    block = blocks[block_index]
-                    for row_index in range(len(block) - 1, -1, -1):
-                        row = block[row_index]
-                        for add, state, arg_fn, _function, _slot in live:
-                            add(state, *arg_fn(row))
+                for rows in row_views:
+                    for row in rows:
+                        for add_row, state, arg_fn, _function, _slot in live:
+                            add_row(state, *arg_fn(row))
                 for _add, state, _arg_fn, function, slot in live:
                     results[slot] = function.result(state)
             return results
@@ -264,7 +326,7 @@ class CompiledWindow:
     @property
     def state_groups(self) -> int:
         """Number of shared accumulators (cycle-binding observability)."""
-        return len(self._group_families)
+        return len(self._groups)
 
     @property
     def aggregates(self) -> Tuple[CompiledAggregate, ...]:
@@ -282,16 +344,18 @@ class CompiledWindow:
 
     def compute(self, rows_newest_first: Sequence[Row]) -> Dict[int, Any]:
         """Fold the window's rows and return ``{slot: result}``."""
-        return self._fold((rows_newest_first,))
+        pairs = [(normalize_ts(self.order_value(row)), row)
+                 for row in rows_newest_first]
+        return self._fold((ColumnBlock.from_pairs(pairs, self.width),))
 
     def compute_blocks(self,
-                       blocks_newest_first: Sequence[Sequence[Row]]
+                       blocks_newest_first: Sequence[ColumnBlock]
                        ) -> Dict[int, Any]:
-        """Fold newest-first row *blocks* through the fused kernel.
+        """Fold newest-first blocks and return ``{slot: result}``.
 
-        This is the hot entry point: the storage layer's block scans feed
-        straight in, so the only per-row work left anywhere on the path
-        is the kernel's own accumulation loops.
+        This is the hot entry point: the storage layer's blocks feed
+        straight in, so the per-row work left on the path is whatever
+        the window's aggregates cannot reduce column-at-a-time.
         """
         return self._fold(blocks_newest_first)
 

@@ -52,6 +52,14 @@ class AggregateFunction:
     #: the offline carry path excludes them (pre-aggregation still uses
     #: the merge — its contract is the looser algebraic one).
     merge_exact: bool = True
+    #: How the window fold reduces this aggregate over a single argument
+    #: (``sql/compiler.py``): ``"sumcount"`` members share one (total,
+    #: count) pair per argument, ``"multiset"`` members one set / Counter
+    #: / pair of extremes, and ``"rows"`` walks the rows oldest → newest
+    #: through :meth:`add`.  Order-sensitive and multi-argument
+    #: aggregates always walk rows; every other registered aggregate
+    #: must state its choice (lint rule AGG001).
+    fold_family: str = "rows"
 
     def __init__(self, *constants: Any) -> None:
         if len(constants) != self.extra_args:
@@ -101,6 +109,7 @@ class CountAgg(AggregateFunction):
     name = "count"
     invertible = True
     mergeable = True
+    fold_family = "sumcount"
 
     def create(self):
         return [0]
@@ -126,6 +135,7 @@ class SumAgg(AggregateFunction):
     name = "sum"
     invertible = True
     mergeable = True
+    fold_family = "sumcount"
 
     def create(self):
         return [0, 0]  # total, non-null count
@@ -153,6 +163,7 @@ class AvgAgg(AggregateFunction):
     name = "avg"
     invertible = True
     mergeable = True
+    fold_family = "sumcount"
 
     def create(self):
         return [0.0, 0]
@@ -185,6 +196,7 @@ class MinAgg(AggregateFunction):
     name = "min"
     invertible = True
     mergeable = True
+    fold_family = "multiset"
 
     def create(self):
         return Counter()
@@ -232,6 +244,7 @@ class VarianceAgg(AggregateFunction):
     name = "variance"
     invertible = True
     mergeable = True
+    fold_family = "rows"  # three float accumulators, no shared state
 
     def create(self):
         return [0, 0.0, 0.0]  # count, sum, sum of squares
@@ -276,6 +289,7 @@ class DistinctCountAgg(AggregateFunction):
     name = "distinct_count"
     invertible = True
     mergeable = True
+    fold_family = "multiset"
 
     def create(self):
         return Counter()
@@ -312,6 +326,7 @@ class TopNFrequencyAgg(AggregateFunction):
     extra_args = 1
     invertible = True
     mergeable = True
+    fold_family = "multiset"
 
     def create(self):
         return Counter()
@@ -656,22 +671,23 @@ def is_aggregate(name: str) -> bool:
     return name.lower() in _AGGREGATE_CLASSES
 
 
-def aggregate_arity(name: str) -> Tuple[int, int]:
-    """Return ``(value_args, extra_args)`` for aggregate ``name``."""
+def aggregate_class(name: str) -> type:
+    """The registered class of aggregate ``name`` (its declarations)."""
     try:
-        cls = _AGGREGATE_CLASSES[name.lower()]
+        return _AGGREGATE_CLASSES[name.lower()]
     except KeyError:
         raise CompileError(f"unknown aggregate function: {name!r}") from None
+
+
+def aggregate_arity(name: str) -> Tuple[int, int]:
+    """Return ``(value_args, extra_args)`` for aggregate ``name``."""
+    cls = aggregate_class(name)
     return cls.value_args, cls.extra_args
 
 
 def get_aggregate(name: str, *constants: Any) -> AggregateFunction:
     """Instantiate an aggregate by name with its constant arguments."""
-    try:
-        cls = _AGGREGATE_CLASSES[name.lower()]
-    except KeyError:
-        raise CompileError(f"unknown aggregate function: {name!r}") from None
-    return cls(*constants)
+    return aggregate_class(name)(*constants)
 
 
 # ----------------------------------------------------------------------

@@ -31,6 +31,7 @@ from ..errors import IndexNotFoundError, SchemaError
 from ..obs import NULL_OBS, Observability
 from ..schema import IndexDef, Row, Schema, TTLKind, TTLSpec
 from .memtable import MemTable
+from .skiplist import ColumnBlock
 
 __all__ = ["BloomFilter", "SSTable", "ColumnFamily", "DiskTable"]
 
@@ -340,6 +341,8 @@ class DiskTable:
     def _merged_scan(self, index: IndexDef, key_value: Any,
                      start_ts: Optional[int], end_ts: Optional[int],
                      limit: Optional[int]) -> Iterator[Tuple[int, Row]]:
+        if limit is not None and limit <= 0:
+            return
         family = self._families[index.name]
         consulted = sum(1 for sstable in family.sstables
                         if sstable.may_contain(key_value))
@@ -350,7 +353,10 @@ class DiskTable:
             self._m_disk_reads.inc(consulted)
         if skipped:
             self._m_bloom_skips.inc(skipped)
-        memtable_iter = self._memtable.structure(index.name).scan(key_value)
+        # The memtable side bisects to the bounds; only the SST runs
+        # (key-ordered, unbounded in ts) are filtered here.
+        memtable_iter = self._memtable.structure(index.name).scan(
+            key_value, start_ts=start_ts, end_ts=end_ts, limit=limit)
         sst_iter = family.scan_key(key_value)
         produced = 0
         for ts, row in _merge_desc(memtable_iter, sst_iter):
@@ -360,7 +366,7 @@ class DiskTable:
                 break
             yield ts, row
             produced += 1
-            if limit is not None and produced >= limit:
+            if produced == limit:
                 break
 
     def window_scan_blocks(self, keys: Sequence[str], ts_column: str,
@@ -368,23 +374,24 @@ class DiskTable:
                            end_ts: Optional[int] = None,
                            limit: Optional[int] = None,
                            block_rows: int = 256
-                           ) -> Iterator[List[Tuple[int, Row]]]:
+                           ) -> Iterator[ColumnBlock]:
         """Chunked window scan — same contract as
         :meth:`MemTable.window_scan_blocks`.
 
         The LSM read path is a genuine k-way merge (memtable + SST runs),
-        so rows are produced one at a time regardless; batching them into
-        blocks still lets the engines fold with the same tight-loop
-        kernels they use against pure memtables.
+        so rows are produced one at a time regardless; each batch of
+        them is laid out as the same :class:`ColumnBlock` a memtable
+        slices, so the engines fold both with one kernel.
         """
         merged = self.window_scan(keys, ts_column, key_value,
                                   start_ts=start_ts, end_ts=end_ts,
                                   limit=limit)
+        width = len(self.schema)
         while True:
             block = list(itertools.islice(merged, block_rows))
             if not block:
                 return
-            yield block
+            yield ColumnBlock.from_pairs(block, width)
 
     def last_join_lookup(self, keys: Sequence[str], key_value: Any,
                          before_ts: Optional[int] = None

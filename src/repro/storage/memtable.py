@@ -23,7 +23,7 @@ from ..obs import NULL_OBS, Observability
 from ..schema import IndexDef, Row, Schema
 from ..types import ColumnType
 from .encoding import RowCodec
-from .skiplist import TimeSeriesIndex
+from .skiplist import ColumnBlock, TimeSeriesIndex
 
 __all__ = ["MemTable", "normalize_ts"]
 
@@ -86,7 +86,8 @@ class MemTable:
         self.replicas = replicas
         self.codec = RowCodec(schema)
         self._structures: Dict[str, TimeSeriesIndex] = {
-            index.name: TimeSeriesIndex(ttl=index.ttl, seed=seed)
+            index.name: TimeSeriesIndex(ttl=index.ttl, seed=seed,
+                                        width=len(schema))
             for index in indexes
         }
         self._key_positions: Dict[str, Tuple[int, ...]] = {
@@ -133,10 +134,11 @@ class MemTable:
     def insert(self, row: Sequence[Any]) -> int:
         """Validate and insert one row; returns its log offset."""
         validated = self.schema.validate_row(row)
+        size = self.codec.encoded_size(validated)
         with self._log_lock:
             offset = len(self._log)
             self._log.append(validated)
-        self._bytes += self.codec.encoded_size(validated)
+            self._bytes += size
         for index in self.indexes:
             key = self._index_key(index.name, validated)
             ts = normalize_ts(validated[self._ts_positions[index.name]])
@@ -213,13 +215,13 @@ class MemTable:
                            key_value: Any, start_ts: Optional[int] = None,
                            end_ts: Optional[int] = None,
                            limit: Optional[int] = None,
-                           block_rows: int = 256
-                           ) -> Iterator[List[Tuple[int, Row]]]:
-        """Chunked :meth:`window_scan`: newest-first blocks of ``(ts, row)``.
+                           block_rows: int = 256) -> List[ColumnBlock]:
+        """Chunked :meth:`window_scan`: newest-first
+        :class:`~repro.storage.skiplist.ColumnBlock` s.
 
-        One key seek and two bisects, then slices of the key's array —
-        the scan shape the fused fold kernels consume (no per-row
-        iterator resumes on the request hot path).
+        One key seek and two bisects, then slices of the key's columns —
+        the shape the window fold reduces column-at-a-time; iterating a
+        block still yields ``(ts, row)`` pairs.
         """
         index = self.find_index(keys, ts_column)
         self._m_scans.inc()

@@ -2,20 +2,22 @@
 
 The first level is a skiplist ordered by **key** (e.g. user id); each key
 node points to a second level holding all tuples for that key *pre-ranked
-by timestamp*.  Here the second level is one contiguous, timestamp-
-ascending array per key (:class:`_TimeList`) rather than the paper's
-linked nodes — it keeps every property Section 7.2 relies on and drops the
-per-tuple node, pointer cells and pointer hops:
+by timestamp*.  Here the second level is stored as columns
+(:class:`_TimeList`): one ``array('q')`` of ascending timestamps per key
+plus the rows' values in one flat row-major list, rather than the paper's
+linked nodes — it keeps every property Section 7.2 relies on and drops
+the per-tuple node, pointer cells and pointer hops:
 
-* ``LAST JOIN`` — the most recent tuple for a key is the array's last
-  element, O(1) once the key node is found.
+* ``LAST JOIN`` — the most recent tuple for a key is the tail of both
+  sequences, O(1) once the key node is found.
 * ``PARTITION BY key ORDER BY ts ROWS BETWEEN ... PRECEDING`` — a window
-  is the run between two bisects (O(log n) seek), read newest-first as a
-  reversed slice and handed to callers whole or in blocks.
-* In-order arrival (the stream case) is an O(1) append; a late tuple is a
-  bisect plus one C-level insert.
-* Out-of-date data removal (TTL): expired tuples are a prefix of the
-  array, so eviction is one batch deletion per key.
+  is the run between two integer bisects (O(log n) seek), copied out as
+  :class:`ColumnBlock` s: newest-first blocks whose *columns* are strided
+  C-level slices, which is what the window fold reduces.
+* In-order arrival (the stream case) is an O(1) ``append`` + ``extend``;
+  a late tuple is a bisect plus one slice assignment.
+* Out-of-date data removal (TTL): expired tuples are a prefix of both
+  sequences, so eviction is one batch deletion on each per key.
 
 Concurrency: the first level follows the paper's lock-free discipline —
 pointer updates go through :class:`AtomicReference.compare_and_set` retry
@@ -30,12 +32,18 @@ from __future__ import annotations
 
 import random
 import threading
+from array import array
 from bisect import bisect_left, bisect_right
-from typing import Any, Callable, Iterator, List, Optional, Tuple
+from functools import partial
+from itertools import chain
+from operator import itemgetter
+from typing import (Any, Callable, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
+from ..errors import StorageError
 from ..schema import TTLKind, TTLSpec
 
-__all__ = ["AtomicReference", "SkipList", "TimeSeriesIndex"]
+__all__ = ["AtomicReference", "ColumnBlock", "SkipList", "TimeSeriesIndex"]
 
 _MAX_LEVEL = 16
 _BRANCHING = 4  # expected nodes per level step, as in LevelDB/OpenMLDB
@@ -230,102 +238,187 @@ class SkipList:
         return node.key, node.value
 
 
-class _Top:
-    """Sorts after every row, so ``(ts, _TOP)`` sorts after every pair
-    stamped ``ts`` — and ``(ts,)``, being shorter, before all of them.
-    Bisecting on these probes never compares two rows and needs no
-    ``key=`` (Python 3.10+; the package supports 3.9)."""
+class ColumnBlock:
+    """A run of one key's tuples, held column-sliceable.
 
-    __slots__ = ()
+    What every ``window_scan_blocks`` hands out: a private copy (taken
+    under the per-key lock, or built from rows by a caller), so nothing a
+    reader does with it can race a writer.  Inside, it keeps the storage
+    layout — timestamps ascending in an ``array('q')`` and the rows'
+    values in one flat row-major list — so :meth:`column` is a single
+    strided C-level slice, oldest → newest, which is the order float sums
+    and ``Counter`` insertion must run in.
 
-    def __lt__(self, other: Any) -> bool:
-        return False
+    Row-walking consumers see the same thing as before: ``len()`` is the
+    row count and iteration yields ``(ts, row)`` pairs **newest-first**.
+    ``width`` None marks opaque payloads (one cell per tuple, no
+    columns).
+    """
 
+    __slots__ = ("_ts", "_cells", "_width")
 
-_TOP = _Top()
+    def __init__(self, ts: "array[int]", cells: List[Any],
+                 width: Optional[int]) -> None:
+        self._ts = ts
+        self._cells = cells
+        self._width = width
+
+    @classmethod
+    def of_row(cls, ts: int, row: Sequence[Any]) -> "ColumnBlock":
+        """A block holding one row (a request tuple heading its window)."""
+        return cls(array("q", (ts,)), list(row), len(row))
+
+    @classmethod
+    def from_pairs(cls, pairs_newest_first: Sequence[Tuple[int, Any]],
+                   width: int) -> "ColumnBlock":
+        """Build a block from newest-first ``(ts, row)`` pairs whose rows
+        all have ``width`` values (disk-backed and merged reads)."""
+        oldest_first = pairs_newest_first[::-1]
+        return cls(array("q", [ts for ts, _row in oldest_first]),
+                   list(chain.from_iterable(
+                       [row for _ts, row in oldest_first])), width)
+
+    @classmethod
+    def merged(cls, scans: Iterable[Iterable["ColumnBlock"]], width: int,
+               limit: Optional[int] = None) -> "ColumnBlock":
+        """One block out of several sources' newest-first scans, merged
+        newest-first and capped to the ``limit`` newest tuples.
+
+        The scans are runs already in order, so a stable sort of their
+        concatenation is the k-way merge, done by the C-level timsort:
+        equal timestamps keep source order (the first source leads) and,
+        within a source, arrival order.
+        """
+        pairs = [pair for blocks in scans for block in blocks
+                 for pair in block]
+        pairs.sort(key=itemgetter(0), reverse=True)
+        return cls.from_pairs(pairs[:limit], width)
+
+    def __len__(self) -> int:
+        return len(self._ts)
+
+    def __iter__(self) -> Iterator[Tuple[int, Any]]:
+        return zip(reversed(self._ts), reversed(self.rows()))
+
+    def rows(self) -> List[Any]:
+        """The rows as tuples, oldest → newest (the zipped row view)."""
+        if self._width is None:
+            return self._cells
+        return list(zip(*[iter(self._cells)] * self._width))
+
+    def column(self, position: int) -> List[Any]:
+        """One column's values, oldest → newest: a strided slice."""
+        return self._cells[position::self._width]
+
+    def newest(self, count: int) -> "ColumnBlock":
+        """The ``count`` newest tuples as a block of their own."""
+        start = len(self._ts) - count
+        return ColumnBlock(self._ts[start:],
+                           self._cells[start * (self._width or 1):],
+                           self._width)
 
 
 class _TimeList:
-    """Per-key second level: one contiguous array of ``(ts, row)`` pairs,
-    timestamp-ascending (the paper's pre-ranking, Section 7.2).
+    """Per-key second level: the key's tuples pre-ranked by timestamp
+    (Section 7.2), stored as columns.
 
+    ``_ts`` is an ``array('q')`` of timestamps, ascending; ``_cells``
+    holds the rows' values in one flat row-major list, ``width`` values
+    per tuple (``width`` None: the payload is opaque and takes one cell).
     Among equal timestamps later arrivals sit *after* earlier ones, so a
-    newest-first read (the reversed array) sees the latest arrival first,
-    matching stream order.  The newest tuple is the last element, a
-    window is the run between two bisects, and every TTL rule deletes a
-    prefix — one C-level cut instead of a node walk.
+    newest-first read sees the latest arrival first, matching stream
+    order.  The newest tuple is the tail, a window is the run between two
+    integer bisects, and every TTL rule deletes a prefix of both
+    sequences — C-level cuts, no node walk.
 
     Concurrency: a per-key lock is held around each bisect + slice and
     around each mutation (append, late insert, prefix delete); nothing
     wider than this key is ever locked.  A reader copies its run out
-    under the lock and works on that private copy afterwards, and pairs
-    are immutable tuples, so it can never see a torn ``(ts, row)`` or a
-    window shifted by a concurrent insert or eviction.
+    under the lock into :class:`ColumnBlock` s and works on those
+    afterwards, so it can never see a timestamp beside another tuple's
+    values or a window shifted by a concurrent insert or eviction.
     """
 
-    __slots__ = ("_pairs", "_lock")
+    __slots__ = ("_ts", "_cells", "_width", "_lock")
 
-    def __init__(self) -> None:
-        self._pairs: List[Tuple[int, Any]] = []
+    def __init__(self, width: Optional[int] = None) -> None:
+        self._ts = array("q")
+        self._cells: List[Any] = []
+        self._width = width
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return len(self._ts)
 
     def insert(self, ts: int, row: Any) -> None:
-        pair = (ts, row)
+        width = self._width
+        if width is None:
+            row = (row,)
+        elif len(row) != width:
+            raise StorageError(
+                f"row has {len(row)} values, the index stores {width}")
         with self._lock:
-            pairs = self._pairs
-            if not pairs or ts >= pairs[-1][0]:
-                pairs.append(pair)  # in-order arrival: the stream case
+            stamps = self._ts
+            if not stamps or ts >= stamps[-1]:
+                stamps.append(ts)  # in-order arrival: the stream case
+                self._cells.extend(row)
             else:
-                pairs.insert(bisect_right(pairs, (ts, _TOP)), pair)
+                at = bisect_right(stamps, ts)
+                stamps.insert(at, ts)
+                at *= len(row)  # the tuple's first cell
+                self._cells[at:at] = row
 
     def newest(self) -> Optional[Tuple[int, Any]]:
         """The most recent ``(ts, row)`` — the LAST JOIN fast path."""
         with self._lock:
-            return self._pairs[-1] if self._pairs else None
+            if not self._ts:
+                return None
+            if self._width is None:
+                return self._ts[-1], self._cells[-1]
+            return self._ts[-1], tuple(self._cells[-self._width:])
 
-    def _window(self, start_ts: Optional[int], end_ts: Optional[int],
-                limit: Optional[int]) -> List[Tuple[int, Any]]:
-        """A private newest-first copy of the run in ``[end_ts, start_ts]``
-        (both inclusive), capped to the ``limit`` newest pairs."""
+    def scan_blocks(self, start_ts: Optional[int] = None,
+                    end_ts: Optional[int] = None,
+                    limit: Optional[int] = None,
+                    block_rows: Optional[int] = 256) -> List[ColumnBlock]:
+        """Copy out the run in ``[end_ts, start_ts]`` (both inclusive),
+        capped to the ``limit`` newest tuples, as newest-first blocks of
+        at most ``block_rows`` tuples (None: the whole run in one).
+
+        ``start_ts`` is the *newest* bound, ``end_ts`` the oldest —
+        mirroring ``ROWS_RANGE BETWEEN x PRECEDING AND CURRENT ROW``.
+        Both bounds are O(log n) integer bisects; every block is sliced
+        straight from the stored columns under the lock, one copy.
+        """
+        width = self._width
+        stride = width or 1
         with self._lock:
-            pairs = self._pairs
-            hi = len(pairs) if start_ts is None \
-                else bisect_right(pairs, (start_ts, _TOP))
+            stamps, cells = self._ts, self._cells
+            hi = len(stamps) if start_ts is None \
+                else bisect_right(stamps, start_ts)
             lo = 0 if end_ts is None \
-                else bisect_left(pairs, (end_ts,), 0, hi)
+                else bisect_left(stamps, end_ts, 0, hi)
             if limit is not None:
                 lo = max(lo, hi - limit)
-            window = pairs[lo:hi]
-        window.reverse()
-        return window
+            step = block_rows or max(hi - lo, 1)
+            blocks = []
+            for top in range(hi, lo, -step):
+                bottom = max(top - step, lo)
+                blocks.append(ColumnBlock(
+                    stamps[bottom:top],
+                    cells[bottom * stride:top * stride], width))
+            return blocks
 
     def scan(self, start_ts: Optional[int] = None,
              end_ts: Optional[int] = None,
              limit: Optional[int] = None) -> Iterator[Tuple[int, Any]]:
         """Yield ``(ts, row)`` newest-first within ``[end_ts, start_ts]``.
 
-        ``start_ts`` is the *newest* bound (inclusive), ``end_ts`` the
-        oldest (inclusive) — mirroring ``ROWS_RANGE BETWEEN x PRECEDING
-        AND CURRENT ROW`` semantics.  Both bounds are O(log n) bisects;
-        the run is copied out eagerly, so a caller that stops early
+        The run is copied out eagerly, so a caller that stops early
         should pass a ``limit``.
         """
-        return iter(self._window(start_ts, end_ts, limit))
-
-    def scan_blocks(self, start_ts: Optional[int] = None,
-                    end_ts: Optional[int] = None,
-                    limit: Optional[int] = None,
-                    block_rows: int = 256
-                    ) -> Iterator[List[Tuple[int, Any]]]:
-        """Like :meth:`scan`, but yields *blocks* (lists) of at most
-        ``block_rows`` pairs — slices of the same run, which the fold
-        kernels consume with tight loops and no per-row iterator hops."""
-        window = self._window(start_ts, end_ts, limit)
-        return (window[at:at + block_rows]
-                for at in range(0, len(window), block_rows))
+        return chain.from_iterable(
+            self.scan_blocks(start_ts, end_ts, limit, block_rows=None))
 
     def evict(self, kind: TTLKind, horizon: Optional[int],
               keep: int) -> int:
@@ -333,15 +426,15 @@ class _TimeList:
 
         ``horizon`` expires tuples with ``ts < horizon`` (None: no time
         bound), ``keep`` everything but the ``keep`` newest (0: no count
-        bound).  Both sets are prefixes of the array, so ``ABS_OR_LAT``
+        bound).  Both sets are prefixes of the columns, so ``ABS_OR_LAT``
         cuts the longer one and ``ABS_AND_LAT`` (a tuple must violate
         both bounds) the shorter.
         """
         with self._lock:
-            pairs = self._pairs
+            stamps = self._ts
             expired = 0 if horizon is None \
-                else bisect_left(pairs, (horizon,))
-            excess = max(len(pairs) - keep, 0) if keep else 0
+                else bisect_left(stamps, horizon)
+            excess = max(len(stamps) - keep, 0) if keep else 0
             if kind is TTLKind.ABSOLUTE:
                 cut = expired
             elif kind is TTLKind.LATEST:
@@ -350,7 +443,8 @@ class _TimeList:
                 cut = max(expired, excess)
             else:
                 cut = min(expired, excess)
-            del pairs[:cut]
+            del stamps[:cut]
+            del self._cells[:cut * (self._width or 1)]
         return cut
 
 
@@ -359,15 +453,22 @@ class TimeSeriesIndex:
 
     ``put`` routes a row to its key's time list; ``scan``/``latest`` serve
     window reads and LAST JOIN; ``evict`` applies the index's TTL spec.
+
+    ``width`` is the number of values in every row (a table passes
+    ``len(schema)``), which lets the second level store rows as column-
+    sliceable cells.  Without it a payload is opaque — any object, kept
+    as one cell — and blocks have rows but no columns.
     """
 
     def __init__(self, ttl: TTLSpec = TTLSpec(),
-                 seed: Optional[int] = None) -> None:
+                 seed: Optional[int] = None,
+                 width: Optional[int] = None) -> None:
         self._keys = SkipList(seed=seed)
+        self._new_time_list = partial(_TimeList, width)
         self.ttl = ttl
 
     def __len__(self) -> int:
-        """Tuples held — O(keys): summed over the per-key arrays."""
+        """Tuples held — O(keys): summed over the per-key columns."""
         return sum(len(time_list) for _key, time_list in self._keys.items())
 
     @property
@@ -376,7 +477,7 @@ class TimeSeriesIndex:
 
     def put(self, key: Any, ts: int, row: Any) -> None:
         """Insert one tuple under ``key`` ordered by ``ts``."""
-        self._keys.get_or_insert(key, _TimeList).insert(ts, row)
+        self._keys.get_or_insert(key, self._new_time_list).insert(ts, row)
 
     def latest(self, key: Any) -> Optional[Tuple[int, Any]]:
         """Return the newest ``(ts, row)`` for ``key`` (LAST JOIN path)."""
@@ -397,16 +498,15 @@ class TimeSeriesIndex:
     def scan_blocks(self, key: Any, start_ts: Optional[int] = None,
                     end_ts: Optional[int] = None,
                     limit: Optional[int] = None,
-                    block_rows: int = 256
-                    ) -> Iterator[List[Tuple[int, Any]]]:
-        """Yield newest-first blocks of ``(ts, row)`` for ``key``.
+                    block_rows: int = 256) -> List[ColumnBlock]:
+        """Newest-first :class:`ColumnBlock` s for ``key``.
 
-        The chunked counterpart of :meth:`scan`: the same run, sliced
-        into lists of at most ``block_rows`` pairs.
+        The chunked counterpart of :meth:`scan`: the same run, copied
+        out in blocks of at most ``block_rows`` tuples.
         """
         time_list = self._keys.get(key)
         if time_list is None:
-            return iter(())
+            return []
         return time_list.scan_blocks(start_ts=start_ts, end_ts=end_ts,
                                      limit=limit, block_rows=block_rows)
 

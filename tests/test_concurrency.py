@@ -124,6 +124,46 @@ class TestSkiplistReadersWriters:
         assert len({row for _ts, row in left}) == len(left)
 
 
+class TestMemTableCounters:
+    def test_memory_bytes_exact_under_concurrent_writers_seeded(self):
+        """``memory_bytes`` sizes partitions for the rebalancer, so a
+        lost ``+=`` is a wrong placement.  More writers than cores, a
+        switch interval short enough to preempt inside one insert, rows
+        of seeded, varying encoded size: the counter must equal the sum
+        over what was inserted, and every row must be indexed."""
+        schema = Schema.from_pairs(
+            [("key", "string"), ("ts", "timestamp")]
+            + [(f"note{i}", "string") for i in range(6)])
+        table = MemTable("t", schema, [IndexDef(("key",), "ts")])
+        writers, per_writer = 6, 1_500
+
+        def rows_of(wid):
+            rng = random.Random(300 + wid)
+            return [(f"k{rng.randrange(8)}", step,
+                     *("x" * rng.randrange(40) for _ in range(6)))
+                    for step in range(per_writer)]
+
+        threads = [threading.Thread(target=table.insert_many,
+                                    args=(rows_of(wid),))
+                   for wid in range(writers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert table.row_count == writers * per_writer
+        assert len(table.structure(table.indexes[0].name)) \
+            == writers * per_writer
+        assert table.memory_bytes == sum(
+            table.codec.encoded_size(row)
+            for wid in range(writers) for row in rows_of(wid))
+
+
 class TestConcurrentRequests:
     def test_parallel_requests_agree_with_serial(self):
         db = OpenMLDB()

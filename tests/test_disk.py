@@ -87,6 +87,34 @@ class TestDiskTable:
                                               limit=2))
         assert len(limited) == 2
 
+    def test_limit_zero_and_bounds_across_memtable_and_sst(self,
+                                                           disk_table):
+        """``limit=0`` reads nothing (the scan used to yield a row before
+        it checked), and the bounds hold on the unflushed side too, which
+        is now bisected instead of copied whole and filtered."""
+        for ts in range(0, 150, 10):  # ten rows flush, five stay in memory
+            disk_table.insert(("a", ts, float(ts), "x"))
+        assert disk_table.flushes == 1
+        scan = (("key",), "ts", "a")
+        assert list(disk_table.window_scan(*scan, limit=0)) == []
+        assert list(disk_table.window_scan_blocks(*scan, limit=0)) == []
+        assert list(disk_table.window_scan(*scan, start_ts=104,
+                                           limit=0)) == []
+        across = [ts for ts, _ in disk_table.window_scan(
+            *scan, start_ts=120, end_ts=80)]
+        assert across == [120, 110, 100, 90, 80]
+        assert [ts for ts, _ in disk_table.window_scan(
+            *scan, start_ts=125, limit=3)] == [120, 110, 100]
+        # Blocks are the memtable's type: pairs newest-first, columns
+        # oldest → newest.
+        blocks = list(disk_table.window_scan_blocks(
+            *scan, start_ts=120, end_ts=80, block_rows=2))
+        assert [len(block) for block in blocks] == [2, 2, 1]
+        assert [pair for block in blocks for pair in block] == list(
+            disk_table.window_scan(*scan, start_ts=120, end_ts=80))
+        assert [block.column(2) for block in blocks] == [
+            [110.0, 120.0], [90.0, 100.0], [80.0]]
+
     def test_compact_evicts_by_ttl(self, events_schema):
         ttl = TTLSpec(kind=TTLKind.ABSOLUTE, abs_ttl_ms=100)
         table = DiskTable("t", events_schema,

@@ -19,9 +19,16 @@ with scalar projections evaluated through the baseline AST interpreter
 (:func:`repro.baselines.interp.interpret_expr`), the same oracle the
 baseline engines use.
 
-Data is integer-valued so equality is *exact* (byte-identical): integer
-subtract-and-evict has no rounding, which is precisely what lets the
-incremental path be compared with ``==`` rather than approx.
+Window ``w`` is integer-valued so equality is *exact* (byte-identical):
+integer subtract-and-evict has no rounding, which is precisely what lets
+the incremental path be compared with ``==`` rather than approx.  Its
+sibling ``w2`` (same frame, so the two share one scan) carries what
+incremental state cannot hold exactly: a ``double`` column whose values
+span magnitudes where reordering a sum changes it — compared with ``==``
+against a sequential oldest → newest reference — and the order-sensitive
+``lag`` / ``ew_avg``.  Between them the two windows give the fold bare
+columns and expression arguments, a never-NULL column and NULL-bearing
+ones (the fast path and the filtered path), and every reduction it has.
 
 Hypothesis drives the schedule: randomized frames, TTL specs,
 out-of-order and duplicate timestamps, NULLs, a deploy point in the
@@ -46,8 +53,15 @@ KEYS = ("u1", "u2", "u3")
 FEATURE_SQL_TEMPLATE = (
     "SELECT k, a + b AS ab, sum(a) OVER w AS s_a, count(b) OVER w AS c_b, "
     "avg(a) OVER w AS v_a, min(a) OVER w AS mn_a, max(b) OVER w AS mx_b, "
-    "distinct_count(b) OVER w AS dc_b "
-    "FROM t WINDOW w AS (PARTITION BY k ORDER BY ts {frame}{opts})")
+    "distinct_count(b) OVER w AS dc_b, "
+    "sum(a * 2) OVER w AS s_a2, max(a + b) OVER w AS mx_ab, "
+    "sum(c) OVER w AS s_c, min(c) OVER w AS mn_c, "
+    "topn_frequency(b, 2) OVER w AS top_b, "
+    "sum(x) OVER w2 AS s_x, avg(x) OVER w2 AS v_x, min(x) OVER w2 AS mn_x, "
+    "count(x) OVER w2 AS c_x, sum(x * 0.5) OVER w2 AS s_hx, "
+    "lag(a, 1) OVER w2 AS lag_a, ew_avg(x, 0.5) OVER w2 AS ew_x "
+    "FROM t WINDOW w AS (PARTITION BY k ORDER BY ts {frame}{opts}), "
+    "w2 AS (PARTITION BY k ORDER BY ts {frame}{opts})")
 
 AB_EXPR = ast.BinaryOp("+", ast.ColumnRef("a"), ast.ColumnRef("b"))
 
@@ -82,11 +96,11 @@ def _reference_evict(store, ttl, now_ts):
 
 
 def _reference_store(events):
-    """key → newest-first [(ts, seq, a, b)] with the storage tie order:
-    for equal ts the later arrival (higher seq) comes first."""
+    """key → newest-first [(ts, seq, a, b, c, x)] with the storage tie
+    order: for equal ts the later arrival (higher seq) comes first."""
     store = {key: [] for key in KEYS}
-    for seq, (key, ts, a, b) in enumerate(events):
-        store[key].append((ts, seq, a, b))
+    for seq, (key, ts, *values) in enumerate(events):
+        store[key].append((ts, seq, *values))
     for rows in store.values():
         rows.sort(key=lambda r: (-r[0], -r[1]))
     return store
@@ -105,22 +119,54 @@ def _agg(values):
     }
 
 
+def _sequential_sum(values_oldest_first):
+    """A float sum the slow way: one ``+`` per value, oldest first."""
+    total = 0
+    for value in values_oldest_first:
+        total += value
+    return total
+
+
 def _reference_features(store, request, frame, maxsize, exclude):
-    key, anchor, req_a, req_b = request
+    key, anchor, req_a, req_b, req_c, req_x = request
     kind, bound = frame
     stored = [r for r in store.get(key, ()) if r[0] <= anchor]
     if kind == "range":
         stored = [r for r in stored if r[0] >= anchor - bound]
     else:  # ROWS n PRECEDING → n stored rows besides the request row
         stored = stored[:bound]
-    window = ([] if exclude else [(anchor, None, req_a, req_b)]) + stored
+    window = ([] if exclude
+              else [(anchor, None, req_a, req_b, req_c, req_x)]) + stored
     if maxsize is not None:
         window = window[:maxsize]
     a_stats = _agg([r[2] for r in window])
     b_stats = _agg([r[3] for r in window])
+    c_stats = _agg([r[4] for r in window])
+    a2_stats = _agg([None if r[2] is None else r[2] * 2 for r in window])
+    ab_stats = _agg([None if r[2] is None or r[3] is None else r[2] + r[3]
+                     for r in window])
+    counts = {}
+    for r in window:
+        if r[3] is not None:
+            counts[str(r[3])] = counts.get(str(r[3]), 0) + 1
+    top_b = ",".join(sorted(counts, key=lambda k: (-counts[k], k))[:2])
+    # The double column: every float reduction runs oldest → newest.
+    xs = [r[5] for r in reversed(window) if r[5] is not None]
+    weighted = weight = 0.0
+    for x in xs:
+        weighted = weighted * 0.5 + x
+        weight = weight * 0.5 + 1.0
     ab = interpret_expr(AB_EXPR, {"a": req_a, "b": req_b})
     return (key, ab, a_stats["sum"], b_stats["count"], a_stats["avg"],
-            a_stats["min"], b_stats["max"], b_stats["distinct_count"])
+            a_stats["min"], b_stats["max"], b_stats["distinct_count"],
+            a2_stats["sum"], ab_stats["max"], c_stats["sum"],
+            c_stats["min"], top_b,
+            _sequential_sum(xs) if xs else None,
+            _sequential_sum(xs) / len(xs) if xs else None,
+            min(xs) if xs else None, len(xs),
+            _sequential_sum([x * 0.5 for x in xs]) if xs else None,
+            window[1][2] if len(window) > 1 else None,
+            weighted / weight if xs else None)
 
 
 # ----------------------------------------------------------------------
@@ -128,8 +174,14 @@ def _reference_features(store, request, frame, maxsize, exclude):
 
 _value = st.one_of(st.none(), st.integers(-50, 50))
 
+# Magnitudes where the order of a float sum changes its value:
+# (1e16 + 1.0) - 1e16 == 0.0 but (1e16 - 1e16) + 1.0 == 1.0.
+_double = st.one_of(st.none(), st.sampled_from(
+    (1e16, -1e16, 1.0, -1.0, 0.1, 0.2, 0.3, 1e-3, 3.0)))
+
 _events = st.lists(
-    st.tuples(st.sampled_from(KEYS), st.integers(0, 3000), _value, _value),
+    st.tuples(st.sampled_from(KEYS), st.integers(0, 3000), _value, _value,
+              st.integers(-50, 50), _double),
     min_size=1, max_size=50)
 
 _frames = st.one_of(
@@ -160,7 +212,8 @@ def _build_db(events, deploy_at, frame, maxsize, exclude, ttl,
         + (" EXCLUDE CURRENT_ROW" if exclude else "")
     db = OpenMLDB(observability=observability)
     schema = Schema.from_pairs([("k", "string"), ("ts", "timestamp"),
-                                ("a", "int"), ("b", "int")])
+                                ("a", "int"), ("b", "int"), ("c", "int"),
+                                ("x", "double")])
     db.create_table("t", schema,
                     indexes=[IndexDef(("k",), "ts", ttl or TTLSpec())])
     for event in events[:deploy_at]:
@@ -179,12 +232,13 @@ def _build_twins(*args, **kwargs):
 
 
 def _requests(events):
-    max_ts = max(ts for _k, ts, _a, _b in events)
+    max_ts = max(event[1] for event in events)
     anchors = (max_ts + 17, max_ts, max_ts // 2)
-    rows = [(key, anchor, a, b)
+    rows = [(key, anchor, *values)
             for key in KEYS + ("cold-key",)
-            for anchor, (a, b) in zip(anchors,
-                                      ((5, -3), (None, 4), (7, None)))]
+            for anchor, values in zip(anchors, ((5, -3, 2, 1.0),
+                                                (None, 4, -9, None),
+                                                (7, None, 0, -1e16)))]
     return rows, max_ts
 
 
@@ -250,16 +304,20 @@ def test_all_tiers_match_reference(events, deploy_frac, frame, maxsize,
 
 
 def test_out_of_order_inserts_byte_identical():
-    events = [("u1", 1000, 3, 1), ("u1", 5000, 4, None),
-              ("u1", 2000, None, 9),   # late arrival, far in the past
-              ("u1", 4000, 6, 9), ("u1", 5000, 1, 2)]  # duplicate ts
+    events = [("u1", 1000, 3, 1, 7, 1e16), ("u1", 5000, 4, None, 7, 1.0),
+              # late arrival, far in the past
+              ("u1", 2000, None, 9, -7, None),
+              # duplicate ts
+              ("u1", 4000, 6, 9, 0, -1e16), ("u1", 5000, 1, 2, 1, 0.1)]
     frame = ("range", 2000)
     db, traced_db = _build_twins(events, deploy_at=2, frame=frame,
                                  maxsize=None, exclude=False, ttl=None)
     try:
         store = _reference_store(events)
-        requests = [("u1", 6000, 5, 5), ("u1", 5000, None, 5),
-                    ("u1", 3000, 2, 2)]  # past anchor → fallback scan
+        requests = [("u1", 6000, 5, 5, 5, 0.2),
+                    ("u1", 5000, None, 5, 5, None),
+                    # past anchor → fallback scan
+                    ("u1", 3000, 2, 2, 2, 3.0)]
         _check_all_paths(db, traced_db, store, frame, None, False,
                          requests)
         assert db.online_engine.stats.incremental_hits >= 2
@@ -272,7 +330,7 @@ def test_out_of_order_inserts_byte_identical():
 def test_ttl_evicted_rows_byte_identical():
     # Absolute TTL tighter than the frame: eviction changes the features
     # and every tier must agree on the post-TTL row set.
-    events = [("u2", ts, ts // 100, ts // 200) for ts in
+    events = [("u2", ts, ts // 100, ts // 200, 1, ts / 7) for ts in
               (1000, 1400, 1800, 2200, 2600, 3000)]
     frame = ("range", 2500)
     ttl = TTLSpec(kind=TTLKind.ABSOLUTE, abs_ttl_ms=800)
@@ -280,17 +338,71 @@ def test_ttl_evicted_rows_byte_identical():
                                  maxsize=None, exclude=False, ttl=ttl)
     try:
         store = _reference_store(events)
-        before = tuple(db.request_row("d", ("u2", 3100, 1, 1)))
-        assert tuple(traced_db.request_row("d", ("u2", 3100, 1, 1))) \
-            == before
+        probe = ("u2", 3100, 1, 1, 1, 0.5)
+        before = tuple(db.request_row("d", probe))
+        assert tuple(traced_db.request_row("d", probe)) == before
         db.evict_expired(3000)
         traced_db.evict_expired(3000)
         _reference_evict(store, ttl, 3000)
-        requests = [("u2", 3100, 1, 1), ("u2", 3000, None, None)]
+        requests = [probe, ("u2", 3000, None, None, 0, None)]
         _check_all_paths(db, traced_db, store, frame, None, False,
                          requests)
-        after = tuple(db.request_row("d", ("u2", 3100, 1, 1)))
+        after = tuple(db.request_row("d", probe))
         assert before != after  # the TTL sweep really narrowed the window
     finally:
         db.close()
         traced_db.close()
+
+
+def test_double_sum_fold_incremental_and_sequential_agree():
+    """Where incremental state *is* exact for floats — in-order arrival,
+    nothing evicted yet, the first request on the key — all three must
+    agree bit for bit, on values whose sum depends on the order."""
+    xs = [1e16, 1.0, -1e16, 0.1, 0.2, 0.3, 1e-3] * 40  # spans two blocks
+    db = OpenMLDB()
+    try:
+        db.create_table("t", Schema.from_pairs(
+            [("k", "string"), ("ts", "timestamp"), ("x", "double")]),
+            indexes=[IndexDef(("k",), "ts")])
+        db.deploy("d", "SELECT sum(x) OVER w AS s, avg(x) OVER w AS v "
+                       "FROM t WINDOW w AS (PARTITION BY k ORDER BY ts "
+                       "ROWS_RANGE BETWEEN 100000 PRECEDING AND CURRENT ROW)")
+        for ts, x in enumerate(xs):
+            db.insert("t", ("u1", ts, x))
+        db.replicator.wait_idle(timeout=5.0)
+        request = ("u1", len(xs), 3.0)
+        expected = _sequential_sum(xs + [3.0])
+        assert expected != sum(sorted(xs + [3.0]))  # the order matters
+        folded = db.online_engine.execute_request(
+            db.deployments["d"].compiled, request)
+        served = db.request_row("d", request)
+        assert db.online_engine.stats.incremental_hits == 1
+        want = (expected, expected / (len(xs) + 1))
+        assert tuple(folded) == tuple(served) == want
+        assert repr(tuple(folded)) == repr(tuple(served)) == repr(want)
+    finally:
+        db.close()
+
+
+def test_count_of_a_string_column_adds_nothing_up():
+    """A count-only group must not try to total its argument: the fold
+    used to raise ``TypeError: int + str`` where incremental state
+    answered."""
+    db = OpenMLDB()
+    try:
+        db.create_table("t", Schema.from_pairs(
+            [("k", "string"), ("ts", "timestamp"), ("s", "string")]),
+            indexes=[IndexDef(("k",), "ts")])
+        db.deploy("d", "SELECT count(s) OVER w AS c, min(s) OVER w AS lo "
+                       "FROM t WINDOW w AS (PARTITION BY k ORDER BY ts "
+                       "ROWS BETWEEN 5 PRECEDING AND CURRENT ROW)")
+        for ts, value in enumerate(("pear", None, "apple")):
+            db.insert("t", ("u1", ts, value))
+        db.replicator.wait_idle(timeout=5.0)
+        request = ("u1", 9, "fig")
+        folded = db.online_engine.execute_request(
+            db.deployments["d"].compiled, request)
+        assert tuple(folded) == tuple(db.request_row("d", request)) \
+            == (3, "apple")
+    finally:
+        db.close()

@@ -71,7 +71,8 @@ def test_docs_only_cli_mode(capsys):
 
 
 class TestAggregateMergeCoverage:
-    """AGG001 — every registered aggregate has a merge route."""
+    """AGG001 — every registered aggregate has a merge route and, when
+    the fold could reduce it by column, a declared fold family."""
 
     def test_repo_registry_is_fully_covered(self):
         findings = list(lint.check_aggregate_merge_coverage(ROOT))
@@ -92,12 +93,14 @@ class TestAggregateMergeCoverage:
             "        raise RuntimeError\n"
             "class SumAgg(AggregateFunction):\n"
             "    name = 'sum'\n"
+            "    fold_family = 'sumcount'\n"
             "    def merge(self, a, b):\n"
             "        return a\n"
             "class InheritingAgg(SumAgg):\n"
             "    name = 'inheriting'\n"
             "class WrappedAgg(AggregateFunction):\n"
             "    name = 'wrapped'\n"
+            "    order_sensitive = True\n"
             + extra_class +
             "_AGGREGATE_CLASSES = {cls.name: cls for cls in (\n"
             "    SumAgg, InheritingAgg, WrappedAgg, "
@@ -111,13 +114,43 @@ class TestAggregateMergeCoverage:
         self._write_registry(
             tmp_path, wrapper_keys=["wrapped"],
             extra_class=("class OrphanAgg(AggregateFunction):\n"
-                         "    name = 'orphan'\n"))
+                         "    name = 'orphan'\n"
+                         "    fold_family = 'rows'\n"))
         findings = list(lint.check_aggregate_merge_coverage(tmp_path))
         assert len(findings) == 1
         path, _line, _col, code, message = findings[0]
         assert code == "AGG001"
-        assert "orphan" in message
+        assert "orphan" in message and "merge route" in message
         assert path == "src/repro/sql/functions.py"
+
+    def test_undeclared_fold_family_is_a_finding(self, tmp_path):
+        # One argument, any order, a merge of its own — but nothing says
+        # how the window fold reduces it, and a typo says nothing either.
+        for case, declaration in enumerate(
+                ("", "    fold_family = 'sumcuont'\n")):
+            root = tmp_path / str(case)
+            self._write_registry(
+                root, wrapper_keys=["wrapped"],
+                extra_class=("class OrphanAgg(AggregateFunction):\n"
+                             "    name = 'orphan'\n" + declaration +
+                             "    def merge(self, a, b):\n"
+                             "        return a\n"))
+            findings = list(lint.check_aggregate_merge_coverage(root))
+            assert [f[3] for f in findings] == ["AGG001"]
+            assert "orphan" in findings[0][4]
+            assert "fold_family" in findings[0][4]
+
+    def test_row_walkers_need_no_fold_family(self, tmp_path):
+        # Order-sensitive and multi-argument aggregates always walk
+        # rows; an inherited declaration covers a subclass.
+        self._write_registry(
+            tmp_path, wrapper_keys=["wrapped"],
+            extra_class=("class OrphanAgg(AggregateFunction):\n"
+                         "    name = 'orphan'\n"
+                         "    value_args = 2\n"
+                         "    def merge(self, a, b):\n"
+                         "        return a\n"))
+        assert list(lint.check_aggregate_merge_coverage(tmp_path)) == []
 
     def test_merge_and_wrapper_routes_both_satisfy(self, tmp_path):
         # sum has its own merge, inheriting gets it from a base class,

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.errors import IndexNotFoundError, SchemaError
+from repro.errors import IndexNotFoundError, SchemaError, StorageError
 from repro.schema import IndexDef, Schema, TTLKind, TTLSpec
 from repro.storage.memtable import MemTable, normalize_ts
+from repro.storage.skiplist import ColumnBlock, TimeSeriesIndex
 
 
 @pytest.fixture
@@ -103,6 +104,45 @@ class TestMultipleIndexes:
         assert len(by_key) == 1
         assert len(by_label) == 2
 
+    def test_two_indexes_keep_rows_whole_under_late_arrivals(
+            self, events_schema):
+        """Each index lays the row out in its own per-key columns; a
+        late tuple is spliced into the middle of both, and an eviction
+        cuts a prefix of both.  Every row must still come back whole,
+        beside its own timestamp, on either access path."""
+        table = MemTable("t", events_schema, [
+            IndexDef(("key",), "ts"),
+            IndexDef(("label",), "ts",
+                     ttl=TTLSpec(kind=TTLKind.LATEST, lat_ttl=4)),
+        ])
+        arrivals = [("a", 50, 5.0, "red"), ("b", 60, 6.0, "red"),
+                    ("a", 10, 1.0, "blue"),   # late on key "a"
+                    ("a", 30, None, "red"),   # late on both indexes
+                    ("b", 30, 3.5, "red"),    # ties ("red", 30), later
+                    ("a", 70, 7.0, "red")]
+        for row in arrivals:
+            table.insert(row)
+        by_key = list(table.window_scan(("key",), "ts", "a"))
+        assert by_key == [(70, arrivals[5]), (50, arrivals[0]),
+                          (30, arrivals[3]), (10, arrivals[2])]
+        by_label = list(table.window_scan(("label",), "ts", "red"))
+        assert by_label == [(70, arrivals[5]), (60, arrivals[1]),
+                            (50, arrivals[0]), (30, arrivals[4]),
+                            (30, arrivals[3])]
+        blocks = table.window_scan_blocks(("label",), "ts", "red",
+                                          start_ts=60, block_rows=2)
+        assert [len(block) for block in blocks] == [2, 2]
+        assert [block.column(2) for block in blocks] == [
+            [5.0, 6.0], [None, 3.5]]  # oldest → newest within a block
+        assert table.last_join_lookup(("label",), "red") \
+            == (70, arrivals[5])
+        assert table.last_join_lookup(("key",), "a", before_ts=49) \
+            == (30, arrivals[3])
+        assert table.evict_expired(1_000) == 1  # "red" keeps its 4 newest
+        assert list(table.window_scan(("label",), "ts", "red")) \
+            == by_label[:4]
+        assert list(table.window_scan(("key",), "ts", "a")) == by_key
+
     def test_composite_key(self, events_schema):
         table = MemTable("t", events_schema,
                          [IndexDef(("key", "label"), "ts")])
@@ -111,6 +151,40 @@ class TestMultipleIndexes:
         rows = list(table.window_scan(("key", "label"), "ts",
                                       ("a", "red")))
         assert len(rows) == 1
+
+
+class TestColumnBlocks:
+    def test_merged_scans_keep_source_order_on_ties(self):
+        """The k-way merge of window unions and the cluster fan-out:
+        newest-first, the first source leading on equal timestamps and
+        arrival order kept within a source, capped to the newest."""
+        first = [ColumnBlock.from_pairs(
+            [(7, ("a", 7)), (5, ("a", 5)), (5, ("a2", 5))], 2)]
+        second = [ColumnBlock.from_pairs([(9, ("b", 9))], 2),
+                  ColumnBlock.from_pairs([(5, ("b", 5)), (1, ("b", 1))], 2)]
+        merged = ColumnBlock.merged([first, second], 2)
+        assert list(merged) == [
+            (9, ("b", 9)), (7, ("a", 7)), (5, ("a", 5)), (5, ("a2", 5)),
+            (5, ("b", 5)), (1, ("b", 1))]
+        assert merged.column(0) == ["b", "b", "a2", "a", "a", "b"]
+        assert list(ColumnBlock.merged([first, second], 2, limit=3)) \
+            == list(merged)[:3]
+        assert len(ColumnBlock.merged([[], []], 2)) == 0
+
+    def test_newest_of_a_block(self):
+        block = ColumnBlock.from_pairs(
+            [(3, ("k", 3)), (2, ("k", 2)), (1, ("k", 1))], 2)
+        assert list(block.newest(2)) == [(3, ("k", 3)), (2, ("k", 2))]
+        assert len(block.newest(0)) == 0
+
+    def test_row_width_is_enforced(self):
+        """A short row would shift every later row of the key by a
+        cell; an index told its width refuses it instead."""
+        index = TimeSeriesIndex(width=3)
+        index.put("k", 1, ("k", 1, 1.0))
+        with pytest.raises(StorageError):
+            index.put("k", 2, ("k", 2))
+        assert list(index.scan("k")) == [(1, ("k", 1, 1.0))]
 
 
 class TestSubscribersAndMemory:

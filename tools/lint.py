@@ -36,14 +36,18 @@ reliably:
   probe that compares like the key instead (``(ts,)``, ``(ts, _TOP)``).
 * **AGG001** — an aggregate registered in
   ``src/repro/sql/functions.py`` (listed in ``_AGGREGATE_CLASSES``)
-  that neither defines/inherits a real ``merge`` method nor has a
-  wrapper partial registered under its ``name`` in
-  ``_PARTIAL_WRAPPERS`` (``src/repro/offline/partial.py``).  Every
-  aggregate needs *some* merge route or the offline engine's
-  map-reduce split silently loses it to expanded-row replay forever;
-  the rule makes adding an aggregate without deciding its merge story
-  a lint failure.  Like DOC001 it is repo-level and runs in both
-  ``make lint`` branches.
+  that leaves one of its two execution stories undecided.  (a) It
+  neither defines/inherits a real ``merge`` method nor has a wrapper
+  partial registered under its ``name`` in ``_PARTIAL_WRAPPERS``
+  (``src/repro/offline/partial.py``): every aggregate needs *some*
+  merge route or the offline engine's map-reduce split silently loses
+  it to expanded-row replay forever.  (b) It takes one argument, is
+  not ``order_sensitive``, and declares no ``fold_family``: the window
+  fold (``src/repro/sql/compiler.py``) reads the family from the
+  class, and the inherited default is the slow row walk, so an
+  aggregate that could be reduced column-at-a-time must say
+  ``"sumcount"``, ``"multiset"`` or an explicit ``"rows"``.  Like
+  DOC001 it is repo-level and runs in both ``make lint`` branches.
 * **DOC001** — a dotted ``repro.*`` reference in the prose docs
   (``README.md``, ``docs/*.md``) that no longer resolves to a module
   or attribute.  ``make verify-docs`` executes the fenced code, but
@@ -412,14 +416,20 @@ def _wrapper_partial_names(root: pathlib.Path) -> Set[str]:
     return set()
 
 
+_FOLD_FAMILIES = ("sumcount", "multiset", "rows")
+
+
 def check_aggregate_merge_coverage(
         root: pathlib.Path = REPO_ROOT) -> Iterator[Finding]:
-    """AGG001 — every registered aggregate has a merge route.
+    """AGG001 — every registered aggregate has a merge route and, when
+    the window fold could reduce it by column, a declared fold family.
 
-    Either the class (or an in-file ancestor other than the abstract
-    ``AggregateFunction`` base, whose ``merge`` raises) defines
+    Merge route: either the class (or an in-file ancestor other than the
+    abstract ``AggregateFunction`` base, whose ``merge`` raises) defines
     ``merge``, or a wrapper partial is registered under the aggregate's
-    ``name`` in ``_PARTIAL_WRAPPERS``.
+    ``name`` in ``_PARTIAL_WRAPPERS``.  Fold family: a single-argument,
+    order-insensitive aggregate sets ``fold_family`` (itself or through
+    an in-file ancestor) to one of ``_FOLD_FAMILIES``.
     """
     path = root / _FUNCTIONS_PY
     if not path.exists():
@@ -433,17 +443,17 @@ def check_aggregate_merge_coverage(
         return any(isinstance(stmt, ast.FunctionDef)
                    and stmt.name == "merge" for stmt in klass.body)
 
-    def class_attr(klass: ast.ClassDef, attr: str) -> Optional[str]:
+    def class_attr(klass: ast.ClassDef, attr: str) -> object:
+        """The constant ``attr`` is assigned in the class body, if any."""
         for stmt in klass.body:
             if isinstance(stmt, ast.Assign) \
                     and any(isinstance(t, ast.Name) and t.id == attr
                             for t in stmt.targets) \
                     and isinstance(stmt.value, ast.Constant):
-                value = stmt.value.value
-                return value if isinstance(value, str) else None
+                return stmt.value.value
         return None
 
-    def resolve(klass: ast.ClassDef, getter) -> Optional[str]:
+    def resolve(klass: ast.ClassDef, getter) -> object:
         """Walk in-file bases (excluding the abstract root) for a hit."""
         queue, seen = [klass], set()
         while queue:
@@ -466,17 +476,26 @@ def check_aggregate_merge_coverage(
         klass = classes.get(class_name)
         if klass is None:
             continue
-        if resolve(klass, lambda k: "x" if own_merge(k) else None):
-            continue
         agg_name = resolve(klass, lambda k: class_attr(k, "name"))
-        if agg_name in wrappers:
-            continue
-        yield (str(path.relative_to(root)), klass.lineno,
-               klass.col_offset + 1, "AGG001",
-               f"aggregate {agg_name or class_name!r} is registered "
-               "without a merge route: define merge() or add a wrapper "
-               "partial to _PARTIAL_WRAPPERS "
-               "(src/repro/offline/partial.py)")
+        where = (str(path.relative_to(root)), klass.lineno,
+                 klass.col_offset + 1, "AGG001")
+        if not resolve(klass, own_merge) and agg_name not in wrappers:
+            yield (*where,
+                   f"aggregate {agg_name or class_name!r} is registered "
+                   "without a merge route: define merge() or add a wrapper "
+                   "partial to _PARTIAL_WRAPPERS "
+                   "(src/repro/offline/partial.py)")
+        # Absent means the base class default: one argument, any order.
+        folds_by_column = (
+            resolve(klass, lambda k: class_attr(k, "value_args")) or 1) == 1 \
+            and not resolve(klass, lambda k: class_attr(k, "order_sensitive"))
+        family = resolve(klass, lambda k: class_attr(k, "fold_family"))
+        if folds_by_column and family not in _FOLD_FAMILIES:
+            yield (*where,
+                   f"aggregate {agg_name or class_name!r} takes one "
+                   "argument in any order but declares no fold_family: "
+                   f"set it to one of {_FOLD_FAMILIES} "
+                   "(src/repro/sql/compiler.py reads it)")
 
 
 _BISECT_NAMES = {"bisect", "bisect_left", "bisect_right",

@@ -8,8 +8,8 @@ by cumulative and by self time.  ``--path`` selects the execution
 tier:
 
 * ``incremental`` (default) — the deployed request path: ingest-time
-  window state where eligible, fused kernels elsewhere;
-* ``fused``   — block-based scans + fused fold kernels, no ingest-time
+  window state where eligible, the scan-and-fold elsewhere;
+* ``fused``   — block scans + the window fold, no ingest-time
   state;
 * ``cluster`` — the path users are actually served: the same data on 3
   tablets (``partitions=4, replicas=2``) answered through
