@@ -39,19 +39,18 @@ import time
 from typing import (Any, Dict, Iterator, List, Optional, Sequence, Set,
                     Tuple)
 
+from ..core.deployment import DeploymentHost
 from ..ctlplane.split import HashRouter, stable_hash
 from ..errors import (DeadlineExceededError, IndexNotFoundError,
-                      MemoryLimitExceededError, OpenMLDBError,
-                      RpcTimeoutError, SchemaError, ShardMovedError,
-                      StaleReadError, StorageError)
+                      MemoryLimitExceededError, RpcTimeoutError,
+                      SchemaError, ShardMovedError, StaleReadError,
+                      StorageError)
 from ..obs import NULL_OBS, Observability
 from ..online.binlog import BinlogEntry, Replicator
 from ..online.engine import OnlineEngine
 from ..schema import IndexDef, Row, Schema
-from ..serving.deadline import Deadline, current_deadline, deadline_scope
-from ..sql import ast
+from ..serving.deadline import current_deadline
 from ..sql.compiler import CompilationCache, CompiledQuery
-from ..sql.parser import parse
 from ..storage.encoding import RowCodec
 from ..storage.persist import (FileBinlog, RecoveryReport, SnapshotStore)
 from ..storage.skiplist import ColumnBlock
@@ -248,7 +247,7 @@ class _ClusterTableView:
         return iter(self._rerouting(scan))
 
 
-class NameServer:
+class NameServer(DeploymentHost):
     """Coordinates a set of tablet servers.
 
     Args:
@@ -320,7 +319,6 @@ class NameServer:
         self._m_puts = registry.counter("ns.rpc.puts")
         self._m_gets = registry.counter("ns.rpc.gets")
         self._m_routes = registry.counter("ns.rpc.routes")
-        self._m_requests = registry.counter("ns.requests")
         self._m_failovers = registry.counter("ns.failovers")
         self._m_retries = registry.counter("ns.rpc.retries")
         self._m_timeouts = registry.counter("ns.rpc.timeouts")
@@ -336,16 +334,19 @@ class NameServer:
         self._m_snapshot_rows = registry.counter(
             "cluster.recovery.snapshot_rows")
         self._h_recovery = registry.histogram("cluster.recovery.ms")
-        self._h_request = registry.histogram("cluster.request.ms")
         self._lag_gauges: Dict[Tuple[str, int, str], Any] = {}
         self._part_locks: Dict[Tuple[str, int], threading.Lock] = {}
         self._failover_lock = threading.Lock()
         self._views: Dict[str, _ClusterTableView] = {}
         self._tenants: Optional[Any] = None  # TenantRegistry
         self._codecs: Dict[str, RowCodec] = {}
-        self._deployments: Dict[str, CompiledQuery] = {}
-        self._compile_cache = CompilationCache(obs=self._obs)
-        self._engine = OnlineEngine(self._views, obs=self._obs)
+        # Deploy/request/undeploy come from DeploymentHost: the cluster
+        # serves routed table views and has no ingest hook yet.
+        self._host_deployments(
+            self._views, OnlineEngine(self._views, obs=self._obs),
+            CompilationCache(obs=self._obs), self._obs,
+            latency_series="cluster.request.ms",
+            requests_series="ns.requests")
         self._closed = False
 
     def attach_faults(self, injector: Any) -> None:
@@ -924,7 +925,10 @@ class NameServer:
                         f"read on {table_name}[{partition_id}] exceeded "
                         f"its deadline budget mid-RPC") from exc
                 self._suspect(tablet.name)
-            except ShardMovedError:
+            except (ShardMovedError, IndexNotFoundError):
+                # A redirect, or the caller asked for an access path no
+                # declared index serves: the live tablet that said so
+                # is not at fault — no suspicion, no retry.
                 raise
             except StorageError as exc:
                 last_error = exc
@@ -1231,133 +1235,10 @@ class NameServer:
     # online serving (request mode over the cluster)
 
     def deploy(self, name: str, sql: str) -> CompiledQuery:
-        """Compile a feature script against the cluster catalog."""
-        if name in self._deployments:
-            raise StorageError(f"deployment {name!r} already exists")
-        statement = parse(sql)
-        if isinstance(statement, ast.DeployStatement):
-            statement = statement.select
-        if not isinstance(statement, ast.SelectStatement):
-            raise StorageError("cluster deploy() expects a SELECT")
-        catalog = {table.name: table.schema
-                   for table in self.tables.values()}
-        compiled = self._compile_cache.get_or_compile(statement, catalog)
-        self._deployments[name] = compiled
-        return compiled
-
-    def request(self, name: str, row: Sequence[Any],
-                timeout_ms: Optional[float] = None) -> Dict[str, Any]:
-        """Execute one request tuple through a cluster deployment.
-
-        The nameserver acts as the request frontend: it opens the
-        ``deployment.execute`` root span, and every storage read the
-        engine makes is routed (with the trace context) to whichever
-        tablet leads the partition — producing one stitched trace
-        across tablet servers.  Tablet failures mid-request surface as
-        ``rpc.retry`` spans and re-routed calls, not request errors,
-        as long as a failover candidate exists.
-
-        ``timeout_ms`` gives the request a deadline budget: routed RPC
-        timeouts are clamped to what is left of it and the request
-        fails with :class:`~repro.errors.DeadlineExceededError` instead
-        of retrying past it.  Without it, any ambient deadline (e.g.
-        installed by a :class:`~repro.serving.FrontendServer` worker)
-        applies.
-        """
-        self._check_open()
-        try:
-            compiled = self._deployments[name]
-        except KeyError:
-            raise StorageError(f"unknown deployment {name!r}") from None
-        deadline = Deadline.after(timeout_ms) \
-            if timeout_ms is not None else None
-        return self._execute_row(name, compiled, row, deadline,
-                                 "nameserver")
-
-    def _execute_row(self, name: str, compiled: CompiledQuery,
-                     row: Sequence[Any], deadline: Optional[Any],
-                     frontend: str,
-                     shared: Optional[Dict[Any, Any]] = None
-                     ) -> Dict[str, Any]:
-        """One request tuple under its deadline and root span.
-
-        The per-row step :meth:`request` and :meth:`request_batch`
-        share; the latency series observes failed requests too.
-        """
-        self._m_requests.inc()
-        start = time.perf_counter()
-        try:
-            with deadline_scope(deadline), self._obs.tracer.span(
-                    "deployment.execute", deployment=name,
-                    frontend=frontend):
-                features = self._engine.execute_request(
-                    compiled, row, shared_fetch=shared)
-        finally:
-            self._h_request.observe(
-                (time.perf_counter() - start) * 1_000)
-        return dict(zip(compiled.output_names, features))
-
-    def request_batch(self, name: str, rows: Sequence[Sequence[Any]],
-                      deadlines: Optional[Sequence[Any]] = None
-                      ) -> List[Any]:
-        """Execute a micro-batch of request tuples for one deployment.
-
-        The batch path of the serving frontend: all rows run under one
-        ``deployment.execute_batch`` span and share a per-batch window
-        scan cache, so requests that resolve to the same (partition
-        key, anchor ts) scan fetch rows once (hot keys under herd
-        traffic).  Callers should order ``rows`` by partition (see
-        :meth:`request_partition`) so consecutive requests route to the
-        same partition leader.
-
-        Per-row failures do not poison the batch: the returned list is
-        parallel to ``rows`` and each element is either the feature
-        dict or the :class:`~repro.errors.OpenMLDBError` that request
-        raised.  Programming errors propagate.
-
-        Args:
-            name: deployment name.
-            rows: request tuples.
-            deadlines: optional parallel list of per-row
-                :class:`~repro.serving.Deadline` budgets (None entries
-                mean no deadline).
-        """
-        self._check_open()
-        try:
-            compiled = self._deployments[name]
-        except KeyError:
-            raise StorageError(f"unknown deployment {name!r}") from None
-        outcomes: List[Any] = []
-        shared: Dict[Any, Any] = {}
-        with self._obs.tracer.span("deployment.execute_batch",
-                                   deployment=name, batch=len(rows)):
-            for index, row in enumerate(rows):
-                try:
-                    outcome: Any = self._execute_row(
-                        name, compiled, row,
-                        deadlines[index] if deadlines else None,
-                        "serving.batch", shared)
-                except OpenMLDBError as exc:
-                    outcome = exc
-                outcomes.append(outcome)
-        return outcomes
-
-    def describe_deployment(self, name: str) -> "DeploymentDescriptor":
-        """Introspect a deployment for a serving frontend.
-
-        Returns the request-tuple schema (the primary table's) and the
-        feature column names — what a network frontend needs to coerce
-        wire parameters and describe result sets before executing.
-        """
-        from ..serving.describe import DeploymentDescriptor
-        try:
-            compiled = self._deployments[name]
-        except KeyError:
-            raise StorageError(f"unknown deployment {name!r}") from None
-        table = self.tables[compiled.plan.table]
-        return DeploymentDescriptor(
-            name=name, table=table.name, input_schema=table.schema,
-            output_names=tuple(compiled.output_names))
+        """Deploy a feature script against the cluster catalog and
+        return its compiled plan (``DeploymentHost.deploy``'s
+        ``.compiled``; the cluster has no ingest-time options yet)."""
+        return super().deploy(name, sql).compiled
 
     def request_partition(self, name: str,
                           row: Sequence[Any]) -> Optional[int]:
@@ -1368,12 +1249,10 @@ class NameServer:
         The serving frontend sorts each batch by this so storage reads
         group by partition leader.
         """
-        compiled = self._deployments.get(name)
-        if compiled is None:
+        deployment = self._deployments.get(name)
+        if deployment is None:
             return None
-        table = self.tables.get(compiled.plan.table)
-        if table is None:
-            return None
+        table = self.tables[deployment.compiled.plan.table]
         column = table.indexes[0].key_columns[0]
         try:
             key_value = row[table.schema.position(column)]

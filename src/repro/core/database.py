@@ -20,13 +20,11 @@ architecture diagram (Figure 2) does:
 from __future__ import annotations
 
 import os
-import threading
 import time
 from typing import (Any, Callable, Dict, List, Optional, Sequence,
                     Tuple, Union)
 
-from ..errors import (DeploymentError, DeploymentNotFoundError, ParseError,
-                      PlanError, SchemaError, StorageError,
+from ..errors import (ParseError, PlanError, SchemaError, StorageError,
                       TableExistsError, TableNotFoundError)
 from ..schema import Column, IndexDef, Row, Schema, TTLKind, TTLSpec
 from ..sql import ast
@@ -45,7 +43,7 @@ from ..offline.skew import SkewConfig
 from ..memory.governor import MemoryGovernor
 from ..obs import NULL_OBS, Observability
 from ..types import ColumnType
-from .deployment import Deployment
+from .deployment import DeploymentHost
 from .modes import PreviewConstraints
 
 __all__ = ["OpenMLDB"]
@@ -54,7 +52,7 @@ _INTERVAL_UNITS_MS = {"s": 1_000, "m": 60_000, "h": 3_600_000,
                       "d": 86_400_000}
 
 
-class OpenMLDB:
+class OpenMLDB(DeploymentHost):
     """An embedded OpenMLDB instance.
 
     Args:
@@ -96,18 +94,22 @@ class OpenMLDB:
                 os.path.join(data_dir, "snapshots"),
                 retain=snapshot_retain, obs=self.obs)
         self.compile_cache = CompilationCache(obs=self.obs)
-        self.deployments: Dict[str, Deployment] = {}
         self.online_engine = OnlineEngine(self.tables, obs=self.obs)
         self.offline_engine = OfflineEngine(self.tables,
                                             workers=offline_workers,
                                             obs=self.obs)
         self.governor = MemoryGovernor("db", max_memory_mb=max_memory_mb)
-        self._updaters: Dict[str, List[Callable]] = {}
         self._preview_cache: Dict[Tuple[str, int], List[Row]] = {}
         self._seed = seed
-        self._lock = threading.Lock()
-        self._h_request = self.obs.registry.histogram(
-            "online.request.ms")
+        # Deploy/request/undeploy come from DeploymentHost; a single
+        # node differs from the cluster by serving its own tables and
+        # by having an ingest hook (``_updaters``: closures every
+        # insert hands to the replicator).
+        self._host_deployments(
+            self.tables, self.online_engine, self.compile_cache, self.obs,
+            latency_series="online.request.ms", updaters={},
+            governor=self.governor)
+        self.deployments = self._deployments
 
     # ------------------------------------------------------------------
     # catalog / DDL
@@ -206,10 +208,6 @@ class OpenMLDB:
             self.insert(table_name, row)
         return len(rows)
 
-    def _register_updater(self, table_name: str,
-                          update_closure: Callable) -> None:
-        self._updaters.setdefault(table_name, []).append(update_closure)
-
     # ------------------------------------------------------------------
     # unified SQL entry point
 
@@ -229,7 +227,7 @@ class OpenMLDB:
             rows, _stats = self.offline_query_statement(statement)
             return rows
         if isinstance(statement, ast.DeployStatement):
-            return self._execute_deploy(statement, sql)
+            return self.deploy(statement.name, sql)
         raise ParseError(f"unsupported statement: {type(statement).__name__}")
 
     def _execute_create(self, statement: ast.CreateTableStatement):
@@ -276,123 +274,7 @@ class OpenMLDB:
                         ts_column=clause.ts_column, ttl=ttl)
 
     # ------------------------------------------------------------------
-    # deployments / online request mode
-
-    def deploy(self, name: str, sql: str,
-               long_windows: Optional[str] = None,
-               preagg_levels: int = 2,
-               adaptive: bool = False,
-               router_config: Optional[Any] = None) -> Deployment:
-        """Compile and deploy a feature script for online serving.
-
-        ``long_windows`` takes the same string as the SQL OPTIONS form,
-        e.g. ``"w1:1d"`` (Figure 11).
-
-        ``adaptive=True`` replaces the deploy-time eligibility rules
-        with a live-metrics :class:`~repro.adaptive.ExecutionRouter`:
-        incremental state starts empty and is provisioned per key as
-        traffic justifies it (within the governor's memory budget), and
-        pre-aggregation bucket widths follow the observed span
-        distribution.  ``router_config`` takes a
-        :class:`~repro.adaptive.RouterConfig` override.
-        """
-        statement = parse(sql)
-        if isinstance(statement, ast.DeployStatement):
-            deploy_statement = statement
-            if long_windows is not None:
-                options = tuple(statement.options) + (
-                    ("long_windows", long_windows),)
-                deploy_statement = ast.DeployStatement(
-                    name=statement.name, select=statement.select,
-                    options=options)
-        elif isinstance(statement, ast.SelectStatement):
-            options = (("long_windows", long_windows),) if long_windows \
-                else ()
-            deploy_statement = ast.DeployStatement(
-                name=name, select=statement, options=options)
-        else:
-            raise DeploymentError("deploy() expects a SELECT or DEPLOY")
-        return self._execute_deploy(deploy_statement, sql,
-                                    adaptive=adaptive,
-                                    router_config=router_config)
-
-    def _execute_deploy(self, statement: ast.DeployStatement,
-                        sql: str, adaptive: bool = False,
-                        router_config: Optional[Any] = None
-                        ) -> Deployment:
-        if statement.name in self.deployments:
-            raise DeploymentError(
-                f"deployment {statement.name!r} already exists")
-        compiled = self.compile_cache.get_or_compile(
-            statement.select, self.catalog())
-        # Section 4.2's index optimisation: reject at deploy time any
-        # window/join the declared indexes cannot serve.
-        from ..sql.optimizer import index_access_paths
-        index_access_paths(compiled.plan, {
-            name: list(table.indexes)
-            for name, table in self.tables.items()})
-        deployment = Deployment.from_statement(statement, sql, compiled)
-        deployment.initialize_preagg(self.tables, self._register_updater,
-                                     obs=self.obs)
-        if adaptive:
-            deployment.initialize_adaptive(
-                self.tables, self._register_updater,
-                governor=self.governor, obs=self.obs,
-                config=router_config)
-        else:
-            deployment.initialize_incremental(self.tables,
-                                              self._register_updater)
-        self.deployments[statement.name] = deployment
-        return deployment
-
-    def undeploy(self, name: str) -> None:
-        if name not in self.deployments:
-            raise DeploymentNotFoundError(name)
-        del self.deployments[name]
-
-    def request(self, deployment_name: str,
-                row: Sequence[Any]) -> Dict[str, Any]:
-        """Online request mode: one tuple in, one feature dict out."""
-        return dict(zip(self._deployment(deployment_name)
-                        .compiled.output_names,
-                        self.request_row(deployment_name, row)))
-
-    def describe_deployment(self, name: str) -> "DeploymentDescriptor":
-        """Introspect a deployment for a serving frontend.
-
-        Returns the request-tuple schema (the primary table's) and the
-        feature column names — what a network frontend needs to coerce
-        wire parameters and describe result sets before executing.
-        """
-        from ..serving.describe import DeploymentDescriptor
-        compiled = self._deployment(name).compiled
-        table = self.tables[compiled.plan.table]
-        return DeploymentDescriptor(
-            name=name, table=compiled.plan.table,
-            input_schema=table.schema,
-            output_names=tuple(compiled.output_names))
-
-    def request_row(self, deployment_name: str,
-                    row: Sequence[Any]) -> Row:
-        """Like :meth:`request`, returning the raw feature tuple."""
-        deployment = self._deployment(deployment_name)
-        preagg = deployment.preaggs if deployment.uses_preagg else None
-        incremental = (deployment.incrementals
-                       if deployment.uses_incremental else None)
-        start = time.perf_counter()
-        with self.obs.tracer.span("deployment.execute",
-                                  deployment=deployment_name):
-            features = self.online_engine.execute_request(
-                deployment.compiled, row, preagg=preagg,
-                incremental=incremental, router=deployment.router)
-        self._h_request.observe((time.perf_counter() - start) * 1_000)
-        return features
-
-    def _deployment(self, name: str) -> Deployment:
-        try:
-            return self.deployments[name]
-        except KeyError:
-            raise DeploymentNotFoundError(name) from None
+    # online request mode: deploy / request / undeploy are DeploymentHost's
 
     def flush_preagg(self, timeout: float = 10.0) -> None:
         """Drain asynchronous aggregator updates (determinism for tests)."""

@@ -15,24 +15,43 @@ Deploying with long windows:
    "slightly higher data loading overhead");
 4. registers an ``update_aggr`` binlog closure so subsequent inserts
    maintain the aggregators asynchronously.
+
+One body, two hosts.  :class:`~repro.core.database.OpenMLDB` (local
+tables) and :class:`~repro.cluster.nameserver.NameServer` (routed
+partitions) both inherit :class:`DeploymentHost`, so ``deploy`` /
+``undeploy`` / ``request`` / ``request_row`` / ``request_batch`` /
+``describe_deployment`` are written once, here.  The
+:class:`Deployment` owns the three steps — :meth:`Deployment.build`
+(parse, compile, index check), :meth:`Deployment.serve` (the one
+serving call of ``OnlineEngine.execute_request``) and
+:meth:`Deployment.describe` — and a host says only what differs: its
+tables and engine, its series names, and whether it has an ingest hook.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
-from ..errors import DeploymentError
+from ..errors import (DeploymentError, DeploymentNotFoundError,
+                      OpenMLDBError)
 from ..schema import Row
+from ..serving.deadline import Deadline, deadline_scope
+from ..serving.describe import DeploymentDescriptor
 from ..sql import ast
 from ..sql.compiler import CompiledQuery
+from ..sql.functions import get_aggregate
+from ..sql.optimizer import index_access_paths
+from ..sql.parser import parse
 from ..storage.memtable import normalize_ts
+from ..online.binlog import IngestConsumer
 from ..online.incremental import IncrementalWindowState
 from ..online.preagg import (LongWindowOption, PreAggregator,
                              parse_long_windows)
 
-__all__ = ["Deployment"]
+__all__ = ["Deployment", "DeploymentHost"]
 
 
 @dataclasses.dataclass
@@ -61,43 +80,151 @@ class Deployment:
     incrementals: Dict[str, IncrementalWindowState] = dataclasses.field(
         default_factory=dict)
     backfill_seconds: float = 0.0
-    #: Set by :meth:`initialize_adaptive`: the execution router picking
-    #: tiers and managing incremental/preagg state at runtime.
+    #: Set by :meth:`attach_ingest` on adaptive deployments: the
+    #: execution router picking tiers and managing incremental/preagg
+    #: state at runtime.
     router: Optional[Any] = dataclasses.field(default=None, repr=False)
-    _tables: Optional[Mapping[str, Any]] = dataclasses.field(
+    #: The host this deployment serves through (set by :meth:`build`).
+    _host: Optional["DeploymentHost"] = dataclasses.field(
         default=None, repr=False, compare=False)
-    _register_updater: Optional[Callable[[str, Callable], None]] = \
-        dataclasses.field(default=None, repr=False, compare=False)
+    #: Every live ingest consumer → the closure registered for it in the
+    #: host's ingest hook; :meth:`_detach` undoes a registration.
+    _closures: Dict[IngestConsumer, Callable] = dataclasses.field(
+        default_factory=dict, repr=False, compare=False)
     _preagg_levels: int = dataclasses.field(
         default=2, repr=False, compare=False)
-    _obs: Optional[Any] = dataclasses.field(
-        default=None, repr=False, compare=False)
-
-    @classmethod
-    def from_statement(cls, statement: ast.DeployStatement, sql: str,
-                       compiled: CompiledQuery) -> "Deployment":
-        option = statement.option("long_windows")
-        long_windows = parse_long_windows(option) if option else ()
-        return cls(name=statement.name, sql=sql, compiled=compiled,
-                   long_windows=long_windows)
 
     # ------------------------------------------------------------------
+    # build
 
-    def initialize_preagg(
-            self, tables: Mapping[str, Any],
-            register_updater: Callable[[str, Callable], None],
-            levels: int = 2, obs: Optional[Any] = None) -> None:
-        """Create, backfill, and wire the deployment's pre-aggregators.
+    @classmethod
+    def build(cls, host: "DeploymentHost", name: str, sql: str,
+              long_windows: Optional[str] = None) -> "Deployment":
+        """Parse and compile ``sql`` against the host's tables.
 
-        Args:
-            tables: table name → storage object.
-            register_updater: callback ``(table_name, update_closure)``
-                hooking aggregator maintenance into the binlog pipeline.
-            levels: aggregator hierarchy depth (Section 5.1).
-            obs: optional observability handle; aggregators record
-                absorbed-row / query / bucket-merge counters when set.
+        A ``SELECT`` deploys as ``name``, a ``DEPLOY`` statement under
+        its own; ``long_windows`` is the SQL ``OPTIONS`` form.  The plan
+        comes from the host's compilation cache, then Section 4.2's
+        index optimisation applies: a window or join no declared index
+        serves is rejected here, at deploy time, with
+        :class:`~repro.errors.PlanError` — never per request.
         """
+        statement = parse(sql)
+        if isinstance(statement, ast.SelectStatement):
+            statement = ast.DeployStatement(name=name, select=statement)
+        elif not isinstance(statement, ast.DeployStatement):
+            raise DeploymentError("deploy() expects a SELECT or DEPLOY")
+        option = long_windows or statement.option("long_windows")
+        tables = host._serving_tables
+        compiled = host._compile_cache.get_or_compile(
+            statement.select,
+            {table: view.schema for table, view in tables.items()})
+        index_access_paths(compiled.plan, {
+            table: list(view.indexes) for table, view in tables.items()})
+        return cls(name=statement.name, sql=sql, compiled=compiled,
+                   long_windows=parse_long_windows(option) if option
+                   else (), _host=host)
+
+    # ------------------------------------------------------------------
+    # serve / describe
+
+    def serve(self, row: Sequence[Any], deadline: Optional[Deadline] = None,
+              shared_fetch: Optional[Dict[Any, Any]] = None) -> Row:
+        """Answer one request tuple: the one serving call site of
+        ``OnlineEngine.execute_request``.
+
+        Runs under ``deadline`` (None keeps any ambient one) and the
+        ``deployment.execute`` root span; the host's request histogram
+        observes failed requests too.  ``shared_fetch`` is the
+        per-batch window scan cache of :meth:`DeploymentHost.request_batch`.
+        """
+        host = self._host
+        if host._m_requests is not None:
+            host._m_requests.inc()
+        start = time.perf_counter()
+        try:
+            with deadline_scope(deadline), host._obs.tracer.span(
+                    "deployment.execute", deployment=self.name):
+                return host._engine.execute_request(
+                    self.compiled, row, preagg=self.preaggs or None,
+                    shared_fetch=shared_fetch,
+                    incremental=self.incrementals or None,
+                    router=self.router)
+        finally:
+            host._h_request.observe((time.perf_counter() - start) * 1_000)
+
+    def describe(self) -> DeploymentDescriptor:
+        """The request-tuple schema (the primary table's) and the
+        feature column names — what a network frontend needs to coerce
+        wire parameters and describe result sets before executing."""
+        plan = self.compiled.plan
+        return DeploymentDescriptor(
+            name=self.name, table=plan.table,
+            input_schema=plan.table_schema,
+            output_names=tuple(self.compiled.output_names))
+
+    # ------------------------------------------------------------------
+    # ingest consumers
+
+    def attach_ingest(self, preagg_levels: int = 2, adaptive: bool = False,
+                      router_config: Optional[Any] = None) -> None:
+        """Create, backfill and register the ingest-maintained state.
+
+        Long-window pre-aggregators first, then incremental window
+        state — eager, or with ``adaptive`` selective (router-managed)
+        plus an :class:`~repro.adaptive.ExecutionRouter` with this
+        deployment as its host and the memory governor as its promotion
+        budget.  A host with no ingest hook (the cluster, until
+        consumers attach at the partition leader's binlog) serves by
+        scan-fold only and refuses the options that need one.
+        """
+        host = self._host
+        if host._updaters is None:
+            if self.long_windows or adaptive:
+                raise DeploymentError(
+                    f"deployment {self.name!r}: long_windows/adaptive need "
+                    f"ingest-maintained state, which "
+                    f"{type(host).__name__} cannot maintain yet")
+            return
+        self._preagg_levels = preagg_levels
+        self._initialize_preagg()
+        self._initialize_incremental(selective=adaptive)
+        if adaptive:
+            from ..adaptive import ExecutionRouter  # single-node only
+            self.router = ExecutionRouter(config=router_config,
+                                          obs=host._obs)
+            self.router.bind_host(self)
+            self.router.bind_governor(host._governor)
+
+    @property
+    def _table(self) -> Any:
+        """The primary table, as the host's engine reads it."""
+        return self._host._serving_tables[self.compiled.plan.table]
+
+    def _attach(self, consumer: IngestConsumer) -> None:
+        closure = self._closures[consumer] = consumer.make_update_closure()
+        self._host._updaters.setdefault(
+            self.compiled.plan.table, []).append(closure)
+
+    def _detach(self, consumers: Iterable[IngestConsumer]) -> None:
+        """Retire ``consumers`` and drop their closures from the host's
+        ingest hook (in place: an insert snapshots the list it runs)."""
+        for consumer in consumers:
+            consumer.retire()
+            self._host._updaters[self.compiled.plan.table].remove(
+                self._closures.pop(consumer))
+
+    def retire(self) -> None:
+        """Undeploy: stop every consumer absorbing inserts and drop the
+        incremental states' TTL-eviction subscriptions."""
+        self._detach(list(self._closures))
+        for state in self.incrementals.values():
+            self._table.unsubscribe_eviction(state.on_ttl_evict)
+
+    def _initialize_preagg(self) -> None:
+        """Create, backfill, and wire the long-window pre-aggregators."""
         started = time.perf_counter()
+        table = self._table
         for option in self.long_windows:
             window = self.compiled.windows.get(option.window)
             if window is None:
@@ -117,48 +244,43 @@ class Deployment:
                 raise DeploymentError(
                     "long-window pre-aggregation aggregates instance-table "
                     "rows, which INSTANCE_NOT_IN_WINDOW excludes")
-            slot_map: Dict[int, PreAggregator] = {}
-            for compiled_agg in window.aggregates:
-                aggregator = self._build_aggregator(
-                    window, compiled_agg, option, levels)
-                if aggregator is None:
-                    continue  # non-mergeable: stays on the raw path
-                if obs is not None and obs.enabled:
-                    aggregator.bind_obs(obs)
-                table = tables[self.compiled.plan.table]
-                aggregator.backfill(list(table.rows()))
-                register_updater(self.compiled.plan.table,
-                                 aggregator.make_update_closure())
-                slot_map[compiled_agg.slot] = aggregator
+            slot_map = self._aggregators(window, option.bucket_ms,
+                                         list(table.rows()))
+            for aggregator in slot_map.values():
+                self._attach(aggregator)
             if slot_map:
                 self.preaggs[option.window] = slot_map
         self.backfill_seconds = time.perf_counter() - started
 
-    @staticmethod
-    def _build_aggregator(window, compiled_agg, option: LongWindowOption,
-                          levels: int) -> Optional[PreAggregator]:
-        from ..sql.functions import get_aggregate
-
-        binding = compiled_agg.binding
-        probe = get_aggregate(binding.func_name, *binding.constants)
-        if not probe.mergeable:
-            return None
+    def _aggregators(self, window, bucket_ms: int,
+                     rows: List[Row]) -> Dict[int, PreAggregator]:
+        """Aggregate slot → a pre-aggregator backfilled from ``rows``,
+        one per *mergeable* aggregate of ``window`` (the others stay on
+        the raw-scan path)."""
         order_position = window.order_position
 
         def ts_fn(row: Row, position: int = order_position) -> int:
             return normalize_ts(row[position])
 
-        return PreAggregator(
-            func_name=binding.func_name, constants=binding.constants,
-            arg_fn=compiled_agg.arg_fn, key_fn=window.partition_key,
-            ts_fn=ts_fn, bucket_ms=option.bucket_ms, levels=levels)
+        obs = self._host._obs
+        slots: Dict[int, PreAggregator] = {}
+        for compiled_agg in window.aggregates:
+            binding = compiled_agg.binding
+            if not get_aggregate(binding.func_name,
+                                 *binding.constants).mergeable:
+                continue
+            aggregator = slots[compiled_agg.slot] = PreAggregator(
+                func_name=binding.func_name, constants=binding.constants,
+                arg_fn=compiled_agg.arg_fn, key_fn=window.partition_key,
+                ts_fn=ts_fn, bucket_ms=bucket_ms,
+                levels=self._preagg_levels)
+            if obs.enabled:
+                # Absorbed-row / query / bucket-merge counters.
+                aggregator.bind_obs(obs)
+            aggregator.backfill(rows)
+        return slots
 
-    # ------------------------------------------------------------------
-
-    def initialize_incremental(
-            self, tables: Mapping[str, Any],
-            register_updater: Callable[[str, Callable], None],
-            selective: bool = False) -> None:
+    def _initialize_incremental(self, selective: bool) -> None:
         """Create, backfill, and wire ingest-time window state.
 
         Every *eligible* window gets a per-key running aggregate state
@@ -175,55 +297,26 @@ class Deployment:
         the execution router provisions individual keys at runtime when
         their request rate justifies the ingest cost.
         """
-        table_name = self.compiled.plan.table
-        table = tables.get(table_name)
-        if table is None or not hasattr(table, "subscribe_eviction"):
+        table = self._table
+        if not hasattr(table, "subscribe_eviction"):
             return
         for name, window in self.compiled.windows.items():
             if not window.aggregates or name in self.preaggs:
                 continue
             state = IncrementalWindowState.for_window(
-                window, tables, table_name, selective=selective)
+                window, self._host._serving_tables,
+                self.compiled.plan.table, selective=selective)
             if state is None:
                 continue
             if not selective:
                 state.backfill(table.rows())
-            register_updater(table_name, state.make_update_closure())
+            self._attach(state)
             if selective:
                 # Seed rows_seen after registration: a racing insert is
                 # then covered by the updater or the count, never lost.
                 state.mark_caught_up()
             table.subscribe_eviction(state.on_ttl_evict)
             self.incrementals[name] = state
-
-    def initialize_adaptive(
-            self, tables: Mapping[str, Any],
-            register_updater: Callable[[str, Callable], None],
-            governor: Optional[Any] = None, obs: Optional[Any] = None,
-            config: Optional[Any] = None,
-            preagg_levels: int = 2) -> Any:
-        """Wire adaptive execution: selective state + a cost router.
-
-        Call *instead of* :meth:`initialize_incremental`, after
-        :meth:`initialize_preagg`.  Builds selective (router-managed)
-        incremental states, constructs the
-        :class:`~repro.adaptive.ExecutionRouter`, and hands it this
-        deployment as its host plus the memory governor as its
-        promotion budget.  Returns the router.
-        """
-        from ..adaptive import ExecutionRouter
-
-        self._tables = tables
-        self._register_updater = register_updater
-        self._preagg_levels = preagg_levels
-        self._obs = obs
-        self.initialize_incremental(tables, register_updater,
-                                    selective=True)
-        router = ExecutionRouter(config=config, obs=obs)
-        router.bind_host(self)
-        router.bind_governor(governor)
-        self.router = router
-        return router
 
     # -- adaptive host hooks (called from ExecutionRouter.tick) --------
 
@@ -251,8 +344,6 @@ class Deployment:
         Returns True when the swap happened; False means "retry a later
         tick" and leaves the old aggregators serving.
         """
-        if self._tables is None or self._register_updater is None:
-            return False
         option = next((opt for opt in self.long_windows
                        if opt.window == window_name), None)
         old_slots = self.preaggs.get(window_name)
@@ -262,40 +353,25 @@ class Deployment:
         if bucket_ms <= 0 \
                 or next(iter(old_slots.values())).bucket_ms == bucket_ms:
             return False
-        table = self._tables[self.compiled.plan.table]
+        table = self._table
         before = table.row_count
         if any(agg.rows_absorbed < before for agg in old_slots.values()):
             return False  # maintenance lag: the log snapshot could race
         rows = list(table.rows())
         if len(rows) != before:
             return False
-        sized = LongWindowOption(window=window_name, bucket_ms=bucket_ms)
-        new_slots: Dict[int, PreAggregator] = {}
-        for compiled_agg in window.aggregates:
-            if compiled_agg.slot not in old_slots:
-                continue
-            aggregator = self._build_aggregator(
-                window, compiled_agg, sized, self._preagg_levels)
-            if aggregator is None:
-                return False
-            if self._obs is not None and self._obs.enabled:
-                aggregator.bind_obs(self._obs)
-            aggregator.backfill(rows)
-            new_slots[compiled_agg.slot] = aggregator
+        new_slots = self._aggregators(window, bucket_ms, rows)
         if set(new_slots) != set(old_slots):
             return False
         for aggregator in new_slots.values():
-            self._register_updater(self.compiled.plan.table,
-                                   aggregator.make_update_closure())
+            self._attach(aggregator)
         if table.row_count != before:
             # An insert raced the registration: its closure snapshot may
             # predate the new consumers.  Retire them and retry later —
             # the old aggregators never stopped absorbing.
-            for aggregator in new_slots.values():
-                aggregator.retire()
+            self._detach(new_slots.values())
             return False
-        for aggregator in old_slots.values():
-            aggregator.retire()
+        self._detach(old_slots.values())
         self.preaggs[window_name] = new_slots
         return True
 
@@ -308,10 +384,6 @@ class Deployment:
         """Warm-start this deployment's router from a snapshot."""
         if self.router is not None and snapshot:
             self.router.restore_state(snapshot)
-
-    @property
-    def adaptive(self) -> bool:
-        return self.router is not None
 
     def adaptive_stats(self) -> Dict[str, Any]:
         """Router + state summary for operators and the benches."""
@@ -330,15 +402,6 @@ class Deployment:
     def uses_incremental(self) -> bool:
         return bool(self.incrementals)
 
-    def incremental_stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-window ingest-state footprint (keys and buffered rows)."""
-        return {
-            name: {"keys": state.key_count,
-                   "buffered_rows": state.buffered_rows(),
-                   "rows_seen": state.rows_seen}
-            for name, state in self.incrementals.items()
-        }
-
     @property
     def uses_preagg(self) -> bool:
         return bool(self.preaggs)
@@ -350,3 +413,158 @@ class Deployment:
                      for slot, aggregator in slots.items()}
             for window, slots in self.preaggs.items()
         }
+
+
+class DeploymentHost:
+    """The deploy → request → undeploy lifecycle, written once.
+
+    :class:`~repro.core.database.OpenMLDB` and
+    :class:`~repro.cluster.nameserver.NameServer` inherit every method
+    below; each calls :meth:`_host_deployments` from its constructor
+    to hand in the only things that differ between them.
+    """
+
+    def _host_deployments(
+            self, tables: Mapping[str, Any], engine: Any, cache: Any,
+            obs: Any, latency_series: str,
+            requests_series: Optional[str] = None,
+            updaters: Optional[Dict[str, List[Callable]]] = None,
+            governor: Optional[Any] = None) -> None:
+        """Declare what this host deploys against and reports to.
+
+        ``tables`` is what ``engine`` reads (``MemTable``/``DiskTable``
+        or routed cluster views) and ``cache`` the compilation cache.
+        ``latency_series`` observes every request, failed ones
+        included; ``requests_series`` optionally counts attempts.
+        ``updaters`` is the ingest hook — table name → closures every
+        insert runs, where deployments register pre-aggregators and
+        incremental states; ``None`` means the host maintains no
+        ingest-time state.  ``governor`` funds adaptive promotions.
+        """
+        self._deployments: Dict[str, Deployment] = {}
+        self._serving_tables = tables
+        self._engine = engine
+        self._compile_cache = cache
+        self._obs = obs
+        self._h_request = obs.registry.histogram(latency_series)
+        self._m_requests = obs.registry.counter(requests_series) \
+            if requests_series else None
+        self._updaters = updaters
+        self._governor = governor
+
+    def _check_open(self) -> None:
+        """Raise if the host stopped serving (hosts that close override)."""
+
+    def deploy(self, name: str, sql: str,
+               long_windows: Optional[str] = None,
+               preagg_levels: int = 2,
+               adaptive: bool = False,
+               router_config: Optional[Any] = None) -> Deployment:
+        """Compile and deploy a feature script for online serving.
+
+        ``long_windows`` takes the same string as the SQL OPTIONS form,
+        e.g. ``"w1:1d"`` (Figure 11).
+
+        ``adaptive=True`` replaces the deploy-time eligibility rules
+        with a live-metrics :class:`~repro.adaptive.ExecutionRouter`:
+        incremental state starts empty and is provisioned per key as
+        traffic justifies it (within the governor's memory budget), and
+        pre-aggregation bucket widths follow the observed span
+        distribution.  ``router_config`` takes a
+        :class:`~repro.adaptive.RouterConfig` override.
+        """
+        self._check_open()
+        deployment = Deployment.build(self, name, sql, long_windows)
+        if deployment.name in self._deployments:
+            raise DeploymentError(
+                f"deployment {deployment.name!r} already exists")
+        try:
+            deployment.attach_ingest(preagg_levels, adaptive, router_config)
+        except BaseException:
+            deployment.retire()  # consumers registered before the failure
+            raise
+        self._deployments[deployment.name] = deployment
+        return deployment
+
+    def undeploy(self, name: str) -> None:
+        """Remove a deployment and retire its ingest consumers."""
+        self._check_open()
+        deployment = self._deployment(name)
+        del self._deployments[name]
+        deployment.retire()
+
+    def _deployment(self, name: str) -> Deployment:
+        try:
+            return self._deployments[name]
+        except KeyError:
+            raise DeploymentNotFoundError(name) from None
+
+    def describe_deployment(self, name: str) -> DeploymentDescriptor:
+        """Introspect a deployment (see :meth:`Deployment.describe`)."""
+        self._check_open()
+        return self._deployment(name).describe()
+
+    def request_row(self, name: str, row: Sequence[Any]) -> Row:
+        """Like :meth:`request`, returning the raw feature tuple."""
+        self._check_open()
+        return self._deployment(name).serve(row)
+
+    def request(self, name: str, row: Sequence[Any],
+                timeout_ms: Optional[float] = None) -> Dict[str, Any]:
+        """Online request mode: one tuple in, one feature dict out.
+
+        Opens the ``deployment.execute`` root span.  On a cluster every
+        storage read the engine makes is routed (with the trace
+        context) to the partition's leader — one stitched trace across
+        tablet servers — and a tablet failure mid-request surfaces as
+        an ``rpc.retry`` span and a re-routed call, not a request
+        error, as long as a failover candidate exists.
+
+        ``timeout_ms`` gives the request a deadline budget: routed RPC
+        timeouts are clamped to what is left of it and the request
+        fails with :class:`~repro.errors.DeadlineExceededError` instead
+        of running past it.  Without it, any ambient deadline (e.g. a
+        :class:`~repro.serving.FrontendServer` worker's) applies.
+        """
+        self._check_open()
+        deployment = self._deployment(name)
+        deadline = Deadline.after(timeout_ms) \
+            if timeout_ms is not None else None
+        return dict(zip(deployment.compiled.output_names,
+                        deployment.serve(row, deadline)))
+
+    def request_batch(self, name: str, rows: Sequence[Sequence[Any]],
+                      deadlines: Optional[Sequence[Any]] = None
+                      ) -> List[Any]:
+        """Execute a micro-batch of request tuples for one deployment.
+
+        The batch path of the serving frontend: all rows run under one
+        ``deployment.execute_batch`` span and share a per-batch window
+        scan cache, so requests that resolve to the same (partition
+        key, anchor ts) scan fetch rows once (hot keys under herd
+        traffic).  On a cluster, order ``rows`` by partition (see
+        ``NameServer.request_partition``) so consecutive requests
+        route to the same leader.  ``deadlines`` is an optional
+        parallel list of :class:`~repro.serving.Deadline` budgets.
+
+        Per-row failures do not poison the batch: the returned list is
+        parallel to ``rows`` and each element is either the feature
+        dict or the :class:`~repro.errors.OpenMLDBError` that request
+        raised.  Programming errors propagate.
+        """
+        self._check_open()
+        deployment = self._deployment(name)
+        names = deployment.compiled.output_names
+        outcomes: List[Any] = []
+        shared: Dict[Any, Any] = {}
+        with self._obs.tracer.span("deployment.execute_batch",
+                                   deployment=name, batch=len(rows)):
+            for index, row in enumerate(rows):
+                try:
+                    outcome: Any = dict(zip(names, deployment.serve(
+                        row, deadlines[index] if deadlines else None,
+                        shared)))
+                except OpenMLDBError as exc:
+                    outcome = exc
+                outcomes.append(outcome)
+        return outcomes

@@ -49,7 +49,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import (DeploymentNotFoundError, OpenMLDBError, ParseError,
-                      ProtocolError, StorageError)
+                      ProtocolError)
 from ..obs import NULL_OBS, Observability
 from ..serving.deadline import Deadline, deadline_scope
 from ..serving.describe import DeploymentDescriptor
@@ -574,7 +574,7 @@ class NetServer:
         try:
             descriptor = self._backend.describe_deployment(
                 statement.deployment)
-        except (DeploymentNotFoundError, StorageError) as exc:
+        except DeploymentNotFoundError as exc:
             raise _WireError(
                 "26000", f"unknown deployment "
                 f"{statement.deployment!r}: {exc}") from None

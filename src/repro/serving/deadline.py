@@ -25,7 +25,7 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
-from typing import Iterator, Optional
+from typing import ContextManager, Iterator, Optional
 
 from ..errors import DeadlineExceededError
 
@@ -84,17 +84,23 @@ def current_deadline() -> Optional[Deadline]:
     return getattr(_ambient, "deadline", None)
 
 
-@contextlib.contextmanager
-def deadline_scope(deadline: Optional[Deadline]) -> Iterator[None]:
+_NO_SCOPE = contextlib.nullcontext()
+
+
+def deadline_scope(deadline: Optional[Deadline]
+                   ) -> ContextManager[None]:
     """Install ``deadline`` as this thread's ambient deadline.
 
-    ``deadline_scope(None)`` is a no-op, so callers can pass an optional
-    deadline straight through.  Scopes nest; the previous deadline is
-    restored on exit.
+    ``deadline_scope(None)`` is a no-op (one shared null context: every
+    request of every host passes through here), so callers can pass an
+    optional deadline straight through.  Scopes nest; the previous
+    deadline is restored on exit.
     """
-    if deadline is None:
-        yield
-        return
+    return _NO_SCOPE if deadline is None else _installed(deadline)
+
+
+@contextlib.contextmanager
+def _installed(deadline: Deadline) -> Iterator[None]:
     previous = getattr(_ambient, "deadline", None)
     _ambient.deadline = deadline
     try:

@@ -126,6 +126,10 @@ class MemTable:
         mirror eviction so its buffers never outlive the index rows."""
         self._eviction_subscribers.append(callback)
 
+    def unsubscribe_eviction(self, callback: EvictionCallback) -> None:
+        """Drop a callback :meth:`subscribe_eviction` registered."""
+        self._eviction_subscribers.remove(callback)
+
     @property
     def eviction_subscribers(self) -> Tuple[EvictionCallback, ...]:
         """Registered eviction callbacks (recovery re-attaches these)."""

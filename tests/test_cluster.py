@@ -4,11 +4,16 @@ import random
 
 import pytest
 
+from repro import OpenMLDB
 from repro.ctlplane import PartitionSplitter
-from repro.errors import (MemoryLimitExceededError, ShardMovedError,
-                          StorageError)
+from repro.errors import (DeadlineExceededError, DeploymentError,
+                          DeploymentNotFoundError,
+                          MemoryLimitExceededError, PlanError,
+                          ShardMovedError, StorageError)
+from repro.obs import Observability
 from repro.online.engine import OnlineEngine
 from repro.schema import IndexDef, Schema
+from repro.serving.describe import DeploymentDescriptor
 from repro.storage.memtable import MemTable
 from repro.cluster import NameServer, TabletServer
 
@@ -155,11 +160,18 @@ class TestServedPathDifferential:
         "w_shop AS (PARTITION BY shop ORDER BY ts "
         "ROWS_RANGE BETWEEN 800 PRECEDING AND CURRENT ROW)")
 
-    def _twins(self):
-        cluster = NameServer([TabletServer(f"tablet-{i}")
-                              for i in range(3)])
-        cluster.create_table("t", self.SCHEMA, self.INDEXES,
-                             partitions=4, replicas=2)
+    def _twins(self, kind="cluster"):
+        obs = Observability(enabled=True)
+        if kind == "cluster":
+            cluster = NameServer([TabletServer(f"tablet-{i}")
+                                  for i in range(3)], obs=obs)
+            cluster.create_table("t", self.SCHEMA, self.INDEXES,
+                                 partitions=4, replicas=2)
+            put = cluster.put
+        else:
+            cluster = OpenMLDB(observability=True)
+            cluster.create_table("t", self.SCHEMA, self.INDEXES)
+            put = cluster.insert
         local = MemTable("t", self.SCHEMA, self.INDEXES)
         rng = random.Random(5)
         for step in range(600):
@@ -167,9 +179,11 @@ class TestServedPathDifferential:
             # decide which rows a ROWS frame keeps.
             row = (rng.randrange(8), rng.randrange(40) * 50,
                    rng.randrange(-20, 20), f"shop-{rng.randrange(3)}")
-            cluster.put("t", row)
+            put("t", row)
             local.insert(row)
-        compiled = cluster.deploy("feat", self.SQL)
+        deployed = cluster.deploy("feat", self.SQL)
+        # NameServer.deploy hands back the plan, OpenMLDB the Deployment.
+        compiled = getattr(deployed, "compiled", deployed)
         engine = OnlineEngine({"t": local})
         requests = [(uid, ts, 1, f"shop-{uid % 3}")
                     for uid in range(9) for ts in (0, 950, 1_000, 2_500)]
@@ -193,6 +207,60 @@ class TestServedPathDifferential:
         assert [pair for block in blocks for pair in block] \
             == list(view.window_scan(("uid",), "ts", 3))
         cluster.close()
+
+    @pytest.mark.parametrize("kind", ["single", "cluster"])
+    def test_both_hosts_run_one_deployment_body(self, kind):
+        host, expected, requests = self._twins(kind)
+        want = [expected(row) for row in requests]
+        got = [host.request("feat", row) for row in requests]
+        assert got == want and repr(got) == repr(want)
+        assert host.request_batch("feat", requests) == want
+        assert [host.request_row("feat", row) for row in requests] \
+            == [tuple(features.values()) for features in want]
+        assert host.describe_deployment("feat") == DeploymentDescriptor(
+            name="feat", table="t", input_schema=self.SCHEMA,
+            output_names=tuple(want[0]))
+        # One set of typed errors.
+        with pytest.raises(DeploymentError, match="already exists"):
+            host.deploy("feat", self.SQL)
+        row = requests[0]
+        for unknown in (lambda: host.request("ghost", row),
+                        lambda: host.request_row("ghost", row),
+                        lambda: host.request_batch("ghost", [row]),
+                        lambda: host.describe_deployment("ghost"),
+                        lambda: host.undeploy("ghost")):
+            with pytest.raises(DeploymentNotFoundError):
+                unknown()
+        # No index serves PARTITION BY amt: refused at deploy (§4.2),
+        # not discovered by the first request.
+        with pytest.raises(PlanError, match="no index"):
+            host.deploy("unservable", self.SQL.replace(
+                "PARTITION BY shop", "PARTITION BY amt"))
+        # Ingest-time options need an ingest hook; the cluster has none
+        # yet and says so instead of dropping the option.
+        long_window = f'DEPLOY lw OPTIONS(long_windows="w_range:1s") ' \
+                      f'{self.SQL}'
+        if kind == "cluster":
+            with pytest.raises(DeploymentError, match="long_windows"):
+                host.deploy("lw", long_window)
+        else:
+            assert host.deploy("lw", long_window).uses_preagg
+            assert host.request("lw", requests[5]) == want[5]
+        # A request that fails mid-plan is still a request.
+        series = "cluster.request.ms" if kind == "cluster" \
+            else "online.request.ms"
+        histogram = host.obs.registry.get(series)
+        seen = histogram.count
+        with pytest.raises(DeadlineExceededError):
+            host.request("feat", requests[0], timeout_ms=0.0)
+        assert histogram.count == seen + 1
+        # deploy -> undeploy -> redeploy.
+        host.undeploy("feat")
+        with pytest.raises(DeploymentNotFoundError):
+            host.request("feat", requests[0])
+        host.deploy("feat", self.SQL)
+        assert host.request("feat", requests[3]) == want[3]
+        host.close()
 
     def test_split_between_reads_re_resolves(self, monkeypatch):
         cluster, expected, requests = self._twins()

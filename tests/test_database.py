@@ -143,6 +143,35 @@ class TestDeployAndRequest:
         with pytest.raises(DeploymentNotFoundError):
             db.request("d", ("A", 1, 1.0, 1))
 
+    def test_undeploy_retires_its_ingest_consumers(self, db):
+        # Incremental window state (d) and long-window pre-aggregators
+        # (lw) used to keep absorbing every later insert through
+        # db._updaters and stay subscribed to TTL eviction.
+        ranged = ROLLING.replace("ROWS BETWEEN 1", "ROWS_RANGE BETWEEN 30d")
+        for step in range(5):
+            db.insert("trades", ("A", 100 + step, 1.0, 1))
+        state = db.deploy("d", ROLLING).incrementals["w"]
+        aggregator = next(iter(db.deploy(
+            "lw", ranged, long_windows="w:1h").preaggs["w"].values()))
+        assert len(db._updaters["trades"]) == 2
+        db.undeploy("d")
+        db.undeploy("lw")
+        for step in range(5):
+            db.insert("trades", ("A", 200 + step, 1.0, 1))
+        db.flush_preagg()
+        assert (state.rows_seen, aggregator.rows_absorbed) == (5, 5)
+        assert db._updaters["trades"] == []
+        assert db.table("trades").eviction_subscribers == ()
+        db.deploy("d", ROLLING)
+        assert len(db._updaters["trades"]) == 1
+        assert db.request("d", ("A", 300, 1.0, 1))["total"] == 2.0
+
+    def test_failed_deploy_registers_nothing(self, db):
+        ranged = ROLLING.replace("ROWS BETWEEN 1", "ROWS_RANGE BETWEEN 30d")
+        with pytest.raises(DeploymentError):
+            db.deploy("lw", ranged, long_windows="w:1h,ghost:1h")
+        assert db._updaters["trades"] == [] and "lw" not in db.deployments
+
     def test_request_unknown_deployment(self, db):
         with pytest.raises(DeploymentNotFoundError):
             db.request("ghost", ("A", 1, 1.0, 1))

@@ -11,7 +11,8 @@ import pytest
 
 from repro.cluster import (FaultInjector, HeartbeatMonitor, NameServer,
                            RetryPolicy, TabletServer)
-from repro.errors import StaleReadError, StorageError
+from repro.errors import (IndexNotFoundError, StaleReadError,
+                          StorageError)
 from repro.obs import Observability
 from repro.schema import IndexDef, Schema
 
@@ -306,6 +307,21 @@ class TestRequestPathAcceptance:
         FaultInjector(cluster).kill(
             cluster.leader_of("t", partition_id).name)
         assert cluster.request("feat", (3, 1_500, 9.0)) == healthy
+
+    def test_missing_index_is_the_callers_error_not_a_tablet_fault(
+            self, deployed):
+        # A scan on a key column no declared index serves: the live
+        # tablet's IndexNotFoundError is a StorageError, and routed_read
+        # used to suspect the tablet for it — two failovers and two of
+        # three healthy tablets dead for one bad read.
+        cluster, _obs = deployed
+        before = cluster.request("feat", (3, 1_700, 9.0))["s"]
+        with pytest.raises(IndexNotFoundError):
+            cluster._views["t"].window_scan_blocks(("v",), "ts", 1.0)
+        assert cluster.failovers == 0
+        assert all(tablet.alive for tablet in cluster.tablets.values())
+        cluster.put("t", (3, 1_600, 2.0))
+        assert cluster.request("feat", (3, 1_700, 9.0))["s"] == before + 2.0
 
 
 class TestDegradedReads:

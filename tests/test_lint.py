@@ -189,3 +189,15 @@ class TestBisectKey:
                     if f[3] == "PY39"]
         assert [(f[1], f[3]) for f in findings] == [(4, "PY39"),
                                                     (5, "PY39")]
+
+
+def test_execute_request_has_one_serving_call_site():
+    # One request pipeline: Deployment.serve is the serving call site,
+    # core/consistency.py's raw replay is the reference it is checked
+    # against.  A third caller is a second pipeline growing back.
+    package = ROOT / "src" / "repro"
+    callers = sorted(
+        str(path.relative_to(package)) for path in package.rglob("*.py")
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if ".execute_request(" in line)
+    assert callers == ["core/consistency.py", "core/deployment.py"]

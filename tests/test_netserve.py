@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+from repro.cluster import NameServer, TabletServer
 from repro.core import OpenMLDB
 from repro.errors import (DeadlineExceededError, DeploymentNotFoundError,
                           OverloadError, ParseError, ProtocolError,
@@ -30,7 +31,7 @@ from repro.netserve.statements import (ControlStatement, EmptyStatement,
                                        SelectConstant, SetOption,
                                        ShowOption, TransactionNoop)
 from repro.obs import Observability
-from repro.schema import Schema
+from repro.schema import IndexDef, Schema
 from repro.serving import FrontendServer
 from repro.serving.describe import DeploymentDescriptor
 from repro.types import ColumnType
@@ -663,6 +664,44 @@ class TestConcurrencyAndComposition:
                 assert err.value.sqlstate == "42501"
         finally:
             srv.close()
+
+    def test_smoke_cluster_undeploy_between_parse_and_execute_is_26000(
+            self):
+        # One SQLSTATE for "no such deployment" on either backend: a
+        # cluster used to answer 58000 here (its lookup raised
+        # StorageError), and _prepare hid every real storage fault
+        # during Describe behind 26000.
+        cluster = NameServer([TabletServer(f"tablet-{i}")
+                              for i in range(3)])
+        cluster.create_table("t", StubBackend.SCHEMA,
+                             [IndexDef(("uid",), "ts")],
+                             partitions=2, replicas=2)
+        cluster.put("t", (1, 1_000, 2.0))
+        cluster.deploy("feat", FEATURE_SQL)
+        srv = NetServer(cluster)
+        host, port = srv.start()
+        try:
+            with NetClient(host, port) as c:
+                c.prepare("s0", "EXECUTE feat ($1, $2, $3)")
+                assert c.execute("s0", [1, 1_500, 1.0]).rows \
+                    == [("1", "3.0")]
+                cluster.undeploy("feat")
+                with pytest.raises(ServerError) as err:
+                    c.execute("s0", [1, 1_500, 1.0])
+                assert err.value.sqlstate == "26000"
+                with pytest.raises(ServerError) as err:
+                    c.prepare("s1", "EXECUTE feat")
+                assert err.value.sqlstate == "26000"
+                cluster.deploy("feat", FEATURE_SQL)  # redeploy serves
+                assert c.execute("s0", [1, 1_500, 1.0]).rows \
+                    == [("1", "3.0")]
+                cluster.close()
+                with pytest.raises(ServerError) as err:
+                    c.prepare("s2", "EXECUTE feat")
+                assert err.value.sqlstate == "58000"  # not "unknown"
+        finally:
+            srv.close()
+            cluster.close()
 
     def test_describe_deployment_surfaces(self, db):
         descriptor = db.describe_deployment("feat")
