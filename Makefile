@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test lint verify verify-docs bench bench-smoke smoke examples \
-	profile
+	profile loc
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -52,3 +52,7 @@ examples:
 # NameServer.request_batch).
 profile:
 	$(PYTHON) tools/profile.py
+
+# The per-package line counts DESIGN.md §5 quotes, then the src/ total.
+loc:
+	@for d in src/repro/*/ src; do echo "$$(find $$d -name '*.py' | xargs cat | wc -l) $$d"; done

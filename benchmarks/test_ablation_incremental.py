@@ -18,7 +18,7 @@ from repro.sql.functions import get_aggregate
 
 def incremental_run(window_rows, tuples):
     aggregator = SlidingWindowAggregator(
-        [("sum", ()), ("avg", ()), ("max", ())],
+        [get_aggregate(name) for name in ("sum", "avg", "max")],
         [lambda row: (row,)] * 3, max_rows=window_rows)
     started = time.perf_counter()
     for index in range(tuples):

@@ -15,6 +15,7 @@ import pytest
 from repro.bench import print_series
 from repro.online.preagg import PreAggregator
 from repro.schema import IndexDef, Schema
+from repro.sql.functions import get_aggregate
 from repro.storage.memtable import MemTable
 
 HOUR = 3_600_000
@@ -61,7 +62,7 @@ def test_fig10_preagg_scaling(benchmark):
         raw_ms.append((time.perf_counter() - started) / 5 * 1_000)
 
         aggregator = PreAggregator(
-            "sum", (), arg_fn=lambda row: (row[2],),
+            get_aggregate("sum"), arg_fn=lambda row: (row[2],),
             key_fn=lambda row: row[0], ts_fn=lambda row: row[1],
             bucket_ms=HOUR, levels=2, factor=24)
         aggregator.backfill(list(table.rows()))

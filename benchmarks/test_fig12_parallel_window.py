@@ -13,6 +13,7 @@ import pytest
 from _util import record_bench
 from repro.baselines import SparkBatchEngine
 from repro.bench import print_table, speedup
+from repro.offline import ProcessPoolUnavailable, WindowProcessPool
 from repro.offline.engine import OfflineEngine
 from repro.schema import IndexDef, Schema
 from repro.sql.compiler import compile_plan
@@ -68,9 +69,10 @@ def run_case(window_rows):
 
 
 def check_process_mode_identical(window_rows):
-    """The process pool must produce the same feature rows as threads
-    (or fall back to threads visibly — never silently diverge).  Kept
-    out of :func:`run_case` so pool forking can't perturb the timed
+    """A hand-in process pool must produce the same feature rows as the
+    in-process run (a visible ``skip`` where multiprocessing cannot
+    start — the pool's constructor says so).  Kept out of
+    :func:`run_case` so pool forking can't perturb the timed
     measurements."""
     schema, rows = dataset()
     sql = multi_window_sql(window_rows)
@@ -78,15 +80,16 @@ def check_process_mode_identical(window_rows):
     table = MemTable("t", schema, [IndexDef(("k",), "ts")])
     table.insert_many(rows)
     compiled = compile_plan(build_plan(parse_select(sql), catalog), catalog)
-    engine = OfflineEngine({"t": table}, workers=WORKERS, pool_workers=2)
+    engine = OfflineEngine({"t": table}, workers=WORKERS)
     try:
-        thread_rows, _ = engine.execute(compiled, mode="thread")
-        process_rows, process_stats = engine.execute(compiled,
-                                                     mode="process")
-    finally:
-        engine.close()
-    assert process_rows == thread_rows
-    assert process_stats.used_process_pool or process_stats.pool_fallback
+        pool = WindowProcessPool(2)
+    except ProcessPoolUnavailable as exc:
+        pytest.skip(str(exc))
+    with pool:
+        inprocess_rows, _ = engine.execute(compiled)
+        pool_rows, pool_stats = engine.execute(compiled, pool=pool)
+    assert pool_rows == inprocess_rows
+    assert pool_stats.used_process_pool
 
 
 @pytest.mark.benchmark(group="fig12")
@@ -109,16 +112,19 @@ def test_fig12_parallel_windows(benchmark):
         assert speedups[label] > 2, label
     # Parallel windows beat serial window execution where the windows
     # carry real work; at the smallest size per-task times approach the
-    # thread-pool measurement floor, so only direction is asserted there.
+    # timer's measurement floor, so only direction is asserted there.
     for row in rows:
         if row[0] == "small":
             continue
         assert row[5] > 1.2, row[0]
 
-    check_process_mode_identical(cases["small"])
     record_bench("fig12_parallel_window",
                  **{f"{label}_speedup_vs_spark": value
                     for label, value in speedups.items()})
     benchmark.extra_info["speedups"] = {
         label: round(value, 2) for label, value in speedups.items()}
     benchmark.pedantic(run_case, args=(40,), rounds=2, iterations=1)
+
+
+def test_fig12_process_pool_identical():
+    check_process_mode_identical(40)

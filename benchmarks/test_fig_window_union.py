@@ -15,6 +15,7 @@ import pytest
 from repro.bench import print_series
 from repro.online.window_union import (DynamicScheduler, StaticScheduler,
                                        WindowUnionProcessor)
+from repro.sql.functions import get_aggregate
 
 WORKERS = 8
 
@@ -34,7 +35,7 @@ def run(window_rows, tuples, self_adjusting):
     else:
         scheduler = StaticScheduler(WORKERS)
     processor = WindowUnionProcessor(
-        functions=[("sum", ()), ("count", ())],
+        functions=[get_aggregate("sum"), get_aggregate("count")],
         arg_extractors=[lambda row: (row,)] * 2,
         scheduler=scheduler, max_rows=window_rows,
         incremental=self_adjusting, rebalance_every=500)

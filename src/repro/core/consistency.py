@@ -92,15 +92,10 @@ def verify_consistency(db: OpenMLDB, deployment_name: str,
 
     offline_rows, _stats = db.offline_engine.execute(compiled)
 
-    # Build the replay instance: same schemas and indexes, empty tables.
-    replay = OpenMLDB()
     referenced = {plan.table}
     referenced.update(join.plan.right_table for join in compiled.joins)
     for window in compiled.windows.values():
         referenced.update(window.plan.union_tables)
-    for name in sorted(referenced):
-        source = db.table(name)
-        replay.create_table(name, source.schema, indexes=source.indexes)
 
     # Interleave every referenced table's rows in ingest order.
     ts_positions = {
@@ -122,18 +117,28 @@ def verify_consistency(db: OpenMLDB, deployment_name: str,
     # engine's replay order (_window_events ties: primary first).
     events.sort(key=lambda event: (event[0], event[1]))
 
-    engine = OnlineEngine(replay.tables)
     # Requests replay in time order, but results must align with the
     # offline output, which is in the table's insertion order — index
     # online rows by their anchor (log) position.
     online_rows: List[Optional[Row]] = [None] * len(
         list(db.table(plan.table).rows()))
-    for _ts, tie, name, row in events:
-        if name == plan.table:
-            anchor_index = tie[1]
-            online_rows[anchor_index] = engine.execute_request(
-                compiled, row)  # replay re-derives from raw data
-        replay.insert(name, row)
+    # The replay instance: same schemas and indexes, empty tables.  It
+    # owns a replicator thread, so it is closed on every way out.
+    replay = OpenMLDB()
+    try:
+        for name in sorted(referenced):
+            source = db.table(name)
+            replay.create_table(name, source.schema,
+                                indexes=source.indexes)
+        engine = OnlineEngine(replay.tables)
+        for _ts, tie, name, row in events:
+            if name == plan.table:
+                anchor_index = tie[1]
+                online_rows[anchor_index] = engine.execute_request(
+                    compiled, row)  # replay re-derives from raw data
+            replay.insert(name, row)
+    finally:
+        replay.close()
 
     mismatches: List[Mismatch] = []
     for index, (offline_row, online_row) in enumerate(
@@ -147,7 +152,6 @@ def verify_consistency(db: OpenMLDB, deployment_name: str,
                 if len(mismatches) >= max_mismatches:
                     return ConsistencyReport(
                         rows_compared=index + 1, mismatches=mismatches)
-    replay.close()
     return ConsistencyReport(rows_compared=len(offline_rows),
                              mismatches=mismatches)
 

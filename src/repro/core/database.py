@@ -38,7 +38,6 @@ from ..storage.persist import FileBinlog, RecoveryReport, SnapshotStore
 from ..online.binlog import BinlogEntry, Replicator
 from ..online.engine import OnlineEngine
 from ..offline.engine import OfflineEngine, OfflineStats
-from ..offline.shuffle import SpillConfig
 from ..offline.skew import SkewConfig
 from ..memory.governor import MemoryGovernor
 from ..obs import NULL_OBS, Observability
@@ -299,28 +298,22 @@ class OpenMLDB(DeploymentHost):
     # offline mode
 
     def offline_query(self, sql: str, parallel_windows: bool = True,
-                      skew: Optional[SkewConfig] = None,
-                      mode: Optional[str] = None,
-                      spill: Optional[SpillConfig] = None
+                      skew: Optional[SkewConfig] = None
                       ) -> Tuple[List[Row], OfflineStats]:
         statement = parse(sql)
         if not isinstance(statement, ast.SelectStatement):
             raise ParseError("offline_query expects a SELECT")
         return self.offline_query_statement(
-            statement, parallel_windows=parallel_windows, skew=skew,
-            mode=mode, spill=spill)
+            statement, parallel_windows=parallel_windows, skew=skew)
 
     def offline_query_statement(self, statement: ast.SelectStatement,
                                 parallel_windows: bool = True,
-                                skew: Optional[SkewConfig] = None,
-                                mode: Optional[str] = None,
-                                spill: Optional[SpillConfig] = None
+                                skew: Optional[SkewConfig] = None
                                 ) -> Tuple[List[Row], OfflineStats]:
         compiled = self.compile_cache.get_or_compile(
             statement, self.catalog())
         return self.offline_engine.execute(
-            compiled, parallel_windows=parallel_windows, skew=skew,
-            mode=mode, spill=spill)
+            compiled, parallel_windows=parallel_windows, skew=skew)
 
     # ------------------------------------------------------------------
     # online preview mode
@@ -547,7 +540,6 @@ class OpenMLDB(DeploymentHost):
 
     def close(self) -> None:
         self.replicator.close()
-        self.offline_engine.close()
 
 
 def _approx_row_bytes(row: Sequence[Any]) -> int:

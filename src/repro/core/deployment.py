@@ -42,7 +42,6 @@ from ..serving.deadline import Deadline, deadline_scope
 from ..serving.describe import DeploymentDescriptor
 from ..sql import ast
 from ..sql.compiler import CompiledQuery
-from ..sql.functions import get_aggregate
 from ..sql.optimizer import index_access_paths
 from ..sql.parser import parse
 from ..storage.memtable import normalize_ts
@@ -264,13 +263,9 @@ class Deployment:
 
         obs = self._host._obs
         slots: Dict[int, PreAggregator] = {}
-        for compiled_agg in window.aggregates:
-            binding = compiled_agg.binding
-            if not get_aggregate(binding.func_name,
-                                 *binding.constants).mergeable:
-                continue
+        for compiled_agg in window.preaggregable:
             aggregator = slots[compiled_agg.slot] = PreAggregator(
-                func_name=binding.func_name, constants=binding.constants,
+                compiled_agg.function,
                 arg_fn=compiled_agg.arg_fn, key_fn=window.partition_key,
                 ts_fn=ts_fn, bucket_ms=bucket_ms,
                 levels=self._preagg_levels)

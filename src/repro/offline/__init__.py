@@ -2,8 +2,7 @@
 
 from .engine import OfflineEngine, OfflineStats
 from .hyperloglog import HyperLogLog
-from .partial import (PartialAggregate, WindowKernel, WindowPartialState,
-                      has_partial, make_partial)
+from .partial import WindowKernel, WindowPartialState
 from .pool import ProcessPoolUnavailable, WindowProcessPool, WindowTaskSpec
 from .scheduling import lpt_makespan, worker_loads
 from .shuffle import ExternalSorter, SpillConfig
@@ -12,8 +11,7 @@ from .skew import PartitionTask, SkewConfig, SkewResolver, TaggedRow
 __all__ = [
     "OfflineEngine", "OfflineStats", "HyperLogLog", "SkewConfig",
     "SkewResolver", "PartitionTask", "TaggedRow", "lpt_makespan",
-    "worker_loads", "PartialAggregate", "WindowKernel",
-    "WindowPartialState", "has_partial", "make_partial",
+    "worker_loads", "WindowKernel", "WindowPartialState",
     "ProcessPoolUnavailable", "WindowProcessPool", "WindowTaskSpec",
     "ExternalSorter", "SpillConfig",
 ]

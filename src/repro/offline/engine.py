@@ -8,19 +8,17 @@ replay the online engine exactly — a window anchored at row *r* contains
 what makes online/offline feature values consistent (Section 4's unified
 plan, verified by :mod:`repro.core.consistency`).
 
-Three execution modes share one fold kernel
-(:class:`~repro.offline.partial.WindowKernel`):
-
-* ``serial`` — every window and task in sequence (the oracle);
-* ``thread`` — window tasks pipeline on a thread pool (the default:
-  hermetic, no subprocesses, GIL-bound for CPU work);
-* ``process`` — (key, PART_ID) tasks ship to ``multiprocessing``
-  workers over the storage layer's :class:`RowCodec` wire format
-  (:mod:`repro.offline.pool`) for *real* parallel compute; task times
-  are the workers' measured process times.  Unavailable
-  multiprocessing degrades gracefully to ``thread``.
-
-All three produce byte-identical feature rows (property-tested).
+There is one execution body.  The engine folds every ``(key[,
+PART_ID])`` task in this process through the shared fold kernel
+(:class:`~repro.offline.partial.WindowKernel`) — the reference every
+test compares against.  A caller who wants real parallel compute hands
+a :class:`~repro.offline.pool.WindowProcessPool` to :meth:`execute`
+(``pool=``): the same tasks then ship to its ``multiprocessing``
+workers over the storage layer's :class:`RowCodec` wire format, task
+times become the workers' measured process times, and the feature rows
+stay byte-identical (property-tested).  The engine owns no processes:
+constructing the pool probes multiprocessing and raises
+:class:`~repro.offline.pool.ProcessPoolUnavailable` at the caller.
 
 The paper optimisations live here:
 
@@ -44,10 +42,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import os
 import pickle
 import time
-from concurrent.futures import ThreadPoolExecutor
+from itertools import groupby
+from operator import itemgetter
 from typing import (Any, Dict, Iterator, List, Mapping, Optional,
                     Sequence, Tuple)
 
@@ -58,15 +56,13 @@ from ..sql.compiler import CompiledQuery, CompiledWindow
 from ..storage.encoding import RowCodec
 from ..storage.memtable import normalize_ts
 from .partial import WindowKernel, WindowPartialState
-from .pool import (ProcessPoolUnavailable, WindowProcessPool,
-                   WindowTaskSpec, decode_events, encode_events)
+from .pool import (WindowProcessPool, WindowTaskSpec, decode_events,
+                   encode_events)
 from .scheduling import lpt_makespan
 from .shuffle import ExternalSorter, SpillConfig
 from .skew import SkewConfig, SkewResolver
 
 __all__ = ["OfflineEngine", "OfflineStats"]
-
-_MODES = ("serial", "thread", "process")
 
 
 @dataclasses.dataclass
@@ -75,9 +71,9 @@ class OfflineStats:
 
     ``window_seconds`` maps window name → measured compute time.
     ``task_seconds`` lists individual (key, PART_ID) task times across all
-    windows — the inputs to the makespan model.  In ``process`` mode the
+    windows — the inputs to the makespan model.  With a hand-in pool the
     task times are each worker's own CPU clock (measured process time);
-    otherwise the parent's ``thread_time``.  ``serial_seconds`` is the
+    otherwise this thread's ``thread_time``.  ``serial_seconds`` is the
     sum of window times (a serial engine's cost); ``parallel_seconds``
     the LPT makespan of the window tasks on ``workers`` workers.
     """
@@ -89,11 +85,8 @@ class OfflineStats:
     join_seconds: float = 0.0
     project_seconds: float = 0.0
     workers: int = 1
-    requested_mode: str = "thread"
-    mode: str = "thread"                 # execution mode actually taken
-    pool_fallback: bool = False          # process requested, threads ran
-    used_process_pool: bool = False
-    used_parallel_windows: bool = False  # multi-window pooling really ran
+    used_process_pool: bool = False      # tasks ran on a hand-in pool
+    used_parallel_windows: bool = False  # windows pooled into one schedule
     used_skew_resolver: bool = False
     tasks: int = 0
     carry_tasks: int = 0                 # tasks seeded with merged partials
@@ -154,41 +147,17 @@ class OfflineEngine:
 
     Args:
         tables: table name → storage object.
-        workers: simulated cluster width for the makespan model (the
-            thread/process pool size matches it for real execution,
-            capped at the host's CPU count for processes).
+        workers: simulated cluster width for the makespan model.
         obs: observability handle (default disabled).
-        mode: default execution mode — ``"serial"``, ``"thread"`` or
-            ``"process"`` (overridable per :meth:`execute` call).
-        spill: default shuffle spill budget (None = in-memory sort).
-        pool: share an existing :class:`WindowProcessPool` (the engine
-            will not close it); otherwise one is created lazily on the
-            first ``process`` run and owned by the engine.
-        pool_workers: process-pool width (default
-            ``min(workers, cpu_count)``).
     """
 
     def __init__(self, tables: Mapping[str, Any], workers: int = 8,
-                 obs: Optional[Observability] = None,
-                 mode: str = "thread",
-                 spill: Optional[SpillConfig] = None,
-                 pool: Optional[WindowProcessPool] = None,
-                 pool_workers: Optional[int] = None) -> None:
+                 obs: Optional[Observability] = None) -> None:
         if workers <= 0:
             raise ExecutionError("workers must be positive")
-        if mode not in _MODES:
-            raise ExecutionError(f"mode must be one of {_MODES}")
         self._tables = tables
         self.workers = workers
-        self.mode = mode
-        self.spill = spill
         self._obs = obs or NULL_OBS
-        self._pool = pool
-        self._owns_pool = pool is None
-        self._pool_failed = False
-        if pool_workers is None:
-            pool_workers = max(min(workers, os.cpu_count() or 1), 1)
-        self._pool_workers = pool_workers
         registry = self._obs.registry
         self._m_runs = registry.counter("offline.runs")
         self._m_anchors = registry.counter("offline.anchor_rows")
@@ -198,63 +167,42 @@ class OfflineEngine:
             "offline.skew.expanded_rows")
         self._m_carry_tasks = registry.counter("offline.carry.tasks")
         self._m_pool_tasks = registry.counter("offline.pool.tasks")
-        self._m_pool_fallbacks = registry.counter("offline.pool.fallbacks")
         self._m_shuffle_runs = registry.counter("offline.shuffle.runs")
         self._m_shuffle_rows = registry.counter(
             "offline.shuffle.spilled_rows")
         self._m_shuffle_bytes = registry.counter(
             "offline.shuffle.spilled_bytes")
 
-    def close(self) -> None:
-        """Shut down the owned process pool (shared pools are left up)."""
-        if self._owns_pool and self._pool is not None:
-            self._pool.close()
-            self._pool = None
-            self._pool_failed = False
-
-    def _acquire_pool(self) -> Optional[WindowProcessPool]:
-        """The process pool, or None when multiprocessing can't run."""
-        if self._pool is not None:
-            return self._pool
-        if self._pool_failed:
-            return None
-        try:
-            self._pool = WindowProcessPool(self._pool_workers)
-        except ProcessPoolUnavailable:
-            self._pool_failed = True
-            return None
-        return self._pool
-
     # ------------------------------------------------------------------
 
     def execute(self, compiled: CompiledQuery,
                 parallel_windows: bool = True,
                 skew: Optional[SkewConfig] = None,
-                mode: Optional[str] = None,
-                spill: Optional[SpillConfig] = None
+                spill: Optional[SpillConfig] = None,
+                pool: Optional[WindowProcessPool] = None
                 ) -> Tuple[List[Row], OfflineStats]:
-        """Run the batch computation; returns (feature rows, stats)."""
-        if mode is None:
-            mode = self.mode
-        if mode not in _MODES:
-            raise ExecutionError(f"mode must be one of {_MODES}")
-        if spill is None:
-            spill = self.spill
+        """Run the batch computation; returns (feature rows, stats).
+
+        ``spill`` bounds the shuffle's sort buffer (None = in-memory
+        sort); ``pool`` ships the window tasks to the caller's worker
+        processes instead of folding them here (the caller closes it).
+        """
         with self._obs.tracer.span("offline.execute",
                                    table=compiled.plan.table,
                                    workers=self.workers,
-                                   mode=mode) as root:
-            return self._execute(compiled, parallel_windows, skew, mode,
-                                 spill, root)
+                                   pool=pool is not None) as root:
+            return self._execute(compiled, parallel_windows, skew, spill,
+                                 pool, root)
 
     def _execute(self, compiled: CompiledQuery, parallel_windows: bool,
-                 skew: Optional[SkewConfig], mode: str,
-                 spill: Optional[SpillConfig], root: Any
+                 skew: Optional[SkewConfig],
+                 spill: Optional[SpillConfig],
+                 pool: Optional[WindowProcessPool], root: Any
                  ) -> Tuple[List[Row], OfflineStats]:
         tracer = self._obs.tracer
         plan = compiled.plan
         stats = OfflineStats(workers=self.workers,
-                             requested_mode=mode,
+                             used_process_pool=pool is not None,
                              used_skew_resolver=skew is not None)
         primary = self._tables[plan.table]
         anchors: List[Row] = list(primary.rows())
@@ -278,42 +226,33 @@ class OfflineEngine:
                        for name, window in compiled.windows.items()
                        if window.aggregates]
 
-        pool: Optional[WindowProcessPool] = None
-        if mode == "process":
-            pool = self._acquire_pool()
-            if pool is None:
-                # Degrade gracefully: threads compute the same results.
-                mode = "thread"
-                stats.pool_fallback = True
-                self._m_pool_fallbacks.inc()
-        stats.mode = mode
-        stats.used_process_pool = mode == "process"
-        # The flag reflects the execution path actually taken: a single
-        # window (or serial mode) never pools windows, whatever the
-        # caller asked for.
+        # The flag is what the makespan model reads: a single window
+        # has nothing to pool, whatever the caller asked for.
         stats.used_parallel_windows = (parallel_windows
-                                       and len(window_jobs) > 1
-                                       and mode != "serial")
-
-        if mode == "process":
-            self._run_windows_process(
-                compiled, window_jobs, anchors, skew, spill, stats,
-                aggregate_columns, pool, parallel_windows, root)
+                                       and len(window_jobs) > 1)
+        if pool is not None:
+            # With the multi-window optimisation all windows share one
+            # two-phase batch; without it each window is a stage barrier.
+            batches = [window_jobs] if parallel_windows \
+                else [[job] for job in window_jobs]
+            for batch in batches:
+                self._run_window_batch_process(
+                    compiled, batch, anchors, skew, spill, stats,
+                    aggregate_columns, pool, root)
         else:
             self._run_windows_inprocess(
                 compiled, window_jobs, anchors, skew, spill, stats,
-                aggregate_columns,
-                threaded=stats.used_parallel_windows, root=root)
+                aggregate_columns, root)
 
         registry = self._obs.registry
         for name, task_times in stats.window_tasks.items():
             stats.tasks += len(task_times)
             self._m_tasks.inc(len(task_times))
-            if self._obs.enabled and mode != "process":
+            if self._obs.enabled and pool is None:
                 # Per-partition task timings: the skew figures (12–13)
-                # read straight off this distribution's p99/max.  In
-                # process mode the workers' own histogram states were
-                # already merged in (exactly) as results arrived.
+                # read straight off this distribution's p99/max.  Pool
+                # workers' own histogram states were already merged in
+                # (exactly) as results arrived.
                 task_histogram = registry.histogram("offline.task.ms",
                                                     window=name)
                 for task_seconds in task_times:
@@ -395,35 +334,35 @@ class OfflineEngine:
             union_schemas=tuple(self._tables[name].schema
                                 for name in window.plan.union_tables))
 
+    def _events(self, window: CompiledWindow, anchors: Sequence[Row]
+                ) -> Iterator[Tuple[int, int, int, _Event]]:
+        """Every window-source event as ``(ts, source, sequence,
+        event)``: the leading three are its replay-order key — the
+        order an online system would have ingested the same data, which
+        is what makes batch window contents equal request-time
+        contents."""
+        sources = [anchors] + [self._tables[name].rows()
+                               for name in window.plan.union_tables]
+        for source, rows in enumerate(sources):
+            for sequence, row in enumerate(rows):
+                ts = normalize_ts(window.order_value(row))
+                yield ts, source, sequence, (
+                    source, ts, row, sequence if source == 0 else None)
+
     def _key_groups(self, compiled: CompiledQuery,
                     window: CompiledWindow, anchors: Sequence[Row],
                     spill: Optional[SpillConfig], stats: OfflineStats
                     ) -> Iterator[Tuple[Any, List[_Event]]]:
-        """Yield ``(key, events)`` groups in deterministic key order.
-
-        Replay order within a group is (ts, source, sequence): the
-        order an online system would have ingested the same data,
-        which is what makes batch window contents equal request-time
-        contents.  With a spill budget the grouping runs through the
-        external sorter; otherwise it is an in-memory sort.
-        """
-        plan = window.plan
+        """Yield ``(key, events)`` groups in deterministic key order,
+        each group in replay order.  With a spill budget the grouping
+        runs through the external sorter; otherwise it is one in-memory
+        sort."""
         key_fn = window.partition_key
         if spill is None:
-            events: List[Tuple[int, int, int, _Event]] = []
-            for position, anchor in enumerate(anchors):
-                ts = normalize_ts(window.order_value(anchor))
-                events.append((ts, 0, position,
-                               (0, ts, anchor, position)))
-            for union_position, union_table in enumerate(plan.union_tables):
-                table = self._tables[union_table]
-                for sequence, row in enumerate(table.rows()):
-                    ts = normalize_ts(window.order_value(row))
-                    events.append((ts, 1 + union_position, sequence,
-                                   (1 + union_position, ts, row, None)))
-            events.sort(key=lambda item: item[:3])
             grouped: Dict[Any, List[_Event]] = {}
-            for _ts, _source, _seq, event in events:
+            for _ts, _source, _sequence, event in sorted(
+                    self._events(window, anchors),
+                    key=itemgetter(0, 1, 2)):
                 grouped.setdefault(key_fn(event[2]), []).append(event)
             for key in sorted(grouped, key=str):
                 yield key, grouped[key]
@@ -432,55 +371,32 @@ class OfflineEngine:
         codecs = self._window_codecs(compiled, window)
         sorter = ExternalSorter(spill)
         try:
-            for position, anchor in enumerate(anchors):
-                ts = normalize_ts(window.order_value(anchor))
-                key = key_fn(anchor)
+            for ts, source, sequence, event in self._events(window,
+                                                            anchors):
+                key = key_fn(event[2])
                 sorter.add(
-                    (str(key), pickle.dumps(key), ts, 0, position),
-                    encode_events([(0, ts, anchor, position)], [True],
-                                  codecs))
-            for union_position, union_table in enumerate(plan.union_tables):
-                table = self._tables[union_table]
-                for sequence, row in enumerate(table.rows()):
-                    ts = normalize_ts(window.order_value(row))
-                    key = key_fn(row)
-                    sorter.add(
-                        (str(key), pickle.dumps(key), ts,
-                         1 + union_position, sequence),
-                        encode_events([(1 + union_position, ts, row,
-                                        None)], [True], codecs))
-            current_kp: Optional[Tuple[str, bytes]] = None
-            current_key: Any = None
-            current_events: List[_Event] = []
-            for sort_key, record in sorter.sorted_records():
-                kp = (sort_key[0], sort_key[1])
-                if kp != current_kp:
-                    if current_events:
-                        yield current_key, current_events
-                    current_kp = kp
-                    current_key = pickle.loads(sort_key[1])
-                    current_events = []
-                decoded, _flags = decode_events(record, codecs)
-                ts, row, anchor_index = decoded[0]
-                current_events.append((sort_key[3], ts, row,
-                                       anchor_index))
-            if current_events:
-                yield current_key, current_events
+                    (str(key), pickle.dumps(key), ts, source, sequence),
+                    encode_events([event], [True], codecs))
+            for (_text, pickled), records in groupby(
+                    sorter.sorted_records(), key=lambda item: item[0][:2]):
+                events: List[_Event] = []
+                for sort_key, record in records:
+                    decoded, _flags = decode_events(record, codecs)
+                    ts, row, anchor_index = decoded[0]
+                    events.append((sort_key[3], ts, row, anchor_index))
+                yield pickle.loads(pickled), events
         finally:
             sorter.close()
             shuffle = stats.shuffle
-            shuffle["rows"] = shuffle.get("rows", 0) + sorter.rows
-            shuffle["runs"] = shuffle.get("runs", 0) + sorter.runs
-            shuffle["spilled_rows"] = (shuffle.get("spilled_rows", 0)
-                                       + sorter.spilled_rows)
-            shuffle["spilled_bytes"] = (shuffle.get("spilled_bytes", 0)
-                                        + sorter.spilled_bytes)
+            for field in ("rows", "runs", "spilled_rows", "spilled_bytes"):
+                shuffle[field] = shuffle.get(field, 0) \
+                    + getattr(sorter, field)
             self._m_shuffle_runs.inc(sorter.runs)
             self._m_shuffle_rows.inc(sorter.spilled_rows)
             self._m_shuffle_bytes.inc(sorter.spilled_bytes)
 
     def _task_units(self, compiled: CompiledQuery,
-                    window: CompiledWindow, kernel: WindowKernel,
+                    window: CompiledWindow,
                     anchors: Sequence[Row], skew: Optional[SkewConfig],
                     spill: Optional[SpillConfig], stats: OfflineStats
                     ) -> Iterator[_TaskUnit]:
@@ -488,7 +404,7 @@ class OfflineEngine:
         plan = window.plan
         resolver = SkewResolver(skew) if skew is not None else None
         carry_ok = (skew is not None and skew.merge_partials
-                    and kernel.carry_eligible)
+                    and window.carry_eligible)
         next_chain = 0
         for key, events in self._key_groups(compiled, window, anchors,
                                             spill, stats):
@@ -533,7 +449,7 @@ class OfflineEngine:
                 row_slots[slot] = value
 
     # ------------------------------------------------------------------
-    # in-process execution (serial / thread modes)
+    # in-process execution (the reference body)
 
     def _run_windows_inprocess(self, compiled: CompiledQuery,
                                window_jobs: Sequence[
@@ -543,26 +459,19 @@ class OfflineEngine:
                                spill: Optional[SpillConfig],
                                stats: OfflineStats,
                                aggregate_columns: List[List[Any]],
-                               threaded: bool, root: Any) -> None:
-        tracer = self._obs.tracer
-
-        def run_window(job: Tuple[str, CompiledWindow]
-                       ) -> Tuple[str, float, List[float]]:
-            # thread_time, not perf_counter: when windows run concurrently
-            # on the pool, wall-clock spans would absorb other threads'
-            # GIL slices and double-count work in the makespan model.
-            # The span parent is passed explicitly — pool threads have no
-            # thread-local span stack of their own.
-            name, window = job
-            with tracer.span("offline.window", window=name,
-                             parent=root) as span:
+                               root: Any) -> None:
+        # thread_time, not perf_counter: the makespan model wants each
+        # task's own compute, not the GIL slices other threads (the
+        # binlog worker, a serving frontend) took meanwhile.
+        for name, window in window_jobs:
+            with self._obs.tracer.span("offline.window", window=name,
+                                       parent=root) as span:
                 window_started = time.thread_time()
                 kernel = WindowKernel(window)
                 task_times: List[float] = []
                 carry_states: Dict[int, List[Any]] = {}
                 for events, emit_flags, chain in self._task_units(
-                        compiled, window, kernel, anchors, skew, spill,
-                        stats):
+                        compiled, window, anchors, skew, spill, stats):
                     started = time.thread_time()
                     stripped = self._strip_sources(events)
                     if chain is None:
@@ -574,54 +483,17 @@ class OfflineEngine:
                         seed = carry_states.get(chain)
                         if seed is None:
                             seed = kernel.partials.init()
-                        emits, end_states = kernel.seeded_fold(
+                        emits, carry_states[chain] = kernel.seeded_fold(
                             stripped, emit_flags, seed)
-                        carry_states[chain] = end_states
                     self._apply_emits(emits, kernel.slots,
                                       aggregate_columns)
                     task_times.append(time.thread_time() - started)
                 span.set_tag(tasks=len(task_times))
-            return (name, time.thread_time() - window_started, task_times)
-
-        if threaded:
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                outcomes = list(pool.map(run_window, window_jobs))
-        else:
-            outcomes = [run_window(job) for job in window_jobs]
-        for name, seconds, task_times in outcomes:
-            stats.window_seconds[name] = seconds
+            stats.window_seconds[name] = time.thread_time() - window_started
             stats.window_tasks[name] = task_times
 
     # ------------------------------------------------------------------
-    # process-pool execution
-
-    def _run_windows_process(self, compiled: CompiledQuery,
-                             window_jobs: Sequence[
-                                 Tuple[str, CompiledWindow]],
-                             anchors: Sequence[Row],
-                             skew: Optional[SkewConfig],
-                             spill: Optional[SpillConfig],
-                             stats: OfflineStats,
-                             aggregate_columns: List[List[Any]],
-                             pool: WindowProcessPool,
-                             parallel_windows: bool, root: Any) -> None:
-        """Ship (key, PART_ID) tasks to worker processes.
-
-        Two-phase: carried-partial chains first compute per-partition
-        *segment* states (map), the parent prefix-merges them into
-        seeds, then every emitting task — plain folds went out in phase
-        one already — runs as a seeded fold (reduce).  With the
-        multi-window optimisation all windows share both phases; without
-        it each window runs its phases as a stage barrier.
-        """
-        if parallel_windows:
-            batches = [list(window_jobs)]
-        else:
-            batches = [[job] for job in window_jobs]
-        for batch in batches:
-            self._run_window_batch_process(
-                compiled, batch, anchors, skew, spill, stats,
-                aggregate_columns, pool, root)
+    # hand-in process pool
 
     def _run_window_batch_process(self, compiled: CompiledQuery,
                                   batch: Sequence[
@@ -633,6 +505,13 @@ class OfflineEngine:
                                   aggregate_columns: List[List[Any]],
                                   pool: WindowProcessPool,
                                   root: Any) -> None:
+        """Ship one batch of windows' (key, PART_ID) tasks to the pool.
+
+        Two-phase: carried-partial chains first compute per-partition
+        *segment* states (map), the parent prefix-merges them into
+        seeds, then every emitting task — plain folds went out in phase
+        one already — runs as a seeded fold (reduce).
+        """
         tracer = self._obs.tracer
         registry = self._obs.registry
         phase_a: List[Any] = []      # futures
@@ -656,8 +535,7 @@ class OfflineEngine:
                 spec_key = hashlib.sha1(pickle.dumps(spec)).hexdigest()
                 task_count = 0
                 for events, emit_flags, chain in self._task_units(
-                        compiled, window, kernel, anchors, skew, spill,
-                        stats):
+                        compiled, window, anchors, skew, spill, stats):
                     blob = encode_events(events, emit_flags, codecs)
                     task_count += 1
                     self._m_pool_tasks.inc()

@@ -1,11 +1,11 @@
-"""Process-pool execution of (key, PART_ID) window tasks (Section 6).
+"""Hand-in process pool for (key, PART_ID) window tasks (Section 6).
 
-Python threads share one GIL, so the thread pool in
-:class:`~repro.offline.engine.OfflineEngine` pipelines window tasks but
-cannot speed up CPU-bound folds.  This module runs the same tasks on
-``multiprocessing`` workers — the reproduction's stand-in for the
-paper's multi-server batch cluster — with two properties the paper's
-engine also needs:
+:class:`~repro.offline.engine.OfflineEngine` folds every task in its own
+process; Python's GIL means that is one core.  A caller who wants real
+parallel compute builds a :class:`WindowProcessPool` and passes it to
+``execute(..., pool=)``: the same tasks then run on ``multiprocessing``
+workers — the reproduction's stand-in for the paper's multi-server
+batch cluster — with two properties the paper's engine also needs:
 
 * **a compact wire format** — rows cross the process boundary encoded
   with the storage layer's :class:`~repro.storage.encoding.RowCodec`
@@ -16,18 +16,19 @@ engine also needs:
   :class:`~repro.schema.Schema` do, so each worker *recompiles* the
   window (cached per spec key) and runs the identical
   :class:`~repro.offline.partial.WindowKernel` code path, which is what
-  keeps process output byte-identical to the serial engine.
+  keeps pool output byte-identical to the in-process run.
 
 Workers report their task time via ``time.thread_time()`` (real CPU
-seconds measured *in the worker process*, the measured-process-time
-replacement for the parent's GIL-shared clock) plus a log-bucket
-histogram state that the parent merges exactly into its registry
+seconds measured *in the worker process*) plus a log-bucket histogram
+state that the parent merges exactly into its registry
 (``Histogram.merge_state`` — the fleet-wide histogram merge that
 mergeable partials unlock).
 
-Pool creation can fail in sandboxes that forbid ``fork``/``spawn``;
+The caller owns the pool's lifetime (it is a context manager).  Pool
+creation can fail in sandboxes that forbid ``fork``/``spawn``;
 :class:`WindowProcessPool` probes at construction and raises
-:class:`ProcessPoolUnavailable` so the engine can degrade to threads.
+:class:`ProcessPoolUnavailable` there — at the caller, who decides what
+that means (tests and benchmarks ``skip``) — never midway through a run.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ _TASK_CARRY = "carry"
 
 
 class ProcessPoolUnavailable(ExecutionError):
-    """multiprocessing cannot start here; callers fall back to threads."""
+    """multiprocessing cannot start here; raised at pool construction."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -236,11 +237,6 @@ class WindowProcessPool:
     def submit(self, payload: Any) -> Any:
         """Submit one task; returns the future."""
         return self._executor.submit(run_window_task, payload)
-
-    def run_all(self, payloads: Sequence[Any]) -> List[Any]:
-        """Run payloads concurrently, preserving order of results."""
-        futures = [self.submit(payload) for payload in payloads]
-        return [future.result() for future in futures]
 
     def close(self) -> None:
         executor = getattr(self, "_executor", None)

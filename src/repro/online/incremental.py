@@ -33,7 +33,7 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
 from ..schema import TTLKind, TTLSpec
-from ..sql.functions import AggregateFunction, get_aggregate
+from ..sql.functions import AggregateFunction
 from ..storage.memtable import normalize_ts
 from .binlog import IngestConsumer
 
@@ -49,8 +49,9 @@ class SlidingWindowAggregator:
     """Maintains one or more aggregates over a sliding time/count window.
 
     Args:
-        functions: ``(name, constants)`` pairs, e.g. ``[("sum", ()),
-            ("topn_frequency", (3,))]``.
+        functions: the aggregates (stateless, so shareable), e.g. each
+            ``CompiledAggregate.function`` or ``[get_aggregate("sum"),
+            get_aggregate("topn_frequency", 3)]``.
         arg_extractors: one callable per function mapping a row to the
             aggregate's argument tuple.
         range_ms: time lookback (None = unbounded by time).
@@ -81,7 +82,7 @@ class SlidingWindowAggregator:
     storage layer, where later arrivals are *newer*).
     """
 
-    def __init__(self, functions: Sequence[Tuple[str, Tuple[Any, ...]]],
+    def __init__(self, functions: Sequence[AggregateFunction],
                  arg_extractors: Sequence[Callable[[Any], Tuple[Any, ...]]],
                  range_ms: Optional[int] = None,
                  max_rows: Optional[int] = None,
@@ -91,8 +92,7 @@ class SlidingWindowAggregator:
             raise ValueError("functions/arg_extractors length mismatch")
         if evict_anchor not in ("insert", "newest"):
             raise ValueError("evict_anchor must be 'insert' or 'newest'")
-        self._functions: List[AggregateFunction] = [
-            get_aggregate(name, *constants) for name, constants in functions]
+        self._functions = list(functions)
         self._extractors = list(arg_extractors)
         self.range_ms = range_ms
         self.max_rows = max_rows
@@ -357,7 +357,7 @@ class IncrementalWindowState(IngestConsumer):
 
     def __init__(self, window: Any, tables: Mapping[str, Any],
                  table_name: str, ttl: TTLSpec,
-                 functions: Sequence[Tuple[str, Tuple[Any, ...]]],
+                 functions: Sequence[AggregateFunction],
                  extractors: Sequence[Callable[[Any], Tuple[Any, ...]]],
                  slots: Sequence[int],
                  range_ms: Optional[int],
@@ -389,24 +389,12 @@ class IncrementalWindowState(IngestConsumer):
                    ) -> Optional["IncrementalWindowState"]:
         """Build state for ``window`` if it is eligible, else ``None``."""
         plan = window.plan
-        if plan.union_tables or plan.instance_not_in_window:
-            return None
+        if not window.incremental_eligible:
+            return None  # subtract-and-evict needs exact inversion
         table = tables.get(table_name)
         if table is None or not hasattr(table, "subscribe_eviction"):
             return None  # disk/cluster tables: TTL is not mirrorable here
-        functions: List[Tuple[str, Tuple[Any, ...]]] = []
-        extractors: List[Callable[[Any], Tuple[Any, ...]]] = []
-        slots: List[int] = []
-        for compiled_agg in window.aggregates:
-            binding = compiled_agg.binding
-            probe = get_aggregate(binding.func_name, *binding.constants)
-            if probe.order_sensitive or not probe.invertible:
-                return None  # subtract-and-evict needs exact inversion
-            functions.append((binding.func_name, binding.constants))
-            extractors.append(compiled_agg.arg_fn)
-            slots.append(compiled_agg.slot)
-        if not functions:
-            return None
+        aggregates = window.aggregates
         index = table.find_index(plan.partition_columns, plan.order_column)
         if plan.is_range_frame:
             range_ms: Optional[int] = plan.range_preceding_ms
@@ -420,9 +408,12 @@ class IncrementalWindowState(IngestConsumer):
             caps.append(max(plan.maxsize - reserve, 0))
         stored_cap = min(caps) if caps else None
         return cls(window=window, tables=tables, table_name=table_name,
-                   ttl=index.ttl, functions=functions,
-                   extractors=extractors, slots=slots, range_ms=range_ms,
-                   stored_cap=stored_cap, selective=selective)
+                   ttl=index.ttl,
+                   functions=[agg.function for agg in aggregates],
+                   extractors=[agg.arg_fn for agg in aggregates],
+                   slots=[agg.slot for agg in aggregates],
+                   range_ms=range_ms, stored_cap=stored_cap,
+                   selective=selective)
 
     def _make_aggregator(self) -> SlidingWindowAggregator:
         return SlidingWindowAggregator(

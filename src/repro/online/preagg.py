@@ -18,7 +18,10 @@ insert fast path never waits on aggregation.  Failure recovery replays
 the binlog suffix.
 
 Only *mergeable* aggregates (associative states) are eligible; the
-deployment layer falls back to raw scans for the rest.
+deployment layer falls back to raw scans for the rest.  A bucket folds
+its rows in *arrival* order, so an order-sensitive aggregate
+(``drawdown``, ``lag``) keeps its buckets only while a key's rows arrive
+in time order: the first late row sends that key back to the raw scan.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import (Any, Callable, Dict, List, Optional, Tuple)
 from ..errors import DeploymentError
 from ..obs import NULL_COUNTER, Observability
 from ..schema import Row
-from ..sql.functions import AggregateFunction, get_aggregate
+from ..sql.functions import AggregateFunction
 from .binlog import IngestConsumer
 from .segment_tree import SegmentTree
 
@@ -157,7 +160,8 @@ class PreAggregator(IngestConsumer):
     """Multi-level pre-aggregation for one (window, aggregate) pair.
 
     Args:
-        func_name/constants: the aggregate to maintain (must be mergeable).
+        function: the aggregate to maintain (must be mergeable), e.g. a
+            ``CompiledAggregate.function``.
         arg_fn: row → aggregate argument tuple.
         key_fn: row → partition key.
         ts_fn: row → timestamp (ms).
@@ -167,21 +171,19 @@ class PreAggregator(IngestConsumer):
         factor: level widening factor (paper example: hour→day→month).
     """
 
-    def __init__(self, func_name: str, constants: Tuple[Any, ...],
+    def __init__(self, function: AggregateFunction,
                  arg_fn: Callable[[Row], Tuple[Any, ...]],
                  key_fn: Callable[[Row], Any],
                  ts_fn: Callable[[Row], int],
                  bucket_ms: int,
                  levels: int = 2,
                  factor: int = _DEFAULT_LEVEL_FACTOR) -> None:
-        self._function: AggregateFunction = get_aggregate(
-            func_name, *constants)
-        if not self._function.mergeable:
+        if not function.mergeable:
             raise DeploymentError(
-                f"aggregate {func_name!r} is not mergeable and cannot use "
-                "long-window pre-aggregation")
-        self.func_name = func_name
-        self.constants = constants
+                f"aggregate {function.name!r} is not mergeable and cannot "
+                "use long-window pre-aggregation")
+        self._function = function
+        self.func_name = function.name
         self._arg_fn = arg_fn
         self._key_fn = key_fn
         self._ts_fn = ts_fn
@@ -190,6 +192,10 @@ class PreAggregator(IngestConsumer):
         self.level_sizes: List[int] = [
             bucket_ms * (factor ** level) for level in range(max(levels, 1))]
         self._buckets: Dict[Tuple[Any, int], _KeyLevelBuckets] = {}
+        # Order-sensitive aggregates only: key → newest ts absorbed, or
+        # None once a late row made the key's arrival-order buckets
+        # differ from a time-ordered fold (the key then answers raw).
+        self._newest_ts: Dict[Any, Optional[int]] = {}
         self._lock = threading.Lock()
         self.rows_absorbed = 0
         self.queries = 0
@@ -237,6 +243,10 @@ class PreAggregator(IngestConsumer):
             return state
 
         with self._lock:
+            if function.order_sensitive:
+                newest = self._newest_ts.get(key, ts)
+                self._newest_ts[key] = \
+                    None if newest is None or ts < newest else ts
             for level, size in enumerate(self.level_sizes):
                 buckets = self._buckets.get((key, level))
                 if buckets is None:
@@ -263,6 +273,8 @@ class PreAggregator(IngestConsumer):
         self._m_queries.inc()
         buckets_used: Dict[int, int] = {}
         with self._lock:
+            if self._newest_ts.get(key, 0) is None:  # saw a late row
+                return PreAggQueryResult(None, (lo, hi), None, buckets_used)
             states, head, tail = self._query_level(
                 key, len(self.level_sizes) - 1, lo, hi, buckets_used)
         if buckets_used:

@@ -37,7 +37,7 @@ from collections import defaultdict
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
-from ..sql.functions import get_aggregate
+from ..sql.functions import AggregateFunction
 from .incremental import SlidingWindowAggregator
 
 __all__ = ["StaticScheduler", "DynamicScheduler", "WindowUnionProcessor",
@@ -177,7 +177,7 @@ class WindowUnionProcessor:
         rebalance_every: tuples between scheduler rebalances.
     """
 
-    def __init__(self, functions: Sequence[Tuple[str, Tuple[Any, ...]]],
+    def __init__(self, functions: Sequence[AggregateFunction],
                  arg_extractors: Sequence[Callable[[Any], Tuple[Any, ...]]],
                  scheduler,
                  range_ms: Optional[int] = None,
@@ -224,9 +224,7 @@ class WindowUnionProcessor:
             while len(buffer) > self.max_rows:
                 buffer.pop(0)
         results: List[Any] = []
-        for (name, constants), extractor in zip(self._functions,
-                                                self._extractors):
-            function = get_aggregate(name, *constants)
+        for function, extractor in zip(self._functions, self._extractors):
             state = function.create()
             for _ts, buffered_row in buffer:
                 function.add(state, *extractor(buffered_row))

@@ -41,7 +41,7 @@ from ..storage.skiplist import ColumnBlock
 from ..types import ColumnType
 from . import ast
 from .expressions import RowFn, Scope, compile_expr
-from .functions import AggregateFunction, aggregate_class, get_aggregate
+from .functions import AggregateFunction, get_aggregate
 from .planner import (AggregateBinding, JoinPlan, QueryPlan, WindowPlan,
                       build_plan)
 
@@ -109,9 +109,13 @@ class CompiledAggregate:
 
     binding: AggregateBinding
     arg_fn: Callable[[Row], Tuple[Any, ...]]
-    # Exactly one of the two execution paths is set:
-    shared_group: Optional[int] = None            # cycle-bound family slot
-    instance_factory: Optional[Callable[[], AggregateFunction]] = None
+    #: The registry function, instantiated once with the binding's
+    #: constants.  It holds no accumulator (state lives in what
+    #: ``create()`` returns), so every tier shares it and reads the
+    #: aggregate's algebra (``mergeable`` …) from it.
+    function: AggregateFunction
+    #: Cycle-bound family slot; None = folds through ``function``.
+    shared_group: Optional[int] = None
 
     @property
     def slot(self) -> int:
@@ -177,11 +181,10 @@ class CompiledWindow:
         else:
             arg_fn = lambda row: tuple(fn(row) for fn in arg_fns)  # noqa: E731
 
-        name = binding.func_name
-        declared = aggregate_class(name)
-        if len(arg_fns) == 1 and not declared.order_sensitive \
-                and declared.fold_family != "rows":
-            group_key = (declared.fold_family, binding.value_args)
+        function = get_aggregate(binding.func_name, *binding.constants)
+        if len(arg_fns) == 1 and not function.order_sensitive \
+                and function.fold_family != "rows":
+            group_key = (function.fold_family, binding.value_args)
             group = self._group_keys.get(group_key)
             if group is None:
                 group = self._group_keys[group_key] = len(self._groups)
@@ -189,16 +192,12 @@ class CompiledWindow:
                 position = scope.resolve(argument) \
                     if isinstance(argument, ast.ColumnRef) else None
                 self._groups.append(_StateGroup(
-                    family=declared.fold_family, scalar_fn=arg_fns[0],
+                    family=function.fold_family, scalar_fn=arg_fns[0],
                     position=position,
                     integral=position is not None and schema.columns[
                         position].type in _INTEGER_TYPES))
-            return CompiledAggregate(binding=binding, arg_fn=arg_fn,
-                                     shared_group=group)
-        constants = binding.constants
-        return CompiledAggregate(
-            binding=binding, arg_fn=arg_fn,
-            instance_factory=lambda: get_aggregate(name, *constants))
+            return CompiledAggregate(binding, arg_fn, function, group)
+        return CompiledAggregate(binding, arg_fn, function)
 
     def _build_fold_kernel(
             self) -> Callable[[Sequence[ColumnBlock]], Dict[int, Any]]:
@@ -247,9 +246,9 @@ class CompiledWindow:
                     else set if "distinct_count" in names else None
                 multisets.append((state, distinct_type, outs))
         generic_programs = tuple(
-            (compiled.arg_fn, compiled.instance_factory, compiled.slot)
+            (compiled.arg_fn, compiled.function, compiled.slot)
             for compiled in self._aggregates
-            if compiled.instance_factory is not None)
+            if compiled.shared_group is None)
         walks_rows = bool(generic_programs) or any(
             state.position is None for state in self._groups)
 
@@ -309,8 +308,7 @@ class CompiledWindow:
                         func_name, constants, lowest, highest, distinct)
             if generic_programs:
                 live = []
-                for arg_fn, factory, slot in generic_programs:
-                    function = factory()
+                for arg_fn, function, slot in generic_programs:
                     live.append((function.add, function.create(), arg_fn,
                                  function, slot))
                 for rows in row_views:
@@ -331,6 +329,40 @@ class CompiledWindow:
     @property
     def aggregates(self) -> Tuple[CompiledAggregate, ...]:
         return tuple(self._aggregates)
+
+    # -- tier decisions, derived once from the registry flags ----------
+
+    @property
+    def incremental_eligible(self) -> bool:
+        """Subtract-and-evict ingest state can answer this window: rows
+        come from one table, instance rows stay in the window, and every
+        aggregate inverts exactly in any order."""
+        plan = self.plan
+        return bool(self._aggregates) and not plan.union_tables \
+            and not plan.instance_not_in_window and all(
+                agg.function.invertible and not agg.function.order_sensitive
+                for agg in self._aggregates)
+
+    @property
+    def preaggregable(self) -> Tuple[CompiledAggregate, ...]:
+        """The aggregates bucket pre-aggregation can maintain
+        (``mergeable``); the rest stay on the raw scan.  Order-sensitive
+        members keep their buckets per key only while that key's rows
+        arrive in time order (``PreAggregator.absorb``)."""
+        return tuple(agg for agg in self._aggregates
+                     if agg.function.mergeable)
+
+    @property
+    def carry_eligible(self) -> bool:
+        """Merged task partials may replace replayed rows offline: the
+        frame never evicts (a partition's end state *is* the serial
+        prefix state) and every merge continues the fold bit-exactly."""
+        plan = self.plan
+        return plan.range_preceding_ms is None \
+            and plan.rows_preceding is None and plan.maxsize is None \
+            and not plan.instance_not_in_window and all(
+                agg.function.mergeable and agg.function.merge_exact
+                for agg in self._aggregates)
 
     # -- execution ----------------------------------------------------
 

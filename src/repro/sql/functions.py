@@ -7,9 +7,16 @@ three ways:
 * **incremental** — ``add``/``remove`` for subtract-and-evict sliding
   windows (Section 5.2), available when ``invertible``;
 * **merge** — combine partial states from pre-aggregation buckets
-  (Section 5.1), available when ``mergeable``.  For order-sensitive but
-  associative aggregates (``drawdown``) the state is segment-shaped and
+  (Section 5.1) and offline task partials (Section 6), available when
+  ``mergeable``.  For order-sensitive but associative aggregates
+  (``drawdown``, ``lag``) the state is segment-shaped and
   ``merge(older, newer)`` concatenates time segments.
+
+The flags on the classes (``invertible``, ``mergeable``, ``merge_exact``,
+``order_sensitive``, ``fold_family``) are the only statement of an
+aggregate's algebra: ``sql/compiler.py`` derives every tier decision
+from them (``CompiledWindow.incremental_eligible`` / ``preaggregable``
+/ ``carry_eligible``) and lint rule AGG001 checks each class decides.
 
 The Table 1 extensions implemented here: ``topn_frequency``,
 ``avg_cate_where`` (and the ``*_cate``/``*_where`` family), ``drawdown``,
@@ -610,6 +617,9 @@ class EwAvgAgg(AggregateFunction):
     name = "ew_avg"
     extra_args = 1
     order_sensitive = True
+    # Decaying an older segment under a newer one needs ``decay ** n``,
+    # which re-associates float rounding: no bit-exact merge exists.
+    mergeable = False
 
     def __init__(self, *constants):
         super().__init__(*constants)
@@ -634,20 +644,36 @@ class EwAvgAgg(AggregateFunction):
 
 
 class LagAgg(AggregateFunction):
-    """``lag(col, n)`` — value n rows before the newest (0 = newest)."""
+    """``lag(col, n)`` — value n rows before the newest (0 = newest).
+
+    Only the newest ``n + 1`` values can ever be the answer, so a state
+    is its own reachable tail and ``merge`` is concatenation re-capped —
+    exact by construction.
+    """
 
     name = "lag"
     extra_args = 1
     order_sensitive = True
+    mergeable = True
+
+    def __init__(self, *constants):
+        super().__init__(*constants)
+        self._offset = int(constants[0])
+        self._cap = max(self._offset + 1, 1)
 
     def create(self):
         return []
 
     def add(self, state, value):
         state.append(value)
+        if len(state) > self._cap * 2:
+            del state[:-self._cap]
+
+    def merge(self, older, newer):
+        return (older + newer)[-self._cap:]
 
     def result(self, state):
-        offset = int(self.constants[0])
+        offset = self._offset
         if offset < 0 or offset >= len(state):
             return None
         return state[len(state) - 1 - offset]

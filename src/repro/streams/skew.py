@@ -32,6 +32,7 @@ import dataclasses
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.database import OpenMLDB
+from ..errors import ConsistencyError
 from ..schema import IndexDef, Row, Schema
 from .cdc import CDCStream, StreamIngestor
 
@@ -65,7 +66,7 @@ class SkewReport:
     def raise_on_mismatch(self) -> None:
         if self.mismatches:
             first = self.mismatches[0]
-            raise AssertionError(
+            raise ConsistencyError(
                 f"{len(self.mismatches)} train/serve skew(s); first at "
                 f"watermark boundary {first.boundary}, probe "
                 f"{first.probe!r}: online={first.online!r} "

@@ -81,6 +81,25 @@ class TestVerification:
         report = ConsistencyReport(rows_compared=0, mismatches=[])
         assert report.consistent
 
+    def test_early_return_closes_the_replay_instance(self, monkeypatch):
+        # Stopping at max_mismatches used to skip replay.close(), leaking
+        # the replay instance's replicator thread.
+        db = seeded_db(rows=30)
+        db.deploy("d", "SELECT uid, px * 2 AS px2 FROM actions")
+        offline = db.offline_engine.execute
+        monkeypatch.setattr(
+            db.offline_engine, "execute", lambda compiled: (
+                [(uid, px2 + 1.0) for uid, px2 in offline(compiled)[0]],
+                None))
+        closed = []
+        close = OpenMLDB.close
+        monkeypatch.setattr(
+            OpenMLDB, "close",
+            lambda self: (closed.append(self), close(self))[1])
+        report = verify_consistency(db, "d", max_mismatches=1)
+        assert len(report.mismatches) == 1
+        assert len(closed) == 1 and closed[0] is not db
+
 
 VARIANT_SQL = (
     "SELECT actions.uid AS uid, "

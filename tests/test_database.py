@@ -1,5 +1,7 @@
 """Tests for the OpenMLDB session facade (core/database.py)."""
 
+import random
+
 import pytest
 
 from repro import OpenMLDB
@@ -198,17 +200,69 @@ class TestDeployAndRequest:
         for index in range(500):
             db.insert("trades", ("A", index * 3_600_000,
                                  float(index % 10), 1))
-        sql = ("SELECT sym, sum(px) OVER w AS total FROM trades WINDOW w "
+        sql = ("SELECT sym, sum(px) OVER w AS total, lag(px, 30) OVER w "
+               "AS back, lag(px, 0) OVER w AS cur, lag(px, 999) OVER w "
+               "AS gone FROM trades WINDOW w "
                "AS (PARTITION BY sym ORDER BY ts "
                "ROWS_RANGE BETWEEN 20d PRECEDING AND CURRENT ROW)")
         db.deploy("raw", sql)
-        db.deploy("fast", sql.replace("total", "total2"),
-                  long_windows="w:1d")
+        fast = db.deploy("fast", sql, long_windows="w:1d")
+        # lag merges exactly (its state is its own reachable tail), so
+        # it is pre-aggregated beside sum, not left on the raw scan.
+        assert len(fast.preaggs["w"]) == 4
         db.flush_preagg()
-        request = ("A", 500 * 3_600_000, 7.0, 1)
-        raw = db.request("raw", request)["total"]
-        fast = db.request("fast", request)["total2"]
-        assert fast == pytest.approx(raw)
+        for step in (500, 503.5, 530):
+            request = ("A", int(step * 3_600_000), 7.0, 1)
+            raw_row = db.request("raw", request)
+            fast_row = db.request("fast", request)
+            assert fast_row["total"] == pytest.approx(raw_row["total"])
+            for column in ("back", "cur", "gone"):
+                assert repr(fast_row[column]) == repr(raw_row[column])
+        assert raw_row["back"] is not None and raw_row["gone"] is None
+
+    @pytest.mark.parametrize("deploy_first", [False, True],
+                             ids=["backfill", "live-ingest"])
+    def test_preagg_matches_raw_on_out_of_order_ingest(self, db,
+                                                       deploy_first):
+        # Buckets fold in arrival order, so the order-sensitive
+        # aggregates (lag, drawdown) must leave them for the raw scan
+        # once a key's rows arrive late; sum keeps its buckets.  "B"
+        # arrives in time order and keeps every bucket.
+        sql = ("SELECT sym, sum(px) OVER w AS total, lag(px, 1) OVER w "
+               "AS back, drawdown(px) OVER w AS dd FROM trades WINDOW w "
+               "AS (PARTITION BY sym ORDER BY ts "
+               "ROWS_RANGE BETWEEN 5d PRECEDING AND CURRENT ROW)")
+        hours = list(range(200))
+        shuffler = random.Random(18)
+        for start in range(0, 200, 8):  # shuffled within 8-hour chunks
+            chunk = hours[start:start + 8]
+            shuffler.shuffle(chunk)
+            hours[start:start + 8] = chunk
+        rows = [("A", hour * 3_600_000, float(1 + (hour * 7) % 23), 1)
+                for hour in hours]
+        rows += [("B", hour * 3_600_000, float(1 + (hour * 7) % 23), 1)
+                 for hour in range(200)]
+        if deploy_first:
+            db.deploy("raw", sql)
+            fast = db.deploy("fast", sql, long_windows="w:1d")
+        for row in rows:
+            db.insert("trades", row)
+        if not deploy_first:
+            db.deploy("raw", sql)
+            fast = db.deploy("fast", sql, long_windows="w:1d")
+        assert len(fast.preaggs["w"]) == 3
+        db.flush_preagg()
+        for sym in ("A", "B"):
+            for hour in (200, 203.5, 230):
+                request = (sym, int(hour * 3_600_000), 7.0, 1)
+                raw_row = db.request("raw", request)
+                fast_row = db.request("fast", request)
+                assert fast_row["total"] == pytest.approx(raw_row["total"])
+                assert repr(fast_row["back"]) == repr(raw_row["back"])
+                assert fast_row["dd"] == pytest.approx(raw_row["dd"])
+        merges = {slot: aggregator.level_usage()
+                  for slot, aggregator in fast.preaggs["w"].items()}
+        assert all(sum(used.values()) > 0 for used in merges.values())
 
     def test_preagg_updates_on_insert(self, db):
         sql = ("SELECT sum(px) OVER w AS total FROM trades WINDOW w AS "

@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.online.incremental import SlidingWindowAggregator
+from repro.sql.functions import get_aggregate
 
 
 def make(functions=(("sum", ()),), range_ms=None, max_rows=None):
     extractors = [lambda row: (row,)] * len(functions)
-    return SlidingWindowAggregator(list(functions), extractors,
+    return SlidingWindowAggregator(
+        [get_aggregate(name, *constants) for name, constants in functions],
+        extractors,
                                    range_ms=range_ms, max_rows=max_rows)
 
 
@@ -42,7 +45,7 @@ class TestCountWindow:
 class TestMultipleFunctions:
     def test_mixed_functions(self):
         aggregator = SlidingWindowAggregator(
-            [("sum", ()), ("max", ()), ("count", ())],
+            [get_aggregate(name) for name in ("sum", "max", "count")],
             [lambda row: (row,)] * 3, max_rows=2)
         aggregator.insert(1, 5.0)
         aggregator.insert(2, 1.0)
@@ -51,7 +54,7 @@ class TestMultipleFunctions:
 
     def test_arity_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            SlidingWindowAggregator([("sum", ())], [])
+            SlidingWindowAggregator([get_aggregate("sum")], [])
 
 
 class TestDirtyFallback:
@@ -90,7 +93,7 @@ def test_incremental_equals_recompute(events, range_ms):
     """Property: subtract-and-evict == full recomputation, always."""
     events = sorted(events, key=lambda pair: pair[0])
     aggregator = SlidingWindowAggregator(
-        [("sum", ()), ("min", ()), ("max", ()), ("count", ())],
+        [get_aggregate(name) for name in ("sum", "min", "max", "count")],
         [lambda row: (row,)] * 4, range_ms=range_ms)
     for index, (ts, value) in enumerate(events):
         aggregator.insert(ts, value)

@@ -71,24 +71,22 @@ def test_docs_only_cli_mode(capsys):
 
 
 class TestAggregateMergeCoverage:
-    """AGG001 — every registered aggregate has a merge route and, when
-    the fold could reduce it by column, a declared fold family."""
+    """AGG001 — every registered aggregate decides its merge on the
+    class and, when the fold could reduce it by column, declares a fold
+    family."""
 
     def test_repo_registry_is_fully_covered(self):
         findings = list(lint.check_aggregate_merge_coverage(ROOT))
         assert findings == [], findings
 
-    def test_wrapper_names_read_from_partial_module(self):
-        wrappers = lint._wrapper_partial_names(ROOT)
-        assert {"ew_avg", "lag"} <= wrappers
-
     @staticmethod
-    def _write_registry(root, *, wrapper_keys, extra_class=""):
+    def _write_registry(root, *, mergeless_body="    mergeable = False\n",
+                        extra_class=""):
         (root / "src/repro/sql").mkdir(parents=True)
-        (root / "src/repro/offline").mkdir(parents=True)
         (root / "src/repro/sql/functions.py").write_text(
             "class AggregateFunction:\n"
             "    name = ''\n"
+            "    mergeable = False\n"
             "    def merge(self, a, b):\n"
             "        raise RuntimeError\n"
             "class SumAgg(AggregateFunction):\n"
@@ -98,21 +96,17 @@ class TestAggregateMergeCoverage:
             "        return a\n"
             "class InheritingAgg(SumAgg):\n"
             "    name = 'inheriting'\n"
-            "class WrappedAgg(AggregateFunction):\n"
-            "    name = 'wrapped'\n"
+            "class MergelessAgg(AggregateFunction):\n"
+            "    name = 'mergeless'\n"
             "    order_sensitive = True\n"
-            + extra_class +
+            + mergeless_body + extra_class +
             "_AGGREGATE_CLASSES = {cls.name: cls for cls in (\n"
-            "    SumAgg, InheritingAgg, WrappedAgg, "
+            "    SumAgg, InheritingAgg, MergelessAgg, "
             + ("OrphanAgg," if extra_class else "") + ")}\n")
-        wrappers = ", ".join(f"'{key}': object" for key in wrapper_keys)
-        (root / "src/repro/offline/partial.py").write_text(
-            "from typing import Dict\n"
-            "_PARTIAL_WRAPPERS: Dict[str, type] = {%s}\n" % wrappers)
 
-    def test_missing_merge_route_is_a_finding(self, tmp_path):
+    def test_undecided_merge_is_a_finding(self, tmp_path):
         self._write_registry(
-            tmp_path, wrapper_keys=["wrapped"],
+            tmp_path,
             extra_class=("class OrphanAgg(AggregateFunction):\n"
                          "    name = 'orphan'\n"
                          "    fold_family = 'rows'\n"))
@@ -120,7 +114,7 @@ class TestAggregateMergeCoverage:
         assert len(findings) == 1
         path, _line, _col, code, message = findings[0]
         assert code == "AGG001"
-        assert "orphan" in message and "merge route" in message
+        assert "orphan" in message and "mergeable = False" in message
         assert path == "src/repro/sql/functions.py"
 
     def test_undeclared_fold_family_is_a_finding(self, tmp_path):
@@ -130,7 +124,7 @@ class TestAggregateMergeCoverage:
                 ("", "    fold_family = 'sumcuont'\n")):
             root = tmp_path / str(case)
             self._write_registry(
-                root, wrapper_keys=["wrapped"],
+                root,
                 extra_class=("class OrphanAgg(AggregateFunction):\n"
                              "    name = 'orphan'\n" + declaration +
                              "    def merge(self, a, b):\n"
@@ -144,7 +138,7 @@ class TestAggregateMergeCoverage:
         # Order-sensitive and multi-argument aggregates always walk
         # rows; an inherited declaration covers a subclass.
         self._write_registry(
-            tmp_path, wrapper_keys=["wrapped"],
+            tmp_path,
             extra_class=("class OrphanAgg(AggregateFunction):\n"
                          "    name = 'orphan'\n"
                          "    value_args = 2\n"
@@ -152,18 +146,22 @@ class TestAggregateMergeCoverage:
                          "        return a\n"))
         assert list(lint.check_aggregate_merge_coverage(tmp_path)) == []
 
-    def test_merge_and_wrapper_routes_both_satisfy(self, tmp_path):
+    def test_own_inherited_and_stated_decisions_all_satisfy(self, tmp_path):
         # sum has its own merge, inheriting gets it from a base class,
-        # wrapped is in _PARTIAL_WRAPPERS: nothing to report — the
-        # abstract base's raising merge never counts as a route.
-        self._write_registry(tmp_path, wrapper_keys=["wrapped"])
+        # mergeless says `mergeable = False` itself: nothing to report —
+        # the abstract base's raising merge never counts.
+        self._write_registry(tmp_path)
         assert list(lint.check_aggregate_merge_coverage(tmp_path)) == []
 
-    def test_wrapper_removal_detected(self, tmp_path):
-        self._write_registry(tmp_path, wrapper_keys=[])
-        findings = list(lint.check_aggregate_merge_coverage(tmp_path))
-        assert [f[3] for f in findings] == ["AGG001"]
-        assert "wrapped" in findings[0][4]
+    def test_inherited_default_is_not_a_decision(self, tmp_path):
+        # The root's `mergeable = False` default is exactly the silence
+        # the rule is about; so is `mergeable = True` with no merge.
+        for case, body in enumerate(("", "    mergeable = True\n")):
+            root = tmp_path / str(case)
+            self._write_registry(root, mergeless_body=body)
+            findings = list(lint.check_aggregate_merge_coverage(root))
+            assert [f[3] for f in findings] == ["AGG001"]
+            assert "mergeless" in findings[0][4]
 
 
 class TestBisectKey:

@@ -220,45 +220,12 @@ class TestExecutionModes:
         _, stats = engine.execute(compiled, parallel_windows=True)
         assert not stats.used_parallel_windows
 
-    def test_serial_mode_never_reports_parallel_windows(self, trades):
-        engine, compiled = build(TestParallelWindows.MULTI,
-                                 {"trades": trades})
-        _, stats = engine.execute(compiled, parallel_windows=True,
-                                  mode="serial")
-        assert not stats.used_parallel_windows
-        assert stats.mode == stats.requested_mode == "serial"
-
-    def test_invalid_mode_rejected(self, trades):
-        engine, compiled = build(ROLLING, {"trades": trades})
-        with pytest.raises(Exception):
-            engine.execute(compiled, mode="gpu")
-        with pytest.raises(Exception):
-            OfflineEngine({"trades": trades}, mode="gpu")
-
-    def test_process_mode_matches_thread_mode(self, trades):
-        engine, compiled = build(ROLLING, {"trades": trades})
-        try:
-            thread_rows, _ = engine.execute(compiled, mode="thread")
-            process_rows, stats = engine.execute(compiled, mode="process")
-            assert rows_equal(process_rows, thread_rows)
-            assert stats.requested_mode == "process"
-            # Hermetic: equality holds whether the pool came up or the
-            # engine degraded to threads — but never silently.
-            assert stats.mode == ("thread" if stats.pool_fallback
-                                  else "process")
-            assert stats.used_process_pool == (not stats.pool_fallback)
-        finally:
-            engine.close()
-
-    def test_pool_unavailable_falls_back_to_threads(self, trades):
-        engine, compiled = build(ROLLING, {"trades": trades})
-        engine._pool_failed = True  # simulate a dead multiprocessing
-        rows, stats = engine.execute(compiled, mode="process")
-        baseline, _ = engine.execute(compiled, mode="thread")
-        assert rows_equal(rows, baseline)
-        assert stats.pool_fallback
-        assert stats.mode == "thread"
-        assert not stats.used_process_pool
+    def test_pool_failure_surfaces_at_the_caller(self):
+        # The engine owns no processes and hides no degradation: a pool
+        # that cannot start raises where the caller builds it.
+        from repro.offline import ProcessPoolUnavailable, WindowProcessPool
+        with pytest.raises(ProcessPoolUnavailable):
+            WindowProcessPool(1, start_method="no-such-start-method")
 
     def test_spill_stats_surface(self, trades):
         from repro.offline import SpillConfig

@@ -1,27 +1,30 @@
-"""Differential test — every offline execution mode computes the same
-feature rows.
+"""Differential test — however the offline engine's one body is run, it
+computes the same feature rows.
 
-The offline engine runs one fold kernel
-(:class:`repro.offline.partial.WindowKernel`) under four regimes:
+The plain in-process run (no skew, no spill, no pool) is the reference.
+Against it:
 
-1. **serial** — every window and task in sequence (the oracle);
-2. **thread** — window tasks pipelined on a thread pool;
-3. **process** — (key, PART_ID) tasks shipped to multiprocessing
-   workers over the RowCodec wire format (degrading to threads when
-   multiprocessing is unavailable — the test asserts equality either
-   way, so it stays hermetic);
-4. **skew-resolved** — (key, PART_ID) splitting along ts quantiles,
-   both with expanded-row context and with carried merged partials
-   (``merge_partials=True``), in every mode above.
+* **skew** — (key, PART_ID) splitting along ts quantiles, with
+  expanded-row context and with carried merged partials
+  (``merge_partials=True``);
+* **spill** — the shuffle through the external sorter on a tiny budget;
+* **pool=** — the same tasks shipped to a hand-in
+  :class:`~repro.offline.pool.WindowProcessPool` over the RowCodec wire
+  format (skipped where multiprocessing cannot start — the engine hides
+  nothing, the pool's constructor raises).
 
-Data is integer-valued so equality is *exact* (``==``, byte-identical):
-integer folds have no rounding, which is what lets carried partials be
-compared bit-for-bit against the serial fold.
+``test_one_body_differential`` crosses all three over a script with
+``lag``, ``ew_avg``, ``drawdown``, ``variance``, a ``WINDOW UNION`` and
+an ``EXCLUDE CURRENT_ROW`` frame.  Data is integer-valued so equality
+is *exact* (``==`` and ``repr``-equal): integer folds have no rounding,
+which is what lets carried partials be compared bit-for-bit against the
+plain fold.
 
-Hypothesis drives the schedule: randomized frames (unbounded, ROWS,
-ROWS_RANGE), NULLs, duplicate and out-of-order timestamps, keys with
-zero rows, and ``workers=1``.  The ``smoke`` tests at the bottom are
-part of the ``make smoke`` gate: one tiny process-pool + spill run.
+Hypothesis drives the schedule of the second test: randomized frames
+(unbounded, ROWS, ROWS_RANGE), NULLs, duplicate and out-of-order
+timestamps, keys with zero rows, and ``workers=1``.  The ``smoke``
+tests at the bottom are part of the ``make smoke`` gate: one tiny
+process-pool + spill run.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from hypothesis import strategies as st
 
 from tests.conftest import rows_equal
 from repro.obs import Observability
-from repro.offline import SkewConfig, SpillConfig
+from repro.offline import (ProcessPoolUnavailable, SkewConfig, SpillConfig,
+                           WindowProcessPool)
 from repro.offline.engine import OfflineEngine
 from repro.schema import IndexDef, Schema
 from repro.sql.compiler import compile_plan
@@ -76,24 +80,84 @@ def _table(schema, events):
 
 
 @pytest.fixture(scope="module")
-def shared_engine_factory():
-    """One engine (hence one process pool) shared across all examples —
-    pool start-up is the expensive part, not the task payloads."""
-    engines = {}
+def pool():
+    """One two-worker pool for the module — start-up is the expensive
+    part, not the task payloads."""
+    try:
+        workers = WindowProcessPool(2)
+    except ProcessPoolUnavailable as exc:
+        pytest.skip(str(exc))
+    with workers:
+        yield workers
 
-    def factory(table, workers=4):
-        # Hypothesis re-runs share the engine; only the table swaps.
-        engine = engines.get(workers)
-        if engine is None:
-            engine = OfflineEngine({"t": table}, workers=workers,
-                                   pool_workers=2)
-            engines[workers] = engine
-        engine._tables = {"t": table}
-        return engine
 
-    yield factory
-    for engine in engines.values():
-        engine.close()
+def _identical(rows, base):
+    assert rows == base
+    assert repr(rows) == repr(base)
+
+
+# One window per way a frame can relate to the carry path: eligible
+# (w_all), eligible frame but ew_avg / drawdown have no exact merge
+# (w_ord), eligible with the anchor excluded (w_excl), and a bounded
+# WINDOW UNION frame that must replay expanded rows (w_union).
+RICH_SQL = (
+    "SELECT k, sum(v) OVER w_all AS s, lag(v, 2) OVER w_all AS lg, "
+    "variance(v) OVER w_all AS var, min(v) OVER w_all AS mn, "
+    "distinct_count(v) OVER w_all AS dc, "
+    "ew_avg(v, 0.3) OVER w_ord AS ew, drawdown(v) OVER w_ord AS dd, "
+    "count(v) OVER w_ord AS c, "
+    "sum(v) OVER w_excl AS s_ex, lag(v, 1) OVER w_excl AS lg_ex, "
+    "sum(v) OVER w_union AS s_un, max(v) OVER w_union AS mx_un "
+    "FROM t WINDOW "
+    "w_all AS (PARTITION BY k ORDER BY ts "
+    "ROWS_RANGE BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW), "
+    "w_ord AS (PARTITION BY k ORDER BY ts "
+    "ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW), "
+    "w_excl AS (PARTITION BY k ORDER BY ts ROWS_RANGE BETWEEN "
+    "UNBOUNDED PRECEDING AND CURRENT ROW EXCLUDE CURRENT_ROW), "
+    "w_union AS (UNION u PARTITION BY k ORDER BY ts "
+    "ROWS_RANGE BETWEEN 40 PRECEDING AND CURRENT ROW)")
+
+
+@pytest.fixture(scope="module")
+def rich():
+    schema = Schema.from_pairs([
+        ("k", "string"), ("ts", "timestamp"), ("v", "int")])
+    tables = {name: MemTable(name, schema, [IndexDef(("k",), "ts")])
+              for name in ("t", "u")}
+    for i in range(150):     # u1 is hot; ts repeats and arrives disordered
+        key = "u1" if i % 5 else KEYS[1 + i % 2]
+        value = None if i % 11 == 0 else (i * 7) % 23 - 11
+        tables["t"].insert((key, (i * 17) % 211, value))
+    for i in range(40):
+        tables["u"].insert((KEYS[i % 3], (i * 29) % 211, i % 9 - 4))
+    catalog = {name: schema for name in tables}
+    compiled = compile_plan(build_plan(parse_select(RICH_SQL), catalog),
+                            catalog)
+    engine = OfflineEngine(tables, workers=4)
+    base, base_stats = engine.execute(compiled)
+    assert not base_stats.used_process_pool
+    return engine, compiled, base
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["in-process", "pool"])
+@pytest.mark.parametrize("spill", [None, SpillConfig(memory_budget_bytes=256)],
+                         ids=["memory", "spill"])
+@pytest.mark.parametrize("skew", [None, SKEW, SKEW_CARRY],
+                         ids=["no-skew", "expanded", "carried"])
+def test_one_body_differential(rich, request, skew, spill, pooled):
+    engine, compiled, base = rich
+    workers = request.getfixturevalue("pool") if pooled else None
+    rows, stats = engine.execute(compiled, skew=skew, spill=spill,
+                                 pool=workers)
+    _identical(rows, base)
+    assert stats.used_process_pool == pooled
+    assert stats.used_parallel_windows
+    assert (stats.carry_tasks > 0) == (skew is SKEW_CARRY)
+    assert stats.tasks > (3 * 4 if skew else 0)
+    if spill is not None:
+        assert stats.shuffle["runs"] >= 1
+        assert stats.shuffle["rows"] == 4 * 150 + 40
 
 
 events_strategy = st.lists(
@@ -108,49 +172,27 @@ events_strategy = st.lists(
        frame=st.sampled_from(FRAMES),
        workers=st.sampled_from([1, 4]))
 @settings(max_examples=25, deadline=None)
-def test_all_modes_byte_identical(shared_engine_factory, events, frame,
-                                  workers):
+def test_random_schedules_byte_identical(pool, events, frame, workers):
     schema, compiled = _compile(frame)
-    table = _table(schema, events)
-    engine = shared_engine_factory(table, workers=workers)
-
-    base, base_stats = engine.execute(compiled, mode="serial")
-    assert base_stats.mode == "serial"
-    assert not base_stats.used_parallel_windows
-
-    variants = [
-        engine.execute(compiled, mode="thread"),
-        engine.execute(compiled, mode="process"),
-        engine.execute(compiled, mode="serial", skew=SKEW),
-        engine.execute(compiled, mode="thread", skew=SKEW_CARRY),
-        engine.execute(compiled, mode="process", skew=SKEW_CARRY),
-    ]
-    for rows, stats in variants:
-        assert rows == base
+    engine = OfflineEngine({"t": _table(schema, events)}, workers=workers)
+    base, base_stats = engine.execute(compiled)
+    for skew, workers_pool in ((None, pool), (SKEW, None),
+                               (SKEW_CARRY, None), (SKEW_CARRY, pool)):
+        rows, stats = engine.execute(compiled, skew=skew,
+                                     pool=workers_pool)
+        _identical(rows, base)
         assert stats.rows == base_stats.rows
-
-    # Graceful degradation is visible, never silent: a process run is
-    # either genuinely in the pool or flagged as a thread fallback.
-    for rows, stats in (variants[1], variants[4]):
-        assert stats.requested_mode == "process"
-        if stats.pool_fallback:
-            assert stats.mode == "thread"
-            assert not stats.used_process_pool
-        else:
-            assert stats.mode == "process"
-            assert stats.used_process_pool
+        assert stats.used_process_pool == (workers_pool is not None)
 
 
 @given(events=events_strategy)
 @settings(max_examples=10, deadline=None)
-def test_spill_shuffle_byte_identical(shared_engine_factory, events):
+def test_spill_shuffle_byte_identical(events):
     schema, compiled = _compile(FRAMES[0])
-    table = _table(schema, events)
-    engine = shared_engine_factory(table)
-    base, _ = engine.execute(compiled, mode="serial")
+    engine = OfflineEngine({"t": _table(schema, events)}, workers=4)
+    base, _ = engine.execute(compiled)
     spilled, stats = engine.execute(
-        compiled, mode="serial",
-        spill=SpillConfig(memory_budget_bytes=256))
+        compiled, spill=SpillConfig(memory_budget_bytes=256))
     assert spilled == base
     assert stats.shuffle["rows"] == len(events)
     if len(events) >= 8:
@@ -159,14 +201,15 @@ def test_spill_shuffle_byte_identical(shared_engine_factory, events):
         assert stats.shuffle["runs"] >= 1
 
 
-def test_empty_table_every_mode(shared_engine_factory):
+@pytest.mark.parametrize("pooled", [False, True], ids=["in-process", "pool"])
+def test_empty_table(request, pooled):
     schema, compiled = _compile(FRAMES[0])
-    table = _table(schema, [])
-    engine = shared_engine_factory(table)
-    for mode in ("serial", "thread", "process"):
-        rows, stats = engine.execute(compiled, mode=mode, skew=SKEW_CARRY)
-        assert rows == []
-        assert stats.rows == 0
+    engine = OfflineEngine({"t": _table(schema, [])}, workers=4)
+    rows, stats = engine.execute(
+        compiled, skew=SKEW_CARRY,
+        pool=request.getfixturevalue("pool") if pooled else None)
+    assert rows == []
+    assert stats.rows == 0
 
 
 # ----------------------------------------------------------------------
@@ -180,21 +223,14 @@ def _smoke_data():
     return schema, compiled, events
 
 
-def test_smoke_process_pool_round_trip():
-    """Tiny process run: byte-identical to serial, hermetic fallback."""
+def test_smoke_process_pool_round_trip(pool):
+    """Tiny pool run: byte-identical to the in-process run."""
     schema, compiled, events = _smoke_data()
-    table = _table(schema, events)
-    engine = OfflineEngine({"t": table}, workers=4, pool_workers=2)
-    try:
-        base, _ = engine.execute(compiled, mode="serial")
-        rows, stats = engine.execute(compiled, mode="process",
-                                     skew=SKEW_CARRY)
-        assert rows_equal(rows, base)
-        assert stats.mode in ("process", "thread")
-        assert stats.mode == "thread" if stats.pool_fallback \
-            else stats.mode == "process"
-    finally:
-        engine.close()
+    engine = OfflineEngine({"t": _table(schema, events)}, workers=4)
+    base, _ = engine.execute(compiled)
+    rows, stats = engine.execute(compiled, skew=SKEW_CARRY, pool=pool)
+    assert rows_equal(rows, base)
+    assert stats.used_process_pool and stats.carry_tasks
 
 
 def test_smoke_spill_exceeds_budget_with_observable_metrics():
@@ -203,21 +239,17 @@ def test_smoke_spill_exceeds_budget_with_observable_metrics():
     table = _table(schema, events)
     obs = Observability(enabled=True)
     engine = OfflineEngine({"t": table}, workers=4, obs=obs)
-    try:
-        base, _ = engine.execute(compiled, mode="serial")
-        rows, stats = engine.execute(
-            compiled, mode="thread",
-            spill=SpillConfig(memory_budget_bytes=512))
-        assert rows_equal(rows, base)
-        assert stats.shuffle["runs"] >= 1
-        assert stats.shuffle["spilled_rows"] > 0
-        assert stats.shuffle["spilled_bytes"] > 0
-        registry = obs.registry
-        assert registry.get("offline.shuffle.runs").value \
-            == stats.shuffle["runs"]
-        assert registry.get("offline.shuffle.spilled_rows").value \
-            == stats.shuffle["spilled_rows"]
-        assert registry.get("offline.shuffle.spilled_bytes").value \
-            == stats.shuffle["spilled_bytes"]
-    finally:
-        engine.close()
+    base, _ = engine.execute(compiled)
+    rows, stats = engine.execute(
+        compiled, spill=SpillConfig(memory_budget_bytes=512))
+    assert rows_equal(rows, base)
+    assert stats.shuffle["runs"] >= 1
+    assert stats.shuffle["spilled_rows"] > 0
+    assert stats.shuffle["spilled_bytes"] > 0
+    registry = obs.registry
+    assert registry.get("offline.shuffle.runs").value \
+        == stats.shuffle["runs"]
+    assert registry.get("offline.shuffle.spilled_rows").value \
+        == stats.shuffle["spilled_rows"]
+    assert registry.get("offline.shuffle.spilled_bytes").value \
+        == stats.shuffle["spilled_bytes"]

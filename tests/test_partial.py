@@ -1,10 +1,11 @@
-"""Partial-aggregate state machines (repro.offline.partial).
+"""Mergeable task partials (repro.offline.partial).
 
 The offline engine's map-reduce split rests on one invariant: folding a
 stream in segments and merging the partials gives the same answer as one
-serial fold.  These tests pin that invariant per machine, the
-``exact_merge`` declarations that gate the carry path, and the
-histogram state shipping that merges worker timings exactly.
+serial fold.  These tests pin that invariant per registry function (the
+one aggregate protocol: ``create / add / merge / result``), the
+``mergeable`` / ``merge_exact`` declarations that gate the carry path,
+and the histogram state shipping that merges worker timings exactly.
 """
 
 import pickle
@@ -14,57 +15,60 @@ import pytest
 
 from repro.errors import ExecutionError
 from repro.obs.metrics import Histogram
-from repro.offline.partial import (EwAvgPartial, FunctionPartial,
-                                   LagPartial, WindowPartialState,
-                                   has_partial, make_partial)
+from repro.offline.partial import WindowPartialState
+from repro.schema import Schema
+from repro.sql.compiler import compile_plan
 from repro.sql.functions import get_aggregate
+from repro.sql.parser import parse_select
+from repro.sql.planner import build_plan
 
 random.seed(20250809)
 
 VALUES = [random.choice([None] + list(range(-40, 40))) for _ in range(120)]
 
 
-def serial_result(partial, values):
-    state = partial.init()
+def serial_result(function, values):
+    state = function.create()
     for value in values:
-        partial.accumulate(state, value)
-    return partial.finalize(state)
+        function.add(state, value)
+    return function.result(state)
 
 
-def merged_result(partial, values, cut):
-    older, newer = partial.init(), partial.init()
+def merged_result(function, values, cut):
+    older, newer = function.create(), function.create()
     for value in values[:cut]:
-        partial.accumulate(older, value)
+        function.add(older, value)
     for value in values[cut:]:
-        partial.accumulate(newer, value)
-    return partial.finalize(partial.merge(older, newer))
+        function.add(newer, value)
+    return function.result(function.merge(older, newer))
 
 
 MERGE_EXACT_AGGS = ["sum", "count", "avg", "min", "max",
                     "distinct_count", "variance", "stddev"]
 
 
-class TestFunctionPartials:
+class TestRegistryMerges:
     @pytest.mark.parametrize("name", MERGE_EXACT_AGGS)
     @pytest.mark.parametrize("cut", [0, 1, 37, 119, 120])
     def test_merge_equals_serial_fold(self, name, cut):
-        partial = make_partial(name)
-        assert serial_result(partial, VALUES) \
-            == merged_result(partial, VALUES, cut)
-
-    @pytest.mark.parametrize("name", MERGE_EXACT_AGGS)
-    def test_exact_merge_declared(self, name):
-        assert make_partial(name).exact_merge
+        function = get_aggregate(name)
+        assert function.mergeable and function.merge_exact
+        assert serial_result(function, VALUES) \
+            == merged_result(function, VALUES, cut)
 
     def test_topn_merge(self):
-        partial = make_partial("topn_frequency", 3)
+        function = get_aggregate("topn_frequency", 3)
         values = [v % 5 if v is not None else None for v in VALUES]
-        assert serial_result(partial, values) \
-            == merged_result(partial, values, 50)
+        assert serial_result(function, values) \
+            == merged_result(function, values, 50)
 
-    def test_non_mergeable_function_rejected(self):
+    def test_ew_avg_states_it_has_no_merge(self):
+        # decay ** n re-associates float rounding, so no bit-exact merge
+        # exists: the class says so and the base merge raises.
+        function = get_aggregate("ew_avg", 0.5)
+        assert not function.mergeable
         with pytest.raises(ExecutionError):
-            FunctionPartial(get_aggregate("ew_avg", 0.5))
+            function.merge(function.create(), function.create())
 
     def test_drawdown_merge_not_exact(self):
         # drawdown's merge is algebraically fine for pre-aggregation
@@ -72,77 +76,87 @@ class TestFunctionPartials:
         # segment's standalone drawdown uses its internal peak, which a
         # larger carried-in peak supersedes.  [20] ++ [5, -10]:
         # continued gives (20-(-10))/20 = 1.5, standalone (5-(-10))/5
-        # = 3.0 — so the partial must stay off the carry path.
-        partial = make_partial("drawdown")
-        assert not partial.exact_merge
+        # = 3.0 — so it must stay off the carry path.
+        function = get_aggregate("drawdown")
+        assert function.mergeable and not function.merge_exact
         values = [20, 5, -10]
-        assert serial_result(partial, values) == pytest.approx(1.5)
-        assert merged_result(partial, values, 1) == pytest.approx(3.0)
-
-
-class TestWrapperPartials:
-    def test_ew_avg_matches_function(self):
-        function = get_aggregate("ew_avg", 0.3)
-        partial = EwAvgPartial(function)
-        state = function.create()
-        for value in VALUES:
-            if value is not None:
-                function.add(state, value)
-        expected = function.result(state)
-        assert serial_result(partial, VALUES) == expected
-
-    def test_ew_avg_merge_mathematically_close_not_exact(self):
-        partial = make_partial("ew_avg", 0.3)
-        assert isinstance(partial, EwAvgPartial)
-        assert not partial.exact_merge
-        serial = serial_result(partial, VALUES)
-        merged = merged_result(partial, VALUES, 41)
-        assert merged == pytest.approx(serial)
+        assert serial_result(function, values) == pytest.approx(1.5)
+        assert merged_result(function, values, 1) == pytest.approx(3.0)
 
     @pytest.mark.parametrize("offset", [0, 1, 3])
     @pytest.mark.parametrize("cut", [0, 2, 60, 120])
     def test_lag_merge_exact(self, offset, cut):
-        partial = make_partial("lag", offset)
-        assert isinstance(partial, LagPartial)
-        assert partial.exact_merge
-        assert serial_result(partial, VALUES) \
-            == merged_result(partial, VALUES, cut)
+        function = get_aggregate("lag", offset)
+        assert function.mergeable and function.merge_exact
+        assert serial_result(function, VALUES) \
+            == merged_result(function, VALUES, cut)
+
+    def test_lag_merge_is_associative(self):
+        function = get_aggregate("lag", 2)
+        parts = []
+        for chunk in (VALUES[:3], VALUES[3:4], VALUES[4:50], VALUES[50:]):
+            state = function.create()
+            for value in chunk:
+                function.add(state, value)
+            parts.append(state)
+        a, b, c, d = parts
+        merge = function.merge
+        left = merge(merge(merge(a, b), c), d)
+        right = merge(a, merge(b, merge(c, d)))
+        assert function.result(left) == function.result(right) \
+            == serial_result(function, VALUES)
 
     def test_lag_short_stream_is_null(self):
-        partial = make_partial("lag", 5)
-        assert serial_result(partial, [1, 2]) is None
+        assert serial_result(get_aggregate("lag", 5), [1, 2]) is None
 
     def test_lag_state_stays_bounded(self):
-        partial = make_partial("lag", 2)
-        state = partial.init()
+        function = get_aggregate("lag", 2)
+        state = function.create()
         for value in range(1000):
-            partial.accumulate(state, value)
+            function.add(state, value)
         assert len(state) <= 6  # cap * 2
-        assert partial.finalize(state) == 997
+        assert function.result(state) == 997
 
 
-class TestRegistry:
-    def test_every_known_aggregate_has_a_partial(self):
-        for name in ("sum", "count", "avg", "min", "max", "ew_avg",
-                     "lag", "drawdown", "distinct_count"):
-            assert has_partial(name)
+def _window(aggregates, frame="UNBOUNDED"):
+    schema = Schema.from_pairs([
+        ("k", "string"), ("ts", "timestamp"), ("v", "int")])
+    sql = ("SELECT " + ", ".join(
+        f"{call} OVER w AS c{i}" for i, call in enumerate(aggregates))
+        + " FROM t WINDOW w AS (PARTITION BY k ORDER BY ts ROWS_RANGE "
+        f"BETWEEN {frame} PRECEDING AND CURRENT ROW)")
+    catalog = {"t": schema}
+    return compile_plan(build_plan(parse_select(sql), catalog),
+                        catalog).windows["w"]
 
-    def test_unknown_name(self):
-        assert not has_partial("no_such_aggregate")
+
+class TestTierDecisions:
+    """The three decisions CompiledWindow derives from the flags."""
+
+    def test_carry_needs_exact_merges_and_a_frame_that_never_evicts(self):
+        assert _window(["sum(v)", "lag(v, 1)"]).carry_eligible
+        assert not _window(["sum(v)", "drawdown(v)"]).carry_eligible
+        assert not _window(["sum(v)", "ew_avg(v, 0.5)"]).carry_eligible
+        assert not _window(["sum(v)"], frame="50").carry_eligible
+
+    def test_preaggregable_is_the_mergeable_subset(self):
+        window = _window(["sum(v)", "ew_avg(v, 0.5)", "lag(v, 1)",
+                          "drawdown(v)"])
+        assert [agg.binding.func_name for agg in window.preaggregable] \
+            == ["sum", "lag", "drawdown"]
+
+    def test_incremental_needs_order_free_inversion(self):
+        assert _window(["sum(v)", "min(v)"]).incremental_eligible
+        assert not _window(["sum(v)", "lag(v, 1)"]).incremental_eligible
+        assert not _window(["drawdown(v)"]).incremental_eligible
 
 
 class TestWindowPartialState:
     def _vector(self):
-        functions = [("sum", ()), ("lag", (1,)), ("distinct_count", ())]
+        functions = [get_aggregate("sum"), get_aggregate("lag", 1),
+                     get_aggregate("distinct_count")]
         extractors = [lambda row: (row[1],)] * 3
         return WindowPartialState(functions, extractors)
-
-    def test_exact_iff_all_members_exact(self):
-        assert self._vector().exact
-        with_dd = WindowPartialState(
-            [("sum", ()), ("drawdown", ())],
-            [lambda row: (row[1],)] * 2)
-        assert not with_dd.exact
 
     def test_segmented_equals_serial(self):
         vector = self._vector()

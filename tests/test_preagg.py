@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import DeploymentError
 from repro.online.preagg import (LongWindowOption, PreAggregator,
                                  parse_long_windows)
+from repro.sql.functions import get_aggregate
 
 HOUR = 3_600_000
 DAY = 24 * HOUR
@@ -14,7 +15,7 @@ DAY = 24 * HOUR
 def make_aggregator(func="sum", constants=(), bucket_ms=HOUR, levels=2,
                     factor=24):
     return PreAggregator(
-        func_name=func, constants=constants,
+        get_aggregate(func, *constants),
         arg_fn=lambda row: (row[2],),
         key_fn=lambda row: row[0],
         ts_fn=lambda row: row[1],
@@ -109,6 +110,20 @@ class TestAbsorbAndQuery:
         result = aggregator.query("k", 0, 10 * HOUR)
         assert result.state[0] == pytest.approx(3.0)
 
+    def test_late_row_sends_an_order_sensitive_key_to_the_raw_scan(self):
+        # A bucket folds in arrival order; lag needs time order.
+        aggregator = make_aggregator(func="lag", constants=(0,))
+        for key in ("late", "ordered"):
+            aggregator.absorb((key, 1 * HOUR, 1.0))
+            aggregator.absorb((key, 5 * HOUR, 2.0))
+            aggregator.absorb((key, 5 * HOUR, 3.0))  # a tie is in order
+        aggregator.absorb(("late", 2 * HOUR, 4.0))
+        late = aggregator.query("late", 0, 10 * HOUR - 1)
+        assert (late.state, late.head_span, late.tail_span) \
+            == (None, (0, 10 * HOUR - 1), None)
+        assert not late.buckets_used
+        assert aggregator.query("ordered", 0, 10 * HOUR - 1).state == [3.0]
+
     def test_rebase_for_much_older_row(self):
         aggregator = make_aggregator(levels=1)
         aggregator.absorb(("k", 100 * HOUR, 1.0))
@@ -174,7 +189,7 @@ class TestMergeableOnly:
                                 ("topn_frequency", (3,)),
                                 ("drawdown", ())):
             aggregator = PreAggregator(
-                func_name=func, constants=constants,
+                get_aggregate(func, *constants),
                 arg_fn=lambda row: (row[2],),
                 key_fn=lambda row: row[0],
                 ts_fn=lambda row: row[1], bucket_ms=HOUR)

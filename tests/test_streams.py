@@ -9,10 +9,11 @@ every watermark boundary, for both new workloads.
 import pytest
 
 from repro import OpenMLDB
+from repro.errors import ConsistencyError
 from repro.obs import Observability
 from repro.schema import IndexDef, Schema
-from repro.streams import (CDCConfig, CDCStream, StreamIngestor,
-                           verify_stream_skew)
+from repro.streams import (CDCConfig, CDCStream, SkewMismatch, SkewReport,
+                           StreamIngestor, verify_stream_skew)
 from repro.streams.skew import _identical
 from repro.workloads import adctr, iot
 
@@ -273,3 +274,12 @@ def test_smoke_stream_skew_byte_identical(workload):
     assert report.compared == sum(len(rows) for rows in probes.values())
     report.raise_on_mismatch()
     assert report.consistent
+
+
+def test_skew_report_raises_the_typed_error():
+    report = SkewReport(
+        boundaries=[10], compared=1, duplicates_dropped=0, out_of_order=0,
+        mismatches=[SkewMismatch(boundary=10, probe=("k0", 10, 0),
+                                 online=(1,), offline=(2,))])
+    with pytest.raises(ConsistencyError, match="train/serve skew"):
+        report.raise_on_mismatch()

@@ -15,6 +15,7 @@ from repro import OpenMLDB
 from repro.online.window_union import (DynamicScheduler,
                                        WindowUnionProcessor)
 from repro.schema import IndexDef, Schema
+from repro.sql.functions import get_aggregate
 
 RANGE_MS = 5_000
 
@@ -39,7 +40,7 @@ def stream():
 def test_processor_matches_sql_union_window(stream):
     # Streaming side: per-key sliding (sum, count) over the union.
     processor = WindowUnionProcessor(
-        functions=[("sum", ()), ("count", ())],
+        functions=[get_aggregate("sum"), get_aggregate("count")],
         arg_extractors=[lambda row: (row,)] * 2,
         scheduler=DynamicScheduler(workers=4),
         range_ms=RANGE_MS, incremental=True)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.online.window_union import (DynamicScheduler, StaticScheduler,
                                        WindowUnionProcessor)
+from repro.sql.functions import get_aggregate
 
 
 def skewed_stream(tuples=2000, keys=20, hot_fraction=0.7, seed=3):
@@ -25,7 +26,7 @@ def skewed_stream(tuples=2000, keys=20, hot_fraction=0.7, seed=3):
 def processor(scheduler, incremental=True, range_ms=5_000,
               rebalance_every=200):
     return WindowUnionProcessor(
-        functions=[("sum", ()), ("count", ())],
+        functions=[get_aggregate("sum"), get_aggregate("count")],
         arg_extractors=[lambda row: (row,)] * 2,
         scheduler=scheduler, range_ms=range_ms,
         incremental=incremental, rebalance_every=rebalance_every)
@@ -89,10 +90,10 @@ class TestCorrectness:
     def test_count_window_variant(self):
         stream = skewed_stream(tuples=300)
         fast = WindowUnionProcessor(
-            [("max", ())], [lambda row: (row,)],
+            [get_aggregate("max")], [lambda row: (row,)],
             DynamicScheduler(workers=2), max_rows=10)
         slow = WindowUnionProcessor(
-            [("max", ())], [lambda row: (row,)],
+            [get_aggregate("max")], [lambda row: (row,)],
             StaticScheduler(workers=2), max_rows=10, incremental=False)
         fast.run(iter(stream))
         slow.run(iter(stream))

@@ -37,14 +37,13 @@ reliably:
 * **AGG001** — an aggregate registered in
   ``src/repro/sql/functions.py`` (listed in ``_AGGREGATE_CLASSES``)
   that leaves one of its two execution stories undecided.  (a) It
-  neither defines/inherits a real ``merge`` method nor has a wrapper
-  partial registered under its ``name`` in ``_PARTIAL_WRAPPERS``
-  (``src/repro/offline/partial.py``): every aggregate needs *some*
-  merge route or the offline engine's map-reduce split silently loses
-  it to expanded-row replay forever.  (b) It takes one argument, is
-  not ``order_sensitive``, and declares no ``fold_family``: the window
-  fold (``src/repro/sql/compiler.py``) reads the family from the
-  class, and the inherited default is the slow row walk, so an
+  neither defines/inherits a real ``merge`` method nor assigns
+  ``mergeable = False`` in its own body: whether an aggregate has a
+  merge decides pre-aggregation and the offline carry path, so the
+  class states it rather than inheriting a silent default.  (b) It
+  takes one argument, is not ``order_sensitive``, and declares no
+  ``fold_family``: the window fold (``src/repro/sql/compiler.py``)
+  reads the family from the class, and the inherited default is the slow row walk, so an
   aggregate that could be reduced column-at-a-time must say
   ``"sumcount"``, ``"multiset"`` or an explicit ``"rows"``.  Like
   DOC001 it is repo-level and runs in both ``make lint`` branches.
@@ -374,7 +373,6 @@ def check_doc_references(
 
 
 _FUNCTIONS_PY = pathlib.Path("src/repro/sql/functions.py")
-_PARTIAL_PY = pathlib.Path("src/repro/offline/partial.py")
 
 
 def _registered_aggregate_classes(tree: ast.Module) -> Set[str]:
@@ -394,42 +392,20 @@ def _registered_aggregate_classes(tree: ast.Module) -> Set[str]:
     return registered
 
 
-def _wrapper_partial_names(root: pathlib.Path) -> Set[str]:
-    """String keys of ``_PARTIAL_WRAPPERS`` in the partials module."""
-    path = root / _PARTIAL_PY
-    if not path.exists():
-        return set()
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-        elif isinstance(node, ast.AnnAssign):  # `X: Dict[...] = {...}`
-            targets = [node.target]
-        else:
-            continue
-        if any(isinstance(t, ast.Name) and t.id == "_PARTIAL_WRAPPERS"
-               for t in targets) \
-                and isinstance(node.value, ast.Dict):
-            return {key.value for key in node.value.keys
-                    if isinstance(key, ast.Constant)
-                    and isinstance(key.value, str)}
-    return set()
-
-
 _FOLD_FAMILIES = ("sumcount", "multiset", "rows")
 
 
 def check_aggregate_merge_coverage(
         root: pathlib.Path = REPO_ROOT) -> Iterator[Finding]:
-    """AGG001 — every registered aggregate has a merge route and, when
-    the window fold could reduce it by column, a declared fold family.
+    """AGG001 — every registered aggregate decides its merge and, when
+    the window fold could reduce it by column, declares a fold family.
 
-    Merge route: either the class (or an in-file ancestor other than the
+    Merge: either the class (or an in-file ancestor other than the
     abstract ``AggregateFunction`` base, whose ``merge`` raises) defines
-    ``merge``, or a wrapper partial is registered under the aggregate's
-    ``name`` in ``_PARTIAL_WRAPPERS``.  Fold family: a single-argument,
-    order-insensitive aggregate sets ``fold_family`` (itself or through
-    an in-file ancestor) to one of ``_FOLD_FAMILIES``.
+    ``merge``, or its own body assigns ``mergeable = False``.  Fold
+    family: a single-argument, order-insensitive aggregate sets
+    ``fold_family`` (itself or through an in-file ancestor) to one of
+    ``_FOLD_FAMILIES``.
     """
     path = root / _FUNCTIONS_PY
     if not path.exists():
@@ -471,7 +447,6 @@ def check_aggregate_merge_coverage(
                     queue.append(classes[base.id])
         return None
 
-    wrappers = _wrapper_partial_names(root)
     for class_name in sorted(_registered_aggregate_classes(tree)):
         klass = classes.get(class_name)
         if klass is None:
@@ -479,12 +454,12 @@ def check_aggregate_merge_coverage(
         agg_name = resolve(klass, lambda k: class_attr(k, "name"))
         where = (str(path.relative_to(root)), klass.lineno,
                  klass.col_offset + 1, "AGG001")
-        if not resolve(klass, own_merge) and agg_name not in wrappers:
+        if not resolve(klass, own_merge) \
+                and class_attr(klass, "mergeable") is not False:
             yield (*where,
                    f"aggregate {agg_name or class_name!r} is registered "
-                   "without a merge route: define merge() or add a wrapper "
-                   "partial to _PARTIAL_WRAPPERS "
-                   "(src/repro/offline/partial.py)")
+                   "without deciding its merge: define merge() or state "
+                   "`mergeable = False` (with the reason) in the class")
         # Absent means the base class default: one argument, any order.
         folds_by_column = (
             resolve(klass, lambda k: class_attr(k, "value_args")) or 1) == 1 \
