@@ -36,7 +36,7 @@ bench-smoke:
 	$(PYTHON) -m pytest benchmarks/test_fig_serving_throughput.py -q
 
 # Quick pre-push gate: every test named *smoke* — crash/restart
-# recovery, the offline process pool (with spill), split -> migrate ->
+# recovery, offline carried partials and spill, split -> migrate ->
 # rebalance under traffic, adaptive promotion and re-bucketing, the
 # paced-load SLO search and the streaming train/serve skew check.
 # `test` runs them too; this is the quick subset.

@@ -3,6 +3,8 @@ insertion in benchmarks/conftest.py)."""
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
 import pathlib
 
@@ -10,7 +12,8 @@ from repro import OpenMLDB
 from repro.workloads.microbench import (MicroBenchConfig, build_feature_sql,
                                         generate)
 
-__all__ = ["build_openmldb", "openmldb_for_config", "record_bench"]
+__all__ = ["build_openmldb", "gc_paused", "openmldb_for_config",
+           "record_bench"]
 
 BENCH_RESULTS_PATH = \
     pathlib.Path(__file__).resolve().parent.parent / "BENCH_online.json"
@@ -45,6 +48,24 @@ def record_bench(figure, **medians):
             else value
     BENCH_RESULTS_PATH.write_text(
         json.dumps(results, indent=2, sort_keys=True) + "\n")
+
+
+@contextlib.contextmanager
+def gc_paused():
+    """Time a region with CPython's cyclic collector paused, as
+    ``timeit`` does.  A generation-2 collection scans the whole pytest
+    process — every earlier benchmark's data — and costs 10–20 ms here,
+    more than a whole skewed makespan, so a gate comparing two
+    single-shot makespans otherwise fails on whichever run the
+    collection happens to land in (EXPERIMENTS.md, "One process")."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def build_openmldb(data, sql, deployment="bench", observability=False):

@@ -13,7 +13,6 @@ import pytest
 from _util import record_bench
 from repro.baselines import SparkBatchEngine
 from repro.bench import print_table, speedup
-from repro.offline import ProcessPoolUnavailable, WindowProcessPool
 from repro.offline.engine import OfflineEngine
 from repro.schema import IndexDef, Schema
 from repro.sql.compiler import compile_plan
@@ -68,30 +67,6 @@ def run_case(window_rows):
             parallel_stats.total_parallel_seconds)
 
 
-def check_process_mode_identical(window_rows):
-    """A hand-in process pool must produce the same feature rows as the
-    in-process run (a visible ``skip`` where multiprocessing cannot
-    start — the pool's constructor says so).  Kept out of
-    :func:`run_case` so pool forking can't perturb the timed
-    measurements."""
-    schema, rows = dataset()
-    sql = multi_window_sql(window_rows)
-    catalog = {"t": schema}
-    table = MemTable("t", schema, [IndexDef(("k",), "ts")])
-    table.insert_many(rows)
-    compiled = compile_plan(build_plan(parse_select(sql), catalog), catalog)
-    engine = OfflineEngine({"t": table}, workers=WORKERS)
-    try:
-        pool = WindowProcessPool(2)
-    except ProcessPoolUnavailable as exc:
-        pytest.skip(str(exc))
-    with pool:
-        inprocess_rows, _ = engine.execute(compiled)
-        pool_rows, pool_stats = engine.execute(compiled, pool=pool)
-    assert pool_rows == inprocess_rows
-    assert pool_stats.used_process_pool
-
-
 @pytest.mark.benchmark(group="fig12")
 def test_fig12_parallel_windows(benchmark):
     cases = {"small": 40, "medium": 120, "large": 240}
@@ -124,7 +99,3 @@ def test_fig12_parallel_windows(benchmark):
     benchmark.extra_info["speedups"] = {
         label: round(value, 2) for label, value in speedups.items()}
     benchmark.pedantic(run_case, args=(40,), rounds=2, iterations=1)
-
-
-def test_fig12_process_pool_identical():
-    check_process_mode_identical(40)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from _util import record_bench
+from _util import gc_paused, record_bench
 from repro.baselines import SparkBatchEngine
 from repro.bench import print_table, speedup
 from repro.offline.engine import OfflineEngine
@@ -57,26 +57,30 @@ def test_fig13_skew_optimisation(benchmark, skew_setup):
 
     spark = SparkBatchEngine(SQL, {"t": schema}, workers=WORKERS)
     spark.load("t", rows)
-    _r, spark_stats = spark.run()
+    with gc_paused():
+        _r, spark_stats = spark.run()
     spark_seconds = spark_stats.parallel_seconds
 
-    reference_rows, no_opt_stats = engine.execute(compiled)
+    with gc_paused():
+        reference_rows, no_opt_stats = engine.execute(compiled)
     timings = {"spark": spark_seconds,
                "openmldb (no skew opt)":
                    no_opt_stats.total_parallel_seconds}
     for quantile in (2, 4):
-        skew_rows_out, stats = engine.execute(
-            compiled, skew=SkewConfig(quantile=quantile,
-                                      min_partition_rows=100))
+        with gc_paused():
+            skew_rows_out, stats = engine.execute(
+                compiled, skew=SkewConfig(quantile=quantile,
+                                          min_partition_rows=100))
         assert len(skew_rows_out) == len(reference_rows)
         timings[f"openmldb (skew {quantile})"] = \
             stats.total_parallel_seconds
 
     # Carried partials replace expanded-row context where the frame
     # allows it — results must stay identical to the no-opt reference.
-    carry_rows_out, carry_stats = engine.execute(
-        compiled, skew=SkewConfig(quantile=4, min_partition_rows=100,
-                                  merge_partials=True))
+    with gc_paused():
+        carry_rows_out, carry_stats = engine.execute(
+            compiled, skew=SkewConfig(quantile=4, min_partition_rows=100,
+                                      merge_partials=True))
     assert carry_rows_out == reference_rows
     timings["openmldb (skew 4, merged partials)"] = \
         carry_stats.total_parallel_seconds

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from _util import record_bench
+from _util import gc_paused, record_bench
 from repro.baselines import SparkBatchEngine
 from repro.bench import print_table, speedup
 from repro.offline.skew import SkewConfig
@@ -74,15 +74,17 @@ def run_openmldb(schema, rows, sql, skew=None):
     compiled = compile_plan(build_plan(parse_select(sql), catalog), catalog)
     from repro.offline.engine import OfflineEngine
     engine = OfflineEngine({"t": table}, workers=WORKERS)
-    _rows, stats = engine.execute(compiled, parallel_windows=True,
-                                  skew=skew)
+    with gc_paused():
+        _rows, stats = engine.execute(compiled, parallel_windows=True,
+                                      skew=skew)
     return stats.total_parallel_seconds
 
 
 def run_spark(schema, rows, sql):
     spark = SparkBatchEngine(sql, {"t": schema}, workers=WORKERS)
     spark.load("t", rows)
-    _rows, stats = spark.run()
+    with gc_paused():
+        _rows, stats = spark.run()
     return stats.parallel_seconds
 
 

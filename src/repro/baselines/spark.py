@@ -126,7 +126,10 @@ class SparkBatchEngine:
         started = time.perf_counter()
         output: List[Tuple[Any, ...]] = []
         items = self._scalar_items()
+        limit = self.statement.limit
         for position, anchor in enumerate(anchors):
+            if limit is not None and len(output) >= limit:
+                break
             if self.statement.where is not None and interpret_expr(
                     self.statement.where, anchor) is not True:
                 continue
@@ -138,9 +141,6 @@ class SparkBatchEngine:
                 else:
                     projected.append(interpret_expr(item.expr, anchor))
             output.append(tuple(projected))
-            if self.statement.limit is not None \
-                    and len(output) >= self.statement.limit:
-                break
         stats.stage_seconds["project"] = time.perf_counter() - started
         return output, stats
 

@@ -17,8 +17,7 @@ order:
   per-tablet, per-deployment) so call sites stay terse.
 
 Everything is standard library; instruments take a small lock on update
-so the offline engine's thread pool and the binlog replicator thread can
-share them.
+so serving workers and the binlog replicator thread can share them.
 """
 
 from __future__ import annotations

@@ -2,8 +2,7 @@
 
 from .engine import OfflineEngine, OfflineStats
 from .hyperloglog import HyperLogLog
-from .partial import WindowKernel, WindowPartialState
-from .pool import ProcessPoolUnavailable, WindowProcessPool, WindowTaskSpec
+from .partial import WindowKernel
 from .scheduling import lpt_makespan, worker_loads
 from .shuffle import ExternalSorter, SpillConfig
 from .skew import PartitionTask, SkewConfig, SkewResolver, TaggedRow
@@ -11,7 +10,5 @@ from .skew import PartitionTask, SkewConfig, SkewResolver, TaggedRow
 __all__ = [
     "OfflineEngine", "OfflineStats", "HyperLogLog", "SkewConfig",
     "SkewResolver", "PartitionTask", "TaggedRow", "lpt_makespan",
-    "worker_loads", "WindowKernel", "WindowPartialState",
-    "ProcessPoolUnavailable", "WindowProcessPool", "WindowTaskSpec",
-    "ExternalSorter", "SpillConfig",
+    "worker_loads", "WindowKernel", "ExternalSorter", "SpillConfig",
 ]

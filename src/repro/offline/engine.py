@@ -8,17 +8,11 @@ replay the online engine exactly — a window anchored at row *r* contains
 what makes online/offline feature values consistent (Section 4's unified
 plan, verified by :mod:`repro.core.consistency`).
 
-There is one execution body.  The engine folds every ``(key[,
-PART_ID])`` task in this process through the shared fold kernel
-(:class:`~repro.offline.partial.WindowKernel`) — the reference every
-test compares against.  A caller who wants real parallel compute hands
-a :class:`~repro.offline.pool.WindowProcessPool` to :meth:`execute`
-(``pool=``): the same tasks then ship to its ``multiprocessing``
-workers over the storage layer's :class:`RowCodec` wire format, task
-times become the workers' measured process times, and the feature rows
-stay byte-identical (property-tested).  The engine owns no processes:
-constructing the pool probes multiprocessing and raises
-:class:`~repro.offline.pool.ProcessPoolUnavailable` at the caller.
+There is one execution body, in one process.  The engine folds every
+``(key[, PART_ID])`` task through the shared fold kernel
+(:class:`~repro.offline.partial.WindowKernel`) and records each task's
+measured time; the paper's batch cluster is the LPT makespan model over
+those times (:mod:`repro.offline.scheduling`), not real workers.
 
 The paper optimisations live here:
 
@@ -30,18 +24,19 @@ The paper optimisations live here:
   :class:`~repro.offline.skew.SkewConfig`, each window's per-key groups
   are split into ``(key, PART_ID)`` tasks along the timestamp quantiles;
   expanded rows provide cross-partition context, or — with
-  ``merge_partials`` and an eligible frame — carried mergeable partials
-  (:mod:`repro.offline.partial`) replace the copies entirely.
+  ``merge_partials`` and an eligible frame — each partition continues
+  from the previous one's end state
+  (:meth:`~repro.offline.partial.WindowKernel.seeded_fold`) and the
+  copies go entirely.
 * **External-sort shuffle** (:mod:`repro.offline.shuffle`) — with a
-  :class:`~repro.offline.shuffle.SpillConfig`, window-source events
-  spill to sorted on-disk runs once the configured byte budget is hit,
-  so inputs larger than memory stream group-at-a-time.
+  :class:`~repro.offline.shuffle.SpillConfig`, window-source rows spill
+  to sorted on-disk runs once the configured byte budget is hit, so
+  inputs larger than memory stream group-at-a-time.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import pickle
 import time
 from itertools import groupby
@@ -55,9 +50,7 @@ from ..schema import Row
 from ..sql.compiler import CompiledQuery, CompiledWindow
 from ..storage.encoding import RowCodec
 from ..storage.memtable import normalize_ts
-from .partial import WindowKernel, WindowPartialState
-from .pool import (WindowProcessPool, WindowTaskSpec, decode_events,
-                   encode_events)
+from .partial import TaskEvent, WindowKernel
 from .scheduling import lpt_makespan
 from .shuffle import ExternalSorter, SpillConfig
 from .skew import SkewConfig, SkewResolver
@@ -71,11 +64,10 @@ class OfflineStats:
 
     ``window_seconds`` maps window name → measured compute time.
     ``task_seconds`` lists individual (key, PART_ID) task times across all
-    windows — the inputs to the makespan model.  With a hand-in pool the
-    task times are each worker's own CPU clock (measured process time);
-    otherwise this thread's ``thread_time``.  ``serial_seconds`` is the
-    sum of window times (a serial engine's cost); ``parallel_seconds``
-    the LPT makespan of the window tasks on ``workers`` workers.
+    windows (each task's own ``thread_time``) — the inputs to the
+    makespan model.  ``serial_seconds`` is the sum of window times (a
+    serial engine's cost); ``parallel_seconds`` the LPT makespan of the
+    window tasks on ``workers`` workers.
     """
 
     rows: int = 0
@@ -85,11 +77,10 @@ class OfflineStats:
     join_seconds: float = 0.0
     project_seconds: float = 0.0
     workers: int = 1
-    used_process_pool: bool = False      # tasks ran on a hand-in pool
     used_parallel_windows: bool = False  # windows pooled into one schedule
     used_skew_resolver: bool = False
     tasks: int = 0
-    carry_tasks: int = 0                 # tasks seeded with merged partials
+    carry_tasks: int = 0                 # tasks seeded with carried partials
     shuffle: Dict[str, int] = dataclasses.field(default_factory=dict)
 
     @property
@@ -109,6 +100,16 @@ class OfflineStats:
         pool into one schedule; without it, windows are stage barriers —
         each window's tasks schedule independently and the stages add up
         (within-window key parallelism exists either way, as in Spark).
+
+        A carry chain's partitions are scheduled as independent tasks
+        too.  That is sound because ``carry_eligible`` guarantees every
+        aggregate has an exact merge, so a two-phase plan exists: fold
+        each partition into a segment, prefix-merge the segments into
+        seeds, then emit.  The one in-process body does not run that
+        plan.  It runs a chain as a sequential continuation, each
+        partition seeded with the previous one's end state, which is
+        why it stays byte-identical on doubles: a prefix merge would
+        re-associate float addition.
         """
         if not self.window_tasks:
             return 0.0
@@ -128,18 +129,11 @@ class OfflineStats:
                 + self.project_seconds)
 
 
-# One window-source event: (source, ts, row, anchor_index or None).
-# source is 0 for the primary table, 1+i for WINDOW UNION table i —
-# it selects the RowCodec when events cross a process boundary.
-# anchor_index is the primary-row position for instance rows, None for
-# rows contributed by union tables (context only).
-_Event = Tuple[int, int, Row, Optional[int]]
-
 # One (key[, PART_ID]) task: (events, emit_flags, carry_chain_id).
 # carry_chain_id is None for expanded-row / plain tasks; tasks sharing
 # a chain id are consecutive partitions of one key whose window context
-# flows through merged partial states instead of expanded rows.
-_TaskUnit = Tuple[List[_Event], List[bool], Optional[int]]
+# flows through carried partial states instead of expanded rows.
+_TaskUnit = Tuple[List[TaskEvent], List[bool], Optional[int]]
 
 
 class OfflineEngine:
@@ -166,7 +160,6 @@ class OfflineEngine:
         self._m_skew_expanded = registry.counter(
             "offline.skew.expanded_rows")
         self._m_carry_tasks = registry.counter("offline.carry.tasks")
-        self._m_pool_tasks = registry.counter("offline.pool.tasks")
         self._m_shuffle_runs = registry.counter("offline.shuffle.runs")
         self._m_shuffle_rows = registry.counter(
             "offline.shuffle.spilled_rows")
@@ -178,31 +171,26 @@ class OfflineEngine:
     def execute(self, compiled: CompiledQuery,
                 parallel_windows: bool = True,
                 skew: Optional[SkewConfig] = None,
-                spill: Optional[SpillConfig] = None,
-                pool: Optional[WindowProcessPool] = None
+                spill: Optional[SpillConfig] = None
                 ) -> Tuple[List[Row], OfflineStats]:
         """Run the batch computation; returns (feature rows, stats).
 
         ``spill`` bounds the shuffle's sort buffer (None = in-memory
-        sort); ``pool`` ships the window tasks to the caller's worker
-        processes instead of folding them here (the caller closes it).
+        sort).
         """
         with self._obs.tracer.span("offline.execute",
                                    table=compiled.plan.table,
-                                   workers=self.workers,
-                                   pool=pool is not None) as root:
+                                   workers=self.workers) as root:
             return self._execute(compiled, parallel_windows, skew, spill,
-                                 pool, root)
+                                 root)
 
     def _execute(self, compiled: CompiledQuery, parallel_windows: bool,
                  skew: Optional[SkewConfig],
-                 spill: Optional[SpillConfig],
-                 pool: Optional[WindowProcessPool], root: Any
+                 spill: Optional[SpillConfig], root: Any
                  ) -> Tuple[List[Row], OfflineStats]:
         tracer = self._obs.tracer
         plan = compiled.plan
         stats = OfflineStats(workers=self.workers,
-                             used_process_pool=pool is not None,
                              used_skew_resolver=skew is not None)
         primary = self._tables[plan.table]
         anchors: List[Row] = list(primary.rows())
@@ -230,29 +218,16 @@ class OfflineEngine:
         # has nothing to pool, whatever the caller asked for.
         stats.used_parallel_windows = (parallel_windows
                                        and len(window_jobs) > 1)
-        if pool is not None:
-            # With the multi-window optimisation all windows share one
-            # two-phase batch; without it each window is a stage barrier.
-            batches = [window_jobs] if parallel_windows \
-                else [[job] for job in window_jobs]
-            for batch in batches:
-                self._run_window_batch_process(
-                    compiled, batch, anchors, skew, spill, stats,
-                    aggregate_columns, pool, root)
-        else:
-            self._run_windows_inprocess(
-                compiled, window_jobs, anchors, skew, spill, stats,
-                aggregate_columns, root)
+        self._run_windows(compiled, window_jobs, anchors, skew, spill,
+                          stats, aggregate_columns, root)
 
         registry = self._obs.registry
         for name, task_times in stats.window_tasks.items():
             stats.tasks += len(task_times)
             self._m_tasks.inc(len(task_times))
-            if self._obs.enabled and pool is None:
+            if self._obs.enabled:
                 # Per-partition task timings: the skew figures (12–13)
-                # read straight off this distribution's p99/max.  Pool
-                # workers' own histogram states were already merged in
-                # (exactly) as results arrived.
+                # read straight off this distribution's p99/max.
                 task_histogram = registry.histogram("offline.task.ms",
                                                     window=name)
                 for task_seconds in task_times:
@@ -264,13 +239,13 @@ class OfflineEngine:
         limit = plan.statement.limit
         with tracer.span("offline.project", parent=root):
             for index, combined in enumerate(combined_rows):
+                if limit is not None and len(output) >= limit:
+                    break
                 if compiled.where_fn is not None \
                         and compiled.where_fn(combined) is not True:
                     continue
                 extended = combined + tuple(aggregate_columns[index])
                 output.append(compiled.project(extended))
-                if limit is not None and len(output) >= limit:
-                    break
         stats.project_seconds = time.perf_counter() - started
         return output, stats
 
@@ -316,75 +291,62 @@ class OfflineEngine:
         return combined_rows
 
     # ------------------------------------------------------------------
-    # window-source events and task construction (shared by all modes)
-
-    def _window_codecs(self, compiled: CompiledQuery,
-                       window: CompiledWindow) -> List[RowCodec]:
-        """Per-source row codecs: primary first, then each union."""
-        return [RowCodec(compiled.plan.table_schema)] + [
-            RowCodec(self._tables[name].schema)
-            for name in window.plan.union_tables]
-
-    def _window_spec(self, compiled: CompiledQuery,
-                     window: CompiledWindow) -> WindowTaskSpec:
-        plan = compiled.plan
-        return WindowTaskSpec(
-            plan=window.plan, schema=plan.table_schema,
-            table=plan.table, alias=plan.table_alias,
-            union_schemas=tuple(self._tables[name].schema
-                                for name in window.plan.union_tables))
+    # window-source events and task construction
 
     def _events(self, window: CompiledWindow, anchors: Sequence[Row]
-                ) -> Iterator[Tuple[int, int, int, _Event]]:
+                ) -> Iterator[Tuple[int, int, int, TaskEvent]]:
         """Every window-source event as ``(ts, source, sequence,
         event)``: the leading three are its replay-order key — the
         order an online system would have ingested the same data, which
         is what makes batch window contents equal request-time
-        contents."""
+        contents.  ``source`` is 0 for the primary table and 1+i for
+        WINDOW UNION table i; only primary rows are anchors."""
         sources = [anchors] + [self._tables[name].rows()
                                for name in window.plan.union_tables]
         for source, rows in enumerate(sources):
             for sequence, row in enumerate(rows):
                 ts = normalize_ts(window.order_value(row))
                 yield ts, source, sequence, (
-                    source, ts, row, sequence if source == 0 else None)
+                    ts, row, sequence if source == 0 else None)
 
     def _key_groups(self, compiled: CompiledQuery,
                     window: CompiledWindow, anchors: Sequence[Row],
                     spill: Optional[SpillConfig], stats: OfflineStats
-                    ) -> Iterator[Tuple[Any, List[_Event]]]:
+                    ) -> Iterator[Tuple[Any, List[TaskEvent]]]:
         """Yield ``(key, events)`` groups in deterministic key order,
         each group in replay order.  With a spill budget the grouping
         runs through the external sorter; otherwise it is one in-memory
         sort."""
         key_fn = window.partition_key
         if spill is None:
-            grouped: Dict[Any, List[_Event]] = {}
+            grouped: Dict[Any, List[TaskEvent]] = {}
             for _ts, _source, _sequence, event in sorted(
                     self._events(window, anchors),
                     key=itemgetter(0, 1, 2)):
-                grouped.setdefault(key_fn(event[2]), []).append(event)
+                grouped.setdefault(key_fn(event[1]), []).append(event)
             for key in sorted(grouped, key=str):
                 yield key, grouped[key]
             return
 
-        codecs = self._window_codecs(compiled, window)
+        # The sort key carries everything but the row, so a spilled
+        # record is just the row in its source table's RowCodec bytes.
+        codecs = [RowCodec(compiled.plan.table_schema)] + [
+            RowCodec(self._tables[name].schema)
+            for name in window.plan.union_tables]
         sorter = ExternalSorter(spill)
         try:
-            for ts, source, sequence, event in self._events(window,
-                                                            anchors):
-                key = key_fn(event[2])
+            for ts, source, sequence, (_ts, row, _anchor) in self._events(
+                    window, anchors):
+                key = key_fn(row)
                 sorter.add(
                     (str(key), pickle.dumps(key), ts, source, sequence),
-                    encode_events([event], [True], codecs))
+                    codecs[source].encode(row))
             for (_text, pickled), records in groupby(
                     sorter.sorted_records(), key=lambda item: item[0][:2]):
-                events: List[_Event] = []
-                for sort_key, record in records:
-                    decoded, _flags = decode_events(record, codecs)
-                    ts, row, anchor_index = decoded[0]
-                    events.append((sort_key[3], ts, row, anchor_index))
-                yield pickle.loads(pickled), events
+                yield pickle.loads(pickled), [
+                    (ts, codecs[source].decode(record),
+                     sequence if source == 0 else None)
+                    for (_t, _p, ts, source, sequence), record in records]
         finally:
             sorter.close()
             shuffle = stats.shuffle
@@ -412,7 +374,7 @@ class OfflineEngine:
                 yield events, [True] * len(events), None
                 continue
             tasks = resolver.key_tasks(
-                key, [(event[1], event) for event in events],
+                key, [(event[0], event) for event in events],
                 range_ms=plan.range_preceding_ms,
                 rows_preceding=plan.rows_preceding,
                 augment=not carry_ok)
@@ -435,31 +397,17 @@ class OfflineEngine:
                        [not tagged.expanded for tagged in task.rows],
                        None)
 
-    @staticmethod
-    def _strip_sources(events: Sequence[_Event]
-                       ) -> List[Tuple[int, Row, Optional[int]]]:
-        return [(ts, row, anchor) for _source, ts, row, anchor in events]
-
-    def _apply_emits(self, emits: Sequence[Tuple[int, Sequence[Any]]],
-                     slots: Sequence[int],
-                     aggregate_columns: List[List[Any]]) -> None:
-        for anchor_index, values in emits:
-            row_slots = aggregate_columns[anchor_index]
-            for slot, value in zip(slots, values):
-                row_slots[slot] = value
-
     # ------------------------------------------------------------------
-    # in-process execution (the reference body)
+    # the execution body
 
-    def _run_windows_inprocess(self, compiled: CompiledQuery,
-                               window_jobs: Sequence[
-                                   Tuple[str, CompiledWindow]],
-                               anchors: Sequence[Row],
-                               skew: Optional[SkewConfig],
-                               spill: Optional[SpillConfig],
-                               stats: OfflineStats,
-                               aggregate_columns: List[List[Any]],
-                               root: Any) -> None:
+    def _run_windows(self, compiled: CompiledQuery,
+                     window_jobs: Sequence[Tuple[str, CompiledWindow]],
+                     anchors: Sequence[Row],
+                     skew: Optional[SkewConfig],
+                     spill: Optional[SpillConfig],
+                     stats: OfflineStats,
+                     aggregate_columns: List[List[Any]],
+                     root: Any) -> None:
         # thread_time, not perf_counter: the makespan model wants each
         # task's own compute, not the GIL slices other threads (the
         # binlog worker, a serving frontend) took meanwhile.
@@ -468,139 +416,25 @@ class OfflineEngine:
                                        parent=root) as span:
                 window_started = time.thread_time()
                 kernel = WindowKernel(window)
+                slots = kernel.slots
                 task_times: List[float] = []
                 carry_states: Dict[int, List[Any]] = {}
                 for events, emit_flags, chain in self._task_units(
                         compiled, window, anchors, skew, spill, stats):
                     started = time.thread_time()
-                    stripped = self._strip_sources(events)
                     if chain is None:
-                        emits = kernel.fold(stripped, emit_flags)
+                        emits = kernel.fold(events, emit_flags)
                     else:
-                        # Carry path: seed with the running merged
-                        # partials of this key's earlier partitions;
-                        # the fold's end state is the next seed.
-                        seed = carry_states.get(chain)
-                        if seed is None:
-                            seed = kernel.partials.init()
+                        # Carry path: continue from the end state of
+                        # this key's previous partition; this fold's end
+                        # state seeds the next one.
                         emits, carry_states[chain] = kernel.seeded_fold(
-                            stripped, emit_flags, seed)
-                    self._apply_emits(emits, kernel.slots,
-                                      aggregate_columns)
+                            events, emit_flags, carry_states.get(chain))
+                    for anchor_index, values in emits:
+                        row_slots = aggregate_columns[anchor_index]
+                        for slot, value in zip(slots, values):
+                            row_slots[slot] = value
                     task_times.append(time.thread_time() - started)
                 span.set_tag(tasks=len(task_times))
             stats.window_seconds[name] = time.thread_time() - window_started
             stats.window_tasks[name] = task_times
-
-    # ------------------------------------------------------------------
-    # hand-in process pool
-
-    def _run_window_batch_process(self, compiled: CompiledQuery,
-                                  batch: Sequence[
-                                      Tuple[str, CompiledWindow]],
-                                  anchors: Sequence[Row],
-                                  skew: Optional[SkewConfig],
-                                  spill: Optional[SpillConfig],
-                                  stats: OfflineStats,
-                                  aggregate_columns: List[List[Any]],
-                                  pool: WindowProcessPool,
-                                  root: Any) -> None:
-        """Ship one batch of windows' (key, PART_ID) tasks to the pool.
-
-        Two-phase: carried-partial chains first compute per-partition
-        *segment* states (map), the parent prefix-merges them into
-        seeds, then every emitting task — plain folds went out in phase
-        one already — runs as a seeded fold (reduce).
-        """
-        tracer = self._obs.tracer
-        registry = self._obs.registry
-        phase_a: List[Any] = []      # futures
-        # Per future: (window name, kernel, expected result kind).
-        phase_a_meta: List[Tuple[str, WindowKernel, str]] = []
-        # (window, chain) → ordered [(phase-A index, blob, spec,
-        # spec_key)] of the chain's partitions, awaiting seeds.
-        chains: Dict[Tuple[str, int],
-                     List[Tuple[int, bytes, WindowTaskSpec, str]]] = {}
-        kernels: Dict[str, WindowKernel] = {}
-        prep_seconds: Dict[str, float] = {}
-
-        for name, window in batch:
-            with tracer.span("offline.window", window=name,
-                             parent=root) as span:
-                prep_started = time.thread_time()
-                kernel = WindowKernel(window)
-                kernels[name] = kernel
-                codecs = self._window_codecs(compiled, window)
-                spec = self._window_spec(compiled, window)
-                spec_key = hashlib.sha1(pickle.dumps(spec)).hexdigest()
-                task_count = 0
-                for events, emit_flags, chain in self._task_units(
-                        compiled, window, anchors, skew, spill, stats):
-                    blob = encode_events(events, emit_flags, codecs)
-                    task_count += 1
-                    self._m_pool_tasks.inc()
-                    if chain is None:
-                        phase_a.append(pool.submit(
-                            ("fold", spec_key, spec, blob, None)))
-                        phase_a_meta.append((name, kernel, "emits"))
-                    else:
-                        phase_a.append(pool.submit(
-                            ("segment", spec_key, spec, blob, None)))
-                        phase_a_meta.append((name, kernel, "states"))
-                        chains.setdefault((name, chain), []).append(
-                            (len(phase_a) - 1, blob, spec, spec_key))
-                span.set_tag(tasks=task_count)
-                prep_seconds[name] = time.thread_time() - prep_started
-
-        # Gather phase A: apply fold emits, collect segment states.
-        segment_states: Dict[int, List[Any]] = {}
-        for index, (future, (name, kernel, expect)) in enumerate(
-                zip(phase_a, phase_a_meta)):
-            result_kind, result, cpu_seconds, hist_state = future.result()
-            if result_kind != expect:  # pragma: no cover - protocol guard
-                raise ExecutionError(
-                    f"worker returned {result_kind}, expected {expect}")
-            self._record_worker_task(stats, registry, name, cpu_seconds,
-                                     hist_state)
-            if result_kind == "emits":
-                self._apply_emits(result, kernel.slots, aggregate_columns)
-            else:
-                segment_states[index] = result
-
-        # Phase B: prefix-merge segment states into seeds, re-fold each
-        # partition from its seed to emit values.
-        phase_b: List[Any] = []
-        phase_b_meta: List[Tuple[str, WindowKernel]] = []
-        for (name, _chain), parts in chains.items():
-            kernel = kernels[name]
-            partials = kernel.partials
-            carry = partials.init()
-            for future_index, blob, spec, spec_key in parts:
-                seed = WindowPartialState.copy_states(carry)
-                phase_b.append(pool.submit(
-                    ("carry", spec_key, spec, blob, seed)))
-                phase_b_meta.append((name, kernel))
-                self._m_pool_tasks.inc()
-                carry = partials.merge(carry,
-                                       segment_states[future_index])
-        for future, (name, kernel) in zip(phase_b, phase_b_meta):
-            result_kind, result, cpu_seconds, hist_state = future.result()
-            self._record_worker_task(stats, registry, name, cpu_seconds,
-                                     hist_state)
-            self._apply_emits(result, kernel.slots, aggregate_columns)
-
-        for name in kernels:
-            task_times = stats.window_tasks.setdefault(name, [])
-            stats.window_seconds[name] = (
-                prep_seconds.get(name, 0.0) + sum(task_times))
-
-    def _record_worker_task(self, stats: OfflineStats, registry: Any,
-                            name: str, cpu_seconds: float,
-                            hist_state: Dict[str, Any]) -> None:
-        stats.window_tasks.setdefault(name, []).append(cpu_seconds)
-        if self._obs.enabled:
-            # Exact fleet-wide merge: the worker measured its own task
-            # on its own clock and shipped the log-bucket state; merging
-            # states is lossless, unlike re-observing a rounded value.
-            registry.histogram("offline.task.ms",
-                               window=name).merge_state(hist_state)

@@ -1,36 +1,36 @@
-"""Mergeable task partials and the shared window fold (paper Section 6).
+"""The offline engine's window fold and its carry path (paper Section 6).
 
 The offline engine splits a window computation into ``(key, PART_ID)``
-tasks.  For a split to be more than task-level pipelining, aggregates
-must be an explicit map-reduce: each task folds its own rows into a
-**partial state**, and partials combine with an associative ``merge`` —
-larsql's parallel-safety analysis (SNIPPETS Snippet 1) calls this the
-post-merge that makes naive query splitting correct again.
+tasks.  :class:`WindowKernel` folds one task; it has two entry points:
 
-There is one aggregate protocol, the registry's
-:class:`~repro.sql.functions.AggregateFunction` (``create / add / merge
-/ result``); :class:`WindowPartialState` drives it directly over a
-window's aggregates.  Whether carried partials may *replace* replayed
-rows is decided once, from the registry flags, by
+* :meth:`WindowKernel.fold` replays a task's rows through a
+  :class:`~repro.online.incremental.SlidingWindowAggregator`.  With skew
+  resolving, a later partition is prefixed with expanded-row copies of
+  the earlier rows its frames reach.
+* :meth:`WindowKernel.seeded_fold` is the **carry path**, §6.2's skew
+  plan with no expanded rows.  A hot key's partitions form a chain: each
+  continues the registry's ``create / add / result`` fold from the end
+  state of the partition before it.  The adds run in the same order as
+  one serial fold, so the answer is byte-identical, doubles included.
+
+Whether a window may use the carry path is decided once, from the
+registry flags, by
 :attr:`~repro.sql.compiler.CompiledWindow.carry_eligible`: the frame
-never evicts and every aggregate is ``mergeable and merge_exact`` (its
-merge is op-for-op a continuation of the serial fold).  ``ew_avg`` has
-no merge and ``drawdown``'s is exact only for positive series, so
-windows containing them fall back to expanded rows.
-
-:class:`WindowKernel` at the bottom is the shared fold: the same code
-object runs inside the engine and inside hand-in pool workers, which is
-what keeps their output byte-identical.
+never evicts and every aggregate is ``mergeable and merge_exact``.  The
+engine runs a chain in order, so it never calls ``merge``.  The flag
+still matters: an exact merge means a two-phase (map, then prefix-merge)
+plan for the chain exists, and that is what lets the makespan model
+schedule its partitions as independent tasks (larsql's parallel-safety
+analysis, SNIPPETS Snippet 1: state the property a split relies on).
+``ew_avg`` has no merge and ``drawdown``'s is exact only for positive
+series, so windows containing them fall back to expanded rows.
 """
 
 from __future__ import annotations
 
-import pickle
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
-from ..sql.functions import AggregateFunction
-
-__all__ = ["WindowPartialState", "WindowKernel", "TaskEvent"]
+__all__ = ["WindowKernel", "TaskEvent"]
 
 
 # One task event: (ts, row, anchor_index or None).  anchor_index is the
@@ -40,61 +40,12 @@ __all__ = ["WindowPartialState", "WindowKernel", "TaskEvent"]
 TaskEvent = Tuple[int, Tuple[Any, ...], Optional[int]]
 
 
-class WindowPartialState:
-    """Vector of partials — one per aggregate of a window.
-
-    The engine's carry path threads these through ``(key, PART_ID)``
-    tasks: each task folds its own rows into a segment, segments
-    prefix-merge into the *carry* seeding the next partition, replacing
-    the skew resolver's expanded-row replay for unbounded frames.
-    ``merge`` raises for a non-mergeable member; callers gate on
-    ``CompiledWindow.carry_eligible``.
-    """
-
-    def __init__(self, functions: Sequence[AggregateFunction],
-                 extractors: Sequence[Callable[[Any], Tuple[Any, ...]]]
-                 ) -> None:
-        self._members = list(zip(functions, extractors))
-
-    def init(self) -> List[Any]:
-        return [function.create() for function, _extract in self._members]
-
-    def accumulate_row(self, states: List[Any], row: Any) -> None:
-        for state, (function, extract) in zip(states, self._members):
-            function.add(state, *extract(row))
-
-    def merge(self, older: List[Any], newer: List[Any]) -> List[Any]:
-        """Combine two vectors; ``older``'s rows precede ``newer``'s."""
-        return [function.merge(left, right) for left, right,
-                (function, _extract) in zip(older, newer, self._members)]
-
-    def finalize(self, states: List[Any]) -> List[Any]:
-        return [function.result(state) for state, (function, _extract)
-                in zip(states, self._members)]
-
-    @staticmethod
-    def copy_states(states: List[Any]) -> List[Any]:
-        """Deep-copy a state vector (seeding must not alias the carry)."""
-        return pickle.loads(pickle.dumps(states))
-
-
 class WindowKernel:
-    """The per-window fold shared by the engine and pool workers.
+    """The per-window fold of the offline engine.
 
     Wraps a :class:`~repro.sql.compiler.CompiledWindow` with the frame
-    arithmetic, exposing three entry points:
-
-    * :meth:`fold` — replay events through a
-      :class:`~repro.online.incremental.SlidingWindowAggregator`
-      (the in-process path and the worker "fold" task);
-    * :meth:`segment_states` — map phase of the carry path: fold a
-      partition's rows into mergeable partials;
-    * :meth:`seeded_fold` — reduce phase: continue the fold from a
-      carried state vector, emitting per-anchor values.
-
-    Pool workers rebuild the kernel from a pickled
-    :class:`~repro.sql.planner.WindowPlan` and run *this same code*,
-    which is what makes pool output byte-identical to in-process.
+    arithmetic and exposes :meth:`fold` (a plain or expanded-row task)
+    and :meth:`seeded_fold` (one partition of a carry chain).
     """
 
     def __init__(self, window: Any) -> None:
@@ -115,7 +66,6 @@ class WindowKernel:
         self.range_ms = plan.range_preceding_ms
         self.exclude_current_row = plan.exclude_current_row
         self.instance_not_in_window = plan.instance_not_in_window
-        self.partials = WindowPartialState(self.functions, self.extractors)
 
     # -- entry points --------------------------------------------------
 
@@ -157,42 +107,44 @@ class WindowKernel:
                 aggregator.insert(ts, row)
         return emits
 
-    def segment_states(self, events: Sequence[TaskEvent]) -> List[Any]:
-        """Map phase: fold a partition's rows into a partial vector."""
-        partials = self.partials
-        states = partials.init()
-        for _ts, row, _anchor in events:
-            partials.accumulate_row(states, row)
-        return states
-
     def seeded_fold(self, events: Sequence[TaskEvent],
-                    emit_flags: Sequence[bool], seed: List[Any]
+                    emit_flags: Sequence[bool],
+                    seed: Optional[List[Any]] = None
                     ) -> Tuple[List[Tuple[int, List[Any]]], List[Any]]:
-        """Reduce phase: continue the fold from carried partials.
+        """Fold one partition of a carry chain, continuing from ``seed``.
 
-        Only valid when ``window.carry_eligible``; the seed
-        stands in for every preceding partition's rows, so accumulate /
-        finalize here replays the exact serial operation sequence.
-        Returns ``(emits, end_states)`` — the end states *are* the
-        carry for the next partition when folding in-process.
+        Only valid when ``window.carry_eligible``.  ``seed`` is the
+        previous partition's end state (None starts the chain); it is
+        advanced in place, never reused.  Returns ``(emits,
+        end_states)``: the end states seed the next partition.
         """
-        partials = self.partials
-        states = WindowPartialState.copy_states(seed)
+        functions = self.functions
+        extractors = self.extractors
+        states = ([function.create() for function in functions]
+                  if seed is None else seed)
+
+        def accumulate(row: Tuple[Any, ...]) -> None:
+            for state, function, extract in zip(states, functions,
+                                                extractors):
+                function.add(state, *extract(row))
+
+        def finalize() -> List[Any]:
+            return [function.result(state)
+                    for state, function in zip(states, functions)]
+
         emits: List[Tuple[int, List[Any]]] = []
         include_current = self.include_current
-        for (ts, row, anchor_index), emit in zip(events, emit_flags):
+        for (_ts, row, anchor_index), emit in zip(events, emit_flags):
             if anchor_index is None:
-                partials.accumulate_row(states, row)
+                accumulate(row)
                 continue
             if include_current:
-                partials.accumulate_row(states, row)
+                accumulate(row)
                 if emit:
-                    emits.append((anchor_index,
-                                  partials.finalize(states)))
+                    emits.append((anchor_index, finalize()))
             else:  # EXCLUDE CURRENT_ROW (instance_not_in_window is
                 # never carry-eligible)
                 if emit:
-                    emits.append((anchor_index,
-                                  partials.finalize(states)))
-                partials.accumulate_row(states, row)
+                    emits.append((anchor_index, finalize()))
+                accumulate(row)
         return emits, states

@@ -9,9 +9,10 @@ inherits from Spark:
 1. events accumulate in an in-memory buffer until a configured byte
    budget is hit;
 2. the buffer is sorted and written out as one **run** (a temp file of
-   length-prefixed pickled records — the payloads themselves are
-   already compact ``RowCodec`` bytes, the same wire format the process
-   pool uses);
+   pickled ``(sort_key, payload)`` records — the engine's sort key
+   already says where a row came from and when, so the payload is just
+   the row in its table's compact ``RowCodec`` bytes, the encoding the
+   binlog and snapshots persist);
 3. iteration k-way-merges the sorted runs with ``heapq.merge``, so the
    engine streams groups in order while holding only one buffer plus
    one record per run.

@@ -76,6 +76,19 @@ class TestBatchSemantics:
         rows, _ = engine.execute(compiled)
         assert len(rows) == 2
 
+    def test_limit_zero_returns_nothing(self, trades):
+        # Regression: both projection loops appended a row before
+        # checking the limit, so LIMIT 0 returned one row.
+        from repro.baselines import SparkBatchEngine
+        sql = ROLLING + " LIMIT 0"
+        engine, compiled = build(sql, {"trades": trades})
+        rows, _ = engine.execute(compiled)
+        assert rows == []
+        spark = SparkBatchEngine(sql, {"trades": trades.schema})
+        spark.load("trades", trades.rows())
+        spark_rows, _ = spark.run()
+        assert spark_rows == []
+
     def test_last_join(self, trades):
         dim_schema = Schema.from_pairs([
             ("sym", "string"), ("dts", "timestamp"), ("sector", "string")])
@@ -219,13 +232,6 @@ class TestExecutionModes:
         engine, compiled = build(ROLLING, {"trades": trades})
         _, stats = engine.execute(compiled, parallel_windows=True)
         assert not stats.used_parallel_windows
-
-    def test_pool_failure_surfaces_at_the_caller(self):
-        # The engine owns no processes and hides no degradation: a pool
-        # that cannot start raises where the caller builds it.
-        from repro.offline import ProcessPoolUnavailable, WindowProcessPool
-        with pytest.raises(ProcessPoolUnavailable):
-            WindowProcessPool(1, start_method="no-such-start-method")
 
     def test_spill_stats_surface(self, trades):
         from repro.offline import SpillConfig

@@ -1,30 +1,27 @@
 """Differential test — however the offline engine's one body is run, it
 computes the same feature rows.
 
-The plain in-process run (no skew, no spill, no pool) is the reference.
-Against it:
+The plain run (no skew, no spill) is the reference.  Against it:
 
 * **skew** — (key, PART_ID) splitting along ts quantiles, with
-  expanded-row context and with carried merged partials
-  (``merge_partials=True``);
-* **spill** — the shuffle through the external sorter on a tiny budget;
-* **pool=** — the same tasks shipped to a hand-in
-  :class:`~repro.offline.pool.WindowProcessPool` over the RowCodec wire
-  format (skipped where multiprocessing cannot start — the engine hides
-  nothing, the pool's constructor raises).
+  expanded-row context and with carried partials
+  (``merge_partials=True``: each partition continues from the previous
+  one's end state);
+* **spill** — the shuffle through the external sorter on a tiny budget.
 
-``test_one_body_differential`` crosses all three over a script with
+``test_one_body_differential`` crosses the two over a script with
 ``lag``, ``ew_avg``, ``drawdown``, ``variance``, a ``WINDOW UNION`` and
-an ``EXCLUDE CURRENT_ROW`` frame.  Data is integer-valued so equality
-is *exact* (``==`` and ``repr``-equal): integer folds have no rounding,
-which is what lets carried partials be compared bit-for-bit against the
-plain fold.
+an ``EXCLUDE CURRENT_ROW`` frame.  Equality is exact (``==`` and
+``repr``-equal), including ``sum`` / ``avg`` / ``variance`` /
+``stddev`` over a ``double`` column whose values (±1e16, 1.0, 0.1)
+make float addition order-dependent: a carried chain must replay the
+serial fold's operations in order, not re-associate them.
 
 Hypothesis drives the schedule of the second test: randomized frames
 (unbounded, ROWS, ROWS_RANGE), NULLs, duplicate and out-of-order
 timestamps, keys with zero rows, and ``workers=1``.  The ``smoke``
 tests at the bottom are part of the ``make smoke`` gate: one tiny
-process-pool + spill run.
+carried-partials run and one spill run.
 """
 
 from __future__ import annotations
@@ -35,8 +32,7 @@ from hypothesis import strategies as st
 
 from tests.conftest import rows_equal
 from repro.obs import Observability
-from repro.offline import (ProcessPoolUnavailable, SkewConfig, SpillConfig,
-                           WindowProcessPool)
+from repro.offline import SkewConfig, SpillConfig
 from repro.offline.engine import OfflineEngine
 from repro.schema import IndexDef, Schema
 from repro.sql.compiler import compile_plan
@@ -79,18 +75,6 @@ def _table(schema, events):
     return table
 
 
-@pytest.fixture(scope="module")
-def pool():
-    """One two-worker pool for the module — start-up is the expensive
-    part, not the task payloads."""
-    try:
-        workers = WindowProcessPool(2)
-    except ProcessPoolUnavailable as exc:
-        pytest.skip(str(exc))
-    with workers:
-        yield workers
-
-
 def _identical(rows, base):
     assert rows == base
     assert repr(rows) == repr(base)
@@ -99,11 +83,15 @@ def _identical(rows, base):
 # One window per way a frame can relate to the carry path: eligible
 # (w_all), eligible frame but ew_avg / drawdown have no exact merge
 # (w_ord), eligible with the anchor excluded (w_excl), and a bounded
-# WINDOW UNION frame that must replay expanded rows (w_union).
+# WINDOW UNION frame that must replay expanded rows (w_union).  w_all
+# also folds the double column d, where only a fold that keeps the
+# serial order of additions reproduces the plain run's bits.
 RICH_SQL = (
     "SELECT k, sum(v) OVER w_all AS s, lag(v, 2) OVER w_all AS lg, "
     "variance(v) OVER w_all AS var, min(v) OVER w_all AS mn, "
     "distinct_count(v) OVER w_all AS dc, "
+    "sum(d) OVER w_all AS sd, avg(d) OVER w_all AS ad, "
+    "variance(d) OVER w_all AS vd, stddev(d) OVER w_all AS sdd, "
     "ew_avg(v, 0.3) OVER w_ord AS ew, drawdown(v) OVER w_ord AS dd, "
     "count(v) OVER w_ord AS c, "
     "sum(v) OVER w_excl AS s_ex, lag(v, 1) OVER w_excl AS lg_ex, "
@@ -119,39 +107,39 @@ RICH_SQL = (
     "ROWS_RANGE BETWEEN 40 PRECEDING AND CURRENT ROW)")
 
 
+DOUBLES = (1e16, 0.1, -1e16, 1.0, None, 0.1, 1e16)
+
+
 @pytest.fixture(scope="module")
 def rich():
     schema = Schema.from_pairs([
-        ("k", "string"), ("ts", "timestamp"), ("v", "int")])
+        ("k", "string"), ("ts", "timestamp"), ("v", "int"),
+        ("d", "double")])
     tables = {name: MemTable(name, schema, [IndexDef(("k",), "ts")])
               for name in ("t", "u")}
     for i in range(150):     # u1 is hot; ts repeats and arrives disordered
         key = "u1" if i % 5 else KEYS[1 + i % 2]
         value = None if i % 11 == 0 else (i * 7) % 23 - 11
-        tables["t"].insert((key, (i * 17) % 211, value))
+        tables["t"].insert((key, (i * 17) % 211, value,
+                            DOUBLES[i % len(DOUBLES)]))
     for i in range(40):
-        tables["u"].insert((KEYS[i % 3], (i * 29) % 211, i % 9 - 4))
+        tables["u"].insert((KEYS[i % 3], (i * 29) % 211, i % 9 - 4, 0.1))
     catalog = {name: schema for name in tables}
     compiled = compile_plan(build_plan(parse_select(RICH_SQL), catalog),
                             catalog)
     engine = OfflineEngine(tables, workers=4)
-    base, base_stats = engine.execute(compiled)
-    assert not base_stats.used_process_pool
+    base, _ = engine.execute(compiled)
     return engine, compiled, base
 
 
-@pytest.mark.parametrize("pooled", [False, True], ids=["in-process", "pool"])
 @pytest.mark.parametrize("spill", [None, SpillConfig(memory_budget_bytes=256)],
                          ids=["memory", "spill"])
 @pytest.mark.parametrize("skew", [None, SKEW, SKEW_CARRY],
                          ids=["no-skew", "expanded", "carried"])
-def test_one_body_differential(rich, request, skew, spill, pooled):
+def test_one_body_differential(rich, skew, spill):
     engine, compiled, base = rich
-    workers = request.getfixturevalue("pool") if pooled else None
-    rows, stats = engine.execute(compiled, skew=skew, spill=spill,
-                                 pool=workers)
+    rows, stats = engine.execute(compiled, skew=skew, spill=spill)
     _identical(rows, base)
-    assert stats.used_process_pool == pooled
     assert stats.used_parallel_windows
     assert (stats.carry_tasks > 0) == (skew is SKEW_CARRY)
     assert stats.tasks > (3 * 4 if skew else 0)
@@ -172,17 +160,14 @@ events_strategy = st.lists(
        frame=st.sampled_from(FRAMES),
        workers=st.sampled_from([1, 4]))
 @settings(max_examples=25, deadline=None)
-def test_random_schedules_byte_identical(pool, events, frame, workers):
+def test_random_schedules_byte_identical(events, frame, workers):
     schema, compiled = _compile(frame)
     engine = OfflineEngine({"t": _table(schema, events)}, workers=workers)
     base, base_stats = engine.execute(compiled)
-    for skew, workers_pool in ((None, pool), (SKEW, None),
-                               (SKEW_CARRY, None), (SKEW_CARRY, pool)):
-        rows, stats = engine.execute(compiled, skew=skew,
-                                     pool=workers_pool)
+    for skew in (SKEW, SKEW_CARRY):
+        rows, stats = engine.execute(compiled, skew=skew)
         _identical(rows, base)
         assert stats.rows == base_stats.rows
-        assert stats.used_process_pool == (workers_pool is not None)
 
 
 @given(events=events_strategy)
@@ -201,13 +186,10 @@ def test_spill_shuffle_byte_identical(events):
         assert stats.shuffle["runs"] >= 1
 
 
-@pytest.mark.parametrize("pooled", [False, True], ids=["in-process", "pool"])
-def test_empty_table(request, pooled):
+def test_empty_table():
     schema, compiled = _compile(FRAMES[0])
     engine = OfflineEngine({"t": _table(schema, [])}, workers=4)
-    rows, stats = engine.execute(
-        compiled, skew=SKEW_CARRY,
-        pool=request.getfixturevalue("pool") if pooled else None)
+    rows, stats = engine.execute(compiled, skew=SKEW_CARRY)
     assert rows == []
     assert stats.rows == 0
 
@@ -223,14 +205,14 @@ def _smoke_data():
     return schema, compiled, events
 
 
-def test_smoke_process_pool_round_trip(pool):
-    """Tiny pool run: byte-identical to the in-process run."""
+def test_smoke_carried_partials_round_trip():
+    """Tiny carried-partials run: byte-identical to the plain run."""
     schema, compiled, events = _smoke_data()
     engine = OfflineEngine({"t": _table(schema, events)}, workers=4)
     base, _ = engine.execute(compiled)
-    rows, stats = engine.execute(compiled, skew=SKEW_CARRY, pool=pool)
+    rows, stats = engine.execute(compiled, skew=SKEW_CARRY)
     assert rows_equal(rows, base)
-    assert stats.used_process_pool and stats.carry_tasks
+    assert stats.carry_tasks > 0
 
 
 def test_smoke_spill_exceeds_budget_with_observable_metrics():

@@ -1,11 +1,12 @@
-"""Mergeable task partials (repro.offline.partial).
+"""Mergeable partials and the offline carry path.
 
-The offline engine's map-reduce split rests on one invariant: folding a
-stream in segments and merging the partials gives the same answer as one
-serial fold.  These tests pin that invariant per registry function (the
-one aggregate protocol: ``create / add / merge / result``), the
+Splitting a window's rows into partitions is sound when folding a
+stream in segments and merging the partials gives the same answer as
+one serial fold.  These tests pin that invariant per registry function
+(the one aggregate protocol: ``create / add / merge / result``), the
 ``mergeable`` / ``merge_exact`` declarations that gate the carry path,
-and the histogram state shipping that merges worker timings exactly.
+the carry chain of :class:`repro.offline.partial.WindowKernel`, and
+the histogram state merge.
 """
 
 import pickle
@@ -15,7 +16,7 @@ import pytest
 
 from repro.errors import ExecutionError
 from repro.obs.metrics import Histogram
-from repro.offline.partial import WindowPartialState
+from repro.offline.partial import WindowKernel
 from repro.schema import Schema
 from repro.sql.compiler import compile_plan
 from repro.sql.functions import get_aggregate
@@ -120,7 +121,8 @@ class TestRegistryMerges:
 
 def _window(aggregates, frame="UNBOUNDED"):
     schema = Schema.from_pairs([
-        ("k", "string"), ("ts", "timestamp"), ("v", "int")])
+        ("k", "string"), ("ts", "timestamp"), ("v", "int"),
+        ("d", "double")])
     sql = ("SELECT " + ", ".join(
         f"{call} OVER w AS c{i}" for i, call in enumerate(aggregates))
         + " FROM t WINDOW w AS (PARTITION BY k ORDER BY ts ROWS_RANGE "
@@ -151,41 +153,22 @@ class TestTierDecisions:
         assert not _window(["drawdown(v)"]).incremental_eligible
 
 
-class TestWindowPartialState:
-    def _vector(self):
-        functions = [get_aggregate("sum"), get_aggregate("lag", 1),
-                     get_aggregate("distinct_count")]
-        extractors = [lambda row: (row[1],)] * 3
-        return WindowPartialState(functions, extractors)
-
-    def test_segmented_equals_serial(self):
-        vector = self._vector()
-        rows = [("k", random.randint(-5, 5)) for _ in range(60)]
-        serial = vector.init()
-        for row in rows:
-            vector.accumulate_row(serial, row)
-        older, newer = vector.init(), vector.init()
-        for row in rows[:25]:
-            vector.accumulate_row(older, row)
-        for row in rows[25:]:
-            vector.accumulate_row(newer, row)
-        assert vector.finalize(vector.merge(older, newer)) \
-            == vector.finalize(serial)
-
-    def test_copy_states_does_not_alias(self):
-        vector = self._vector()
-        states = vector.init()
-        vector.accumulate_row(states, ("k", 3))
-        copy = WindowPartialState.copy_states(states)
-        vector.accumulate_row(copy, ("k", 4))
-        assert vector.finalize(states) != vector.finalize(copy)
-
-    def test_states_are_picklable(self):
-        vector = self._vector()
-        states = vector.init()
-        vector.accumulate_row(states, ("k", 3))
-        assert vector.finalize(pickle.loads(pickle.dumps(states))) \
-            == vector.finalize(states)
+class TestCarryChain:
+    def test_chained_partitions_equal_the_plain_fold(self):
+        # Each partition continues the previous one's end state, so the
+        # adds run in serial order and doubles keep their bits.
+        kernel = WindowKernel(_window(
+            ["sum(d)", "avg(d)", "variance(d)", "stddev(d)", "lag(d, 1)"]))
+        doubles = [1e16, 0.1, -1e16, 1.0, None, 0.1, 1e16, -1e16, 1.0]
+        events = [(ts, ("k", ts, 0, doubles[ts % len(doubles)]), ts)
+                  for ts in range(60)]
+        flags = [True] * len(events)
+        chained, seed = [], None
+        for lo, hi in ((0, 7), (7, 8), (8, 33), (33, 60)):
+            emits, seed = kernel.seeded_fold(events[lo:hi], flags[lo:hi],
+                                             seed)
+            chained.extend(emits)
+        assert repr(chained) == repr(kernel.fold(events, flags))
 
 
 class TestHistogramStateShipping:
