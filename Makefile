@@ -49,7 +49,9 @@ examples:
 # Where a request's time goes: cProfile over a canned fig6-style
 # workload.  `--path {incremental,fused}` selects the tier on a
 # local engine; `--path cluster` profiles the served path (3 tablets,
-# NameServer.request_batch).
+# NameServer.request_batch); `--path put --rounds 20000` profiles the
+# write path instead (INSERT parse + NameServer.put with a WAL, on the
+# perfbench table shape).
 profile:
 	$(PYTHON) tools/profile.py
 

@@ -46,7 +46,7 @@ from ..errors import (DeadlineExceededError, IndexNotFoundError,
                       SchemaError, ShardMovedError, StaleReadError,
                       StorageError)
 from ..obs import NULL_OBS, Observability
-from ..online.binlog import BinlogEntry, Replicator
+from ..online.binlog import Replicator
 from ..online.engine import OnlineEngine
 from ..schema import IndexDef, Row, Schema
 from ..serving.deadline import current_deadline
@@ -730,16 +730,19 @@ class NameServer(DeploymentHost):
         tenant is shed with
         :class:`~repro.errors.TenantBudgetError` before anything is
         written, and a write that ultimately fails refunds its charge.
+
+        The row is validated here, once: the leader, every follower and
+        the binlog entry all hold the tuple this check returns.
         """
         self._check_open()
         table = self._table(table_name)
         self._m_puts.inc()
+        row = table.schema.validate_row(row)
         column = key_column or table.indexes[0].key_columns[0]
         key_value = row[table.schema.position(column)]
         charged = 0
         if tenant and self._tenants is not None:
-            charged = self._codec(table).encoded_size(
-                table.schema.validate_row(row))
+            charged = self._codec(table).encoded_size(row)
             self._tenants.charge(tenant, charged, table=table_name)
         policy = self.retry_policy
         last_error: Optional[Exception] = None
@@ -802,20 +805,19 @@ class NameServer(DeploymentHost):
             leader.write(table.name, partition_id, row, offset,
                          timeout_ms=timeout_ms)
             if self.replication == "sync":
-                entry = BinlogEntry(offset=offset, table=table.name,
-                                    row=tuple(row))
                 binlog.append_entry(table.name, row)
-                self._replicate_entry(table, partition_id, entry)
+                self._replicate_entry(table, partition_id, offset, row)
             else:
                 binlog.append_entry(
                     table.name, row,
                     closure=lambda entry, t=table, p=partition_id:
-                        self._replicate_entry(t, p, entry))
+                        self._replicate_entry(t, p, entry.offset,
+                                              entry.row))
         return offset
 
     def _replicate_entry(self, table: ClusterTable, partition_id: int,
-                         entry: BinlogEntry) -> None:
-        """Deliver one binlog entry to every follower replica.
+                         offset: int, row: Row) -> None:
+        """Deliver the binlog entry at ``offset`` to every follower.
 
         A follower that missed earlier entries (dropped delivery, was
         down) is caught up from the binlog first, so application stays
@@ -839,17 +841,16 @@ class NameServer(DeploymentHost):
                 gauge.set(binlog.last_offset - shard.applied_offset)
                 continue
             try:
-                if entry.offset > shard.applied_offset + 1:
+                if offset > shard.applied_offset + 1:
                     # Repair the gap: replay the missed prefix in order.
                     self._m_catchups.inc()
                     for missed in binlog.entries_from(
                             shard.applied_offset + 1):
-                        if missed.offset >= entry.offset:
+                        if missed.offset >= offset:
                             break
                         tablet.replicate(table.name, partition_id,
                                          missed.row, missed.offset)
-                tablet.replicate(table.name, partition_id, entry.row,
-                                 entry.offset)
+                tablet.replicate(table.name, partition_id, row, offset)
             except (StorageError, MemoryLimitExceededError):
                 # Only delivery failures (dead/partitioned/slow tablet,
                 # replication gap, follower past its memory limit)

@@ -235,11 +235,7 @@ class TabletServer:
                 (reads keep working — the isolation contract).
         """
         self._check_serving(timeout_ms)
-        shard = self.shard(table, partition_id)
-        self.governor.charge(shard.store.codec.encoded_size(
-            shard.store.schema.validate_row(row)))
-        shard.store.insert(row)
-        shard.applied_offset = offset
+        self._store(self.shard(table, partition_id), row, offset)
         self._m_writes.inc()
 
     def replicate(self, table: str, partition_id: int, row: Row,
@@ -265,12 +261,26 @@ class TabletServer:
             raise StorageError(
                 f"{self.name}: replication gap on {table}[{partition_id}] "
                 f"(offset {offset}, applied {shard.applied_offset})")
-        self.governor.charge(shard.store.codec.encoded_size(
-            shard.store.schema.validate_row(row)))
-        shard.store.insert(row)
-        shard.applied_offset = offset
+        self._store(shard, row, offset)
         self._m_replicated.inc()
         return shard.applied_offset
+
+    def _store(self, shard: Shard, row: Row, offset: int) -> None:
+        """Charge, insert and advance ``applied_offset`` for one row.
+
+        The row arrives checked — the host validated it once at its
+        boundary, and every replica stores that same tuple — so the
+        only check left is the memtable's own (cheap for a checked
+        row); a row it refuses hands its charge back.
+        """
+        size = shard.store.codec.encoded_size(row)
+        self.governor.charge(size)
+        try:
+            shard.store.insert(row)
+        except BaseException:
+            self.governor.release(size)
+            raise
+        shard.applied_offset = offset
 
     def read_latest(self, table: str, partition_id: int,
                     keys: Sequence[str], key_value: Any,

@@ -169,7 +169,8 @@ class NetServer:
         admin: optional control-plane backend with ``execute(sql)``
             (usually an :class:`~repro.OpenMLDB`).  When present,
             ``CREATE TABLE`` / ``INSERT`` / ``DEPLOY`` statements are
-            forwarded to it; when absent they are refused with
+            forwarded to it (an ``INSERT`` returns its row count, the
+            ``INSERT 0 <n>`` tag); when absent they are refused with
             SQLSTATE 42501.
         executor_workers: thread-pool size for blocking backend calls —
             the network path's execution concurrency.
@@ -551,11 +552,13 @@ class NetServer:
                 "42501", f"{statement.kind} is not allowed on this "
                 "endpoint (server started without an admin backend)")
         loop = asyncio.get_running_loop()
-        await loop.run_in_executor(
+        result = await loop.run_in_executor(
             self._executor, self._admin.execute, statement.sql)
-        return {"CREATE TABLE": "CREATE TABLE",
-                "INSERT": "INSERT 0 1",
-                "DEPLOY": "DEPLOY"}[statement.kind]
+        if statement.kind == "INSERT":
+            # The backend returns the rows written (a multi-row VALUES
+            # list writes several).
+            return f"INSERT 0 {result}"
+        return statement.kind
 
     # ------------------------------------------------------------------
     # extended query protocol

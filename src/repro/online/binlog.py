@@ -16,11 +16,10 @@ through a re-registered handler.
 
 from __future__ import annotations
 
-import dataclasses
 import queue
 import threading
-from typing import (Any, Callable, Dict, Iterable, List, Optional,
-                    TYPE_CHECKING, Tuple)
+from typing import (Any, Callable, Dict, Iterable, List, NamedTuple,
+                    Optional, TYPE_CHECKING, Tuple)
 
 from ..errors import StorageError
 
@@ -31,9 +30,13 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 __all__ = ["BinlogEntry", "IngestConsumer", "Replicator"]
 
 
-@dataclasses.dataclass(frozen=True)
-class BinlogEntry:
-    """One replicated update: table, row payload, and its global offset."""
+class BinlogEntry(NamedTuple):
+    """One replicated update: table, row payload, and its global offset.
+
+    A plain named tuple — one is kept per written row for the life of
+    the binlog, so it carries no per-instance ``__dict__``, and once its
+    row holds only scalars the cyclic collector stops tracking it.
+    """
 
     offset: int
     table: str
@@ -176,6 +179,9 @@ class Replicator:
         worker thread, in offset order.  With a WAL attached, the entry
         is written through to disk before the append returns (fsync'd in
         batches — see :class:`~repro.storage.persist.FileBinlog`).
+
+        ``row`` is a row its host already validated; a tuple is stored
+        as is, so the entry shares it with the table that holds it.
         """
         with self._lock:
             offset = len(self._entries)
@@ -184,8 +190,7 @@ class Replicator:
             if self._wal is not None:
                 codec = self._codecs.get(table)
                 if codec is not None:
-                    self._wal.append(offset, table, codec.encode(
-                        codec.schema.validate_row(entry.row)))
+                    self._wal.append(offset, table, codec.encode(entry.row))
         if closure is not None:
             self._ensure_worker()
             with self._pending_cond:

@@ -17,7 +17,7 @@ import enum
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import SchemaError, TypeMismatchError
-from .types import ColumnType, coerce_value
+from .types import ColumnType, coerce_value, int_range, python_type
 
 __all__ = ["Column", "Schema", "IndexDef", "TTLKind", "TTLSpec", "Row"]
 
@@ -133,6 +133,14 @@ class Schema:
             if column.name in self._positions:
                 raise SchemaError(f"duplicate column name: {column.name!r}")
             self._positions[column.name] = position
+        # The check plan validate_row runs per row: for each column, the
+        # value types it stores as they are (None if nullable) and, for
+        # an integer column, its range.
+        self._plan = tuple(
+            (frozenset({python_type(column.type)}
+                       | ({type(None)} if column.nullable else set())),
+             *int_range(column.type))
+            for column in self._columns)
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[Tuple[str, str]]) -> "Schema":
@@ -196,12 +204,26 @@ class Schema:
     def validate_row(self, row: Sequence[Any]) -> Row:
         """Validate and coerce a row against this schema.
 
-        Returns the coerced row as a tuple.
+        Returns the coerced row as a tuple — the caller's own tuple when
+        it is a plain tuple that needs no coercion, so every layer a row
+        passes through after its first check can store that one object.
 
         Raises:
             SchemaError: on arity mismatch or NULL in a NOT NULL column.
             TypeMismatchError: if a value has the wrong type.
         """
+        if type(row) is tuple and len(row) == len(self._plan):
+            for value, (accepted, low, high) in zip(row, self._plan):
+                kind = type(value)
+                if kind not in accepted:
+                    break
+                if kind is int:
+                    if not low <= value <= high:
+                        break
+                elif kind is float and value != value:  # NaN
+                    break
+            else:
+                return row
         if len(row) != len(self._columns):
             raise SchemaError(
                 f"row arity {len(row)} != schema arity {len(self._columns)}")

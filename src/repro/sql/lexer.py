@@ -8,13 +8,22 @@ Table 1 relies on:
   frames (``ROWS_RANGE BETWEEN 3s PRECEDING AND CURRENT ROW``);
 * multi-word keywords are left as individual tokens (``LAST JOIN``,
   ``ROWS_RANGE`` is a single lexeme in OpenMLDB and handled here).
+
+String literals take either quote; inside one, a backslash escapes the
+next character and a doubled quote (``'it''s'``) is the standard SQL
+escape for the quote itself.
+
+The scan is one compiled master pattern: each alternative is a lexeme
+class, so a statement is tokenized by C-level matching plus one
+``Token`` per lexeme — the ``INSERT`` text of every wire write passes
+through here.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
-from typing import Iterator, List
+import re
+from typing import List
 
 from ..errors import LexError
 
@@ -53,21 +62,57 @@ _INTERVAL_UNITS_MS = {
     "d": 86_400_000,
 }
 
-_TWO_CHAR_SYMBOLS = ("<=", ">=", "!=", "<>", "||")
-_ONE_CHAR_SYMBOLS = "(),.*+-/%=<>;"
+# One match per lexeme, leading whitespace included.  The common
+# lexemes come first; an int is digits not followed by a ".", an
+# exponent or an interval unit that ends the word ("3s" is an interval,
+# "3sec" INT + IDENT); "--" is a comment, never two minuses.  Every
+# non-space character matches something ("bad" becomes the LexError),
+# and "skip" also takes the end of input, so trailing blanks are one
+# match.
+_TOKEN = re.compile(r"""\s*(?:
+    (?P<word>[^\W\d]\w*)
+  | (?P<int>\d+(?![\d.eE]|[smhd](?!\w)))
+  | (?P<symbol><=|>=|!=|<>|\|\||-(?!-)|[(),.*+/%=<>;])
+  | (?P<string>'(?:[^'\\]|\\[\s\S]|'')*'|"(?:[^"\\]|\\[\s\S]|"{2})*")
+  | (?P<interval>\d+[smhd](?!\w))
+  | (?P<float>\d+(?:\.\d*)?[eE][+-]?\d+|\d+\.\d*(?![\deE]))
+  | (?P<badexp>\d+(?:\.\d*)?[eE][+-]?)
+  | (?P<skip>--[^\n]*|\Z)
+  | (?P<bad>\S)
+)""", re.VERBOSE)
+
+# Inside a literal: a backslash takes the next character as is, a
+# doubled quote stands for one.
+_ESCAPES = {"'": re.compile(r"\\([\s\S])|'(')"),
+            '"': re.compile(r'\\([\s\S])|"(")')}
 
 
-@dataclasses.dataclass(frozen=True)
+def _unescape(match: "re.Match[str]") -> str:
+    return match.group(match.lastindex)
+
+
+# Enum member lookups cost a dict probe each; the scan makes one per
+# token, so it reads module-level aliases.
+_KEYWORD, _IDENT, _INT, _FLOAT = (TokenType.KEYWORD, TokenType.IDENT,
+                                  TokenType.INT, TokenType.FLOAT)
+_STRING, _INTERVAL, _SYMBOL = (TokenType.STRING, TokenType.INTERVAL,
+                               TokenType.SYMBOL)
+
+
 class Token:
     """One lexeme: its type, source text, value, and source offset."""
 
-    type: TokenType
-    text: str
-    value: object
-    position: int
+    __slots__ = ("type", "text", "value", "position")
+
+    def __init__(self, type: TokenType, text: str, value: object,
+                 position: int) -> None:
+        self.type = type
+        self.text = text
+        self.value = value
+        self.position = position
 
     def is_keyword(self, word: str) -> bool:
-        return self.type is TokenType.KEYWORD and self.text == word
+        return self.type is _KEYWORD and self.text == word
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Token({self.type.name}, {self.text!r})"
@@ -77,117 +122,45 @@ def tokenize(sql: str) -> List[Token]:
     """Tokenize ``sql``; always ends with an EOF token.
 
     Raises:
-        LexError: on characters outside the grammar or unterminated strings.
+        LexError: on characters outside the grammar, malformed float
+            exponents or unterminated strings.
     """
-    return list(_scan(sql))
-
-
-def _scan(sql: str) -> Iterator[Token]:
-    position = 0
-    length = len(sql)
-    while position < length:
-        char = sql[position]
-        if char.isspace():
-            position += 1
+    tokens: List[Token] = []
+    append = tokens.append
+    for match in _TOKEN.finditer(sql):
+        kind = match.lastgroup
+        text = match.group(kind)
+        start = match.start(kind)
+        if kind == "word":
+            upper = text.upper()
+            if upper in KEYWORDS:
+                append(Token(_KEYWORD, upper, upper, start))
+            elif text[0].isalpha() or text[0] == "_":
+                append(Token(_IDENT, text, text, start))
+            else:  # a digit-like character that is not a decimal digit
+                raise LexError(f"unexpected character {text[0]!r}", start)
+        elif kind == "int":
+            append(Token(_INT, text, int(text), start))
+        elif kind == "symbol":
+            append(Token(_SYMBOL, text, text, start))
+        elif kind == "string":
+            quote, body = text[0], text[1:-1]
+            if "\\" in body or quote + quote in body:
+                body = _ESCAPES[quote].sub(_unescape, body)
+            append(Token(_STRING, text, body, start))
+        elif kind == "float":
+            append(Token(_FLOAT, text, float(text), start))
+        elif kind == "interval":
+            append(Token(_INTERVAL, text,
+                         int(text[:-1]) * _INTERVAL_UNITS_MS[text[-1]],
+                         start))
+        elif kind == "skip":
             continue
-        if char == "-" and sql.startswith("--", position):
-            newline = sql.find("\n", position)
-            position = length if newline == -1 else newline + 1
-            continue
-        if char.isdigit():
-            token, position = _scan_number(sql, position)
-            yield token
-            continue
-        if char.isalpha() or char == "_":
-            token, position = _scan_word(sql, position)
-            yield token
-            continue
-        if char in ("'", '"'):
-            token, position = _scan_string(sql, position)
-            yield token
-            continue
-        two = sql[position:position + 2]
-        if two in _TWO_CHAR_SYMBOLS:
-            yield Token(TokenType.SYMBOL, two, two, position)
-            position += 2
-            continue
-        if char in _ONE_CHAR_SYMBOLS:
-            yield Token(TokenType.SYMBOL, char, char, position)
-            position += 1
-            continue
-        raise LexError(f"unexpected character {char!r}", position)
-    yield Token(TokenType.EOF, "", None, length)
-
-
-def _scan_number(sql: str, start: int):
-    position = start
-    length = len(sql)
-    while position < length and sql[position].isdigit():
-        position += 1
-    # Interval literal: digits immediately followed by a unit letter that is
-    # not part of a longer identifier (e.g. "3s" yes, "3sec" no → error).
-    if (position < length and sql[position] in _INTERVAL_UNITS_MS
-            and (position + 1 == length
-                 or not (sql[position + 1].isalnum()
-                         or sql[position + 1] == "_"))):
-        unit = sql[position]
-        text = sql[start:position + 1]
-        value = int(sql[start:position]) * _INTERVAL_UNITS_MS[unit]
-        return Token(TokenType.INTERVAL, text, value, start), position + 1
-    if position < length and sql[position] == ".":
-        position += 1
-        while position < length and sql[position].isdigit():
-            position += 1
-        if position < length and sql[position] in ("e", "E"):
-            position = _scan_exponent(sql, position)
-        text = sql[start:position]
-        return Token(TokenType.FLOAT, text, float(text), start), position
-    if position < length and sql[position] in ("e", "E"):
-        position = _scan_exponent(sql, position)
-        text = sql[start:position]
-        return Token(TokenType.FLOAT, text, float(text), start), position
-    text = sql[start:position]
-    return Token(TokenType.INT, text, int(text), start), position
-
-
-def _scan_exponent(sql: str, position: int) -> int:
-    position += 1  # past 'e'
-    if position < len(sql) and sql[position] in ("+", "-"):
-        position += 1
-    if position >= len(sql) or not sql[position].isdigit():
-        raise LexError("malformed float exponent", position)
-    while position < len(sql) and sql[position].isdigit():
-        position += 1
-    return position
-
-
-def _scan_word(sql: str, start: int):
-    position = start
-    length = len(sql)
-    while position < length and (sql[position].isalnum()
-                                 or sql[position] == "_"):
-        position += 1
-    text = sql[start:position]
-    upper = text.upper()
-    if upper in KEYWORDS:
-        return Token(TokenType.KEYWORD, upper, upper, start), position
-    return Token(TokenType.IDENT, text, text, start), position
-
-
-def _scan_string(sql: str, start: int):
-    quote = sql[start]
-    position = start + 1
-    pieces: List[str] = []
-    while position < len(sql):
-        char = sql[position]
-        if char == "\\" and position + 1 < len(sql):
-            pieces.append(sql[position + 1])
-            position += 2
-            continue
-        if char == quote:
-            text = sql[start:position + 1]
-            return (Token(TokenType.STRING, text, "".join(pieces), start),
-                    position + 1)
-        pieces.append(char)
-        position += 1
-    raise LexError("unterminated string literal", start)
+        elif kind == "badexp":
+            raise LexError("malformed float exponent", match.end())
+        elif text in ("'", '"'):
+            raise LexError("unterminated string literal", start)
+        else:
+            raise LexError(f"unexpected character {text!r}", start)
+    append(Token(TokenType.EOF, "", None, len(sql)))
+    return tokens

@@ -26,6 +26,12 @@ from .lexer import Token, TokenType, tokenize
 
 __all__ = ["parse", "parse_select", "Parser"]
 
+# The token helpers run once or twice per token; enum member lookups
+# there are worth hoisting.
+_EOF, _KEYWORD, _SYMBOL, _IDENT = (TokenType.EOF, TokenType.KEYWORD,
+                                   TokenType.SYMBOL, TokenType.IDENT)
+_LITERALS = (TokenType.INT, TokenType.FLOAT, TokenType.STRING)
+
 
 def parse(sql: str):
     """Parse one SQL statement; returns the matching AST node."""
@@ -47,26 +53,24 @@ class Parser:
         self._sql = sql
         self._tokens = tokenize(sql)
         self._position = 0
+        self._current: Token = self._tokens[0]
 
     # ------------------------------------------------------------------
     # token-stream helpers
 
-    @property
-    def _current(self) -> Token:
-        return self._tokens[self._position]
-
     def _advance(self) -> Token:
         token = self._current
-        if token.type is not TokenType.EOF:
+        if token.type is not _EOF:
             self._position += 1
+            self._current = self._tokens[self._position]
         return token
 
-    def _check_keyword(self, *words: str) -> bool:
-        return (self._current.type is TokenType.KEYWORD
-                and self._current.text in words)
+    def _check_keyword(self, word: str) -> bool:
+        token = self._current
+        return token.type is _KEYWORD and token.text == word
 
-    def _accept_keyword(self, *words: str) -> bool:
-        if self._check_keyword(*words):
+    def _accept_keyword(self, word: str) -> bool:
+        if self._check_keyword(word):
             self._advance()
             return True
         return False
@@ -79,8 +83,8 @@ class Parser:
         return self._advance()
 
     def _check_symbol(self, symbol: str) -> bool:
-        return (self._current.type is TokenType.SYMBOL
-                and self._current.text == symbol)
+        token = self._current
+        return token.type is _SYMBOL and token.text == symbol
 
     def _accept_symbol(self, symbol: str) -> bool:
         if self._check_symbol(symbol):
@@ -97,7 +101,7 @@ class Parser:
 
     def _expect_ident(self) -> str:
         token = self._current
-        if token.type is TokenType.IDENT:
+        if token.type is _IDENT:
             self._advance()
             return token.text
         raise ParseError(
@@ -117,12 +121,12 @@ class Parser:
     # statements
 
     def parse_statement(self):
-        if self._check_keyword("SELECT"):
+        if self._check_keyword("INSERT"):  # the per-row statement first
+            statement = self._parse_insert()
+        elif self._check_keyword("SELECT"):
             statement = self._parse_select()
         elif self._check_keyword("CREATE"):
             statement = self._parse_create_table()
-        elif self._check_keyword("INSERT"):
-            statement = self._parse_insert()
         elif self._check_keyword("DEPLOY"):
             statement = self._parse_deploy()
         else:
@@ -245,7 +249,7 @@ class Parser:
 
     def _parse_insert_value(self):
         token = self._current
-        if token.type in (TokenType.INT, TokenType.FLOAT, TokenType.STRING):
+        if token.type in _LITERALS:
             self._advance()
             return token.value
         if self._accept_keyword("NULL"):
@@ -325,8 +329,7 @@ class Parser:
         alias: Optional[str] = None
         if self._accept_keyword("AS"):
             alias = self._expect_ident()
-        elif (self._current.type is TokenType.IDENT
-              and not self._check_keyword("ORDER", "ON")):
+        elif self._current.type is TokenType.IDENT:
             alias = self._expect_ident()
         order_by: Optional[str] = None
         if self._accept_keyword("ORDER"):
@@ -495,7 +498,7 @@ class Parser:
 
     def _parse_primary(self) -> ast.Expr:
         token = self._current
-        if token.type in (TokenType.INT, TokenType.FLOAT, TokenType.STRING):
+        if token.type in _LITERALS:
             self._advance()
             return ast.Literal(token.value)
         if self._accept_keyword("NULL"):

@@ -28,7 +28,7 @@ accounting the paper compares against, reproducing its worked example
 from __future__ import annotations
 
 import struct
-from typing import Any, List, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..errors import EncodingError
 from ..schema import Row, Schema
@@ -66,6 +66,10 @@ def _date_to_int(value) -> int:
     return value.year * 10000 + value.month * 100 + value.day
 
 
+def _bool_to_int(value) -> int:
+    return 1 if value else 0
+
+
 def _int_to_date(value: int):
     import datetime
 
@@ -75,9 +79,12 @@ def _int_to_date(value: int):
 class RowCodec:
     """Encoder/decoder for one schema (and one schema version).
 
-    The codec pre-computes the fixed-region layout once per schema so the
-    per-row encode/decode path is a flat loop — the Python analogue of the
-    paper's "compact offset calculation approach".
+    The codec pre-computes the layout once per schema — the Python
+    analogue of the paper's "compact offset calculation approach": the
+    header, NULL bitmap and fixed-width region are one precompiled
+    ``struct.Struct``, so encoding a row is one ``pack`` plus the
+    variable-length tail, and a schema without strings has one encoded
+    size for every row, known at construction.
     """
 
     def __init__(self, schema: Schema, schema_version: int = 1,
@@ -106,6 +113,21 @@ class RowCodec:
         self._fixed_region_size = running
         self._fixed_offsets = offsets
         self._bitmap_size = _bitmap_size(len(schema))
+        # header + bitmap + fixed region, in one little-endian struct
+        # (no alignment padding, so it is byte-for-byte the layout).
+        types = [schema.columns[p].type for p in self._fixed_positions]
+        self._head = struct.Struct(
+            f"<BBI{self._bitmap_size}s"
+            + "".join(_FIXED_PACK[t][1] for t in types))
+        self._no_nulls = bytes(self._bitmap_size)
+        #: (slot, to-int) for the fixed values struct cannot take as is.
+        self._converted = [
+            (slot, _date_to_int if t is ColumnType.DATE else _bool_to_int)
+            for slot, t in enumerate(types)
+            if t in (ColumnType.DATE, ColumnType.BOOL)]
+        #: every row's encoded size, when the schema has no strings.
+        self._fixed_size: Optional[int] = None if self._var_positions \
+            else self._head.size
 
     # ------------------------------------------------------------------
     # encoding
@@ -135,50 +157,50 @@ class RowCodec:
         if len(row) != len(self.schema):
             raise EncodingError(
                 f"row arity {len(row)} != schema arity {len(self.schema)}")
-        payloads = self._var_payloads(row)
-        var_bytes = sum(len(payload) for payload in payloads)
-        offset_width, offset_fmt = self._pick_offset_format(var_bytes)
+        fixed = [row[position] for position in self._fixed_positions]
+        for slot, to_int in self._converted:
+            if fixed[slot] is not None:
+                fixed[slot] = to_int(fixed[slot])
+        bitmap = self._no_nulls
+        if None in row:
+            bits = 0
+            for position, value in enumerate(row):
+                if value is None:
+                    bits |= 1 << position
+            bitmap = bits.to_bytes(self._bitmap_size, "little")
+            # A NULL's fixed slot stays zeroed; the bitmap is
+            # authoritative.
+            fixed = [0 if value is None else value for value in fixed]
+        tail = b""
+        total_size = self._fixed_size
+        if total_size is None:
+            payloads = self._var_payloads(row)
+            var_bytes = sum(map(len, payloads))
+            offset_width, offset_fmt = self._pick_offset_format(var_bytes)
+            cursor = self._head.size + offset_width * len(payloads)
+            total_size = cursor + var_bytes
+            ends = []
+            for payload in payloads:
+                cursor += len(payload)
+                ends.append(cursor)
+            tail = struct.pack(f"<{len(ends)}{offset_fmt[1]}", *ends) \
+                + b"".join(payloads)
+        try:
+            return self._head.pack(self.field_version, self.schema_version,
+                                   total_size, bitmap, *fixed) + tail
+        except struct.error:
+            raise self._pack_error(fixed) from None
 
-        total_size = (HEADER_SIZE + self._bitmap_size +
-                      self._fixed_region_size +
-                      offset_width * len(payloads) + var_bytes)
-        out = bytearray(total_size)
-        struct.pack_into("<BBI", out, 0, self.field_version,
-                         self.schema_version, total_size)
-
-        bitmap_start = HEADER_SIZE
-        for position, value in enumerate(row):
-            if value is None:
-                out[bitmap_start + position // 8] |= 1 << (position % 8)
-
-        fixed_start = bitmap_start + self._bitmap_size
-        for slot, position in enumerate(self._fixed_positions):
-            value = row[position]
-            if value is None:
-                continue  # slot stays zeroed; the bitmap is authoritative
+    def _pack_error(self, fixed: List[Any]) -> EncodingError:
+        """The error for the first fixed value its format cannot take."""
+        for value, position in zip(fixed, self._fixed_positions):
             column_type = self.schema.columns[position].type
-            if column_type is ColumnType.DATE:
-                value = _date_to_int(value)
-            elif column_type is ColumnType.BOOL:
-                value = 1 if value else 0
             try:
-                struct.pack_into(_FIXED_PACK[column_type], out,
-                                 fixed_start + self._fixed_offsets[slot],
-                                 value)
+                struct.pack(_FIXED_PACK[column_type], value)
             except struct.error as exc:
-                raise EncodingError(
-                    f"cannot pack {value!r} as {column_type.sql_name}: {exc}"
-                ) from None
-
-        offsets_start = fixed_start + self._fixed_region_size
-        data_start = offsets_start + offset_width * len(payloads)
-        cursor = data_start
-        for slot, payload in enumerate(payloads):
-            cursor += len(payload)
-            struct.pack_into(offset_fmt, out,
-                             offsets_start + slot * offset_width, cursor)
-            out[cursor - len(payload):cursor] = payload
-        return bytes(out)
+                return EncodingError(f"cannot pack {value!r} as "
+                                     f"{column_type.sql_name}: {exc}")
+        return EncodingError("cannot pack row header")
 
     # ------------------------------------------------------------------
     # decoding
@@ -244,6 +266,8 @@ class RowCodec:
 
     def encoded_size(self, row: Sequence[Any]) -> int:
         """Byte size :meth:`encode` would produce, without materialising it."""
+        if self._fixed_size is not None:
+            return self._fixed_size
         payloads = self._var_payloads(row)
         var_bytes = sum(len(payload) for payload in payloads)
         offset_width, _ = self._pick_offset_format(var_bytes)

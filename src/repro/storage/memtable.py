@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import threading
+from operator import itemgetter
 from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
 
@@ -90,14 +91,13 @@ class MemTable:
                                         width=len(schema))
             for index in indexes
         }
-        self._key_positions: Dict[str, Tuple[int, ...]] = {
-            index.name: tuple(schema.position(k) for k in index.key_columns)
-            for index in indexes
-        }
-        self._ts_positions: Dict[str, int] = {
-            index.name: schema.position(index.ts_column)
-            for index in indexes
-        }
+        #: per index, what an insert needs: the key getter (a scalar for
+        #: one key column, a tuple for several), the ts position and the
+        #: structure.
+        self._routes = tuple(
+            (itemgetter(*(schema.position(k) for k in index.key_columns)),
+             schema.position(index.ts_column), self._structures[index.name])
+            for index in indexes)
         self._log: List[Row] = []
         self._log_lock = threading.Lock()
         self._subscribers: List[InsertCallback] = []
@@ -143,10 +143,9 @@ class MemTable:
             offset = len(self._log)
             self._log.append(validated)
             self._bytes += size
-        for index in self.indexes:
-            key = self._index_key(index.name, validated)
-            ts = normalize_ts(validated[self._ts_positions[index.name]])
-            self._structures[index.name].put(key, ts, validated)
+        for key_of, ts_position, structure in self._routes:
+            structure.put(key_of(validated),
+                          normalize_ts(validated[ts_position]), validated)
         for callback in self._subscribers:
             callback(self.name, validated, offset)
         self._m_inserts.inc()
@@ -157,12 +156,6 @@ class MemTable:
         for row in rows:
             self.insert(row)
         return len(rows)
-
-    def _index_key(self, index_name: str, row: Row) -> Any:
-        positions = self._key_positions[index_name]
-        if len(positions) == 1:
-            return row[positions[0]]
-        return tuple(row[position] for position in positions)
 
     # ------------------------------------------------------------------
     # read path

@@ -131,9 +131,25 @@ class SkipList:
             predecessors[level] = node
         return predecessors
 
+    def _level0_predecessor(self, key: Any) -> _SkipNode:
+        """The last node with a key strictly < ``key``: the read walk.
+
+        It keeps only the current node — no per-level list, which only
+        a writer needs — and reads each pointer cell's value directly
+        (what :meth:`AtomicReference.get` returns): every put on an
+        existing key and every window seek starts here.
+        """
+        node = self._head
+        for level in range(self._height - 1, -1, -1):
+            next_node = node.forwards[level]._value
+            while next_node is not None and next_node.key < key:
+                node = next_node
+                next_node = node.forwards[level]._value
+        return node
+
     def get(self, key: Any, default: Any = None) -> Any:
         """Return the value stored under ``key`` or ``default``."""
-        node = self._find_predecessors(key)[0].forwards[0].get()
+        node = self._level0_predecessor(key).forwards[0]._value
         if node is not None and node.key == key:
             return node.value
         return default
@@ -232,7 +248,7 @@ class SkipList:
 
     def first_at_or_after(self, key: Any) -> Optional[Tuple[Any, Any]]:
         """Return the smallest ``(key, value)`` with key >= ``key``."""
-        node = self._find_predecessors(key)[0].forwards[0].get()
+        node = self._level0_predecessor(key).forwards[0]._value
         if node is None:
             return None
         return node.key, node.value

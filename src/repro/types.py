@@ -11,13 +11,14 @@ from __future__ import annotations
 import datetime as _dt
 import enum
 import math
-from typing import Any, Optional
+from typing import Any, Optional, Tuple
 
 from .errors import TypeMismatchError
 
 __all__ = [
     "ColumnType",
     "coerce_value",
+    "int_range",
     "is_numeric",
     "python_type",
 ]
@@ -78,6 +79,13 @@ _INT_RANGES = {
     ColumnType.BIGINT: (-(2 ** 63), 2 ** 63 - 1),
     ColumnType.TIMESTAMP: (0, 2 ** 63 - 1),
 }
+
+
+def int_range(column_type: ColumnType
+              ) -> Tuple[Optional[int], Optional[int]]:
+    """``(low, high)`` an integer column accepts; ``(None, None)`` for
+    the other types."""
+    return _INT_RANGES.get(column_type, (None, None))
 
 
 def python_type(column_type: ColumnType) -> type:

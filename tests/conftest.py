@@ -6,7 +6,9 @@ import math
 
 import pytest
 
-from repro.schema import IndexDef, Schema
+from repro.errors import SchemaError, TypeMismatchError
+from repro.schema import Column, IndexDef, Schema
+from repro.types import ColumnType
 
 
 def values_close(left, right, rel_tol: float = 1e-9) -> bool:
@@ -39,3 +41,36 @@ def events_schema() -> Schema:
 @pytest.fixture
 def events_index() -> IndexDef:
     return IndexDef(key_columns=("key",), ts_column="ts")
+
+
+#: A table with a column for every check ``Schema.validate_row`` makes
+#: on ingest, a row it accepts as is, and one bad row per check with the
+#: typed error a write must raise before anything is stored.
+CHECKED_SCHEMA = Schema([
+    Column("user", ColumnType.STRING, nullable=False),
+    Column("ts", ColumnType.TIMESTAMP), Column("n", ColumnType.BIGINT),
+    Column("i", ColumnType.INT), Column("v", ColumnType.DOUBLE)])
+CHECKED_INDEX = IndexDef(("user",), "ts")
+GOOD_ROW = ("u1", 100, 5, 6, 1.0)
+BAD_ROWS = {
+    "wrong_arity": (("u1", 100, 5), SchemaError),
+    "wrong_type": (("u1", 100, "five", 6, 1.0), TypeMismatchError),
+    "bool_in_bigint": (("u1", 100, True, 6, 1.0), TypeMismatchError),
+    "int_out_of_range": (("u1", 100, 5, 2 ** 31, 1.0), TypeMismatchError),
+    "null_in_not_null": ((None, 100, 5, 6, 1.0), SchemaError),
+    "nan_in_double": (("u1", 100, 5, 6, float("nan")), TypeMismatchError),
+}
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """Every row handed to ``Schema.validate_row`` while the test runs."""
+    seen = []
+    original = Schema.validate_row
+
+    def counting(self, row):
+        seen.append(row)
+        return original(self, row)
+
+    monkeypatch.setattr(Schema, "validate_row", counting)
+    return seen

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro import OpenMLDB
-from repro.ctlplane import PartitionSplitter
+from repro.ctlplane import PartitionSplitter, TenantRegistry
 from repro.errors import (DeadlineExceededError, DeploymentError,
                           DeploymentNotFoundError,
                           MemoryLimitExceededError, PlanError,
@@ -16,6 +16,7 @@ from repro.schema import IndexDef, Schema
 from repro.serving.describe import DeploymentDescriptor
 from repro.storage.memtable import MemTable
 from repro.cluster import NameServer, TabletServer
+from tests.conftest import BAD_ROWS, CHECKED_INDEX, CHECKED_SCHEMA, GOOD_ROW
 
 
 @pytest.fixture
@@ -85,6 +86,62 @@ class TestDataPath:
             cluster.put("t", (f"u{index}", index, 0.0))
         table = cluster.tables["t"]
         assert sum(table.next_offset.values()) == 10
+
+
+class TestOneCheckOneRow:
+    """``NameServer.put`` validates a row once; the leader, the follower
+    and the binlog entry all hold the tuple that check returned."""
+
+    @staticmethod
+    def checked_cluster(data_dir=None):
+        cluster = NameServer([TabletServer(f"tablet-{i}") for i in range(3)],
+                             data_dir=data_dir)
+        cluster.create_table("c", CHECKED_SCHEMA, [CHECKED_INDEX],
+                             partitions=4, replicas=2)
+        return cluster
+
+    def test_replicas_and_binlog_share_one_tuple(self, cluster):
+        row = ("u1", 100, 1.0)
+        cluster.put("t", row)
+        table = cluster.tables["t"]
+        partition_id = cluster.partition_for("t", "u1")
+        held = [next(cluster.tablets[name].shard("t", partition_id)
+                     .store.rows())
+                for name in table.assignment[partition_id]]
+        (entry,) = table.binlogs[partition_id].entries_from(0)
+        assert len(held) == 2
+        assert all(stored is row for stored in held)
+        assert entry.row is row
+
+    @pytest.mark.parametrize("durable", [False, True])
+    def test_one_check_at_the_boundary_one_per_replica(
+            self, validations, tmp_path, durable):
+        cluster = self.checked_cluster(str(tmp_path) if durable else None)
+        cluster.put("c", GOOD_ROW)
+        # NameServer.put, then each replica's MemTable.insert; the WAL
+        # encode and the tablet RPCs no longer re-check.
+        assert validations == [GOOD_ROW] * 3
+        cluster.close()
+
+    @pytest.mark.parametrize("case", sorted(BAD_ROWS))
+    def test_bad_row_raises_typed_and_writes_nothing(self, case):
+        row, error = BAD_ROWS[case]
+        cluster = self.checked_cluster()
+        tenants = TenantRegistry()
+        tenants.register("acme", memory_bytes=1 << 20)
+        cluster.attach_tenants(tenants)
+        with pytest.raises(error):
+            cluster.put("c", row, tenant="acme")
+        table = cluster.tables["c"]
+        assert all(binlog.last_offset == -1
+                   for binlog in table.binlogs.values())
+        assert all(shard.store.row_count == 0 and shard.applied_offset == -1
+                   for tablet in cluster.tablets.values()
+                   for shard in tablet.shards())
+        assert tenants.budget("acme").used_bytes == 0
+        assert all(tablet.governor.used_bytes == 0
+                   for tablet in cluster.tablets.values())
+        cluster.close()
 
 
 class TestFailover:

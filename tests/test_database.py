@@ -9,6 +9,7 @@ from repro.errors import (DeploymentError, DeploymentNotFoundError,
                           MemoryLimitExceededError, ParseError, PlanError,
                           SchemaError, TableExistsError, TableNotFoundError)
 from repro.schema import IndexDef, Schema, TTLKind
+from tests.conftest import BAD_ROWS, CHECKED_INDEX, CHECKED_SCHEMA, GOOD_ROW
 
 
 DDL = ("CREATE TABLE trades (sym string, ts timestamp, px double, "
@@ -120,6 +121,47 @@ class TestDML:
         db.insert("trades", ("A", 100, 1.0, 1))
         db.insert("trades", ("A", 200, 2.0, 1))
         assert db.replicator.last_offset == 1
+
+
+class TestOneCheckOneRow:
+    """``OpenMLDB.insert`` validates a row once; the table and the
+    binlog entry hold the tuple that check returned."""
+
+    @staticmethod
+    def checked_db(data_dir=None):
+        db = OpenMLDB(data_dir=data_dir)
+        db.create_table("c", CHECKED_SCHEMA, indexes=[CHECKED_INDEX])
+        return db
+
+    def test_table_and_binlog_share_one_tuple(self):
+        db = self.checked_db()
+        row = GOOD_ROW
+        db.insert("c", row)
+        (stored,) = db.table("c").rows()
+        (entry,) = db.replicator.entries_from(0)
+        assert stored is row and entry.row is row
+        db.close()
+
+    @pytest.mark.parametrize("durable", [False, True])
+    def test_one_check_at_the_boundary_one_in_the_table(
+            self, validations, tmp_path, durable):
+        db = self.checked_db(str(tmp_path) if durable else None)
+        db.insert("c", GOOD_ROW)
+        # OpenMLDB.insert, then MemTable.insert; the WAL encode no
+        # longer re-checks.
+        assert validations == [GOOD_ROW] * 2
+        db.close()
+
+    @pytest.mark.parametrize("case", sorted(BAD_ROWS))
+    def test_bad_row_raises_typed_and_writes_nothing(self, case):
+        row, error = BAD_ROWS[case]
+        db = self.checked_db()
+        with pytest.raises(error):
+            db.insert("c", row)
+        assert db.replicator.last_offset == -1
+        assert db.table("c").row_count == 0
+        assert db.governor.used_bytes == 0
+        db.close()
 
 
 class TestDeployAndRequest:

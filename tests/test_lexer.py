@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import LexError
 from repro.sql.lexer import TokenType, tokenize
+from repro.sql.parser import parse
 
 
 def kinds(sql):
@@ -88,6 +89,19 @@ class TestStrings:
         with pytest.raises(LexError):
             tokenize("'oops")
 
+    def test_doubled_quote_escape(self):
+        assert tokenize("'it''s'")[0].value == "it's"
+        assert tokenize('"say ""hi"""')[0].value == 'say "hi"'
+        assert tokenize("''''")[0].value == "'"
+        assert tokenize("''")[0].value == ""
+        # Only the literal's own quote doubles; the other is plain text.
+        assert tokenize("'a\"\"b'")[0].value == 'a""b'
+        assert tokenize(r"'a\'b''c'")[0].value == "a'b'c"
+
+    def test_doubled_quote_in_insert_values(self):
+        statement = parse("INSERT INTO t VALUES ('it''s', 1)")
+        assert statement.rows == (("it's", 1),)
+
 
 class TestSymbols:
     def test_two_char_symbols(self):
@@ -103,6 +117,14 @@ class TestSymbols:
             tokenize("a ? b")
         assert excinfo.value.position == 2
 
+    @pytest.mark.parametrize("text", ["²", "1.5²", "a ½"])
+    def test_digit_like_characters_are_lex_errors(self, text):
+        # Superscripts and vulgar fractions are digits to str.isdigit /
+        # str.isnumeric but not decimal digits.
+        with pytest.raises(LexError) as excinfo:
+            tokenize(text)
+        assert excinfo.value.position == len(text) - 1
+
 
 class TestTokenHelpers:
     def test_is_keyword(self):
@@ -114,3 +136,6 @@ class TestTokenHelpers:
         tokens = tokenize("ab cd")
         assert tokens[0].position == 0
         assert tokens[1].position == 3
+
+    def test_tokens_are_slotted(self):
+        assert not hasattr(tokenize("a")[0], "__dict__")

@@ -246,6 +246,33 @@ class TestSimpleProtocol:
             .command_tag == "INSERT 0 1"
         assert "wire_made" in db.tables
 
+    def test_insert_tag_counts_the_rows_written(self, client, db):
+        client.query("CREATE TABLE wire_rows (a int, ts timestamp, "
+                     "INDEX(KEY=a, TS=ts))")
+        # A one-row INSERT is answered with exactly the same bytes.
+        client.send_raw(wire.simple_query(
+            "INSERT INTO wire_rows VALUES (1, 10)"))
+        assert client.collect_until_ready() == [
+            (b"C", b"INSERT 0 1\x00"), (b"Z", b"I")]
+        result = client.query(
+            "INSERT INTO wire_rows VALUES (2, 20), (3, 30), (4, 40)")[0]
+        assert result.command_tag == "INSERT 0 3"
+        assert db.table("wire_rows").row_count == 4
+
+    def test_doubled_quote_round_trips(self, client):
+        client.query("CREATE TABLE wire_quotes (k int, ts timestamp, "
+                     "s string, INDEX(KEY=k, TS=ts))")
+        client.query("INSERT INTO wire_quotes VALUES (1, 10, 'it''s'); "
+                     "INSERT INTO wire_quotes VALUES (2, 10, 'a;''b')")
+        client.query("DEPLOY wire_quoted SELECT k, max(s) OVER w AS m "
+                     "FROM wire_quotes WINDOW w AS (PARTITION BY k "
+                     "ORDER BY ts ROWS_RANGE BETWEEN 1000 PRECEDING AND "
+                     "CURRENT ROW)")
+        assert client.query("EXECUTE wire_quoted (1, 20, '')")[0].rows \
+            == [("1", "it's")]
+        assert client.query("EXECUTE wire_quoted (2, 20, '')")[0].rows \
+            == [("2", "a;'b")]
+
 
 class TestExtendedProtocol:
     def test_prepare_describes_parameters(self, client):

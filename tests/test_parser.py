@@ -1,8 +1,9 @@
 """Tests for the OpenMLDB SQL parser."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.errors import ParseError
+from repro.errors import LexError, ParseError
 from repro.sql import ast
 from repro.sql.parser import parse, parse_select
 
@@ -319,3 +320,46 @@ class TestPaperExampleSQL:
         assert union_window.frame_type == ast.FrameType.ROWS_RANGE
         long_window = statement.window("w_action_100d")
         assert long_window.start.offset == 100 * 86_400_000
+
+
+# ---------------------------------------------------------------------
+# untrusted text: an AST or a typed error, never anything else
+
+#: Lexemes and clause pieces of the dialect, plus characters at its
+#: edges (quotes, escapes, non-ASCII letters and digits, a lone
+#: backslash, NUL), for concatenations that get deep into the grammar.
+FRAGMENTS = [
+    "SELECT", "select", "FROM", "WHERE", "WINDOW", "AS", "UNION",
+    "PARTITION BY", "ORDER BY", "ROWS", "ROWS_RANGE", "BETWEEN",
+    "PRECEDING", "CURRENT ROW", "CURRENT_ROW", "UNBOUNDED", "AND", "OR",
+    "NOT", "LAST JOIN", "ON", "OVER", "EXCLUDE CURRENT_ROW",
+    "INSTANCE_NOT_IN_WINDOW", "MAXSIZE", "LIMIT", "CASE", "WHEN", "THEN",
+    "ELSE", "END", "IS", "NULL", "TRUE", "LIKE", "CREATE TABLE", "INDEX",
+    "KEY", "TS", "TTL", "TTL_TYPE", "NOT NULL", "INSERT INTO", "VALUES",
+    "DEPLOY", "OPTIONS", "t", "t.k", "w", "sum", "(", ")", ",", ".", "*",
+    ";", "=", "<=", "<>", "!=", "||", "+", "-", "/", "%", "--", "\n",
+    "0", "12", "1.5", "1e5", "1e", "3.e2", "2.5e-2", "3s", "5m", "100d",
+    "3sec", "'s'", "'it''s'", "''", "'", '"q"', '""', '"', "\\",
+    "é", "中", "²", "٣", "½", "\x00", " ", "\t",
+]
+
+
+def _parses_or_raises_typed(text):
+    try:
+        parse(text)
+    except (LexError, ParseError):
+        pass
+
+
+@settings(max_examples=500, deadline=250)
+@given(st.text(max_size=80))
+def test_arbitrary_text_gives_an_ast_or_a_typed_error(text):
+    _parses_or_raises_typed(text)
+
+
+@settings(max_examples=500, deadline=250)
+@given(st.lists(st.tuples(st.sampled_from(FRAGMENTS),
+                          st.sampled_from(["", " "])),
+                max_size=24))
+def test_fragment_soup_gives_an_ast_or_a_typed_error(pieces):
+    _parses_or_raises_typed("".join(piece + sep for piece, sep in pieces))

@@ -14,13 +14,19 @@ tier:
 * ``cluster`` — the path users are actually served: the same data on 3
   tablets (``partitions=4, replicas=2``) answered through
   ``NameServer.request_batch``, so routing, the tablet RPC surface and
-  the cluster table view are in the profile.
+  the cluster table view are in the profile;
+* ``put`` — the write path instead: ``parse`` of each ``INSERT`` text
+  plus ``NameServer.put`` of its row, on the perfbench table shape
+  (``k, ts, a, b, c``, 2,000 keys, ``partitions=4, replicas=2``) with a
+  ``data_dir``, so the row check, both replicas, the binlog and the WAL
+  encode are in the profile.
 
 Usage::
 
     make profile                       # incremental tier, 400 requests
     python tools/profile.py --path fused --rounds 200 --top 20
     python tools/profile.py --path cluster
+    python tools/profile.py --path put --rounds 20000
 """
 
 from __future__ import annotations
@@ -41,9 +47,13 @@ sys.path.insert(
 import argparse   # noqa: E402
 import cProfile   # noqa: E402
 import pstats     # noqa: E402
+import random     # noqa: E402
+import tempfile   # noqa: E402
 
 from repro import OpenMLDB                              # noqa: E402
 from repro.cluster import NameServer, TabletServer      # noqa: E402
+from repro.schema import IndexDef, Schema               # noqa: E402
+from repro.sql.parser import parse                      # noqa: E402
 from repro.workloads.microbench import (MicroBenchConfig,  # noqa: E402
                                         build_feature_sql, generate)
 
@@ -52,8 +62,43 @@ CONFIG = MicroBenchConfig(keys=120, rows_per_key=100, windows=2,
                           seed=17)
 
 
-def build_workload(path):
+PUT_KEYS = 2_000
+
+
+def build_put_workload(rounds):
+    """The write path: (INSERT text → parse → NameServer.put, texts,
+    close), after a preload that gives every key a history."""
+    data_dir = tempfile.TemporaryDirectory()
+    cluster = NameServer(
+        [TabletServer(f"tablet-{index}") for index in range(3)],
+        data_dir=data_dir.name)
+    cluster.create_table(
+        "t", Schema.from_pairs([("k", "bigint"), ("ts", "timestamp"),
+                                ("a", "bigint"), ("b", "bigint"),
+                                ("c", "bigint")]),
+        [IndexDef(("k",), "ts")], partitions=4, replicas=2)
+    rng = random.Random(17)
+    texts = [f"INSERT INTO t VALUES ({index % PUT_KEYS},"
+             f"{1_000_000 + index // PUT_KEYS * 10},{rng.randrange(10)},"
+             f"{rng.randrange(10)},{rng.randrange(10)})"
+             for index in range(4 * PUT_KEYS + 20 + rounds)]
+
+    def insert(text):
+        for row in parse(text).rows:
+            cluster.put("t", row)
+    for text in texts[:4 * PUT_KEYS]:
+        insert(text)
+
+    def close():
+        cluster.close()
+        data_dir.cleanup()
+    return insert, texts[4 * PUT_KEYS:], close
+
+
+def build_workload(path, rounds):
     """Load the canned workload; returns (operation, requests, close)."""
+    if path == "put":
+        return build_put_workload(rounds)
     data = generate(CONFIG, request_count=160)
     sql = build_feature_sql(CONFIG)
     if path == "cluster":
@@ -87,19 +132,20 @@ def make_operation(db, path):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="cProfile the online request path")
+        description="cProfile the online request path or the write path")
     parser.add_argument("--path", default="incremental",
-                        choices=("incremental", "fused", "cluster"),
-                        help="execution tier to profile")
+                        choices=("incremental", "fused", "cluster", "put"),
+                        help="execution tier to profile, or the write path")
     parser.add_argument("--rounds", type=int, default=400,
-                        help="request count to profile (cycled)")
+                        help="requests (or INSERTs) to profile (cycled)")
     parser.add_argument("--top", type=int, default=15,
                         help="rows to print per ranking")
     args = parser.parse_args(argv)
 
-    operation, requests, close = build_workload(args.path)
+    operation, requests, close = build_workload(args.path, args.rounds)
     for row in requests[:20]:  # warm caches outside the profile
         operation(row)
+    requests = requests[20:] if args.path == "put" else requests
 
     profiler = cProfile.Profile()
     profiler.enable()
@@ -110,10 +156,10 @@ def main(argv=None):
 
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.strip_dirs()
-    print(f"\n=== {args.path} tier, {args.rounds} requests — "
+    print(f"\n=== {args.path} path, {args.rounds} operations — "
           "by cumulative time ===")
     stats.sort_stats("cumulative").print_stats(args.top)
-    print(f"=== {args.path} tier — by self time ===")
+    print(f"=== {args.path} path — by self time ===")
     stats.sort_stats("tottime").print_stats(args.top)
     return 0
 
