@@ -37,8 +37,8 @@ bench-smoke:
 
 # Quick pre-push gate: every test named *smoke* — crash/restart
 # recovery, offline carried partials and spill, split -> migrate ->
-# rebalance under traffic, adaptive promotion and re-bucketing, the
-# paced-load SLO search and the streaming train/serve skew check.
+# rebalance under traffic, the paced-load SLO search and the streaming
+# train/serve skew check.
 # `test` runs them too; this is the quick subset.
 smoke:
 	$(PYTHON) -m pytest -q -k smoke

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from _util import record_bench
+from _util import gc_paused, record_bench
 from repro.baselines import SparkBatchEngine
 from repro.bench import print_table, speedup
 from repro.offline.engine import OfflineEngine
@@ -56,12 +56,15 @@ def run_case(window_rows):
     table.insert_many(rows)
     compiled = compile_plan(build_plan(parse_select(sql), catalog), catalog)
     engine = OfflineEngine({"t": table}, workers=WORKERS)
-    _r, parallel_stats = engine.execute(compiled, parallel_windows=True)
-    _r, serial_stats = engine.execute(compiled, parallel_windows=False)
+    with gc_paused():
+        _r, parallel_stats = engine.execute(compiled, parallel_windows=True)
+    with gc_paused():
+        _r, serial_stats = engine.execute(compiled, parallel_windows=False)
 
     spark = SparkBatchEngine(sql, catalog, workers=WORKERS)
     spark.load("t", rows)
-    _r, spark_stats = spark.run()
+    with gc_paused():
+        _r, spark_stats = spark.run()
     return (spark_stats.parallel_seconds,
             serial_stats.total_parallel_seconds,
             parallel_stats.total_parallel_seconds)

@@ -74,11 +74,6 @@ class TabletServer:
         self.alive = True
         self.faults = None  # set via NameServer.attach_faults
         self.snapshots: Optional[SnapshotStore] = None
-        #: deployment name → adaptive-router snapshot.  Small calibrated
-        #: cost/heat state, kept OUTSIDE the wiped stores so a restarted
-        #: or migrated-to tablet warm-starts its routers instead of
-        #: re-learning costs from scratch (see repro.adaptive).
-        self.router_state: Dict[str, Dict[str, Any]] = {}
         self.bind_obs(obs or NULL_OBS)
 
     def attach_snapshots(self, store: SnapshotStore) -> None:
@@ -442,24 +437,3 @@ class TabletServer:
 
     def demote(self, table: str, partition_id: int) -> None:
         self.shard(table, partition_id).is_leader = False
-
-    # ------------------------------------------------------------------
-    # adaptive-router state (survives wipe/restart; copied on migration)
-
-    def save_router_state(self, deployment: str,
-                          snapshot: Dict[str, Any]) -> None:
-        """Persist one deployment's router calibration on this tablet.
-
-        Routers checkpoint here the same way shards snapshot to the
-        snapshot store; :meth:`wipe`/:meth:`restart` deliberately leave
-        this map alone, so the state plays the role of the durable
-        sidecar metadata production OpenMLDB keeps in ZooKeeper.
-        """
-        with self._lock:
-            self.router_state[deployment] = snapshot
-
-    def load_router_state(self, deployment: str
-                          ) -> Optional[Dict[str, Any]]:
-        """Fetch a previously saved router snapshot (None if absent)."""
-        with self._lock:
-            return self.router_state.get(deployment)

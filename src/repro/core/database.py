@@ -106,8 +106,7 @@ class OpenMLDB(DeploymentHost):
         # insert hands to the replicator).
         self._host_deployments(
             self.tables, self.online_engine, self.compile_cache, self.obs,
-            latency_series="online.request.ms", updaters={},
-            governor=self.governor)
+            latency_series="online.request.ms", updaters={})
         self.deployments = self._deployments
 
     # ------------------------------------------------------------------
@@ -507,6 +506,10 @@ class OpenMLDB(DeploymentHost):
                               replicas=old.replicas,
                               flush_threshold=old.flush_threshold,
                               seed=self._seed, obs=self.obs)
+            if self.data_dir is not None:
+                # The rebuilt table's explicit flushes and compactions
+                # keep reaching the WAL, as create_table wired the old one.
+                fresh.attach_event_log(self._storage_event_sink(name))
         replayed = 0
         for entry in self.replicator.entries_from(0):
             if entry.table != name:

@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from ..errors import (DeploymentError, DeploymentNotFoundError,
                       OpenMLDBError)
@@ -79,19 +79,13 @@ class Deployment:
     incrementals: Dict[str, IncrementalWindowState] = dataclasses.field(
         default_factory=dict)
     backfill_seconds: float = 0.0
-    #: Set by :meth:`attach_ingest` on adaptive deployments: the
-    #: execution router picking tiers and managing incremental/preagg
-    #: state at runtime.
-    router: Optional[Any] = dataclasses.field(default=None, repr=False)
     #: The host this deployment serves through (set by :meth:`build`).
     _host: Optional["DeploymentHost"] = dataclasses.field(
         default=None, repr=False, compare=False)
     #: Every live ingest consumer → the closure registered for it in the
-    #: host's ingest hook; :meth:`_detach` undoes a registration.
+    #: host's ingest hook; :meth:`retire` undoes the registrations.
     _closures: Dict[IngestConsumer, Callable] = dataclasses.field(
         default_factory=dict, repr=False, compare=False)
-    _preagg_levels: int = dataclasses.field(
-        default=2, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # build
@@ -147,8 +141,7 @@ class Deployment:
                 return host._engine.execute_request(
                     self.compiled, row, preagg=self.preaggs or None,
                     shared_fetch=shared_fetch,
-                    incremental=self.incrementals or None,
-                    router=self.router)
+                    incremental=self.incrementals or None)
         finally:
             host._h_request.observe((time.perf_counter() - start) * 1_000)
 
@@ -165,35 +158,24 @@ class Deployment:
     # ------------------------------------------------------------------
     # ingest consumers
 
-    def attach_ingest(self, preagg_levels: int = 2, adaptive: bool = False,
-                      router_config: Optional[Any] = None) -> None:
+    def attach_ingest(self) -> None:
         """Create, backfill and register the ingest-maintained state.
 
         Long-window pre-aggregators first, then incremental window
-        state — eager, or with ``adaptive`` selective (router-managed)
-        plus an :class:`~repro.adaptive.ExecutionRouter` with this
-        deployment as its host and the memory governor as its promotion
-        budget.  A host with no ingest hook (the cluster, until
+        state.  A host with no ingest hook (the cluster, until
         consumers attach at the partition leader's binlog) serves by
-        scan-fold only and refuses the options that need one.
+        scan-fold only and refuses ``long_windows``, which needs one.
         """
         host = self._host
         if host._updaters is None:
-            if self.long_windows or adaptive:
+            if self.long_windows:
                 raise DeploymentError(
-                    f"deployment {self.name!r}: long_windows/adaptive need "
+                    f"deployment {self.name!r}: long_windows need "
                     f"ingest-maintained state, which "
                     f"{type(host).__name__} cannot maintain yet")
             return
-        self._preagg_levels = preagg_levels
         self._initialize_preagg()
-        self._initialize_incremental(selective=adaptive)
-        if adaptive:
-            from ..adaptive import ExecutionRouter  # single-node only
-            self.router = ExecutionRouter(config=router_config,
-                                          obs=host._obs)
-            self.router.bind_host(self)
-            self.router.bind_governor(host._governor)
+        self._initialize_incremental()
 
     @property
     def _table(self) -> Any:
@@ -205,25 +187,25 @@ class Deployment:
         self._host._updaters.setdefault(
             self.compiled.plan.table, []).append(closure)
 
-    def _detach(self, consumers: Iterable[IngestConsumer]) -> None:
-        """Retire ``consumers`` and drop their closures from the host's
-        ingest hook (in place: an insert snapshots the list it runs)."""
-        for consumer in consumers:
-            consumer.retire()
-            self._host._updaters[self.compiled.plan.table].remove(
-                self._closures.pop(consumer))
-
     def retire(self) -> None:
-        """Undeploy: stop every consumer absorbing inserts and drop the
-        incremental states' TTL-eviction subscriptions."""
-        self._detach(list(self._closures))
+        """Undeploy: retire every consumer, drop its closure from the
+        host's ingest hook (in place: an insert snapshots the list it
+        runs) and drop the incremental states' TTL-eviction
+        subscriptions."""
+        for consumer, closure in self._closures.items():
+            consumer.retire()
+            self._host._updaters[self.compiled.plan.table].remove(closure)
+        self._closures.clear()
         for state in self.incrementals.values():
             self._table.unsubscribe_eviction(state.on_ttl_evict)
 
     def _initialize_preagg(self) -> None:
-        """Create, backfill, and wire the long-window pre-aggregators."""
+        """Create, backfill, and wire the long-window pre-aggregators:
+        one per *mergeable* aggregate of each named window (the others
+        stay on the raw-scan path)."""
         started = time.perf_counter()
         table = self._table
+        obs = self._host._obs
         for option in self.long_windows:
             window = self.compiled.windows.get(option.window)
             if window is None:
@@ -243,39 +225,29 @@ class Deployment:
                 raise DeploymentError(
                     "long-window pre-aggregation aggregates instance-table "
                     "rows, which INSTANCE_NOT_IN_WINDOW excludes")
-            slot_map = self._aggregators(window, option.bucket_ms,
-                                         list(table.rows()))
+
+            def ts_fn(row: Row, position: int = window.order_position
+                      ) -> int:
+                return normalize_ts(row[position])
+
+            rows = list(table.rows())
+            slot_map: Dict[int, PreAggregator] = {}
+            for compiled_agg in window.preaggregable:
+                aggregator = slot_map[compiled_agg.slot] = PreAggregator(
+                    compiled_agg.function,
+                    arg_fn=compiled_agg.arg_fn, key_fn=window.partition_key,
+                    ts_fn=ts_fn, bucket_ms=option.bucket_ms)
+                if obs.enabled:
+                    # Absorbed-row / query / bucket-merge counters.
+                    aggregator.bind_obs(obs)
+                aggregator.backfill(rows)
             for aggregator in slot_map.values():
                 self._attach(aggregator)
             if slot_map:
                 self.preaggs[option.window] = slot_map
         self.backfill_seconds = time.perf_counter() - started
 
-    def _aggregators(self, window, bucket_ms: int,
-                     rows: List[Row]) -> Dict[int, PreAggregator]:
-        """Aggregate slot → a pre-aggregator backfilled from ``rows``,
-        one per *mergeable* aggregate of ``window`` (the others stay on
-        the raw-scan path)."""
-        order_position = window.order_position
-
-        def ts_fn(row: Row, position: int = order_position) -> int:
-            return normalize_ts(row[position])
-
-        obs = self._host._obs
-        slots: Dict[int, PreAggregator] = {}
-        for compiled_agg in window.preaggregable:
-            aggregator = slots[compiled_agg.slot] = PreAggregator(
-                compiled_agg.function,
-                arg_fn=compiled_agg.arg_fn, key_fn=window.partition_key,
-                ts_fn=ts_fn, bucket_ms=bucket_ms,
-                levels=self._preagg_levels)
-            if obs.enabled:
-                # Absorbed-row / query / bucket-merge counters.
-                aggregator.bind_obs(obs)
-            aggregator.backfill(rows)
-        return slots
-
-    def _initialize_incremental(self, selective: bool) -> None:
+    def _initialize_incremental(self) -> None:
         """Create, backfill, and wire ingest-time window state.
 
         Every *eligible* window gets a per-key running aggregate state
@@ -286,11 +258,6 @@ class Deployment:
         served by long-window pre-aggregation keep that path.  Anything
         ineligible silently stays on the scan-fold path — incremental
         state is an accelerator, never a semantics change.
-
-        With ``selective=True`` (adaptive deployments) the states start
-        *empty* — no deploy-time backfill, no per-key aggregators — and
-        the execution router provisions individual keys at runtime when
-        their request rate justifies the ingest cost.
         """
         table = self._table
         if not hasattr(table, "subscribe_eviction"):
@@ -300,98 +267,13 @@ class Deployment:
                 continue
             state = IncrementalWindowState.for_window(
                 window, self._host._serving_tables,
-                self.compiled.plan.table, selective=selective)
+                self.compiled.plan.table)
             if state is None:
                 continue
-            if not selective:
-                state.backfill(table.rows())
+            state.backfill(table.rows())
             self._attach(state)
-            if selective:
-                # Seed rows_seen after registration: a racing insert is
-                # then covered by the updater or the count, never lost.
-                state.mark_caught_up()
             table.subscribe_eviction(state.on_ttl_evict)
             self.incrementals[name] = state
-
-    # -- adaptive host hooks (called from ExecutionRouter.tick) --------
-
-    def rebucket_preagg(self, window_name: str, bucket_ms: int) -> bool:
-        """Swap a window's pre-aggregators for ones with a new width.
-
-        The swap is answer-invariant or refused.  Protocol (the same
-        caught-up + double-read discipline as
-        :meth:`IncrementalWindowState.provision_key`):
-
-        1. read ``n0 = row_count``; require every current aggregator to
-           have absorbed ``>= n0`` rows — which proves every counted
-           row's insert (and its closure registration snapshot)
-           completed *before* this point, so no pending closure can
-           later feed the new aggregators a row the backfill already
-           replayed;
-        2. backfill fresh aggregators from a single log snapshot of
-           exactly ``n0`` rows;
-        3. register the new closures, then re-read ``row_count`` — a row
-           landing before registration would have bumped it, so on
-           mismatch the new closures are retired and the swap aborts
-           (the old aggregators never stopped, nothing was lost);
-        4. retire the old closures and publish the new slot map.
-
-        Returns True when the swap happened; False means "retry a later
-        tick" and leaves the old aggregators serving.
-        """
-        option = next((opt for opt in self.long_windows
-                       if opt.window == window_name), None)
-        old_slots = self.preaggs.get(window_name)
-        window = self.compiled.windows.get(window_name)
-        if option is None or not old_slots or window is None:
-            return False
-        if bucket_ms <= 0 \
-                or next(iter(old_slots.values())).bucket_ms == bucket_ms:
-            return False
-        table = self._table
-        before = table.row_count
-        if any(agg.rows_absorbed < before for agg in old_slots.values()):
-            return False  # maintenance lag: the log snapshot could race
-        rows = list(table.rows())
-        if len(rows) != before:
-            return False
-        new_slots = self._aggregators(window, bucket_ms, rows)
-        if set(new_slots) != set(old_slots):
-            return False
-        for aggregator in new_slots.values():
-            self._attach(aggregator)
-        if table.row_count != before:
-            # An insert raced the registration: its closure snapshot may
-            # predate the new consumers.  Retire them and retry later —
-            # the old aggregators never stopped absorbing.
-            self._detach(new_slots.values())
-            return False
-        self._detach(old_slots.values())
-        self.preaggs[window_name] = new_slots
-        return True
-
-    def router_snapshot(self) -> Optional[Dict[str, Any]]:
-        """The router's calibrated state, for failover/migration."""
-        return self.router.state_snapshot() \
-            if self.router is not None else None
-
-    def restore_router(self, snapshot: Optional[Dict[str, Any]]) -> None:
-        """Warm-start this deployment's router from a snapshot."""
-        if self.router is not None and snapshot:
-            self.router.restore_state(snapshot)
-
-    def adaptive_stats(self) -> Dict[str, Any]:
-        """Router + state summary for operators and the benches."""
-        stats: Dict[str, Any] = {}
-        if self.router is not None:
-            stats.update(self.router.stats())
-        stats["tracked_keys"] = {
-            name: state.key_count
-            for name, state in self.incrementals.items()}
-        stats["bucket_ms"] = {
-            name: next(iter(slots.values())).bucket_ms
-            for name, slots in self.preaggs.items() if slots}
-        return stats
 
     @property
     def uses_incremental(self) -> bool:
@@ -423,8 +305,7 @@ class DeploymentHost:
             self, tables: Mapping[str, Any], engine: Any, cache: Any,
             obs: Any, latency_series: str,
             requests_series: Optional[str] = None,
-            updaters: Optional[Dict[str, List[Callable]]] = None,
-            governor: Optional[Any] = None) -> None:
+            updaters: Optional[Dict[str, List[Callable]]] = None) -> None:
         """Declare what this host deploys against and reports to.
 
         ``tables`` is what ``engine`` reads (``MemTable``/``DiskTable``
@@ -434,7 +315,7 @@ class DeploymentHost:
         ``updaters`` is the ingest hook — table name → closures every
         insert runs, where deployments register pre-aggregators and
         incremental states; ``None`` means the host maintains no
-        ingest-time state.  ``governor`` funds adaptive promotions.
+        ingest-time state.
         """
         self._deployments: Dict[str, Deployment] = {}
         self._serving_tables = tables
@@ -445,28 +326,20 @@ class DeploymentHost:
         self._m_requests = obs.registry.counter(requests_series) \
             if requests_series else None
         self._updaters = updaters
-        self._governor = governor
 
     def _check_open(self) -> None:
         """Raise if the host stopped serving (hosts that close override)."""
 
     def deploy(self, name: str, sql: str,
-               long_windows: Optional[str] = None,
-               preagg_levels: int = 2,
-               adaptive: bool = False,
-               router_config: Optional[Any] = None) -> Deployment:
+               long_windows: Optional[str] = None) -> Deployment:
         """Compile and deploy a feature script for online serving.
 
         ``long_windows`` takes the same string as the SQL OPTIONS form,
-        e.g. ``"w1:1d"`` (Figure 11).
-
-        ``adaptive=True`` replaces the deploy-time eligibility rules
-        with a live-metrics :class:`~repro.adaptive.ExecutionRouter`:
-        incremental state starts empty and is provisioned per key as
-        traffic justifies it (within the governor's memory budget), and
-        pre-aggregation bucket widths follow the observed span
-        distribution.  ``router_config`` takes a
-        :class:`~repro.adaptive.RouterConfig` override.
+        e.g. ``"w1:1d"`` (Figure 11).  Each window's tier is decided
+        here, once, from the plan: pre-aggregation for the named long
+        windows, ingest-time incremental state for the windows
+        ``CompiledWindow.incremental_eligible`` admits, the scan-fold
+        for the rest.
         """
         self._check_open()
         deployment = Deployment.build(self, name, sql, long_windows)
@@ -474,7 +347,7 @@ class DeploymentHost:
             raise DeploymentError(
                 f"deployment {deployment.name!r} already exists")
         try:
-            deployment.attach_ingest(preagg_levels, adaptive, router_config)
+            deployment.attach_ingest()
         except BaseException:
             deployment.retire()  # consumers registered before the failure
             raise

@@ -159,12 +159,6 @@ class ShardMigrator:
                          leader=report.took_leadership)
         # Cleanup outside the lock: in-flight reads that already routed
         # to the source finish against its still-hosted shard first.
-        # Router calibration rides along: the target inherits the
-        # source's adaptive-router snapshots so deployments served from
-        # the moved shard warm-start instead of re-learning costs.
-        if source_tablet.alive:
-            for name, snap in list(source_tablet.router_state.items()):
-                target_tablet.save_router_state(name, snap)
         if source_tablet.alive \
                 and source_tablet.has_shard(table_name, partition_id):
             source_tablet.drop_shard(table_name, partition_id)

@@ -7,25 +7,12 @@ Two mechanisms keep tablets from being OOM-killed:
   online while operators scale or migrate shards.
 * **Memory alerting** — callbacks fire when usage crosses a configurable
   fraction of the limit.
-
-The adaptive execution router (:mod:`repro.adaptive`) layers two more
-contracts on top:
-
-* **Promotion budget** — :meth:`MemoryGovernor.try_reserve` accounts
-  memory for *optional* state (auto-provisioned incremental windows)
-  without raising: it declines reservations that would eat into the
-  headroom kept for real writes, so self-tuning can never cause an
-  insert to fail that would otherwise have succeeded.
-* **Demotion pressure** — :meth:`MemoryGovernor.on_pressure` callbacks
-  re-arm after every dip below the threshold (unlike ``on_alert``'s
-  once-per-crossing semantics), giving the router a repeating "shed
-  optional state now" signal.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from ..errors import MemoryLimitExceededError
 
@@ -58,80 +45,14 @@ class MemoryGovernor:
         self._alerts: List[AlertCallback] = []
         self._alerted = False
         self.rejected_writes = 0
-        self._pressure: List[Tuple[float, AlertCallback]] = []
-        self._pressure_armed: List[bool] = []
-        self.rejected_reservations = 0
 
     @property
     def used_bytes(self) -> int:
         return self._used
 
-    def headroom_bytes(self) -> Optional[int]:
-        """Bytes left before the write limit; ``None`` when unlimited."""
-        if self.max_memory_bytes is None:
-            return None
-        return max(self.max_memory_bytes - self._used, 0)
-
-    def fraction_used(self) -> float:
-        """Usage as a fraction of the limit (0.0 when unlimited)."""
-        if self.max_memory_bytes is None:
-            return 0.0
-        return self._used / self.max_memory_bytes
-
     def on_alert(self, callback: AlertCallback) -> None:
         """Register an alert callback (fires once per threshold crossing)."""
         self._alerts.append(callback)
-
-    def on_pressure(self, callback: AlertCallback,
-                    fraction: float = 0.9) -> None:
-        """Register a re-arming pressure callback.
-
-        Fires (outside the lock) whenever a charge or reservation pushes
-        usage across ``fraction`` of the limit, and re-arms as soon as a
-        release drops usage back below it — so sustained pressure keeps
-        firing, once per re-crossing.
-        """
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError("fraction must be in (0, 1]")
-        self._pressure.append((fraction, callback))
-        self._pressure_armed.append(True)
-
-    def try_reserve(self, nbytes: int,
-                    headroom_fraction: float = 0.25) -> bool:
-        """Reserve ``nbytes`` for optional state if headroom allows.
-
-        Unlike :meth:`charge`, this never raises and never counts a
-        rejected write: it simply declines when the reservation would
-        leave less than ``headroom_fraction`` of the limit free for real
-        ingest.  Balance a successful reservation with :meth:`release`.
-
-        Returns:
-            True if the memory was reserved (and charged).
-        """
-        fired: List[AlertCallback] = []
-        with self._lock:
-            if self.max_memory_bytes is not None:
-                floor = self.max_memory_bytes * (1.0 - headroom_fraction)
-                if self._used + nbytes > floor:
-                    self.rejected_reservations += 1
-                    return False
-            self._used += nbytes
-            fired = self._pressure_crossings_locked()
-        for callback in fired:
-            callback(self.tablet, self._used, self.max_memory_bytes or 0)
-        return True
-
-    def _pressure_crossings_locked(self) -> List[AlertCallback]:
-        """Collect armed pressure callbacks crossed at current usage."""
-        if self.max_memory_bytes is None:
-            return []
-        fired: List[AlertCallback] = []
-        for i, (fraction, callback) in enumerate(self._pressure):
-            threshold = fraction * self.max_memory_bytes
-            if self._pressure_armed[i] and self._used >= threshold:
-                self._pressure_armed[i] = False
-                fired.append(callback)
-        return fired
 
     def charge(self, nbytes: int) -> None:
         """Account ``nbytes`` of incoming data for a write.
@@ -154,14 +75,11 @@ class MemoryGovernor:
             crossed = (self.max_memory_bytes is not None
                        and self._used >= self.alert_fraction
                        * self.max_memory_bytes)
-            pressure_fired = self._pressure_crossings_locked()
         if crossed and not self._alerted:
             self._alerted = True
             limit = self.max_memory_bytes or 0
             for callback in self._alerts:
                 callback(self.tablet, self._used, limit)
-        for callback in pressure_fired:
-            callback(self.tablet, self._used, self.max_memory_bytes or 0)
 
     def release(self, nbytes: int) -> None:
         """Return memory after eviction/compaction."""
@@ -170,7 +88,3 @@ class MemoryGovernor:
             if self.max_memory_bytes is not None and self._used \
                     < self.alert_fraction * self.max_memory_bytes:
                 self._alerted = False
-            if self.max_memory_bytes is not None:
-                for i, (fraction, _) in enumerate(self._pressure):
-                    if self._used < fraction * self.max_memory_bytes:
-                        self._pressure_armed[i] = True

@@ -33,13 +33,12 @@ from __future__ import annotations
 from .metrics import (BUCKET_BOUNDS_MS, Counter, Gauge, Histogram,
                       MetricsRegistry, NULL_COUNTER, NULL_GAUGE,
                       NULL_HISTOGRAM)
-from .rates import Ewma, RateWindow
 from .trace import NULL_SPAN, Span, Tracer
 
 __all__ = ["Observability", "NULL_OBS", "MetricsRegistry", "Tracer",
            "Counter", "Gauge", "Histogram", "Span", "NULL_SPAN",
            "NULL_COUNTER", "NULL_GAUGE", "NULL_HISTOGRAM",
-           "BUCKET_BOUNDS_MS", "Ewma", "RateWindow"]
+           "BUCKET_BOUNDS_MS"]
 
 
 class Observability:

@@ -69,10 +69,9 @@ class IngestConsumer:
 
         Registered closures cannot be unregistered (they are already
         baked into queued entries), so retirement flips a flag the
-        closure checks instead.  Used when the adaptive layer swaps a
-        pre-aggregator for one with different bucket widths: the old
-        instance stops consuming rows the moment the new one is
-        registered.
+        closure checks instead.  Used by ``undeploy``: a removed
+        deployment's consumers stop absorbing rows at once, even those
+        already queued.
         """
         self._retired = True
 

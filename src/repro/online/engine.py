@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from time import perf_counter
 from typing import (Any, Dict, List, Mapping, Optional, Sequence, Tuple)
 
 from ..errors import ExecutionError
@@ -71,7 +70,7 @@ class _RequestCounters:
     for the racy ``stats.field += 1`` pattern under concurrent serving.
     """
 
-    __slots__ = _COUNTER_FIELDS + ("incremental_windows",)
+    __slots__ = _COUNTER_FIELDS
 
     def __init__(self) -> None:
         self.rows_scanned = 0
@@ -82,14 +81,6 @@ class _RequestCounters:
         self.shared_scan_hits = 0
         self.incremental_hits = 0
         self.incremental_fallbacks = 0
-        # (window name, hit?) events; lazily allocated — most requests
-        # either use no incremental state or should not pay a list.
-        self.incremental_windows: Optional[List[Tuple[str, bool]]] = None
-
-    def note_window(self, name: str, hit: bool) -> None:
-        if self.incremental_windows is None:
-            self.incremental_windows = []
-        self.incremental_windows.append((name, hit))
 
 
 @dataclasses.dataclass
@@ -109,10 +100,6 @@ class EngineStats:
     shared_scan_hits: int = 0
     incremental_hits: int = 0
     incremental_fallbacks: int = 0
-    #: window name → [hits, fallbacks] — which window is falling back,
-    #: not just that one is.  Read via :meth:`incremental_window_stats`.
-    incremental_by_window: Dict[str, List[int]] = dataclasses.field(
-        default_factory=dict)
     _lock: threading.Lock = dataclasses.field(
         default_factory=threading.Lock, repr=False, compare=False)
 
@@ -128,18 +115,6 @@ class EngineStats:
             self.shared_scan_hits += counters.shared_scan_hits
             self.incremental_hits += counters.incremental_hits
             self.incremental_fallbacks += counters.incremental_fallbacks
-            if counters.incremental_windows:
-                for name, hit in counters.incremental_windows:
-                    entry = self.incremental_by_window.get(name)
-                    if entry is None:
-                        entry = self.incremental_by_window[name] = [0, 0]
-                    entry[0 if hit else 1] += 1
-
-    def incremental_window_stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-window incremental attribution, as a stable copy."""
-        with self._lock:
-            return {name: {"hits": entry[0], "fallbacks": entry[1]}
-                    for name, entry in self.incremental_by_window.items()}
 
 
 class OnlineEngine:
@@ -205,8 +180,7 @@ class OnlineEngine:
             self, compiled: CompiledQuery, request_row: Sequence[Any],
             preagg: Optional[Mapping[str, Mapping[int, PreAggregator]]] = None,
             shared_fetch: Optional[Dict[Any, List[ColumnBlock]]] = None,
-            incremental: Optional[Mapping[str, Any]] = None,
-            router: Optional[Any] = None
+            incremental: Optional[Mapping[str, Any]] = None
     ) -> Row:
         """Run one request tuple through a compiled deployment.
 
@@ -225,13 +199,6 @@ class OnlineEngine:
                 present here try the O(aggregates) hit path first and
                 fall back to a fused scan-fold when the state declines
                 (cold key, stale replication, out-of-order anchor).
-            router: optional
-                :class:`~repro.adaptive.ExecutionRouter`.  When set, the
-                router picks the execution tier per window (possibly
-                discarding the preagg/incremental fast paths in favour
-                of a scan) and every tier execution is timed to
-                calibrate its cost model.  Each tier computes identical
-                answers, so routing never changes results.
 
         Returns:
             The projected feature row.
@@ -274,34 +241,13 @@ class OnlineEngine:
                 if deadline is not None:
                     deadline.check("request")
                 canonical = compiled.merged_windows.get(name, name)
-                slots_src = preagg.get(name) if preagg is not None else None
                 # Keyed by the window's own name: merged siblings share a
                 # scan but carry distinct aggregate slots.
+                preagg_slots: Mapping[int, PreAggregator] = (
+                    preagg.get(name) if preagg is not None else None
+                ) or _NO_PREAGG
                 state = incremental.get(name) \
                     if incremental is not None else None
-                router_key = None
-                if router is not None:
-                    router_key = window.partition_key(validated)
-                    router.note_request(name, router_key)
-                    if slots_src:
-                        # The requested span informs bucket sizing
-                        # whatever tier ends up serving this request.
-                        router.observe_span(
-                            name, window.plan.range_preceding_ms or 0)
-                    with span_of("router.decide", window=name) as span:
-                        tier = router.decide(
-                            name, router_key,
-                            has_incremental=state is not None,
-                            has_preagg=bool(slots_src))
-                        span.set_tag(tier=tier)
-                    if tier != "preagg":
-                        slots_src = None
-                    if tier == "scan":
-                        state = None
-                # Empty path: alias the shared immutable map instead of
-                # allocating a dict per window per request.
-                preagg_slots: Mapping[int, PreAggregator] = \
-                    dict(slots_src) if slots_src else _NO_PREAGG
                 if not preagg_slots or any(
                         compiled_agg.slot not in preagg_slots
                         for compiled_agg in window.aggregates):
@@ -309,23 +255,13 @@ class OnlineEngine:
                     if state is not None and not preagg_slots:
                         with span_of("incremental.lookup",
                                      window=name) as span:
-                            started = perf_counter()
                             results = state.compute(validated)
-                            hit = results is not None
-                            if router is not None:
-                                router.observe_incremental(
-                                    name,
-                                    (perf_counter() - started) * 1_000.0,
-                                    hit=hit)
-                            span.set_tag(hit=hit)
-                        if hit:
-                            counters.incremental_hits += 1
-                        else:
+                            span.set_tag(hit=results is not None)
+                        if results is None:
                             counters.incremental_fallbacks += 1
-                        counters.note_window(name, hit)
+                        else:
+                            counters.incremental_hits += 1
                     if results is None:
-                        scan_started = perf_counter()
-                        blocks_before = counters.scan_blocks
                         if canonical not in fetched:
                             rows_before = counters.rows_scanned
                             with span_of("window.scan",
@@ -338,16 +274,10 @@ class OnlineEngine:
                         with span_of("agg.fold", window=name):
                             results = window.compute_blocks(
                                 fetched[canonical])
-                        if router is not None:
-                            router.observe_scan(
-                                name, router_key,
-                                (perf_counter() - scan_started) * 1_000.0,
-                                counters.scan_blocks - blocks_before)
                     for slot, value in results.items():
                         if slot not in preagg_slots:
                             aggregate_values[slot] = value
                 if preagg_slots:
-                    preagg_started = perf_counter()
                     for slot, aggregator in preagg_slots.items():
                         merges_before = counters.preagg_bucket_merges
                         raw_before = counters.preagg_raw_rows
@@ -362,10 +292,6 @@ class OnlineEngine:
                                     - merges_before),
                                 raw_rows=(counters.preagg_raw_rows
                                           - raw_before))
-                    if router is not None:
-                        router.observe_preagg(
-                            name,
-                            (perf_counter() - preagg_started) * 1_000.0)
             extended = combined_tuple + tuple(aggregate_values)
             with span_of("encode"):
                 projected = compiled.project(extended)
@@ -375,8 +301,6 @@ class OnlineEngine:
             # they did is counted, once, in both places.
             self.stats.apply(counters)
             self._publish(counters)
-        if router is not None:
-            router.after_request()
         return projected
 
     # ------------------------------------------------------------------

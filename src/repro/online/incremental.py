@@ -361,8 +361,7 @@ class IncrementalWindowState(IngestConsumer):
                  extractors: Sequence[Callable[[Any], Tuple[Any, ...]]],
                  slots: Sequence[int],
                  range_ms: Optional[int],
-                 stored_cap: Optional[int],
-                 selective: bool = False) -> None:
+                 stored_cap: Optional[int]) -> None:
         self._window = window
         self._tables = tables
         self._table_name = table_name
@@ -376,17 +375,12 @@ class IncrementalWindowState(IngestConsumer):
         self._keys: Dict[Any, SlidingWindowAggregator] = {}
         self._lock = threading.Lock()
         self.rows_seen = 0
-        #: Selective mode (adaptive router): only explicitly provisioned
-        #: keys carry aggregators; untracked keys fall back to scans.
-        self.selective = selective
 
     # -- construction --------------------------------------------------
 
     @classmethod
     def for_window(cls, window: Any, tables: Mapping[str, Any],
-                   table_name: str,
-                   selective: bool = False
-                   ) -> Optional["IncrementalWindowState"]:
+                   table_name: str) -> Optional["IncrementalWindowState"]:
         """Build state for ``window`` if it is eligible, else ``None``."""
         plan = window.plan
         if not window.incremental_eligible:
@@ -412,8 +406,7 @@ class IncrementalWindowState(IngestConsumer):
                    functions=[agg.function for agg in aggregates],
                    extractors=[agg.arg_fn for agg in aggregates],
                    slots=[agg.slot for agg in aggregates],
-                   range_ms=range_ms, stored_cap=stored_cap,
-                   selective=selective)
+                   range_ms=range_ms, stored_cap=stored_cap)
 
     def _make_aggregator(self) -> SlidingWindowAggregator:
         return SlidingWindowAggregator(
@@ -429,73 +422,10 @@ class IncrementalWindowState(IngestConsumer):
         with self._lock:
             aggregator = self._keys.get(key)
             if aggregator is None:
-                if self.selective:
-                    # Untracked key: count the row (the staleness check
-                    # needs every insert accounted) but keep no state.
-                    self.rows_seen += 1
-                    return
                 aggregator = self._make_aggregator()
                 self._keys[key] = aggregator
             aggregator.insert(ts, row)
             self.rows_seen += 1
-
-    def mark_caught_up(self) -> None:
-        """Declare the (selective, backfill-free) state caught up.
-
-        Selective states start empty instead of replaying the table, so
-        ``rows_seen`` must be seeded to the current ``row_count`` *after*
-        the binlog updater is registered — any insert racing the
-        registration is then covered by whichever side saw it.
-        """
-        row_count = self._tables[self._table_name].row_count
-        with self._lock:
-            self.rows_seen = max(self.rows_seen, row_count)
-
-    def provision_key(self, key: Any) -> Optional[int]:
-        """Start tracking ``key``: backfill its aggregator from the table.
-
-        Runs entirely under the state lock (the binlog worker's
-        ``absorb`` blocks meanwhile), replaying the table log in arrival
-        order — the exact order an always-on state would have absorbed —
-        so eviction and timestamp tie-breaking match eager state row for
-        row.  Declines (returns ``None``) unless the state is fully
-        caught up and no insert lands mid-scan: ``rows_seen >= row_count``
-        proves every counted row's index entries are complete, and the
-        ``row_count`` re-read catches appends racing the scan.  The
-        router simply retries on a later tick.
-
-        Returns:
-            Buffered row count for the new aggregator (0 if the key was
-            already tracked), or ``None`` when provisioning must wait.
-        """
-        table = self._tables[self._table_name]
-        window = self._window
-        with self._lock:
-            if key in self._keys:
-                return 0
-            before = table.row_count
-            if self.rows_seen < before:
-                return None  # replication lag: the log scan could race
-            aggregator = self._make_aggregator()
-            for row in table.rows():
-                if window.partition_key(row) == key:
-                    aggregator.insert(
-                        normalize_ts(window.order_value(row)), row)
-            if table.row_count != before:
-                return None  # insert landed mid-scan: retry next tick
-            self._keys[key] = aggregator
-            return len(aggregator)
-
-    def retire_key(self, key: Any) -> int:
-        """Stop tracking ``key``; returns buffered rows freed."""
-        with self._lock:
-            aggregator = self._keys.pop(key, None)
-            return len(aggregator) if aggregator is not None else 0
-
-    def tracked_keys(self) -> List[Any]:
-        """Snapshot of keys currently carrying aggregators."""
-        with self._lock:
-            return list(self._keys)
 
     def on_ttl_evict(self, _table_name: str, now_ts: int) -> None:
         """Table eviction hook: mirror the index's TTL sweep."""
@@ -506,15 +436,6 @@ class IncrementalWindowState(IngestConsumer):
                 aggregator.apply_ttl(now_ts, self._ttl)
 
     # -- request path ---------------------------------------------------
-
-    @property
-    def key_count(self) -> int:
-        return len(self._keys)
-
-    def buffered_rows(self) -> int:
-        """Total buffered tuples across keys (memory observability)."""
-        with self._lock:
-            return sum(len(agg) for agg in self._keys.values())
 
     def compute(self, request_row: Any) -> Optional[Dict[int, Any]]:
         """Answer the window for ``request_row``, or ``None`` to fall back.
@@ -535,10 +456,6 @@ class IncrementalWindowState(IngestConsumer):
                 return None  # replication lag: buffers may miss rows
             aggregator = self._keys.get(key)
             if aggregator is None:
-                if self.selective:
-                    # Untracked in selective mode means *unknown*, not
-                    # empty — only a scan can answer for this key.
-                    return None
                 # Fully caught up and no buffer ⇒ the key truly has no
                 # stored rows; the window is just the request tuple.
                 aggregator = self._make_aggregator()

@@ -214,7 +214,7 @@ class PreAggregator(IngestConsumer):
 
     @property
     def bucket_ms(self) -> int:
-        """Base-level bucket width (the knob the adaptive layer tunes)."""
+        """Base-level bucket width (the ``long_windows`` option's)."""
         return self.level_sizes[0]
 
     @property

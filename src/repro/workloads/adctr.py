@@ -8,8 +8,7 @@ stress test rather than a demo:
 
 * **heavy hitters** — a handful of always-on campaigns dominate both
   the event stream and the request stream (the shape the elastic data
-  plane's rebalancer and the adaptive router exist for: hot partitions
-  want splitting, hot keys want promoted incremental state);
+  plane's rebalancer exists for: hot partitions want splitting);
 * **freshness** — budget pacing reads ``spend_1m``; a feature computed
   on stale state overspends real money, which is why the CDC watermark
   (not wall clock) gates train/serve comparisons.

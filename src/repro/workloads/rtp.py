@@ -21,8 +21,7 @@ from typing import Any, Iterator, List, Optional, Tuple
 from ..schema import TTLSpec
 from ..storage.skiplist import TimeSeriesIndex
 
-__all__ = ["RTPConfig", "generate_events", "generate_skewed_requests",
-           "OpenMLDBTopN"]
+__all__ = ["RTPConfig", "generate_events", "OpenMLDBTopN"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -47,33 +46,6 @@ def generate_events(config: RTPConfig = RTPConfig()
             round(rng.random(), 6),
         )
         ts += rng.randrange(1, 50)
-
-
-def generate_skewed_requests(config: RTPConfig = RTPConfig(),
-                             requests: int = 5_000,
-                             hot_users: int = 8,
-                             hot_fraction: float = 0.8,
-                             seed: Optional[int] = None
-                             ) -> Iterator[str]:
-    """Yield request user keys with a hot-set/cold-tail skew.
-
-    Real RTP traffic is Zipf-like: a handful of active users dominate
-    the request stream while the long tail is touched rarely.  This is
-    the shape the adaptive router exploits — incremental state for the
-    hot set pays for itself, the tail stays on scans — so the ablation
-    benchmark (``fig_adaptive``) drives exactly this distribution:
-    ``hot_fraction`` of requests go to ``hot_users`` uniformly-chosen
-    hot keys, the rest uniformly to everyone else.
-    """
-    if not 0.0 <= hot_fraction <= 1.0:
-        raise ValueError("hot_fraction must be in [0, 1]")
-    hot_users = max(1, min(hot_users, config.users))
-    rng = random.Random(config.seed if seed is None else seed)
-    hot = rng.sample(range(config.users), hot_users)
-    cold = [u for u in range(config.users) if u not in set(hot)] or hot
-    for _ in range(requests):
-        pool = hot if rng.random() < hot_fraction else cold
-        yield f"u{rng.choice(pool):05d}"
 
 
 _SCORE_SCALE = 1_000_000  # scores in [0,1] → integer ordering dimension

@@ -17,6 +17,11 @@ DDL = ("CREATE TABLE trades (sym string, ts timestamp, px double, "
 ROLLING = ("SELECT sym, sum(px) OVER w AS total FROM trades WINDOW w AS "
            "(PARTITION BY sym ORDER BY ts "
            "ROWS BETWEEN 1 PRECEDING AND CURRENT ROW)")
+FEATURE_SQL = (
+    "SELECT k, sum(a) OVER w AS s_a, count(a) OVER w AS c_a, "
+    "min(a) OVER w AS mn_a, max(a) OVER w AS mx_a "
+    "FROM t WINDOW w AS (PARTITION BY k ORDER BY ts "
+    "ROWS_RANGE BETWEEN 2000 PRECEDING AND CURRENT ROW)")
 
 
 @pytest.fixture
@@ -371,6 +376,29 @@ class TestMemoryIsolation:
         assert rows
 
 
+class TestRecoverTable:
+    def test_rebuilt_disk_table_keeps_logging_to_the_wal(self, tmp_path):
+        # The rebuilt DiskTable used to miss the WAL event sink, so its
+        # explicit flushes and compactions went unlogged and recover()
+        # could not replay them.
+        db = OpenMLDB(data_dir=str(tmp_path))
+        db.create_table("t", Schema.from_pairs([("k", "string"),
+                                                ("ts", "timestamp")]),
+                        indexes=[IndexDef(("k",), "ts")], storage="disk")
+        db.insert("t", ("a", 1))
+        db.table("t").flush()
+        db.recover_table("t")
+        db.insert("t", ("a", 2))
+        db.table("t").flush()
+        db.table("t").compact(10)
+        db.replicator.sync()
+        controls = [frame.control_text()
+                    for frame in db.replicator.wal.replay(0)
+                    if not frame.is_row]
+        assert controls == ["flush", "flush", "compact:10"]
+        db.close()
+
+
 class TestEviction:
     def test_evict_expired_via_db(self):
         db = OpenMLDB()
@@ -380,3 +408,24 @@ class TestEviction:
         db.insert("t", ("a", 120_000))
         removed = db.evict_expired(now_ts=120_001)
         assert removed == 1
+
+
+class TestEngineSatellites:
+    @pytest.mark.parametrize("observability", [False, True])
+    def test_empty_preagg_mapping_matches_none(self, observability):
+        """The empty-preagg fast path (no per-request dict copy) must
+        answer identically to passing no preagg at all, with
+        observability on and off."""
+        db = OpenMLDB(observability=observability)
+        db.execute("CREATE TABLE t (k string, ts timestamp, a int, "
+                   "INDEX(KEY=k, TS=ts))")
+        deployment = db.deploy("feat", FEATURE_SQL)
+        for i in range(10):
+            db.insert("t", ("u1", 1_000 + i * 10, i))
+        db.flush_preagg()
+        request = ("u1", 2_000, 0)
+        baseline = db.online_engine.execute_request(
+            deployment.compiled, request, preagg=None)
+        empty = db.online_engine.execute_request(
+            deployment.compiled, request, preagg={"w": {}})
+        assert empty == baseline

@@ -7,8 +7,10 @@ tail.  These tests pin that the repo's own docs are clean and that the
 rule actually fires on a broken reference.
 """
 
+import ast
 import importlib.util
 import pathlib
+import re
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -199,3 +201,64 @@ def test_execute_request_has_one_serving_call_site():
         for line in path.read_text(encoding="utf-8").splitlines()
         if ".execute_request(" in line)
     assert callers == ["core/consistency.py", "core/deployment.py"]
+
+
+_INSTRUMENTS = {"counter", "gauge", "histogram", "span", "span_of"}
+
+
+def _source_names():
+    """Every string literal in ``src/``, and the literal names handed to
+    ``registry.counter/gauge/histogram`` (or a ``labels(...)`` view),
+    ``tracer.span`` or a bound ``span_of``, each with one place that
+    emits it."""
+    literals, emitted = set(), {}
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                literals.add(node.value)
+            elif isinstance(node, ast.Call) and node.args:
+                func, first = node.func, node.args[0]
+                called = func.attr if isinstance(func, ast.Attribute) \
+                    else getattr(func, "id", None)
+                if called in _INSTRUMENTS \
+                        and isinstance(first, ast.Constant) \
+                        and isinstance(first.value, str):
+                    emitted.setdefault(first.value,
+                                       f"{path.name}:{node.lineno}")
+    return literals, emitted
+
+
+def _documented_names(text):
+    """Series from the first column of every ``| Series |`` table, and
+    spans from the tree under "The span hierarchy"."""
+    names = set()
+    in_table = False
+    for line in text.splitlines():
+        if line.startswith("| Series |"):
+            in_table = True
+        elif in_table and line.startswith("|"):
+            names.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+        else:
+            in_table = False
+    tree = re.search(r"## The span hierarchy.*?```text\n(.*?)```", text,
+                     re.S).group(1)
+    # A span is the name a tree line starts with, padded to its column.
+    names.update(re.findall(r"^[│ ]*(?:[├└]─ )?([a-z_.]+) {2,}", tree,
+                            re.M))
+    return names
+
+
+def test_observability_catalog_matches_the_code():
+    # docs/observability.md is the catalog: every series and span the
+    # code emits is in it, and every one it lists is still emitted —
+    # where a name is passed through (``latency_series="..."``, a
+    # helper's argument), as a string literal somewhere in src/.
+    text = (ROOT / "docs" / "observability.md").read_text(encoding="utf-8")
+    literals, emitted = _source_names()
+    undocumented = sorted(
+        f"{name} ({where})" for name, where in emitted.items()
+        if not re.search(rf"(?<![\w.]){re.escape(name)}(?![\w.])", text))
+    assert undocumented == [], undocumented
+    documented = _documented_names(text)
+    assert len(documented) > 100 and "encode" in documented
+    assert sorted(documented - literals) == []

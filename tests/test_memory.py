@@ -121,56 +121,3 @@ class TestGovernor:
         with pytest.raises(ValueError):
             MemoryGovernor("t", alert_fraction=0.0)
 
-    # -- promotion budget / demotion pressure (adaptive execution) ------
-
-    def test_try_reserve_respects_headroom(self):
-        governor = MemoryGovernor("t", max_memory_mb=1)
-        limit = 1024 * 1024
-        # Up to 75% of the limit is reservable with 25% headroom.
-        assert governor.try_reserve(int(limit * 0.7),
-                                    headroom_fraction=0.25)
-        assert not governor.try_reserve(int(limit * 0.1),
-                                        headroom_fraction=0.25)
-        assert governor.rejected_reservations == 1
-        # A declined reservation charges nothing.
-        assert governor.used_bytes == int(limit * 0.7)
-
-    def test_try_reserve_never_raises_and_unlimited_always_accepts(self):
-        governor = MemoryGovernor("t")
-        assert governor.try_reserve(10 ** 12)
-        assert governor.headroom_bytes() is None
-        assert governor.fraction_used() == 0.0
-
-    def test_reserved_bytes_still_fail_writes_past_limit(self):
-        governor = MemoryGovernor("t", max_memory_mb=1)
-        assert governor.try_reserve(700 * 1024, headroom_fraction=0.25)
-        with pytest.raises(MemoryLimitExceededError):
-            governor.charge(400 * 1024)
-
-    def test_on_pressure_rearms_after_release(self):
-        governor = MemoryGovernor("t", max_memory_mb=1)
-        fired = []
-        governor.on_pressure(
-            lambda tablet, used, limit: fired.append(used), fraction=0.5)
-        governor.charge(600 * 1024)
-        assert len(fired) == 1
-        governor.charge(10)  # still above: armed-off, no refire
-        assert len(fired) == 1
-        governor.release(300 * 1024)
-        governor.charge(300 * 1024)  # re-crossed → re-armed → fires
-        assert len(fired) == 2
-
-    def test_on_pressure_fires_from_try_reserve_too(self):
-        governor = MemoryGovernor("t", max_memory_mb=1)
-        fired = []
-        governor.on_pressure(
-            lambda tablet, used, limit: fired.append(used), fraction=0.5)
-        assert governor.try_reserve(600 * 1024, headroom_fraction=0.0)
-        assert len(fired) == 1
-
-    def test_on_pressure_validation(self):
-        governor = MemoryGovernor("t", max_memory_mb=1)
-        with pytest.raises(ValueError):
-            governor.on_pressure(lambda *a: None, fraction=0.0)
-        with pytest.raises(ValueError):
-            governor.on_pressure(lambda *a: None, fraction=1.5)

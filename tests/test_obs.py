@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 from repro import OpenMLDB
 from repro.cluster import NameServer, TabletServer
 from repro.errors import DeadlineExceededError, ExecutionError
-from repro.obs import (BUCKET_BOUNDS_MS, Ewma, Histogram,
-                       MetricsRegistry, NULL_COUNTER, NULL_SPAN,
-                       Observability, RateWindow, Tracer)
+from repro.obs import (BUCKET_BOUNDS_MS, Histogram, MetricsRegistry,
+                       NULL_COUNTER, NULL_SPAN, Observability, Tracer)
 from repro.schema import IndexDef, Schema
 from repro.serving.deadline import Deadline, deadline_scope
 
@@ -563,86 +562,3 @@ class TestClusterStitching:
         assert transfers > 0
         assert obs.registry.get("ns.failovers").value == transfers
 
-
-# ----------------------------------------------------------------------
-# rate helpers (repro.obs.rates — the adaptive router's measurements)
-
-class TestEwma:
-    def test_first_sample_seeds_exactly(self):
-        ewma = Ewma(alpha=0.2)
-        assert ewma.get(123.0) == pytest.approx(123.0)  # default pre-seed
-        ewma.observe(10.0)
-        assert ewma.get() == pytest.approx(10.0)
-
-    def test_decays_toward_recent_samples(self):
-        ewma = Ewma(alpha=0.5)
-        ewma.observe(0.0)
-        for _ in range(20):
-            ewma.observe(100.0)
-        assert 99.0 < ewma.get() <= 100.0
-
-    def test_merge_weighted_by_sample_count(self):
-        left, right = Ewma(), Ewma()
-        left.observe(10.0)
-        for _ in range(3):
-            right.observe(40.0)
-        left.merge(right)
-        # 1 sample at 10 vs 3 at 40 → pulled strongly toward 40.
-        assert left.get() == pytest.approx(32.5)
-        assert left.samples == 4
-
-    def test_merge_with_empty_is_noop_and_into_empty_adopts(self):
-        seeded, empty = Ewma(), Ewma()
-        seeded.observe(7.0)
-        seeded.merge(Ewma())
-        assert seeded.get() == pytest.approx(7.0)
-        empty.merge(seeded)
-        assert empty.get() == pytest.approx(7.0)
-        assert empty.samples == 1
-
-    def test_state_round_trip(self):
-        ewma = Ewma(alpha=0.3)
-        ewma.observe(4.0)
-        ewma.observe(8.0)
-        clone = Ewma.from_state(ewma.state())
-        assert clone.get() == pytest.approx(ewma.get())
-        assert clone.samples == ewma.samples
-        assert clone.alpha == pytest.approx(0.3)
-
-
-class TestRateWindow:
-    def test_zero_traffic_reads_zero(self):
-        window = RateWindow(halflife_s=5.0)
-        assert window.rate(now=100.0) == 0.0
-
-    def test_steady_stream_approaches_true_rate(self):
-        window = RateWindow(halflife_s=5.0)
-        # 10 events/second for 60 s — far past several half-lives.
-        for tick in range(600):
-            window.record(now=tick * 0.1)
-        assert window.rate(now=59.9) == pytest.approx(10.0, rel=0.05)
-
-    def test_decays_toward_zero_on_silence(self):
-        window = RateWindow(halflife_s=5.0)
-        for tick in range(100):
-            window.record(now=float(tick))
-        busy = window.rate(now=99.0)
-        idle = window.rate(now=99.0 + 50.0)  # ten half-lives later
-        assert idle < busy / 500
-        assert idle >= 0.0
-
-    def test_merge_decays_both_to_common_now(self):
-        left, right = RateWindow(halflife_s=5.0), RateWindow(halflife_s=5.0)
-        for tick in range(50):
-            left.record(now=float(tick))
-            right.record(now=float(tick))
-        merged = left.rate(now=49.0) + right.rate(now=49.0)
-        left.merge(right, now=49.0)
-        assert left.rate(now=49.0) == pytest.approx(merged, rel=1e-6)
-
-    def test_state_round_trip(self):
-        window = RateWindow(halflife_s=3.0)
-        for tick in range(10):
-            window.record(now=float(tick))
-        clone = RateWindow.from_state(window.state())
-        assert clone.rate(now=9.0) == pytest.approx(window.rate(now=9.0))
