@@ -49,9 +49,11 @@ examples:
 # Where a request's time goes: cProfile over a canned fig6-style
 # workload.  `--path {incremental,fused}` selects the tier on a
 # local engine; `--path cluster` profiles the served path (3 tablets,
-# NameServer.request_batch); `--path put --rounds 20000` profiles the
-# write path instead (INSERT parse + NameServer.put with a WAL, on the
-# perfbench table shape).
+# NameServer.request_batch); `--path scan` the served path on the
+# perfbench scan_heavy shape (long windows, NameServer.request), with
+# the unprofiled read p50 beside the profile;
+# `--path put --rounds 20000` profiles the write path instead (INSERT
+# parse + NameServer.put with a WAL, on the perfbench table shape).
 profile:
 	$(PYTHON) tools/profile.py
 

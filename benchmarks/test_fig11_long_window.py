@@ -3,8 +3,11 @@
 Paper shape: on an 860 K-tuple stream (scaled down here), adding
 ``OPTIONS(long_windows="w1:1d")`` to the deployment cuts request latency
 ~45× (300 ms → 6 ms) at the cost of slightly higher data-loading
-(backfill) overhead.  We deploy the same script twice — with and without
-the option — on the same data and compare request latency.
+(backfill) overhead.  The paper's "without" arm scans the window's raw
+rows, so the gate compares the pre-aggregated deployment against the raw
+scan-fold — ``OnlineEngine.execute_request`` with no ingest-time state.
+The plain deployment's default path, which answers from incremental
+window state, is printed as a third, ungated row.
 """
 
 from __future__ import annotations
@@ -43,25 +46,33 @@ def test_fig11_long_window_option(benchmark, loaded_db):
     db.flush_preagg()
 
     requests = [("AAPL", (ROWS + i) * HOUR, 123.0) for i in range(25)]
+    compiled = db.deployments["no_lw"].compiled
 
-    raw = measure_latencies(lambda row: db.request_row("no_lw", row),
-                            requests, warmup=2)
+    def scan_fold(row):
+        return db.online_engine.execute_request(compiled, row)
+
+    raw = measure_latencies(scan_fold, requests, warmup=2)
     fast = measure_latencies(lambda row: db.request_row("with_lw", row),
                              requests, warmup=2)
+    incremental = measure_latencies(
+        lambda row: db.request_row("no_lw", row), requests, warmup=2)
 
-    # Identical features from both deployments.
-    raw_row = db.request_row("no_lw", requests[0])
-    fast_row = db.request_row("with_lw", requests[0])
-    assert raw_row[0] == fast_row[0]
-    for left, right in zip(raw_row[1:], fast_row[1:]):
-        assert left == pytest.approx(right)
+    # Identical features from every arm.
+    raw_row = scan_fold(requests[0])
+    for other in (db.request_row("with_lw", requests[0]),
+                  db.request_row("no_lw", requests[0])):
+        assert raw_row[0] == other[0]
+        for left, right in zip(raw_row[1:], other[1:]):
+            assert left == pytest.approx(right)
 
     reduction = raw.mean / fast.mean
     print_table("Figure 11: long-window deployment option",
                 ["deployment", "mean ms", "TP99 ms"],
-                [["without long_windows", raw.mean, raw.tp99],
+                [["raw scan-fold (no ingest state)", raw.mean, raw.tp99],
                  ["with long_windows=w1:1d", fast.mean, fast.tp99],
-                 ["reduction", f"{reduction:.1f}x", ""]])
+                 ["reduction", f"{reduction:.1f}x", ""],
+                 ["incremental state (ungated)", incremental.mean,
+                  incremental.tp99]])
     print(f"  backfill overhead: {deployment.backfill_seconds:.3f}s "
           f"for {ROWS} rows")
 

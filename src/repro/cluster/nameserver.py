@@ -169,8 +169,7 @@ class _ClusterTableView:
     def window_scan_blocks(self, keys: Sequence[str], ts_column: str,
                            key_value: Any, start_ts: Optional[int] = None,
                            end_ts: Optional[int] = None,
-                           limit: Optional[int] = None,
-                           block_rows: int = 256) -> List[ColumnBlock]:
+                           limit: Optional[int] = None) -> List[ColumnBlock]:
         """Chunked window scan over the cluster, newest-first.
 
         A key that routes to one partition (every scan on the partition
@@ -181,14 +180,12 @@ class _ClusterTableView:
         """
         return self._rerouting(
             lambda: self._window_scan_blocks_once(
-                keys, ts_column, key_value, start_ts, end_ts, limit,
-                block_rows))
+                keys, ts_column, key_value, start_ts, end_ts, limit))
 
     def _window_scan_blocks_once(self, keys: Sequence[str], ts_column: str,
                                  key_value: Any, start_ts: Optional[int],
                                  end_ts: Optional[int],
-                                 limit: Optional[int], block_rows: int
-                                 ) -> List[ColumnBlock]:
+                                 limit: Optional[int]) -> List[ColumnBlock]:
         ns = self._ns
         ctx = ns._obs.tracer.inject()
         scans: List[List[ColumnBlock]] = []
@@ -200,7 +197,7 @@ class _ClusterTableView:
                     tablet.window_scan_blocks(
                         self.name, pid, keys, ts_column, key_value,
                         start_ts=start_ts, end_ts=end_ts, limit=limit,
-                        block_rows=block_rows, trace_ctx=ctx,
+                        trace_ctx=ctx,
                         timeout_ms=timeout_ms)))
         if len(scans) == 1:
             return scans[0]

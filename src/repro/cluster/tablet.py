@@ -295,7 +295,6 @@ class TabletServer:
                            start_ts: Optional[int] = None,
                            end_ts: Optional[int] = None,
                            limit: Optional[int] = None,
-                           block_rows: int = 256,
                            trace_ctx: Optional[Dict[str, int]] = None,
                            timeout_ms: Optional[float] = None
                            ) -> List[ColumnBlock]:
@@ -319,7 +318,7 @@ class TabletServer:
                                table=table, partition=partition_id) as span:
             blocks = list(store.window_scan_blocks(
                 keys, ts_column, key_value, start_ts=start_ts,
-                end_ts=end_ts, limit=limit, block_rows=block_rows))
+                end_ts=end_ts, limit=limit))
             span.set_tag(rows=sum(map(len, blocks)))
         return blocks
 

@@ -52,9 +52,10 @@ from .preagg import PreAggregator
 
 __all__ = ["OnlineEngine", "EngineStats"]
 
-_COUNTER_FIELDS = ("rows_scanned", "scan_blocks", "preagg_bucket_merges",
-                   "preagg_raw_rows", "join_lookups", "shared_scan_hits",
-                   "incremental_hits", "incremental_fallbacks")
+_COUNTER_FIELDS = ("rows_scanned", "scan_blocks", "summary_blocks",
+                   "preagg_bucket_merges", "preagg_raw_rows", "join_lookups",
+                   "shared_scan_hits", "incremental_hits",
+                   "incremental_fallbacks")
 
 #: Shared empty slot map for windows with no pre-aggregation — never
 #: mutated (the request path only iterates and membership-tests it), so
@@ -75,6 +76,7 @@ class _RequestCounters:
     def __init__(self) -> None:
         self.rows_scanned = 0
         self.scan_blocks = 0
+        self.summary_blocks = 0
         self.preagg_bucket_merges = 0
         self.preagg_raw_rows = 0
         self.join_lookups = 0
@@ -94,6 +96,7 @@ class EngineStats:
     requests: int = 0
     rows_scanned: int = 0
     scan_blocks: int = 0
+    summary_blocks: int = 0
     preagg_bucket_merges: int = 0
     preagg_raw_rows: int = 0
     join_lookups: int = 0
@@ -109,6 +112,7 @@ class EngineStats:
             self.requests += 1
             self.rows_scanned += counters.rows_scanned
             self.scan_blocks += counters.scan_blocks
+            self.summary_blocks += counters.summary_blocks
             self.preagg_bucket_merges += counters.preagg_bucket_merges
             self.preagg_raw_rows += counters.preagg_raw_rows
             self.join_lookups += counters.join_lookups
@@ -139,6 +143,8 @@ class OnlineEngine:
         self._m_requests = registry.counter("online.requests")
         self._m_rows_scanned = registry.counter("online.rows_scanned")
         self._m_scan_blocks = registry.counter("online.scan.blocks")
+        self._m_summary_blocks = registry.counter(
+            "online.fold.summary_blocks")
         self._m_join_lookups = registry.counter("online.join_lookups")
         self._m_preagg_merges = registry.counter(
             "online.preagg.bucket_merges")
@@ -161,6 +167,8 @@ class OnlineEngine:
             self._m_rows_scanned.inc(counters.rows_scanned)
         if counters.scan_blocks:
             self._m_scan_blocks.inc(counters.scan_blocks)
+        if counters.summary_blocks:
+            self._m_summary_blocks.inc(counters.summary_blocks)
         if counters.preagg_bucket_merges:
             self._m_preagg_merges.inc(counters.preagg_bucket_merges)
         if counters.preagg_raw_rows:
@@ -272,8 +280,9 @@ class OnlineEngine:
                                 span.set_tag(rows=counters.rows_scanned
                                              - rows_before)
                         with span_of("agg.fold", window=name):
-                            results = window.compute_blocks(
+                            results, summarized = window.compute_blocks(
                                 fetched[canonical])
+                        counters.summary_blocks += summarized
                     for slot, value in results.items():
                         if slot not in preagg_slots:
                             aggregate_values[slot] = value

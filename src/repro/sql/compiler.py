@@ -94,6 +94,32 @@ def _present(values: List[Any]) -> List[Any]:
     return [value for value in values if value is not None]
 
 
+# Block summaries, memoized by ``SealedBlock.summary``: each is exact
+# however a window splits into blocks — integer ``+``, min/max and set
+# union associate, and NaN never reaches storage.
+
+def _count_summary(values: List[Any]) -> Tuple[int, int]:
+    return 0, len(values) - values.count(None)  # a count-only group
+
+
+def _sum_summary(values: List[Any]) -> Tuple[int, int]:
+    present = _present(values)
+    return sum(present), len(present)
+
+
+def _extremes_summary(values: List[Any]) -> Tuple[Any, ...]:
+    """Values with the column's min and max — a lone NULL if none."""
+    present = _present(values)
+    return (min(present), max(present)) if present else (None,)
+
+
+def _distinct_summary(values: List[Any]) -> Optional[frozenset]:
+    """The distinct values while there are ≤ 64 — a memo never outgrows
+    the column it summarizes — else None: the column itself."""
+    found = frozenset(_present(values))
+    return found if len(found) <= 64 else None
+
+
 def _value_lists(group: "_StateGroup", blocks: Sequence[ColumnBlock],
                  row_views: Sequence[List[Row]]) -> List[List[Any]]:
     """The group's argument over each block, oldest block first: the
@@ -199,8 +225,8 @@ class CompiledWindow:
             return CompiledAggregate(binding, arg_fn, function, group)
         return CompiledAggregate(binding, arg_fn, function)
 
-    def _build_fold_kernel(
-            self) -> Callable[[Sequence[ColumnBlock]], Dict[int, Any]]:
+    def _build_fold_kernel(self) -> Callable[
+            [Sequence[ColumnBlock]], Tuple[Dict[int, Any], int]]:
         """Specialise the fold closure for this window's aggregate mix.
 
         The classification happens *here*, at compile time; the returned
@@ -228,6 +254,10 @@ class CompiledWindow:
         multi-argument, ``fold_family = "rows"`` — folds through the
         generic :class:`AggregateFunction` protocol over the zipped row
         view.
+
+        A group over a bare integer column, or a count-only group over any
+        bare column, reads a sealed block's memoized summary instead of
+        its column; the fold returns how many sealed blocks it read so.
         """
         sumcounts = []
         multisets = []
@@ -237,22 +267,33 @@ class CompiledWindow:
             names = {compiled.binding.func_name for compiled in members}
             outs = tuple((c.binding.func_name, c.binding.constants, c.slot)
                          for c in members)
+            summarize = None
             if state.family == "sumcount":
                 accumulate = None if not names & {"sum", "avg"} \
                     else sum if state.integral else _left_fold
-                sumcounts.append((state, accumulate, outs))
+                if state.position is not None and accumulate is None:
+                    summarize = _count_summary
+                elif state.integral:
+                    summarize = _sum_summary
+                sumcounts.append((state, accumulate, summarize, outs))
             else:
                 distinct_type = Counter if "topn_frequency" in names \
                     else set if "distinct_count" in names else None
-                multisets.append((state, distinct_type, outs))
+                if state.integral and distinct_type is not Counter:
+                    summarize = _distinct_summary if distinct_type \
+                        else _extremes_summary
+                multisets.append((state, distinct_type, summarize, outs))
         generic_programs = tuple(
             (compiled.arg_fn, compiled.function, compiled.slot)
             for compiled in self._aggregates
             if compiled.shared_group is None)
         walks_rows = bool(generic_programs) or any(
             state.position is None for state in self._groups)
+        summarizes = any(entry[2] is not None
+                         for entry in sumcounts + multisets)
 
-        def fold(blocks: Sequence[ColumnBlock]) -> Dict[int, Any]:
+        def fold(blocks: Sequence[ColumnBlock]
+                 ) -> Tuple[Dict[int, Any], int]:
             results: Dict[int, Any] = {}
             # Blocks arrive newest-first and hold their tuples oldest →
             # newest: reversing the block order puts every value list in
@@ -260,10 +301,22 @@ class CompiledWindow:
             ordered = blocks[::-1]
             row_views = [block.rows() for block in ordered] \
                 if walks_rows else ()
-            for group, accumulate, outs in sumcounts:
+            sealed = [block for block in ordered if block.sealed] \
+                if summarizes else ()
+            loose = [block for block in ordered if not block.sealed] \
+                if sealed else ordered
+            for group, accumulate, summarize, outs in sumcounts:
                 total = 0
                 count = 0
-                for values in _value_lists(group, ordered, row_views):
+                if summarize is not None:
+                    for block in sealed:
+                        block_total, block_count = block.summary(
+                            group.position, summarize)
+                        total += block_total
+                        count += block_count
+                for values in _value_lists(
+                        group, ordered if summarize is None else loose,
+                        row_views):
                     if accumulate is None:
                         count += len(values) - values.count(None)
                         continue
@@ -275,9 +328,15 @@ class CompiledWindow:
                     count += len(values)
                 for func_name, _constants, slot in outs:
                     results[slot] = _sumcount_result(func_name, total, count)
-            for group, distinct_type, outs in multisets:
+            for group, distinct_type, summarize, outs in multisets:
                 lowest = highest = distinct = None
-                value_lists = _value_lists(group, ordered, row_views)
+                value_lists = _value_lists(
+                    group, ordered if summarize is None else loose,
+                    row_views)
+                if summarize is not None and sealed:
+                    # Summaries stand in for their blocks' columns.
+                    value_lists[:0] = [block.summary(group.position, summarize)
+                                       for block in sealed]
                 if distinct_type is not None:
                     distinct = distinct_type()
                     for values in value_lists:
@@ -317,7 +376,7 @@ class CompiledWindow:
                             add_row(state, *arg_fn(row))
                 for _add, state, _arg_fn, function, slot in live:
                     results[slot] = function.result(state)
-            return results
+            return results, len(sealed)
 
         return fold
 
@@ -378,12 +437,13 @@ class CompiledWindow:
         """Fold the window's rows and return ``{slot: result}``."""
         pairs = [(normalize_ts(self.order_value(row)), row)
                  for row in rows_newest_first]
-        return self._fold((ColumnBlock.from_pairs(pairs, self.width),))
+        return self._fold((ColumnBlock.from_pairs(pairs, self.width),))[0]
 
     def compute_blocks(self,
                        blocks_newest_first: Sequence[ColumnBlock]
-                       ) -> Dict[int, Any]:
-        """Fold newest-first blocks and return ``{slot: result}``.
+                       ) -> Tuple[Dict[int, Any], int]:
+        """Fold newest-first blocks: ``{slot: result}`` and the number of
+        sealed blocks answered from their memoized summaries.
 
         This is the hot entry point: the storage layer's blocks feed
         straight in, so the per-row work left on the path is whatever

@@ -31,7 +31,7 @@ from ..errors import IndexNotFoundError, SchemaError
 from ..obs import NULL_OBS, Observability
 from ..schema import IndexDef, Row, Schema, TTLKind, TTLSpec
 from .memtable import MemTable
-from .skiplist import ColumnBlock
+from . import skiplist
 
 __all__ = ["BloomFilter", "SSTable", "ColumnFamily", "DiskTable"]
 
@@ -372,9 +372,8 @@ class DiskTable:
     def window_scan_blocks(self, keys: Sequence[str], ts_column: str,
                            key_value: Any, start_ts: Optional[int] = None,
                            end_ts: Optional[int] = None,
-                           limit: Optional[int] = None,
-                           block_rows: int = 256
-                           ) -> Iterator[ColumnBlock]:
+                           limit: Optional[int] = None
+                           ) -> Iterator[skiplist.ColumnBlock]:
         """Chunked window scan — same contract as
         :meth:`MemTable.window_scan_blocks`.
 
@@ -388,10 +387,10 @@ class DiskTable:
                                   limit=limit)
         width = len(self.schema)
         while True:
-            block = list(itertools.islice(merged, block_rows))
+            block = list(itertools.islice(merged, skiplist.BLOCK_ROWS))
             if not block:
                 return
-            yield ColumnBlock.from_pairs(block, width)
+            yield skiplist.ColumnBlock.from_pairs(block, width)
 
     def last_join_lookup(self, keys: Sequence[str], key_value: Any,
                          before_ts: Optional[int] = None

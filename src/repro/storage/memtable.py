@@ -211,20 +211,19 @@ class MemTable:
     def window_scan_blocks(self, keys: Sequence[str], ts_column: str,
                            key_value: Any, start_ts: Optional[int] = None,
                            end_ts: Optional[int] = None,
-                           limit: Optional[int] = None,
-                           block_rows: int = 256) -> List[ColumnBlock]:
+                           limit: Optional[int] = None) -> List[ColumnBlock]:
         """Chunked :meth:`window_scan`: newest-first
         :class:`~repro.storage.skiplist.ColumnBlock` s.
 
-        One key seek and two bisects, then slices of the key's columns —
-        the shape the window fold reduces column-at-a-time; iterating a
+        One key seek and a bisect per edge, then the sealed blocks
+        between the edges by reference and slices of the edges — the
+        shape the window fold reduces column-at-a-time; iterating a
         block still yields ``(ts, row)`` pairs.
         """
         index = self.find_index(keys, ts_column)
         self._m_scans.inc()
         return self._structures[index.name].scan_blocks(
-            key_value, start_ts=start_ts, end_ts=end_ts, limit=limit,
-            block_rows=block_rows)
+            key_value, start_ts=start_ts, end_ts=end_ts, limit=limit)
 
     def last_join_lookup(self, keys: Sequence[str], key_value: Any,
                          before_ts: Optional[int] = None

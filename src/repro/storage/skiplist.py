@@ -3,21 +3,24 @@
 The first level is a skiplist ordered by **key** (e.g. user id); each key
 node points to a second level holding all tuples for that key *pre-ranked
 by timestamp*.  Here the second level is stored as columns
-(:class:`_TimeList`): one ``array('q')`` of ascending timestamps per key
-plus the rows' values in one flat row-major list, rather than the paper's
-linked nodes — it keeps every property Section 7.2 relies on and drops
-the per-tuple node, pointer cells and pointer hops:
+(:class:`_TimeList`): sealed immutable :class:`ColumnBlock` s of
+``BLOCK_ROWS`` tuples, then a hot tail of one ``array('q')`` of ascending
+timestamps plus the rows' values in one flat row-major list, rather than
+the paper's linked nodes — it keeps every property Section 7.2 relies on
+and drops the per-tuple node, pointer cells and pointer hops:
 
-* ``LAST JOIN`` — the most recent tuple for a key is the tail of both
-  sequences, O(1) once the key node is found.
+* ``LAST JOIN`` — the most recent tuple for a key is the end of the
+  tail, O(1) once the key node is found.
 * ``PARTITION BY key ORDER BY ts ROWS BETWEEN ... PRECEDING`` — a window
-  is the run between two integer bisects (O(log n) seek), copied out as
-  :class:`ColumnBlock` s: newest-first blocks whose *columns* are strided
-  C-level slices, which is what the window fold reduces.
+  is the run between two integer bisects (O(log n) seek), handed out as
+  newest-first :class:`ColumnBlock` s whose *columns* are strided C-level
+  slices, which is what the window fold reduces.  Sealed blocks the run
+  covers whole go out by reference, with their memoized reductions.
 * In-order arrival (the stream case) is an O(1) ``append`` + ``extend``;
-  a late tuple is a bisect plus one slice assignment.
-* Out-of-date data removal (TTL): expired tuples are a prefix of both
-  sequences, so eviction is one batch deletion on each per key.
+  a late tuple is a bisect plus one slice assignment, or a rebuilt copy
+  of the sealed block it lands in.
+* Out-of-date data removal (TTL): expired tuples are a prefix of the
+  key's history, so eviction drops whole blocks and cuts at most one.
 
 Concurrency: the first level follows the paper's lock-free discipline —
 pointer updates go through :class:`AtomicReference.compare_and_set` retry
@@ -37,16 +40,21 @@ from bisect import bisect_left, bisect_right
 from functools import partial
 from itertools import chain
 from operator import itemgetter
-from typing import (Any, Callable, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List,
+                    Optional, Sequence, Tuple)
 
 from ..errors import StorageError
 from ..schema import TTLKind, TTLSpec
 
-__all__ = ["AtomicReference", "ColumnBlock", "SkipList", "TimeSeriesIndex"]
+__all__ = ["AtomicReference", "BLOCK_ROWS", "ColumnBlock", "SealedBlock",
+           "SkipList", "TimeSeriesIndex"]
 
 _MAX_LEVEL = 16
 _BRANCHING = 4  # expected nodes per level step, as in LevelDB/OpenMLDB
+
+#: Tuples per sealed block: once a key's hot tail holds more, its oldest
+#: ``BLOCK_ROWS`` are sealed.  Disk-backed scans chunk by it too.
+BLOCK_ROWS = 256
 
 
 class AtomicReference:
@@ -257,9 +265,10 @@ class SkipList:
 class ColumnBlock:
     """A run of one key's tuples, held column-sliceable.
 
-    What every ``window_scan_blocks`` hands out: a private copy (taken
-    under the per-key lock, or built from rows by a caller), so nothing a
-    reader does with it can race a writer.  Inside, it keeps the storage
+    What every ``window_scan_blocks`` hands out: a private copy (sliced
+    under the per-key lock, or built from rows by a caller) or a shared
+    :class:`SealedBlock`, so nothing a reader does can race a writer;
+    every accessor returns a fresh list.  Inside, it keeps the storage
     layout — timestamps ascending in an ``array('q')`` and the rows'
     values in one flat row-major list — so :meth:`column` is a single
     strided C-level slice, oldest → newest, which is the order float sums
@@ -272,6 +281,7 @@ class ColumnBlock:
     """
 
     __slots__ = ("_ts", "_cells", "_width")
+    sealed = False
 
     def __init__(self, ts: "array[int]", cells: List[Any],
                  width: Optional[int]) -> None:
@@ -319,7 +329,7 @@ class ColumnBlock:
     def rows(self) -> List[Any]:
         """The rows as tuples, oldest → newest (the zipped row view)."""
         if self._width is None:
-            return self._cells
+            return list(self._cells)
         return list(zip(*[iter(self._cells)] * self._width))
 
     def column(self, position: int) -> List[Any]:
@@ -334,37 +344,74 @@ class ColumnBlock:
                            self._width)
 
 
+class SealedBlock(ColumnBlock):
+    """A sealed run of a key's history: never changed once published, so
+    every reader shares it, and it remembers what folds compute on it."""
+
+    __slots__ = ("_memo",)
+    sealed = True
+
+    def __init__(self, ts: "array[int]", cells: List[Any],
+                 width: Optional[int]) -> None:
+        super().__init__(ts, cells, width)
+        self._memo: Dict[Any, Any] = {}
+
+    def summary(self, position: int,
+                reduce: Callable[[List[Any]], Any]) -> Any:
+        """``reduce(self.column(position))``, computed once.  A reduction
+        that declines (None) is answered with the column."""
+        memo, key = self._memo, (position, reduce)
+        if key not in memo:
+            memo[key] = reduce(self.column(position))
+        found = memo[key]
+        return self.column(position) if found is None else found
+
+
+def _first_block_past(blocks: List[ColumnBlock], ts: int, edge: int) -> int:
+    """Index of the first of ``blocks`` whose ``_ts[edge]`` exceeds ``ts``."""
+    lo, hi = 0, len(blocks)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if blocks[mid]._ts[edge] > ts:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 class _TimeList:
     """Per-key second level: the key's tuples pre-ranked by timestamp
     (Section 7.2), stored as columns.
 
-    ``_ts`` is an ``array('q')`` of timestamps, ascending; ``_cells``
-    holds the rows' values in one flat row-major list, ``width`` values
-    per tuple (``width`` None: the payload is opaque and takes one cell).
-    Among equal timestamps later arrivals sit *after* earlier ones, so a
-    newest-first read sees the latest arrival first, matching stream
-    order.  The newest tuple is the tail, a window is the run between two
-    integer bisects, and every TTL rule deletes a prefix of both
-    sequences — C-level cuts, no node walk.
+    The history is ``_sealed`` (:class:`SealedBlock` s, oldest first)
+    then the hot **tail**: ``_ts``, an ``array('q')`` of timestamps,
+    ascending, and ``_cells``, the rows' values in one flat row-major
+    list, ``width`` values per tuple (``width`` None: the payload is
+    opaque and takes one cell).  Past ``BLOCK_ROWS`` tuples the tail's
+    oldest ``BLOCK_ROWS`` are sealed.  Among equal timestamps later
+    arrivals sit *after* earlier ones, so a newest-first read sees the
+    latest arrival first.  A late tuple or a TTL cut replaces a sealed
+    block with a rebuilt one (split in two past ``2 * BLOCK_ROWS``).
 
     Concurrency: a per-key lock is held around each bisect + slice and
-    around each mutation (append, late insert, prefix delete); nothing
-    wider than this key is ever locked.  A reader copies its run out
-    under the lock into :class:`ColumnBlock` s and works on those
-    afterwards, so it can never see a timestamp beside another tuple's
-    values or a window shifted by a concurrent insert or eviction.
+    around each mutation (append, seal, late insert, prefix delete);
+    nothing wider than this key is ever locked.  A reader takes its run
+    under the lock — slices of the edges, the sealed blocks between —
+    so it can never see a timestamp beside another tuple's values or a
+    window shifted by a concurrent insert or eviction.
     """
 
-    __slots__ = ("_ts", "_cells", "_width", "_lock")
+    __slots__ = ("_sealed", "_ts", "_cells", "_width", "_lock")
 
     def __init__(self, width: Optional[int] = None) -> None:
+        self._sealed: Sequence[SealedBlock] = ()  # a list from the first seal
         self._ts = array("q")
         self._cells: List[Any] = []
         self._width = width
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        return len(self._ts)
+        return sum(map(len, self._sealed)) + len(self._ts)
 
     def insert(self, ts: int, row: Any) -> None:
         width = self._width
@@ -374,15 +421,38 @@ class _TimeList:
             raise StorageError(
                 f"row has {len(row)} values, the index stores {width}")
         with self._lock:
-            stamps = self._ts
+            stamps, cells = self._ts, self._cells
             if not stamps or ts >= stamps[-1]:
                 stamps.append(ts)  # in-order arrival: the stream case
-                self._cells.extend(row)
+                cells.extend(row)
             else:
+                # A late tuple goes into the tail, or into a copy of the
+                # first sealed block holding a newer one.
+                sealed, stride = self._sealed, len(row)
+                index = _first_block_past(sealed, ts, -1)
+                if index < len(sealed):
+                    stamps = sealed[index]._ts[:]
+                    cells = sealed[index]._cells[:]
                 at = bisect_right(stamps, ts)
                 stamps.insert(at, ts)
-                at *= len(row)  # the tuple's first cell
-                self._cells[at:at] = row
+                at *= stride  # the tuple's first cell
+                cells[at:at] = row
+                if index < len(sealed):
+                    size = len(stamps)
+                    half = size // 2 if size > 2 * BLOCK_ROWS else size
+                    sealed[index:index + 1] = [
+                        SealedBlock(stamps[lo:hi],
+                                    cells[lo * stride:hi * stride], width)
+                        for lo, hi in ((0, half), (half, size)) if lo < hi]
+                    return
+            if len(stamps) > BLOCK_ROWS:
+                cut = BLOCK_ROWS * len(row)
+                if not self._sealed:
+                    self._sealed = []
+                self._sealed.append(SealedBlock(stamps[:BLOCK_ROWS],
+                                                cells[:cut], width))
+                del stamps[:BLOCK_ROWS]
+                del cells[:cut]
 
     def newest(self) -> Optional[Tuple[int, Any]]:
         """The most recent ``(ts, row)`` — the LAST JOIN fast path."""
@@ -395,46 +465,51 @@ class _TimeList:
 
     def scan_blocks(self, start_ts: Optional[int] = None,
                     end_ts: Optional[int] = None,
-                    limit: Optional[int] = None,
-                    block_rows: Optional[int] = 256) -> List[ColumnBlock]:
-        """Copy out the run in ``[end_ts, start_ts]`` (both inclusive),
-        capped to the ``limit`` newest tuples, as newest-first blocks of
-        at most ``block_rows`` tuples (None: the whole run in one).
+                    limit: Optional[int] = None) -> List[ColumnBlock]:
+        """The run in ``[end_ts, start_ts]`` (both inclusive), capped to
+        the ``limit`` newest tuples, as newest-first blocks.
 
         ``start_ts`` is the *newest* bound, ``end_ts`` the oldest —
         mirroring ``ROWS_RANGE BETWEEN x PRECEDING AND CURRENT ROW``.
-        Both bounds are O(log n) integer bisects; every block is sliced
-        straight from the stored columns under the lock, one copy.
+        The tail's part comes first, then the sealed blocks the run
+        reaches: as they are when covered whole, else sliced.
         """
         width = self._width
         stride = width or 1
+        blocks = []
         with self._lock:
-            stamps, cells = self._ts, self._cells
-            hi = len(stamps) if start_ts is None \
-                else bisect_right(stamps, start_ts)
-            lo = 0 if end_ts is None \
-                else bisect_left(stamps, end_ts, 0, hi)
-            if limit is not None:
-                lo = max(lo, hi - limit)
-            step = block_rows or max(hi - lo, 1)
-            blocks = []
-            for top in range(hi, lo, -step):
-                bottom = max(top - step, lo)
-                blocks.append(ColumnBlock(
-                    stamps[bottom:top],
-                    cells[bottom * stride:top * stride], width))
-            return blocks
+            sealed = self._sealed
+            below = len(sealed) if start_ts is None or not sealed \
+                else _first_block_past(sealed, start_ts, 0)
+            block, stamps, cells = None, self._ts, self._cells
+            while True:
+                hi = len(stamps) if start_ts is None \
+                    else bisect_right(stamps, start_ts)
+                lo = 0 if end_ts is None \
+                    else bisect_left(stamps, end_ts, 0, hi)
+                if limit is not None:
+                    lo = max(lo, hi - limit)
+                    limit -= hi - lo
+                if block is not None and lo == 0 and hi == len(stamps):
+                    blocks.append(block)
+                elif lo < hi:
+                    blocks.append(ColumnBlock(
+                        stamps[lo:hi], cells[lo * stride:hi * stride], width))
+                if lo or not below:
+                    return blocks  # everything older is out of the run
+                below -= 1
+                block = sealed[below]
+                stamps, cells = block._ts, block._cells
 
     def scan(self, start_ts: Optional[int] = None,
              end_ts: Optional[int] = None,
              limit: Optional[int] = None) -> Iterator[Tuple[int, Any]]:
         """Yield ``(ts, row)`` newest-first within ``[end_ts, start_ts]``.
 
-        The run is copied out eagerly, so a caller that stops early
-        should pass a ``limit``.
+        The run is taken eagerly, so a caller that stops early should
+        pass a ``limit``.
         """
-        return chain.from_iterable(
-            self.scan_blocks(start_ts, end_ts, limit, block_rows=None))
+        return chain.from_iterable(self.scan_blocks(start_ts, end_ts, limit))
 
     def evict(self, kind: TTLKind, horizon: Optional[int],
               keep: int) -> int:
@@ -442,15 +517,17 @@ class _TimeList:
 
         ``horizon`` expires tuples with ``ts < horizon`` (None: no time
         bound), ``keep`` everything but the ``keep`` newest (0: no count
-        bound).  Both sets are prefixes of the columns, so ``ABS_OR_LAT``
+        bound).  Both sets are prefixes of the history, so ``ABS_OR_LAT``
         cuts the longer one and ``ABS_AND_LAT`` (a tuple must violate
         both bounds) the shorter.
         """
+        stride = self._width or 1
         with self._lock:
-            stamps = self._ts
-            expired = 0 if horizon is None \
-                else bisect_left(stamps, horizon)
-            excess = max(len(stamps) - keep, 0) if keep else 0
+            sealed, stamps = self._sealed, self._ts
+            expired = 0 if horizon is None else bisect_left(
+                stamps, horizon) + sum(bisect_left(block._ts, horizon)
+                                       for block in sealed)
+            excess = max(len(self) - keep, 0) if keep else 0
             if kind is TTLKind.ABSOLUTE:
                 cut = expired
             elif kind is TTLKind.LATEST:
@@ -459,8 +536,17 @@ class _TimeList:
                 cut = max(expired, excess)
             else:
                 cut = min(expired, excess)
-            del stamps[:cut]
-            del self._cells[:cut * (self._width or 1)]
+            left = cut
+            while sealed and len(sealed[0]) <= left:
+                left -= len(sealed.pop(0))
+            if sealed and left:
+                block = sealed[0]
+                sealed[0] = SealedBlock(block._ts[left:],
+                                        block._cells[left * stride:],
+                                        self._width)
+            elif left:
+                del stamps[:left]
+                del self._cells[:left * stride]
         return cut
 
 
@@ -513,18 +599,18 @@ class TimeSeriesIndex:
 
     def scan_blocks(self, key: Any, start_ts: Optional[int] = None,
                     end_ts: Optional[int] = None,
-                    limit: Optional[int] = None,
-                    block_rows: int = 256) -> List[ColumnBlock]:
+                    limit: Optional[int] = None) -> List[ColumnBlock]:
         """Newest-first :class:`ColumnBlock` s for ``key``.
 
-        The chunked counterpart of :meth:`scan`: the same run, copied
-        out in blocks of at most ``block_rows`` tuples.
+        The chunked counterpart of :meth:`scan`: the same run, as the
+        tail's part and the sealed blocks (see
+        :meth:`_TimeList.scan_blocks`).
         """
         time_list = self._keys.get(key)
         if time_list is None:
             return []
         return time_list.scan_blocks(start_ts=start_ts, end_ts=end_ts,
-                                     limit=limit, block_rows=block_rows)
+                                     limit=limit)
 
     def scan_all(self) -> Iterator[Tuple[Any, int, Any]]:
         """Yield every ``(key, ts, row)``, keys ascending, ts descending."""

@@ -14,6 +14,7 @@ from repro.obs import Observability
 from repro.online.engine import OnlineEngine
 from repro.schema import IndexDef, Schema
 from repro.serving.describe import DeploymentDescriptor
+from repro.storage import skiplist
 from repro.storage.memtable import MemTable
 from repro.cluster import NameServer, TabletServer
 from tests.conftest import BAD_ROWS, CHECKED_INDEX, CHECKED_SCHEMA, GOOD_ROW
@@ -250,7 +251,11 @@ class TestServedPathDifferential:
                             engine.execute_request(compiled, row)))
         return cluster, expected, requests
 
-    def test_request_and_batch_match_local_engine(self):
+    def test_request_and_batch_match_local_engine(self, monkeypatch):
+        # Blocks seal at 8 tuples (16 at most, with late rows), so every
+        # key's history is mostly sealed blocks and the served folds
+        # read their memoized summaries.
+        monkeypatch.setattr(skiplist, "BLOCK_ROWS", 8)
         cluster, expected, requests = self._twins()
         want = [expected(row) for row in requests]
         got = [cluster.request("feat", row) for row in requests]
@@ -259,7 +264,7 @@ class TestServedPathDifferential:
         assert batch == want and repr(batch) == repr(want)
         # A single-partition scan hands over the tablet's own blocks.
         view = cluster._views["t"]
-        blocks = view.window_scan_blocks(("uid",), "ts", 3, block_rows=16)
+        blocks = view.window_scan_blocks(("uid",), "ts", 3)
         assert len(blocks) > 1 and all(len(b) <= 16 for b in blocks)
         assert [pair for block in blocks for pair in block] \
             == list(view.window_scan(("uid",), "ts", 3))

@@ -12,7 +12,10 @@ from repro.errors import OpenMLDBError, StorageError
 from repro.obs import Observability
 from repro.schema import IndexDef, Schema, TTLKind, TTLSpec
 from repro.storage.memtable import MemTable
-from repro.storage.skiplist import TimeSeriesIndex
+from repro.sql.compiler import compile_plan
+from repro.sql.parser import parse_select
+from repro.sql.planner import build_plan
+from repro.storage.skiplist import BLOCK_ROWS, ColumnBlock, TimeSeriesIndex
 
 
 class TestSkiplistReadersWriters:
@@ -55,73 +58,102 @@ class TestSkiplistReadersWriters:
         no sleeps: every block a reader sees is newest-first and inside
         its bounds, every row still sits beside its own timestamp, and
         the rows left equal inserted - evicted."""
-        index = TimeSeriesIndex(
-            ttl=TTLSpec(kind=TTLKind.ABS_OR_LAT, abs_ttl_ms=300,
-                        lat_ttl=500), seed=0)
-        writers, per_writer, span = 3, 1_000, 10_000
-        evicted = []
-        errors = []
+        _one_key_race(width=None)
 
-        def writer(wid):
-            rng = random.Random(100 + wid)
-            for step in range(per_writer):
-                ts = step * 10 + wid  # in-order within this writer
-                if rng.random() < 0.3:
-                    ts = rng.randrange(ts + 1)  # a late row
-                index.put("k", ts, (wid, step, ts))
+    def test_one_key_race_across_seals_folds_like_one_block(self):
+        """The same race on columnar rows (``width=3``): 3,000 rows on
+        one key seal, rebuild and drop blocks while readers run, and a
+        fold over each reader's blocks — sealed ones answering from
+        summaries other readers may be memoizing at the same moment —
+        equals the fold over the same rows laid out as one block."""
+        catalog = {"t": Schema.from_pairs(
+            [("w", "bigint"), ("s", "bigint"), ("ts", "bigint")])}
+        window = compile_plan(build_plan(parse_select(
+            "SELECT sum(s) OVER x AS a, avg(s) OVER x AS b, "
+            "count(w) OVER x AS c, min(ts) OVER x AS d, "
+            "max(ts) OVER x AS e, distinct_count(w) OVER x AS f, "
+            "distinct_count(ts) OVER x AS g FROM t WINDOW x AS "
+            "(PARTITION BY w ORDER BY ts ROWS_RANGE BETWEEN 10 PRECEDING "
+            "AND CURRENT ROW)"), catalog), catalog).windows["x"]
 
-        def evictor():
-            rng = random.Random(7)
-            evicted.append(sum(index.evict(rng.randrange(span))
-                               for _ in range(300)))
+        def check(blocks, pairs):
+            folded, summarized = window.compute_blocks(blocks)
+            assert summarized == sum(block.sealed for block in blocks)
+            assert folded == window.compute_blocks(
+                [ColumnBlock.from_pairs(pairs, 3)])[0]
+        _one_key_race(width=3, check=check)
 
-        def reader(rid):
-            rng = random.Random(200 + rid)
-            try:
-                for _ in range(400):
-                    start_ts = rng.choice((None, rng.randrange(span)))
-                    end_ts = rng.choice((None, rng.randrange(span)))
-                    limit = rng.choice((None, rng.randrange(1, 300)))
-                    block_rows = rng.randrange(1, 64)
-                    blocks = list(index.scan_blocks(
-                        "k", start_ts=start_ts, end_ts=end_ts,
-                        limit=limit, block_rows=block_rows))
-                    pairs = [pair for block in blocks for pair in block]
-                    stamps = [ts for ts, _row in pairs]
-                    assert all(len(block) <= block_rows
-                               for block in blocks)
-                    assert stamps == sorted(stamps, reverse=True)
-                    assert all(row[2] == ts for ts, row in pairs)
-                    assert start_ts is None or not stamps \
-                        or stamps[0] <= start_ts
-                    assert end_ts is None or not stamps \
-                        or stamps[-1] >= end_ts
-                    assert limit is None or len(pairs) <= limit
-                    newest = index.latest("k")
-                    assert newest is None or newest[1][2] == newest[0]
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
 
-        threads = [threading.Thread(target=writer, args=(wid,))
-                   for wid in range(writers)]
-        threads.append(threading.Thread(target=evictor))
-        threads += [threading.Thread(target=reader, args=(rid,))
-                    for rid in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # force interleavings inside one op
+def _one_key_race(width, check=None):
+    index = TimeSeriesIndex(
+        ttl=TTLSpec(kind=TTLKind.ABS_OR_LAT, abs_ttl_ms=300,
+                    lat_ttl=500), seed=0, width=width)
+    writers, per_writer, span = 3, 1_000, 10_000
+    evicted = []
+    errors = []
+
+    def writer(wid):
+        rng = random.Random(100 + wid)
+        for step in range(per_writer):
+            ts = step * 10 + wid  # in-order within this writer
+            if rng.random() < 0.3:
+                ts = rng.randrange(ts + 1)  # a late row
+            index.put("k", ts, (wid, step, ts))
+
+    def evictor():
+        rng = random.Random(7)
+        evicted.append(sum(index.evict(rng.randrange(span))
+                           for _ in range(300)))
+
+    def reader(rid):
+        rng = random.Random(200 + rid)
         try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert not errors, errors
-        left = list(index.scan("k"))
-        assert len(left) == len(index) \
-            == writers * per_writer - evicted[0]
-        assert len({row for _ts, row in left}) == len(left)
+            for _ in range(400):
+                start_ts = rng.choice((None, rng.randrange(span)))
+                end_ts = rng.choice((None, rng.randrange(span)))
+                limit = rng.choice((None, rng.randrange(1, 300)))
+                blocks = list(index.scan_blocks(
+                    "k", start_ts=start_ts, end_ts=end_ts, limit=limit))
+                pairs = [pair for block in blocks for pair in block]
+                stamps = [ts for ts, _row in pairs]
+                # Newest-first and contiguous: no empty block, and
+                # each block ends where the next older one begins.
+                assert all(1 <= len(block) <= 2 * BLOCK_ROWS
+                           for block in blocks)
+                assert stamps == sorted(stamps, reverse=True)
+                assert all(row[2] == ts for ts, row in pairs)
+                assert start_ts is None or not stamps \
+                    or stamps[0] <= start_ts
+                assert end_ts is None or not stamps \
+                    or stamps[-1] >= end_ts
+                assert limit is None or len(pairs) <= limit
+                if check is not None and pairs:
+                    check(blocks, pairs)
+                newest = index.latest("k")
+                assert newest is None or newest[1][2] == newest[0]
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer, args=(wid,))
+               for wid in range(writers)]
+    threads.append(threading.Thread(target=evictor))
+    threads += [threading.Thread(target=reader, args=(rid,))
+                for rid in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # force interleavings inside one op
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    left = list(index.scan("k"))
+    assert len(left) == len(index) \
+        == writers * per_writer - evicted[0]
+    assert len({row for _ts, row in left}) == len(left)
 
 
 class TestMemTableCounters:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.schema import IndexDef, Schema, TTLKind, TTLSpec
+from repro.storage import skiplist
 from repro.storage.disk import ColumnFamily, DiskTable, SSTable
 from repro.storage.memtable import MemTable
 
@@ -87,8 +88,8 @@ class TestDiskTable:
                                               limit=2))
         assert len(limited) == 2
 
-    def test_limit_zero_and_bounds_across_memtable_and_sst(self,
-                                                           disk_table):
+    def test_limit_zero_and_bounds_across_memtable_and_sst(
+            self, disk_table, monkeypatch):
         """``limit=0`` reads nothing (the scan used to yield a row before
         it checked), and the bounds hold on the unflushed side too, which
         is now bisected instead of copied whole and filtered."""
@@ -106,9 +107,10 @@ class TestDiskTable:
         assert [ts for ts, _ in disk_table.window_scan(
             *scan, start_ts=125, limit=3)] == [120, 110, 100]
         # Blocks are the memtable's type: pairs newest-first, columns
-        # oldest → newest.
+        # oldest → newest, ``BLOCK_ROWS`` (here 2) to a block.
+        monkeypatch.setattr(skiplist, "BLOCK_ROWS", 2)
         blocks = list(disk_table.window_scan_blocks(
-            *scan, start_ts=120, end_ts=80, block_rows=2))
+            *scan, start_ts=120, end_ts=80))
         assert [len(block) for block in blocks] == [2, 2, 1]
         assert [pair for block in blocks for pair in block] == list(
             disk_table.window_scan(*scan, start_ts=120, end_ts=80))

@@ -39,6 +39,9 @@ before the newest tuple (hit, hit, and fallback paths).
 
 from __future__ import annotations
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -47,6 +50,7 @@ from repro.baselines.interp import interpret_expr
 from repro.online.engine import _COUNTER_FIELDS
 from repro.schema import IndexDef, Schema, TTLKind, TTLSpec
 from repro.sql import ast
+from repro.storage.skiplist import BLOCK_ROWS, TimeSeriesIndex
 
 KEYS = ("u1", "u2", "u3")
 
@@ -127,18 +131,25 @@ def _sequential_sum(values_oldest_first):
     return total
 
 
-def _reference_features(store, request, frame, maxsize, exclude):
-    key, anchor, req_a, req_b, req_c, req_x = request
+def _reference_window(store, request, frame, maxsize, exclude):
+    """The window's rows newest-first, as ``(ts, seq, *values)``; the
+    request row heads it with ``seq`` None."""
+    key, anchor, *values = request
     kind, bound = frame
     stored = [r for r in store.get(key, ()) if r[0] <= anchor]
     if kind == "range":
         stored = [r for r in stored if r[0] >= anchor - bound]
     else:  # ROWS n PRECEDING → n stored rows besides the request row
         stored = stored[:bound]
-    window = ([] if exclude
-              else [(anchor, None, req_a, req_b, req_c, req_x)]) + stored
+    window = ([] if exclude else [(anchor, None, *values)]) + stored
     if maxsize is not None:
         window = window[:maxsize]
+    return window
+
+
+def _reference_features(store, request, frame, maxsize, exclude):
+    key, anchor, req_a, req_b, req_c, req_x = request
+    window = _reference_window(store, request, frame, maxsize, exclude)
     a_stats = _agg([r[2] for r in window])
     b_stats = _agg([r[3] for r in window])
     c_stats = _agg([r[4] for r in window])
@@ -406,3 +417,197 @@ def test_count_of_a_string_column_adds_nothing_up():
             == (3, "apple")
     finally:
         db.close()
+
+
+# ----------------------------------------------------------------------
+# sealed blocks: long histories whose folds read memoized summaries
+#
+# A key's tail seals every ``BLOCK_ROWS`` tuples, and a sealed block
+# answers integer sum / count / min / max / small distinct sets (and the
+# count of any column) from summaries it memoizes.  These keys hold
+# 600–1,500 rows, so windows span several sealed blocks plus two edges.
+
+SEALED_SQL_TEMPLATE = (
+    "SELECT k, sum(a) OVER w AS s_a, avg(a) OVER w AS v_a, "
+    "count(a) OVER w AS c_a, min(a) OVER w AS mn_a, max(a) OVER w AS mx_a, "
+    "distinct_count(a) OVER w AS dc_a, count(b) OVER w AS c_b, "
+    "distinct_count(b) OVER w AS dc_b, sum(c) OVER w AS s_c, "
+    "min(c) OVER w AS mn_c, max(c) OVER w AS mx_c, count(s) OVER w AS c_s, "
+    "distinct_count(s) OVER w AS dc_s, sum(x) OVER w AS s_x, "
+    "min(x) OVER w AS mn_x "
+    "FROM t WINDOW w AS (PARTITION BY k ORDER BY ts {frame}{opts})")
+
+SEALED_SCHEMA = Schema.from_pairs([
+    ("k", "string"), ("ts", "timestamp"), ("a", "bigint"), ("b", "bigint"),
+    ("c", "bigint"), ("s", "string"), ("x", "double")])
+
+_DOUBLES = (None, 1e16, -1e16, 1.0, -1.0, 0.1, 0.2, 0.3, 1e-3, 3.0)
+
+
+def _sealed_row(rng):
+    """``a`` spans ~2,000 values (a block's distinct set outgrows its
+    memo), ``b`` ten (it stays memoized); every column has NULLs."""
+    def maybe(value):
+        return None if rng.random() < 0.05 else value
+    return (maybe(rng.randrange(-1000, 1000)), maybe(rng.randrange(10)),
+            maybe(rng.randrange(-50, 50)), maybe(f"s{rng.randrange(20)}"),
+            rng.choice(_DOUBLES))
+
+
+def _long_history(seed, rows, late_share):
+    """``rows`` events on u1 and a third as many on u2, interleaved;
+    ``late_share`` of them land at a random past timestamp (mostly
+    inside sealed blocks), and ties are common."""
+    rng = random.Random(seed)
+    clock = {"u1": 0, "u2": 0}
+    events = []
+    for _ in range(rows + rows // 3):
+        key = "u1" if rng.random() < 0.75 else "u2"
+        clock[key] += rng.choice((0, 10, 10, 20))
+        ts = rng.randrange(clock[key] + 1) if rng.random() < late_share \
+            else clock[key]
+        events.append((key, ts, *_sealed_row(rng)))
+    return events
+
+
+def _sealed_reference(store, request, frame, maxsize, exclude):
+    window = _reference_window(store, request, frame, maxsize, exclude)
+    a, b, c = (_agg([r[i] for r in window]) for i in (2, 3, 4))
+    strings = [r[5] for r in window if r[5] is not None]
+    xs = [r[6] for r in reversed(window) if r[6] is not None]
+    return (request[0], a["sum"], a["avg"], a["count"], a["min"], a["max"],
+            a["distinct_count"], b["count"], b["distinct_count"], c["sum"],
+            c["min"], c["max"], len(strings), len(set(strings)),
+            _sequential_sum(xs) if xs else None, min(xs) if xs else None)
+
+
+def _sealed_db(events, frame, maxsize, exclude, ttl):
+    kind, bound = frame
+    frame_sql = (f"ROWS_RANGE BETWEEN {bound} PRECEDING AND CURRENT ROW"
+                 if kind == "range"
+                 else f"ROWS BETWEEN {bound} PRECEDING AND CURRENT ROW")
+    opts = ("" if maxsize is None else f" MAXSIZE {maxsize}") \
+        + (" EXCLUDE CURRENT_ROW" if exclude else "")
+    db = OpenMLDB()
+    db.create_table("t", SEALED_SCHEMA,
+                    indexes=[IndexDef(("k",), "ts", ttl or TTLSpec())])
+    for event in events:
+        db.insert("t", event)
+    db.deploy("d", SEALED_SQL_TEMPLATE.format(frame=frame_sql, opts=opts))
+    return db
+
+
+def _check_sealed_folds(db, store, frame, maxsize, exclude, max_ts):
+    rng = random.Random(max_ts)
+    compiled = db.deployments["d"].compiled
+    for key in ("u1", "u2", "cold-key"):
+        for anchor in (max_ts + 17, max_ts, max_ts // 2, max_ts // 5):
+            request = (key, anchor, *_sealed_row(rng))
+            want = _sealed_reference(store, request, frame, maxsize,
+                                     exclude)
+            # Cold: the first fold over a block computes its summaries;
+            # warm: the next reads them back.
+            for _pass in ("cold", "warm"):
+                got = tuple(db.online_engine.execute_request(
+                    compiled, request))
+                assert got == want
+                assert repr(got) == repr(want)
+
+
+_sealed_ttls = st.one_of(
+    st.none(),
+    st.builds(TTLSpec, kind=st.just(TTLKind.ABSOLUTE),
+              abs_ttl_ms=st.integers(500, 15000)),
+    st.builds(TTLSpec, kind=st.just(TTLKind.LATEST),
+              lat_ttl=st.integers(300, 1200)),
+    st.builds(TTLSpec, kind=st.just(TTLKind.ABS_OR_LAT),
+              abs_ttl_ms=st.integers(500, 15000),
+              lat_ttl=st.integers(300, 1200)),
+    st.builds(TTLSpec, kind=st.just(TTLKind.ABS_AND_LAT),
+              abs_ttl_ms=st.integers(500, 15000),
+              lat_ttl=st.integers(300, 1200)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), rows=st.integers(600, 1500),
+       late_share=st.sampled_from((0.0, 0.02, 0.3)),
+       frame=st.one_of(st.tuples(st.just("rows"), st.integers(1, 1500)),
+                       st.tuples(st.just("range"), st.integers(50, 20000))),
+       maxsize=st.one_of(st.none(), st.integers(2, 1500)),
+       exclude=st.booleans(), ttl=_sealed_ttls,
+       evict_offset=st.integers(0, 5000))
+def test_sealed_block_folds_match_reference(seed, rows, late_share, frame,
+                                            maxsize, exclude, ttl,
+                                            evict_offset):
+    events = _long_history(seed, rows, late_share)
+    db = _sealed_db(events, frame, maxsize, exclude, ttl)
+    try:
+        store = _reference_store(events)
+        max_ts = max(event[1] for event in events)
+        _check_sealed_folds(db, store, frame, maxsize, exclude, max_ts)
+        # Late rows into sealed ranges after the memos are warm: the
+        # blocks they land in are rebuilt and start with fresh memos.
+        rng = random.Random(seed + 1)
+        late = [("u1", rng.randrange(max_ts + 1), *_sealed_row(rng))
+                for _ in range(5)]
+        for event in late:
+            db.insert("t", event)
+        events += late
+        store = _reference_store(events)
+        _check_sealed_folds(db, store, frame, maxsize, exclude, max_ts)
+        if ttl is not None:
+            evict_ts = max_ts + evict_offset
+            db.evict_expired(evict_ts)
+            _reference_evict(store, ttl, evict_ts)
+            _check_sealed_folds(db, store, frame, maxsize, exclude, max_ts)
+    finally:
+        db.close()
+
+
+def test_block_rebuilt_by_a_late_row_answers_from_fresh_memos():
+    events = [("u1", ts * 10, ts % 7, ts % 3, -ts, f"s{ts % 5}", 0.5)
+              for ts in range(600)]  # two sealed blocks and a tail
+    frame = ("range", 100_000)
+    db = _sealed_db(events, frame, None, False, None)
+    try:
+        table = db.tables["t"]
+        scan = (("k",), "ts", "u1")
+        oldest = table.window_scan_blocks(*scan)[-1]
+        assert oldest.sealed and len(oldest) == BLOCK_ROWS
+        store = _reference_store(events)
+        _check_sealed_folds(db, store, frame, None, False, 6_000)
+        assert db.online_engine.stats.summary_blocks > 0
+        warm = dict(oldest._memo)
+        assert warm  # the folds memoized their summaries on the block
+
+        late = ("u1", 1_005, 1_000, 9, 77, "late", 0.25)
+        db.insert("t", late)
+        rebuilt = table.window_scan_blocks(*scan)[-1]
+        assert rebuilt is not oldest and rebuilt.sealed
+        assert len(rebuilt) == BLOCK_ROWS + 1
+        assert rebuilt._memo == {}
+        assert oldest._memo == warm  # a reader holding it sees no change
+        store = _reference_store(events + [late])
+        _check_sealed_folds(db, store, frame, None, False, 6_000)
+        assert rebuilt._memo and rebuilt._memo != warm
+    finally:
+        db.close()
+
+
+@pytest.mark.parametrize("width", [None, 3])
+def test_mutating_returned_lists_leaves_storage_unchanged(width):
+    """Sealed blocks are shared by every reader: nothing ``rows()`` or
+    ``column()`` hands out may alias their cells."""
+    index = TimeSeriesIndex(width=width)
+    for ts in range(3 * BLOCK_ROWS):
+        index.put("k", ts, (ts, ts * 2, ts * 3))
+    before = list(index.scan("k"))
+    blocks = index.scan_blocks("k")
+    assert sum(block.sealed for block in blocks) == 2
+    for block in blocks:
+        rows = block.rows()
+        rows.clear()
+        column = block.column(0)
+        column[:] = [None] * len(column)
+    assert list(index.scan("k")) == before
+    assert index.scan_blocks("k")[-1] is blocks[-1]  # shared, not copied

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import IndexNotFoundError, SchemaError, StorageError
 from repro.schema import IndexDef, Schema, TTLKind, TTLSpec
 from repro.storage.memtable import MemTable, normalize_ts
+from repro.storage import skiplist
 from repro.storage.skiplist import ColumnBlock, TimeSeriesIndex
 
 
@@ -105,11 +106,14 @@ class TestMultipleIndexes:
         assert len(by_label) == 2
 
     def test_two_indexes_keep_rows_whole_under_late_arrivals(
-            self, events_schema):
+            self, events_schema, monkeypatch):
         """Each index lays the row out in its own per-key columns; a
         late tuple is spliced into the middle of both, and an eviction
         cuts a prefix of both.  Every row must still come back whole,
-        beside its own timestamp, on either access path."""
+        beside its own timestamp, on either access path.  Blocks seal at
+        two tuples here, so "red"'s second late row lands in a sealed
+        block, which is rebuilt around it."""
+        monkeypatch.setattr(skiplist, "BLOCK_ROWS", 2)
         table = MemTable("t", events_schema, [
             IndexDef(("key",), "ts"),
             IndexDef(("label",), "ts",
@@ -130,10 +134,12 @@ class TestMultipleIndexes:
                             (50, arrivals[0]), (30, arrivals[4]),
                             (30, arrivals[3])]
         blocks = table.window_scan_blocks(("label",), "ts", "red",
-                                          start_ts=60, block_rows=2)
-        assert [len(block) for block in blocks] == [2, 2]
+                                          start_ts=60)
+        # The tail's part, then the sealed block the late rows rebuilt.
+        assert [len(block) for block in blocks] == [1, 3]
+        assert [block.sealed for block in blocks] == [False, True]
         assert [block.column(2) for block in blocks] == [
-            [5.0, 6.0], [None, 3.5]]  # oldest → newest within a block
+            [6.0], [None, 3.5, 5.0]]  # oldest → newest within a block
         assert table.last_join_lookup(("label",), "red") \
             == (70, arrivals[5])
         assert table.last_join_lookup(("key",), "a", before_ts=49) \

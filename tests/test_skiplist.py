@@ -1,10 +1,12 @@
 """Tests for the two-level skiplist (paper Section 7.2)."""
 
 import threading
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 from repro.schema import TTLKind, TTLSpec
+from repro.storage import skiplist
 from repro.storage.skiplist import AtomicReference, SkipList, TimeSeriesIndex
 from tests.test_fused_fold import _ttls
 
@@ -255,8 +257,7 @@ _model_ops = st.lists(st.one_of(
               st.sampled_from(("next", "late", "dup")),
               st.integers(0, 400)),
     st.tuples(st.just("scan"), st.sampled_from(_MODEL_KEYS + ("cold",)),
-              _bound, _bound, st.one_of(st.none(), st.integers(0, 12)),
-              st.integers(1, 7)),
+              _bound, _bound, st.one_of(st.none(), st.integers(0, 12))),
     st.tuples(st.just("latest"), st.sampled_from(_MODEL_KEYS + ("cold",))),
     st.tuples(st.just("evict"), st.integers(0, 4000))),
     min_size=1, max_size=80)
@@ -283,11 +284,18 @@ def _model_evict(newest_first, spec, now_ts):
 
 
 @settings(max_examples=150, deadline=None)
-@given(ops=_model_ops, ttl=_ttls)
-def test_index_matches_sorted_list_model(ops, ttl):
+@given(ops=_model_ops, ttl=_ttls, block_rows=st.integers(1, 7))
+def test_index_matches_sorted_list_model(ops, ttl, block_rows):
     """Random interleavings of in-order, late and duplicate-timestamp
     puts, bounded scans, ``latest`` and TTL sweeps agree with a plain
-    list kept newest-first (ties: later arrival first)."""
+    list kept newest-first (ties: later arrival first).  Blocks seal at
+    ``block_rows`` tuples, so a few dozen puts cross many seals, late
+    rows rebuild and split sealed blocks, and sweeps drop and cut them."""
+    with mock.patch.object(skiplist, "BLOCK_ROWS", block_rows):
+        _run_model(ops, ttl, block_rows)
+
+
+def _run_model(ops, ttl, block_rows):
     spec = ttl or TTLSpec()
     index = TimeSeriesIndex(ttl=spec, seed=0)
     model = {}  # key → [(ts, row)] newest-first
@@ -308,7 +316,7 @@ def test_index_matches_sorted_list_model(ops, ttl):
                       len(held))
             held.insert(at, (ts, row))
         elif op[0] == "scan":
-            _, key, start_ts, end_ts, limit, block_rows = op
+            _, key, start_ts, end_ts, limit = op
             expected = [pair for pair in model.get(key, [])
                         if (start_ts is None or pair[0] <= start_ts)
                         and (end_ts is None or pair[0] >= end_ts)]
@@ -316,9 +324,10 @@ def test_index_matches_sorted_list_model(ops, ttl):
             assert list(index.scan(key, start_ts=start_ts, end_ts=end_ts,
                                    limit=limit)) == expected
             blocks = list(index.scan_blocks(
-                key, start_ts=start_ts, end_ts=end_ts, limit=limit,
-                block_rows=block_rows))
-            assert all(1 <= len(block) <= block_rows for block in blocks)
+                key, start_ts=start_ts, end_ts=end_ts, limit=limit))
+            # A sealed block grows by late rows until it splits in two.
+            assert all(1 <= len(block) <= 2 * block_rows
+                       for block in blocks)
             assert [pair for block in blocks for pair in block] == expected
         elif op[0] == "latest":
             held = model.get(op[1])

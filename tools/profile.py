@@ -15,17 +15,26 @@ tier:
   tablets (``partitions=4, replicas=2``) answered through
   ``NameServer.request_batch``, so routing, the tablet RPC surface and
   the cluster table view are in the profile;
+* ``scan`` — long windows on the served path: the perfbench
+  ``scan_heavy`` shape rebuilt here (20 keys x 2,000 rows of ``k, ts, a,
+  b, c``, a 2,000-row and a 200-row window, 9 aggregates and a LAST
+  JOIN, 3 tablets, ``partitions=4, replicas=2``), read through
+  ``NameServer.request`` at each key's newest timestamp;
 * ``put`` — the write path instead: ``parse`` of each ``INSERT`` text
   plus ``NameServer.put`` of its row, on the perfbench table shape
   (``k, ts, a, b, c``, 2,000 keys, ``partitions=4, replicas=2``) with a
   ``data_dir``, so the row check, both replicas, the binlog and the WAL
   encode are in the profile.
 
+For ``scan``, the same reads first run once unprofiled and their median
+wall time is printed beside the profile as ``p50``.
+
 Usage::
 
     make profile                       # incremental tier, 400 requests
     python tools/profile.py --path fused --rounds 200 --top 20
     python tools/profile.py --path cluster
+    python tools/profile.py --path scan --rounds 3000
     python tools/profile.py --path put --rounds 20000
 """
 
@@ -48,7 +57,9 @@ import argparse   # noqa: E402
 import cProfile   # noqa: E402
 import pstats     # noqa: E402
 import random     # noqa: E402
+import statistics  # noqa: E402
 import tempfile   # noqa: E402
+import time       # noqa: E402
 
 from repro import OpenMLDB                              # noqa: E402
 from repro.cluster import NameServer, TabletServer      # noqa: E402
@@ -95,10 +106,59 @@ def build_put_workload(rounds):
     return insert, texts[4 * PUT_KEYS:], close
 
 
+SCAN_KEYS, SCAN_ROWS, SCAN_STEP, SCAN_BASE_TS = 20, 2_000, 10, 1_000_000
+SCAN_WINDOWS = (("wl", 19_995, (("sum", "a"), ("avg", "b"), ("min", "c"),
+                                ("max", "c"), ("distinct_count", "b"),
+                                ("count", "a"))),
+                ("ws", 1_995, (("sum", "b"), ("max", "a"), ("min", "a"))))
+SCAN_SQL = (
+    "SELECT t.k AS k, "
+    + "".join(f"{func}(t.{column}) OVER {name} AS {name}_{func}_{column}, "
+              for name, _span, aggregates in SCAN_WINDOWS
+              for func, column in aggregates)
+    + "d.attr AS d_attr FROM t LAST JOIN d ORDER BY dts ON t.k = d.k WINDOW "
+    + ", ".join(f"{name} AS (PARTITION BY k ORDER BY ts ROWS_RANGE BETWEEN "
+                f"{span} PRECEDING AND CURRENT ROW)"
+                for name, span, _aggregates in SCAN_WINDOWS))
+
+
+def build_scan_workload(rounds):
+    """Long windows on the served path: (NameServer.request, request
+    rows at each key's newest timestamp, close)."""
+    cluster = NameServer(
+        [TabletServer(f"tablet-{index}") for index in range(3)])
+    cluster.create_table(
+        "t", Schema.from_pairs([("k", "bigint"), ("ts", "timestamp"),
+                                ("a", "bigint"), ("b", "bigint"),
+                                ("c", "bigint")]),
+        [IndexDef(("k",), "ts")], partitions=4, replicas=2)
+    cluster.create_table(
+        "d", Schema.from_pairs([("k", "bigint"), ("dts", "timestamp"),
+                                ("attr", "bigint")]),
+        [IndexDef(("k",), "dts")], partitions=4, replicas=2)
+    rng = random.Random(13)
+    for level in range(SCAN_ROWS):
+        for key in range(SCAN_KEYS):
+            cluster.put("t", (key, SCAN_BASE_TS + level * SCAN_STEP,
+                              rng.randrange(10), rng.randrange(10),
+                              rng.randrange(10)))
+    for key in range(SCAN_KEYS):
+        cluster.put("d", (key, SCAN_BASE_TS - 1, rng.randrange(1000)))
+    cluster.deploy("scan", SCAN_SQL)
+    newest = SCAN_BASE_TS + (SCAN_ROWS - 1) * SCAN_STEP
+    requests = [(rng.randrange(SCAN_KEYS), newest, rng.randrange(10),
+                 rng.randrange(10), rng.randrange(10))
+                for _ in range(rounds)]
+    return (lambda row: cluster.request("scan", row)), requests, \
+        cluster.close
+
+
 def build_workload(path, rounds):
     """Load the canned workload; returns (operation, requests, close)."""
     if path == "put":
         return build_put_workload(rounds)
+    if path == "scan":
+        return build_scan_workload(rounds)
     data = generate(CONFIG, request_count=160)
     sql = build_feature_sql(CONFIG)
     if path == "cluster":
@@ -134,7 +194,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         description="cProfile the online request path or the write path")
     parser.add_argument("--path", default="incremental",
-                        choices=("incremental", "fused", "cluster", "put"),
+                        choices=("incremental", "fused", "cluster", "scan",
+                                 "put"),
                         help="execution tier to profile, or the write path")
     parser.add_argument("--rounds", type=int, default=400,
                         help="requests (or INSERTs) to profile (cycled)")
@@ -146,6 +207,13 @@ def main(argv=None):
     for row in requests[:20]:  # warm caches outside the profile
         operation(row)
     requests = requests[20:] if args.path == "put" else requests
+
+    timings = []  # reads only: replaying INSERTs would insert rows twice
+    if args.path == "scan":
+        for index in range(args.rounds):
+            started = time.perf_counter()
+            operation(requests[index % len(requests)])
+            timings.append(time.perf_counter() - started)
 
     profiler = cProfile.Profile()
     profiler.enable()
@@ -161,6 +229,10 @@ def main(argv=None):
     stats.sort_stats("cumulative").print_stats(args.top)
     print(f"=== {args.path} path — by self time ===")
     stats.sort_stats("tottime").print_stats(args.top)
+    if timings:
+        print(f"=== {args.path} path — p50 "
+              f"{statistics.median(timings) * 1e6:.0f} us over "
+              f"{args.rounds} unprofiled operations ===")
     return 0
 
 
