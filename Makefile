@@ -53,7 +53,10 @@ examples:
 # perfbench scan_heavy shape (long windows, NameServer.request), with
 # the unprofiled read p50 beside the profile;
 # `--path put --rounds 20000` profiles the write path instead (INSERT
-# parse + NameServer.put with a WAL, on the perfbench table shape).
+# parse + NameServer.put with a WAL, on the perfbench table shape);
+# `--path wire --rounds 5000` serves perfbench's wire_point over pg-wire
+# and prints the server's CPU per read thread by thread, and the
+# context switches per read of server and generator.
 profile:
 	$(PYTHON) tools/profile.py
 

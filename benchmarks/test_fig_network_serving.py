@@ -61,9 +61,7 @@ def network_stack():
     frontend = FrontendServer(cluster, obs=obs, max_queue=512,
                               workers=4, max_batch=8, max_wait_ms=0.5,
                               single_flight=False)
-    server = NetServer(frontend, obs=obs,
-                       executor_workers=CLIENTS,
-                       max_connections=CLIENTS + 4)
+    server = NetServer(frontend, obs=obs, max_connections=CLIENTS + 4)
     host, port = server.start()
     yield obs, frontend, (host, port)
     server.close()
@@ -138,7 +136,7 @@ def test_wire_errors_are_typed_under_overload(benchmark, network_stack):
     slow_frontend = FrontendServer(
         frontend._backend, max_queue=2, max_inflight=4, workers=1,
         max_batch=1, max_wait_ms=0, single_flight=False)
-    server = NetServer(slow_frontend, executor_workers=CLIENTS)
+    server = NetServer(slow_frontend)
     host, port = server.start()
     try:
         def connect(cid):

@@ -137,7 +137,7 @@ def shed_path(db: OpenMLDB) -> None:
     gated = SlowBackend(db, delay_s=0.0, gate=gate)
     frontend = FrontendServer(gated, max_queue=2, max_inflight=4,
                               workers=1, max_wait_ms=0)
-    server = NetServer(frontend, executor_workers=12, max_connections=16)
+    server = NetServer(frontend, max_connections=16)
     host, port = server.start()
 
     attempts = 12

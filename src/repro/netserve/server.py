@@ -3,11 +3,10 @@
 :class:`NetServer` listens on a TCP port, speaks the PostgreSQL v3
 protocol (simple *and* extended query cycles — see
 :mod:`repro.netserve.protocol`), and executes ``EXECUTE <deployment>``
-statements against any request backend: a
-:class:`~repro.serving.FrontendServer` (the recommended stack — the
-socket layer then composes with admission control, micro-batching, and
-load shedding), a :class:`~repro.cluster.NameServer`, or a single-node
-:class:`~repro.OpenMLDB`.
+statements through a :class:`~repro.serving.FrontendServer` (handed
+in, or built in front of a :class:`~repro.cluster.NameServer` or
+:class:`~repro.OpenMLDB`), so the socket layer always composes with
+admission control, micro-batching, and load shedding.
 
 Design notes
 ------------
@@ -16,23 +15,23 @@ Design notes
   thread running an asyncio loop; ``close()`` tears it down and joins.
   The rest of the codebase stays synchronous — the server is a facade,
   not an async rewrite of the stack.
-* **The loop never blocks on the backend.**  Feature computation is
-  synchronous (engine + storage), so every ``Execute`` hops to a
-  :class:`~concurrent.futures.ThreadPoolExecutor`; the loop keeps
-  serving other connections' frames meanwhile.  Per connection,
+* **One thread hop per read.**  ``Execute`` admits the request with the
+  frontend's non-blocking ``submit`` on the loop thread and awaits the
+  ticket's future, which a serving worker completes; admission
+  (``max_queue`` / ``max_inflight`` / ``workers``) is the read path's
+  only concurrency limit.  Control statements can block on disk, so
+  they run on the loop's default executor.  Per connection,
   statements still execute in arrival order (the protocol requires it).
 * **Backpressure is two-layered.**  Socket-level: responses go through
   ``writer.drain()``, so a slow reader suspends its own connection
-  coroutine without affecting others.  Server-level: the backend's
+  coroutine without affecting others.  Server-level: the frontend's
   admission control sheds with :class:`~repro.errors.OverloadError`,
   which crosses the wire as SQLSTATE 53300/53400 — clients see a
   retryable "insufficient resources" error instead of a hung socket.
-* **Deadlines ride ``statement_timeout``.**  ``SET statement_timeout``
-  becomes the per-request ``timeout_ms`` handed to the backend (or a
-  :class:`~repro.serving.deadline.Deadline` scope when the backend's
-  ``request`` does not take a timeout), so the wire knob and the
-  serving-stack knob are the same mechanism.  Expiry surfaces as
-  SQLSTATE 57014 (query_canceled), exactly where psql users expect it.
+* **Deadlines ride ``statement_timeout``.**  It becomes the frontend
+  request's ``timeout_ms``, the one :class:`~repro.serving.Deadline`
+  that bounds queueing, execution and the loop's wait.  Expiry
+  surfaces as SQLSTATE 57014 (query_canceled), as psql users expect.
 
 Protocol reference and flow diagrams: ``docs/network_protocol.md``.
 """
@@ -40,19 +39,17 @@ Protocol reference and flow diagrams: ``docs/network_protocol.md``.
 from __future__ import annotations
 
 import asyncio
-import inspect
 import itertools
 import struct
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import (DeploymentNotFoundError, OpenMLDBError, ParseError,
-                      ProtocolError)
+from ..errors import (DeadlineExceededError, DeploymentNotFoundError,
+                      OpenMLDBError, ParseError, ProtocolError)
 from ..obs import NULL_OBS, Observability
-from ..serving.deadline import Deadline, deadline_scope
 from ..serving.describe import DeploymentDescriptor
+from ..serving.frontend import FrontendServer
 from . import protocol as wire
 from .statements import (ControlStatement, EmptyStatement,
                          ExecuteDeployment, Param, SelectConstant,
@@ -155,13 +152,11 @@ class NetServer:
     """An asyncio PostgreSQL-wire frontend over a request backend.
 
     Args:
-        backend: the request path — anything with
-            ``request(name, row)`` and ``describe_deployment(name)``
-            (:class:`~repro.serving.FrontendServer`,
-            :class:`~repro.cluster.NameServer`, or
-            :class:`~repro.OpenMLDB`).  When ``request`` accepts
-            ``timeout_ms`` it is passed through; otherwise the server
-            wraps the call in a deadline scope.
+        backend: a :class:`~repro.serving.FrontendServer`, or a
+            backend for one (:class:`~repro.cluster.NameServer`,
+            :class:`~repro.OpenMLDB`), which the server then fronts
+            with a default frontend on ``obs`` and closes in
+            :meth:`close`.
         host / port: bind address; port 0 picks a free port (see the
             ``address`` property after :meth:`start`).
         obs: observability handle for ``netserve.*`` metrics and
@@ -172,8 +167,6 @@ class NetServer:
             forwarded to it (an ``INSERT`` returns its row count, the
             ``INSERT 0 <n>`` tag); when absent they are refused with
             SQLSTATE 42501.
-        executor_workers: thread-pool size for blocking backend calls —
-            the network path's execution concurrency.
         max_frame_bytes: refuse frames larger than this (08P01) and
             close the connection; bounds per-connection memory.
         max_connections: concurrent-connection cap; excess connections
@@ -186,11 +179,9 @@ class NetServer:
                  host: str = "127.0.0.1", port: int = 0,
                  obs: Optional[Observability] = None,
                  admin: Any = None,
-                 executor_workers: int = 8,
                  max_frame_bytes: int = 1 << 20,
                  max_connections: int = 64,
                  default_timeout_ms: Optional[float] = None) -> None:
-        self._backend = backend
         self._admin = admin
         self._host = host
         self._port = port
@@ -198,16 +189,10 @@ class NetServer:
         self._max_frame_bytes = max_frame_bytes
         self._max_connections = max_connections
         self._default_timeout_ms = default_timeout_ms
-        self._executor = ThreadPoolExecutor(
-            max_workers=executor_workers,
-            thread_name_prefix="netserve-exec")
-        try:
-            request_params = inspect.signature(
-                backend.request).parameters
-        except (TypeError, ValueError):  # builtins / mocks
-            request_params = {}
-        self._request_takes_timeout = "timeout_ms" in request_params
-        self._request_takes_tenant = "tenant" in request_params
+        self._owns_frontend = not isinstance(backend, FrontendServer)
+        self._frontend: FrontendServer = (
+            FrontendServer(backend, self._obs) if self._owns_frontend
+            else backend)
 
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
@@ -282,15 +267,16 @@ class NetServer:
             if tasks:
                 loop.run_until_complete(
                     asyncio.gather(*tasks, return_exceptions=True))
+            loop.run_until_complete(loop.shutdown_default_executor())
         finally:
             loop.close()
 
     def close(self, timeout: float = 10.0) -> None:
-        """Stop serving, join the loop thread, shut the executor down.
+        """Stop serving, join the loop thread, close an owned frontend.
 
         Idempotent.  Open connections are cancelled, not drained — the
         PG protocol has no server-side goodbye, and clients treat EOF
-        as disconnect.
+        as disconnect.  A frontend the caller handed in stays open.
         """
         with self._lifecycle_lock:
             if self._closed:
@@ -300,7 +286,8 @@ class NetServer:
             self._loop.call_soon_threadsafe(self._loop.stop)
         if self._thread is not None:
             self._thread.join(timeout=timeout)
-        self._executor.shutdown(wait=True)
+        if self._owns_frontend:
+            self._frontend.close(timeout=timeout)
 
     def __enter__(self) -> "NetServer":
         self.start()
@@ -551,9 +538,9 @@ class NetServer:
             raise _WireError(
                 "42501", f"{statement.kind} is not allowed on this "
                 "endpoint (server started without an admin backend)")
-        loop = asyncio.get_running_loop()
-        result = await loop.run_in_executor(
-            self._executor, self._admin.execute, statement.sql)
+        # A put can fsync the WAL: off the loop, on its default executor.
+        result = await asyncio.get_running_loop().run_in_executor(
+            None, self._admin.execute, statement.sql)
         if statement.kind == "INSERT":
             # The backend returns the rows written (a multi-row VALUES
             # list writes several).
@@ -575,7 +562,7 @@ class NetServer:
         if not isinstance(statement, ExecuteDeployment):
             return _Prepared(name, statement, None, ())
         try:
-            descriptor = self._backend.describe_deployment(
+            descriptor = self._frontend.describe_deployment(
                 statement.deployment)
         except DeploymentNotFoundError as exc:
             raise _WireError(
@@ -720,52 +707,46 @@ class NetServer:
 
     async def _execute_portal(self, session: _Session, portal: _Portal,
                               protocol: str) -> List[List[Optional[bytes]]]:
-        """Run one deployment request off-loop; encode the feature row."""
+        """Admit one deployment request, await it on the loop, encode it.
+
+        The session's startup ``user`` is the tenant (PostgreSQL already
+        sends it).  Single-flight followers on other connections may
+        share the ticket's future, so the wait is shielded: neither a
+        deadline nor a dropped connection cancels it.
+        """
         prepared = portal.prepared
         statement = prepared.statement
         assert isinstance(statement, ExecuteDeployment)
         assert portal.row is not None
-        timeout_ms = session.timeout_ms
-        tenant = session.settings.get("user", "")
-        loop = asyncio.get_running_loop()
-        features = await loop.run_in_executor(
-            self._executor, self._request_blocking,
-            statement.deployment, portal.row, timeout_ms, protocol,
-            tenant)
+        deployment = statement.deployment
+        started = time.monotonic()
+        # On the loop thread's stack, a span would parent whatever the
+        # next connection opens while this one awaits.
+        span = self._obs.tracer.detached(
+            "net.request", deployment=deployment, protocol=protocol)
+        waiter = None
+        try:
+            future, deadline = self._frontend.submit(
+                deployment, portal.row, timeout_ms=session.timeout_ms,
+                tenant=session.settings.get("user", ""))
+            waiter = asyncio.wrap_future(future)
+            features = await asyncio.wait_for(
+                asyncio.shield(waiter), None if deadline is None
+                else deadline.remaining_ms() / 1_000.0)
+        except asyncio.TimeoutError:
+            raise DeadlineExceededError(
+                f"request on {deployment!r} exceeded its deadline "
+                f"while waiting for the result") from None
+        finally:
+            span.finish()
+            self._h_request.observe((time.monotonic() - started) * 1_000.0)
+            # Abandoned: read its outcome, or asyncio logs it unread.
+            if waiter is not None and not waiter.done():
+                waiter.add_done_callback(
+                    lambda w: w.cancelled() or w.exception())
         ordered = [features.get(name)
                    for name in prepared.descriptor.output_names]
         return [[wire.encode_text(value) for value in ordered]]
-
-    def _request_blocking(self, deployment: str, row: Tuple[Any, ...],
-                          timeout_ms: Optional[float],
-                          protocol: str,
-                          tenant: str = "") -> Dict[str, Any]:
-        """The executor-thread half of Execute: backend call + tracing.
-
-        The session's startup ``user`` rides along as the tenant when
-        the backend's ``request`` accepts one (the serving frontend
-        does), so per-tenant budgets apply to network clients with no
-        wire-protocol extension — PostgreSQL already sends the user.
-        """
-        started = time.monotonic()
-        kwargs: Dict[str, Any] = {}
-        if tenant and self._request_takes_tenant:
-            kwargs["tenant"] = tenant
-        with self._obs.tracer.span("net.request", deployment=deployment,
-                                   protocol=protocol):
-            try:
-                if self._request_takes_timeout:
-                    return self._backend.request(
-                        deployment, row, timeout_ms=timeout_ms,
-                        **kwargs)
-                if timeout_ms is not None:
-                    with deadline_scope(Deadline.after(timeout_ms)):
-                        return self._backend.request(deployment, row,
-                                                     **kwargs)
-                return self._backend.request(deployment, row, **kwargs)
-            finally:
-                self._h_request.observe(
-                    (time.monotonic() - started) * 1_000.0)
 
     # ------------------------------------------------------------------
     # plumbing

@@ -145,6 +145,24 @@ class FrontendServer:
                 :class:`~repro.errors.TenantBudgetError` before
                 admission, so its burst cannot crowd out others.
         """
+        future, deadline = self.submit(name, row, timeout_ms=timeout_ms,
+                                       priority=priority, tenant=tenant)
+        try:
+            return future.result(timeout=None if deadline is None
+                                 else deadline.remaining_ms() / 1_000.0)
+        except FutureTimeoutError:
+            raise DeadlineExceededError(
+                f"request on {name!r} exceeded its deadline while "
+                f"waiting for the result") from None
+
+    def submit(self, name: str, row: Sequence[Any], *,
+               timeout_ms: Optional[float] = None,
+               priority: str = "normal", tenant: str = ""
+               ) -> Tuple[Future, Optional[Deadline]]:
+        """:meth:`request` without the wait: admit (or shed), then return
+        the future the features arrive on and the deadline to bound the
+        wait by.  The future may be a single-flight leader's that other
+        requests share: wait on it, never cancel it."""
         try:
             rank = PRIORITIES[priority]
         except KeyError:
@@ -171,7 +189,7 @@ class FrontendServer:
                 # Thundering herd: an identical request is already
                 # queued or executing — ride its result.
                 self._m_dedup.inc()
-                return self._await(leader, deadline, name)
+                return leader, deadline
 
         ticket = Ticket(deployment=name, row=tuple(row), priority=rank,
                         seq=next(self._seq), future=future,
@@ -185,7 +203,7 @@ class FrontendServer:
                 future.set_exception(exc)  # fail any deduped followers
             raise
         self._m_admitted.inc()
-        return self._await(future, deadline, name)
+        return future, deadline
 
     def describe_deployment(self, name: str) -> Any:
         """Delegate deployment introspection to the backend.
@@ -200,17 +218,6 @@ class FrontendServer:
                 f"backend {type(self._backend).__name__} does not "
                 f"support deployment introspection")
         return describe(name)
-
-    def _await(self, future: Future, deadline: Optional[Deadline],
-               name: str) -> Dict[str, Any]:
-        timeout_s = deadline.remaining_ms() / 1_000.0 \
-            if deadline is not None else None
-        try:
-            return future.result(timeout=timeout_s)
-        except FutureTimeoutError:
-            raise DeadlineExceededError(
-                f"request on {name!r} exceeded its deadline while "
-                f"waiting for the result") from None
 
     # ------------------------------------------------------------------
     # worker side

@@ -203,13 +203,15 @@ def test_execute_request_has_one_serving_call_site():
     assert callers == ["core/consistency.py", "core/deployment.py"]
 
 
-_INSTRUMENTS = {"counter", "gauge", "histogram", "span", "span_of"}
+_INSTRUMENTS = {"counter", "gauge", "histogram", "span", "span_of",
+                "detached"}
 
 
 def _source_names():
     """Every string literal in ``src/``, and the literal names handed to
     ``registry.counter/gauge/histogram`` (or a ``labels(...)`` view),
-    ``tracer.span`` or a bound ``span_of``, each with one place that
+    ``tracer.span`` / ``tracer.detached`` or a bound ``span_of``, each
+    with one place that
     emits it."""
     literals, emitted = set(), {}
     for path in sorted((ROOT / "src" / "repro").rglob("*.py")):

@@ -522,6 +522,177 @@ class StubBackend:
         return {"uid": row[0], "s": float(row[2]) + 1.0}
 
 
+class BatchStubBackend(StubBackend):
+    """A stub with ``request_batch``, noting the thread each ran on."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.batch_threads = []
+
+    def request_batch(self, name, rows, deadlines=None):
+        self.batch_threads.append(threading.current_thread().name)
+        return [self.request(name, row) for row in rows]
+
+
+def _wait_until(condition, what, timeout_s=5.0):
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        assert time.monotonic() < deadline, what
+        time.sleep(0.002)
+
+
+def _execute_in_thread(host, port, row, box, timeout=None):
+    """One connection executing ``row`` on its own thread; the rows, or
+    the error or dropped connection, land in ``box``."""
+    def run():
+        with NetClient(host, port) as c:
+            if timeout is not None:
+                c.query(f"SET statement_timeout = '{timeout}'")
+            c.prepare("s0", "EXECUTE feat ($1, $2, $3)")
+            try:
+                box["rows"] = c.execute("s0", list(row)).rows
+            except (ServerError, ConnectionError) as exc:
+                box["error"] = exc
+    thread = threading.Thread(target=run)
+    thread.start()
+    return thread
+
+
+class TestOneHopPerRead:
+    """A wire read goes loop → serving worker → loop, nothing else."""
+
+    def test_reads_never_enter_an_executor_thread(self):
+        backend = BatchStubBackend()
+        frontend = FrontendServer(backend, max_wait_ms=0)
+        srv = NetServer(frontend)
+        host, port = srv.start()
+        try:
+            with NetClient(host, port) as c:
+                c.prepare("s0", "EXECUTE feat ($1, $2, $3)")
+                for i in range(20):
+                    assert c.execute("s0", [i, i, 1.0]).rows \
+                        == [(str(i), "2.0")]
+            names = [t.name for t in threading.enumerate()]
+            assert not [n for n in names if n.startswith("netserve-exec")]
+            assert len(backend.batch_threads) == 20
+            assert all(n.startswith("serving-worker-")
+                       for n in backend.batch_threads)
+        finally:
+            srv.close()
+            frontend.close()
+
+    def test_plain_backend_reads_through_a_frontend_the_server_owns(
+            self, db):
+        obs = Observability()
+        before = set(threading.enumerate())
+        srv = NetServer(db, obs=obs)
+        workers = [t for t in set(threading.enumerate()) - before
+                   if t.name.startswith("serving-worker-")]
+        assert workers
+        host, port = srv.start()
+        try:
+            with NetClient(host, port) as c:
+                c.prepare("s0", "EXECUTE feat ($1, $2, $3)")
+                for _ in range(3):
+                    assert c.execute("s0", [1, 1_500, 0.0]).rows \
+                        == [("1", "10.0")]
+        finally:
+            srv.close()
+        assert obs.registry.get("serving.admitted").value == 3
+        assert not [t for t in workers if t.is_alive()]
+
+    def test_follower_of_a_timed_out_leader_gets_its_features(self):
+        # The leader's connection gives up at its statement_timeout;
+        # the shared ticket future is not cancelled, so a follower
+        # riding it on another connection still gets the features.
+        gate = threading.Event()
+        obs = Observability()
+        frontend = FrontendServer(BatchStubBackend(gate=gate), obs,
+                                  max_wait_ms=0)
+        srv = NetServer(frontend)
+        host, port = srv.start()
+        leader, follower = {}, {}
+        try:
+            lead = _execute_in_thread(host, port, (7, 7, 1.0), leader,
+                                      timeout="150ms")
+            _wait_until(lambda: frontend.inflight >= 1, "never admitted")
+            follow = _execute_in_thread(host, port, (7, 7, 1.0),
+                                        follower)
+            _wait_until(lambda: obs.registry.get("serving.dedup").value,
+                        "follower never joined the leader")
+            lead.join(timeout=10)
+            assert not lead.is_alive()
+            assert leader["error"].sqlstate == "57014"
+            gate.set()
+            follow.join(timeout=10)
+            assert not follow.is_alive()
+            assert follower == {"rows": [("7", "2.0")]}
+        finally:
+            gate.set()
+            srv.close()
+            frontend.close()
+
+    def test_follower_of_a_cancelled_leader_gets_its_features(self):
+        # Closing the leader's server cancels its connection task while
+        # it awaits; a follower on another server over the same
+        # frontend must not see that cancellation.
+        gate = threading.Event()
+        obs = Observability()
+        frontend = FrontendServer(BatchStubBackend(gate=gate), obs,
+                                  max_wait_ms=0)
+        leader_srv, follower_srv = NetServer(frontend), NetServer(frontend)
+        leader, follower = {}, {}
+        try:
+            lead = _execute_in_thread(*leader_srv.start(), (7, 7, 1.0),
+                                      leader)
+            _wait_until(lambda: frontend.inflight >= 1, "never admitted")
+            follow = _execute_in_thread(*follower_srv.start(),
+                                        (7, 7, 1.0), follower)
+            _wait_until(lambda: obs.registry.get("serving.dedup").value,
+                        "follower never joined the leader")
+            leader_srv.close()
+            gate.set()
+            follow.join(timeout=10)
+            assert not follow.is_alive()
+            assert follower == {"rows": [("7", "2.0")]}
+            lead.join(timeout=10)
+        finally:
+            gate.set()
+            leader_srv.close()
+            follower_srv.close()
+            frontend.close()
+
+    def test_interleaved_requests_do_not_parent_each_others_spans(self):
+        gate = threading.Event()
+        obs = Observability(enabled=True)
+        frontend = FrontendServer(BatchStubBackend(gate=gate),
+                                  max_wait_ms=0, single_flight=False)
+        srv = NetServer(frontend, obs=obs)
+        host, port = srv.start()
+        boxes = [{}, {}]
+        try:
+            first = _execute_in_thread(host, port, (1, 1, 1.0), boxes[0])
+            _wait_until(lambda: frontend.inflight >= 1, "never admitted")
+            second = _execute_in_thread(host, port, (2, 2, 2.0),
+                                        boxes[1])
+            _wait_until(lambda: frontend.inflight >= 2, "never admitted")
+            gate.set()
+            for thread in (first, second):
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+        finally:
+            gate.set()
+            srv.close()
+            frontend.close()
+        assert [box["rows"] for box in boxes] \
+            == [[("1", "2.0")], [("2", "3.0")]]
+        spans = [span for span in obs.tracer.export()
+                 if span["name"] == "net.request"]
+        assert len(spans) == 2
+        assert [span["parent_id"] for span in spans] == [None, None]
+        assert spans[0]["trace_id"] != spans[1]["trace_id"]
+
+
 class TestConcurrencyAndComposition:
     def test_concurrent_connections_share_one_deployment(self, server):
         host, port = server
@@ -602,7 +773,7 @@ class TestConcurrencyAndComposition:
         frontend = FrontendServer(backend, max_queue=1, max_inflight=1,
                                   workers=1, max_batch=1, max_wait_ms=0,
                                   single_flight=False)
-        srv = NetServer(frontend, executor_workers=4)
+        srv = NetServer(frontend)
         host, port = srv.start()
         try:
             blocked = NetClient(host, port)

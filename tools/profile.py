@@ -24,7 +24,15 @@ tier:
   plus ``NameServer.put`` of its row, on the perfbench table shape
   (``k, ts, a, b, c``, 2,000 keys, ``partitions=4, replicas=2``) with a
   ``data_dir``, so the row check, both replicas, the binlog and the WAL
-  encode are in the profile.
+  encode are in the profile;
+* ``wire`` — no cProfile: the perfbench ``wire_point`` workload served
+  by perfbench's own stack in a child process, read ``--rounds`` times
+  over one pg-wire connection, generator and server pinned to one CPU
+  as perfbench pins them.  Prints the server's CPU per read for each of
+  its threads (``/proc/<pid>/task/*``) and the voluntary and
+  involuntary context switches per read of the server and of the
+  generator — how many threads a read touches and how often each side
+  is woken.
 
 For ``scan``, the same reads first run once unprofiled and their median
 wall time is printed beside the profile as ``p50``.
@@ -36,6 +44,7 @@ Usage::
     python tools/profile.py --path cluster
     python tools/profile.py --path scan --rounds 3000
     python tools/profile.py --path put --rounds 20000
+    python tools/profile.py --path wire --rounds 5000
 """
 
 from __future__ import annotations
@@ -46,19 +55,25 @@ import sys
 # This file is named like the stdlib ``profile`` module, which cProfile
 # imports internally.  Drop the script's own directory (sys.path[0]
 # under ``python tools/profile.py``) before touching cProfile so the
-# stdlib module wins, then put the library source on the path.
+# stdlib module wins, then put the library source on the path (and the
+# repository root, for ``perfbench``).
 _here = str(pathlib.Path(__file__).resolve().parent)
+_root = pathlib.Path(__file__).resolve().parent.parent
 sys.path = [entry for entry in sys.path
             if str(pathlib.Path(entry or ".").resolve()) != _here]
-sys.path.insert(
-    0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+sys.path.insert(0, str(_root / "src"))
+sys.path.append(str(_root))
 
 import argparse   # noqa: E402
 import cProfile   # noqa: E402
+import json       # noqa: E402
+import os         # noqa: E402
 import pstats     # noqa: E402
 import random     # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import tempfile   # noqa: E402
+import threading  # noqa: E402
 import time       # noqa: E402
 
 from repro import OpenMLDB                              # noqa: E402
@@ -190,18 +205,140 @@ def make_operation(db, path):
     return lambda row: db.online_engine.execute_request(compiled, row)
 
 
+WIRE_WARMUP_READS = 500
+
+
+def thread_counters(pid):
+    """``{tid: [on-CPU ns, voluntary, involuntary context switches]}``
+    for every thread of ``pid`` alive now."""
+    out = {}
+    task_dir = f"/proc/{pid}/task"
+    for tid in os.listdir(task_dir):
+        try:
+            with open(f"{task_dir}/{tid}/schedstat", encoding="ascii") as f:
+                cpu_ns = int(f.read().split()[0])
+            with open(f"{task_dir}/{tid}/status", encoding="ascii") as f:
+                status = dict(line.split(":", 1) for line in f)
+        except FileNotFoundError:  # the thread exited meanwhile
+            continue
+        out[int(tid)] = [cpu_ns, int(status["voluntary_ctxt_switches"]),
+                         int(status["nonvoluntary_ctxt_switches"])]
+    return out
+
+
+def counter_deltas(before, after):
+    """Per-thread counter growth; a thread born in between counts from 0."""
+    return {tid: [late - early for late, early
+                  in zip(counters, before.get(tid, (0, 0, 0)))]
+            for tid, counters in after.items()}
+
+
+def serve_wire(spec_path):
+    """The ``--serve`` child: perfbench's stack built from a launcher
+    spec.  Prints its port, then answers every stdin line with
+    ``{native thread id: thread name}``; stdin closing stops it."""
+    from perfbench.server import Stack
+    with open(spec_path, encoding="utf-8") as handle:
+        stack = Stack(json.load(handle))
+    try:
+        print(json.dumps({"port": stack.port}), flush=True)
+        for _line in sys.stdin:
+            print(json.dumps({thread.native_id: thread.name
+                              for thread in threading.enumerate()}),
+                  flush=True)
+    finally:
+        stack.close()
+    return 0
+
+
+def profile_wire(rounds):
+    """Server CPU and context switches per read, thread by thread."""
+    from perfbench import loadgen
+    from perfbench.workloads import WORKLOADS, Model, dump_json
+    workload = WORKLOADS["wire_point"]
+    model = Model(workload, 13)
+    loadgen.pin_to_first_cpu()  # the server inherits the CPU
+    with tempfile.TemporaryDirectory() as work:
+        preload = os.path.join(work, "preload.json")
+        with open(preload, "w", encoding="utf-8") as handle:
+            handle.write(dump_json(model.preload()))
+        spec_path = os.path.join(work, "spec.json")
+        with open(spec_path, "w", encoding="utf-8") as handle:
+            # Reads only, so no data_dir: the WAL is never touched.
+            json.dump(dict(workload.spec(), preload=preload, data_dir=None,
+                           obs=False), handle)
+        child = subprocess.Popen(
+            [sys.executable, __file__, "--serve", spec_path],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        try:
+            port = json.loads(child.stdout.readline())["port"]
+
+            def thread_names():
+                child.stdin.write("threads\n")
+                child.stdin.flush()
+                return {int(tid): name for tid, name
+                        in json.loads(child.stdout.readline()).items()}
+
+            connection = loadgen.connect(port)
+            reads = model.ops(0, 1, writes=False)
+            for _ in range(WIRE_WARMUP_READS):
+                loadgen.run_op(connection, next(reads))
+            names = thread_names()
+            server_before = thread_counters(child.pid)
+            client_before = thread_counters(os.getpid())
+            started = time.perf_counter()
+            wrong = sum(not loadgen.run_op(connection, next(reads))[1]
+                        for _ in range(rounds))
+            wall = time.perf_counter() - started
+            server = counter_deltas(server_before,
+                                    thread_counters(child.pid))
+            client = counter_deltas(client_before,
+                                    thread_counters(os.getpid()))
+            names.update(thread_names())
+            connection.close()
+        finally:
+            child.stdin.close()
+            child.wait(timeout=60)
+
+    def row(label, cpu_ns, voluntary, involuntary):
+        print(f"{label:<24} {cpu_ns / 1e6 / rounds:>12.4f} "
+              f"{voluntary / rounds:>12.2f} {involuntary / rounds:>12.2f}")
+
+    print(f"=== wire path, wire_point, {rounds} reads ({wrong} wrong), "
+          f"{wall * 1e3 / rounds:.3f} ms a read ===")
+    print(f"{'thread':<24} {'CPU-ms/read':>12} {'vol cs/read':>12} "
+          f"{'invol cs/read':>12}")
+    total = [sum(column) for column in zip(*server.values())]
+    busy = 0
+    for tid, counters in sorted(server.items(), key=lambda item: -item[1][0]):
+        if counters[0] >= 0.01 * total[0]:
+            busy += 1
+        if any(counters):
+            row(names.get(tid, f"tid {tid}"), *counters)
+    row(f"server ({busy} busy threads)", *total)
+    row("generator", *[sum(column) for column in zip(*client.values())])
+    return 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="cProfile the online request path or the write path")
+        description="cProfile the online request path or the write path; "
+                    "thread CPU and wake-ups of a read over the wire")
     parser.add_argument("--path", default="incremental",
                         choices=("incremental", "fused", "cluster", "scan",
-                                 "put"),
-                        help="execution tier to profile, or the write path")
+                                 "put", "wire"),
+                        help="execution tier to profile, the write path, "
+                             "or a served read over the wire")
     parser.add_argument("--rounds", type=int, default=400,
                         help="requests (or INSERTs) to profile (cycled)")
     parser.add_argument("--top", type=int, default=15,
                         help="rows to print per ranking")
+    parser.add_argument("--serve", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.serve:
+        return serve_wire(args.serve)
+    if args.path == "wire":
+        return profile_wire(args.rounds)
 
     operation, requests, close = build_workload(args.path, args.rounds)
     for row in requests[:20]:  # warm caches outside the profile
