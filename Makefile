@@ -51,7 +51,10 @@ examples:
 # local engine; `--path cluster` profiles the served path (3 tablets,
 # NameServer.request_batch); `--path scan` the served path on the
 # perfbench scan_heavy shape (long windows, NameServer.request), with
-# the unprofiled read p50 beside the profile;
+# the unprofiled read p50 beside the profile; `--path long` Figure 11's
+# 86,000-row double key deployed with long_windows, printing the p50 of
+# the summary fold, of the same fold with no summaries, and the
+# summaries read per request;
 # `--path put --rounds 20000` profiles the write path instead (INSERT
 # parse + NameServer.put with a WAL, on the perfbench table shape);
 # `--path wire --rounds 5000` serves perfbench's wire_point over pg-wire

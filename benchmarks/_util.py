@@ -9,11 +9,13 @@ import json
 import pathlib
 
 from repro import OpenMLDB
+from repro.online.engine import OnlineEngine
+from repro.storage.skiplist import ColumnBlock
 from repro.workloads.microbench import (MicroBenchConfig, build_feature_sql,
                                         generate)
 
-__all__ = ["build_openmldb", "gc_paused", "openmldb_for_config",
-           "record_bench"]
+__all__ = ["build_openmldb", "fold_without_summaries", "gc_paused",
+           "openmldb_for_config", "record_bench"]
 
 BENCH_RESULTS_PATH = \
     pathlib.Path(__file__).resolve().parent.parent / "BENCH_online.json"
@@ -85,3 +87,32 @@ def openmldb_for_config(config: MicroBenchConfig, request_count=80):
     sql = build_feature_sql(config)
     db = build_openmldb(data, sql)
     return db, data, sql
+
+
+class _WithoutSummaries:
+    """A table as a fold with no block summaries sees it: scans hand out
+    sealed blocks and spans as plain column blocks over the same cells,
+    so the fold reads every value.  A test-side view, not a production
+    switch."""
+
+    def __init__(self, table):
+        self._table = table
+
+    def __getattr__(self, name):
+        return getattr(self._table, name)
+
+    def window_scan_blocks(self, *args, **kwargs):
+        return [ColumnBlock(part._ts, part._cells, part._width)
+                if part.sealed else part
+                for block in self._table.window_scan_blocks(*args, **kwargs)
+                for part in getattr(block, "blocks", (block,))]
+
+
+def fold_without_summaries(db, deployment):
+    """The raw scan-fold of one deployment with no summaries and no
+    ingest-time state — the measured "without" arm of figures 10, 11
+    and the IoT workload: ``row → feature tuple``."""
+    engine = OnlineEngine({name: _WithoutSummaries(table)
+                           for name, table in db.tables.items()})
+    compiled = db.deployments[deployment].compiled
+    return lambda row: engine.execute_request(compiled, row)

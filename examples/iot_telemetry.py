@@ -2,7 +2,8 @@
 
 Walkthrough of the IoT telemetry workload: thousands of mostly-idle
 devices, day-long feature windows, and the ``long_windows`` deployment
-option that answers them from pre-aggregated hour buckets.  Ends with
+option that leaves them to the storage fold over memoized block
+summaries.  Ends with
 the streaming skew check: MQTT-grade arrival disorder (a minute of
 slack, redeliveries) still yields byte-identical train/serve vectors.
 
@@ -24,7 +25,7 @@ def main() -> None:
           f"over {config.span_ms // 3_600_000} hours; telemetry older "
           f"than 7 days is TTL-evicted by the index")
 
-    # The day window is served from hour-wide pre-agg buckets.
+    # The day window is served by the storage fold, with no ingest state.
     deployment = db.deploy("fleet_health", iot.feature_sql(),
                            long_windows=iot.LONG_WINDOWS)
     last_reading = None
@@ -32,8 +33,9 @@ def main() -> None:
         db.insert(iot.TABLE, row)
         last_reading = row
     db.flush_preagg()
-    print(f"deployed with long_windows={iot.LONG_WINDOWS!r} "
-          f"(backfill {deployment.backfill_seconds:.3f}s)")
+    print(f"deployed with long_windows={iot.LONG_WINDOWS!r}: windows "
+          f"{sorted(deployment.incrementals)} keep ingest-time state, "
+          f"the rest fold storage")
 
     # Score the device that just reported, anchored on its own reading
     # (the request row is included in its window — real telemetry in,

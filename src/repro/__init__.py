@@ -5,8 +5,9 @@ online ML.  This package reimplements, from scratch:
 
 * the unified query plan generator (OpenMLDB SQL, planning, compilation
   with cycle binding and a compilation cache) — :mod:`repro.sql`;
-* the online real-time execution engine (request mode, long-window
-  pre-aggregation, self-adjusted window unions) — :mod:`repro.online`;
+* the online real-time execution engine (request mode, long windows
+  folded from storage summaries, self-adjusted window unions) —
+  :mod:`repro.online`;
 * the offline batch execution engine (multi-window parallelism,
   time-aware skew resolving) — :mod:`repro.offline`;
 * compact time-series data management (row encoding, two-level skiplist,

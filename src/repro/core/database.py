@@ -6,8 +6,9 @@ architecture diagram (Figure 2) does:
 * DDL/DML — ``CREATE TABLE`` (with stream indexes + TTL), ``INSERT``;
 * the **unified plan generator** — one parser/planner/compiler (with the
   compilation cache) feeding both engines;
-* **online request mode** — ``deploy()`` then ``request()``, with optional
-  long-window pre-aggregation maintained through the binlog replicator;
+* **online request mode** — ``deploy()`` then ``request()``, with
+  ingest-time incremental window state maintained through the binlog
+  replicator and long windows folded from storage summaries;
 * **offline mode** — ``offline_query()`` batch execution with
   multi-window parallelism and skew resolving;
 * **online preview mode** — ``preview()`` with complexity constraints and
@@ -65,8 +66,8 @@ class OpenMLDB(DeploymentHost):
         data_dir: root directory for durability.  When set, inserts
             write through a file-backed binlog, :meth:`snapshot` pins
             table images, and a fresh instance over the same directory
-            rebuilds everything — tables, pre-aggregation buckets,
-            incremental window state — via :meth:`recover`.
+            rebuilds everything — tables and incremental window
+            state — via :meth:`recover`.
         snapshot_retain: snapshot images kept per table before pruning.
     """
 
@@ -275,7 +276,8 @@ class OpenMLDB(DeploymentHost):
     # online request mode: deploy / request / undeploy are DeploymentHost's
 
     def flush_preagg(self, timeout: float = 10.0) -> None:
-        """Drain asynchronous aggregator updates (determinism for tests)."""
+        """Drain the asynchronous ingest-time incremental state updates
+        (determinism for tests); long windows keep no such state."""
         self.replicator.wait_idle(timeout=timeout)
         self.replicator.check()
 
@@ -386,8 +388,8 @@ class OpenMLDB(DeploymentHost):
         snapshot, then replay the durable binlog frames past its pinned
         offset.  Every recovered row also runs through the registered
         ingest updaters — the same ``IngestConsumer`` path the
-        replicator worker drives — so pre-aggregation buckets and
-        incremental window state rebuild to the exact pre-crash answers.
+        replicator worker drives — so incremental window state rebuilds
+        to the exact pre-crash answers.
         Explicit LSM flush/compact control frames re-apply in stream
         order, reconstructing disk tables' SST layout.
         """
@@ -492,9 +494,8 @@ class OpenMLDB(DeploymentHost):
 
         Simulates a tablet restart (Section 5.1's failure-recovery
         design): the in-memory indexes are discarded and reconstructed
-        from the replicator's log, including re-running any registered
-        aggregator updaters, so pre-aggregation state recovers with the
-        data.  Returns the number of replayed rows.
+        from the replicator's log; the storage summaries rebuild lazily
+        with the blocks.  Returns the number of replayed rows.
         """
         old = self.table(name)
         if isinstance(old, MemTable):
@@ -522,18 +523,17 @@ class OpenMLDB(DeploymentHost):
             for callback in old.eviction_subscribers:
                 fresh.subscribe_eviction(callback)
         self.tables[name] = fresh
-        # Deployed pre-aggregators and incremental window state keep
-        # their own buffers — they consumed the same binlog
-        # asynchronously, so nothing is lost with the table's in-memory
-        # structures.
+        # Deployed incremental window state keeps its own buffers — it
+        # consumed the same binlog asynchronously, so nothing is lost
+        # with the table's in-memory structures.
         return replayed
 
     def evict_expired(self, now_ts: int) -> int:
         """Run TTL eviction across all memory tables."""
         if self._updaters:
             # Drain pending binlog closures first so ingest-maintained
-            # state (pre-aggregation, incremental windows) mirrors the
-            # same row set the sweep sees.
+            # state (incremental windows) mirrors the same row set the
+            # sweep sees.
             self.replicator.wait_idle(timeout=5.0)
         removed = 0
         for table in self.tables.values():

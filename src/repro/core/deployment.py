@@ -2,19 +2,18 @@
 
 A deployment is the unit the paper's Figure 3 pushes from development to
 production: a SELECT compiled once, plus serving options — most notably
-``OPTIONS(long_windows="w1:1d")``, which turns on long-window
+``OPTIONS(long_windows="w1:1d")``, the paper's long-window
 pre-aggregation (Section 5.1, Figure 11) for the named windows.
 
-Deploying with long windows:
-
-1. verifies the windows exist and use time-range frames;
-2. creates one :class:`~repro.online.preagg.PreAggregator` per *mergeable*
-   aggregate bound to those windows (non-mergeable aggregates keep the
-   raw-scan path — correctness never depends on pre-aggregation);
-3. **backfills** the aggregators from existing table data (the paper's
-   "slightly higher data loading overhead");
-4. registers an ``update_aggr`` binlog closure so subsequent inserts
-   maintain the aggregators asynchronously.
+Here storage is the pre-aggregator: every key's history is kept as
+sealed blocks and 16-block spans that memoize their reductions
+(:mod:`repro.storage.skiplist`), so any long window folds summaries
+and two raw edges, on every host, with no backfill at deploy.  What
+``long_windows`` still decides: the named windows must exist, use a
+``ROWS_RANGE`` frame, and read only their own table (no ``WINDOW
+UNION``, no ``INSTANCE_NOT_IN_WINDOW``), and they get no ingest-time
+incremental state — the storage fold serves them.  The bucket width is
+validated but unused.
 
 One body, two hosts.  :class:`~repro.core.database.OpenMLDB` (local
 tables) and :class:`~repro.cluster.nameserver.NameServer` (routed
@@ -44,13 +43,53 @@ from ..sql import ast
 from ..sql.compiler import CompiledQuery
 from ..sql.optimizer import index_access_paths
 from ..sql.parser import parse
-from ..storage.memtable import normalize_ts
 from ..online.binlog import IngestConsumer
 from ..online.incremental import IncrementalWindowState
-from ..online.preagg import (LongWindowOption, PreAggregator,
-                             parse_long_windows)
 
-__all__ = ["Deployment", "DeploymentHost"]
+__all__ = ["Deployment", "DeploymentHost", "LongWindowOption",
+           "parse_long_windows"]
+
+_UNIT_MS = {"s": 1_000, "m": 60_000, "h": 3_600_000, "d": 86_400_000}
+
+
+@dataclasses.dataclass(frozen=True)
+class LongWindowOption:
+    """One entry of ``OPTIONS(long_windows="w1:1d,w2:1h")``."""
+
+    window: str
+    bucket_ms: int
+
+
+def parse_long_windows(option: str) -> Tuple[LongWindowOption, ...]:
+    """Parse the ``long_windows`` deployment option string.
+
+    ``"w1:1d,w2:1h"`` → two options with day/hour base buckets.
+    """
+    parsed: List[LongWindowOption] = []
+    for piece in option.split(","):
+        piece = piece.strip()
+        if not piece:
+            continue
+        try:
+            window, bucket = piece.split(":")
+            if not window.strip():
+                raise ValueError("empty window name")
+            unit = bucket[-1]
+            count = int(bucket[:-1])
+            unit_ms = _UNIT_MS[unit]
+        except (ValueError, KeyError, IndexError):
+            raise DeploymentError(
+                f"malformed long_windows entry {piece!r}; expected "
+                "'<window>:<n><s|m|h|d>'") from None
+        if count < 1:
+            raise DeploymentError(
+                f"long_windows entry {piece!r}: bucket count must be "
+                ">= 1")
+        parsed.append(LongWindowOption(window=window.strip(),
+                                       bucket_ms=count * unit_ms))
+    if not parsed:
+        raise DeploymentError("long_windows option is empty")
+    return tuple(parsed)
 
 
 @dataclasses.dataclass
@@ -61,24 +100,19 @@ class Deployment:
         name: deployment name (``DEPLOY name ...``).
         sql: original SQL text (for introspection/EXPLAIN).
         compiled: the compiled plan executed per request.
-        long_windows: parsed long-window options, empty when disabled.
-        preaggs: window name → {aggregate slot → PreAggregator}; the
-            online engine answers these slots from pre-aggregation.
+        long_windows: parsed long-window options, empty when disabled;
+            the named windows are served by the storage fold only.
         incrementals: canonical window name → ingest-time running window
             state (Section 5.2); the online engine answers whole windows
             from these on warm keys, falling back to scans otherwise.
-        backfill_seconds: measured aggregator backfill cost at deploy time.
     """
 
     name: str
     sql: str
     compiled: CompiledQuery
     long_windows: Tuple[LongWindowOption, ...] = ()
-    preaggs: Dict[str, Dict[int, PreAggregator]] = dataclasses.field(
-        default_factory=dict)
     incrementals: Dict[str, IncrementalWindowState] = dataclasses.field(
         default_factory=dict)
-    backfill_seconds: float = 0.0
     #: The host this deployment serves through (set by :meth:`build`).
     _host: Optional["DeploymentHost"] = dataclasses.field(
         default=None, repr=False, compare=False)
@@ -100,7 +134,9 @@ class Deployment:
         comes from the host's compilation cache, then Section 4.2's
         index optimisation applies: a window or join no declared index
         serves is rejected here, at deploy time, with
-        :class:`~repro.errors.PlanError` — never per request.
+        :class:`~repro.errors.PlanError` — never per request.  So is a
+        ``long_windows`` entry naming a window that is not a plain
+        ``ROWS_RANGE`` window of the script.
         """
         statement = parse(sql)
         if isinstance(statement, ast.SelectStatement):
@@ -114,9 +150,27 @@ class Deployment:
             {table: view.schema for table, view in tables.items()})
         index_access_paths(compiled.plan, {
             table: list(view.indexes) for table, view in tables.items()})
+        options = parse_long_windows(option) if option else ()
+        for entry in options:
+            window = compiled.windows.get(entry.window)
+            if window is None:
+                raise DeploymentError(
+                    f"long_windows references unknown window "
+                    f"{entry.window!r}")
+            if not window.plan.is_range_frame:
+                raise DeploymentError(
+                    f"long_windows window {entry.window!r} must use a "
+                    "ROWS_RANGE frame")
+            if window.plan.union_tables:
+                raise DeploymentError(
+                    "long windows over WINDOW UNION are not supported; "
+                    "drop the union or the long_windows option")
+            if window.plan.instance_not_in_window:
+                raise DeploymentError(
+                    "a long window aggregates instance-table rows, which "
+                    "INSTANCE_NOT_IN_WINDOW excludes")
         return cls(name=statement.name, sql=sql, compiled=compiled,
-                   long_windows=parse_long_windows(option) if option
-                   else (), _host=host)
+                   long_windows=options, _host=host)
 
     # ------------------------------------------------------------------
     # serve / describe
@@ -139,8 +193,7 @@ class Deployment:
             with deadline_scope(deadline), host._obs.tracer.span(
                     "deployment.execute", deployment=self.name):
                 return host._engine.execute_request(
-                    self.compiled, row, preagg=self.preaggs or None,
-                    shared_fetch=shared_fetch,
+                    self.compiled, row, shared_fetch=shared_fetch,
                     incremental=self.incrementals or None)
         finally:
             host._h_request.observe((time.perf_counter() - start) * 1_000)
@@ -158,24 +211,6 @@ class Deployment:
     # ------------------------------------------------------------------
     # ingest consumers
 
-    def attach_ingest(self) -> None:
-        """Create, backfill and register the ingest-maintained state.
-
-        Long-window pre-aggregators first, then incremental window
-        state.  A host with no ingest hook (the cluster, until
-        consumers attach at the partition leader's binlog) serves by
-        scan-fold only and refuses ``long_windows``, which needs one.
-        """
-        host = self._host
-        if host._updaters is None:
-            if self.long_windows:
-                raise DeploymentError(
-                    f"deployment {self.name!r}: long_windows need "
-                    f"ingest-maintained state, which "
-                    f"{type(host).__name__} cannot maintain yet")
-            return
-        self._initialize_preagg()
-        self._initialize_incremental()
 
     @property
     def _table(self) -> Any:
@@ -199,71 +234,27 @@ class Deployment:
         for state in self.incrementals.values():
             self._table.unsubscribe_eviction(state.on_ttl_evict)
 
-    def _initialize_preagg(self) -> None:
-        """Create, backfill, and wire the long-window pre-aggregators:
-        one per *mergeable* aggregate of each named window (the others
-        stay on the raw-scan path)."""
-        started = time.perf_counter()
-        table = self._table
-        obs = self._host._obs
-        for option in self.long_windows:
-            window = self.compiled.windows.get(option.window)
-            if window is None:
-                raise DeploymentError(
-                    f"long_windows references unknown window "
-                    f"{option.window!r}")
-            plan = window.plan
-            if not plan.is_range_frame:
-                raise DeploymentError(
-                    f"long_windows window {option.window!r} must use a "
-                    "ROWS_RANGE frame")
-            if plan.union_tables:
-                raise DeploymentError(
-                    "long-window pre-aggregation over WINDOW UNION is not "
-                    "supported; drop the union or the long_windows option")
-            if plan.instance_not_in_window:
-                raise DeploymentError(
-                    "long-window pre-aggregation aggregates instance-table "
-                    "rows, which INSTANCE_NOT_IN_WINDOW excludes")
-
-            def ts_fn(row: Row, position: int = window.order_position
-                      ) -> int:
-                return normalize_ts(row[position])
-
-            rows = list(table.rows())
-            slot_map: Dict[int, PreAggregator] = {}
-            for compiled_agg in window.preaggregable:
-                aggregator = slot_map[compiled_agg.slot] = PreAggregator(
-                    compiled_agg.function,
-                    arg_fn=compiled_agg.arg_fn, key_fn=window.partition_key,
-                    ts_fn=ts_fn, bucket_ms=option.bucket_ms)
-                if obs.enabled:
-                    # Absorbed-row / query / bucket-merge counters.
-                    aggregator.bind_obs(obs)
-                aggregator.backfill(rows)
-            for aggregator in slot_map.values():
-                self._attach(aggregator)
-            if slot_map:
-                self.preaggs[option.window] = slot_map
-        self.backfill_seconds = time.perf_counter() - started
-
-    def _initialize_incremental(self) -> None:
+    def attach_ingest(self) -> None:
         """Create, backfill, and wire ingest-time window state.
 
         Every *eligible* window gets a per-key running aggregate state
         maintained from the binlog (Section 5.2 applied at ingest time):
         no WINDOW UNION, no INSTANCE_NOT_IN_WINDOW, all aggregates
         invertible and order-insensitive, and a primary table whose TTL
-        eviction can be mirrored (memory tables).  Windows already
-        served by long-window pre-aggregation keep that path.  Anything
-        ineligible silently stays on the scan-fold path — incremental
-        state is an accelerator, never a semantics change.
+        eviction can be mirrored (memory tables).  Windows named in
+        ``long_windows`` stay on the storage fold.  Anything ineligible
+        silently stays on the scan-fold path — incremental state is an
+        accelerator, never a semantics change.  A host with no ingest
+        hook (the cluster, until consumers attach at the partition
+        leader's binlog) serves by scan-fold only.
         """
         table = self._table
-        if not hasattr(table, "subscribe_eviction"):
+        if self._host._updaters is None \
+                or not hasattr(table, "subscribe_eviction"):
             return
+        long_windows = {option.window for option in self.long_windows}
         for name, window in self.compiled.windows.items():
-            if not window.aggregates or name in self.preaggs:
+            if not window.aggregates or name in long_windows:
                 continue
             state = IncrementalWindowState.for_window(
                 window, self._host._serving_tables,
@@ -278,18 +269,6 @@ class Deployment:
     @property
     def uses_incremental(self) -> bool:
         return bool(self.incrementals)
-
-    @property
-    def uses_preagg(self) -> bool:
-        return bool(self.preaggs)
-
-    def preagg_stats(self) -> Dict[str, Dict[int, int]]:
-        """rows absorbed per (window, slot) — observability for Fig. 11."""
-        return {
-            window: {slot: aggregator.rows_absorbed
-                     for slot, aggregator in slots.items()}
-            for window, slots in self.preaggs.items()
-        }
 
 
 class DeploymentHost:
@@ -313,9 +292,8 @@ class DeploymentHost:
         ``latency_series`` observes every request, failed ones
         included; ``requests_series`` optionally counts attempts.
         ``updaters`` is the ingest hook — table name → closures every
-        insert runs, where deployments register pre-aggregators and
-        incremental states; ``None`` means the host maintains no
-        ingest-time state.
+        insert runs, where deployments register incremental states;
+        ``None`` means the host maintains no ingest-time state.
         """
         self._deployments: Dict[str, Deployment] = {}
         self._serving_tables = tables
@@ -336,10 +314,10 @@ class DeploymentHost:
 
         ``long_windows`` takes the same string as the SQL OPTIONS form,
         e.g. ``"w1:1d"`` (Figure 11).  Each window's tier is decided
-        here, once, from the plan: pre-aggregation for the named long
-        windows, ingest-time incremental state for the windows
-        ``CompiledWindow.incremental_eligible`` admits, the scan-fold
-        for the rest.
+        here, once, from the plan: ingest-time incremental state for
+        the windows ``CompiledWindow.incremental_eligible`` admits and
+        ``long_windows`` does not name, the storage scan-fold for the
+        rest.
         """
         self._check_open()
         deployment = Deployment.build(self, name, sql, long_windows)

@@ -2,8 +2,8 @@
 
 The paper's entire evaluation is about *where time goes*: per-stage
 latency of the online path (Figs. 6–7, 15–17), partition-level
-parallelism of the offline path (Figs. 8, 12–13), pre-aggregation hit
-rates (Figs. 10–11).  This dependency-free subsystem makes those
+parallelism of the offline path (Figs. 8, 12–13), summaries folded per
+long window (Figs. 10–11).  This dependency-free subsystem makes those
 quantities observable on a live instance:
 
 * :class:`MetricsRegistry` — counters, gauges, and mergeable streaming
@@ -12,7 +12,7 @@ quantities observable on a live instance:
   ``render("json")`` the machine one.
 * :class:`Tracer` — per-request span trees
   (``deployment.execute`` → ``index.seek`` → ``window.scan`` →
-  ``preagg.lookup`` → ``agg.fold`` → ``encode``) with trace-context
+  ``agg.fold`` → ``encode``) with trace-context
   propagation across the simulated cluster's "RPC" hops, so a
   nameserver-routed request yields one stitched trace spanning tablet
   servers.  ``tracer.render()`` draws the tree; ``tracer.export()``

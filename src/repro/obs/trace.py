@@ -7,10 +7,11 @@ request renders as
 
     deployment.execute            (root — where the deployment is known)
     ├─ index.seek                 (LAST JOIN index lookups)
+    ├─ incremental.lookup         (ingest-time window state)
     ├─ window.scan                (window row fetches)
     │  └─ ...                     (tablet-side children in cluster mode)
-    ├─ preagg.lookup              (long-window query refinement)
-    ├─ agg.fold                   (folding compiled aggregates)
+    ├─ agg.fold                   (folding compiled aggregates and the
+    │                              memoized block and span summaries)
     └─ encode                     (final projection)
 
 Span parentage is tracked with a thread-local stack, so ``with

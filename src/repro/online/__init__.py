@@ -3,16 +3,11 @@
 from .binlog import BinlogEntry, Replicator
 from .engine import EngineStats, OnlineEngine
 from .incremental import SlidingWindowAggregator
-from .preagg import (LongWindowOption, PreAggregator, PreAggQueryResult,
-                     parse_long_windows)
-from .segment_tree import SegmentTree
 from .window_union import (DynamicScheduler, StaticScheduler, UnionStats,
                            WindowUnionProcessor)
 
 __all__ = [
     "OnlineEngine", "EngineStats", "Replicator", "BinlogEntry",
-    "SegmentTree", "SlidingWindowAggregator", "PreAggregator",
-    "PreAggQueryResult", "LongWindowOption", "parse_long_windows",
-    "WindowUnionProcessor", "StaticScheduler", "DynamicScheduler",
-    "UnionStats",
+    "SlidingWindowAggregator", "WindowUnionProcessor", "StaticScheduler",
+    "DynamicScheduler", "UnionStats",
 ]

@@ -9,7 +9,7 @@ rests on.
 Each appended entry may carry a *closure* (the paper's ``update_aggr``):
 ``AppendEntry(entry, closure)`` both persists the entry and schedules the
 closure for **asynchronous** execution on the replicator's worker thread,
-decoupling pre-aggregation maintenance from the insertion fast path.
+decoupling ingest-time state maintenance from the insertion fast path.
 Failure recovery replays the log from a given offset, re-running closures
 through a re-registered handler.
 """
@@ -46,9 +46,8 @@ class BinlogEntry(NamedTuple):
 class IngestConsumer:
     """Base for ingest-maintained state fed through binlog closures.
 
-    Anything that keeps derived state per inserted row — pre-aggregation
-    buckets (Section 5.1), incremental window state (Section 5.2) —
-    implements :meth:`absorb` and hands :meth:`make_update_closure` to
+    Anything that keeps derived state per inserted row — incremental
+    window state (Section 5.2) — implements :meth:`absorb` and hands :meth:`make_update_closure` to
     the replicator at registration time.  The closure is the paper's
     ``update_aggr``: it runs asynchronously on the replicator worker in
     offset order, so consumers see rows exactly once, in a total order,
@@ -95,7 +94,7 @@ class Replicator:
     """Monotone binlog with asynchronous closure execution.
 
     Closures run on a single worker thread in offset order, which gives
-    aggregator updates a total order without blocking inserts.  Exceptions
+    state updates a total order without blocking inserts.  Exceptions
     raised by a closure are captured (not swallowed silently: they are
     recorded on :attr:`failures` and surfaced by :meth:`check`).
     """
@@ -239,7 +238,7 @@ class Replicator:
     def wait_idle(self, timeout: Optional[float] = None) -> bool:
         """Block until all scheduled closures have executed.
 
-        Tests and the pre-aggregation backfill use this to make the
+        Tests and the incremental-state backfill use this to make the
         asynchronous pipeline deterministic.  Returns False on timeout.
         """
         with self._pending_cond:
@@ -290,7 +289,7 @@ class Replicator:
 
         Raises:
             StorageError: the worker failed to drain within ``timeout``
-                seconds — queued aggregator updates would be silently
+                seconds — queued state updates would be silently
                 abandoned, so the condition is surfaced instead of
                 ignored.
         """

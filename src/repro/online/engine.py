@@ -16,14 +16,14 @@ is always instrumented.  Per request:
    window as column blocks from the storage layer's chunked
    ``window_scan_blocks`` (``window.scan``; window unions merge several
    tables' block streams newest-first) and reduce them with the
-   window's **fold** (``agg.fold``) — or, for deployed *long
-   windows*, ask the pre-aggregation manager for merged bucket states
-   and scan only the raw head/tail spans (``preagg.lookup``, Section
-   5.1's query refinement).
+   window's **fold** (``agg.fold``).  A long window's blocks are mostly
+   spans and sealed blocks carrying memoized summaries, so the fold is
+   Section 5.1's query refinement: summaries in the middle, raw rows
+   only at the two edges.
 3. Project the output row (``encode``).
 
-The engine keeps no per-request state across calls; window/preagg state
-lives in the storage layer and the ingest-time aggregators.  Statistics
+The engine keeps no per-request state across calls; window state lives
+in the storage layer and the ingest-time aggregators.  Statistics
 are accumulated per request in a local counter bundle and, when the
 request ends — with a feature row, a ``WHERE`` rejection, or a deadline
 expiring mid-plan — applied to :class:`EngineStats` under its lock and
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from typing import (Any, Dict, List, Mapping, Optional, Sequence, Tuple)
+from typing import (Any, Dict, List, Mapping, Optional, Sequence)
 
 from ..errors import ExecutionError
 from ..obs import NULL_OBS, Observability
@@ -48,19 +48,12 @@ from ..serving.deadline import current_deadline
 from ..sql.compiler import CompiledJoin, CompiledQuery, CompiledWindow
 from ..storage.memtable import normalize_ts
 from ..storage.skiplist import ColumnBlock
-from .preagg import PreAggregator
 
 __all__ = ["OnlineEngine", "EngineStats"]
 
 _COUNTER_FIELDS = ("rows_scanned", "scan_blocks", "summary_blocks",
-                   "preagg_bucket_merges", "preagg_raw_rows", "join_lookups",
-                   "shared_scan_hits", "incremental_hits",
+                   "join_lookups", "shared_scan_hits", "incremental_hits",
                    "incremental_fallbacks")
-
-#: Shared empty slot map for windows with no pre-aggregation — never
-#: mutated (the request path only iterates and membership-tests it), so
-#: every request can alias it instead of allocating a fresh dict.
-_NO_PREAGG: Dict[int, "PreAggregator"] = {}
 
 
 class _RequestCounters:
@@ -77,8 +70,6 @@ class _RequestCounters:
         self.rows_scanned = 0
         self.scan_blocks = 0
         self.summary_blocks = 0
-        self.preagg_bucket_merges = 0
-        self.preagg_raw_rows = 0
         self.join_lookups = 0
         self.shared_scan_hits = 0
         self.incremental_hits = 0
@@ -97,8 +88,6 @@ class EngineStats:
     rows_scanned: int = 0
     scan_blocks: int = 0
     summary_blocks: int = 0
-    preagg_bucket_merges: int = 0
-    preagg_raw_rows: int = 0
     join_lookups: int = 0
     shared_scan_hits: int = 0
     incremental_hits: int = 0
@@ -113,8 +102,6 @@ class EngineStats:
             self.rows_scanned += counters.rows_scanned
             self.scan_blocks += counters.scan_blocks
             self.summary_blocks += counters.summary_blocks
-            self.preagg_bucket_merges += counters.preagg_bucket_merges
-            self.preagg_raw_rows += counters.preagg_raw_rows
             self.join_lookups += counters.join_lookups
             self.shared_scan_hits += counters.shared_scan_hits
             self.incremental_hits += counters.incremental_hits
@@ -146,9 +133,6 @@ class OnlineEngine:
         self._m_summary_blocks = registry.counter(
             "online.fold.summary_blocks")
         self._m_join_lookups = registry.counter("online.join_lookups")
-        self._m_preagg_merges = registry.counter(
-            "online.preagg.bucket_merges")
-        self._m_preagg_raw = registry.counter("online.preagg.raw_rows")
         self._m_shared_scans = registry.counter(
             "online.batch.shared_scans")
         self._m_incr_hits = registry.counter("online.incremental.hits")
@@ -169,10 +153,6 @@ class OnlineEngine:
             self._m_scan_blocks.inc(counters.scan_blocks)
         if counters.summary_blocks:
             self._m_summary_blocks.inc(counters.summary_blocks)
-        if counters.preagg_bucket_merges:
-            self._m_preagg_merges.inc(counters.preagg_bucket_merges)
-        if counters.preagg_raw_rows:
-            self._m_preagg_raw.inc(counters.preagg_raw_rows)
         if counters.join_lookups:
             self._m_join_lookups.inc(counters.join_lookups)
         if counters.shared_scan_hits:
@@ -186,7 +166,6 @@ class OnlineEngine:
 
     def execute_request(
             self, compiled: CompiledQuery, request_row: Sequence[Any],
-            preagg: Optional[Mapping[str, Mapping[int, PreAggregator]]] = None,
             shared_fetch: Optional[Dict[Any, List[ColumnBlock]]] = None,
             incremental: Optional[Mapping[str, Any]] = None
     ) -> Row:
@@ -195,9 +174,6 @@ class OnlineEngine:
         Args:
             compiled: the compiled feature script.
             request_row: a tuple matching the primary table's schema.
-            preagg: window name → {aggregate slot → PreAggregator}; slots
-                present here are answered from pre-aggregation, the rest
-                from raw window scans.
             shared_fetch: micro-batching hook — a dict shared across the
                 requests of one batch; window scans that resolve to the
                 same (window, partition key, anchor ts) are fetched once
@@ -251,56 +227,32 @@ class OnlineEngine:
                 canonical = compiled.merged_windows.get(name, name)
                 # Keyed by the window's own name: merged siblings share a
                 # scan but carry distinct aggregate slots.
-                preagg_slots: Mapping[int, PreAggregator] = (
-                    preagg.get(name) if preagg is not None else None
-                ) or _NO_PREAGG
                 state = incremental.get(name) \
                     if incremental is not None else None
-                if not preagg_slots or any(
-                        compiled_agg.slot not in preagg_slots
-                        for compiled_agg in window.aggregates):
-                    results = None
-                    if state is not None and not preagg_slots:
-                        with span_of("incremental.lookup",
-                                     window=name) as span:
-                            results = state.compute(validated)
-                            span.set_tag(hit=results is not None)
-                        if results is None:
-                            counters.incremental_fallbacks += 1
-                        else:
-                            counters.incremental_hits += 1
+                results = None
+                if state is not None:
+                    with span_of("incremental.lookup", window=name) as span:
+                        results = state.compute(validated)
+                        span.set_tag(hit=results is not None)
                     if results is None:
-                        if canonical not in fetched:
-                            rows_before = counters.rows_scanned
-                            with span_of("window.scan",
-                                         window=name) as span:
-                                fetched[canonical] = self._window_blocks(
-                                    compiled, window, validated, counters,
-                                    shared_fetch, canonical)
-                                span.set_tag(rows=counters.rows_scanned
-                                             - rows_before)
-                        with span_of("agg.fold", window=name):
-                            results, summarized = window.compute_blocks(
-                                fetched[canonical])
-                        counters.summary_blocks += summarized
-                    for slot, value in results.items():
-                        if slot not in preagg_slots:
-                            aggregate_values[slot] = value
-                if preagg_slots:
-                    for slot, aggregator in preagg_slots.items():
-                        merges_before = counters.preagg_bucket_merges
-                        raw_before = counters.preagg_raw_rows
-                        with span_of("preagg.lookup", window=name,
-                                     func=aggregator.func_name) as span:
-                            aggregate_values[slot] = self._preagg_value(
-                                compiled, window, aggregator, validated,
-                                counters)
-                            span.set_tag(
-                                bucket_merges=(
-                                    counters.preagg_bucket_merges
-                                    - merges_before),
-                                raw_rows=(counters.preagg_raw_rows
-                                          - raw_before))
+                        counters.incremental_fallbacks += 1
+                    else:
+                        counters.incremental_hits += 1
+                if results is None:
+                    if canonical not in fetched:
+                        rows_before = counters.rows_scanned
+                        with span_of("window.scan", window=name) as span:
+                            fetched[canonical] = self._window_blocks(
+                                compiled, window, validated, counters,
+                                shared_fetch, canonical)
+                            span.set_tag(rows=counters.rows_scanned
+                                         - rows_before)
+                    with span_of("agg.fold", window=name):
+                        results, summarized = window.compute_blocks(
+                            fetched[canonical])
+                    counters.summary_blocks += summarized
+                for slot, value in results.items():
+                    aggregate_values[slot] = value
             extended = combined_tuple + tuple(aggregate_values)
             with span_of("encode"):
                 projected = compiled.project(extended)
@@ -389,7 +341,7 @@ class OnlineEngine:
                            for union_table in plan.union_tables)
             stored = self._fetch_stored_blocks(
                 sources, window, key, anchor_ts, end_ts, limit)
-            counters.rows_scanned += sum(len(block) for block in stored)
+            counters.rows_scanned += sum(map(len, stored))
             counters.scan_blocks += len(stored)
             if cache_key is not None:
                 shared[cache_key] = stored
@@ -429,72 +381,6 @@ class OnlineEngine:
                 start_ts=anchor_ts, end_ts=end_ts, limit=limit)
              for source in sources], window.width, limit)
         return [merged] if len(merged) else []
-
-    # ------------------------------------------------------------------
-    # pre-aggregation path
-
-    def _preagg_value(self, compiled: CompiledQuery, window: CompiledWindow,
-                      aggregator: PreAggregator, request_row: Row,
-                      counters: _RequestCounters) -> Any:
-        """Answer one long-window aggregate via query refinement."""
-        plan = window.plan
-        if not plan.is_range_frame:
-            raise ExecutionError(
-                "long-window pre-aggregation requires a ROWS_RANGE frame")
-        key = window.partition_key(request_row)
-        anchor_ts = normalize_ts(window.order_value(request_row))
-        lo = anchor_ts - plan.range_preceding_ms
-        refined = aggregator.query(key, lo, anchor_ts)
-        counters.preagg_bucket_merges += sum(
-            refined.buckets_used.values())
-
-        function = aggregator.function
-        state = refined.state
-        # Raw spans: head (oldest edge) merged *before* the bucket state,
-        # tail (newest edge, includes the open bucket) merged after.
-        head_state = self._raw_span_state(compiled, window, aggregator, key,
-                                          refined.head_span, counters)
-        tail_state = self._raw_span_state(compiled, window, aggregator, key,
-                                          refined.tail_span, counters)
-        merged = None
-        for piece in (head_state, state, tail_state):
-            if piece is None:
-                continue
-            merged = piece if merged is None else function.merge(
-                merged, piece)
-        # The request tuple itself is part of the window.
-        if not plan.exclude_current_row:
-            request_state = function.create()
-            function.add(request_state, *aggregator.extract_args(request_row))
-            merged = request_state if merged is None else function.merge(
-                merged, request_state)
-        if merged is None:
-            merged = function.create()
-        return function.result(merged)
-
-    def _raw_span_state(self, compiled: CompiledQuery,
-                        window: CompiledWindow,
-                        aggregator: PreAggregator, key: Any,
-                        span: Optional[Tuple[int, int]],
-                        counters: _RequestCounters) -> Any:
-        if span is None:
-            return None
-        plan = window.plan
-        table = self._tables[compiled.plan.table]
-        function = aggregator.function
-        state = None
-        add = function.add
-        extract = aggregator.extract_args
-        blocks = list(table.window_scan_blocks(
-            plan.partition_columns, plan.order_column, key,
-            start_ts=span[1], end_ts=span[0]))
-        counters.preagg_raw_rows += sum(len(block) for block in blocks)
-        for block in reversed(blocks):  # oldest → newest
-            for row in block.rows():
-                if state is None:
-                    state = function.create()
-                add(state, *extract(row))
-        return state
 
 
 def _cap_blocks(blocks: List[ColumnBlock],

@@ -16,8 +16,8 @@ to static engines.  Two layers live here:
 
 * :class:`IncrementalWindowState` — **ingest-time** window state for one
   deployed window: a per-partition-key map of aggregators maintained
-  from the binlog (the same asynchronous ``update_aggr`` pipeline
-  long-window pre-aggregation uses, Section 5.1), with TTL eviction
+  from the binlog (the paper's asynchronous ``update_aggr`` pipeline,
+  Section 5.1), with TTL eviction
   mirrored from the table's index so buffers never outlive index rows.
   On the request path a *hit* costs O(aggregates); the state declines —
   returns ``None`` so the engine falls back to a fused scan-fold — when
@@ -330,7 +330,7 @@ class IncrementalWindowState(IngestConsumer):
     windows whose aggregates are all invertible and order-insensitive,
     whose plan has no ``WINDOW UNION`` / ``INSTANCE_NOT_IN_WINDOW``,
     and whose primary table is a memory table.  Maintenance rides the
-    same binlog pipeline as pre-aggregation (``make_update_closure``),
+    binlog pipeline (``make_update_closure``),
     so inserts never wait on it; TTL sweeps reach it through the
     table's eviction subscription.
 

@@ -28,8 +28,6 @@ import dataclasses
 import threading
 import time
 from collections import Counter
-from functools import reduce
-from operator import add
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
@@ -41,7 +39,7 @@ from ..storage.skiplist import ColumnBlock
 from ..types import ColumnType
 from . import ast
 from .expressions import RowFn, Scope, compile_expr
-from .functions import AggregateFunction, get_aggregate
+from .functions import AggregateFunction, ExactSum, get_aggregate
 from .planner import (AggregateBinding, JoinPlan, QueryPlan, WindowPlan,
                       build_plan)
 
@@ -54,17 +52,22 @@ __all__ = [
 # ----------------------------------------------------------------------
 # cycle binding: shared intermediate states
 
-#: Columns whose values are Python ints: their sum is exact in any
-#: order, so builtin ``sum`` may reduce a slice of them.
-_INTEGER_TYPES = (ColumnType.SMALLINT, ColumnType.INT, ColumnType.BIGINT)
+#: Column types whose values storage holds as Python floats.
+_FLOAT_TYPES = (ColumnType.FLOAT, ColumnType.DOUBLE)
+
+#: Column types whose sealed blocks memoize sum / min / max / distinct
+#: summaries: ints and doubles (never NaN — storage rejects it).
+_SUMMARIZED_TYPES = (ColumnType.SMALLINT, ColumnType.INT,
+                     ColumnType.BIGINT) + _FLOAT_TYPES
 
 
-def _sumcount_result(func_name: str, total: Any, count: int) -> Any:
+def _sumcount_result(func_name: str, state: ExactSum) -> Any:
     if func_name == "count":
-        return count
-    if func_name == "sum":
-        return total if count else None
-    return total / count if count else None  # avg
+        return state.count
+    total = state.total()
+    if func_name == "sum" or total is None:
+        return total
+    return total / state.count  # avg
 
 
 def _multiset_result(func_name: str, constants: Tuple[Any, ...],
@@ -84,27 +87,17 @@ def _multiset_result(func_name: str, constants: Tuple[Any, ...],
     return ",".join(key for key, _count in ranked[:top_n])
 
 
-def _left_fold(values: List[Any], total: Any) -> Any:
-    """``total + v0 + v1 + …`` strictly left to right — the float-safe
-    spelling of ``sum(values, total)``."""
-    return reduce(add, values, total)
-
-
 def _present(values: List[Any]) -> List[Any]:
     return [value for value in values if value is not None]
 
 
 # Block summaries, memoized by ``SealedBlock.summary``: each is exact
-# however a window splits into blocks — integer ``+``, min/max and set
-# union associate, and NaN never reaches storage.
+# however a window splits into blocks — sums are exact
+# (:class:`ExactSum`), and min/max and set union taken in time order
+# are the flat fold's own answer.
 
-def _count_summary(values: List[Any]) -> Tuple[int, int]:
-    return 0, len(values) - values.count(None)  # a count-only group
-
-
-def _sum_summary(values: List[Any]) -> Tuple[int, int]:
-    present = _present(values)
-    return sum(present), len(present)
+def _count_summary(values: List[Any]) -> ExactSum:
+    return ExactSum(count=len(values) - values.count(None))  # count only
 
 
 def _extremes_summary(values: List[Any]) -> Tuple[Any, ...]:
@@ -120,13 +113,20 @@ def _distinct_summary(values: List[Any]) -> Optional[frozenset]:
     return found if len(found) <= 64 else None
 
 
-def _value_lists(group: "_StateGroup", blocks: Sequence[ColumnBlock],
-                 row_views: Sequence[List[Row]]) -> List[List[Any]]:
-    """The group's argument over each block, oldest block first: the
-    column slice of a bare column, else the expression over the rows."""
-    if group.position is not None:
-        return [block.column(group.position) for block in blocks]
-    return [list(map(group.scalar_fn, rows)) for rows in row_views]
+def _pieces(group: "_StateGroup", blocks: Sequence[ColumnBlock],
+            row_views: Sequence[List[Row]],
+            summarize: Optional[Callable[[List[Any]], Any]]) -> List[Any]:
+    """The group's argument over each block, oldest block first: a
+    sealed block's memoized ``summarize`` result when the group has one,
+    else the column slice of a bare column or the expression over the
+    rows."""
+    position = group.position
+    if position is None:
+        return [list(map(group.scalar_fn, rows)) for rows in row_views]
+    if summarize is None:
+        return [block.column(position) for block in blocks]
+    return [block.summary(position, summarize) if block.sealed
+            else block.column(position) for block in blocks]
 
 
 @dataclasses.dataclass
@@ -157,8 +157,8 @@ class _StateGroup:
     #: The argument's position in the row when it is a bare column — the
     #: fold then reads the block's column slice instead of its rows.
     position: Optional[int]
-    #: The bare column holds Python ints (see ``_INTEGER_TYPES``).
-    integral: bool
+    #: The bare column's type; None for an expression argument.
+    column_type: Optional[ColumnType]
 
 
 class CompiledWindow:
@@ -169,8 +169,9 @@ class CompiledWindow:
     layer's ``window_scan_blocks`` hands out) and returns ``{slot:
     value}``; ``compute`` wraps plain newest-first rows into one block
     and calls the same fold.  Accumulation runs oldest → newest, so
-    order-sensitive aggregates see time order and float sums are
-    bit-identical to ingest-time state.
+    order-sensitive aggregates see time order; sums are exact
+    (:class:`~repro.sql.functions.ExactSum`), so they are bit-identical
+    to ingest-time state in any order.
 
     Compilation emits exactly one **fold closure** per window.  Order-
     insensitive single-argument aggregates are cycle-bound into state
@@ -220,8 +221,8 @@ class CompiledWindow:
                 self._groups.append(_StateGroup(
                     family=function.fold_family, scalar_fn=arg_fns[0],
                     position=position,
-                    integral=position is not None and schema.columns[
-                        position].type in _INTEGER_TYPES))
+                    column_type=None if position is None
+                    else schema.columns[position].type))
             return CompiledAggregate(binding, arg_fn, function, group)
         return CompiledAggregate(binding, arg_fn, function)
 
@@ -233,13 +234,13 @@ class CompiledWindow:
         kernel only runs C-level reductions over one value list per
         block.  Per state group:
 
-        * ``sumcount`` — one (total, count) pair shared by sum/count/avg
-          (cycle binding).  The count is ``len``.  The total is builtin
-          ``sum`` for integer columns only; any other argument keeps a
-          sequential oldest → newest left fold (``reduce(add)``), because
-          Python ≥ 3.12's ``sum`` is compensated for floats and would
-          break byte-identity with the incremental state and the offline
-          engine.  A count-only group adds nothing up.
+        * ``sumcount`` — one :class:`~repro.sql.functions.ExactSum`
+          shared by sum/count/avg (cycle binding).  The count is
+          ``len``; the values add up exactly — builtin ``sum`` while
+          they are ints, their partials once a float is among them — so
+          the total is the one the incremental state and the offline
+          engine reach in any order.  A count-only group adds nothing
+          up.
         * ``multiset`` — a ``set`` of the values when distinct_count is
           asked for, a :class:`Counter` only when topn_frequency needs
           multiplicity (fed oldest → newest: ties print the first-seen
@@ -255,12 +256,14 @@ class CompiledWindow:
         generic :class:`AggregateFunction` protocol over the zipped row
         view.
 
-        A group over a bare integer column, or a count-only group over any
-        bare column, reads a sealed block's memoized summary instead of
-        its column; the fold returns how many sealed blocks it read so.
+        A group over a bare int or double column, or a count-only group
+        over any bare column, reads a sealed block's (or span's)
+        memoized summary instead of its column; the fold returns how
+        many sealed blocks and spans it read so.
         """
         sumcounts = []
         multisets = []
+        summarizes = False
         for group, state in enumerate(self._groups):
             members = [compiled for compiled in self._aggregates
                        if compiled.shared_group == group]
@@ -268,29 +271,30 @@ class CompiledWindow:
             outs = tuple((c.binding.func_name, c.binding.constants, c.slot)
                          for c in members)
             summarize = None
+            summarized = state.column_type in _SUMMARIZED_TYPES
             if state.family == "sumcount":
-                accumulate = None if not names & {"sum", "avg"} \
-                    else sum if state.integral else _left_fold
-                if state.position is not None and accumulate is None:
+                totals = bool(names & {"sum", "avg"})
+                if state.position is not None and not totals:
                     summarize = _count_summary
-                elif state.integral:
-                    summarize = _sum_summary
-                sumcounts.append((state, accumulate, summarize, outs))
+                elif summarized:
+                    summarize = ExactSum.of
+                sumcounts.append((state, totals,
+                                  state.column_type in _FLOAT_TYPES,
+                                  summarize, outs))
             else:
                 distinct_type = Counter if "topn_frequency" in names \
                     else set if "distinct_count" in names else None
-                if state.integral and distinct_type is not Counter:
+                if summarized and distinct_type is not Counter:
                     summarize = _distinct_summary if distinct_type \
                         else _extremes_summary
                 multisets.append((state, distinct_type, summarize, outs))
+            summarizes = summarizes or summarize is not None
         generic_programs = tuple(
             (compiled.arg_fn, compiled.function, compiled.slot)
             for compiled in self._aggregates
             if compiled.shared_group is None)
         walks_rows = bool(generic_programs) or any(
             state.position is None for state in self._groups)
-        summarizes = any(entry[2] is not None
-                         for entry in sumcounts + multisets)
 
         def fold(blocks: Sequence[ColumnBlock]
                  ) -> Tuple[Dict[int, Any], int]:
@@ -301,42 +305,26 @@ class CompiledWindow:
             ordered = blocks[::-1]
             row_views = [block.rows() for block in ordered] \
                 if walks_rows else ()
-            sealed = [block for block in ordered if block.sealed] \
-                if summarizes else ()
-            loose = [block for block in ordered if not block.sealed] \
-                if sealed else ordered
-            for group, accumulate, summarize, outs in sumcounts:
-                total = 0
-                count = 0
-                if summarize is not None:
-                    for block in sealed:
-                        block_total, block_count = block.summary(
-                            group.position, summarize)
-                        total += block_total
-                        count += block_count
-                for values in _value_lists(
-                        group, ordered if summarize is None else loose,
-                        row_views):
-                    if accumulate is None:
-                        count += len(values) - values.count(None)
-                        continue
-                    try:
-                        total = accumulate(values, total)
-                    except TypeError:  # a NULL does not add: skip them
-                        values = _present(values)
-                        total = accumulate(values, total)
-                    count += len(values)
+            for group, totals, floats, summarize, outs in sumcounts:
+                state = ExactSum()
+                for piece in _pieces(group, ordered, row_views, summarize):
+                    if type(piece) is ExactSum:
+                        state.absorb(piece)
+                    elif not totals:
+                        state.count += len(piece) - piece.count(None)
+                    else:
+                        try:
+                            state.extend(piece, floats)
+                        except TypeError:  # a NULL does not add: skip
+                            state.extend(_present(piece), floats)
                 for func_name, _constants, slot in outs:
-                    results[slot] = _sumcount_result(func_name, total, count)
+                    results[slot] = _sumcount_result(func_name, state)
             for group, distinct_type, summarize, outs in multisets:
                 lowest = highest = distinct = None
-                value_lists = _value_lists(
-                    group, ordered if summarize is None else loose,
-                    row_views)
-                if summarize is not None and sealed:
-                    # Summaries stand in for their blocks' columns.
-                    value_lists[:0] = [block.summary(group.position, summarize)
-                                       for block in sealed]
+                # Summaries stand in for their blocks' columns, in time
+                # order: the first of equal extremes (0.0 and -0.0) wins
+                # as in a fold over the bare values.
+                value_lists = _pieces(group, ordered, row_views, summarize)
                 if distinct_type is not None:
                     distinct = distinct_type()
                     for values in value_lists:
@@ -376,7 +364,8 @@ class CompiledWindow:
                             add_row(state, *arg_fn(row))
                 for _add, state, _arg_fn, function, slot in live:
                     results[slot] = function.result(state)
-            return results, len(sealed)
+            return results, sum(block.sealed for block in ordered) \
+                if summarizes else 0
 
         return fold
 
@@ -401,15 +390,6 @@ class CompiledWindow:
             and not plan.instance_not_in_window and all(
                 agg.function.invertible and not agg.function.order_sensitive
                 for agg in self._aggregates)
-
-    @property
-    def preaggregable(self) -> Tuple[CompiledAggregate, ...]:
-        """The aggregates bucket pre-aggregation can maintain
-        (``mergeable``); the rest stay on the raw scan.  Order-sensitive
-        members keep their buckets per key only while that key's rows
-        arrive in time order (``PreAggregator.absorb``)."""
-        return tuple(agg for agg in self._aggregates
-                     if agg.function.mergeable)
 
     @property
     def carry_eligible(self) -> bool:

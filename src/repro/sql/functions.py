@@ -6,17 +6,21 @@ three ways:
 * **one-shot** — fold a window's rows (offline batch path);
 * **incremental** — ``add``/``remove`` for subtract-and-evict sliding
   windows (Section 5.2), available when ``invertible``;
-* **merge** — combine partial states from pre-aggregation buckets
-  (Section 5.1) and offline task partials (Section 6), available when
-  ``mergeable``.  For order-sensitive but associative aggregates
-  (``drawdown``, ``lag``) the state is segment-shaped and
-  ``merge(older, newer)`` concatenates time segments.
+* **merge** — combine partial states, e.g. offline task partials
+  (Section 6), available when ``mergeable``.  For order-sensitive but
+  associative aggregates (``drawdown``, ``lag``) the state is
+  segment-shaped and ``merge(older, newer)`` concatenates time segments.
 
 The flags on the classes (``invertible``, ``mergeable``, ``merge_exact``,
 ``order_sensitive``, ``fold_family``) are the only statement of an
 aggregate's algebra: ``sql/compiler.py`` derives every tier decision
-from them (``CompiledWindow.incremental_eligible`` / ``preaggregable``
-/ ``carry_eligible``) and lint rule AGG001 checks each class decides.
+from them (``CompiledWindow.incremental_eligible`` /
+``carry_eligible``) and lint rule AGG001 checks each class decides.
+
+``sum`` and ``avg`` keep an :class:`ExactSum`: the paper's engine adds
+doubles left to right, so its answer depends on the order and grouping
+of the adds; here every tier returns the correctly rounded sum, which
+depends on the values alone.
 
 The Table 1 extensions implemented here: ``topn_frequency``,
 ``avg_cate_where`` (and the ``*_cate``/``*_where`` family), ``drawdown``,
@@ -28,14 +32,177 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from fractions import Fraction
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import CompileError, ExecutionError
 
 __all__ = [
-    "AggregateFunction", "AGGREGATES", "SCALARS", "get_aggregate",
-    "get_scalar", "is_aggregate",
+    "AggregateFunction", "AGGREGATES", "SCALARS", "ExactSum",
+    "get_aggregate", "get_scalar", "is_aggregate",
 ]
+
+
+# ----------------------------------------------------------------------
+# exact sums
+
+#: Past this many floats an :class:`ExactSum` re-derives its partials.
+_COMPACT_AT = 32
+
+
+def _partials(floats: List[float]) -> List[float]:
+    """A few floats whose exact sum is that of ``floats``: the correctly
+    rounded sum, then the rounded remainder, until none is left — the
+    partials ``math.fsum`` keeps, peeled off by ``math.fsum`` itself.
+    Infinities and NaNs stay as they are; so does a list whose finite
+    sum leaves the double range."""
+    rough = sum(floats)
+    special = [value for value in floats if value - value] \
+        if rough - rough else []  # only a non-finite value can be one
+    finite = [value for value in floats if not value - value] \
+        if special else list(floats)
+    parts: List[float] = []
+    try:
+        while True:
+            head = math.fsum(finite)
+            if not head:
+                return parts + special
+            parts.append(head)
+            finite.append(-head)
+    except OverflowError:
+        return list(floats)
+
+
+def _rounded_sum(floats: Sequence[float], ints: int = 0) -> float:
+    """The IEEE double of the exact sum of ``floats`` and ``ints``:
+    correctly rounded, ±inf past the double range, NaN when a NaN or
+    both infinities are present; a zero sum is +0.0."""
+    values = floats
+    try:
+        if ints:
+            values, rest = list(floats), ints
+            while rest:  # the int in exact float pieces
+                piece = float(rest)
+                values.append(piece)
+                rest -= int(piece)
+        return math.fsum(values) + 0.0
+    except ValueError:  # +inf and -inf
+        return math.nan
+    except OverflowError:  # a partial sum left the double range
+        special = [value for value in floats if value - value]
+        if special:
+            return _rounded_sum(special)
+        exact = sum(map(Fraction, floats), Fraction(ints))
+        try:
+            return float(exact)
+        except OverflowError:
+            return math.inf if exact > 0 else -math.inf
+
+
+class ExactSum:
+    """The exact sum of a multiset of numbers, as a mergeable state.
+
+    Ints add up in one Python int.  Floats are kept as a list whose exact
+    sum is theirs (re-derived into a few partials by :func:`_partials`
+    once it grows), so adding, merging, and removing a row by adding its
+    negation never round: the state depends only on the multiset, never
+    on order or grouping.  :meth:`total` rounds once — an int when no
+    float is present, else :func:`_rounded_sum` — so every tier that
+    folds, merges, or evicts a window returns the same bits.
+    """
+
+    __slots__ = ("ints", "floats", "count", "float_count")
+
+    def __init__(self, ints: int = 0, floats: Optional[List[float]] = None,
+                 count: int = 0, float_count: int = 0) -> None:
+        self.ints = ints
+        self.floats = [] if floats is None else floats
+        self.count = count
+        self.float_count = float_count
+
+    @classmethod
+    def of(cls, values: List[Any]) -> "ExactSum":
+        """The sum of a column's non-NULL values, compacted (what a
+        sealed block memoizes)."""
+        state = cls()
+        state.extend([value for value in values if value is not None])
+        state.floats = _partials(state.floats)
+        return state
+
+    def add(self, value: Any) -> None:
+        if value is None:
+            return
+        self.count += 1
+        if type(value) is float:
+            self.float_count += 1
+            floats = self.floats
+            floats.append(value)
+            if len(floats) > _COMPACT_AT:
+                self.floats = _partials(floats)
+        else:
+            self.ints += value
+
+    def remove(self, value: Any) -> None:
+        """Take one earlier-added value back out, exactly."""
+        if value is None:
+            return
+        self.count -= 1
+        if type(value) is not float:
+            self.ints -= value
+            return
+        self.float_count -= 1
+        floats = self.floats
+        if not value - value:
+            floats.append(-value)
+            if len(floats) > _COMPACT_AT:
+                self.floats = _partials(floats)
+        else:  # an infinity or NaN leaves as it came
+            floats.pop(next(index for index, held in enumerate(floats)
+                            if held == value
+                            or (held != held and value != value)))
+
+    def extend(self, values: List[Any], floats: bool = False) -> None:
+        """Add non-NULL numbers (``sum`` raises ``TypeError`` on a NULL
+        before anything changes); ``floats``: they are known to be
+        floats, e.g. a FLOAT or DOUBLE column's."""
+        total = sum(values)
+        if floats:
+            self.floats += values
+            self.float_count += len(values)
+        elif type(total) is int:  # no float among them
+            self.ints += total
+        else:
+            floats = [value for value in values if type(value) is float]
+            if len(floats) < len(values):
+                self.ints += sum(value for value in values
+                                 if type(value) is not float)
+            self.floats.extend(floats)
+            self.float_count += len(floats)
+        self.count += len(values)
+
+    def absorb(self, other: "ExactSum") -> None:
+        """Add every value ``other`` holds (left unchanged)."""
+        self.ints += other.ints
+        if other.float_count:
+            self.floats.extend(other.floats)
+            self.float_count += other.float_count
+        self.count += other.count
+
+    def merged(self, other: "ExactSum") -> "ExactSum":
+        state = ExactSum(self.ints, list(self.floats), self.count,
+                         self.float_count)
+        state.absorb(other)
+        if len(state.floats) > _COMPACT_AT:
+            state.floats = _partials(state.floats)
+        return state
+
+    def total(self) -> Any:
+        """The sum, rounded once; None when no value was added."""
+        if not self.count:
+            return None
+        if not self.float_count:
+            return self.ints
+        return _rounded_sum(self.floats, self.ints)
 
 
 class AggregateFunction:
@@ -56,8 +223,7 @@ class AggregateFunction:
     #: ``merge`` replays the exact operation sequence of continuing a
     #: serial fold (not just an algebraic equivalent).  Aggregates whose
     #: merge is an approximation under some inputs must clear this so
-    #: the offline carry path excludes them (pre-aggregation still uses
-    #: the merge — its contract is the looser algebraic one).
+    #: the offline carry path excludes them.
     merge_exact: bool = True
     #: How the window fold reduces this aggregate over a single argument
     #: (``sql/compiler.py``): ``"sumcount"`` members share one (total,
@@ -88,7 +254,7 @@ class AggregateFunction:
         raise ExecutionError(f"{self.name} is not invertible")
 
     def merge(self, older: Any, newer: Any) -> Any:
-        """Combine two partial states (pre-aggregation); mergeable only."""
+        """Combine two partial states (offline carry); mergeable only."""
         raise ExecutionError(f"{self.name} is not mergeable")
 
     def result(self, state: Any) -> Any:
@@ -137,7 +303,8 @@ class CountAgg(AggregateFunction):
 
 
 class SumAgg(AggregateFunction):
-    """``sum(x)`` — NULL when the window holds no non-NULL value."""
+    """``sum(x)`` — NULL when the window holds no non-NULL value; the
+    exact sum, rounded once (:class:`ExactSum`)."""
 
     name = "sum"
     invertible = True
@@ -145,59 +312,38 @@ class SumAgg(AggregateFunction):
     fold_family = "sumcount"
 
     def create(self):
-        return [0, 0]  # total, non-null count
+        return ExactSum()
 
     def add(self, state, value):
-        if value is not None:
-            state[0] += value
-            state[1] += 1
+        state.add(value)
 
     def remove(self, state, value):
-        if value is not None:
-            state[0] -= value
-            state[1] -= 1
+        state.remove(value)
 
     def merge(self, older, newer):
-        return [older[0] + newer[0], older[1] + newer[1]]
+        return older.merged(newer)
 
     def result(self, state):
-        return state[0] if state[1] else None
+        return state.total()
 
 
-class AvgAgg(AggregateFunction):
-    """``avg(x)`` — arithmetic mean over non-NULL values."""
+class AvgAgg(SumAgg):
+    """``avg(x)`` — the exact sum, rounded once, over the non-NULL
+    count."""
 
     name = "avg"
-    invertible = True
-    mergeable = True
-    fold_family = "sumcount"
-
-    def create(self):
-        return [0.0, 0]
-
-    def add(self, state, value):
-        if value is not None:
-            state[0] += value
-            state[1] += 1
-
-    def remove(self, state, value):
-        if value is not None:
-            state[0] -= value
-            state[1] -= 1
-
-    def merge(self, older, newer):
-        return [older[0] + newer[0], older[1] + newer[1]]
 
     def result(self, state):
-        return state[0] / state[1] if state[1] else None
+        total = state.total()
+        return None if total is None else total / state.count
 
 
 class MinAgg(AggregateFunction):
     """MIN keeps a multiset so eviction under sliding windows stays exact.
 
-    ``merge`` (the pre-aggregation path) collapses to the extreme value:
-    merged bucket states never see eviction, so carrying the full
-    multiset across segment-tree levels would only burn memory and time.
+    ``merge`` collapses to the extreme value: merged states never see
+    eviction, so carrying the full multiset would only burn memory and
+    time.
     """
 
     name = "min"
@@ -555,8 +701,7 @@ class DrawdownAgg(AggregateFunction):
 
     Order-sensitive but *associative over time segments*: the state
     ``(peak, trough, max_drawdown)`` of two consecutive segments merges as
-    ``max(dd_a, dd_b, (peak_older − trough_newer) / peak_older)``, which is
-    what makes it pre-aggregable (Section 5.1).
+    ``max(dd_a, dd_b, (peak_older − trough_newer) / peak_older)``.
     """
 
     name = "drawdown"
@@ -566,8 +711,7 @@ class DrawdownAgg(AggregateFunction):
     # standalone drawdown uses its *internal* peak, which a larger
     # carried-in peak would supersede — with negative troughs the ratio
     # overestimates (e.g. [5, -10] alone gives 3.0, continued from peak
-    # 20 gives 1.5).  Pre-aggregation accepts that domain assumption;
-    # the carry path must not.
+    # 20 gives 1.5), so the carry path must not use it.
     merge_exact = False
 
     def create(self):
@@ -610,8 +754,8 @@ class EwAvgAgg(AggregateFunction):
 
     The newest value gets weight 1, the next ``(1 − alpha)``, then
     ``(1 − alpha)²`` and so on.  Inherently order-sensitive: it relies on
-    the storage layer's timestamp ordering (Section 7.2) rather than on
-    pre-aggregation.
+    the storage layer's timestamp ordering (Section 7.2) and folds rows,
+    never summaries.
     """
 
     name = "ew_avg"

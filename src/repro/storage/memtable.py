@@ -3,8 +3,8 @@
 A :class:`MemTable` owns one :class:`~repro.storage.skiplist.TimeSeriesIndex`
 per declared :class:`~repro.schema.IndexDef`.  Every insert is validated
 against the schema, appended to all indexes, and (optionally) reported to a
-binlog subscriber — the hook the online engine's pre-aggregation update
-pipeline attaches to (Section 5.1).
+binlog subscriber — the hook the online engine's ingest-time state
+update pipeline attaches to (Section 5.1).
 
 Window reads go through :meth:`window_scan` / :meth:`last_join_lookup`,
 which pick the index matching the requested ``PARTITION BY`` / ``ORDER BY``

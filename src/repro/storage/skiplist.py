@@ -4,7 +4,8 @@ The first level is a skiplist ordered by **key** (e.g. user id); each key
 node points to a second level holding all tuples for that key *pre-ranked
 by timestamp*.  Here the second level is stored as columns
 (:class:`_TimeList`): sealed immutable :class:`ColumnBlock` s of
-``BLOCK_ROWS`` tuples, then a hot tail of one ``array('q')`` of ascending
+``BLOCK_ROWS`` tuples, grouped ``SPAN_BLOCKS`` at a time into
+:class:`SealedSpan` s, then a hot tail of one ``array('q')`` of ascending
 timestamps plus the rows' values in one flat row-major list, rather than
 the paper's linked nodes — it keeps every property Section 7.2 relies on
 and drops the per-tuple node, pointer cells and pointer hops:
@@ -14,11 +15,14 @@ and drops the per-tuple node, pointer cells and pointer hops:
 * ``PARTITION BY key ORDER BY ts ROWS BETWEEN ... PRECEDING`` — a window
   is the run between two integer bisects (O(log n) seek), handed out as
   newest-first :class:`ColumnBlock` s whose *columns* are strided C-level
-  slices, which is what the window fold reduces.  Sealed blocks the run
-  covers whole go out by reference, with their memoized reductions.
+  slices, which is what the window fold reduces.  Spans and sealed
+  blocks the run covers whole go out by reference, with their memoized
+  reductions: the two summary levels are Section 5.1's multi-level
+  pre-aggregation, kept by storage itself, so a long window folds a few
+  dozen summaries and two edges however many rows it holds.
 * In-order arrival (the stream case) is an O(1) ``append`` + ``extend``;
   a late tuple is a bisect plus one slice assignment, or a rebuilt copy
-  of the sealed block it lands in.
+  of the sealed block it lands in (and of the span holding that block).
 * Out-of-date data removal (TTL): expired tuples are a prefix of the
   key's history, so eviction drops whole blocks and cuts at most one.
 
@@ -47,7 +51,7 @@ from ..errors import StorageError
 from ..schema import TTLKind, TTLSpec
 
 __all__ = ["AtomicReference", "BLOCK_ROWS", "ColumnBlock", "SealedBlock",
-           "SkipList", "TimeSeriesIndex"]
+           "SealedSpan", "SkipList", "SPAN_BLOCKS", "TimeSeriesIndex"]
 
 _MAX_LEVEL = 16
 _BRANCHING = 4  # expected nodes per level step, as in LevelDB/OpenMLDB
@@ -55,6 +59,10 @@ _BRANCHING = 4  # expected nodes per level step, as in LevelDB/OpenMLDB
 #: Tuples per sealed block: once a key's hot tail holds more, its oldest
 #: ``BLOCK_ROWS`` are sealed.  Disk-backed scans chunk by it too.
 BLOCK_ROWS = 256
+
+#: Sealed blocks per span: once a key holds this many blocks outside a
+#: span, they become one :class:`SealedSpan` (4,096 rows by default).
+SPAN_BLOCKS = 16
 
 
 class AtomicReference:
@@ -367,6 +375,36 @@ class SealedBlock(ColumnBlock):
         return self.column(position) if found is None else found
 
 
+class SealedSpan(SealedBlock):
+    """Consecutive sealed blocks of one key (``SPAN_BLOCKS`` of them
+    until a TTL cut or a late row rebuilds it), the summary level above
+    them: a scan that covers the span whole hands it out as one block
+    and the fold reads its memoized summaries.  The rows stay in the
+    blocks; the span keeps only their timestamps, end to end."""
+
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks: Sequence[SealedBlock]) -> None:
+        stamps = array("q")
+        for block in blocks:
+            stamps.extend(block._ts)
+        super().__init__(stamps, None, blocks[0]._width)
+        self.blocks = tuple(blocks)
+
+    def rows(self) -> List[Any]:
+        return [row for block in self.blocks for row in block.rows()]
+
+    def column(self, position: int) -> List[Any]:
+        values: List[Any] = []
+        for block in self.blocks:
+            values += block.column(position)
+        return values
+
+    def newest(self, count: int) -> ColumnBlock:
+        cells = [cell for block in self.blocks for cell in block._cells]
+        return ColumnBlock(self._ts, cells, self._width).newest(count)
+
+
 def _first_block_past(blocks: List[ColumnBlock], ts: int, edge: int) -> int:
     """Index of the first of ``blocks`` whose ``_ts[edge]`` exceeds ``ts``."""
     lo, hi = 0, len(blocks)
@@ -379,32 +417,66 @@ def _first_block_past(blocks: List[ColumnBlock], ts: int, edge: int) -> int:
     return lo
 
 
+def _place(stamps: "array[int]", cells: List[Any], ts: int,
+           row: Sequence[Any]) -> None:
+    """Insert one tuple after every tuple not newer than it."""
+    at = bisect_right(stamps, ts)
+    stamps.insert(at, ts)
+    at *= len(row)  # the tuple's first cell
+    cells[at:at] = row
+
+
+def _with_late_row(block: SealedBlock, ts: int,
+                   row: Sequence[Any]) -> List[SealedBlock]:
+    """A rebuilt copy of ``block`` holding one more tuple, split in two
+    past ``2 * BLOCK_ROWS``."""
+    stamps, cells, stride = block._ts[:], block._cells[:], len(row)
+    _place(stamps, cells, ts, row)
+    size = len(stamps)
+    half = size // 2 if size > 2 * BLOCK_ROWS else size
+    return [SealedBlock(stamps[lo:hi], cells[lo * stride:hi * stride],
+                        block._width)
+            for lo, hi in ((0, half), (half, size)) if lo < hi]
+
+
+def _without_oldest(block: SealedBlock, count: int) -> SealedBlock:
+    """A rebuilt copy of ``block`` without its ``count`` oldest tuples."""
+    return SealedBlock(block._ts[count:],
+                       block._cells[count * (block._width or 1):],
+                       block._width)
+
+
 class _TimeList:
     """Per-key second level: the key's tuples pre-ranked by timestamp
     (Section 7.2), stored as columns.
 
-    The history is ``_sealed`` (:class:`SealedBlock` s, oldest first)
-    then the hot **tail**: ``_ts``, an ``array('q')`` of timestamps,
-    ascending, and ``_cells``, the rows' values in one flat row-major
-    list, ``width`` values per tuple (``width`` None: the payload is
-    opaque and takes one cell).  Past ``BLOCK_ROWS`` tuples the tail's
-    oldest ``BLOCK_ROWS`` are sealed.  Among equal timestamps later
-    arrivals sit *after* earlier ones, so a newest-first read sees the
-    latest arrival first.  A late tuple or a TTL cut replaces a sealed
-    block with a rebuilt one (split in two past ``2 * BLOCK_ROWS``).
+    The history is ``_sealed`` — its first ``_spans`` entries
+    :class:`SealedSpan` s, then the :class:`SealedBlock` s no span holds
+    yet, all oldest first — then the hot **tail**: ``_ts``, an
+    ``array('q')`` of timestamps, ascending, and ``_cells``, the rows'
+    values in one flat row-major list, ``width`` values per tuple
+    (``width`` None: the payload is opaque and takes one cell).  Past
+    ``BLOCK_ROWS`` tuples the tail's oldest ``BLOCK_ROWS`` are sealed,
+    and ``SPAN_BLOCKS`` blocks outside a span become one.  Among equal
+    timestamps later arrivals sit *after* earlier ones, so a
+    newest-first read sees the latest arrival first.  A late tuple or a
+    TTL cut replaces a sealed block with a rebuilt one (split in two
+    past ``2 * BLOCK_ROWS``), and the span holding it with a rebuilt
+    span, whose summaries start afresh.
 
     Concurrency: a per-key lock is held around each bisect + slice and
     around each mutation (append, seal, late insert, prefix delete);
     nothing wider than this key is ever locked.  A reader takes its run
-    under the lock — slices of the edges, the sealed blocks between —
-    so it can never see a timestamp beside another tuple's values or a
-    window shifted by a concurrent insert or eviction.
+    under the lock — slices of the edges, the spans and sealed blocks
+    between — so it can never see a timestamp beside another tuple's
+    values or a window shifted by a concurrent insert or eviction.
     """
 
-    __slots__ = ("_sealed", "_ts", "_cells", "_width", "_lock")
+    __slots__ = ("_sealed", "_spans", "_ts", "_cells", "_width", "_lock")
 
     def __init__(self, width: Optional[int] = None) -> None:
         self._sealed: Sequence[SealedBlock] = ()  # a list from the first seal
+        self._spans = 0
         self._ts = array("q")
         self._cells: List[Any] = []
         self._width = width
@@ -428,31 +500,35 @@ class _TimeList:
             else:
                 # A late tuple goes into the tail, or into a copy of the
                 # first sealed block holding a newer one.
-                sealed, stride = self._sealed, len(row)
+                sealed = self._sealed
                 index = _first_block_past(sealed, ts, -1)
-                if index < len(sealed):
-                    stamps = sealed[index]._ts[:]
-                    cells = sealed[index]._cells[:]
-                at = bisect_right(stamps, ts)
-                stamps.insert(at, ts)
-                at *= stride  # the tuple's first cell
-                cells[at:at] = row
-                if index < len(sealed):
-                    size = len(stamps)
-                    half = size // 2 if size > 2 * BLOCK_ROWS else size
-                    sealed[index:index + 1] = [
-                        SealedBlock(stamps[lo:hi],
-                                    cells[lo * stride:hi * stride], width)
-                        for lo, hi in ((0, half), (half, size)) if lo < hi]
+                if index == len(sealed):
+                    _place(stamps, cells, ts, row)
+                elif isinstance(sealed[index], SealedSpan):
+                    blocks = list(sealed[index].blocks)
+                    inner = _first_block_past(blocks, ts, -1)
+                    blocks[inner:inner + 1] = _with_late_row(
+                        blocks[inner], ts, row)
+                    sealed[index] = SealedSpan(blocks)
+                    return
+                else:
+                    sealed[index:index + 1] = _with_late_row(
+                        sealed[index], ts, row)
                     return
             if len(stamps) > BLOCK_ROWS:
                 cut = BLOCK_ROWS * len(row)
                 if not self._sealed:
                     self._sealed = []
-                self._sealed.append(SealedBlock(stamps[:BLOCK_ROWS],
-                                                cells[:cut], width))
+                sealed = self._sealed
+                sealed.append(SealedBlock(stamps[:BLOCK_ROWS], cells[:cut],
+                                          width))
                 del stamps[:BLOCK_ROWS]
                 del cells[:cut]
+                first = self._spans
+                while len(sealed) - first >= SPAN_BLOCKS:
+                    sealed[first:first + SPAN_BLOCKS] = [
+                        SealedSpan(sealed[first:first + SPAN_BLOCKS])]
+                    first = self._spans = first + 1
 
     def newest(self) -> Optional[Tuple[int, Any]]:
         """The most recent ``(ts, row)`` — the LAST JOIN fast path."""
@@ -471,34 +547,46 @@ class _TimeList:
 
         ``start_ts`` is the *newest* bound, ``end_ts`` the oldest —
         mirroring ``ROWS_RANGE BETWEEN x PRECEDING AND CURRENT ROW``.
-        The tail's part comes first, then the sealed blocks the run
-        reaches: as they are when covered whole, else sliced.
+        The tail's part comes first, then the spans and sealed blocks
+        the run reaches: as they are when covered whole, else sliced —
+        a span by walking its blocks.
         """
         width = self._width
         stride = width or 1
         blocks = []
         with self._lock:
             sealed = self._sealed
-            below = len(sealed) if start_ts is None or not sealed \
-                else _first_block_past(sealed, start_ts, 0)
+            # Oldest first; the walk pops the newest.
+            pending = list(sealed) if start_ts is None or not sealed \
+                else sealed[:_first_block_past(sealed, start_ts, 0)]
             block, stamps, cells = None, self._ts, self._cells
             while True:
-                hi = len(stamps) if start_ts is None \
-                    else bisect_right(stamps, start_ts)
-                lo = 0 if end_ts is None \
-                    else bisect_left(stamps, end_ts, 0, hi)
+                # A bisect only where a bound cuts this run.
+                hi = len(stamps)
+                if start_ts is not None and hi and stamps[-1] > start_ts:
+                    hi = bisect_right(stamps, start_ts)
+                lo = 0
+                if end_ts is not None and hi and stamps[0] < end_ts:
+                    lo = bisect_left(stamps, end_ts, 0, hi)
                 if limit is not None:
                     lo = max(lo, hi - limit)
-                    limit -= hi - lo
-                if block is not None and lo == 0 and hi == len(stamps):
-                    blocks.append(block)
-                elif lo < hi:
-                    blocks.append(ColumnBlock(
-                        stamps[lo:hi], cells[lo * stride:hi * stride], width))
-                if lo or not below:
-                    return blocks  # everything older is out of the run
-                below -= 1
-                block = sealed[below]
+                whole = block is not None and lo == 0 and hi == len(stamps)
+                if not whole and isinstance(block, SealedSpan):
+                    pending.extend(block.blocks)
+                else:
+                    if limit is not None:
+                        limit -= hi - lo
+                    if whole:
+                        blocks.append(block)
+                    elif lo < hi:
+                        blocks.append(ColumnBlock(
+                            stamps[lo:hi], cells[lo * stride:hi * stride],
+                            width))
+                    if lo:
+                        return blocks  # everything older is out of the run
+                if not pending:
+                    return blocks
+                block = pending.pop()
                 stamps, cells = block._ts, block._cells
 
     def scan(self, start_ts: Optional[int] = None,
@@ -538,12 +626,20 @@ class _TimeList:
                 cut = min(expired, excess)
             left = cut
             while sealed and len(sealed[0]) <= left:
-                left -= len(sealed.pop(0))
+                unit = sealed.pop(0)
+                left -= len(unit)
+                self._spans -= isinstance(unit, SealedSpan)
             if sealed and left:
-                block = sealed[0]
-                sealed[0] = SealedBlock(block._ts[left:],
-                                        block._cells[left * stride:],
-                                        self._width)
+                unit = sealed[0]
+                if isinstance(unit, SealedSpan):
+                    blocks = list(unit.blocks)
+                    while len(blocks[0]) <= left:
+                        left -= len(blocks.pop(0))
+                    if left:
+                        blocks[0] = _without_oldest(blocks[0], left)
+                    sealed[0] = SealedSpan(blocks)
+                else:
+                    sealed[0] = _without_oldest(unit, left)
             elif left:
                 del stamps[:left]
                 del self._cells[:left * stride]

@@ -12,7 +12,7 @@ object:
   the offline engine;
 * :class:`StreamIngestor` — the consumer that feeds a database's
   insert path (and therefore :class:`~repro.online.binlog.Replicator`
-  closures: pre-aggregation, incremental window state, replication),
+  closures: incremental window state, replication),
   deduplicating redeliveries and tracking the conservative global
   watermark;
 * :func:`verify_stream_skew` — the train/serve skew check: at every

@@ -107,7 +107,8 @@ def verify_stream_skew(
             boundary).
         primary_table: table the probes belong to; defaults to the
             stream's only table.
-        long_windows: forwarded to ``deploy`` (pre-aggregation path).
+        long_windows: forwarded to ``deploy`` (the named windows are
+            served by the storage fold).
         deployment: deployment name used on both sides.
         request_factory: override how instances are built (e.g. to add
             observability or a memory budget).

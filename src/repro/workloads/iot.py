@@ -8,13 +8,13 @@ idle.  That shape stresses:
 
 * **pre-aggregation** — a day-long window over sparse data is exactly
   the ``long_windows`` case: per-request raw scans touch hours of
-  history, pre-agg buckets answer from a handful of merged partials;
+  history, the storage fold answers from a handful of block summaries;
 * **TTL** — keeping a week of telemetry per device only works because
   the index TTL evicts the tail; feature windows must agree with the
   eviction horizon;
-* **key cardinality** — per-key state (skiplists, incremental windows,
-  pre-agg trees) is multiplied by the device count, which is what the
-  memory governor meters.
+* **key cardinality** — per-key state (skiplists, incremental windows)
+  is multiplied by the device count, which is what the memory governor
+  meters.
 
 Readings are integers (deci-degrees, basis points, counts), so long
 aggregates fold exactly and the CDC skew check can assert byte-identical
@@ -53,7 +53,7 @@ INDEX = IndexDef(key_columns=("device",), ts_column="ts",
                              abs_ttl_ms=7 * 86_400_000))
 
 #: Default ``deploy(..., long_windows=...)`` option: the day window is
-#: served from hour-wide pre-agg buckets.
+#: served by the storage fold over block summaries.
 LONG_WINDOWS = "w1d:1h"
 
 

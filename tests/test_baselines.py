@@ -3,7 +3,6 @@ OpenMLDB) while keeping their modelled inefficiencies observable."""
 
 import pytest
 
-from tests.conftest import values_close
 from repro import OpenMLDB
 from repro.baselines import (DuckDBEngine, FlinkTopNEngine,
                              GreenplumTopNEngine, MySQLMemoryEngine,
@@ -39,12 +38,11 @@ class TestOnlineBaselineCorrectness:
         for name, rows in data.rows.items():
             engine.load(name, rows)
         for request in data.requests[:10]:
-            expected = db.request_row("mb", request)
-            got = engine.request(request)
-            assert len(got) == len(expected)
-            for left, right in zip(expected, got):
-                assert values_close(left, right, rel_tol=1e-9), \
-                    (engine_cls.name, left, right)
+            expected = tuple(db.request_row("mb", request))
+            got = tuple(engine.request(request))
+            # Sums are correctly rounded in every engine: bit for bit.
+            assert got == expected and repr(got) == repr(expected), \
+                (engine_cls.name, expected, got)
 
 
 class TestBaselineInefficiencies:
@@ -88,10 +86,8 @@ class TestSparkBatch:
             spark.load(name, rows)
         spark_rows, stats = spark.run()
         openmldb_rows, _ = db.offline_query(sql)
-        assert len(spark_rows) == len(openmldb_rows)
-        for left_row, right_row in zip(openmldb_rows, spark_rows):
-            for left, right in zip(left_row, right_row):
-                assert values_close(left, right, rel_tol=1e-9)
+        assert [tuple(row) for row in spark_rows] == openmldb_rows
+        assert repr([tuple(row) for row in spark_rows]) == repr(openmldb_rows)
 
     def test_serial_stages_and_shuffle_accounted(self, workload):
         data, sql, _db = workload

@@ -298,16 +298,11 @@ class TestServedPathDifferential:
         with pytest.raises(PlanError, match="no index"):
             host.deploy("unservable", self.SQL.replace(
                 "PARTITION BY shop", "PARTITION BY amt"))
-        # Ingest-time options need an ingest hook; the cluster has none
-        # yet and says so instead of dropping the option.
+        # Long windows are served by storage summaries on both hosts.
         long_window = f'DEPLOY lw OPTIONS(long_windows="w_range:1s") ' \
                       f'{self.SQL}'
-        if kind == "cluster":
-            with pytest.raises(DeploymentError, match="long_windows"):
-                host.deploy("lw", long_window)
-        else:
-            assert host.deploy("lw", long_window).uses_preagg
-            assert host.request("lw", requests[5]) == want[5]
+        host.deploy("lw", long_window)
+        assert host.request("lw", requests[5]) == want[5]
         # A request that fails mid-plan is still a request.
         series = "cluster.request.ms" if kind == "cluster" \
             else "online.request.ms"

@@ -158,26 +158,25 @@ class TestDeploymentIntrospection:
             "FROM t WINDOW w AS (PARTITION BY k ORDER BY ts "
             "ROWS_RANGE BETWEEN 30d PRECEDING AND CURRENT ROW)"),
             long_windows="w:1h")
-        # Only the mergeable aggregate got a pre-aggregator; ew_avg
-        # stays on the raw path.
-        stats = deployment.preagg_stats()
-        assert list(stats) == ["w"]
-        assert len(stats["w"]) == 1
-        # The request still answers both features.
+        # The long window keeps its option and no ingest state; the
+        # storage fold answers both features, ew_avg's row walk too.
+        assert [option.window for option in deployment.long_windows] \
+            == ["w"]
+        assert deployment.incrementals == {}
         result = db.request("d", ("a", 7_200_000, 3.0))
         assert result["s"] == 4.0
         assert result["e"] is not None
 
     def test_backfill_counts_existing_rows(self):
+        # No backfill: the rows already stored are the window.
         db = OpenMLDB()
         db.execute("CREATE TABLE t (k string, ts timestamp, v double, "
                    "INDEX(KEY=k, TS=ts))")
         for index in range(25):
             db.insert("t", ("a", index * 1_000, 1.0))
-        deployment = db.deploy("d", (
-            "SELECT sum(v) OVER w AS s FROM t WINDOW w AS "
-            "(PARTITION BY k ORDER BY ts "
+        db.deploy("d", (
+            "SELECT sum(v) OVER w AS s, count(v) OVER w AS n FROM t "
+            "WINDOW w AS (PARTITION BY k ORDER BY ts "
             "ROWS_RANGE BETWEEN 30d PRECEDING AND CURRENT ROW)"),
             long_windows="w:1m")
-        aggregator = next(iter(deployment.preaggs["w"].values()))
-        assert aggregator.rows_absorbed == 25
+        assert db.request("d", ("a", 30_000, 1.0)) == {"s": 26.0, "n": 26}

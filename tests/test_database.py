@@ -1,14 +1,18 @@
 """Tests for the OpenMLDB session facade (core/database.py)."""
 
+import math
 import random
 
 import pytest
 
 from repro import OpenMLDB
+from repro.core.deployment import LongWindowOption
 from repro.errors import (DeploymentError, DeploymentNotFoundError,
                           MemoryLimitExceededError, ParseError, PlanError,
                           SchemaError, TableExistsError, TableNotFoundError)
 from repro.schema import IndexDef, Schema, TTLKind
+from repro.sql.functions import get_aggregate
+from repro.storage import skiplist
 from tests.conftest import BAD_ROWS, CHECKED_INDEX, CHECKED_SCHEMA, GOOD_ROW
 
 
@@ -17,11 +21,6 @@ DDL = ("CREATE TABLE trades (sym string, ts timestamp, px double, "
 ROLLING = ("SELECT sym, sum(px) OVER w AS total FROM trades WINDOW w AS "
            "(PARTITION BY sym ORDER BY ts "
            "ROWS BETWEEN 1 PRECEDING AND CURRENT ROW)")
-FEATURE_SQL = (
-    "SELECT k, sum(a) OVER w AS s_a, count(a) OVER w AS c_a, "
-    "min(a) OVER w AS mn_a, max(a) OVER w AS mx_a "
-    "FROM t WINDOW w AS (PARTITION BY k ORDER BY ts "
-    "ROWS_RANGE BETWEEN 2000 PRECEDING AND CURRENT ROW)")
 
 
 @pytest.fixture
@@ -193,22 +192,23 @@ class TestDeployAndRequest:
             db.request("d", ("A", 1, 1.0, 1))
 
     def test_undeploy_retires_its_ingest_consumers(self, db):
-        # Incremental window state (d) and long-window pre-aggregators
-        # (lw) used to keep absorbing every later insert through
-        # db._updaters and stay subscribed to TTL eviction.
+        # Incremental window state (d) used to keep absorbing every
+        # later insert through db._updaters and stay subscribed to TTL
+        # eviction.  A long window (lw) registers nothing: storage
+        # serves it.
         ranged = ROLLING.replace("ROWS BETWEEN 1", "ROWS_RANGE BETWEEN 30d")
         for step in range(5):
             db.insert("trades", ("A", 100 + step, 1.0, 1))
         state = db.deploy("d", ROLLING).incrementals["w"]
-        aggregator = next(iter(db.deploy(
-            "lw", ranged, long_windows="w:1h").preaggs["w"].values()))
-        assert len(db._updaters["trades"]) == 2
+        assert db.deploy("lw", ranged, long_windows="w:1h").incrementals \
+            == {}
+        assert len(db._updaters["trades"]) == 1
         db.undeploy("d")
         db.undeploy("lw")
         for step in range(5):
             db.insert("trades", ("A", 200 + step, 1.0, 1))
         db.flush_preagg()
-        assert (state.rows_seen, aggregator.rows_absorbed) == (5, 5)
+        assert state.rows_seen == 5
         assert db._updaters["trades"] == []
         assert db.table("trades").eviction_subscribers == ()
         db.deploy("d", ROLLING)
@@ -219,7 +219,7 @@ class TestDeployAndRequest:
         ranged = ROLLING.replace("ROWS BETWEEN 1", "ROWS_RANGE BETWEEN 30d")
         with pytest.raises(DeploymentError):
             db.deploy("lw", ranged, long_windows="w:1h,ghost:1h")
-        assert db._updaters["trades"] == [] and "lw" not in db.deployments
+        assert not db._updaters.get("trades") and "lw" not in db.deployments
 
     def test_request_unknown_deployment(self, db):
         with pytest.raises(DeploymentNotFoundError):
@@ -236,8 +236,8 @@ class TestDeployAndRequest:
                "AS (PARTITION BY sym ORDER BY ts "
                "ROWS_RANGE BETWEEN 30d PRECEDING AND CURRENT ROW)")
         deployment = db.execute(sql)
-        assert deployment.uses_preagg
-        assert "w" in deployment.preaggs
+        assert deployment.long_windows == (LongWindowOption("w", 3_600_000),)
+        assert deployment.incrementals == {}  # the storage fold serves w
 
     def test_long_window_rows_frame_rejected(self, db):
         with pytest.raises(DeploymentError):
@@ -246,35 +246,32 @@ class TestDeployAndRequest:
     def test_preagg_request_matches_raw(self, db):
         for index in range(500):
             db.insert("trades", ("A", index * 3_600_000,
-                                 float(index % 10), 1))
+                                 float(index % 10) + 0.1, 1))
         sql = ("SELECT sym, sum(px) OVER w AS total, lag(px, 30) OVER w "
                "AS back, lag(px, 0) OVER w AS cur, lag(px, 999) OVER w "
                "AS gone FROM trades WINDOW w "
                "AS (PARTITION BY sym ORDER BY ts "
                "ROWS_RANGE BETWEEN 20d PRECEDING AND CURRENT ROW)")
         db.deploy("raw", sql)
-        fast = db.deploy("fast", sql, long_windows="w:1d")
-        # lag merges exactly (its state is its own reachable tail), so
-        # it is pre-aggregated beside sum, not left on the raw scan.
-        assert len(fast.preaggs["w"]) == 4
-        db.flush_preagg()
+        db.deploy("fast", sql, long_windows="w:1d")
         for step in (500, 503.5, 530):
             request = ("A", int(step * 3_600_000), 7.0, 1)
             raw_row = db.request("raw", request)
             fast_row = db.request("fast", request)
-            assert fast_row["total"] == pytest.approx(raw_row["total"])
-            for column in ("back", "cur", "gone"):
-                assert repr(fast_row[column]) == repr(raw_row[column])
+            assert fast_row == raw_row and repr(fast_row) == repr(raw_row)
         assert raw_row["back"] is not None and raw_row["gone"] is None
 
     @pytest.mark.parametrize("deploy_first", [False, True],
                              ids=["backfill", "live-ingest"])
     def test_preagg_matches_raw_on_out_of_order_ingest(self, db,
-                                                       deploy_first):
-        # Buckets fold in arrival order, so the order-sensitive
-        # aggregates (lag, drawdown) must leave them for the raw scan
-        # once a key's rows arrive late; sum keeps its buckets.  "B"
-        # arrives in time order and keeps every bucket.
+                                                       deploy_first,
+                                                       monkeypatch):
+        # Late rows land in sealed blocks and spans, which are rebuilt;
+        # the summary fold must still equal a fold over the raw rows in
+        # time order — exactly, for the order-sensitive lag and drawdown
+        # too.  "B" arrives in time order.
+        monkeypatch.setattr(skiplist, "BLOCK_ROWS", 8)
+        monkeypatch.setattr(skiplist, "SPAN_BLOCKS", 4)
         sql = ("SELECT sym, sum(px) OVER w AS total, lag(px, 1) OVER w "
                "AS back, drawdown(px) OVER w AS dd FROM trades WINDOW w "
                "AS (PARTITION BY sym ORDER BY ts "
@@ -285,31 +282,30 @@ class TestDeployAndRequest:
             chunk = hours[start:start + 8]
             shuffler.shuffle(chunk)
             hours[start:start + 8] = chunk
-        rows = [("A", hour * 3_600_000, float(1 + (hour * 7) % 23), 1)
+        rows = [("A", hour * 3_600_000, 1 + (hour * 7) % 23 + 0.1, 1)
                 for hour in hours]
-        rows += [("B", hour * 3_600_000, float(1 + (hour * 7) % 23), 1)
+        rows += [("B", hour * 3_600_000, 1 + (hour * 7) % 23 + 0.1, 1)
                  for hour in range(200)]
         if deploy_first:
-            db.deploy("raw", sql)
-            fast = db.deploy("fast", sql, long_windows="w:1d")
+            db.deploy("fast", sql, long_windows="w:1d")
         for row in rows:
             db.insert("trades", row)
         if not deploy_first:
-            db.deploy("raw", sql)
-            fast = db.deploy("fast", sql, long_windows="w:1d")
-        assert len(fast.preaggs["w"]) == 3
-        db.flush_preagg()
+            db.deploy("fast", sql, long_windows="w:1d")
+        drawdown = get_aggregate("drawdown")
         for sym in ("A", "B"):
             for hour in (200, 203.5, 230):
-                request = (sym, int(hour * 3_600_000), 7.0, 1)
-                raw_row = db.request("raw", request)
-                fast_row = db.request("fast", request)
-                assert fast_row["total"] == pytest.approx(raw_row["total"])
-                assert repr(fast_row["back"]) == repr(raw_row["back"])
-                assert fast_row["dd"] == pytest.approx(raw_row["dd"])
-        merges = {slot: aggregator.level_usage()
-                  for slot, aggregator in fast.preaggs["w"].items()}
-        assert all(sum(used.values()) > 0 for used in merges.values())
+                anchor = int(hour * 3_600_000)
+                window = sorted((row for row in rows if row[0] == sym
+                                 and anchor - 5 * 86_400_000 <= row[1]
+                                 <= anchor), key=lambda row: row[1])
+                values = [row[2] for row in window] + [7.0]
+                want = {"sym": sym, "total": math.fsum(values),
+                        "back": values[-2],
+                        "dd": drawdown.compute([(v,) for v in values[::-1]])}
+                got = db.request("fast", (sym, anchor, 7.0, 1))
+                assert got == want and repr(got) == repr(want)
+        assert db.online_engine.stats.summary_blocks > 0
 
     def test_preagg_updates_on_insert(self, db):
         sql = ("SELECT sum(px) OVER w AS total FROM trades WINDOW w AS "
@@ -317,9 +313,7 @@ class TestDeployAndRequest:
                "ROWS_RANGE BETWEEN 30d PRECEDING AND CURRENT ROW)")
         db.deploy("lw", sql, long_windows="w:1h")
         db.insert("trades", ("A", 3_600_000, 5.0, 1))
-        db.flush_preagg()
-        aggregator = next(iter(db.deployments["lw"].preaggs["w"].values()))
-        assert aggregator.rows_absorbed == 1
+        assert db.request("lw", ("A", 7_200_000, 1.5, 1)) == {"total": 6.5}
 
 
 class TestOfflineAndPreview:
@@ -408,24 +402,3 @@ class TestEviction:
         db.insert("t", ("a", 120_000))
         removed = db.evict_expired(now_ts=120_001)
         assert removed == 1
-
-
-class TestEngineSatellites:
-    @pytest.mark.parametrize("observability", [False, True])
-    def test_empty_preagg_mapping_matches_none(self, observability):
-        """The empty-preagg fast path (no per-request dict copy) must
-        answer identically to passing no preagg at all, with
-        observability on and off."""
-        db = OpenMLDB(observability=observability)
-        db.execute("CREATE TABLE t (k string, ts timestamp, a int, "
-                   "INDEX(KEY=k, TS=ts))")
-        deployment = db.deploy("feat", FEATURE_SQL)
-        for i in range(10):
-            db.insert("t", ("u1", 1_000 + i * 10, i))
-        db.flush_preagg()
-        request = ("u1", 2_000, 0)
-        baseline = db.online_engine.execute_request(
-            deployment.compiled, request, preagg=None)
-        empty = db.online_engine.execute_request(
-            deployment.compiled, request, preagg={"w": {}})
-        assert empty == baseline

@@ -1,12 +1,13 @@
 """Tests for the built-in aggregate and scalar functions (Table 1)."""
 
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import CompileError, ExecutionError
-from repro.sql.functions import (SCALARS, aggregate_arity, get_aggregate,
-                                 get_scalar, is_aggregate)
+from repro.sql.functions import (SCALARS, ExactSum, aggregate_arity,
+                                 get_aggregate, get_scalar, is_aggregate)
 
 
 def one_shot(name, values, *constants):
@@ -109,6 +110,75 @@ class TestMerge:
             function.add(combined, value)
         assert function.result(function.merge(left, right)) \
             == function.result(combined)
+
+
+INF, NAN = math.inf, math.nan
+
+
+class TestExactSums:
+    """``sum`` / ``avg`` return the IEEE double of the exact sum —
+    correctly rounded, ±inf past the double range, NaN with a NaN or
+    both infinities — whatever the order, grouping or evictions."""
+
+    @pytest.mark.parametrize("values,want", [
+        ([0.1, 0.2, 0.3], 0.6),  # a left-to-right `+` gives ...01
+        ([1e16, 1.0, -1e16, 0.1], 1.1),
+        ([1e308, 1e308], INF),
+        ([-1e308, -1e308, 1.0], -INF),
+        ([1e308, 1e308, -1e308], 1e308),  # exact, so no overflow
+        ([INF, 1.0, 2.0], INF),
+        ([INF, -INF, 1.0], NAN),
+        ([NAN, 1.0], NAN),
+        ([1e308, 1e308, -INF], -INF),
+        ([1e308, 1e308, INF, -INF], NAN),
+        ([2 ** 60, 1, 0.5], 1.152921504606847e18),
+        ([-0.0, -0.0], 0.0),
+        ([3, -2, 4], 5),
+    ])
+    def test_every_order_and_grouping_gives_the_ieee_sum(self, values, want):
+        sum_agg, avg_agg = get_aggregate("sum"), get_aggregate("avg")
+        for ordered in (values, values[::-1], values[1:] + values[:1]):
+            state = sum_agg.create()
+            for value in ordered:
+                sum_agg.add(state, value)
+            left, right = sum_agg.create(), sum_agg.create()
+            for index, value in enumerate(ordered):
+                sum_agg.add(left if index % 2 else right, value)
+            merged = sum_agg.merge(left, right)
+            folded = ExactSum.of(list(ordered) + [None])
+            for got in (sum_agg.result(state), sum_agg.result(merged),
+                        folded.total()):
+                assert repr(got) == repr(want)
+            assert repr(avg_agg.result(state)) \
+                == repr(want / len(values))
+
+    def test_removing_a_value_takes_it_back_exactly(self):
+        function = get_aggregate("sum")
+        state = function.create()
+        for value in (1e16, 0.1, INF, 1.0, -INF, NAN, 3):
+            function.add(state, value)
+        assert repr(function.result(state)) == "nan"
+        for value in (1e16, NAN, -INF):
+            function.remove(state, value)
+        assert function.result(state) == INF
+        for value in (INF, 3):
+            function.remove(state, value)
+        assert repr(function.result(state)) == repr(1.1)
+        for value in (0.1, 1.0):
+            function.remove(state, value)
+        assert function.result(state) is None
+
+    def test_long_runs_compact_to_a_few_partials(self):
+        function = get_aggregate("sum")
+        state = function.create()
+        values = [0.1 * (i % 7) - 0.3 for i in range(5_000)]
+        for value in values:
+            function.add(state, value)
+        assert len(state.floats) <= 33
+        assert function.result(state) == math.fsum(values)
+        for value in values[:4_000]:
+            function.remove(state, value)
+        assert function.result(state) == math.fsum(values[4_000:])
 
 
 class TestTopNFrequency:
@@ -319,9 +389,5 @@ class TestScalars:
                 max_size=60))
 def test_sum_matches_python_sum(values):
     expected_values = [value for value in values if value is not None]
-    expected = sum(expected_values) if expected_values else None
-    got = one_shot("sum", values)
-    if expected is None:
-        assert got is None
-    else:
-        assert got == pytest.approx(expected)
+    expected = math.fsum(expected_values) if expected_values else None
+    assert one_shot("sum", values) == expected  # correctly rounded

@@ -19,16 +19,15 @@ with scalar projections evaluated through the baseline AST interpreter
 (:func:`repro.baselines.interp.interpret_expr`), the same oracle the
 baseline engines use.
 
-Window ``w`` is integer-valued so equality is *exact* (byte-identical):
-integer subtract-and-evict has no rounding, which is precisely what lets
-the incremental path be compared with ``==`` rather than approx.  Its
-sibling ``w2`` (same frame, so the two share one scan) carries what
-incremental state cannot hold exactly: a ``double`` column whose values
-span magnitudes where reordering a sum changes it — compared with ``==``
-against a sequential oldest → newest reference — and the order-sensitive
-``lag`` / ``ew_avg``.  Between them the two windows give the fold bare
-columns and expression arguments, a never-NULL column and NULL-bearing
-ones (the fast path and the filtered path), and every reduction it has.
+Window ``w`` is integer-valued; its sibling ``w2`` (same frame, so the
+two share one scan) carries a ``double`` column whose values span
+magnitudes where reordering a left-to-right sum changes it, and the
+order-sensitive ``lag`` / ``ew_avg`` that keep ``w2`` off incremental
+state.  Sums are exact in every tier, so both windows compare with
+``==`` — ``w2`` against ``math.fsum``, the correctly rounded sum.
+Between them the two windows give the fold bare columns and expression
+arguments, a never-NULL column and NULL-bearing ones (the fast path and
+the filtered path), and every reduction it has.
 
 Hypothesis drives the schedule: randomized frames, TTL specs,
 out-of-order and duplicate timestamps, NULLs, a deploy point in the
@@ -39,7 +38,10 @@ before the newest tuple (hit, hit, and fallback paths).
 
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -50,7 +52,9 @@ from repro.baselines.interp import interpret_expr
 from repro.online.engine import _COUNTER_FIELDS
 from repro.schema import IndexDef, Schema, TTLKind, TTLSpec
 from repro.sql import ast
-from repro.storage.skiplist import BLOCK_ROWS, TimeSeriesIndex
+from repro.storage import skiplist
+from repro.storage.skiplist import (BLOCK_ROWS, SPAN_BLOCKS, SealedSpan,
+                                    TimeSeriesIndex)
 
 KEYS = ("u1", "u2", "u3")
 
@@ -123,14 +127,6 @@ def _agg(values):
     }
 
 
-def _sequential_sum(values_oldest_first):
-    """A float sum the slow way: one ``+`` per value, oldest first."""
-    total = 0
-    for value in values_oldest_first:
-        total += value
-    return total
-
-
 def _reference_window(store, request, frame, maxsize, exclude):
     """The window's rows newest-first, as ``(ts, seq, *values)``; the
     request row heads it with ``seq`` None."""
@@ -161,7 +157,8 @@ def _reference_features(store, request, frame, maxsize, exclude):
         if r[3] is not None:
             counts[str(r[3])] = counts.get(str(r[3]), 0) + 1
     top_b = ",".join(sorted(counts, key=lambda k: (-counts[k], k))[:2])
-    # The double column: every float reduction runs oldest → newest.
+    # The double column: sums are correctly rounded; ew_avg runs
+    # oldest → newest.
     xs = [r[5] for r in reversed(window) if r[5] is not None]
     weighted = weight = 0.0
     for x in xs:
@@ -172,10 +169,10 @@ def _reference_features(store, request, frame, maxsize, exclude):
             a_stats["min"], b_stats["max"], b_stats["distinct_count"],
             a2_stats["sum"], ab_stats["max"], c_stats["sum"],
             c_stats["min"], top_b,
-            _sequential_sum(xs) if xs else None,
-            _sequential_sum(xs) / len(xs) if xs else None,
+            math.fsum(xs) if xs else None,
+            math.fsum(xs) / len(xs) if xs else None,
             min(xs) if xs else None, len(xs),
-            _sequential_sum([x * 0.5 for x in xs]) if xs else None,
+            math.fsum([x * 0.5 for x in xs]) if xs else None,
             window[1][2] if len(window) > 1 else None,
             weighted / weight if xs else None)
 
@@ -366,9 +363,9 @@ def test_ttl_evicted_rows_byte_identical():
 
 
 def test_double_sum_fold_incremental_and_sequential_agree():
-    """Where incremental state *is* exact for floats — in-order arrival,
-    nothing evicted yet, the first request on the key — all three must
-    agree bit for bit, on values whose sum depends on the order."""
+    """The fold (over sealed-block summaries), incremental state — after
+    it has evicted rows, too — and ``math.fsum`` agree bit for bit, on
+    values whose left-to-right sum depends on the order."""
     xs = [1e16, 1.0, -1e16, 0.1, 0.2, 0.3, 1e-3] * 40  # spans two blocks
     db = OpenMLDB()
     try:
@@ -377,22 +374,95 @@ def test_double_sum_fold_incremental_and_sequential_agree():
             indexes=[IndexDef(("k",), "ts")])
         db.deploy("d", "SELECT sum(x) OVER w AS s, avg(x) OVER w AS v "
                        "FROM t WINDOW w AS (PARTITION BY k ORDER BY ts "
-                       "ROWS_RANGE BETWEEN 100000 PRECEDING AND CURRENT ROW)")
+                       "ROWS_RANGE BETWEEN 200 PRECEDING AND CURRENT ROW)")
         for ts, x in enumerate(xs):
             db.insert("t", ("u1", ts, x))
         db.replicator.wait_idle(timeout=5.0)
-        request = ("u1", len(xs), 3.0)
-        expected = _sequential_sum(xs + [3.0])
-        assert expected != sum(sorted(xs + [3.0]))  # the order matters
-        folded = db.online_engine.execute_request(
-            db.deployments["d"].compiled, request)
-        served = db.request_row("d", request)
-        assert db.online_engine.stats.incremental_hits == 1
-        want = (expected, expected / (len(xs) + 1))
-        assert tuple(folded) == tuple(served) == want
-        assert repr(tuple(folded)) == repr(tuple(served)) == repr(want)
+        for anchor in (len(xs), len(xs) + 50):
+            request = ("u1", anchor, 3.0)
+            window = xs[max(anchor - 200, 0):] + [3.0]
+            expected = math.fsum(window)
+            sequential = 0.0
+            for x in window:
+                sequential += x
+            assert sequential != expected  # the order matters to `+`
+            folded = db.online_engine.execute_request(
+                db.deployments["d"].compiled, request)
+            served = db.request_row("d", request)
+            want = (expected, expected / len(window))
+            assert tuple(folded) == tuple(served) == want
+            assert repr(tuple(folded)) == repr(tuple(served)) == repr(want)
+        assert db.online_engine.stats.incremental_hits == 2
     finally:
         db.close()
+
+
+def _ieee_sum(values):
+    """The IEEE double of the exact sum, derived by hand."""
+    if any(value != value for value in values) \
+            or (math.inf in values and -math.inf in values):
+        return math.nan
+    if math.inf in values or -math.inf in values:
+        return math.inf if math.inf in values else -math.inf
+    exact = sum(map(Fraction, values))
+    try:
+        return float(exact) + 0.0
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
+def _sliding_tiers(xs, sql):
+    """Each row's features three ways: the offline engine's sliding
+    window, the fold, and incremental state — the online request for a
+    row sent before the row is stored."""
+    db = OpenMLDB()
+    try:
+        db.create_table("t", Schema.from_pairs(
+            [("k", "string"), ("ts", "timestamp"), ("x", "double")]),
+            indexes=[IndexDef(("k",), "ts")])
+        deployment = db.deploy("d", sql)
+        folded, served = [], []
+        for ts, x in enumerate(xs):
+            row = ("u1", ts, x)
+            folded.append(tuple(db.online_engine.execute_request(
+                deployment.compiled, row)))
+            served.append(tuple(db.request_row("d", row)))
+            db.insert("t", row)
+            db.replicator.wait_idle(timeout=5.0)
+        assert db.online_engine.stats.incremental_hits == len(xs)
+        offline, _stats = db.offline_query(sql)
+        return offline, folded, served
+    finally:
+        db.close()
+
+
+def test_offline_sliding_sum_equals_the_online_request():
+    """The offline engine subtracts evicted rows; after ±1e16 left the
+    window, a left-to-right `+` answered 4.0 for {3.0, 0.1, 0.2} offline
+    and 3.3000000000000003 online.  Every tier now gives 3.3."""
+    sql = ("SELECT k, sum(x) OVER w AS s FROM t WINDOW w AS (PARTITION BY "
+           "k ORDER BY ts ROWS BETWEEN 2 PRECEDING AND CURRENT ROW)")
+    offline, folded, served = _sliding_tiers(
+        [1e16, -1e16, 3.0, 0.1, 0.2], sql)
+    assert offline[-1] == folded[-1] == served[-1] == ("u1", 3.3)
+    assert repr(offline) == repr(folded) == repr(served)
+
+
+def test_non_finite_sums_are_values_in_every_tier():
+    xs = [1.0, math.inf, 2.0, -math.inf, 3.0, 1e308, 1e308, -1e308, 5.0,
+          0.5, -1e308, -1e308, 0.25]
+    sql = ("SELECT k, sum(x) OVER w AS s, avg(x) OVER w AS v, "
+           "sum(x * 0.0) OVER w AS z FROM t WINDOW w AS (PARTITION BY k "
+           "ORDER BY ts ROWS BETWEEN 2 PRECEDING AND CURRENT ROW)")
+    offline, folded, served = _sliding_tiers(xs, sql)
+    want = []
+    for index in range(len(xs)):
+        window = xs[max(index - 2, 0):index + 1]
+        total = _ieee_sum(window)
+        want.append(("u1", total, total / len(window),
+                     _ieee_sum([x * 0.0 for x in window])))
+    assert repr(offline) == repr(folded) == repr(served) == repr(want)
+    assert {repr(row[1]) for row in want} >= {"inf", "-inf", "nan", "1e+308"}
 
 
 def test_count_of_a_string_column_adds_nothing_up():
@@ -422,10 +492,12 @@ def test_count_of_a_string_column_adds_nothing_up():
 # ----------------------------------------------------------------------
 # sealed blocks: long histories whose folds read memoized summaries
 #
-# A key's tail seals every ``BLOCK_ROWS`` tuples, and a sealed block
-# answers integer sum / count / min / max / small distinct sets (and the
-# count of any column) from summaries it memoizes.  These keys hold
-# 600–1,500 rows, so windows span several sealed blocks plus two edges.
+# A key's tail seals every ``BLOCK_ROWS`` tuples and groups every
+# ``SPAN_BLOCKS`` sealed blocks into a span; a sealed block or span
+# answers int and double sum / count / min / max / small distinct sets
+# (and the count of any column) from summaries it memoizes.  These keys
+# hold 600–1,500 rows, so windows span several sealed blocks plus two
+# edges.
 
 SEALED_SQL_TEMPLATE = (
     "SELECT k, sum(a) OVER w AS s_a, avg(a) OVER w AS v_a, "
@@ -434,7 +506,7 @@ SEALED_SQL_TEMPLATE = (
     "distinct_count(b) OVER w AS dc_b, sum(c) OVER w AS s_c, "
     "min(c) OVER w AS mn_c, max(c) OVER w AS mx_c, count(s) OVER w AS c_s, "
     "distinct_count(s) OVER w AS dc_s, sum(x) OVER w AS s_x, "
-    "min(x) OVER w AS mn_x "
+    "avg(x) OVER w AS v_x, min(x) OVER w AS mn_x "
     "FROM t WINDOW w AS (PARTITION BY k ORDER BY ts {frame}{opts})")
 
 SEALED_SCHEMA = Schema.from_pairs([
@@ -478,7 +550,9 @@ def _sealed_reference(store, request, frame, maxsize, exclude):
     return (request[0], a["sum"], a["avg"], a["count"], a["min"], a["max"],
             a["distinct_count"], b["count"], b["distinct_count"], c["sum"],
             c["min"], c["max"], len(strings), len(set(strings)),
-            _sequential_sum(xs) if xs else None, min(xs) if xs else None)
+            math.fsum(xs) if xs else None,
+            math.fsum(xs) / len(xs) if xs else None,
+            min(xs) if xs else None)
 
 
 def _sealed_db(events, frame, maxsize, exclude, ttl):
@@ -535,10 +609,24 @@ _sealed_ttls = st.one_of(
                        st.tuples(st.just("range"), st.integers(50, 20000))),
        maxsize=st.one_of(st.none(), st.integers(2, 1500)),
        exclude=st.booleans(), ttl=_sealed_ttls,
-       evict_offset=st.integers(0, 5000))
+       evict_offset=st.integers(0, 5000),
+       block_rows=st.sampled_from((16, 48, BLOCK_ROWS)),
+       span_blocks=st.integers(2, 5))
 def test_sealed_block_folds_match_reference(seed, rows, late_share, frame,
                                             maxsize, exclude, ttl,
-                                            evict_offset):
+                                            evict_offset, block_rows,
+                                            span_blocks):
+    """Smaller blocks and spans put several spans under most windows:
+    their edges fall inside spans, late rows land in them, and TTL
+    sweeps cut through them."""
+    with mock.patch.object(skiplist, "BLOCK_ROWS", block_rows), \
+            mock.patch.object(skiplist, "SPAN_BLOCKS", span_blocks):
+        _check_long_history(seed, rows, late_share, frame, maxsize,
+                            exclude, ttl, evict_offset)
+
+
+def _check_long_history(seed, rows, late_share, frame, maxsize, exclude,
+                        ttl, evict_offset):
     events = _long_history(seed, rows, late_share)
     db = _sealed_db(events, frame, maxsize, exclude, ttl)
     try:
@@ -590,6 +678,51 @@ def test_block_rebuilt_by_a_late_row_answers_from_fresh_memos():
         store = _reference_store(events + [late])
         _check_sealed_folds(db, store, frame, None, False, 6_000)
         assert rebuilt._memo and rebuilt._memo != warm
+    finally:
+        db.close()
+
+
+def test_span_rebuilt_by_a_late_row_and_a_ttl_cut():
+    """``SPAN_BLOCKS`` sealed blocks make a span, which a window covering
+    it whole reads as one summary; a late row or a TTL cut inside it
+    rebuilds it with fresh memos, and every answer stays exact."""
+    count = BLOCK_ROWS * (SPAN_BLOCKS + 2) + 10
+    events = [("u1", ts * 10, ts % 7, ts % 3, -ts, f"s{ts % 5}",
+               0.1 * (ts % 9)) for ts in range(count)]
+    frame = ("range", 10 ** 9)
+    ttl = TTLSpec(kind=TTLKind.LATEST, lat_ttl=count - 100)
+    max_ts = (count - 1) * 10
+    db = _sealed_db(events, frame, None, False, ttl)
+    try:
+        table = db.tables["t"]
+        scan = (("k",), "ts", "u1")
+        tail, *sealed, span = table.window_scan_blocks(*scan)
+        assert isinstance(span, SealedSpan)
+        assert len(span) == BLOCK_ROWS * SPAN_BLOCKS
+        assert len(sealed) == 2 and not tail.sealed
+        # An edge inside the span: its blocks go out, not the span.
+        edge = table.window_scan_blocks(*scan, start_ts=max_ts,
+                                        end_ts=BLOCK_ROWS * 10 + 5)
+        assert not any(isinstance(block, SealedSpan) for block in edge)
+        store = _reference_store(events)
+        _check_sealed_folds(db, store, frame, None, False, max_ts)
+        assert span._memo
+
+        late = ("u1", 1_005, 1_000, 9, 77, "late", 0.25)
+        db.insert("t", late)
+        events.append(late)
+        rebuilt = table.window_scan_blocks(*scan)[-1]
+        assert isinstance(rebuilt, SealedSpan) and rebuilt is not span
+        assert len(rebuilt) == len(span) + 1 and rebuilt._memo == {}
+        store = _reference_store(events)
+        _check_sealed_folds(db, store, frame, None, False, max_ts)
+
+        assert db.evict_expired(max_ts) == 101
+        _reference_evict(store, ttl, max_ts)
+        cut = table.window_scan_blocks(*scan)[-1]
+        assert isinstance(cut, SealedSpan) and cut._memo == {}
+        assert len(cut) == len(rebuilt) - 101
+        _check_sealed_folds(db, store, frame, None, False, max_ts)
     finally:
         db.close()
 

@@ -1,5 +1,7 @@
 """Tests for subtract-and-evict sliding aggregation (Section 5.2)."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -101,7 +103,7 @@ def test_incremental_equals_recompute(events, range_ms):
         window = [v for t, v in events[:index + 1]
                   if t >= now - range_ms]
         got = aggregator.results()
-        assert got[0] == pytest.approx(sum(window))
+        assert got[0] == math.fsum(window)  # exact, not approximately
         assert got[1] == min(window)
         assert got[2] == max(window)
         assert got[3] == len(window)

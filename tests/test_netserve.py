@@ -10,6 +10,7 @@ failing step (skip-until-Sync), and concurrent connections sharing one
 deployment.
 """
 
+import math
 import socket
 import struct
 import threading
@@ -336,6 +337,30 @@ class TestExtendedProtocol:
         with pytest.raises(ServerError) as err:
             client.execute("s_gone", [1, 1500, 0.0])
         assert err.value.sqlstate == "26000"
+
+    def test_infinity_parameters_sum_to_typed_values(self):
+        # A sum over infinities is a value — inf, or NaN with both
+        # signs — and an overflowing one is ±inf, never an escaped
+        # ValueError / OverflowError.
+        db = OpenMLDB()
+        db.execute("CREATE TABLE t (uid int, ts timestamp, v double, "
+                   "INDEX(KEY=uid, TS=ts))")
+        db.insert("t", (1, 1_000, -math.inf))
+        db.insert("t", (2, 1_000, 1e308))
+        db.execute(f"DEPLOY feat {FEATURE_SQL}")
+        srv = NetServer(db)
+        host, port = srv.start()
+        try:
+            with NetClient(host, port) as c:
+                c.prepare("s_inf", "EXECUTE feat ($1, $2, $3)")
+                sums = [c.execute("s_inf", [uid, 1_500, value]).rows[0][1]
+                        for uid, value in ((0, "Infinity"), (1, "Infinity"),
+                                           (1, "-Infinity"), (2, "1e308"),
+                                           (2, "-1e308"))]
+        finally:
+            srv.close()
+            db.close()
+        assert sums == ["inf", "nan", "-inf", "inf", "0.0"]
 
     def test_utility_via_extended_protocol(self, client):
         # psycopg sends SET through Parse/Bind/Execute, not Query.

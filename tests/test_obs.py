@@ -454,23 +454,25 @@ class TestSingleNodeWiring:
         check(3, 3, 9 + 3)
 
     def test_preagg_counters_via_long_window(self):
+        # A long window is served by the storage fold: its sealed blocks'
+        # summaries show in online.fold.summary_blocks.
         db = OpenMLDB(observability=True)
         db.execute(
             "CREATE TABLE t (k string, ts timestamp, v double,"
             " INDEX(KEY=k, TS=ts))")
-        for k in range(200):
+        for k in range(600):
             db.insert("t", ("a", k * 60_000, 1.0))
         db.deploy("lw", "SELECT k, sum(v) OVER w AS s FROM t "
                         "WINDOW w AS (PARTITION BY k ORDER BY ts "
                         "  ROWS_RANGE BETWEEN 1d PRECEDING "
                         "  AND CURRENT ROW)",
                   long_windows="w:1h")
-        db.request("lw", ("a", 200 * 60_000, 1.0))
+        assert db.request("lw", ("a", 600 * 60_000, 1.0))["s"] == 601.0
         registry = db.obs.registry
-        assert registry.get("preagg.queries", func="sum").value == 1
-        assert registry.get("preagg.bucket_merges", func="sum").value > 0
+        assert registry.get("online.fold.summary_blocks").value == 2
         names = {span["name"] for span in db.obs.tracer.last_trace()}
-        assert "preagg.lookup" in names
+        assert {"window.scan", "agg.fold"} <= names
+        assert "incremental.lookup" not in names
 
 
 # ----------------------------------------------------------------------

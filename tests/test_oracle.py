@@ -10,9 +10,9 @@ independent of any engine optimisation.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Tuple
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import OpenMLDB
@@ -22,7 +22,8 @@ from repro.schema import IndexDef, Schema
 def oracle_features(rows: List[Tuple[str, int, float]],
                     rows_preceding: Optional[int],
                     range_ms: Optional[int]) -> List[Tuple[float, int]]:
-    """Brute-force (sum, count) per anchor, replay semantics.
+    """Brute-force (sum, count) per anchor, replay semantics; the sum is
+    correctly rounded (``math.fsum``), as in every engine tier.
 
     Anchor i's window = anchor + earlier-arriving rows of the same key
     within the frame, where "earlier" is position in the list (arrival
@@ -37,7 +38,7 @@ def oracle_features(rows: List[Tuple[str, int, float]],
         if rows_preceding is not None:
             window = window[:rows_preceding - 1]
         values = [v for _t, v in window] + [rows[position][2]]
-        output.append((sum(values), len(values)))
+        output.append((math.fsum(values), len(values)))
     return output
 
 
@@ -70,7 +71,7 @@ def workload(draw):
     for _ in range(count):
         ts += draw(st.integers(1, 50))
         rows.append((f"k{draw(st.integers(0, keys - 1))}", ts,
-                     float(draw(st.integers(-50, 50)))))
+                     draw(st.integers(-500, 500)) / 10))
     use_range = draw(st.booleans())
     if use_range:
         return rows, None, draw(st.integers(1, 200))
@@ -88,7 +89,7 @@ def test_offline_matches_oracle(case):
             got, expected, rows):
         assert key == row[0]
         assert got_count == exp_count
-        assert got_sum == pytest.approx(exp_sum)
+        assert got_sum == exp_sum
 
 
 @settings(max_examples=25, deadline=None)
@@ -102,5 +103,5 @@ def test_online_request_matches_oracle(case, key_index, ts_gap):
     got = db.request_row("d", request)
     expected = oracle_features(rows + [request], rows_preceding,
                                range_ms)[-1]
-    assert got[1] == pytest.approx(expected[0])
+    assert got[1] == expected[0]
     assert got[2] == expected[1]

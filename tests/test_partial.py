@@ -133,19 +133,13 @@ def _window(aggregates, frame="UNBOUNDED"):
 
 
 class TestTierDecisions:
-    """The three decisions CompiledWindow derives from the flags."""
+    """The two decisions CompiledWindow derives from the flags."""
 
     def test_carry_needs_exact_merges_and_a_frame_that_never_evicts(self):
         assert _window(["sum(v)", "lag(v, 1)"]).carry_eligible
         assert not _window(["sum(v)", "drawdown(v)"]).carry_eligible
         assert not _window(["sum(v)", "ew_avg(v, 0.5)"]).carry_eligible
         assert not _window(["sum(v)"], frame="50").carry_eligible
-
-    def test_preaggregable_is_the_mergeable_subset(self):
-        window = _window(["sum(v)", "ew_avg(v, 0.5)", "lag(v, 1)",
-                          "drawdown(v)"])
-        assert [agg.binding.func_name for agg in window.preaggregable] \
-            == ["sum", "lag", "drawdown"]
 
     def test_incremental_needs_order_free_inversion(self):
         assert _window(["sum(v)", "min(v)"]).incremental_eligible

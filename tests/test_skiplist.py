@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.schema import TTLKind, TTLSpec
 from repro.storage import skiplist
-from repro.storage.skiplist import AtomicReference, SkipList, TimeSeriesIndex
+from repro.storage.skiplist import (AtomicReference, SealedSpan, SkipList,
+                                    TimeSeriesIndex)
 from tests.test_fused_fold import _ttls
 
 
@@ -256,6 +257,9 @@ _model_ops = st.lists(st.one_of(
     st.tuples(st.just("put"), st.sampled_from(_MODEL_KEYS),
               st.sampled_from(("next", "late", "dup")),
               st.integers(0, 400)),
+    # A run of in-order arrivals ten ms apart: enough rows for spans.
+    st.tuples(st.just("burst"), st.sampled_from(_MODEL_KEYS),
+              st.integers(1, 40)),
     st.tuples(st.just("scan"), st.sampled_from(_MODEL_KEYS + ("cold",)),
               _bound, _bound, st.one_of(st.none(), st.integers(0, 12))),
     st.tuples(st.just("latest"), st.sampled_from(_MODEL_KEYS + ("cold",))),
@@ -284,14 +288,19 @@ def _model_evict(newest_first, spec, now_ts):
 
 
 @settings(max_examples=150, deadline=None)
-@given(ops=_model_ops, ttl=_ttls, block_rows=st.integers(1, 7))
-def test_index_matches_sorted_list_model(ops, ttl, block_rows):
+@given(ops=_model_ops, ttl=_ttls, block_rows=st.integers(1, 7),
+       span_blocks=st.integers(1, 4))
+def test_index_matches_sorted_list_model(ops, ttl, block_rows,
+                                         span_blocks):
     """Random interleavings of in-order, late and duplicate-timestamp
     puts, bounded scans, ``latest`` and TTL sweeps agree with a plain
     list kept newest-first (ties: later arrival first).  Blocks seal at
-    ``block_rows`` tuples, so a few dozen puts cross many seals, late
-    rows rebuild and split sealed blocks, and sweeps drop and cut them."""
-    with mock.patch.object(skiplist, "BLOCK_ROWS", block_rows):
+    ``block_rows`` tuples and spans form every ``span_blocks`` blocks,
+    so a few bursts of puts cross many seals and span edges, late rows
+    rebuild and split sealed blocks inside and outside spans, and
+    sweeps drop and cut both."""
+    with mock.patch.object(skiplist, "BLOCK_ROWS", block_rows), \
+            mock.patch.object(skiplist, "SPAN_BLOCKS", span_blocks):
         _run_model(ops, ttl, block_rows)
 
 
@@ -299,22 +308,27 @@ def _run_model(ops, ttl, block_rows):
     spec = ttl or TTLSpec()
     index = TimeSeriesIndex(ttl=spec, seed=0)
     model = {}  # key → [(ts, row)] newest-first
-    for seq, op in enumerate(ops):
-        if op[0] == "put":
-            _, key, kind, value = op
+    serial = 0
+    for op in ops:
+        if op[0] in ("put", "burst"):
+            key = op[1]
             held = model.setdefault(key, [])
-            if kind == "next" or not held:
-                ts = (held[0][0] if held else 0) + value
-            elif kind == "late":
-                ts = value % (held[0][0] + 1)
-            else:
-                ts = held[value % len(held)][0]
-            row = (key, ts, seq)
-            index.put(key, ts, row)
-            # Before every pair that is not newer: ties go newest first.
-            at = next((i for i, pair in enumerate(held) if pair[0] <= ts),
-                      len(held))
-            held.insert(at, (ts, row))
+            for kind, value in ([op[2:]] if op[0] == "put"
+                                else [("next", 10)] * op[2]):
+                if kind == "next" or not held:
+                    ts = (held[0][0] if held else 0) + value
+                elif kind == "late":
+                    ts = value % (held[0][0] + 1)
+                else:
+                    ts = held[value % len(held)][0]
+                serial += 1
+                row = (key, ts, serial)
+                index.put(key, ts, row)
+                # Before every pair that is not newer: ties go newest
+                # first.
+                at = next((i for i, pair in enumerate(held)
+                           if pair[0] <= ts), len(held))
+                held.insert(at, (ts, row))
         elif op[0] == "scan":
             _, key, start_ts, end_ts, limit = op
             expected = [pair for pair in model.get(key, [])
@@ -325,10 +339,13 @@ def _run_model(ops, ttl, block_rows):
                                    limit=limit)) == expected
             blocks = list(index.scan_blocks(
                 key, start_ts=start_ts, end_ts=end_ts, limit=limit))
-            # A sealed block grows by late rows until it splits in two.
-            assert all(1 <= len(block) <= 2 * block_rows
-                       for block in blocks)
+            # A sealed block grows by late rows until it splits in two;
+            # a span goes out only whole, holding such blocks.
+            inner = [part for block in blocks
+                     for part in reversed(getattr(block, "blocks", (block,)))]
+            assert all(1 <= len(part) <= 2 * block_rows for part in inner)
             assert [pair for block in blocks for pair in block] == expected
+            assert [pair for part in inner for pair in part] == expected
         elif op[0] == "latest":
             held = model.get(op[1])
             assert index.latest(op[1]) == (held[0] if held else None)
@@ -341,3 +358,8 @@ def _run_model(ops, ttl, block_rows):
         assert len(index) == sum(len(held) for held in model.values())
     assert [(key, ts, row) for key, ts, row in index.scan_all()] == [
         (key, ts, row) for key in sorted(model) for ts, row in model[key]]
+    for _key, time_list in index._keys.items():
+        # The spans lead the sealed history, and ``_spans`` counts them.
+        assert [isinstance(unit, SealedSpan) for unit in time_list._sealed] \
+            == [rank < time_list._spans
+                for rank in range(len(time_list._sealed))]

@@ -39,7 +39,7 @@ reliably:
   that leaves one of its two execution stories undecided.  (a) It
   neither defines/inherits a real ``merge`` method nor assigns
   ``mergeable = False`` in its own body: whether an aggregate has a
-  merge decides pre-aggregation and the offline carry path, so the
+  merge decides the offline carry path, so the
   class states it rather than inheriting a silent default.  (b) It
   takes one argument, is not ``order_sensitive``, and declares no
   ``fold_family``: the window fold (``src/repro/sql/compiler.py``)

@@ -20,6 +20,10 @@ tier:
   b, c``, a 2,000-row and a 200-row window, 9 aggregates and a LAST
   JOIN, 3 tablets, ``partitions=4, replicas=2``), read through
   ``NameServer.request`` at each key's newest timestamp;
+* ``long`` — one long window in process: Figure 11's shape (one key,
+  86,000 hourly rows of a ``double`` ``px``, a 2,000-day window of sum /
+  count / max) deployed with ``long_windows``, so the storage fold
+  reads sealed-block and span summaries and two raw edges;
 * ``put`` — the write path instead: ``parse`` of each ``INSERT`` text
   plus ``NameServer.put`` of its row, on the perfbench table shape
   (``k, ts, a, b, c``, 2,000 keys, ``partitions=4, replicas=2``) with a
@@ -34,8 +38,11 @@ tier:
   generator — how many threads a read touches and how often each side
   is woken.
 
-For ``scan``, the same reads first run once unprofiled and their median
-wall time is printed beside the profile as ``p50``.
+For ``scan`` and ``long``, the same reads first run once unprofiled and
+their median wall time is printed beside the profile as ``p50``; ``long``
+also prints the p50 of the same fold with no summaries (the figure's
+"without" arm, ``benchmarks/_util.fold_without_summaries``) and the
+summaries read per request.
 
 Usage::
 
@@ -43,6 +50,7 @@ Usage::
     python tools/profile.py --path fused --rounds 200 --top 20
     python tools/profile.py --path cluster
     python tools/profile.py --path scan --rounds 3000
+    python tools/profile.py --path long --rounds 2000
     python tools/profile.py --path put --rounds 20000
     python tools/profile.py --path wire --rounds 5000
 """
@@ -63,6 +71,7 @@ sys.path = [entry for entry in sys.path
             if str(pathlib.Path(entry or ".").resolve()) != _here]
 sys.path.insert(0, str(_root / "src"))
 sys.path.append(str(_root))
+sys.path.append(str(_root / "benchmarks"))
 
 import argparse   # noqa: E402
 import cProfile   # noqa: E402
@@ -166,6 +175,55 @@ def build_scan_workload(rounds):
                 for _ in range(rounds)]
     return (lambda row: cluster.request("scan", row)), requests, \
         cluster.close
+
+
+LONG_ROWS, LONG_HOUR = 86_000, 3_600_000
+LONG_SQL = ("SELECT sym, sum(px) OVER w1 AS total, count(px) OVER w1 AS n, "
+            "max(px) OVER w1 AS high FROM trades WINDOW w1 AS "
+            "(PARTITION BY sym ORDER BY ts "
+            "ROWS_RANGE BETWEEN 2000d PRECEDING AND CURRENT ROW)")
+
+
+def p50_us(operation, requests, rounds):
+    """Median wall time of ``rounds`` unprofiled operations."""
+    timings = []
+    for index in range(rounds):
+        started = time.perf_counter()
+        operation(requests[index % len(requests)])
+        timings.append(time.perf_counter() - started)
+    return statistics.median(timings) * 1e6
+
+
+def build_long_workload(rounds):
+    """Figure 11's shape: (the summary fold, request rows, close, a
+    report of the fold with no summaries and the summaries read)."""
+    from _util import fold_without_summaries
+    db = OpenMLDB()
+    db.execute("CREATE TABLE trades (sym string, ts timestamp, px double, "
+               "INDEX(KEY=sym, TS=ts))")
+    for index in range(LONG_ROWS):
+        db.insert("trades", ("AAPL", index * LONG_HOUR,
+                             float(100 + index % 50) + 0.01 * (index % 7)))
+    db.deploy("long", LONG_SQL, long_windows="w1:1d")
+    requests = [("AAPL", (LONG_ROWS + index % 25) * LONG_HOUR, 123.0)
+                for index in range(25)]
+
+    def operation(row):
+        return db.request_row("long", row)
+
+    def report():
+        stats = db.online_engine.stats
+        requests_before, summaries_before = stats.requests, \
+            stats.summary_blocks
+        for row in requests:
+            operation(row)
+        summaries = (stats.summary_blocks - summaries_before) \
+            / (stats.requests - requests_before)
+        raw = p50_us(fold_without_summaries(db, "long"), requests,
+                     min(rounds, 200))
+        print(f"=== long path — p50 {raw:.0f} us with no summaries; "
+              f"{summaries:.1f} summaries read per request ===")
+    return operation, requests, db.close, report
 
 
 def build_workload(path, rounds):
@@ -326,7 +384,7 @@ def main(argv=None):
                     "thread CPU and wake-ups of a read over the wire")
     parser.add_argument("--path", default="incremental",
                         choices=("incremental", "fused", "cluster", "scan",
-                                 "put", "wire"),
+                                 "long", "put", "wire"),
                         help="execution tier to profile, the write path, "
                              "or a served read over the wire")
     parser.add_argument("--rounds", type=int, default=400,
@@ -340,24 +398,24 @@ def main(argv=None):
     if args.path == "wire":
         return profile_wire(args.rounds)
 
-    operation, requests, close = build_workload(args.path, args.rounds)
+    report = None
+    if args.path == "long":
+        operation, requests, close, report = build_long_workload(args.rounds)
+    else:
+        operation, requests, close = build_workload(args.path, args.rounds)
     for row in requests[:20]:  # warm caches outside the profile
         operation(row)
     requests = requests[20:] if args.path == "put" else requests
 
-    timings = []  # reads only: replaying INSERTs would insert rows twice
-    if args.path == "scan":
-        for index in range(args.rounds):
-            started = time.perf_counter()
-            operation(requests[index % len(requests)])
-            timings.append(time.perf_counter() - started)
+    # Reads only: replaying INSERTs would insert rows twice.
+    p50 = p50_us(operation, requests, args.rounds) \
+        if args.path in ("scan", "long") else None
 
     profiler = cProfile.Profile()
     profiler.enable()
     for index in range(args.rounds):
         operation(requests[index % len(requests)])
     profiler.disable()
-    close()
 
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.strip_dirs()
@@ -366,9 +424,11 @@ def main(argv=None):
     stats.sort_stats("cumulative").print_stats(args.top)
     print(f"=== {args.path} path — by self time ===")
     stats.sort_stats("tottime").print_stats(args.top)
-    if timings:
-        print(f"=== {args.path} path — p50 "
-              f"{statistics.median(timings) * 1e6:.0f} us over "
+    if report is not None:
+        report()
+    close()
+    if p50 is not None:
+        print(f"=== {args.path} path — p50 {p50:.0f} us over "
               f"{args.rounds} unprofiled operations ===")
     return 0
 
