@@ -59,7 +59,10 @@ examples:
 # parse + NameServer.put with a WAL, on the perfbench table shape);
 # `--path wire --rounds 5000` serves perfbench's wire_point over pg-wire
 # and prints the server's CPU per read thread by thread, and the
-# context switches per read of server and generator.
+# context switches per read of server and generator; `--path rss --top 8`
+# loads each perfbench workload's preload into a NameServer in a child
+# process and prints its RSS after the load and the top tracemalloc
+# lines in bytes per row (the footprint ledger).
 profile:
 	$(PYTHON) tools/profile.py
 

@@ -842,9 +842,7 @@ class NameServer(DeploymentHost):
                     # Repair the gap: replay the missed prefix in order.
                     self._m_catchups.inc()
                     for missed in binlog.entries_from(
-                            shard.applied_offset + 1):
-                        if missed.offset >= offset:
-                            break
+                            shard.applied_offset + 1, offset):
                         tablet.replicate(table.name, partition_id,
                                          missed.row, missed.offset)
                 tablet.replicate(table.name, partition_id, row, offset)

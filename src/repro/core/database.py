@@ -511,12 +511,9 @@ class OpenMLDB(DeploymentHost):
                 # The rebuilt table's explicit flushes and compactions
                 # keep reaching the WAL, as create_table wired the old one.
                 fresh.attach_event_log(self._storage_event_sink(name))
-        replayed = 0
-        for entry in self.replicator.entries_from(0):
-            if entry.table != name:
-                continue
-            fresh.insert(entry.row)
-            replayed += 1
+        rows = self.replicator.rows_of(name)
+        for row in rows:
+            fresh.insert(row)
         if isinstance(old, MemTable) and isinstance(fresh, MemTable):
             # Incremental window state mirrors TTL sweeps through table
             # eviction subscriptions; carry them to the rebuilt table.
@@ -526,7 +523,7 @@ class OpenMLDB(DeploymentHost):
         # Deployed incremental window state keeps its own buffers — it
         # consumed the same binlog asynchronously, so nothing is lost
         # with the table's in-memory structures.
-        return replayed
+        return len(rows)
 
     def evict_expired(self, now_ts: int) -> int:
         """Run TTL eviction across all memory tables."""

@@ -33,9 +33,10 @@ __all__ = ["BinlogEntry", "IngestConsumer", "Replicator"]
 class BinlogEntry(NamedTuple):
     """One replicated update: table, row payload, and its global offset.
 
-    A plain named tuple — one is kept per written row for the life of
-    the binlog, so it carries no per-instance ``__dict__``, and once its
-    row holds only scalars the cyclic collector stops tracking it.
+    The binlog does not keep these: it keeps each row once, beside a
+    pointer to its table's name, and builds an entry when one is read
+    (:meth:`Replicator.entries_from`, :meth:`Replicator.replay`, queued
+    closures).
     """
 
     offset: int
@@ -97,12 +98,18 @@ class Replicator:
     state updates a total order without blocking inserts.  Exceptions
     raised by a closure are captured (not swallowed silently: they are
     recorded on :attr:`failures` and surfaced by :meth:`check`).
+
+    The log is two lists indexed by offset: the row tuples (the very
+    objects the tables hold) and their table names (pointers to one
+    ``str`` per table).  An append allocates list slots only — no entry
+    object and no boxed offset per row.
     """
 
     def __init__(self, wal: Optional["FileBinlog"] = None) -> None:
-        self._entries: List[BinlogEntry] = []
+        self._rows: List[Tuple[Any, ...]] = []
+        self._tables: List[str] = []
         self._lock = threading.Lock()
-        self._queue: "queue.Queue[Optional[Tuple[BinlogEntry, Callable]]]" \
+        self._queue: "queue.Queue[Optional[Tuple[int, Callable]]]" \
             = queue.Queue()
         self._worker: Optional[threading.Thread] = None
         self._pending = 0
@@ -139,7 +146,7 @@ class Replicator:
         if self._wal is None:
             return 0
         with self._lock:
-            if self._entries:
+            if self._rows:
                 raise StorageError(
                     "restore() requires an empty binlog (restore before "
                     "appending)")
@@ -151,14 +158,13 @@ class Replicator:
                     raise StorageError(
                         f"no codec registered for WAL table "
                         f"{frame.table!r}")
-                if frame.offset != len(self._entries):
+                if frame.offset != len(self._rows):
                     raise StorageError(
                         f"WAL row frames not contiguous: expected offset "
-                        f"{len(self._entries)}, found {frame.offset}")
-                self._entries.append(BinlogEntry(
-                    offset=frame.offset, table=frame.table,
-                    row=codec.decode(frame.payload)))
-            return len(self._entries)
+                        f"{len(self._rows)}, found {frame.offset}")
+                self._rows.append(codec.decode(frame.payload))
+                self._tables.append(frame.table)
+            return len(self._rows)
 
     def sync(self) -> None:
         """Force the WAL's buffered frames to disk (durability barrier)."""
@@ -179,21 +185,22 @@ class Replicator:
         batches — see :class:`~repro.storage.persist.FileBinlog`).
 
         ``row`` is a row its host already validated; a tuple is stored
-        as is, so the entry shares it with the table that holds it.
+        as is, so the binlog shares it with the table that holds it.
         """
+        row = tuple(row)
         with self._lock:
-            offset = len(self._entries)
-            entry = BinlogEntry(offset=offset, table=table, row=tuple(row))
-            self._entries.append(entry)
+            offset = len(self._rows)
+            self._rows.append(row)
+            self._tables.append(table)
             if self._wal is not None:
                 codec = self._codecs.get(table)
                 if codec is not None:
-                    self._wal.append(offset, table, codec.encode(entry.row))
+                    self._wal.append(offset, table, codec.encode(row))
         if closure is not None:
             self._ensure_worker()
             with self._pending_cond:
                 self._pending += 1
-            self._queue.put((entry, closure))
+            self._queue.put((offset, closure))
         return offset
 
     def _ensure_worker(self) -> None:
@@ -206,11 +213,13 @@ class Replicator:
             item = self._queue.get()
             if item is None:
                 return
-            entry, closure = item
+            offset, closure = item
             try:
-                closure(entry)
+                # The lists only grow, so an appended slot is read unlocked.
+                closure(BinlogEntry(offset, self._tables[offset],
+                                    self._rows[offset]))
             except BaseException as exc:  # recorded, surfaced via check()
-                self.failures.append((entry.offset, exc))
+                self.failures.append((offset, exc))
             finally:
                 with self._pending_cond:
                     self._pending -= 1
@@ -221,12 +230,12 @@ class Replicator:
     @property
     def last_offset(self) -> int:
         with self._lock:
-            return len(self._entries) - 1
+            return len(self._rows) - 1
 
     @property
     def entry_count(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return len(self._rows)
 
     @property
     def pending(self) -> int:
@@ -252,10 +261,21 @@ class Replicator:
             raise RuntimeError(
                 f"binlog closure failed at offset {offset}") from exc
 
-    def entries_from(self, offset: int) -> List[BinlogEntry]:
-        """Snapshot of entries with offset >= ``offset`` (replay source)."""
+    def entries_from(self, offset: int,
+                     stop: Optional[int] = None) -> List[BinlogEntry]:
+        """Snapshot of the entries with ``offset <= entry.offset < stop``
+        (replay source); ``stop`` defaults to the end of the log."""
         with self._lock:
-            return self._entries[offset:]
+            rows = self._rows[offset:stop]
+            tables = self._tables[offset:stop]
+        return list(map(BinlogEntry, range(offset, offset + len(rows)),
+                        tables, rows))
+
+    def rows_of(self, table: str) -> List[Tuple[Any, ...]]:
+        """Snapshot of ``table``'s rows in offset order (table rebuild)."""
+        with self._lock:
+            return [row for name, row in zip(self._tables, self._rows)
+                    if name == table]
 
     def replay(self, offset: int,
                handler: Callable[[BinlogEntry], None]) -> int:
@@ -281,7 +301,7 @@ class Replicator:
             return
         from ..storage.persist import FRAME_CONTROL
         with self._lock:
-            self._wal.append(len(self._entries) - 1, table,
+            self._wal.append(len(self._rows) - 1, table,
                              text.encode("utf-8"), kind=FRAME_CONTROL)
 
     def close(self, timeout: float = 5.0) -> None:

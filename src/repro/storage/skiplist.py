@@ -65,26 +65,33 @@ BLOCK_ROWS = 256
 SPAN_BLOCKS = 16
 
 
+#: Guards the compare step of every :class:`AtomicReference`.  A CAS
+#: holds it for one identity test and one store, and only a put that
+#: creates a key (or a remove) links a node, so one lock costs no
+#: contention a per-cell lock would avoid — and no lock object per cell.
+_CAS_LOCK = threading.Lock()
+
+
 class AtomicReference:
     """A mutable slot updated via compare-and-set.
 
     Models the atomic pointer cells of the paper's lock-free skiplist.  The
-    internal lock only guards the compare step itself (the moral equivalent
-    of a hardware CAS); callers are expected to retry on failure.
+    module's one ``_CAS_LOCK`` only guards the compare step itself (the
+    moral equivalent of a hardware CAS); callers are expected to retry on
+    failure, and reads never take it.
     """
 
-    __slots__ = ("_value", "_lock")
+    __slots__ = ("_value",)
 
     def __init__(self, value: Any = None) -> None:
         self._value = value
-        self._lock = threading.Lock()
 
     def get(self) -> Any:
         return self._value
 
     def compare_and_set(self, expected: Any, new: Any) -> bool:
         """Atomically set to ``new`` iff the current value is ``expected``."""
-        with self._lock:
+        with _CAS_LOCK:
             if self._value is expected:
                 self._value = new
                 return True
@@ -135,17 +142,27 @@ class SkipList:
             height += 1
         return height
 
-    def _find_predecessors(self, key: Any) -> List[_SkipNode]:
-        """Return, per level, the last node with a key strictly < ``key``."""
+    def _find_predecessors(self, key: Any
+                           ) -> Tuple[List[_SkipNode],
+                                      List[Optional[_SkipNode]]]:
+        """Per level, the last node with a key strictly < ``key`` and the
+        successor the walk checked against it (the CAS's expected value).
+
+        It walks every level, not only up to ``_height``: a writer CASes
+        at each level of its new node, and two writers raising the
+        height at once can leave ``_height`` below a linked level.
+        """
         predecessors = [self._head] * _MAX_LEVEL
+        successors: List[Optional[_SkipNode]] = [None] * _MAX_LEVEL
         node = self._head
-        for level in range(self._height - 1, -1, -1):
+        for level in range(_MAX_LEVEL - 1, -1, -1):
             next_node = node.forwards[level].get()
             while next_node is not None and next_node.key < key:
                 node = next_node
                 next_node = node.forwards[level].get()
             predecessors[level] = node
-        return predecessors
+            successors[level] = next_node
+        return predecessors, successors
 
     def _level0_predecessor(self, key: Any) -> _SkipNode:
         """The last node with a key strictly < ``key``: the read walk.
@@ -182,34 +199,31 @@ class SkipList:
         semantics of lock-free skiplists.
         """
         while True:
-            predecessors = self._find_predecessors(key)
-            candidate = predecessors[0].forwards[0].get()
+            predecessors, successors = self._find_predecessors(key)
+            candidate = successors[0]
             if candidate is not None and candidate.key == key:
                 return False
             height = self._random_height()
             if height > self._height:
                 self._height = height
             node = _SkipNode(key, value, height)
-            for level in range(1, height):
-                node.forwards[level].set(
-                    predecessors[level].forwards[level].get())
-            # Publish at level 0 first, against the successor that was
-            # *checked* above: a node that slipped in since (this key,
+            # Publish at level 0 first, then each level up, every CAS
+            # against the successor the walk *checked* (never a re-read
+            # of the pointer): a node that slipped in since (this key,
             # or one that sorts before it) fails the CAS and restarts
-            # the search instead of being linked behind a duplicate.
+            # the search instead of being linked behind a duplicate or
+            # ahead of a smaller key.
             node.forwards[0].set(candidate)
             if not predecessors[0].forwards[0].compare_and_set(
                     candidate, node):
                 continue
             for level in range(1, height):
                 while True:
-                    expected = node.forwards[level].get()
+                    node.forwards[level].set(successors[level])
                     if predecessors[level].forwards[level].compare_and_set(
-                            expected, node):
+                            successors[level], node):
                         break
-                    predecessors = self._find_predecessors(key)
-                    node.forwards[level].set(
-                        predecessors[level].forwards[level].get())
+                    predecessors, successors = self._find_predecessors(key)
             with self._size_lock:
                 self._size += 1
             return True
@@ -233,8 +247,8 @@ class SkipList:
         """Unlink ``key`` from every level.  Returns False if absent."""
         removed = False
         while True:
-            predecessors = self._find_predecessors(key)
-            node = predecessors[0].forwards[0].get()
+            predecessors, successors = self._find_predecessors(key)
+            node = successors[0]
             if node is None or node.key != key:
                 return removed
             success = True

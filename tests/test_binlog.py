@@ -117,6 +117,22 @@ class TestReplay:
         assert recovered[0] == 6
         replicator.close()
 
+    def test_entries_from_stops_before_stop(self):
+        replicator = Replicator()
+        rows = [(i,) for i in range(8)]
+        for i, row in enumerate(rows):
+            replicator.append_entry("ab"[i % 2], row)
+        assert replicator.entries_from(2, 5) == [
+            BinlogEntry(offset, "ab"[offset % 2], rows[offset])
+            for offset in (2, 3, 4)]
+        assert replicator.entries_from(3, 3) == []
+        assert replicator.entries_from(6, 99) \
+            == replicator.entries_from(6)
+        assert replicator.entries_from(9) == []
+        assert replicator.rows_of("b") == rows[1::2]
+        assert replicator.rows_of("c") == []
+        replicator.close()
+
     def test_entries_from_snapshot(self):
         replicator = Replicator()
         replicator.append_entry("t", (1,))

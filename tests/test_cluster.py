@@ -1,6 +1,7 @@
 """Tests for the simulated cluster (tablets + nameserver)."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -142,6 +143,42 @@ class TestOneCheckOneRow:
         assert tenants.budget("acme").used_bytes == 0
         assert all(tablet.governor.used_bytes == 0
                    for tablet in cluster.tablets.values())
+        cluster.close()
+
+
+class TestFootprint:
+    """What a put keeps alive once its row is built: two replicas' cells
+    and time-list slots, and — in the partition binlog — list slots
+    only, no entry object and no boxed offset per row."""
+
+    def test_put_keeps_no_per_row_binlog_wrapper(self):
+        cluster = NameServer([TabletServer(f"tablet-{i}") for i in range(3)])
+        cluster.create_table(
+            "f", Schema.from_pairs([("k", "bigint"), ("ts", "timestamp"),
+                                    ("a", "bigint"), ("b", "bigint"),
+                                    ("c", "bigint")]),
+            [IndexDef(("k",), "ts")], partitions=4, replicas=2)
+        rng = random.Random(7)
+        rows = [(index % 20, 1_000 + index // 20 * 10, rng.randrange(1000),
+                 rng.randrange(1000), rng.randrange(1000))
+                for index in range(4_000)]
+        for row in rows[:40]:  # every key node exists before tracing
+            cluster.put("f", row)
+        tracemalloc.start(1)
+        try:
+            for row in rows[40:]:
+                cluster.put("f", row)
+            stats = tracemalloc.take_snapshot().statistics("filename")
+        finally:
+            tracemalloc.stop()
+        traced = len(rows) - 40
+        total = sum(stat.size for stat in stats) / traced
+        # "<string>" is a named tuple's generated __new__.
+        binlog = sum(stat.size for stat in stats
+                     if stat.traceback[0].filename.endswith(
+                         ("online/binlog.py", "<string>"))) / traced
+        assert total <= 160, f"{total:.1f} B traced per row"
+        assert binlog <= 24, f"{binlog:.1f} B per row in the binlog"
         cluster.close()
 
 

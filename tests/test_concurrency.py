@@ -15,7 +15,8 @@ from repro.storage.memtable import MemTable
 from repro.sql.compiler import compile_plan
 from repro.sql.parser import parse_select
 from repro.sql.planner import build_plan
-from repro.storage.skiplist import BLOCK_ROWS, ColumnBlock, TimeSeriesIndex
+from repro.storage.skiplist import (BLOCK_ROWS, ColumnBlock, SkipList,
+                                    TimeSeriesIndex)
 
 
 class TestSkiplistReadersWriters:
@@ -82,6 +83,46 @@ class TestSkiplistReadersWriters:
             assert folded == window.compute_blocks(
                 [ColumnBlock.from_pairs(pairs, 3)])[0]
         _one_key_race(width=3, check=check)
+
+    def test_first_level_race_shares_one_compare_lock_seeded(self):
+        """Eight threads create 2,000 keys in one first-level skiplist,
+        half of the keys offered by every thread, with the switch
+        interval cut to 10 µs so writers interleave between a search
+        and its compare-and-set: each key is linked exactly once, the
+        level-0 walk stays ascending, and the size counter is exact."""
+        skiplist = SkipList(seed=3)
+        threads_n, keys_n = 8, 2_000
+        shared = list(range(0, keys_n, 2))
+        own = list(range(1, keys_n, 2))
+        won = [0] * threads_n
+        errors = []
+
+        def writer(tid):
+            keys = shared + own[tid::threads_n]
+            random.Random(tid).shuffle(keys)
+            try:
+                for key in keys:
+                    won[tid] += skiplist.insert(key, (tid, key))
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(tid,))
+                   for tid in range(threads_n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        keys = [key for key, _value in skiplist.items()]
+        assert keys == list(range(keys_n))
+        assert len(skiplist) == keys_n == sum(won)
+        assert all(value[1] == key for key, value in skiplist.items())
 
 
 def _one_key_race(width, check=None):

@@ -177,6 +177,50 @@ class TestReplicationLag:
         shard = cluster.tablets[follower].shard("t", partition_id)
         assert shard.store.row_count == 4
 
+    def test_async_catch_up_reads_only_the_gap(self, schema, monkeypatch):
+        """Five dropped deliveries, then one more put: the repair reads
+        the binlog from the follower's next offset up to the new entry,
+        never past it, and the follower applies every offset once, in
+        order, ending with the leader's rows."""
+        cluster = make_cluster(schema, replication="async")
+        faults = FaultInjector(cluster)
+        try:
+            partition_id = cluster.partition_for("t", 7)
+            binlog = cluster.tables["t"].binlogs[partition_id]
+            name = follower_names(cluster, partition_id)[0]
+            follower = cluster.tablets[name]
+            reads, applied = [], []
+            entries_from, replicate = binlog.entries_from, follower.replicate
+
+            def spy_entries_from(offset, stop=None):
+                entries = entries_from(offset, stop)
+                reads.append((offset, stop, len(entries)))
+                return entries
+
+            def spy_replicate(table, pid, row, offset, *args, **kwargs):
+                applied.append(offset)
+                return replicate(table, pid, row, offset, *args, **kwargs)
+            monkeypatch.setattr(binlog, "entries_from", spy_entries_from)
+            monkeypatch.setattr(follower, "replicate", spy_replicate)
+            faults.drop_replication(name, count=5)
+            for k in range(5):
+                cluster.put("t", (7, 1_000 + k, float(k)))
+            cluster.replication_barrier()
+            assert faults.dropped_entries == 5 and applied == []
+            cluster.put("t", (7, 2_000, 9.0))
+            cluster.replication_barrier()
+            assert reads == [(0, 5, 5)]
+            assert applied == list(range(6))
+            leader = cluster.leader_of("t", partition_id)
+            shard = follower.shard("t", partition_id)
+            assert shard.applied_offset == binlog.last_offset == 5
+            assert list(shard.store.rows()) \
+                == list(leader.shard("t", partition_id).store.rows())
+            assert [entry.row for entry in entries_from(0)] \
+                == list(shard.store.rows())
+        finally:
+            cluster.close()
+
     def test_async_replication_drains_at_the_barrier(self, schema):
         cluster = make_cluster(schema, replication="async")
         try:

@@ -11,10 +11,11 @@ import threading
 
 import pytest
 
+from repro import OpenMLDB
 from repro.errors import StorageError
 from repro.obs import Observability
-from repro.online.binlog import Replicator
-from repro.schema import Schema
+from repro.online.binlog import BinlogEntry, Replicator
+from repro.schema import IndexDef, Schema
 from repro.storage.encoding import RowCodec
 from repro.storage.persist import (FRAME_CONTROL, FileBinlog, SnapshotStore)
 
@@ -262,3 +263,87 @@ class TestReplicatorDurability:
         replicator.wait_idle(timeout=5.0)
         replicator.close()
         assert seen == [0]
+
+
+class TestSingleNodeBinlog:
+    """What one node's binlog hands out, over two tables written
+    interleaved: the same entries before and after snapshot / recover,
+    one table's rows for a table rebuild, and a closure's own entry."""
+
+    SCHEMA = Schema.from_pairs([
+        ("key", "string"), ("ts", "timestamp"), ("v", "double")])
+    INDEX = IndexDef(("key",), "ts")
+
+    def node(self, data_dir):
+        db = OpenMLDB(data_dir=str(data_dir))
+        db.create_table("a", self.SCHEMA, [self.INDEX])
+        db.create_table("b", self.SCHEMA, [self.INDEX], storage="disk")
+        return db
+
+    @staticmethod
+    def write(db, start, count):
+        for index in range(start, start + count):
+            db.insert("ab"[index % 3 == 0], (f"k{index % 4}", index,
+                                              float(index) / 4))
+
+    def test_entries_survive_snapshot_and_recover(self, tmp_path):
+        db = self.node(tmp_path)
+        self.write(db, 0, 20)
+        db.snapshot()
+        self.write(db, 20, 10)
+        starts = (0, 1, 7, 19, 20, 29, 30)
+        recorded = {k: db.replicator.entries_from(k) for k in starts}
+        assert [entry.offset for entry in recorded[0]] == list(range(30))
+        assert {entry.table for entry in recorded[0]} == {"a", "b"}
+        db.snapshot()
+        assert {k: db.replicator.entries_from(k) for k in starts} \
+            == recorded
+        db.close()
+        fresh = self.node(tmp_path)
+        fresh.recover()
+        assert {k: fresh.replicator.entries_from(k) for k in starts} \
+            == recorded
+        fresh.close()
+
+    def test_recover_table_replays_only_its_rows_in_offset_order(
+            self, tmp_path):
+        db = self.node(tmp_path)
+        self.write(db, 0, 24)
+        want = [entry.row for entry in db.replicator.entries_from(0)
+                if entry.table == "a"]
+        b_rows = list(db.table("b").rows())
+        assert db.recover_table("a") == len(want) == 16
+        assert list(db.table("a").rows()) == want
+        assert list(db.table("b").rows()) == b_rows
+        db.close()
+
+    def test_closure_sees_its_own_append(self, tmp_path):
+        db = self.node(tmp_path)
+        self.write(db, 0, 5)
+        seen, appended = [], []
+        for index in range(6):
+            table, row = "ab"[index % 2], (f"c{index}", 100 + index, 0.5)
+            offset = db.replicator.append_entry(table, row,
+                                                closure=seen.append)
+            appended.append(BinlogEntry(offset, table, row))
+        assert db.replicator.wait_idle(timeout=5.0)
+        assert seen == appended
+        assert [entry.offset for entry in seen] == list(range(5, 11))
+        db.close()
+
+    def test_restore_skips_control_frames(self, tmp_path):
+        db = self.node(tmp_path)
+        self.write(db, 0, 9)
+        db.table("b").flush()
+        self.write(db, 9, 9)
+        db.table("b").flush()
+        db.table("b").compact(0)
+        self.write(db, 18, 3)
+        recorded = db.replicator.entries_from(0)
+        db.close()
+        fresh = self.node(tmp_path)
+        frames = list(fresh.replicator.wal.replay(0))
+        assert sum(not frame.is_row for frame in frames) == 3
+        assert fresh.replicator.restore() == len(recorded) == 21
+        assert fresh.replicator.entries_from(0) == recorded
+        fresh.close()

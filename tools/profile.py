@@ -36,7 +36,14 @@ tier:
   its threads (``/proc/<pid>/task/*``) and the voluntary and
   involuntary context switches per read of the server and of the
   generator — how many threads a read touches and how often each side
-  is woken.
+  is woken;
+* ``rss`` — no cProfile and no reads: for each of perfbench's four
+  workloads, a child process loads the workload's preload (same schema,
+  same rows, a ``data_dir`` where the workload writes a WAL) through
+  ``NameServer.put`` into ``partitions=4, replicas=2`` tables and
+  prints its RSS after the load; it then loads the same rows again under
+  ``tracemalloc`` and prints the ``--top`` source lines by bytes still
+  allocated per preload row — the footprint ledger.
 
 For ``scan`` and ``long``, the same reads first run once unprofiled and
 their median wall time is printed beside the profile as ``p50``; ``long``
@@ -53,6 +60,7 @@ Usage::
     python tools/profile.py --path long --rounds 2000
     python tools/profile.py --path put --rounds 20000
     python tools/profile.py --path wire --rounds 5000
+    python tools/profile.py --path rss --top 8
 """
 
 from __future__ import annotations
@@ -378,25 +386,107 @@ def profile_wire(rounds):
     return 0
 
 
+RSS_SEED = 13
+
+
+def load_cluster(spec, preload, data_dir):
+    """perfbench's set-up without the serving stack: its tables, then
+    every preload row through ``NameServer.put``."""
+    cluster = NameServer(
+        [TabletServer(f"tablet-{index}") for index in range(3)],
+        data_dir=data_dir)
+    for table in spec["tables"]:
+        cluster.create_table(
+            table["name"],
+            Schema.from_pairs([tuple(pair) for pair in table["columns"]]),
+            [IndexDef((table["key"],), table["ts"])],
+            partitions=4, replicas=2)
+    for name, rows in preload.items():
+        for row in rows:
+            cluster.put(name, tuple(row))
+    return cluster
+
+
+def load_rss(spec_path, top):
+    """The ``--rss`` child: RSS after one load, then the traced ledger
+    of a second load of the same rows."""
+    import tracemalloc
+    from perfbench.loadgen import process_rss_mb
+    with open(spec_path, encoding="utf-8") as handle:
+        spec = json.load(handle)
+    with open(spec["preload"], encoding="utf-8") as handle:
+        preload = json.load(handle)
+    rows = sum(len(table_rows) for table_rows in preload.values())
+
+    def data_dir(name):
+        return os.path.join(spec["work"], name) if spec["durable"] else None
+    cluster = load_cluster(spec, preload, data_dir("untraced"))
+    print(f"=== {spec['workload']}: {rows} rows, RSS "
+          f"{process_rss_mb(os.getpid()):.2f} MB after the load ===")
+    cluster.close()
+    del cluster
+    tracemalloc.start(1)
+    cluster = load_cluster(spec, preload, data_dir("traced"))
+    stats = tracemalloc.take_snapshot().statistics("lineno")
+    tracemalloc.stop()
+    cluster.close()
+    print(f"traced: {sum(stat.size for stat in stats) / rows:.1f} B per "
+          "row; top lines in B per row:")
+    for stat in stats[:top]:
+        frame = stat.traceback[0]
+        name = frame.filename
+        if name.startswith(str(_root)):
+            name = os.path.relpath(name, _root)
+        print(f"{stat.size / rows:>10.1f}  {name}:{frame.lineno}")
+    return 0
+
+
+def profile_rss(top):
+    """RSS after loading each perfbench workload, and its ledger, each
+    workload in a child process of its own."""
+    from perfbench.workloads import WORKLOADS, Model, dump_json
+    for workload in WORKLOADS.values():
+        with tempfile.TemporaryDirectory() as work:
+            preload = os.path.join(work, "preload.json")
+            with open(preload, "w", encoding="utf-8") as handle:
+                handle.write(dump_json(Model(workload, RSS_SEED).preload()))
+            spec_path = os.path.join(work, "spec.json")
+            with open(spec_path, "w", encoding="utf-8") as handle:
+                json.dump(dict(workload.spec(), preload=preload, work=work),
+                          handle)
+            subprocess.run(
+                [sys.executable, __file__, "--rss", spec_path,
+                 "--top", str(top)],
+                check=True, env=dict(os.environ, PYTHONHASHSEED="0"))
+    return 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         description="cProfile the online request path or the write path; "
-                    "thread CPU and wake-ups of a read over the wire")
+                    "thread CPU and wake-ups of a read over the wire; "
+                    "memory after a perfbench load")
     parser.add_argument("--path", default="incremental",
                         choices=("incremental", "fused", "cluster", "scan",
-                                 "long", "put", "wire"),
+                                 "long", "put", "wire", "rss"),
                         help="execution tier to profile, the write path, "
-                             "or a served read over the wire")
+                             "a served read over the wire, or the "
+                             "footprint of perfbench's loads")
     parser.add_argument("--rounds", type=int, default=400,
                         help="requests (or INSERTs) to profile (cycled)")
     parser.add_argument("--top", type=int, default=15,
                         help="rows to print per ranking")
     parser.add_argument("--serve", help=argparse.SUPPRESS)
+    parser.add_argument("--rss", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.serve:
         return serve_wire(args.serve)
+    if args.rss:
+        return load_rss(args.rss, args.top)
     if args.path == "wire":
         return profile_wire(args.rounds)
+    if args.path == "rss":
+        return profile_rss(args.top)
 
     report = None
     if args.path == "long":
