@@ -10,7 +10,7 @@ online ML.  This package reimplements, from scratch:
   :mod:`repro.online`;
 * the offline batch execution engine (multi-window parallelism,
   time-aware skew resolving) — :mod:`repro.offline`;
-* compact time-series data management (row encoding, two-level skiplist,
+* compact time-series data management (row encoding, two-level index,
   LSM disk engine) — :mod:`repro.storage`;
 * memory estimation and governance — :mod:`repro.memory`;
 * the baseline systems and workloads used by the paper's evaluation —

@@ -516,16 +516,6 @@ class NameServer(DeploymentHost):
                 transfers += self.handle_failure(tablet_name)
         return transfers
 
-    def live_replica(self, table_name: str,
-                     partition_id: int) -> TabletServer:
-        table = self._table(table_name)
-        for tablet_name in table.assignment.get(partition_id, ()):
-            tablet = self.tablets[tablet_name]
-            if tablet.alive:
-                return tablet
-        raise StorageError(
-            f"all replicas of {table_name}[{partition_id}] are down")
-
     def _table(self, name: str) -> ClusterTable:
         try:
             return self.tables[name]

@@ -372,11 +372,6 @@ class TabletServer:
                              payloads, shard.applied_offset)
         return len(payloads)
 
-    def snapshot_shards(self) -> int:
-        """Snapshot every hosted shard; returns total rows written."""
-        return sum(self.snapshot_shard(shard.table, shard.partition_id)
-                   for shard in self.shards())
-
     def wipe(self) -> None:
         """Lose all in-memory state — the process-death half of a crash.
 

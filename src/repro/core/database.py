@@ -58,7 +58,6 @@ class OpenMLDB(DeploymentHost):
     Args:
         offline_workers: simulated cluster width for batch execution.
         max_memory_mb: optional write limit (Section 8.2 isolation).
-        seed: storage-structure RNG seed, for reproducible layouts.
         observability: collect metrics and per-request trace spans
             (see :mod:`repro.obs`).  Off by default — the same request
             body runs either way; disabled, its spans and series are
@@ -73,7 +72,7 @@ class OpenMLDB(DeploymentHost):
 
     def __init__(self, offline_workers: int = 8,
                  max_memory_mb: Optional[int] = None,
-                 seed: int = 0, observability: bool = False,
+                 observability: bool = False,
                  data_dir: Optional[str] = None,
                  snapshot_retain: int = 2) -> None:
         self.obs = Observability(enabled=True) if observability \
@@ -100,7 +99,6 @@ class OpenMLDB(DeploymentHost):
                                             obs=self.obs)
         self.governor = MemoryGovernor("db", max_memory_mb=max_memory_mb)
         self._preview_cache: Dict[Tuple[str, int], List[Row]] = {}
-        self._seed = seed
         # Deploy/request/undeploy come from DeploymentHost; a single
         # node differs from the cluster by serving its own tables and
         # by having an ingest hook (``_updaters``: closures every
@@ -130,12 +128,11 @@ class OpenMLDB(DeploymentHost):
             indexes = [self._default_index(schema)]
         if storage == "memory":
             table: Union[MemTable, DiskTable] = MemTable(
-                name, schema, indexes, replicas=replicas, seed=self._seed,
-                obs=self.obs)
+                name, schema, indexes, replicas=replicas, obs=self.obs)
         elif storage == "disk":
             table = DiskTable(name, schema, indexes, replicas=replicas,
                               flush_threshold=flush_threshold,
-                              seed=self._seed, obs=self.obs)
+                              obs=self.obs)
         else:
             raise SchemaError(f"unknown storage engine {storage!r}")
         self.tables[name] = table
@@ -501,12 +498,12 @@ class OpenMLDB(DeploymentHost):
         if isinstance(old, MemTable):
             fresh: Union[MemTable, DiskTable] = MemTable(
                 name, old.schema, old.indexes, replicas=old.replicas,
-                seed=self._seed, obs=self.obs)
+                obs=self.obs)
         else:
             fresh = DiskTable(name, old.schema, old.indexes,
                               replicas=old.replicas,
                               flush_threshold=old.flush_threshold,
-                              seed=self._seed, obs=self.obs)
+                              obs=self.obs)
             if self.data_dir is not None:
                 # The rebuilt table's explicit flushes and compactions
                 # keep reaching the WAL, as create_table wired the old one.

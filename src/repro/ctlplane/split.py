@@ -151,23 +151,10 @@ class HashRouter:
         raise StorageError(
             f"routing table has no entry for hash {hashed}")
 
-    def route_key(self, key_value: Any) -> int:
-        return self.route(stable_hash(key_value))
-
     def partition_ids(self) -> List[int]:
         """Live partition ids, sorted (deterministic fan-out order)."""
         with self._lock:
             return sorted(self._homes)
-
-    def entry_of(self, partition_id: int) -> Tuple[int, int]:
-        """The ``(modulus, residue)`` class a partition owns."""
-        with self._lock:
-            try:
-                return self._homes[partition_id]
-            except KeyError:
-                raise StorageError(
-                    f"partition {partition_id} is not in the routing "
-                    f"table") from None
 
     def __len__(self) -> int:
         with self._lock:

@@ -36,7 +36,7 @@ __all__ = [
     "close_complete", "no_data", "parameter_description",
     "error_response", "Buffer", "startup_message", "simple_query",
     "parse_message", "bind_message", "describe_message",
-    "execute_message", "close_message", "sync_message", "flush_message",
+    "execute_message", "close_message", "sync_message",
     "terminate_message",
 ]
 
@@ -390,10 +390,6 @@ def close_message(kind: str, name: str) -> bytes:
 
 def sync_message() -> bytes:
     return _frame(b"S", b"")
-
-
-def flush_message() -> bytes:
-    return _frame(b"H", b"")
 
 
 def terminate_message() -> bytes:

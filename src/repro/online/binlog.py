@@ -233,11 +233,6 @@ class Replicator:
             return len(self._rows) - 1
 
     @property
-    def entry_count(self) -> int:
-        with self._lock:
-            return len(self._rows)
-
-    @property
     def pending(self) -> int:
         """Closures appended but not yet executed (replication queue
         depth — the binlog-side view of replica lag)."""

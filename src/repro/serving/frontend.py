@@ -334,9 +334,6 @@ class FrontendServer:
     def draining(self) -> bool:
         return self._admission.draining
 
-    def queue_depth(self, deployment: Optional[str] = None) -> int:
-        return self._admission.queued(deployment)
-
     @property
     def inflight(self) -> int:
         return self._admission.inflight

@@ -17,7 +17,7 @@ compilation optimisations appear here explicitly:
   skips compilation entirely (cache hits are counted).
 
 Compiled artefacts are engine-agnostic: the online engine feeds them rows
-fetched from skiplist indexes, the offline engine feeds them sorted
+fetched from the two-level indexes, the offline engine feeds them sorted
 partition slices — one compiled plan, two runtimes (the paper's
 consistency guarantee).
 """

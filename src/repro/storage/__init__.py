@@ -3,9 +3,9 @@
 from .disk import DiskTable
 from .encoding import RowCodec, encoded_size, redis_row_size, spark_row_size
 from .memtable import MemTable
-from .skiplist import SkipList, TimeSeriesIndex
+from .skiplist import TimeSeriesIndex
 
 __all__ = [
     "RowCodec", "encoded_size", "spark_row_size", "redis_row_size",
-    "SkipList", "TimeSeriesIndex", "MemTable", "DiskTable",
+    "TimeSeriesIndex", "MemTable", "DiskTable",
 ]

@@ -2,8 +2,9 @@
 
 The paper layers OpenMLDB's persistent tables on RocksDB: one **column
 family per index**, each with its own SST files and eviction policy, all
-sharing a single **memtable** (the refined skiplist, with ``key‖ts`` as a
-composite key).  This module reimplements that structure:
+sharing a single **memtable** (a skiplist over ``key‖ts`` composite keys;
+here a :class:`~repro.storage.memtable.MemTable`).  This module
+reimplements that structure:
 
 * :class:`ColumnFamily` — per-index SST runs, compaction, TTL-on-compaction.
 * :class:`SSTable` — an immutable sorted run of ``(key, ts, row)`` entries,
@@ -76,8 +77,16 @@ class BloomFilter:
 _Entry = Tuple[Any, int, int, Row]
 
 
+def _key_order(key: Any) -> Any:
+    """The sort key of a partition key: NULL (None) before any value,
+    element-wise inside a multi-column (tuple) key."""
+    if isinstance(key, tuple):
+        return tuple(map(_key_order, key))
+    return (key is not None, key)
+
+
 def _entry_sort_key(entry: _Entry) -> Tuple[Any, int, int]:
-    return (entry[0], entry[1], entry[2])
+    return (_key_order(entry[0]), entry[1], entry[2])
 
 
 class SSTable:
@@ -85,10 +94,10 @@ class SSTable:
 
     def __init__(self, entries: Sequence[_Entry], level: int = 0) -> None:
         self._entries: List[_Entry] = sorted(entries, key=_entry_sort_key)
-        self._keys = [entry[0] for entry in self._entries]
+        self._keys = [_key_order(entry[0]) for entry in self._entries]
         self.level = level
-        self.bloom = BloomFilter(sorted({entry[0]
-                                         for entry in self._entries}))
+        self.bloom = BloomFilter(sorted({entry[0] for entry in self._entries},
+                                        key=_key_order))
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -98,7 +107,7 @@ class SSTable:
 
     def scan_key(self, key: Any) -> Iterator[Tuple[int, Row]]:
         """Yield ``(ts, row)`` newest-first for one key."""
-        start = bisect.bisect_left(self._keys, key)
+        start = bisect.bisect_left(self._keys, _key_order(key))
         for entry in itertools.islice(self._entries, start, None):
             if entry[0] != key:
                 break
@@ -124,9 +133,11 @@ class ColumnFamily:
 
         Runs whose bloom filter rules the key out are skipped entirely
         (no "disk" access); the rest merge heap-free, each run already
-        newest-first for the key.
+        newest-first for the key.  Runs are consulted newest first, so
+        equal timestamps come out latest arrival first, as in memory.
         """
-        iterators = [sstable.scan_key(key) for sstable in self.sstables
+        iterators = [sstable.scan_key(key)
+                     for sstable in reversed(self.sstables)
                      if sstable.may_contain(key)]
         heads: List[Optional[Tuple[int, Row]]] = [
             next(iterator, None) for iterator in iterators
@@ -191,7 +202,7 @@ class ColumnFamily:
 
 
 class DiskTable:
-    """Persistent table: shared skiplist memtable + per-index LSM runs.
+    """Persistent table: shared memtable + per-index LSM runs.
 
     Reads merge the memtable with the column family's SSTs.  The class
     tracks ``disk_reads`` so benchmarks can attribute the 20–30 ms latency
@@ -203,7 +214,6 @@ class DiskTable:
                  indexes: Sequence[IndexDef],
                  flush_threshold: int = 4096,
                  replicas: int = 1,
-                 seed: Optional[int] = 0,
                  obs: Optional[Observability] = None) -> None:
         if flush_threshold <= 0:
             raise SchemaError("flush_threshold must be positive")
@@ -220,11 +230,10 @@ class DiskTable:
         self._m_compactions = metrics.counter("storage.disk.compactions")
         self._m_compaction_evicted = metrics.counter(
             "storage.disk.compaction_evicted")
-        # The shared memtable: one skiplist-backed MemTable serving every
-        # column family until flush, exactly as Section 7.3 describes.
+        # The shared memtable: one MemTable serving every column family
+        # until flush, exactly as Section 7.3 describes.
         self._memtable = MemTable(name, schema, indexes,
-                                  replicas=replicas, seed=seed,
-                                  obs=self._obs)
+                                  replicas=replicas, obs=self._obs)
         self._families: Dict[str, ColumnFamily] = {
             index.name: ColumnFamily(index) for index in self.indexes
         }

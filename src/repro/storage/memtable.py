@@ -1,10 +1,10 @@
-"""In-memory table: schema + stream-focused indexes over skiplists.
+"""In-memory table: schema + stream-focused two-level indexes.
 
 A :class:`MemTable` owns one :class:`~repro.storage.skiplist.TimeSeriesIndex`
 per declared :class:`~repro.schema.IndexDef`.  Every insert is validated
-against the schema, appended to all indexes, and (optionally) reported to a
-binlog subscriber — the hook the online engine's ingest-time state
-update pipeline attaches to (Section 5.1).
+against the schema, appended to the insertion log and to all indexes; a
+TTL sweep is reported to eviction subscribers, the hook incremental
+window state mirrors eviction through.
 
 Window reads go through :meth:`window_scan` / :meth:`last_join_lookup`,
 which pick the index matching the requested ``PARTITION BY`` / ``ORDER BY``
@@ -28,7 +28,6 @@ from .skiplist import ColumnBlock, TimeSeriesIndex
 
 __all__ = ["MemTable", "normalize_ts"]
 
-InsertCallback = Callable[[str, Row, int], None]
 EvictionCallback = Callable[[str, int], None]
 
 
@@ -58,7 +57,6 @@ class MemTable:
         indexes: stream indexes; the first is the default access path.
         replicas: replica count, used by the memory estimator and cluster
             simulation (data itself is stored once in-process).
-        seed: RNG seed for skiplist level generation (reproducibility).
         obs: observability handle; the default disabled instance makes
             every instrument a shared no-op.
     """
@@ -66,7 +64,6 @@ class MemTable:
     def __init__(self, name: str, schema: Schema,
                  indexes: Sequence[IndexDef],
                  replicas: int = 1,
-                 seed: Optional[int] = 0,
                  obs: Optional[Observability] = None) -> None:
         if not indexes:
             raise SchemaError(f"table {name!r} needs at least one index")
@@ -87,8 +84,7 @@ class MemTable:
         self.replicas = replicas
         self.codec = RowCodec(schema)
         self._structures: Dict[str, TimeSeriesIndex] = {
-            index.name: TimeSeriesIndex(ttl=index.ttl, seed=seed,
-                                        width=len(schema))
+            index.name: TimeSeriesIndex(ttl=index.ttl, width=len(schema))
             for index in indexes
         }
         #: per index, what an insert needs: the key getter (a scalar for
@@ -100,7 +96,6 @@ class MemTable:
             for index in indexes)
         self._log: List[Row] = []
         self._log_lock = threading.Lock()
-        self._subscribers: List[InsertCallback] = []
         self._eviction_subscribers: List[EvictionCallback] = []
         self._bytes = 0
         metrics = (obs or NULL_OBS).registry.labels(table=name)
@@ -111,14 +106,6 @@ class MemTable:
 
     # ------------------------------------------------------------------
     # write path
-
-    def subscribe(self, callback: InsertCallback) -> None:
-        """Register a callback invoked as ``callback(table, row, offset)``.
-
-        The offset is the row's position in the insertion log — the
-        monotone "binlog offset" of Section 5.1.
-        """
-        self._subscribers.append(callback)
 
     def subscribe_eviction(self, callback: EvictionCallback) -> None:
         """Register a callback invoked as ``callback(table, now_ts)``
@@ -146,8 +133,6 @@ class MemTable:
         for key_of, ts_position, structure in self._routes:
             structure.put(key_of(validated),
                           normalize_ts(validated[ts_position]), validated)
-        for callback in self._subscribers:
-            callback(self.name, validated, offset)
         self._m_inserts.inc()
         return offset
 

@@ -1,8 +1,9 @@
 """Two-level time-series index (paper Section 7.2).
 
-The first level is a skiplist ordered by **key** (e.g. user id); each key
-node points to a second level holding all tuples for that key *pre-ranked
-by timestamp*.  Here the second level is stored as columns
+The first level maps each **key** (e.g. user id) to a second level
+holding all tuples for that key *pre-ranked by timestamp*.  The paper's
+first level is a lock-free skiplist; no query here reads keys in key
+order, so it is a ``dict``.  The second level is stored as columns
 (:class:`_TimeList`): sealed immutable :class:`ColumnBlock` s of
 ``BLOCK_ROWS`` tuples, grouped ``SPAN_BLOCKS`` at a time into
 :class:`SealedSpan` s, then a hot tail of one ``array('q')`` of ascending
@@ -11,7 +12,7 @@ the paper's linked nodes — it keeps every property Section 7.2 relies on
 and drops the per-tuple node, pointer cells and pointer hops:
 
 * ``LAST JOIN`` — the most recent tuple for a key is the end of the
-  tail, O(1) once the key node is found.
+  tail, O(1) once the key's time list is found.
 * ``PARTITION BY key ORDER BY ts ROWS BETWEEN ... PRECEDING`` — a window
   is the run between two integer bisects (O(log n) seek), handed out as
   newest-first :class:`ColumnBlock` s whose *columns* are strided C-level
@@ -26,18 +27,15 @@ and drops the per-tuple node, pointer cells and pointer hops:
 * Out-of-date data removal (TTL): expired tuples are a prefix of the
   key's history, so eviction drops whole blocks and cuts at most one.
 
-Concurrency: the first level follows the paper's lock-free discipline —
-pointer updates go through :class:`AtomicReference.compare_and_set` retry
-loops rather than a structure-wide lock.  (CPython's GIL makes individual
-pointer writes atomic anyway; the CAS loops keep the *algorithm* faithful
-and are exercised by the concurrency tests.)  The second level takes a
-per-key lock for the duration of one bisect + slice or one mutation, so
-readers and writers of different keys never wait on each other.
+Concurrency: the key level is a ``dict``, whose ``get`` and
+``setdefault`` are atomic, so a racing first put of a key keeps one time
+list and readers never lock.  The per-key lock guards the second level
+for one bisect + slice or one mutation, so readers and writers of
+different keys never wait on each other.
 """
 
 from __future__ import annotations
 
-import random
 import threading
 from array import array
 from bisect import bisect_left, bisect_right
@@ -50,11 +48,8 @@ from typing import (Any, Callable, Dict, Iterable, Iterator, List,
 from ..errors import StorageError
 from ..schema import TTLKind, TTLSpec
 
-__all__ = ["AtomicReference", "BLOCK_ROWS", "ColumnBlock", "SealedBlock",
-           "SealedSpan", "SkipList", "SPAN_BLOCKS", "TimeSeriesIndex"]
-
-_MAX_LEVEL = 16
-_BRANCHING = 4  # expected nodes per level step, as in LevelDB/OpenMLDB
+__all__ = ["BLOCK_ROWS", "ColumnBlock", "SealedBlock", "SealedSpan",
+           "SPAN_BLOCKS", "TimeSeriesIndex"]
 
 #: Tuples per sealed block: once a key's hot tail holds more, its oldest
 #: ``BLOCK_ROWS`` are sealed.  Disk-backed scans chunk by it too.
@@ -63,225 +58,6 @@ BLOCK_ROWS = 256
 #: Sealed blocks per span: once a key holds this many blocks outside a
 #: span, they become one :class:`SealedSpan` (4,096 rows by default).
 SPAN_BLOCKS = 16
-
-
-#: Guards the compare step of every :class:`AtomicReference`.  A CAS
-#: holds it for one identity test and one store, and only a put that
-#: creates a key (or a remove) links a node, so one lock costs no
-#: contention a per-cell lock would avoid — and no lock object per cell.
-_CAS_LOCK = threading.Lock()
-
-
-class AtomicReference:
-    """A mutable slot updated via compare-and-set.
-
-    Models the atomic pointer cells of the paper's lock-free skiplist.  The
-    module's one ``_CAS_LOCK`` only guards the compare step itself (the
-    moral equivalent of a hardware CAS); callers are expected to retry on
-    failure, and reads never take it.
-    """
-
-    __slots__ = ("_value",)
-
-    def __init__(self, value: Any = None) -> None:
-        self._value = value
-
-    def get(self) -> Any:
-        return self._value
-
-    def compare_and_set(self, expected: Any, new: Any) -> bool:
-        """Atomically set to ``new`` iff the current value is ``expected``."""
-        with _CAS_LOCK:
-            if self._value is expected:
-                self._value = new
-                return True
-            return False
-
-    def set(self, value: Any) -> None:
-        """Unconditional store (used only on unpublished nodes)."""
-        self._value = value
-
-
-class _SkipNode:
-    __slots__ = ("key", "value", "forwards")
-
-    def __init__(self, key: Any, value: Any, height: int) -> None:
-        self.key = key
-        self.value = value
-        self.forwards: List[AtomicReference] = [
-            AtomicReference(None) for _ in range(height)
-        ]
-
-    @property
-    def height(self) -> int:
-        return len(self.forwards)
-
-
-class SkipList:
-    """A probabilistic skiplist mapping ordered keys to values.
-
-    Insertions use per-pointer CAS retry loops; reads are wait-free walks.
-    ``seed`` pins the level-generation RNG so structures are reproducible
-    in tests and benchmarks.
-    """
-
-    def __init__(self, seed: Optional[int] = None) -> None:
-        self._head = _SkipNode(None, None, _MAX_LEVEL)
-        self._rng = random.Random(seed)
-        self._height = 1
-        self._size = 0
-        self._size_lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return self._size
-
-    def _random_height(self) -> int:
-        height = 1
-        while (height < _MAX_LEVEL
-               and self._rng.randrange(_BRANCHING) == 0):
-            height += 1
-        return height
-
-    def _find_predecessors(self, key: Any
-                           ) -> Tuple[List[_SkipNode],
-                                      List[Optional[_SkipNode]]]:
-        """Per level, the last node with a key strictly < ``key`` and the
-        successor the walk checked against it (the CAS's expected value).
-
-        It walks every level, not only up to ``_height``: a writer CASes
-        at each level of its new node, and two writers raising the
-        height at once can leave ``_height`` below a linked level.
-        """
-        predecessors = [self._head] * _MAX_LEVEL
-        successors: List[Optional[_SkipNode]] = [None] * _MAX_LEVEL
-        node = self._head
-        for level in range(_MAX_LEVEL - 1, -1, -1):
-            next_node = node.forwards[level].get()
-            while next_node is not None and next_node.key < key:
-                node = next_node
-                next_node = node.forwards[level].get()
-            predecessors[level] = node
-            successors[level] = next_node
-        return predecessors, successors
-
-    def _level0_predecessor(self, key: Any) -> _SkipNode:
-        """The last node with a key strictly < ``key``: the read walk.
-
-        It keeps only the current node — no per-level list, which only
-        a writer needs — and reads each pointer cell's value directly
-        (what :meth:`AtomicReference.get` returns): every put on an
-        existing key and every window seek starts here.
-        """
-        node = self._head
-        for level in range(self._height - 1, -1, -1):
-            next_node = node.forwards[level]._value
-            while next_node is not None and next_node.key < key:
-                node = next_node
-                next_node = node.forwards[level]._value
-        return node
-
-    def get(self, key: Any, default: Any = None) -> Any:
-        """Return the value stored under ``key`` or ``default``."""
-        node = self._level0_predecessor(key).forwards[0]._value
-        if node is not None and node.key == key:
-            return node.value
-        return default
-
-    def __contains__(self, key: Any) -> bool:
-        sentinel = object()
-        return self.get(key, sentinel) is not sentinel
-
-    def insert(self, key: Any, value: Any) -> bool:
-        """Insert ``key`` → ``value``.  Returns False if the key exists.
-
-        The new node is linked bottom-up: once the level-0 CAS succeeds the
-        node is visible to readers, matching the published-when-linked
-        semantics of lock-free skiplists.
-        """
-        while True:
-            predecessors, successors = self._find_predecessors(key)
-            candidate = successors[0]
-            if candidate is not None and candidate.key == key:
-                return False
-            height = self._random_height()
-            if height > self._height:
-                self._height = height
-            node = _SkipNode(key, value, height)
-            # Publish at level 0 first, then each level up, every CAS
-            # against the successor the walk *checked* (never a re-read
-            # of the pointer): a node that slipped in since (this key,
-            # or one that sorts before it) fails the CAS and restarts
-            # the search instead of being linked behind a duplicate or
-            # ahead of a smaller key.
-            node.forwards[0].set(candidate)
-            if not predecessors[0].forwards[0].compare_and_set(
-                    candidate, node):
-                continue
-            for level in range(1, height):
-                while True:
-                    node.forwards[level].set(successors[level])
-                    if predecessors[level].forwards[level].compare_and_set(
-                            successors[level], node):
-                        break
-                    predecessors, successors = self._find_predecessors(key)
-            with self._size_lock:
-                self._size += 1
-            return True
-
-    def get_or_insert(self, key: Any,
-                      factory: Callable[[], Any]) -> Any:
-        """Return the value for ``key``, creating it with ``factory``.
-
-        The common path for the first-level structure: most inserts hit an
-        existing key node and only append to its second-level list.
-        """
-        existing = self.get(key, None)
-        if existing is not None:
-            return existing
-        value = factory()
-        if self.insert(key, value):
-            return value
-        return self.get(key)
-
-    def remove(self, key: Any) -> bool:
-        """Unlink ``key`` from every level.  Returns False if absent."""
-        removed = False
-        while True:
-            predecessors, successors = self._find_predecessors(key)
-            node = successors[0]
-            if node is None or node.key != key:
-                return removed
-            success = True
-            for level in range(node.height - 1, -1, -1):
-                predecessor = predecessors[level]
-                if predecessor.forwards[level].get() is node:
-                    if not predecessor.forwards[level].compare_and_set(
-                            node, node.forwards[level].get()):
-                        success = False
-                        break
-            if success:
-                with self._size_lock:
-                    self._size -= 1
-                return True
-            removed = False  # retry from a fresh search
-
-    def items(self) -> Iterator[Tuple[Any, Any]]:
-        """Yield ``(key, value)`` pairs in ascending key order."""
-        node = self._head.forwards[0].get()
-        while node is not None:
-            yield node.key, node.value
-            node = node.forwards[0].get()
-
-    def keys(self) -> Iterator[Any]:
-        for key, _value in self.items():
-            yield key
-
-    def first_at_or_after(self, key: Any) -> Optional[Tuple[Any, Any]]:
-        """Return the smallest ``(key, value)`` with key >= ``key``."""
-        node = self._level0_predecessor(key).forwards[0]._value
-        if node is None:
-            return None
-        return node.key, node.value
 
 
 class ColumnBlock:
@@ -670,18 +446,24 @@ class TimeSeriesIndex:
     ``len(schema)``), which lets the second level store rows as column-
     sliceable cells.  Without it a payload is opaque — any object, kept
     as one cell — and blocks have rows but no columns.
+
+    Any hashable value is a key, ``None`` (a NULL partition key) too.
+    Sweeps over every key iterate ``self._keys.copy()``, one C-level
+    step no other thread can enter, so a put that creates a key
+    meanwhile neither breaks the sweep nor hides a key from it.
+    (``list(self._keys.items())`` is not one step: each pair it builds
+    can start a garbage collection whose finalizers switch threads.)
     """
 
     def __init__(self, ttl: TTLSpec = TTLSpec(),
-                 seed: Optional[int] = None,
                  width: Optional[int] = None) -> None:
-        self._keys = SkipList(seed=seed)
+        self._keys: Dict[Any, _TimeList] = {}
         self._new_time_list = partial(_TimeList, width)
         self.ttl = ttl
 
     def __len__(self) -> int:
         """Tuples held — O(keys): summed over the per-key columns."""
-        return sum(len(time_list) for _key, time_list in self._keys.items())
+        return sum(map(len, self._keys.copy().values()))
 
     @property
     def key_count(self) -> int:
@@ -689,7 +471,10 @@ class TimeSeriesIndex:
 
     def put(self, key: Any, ts: int, row: Any) -> None:
         """Insert one tuple under ``key`` ordered by ``ts``."""
-        self._keys.get_or_insert(key, self._new_time_list).insert(ts, row)
+        time_list = self._keys.get(key)
+        if time_list is None:
+            time_list = self._keys.setdefault(key, self._new_time_list())
+        time_list.insert(ts, row)
 
     def latest(self, key: Any) -> Optional[Tuple[int, Any]]:
         """Return the newest ``(ts, row)`` for ``key`` (LAST JOIN path)."""
@@ -723,8 +508,9 @@ class TimeSeriesIndex:
                                      limit=limit)
 
     def scan_all(self) -> Iterator[Tuple[Any, int, Any]]:
-        """Yield every ``(key, ts, row)``, keys ascending, ts descending."""
-        for key, time_list in self._keys.items():
+        """Yield every ``(key, ts, row)``, key by key (in no set order),
+        ts descending within a key."""
+        for key, time_list in self._keys.copy().items():
             for ts, row in time_list.scan():
                 yield key, ts, row
 
@@ -740,4 +526,4 @@ class TimeSeriesIndex:
             return 0
         horizon = (now_ts - spec.abs_ttl_ms) if spec.abs_ttl_ms else None
         return sum(time_list.evict(spec.kind, horizon, spec.lat_ttl)
-                   for _key, time_list in self._keys.items())
+                   for time_list in self._keys.copy().values())

@@ -185,13 +185,6 @@ class CDCStream:
         return [row for name, row in self._changes
                 if table is None or name == table]
 
-    def final_event_ts(self) -> Optional[int]:
-        """Largest event time in the stream (None when empty)."""
-        if not self._changes:
-            return None
-        return max(int(row[self._ts_positions[table]])
-                   for table, row in self._changes)
-
 
 class StreamIngestor:
     """Feed a CDC stream into a database's insert path, exactly once.

@@ -6,7 +6,7 @@ for this user".  Figure 7 compares OpenMLDB (sub-millisecond Top1, ~5 ms
 Top8) against Flink (sub-100 ms) and GreenPlum (full recomputation).
 
 :class:`OpenMLDBTopN` is the OpenMLDB-side service: it reuses the
-two-level skiplist with the **score** as the ordering dimension, so the
+two-level time-series index with the **score** as the ordering dimension, so the
 stream stays pre-ranked per key and a Top-N read is a short prefix scan —
 "pre-ranks stream data by keys ... thereby minimizing runtime sorting
 overhead".
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, Tuple
 
 from ..schema import TTLSpec
 from ..storage.skiplist import TimeSeriesIndex
@@ -52,18 +52,18 @@ _SCORE_SCALE = 1_000_000  # scores in [0,1] → integer ordering dimension
 
 
 class OpenMLDBTopN:
-    """Score-pre-ranked TopN serving on the refined skiplist.
+    """Score-pre-ranked TopN serving on the two-level index.
 
     Ingest keeps each user's items ordered by score descending (the
-    skiplist's "timestamp" dimension is the scaled score); a Top-N query
+    index's "timestamp" dimension is the scaled score); a Top-N query
     walks the first few entries, deduplicating items, so Top1 is O(1) and
     TopN is O(N + duplicates) — the near-linear scaling of Figure 7.
     """
 
     name = "openmldb"
 
-    def __init__(self, seed: Optional[int] = 0) -> None:
-        self._index = TimeSeriesIndex(ttl=TTLSpec(), seed=seed)
+    def __init__(self) -> None:
+        self._index = TimeSeriesIndex(ttl=TTLSpec())
 
     def insert(self, key: Any, ts: int, item: Any, score: float) -> None:
         self._index.put(key, int(score * _SCORE_SCALE), (item, score, ts))

@@ -90,6 +90,33 @@ class TestDataPath:
         assert sum(table.next_offset.values()) == 10
 
 
+class TestNullPartitionKey:
+    def test_null_key_put_replicates_and_serves(self):
+        """A NULL key routes, is indexed on leader and follower alike
+        (the leader used to keep a row its binlog never got), and is
+        served."""
+        schema = Schema.from_pairs(
+            [("k", "bigint"), ("ts", "timestamp"), ("v", "int")])
+        nameserver = NameServer([TabletServer(f"tablet-{i}")
+                                 for i in range(2)])
+        nameserver.create_table("t", schema, [IndexDef(("k",), "ts")],
+                                partitions=1, replicas=2)
+        for ts in range(4):
+            nameserver.put("t", (ts % 2, 1000 + ts, ts))
+        nameserver.put("t", (None, 2000, 7))
+        leader, follower = (
+            nameserver.tablets[name].shard("t", 0).store
+            for name in nameserver.tables["t"].assignment[0])
+        assert list(leader.rows()) == list(follower.rows())
+        assert leader.row_count == len(
+            leader.structure(leader.indexes[0].name)) == 5
+        nameserver.deploy("d", "SELECT k, sum(v) OVER w AS s FROM t "
+                          "WINDOW w AS (PARTITION BY k ORDER BY ts "
+                          "ROWS BETWEEN 3 PRECEDING AND CURRENT ROW)")
+        assert nameserver.request("d", (None, 3000, 1)) \
+            == {"k": None, "s": 8}
+
+
 class TestOneCheckOneRow:
     """``NameServer.put`` validates a row once; the leader, the follower
     and the binlog entry all hold the tuple that check returned."""

@@ -1,5 +1,8 @@
 """Concurrency tests: lock-free reads under writes (paper Section 7.2)."""
 
+import contextlib
+import gc
+import itertools
 import random
 import sys
 import threading
@@ -15,13 +18,12 @@ from repro.storage.memtable import MemTable
 from repro.sql.compiler import compile_plan
 from repro.sql.parser import parse_select
 from repro.sql.planner import build_plan
-from repro.storage.skiplist import (BLOCK_ROWS, ColumnBlock, SkipList,
-                                    TimeSeriesIndex)
+from repro.storage.skiplist import BLOCK_ROWS, ColumnBlock, TimeSeriesIndex
 
 
 class TestSkiplistReadersWriters:
     def test_scans_never_crash_under_inserts(self):
-        index = TimeSeriesIndex(seed=0)
+        index = TimeSeriesIndex()
         stop = threading.Event()
         errors = []
 
@@ -84,17 +86,17 @@ class TestSkiplistReadersWriters:
                 [ColumnBlock.from_pairs(pairs, 3)])[0]
         _one_key_race(width=3, check=check)
 
-    def test_first_level_race_shares_one_compare_lock_seeded(self):
-        """Eight threads create 2,000 keys in one first-level skiplist,
-        half of the keys offered by every thread, with the switch
-        interval cut to 10 µs so writers interleave between a search
-        and its compare-and-set: each key is linked exactly once, the
-        level-0 walk stays ascending, and the size counter is exact."""
-        skiplist = SkipList(seed=3)
+    def test_first_level_race_keeps_one_time_list_per_key_seeded(self):
+        """Eight threads put rows under 2,000 new keys, half of the keys
+        offered by every thread, with the switch interval cut to 10 µs
+        so writers interleave between a key-level miss and the create:
+        a racing create keeps one time list, so every key is counted
+        once and its scan holds exactly the rows offered for it."""
+        index = TimeSeriesIndex()
         threads_n, keys_n = 8, 2_000
         shared = list(range(0, keys_n, 2))
         own = list(range(1, keys_n, 2))
-        won = [0] * threads_n
+        offered = {key: set() for key in range(keys_n)}
         errors = []
 
         def writer(tid):
@@ -102,33 +104,136 @@ class TestSkiplistReadersWriters:
             random.Random(tid).shuffle(keys)
             try:
                 for key in keys:
-                    won[tid] += skiplist.insert(key, (tid, key))
+                    index.put(key, tid, (tid, key))
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
-        threads = [threading.Thread(target=writer, args=(tid,))
-                   for tid in range(threads_n)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        for tid in range(threads_n):
+            for key in shared + own[tid::threads_n]:
+                offered[key].add((tid, key))
+        _race([threading.Thread(target=writer, args=(tid,))
+               for tid in range(threads_n)])
         assert not errors, errors
-        keys = [key for key, _value in skiplist.items()]
-        assert keys == list(range(keys_n))
-        assert len(skiplist) == keys_n == sum(won)
-        assert all(value[1] == key for key, value in skiplist.items())
+        assert index.key_count == keys_n
+        assert {key: {row for _ts, row in index.scan(key)}
+                for key in range(keys_n)} == offered
+        assert len(index) == sum(map(len, offered.values()))
+
+    def test_sweeps_race_new_keys(self):
+        """TTL sweeps, ``len`` and ``scan_all`` run while writers create
+        new keys: nothing raises, and a sweep sees every key that
+        existed when it started."""
+        index = TimeSeriesIndex(ttl=TTLSpec(kind=TTLKind.LATEST,
+                                            lat_ttl=1_000))
+        writers, per_writer = 4, 1_500
+        created = []
+        errors = []
+
+        def writer(wid):
+            try:
+                for step in range(per_writer):
+                    key = (wid, step)
+                    index.put(key, step, key)
+                    created.append(key)
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        def sweeper():
+            try:
+                while len(created) < writers * per_writer:
+                    before = set(created)
+                    assert index.evict(per_writer) == 0
+                    assert len(index) >= len(before)
+                    swept = {key for key, _ts, _row in index.scan_all()}
+                    assert before <= swept
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        _race([threading.Thread(target=writer, args=(wid,))
+               for wid in range(writers)]
+              + [threading.Thread(target=sweeper) for _ in range(2)])
+        assert not errors, errors
+        assert index.key_count == len(index) == writers * per_writer
+
+    def test_sweep_copies_the_key_level_in_one_step(self):
+        """Python code that runs inside a sweep's copy of the key level
+        stands for another thread's put: here a finalizer creates a key
+        at every collection.  The sweep must not notice."""
+        index = TimeSeriesIndex(ttl=TTLSpec(kind=TTLKind.LATEST, lat_ttl=9))
+        for key in range(3_000):  # more pairs than the tuple free list
+            index.put(key, 0, key)
+        new_keys = itertools.count(10_000)
+        with _at_every_collection(
+                lambda: index.put(next(new_keys), 0, None)):
+            sweep = index.scan_all()
+            first = next(sweep)  # the sweep copies the key level here
+            assert index.evict(0) == 0 and len(index) >= 3_000
+        swept = {first[0]} | {key for key, _ts, _row in sweep}
+        assert swept >= set(range(3_000))
+
+    def test_first_put_of_a_key_keeps_a_racing_create(self):
+        """A finalizer puts a row under the key being created, inside
+        the put's own create (the time list's allocation collects): one
+        time list survives, holding both rows."""
+        index = TimeSeriesIndex()
+        current, raced = [None], []
+
+        def racing_put():
+            index.put(current[0], 1, "raced")
+            raced.append(current[0])
+        with _at_every_collection(racing_put):
+            for key in range(500):
+                current[0] = key
+                index.put(key, 0, "put")
+        assert raced
+        assert len(index) == 500 + len(raced)
+        assert all(list(index.scan(key))[-1] == (0, "put")
+                   for key in range(500))
+
+
+@contextlib.contextmanager
+def _at_every_collection(action):
+    """Run ``action`` from a finalizer at every cyclic collection, with
+    collections after every allocation of a tracked object."""
+    armed = [True]
+
+    class Rearming:
+        def __init__(self):
+            self.cycle = self  # only the cycle collector frees it
+
+        def __del__(self):
+            if armed[0]:
+                action()
+                Rearming()
+
+    threshold = gc.get_threshold()
+    gc.set_threshold(1)
+    try:
+        Rearming()
+        yield
+    finally:
+        armed[0] = False
+        gc.set_threshold(*threshold)
+
+
+def _race(threads):
+    """Run ``threads`` to completion with a 10 µs switch interval."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
 
 
 def _one_key_race(width, check=None):
     index = TimeSeriesIndex(
         ttl=TTLSpec(kind=TTLKind.ABS_OR_LAT, abs_ttl_ms=300,
-                    lat_ttl=500), seed=0, width=width)
+                    lat_ttl=500), width=width)
     writers, per_writer, span = 3, 1_000, 10_000
     evicted = []
     errors = []
@@ -180,16 +285,7 @@ def _one_key_race(width, check=None):
     threads.append(threading.Thread(target=evictor))
     threads += [threading.Thread(target=reader, args=(rid,))
                 for rid in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # force interleavings inside one op
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
+    _race(threads)  # interleavings inside one op
     assert not errors, errors
     left = list(index.scan("k"))
     assert len(left) == len(index) \
@@ -219,16 +315,7 @@ class TestMemTableCounters:
         threads = [threading.Thread(target=table.insert_many,
                                     args=(rows_of(wid),))
                    for wid in range(writers)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        _race(threads)
         assert table.row_count == writers * per_writer
         assert len(table.structure(table.indexes[0].name)) \
             == writers * per_writer

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro import OpenMLDB
+from repro import OpenMLDB, verify_consistency
 from repro.core.deployment import LongWindowOption
 from repro.errors import (DeploymentError, DeploymentNotFoundError,
                           MemoryLimitExceededError, ParseError, PlanError,
@@ -125,6 +125,33 @@ class TestDML:
         db.insert("trades", ("A", 100, 1.0, 1))
         db.insert("trades", ("A", 200, 2.0, 1))
         assert db.replicator.last_offset == 1
+
+
+class TestNullPartitionKey:
+    """A NULL in a nullable key column is one more partition key: it is
+    indexed with its row, served online and matched offline."""
+
+    SQL = ("SELECT k, sum(v) OVER w AS s, count(v) OVER w AS c FROM t "
+           "WINDOW w AS (PARTITION BY k ORDER BY ts "
+           "ROWS_RANGE BETWEEN 1000 PRECEDING AND CURRENT ROW)")
+
+    def test_null_key_is_indexed_served_and_consistent(self):
+        db = OpenMLDB()
+        db.execute("CREATE TABLE t (k bigint, ts timestamp, v int, "
+                   "INDEX(KEY=k, TS=ts))")
+        for ts in range(6):
+            db.insert("t", (ts % 2, 1000 + ts, ts))
+        db.deploy("d", self.SQL)
+        assert db.execute("INSERT INTO t VALUES (NULL, 1500, 7)") == 1
+        table = db.table("t")
+        assert table.row_count == 7
+        assert len(table.structure(table.indexes[0].name)) == 7
+        online = db.request("d", (None, 2000, 1))
+        assert online == {"k": None, "s": 8, "c": 2}
+        db.insert("t", (None, 2000, 1))
+        offline, _stats = db.offline_query(self.SQL)
+        assert offline[-1] == tuple(online.values())
+        assert verify_consistency(db, "d").consistent
 
 
 class TestOneCheckOneRow:

@@ -219,3 +219,33 @@ class TestDiskTable:
         by_key = list(table.window_scan(("key",), "ts", "a"))
         by_label = list(table.window_scan(("label",), "ts", "red"))
         assert len(by_key) == 1 and len(by_label) == 1
+
+    def test_null_keys_order_first_through_flush_and_compact(self):
+        """A NULL partition key is a key on disk too: SST sorts, bloom
+        key lists and key bisects order None before any value, inside
+        composite keys element by element, and every key's scan equals
+        a memory table's through flushes and a compaction."""
+        schema = Schema.from_pairs([("k", "bigint"), ("g", "string"),
+                                    ("ts", "timestamp"), ("v", "int")])
+        indexes = [IndexDef(("k",), "ts"), IndexDef(("k", "g"), "ts")]
+        disk = DiskTable("d", schema, indexes, flush_threshold=2)
+        memory = MemTable("m", schema, indexes)
+        ks, gs = (None, 2, 1), (None, "a")
+        for ts in range(30):
+            row = (ks[ts % 3], gs[ts % 2], 1000 + ts // 4, ts)
+            disk.insert(row)
+            memory.insert(row)
+        keys = {("k",): ks, ("k", "g"): [(k, g) for k in ks for g in gs]}
+
+        def scans(table):
+            return {(cols, key): list(table.window_scan(cols, "ts", key))
+                    for cols, values in keys.items() for key in values}
+        expected = scans(memory)
+        assert all(expected.values())
+        assert disk.sstable_count() > 2
+        assert scans(disk) == expected
+        disk.flush()
+        disk.compact(now_ts=2000)
+        assert disk.sstable_count() == len(indexes)
+        assert scans(disk) == expected
+

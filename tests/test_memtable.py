@@ -194,14 +194,6 @@ class TestColumnBlocks:
 
 
 class TestSubscribersAndMemory:
-    def test_subscriber_receives_offsets(self, table):
-        seen = []
-        table.subscribe(lambda name, row, offset: seen.append(
-            (name, offset)))
-        table.insert(("a", 1, 1.0, "x"))
-        table.insert(("a", 2, 2.0, "y"))
-        assert seen == [("events", 0), ("events", 1)]
-
     def test_memory_bytes_grow(self, table):
         before = table.memory_bytes
         table.insert(("a", 1, 1.0, "payload"))

@@ -908,6 +908,9 @@ class TestConcurrencyAndComposition:
                 c.prepare("s0", "EXECUTE feat ($1, $2, $3)")
                 assert c.execute("s0", [1, 1_500, 1.0]).rows \
                     == [("1", "3.0")]
+                # A NULL key is a key: a row, not XX000.
+                assert c.query("EXECUTE feat (NULL, 1500, 1.0)")[0].rows \
+                    == [(None, "1.0")]
                 cluster.undeploy("feat")
                 with pytest.raises(ServerError) as err:
                     c.execute("s0", [1, 1_500, 1.0])

@@ -1,127 +1,18 @@
-"""Tests for the two-level skiplist (paper Section 7.2)."""
+"""Tests for the two-level time-series index (paper Section 7.2)."""
 
-import threading
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 from repro.schema import TTLKind, TTLSpec
 from repro.storage import skiplist
-from repro.storage.skiplist import (AtomicReference, SealedSpan, SkipList,
-                                    TimeSeriesIndex)
+from repro.storage.skiplist import SealedSpan, TimeSeriesIndex
 from tests.test_fused_fold import _ttls
-
-
-class TestAtomicReference:
-    def test_cas_success_and_failure(self):
-        ref = AtomicReference("a")
-        assert ref.compare_and_set("a", "b")
-        assert ref.get() == "b"
-        assert not ref.compare_and_set("a", "c")
-        assert ref.get() == "b"
-
-    def test_cas_is_identity_based(self):
-        marker = object()
-        ref = AtomicReference(marker)
-        assert ref.compare_and_set(marker, None)
-
-
-class TestSkipList:
-    def test_insert_and_get(self):
-        skiplist = SkipList(seed=1)
-        assert skiplist.insert("b", 2)
-        assert skiplist.insert("a", 1)
-        assert skiplist.get("a") == 1
-        assert skiplist.get("b") == 2
-        assert skiplist.get("c") is None
-        assert skiplist.get("c", "fallback") == "fallback"
-
-    def test_duplicate_insert_rejected(self):
-        skiplist = SkipList(seed=1)
-        assert skiplist.insert("a", 1)
-        assert not skiplist.insert("a", 2)
-        assert skiplist.get("a") == 1
-
-    def test_items_in_key_order(self):
-        skiplist = SkipList(seed=3)
-        for key in (5, 1, 4, 2, 3):
-            skiplist.insert(key, key * 10)
-        assert [key for key, _ in skiplist.items()] == [1, 2, 3, 4, 5]
-
-    def test_len_tracks_inserts_and_removes(self):
-        skiplist = SkipList(seed=0)
-        for index in range(50):
-            skiplist.insert(index, index)
-        assert len(skiplist) == 50
-        assert skiplist.remove(25)
-        assert not skiplist.remove(25)
-        assert len(skiplist) == 49
-        assert 25 not in skiplist
-
-    def test_first_at_or_after(self):
-        skiplist = SkipList(seed=0)
-        for key in (10, 20, 30):
-            skiplist.insert(key, str(key))
-        assert skiplist.first_at_or_after(15) == (20, "20")
-        assert skiplist.first_at_or_after(20) == (20, "20")
-        assert skiplist.first_at_or_after(31) is None
-
-    def test_get_or_insert(self):
-        skiplist = SkipList(seed=0)
-        first = skiplist.get_or_insert("k", list)
-        second = skiplist.get_or_insert("k", list)
-        assert first is second
-
-    def test_insert_racing_same_key_never_duplicates(self):
-        """A twin insert of the same key landing between the duplicate
-        check and the level-0 publish must lose the CAS, not be linked
-        in front of its twin (rows put under the hidden node vanish)."""
-        skiplist = SkipList(seed=0)
-        random_height = skiplist._random_height
-
-        def twin_lands_first():
-            skiplist._random_height = random_height
-            assert skiplist.insert("k", "twin")
-            return random_height()
-        skiplist._random_height = twin_lands_first
-        assert not skiplist.insert("k", "late")
-        assert list(skiplist.items()) == [("k", "twin")]
-        assert len(skiplist) == 1
-
-    def test_concurrent_inserts_distinct_keys(self):
-        skiplist = SkipList(seed=0)
-        errors = []
-
-        def worker(base):
-            try:
-                for index in range(200):
-                    skiplist.insert(base * 1000 + index, index)
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(t,))
-                   for t in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
-        assert len(skiplist) == 800
-        keys = list(skiplist.keys())
-        assert keys == sorted(keys)
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.integers(-1000, 1000), unique=True, max_size=80))
-    def test_ordering_property(self, keys):
-        skiplist = SkipList(seed=7)
-        for key in keys:
-            skiplist.insert(key, None)
-        assert list(skiplist.keys()) == sorted(keys)
 
 
 class TestTimeSeriesIndex:
     def test_put_and_latest(self):
-        index = TimeSeriesIndex(seed=0)
+        index = TimeSeriesIndex()
         index.put("u1", 100, "row-a")
         index.put("u1", 300, "row-c")
         index.put("u1", 200, "row-b")
@@ -129,26 +20,26 @@ class TestTimeSeriesIndex:
         assert index.latest("missing") is None
 
     def test_scan_newest_first(self):
-        index = TimeSeriesIndex(seed=0)
+        index = TimeSeriesIndex()
         for ts in (10, 30, 20, 40):
             index.put("k", ts, ts)
         assert [ts for ts, _ in index.scan("k")] == [40, 30, 20, 10]
 
     def test_scan_bounds_inclusive(self):
-        index = TimeSeriesIndex(seed=0)
+        index = TimeSeriesIndex()
         for ts in range(10, 60, 10):
             index.put("k", ts, ts)
         result = [ts for ts, _ in index.scan("k", start_ts=40, end_ts=20)]
         assert result == [40, 30, 20]
 
     def test_scan_limit(self):
-        index = TimeSeriesIndex(seed=0)
+        index = TimeSeriesIndex()
         for ts in range(100):
             index.put("k", ts, ts)
         assert len(list(index.scan("k", limit=7))) == 7
 
     def test_duplicate_timestamps_kept(self):
-        index = TimeSeriesIndex(seed=0)
+        index = TimeSeriesIndex()
         index.put("k", 5, "first")
         index.put("k", 5, "second")
         rows = [row for _ts, row in index.scan("k")]
@@ -156,20 +47,20 @@ class TestTimeSeriesIndex:
         assert len(index) == 2
 
     def test_out_of_order_insert_keeps_order(self):
-        index = TimeSeriesIndex(seed=0)
+        index = TimeSeriesIndex()
         for ts in (50, 10, 40, 20, 30):
             index.put("k", ts, ts)
         assert [ts for ts, _ in index.scan("k")] == [50, 40, 30, 20, 10]
 
     def test_scan_all_covers_every_key(self):
-        index = TimeSeriesIndex(seed=0)
+        index = TimeSeriesIndex()
         index.put("a", 1, "x")
         index.put("b", 2, "y")
         assert sorted(key for key, _ts, _row in index.scan_all()) \
             == ["a", "b"]
 
     def test_key_count(self):
-        index = TimeSeriesIndex(seed=0)
+        index = TimeSeriesIndex()
         for key in ("a", "b", "a"):
             index.put(key, 1, None)
         assert index.key_count == 2
@@ -177,7 +68,7 @@ class TestTimeSeriesIndex:
 
 class TestTTLEviction:
     def _filled(self, spec):
-        index = TimeSeriesIndex(ttl=spec, seed=0)
+        index = TimeSeriesIndex(ttl=spec)
         for ts in range(10):
             index.put("k", ts * 100, ts)
         return index
@@ -222,7 +113,7 @@ class TestTTLEviction:
 
     def test_eviction_only_touches_expired_keys(self):
         index = TimeSeriesIndex(
-            ttl=TTLSpec(kind=TTLKind.ABSOLUTE, abs_ttl_ms=100), seed=0)
+            ttl=TTLSpec(kind=TTLKind.ABSOLUTE, abs_ttl_ms=100))
         index.put("old", 0, "o")
         index.put("new", 990, "n")
         assert index.evict(now_ts=1000) == 1
@@ -235,7 +126,7 @@ class TestTTLEviction:
                 min_size=1, max_size=120))
 def test_scan_matches_sorted_reference(puts):
     """Property: a scan equals the sorted reference implementation."""
-    index = TimeSeriesIndex(seed=0)
+    index = TimeSeriesIndex()
     reference = {}
     for key, ts in puts:
         index.put(key, ts, (key, ts))
@@ -306,7 +197,7 @@ def test_index_matches_sorted_list_model(ops, ttl, block_rows,
 
 def _run_model(ops, ttl, block_rows):
     spec = ttl or TTLSpec()
-    index = TimeSeriesIndex(ttl=spec, seed=0)
+    index = TimeSeriesIndex(ttl=spec)
     model = {}  # key → [(ts, row)] newest-first
     serial = 0
     for op in ops:
@@ -356,8 +247,10 @@ def _run_model(ops, ttl, block_rows):
             after = sum(len(held) for held in model.values())
             assert index.evict(op[1]) == before - after
         assert len(index) == sum(len(held) for held in model.values())
-    assert [(key, ts, row) for key, ts, row in index.scan_all()] == [
-        (key, ts, row) for key in sorted(model) for ts, row in model[key]]
+    swept = {}
+    for key, ts, row in index.scan_all():
+        swept.setdefault(key, []).append((ts, row))
+    assert swept == {key: held for key, held in model.items() if held}
     for _key, time_list in index._keys.items():
         # The spans lead the sealed history, and ``_spans`` counts them.
         assert [isinstance(unit, SealedSpan) for unit in time_list._sealed] \
