@@ -183,6 +183,29 @@ def closed_loop(clients: int, iters: int,
     ``errors`` — a partial run must fail loudly, not masquerade as a
     fast one (benchmarks assert ``not result.timed_out``).
     """
+    return _notify_observers(_run_clients(
+        "closed_loop", clients, iters, call, setup=setup,
+        teardown=teardown, join_timeout=join_timeout))
+
+
+def _run_clients(driver: str, clients: int, iters: int,
+                 call: Callable[[Any, int], Any], *,
+                 setup: Optional[Callable[[int], Any]],
+                 teardown: Optional[Callable[[Any], Any]],
+                 join_timeout: float,
+                 schedule: Optional[Callable[[int, int], float]] = None
+                 ) -> ClosedLoopResult:
+    """The body of both load drivers (:func:`closed_loop` and
+    ``paced_loop``): ``clients`` threads of ``iters`` calls each, with the
+    setup, barrier, straggler and wall-clock rules :func:`closed_loop`
+    documents.
+
+    ``schedule(cid, index)``, when given, is the seconds after the
+    client's barrier release at which its call ``index`` is due: the
+    client sleeps until then, never skips a late call, and the call's
+    latency runs from when it was due.  Without a schedule a call's
+    latency runs from its actual start.
+    """
     barrier = threading.Barrier(clients)
     latencies: List[float] = []
     errors: List[BaseException] = []
@@ -207,10 +230,16 @@ def closed_loop(clients: int, iters: int,
                 barrier.wait()
             except threading.BrokenBarrierError:
                 return  # a sibling's setup failed; nothing to measure
+            base = time.perf_counter()
             with lock:
-                release_times.append(time.perf_counter())
+                release_times.append(base)
             for index in range(iters):
                 begin = time.perf_counter()
+                if schedule is not None:
+                    due = base + schedule(cid, index)
+                    if begin < due:
+                        time.sleep(due - begin)
+                    begin = due
                 try:
                     call(context, index)
                 except Exception as exc:
@@ -241,7 +270,7 @@ def closed_loop(clients: int, iters: int,
     stragglers = [thread for thread in threads if thread.is_alive()]
     if stragglers:
         errors.append(TimeoutError(
-            f"closed_loop: {len(stragglers)}/{clients} client thread(s) "
+            f"{driver}: {len(stragglers)}/{clients} client thread(s) "
             f"still running after join_timeout={join_timeout}s; "
             "latencies are partial"))
     # Wall clock of the *measured* region: barrier release to the last
@@ -250,10 +279,10 @@ def closed_loop(clients: int, iters: int,
     with lock:
         started = min(release_times) if release_times else wall_start
         ended = max(finish_times) if finish_times else time.perf_counter()
-    return _notify_observers(ClosedLoopResult(
+    return ClosedLoopResult(
         wall_seconds=max(ended - started, 0.0),
         latencies=latencies, errors=errors,
-        timed_out=bool(stragglers)))
+        timed_out=bool(stragglers))
 
 
 def speedup(baseline_seconds: float, optimized_seconds: float) -> float:

@@ -30,11 +30,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import threading
-import time
 from typing import Any, Callable, List, Optional
 
-from .harness import LatencyStats, _notify_observers
+from .harness import LatencyStats, _notify_observers, _run_clients
 
 __all__ = ["PacedResult", "paced_loop", "SLOStep", "SLOReport",
            "slo_search"]
@@ -102,81 +100,14 @@ def paced_loop(clients: int, target_qps: float, duration: float,
     per_client_rate = target_qps / clients
     per_client_n = max(1, int(round(duration * per_client_rate)))
     interval = 1.0 / per_client_rate
-
-    barrier = threading.Barrier(clients)
-    latencies: List[float] = []
-    errors: List[BaseException] = []
-    release_times: List[float] = []
-    finish_times: List[float] = []
-    lock = threading.Lock()
-
-    def run(cid: int) -> None:
-        context: Any = cid
-        created = setup is None
-        try:
-            if setup is not None:
-                try:
-                    context = setup(cid)
-                    created = True
-                except Exception as exc:
-                    with lock:
-                        errors.append(exc)
-                    barrier.abort()
-                    return
-            try:
-                barrier.wait()
-            except threading.BrokenBarrierError:
-                return
-            base = time.perf_counter()
-            with lock:
-                release_times.append(base)
-            phase = (cid / clients) * interval
-            for index in range(per_client_n):
-                scheduled = base + phase + index * interval
-                now = time.perf_counter()
-                if now < scheduled:
-                    time.sleep(scheduled - now)
-                try:
-                    call(context, index)
-                except Exception as exc:
-                    with lock:
-                        errors.append(exc)
-                    continue
-                elapsed = time.perf_counter() - scheduled
-                with lock:
-                    latencies.append(elapsed)
-        finally:
-            with lock:
-                finish_times.append(time.perf_counter())
-            if teardown is not None and created:
-                try:
-                    teardown(context)
-                except Exception as exc:
-                    with lock:
-                        errors.append(exc)
-
-    threads = [threading.Thread(target=run, args=(cid,), daemon=True)
-               for cid in range(clients)]
-    wall_start = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    deadline = time.monotonic() + join_timeout
-    for thread in threads:
-        thread.join(timeout=max(deadline - time.monotonic(), 0.0))
-    stragglers = [thread for thread in threads if thread.is_alive()]
-    if stragglers:
-        errors.append(TimeoutError(
-            f"paced_loop: {len(stragglers)}/{clients} client thread(s) "
-            f"still running after join_timeout={join_timeout}s; "
-            "latencies are partial"))
-    with lock:
-        started = min(release_times) if release_times else wall_start
-        ended = max(finish_times) if finish_times else time.perf_counter()
+    run = _run_clients(
+        "paced_loop", clients, per_client_n, call, setup=setup,
+        teardown=teardown, join_timeout=join_timeout,
+        schedule=lambda cid, index: (index + cid / clients) * interval)
     return _notify_observers(PacedResult(
         target_qps=target_qps, offered=clients * per_client_n,
-        latencies=latencies, errors=errors,
-        wall_seconds=max(ended - started, 0.0),
-        timed_out=bool(stragglers)))
+        latencies=run.latencies, errors=run.errors,
+        wall_seconds=run.wall_seconds, timed_out=run.timed_out))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -388,7 +388,7 @@ class OpenMLDB(DeploymentHost):
         replicator worker drives — so incremental window state rebuilds
         to the exact pre-crash answers.
         Explicit LSM flush/compact control frames re-apply in stream
-        order, reconstructing disk tables' SST layout.
+        order, reconstructing disk tables' run layout.
         """
         wal = self.replicator.wal
         if wal is None or self._snapshots is None:
@@ -425,7 +425,7 @@ class OpenMLDB(DeploymentHost):
                     if isinstance(table, DiskTable) \
                             and snapshot.manifest.get("flushes"):
                         # The image's rows had (partly) been flushed to
-                        # SSTs pre-crash; rebuild that residence so the
+                        # runs pre-crash; rebuild that residence so the
                         # memtable only holds the post-snapshot tail.
                         table.flush()
                 for frame in wal.replay(0):

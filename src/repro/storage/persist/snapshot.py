@@ -9,7 +9,7 @@ past its ``applied_offset``.  The store keeps that contract honest:
   ``os.replace`` — readers never observe a half-written image;
 * each image records the binlog ``applied_offset`` it covers plus an
   optional JSON manifest (the LSM flush/compaction bookkeeping a
-  :class:`~repro.storage.disk.DiskTable` needs to rebuild its SST
+  :class:`~repro.storage.disk.DiskTable` needs to rebuild its run
   layout);
 * retention keeps the newest ``retain`` snapshots per table and deletes
   the rest, so the directory stays bounded across cadenced snapshots;

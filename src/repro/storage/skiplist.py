@@ -52,7 +52,7 @@ __all__ = ["BLOCK_ROWS", "ColumnBlock", "SealedBlock", "SealedSpan",
            "SPAN_BLOCKS", "TimeSeriesIndex"]
 
 #: Tuples per sealed block: once a key's hot tail holds more, its oldest
-#: ``BLOCK_ROWS`` are sealed.  Disk-backed scans chunk by it too.
+#: ``BLOCK_ROWS`` are sealed.
 BLOCK_ROWS = 256
 
 #: Sealed blocks per span: once a key holds this many blocks outside a
@@ -96,7 +96,7 @@ class ColumnBlock:
     def from_pairs(cls, pairs_newest_first: Sequence[Tuple[int, Any]],
                    width: int) -> "ColumnBlock":
         """Build a block from newest-first ``(ts, row)`` pairs whose rows
-        all have ``width`` values (disk-backed and merged reads)."""
+        all have ``width`` values (merged reads)."""
         oldest_first = pairs_newest_first[::-1]
         return cls(array("q", [ts for ts, _row in oldest_first]),
                    list(chain.from_iterable(
@@ -464,6 +464,10 @@ class TimeSeriesIndex:
     def __len__(self) -> int:
         """Tuples held — O(keys): summed over the per-key columns."""
         return sum(map(len, self._keys.copy().values()))
+
+    def __contains__(self, key: Any) -> bool:
+        """Whether ``key`` has a time list here (an exact lookup)."""
+        return key in self._keys
 
     @property
     def key_count(self) -> int:

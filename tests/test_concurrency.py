@@ -14,6 +14,7 @@ from repro.cluster import (FaultInjector, NameServer, RetryPolicy,
 from repro.errors import OpenMLDBError, StorageError
 from repro.obs import Observability
 from repro.schema import IndexDef, Schema, TTLKind, TTLSpec
+from repro.storage.disk import DiskTable
 from repro.storage.memtable import MemTable
 from repro.sql.compiler import compile_plan
 from repro.sql.parser import parse_select
@@ -521,6 +522,37 @@ class TestTTLEvictionRaces:
         for thread in threads:
             thread.join(timeout=10)
         assert not errors
+
+
+class TestDiskFlushRaces:
+    def test_read_racing_flushes_sees_each_row_once(self):
+        """Reads of one key while its rows are inserted and flushed every
+        7 rows: each read is a prefix of the inserted rows, each row once
+        (a read between a flush's runs and its fresh memtable used to see
+        the flushed rows in both)."""
+        schema = Schema.from_pairs([
+            ("k", "string"), ("ts", "timestamp"), ("v", "int")])
+        table = DiskTable("t", schema, [IndexDef(("k",), "ts")],
+                          flush_threshold=7)
+        done = threading.Event()
+        reads = []
+
+        def writer():
+            for ts in range(3_000):
+                table.insert(("a", ts, ts))
+            done.set()
+
+        def reader():
+            while not done.is_set():
+                reads.append([ts for ts, _row in table.window_scan(
+                    ("k",), "ts", "a")][::-1])
+
+        _race([threading.Thread(target=writer),
+               threading.Thread(target=reader)])
+        assert reads and table.flushes == 3_000 // 7
+        bad = [read for read in reads if read != list(range(len(read)))]
+        assert not bad, (f"{len(bad)}/{len(reads)} reads are not the "
+                         f"inserted rows' prefix, each once")
 
 
 class TestClusterWriteRaces:

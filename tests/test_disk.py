@@ -1,10 +1,11 @@
 """Tests for the LSM on-disk engine (paper Section 7.3)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.schema import IndexDef, Schema, TTLKind, TTLSpec
-from repro.storage import skiplist
-from repro.storage.disk import ColumnFamily, DiskTable, SSTable
+from repro.storage import disk as disk_module, skiplist
+from repro.storage.disk import DiskTable
 from repro.storage.memtable import MemTable
 
 
@@ -12,53 +13,6 @@ from repro.storage.memtable import MemTable
 def disk_table(events_schema, events_index):
     return DiskTable("events", events_schema, [events_index],
                      flush_threshold=10)
-
-
-class TestSSTable:
-    def test_scan_key_newest_first(self):
-        entries = [("a", -10, 0, ("a", 10)), ("a", -30, 1, ("a", 30)),
-                   ("b", -5, 2, ("b", 5))]
-        sstable = SSTable(entries)
-        assert [ts for ts, _ in sstable.scan_key("a")] == [30, 10]
-        assert [ts for ts, _ in sstable.scan_key("b")] == [5]
-        assert list(sstable.scan_key("zzz")) == []
-
-
-class TestColumnFamily:
-    def _family(self, ttl=TTLSpec()):
-        index = IndexDef(("key",), "ts", ttl=ttl)
-        return ColumnFamily(index)
-
-    def test_merge_across_runs(self):
-        family = self._family()
-        family.add_sstable(SSTable([("a", -10, 0, "r10")]))
-        family.add_sstable(SSTable([("a", -20, 1, "r20")]))
-        assert [ts for ts, _ in family.scan_key("a")] == [20, 10]
-
-    def test_compaction_merges_to_one_run(self):
-        family = self._family()
-        family.add_sstable(SSTable([("a", -10, 0, "x")]))
-        family.add_sstable(SSTable([("a", -20, 1, "y")]))
-        evicted = family.compact(now_ts=100)
-        assert evicted == 0
-        assert len(family.sstables) == 1
-        assert family.compactions == 1
-
-    def test_compaction_applies_absolute_ttl(self):
-        family = self._family(TTLSpec(kind=TTLKind.ABSOLUTE, abs_ttl_ms=50))
-        family.add_sstable(SSTable([
-            ("a", -10, 0, "old"), ("a", -90, 1, "new")]))
-        evicted = family.compact(now_ts=100)
-        assert evicted == 1
-        assert [ts for ts, _ in family.scan_key("a")] == [90]
-
-    def test_compaction_applies_latest_ttl(self):
-        family = self._family(TTLSpec(kind=TTLKind.LATEST, lat_ttl=2))
-        family.add_sstable(SSTable([
-            ("a", -ts, ts, f"r{ts}") for ts in (10, 20, 30, 40)]))
-        evicted = family.compact(now_ts=1000)
-        assert evicted == 2
-        assert [ts for ts, _ in family.scan_key("a")] == [40, 30]
 
 
 class TestDiskTable:
@@ -89,7 +43,7 @@ class TestDiskTable:
         assert len(limited) == 2
 
     def test_limit_zero_and_bounds_across_memtable_and_sst(
-            self, disk_table, monkeypatch):
+            self, disk_table):
         """``limit=0`` reads nothing (the scan used to yield a row before
         it checked), and the bounds hold on the unflushed side too, which
         is now bisected instead of copied whole and filtered."""
@@ -107,15 +61,14 @@ class TestDiskTable:
         assert [ts for ts, _ in disk_table.window_scan(
             *scan, start_ts=125, limit=3)] == [120, 110, 100]
         # Blocks are the memtable's type: pairs newest-first, columns
-        # oldest → newest, ``BLOCK_ROWS`` (here 2) to a block.
-        monkeypatch.setattr(skiplist, "BLOCK_ROWS", 2)
+        # oldest → newest.
         blocks = list(disk_table.window_scan_blocks(
             *scan, start_ts=120, end_ts=80))
-        assert [len(block) for block in blocks] == [2, 2, 1]
         assert [pair for block in blocks for pair in block] == list(
             disk_table.window_scan(*scan, start_ts=120, end_ts=80))
-        assert [block.column(2) for block in blocks] == [
-            [110.0, 120.0], [90.0, 100.0], [80.0]]
+        assert [value for block in reversed(blocks)
+                for value in block.column(2)] == [
+            80.0, 90.0, 100.0, 110.0, 120.0]
 
     def test_compact_evicts_by_ttl(self, events_schema):
         ttl = TTLSpec(kind=TTLKind.ABSOLUTE, abs_ttl_ms=100)
@@ -221,10 +174,9 @@ class TestDiskTable:
         assert len(by_key) == 1 and len(by_label) == 1
 
     def test_null_keys_order_first_through_flush_and_compact(self):
-        """A NULL partition key is a key on disk too: SST sorts, bloom
-        key lists and key bisects order None before any value, inside
-        composite keys element by element, and every key's scan equals
-        a memory table's through flushes and a compaction."""
+        """A NULL partition key is a key on disk too, inside composite
+        keys as well: every key's scan equals a memory table's through
+        flushes and a compaction."""
         schema = Schema.from_pairs([("k", "bigint"), ("g", "string"),
                                     ("ts", "timestamp"), ("v", "int")])
         indexes = [IndexDef(("k",), "ts"), IndexDef(("k", "g"), "ts")]
@@ -249,3 +201,115 @@ class TestDiskTable:
         assert disk.sstable_count() == len(indexes)
         assert scans(disk) == expected
 
+    def test_point_reads_skip_irrelevant_runs(self):
+        schema = Schema.from_pairs([
+            ("k", "string"), ("ts", "timestamp"), ("v", "double")])
+        table = DiskTable("t", schema, [IndexDef(("k",), "ts")],
+                          flush_threshold=10)
+        # Two flushed runs with disjoint key populations.
+        for index in range(10):
+            table.insert((f"alpha{index}", index, 0.0))
+        for index in range(10):
+            table.insert((f"beta{index}", index, 0.0))
+        assert table.flushes == 2
+        before = table.disk_reads
+        list(table.window_scan(("k",), "ts", "alpha3"))
+        # Only the alpha run holds the key; the beta run is not read.
+        assert table.disk_reads == before + 1
+
+    def test_results_identical_across_runs(self):
+        schema = Schema.from_pairs([
+            ("k", "string"), ("ts", "timestamp"), ("v", "double")])
+        table = DiskTable("t", schema, [IndexDef(("k",), "ts")],
+                          flush_threshold=5)
+        for index in range(25):
+            table.insert((f"k{index % 4}", index, float(index)))
+        scanned = [ts for ts, _ in table.window_scan(("k",), "ts", "k1")]
+        assert scanned == sorted(
+            (index for index in range(25) if index % 4 == 1),
+            reverse=True)
+
+    def test_read_racing_a_flush_sees_each_row_once(self, monkeypatch):
+        """A read that lands after a flush has published the memtable's
+        rows as runs but before the fresh memtable replaces the old one
+        must not see those rows twice."""
+        schema = Schema.from_pairs([
+            ("k", "string"), ("ts", "timestamp"), ("v", "int")])
+        table = DiskTable("t", schema, [IndexDef(("k",), "ts")],
+                          flush_threshold=100)
+        for ts in range(5):
+            table.insert(("a", ts, ts))
+        reads = []
+
+        class ReadingMemTable(MemTable):
+            def __init__(self, *args, **kwargs):
+                reads.append([ts for ts, _row in table.window_scan(
+                    ("k",), "ts", "a")])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(disk_module, "MemTable", ReadingMemTable)
+        table.flush()
+        assert reads == [[4, 3, 2, 1, 0]]
+        assert [ts for ts, _row in table.window_scan(("k",), "ts", "a")] \
+            == [4, 3, 2, 1, 0]
+
+
+_KEYS = (None, 1, 2)
+_GROUPS = (None, "a")
+# Few timestamps, so (key, ts) pairs repeat, often across a flush.
+_row = st.tuples(st.sampled_from(_KEYS), st.sampled_from(_GROUPS),
+                 st.integers(0, 12), st.integers(0, 9))
+_ops = st.lists(st.one_of(
+    _row.map(lambda row: ("row", row)),
+    st.just(("flush", None)),
+    st.integers(0, 20).map(lambda now: ("compact", now))), max_size=60)
+_ttls = st.builds(TTLSpec, kind=st.sampled_from(TTLKind),
+                  abs_ttl_ms=st.integers(0, 10), lat_ttl=st.integers(0, 4))
+_bound = st.one_of(st.none(), st.integers(-1, 13))
+_reads = st.lists(st.tuples(_bound, _bound, st.one_of(
+    st.none(), st.integers(0, 6))), min_size=1, max_size=6)
+
+
+class TestDiskMatchesMemory:
+    """A disk table reads like a memory table that evicts where the disk
+    table flushes and compacts: the same rows, newest first, equal
+    timestamps latest arrival first, under every TTL kind."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=_ops, ttl=_ttls, threshold=st.integers(1, 8), reads=_reads)
+    def test_scans_and_lookups_match(self, ops, ttl, threshold, reads):
+        schema = Schema.from_pairs([("k", "bigint"), ("g", "string"),
+                                    ("ts", "timestamp"), ("v", "int")])
+        indexes = [IndexDef(("k",), "ts", ttl=ttl),
+                   IndexDef(("k", "g"), "ts", ttl=ttl)]
+        keys = {("k",): _KEYS,
+                ("k", "g"): [(k, g) for k in _KEYS for g in _GROUPS]}
+
+        def answers(table):
+            return [(cols, key, start_ts, end_ts, limit,
+                     list(table.window_scan(cols, "ts", key,
+                                            start_ts=start_ts,
+                                            end_ts=end_ts, limit=limit)),
+                     table.last_join_lookup(cols, key, before_ts=start_ts))
+                    for cols, values in keys.items() for key in values
+                    for start_ts, end_ts, limit in reads]
+
+        # Small blocks and spans, so runs hold sealed ones and late rows
+        # and TTL cuts rebuild them.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(skiplist, "BLOCK_ROWS", 2)
+            patch.setattr(skiplist, "SPAN_BLOCKS", 2)
+            disk = DiskTable("d", schema, indexes, flush_threshold=threshold)
+            memory = MemTable("m", schema, indexes)
+            for op, arg in ops:
+                if op == "row":
+                    disk.insert(arg)
+                    memory.insert(arg)
+                elif op == "flush":
+                    disk.flush()
+                else:
+                    disk.flush()
+                    disk.compact(arg)
+                    memory.evict_expired(arg)
+                    assert disk.sstable_count() <= len(indexes)
+                assert answers(disk) == answers(memory)
