@@ -10,7 +10,7 @@ import pathlib
 
 from repro import OpenMLDB
 from repro.online.engine import OnlineEngine
-from repro.storage.skiplist import ColumnBlock
+from repro.storage.skiplist import PackedBlock
 from repro.workloads.microbench import (MicroBenchConfig, build_feature_sql,
                                         generate)
 
@@ -91,9 +91,9 @@ def openmldb_for_config(config: MicroBenchConfig, request_count=80):
 
 class _WithoutSummaries:
     """A table as a fold with no block summaries sees it: scans hand out
-    sealed blocks and spans as plain column blocks over the same cells,
-    so the fold reads every value.  A test-side view, not a production
-    switch."""
+    sealed blocks and spans as plain (not sealed) blocks over the same
+    packed columns, so the fold reads every value.  A test-side view,
+    not a production switch."""
 
     def __init__(self, table):
         self._table = table
@@ -102,7 +102,7 @@ class _WithoutSummaries:
         return getattr(self._table, name)
 
     def window_scan_blocks(self, *args, **kwargs):
-        return [ColumnBlock(part._ts, part._cells, part._width)
+        return [PackedBlock(part._ts, part._columns, part._width)
                 if part.sealed else part
                 for block in self._table.window_scan_blocks(*args, **kwargs)
                 for part in getattr(block, "blocks", (block,))]

@@ -4,25 +4,32 @@ The first level maps each **key** (e.g. user id) to a second level
 holding all tuples for that key *pre-ranked by timestamp*.  The paper's
 first level is a lock-free skiplist; no query here reads keys in key
 order, so it is a ``dict``.  The second level is stored as columns
-(:class:`_TimeList`): sealed immutable :class:`ColumnBlock` s of
+(:class:`_TimeList`): sealed immutable :class:`SealedBlock` s of
 ``BLOCK_ROWS`` tuples, grouped ``SPAN_BLOCKS`` at a time into
 :class:`SealedSpan` s, then a hot tail of one ``array('q')`` of ascending
 timestamps plus the rows' values in one flat row-major list, rather than
 the paper's linked nodes — it keeps every property Section 7.2 relies on
-and drops the per-tuple node, pointer cells and pointer hops:
+and drops the per-tuple node, pointer cells and pointer hops.  A sealed
+block holds each column once, packed (:func:`_packed`): a column equal
+to the block's timestamps *is* its ``array('q')`` of stamps, an all-int
+column the narrowest ``array`` that holds it (1–8 bytes a value), an
+all-float column an ``array('d')``, anything else a tuple — so a key's
+sealed history costs a few bytes a value beside the row tuples, not a
+pointer a cell:
 
 * ``LAST JOIN`` — the most recent tuple for a key is the end of the
   tail, O(1) once the key's time list is found.
 * ``PARTITION BY key ORDER BY ts ROWS BETWEEN ... PRECEDING`` — a window
   is the run between two integer bisects (O(log n) seek), handed out as
-  newest-first :class:`ColumnBlock` s whose *columns* are strided C-level
-  slices, which is what the window fold reduces.  Spans and sealed
+  newest-first :class:`ColumnBlock` s whose *columns* are C-level slices
+  (strided over the tail's cells, plain over a sealed block's packed
+  columns), which is what the window fold reduces.  Spans and sealed
   blocks the run covers whole go out by reference, with their memoized
   reductions: the two summary levels are Section 5.1's multi-level
   pre-aggregation, kept by storage itself, so a long window folds a few
   dozen summaries and two edges however many rows it holds.
 * In-order arrival (the stream case) is an O(1) ``append`` + ``extend``;
-  a late tuple is a bisect plus one slice assignment, or a rebuilt copy
+  a late tuple is a bisect plus one slice assignment, or a repacked copy
   of the sealed block it lands in (and of the span holding that block).
 * Out-of-date data removal (TTL): expired tuples are a prefix of the
   key's history, so eviction drops whole blocks and cuts at most one.
@@ -48,8 +55,8 @@ from typing import (Any, Callable, Dict, Iterable, Iterator, List,
 from ..errors import StorageError
 from ..schema import TTLKind, TTLSpec
 
-__all__ = ["BLOCK_ROWS", "ColumnBlock", "SealedBlock", "SealedSpan",
-           "SPAN_BLOCKS", "TimeSeriesIndex"]
+__all__ = ["BLOCK_ROWS", "ColumnBlock", "PackedBlock", "SealedBlock",
+           "SealedSpan", "SPAN_BLOCKS", "TimeSeriesIndex"]
 
 #: Tuples per sealed block: once a key's hot tail holds more, its oldest
 #: ``BLOCK_ROWS`` are sealed.
@@ -60,17 +67,41 @@ BLOCK_ROWS = 256
 SPAN_BLOCKS = 16
 
 
+def _packed(values: List[Any], stamps: "array[int]") -> Sequence[Any]:
+    """One sealed column, stored once and never changed, in the
+    narrowest form that gives every value back exactly, type included:
+    ``stamps`` itself when the values are those ints, an ``array`` of
+    the narrowest signed code that takes an all-``int`` column (``array``
+    raises ``OverflowError`` on a value a code cannot hold), an
+    ``array('d')`` for an all-``float`` one, else a tuple (NULLs,
+    strings, bools, dates, mixed types, ints past 64 bits)."""
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is float:
+        return array("d", values)
+    if kind is int:
+        if values[0] == stamps[0] and values == stamps.tolist():
+            return stamps
+        for code in "bhiq":
+            try:
+                return array(code, values)
+            except OverflowError:
+                pass
+    return tuple(values)
+
+
 class ColumnBlock:
     """A run of one key's tuples, held column-sliceable.
 
     What every ``window_scan_blocks`` hands out: a private copy (sliced
     under the per-key lock, or built from rows by a caller) or a shared
     :class:`SealedBlock`, so nothing a reader does can race a writer;
-    every accessor returns a fresh list.  Inside, it keeps the storage
+    every accessor returns a fresh list.  This class keeps the tail's
     layout — timestamps ascending in an ``array('q')`` and the rows'
     values in one flat row-major list — so :meth:`column` is a single
     strided C-level slice, oldest → newest, which is the order float sums
-    and ``Counter`` insertion must run in.
+    and ``Counter`` insertion must run in; :class:`PackedBlock` keeps a
+    sealed block's.
 
     Row-walking consumers see the same thing as before: ``len()`` is the
     row count and iteration yields ``(ts, row)`` pairs **newest-first**.
@@ -142,25 +173,74 @@ class ColumnBlock:
                            self._width)
 
 
-class SealedBlock(ColumnBlock):
+class PackedBlock(ColumnBlock):
+    """A run held as one column per value position (``width`` None: one
+    column of payloads), each a :func:`_packed` form — a sealed block's
+    layout, and a slice of one.  The columns are shared and never
+    changed: :meth:`column` copies one into a fresh list, :meth:`rows`
+    zips them back into tuples.  (The inherited ``_cells`` stays unset.)"""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, ts: "array[int]", columns: Sequence[Sequence[Any]],
+                 width: Optional[int]) -> None:
+        self._ts = ts
+        self._columns = columns
+        self._width = width
+
+    def rows(self) -> List[Any]:
+        if self._width is None:
+            return list(self._columns[0])
+        return list(zip(*self._columns))
+
+    def _values(self, position: int) -> Sequence[Any]:
+        """One column as held: shared, so never to be changed."""
+        return self._columns[position]
+
+    def column(self, position: int) -> List[Any]:
+        values = self._values(position)
+        return values.tolist() if type(values) is array else list(values)
+
+    def part(self, lo: int, hi: int) -> "PackedBlock":
+        """Tuples ``lo`` up to ``hi`` as a block of their own."""
+        return PackedBlock(self._ts[lo:hi],
+                           tuple(values[lo:hi] for values in self._columns),
+                           self._width)
+
+    def newest(self, count: int) -> "PackedBlock":
+        size = len(self._ts)
+        return self.part(size - count, size)
+
+
+class SealedBlock(PackedBlock):
     """A sealed run of a key's history: never changed once published, so
     every reader shares it, and it remembers what folds compute on it."""
 
     __slots__ = ("_memo",)
     sealed = True
 
-    def __init__(self, ts: "array[int]", cells: List[Any],
+    def __init__(self, ts: "array[int]", columns: Sequence[Sequence[Any]],
                  width: Optional[int]) -> None:
-        super().__init__(ts, cells, width)
+        super().__init__(ts, columns, width)
         self._memo: Dict[Any, Any] = {}
 
+    @classmethod
+    def of_cells(cls, ts: "array[int]", cells: List[Any],
+                 width: Optional[int]) -> "SealedBlock":
+        """Seal tuples given in the tail's layout (``cells`` row-major,
+        ``width`` values a tuple), packing each column."""
+        stride = width or 1
+        return cls(ts, tuple(_packed(cells[position::stride], ts)
+                             for position in range(stride)), width)
+
     def summary(self, position: int,
-                reduce: Callable[[List[Any]], Any]) -> Any:
-        """``reduce(self.column(position))``, computed once.  A reduction
-        that declines (None) is answered with the column."""
+                reduce: Callable[[Sequence[Any]], Any]) -> Any:
+        """``reduce`` over the column as held (a packed ``array``, a
+        tuple, a span's list), computed once.  A reduction that declines
+        (None) is answered with the column."""
         memo, key = self._memo, (position, reduce)
         if key not in memo:
-            memo[key] = reduce(self.column(position))
+            memo[key] = reduce(self._values(position))
         found = memo[key]
         return self.column(position) if found is None else found
 
@@ -169,7 +249,7 @@ class SealedSpan(SealedBlock):
     """Consecutive sealed blocks of one key (``SPAN_BLOCKS`` of them
     until a TTL cut or a late row rebuilds it), the summary level above
     them: a scan that covers the span whole hands it out as one block
-    and the fold reads its memoized summaries.  The rows stay in the
+    and the fold reads its memoized summaries.  The values stay in the
     blocks; the span keeps only their timestamps, end to end."""
 
     __slots__ = ("blocks",)
@@ -178,21 +258,25 @@ class SealedSpan(SealedBlock):
         stamps = array("q")
         for block in blocks:
             stamps.extend(block._ts)
-        super().__init__(stamps, None, blocks[0]._width)
+        super().__init__(stamps, (), blocks[0]._width)
         self.blocks = tuple(blocks)
 
     def rows(self) -> List[Any]:
         return [row for block in self.blocks for row in block.rows()]
 
-    def column(self, position: int) -> List[Any]:
+    def _values(self, position: int) -> List[Any]:
         values: List[Any] = []
         for block in self.blocks:
-            values += block.column(position)
+            values += block._values(position)
         return values
 
-    def newest(self, count: int) -> ColumnBlock:
-        cells = [cell for block in self.blocks for cell in block._cells]
-        return ColumnBlock(self._ts, cells, self._width).newest(count)
+    def column(self, position: int) -> List[Any]:
+        return self._values(position)
+
+    def part(self, lo: int, hi: int) -> PackedBlock:
+        return PackedBlock(self._ts, tuple(
+            self._values(position) for position in range(self._width or 1)),
+            self._width).part(lo, hi)
 
 
 def _first_block_past(blocks: List[ColumnBlock], ts: int, edge: int) -> int:
@@ -218,22 +302,25 @@ def _place(stamps: "array[int]", cells: List[Any], ts: int,
 
 def _with_late_row(block: SealedBlock, ts: int,
                    row: Sequence[Any]) -> List[SealedBlock]:
-    """A rebuilt copy of ``block`` holding one more tuple, split in two
+    """A repacked copy of ``block`` holding one more tuple, split in two
     past ``2 * BLOCK_ROWS``."""
-    stamps, cells, stride = block._ts[:], block._cells[:], len(row)
+    stamps, stride = block._ts[:], len(row)
+    cells = list(chain.from_iterable(zip(*block._columns)))
     _place(stamps, cells, ts, row)
     size = len(stamps)
     half = size // 2 if size > 2 * BLOCK_ROWS else size
-    return [SealedBlock(stamps[lo:hi], cells[lo * stride:hi * stride],
-                        block._width)
+    return [SealedBlock.of_cells(stamps[lo:hi],
+                                 cells[lo * stride:hi * stride], block._width)
             for lo, hi in ((0, half), (half, size)) if lo < hi]
 
 
 def _without_oldest(block: SealedBlock, count: int) -> SealedBlock:
-    """A rebuilt copy of ``block`` without its ``count`` oldest tuples."""
-    return SealedBlock(block._ts[count:],
-                       block._cells[count * (block._width or 1):],
-                       block._width)
+    """A copy of ``block`` without its ``count`` oldest tuples (a
+    timestamp column stays the copy's own stamps)."""
+    stamps = block._ts[count:]
+    return SealedBlock(stamps, tuple(
+        stamps if values is block._ts else values[count:]
+        for values in block._columns), block._width)
 
 
 class _TimeList:
@@ -247,12 +334,13 @@ class _TimeList:
     values in one flat row-major list, ``width`` values per tuple
     (``width`` None: the payload is opaque and takes one cell).  Past
     ``BLOCK_ROWS`` tuples the tail's oldest ``BLOCK_ROWS`` are sealed,
-    and ``SPAN_BLOCKS`` blocks outside a span become one.  Among equal
+    each column packed on its own (:meth:`SealedBlock.of_cells`), and
+    ``SPAN_BLOCKS`` blocks outside a span become one.  Among equal
     timestamps later arrivals sit *after* earlier ones, so a
     newest-first read sees the latest arrival first.  A late tuple or a
-    TTL cut replaces a sealed block with a rebuilt one (split in two
-    past ``2 * BLOCK_ROWS``), and the span holding it with a rebuilt
-    span, whose summaries start afresh.
+    TTL cut replaces a sealed block with a rebuilt one (a late tuple
+    repacks it, split in two past ``2 * BLOCK_ROWS``), and the span
+    holding it with a rebuilt span, whose summaries start afresh.
 
     Concurrency: a per-key lock is held around each bisect + slice and
     around each mutation (append, seal, late insert, prefix delete);
@@ -310,8 +398,8 @@ class _TimeList:
                 if not self._sealed:
                     self._sealed = []
                 sealed = self._sealed
-                sealed.append(SealedBlock(stamps[:BLOCK_ROWS], cells[:cut],
-                                          width))
+                sealed.append(SealedBlock.of_cells(stamps[:BLOCK_ROWS],
+                                                   cells[:cut], width))
                 del stamps[:BLOCK_ROWS]
                 del cells[:cut]
                 first = self._spans
@@ -349,7 +437,7 @@ class _TimeList:
             # Oldest first; the walk pops the newest.
             pending = list(sealed) if start_ts is None or not sealed \
                 else sealed[:_first_block_past(sealed, start_ts, 0)]
-            block, stamps, cells = None, self._ts, self._cells
+            block, stamps = None, self._ts
             while True:
                 # A bisect only where a bound cuts this run.
                 hi = len(stamps)
@@ -370,14 +458,15 @@ class _TimeList:
                         blocks.append(block)
                     elif lo < hi:
                         blocks.append(ColumnBlock(
-                            stamps[lo:hi], cells[lo * stride:hi * stride],
-                            width))
+                            stamps[lo:hi],
+                            self._cells[lo * stride:hi * stride], width)
+                            if block is None else block.part(lo, hi))
                     if lo:
                         return blocks  # everything older is out of the run
                 if not pending:
                     return blocks
                 block = pending.pop()
-                stamps, cells = block._ts, block._cells
+                stamps = block._ts
 
     def scan(self, start_ts: Optional[int] = None,
              end_ts: Optional[int] = None,

@@ -41,7 +41,9 @@ tier:
   workloads, a child process loads the workload's preload (same schema,
   same rows, a ``data_dir`` where the workload writes a WAL) through
   ``NameServer.put`` into ``partitions=4, replicas=2`` tables and
-  prints its RSS after the load; it then loads the same rows again under
+  prints its RSS before the load (imports plus the empty tables) and
+  after it, so the traced bytes per row times the rows can be held
+  against the difference; it then loads the same rows again under
   ``tracemalloc`` and prints the ``--top`` source lines by bytes still
   allocated per preload row — the footprint ledger.
 
@@ -389,9 +391,8 @@ def profile_wire(rounds):
 RSS_SEED = 13
 
 
-def load_cluster(spec, preload, data_dir):
-    """perfbench's set-up without the serving stack: its tables, then
-    every preload row through ``NameServer.put``."""
+def empty_cluster(spec, data_dir):
+    """perfbench's set-up without the serving stack: its tables."""
     cluster = NameServer(
         [TabletServer(f"tablet-{index}") for index in range(3)],
         data_dir=data_dir)
@@ -401,15 +402,19 @@ def load_cluster(spec, preload, data_dir):
             Schema.from_pairs([tuple(pair) for pair in table["columns"]]),
             [IndexDef((table["key"],), table["ts"])],
             partitions=4, replicas=2)
-    for name, rows in preload.items():
-        for row in rows:
-            cluster.put(name, tuple(row))
     return cluster
 
 
+def load_preload(cluster, preload):
+    """Every preload row through ``NameServer.put``."""
+    for name, rows in preload.items():
+        for row in rows:
+            cluster.put(name, tuple(row))
+
+
 def load_rss(spec_path, top):
-    """The ``--rss`` child: RSS after one load, then the traced ledger
-    of a second load of the same rows."""
+    """The ``--rss`` child: RSS before and after one load, then the
+    traced ledger of a second load of the same rows."""
     import tracemalloc
     from perfbench.loadgen import process_rss_mb
     with open(spec_path, encoding="utf-8") as handle:
@@ -420,13 +425,18 @@ def load_rss(spec_path, top):
 
     def data_dir(name):
         return os.path.join(spec["work"], name) if spec["durable"] else None
-    cluster = load_cluster(spec, preload, data_dir("untraced"))
-    print(f"=== {spec['workload']}: {rows} rows, RSS "
-          f"{process_rss_mb(os.getpid()):.2f} MB after the load ===")
+    cluster = empty_cluster(spec, data_dir("untraced"))
+    before = process_rss_mb(os.getpid())
+    load_preload(cluster, preload)
+    after = process_rss_mb(os.getpid())
+    print(f"=== {spec['workload']}: {rows} rows, RSS {before:.2f} MB "
+          f"before the load, {after:.2f} MB after "
+          f"({(after - before) * 2 ** 20 / rows:.1f} B per row) ===")
     cluster.close()
     del cluster
     tracemalloc.start(1)
-    cluster = load_cluster(spec, preload, data_dir("traced"))
+    cluster = empty_cluster(spec, data_dir("traced"))
+    load_preload(cluster, preload)
     stats = tracemalloc.take_snapshot().statistics("lineno")
     tracemalloc.stop()
     cluster.close()
