@@ -47,8 +47,8 @@ examples:
 	for script in examples/*.py; do $(PYTHON) $$script || exit 1; done
 
 # Where a request's time goes: cProfile over a canned fig6-style
-# workload.  `--path {incremental,fused}` selects the tier on a
-# local engine; `--path cluster` profiles the served path (3 tablets,
+# workload.  The default `--path fused` profiles the request path on
+# a local engine; `--path cluster` profiles the served path (3 tablets,
 # NameServer.request_batch); `--path scan` the served path on the
 # perfbench scan_heavy shape (long windows, NameServer.request), with
 # the unprofiled read p50 beside the profile; `--path long` Figure 11's

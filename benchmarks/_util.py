@@ -7,6 +7,8 @@ import contextlib
 import gc
 import json
 import pathlib
+import statistics
+import time
 
 from repro import OpenMLDB
 from repro.online.engine import OnlineEngine
@@ -15,7 +17,7 @@ from repro.workloads.microbench import (MicroBenchConfig, build_feature_sql,
                                         generate)
 
 __all__ = ["build_openmldb", "fold_without_summaries", "gc_paused",
-           "openmldb_for_config", "record_bench"]
+           "medians_ms", "openmldb_for_config", "record_bench"]
 
 BENCH_RESULTS_PATH = \
     pathlib.Path(__file__).resolve().parent.parent / "BENCH_online.json"
@@ -70,6 +72,25 @@ def gc_paused():
             gc.enable()
 
 
+def medians_ms(arms, rounds=40, warmup=5):
+    """Median latency in ms of each ``(operation, requests)`` arm.
+
+    The arms are timed round-robin — one request of each arm in turn,
+    ``rounds`` times — so a stall on the box lands on every arm and not
+    on one side of a comparison."""
+    for operation, requests in arms:
+        for row in requests[:warmup]:
+            operation(row)
+    samples = [[] for _ in arms]
+    for index in range(rounds):
+        for (operation, requests), timings in zip(arms, samples):
+            row = requests[index % len(requests)]
+            started = time.perf_counter()
+            operation(row)
+            timings.append((time.perf_counter() - started) * 1_000)
+    return [statistics.median(timings) for timings in samples]
+
+
 def build_openmldb(data, sql, deployment="bench", observability=False):
     """Stand up an OpenMLDB instance loaded with a MicroBench dataset."""
     db = OpenMLDB(observability=observability)
@@ -109,9 +130,9 @@ class _WithoutSummaries:
 
 
 def fold_without_summaries(db, deployment):
-    """The raw scan-fold of one deployment with no summaries and no
-    ingest-time state — the measured "without" arm of figures 10, 11
-    and the IoT workload: ``row → feature tuple``."""
+    """The raw scan-fold of one deployment with no summaries — the
+    measured "without" arm of figures 10, 11, the IoT workload and the
+    fused-fold ablation: ``row → feature tuple``."""
     engine = OnlineEngine({name: _WithoutSummaries(table)
                            for name, table in db.tables.items()})
     compiled = db.deployments[deployment].compiled

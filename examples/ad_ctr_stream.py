@@ -44,7 +44,6 @@ def main() -> None:
     hot = ["cmp000000", "cmp000001"]
 
     def probe(crossed: int, watermark: int) -> None:
-        db.flush_preagg()
         print(f"\nwatermark crossed {crossed} (now {watermark}): "
               "features are complete up to the boundary")
         for row in adctr.probe_rows(hot, crossed):

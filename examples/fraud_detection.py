@@ -12,9 +12,7 @@ Demonstrates:
 
 * a DEPLOY with the ``long_windows`` option, which costs no backfill,
 * the storage fold answering the year window from block and span
-  summaries,
-* the same features, bit for bit, as the plain deployment's ingest-time
-  incremental state,
+  summaries, memoized by the first request that reads them,
 * a new transaction showing up in the very next request.
 
 Run:  python examples/fraud_detection.py
@@ -59,38 +57,31 @@ def main() -> None:
             db.insert("txns", (f"card-{hour % 50}", hour * HOUR_MS,
                                round(rng.uniform(5, 80), 2)))
 
-    # Deploy twice: the plain deployment keeps ingest-time incremental
-    # state for both windows; long_windows leaves the year window to the
-    # storage fold, with no state to backfill.
-    db.deploy("fraud_plain", FEATURE_SQL)
-    long = db.deploy("fraud_long", FEATURE_SQL, long_windows="w_year:1d")
-    print(f"fraud_long keeps ingest-time state for {sorted(long.incrementals)}"
-          f" only; w_year folds storage summaries")
-    db.flush_preagg()
+    # Every window folds storage: the deploy backfills nothing.
+    db.deploy("fraud_long", FEATURE_SQL, long_windows="w_year:1d")
 
     incoming = ("hot-card", 365 * DAY_MS + 1, 999.0)
 
-    def timed(name):
-        db.request(name, incoming)  # warm: summaries are memoized lazily
+    def timed():
         before = db.online_engine.stats.summary_blocks
         started = time.perf_counter()
-        features = db.request(name, incoming)
+        features = db.request("fraud_long", incoming)
         elapsed_ms = (time.perf_counter() - started) * 1_000
         return (features, elapsed_ms,
                 db.online_engine.stats.summary_blocks - before)
 
-    plain_features, plain_ms, _ = timed("fraud_plain")
-    long_features, long_ms, summaries = timed("fraud_long")
+    cold_features, cold_ms, _ = timed()  # memoizes the summaries
+    features, warm_ms, summaries = timed()
 
     print("\nrisk features for the incoming transaction:")
-    for key, value in long_features.items():
+    for key, value in features.items():
         print(f"  {key:12s} = {value}")
-    print(f"\nincremental state (plain deployment): {plain_ms:8.2f} ms")
-    print(f"storage fold (long_windows):          {long_ms:8.2f} ms, "
+    print(f"\nfirst request (memoizes summaries): {cold_ms:8.2f} ms")
+    print(f"next request (reads them):          {warm_ms:8.2f} ms, "
           f"{summaries} block/span summaries read")
     print("feature agreement:",
-          "bit for bit" if repr(plain_features) == repr(long_features)
-          else (plain_features, long_features))
+          "bit for bit" if repr(cold_features) == repr(features)
+          else (cold_features, features))
 
     # A new transaction is in the next request's window: there is no
     # aggregator to update.

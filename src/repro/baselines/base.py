@@ -13,7 +13,7 @@ request loop; subclasses override the storage hooks:
 
 Aggregates are evaluated by instantiating the aggregate per request and
 folding the window rows through AST interpretation — no cycle binding,
-no incremental state, no block summaries — which is precisely the set of
+no block summaries — which is precisely the set of
 optimisations the baselines lack.
 """
 

@@ -338,7 +338,7 @@ class NameServer(DeploymentHost):
         self._tenants: Optional[Any] = None  # TenantRegistry
         self._codecs: Dict[str, RowCodec] = {}
         # Deploy/request/undeploy come from DeploymentHost: the cluster
-        # serves routed table views and has no ingest hook yet.
+        # serves routed table views.
         self._host_deployments(
             self._views, OnlineEngine(self._views, obs=self._obs),
             CompilationCache(obs=self._obs), self._obs,
@@ -1223,7 +1223,7 @@ class NameServer(DeploymentHost):
     def deploy(self, name: str, sql: str) -> CompiledQuery:
         """Deploy a feature script against the cluster catalog and
         return its compiled plan (``DeploymentHost.deploy``'s
-        ``.compiled``; the cluster has no ingest-time options yet)."""
+        ``.compiled``)."""
         return super().deploy(name, sql).compiled
 
     def request_partition(self, name: str,

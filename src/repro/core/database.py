@@ -6,9 +6,9 @@ architecture diagram (Figure 2) does:
 * DDL/DML — ``CREATE TABLE`` (with stream indexes + TTL), ``INSERT``;
 * the **unified plan generator** — one parser/planner/compiler (with the
   compilation cache) feeding both engines;
-* **online request mode** — ``deploy()`` then ``request()``, with
-  ingest-time incremental window state maintained through the binlog
-  replicator and long windows folded from storage summaries;
+* **online request mode** — ``deploy()`` then ``request()``: every
+  window is a block scan folded over storage summaries, as on the
+  cluster;
 * **offline mode** — ``offline_query()`` batch execution with
   multi-window parallelism and skew resolving;
 * **online preview mode** — ``preview()`` with complexity constraints and
@@ -36,7 +36,7 @@ from ..storage.disk import DiskTable
 from ..storage.encoding import RowCodec
 from ..storage.memtable import MemTable
 from ..storage.persist import FileBinlog, RecoveryReport, SnapshotStore
-from ..online.binlog import BinlogEntry, Replicator
+from ..online.binlog import Replicator
 from ..online.engine import OnlineEngine
 from ..offline.engine import OfflineEngine, OfflineStats
 from ..offline.skew import SkewConfig
@@ -65,8 +65,7 @@ class OpenMLDB(DeploymentHost):
         data_dir: root directory for durability.  When set, inserts
             write through a file-backed binlog, :meth:`snapshot` pins
             table images, and a fresh instance over the same directory
-            rebuilds everything — tables and incremental window
-            state — via :meth:`recover`.
+            rebuilds its tables via :meth:`recover`.
         snapshot_retain: snapshot images kept per table before pruning.
     """
 
@@ -100,12 +99,10 @@ class OpenMLDB(DeploymentHost):
         self.governor = MemoryGovernor("db", max_memory_mb=max_memory_mb)
         self._preview_cache: Dict[Tuple[str, int], List[Row]] = {}
         # Deploy/request/undeploy come from DeploymentHost; a single
-        # node differs from the cluster by serving its own tables and
-        # by having an ingest hook (``_updaters``: closures every
-        # insert hands to the replicator).
+        # node differs from the cluster only by serving its own tables.
         self._host_deployments(
             self.tables, self.online_engine, self.compile_cache, self.obs,
-            latency_series="online.request.ms", updaters={})
+            latency_series="online.request.ms")
         self.deployments = self._deployments
 
     # ------------------------------------------------------------------
@@ -182,20 +179,14 @@ class OpenMLDB(DeploymentHost):
     # DML
 
     def insert(self, table_name: str, row: Sequence[Any]) -> int:
-        """Insert one row: storage, memory accounting, binlog, updaters."""
+        """Insert one row: storage, memory accounting, binlog."""
         table = self.table(table_name)
         validated = table.schema.validate_row(row)
         self.governor.charge(table.codec.encoded_size(validated)
                              if isinstance(table, MemTable)
                              else _approx_row_bytes(validated))
         offset = table.insert(validated)
-        updaters = self._updaters.get(table_name)
-        closure = None
-        if updaters:
-            def closure(entry, fns=tuple(updaters)):
-                for fn in fns:
-                    fn(entry)
-        self.replicator.append_entry(table_name, validated, closure=closure)
+        self.replicator.append_entry(table_name, validated)
         return offset
 
     def insert_many(self, table_name: str,
@@ -272,12 +263,6 @@ class OpenMLDB(DeploymentHost):
     # ------------------------------------------------------------------
     # online request mode: deploy / request / undeploy are DeploymentHost's
 
-    def flush_preagg(self, timeout: float = 10.0) -> None:
-        """Drain the asynchronous ingest-time incremental state updates
-        (determinism for tests); long windows keep no such state."""
-        self.replicator.wait_idle(timeout=timeout)
-        self.replicator.check()
-
     def explain(self, sql: str, optimized: bool = True) -> str:
         """EXPLAIN: render the operator tree for a SELECT.
 
@@ -352,16 +337,14 @@ class OpenMLDB(DeploymentHost):
     def snapshot(self) -> int:
         """Write one snapshot image per table; returns rows written.
 
-        Pending aggregator closures are drained first and the binlog is
-        fsync'd after, so "newest snapshot + binlog tail" is a complete
-        recovery contract at the returned point.  Call from a quiesced
-        maintenance context (no concurrent inserts), as the paper's
-        snapshot thread does between low-traffic windows.
+        The binlog is fsync'd after, so "newest snapshot + binlog tail"
+        is a complete recovery contract at the returned point.  Call
+        from a quiesced maintenance context (no concurrent inserts), as
+        the paper's snapshot thread does between low-traffic windows.
         """
         if self._snapshots is None:
             raise StorageError(
                 "snapshot() requires OpenMLDB(data_dir=...)")
-        self.replicator.wait_idle(timeout=10.0)
         offset = self.replicator.last_offset
         rows = 0
         for name, table in self.tables.items():
@@ -383,12 +366,10 @@ class OpenMLDB(DeploymentHost):
         metadata is assumed durable elsewhere, as ZooKeeper keeps it for
         production OpenMLDB).  Per table: load the newest intact
         snapshot, then replay the durable binlog frames past its pinned
-        offset.  Every recovered row also runs through the registered
-        ingest updaters — the same ``IngestConsumer`` path the
-        replicator worker drives — so incremental window state rebuilds
-        to the exact pre-crash answers.
-        Explicit LSM flush/compact control frames re-apply in stream
-        order, reconstructing disk tables' run layout.
+        offset; the storage summaries rebuild lazily with the blocks, so
+        requests answer exactly as before the crash.  Explicit LSM
+        flush/compact control frames re-apply in stream order,
+        reconstructing disk tables' run layout.
         """
         wal = self.replicator.wal
         if wal is None or self._snapshots is None:
@@ -418,8 +399,7 @@ class OpenMLDB(DeploymentHost):
                         continue
                     for payload in snapshot.rows:
                         self._apply_recovered(
-                            name, table, codecs[name].decode(payload),
-                            snapshot.applied_offset)
+                            table, codecs[name].decode(payload))
                     snap_offsets[name] = snapshot.applied_offset
                     report.snapshot_rows += len(snapshot.rows)
                     if isinstance(table, DiskTable) \
@@ -436,9 +416,7 @@ class OpenMLDB(DeploymentHost):
                         continue
                     if frame.is_row:
                         self._apply_recovered(
-                            frame.table, table,
-                            codecs[frame.table].decode(frame.payload),
-                            frame.offset)
+                            table, codecs[frame.table].decode(frame.payload))
                         report.replayed_entries += 1
                     else:
                         self._apply_storage_event(table,
@@ -459,22 +437,14 @@ class OpenMLDB(DeploymentHost):
             report.seconds * 1_000.0)
         return report
 
-    def _apply_recovered(self, name: str,
-                         table: Union[MemTable, DiskTable],
-                         row: Row, offset: int) -> None:
-        """Re-apply one recovered row: storage, memory accounting, and
-        the registered ingest updaters (synchronously — recovery is
-        single-threaded, so offset order is the apply order)."""
+    def _apply_recovered(self, table: Union[MemTable, DiskTable],
+                         row: Row) -> None:
+        """Re-apply one recovered row: storage and memory accounting."""
         validated = table.schema.validate_row(row)
         self.governor.charge(table.codec.encoded_size(validated)
                              if isinstance(table, MemTable)
                              else _approx_row_bytes(validated))
         table.insert(validated)
-        updaters = self._updaters.get(name)
-        if updaters:
-            entry = BinlogEntry(offset=offset, table=name, row=validated)
-            for fn in updaters:
-                fn(entry)
 
     @staticmethod
     def _apply_storage_event(table: Union[MemTable, DiskTable],
@@ -511,24 +481,11 @@ class OpenMLDB(DeploymentHost):
         rows = self.replicator.rows_of(name)
         for row in rows:
             fresh.insert(row)
-        if isinstance(old, MemTable) and isinstance(fresh, MemTable):
-            # Incremental window state mirrors TTL sweeps through table
-            # eviction subscriptions; carry them to the rebuilt table.
-            for callback in old.eviction_subscribers:
-                fresh.subscribe_eviction(callback)
         self.tables[name] = fresh
-        # Deployed incremental window state keeps its own buffers — it
-        # consumed the same binlog asynchronously, so nothing is lost
-        # with the table's in-memory structures.
         return len(rows)
 
     def evict_expired(self, now_ts: int) -> int:
         """Run TTL eviction across all memory tables."""
-        if self._updaters:
-            # Drain pending binlog closures first so ingest-maintained
-            # state (incremental windows) mirrors the same row set the
-            # sweep sees.
-            self.replicator.wait_idle(timeout=5.0)
         removed = 0
         for table in self.tables.values():
             if isinstance(table, MemTable):

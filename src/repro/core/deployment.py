@@ -8,12 +8,13 @@ pre-aggregation (Section 5.1, Figure 11) for the named windows.
 Here storage is the pre-aggregator: every key's history is kept as
 sealed blocks and 16-block spans that memoize their reductions
 (:mod:`repro.storage.skiplist`), so any long window folds summaries
-and two raw edges, on every host, with no backfill at deploy.  What
-``long_windows`` still decides: the named windows must exist, use a
-``ROWS_RANGE`` frame, and read only their own table (no ``WINDOW
-UNION``, no ``INSTANCE_NOT_IN_WINDOW``), and they get no ingest-time
-incremental state — the storage fold serves them.  The bucket width is
-validated but unused.
+and two raw edges, on every host, with no backfill at deploy.  Every
+window — long or not — is served the same way: a block scan plus the
+window fold.  ``long_windows`` is still validated, since it is outside
+input: the named windows must exist, use a ``ROWS_RANGE`` frame, and
+read only their own table (no ``WINDOW UNION``, no
+``INSTANCE_NOT_IN_WINDOW``).  It does not change which path serves a
+window, and the bucket width is unused.
 
 One body, two hosts.  :class:`~repro.core.database.OpenMLDB` (local
 tables) and :class:`~repro.cluster.nameserver.NameServer` (routed
@@ -24,15 +25,14 @@ partitions) both inherit :class:`DeploymentHost`, so ``deploy`` /
 (parse, compile, index check), :meth:`Deployment.serve` (the one
 serving call of ``OnlineEngine.execute_request``) and
 :meth:`Deployment.describe` — and a host says only what differs: its
-tables and engine, its series names, and whether it has an ingest hook.
+tables and engine, and its series names.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import (DeploymentError, DeploymentNotFoundError,
                       OpenMLDBError)
@@ -43,8 +43,6 @@ from ..sql import ast
 from ..sql.compiler import CompiledQuery
 from ..sql.optimizer import index_access_paths
 from ..sql.parser import parse
-from ..online.binlog import IngestConsumer
-from ..online.incremental import IncrementalWindowState
 
 __all__ = ["Deployment", "DeploymentHost", "LongWindowOption",
            "parse_long_windows"]
@@ -100,26 +98,17 @@ class Deployment:
         name: deployment name (``DEPLOY name ...``).
         sql: original SQL text (for introspection/EXPLAIN).
         compiled: the compiled plan executed per request.
-        long_windows: parsed long-window options, empty when disabled;
-            the named windows are served by the storage fold only.
-        incrementals: canonical window name → ingest-time running window
-            state (Section 5.2); the online engine answers whole windows
-            from these on warm keys, falling back to scans otherwise.
+        long_windows: parsed long-window options, empty when disabled
+            (validated; every window is served by the storage fold).
     """
 
     name: str
     sql: str
     compiled: CompiledQuery
     long_windows: Tuple[LongWindowOption, ...] = ()
-    incrementals: Dict[str, IncrementalWindowState] = dataclasses.field(
-        default_factory=dict)
     #: The host this deployment serves through (set by :meth:`build`).
     _host: Optional["DeploymentHost"] = dataclasses.field(
         default=None, repr=False, compare=False)
-    #: Every live ingest consumer → the closure registered for it in the
-    #: host's ingest hook; :meth:`retire` undoes the registrations.
-    _closures: Dict[IngestConsumer, Callable] = dataclasses.field(
-        default_factory=dict, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # build
@@ -193,8 +182,7 @@ class Deployment:
             with deadline_scope(deadline), host._obs.tracer.span(
                     "deployment.execute", deployment=self.name):
                 return host._engine.execute_request(
-                    self.compiled, row, shared_fetch=shared_fetch,
-                    incremental=self.incrementals or None)
+                    self.compiled, row, shared_fetch=shared_fetch)
         finally:
             host._h_request.observe((time.perf_counter() - start) * 1_000)
 
@@ -207,68 +195,6 @@ class Deployment:
             name=self.name, table=plan.table,
             input_schema=plan.table_schema,
             output_names=tuple(self.compiled.output_names))
-
-    # ------------------------------------------------------------------
-    # ingest consumers
-
-
-    @property
-    def _table(self) -> Any:
-        """The primary table, as the host's engine reads it."""
-        return self._host._serving_tables[self.compiled.plan.table]
-
-    def _attach(self, consumer: IngestConsumer) -> None:
-        closure = self._closures[consumer] = consumer.make_update_closure()
-        self._host._updaters.setdefault(
-            self.compiled.plan.table, []).append(closure)
-
-    def retire(self) -> None:
-        """Undeploy: retire every consumer, drop its closure from the
-        host's ingest hook (in place: an insert snapshots the list it
-        runs) and drop the incremental states' TTL-eviction
-        subscriptions."""
-        for consumer, closure in self._closures.items():
-            consumer.retire()
-            self._host._updaters[self.compiled.plan.table].remove(closure)
-        self._closures.clear()
-        for state in self.incrementals.values():
-            self._table.unsubscribe_eviction(state.on_ttl_evict)
-
-    def attach_ingest(self) -> None:
-        """Create, backfill, and wire ingest-time window state.
-
-        Every *eligible* window gets a per-key running aggregate state
-        maintained from the binlog (Section 5.2 applied at ingest time):
-        no WINDOW UNION, no INSTANCE_NOT_IN_WINDOW, all aggregates
-        invertible and order-insensitive, and a primary table whose TTL
-        eviction can be mirrored (memory tables).  Windows named in
-        ``long_windows`` stay on the storage fold.  Anything ineligible
-        silently stays on the scan-fold path — incremental state is an
-        accelerator, never a semantics change.  A host with no ingest
-        hook (the cluster, until consumers attach at the partition
-        leader's binlog) serves by scan-fold only.
-        """
-        table = self._table
-        if self._host._updaters is None \
-                or not hasattr(table, "subscribe_eviction"):
-            return
-        long_windows = {option.window for option in self.long_windows}
-        for name, window in self.compiled.windows.items():
-            if not window.aggregates or name in long_windows:
-                continue
-            state = IncrementalWindowState.for_window(
-                window, self._host._serving_tables,
-                self.compiled.plan.table)
-            if state is None:
-                continue
-            state.backfill(table.rows())
-            self._attach(state)
-            table.subscribe_eviction(state.on_ttl_evict)
-            self.incrementals[name] = state
-
-    @property
-    def uses_incremental(self) -> bool:
-        return bool(self.incrementals)
 
 
 class DeploymentHost:
@@ -283,17 +209,13 @@ class DeploymentHost:
     def _host_deployments(
             self, tables: Mapping[str, Any], engine: Any, cache: Any,
             obs: Any, latency_series: str,
-            requests_series: Optional[str] = None,
-            updaters: Optional[Dict[str, List[Callable]]] = None) -> None:
+            requests_series: Optional[str] = None) -> None:
         """Declare what this host deploys against and reports to.
 
         ``tables`` is what ``engine`` reads (``MemTable``/``DiskTable``
         or routed cluster views) and ``cache`` the compilation cache.
         ``latency_series`` observes every request, failed ones
         included; ``requests_series`` optionally counts attempts.
-        ``updaters`` is the ingest hook — table name → closures every
-        insert runs, where deployments register incremental states;
-        ``None`` means the host maintains no ingest-time state.
         """
         self._deployments: Dict[str, Deployment] = {}
         self._serving_tables = tables
@@ -303,7 +225,6 @@ class DeploymentHost:
         self._h_request = obs.registry.histogram(latency_series)
         self._m_requests = obs.registry.counter(requests_series) \
             if requests_series else None
-        self._updaters = updaters
 
     def _check_open(self) -> None:
         """Raise if the host stopped serving (hosts that close override)."""
@@ -313,31 +234,23 @@ class DeploymentHost:
         """Compile and deploy a feature script for online serving.
 
         ``long_windows`` takes the same string as the SQL OPTIONS form,
-        e.g. ``"w1:1d"`` (Figure 11).  Each window's tier is decided
-        here, once, from the plan: ingest-time incremental state for
-        the windows ``CompiledWindow.incremental_eligible`` admits and
-        ``long_windows`` does not name, the storage scan-fold for the
-        rest.
+        e.g. ``"w1:1d"`` (Figure 11).  Deploying keeps no state beside
+        the plan: every window is answered per request by a block scan
+        and the window fold over storage summaries.
         """
         self._check_open()
         deployment = Deployment.build(self, name, sql, long_windows)
         if deployment.name in self._deployments:
             raise DeploymentError(
                 f"deployment {deployment.name!r} already exists")
-        try:
-            deployment.attach_ingest()
-        except BaseException:
-            deployment.retire()  # consumers registered before the failure
-            raise
         self._deployments[deployment.name] = deployment
         return deployment
 
     def undeploy(self, name: str) -> None:
-        """Remove a deployment and retire its ingest consumers."""
+        """Remove a deployment."""
         self._check_open()
-        deployment = self._deployment(name)
+        self._deployment(name)  # DeploymentNotFoundError if unknown
         del self._deployments[name]
-        deployment.retire()
 
     def _deployment(self, name: str) -> Deployment:
         try:

@@ -7,7 +7,6 @@ request renders as
 
     deployment.execute            (root — where the deployment is known)
     ├─ index.seek                 (LAST JOIN index lookups)
-    ├─ incremental.lookup         (ingest-time window state)
     ├─ window.scan                (window row fetches)
     │  └─ ...                     (tablet-side children in cluster mode)
     ├─ agg.fold                   (folding compiled aggregates and the

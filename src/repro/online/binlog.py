@@ -6,20 +6,20 @@ concurrent ``Put`` can interleave a conflicting update mid-sequence — the
 monotone ``binlog_offset`` assumption the paper's aggregator-update design
 rests on.
 
-Each appended entry may carry a *closure* (the paper's ``update_aggr``):
-``AppendEntry(entry, closure)`` both persists the entry and schedules the
-closure for **asynchronous** execution on the replicator's worker thread,
-decoupling ingest-time state maintenance from the insertion fast path.
-Failure recovery replays the log from a given offset, re-running closures
-through a re-registered handler.
+Each appended entry may carry a *closure*: ``AppendEntry(entry,
+closure)`` both persists the entry and schedules the closure for
+**asynchronous** execution on the replicator's worker thread, off the
+insertion fast path.  The cluster's ``replication="async"`` mode ships
+entries to followers this way; an append with no closure starts no
+thread.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-from typing import (Any, Callable, Dict, Iterable, List, NamedTuple,
-                    Optional, TYPE_CHECKING, Tuple)
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
+                    TYPE_CHECKING, Tuple)
 
 from ..errors import StorageError
 
@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from ..storage.encoding import RowCodec
     from ..storage.persist import FileBinlog
 
-__all__ = ["BinlogEntry", "IngestConsumer", "Replicator"]
+__all__ = ["BinlogEntry", "Replicator"]
 
 
 class BinlogEntry(NamedTuple):
@@ -35,8 +35,7 @@ class BinlogEntry(NamedTuple):
 
     The binlog does not keep these: it keeps each row once, beside a
     pointer to its table's name, and builds an entry when one is read
-    (:meth:`Replicator.entries_from`, :meth:`Replicator.replay`, queued
-    closures).
+    (:meth:`Replicator.entries_from`, queued closures).
     """
 
     offset: int
@@ -44,58 +43,11 @@ class BinlogEntry(NamedTuple):
     row: Tuple[Any, ...]
 
 
-class IngestConsumer:
-    """Base for ingest-maintained state fed through binlog closures.
-
-    Anything that keeps derived state per inserted row — incremental
-    window state (Section 5.2) — implements :meth:`absorb` and hands :meth:`make_update_closure` to
-    the replicator at registration time.  The closure is the paper's
-    ``update_aggr``: it runs asynchronously on the replicator worker in
-    offset order, so consumers see rows exactly once, in a total order,
-    without slowing the insertion fast path.
-    """
-
-    #: Set by :meth:`retire`; closures for a retired consumer become
-    #: no-ops.  A class attribute because subclasses define their own
-    #: ``__init__`` without calling up.
-    _retired = False
-
-    def absorb(self, row: Tuple[Any, ...]) -> None:
-        """Fold one table row into the consumer's state."""
-        raise NotImplementedError
-
-    def retire(self) -> None:
-        """Permanently detach this consumer from the binlog.
-
-        Registered closures cannot be unregistered (they are already
-        baked into queued entries), so retirement flips a flag the
-        closure checks instead.  Used by ``undeploy``: a removed
-        deployment's consumers stop absorbing rows at once, even those
-        already queued.
-        """
-        self._retired = True
-
-    def make_update_closure(self) -> Callable[[BinlogEntry], None]:
-        """Closure for :meth:`Replicator.append_entry` (``update_aggr``)."""
-        def update_aggr(entry: BinlogEntry) -> None:
-            if not self._retired:
-                self.absorb(entry.row)
-        return update_aggr
-
-    def backfill(self, rows: Iterable[Tuple[Any, ...]]) -> int:
-        """Absorb pre-existing rows (deploy-time catch-up); returns count."""
-        count = 0
-        for row in rows:
-            self.absorb(row)
-            count += 1
-        return count
-
-
 class Replicator:
     """Monotone binlog with asynchronous closure execution.
 
     Closures run on a single worker thread in offset order, which gives
-    state updates a total order without blocking inserts.  Exceptions
+    replicated entries a total order without blocking inserts.  Exceptions
     raised by a closure are captured (not swallowed silently: they are
     recorded on :attr:`failures` and surfaced by :meth:`check`).
 
@@ -242,8 +194,9 @@ class Replicator:
     def wait_idle(self, timeout: Optional[float] = None) -> bool:
         """Block until all scheduled closures have executed.
 
-        Tests and the incremental-state backfill use this to make the
-        asynchronous pipeline deterministic.  Returns False on timeout.
+        ``NameServer.replication_barrier`` uses this to make
+        asynchronous replication deterministic.  Returns False on
+        timeout.
         """
         with self._pending_cond:
             return self._pending_cond.wait_for(
@@ -272,19 +225,6 @@ class Replicator:
             return [row for name, row in zip(self._tables, self._rows)
                     if name == table]
 
-    def replay(self, offset: int,
-               handler: Callable[[BinlogEntry], None]) -> int:
-        """Re-apply ``handler`` over entries from ``offset`` onwards.
-
-        This is the failure-recovery path: a restarted aggregator replays
-        the suffix of the binlog it had not yet consumed.  Returns the
-        number of entries replayed.
-        """
-        entries = self.entries_from(offset)
-        for entry in entries:
-            handler(entry)
-        return len(entries)
-
     def log_control(self, table: str, text: str) -> None:
         """Write a control frame (storage event) to the WAL, if attached.
 
@@ -304,7 +244,7 @@ class Replicator:
 
         Raises:
             StorageError: the worker failed to drain within ``timeout``
-                seconds — queued state updates would be silently
+                seconds — queued deliveries would be silently
                 abandoned, so the condition is surfaced instead of
                 ignored.
         """

@@ -10,20 +10,18 @@ is always instrumented.  Per request:
 1. Resolve each ``LAST JOIN`` through the right table's stream index —
    the newest matching tuple is the last element of the key's
    time-ordered array (``index.seek`` span).
-2. For every window, first consult **incremental window state** (per-key
-   running aggregates maintained at ingest time; ``incremental.lookup``
-   span); on a hit the window costs O(aggregates).  Otherwise fetch the
-   window as column blocks from the storage layer's chunked
-   ``window_scan_blocks`` (``window.scan``; window unions merge several
-   tables' block streams newest-first) and reduce them with the
-   window's **fold** (``agg.fold``).  A long window's blocks are mostly
-   spans and sealed blocks carrying memoized summaries, so the fold is
-   Section 5.1's query refinement: summaries in the middle, raw rows
-   only at the two edges.
+2. For every window, fetch the window as column blocks from the storage
+   layer's chunked ``window_scan_blocks`` (``window.scan``; window
+   unions merge several tables' block streams newest-first) and reduce
+   them with the window's **fold** (``agg.fold``).  A long window's
+   blocks are mostly spans and sealed blocks carrying memoized
+   summaries, so the fold is Section 5.1's query refinement: summaries
+   in the middle, raw rows only at the two edges.  Every window on
+   every host takes this one path.
 3. Project the output row (``encode``).
 
 The engine keeps no per-request state across calls; window state lives
-in the storage layer and the ingest-time aggregators.  Statistics
+in the storage layer and its memoized summaries.  Statistics
 are accumulated per request in a local counter bundle and, when the
 request ends — with a feature row, a ``WHERE`` rejection, or a deadline
 expiring mid-plan — applied to :class:`EngineStats` under its lock and
@@ -52,8 +50,7 @@ from ..storage.skiplist import ColumnBlock
 __all__ = ["OnlineEngine", "EngineStats"]
 
 _COUNTER_FIELDS = ("rows_scanned", "scan_blocks", "summary_blocks",
-                   "join_lookups", "shared_scan_hits", "incremental_hits",
-                   "incremental_fallbacks")
+                   "join_lookups", "shared_scan_hits")
 
 
 class _RequestCounters:
@@ -72,8 +69,6 @@ class _RequestCounters:
         self.summary_blocks = 0
         self.join_lookups = 0
         self.shared_scan_hits = 0
-        self.incremental_hits = 0
-        self.incremental_fallbacks = 0
 
 
 @dataclasses.dataclass
@@ -90,8 +85,6 @@ class EngineStats:
     summary_blocks: int = 0
     join_lookups: int = 0
     shared_scan_hits: int = 0
-    incremental_hits: int = 0
-    incremental_fallbacks: int = 0
     _lock: threading.Lock = dataclasses.field(
         default_factory=threading.Lock, repr=False, compare=False)
 
@@ -104,8 +97,6 @@ class EngineStats:
             self.summary_blocks += counters.summary_blocks
             self.join_lookups += counters.join_lookups
             self.shared_scan_hits += counters.shared_scan_hits
-            self.incremental_hits += counters.incremental_hits
-            self.incremental_fallbacks += counters.incremental_fallbacks
 
 
 class OnlineEngine:
@@ -135,9 +126,6 @@ class OnlineEngine:
         self._m_join_lookups = registry.counter("online.join_lookups")
         self._m_shared_scans = registry.counter(
             "online.batch.shared_scans")
-        self._m_incr_hits = registry.counter("online.incremental.hits")
-        self._m_incr_fallbacks = registry.counter(
-            "online.incremental.fallbacks")
 
     def _publish(self, counters: _RequestCounters) -> None:
         """Mirror one request's deltas into the ``online.*`` series.
@@ -157,17 +145,12 @@ class OnlineEngine:
             self._m_join_lookups.inc(counters.join_lookups)
         if counters.shared_scan_hits:
             self._m_shared_scans.inc(counters.shared_scan_hits)
-        if counters.incremental_hits:
-            self._m_incr_hits.inc(counters.incremental_hits)
-        if counters.incremental_fallbacks:
-            self._m_incr_fallbacks.inc(counters.incremental_fallbacks)
 
     # ------------------------------------------------------------------
 
     def execute_request(
             self, compiled: CompiledQuery, request_row: Sequence[Any],
-            shared_fetch: Optional[Dict[Any, List[ColumnBlock]]] = None,
-            incremental: Optional[Mapping[str, Any]] = None
+            shared_fetch: Optional[Dict[Any, List[ColumnBlock]]] = None
     ) -> Row:
         """Run one request tuple through a compiled deployment.
 
@@ -178,11 +161,6 @@ class OnlineEngine:
                 requests of one batch; window scans that resolve to the
                 same (window, partition key, anchor ts) are fetched once
                 and reused (hot keys under herd traffic).
-            incremental: window name → ingest-time incremental window
-                state (see :mod:`repro.online.incremental`).  Windows
-                present here try the O(aggregates) hit path first and
-                fall back to a fused scan-fold when the state declines
-                (cold key, stale replication, out-of-order anchor).
 
         Returns:
             The projected feature row.
@@ -224,33 +202,21 @@ class OnlineEngine:
                     continue
                 if deadline is not None:
                     deadline.check("request")
+                # Merged siblings share a scan but carry distinct
+                # aggregate slots.
                 canonical = compiled.merged_windows.get(name, name)
-                # Keyed by the window's own name: merged siblings share a
-                # scan but carry distinct aggregate slots.
-                state = incremental.get(name) \
-                    if incremental is not None else None
-                results = None
-                if state is not None:
-                    with span_of("incremental.lookup", window=name) as span:
-                        results = state.compute(validated)
-                        span.set_tag(hit=results is not None)
-                    if results is None:
-                        counters.incremental_fallbacks += 1
-                    else:
-                        counters.incremental_hits += 1
-                if results is None:
-                    if canonical not in fetched:
-                        rows_before = counters.rows_scanned
-                        with span_of("window.scan", window=name) as span:
-                            fetched[canonical] = self._window_blocks(
-                                compiled, window, validated, counters,
-                                shared_fetch, canonical)
-                            span.set_tag(rows=counters.rows_scanned
-                                         - rows_before)
-                    with span_of("agg.fold", window=name):
-                        results, summarized = window.compute_blocks(
-                            fetched[canonical])
-                    counters.summary_blocks += summarized
+                if canonical not in fetched:
+                    rows_before = counters.rows_scanned
+                    with span_of("window.scan", window=name) as span:
+                        fetched[canonical] = self._window_blocks(
+                            compiled, window, validated, counters,
+                            shared_fetch, canonical)
+                        span.set_tag(rows=counters.rows_scanned
+                                     - rows_before)
+                with span_of("agg.fold", window=name):
+                    results, summarized = window.compute_blocks(
+                        fetched[canonical])
+                counters.summary_blocks += summarized
                 for slot, value in results.items():
                     aggregate_values[slot] = value
             extended = combined_tuple + tuple(aggregate_values)

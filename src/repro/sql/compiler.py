@@ -171,7 +171,7 @@ class CompiledWindow:
     and calls the same fold.  Accumulation runs oldest → newest, so
     order-sensitive aggregates see time order; sums are exact
     (:class:`~repro.sql.functions.ExactSum`), so they are bit-identical
-    to ingest-time state in any order.
+    whatever order the values are added in.
 
     Compilation emits exactly one **fold closure** per window.  Order-
     insensitive single-argument aggregates are cycle-bound into state
@@ -238,8 +238,8 @@ class CompiledWindow:
           shared by sum/count/avg (cycle binding).  The count is
           ``len``; the values add up exactly — builtin ``sum`` while
           they are ints, their partials once a float is among them — so
-          the total is the one the incremental state and the offline
-          engine reach in any order.  A count-only group adds nothing
+          the total is the one the offline engine reaches in any
+          order.  A count-only group adds nothing
           up.
         * ``multiset`` — a ``set`` of the values when distinct_count is
           asked for, a :class:`Counter` only when topn_frequency needs
@@ -379,17 +379,6 @@ class CompiledWindow:
         return tuple(self._aggregates)
 
     # -- tier decisions, derived once from the registry flags ----------
-
-    @property
-    def incremental_eligible(self) -> bool:
-        """Subtract-and-evict ingest state can answer this window: rows
-        come from one table, instance rows stay in the window, and every
-        aggregate inverts exactly in any order."""
-        plan = self.plan
-        return bool(self._aggregates) and not plan.union_tables \
-            and not plan.instance_not_in_window and all(
-                agg.function.invertible and not agg.function.order_sensitive
-                for agg in self._aggregates)
 
     @property
     def carry_eligible(self) -> bool:

@@ -14,8 +14,10 @@ three ways:
 The flags on the classes (``invertible``, ``mergeable``, ``merge_exact``,
 ``order_sensitive``, ``fold_family``) are the only statement of an
 aggregate's algebra: ``sql/compiler.py`` derives every tier decision
-from them (``CompiledWindow.incremental_eligible`` /
-``carry_eligible``) and lint rule AGG001 checks each class decides.
+from them (``CompiledWindow.carry_eligible``), the offline
+:class:`~repro.online.incremental.SlidingWindowAggregator` reads
+``invertible`` / ``order_sensitive``, and lint rule AGG001 checks each
+class decides.
 
 ``sum`` and ``avg`` keep an :class:`ExactSum`: the paper's engine adds
 doubles left to right, so its answer depends on the order and grouping

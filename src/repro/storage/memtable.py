@@ -2,9 +2,7 @@
 
 A :class:`MemTable` owns one :class:`~repro.storage.skiplist.TimeSeriesIndex`
 per declared :class:`~repro.schema.IndexDef`.  Every insert is validated
-against the schema, appended to the insertion log and to all indexes; a
-TTL sweep is reported to eviction subscribers, the hook incremental
-window state mirrors eviction through.
+against the schema, appended to the insertion log and to all indexes.
 
 Window reads go through :meth:`window_scan` / :meth:`last_join_lookup`,
 which pick the index matching the requested ``PARTITION BY`` / ``ORDER BY``
@@ -16,8 +14,7 @@ from __future__ import annotations
 import datetime as _dt
 import threading
 from operator import itemgetter
-from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import IndexNotFoundError, SchemaError, StorageError
 from ..obs import NULL_OBS, Observability
@@ -27,8 +24,6 @@ from .encoding import RowCodec
 from .skiplist import ColumnBlock, TimeSeriesIndex
 
 __all__ = ["MemTable", "normalize_ts"]
-
-EvictionCallback = Callable[[str, int], None]
 
 
 def normalize_ts(value: Any) -> int:
@@ -96,7 +91,6 @@ class MemTable:
             for index in indexes)
         self._log: List[Row] = []
         self._log_lock = threading.Lock()
-        self._eviction_subscribers: List[EvictionCallback] = []
         self._bytes = 0
         metrics = (obs or NULL_OBS).registry.labels(table=name)
         self._m_inserts = metrics.counter("storage.inserts")
@@ -106,21 +100,6 @@ class MemTable:
 
     # ------------------------------------------------------------------
     # write path
-
-    def subscribe_eviction(self, callback: EvictionCallback) -> None:
-        """Register a callback invoked as ``callback(table, now_ts)``
-        *after* a TTL sweep — the hook incremental window state uses to
-        mirror eviction so its buffers never outlive the index rows."""
-        self._eviction_subscribers.append(callback)
-
-    def unsubscribe_eviction(self, callback: EvictionCallback) -> None:
-        """Drop a callback :meth:`subscribe_eviction` registered."""
-        self._eviction_subscribers.remove(callback)
-
-    @property
-    def eviction_subscribers(self) -> Tuple[EvictionCallback, ...]:
-        """Registered eviction callbacks (recovery re-attaches these)."""
-        return tuple(self._eviction_subscribers)
 
     def insert(self, row: Sequence[Any]) -> int:
         """Validate and insert one row; returns its log offset."""
@@ -240,8 +219,6 @@ class MemTable:
                       for structure in self._structures.values())
         if removed:
             self._m_ttl_evicted.inc(removed)
-        for callback in self._eviction_subscribers:
-            callback(self.name, now_ts)
         return removed
 
     def key_cardinality(self, index_name: Optional[str] = None) -> int:

@@ -11,8 +11,7 @@ object:
   identical stream can be replayed through the online ingest path *and*
   the offline engine;
 * :class:`StreamIngestor` — the consumer that feeds a database's
-  insert path (and therefore :class:`~repro.online.binlog.Replicator`
-  closures: incremental window state, replication),
+  insert path (and therefore its storage and binlog),
   deduplicating redeliveries and tracking the conservative global
   watermark;
 * :func:`verify_stream_skew` — the train/serve skew check: at every

@@ -192,8 +192,8 @@ class StreamIngestor:
     The sink is anything with ``insert(table, row)`` — an
     :class:`~repro.OpenMLDB` instance (whose insert path runs the row
     through :meth:`~repro.online.binlog.Replicator.append_entry`, so
-    storage and its summaries, incremental window state, and
-    replication all observe the realistic arrival order) — or a plain callable
+    storage, its summaries and the binlog all observe the realistic
+    arrival order) — or a plain callable
     ``sink(table, row)`` for cluster ``put`` paths.
 
     Responsibilities of the consumer side of an at-least-once transport:

@@ -144,9 +144,6 @@ def verify_stream_skew(
                               obs=online_db.obs)
 
     def probe_online(boundary: int, _watermark: int) -> None:
-        # Aggregator closures run asynchronously on the replicator
-        # worker; drain them so the probe sees every ingested row.
-        online_db.flush_preagg()
         for index, probe in enumerate(probes[boundary]):
             online_vectors[(boundary, index)] = tuple(
                 online_db.request_row(deployment, probe))

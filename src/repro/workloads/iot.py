@@ -12,7 +12,7 @@ idle.  That shape stresses:
 * **TTL** — keeping a week of telemetry per device only works because
   the index TTL evicts the tail; feature windows must agree with the
   eviction horizon;
-* **key cardinality** — per-key state (time lists, incremental windows)
+* **key cardinality** — per-key state (time lists, sealed blocks)
   is multiplied by the device count, which is what the memory governor
   meters.
 

@@ -92,9 +92,8 @@ class TestReplay:
         replicator = Replicator()
         for i in range(10):
             replicator.append_entry("t", (i,))
-        replayed = []
-        count = replicator.replay(6, replayed.append)
-        assert count == 4
+        replayed = replicator.entries_from(6)
+        assert len(replayed) == 4
         assert [entry.row for entry in replayed] == [(6,), (7,), (8,), (9,)]
         replicator.close()
 
@@ -112,8 +111,8 @@ class TestReplay:
         assert totals[0] == 6
         # "Crash": new consumer replays everything.
         recovered = [0]
-        replicator.replay(0, lambda entry: recovered.__setitem__(
-            0, recovered[0] + entry.row[0]))
+        for entry in replicator.entries_from(0):
+            recovered[0] += entry.row[0]
         assert recovered[0] == 6
         replicator.close()
 

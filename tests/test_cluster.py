@@ -406,3 +406,50 @@ class TestServedPathDifferential:
         want = [expected(r) for r in requests]
         assert cluster.request_batch("feat", requests) == want
         cluster.close()
+
+
+class TestOneNodeServesTheClusterBits:
+    """A single node and a cluster answer one deployment with the same
+    bits: every window on every host is a block scan plus the fold.
+
+    ``variance`` / ``stddev`` over doubles that include ±1e9 are where
+    a second, running-state tier would part from the fold: removing a
+    1e9 from a plain float Σx² does not restore it."""
+
+    SCHEMA = Schema.from_pairs([("k", "string"), ("ts", "timestamp"),
+                                ("x", "double")])
+    INDEXES = [IndexDef(("k",), "ts")]
+    SQL = ("SELECT k, sum(x) OVER w AS s, avg(x) OVER w AS a, "
+           "min(x) OVER w AS lo, max(x) OVER w AS hi, "
+           "variance(x) OVER w AS var, stddev(x) OVER w AS sd "
+           "FROM t WINDOW w AS (PARTITION BY k ORDER BY ts "
+           "ROWS BETWEEN 5 PRECEDING AND CURRENT ROW)")
+
+    def test_single_node_matches_cluster_repr(self):
+        node = OpenMLDB()
+        node.create_table("t", self.SCHEMA, self.INDEXES)
+        cluster = NameServer([TabletServer(f"tablet-{i}")
+                              for i in range(3)])
+        cluster.create_table("t", self.SCHEMA, self.INDEXES,
+                             partitions=4, replicas=2)
+        node.deploy("feat", self.SQL)
+        cluster.deploy("feat", self.SQL)
+        rng = random.Random(11)
+        keys = [f"k{i}" for i in range(4)]
+
+        def value():
+            if rng.random() < 0.2:
+                return rng.choice((1e9, -1e9))
+            return rng.uniform(-1e3, 1e3)
+        for ts in range(40):
+            for key in keys:
+                row = (key, ts * 10, value())
+                node.insert("t", row)
+                cluster.put("t", row)
+        requests = [(key, 400 + step, value())
+                    for key in keys for step in range(15)]
+        for row in requests:
+            got = node.request("feat", row)
+            assert repr(got) == repr(cluster.request("feat", row)), row
+        node.close()
+        cluster.close()

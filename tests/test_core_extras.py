@@ -131,7 +131,6 @@ class TestBinlogRecovery:
             "(PARTITION BY k ORDER BY ts "
             "ROWS_RANGE BETWEEN 30d PRECEDING AND CURRENT ROW)"),
             long_windows="w:1h")
-        db.flush_preagg()
         before = db.request("d", ("a", 50 * 3_600_000, 1.0))
         db.recover_table("t")
         after = db.request("d", ("a", 50 * 3_600_000, 1.0))
@@ -158,11 +157,10 @@ class TestDeploymentIntrospection:
             "FROM t WINDOW w AS (PARTITION BY k ORDER BY ts "
             "ROWS_RANGE BETWEEN 30d PRECEDING AND CURRENT ROW)"),
             long_windows="w:1h")
-        # The long window keeps its option and no ingest state; the
-        # storage fold answers both features, ew_avg's row walk too.
+        # The long window keeps its option; the storage fold answers
+        # both features, ew_avg's row walk too.
         assert [option.window for option in deployment.long_windows] \
             == ["w"]
-        assert deployment.incrementals == {}
         result = db.request("d", ("a", 7_200_000, 3.0))
         assert result["s"] == 4.0
         assert result["e"] is not None

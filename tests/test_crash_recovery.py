@@ -261,7 +261,6 @@ class TestDifferentialCrashRecovery:
         build_catalog(twin)
         for table, row in inserts:
             twin.insert(table, row)
-        twin.flush_preagg()
 
         # Recovery: fresh instance, same data_dir, DDL re-run, replay.
         recovered = OpenMLDB(data_dir=str(tmp_path))
@@ -269,7 +268,6 @@ class TestDifferentialCrashRecovery:
         report = recovered.recover()
         assert report.snapshot_rows + report.replayed_entries >= \
             report.total_rows > 0
-        recovered.flush_preagg()
 
         assert observe(recovered) == observe(twin)
         twin.close()

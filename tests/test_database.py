@@ -2,6 +2,7 @@
 
 import math
 import random
+import threading
 
 import pytest
 
@@ -218,35 +219,26 @@ class TestDeployAndRequest:
         with pytest.raises(DeploymentNotFoundError):
             db.request("d", ("A", 1, 1.0, 1))
 
-    def test_undeploy_retires_its_ingest_consumers(self, db):
-        # Incremental window state (d) used to keep absorbing every
-        # later insert through db._updaters and stay subscribed to TTL
-        # eviction.  A long window (lw) registers nothing: storage
-        # serves it.
+    def test_undeploy_then_redeploy_serves_from_storage(self, db):
+        # Deploying keeps no state beside the plan: rows inserted while
+        # nothing was deployed are in the window of the redeployment.
         ranged = ROLLING.replace("ROWS BETWEEN 1", "ROWS_RANGE BETWEEN 30d")
         for step in range(5):
             db.insert("trades", ("A", 100 + step, 1.0, 1))
-        state = db.deploy("d", ROLLING).incrementals["w"]
-        assert db.deploy("lw", ranged, long_windows="w:1h").incrementals \
-            == {}
-        assert len(db._updaters["trades"]) == 1
+        db.deploy("d", ROLLING)
+        db.deploy("lw", ranged, long_windows="w:1h")
         db.undeploy("d")
         db.undeploy("lw")
         for step in range(5):
             db.insert("trades", ("A", 200 + step, 1.0, 1))
-        db.flush_preagg()
-        assert state.rows_seen == 5
-        assert db._updaters["trades"] == []
-        assert db.table("trades").eviction_subscribers == ()
         db.deploy("d", ROLLING)
-        assert len(db._updaters["trades"]) == 1
         assert db.request("d", ("A", 300, 1.0, 1))["total"] == 2.0
 
     def test_failed_deploy_registers_nothing(self, db):
         ranged = ROLLING.replace("ROWS BETWEEN 1", "ROWS_RANGE BETWEEN 30d")
         with pytest.raises(DeploymentError):
             db.deploy("lw", ranged, long_windows="w:1h,ghost:1h")
-        assert not db._updaters.get("trades") and "lw" not in db.deployments
+        assert "lw" not in db.deployments
 
     def test_request_unknown_deployment(self, db):
         with pytest.raises(DeploymentNotFoundError):
@@ -264,7 +256,6 @@ class TestDeployAndRequest:
                "ROWS_RANGE BETWEEN 30d PRECEDING AND CURRENT ROW)")
         deployment = db.execute(sql)
         assert deployment.long_windows == (LongWindowOption("w", 3_600_000),)
-        assert deployment.incrementals == {}  # the storage fold serves w
 
     def test_long_window_rows_frame_rejected(self, db):
         with pytest.raises(DeploymentError):
@@ -429,3 +420,27 @@ class TestEviction:
         db.insert("t", ("a", 120_000))
         removed = db.evict_expired(now_ts=120_001)
         assert removed == 1
+
+
+class TestNoThreadOfItsOwn:
+    def test_single_node_starts_no_thread(self, tmp_path):
+        # A single node keeps no ingest-time state, so nothing hands the
+        # binlog a closure and its worker thread never starts: only the
+        # cluster's replication="async" mode runs one.
+        before = threading.active_count()
+        db = OpenMLDB(data_dir=str(tmp_path))
+        db.execute("CREATE TABLE t (k string, ts timestamp, v double, "
+                   "INDEX(KEY=k, TS=ts, TTL=1m, TTL_TYPE=absolute))")
+        db.deploy("d", "SELECT k, sum(v) OVER w AS s, count(v) OVER w AS c "
+                       "FROM t WINDOW w AS (PARTITION BY k ORDER BY ts "
+                       "ROWS_RANGE BETWEEN 30s PRECEDING AND CURRENT ROW)")
+        for ts in range(0, 90_000, 10_000):
+            db.insert("t", ("a", ts, 1.0))
+        assert db.request("d", ("a", 90_000, 1.0)) \
+            == {"k": "a", "s": 4.0, "c": 4}
+        assert db.evict_expired(now_ts=90_000) == 3
+        assert db.recover_table("t") == 9
+        assert db.snapshot() == 9
+        assert db.request("d", ("a", 90_000, 1.0))["c"] == 4
+        assert threading.active_count() == before
+        db.close()

@@ -41,7 +41,6 @@ def test_quickstart_emits_observability():
     stdout = _run("quickstart.py")
     assert "trace of the online request:" in stdout
     assert "deployment.execute" in stdout
-    assert "incremental.lookup" in stdout
     assert "counter   online.requests" in stdout
     assert "histogram online.request.ms" in stdout
 

@@ -1,11 +1,9 @@
-"""Differential test — every execution tier computes the same features.
+"""Differential test — every request path computes the same features.
 
-Two request paths answer the same deployed window script:
-
-1. **fused** — block-based scans feeding the compiler's fused fold
-   kernel;
-2. **incremental** — ingest-time per-key window state (the default
-   ``request_row`` path once a deployment is incremental-eligible).
+One request body answers the deployed window script — block-based
+scans feeding the compiler's fused fold kernel — reached two ways: the
+served ``request_row`` path and ``OnlineEngine.execute_request``
+called directly.
 
 Each runs on two instances fed the same events — observability off and
 ``OpenMLDB(observability=True)`` — because the engine has one request
@@ -22,18 +20,16 @@ baseline engines use.
 Window ``w`` is integer-valued; its sibling ``w2`` (same frame, so the
 two share one scan) carries a ``double`` column whose values span
 magnitudes where reordering a left-to-right sum changes it, and the
-order-sensitive ``lag`` / ``ew_avg`` that keep ``w2`` off incremental
-state.  Sums are exact in every tier, so both windows compare with
-``==`` — ``w2`` against ``math.fsum``, the correctly rounded sum.
+order-sensitive ``lag`` / ``ew_avg``.  Sums are exact in every tier, so
+both windows compare with ``==`` — ``w2`` against ``math.fsum``, the correctly rounded sum.
 Between them the two windows give the fold bare columns and expression
 arguments, a never-NULL column and NULL-bearing ones (the fast path and
 the filtered path), and every reduction it has.
 
 Hypothesis drives the schedule: randomized frames, TTL specs,
 out-of-order and duplicate timestamps, NULLs, a deploy point in the
-middle of the insert stream (so both backfill and binlog absorption are
-exercised), TTL eviction mid-stream, and request anchors at, past, and
-before the newest tuple (hit, hit, and fallback paths).
+middle of the insert stream, TTL eviction mid-stream, and request
+anchors at, past, and before the newest tuple.
 """
 
 from __future__ import annotations
@@ -262,10 +258,9 @@ def _check_all_paths(db, traced_db, store, frame, maxsize, exclude,
         expected = _reference_features(store, request, frame, maxsize,
                                        exclude)
         for instance in (db, traced_db):
-            # Default path: fused kernels + incremental state where
-            # eligible.
+            # The served path, through the deployment.
             assert tuple(instance.request_row("d", request)) == expected
-            # Fused scan-fold without ingest-time state.
+            # The engine called directly.
             assert tuple(instance.online_engine.execute_request(
                 instance.deployments["d"].compiled, request)) == expected
         # One body: observability changes what is recorded, never what
@@ -284,16 +279,11 @@ def test_all_tiers_match_reference(events, deploy_frac, frame, maxsize,
     db, traced_db = _build_twins(events, deploy_at, frame, maxsize,
                                  exclude, ttl)
     try:
-        deployment = db.deployments["d"]
-        assert deployment.uses_incremental  # every aggregate is invertible
         store = _reference_store(events)
         requests, max_ts = _requests(events)
 
         _check_all_paths(db, traced_db, store, frame, maxsize, exclude,
                          requests)
-        # Warm keys at fresh anchors must have taken the O(aggregates)
-        # path, not fallen back to a scan.
-        assert db.online_engine.stats.incremental_hits >= 1
 
         if ttl is not None:
             evict_ts = max_ts + evict_offset
@@ -324,12 +314,10 @@ def test_out_of_order_inserts_byte_identical():
         store = _reference_store(events)
         requests = [("u1", 6000, 5, 5, 5, 0.2),
                     ("u1", 5000, None, 5, 5, None),
-                    # past anchor → fallback scan
+                    # past anchor
                     ("u1", 3000, 2, 2, 2, 3.0)]
         _check_all_paths(db, traced_db, store, frame, None, False,
                          requests)
-        assert db.online_engine.stats.incremental_hits >= 2
-        assert db.online_engine.stats.incremental_fallbacks >= 1
     finally:
         db.close()
         traced_db.close()
@@ -363,9 +351,9 @@ def test_ttl_evicted_rows_byte_identical():
 
 
 def test_double_sum_fold_incremental_and_sequential_agree():
-    """The fold (over sealed-block summaries), incremental state — after
-    it has evicted rows, too — and ``math.fsum`` agree bit for bit, on
-    values whose left-to-right sum depends on the order."""
+    """The fold (over sealed-block summaries), the served request and
+    ``math.fsum`` agree bit for bit, on values whose left-to-right sum
+    depends on the order."""
     xs = [1e16, 1.0, -1e16, 0.1, 0.2, 0.3, 1e-3] * 40  # spans two blocks
     db = OpenMLDB()
     try:
@@ -392,7 +380,6 @@ def test_double_sum_fold_incremental_and_sequential_agree():
             want = (expected, expected / len(window))
             assert tuple(folded) == tuple(served) == want
             assert repr(tuple(folded)) == repr(tuple(served)) == repr(want)
-        assert db.online_engine.stats.incremental_hits == 2
     finally:
         db.close()
 
@@ -413,7 +400,7 @@ def _ieee_sum(values):
 
 def _sliding_tiers(xs, sql):
     """Each row's features three ways: the offline engine's sliding
-    window, the fold, and incremental state — the online request for a
+    window, the fold, and the served request — the online request for a
     row sent before the row is stored."""
     db = OpenMLDB()
     try:
@@ -429,7 +416,6 @@ def _sliding_tiers(xs, sql):
             served.append(tuple(db.request_row("d", row)))
             db.insert("t", row)
             db.replicator.wait_idle(timeout=5.0)
-        assert db.online_engine.stats.incremental_hits == len(xs)
         offline, _stats = db.offline_query(sql)
         return offline, folded, served
     finally:
@@ -467,8 +453,7 @@ def test_non_finite_sums_are_values_in_every_tier():
 
 def test_count_of_a_string_column_adds_nothing_up():
     """A count-only group must not try to total its argument: the fold
-    used to raise ``TypeError: int + str`` where incremental state
-    answered."""
+    used to raise ``TypeError: int + str``."""
     db = OpenMLDB()
     try:
         db.create_table("t", Schema.from_pairs(

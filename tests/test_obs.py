@@ -348,12 +348,8 @@ class TestSingleNodeWiring:
     def test_request_produces_full_span_set(self, db):
         db.request("feat", ("c1", 10_000, 5.0))
         spans = {span["name"]: span for span in db.obs.tracer.last_trace()}
-        # sum() over a plain window is served from ingest-time
-        # incremental state: the trace shows the state lookup instead
-        # of a window.scan/agg.fold pair.
-        assert {"deployment.execute", "incremental.lookup",
+        assert {"deployment.execute", "window.scan", "agg.fold",
                 "encode"} <= spans.keys()
-        assert spans["incremental.lookup"]["tags"]["hit"] is True
 
     def test_request_metrics_accumulate(self, db):
         for _ in range(3):
@@ -431,15 +427,12 @@ class TestSingleNodeWiring:
                     ("online.requests", "requests"),
                     ("online.rows_scanned", "rows_scanned"),
                     ("online.scan.blocks", "scan_blocks"),
-                    ("online.join_lookups", "join_lookups"),
-                    ("online.incremental.hits", "incremental_hits"),
-                    ("online.incremental.fallbacks",
-                     "incremental_fallbacks")):
+                    ("online.join_lookups", "join_lookups")):
                 assert registry.get(series).value \
                     == getattr(stats, field), series
 
         # (a) residual join: walks past two 'basic' rows to the gold
-        # one; the stale anchor falls back to a three-row window scan.
+        # one; the window is a three-row scan.
         assert db.request("feat", ("c1", 1_250, 1.0)) \
             == {"card": "c1", "tier": "gold", "n": 4}
         check(1, 1, 3 + 3)
@@ -472,7 +465,6 @@ class TestSingleNodeWiring:
         assert registry.get("online.fold.summary_blocks").value == 2
         names = {span["name"] for span in db.obs.tracer.last_trace()}
         assert {"window.scan", "agg.fold"} <= names
-        assert "incremental.lookup" not in names
 
 
 # ----------------------------------------------------------------------

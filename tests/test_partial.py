@@ -133,18 +133,13 @@ def _window(aggregates, frame="UNBOUNDED"):
 
 
 class TestTierDecisions:
-    """The two decisions CompiledWindow derives from the flags."""
+    """The decision CompiledWindow derives from the flags."""
 
     def test_carry_needs_exact_merges_and_a_frame_that_never_evicts(self):
         assert _window(["sum(v)", "lag(v, 1)"]).carry_eligible
         assert not _window(["sum(v)", "drawdown(v)"]).carry_eligible
         assert not _window(["sum(v)", "ew_avg(v, 0.5)"]).carry_eligible
         assert not _window(["sum(v)"], frame="50").carry_eligible
-
-    def test_incremental_needs_order_free_inversion(self):
-        assert _window(["sum(v)", "min(v)"]).incremental_eligible
-        assert not _window(["sum(v)", "lag(v, 1)"]).incremental_eligible
-        assert not _window(["drawdown(v)"]).incremental_eligible
 
 
 class TestCarryChain:

@@ -146,7 +146,6 @@ def test_slo_smoke_ctr_workload():
     db.deploy("ctr", adctr.feature_sql())
     for row in adctr.generate_impressions(config):
         db.insert(adctr.TABLE, row)
-    db.flush_preagg()
     requests = list(adctr.generate_requests(config, requests=256))
     try:
         report = slo_search(

@@ -230,7 +230,6 @@ class TestSkewCheck:
                        "ROW)")
         for event in raw_stream:  # BUG: no dedup — duplicates land
             db.insert("t", event.row)
-        db.flush_preagg()
         anchor = max(r[1] for r in rows) + 1
         counted = db.request_row("d", ("k0", anchor, 0))[2]
         expected = 1 + sum(1 for r in rows if r[0] == "k0")

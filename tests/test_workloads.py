@@ -201,7 +201,6 @@ class TestAdCTR:
         config = AdCTRConfig(campaigns=20, events=400)
         for row in generate_impressions(config):
             db.insert(adctr.TABLE, row)
-        db.flush_preagg()
         request = next(iter(adctr.generate_requests(config, requests=1)))
         vector = db.request_row("ctr", request)
         assert vector[0] == request[0] and vector[1] == request[1]
@@ -257,7 +256,6 @@ class TestIoT:
         config = IoTConfig(devices=30, readings=600)
         for row in generate_readings(config):
             db.insert(iot.TABLE, row)
-        db.flush_preagg()
         request = next(iter(iot.generate_requests(config, requests=1)))
         vector = db.request_row("fleet", request)
         assert vector[0] == request[0] and vector[1] == request[1]

@@ -7,10 +7,8 @@ windows, one LAST JOIN, two union tables) and prints the top functions
 by cumulative and by self time.  ``--path`` selects the execution
 tier:
 
-* ``incremental`` (default) — the deployed request path: ingest-time
-  window state where eligible, the scan-and-fold elsewhere;
-* ``fused``   — block scans + the window fold, no ingest-time
-  state;
+* ``fused`` (default) — the in-process request path: block scans +
+  the window fold, called on the engine directly;
 * ``cluster`` — the path users are actually served: the same data on 3
   tablets (``partitions=4, replicas=2``) answered through
   ``NameServer.request_batch``, so routing, the tablet RPC surface and
@@ -55,7 +53,7 @@ summaries read per request.
 
 Usage::
 
-    make profile                       # incremental tier, 400 requests
+    make profile                       # fused path, 400 requests
     python tools/profile.py --path fused --rounds 200 --top 20
     python tools/profile.py --path cluster
     python tools/profile.py --path scan --rounds 3000
@@ -261,16 +259,9 @@ def build_workload(path, rounds):
         db.create_table(name, schema, indexes=data.indexes[name])
     for name, rows in data.rows.items():
         db.insert_many(name, rows)
-    db.deploy("bench", sql)
-    db.replicator.wait_idle(timeout=10.0)
-    return make_operation(db, path), data.requests, db.close
-
-
-def make_operation(db, path):
-    if path == "incremental":
-        return lambda row: db.request_row("bench", row)
-    compiled = db.deployments["bench"].compiled
-    return lambda row: db.online_engine.execute_request(compiled, row)
+    compiled = db.deploy("bench", sql).compiled
+    return (lambda row: db.online_engine.execute_request(compiled, row),
+            data.requests, db.close)
 
 
 WIRE_WARMUP_READS = 500
@@ -476,9 +467,9 @@ def main(argv=None):
         description="cProfile the online request path or the write path; "
                     "thread CPU and wake-ups of a read over the wire; "
                     "memory after a perfbench load")
-    parser.add_argument("--path", default="incremental",
-                        choices=("incremental", "fused", "cluster", "scan",
-                                 "long", "put", "wire", "rss"),
+    parser.add_argument("--path", default="fused",
+                        choices=("fused", "cluster", "scan", "long", "put",
+                                 "wire", "rss"),
                         help="execution tier to profile, the write path, "
                              "a served read over the wire, or the "
                              "footprint of perfbench's loads")
