@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from _util import gc_paused
 from repro.bench import print_series
 from repro.online.incremental import SlidingWindowAggregator
 from repro.schema import Schema
@@ -72,9 +73,12 @@ def storage_fold_run(window_rows, tuples):
 def test_incremental_vs_recompute(benchmark):
     window_sizes = [10, 100, 1_000]
     tuples = 2_000
-    incremental_s = [incremental_run(w, tuples) for w in window_sizes]
-    recompute_s = [recompute_run(w, tuples) for w in window_sizes]
-    fold_s = [storage_fold_run(w, tuples) for w in window_sizes]
+    # The three arms run in turn at each size, with the collector
+    # paused: a collection cannot land in one arm and skew its ratio.
+    with gc_paused():
+        runs = [(incremental_run(w, tuples), recompute_run(w, tuples),
+                 storage_fold_run(w, tuples)) for w in window_sizes]
+    incremental_s, recompute_s, fold_s = map(list, zip(*runs))
     speedups = [r / i for i, r in zip(incremental_s, recompute_s)]
     print_series("Ablation: incremental vs recompute (seconds)",
                  "window rows", window_sizes,

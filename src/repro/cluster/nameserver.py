@@ -44,13 +44,14 @@ from ..ctlplane.split import HashRouter, stable_hash
 from ..errors import (DeadlineExceededError, IndexNotFoundError,
                       MemoryLimitExceededError, RpcTimeoutError,
                       SchemaError, ShardMovedError, StaleReadError,
-                      StorageError)
+                      StorageError, TableExistsError, TableNotFoundError)
 from ..obs import NULL_OBS, Observability
 from ..online.binlog import Replicator
 from ..online.engine import OnlineEngine
 from ..schema import IndexDef, Row, Schema
 from ..serving.deadline import current_deadline
 from ..sql.compiler import CompilationCache, CompiledQuery
+from ..storage.disk import DiskTable
 from ..storage.encoding import RowCodec
 from ..storage.persist import (FileBinlog, RecoveryReport, SnapshotStore)
 from ..storage.skiplist import ColumnBlock
@@ -86,6 +87,13 @@ class ClusterTable:
     # partition ids retired by a split/merge; routing to one raises
     # ShardMovedError so callers re-resolve instead of failing
     retired: Set[int] = dataclasses.field(default_factory=set)
+    # every replica's store engine ("memory" / "disk") and a disk
+    # store's flush threshold
+    storage: str = "memory"
+    flush_threshold: int = 4096
+
+    def __post_init__(self) -> None:
+        self.codec = RowCodec(self.schema)
 
     @property
     def next_offset(self) -> Dict[int, int]:
@@ -273,8 +281,9 @@ class NameServer(DeploymentHost):
             :class:`~repro.storage.persist.SnapshotStore` under
             ``<data_dir>/tablets/<name>/`` — the substrate
             :meth:`snapshot` and :meth:`restart_tablet` recover from.
-            A pre-existing directory is restored: acknowledged entries
-            replay back into the rebuilt cluster.
+            A pre-existing directory is restored as a restart is: each
+            shard loads its newest snapshot, then replays the binlog
+            tail past it.
         snapshot_retain: snapshots kept per shard before pruning.
     """
 
@@ -309,9 +318,9 @@ class NameServer(DeploymentHost):
         for tablet in self.tablets.values():
             tablet.bind_obs(self._obs)
             if data_dir is not None:
-                tablet.attach_snapshots(SnapshotStore(
+                tablet.snapshots = SnapshotStore(
                     os.path.join(data_dir, "tablets", tablet.name),
-                    retain=snapshot_retain, obs=self._obs))
+                    retain=snapshot_retain, obs=self._obs)
         registry = self._obs.registry
         self._m_puts = registry.counter("ns.rpc.puts")
         self._m_gets = registry.counter("ns.rpc.gets")
@@ -336,7 +345,6 @@ class NameServer(DeploymentHost):
         self._failover_lock = threading.Lock()
         self._views: Dict[str, _ClusterTableView] = {}
         self._tenants: Optional[Any] = None  # TenantRegistry
-        self._codecs: Dict[str, RowCodec] = {}
         # Deploy/request/undeploy come from DeploymentHost: the cluster
         # serves routed table views.
         self._host_deployments(
@@ -358,9 +366,13 @@ class NameServer(DeploymentHost):
 
     def create_table(self, name: str, schema: Schema,
                      indexes: Sequence[IndexDef], partitions: int = 4,
-                     replicas: int = 2) -> ClusterTable:
+                     replicas: int = 2, storage: str = "memory",
+                     flush_threshold: int = 4096) -> ClusterTable:
+        """Place a table's partitions and host every replica in a
+        ``storage`` engine store (``"memory"`` or ``"disk"``); over a
+        ``data_dir`` that holds the table, each is restored."""
         if name in self.tables:
-            raise StorageError(f"cluster table {name!r} already exists")
+            raise TableExistsError(name)
         if partitions < 1:
             raise StorageError(
                 f"partitions must be >= 1, got {partitions}")
@@ -368,6 +380,8 @@ class NameServer(DeploymentHost):
             raise StorageError(
                 f"replicas={replicas} must be between 1 and tablet "
                 f"count {len(self.tablets)}")
+        if storage not in ("memory", "disk"):
+            raise SchemaError(f"unknown storage engine {storage!r}")
         layout = self._load_layout(name)
         if layout is not None:
             router = HashRouter.from_state(layout["router"])
@@ -388,16 +402,6 @@ class NameServer(DeploymentHost):
                 assignment[partition_id] = chosen
                 leaders[partition_id] = chosen[0]
             retired = set()
-        for partition_id, chosen in assignment.items():
-            for tablet_name in chosen:
-                if tablet_name not in self.tablets:
-                    raise StorageError(
-                        f"layout for {name!r} names unknown tablet "
-                        f"{tablet_name!r}")
-                self.tablets[tablet_name].host_shard(
-                    name, partition_id, schema, indexes,
-                    is_leader=(tablet_name == leaders[partition_id]))
-            self._part_locks[(name, partition_id)] = threading.Lock()
         table = ClusterTable(
             name=name, schema=schema, indexes=tuple(indexes),
             partitions=partitions, replicas=replicas,
@@ -405,11 +409,34 @@ class NameServer(DeploymentHost):
             binlogs={partition_id: self._build_binlog(name, schema,
                                                       partition_id)
                      for partition_id in sorted(assignment)},
-            router=router, retired=retired)
+            router=router, retired=retired, storage=storage,
+            flush_threshold=flush_threshold)
+        for partition_id, chosen in assignment.items():
+            for tablet_name in chosen:
+                tablet = self.tablets.get(tablet_name)
+                if tablet is None:
+                    raise StorageError(
+                        f"layout for {name!r} names unknown tablet "
+                        f"{tablet_name!r}")
+                self.host_replica(
+                    tablet, table, partition_id,
+                    is_leader=(tablet_name == leaders[partition_id]))
+                self._restore_shard(tablet, table, partition_id)
+            self._part_locks[(name, partition_id)] = threading.Lock()
         self.tables[name] = table
         self._views[name] = _ClusterTableView(self, table)
-        self._restore_partitions(table)
         return table
+
+    def host_replica(self, tablet: TabletServer, table: ClusterTable,
+                     partition_id: int, is_leader: bool) -> None:
+        """Host a replica of ``table``'s partition on ``tablet``: a store
+        of the table's engine, its storage events on the partition WAL."""
+        binlog = table.binlogs[partition_id]
+        tablet.host_shard(
+            table.name, partition_id, table.schema, table.indexes,
+            is_leader=is_leader, storage=table.storage,
+            flush_threshold=table.flush_threshold,
+            events=binlog.log_control if binlog.wal is not None else None)
 
     def _build_binlog(self, name: str, schema: Schema,
                       partition_id: int,
@@ -423,29 +450,42 @@ class NameServer(DeploymentHost):
         ``fresh=True`` (a partition newly minted by a split) discards
         any stale WAL left by an earlier aborted topology change first.
         """
-        replicator = Replicator()
-        if self.data_dir is not None:
-            directory = os.path.join(self.data_dir, "binlog", name,
-                                     f"p{partition_id}")
-            if fresh and os.path.isdir(directory):
-                shutil.rmtree(directory)
-            wal = FileBinlog(directory, obs=self._obs)
-            replicator.attach_wal(wal)
-            replicator.register_codec(name, RowCodec(schema))
-            replicator.restore()
+        if self.data_dir is None:
+            return Replicator(name)
+        directory = os.path.join(self.data_dir, "binlog", name,
+                                 f"p{partition_id}")
+        if fresh and os.path.isdir(directory):
+            shutil.rmtree(directory)
+        replicator = Replicator(name, RowCodec(schema),
+                                FileBinlog(directory, obs=self._obs))
+        replicator.restore()
         return replicator
 
-    def _restore_partitions(self, table: ClusterTable) -> int:
-        """Replay restored binlogs into the freshly hosted shards."""
+    def _restore_shard(self, tablet: TabletServer, table: ClusterTable,
+                       partition_id: int) -> Tuple[int, int]:
+        """The one restore body, for a rebuild over ``data_dir`` and
+        for :meth:`restart_tablet`: the fresh shard loads its newest
+        snapshot, then the binlog past it replays — the *durable* WAL
+        frames when there is a WAL (rows through
+        :meth:`TabletServer.replicate`, a disk store's flush / compaction
+        control frames in stream order), else the in-memory entries.
+        Returns ``(snapshot rows, replayed entries)``."""
+        loaded = tablet.load_snapshot(table.name, partition_id)
+        binlog = table.binlogs[partition_id]
+        if binlog.wal is None:
+            return loaded, catch_up(tablet, table.name, partition_id,
+                                    binlog)
+        shard = tablet.shard(table.name, partition_id)
         replayed = 0
-        for partition_id, tablet_names in table.assignment.items():
-            binlog = table.binlogs[partition_id]
-            if binlog.last_offset < 0:
-                continue
-            for tablet_name in tablet_names:
-                replayed += catch_up(self.tablets[tablet_name],
-                                     table.name, partition_id, binlog)
-        return replayed
+        for frame in binlog.wal.replay(shard.applied_offset + 1):
+            if frame.is_row:
+                tablet.replicate(table.name, partition_id,
+                                 table.codec.decode(frame.payload),
+                                 frame.offset)
+                replayed += 1
+            elif isinstance(shard.store, DiskTable):
+                shard.store.apply_event(frame.control_text())
+        return loaded, replayed
 
     # ------------------------------------------------------------------
     # routing
@@ -520,7 +560,7 @@ class NameServer(DeploymentHost):
         try:
             return self.tables[name]
         except KeyError:
-            raise StorageError(f"unknown cluster table {name!r}") from None
+            raise TableNotFoundError(name) from None
 
     # ------------------------------------------------------------------
     # control-plane hooks (repro.ctlplane)
@@ -565,13 +605,13 @@ class NameServer(DeploymentHost):
         if partition_id in table.assignment:
             raise StorageError(
                 f"{table_name} already has partition {partition_id}")
-        for tablet_name in placement:
-            self.tablets[tablet_name].host_shard(
-                table_name, partition_id, table.schema, table.indexes,
-                is_leader=(tablet_name == leader))
         binlog = self._build_binlog(table_name, table.schema,
                                     partition_id, fresh=True)
         table.binlogs[partition_id] = binlog
+        for tablet_name in placement:
+            self.host_replica(self.tablets[tablet_name], table,
+                              partition_id,
+                              is_leader=(tablet_name == leader))
         table.assignment[partition_id] = list(placement)
         table.retired.discard(partition_id)
         self.partition_lock(table_name, partition_id)
@@ -658,13 +698,6 @@ class NameServer(DeploymentHost):
         budgets on the write path (``put(..., tenant=...)``)."""
         self._tenants = registry
 
-    def _codec(self, table: ClusterTable) -> RowCodec:
-        codec = self._codecs.get(table.name)
-        if codec is None:
-            codec = self._codecs.setdefault(table.name,
-                                            RowCodec(table.schema))
-        return codec
-
     # ------------------------------------------------------------------
     # replication lag
 
@@ -729,7 +762,7 @@ class NameServer(DeploymentHost):
         key_value = row[table.schema.position(column)]
         charged = 0
         if tenant and self._tenants is not None:
-            charged = self._codec(table).encoded_size(row)
+            charged = table.codec.encoded_size(row)
             self._tenants.charge(tenant, charged, table=table_name)
         policy = self.retry_policy
         last_error: Optional[Exception] = None
@@ -1126,10 +1159,10 @@ class NameServer(DeploymentHost):
 
         The restart protocol, per shard the tablet hosts:
 
-        1. load the newest intact snapshot image and resume at its
-           pinned ``applied_offset`` (:meth:`TabletServer.restart`);
-        2. replay the *durable* binlog tail past that offset through
-           the normal contiguous :meth:`TabletServer.replicate` path;
+        1. start over from empty stores (:meth:`TabletServer.wipe`);
+        2. restore it (:meth:`_restore_shard`): load the newest intact
+           snapshot image, then replay the *durable* binlog tail past
+           its pinned offset;
         3. rejoin as a caught-up follower — unless the partition lost
            its leader entirely, in which case the most caught-up live
            replica (usually the restarted one) is promoted.
@@ -1148,23 +1181,26 @@ class NameServer(DeploymentHost):
         with self._failover_lock:
             with self._obs.tracer.span("recovery.restart",
                                        tablet=tablet_name):
-                report.snapshot_rows = tablet.restart()
+                tablet.wipe()
+                tablet.recover()
                 self.heartbeats.forget(tablet_name)
                 for table in list(self.tables.values()):
                     for partition_id, names in list(
                             table.assignment.items()):
                         if tablet_name not in names:
                             continue
-                        binlog = table.binlogs[partition_id]
-                        report.replayed_entries += self._replay_tail(
-                            tablet, table, partition_id, binlog)
+                        loaded, replayed = self._restore_shard(
+                            tablet, table, partition_id)
+                        report.snapshot_rows += loaded
+                        report.replayed_entries += replayed
                         shard = tablet.shard(table.name, partition_id)
                         report.applied_offsets[
                             (table.name, partition_id)] = \
                             shard.applied_offset
                         self._lag_gauge(table.name, partition_id,
                                         tablet_name).set(
-                            binlog.last_offset - shard.applied_offset)
+                            table.binlogs[partition_id].last_offset
+                            - shard.applied_offset)
                         self._repair_leadership(table, partition_id)
         report.seconds = time.perf_counter() - start
         self._m_restarts.inc()
@@ -1172,29 +1208,6 @@ class NameServer(DeploymentHost):
         self._m_snapshot_rows.inc(report.snapshot_rows)
         self._h_recovery.observe(report.seconds * 1_000.0)
         return report
-
-    def _replay_tail(self, tablet: TabletServer, table: ClusterTable,
-                     partition_id: int, binlog: Replicator) -> int:
-        """Replay the binlog suffix a restarted shard is missing.
-
-        With a file WAL attached the replay reads the *durable* frames
-        (what a real restarted process has), decoding rows through the
-        table codec; without one it falls back to the in-memory entry
-        list.
-        """
-        shard = tablet.shard(table.name, partition_id)
-        wal = binlog.wal
-        if wal is None:
-            return catch_up(tablet, table.name, partition_id, binlog)
-        codec = RowCodec(table.schema)
-        replayed = 0
-        for frame in wal.replay(shard.applied_offset + 1):
-            if not frame.is_row or frame.offset <= shard.applied_offset:
-                continue
-            tablet.replicate(table.name, partition_id,
-                             codec.decode(frame.payload), frame.offset)
-            replayed += 1
-        return replayed
 
     def _repair_leadership(self, table: ClusterTable,
                            partition_id: int) -> None:

@@ -23,15 +23,17 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 from ..errors import DeadlineExceededError, StorageError
 from ..memory.governor import MemoryGovernor
 from ..obs import NULL_OBS, Observability
 from ..schema import IndexDef, Row, Schema
 from ..serving.deadline import current_deadline
+from ..storage.disk import DiskTable
 from ..storage.memtable import MemTable
-from ..storage.persist import SnapshotStore
+from ..storage.persist import Snapshot, SnapshotStore
 from ..storage.skiplist import ColumnBlock
 
 __all__ = ["Shard", "TabletServer"]
@@ -44,14 +46,20 @@ class Shard:
     ``is_leader`` marks the replica accepting writes; followers apply
     replicated rows and serve reads.  ``applied_offset`` is the highest
     *contiguously* applied binlog offset — the replica holds exactly the
-    entries ``0..applied_offset``.
+    entries ``0..applied_offset``.  ``new_store`` builds an empty store
+    of the shard's engine: the first one, and the one a wipe starts over
+    from.
     """
 
     table: str
     partition_id: int
-    store: MemTable
+    new_store: Callable[[], Union[MemTable, DiskTable]]
+    store: Union[MemTable, DiskTable] = dataclasses.field(init=False)
     is_leader: bool = False
     applied_offset: int = -1
+
+    def __post_init__(self) -> None:
+        self.store = self.new_store()
 
 
 class TabletServer:
@@ -73,13 +81,10 @@ class TabletServer:
         self._lock = threading.Lock()
         self.alive = True
         self.faults = None  # set via NameServer.attach_faults
+        #: durable snapshot directory (the nameserver sets one per
+        #: tablet when built with ``data_dir``)
         self.snapshots: Optional[SnapshotStore] = None
         self.bind_obs(obs or NULL_OBS)
-
-    def attach_snapshots(self, store: SnapshotStore) -> None:
-        """Give this tablet a durable snapshot directory (the nameserver
-        wires one per tablet when built with ``data_dir``)."""
-        self.snapshots = store
 
     def bind_obs(self, obs: Observability) -> None:
         """(Re)attach observability — the nameserver calls this on join."""
@@ -136,18 +141,26 @@ class TabletServer:
     # shard hosting
 
     def host_shard(self, table: str, partition_id: int, schema: Schema,
-                   indexes: Sequence[IndexDef],
-                   is_leader: bool) -> Shard:
+                   indexes: Sequence[IndexDef], is_leader: bool,
+                   storage: str = "memory", flush_threshold: int = 4096,
+                   events: Optional[Callable[[str], None]] = None) -> Shard:
+        """Host one partition replica in a ``storage`` engine store
+        (``"memory"`` or ``"disk"``); a disk store sends its explicit
+        flushes and compactions to ``events(text)``."""
+        def new_store() -> Union[MemTable, DiskTable]:
+            if storage == "memory":
+                return MemTable(table, schema, indexes, obs=self._obs)
+            return DiskTable(table, schema, indexes,
+                             flush_threshold=flush_threshold, obs=self._obs,
+                             event_log=events)
+
         key = (table, partition_id)
         with self._lock:
             if key in self._shards:
                 raise StorageError(
                     f"{self.name} already hosts {table}[{partition_id}]")
-            shard = Shard(
-                table=table, partition_id=partition_id,
-                store=MemTable(f"{table}#{partition_id}@{self.name}",
-                               schema, indexes, obs=self._obs),
-                is_leader=is_leader)
+            shard = Shard(table=table, partition_id=partition_id,
+                          new_store=new_store, is_leader=is_leader)
             self._shards[key] = shard
             return shard
 
@@ -170,15 +183,16 @@ class TabletServer:
         return shard
 
     def install_shard_image(self, table: str, partition_id: int,
-                            payloads: Sequence[bytes],
-                            applied_offset: int) -> int:
+                            image: Snapshot) -> int:
         """Bulk-load a snapshot image into a freshly hosted shard.
 
-        The migration transfer's bulk phase: decode each snapshot
-        payload through the shard codec, charge the memory governor,
-        and resume the shard at the image's pinned ``applied_offset``
-        so the binlog tail chase starts exactly where the image ends.
-        Returns rows installed.
+        A restore's and the migration transfer's bulk phase: decode each
+        snapshot payload through the shard codec, charge the memory
+        governor, and resume the shard at the image's pinned
+        ``applied_offset`` so the binlog tail replay starts exactly
+        where the image ends.  A disk store's explicit flushes and
+        compactions (the manifest's ``events``) re-apply at the row
+        positions they landed on.  Returns rows installed.
 
         Raises:
             StorageError: the tablet is down, the shard is not hosted,
@@ -194,13 +208,21 @@ class TabletServer:
                 f"{self.name}: {table}[{partition_id}] already applied "
                 f"offset {shard.applied_offset}; images install on "
                 f"fresh shards only")
-        codec = shard.store.codec
-        for payload in payloads:
+        store = shard.store
+        codec = store.codec
+        due: Dict[int, List[str]] = {}
+        for position, event in image.manifest.get("events", ()):
+            due.setdefault(position, []).append(event)
+        for position, payload in enumerate(image.rows):
+            for event in due.pop(position, ()):
+                store.apply_event(event)
             row = codec.decode(payload)
             self.governor.charge(codec.encoded_size(row))
-            shard.store.insert(row)
-        shard.applied_offset = applied_offset
-        return len(payloads)
+            store.insert(row)
+        for event in due.pop(len(image.rows), ()):
+            store.apply_event(event)
+        shard.applied_offset = image.applied_offset
+        return len(image.rows)
 
     def shard(self, table: str, partition_id: int) -> Shard:
         try:
@@ -347,8 +369,10 @@ class TabletServer:
         self.alive = False
 
     def recover(self) -> None:
-        """Restart after a crash.  Rejoining a cluster should go through
-        :meth:`NameServer.reintegrate` so hosted shards catch up."""
+        """Come back after a crash.  Rejoining a cluster goes through
+        :meth:`NameServer.reintegrate` (stores kept) or
+        :meth:`NameServer.restart_tablet` (memory lost), so hosted shards
+        catch up."""
         self.alive = True
 
     # ------------------------------------------------------------------
@@ -361,70 +385,44 @@ class TabletServer:
         """Write one shard's snapshot image; returns rows written.
 
         The image pins the shard's rows to its ``applied_offset``, so
-        restart replays only the binlog frames past it.
+        restart replays only the binlog frames past it.  A disk store's
+        image carries its run-layout manifest.
         """
         if self.snapshots is None:
             raise StorageError(f"{self.name} has no snapshot store")
         shard = self.shard(table, partition_id)
-        codec = shard.store.codec
-        payloads = [codec.encode(row) for row in shard.store.rows()]
-        self.snapshots.write(self._snapshot_name(table, partition_id),
-                             payloads, shard.applied_offset)
+        store = shard.store
+        codec = store.codec
+        payloads = [codec.encode(row) for row in store.rows()]
+        self.snapshots.write(
+            self._snapshot_name(table, partition_id), payloads,
+            shard.applied_offset,
+            manifest=store.manifest() if isinstance(store, DiskTable)
+            else None)
         return len(payloads)
+
+    def load_snapshot(self, table: str, partition_id: int) -> int:
+        """Install a fresh shard's newest intact snapshot image, if any
+        (:meth:`install_shard_image`); returns rows loaded."""
+        if self.snapshots is None:
+            return 0
+        snapshot = self.snapshots.load_latest(
+            self._snapshot_name(table, partition_id))
+        return 0 if snapshot is None else self.install_shard_image(
+            table, partition_id, snapshot)
 
     def wipe(self) -> None:
         """Lose all in-memory state — the process-death half of a crash.
 
         Every shard keeps its hosting slot but drops to an empty store
-        at ``applied_offset = -1``; :meth:`restart` rebuilds from the
-        snapshot store and the nameserver replays the binlog tail.
+        at ``applied_offset = -1``; :meth:`NameServer.restart_tablet`
+        restores each from its snapshot and the binlog tail.
         """
         with self._lock:
             for shard in self._shards.values():
                 self.governor.release(shard.store.memory_bytes)
-                old = shard.store
-                shard.store = MemTable(old.name, old.schema, old.indexes,
-                                       replicas=old.replicas,
-                                       obs=self._obs)
+                shard.store = shard.new_store()
                 shard.applied_offset = -1
-
-    def restart(self) -> int:
-        """Cold-start a crashed tablet from its snapshot images.
-
-        Every hosted shard loads its newest intact snapshot (if any) and
-        resumes at that image's ``applied_offset``; the caller — see
-        :meth:`NameServer.restart_tablet` — then replays the per-
-        partition binlog tail so the shard catches up to the
-        acknowledged prefix.  Returns the number of snapshot rows
-        loaded.
-
-        Raises:
-            StorageError: the tablet is still alive (a restart models a
-                dead process coming back, not a live one resetting).
-        """
-        if self.alive:
-            raise StorageError(
-                f"{self.name} is alive; restart() models a crashed "
-                f"process coming back")
-        self.wipe()
-        loaded = 0
-        if self.snapshots is not None:
-            with self._lock:
-                for shard in self._shards.values():
-                    snapshot = self.snapshots.load_latest(
-                        self._snapshot_name(shard.table,
-                                            shard.partition_id))
-                    if snapshot is None:
-                        continue
-                    codec = shard.store.codec
-                    for payload in snapshot.rows:
-                        row = codec.decode(payload)
-                        self.governor.charge(codec.encoded_size(row))
-                        shard.store.insert(row)
-                    shard.applied_offset = snapshot.applied_offset
-                    loaded += len(snapshot.rows)
-        self.alive = True
-        return loaded
 
     def promote(self, table: str, partition_id: int) -> None:
         self.shard(table, partition_id).is_leader = True

@@ -13,34 +13,35 @@ architecture diagram (Figure 2) does:
   multi-window parallelism and skew resolving;
 * **online preview mode** — ``preview()`` with complexity constraints and
   a result cache;
-* memory governance — an optional per-database
-  :class:`~repro.memory.governor.MemoryGovernor` making writes fail (but
-  not reads) past ``max_memory_mb``.
+* memory governance — an optional ``max_memory_mb`` making writes fail
+  (but not reads) past it (Section 8.2).
+
+Storage, writes, the binlog and recovery are the one-tablet,
+one-partition, one-replica :class:`~repro.cluster.NameServer`'s; reads
+skip the routing one replica does not need — both engines read the
+tablet's shard stores directly.
 """
 
 from __future__ import annotations
 
-import os
-import time
-from typing import (Any, Callable, Dict, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from ..cluster.failover import catch_up
+from ..cluster.nameserver import NameServer
+from ..cluster.tablet import TabletServer
 from ..errors import (ParseError, PlanError, SchemaError, StorageError,
-                      TableExistsError, TableNotFoundError)
+                      TableNotFoundError)
 from ..schema import Column, IndexDef, Row, Schema, TTLKind, TTLSpec
 from ..sql import ast
 from ..sql.compiler import CompilationCache
 from ..sql.parser import parse
 from ..sql.planner import build_plan
 from ..storage.disk import DiskTable
-from ..storage.encoding import RowCodec
 from ..storage.memtable import MemTable
-from ..storage.persist import FileBinlog, RecoveryReport, SnapshotStore
-from ..online.binlog import Replicator
+from ..storage.persist import RecoveryReport
 from ..online.engine import OnlineEngine
 from ..offline.engine import OfflineEngine, OfflineStats
 from ..offline.skew import SkewConfig
-from ..memory.governor import MemoryGovernor
 from ..obs import NULL_OBS, Observability
 from ..types import ColumnType
 from .deployment import DeploymentHost
@@ -62,10 +63,11 @@ class OpenMLDB(DeploymentHost):
             (see :mod:`repro.obs`).  Off by default — the same request
             body runs either way; disabled, its spans and series are
             shared no-ops (a few no-op calls per request).
-        data_dir: root directory for durability.  When set, inserts
-            write through a file-backed binlog, :meth:`snapshot` pins
-            table images, and a fresh instance over the same directory
-            rebuilds its tables via :meth:`recover`.
+        data_dir: root directory for durability, laid out as a
+            cluster's: ``<data_dir>/binlog/<table>/p0/`` holds each
+            table's WAL and ``<data_dir>/tablets/db/`` its snapshots.
+            Re-creating a table over it restores the table — newest
+            snapshot, then the binlog tail.
         snapshot_retain: snapshot images kept per table before pruning.
     """
 
@@ -76,27 +78,20 @@ class OpenMLDB(DeploymentHost):
                  snapshot_retain: int = 2) -> None:
         self.obs = Observability(enabled=True) if observability \
             else NULL_OBS
-        self.tables: Dict[str, Union[MemTable, DiskTable]] = {}
-        self.replicator = Replicator()
+        self._tablet = TabletServer("db", max_memory_mb=max_memory_mb)
+        self.cluster = NameServer([self._tablet], obs=self.obs,
+                                  data_dir=data_dir,
+                                  snapshot_retain=snapshot_retain)
+        self.governor = self._tablet.governor
         self.data_dir = data_dir
-        self._snapshots: Optional[SnapshotStore] = None
-        self._recovering = False
-        if data_dir is not None:
-            # Durability (Section 5 / 7.3): every insert's binlog entry
-            # is written through to a segmented file WAL; snapshot()
-            # pins table images; recover() rebuilds a fresh instance
-            # from snapshot + binlog tail.
-            self.replicator.attach_wal(FileBinlog(
-                os.path.join(data_dir, "binlog"), obs=self.obs))
-            self._snapshots = SnapshotStore(
-                os.path.join(data_dir, "snapshots"),
-                retain=snapshot_retain, obs=self.obs)
+        #: table name → the tablet's one shard store of it (refreshed
+        #: whenever a restart or rebuild replaces the store)
+        self.tables: Dict[str, Union[MemTable, DiskTable]] = {}
         self.compile_cache = CompilationCache(obs=self.obs)
         self.online_engine = OnlineEngine(self.tables, obs=self.obs)
         self.offline_engine = OfflineEngine(self.tables,
                                             workers=offline_workers,
                                             obs=self.obs)
-        self.governor = MemoryGovernor("db", max_memory_mb=max_memory_mb)
         self._preview_cache: Dict[Tuple[str, int], List[Row]] = {}
         # Deploy/request/undeploy come from DeploymentHost; a single
         # node differs from the cluster only by serving its own tables.
@@ -110,45 +105,26 @@ class OpenMLDB(DeploymentHost):
 
     def create_table(self, name: str, schema: Schema,
                      indexes: Optional[Sequence[IndexDef]] = None,
-                     storage: str = "memory", replicas: int = 1,
+                     storage: str = "memory",
                      flush_threshold: int = 4096
                      ) -> Union[MemTable, DiskTable]:
         """Create a table with stream indexes.
 
         With no explicit index, a default one is derived: the first
         string/int column as key, the first timestamp column as ts —
-        mirroring OpenMLDB's automatic index creation.
+        mirroring OpenMLDB's automatic index creation.  ``storage`` and
+        ``flush_threshold`` are :meth:`NameServer.create_table`'s.
         """
-        if name in self.tables:
-            raise TableExistsError(name)
         if indexes is None:
             indexes = [self._default_index(schema)]
-        if storage == "memory":
-            table: Union[MemTable, DiskTable] = MemTable(
-                name, schema, indexes, replicas=replicas, obs=self.obs)
-        elif storage == "disk":
-            table = DiskTable(name, schema, indexes, replicas=replicas,
-                              flush_threshold=flush_threshold,
-                              obs=self.obs)
-        else:
-            raise SchemaError(f"unknown storage engine {storage!r}")
-        self.tables[name] = table
-        if self.data_dir is not None:
-            self.replicator.register_codec(name, RowCodec(schema))
-            if isinstance(table, DiskTable):
-                table.attach_event_log(self._storage_event_sink(name))
-        return table
+        self.cluster.create_table(name, schema, indexes, partitions=1,
+                                  replicas=1, storage=storage,
+                                  flush_threshold=flush_threshold)
+        return self._refresh(name)
 
-    def _storage_event_sink(self, table_name: str) -> Callable[[str], None]:
-        """WAL control-frame sink for explicit LSM flush/compact events.
-
-        Suppressed while :meth:`recover` replays those very events —
-        re-applying a flush must not re-log it.
-        """
-        def sink(text: str) -> None:
-            if not self._recovering:
-                self.replicator.log_control(table_name, text)
-        return sink
+    def _refresh(self, name: str) -> Union[MemTable, DiskTable]:
+        store = self.tables[name] = self._tablet.shard(name, 0).store
+        return store
 
     @staticmethod
     def _default_index(schema: Schema) -> IndexDef:
@@ -179,15 +155,9 @@ class OpenMLDB(DeploymentHost):
     # DML
 
     def insert(self, table_name: str, row: Sequence[Any]) -> int:
-        """Insert one row: storage, memory accounting, binlog."""
-        table = self.table(table_name)
-        validated = table.schema.validate_row(row)
-        self.governor.charge(table.codec.encoded_size(validated)
-                             if isinstance(table, MemTable)
-                             else _approx_row_bytes(validated))
-        offset = table.insert(validated)
-        self.replicator.append_entry(table_name, validated)
-        return offset
+        """Insert one row: the cluster's ``put`` (row check, memory
+        accounting, store, binlog); returns its binlog offset."""
+        return self.cluster.put(table_name, row)
 
     def insert_many(self, table_name: str,
                     rows: Sequence[Sequence[Any]]) -> int:
@@ -337,167 +307,59 @@ class OpenMLDB(DeploymentHost):
     def snapshot(self) -> int:
         """Write one snapshot image per table; returns rows written.
 
-        The binlog is fsync'd after, so "newest snapshot + binlog tail"
-        is a complete recovery contract at the returned point.  Call
-        from a quiesced maintenance context (no concurrent inserts), as
-        the paper's snapshot thread does between low-traffic windows.
+        The cluster's :meth:`~NameServer.snapshot`: each image pins its
+        table's rows to a binlog offset and the binlogs are fsync'd
+        after, so "newest snapshot + binlog tail" is a complete recovery
+        contract at that point.
         """
-        if self._snapshots is None:
-            raise StorageError(
-                "snapshot() requires OpenMLDB(data_dir=...)")
-        offset = self.replicator.last_offset
-        rows = 0
-        for name, table in self.tables.items():
-            codec = RowCodec(table.schema)
-            payloads = [codec.encode(row) for row in table.rows()]
-            manifest = table.manifest() if isinstance(table, DiskTable) \
-                else {}
-            self._snapshots.write(name, payloads, offset,
-                                  manifest=manifest)
-            rows += len(payloads)
-        self.replicator.sync()
-        return rows
+        self._require_data_dir("snapshot")
+        return self.cluster.snapshot()
 
     def recover(self) -> RecoveryReport:
-        """Crash recovery: rebuild state from snapshots + binlog tail.
+        """Crash recovery: restart the node's one tablet.
 
-        Call on a **fresh** instance pointed at the crashed instance's
-        ``data_dir``, after re-running DDL and deployments (catalog
-        metadata is assumed durable elsewhere, as ZooKeeper keeps it for
-        production OpenMLDB).  Per table: load the newest intact
-        snapshot, then replay the durable binlog frames past its pinned
-        offset; the storage summaries rebuild lazily with the blocks, so
-        requests answer exactly as before the crash.  Explicit LSM
-        flush/compact control frames re-apply in stream order,
-        reconstructing disk tables' run layout.
+        Every table drops its rows, loads its newest intact snapshot and
+        replays the durable binlog past it — explicit disk flushes and
+        compactions re-apply in stream order — exactly as
+        :meth:`NameServer.restart_tablet` restores a cluster tablet (and
+        records the same ``cluster.recovery.*`` series).  A fresh node
+        over a crashed one's ``data_dir`` has already restored each
+        table as its DDL re-created it (catalog metadata is assumed
+        durable elsewhere, as ZooKeeper keeps it for production
+        OpenMLDB).
         """
-        wal = self.replicator.wal
-        if wal is None or self._snapshots is None:
-            raise StorageError(
-                "recover() requires OpenMLDB(data_dir=...)")
-        for name, table in self.tables.items():
-            if table.row_count:
-                raise StorageError(
-                    f"recover() requires empty tables; {name!r} already "
-                    f"holds {table.row_count} row(s)")
-        start = time.perf_counter()
-        report = RecoveryReport(node="db")
-        span = self.obs.tracer.span("recovery.restart", node="db")
-        with span:
-            # Rebuild the in-memory binlog first so post-recovery
-            # inserts continue the durable offset sequence.
-            self.replicator.restore()
-            self._recovering = True
-            try:
-                codecs: Dict[str, RowCodec] = {
-                    name: RowCodec(table.schema)
-                    for name, table in self.tables.items()}
-                snap_offsets: Dict[str, int] = {}
-                for name, table in self.tables.items():
-                    snapshot = self._snapshots.load_latest(name)
-                    if snapshot is None:
-                        continue
-                    for payload in snapshot.rows:
-                        self._apply_recovered(
-                            table, codecs[name].decode(payload))
-                    snap_offsets[name] = snapshot.applied_offset
-                    report.snapshot_rows += len(snapshot.rows)
-                    if isinstance(table, DiskTable) \
-                            and snapshot.manifest.get("flushes"):
-                        # The image's rows had (partly) been flushed to
-                        # runs pre-crash; rebuild that residence so the
-                        # memtable only holds the post-snapshot tail.
-                        table.flush()
-                for frame in wal.replay(0):
-                    if frame.offset <= snap_offsets.get(frame.table, -1):
-                        continue
-                    table = self.tables.get(frame.table)
-                    if table is None:
-                        continue
-                    if frame.is_row:
-                        self._apply_recovered(
-                            table, codecs[frame.table].decode(frame.payload))
-                        report.replayed_entries += 1
-                    else:
-                        self._apply_storage_event(table,
-                                                  frame.control_text())
-            finally:
-                self._recovering = False
-            for name in self.tables:
-                report.applied_offsets[(name, 0)] = \
-                    self.replicator.last_offset
-        report.seconds = time.perf_counter() - start
-        registry = self.obs.registry
-        registry.counter("storage.recovery.restarts").inc()
-        registry.counter("storage.recovery.replayed").inc(
-            report.replayed_entries)
-        registry.counter("storage.recovery.snapshot_rows").inc(
-            report.snapshot_rows)
-        registry.histogram("storage.recovery.ms").observe(
-            report.seconds * 1_000.0)
+        self._require_data_dir("recover")
+        self._tablet.fail()
+        report = self.cluster.restart_tablet(self._tablet.name)
+        for name in self.tables:
+            self._refresh(name)
         return report
 
-    def _apply_recovered(self, table: Union[MemTable, DiskTable],
-                         row: Row) -> None:
-        """Re-apply one recovered row: storage and memory accounting."""
-        validated = table.schema.validate_row(row)
-        self.governor.charge(table.codec.encoded_size(validated)
-                             if isinstance(table, MemTable)
-                             else _approx_row_bytes(validated))
-        table.insert(validated)
-
-    @staticmethod
-    def _apply_storage_event(table: Union[MemTable, DiskTable],
-                             text: str) -> None:
-        if not isinstance(table, DiskTable):
-            return
-        if text == "flush":
-            table.flush()
-        elif text.startswith("compact:"):
-            table.compact(int(text.split(":", 1)[1]))
+    def _require_data_dir(self, what: str) -> None:
+        if self.data_dir is None:
+            raise StorageError(
+                f"{what}() requires OpenMLDB(data_dir=...)")
 
     def recover_table(self, name: str) -> int:
-        """Rebuild a table's online structures by replaying the binlog.
+        """Rebuild one table's shard by replaying its binlog.
 
         Simulates a tablet restart (Section 5.1's failure-recovery
-        design): the in-memory indexes are discarded and reconstructed
-        from the replicator's log; the storage summaries rebuild lazily
-        with the blocks.  Returns the number of replayed rows.
+        design): the store is discarded and rebuilt from the partition
+        binlog's entries; the storage summaries rebuild lazily with the
+        blocks.  Returns the number of replayed rows.
         """
-        old = self.table(name)
-        if isinstance(old, MemTable):
-            fresh: Union[MemTable, DiskTable] = MemTable(
-                name, old.schema, old.indexes, replicas=old.replicas,
-                obs=self.obs)
-        else:
-            fresh = DiskTable(name, old.schema, old.indexes,
-                              replicas=old.replicas,
-                              flush_threshold=old.flush_threshold,
-                              obs=self.obs)
-            if self.data_dir is not None:
-                # The rebuilt table's explicit flushes and compactions
-                # keep reaching the WAL, as create_table wired the old one.
-                fresh.attach_event_log(self._storage_event_sink(name))
-        rows = self.replicator.rows_of(name)
-        for row in rows:
-            fresh.insert(row)
-        self.tables[name] = fresh
-        return len(rows)
+        table = self.cluster.table_info(name)
+        self._tablet.drop_shard(name, 0)
+        self.cluster.host_replica(self._tablet, table, 0, is_leader=True)
+        replayed = catch_up(self._tablet, name, 0, table.binlogs[0])
+        self._refresh(name)
+        return replayed
 
     def evict_expired(self, now_ts: int) -> int:
-        """Run TTL eviction across all memory tables."""
-        removed = 0
-        for table in self.tables.values():
-            if isinstance(table, MemTable):
-                removed += table.evict_expired(now_ts)
-        return removed
+        """Run TTL eviction across the tablet's memory shards."""
+        return sum(shard.store.evict_expired(now_ts)
+                   for shard in self._tablet.shards()
+                   if isinstance(shard.store, MemTable))
 
     def close(self) -> None:
-        self.replicator.close()
-
-
-def _approx_row_bytes(row: Sequence[Any]) -> int:
-    total = 16
-    for value in row:
-        total += 8 if not isinstance(value, str) else 8 + len(value)
-    return total
+        self.cluster.close()

@@ -127,9 +127,8 @@ class ShardMigrator:
         with self._obs.tracer.span("ctl.migrate", table=table_name,
                                    partition=partition_id, source=source,
                                    target=target) as span:
-            target_tablet.host_shard(table_name, partition_id,
-                                     table.schema, table.indexes,
-                                     is_leader=False)
+            ns.host_replica(target_tablet, table, partition_id,
+                            is_leader=False)
             try:
                 report.snapshot_rows = self._bulk_load(
                     ns, table_name, partition_id, source_tablet,
@@ -193,8 +192,8 @@ class ShardMigrator:
             f"{table_name}-p{partition_id}")
         if image is None:
             return 0
-        return target_tablet.install_shard_image(
-            table_name, partition_id, image.rows, image.applied_offset)
+        return target_tablet.install_shard_image(table_name, partition_id,
+                                                 image)
 
     def _handoff(self, ns: "NameServer", table_name: str,
                  partition_id: int, source: str, target: str,
@@ -224,9 +223,10 @@ class ShardMigrator:
                     f"a race: {source} no longer replicates it")
             report.chased_entries += catch_up(
                 target_tablet, table_name, partition_id, binlog)
+            # A source that died still leading (not yet failed over)
+            # hands over too, or the swap would leave no leader.
             was_leader = (
-                source_tablet.alive
-                and source_tablet.has_shard(table_name, partition_id)
+                source_tablet.has_shard(table_name, partition_id)
                 and source_tablet.shard(table_name,
                                         partition_id).is_leader)
             placement[placement.index(source)] = target

@@ -156,7 +156,7 @@ def decode_parameter(raw: Optional[bytes], column_type: ColumnType,
         if binary:
             return _decode_binary(raw, column_type)
         return _decode_text(raw.decode("utf-8"), column_type)
-    except (ValueError, struct.error) as exc:
+    except (ValueError, OverflowError, struct.error) as exc:
         raise TypeMismatchError(
             f"cannot decode parameter {raw!r} as "
             f"{column_type.sql_name}: {exc}") from None
@@ -235,7 +235,11 @@ class Buffer:
         end = self._data.find(b"\x00", self._pos)
         if end < 0:
             raise ProtocolError("unterminated string in message")
-        out = self._data[self._pos:end].decode("utf-8")
+        try:
+            out = self._data[self._pos:end].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"string in message is not UTF-8: {exc}"
+                                ) from None
         self._pos = end + 1
         return out
 

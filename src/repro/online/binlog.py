@@ -16,9 +16,10 @@ thread.
 
 from __future__ import annotations
 
+import itertools
 import queue
 import threading
-from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
+from typing import (Any, Callable, List, NamedTuple, Optional,
                     TYPE_CHECKING, Tuple)
 
 from ..errors import StorageError
@@ -31,11 +32,11 @@ __all__ = ["BinlogEntry", "Replicator"]
 
 
 class BinlogEntry(NamedTuple):
-    """One replicated update: table, row payload, and its global offset.
+    """One replicated update: table, row payload, and its offset.
 
-    The binlog does not keep these: it keeps each row once, beside a
-    pointer to its table's name, and builds an entry when one is read
-    (:meth:`Replicator.entries_from`, queued closures).
+    The binlog does not keep these: it keeps each row once and builds an
+    entry when one is read (:meth:`Replicator.entries_from`, queued
+    closures).
     """
 
     offset: int
@@ -44,22 +45,29 @@ class BinlogEntry(NamedTuple):
 
 
 class Replicator:
-    """Monotone binlog with asynchronous closure execution.
+    """Monotone binlog of one table, with asynchronous closure execution.
+
+    A binlog serves one partition of one table, so the table's name and
+    row codec are given once: at construction, or — for a binlog built
+    bare — the table by its first append.  A row for another table is
+    refused.
 
     Closures run on a single worker thread in offset order, which gives
     replicated entries a total order without blocking inserts.  Exceptions
     raised by a closure are captured (not swallowed silently: they are
     recorded on :attr:`failures` and surfaced by :meth:`check`).
 
-    The log is two lists indexed by offset: the row tuples (the very
-    objects the tables hold) and their table names (pointers to one
-    ``str`` per table).  An append allocates list slots only — no entry
+    The log is one list of row tuples indexed by offset (the very objects
+    the tables hold).  An append allocates one list slot — no entry
     object and no boxed offset per row.
     """
 
-    def __init__(self, wal: Optional["FileBinlog"] = None) -> None:
+    def __init__(self, table: Optional[str] = None,
+                 codec: Optional["RowCodec"] = None,
+                 wal: Optional["FileBinlog"] = None) -> None:
+        self.table = table
+        self._codec = codec
         self._rows: List[Tuple[Any, ...]] = []
-        self._tables: List[str] = []
         self._lock = threading.Lock()
         self._queue: "queue.Queue[Optional[Tuple[int, Callable]]]" \
             = queue.Queue()
@@ -68,32 +76,20 @@ class Replicator:
         self._pending_cond = threading.Condition()
         self.failures: List[Tuple[int, BaseException]] = []
         self._wal = wal
-        self._codecs: Dict[str, "RowCodec"] = {}
 
     # ------------------------------------------------------------------
-    # durability wiring
+    # durability
 
     @property
     def wal(self) -> Optional["FileBinlog"]:
         return self._wal
 
-    def attach_wal(self, wal: "FileBinlog") -> None:
-        """Back this binlog with a file WAL: every appended entry is
-        also written as a durable frame (via the table's registered
-        codec) and survives the process."""
-        self._wal = wal
-
-    def register_codec(self, table: str, codec: "RowCodec") -> None:
-        """Register the row codec used to (de)serialise one table's
-        entries into WAL frames."""
-        self._codecs[table] = codec
-
     def restore(self) -> int:
-        """Rebuild the in-memory entry list from the attached WAL.
+        """Rebuild the in-memory entry list from the WAL.
 
-        Called once after codecs are registered, before new appends: the
-        entry list must be empty and the WAL's row frames contiguous
-        from offset 0.  Returns the number of entries restored.
+        Called once, before new appends: the entry list must be empty
+        and the WAL's row frames contiguous from offset 0.  Returns the
+        number of entries restored.
         """
         if self._wal is None:
             return 0
@@ -105,17 +101,11 @@ class Replicator:
             for frame in self._wal.replay(0):
                 if not frame.is_row:
                     continue
-                codec = self._codecs.get(frame.table)
-                if codec is None:
-                    raise StorageError(
-                        f"no codec registered for WAL table "
-                        f"{frame.table!r}")
                 if frame.offset != len(self._rows):
                     raise StorageError(
                         f"WAL row frames not contiguous: expected offset "
                         f"{len(self._rows)}, found {frame.offset}")
-                self._rows.append(codec.decode(frame.payload))
-                self._tables.append(frame.table)
+                self._rows.append(self._codec.decode(frame.payload))
             return len(self._rows)
 
     def sync(self) -> None:
@@ -128,7 +118,7 @@ class Replicator:
     def append_entry(self, table: str, row: Tuple[Any, ...],
                      closure: Optional[Callable[[BinlogEntry], None]] = None
                      ) -> int:
-        """Append one entry; optionally schedule ``closure`` on it.
+        """Append one row of ``table``; optionally schedule ``closure``.
 
         Returns the entry's binlog offset.  The append itself is protected
         by the replicator lock; closure execution happens later, on the
@@ -138,16 +128,22 @@ class Replicator:
 
         ``row`` is a row its host already validated; a tuple is stored
         as is, so the binlog shares it with the table that holds it.
+
+        Raises:
+            StorageError: ``table`` is not this binlog's table.
         """
         row = tuple(row)
         with self._lock:
+            if table != self.table:
+                if self.table is not None:
+                    raise StorageError(
+                        f"binlog of {self.table!r} got a row for "
+                        f"{table!r}")
+                self.table = table
             offset = len(self._rows)
             self._rows.append(row)
-            self._tables.append(table)
             if self._wal is not None:
-                codec = self._codecs.get(table)
-                if codec is not None:
-                    self._wal.append(offset, table, codec.encode(row))
+                self._wal.append(offset, table, self._codec.encode(row))
         if closure is not None:
             self._ensure_worker()
             with self._pending_cond:
@@ -168,7 +164,7 @@ class Replicator:
             offset, closure = item
             try:
                 # The lists only grow, so an appended slot is read unlocked.
-                closure(BinlogEntry(offset, self._tables[offset],
+                closure(BinlogEntry(offset, self.table,
                                     self._rows[offset]))
             except BaseException as exc:  # recorded, surfaced via check()
                 self.failures.append((offset, exc))
@@ -215,17 +211,10 @@ class Replicator:
         (replay source); ``stop`` defaults to the end of the log."""
         with self._lock:
             rows = self._rows[offset:stop]
-            tables = self._tables[offset:stop]
         return list(map(BinlogEntry, range(offset, offset + len(rows)),
-                        tables, rows))
+                        itertools.repeat(self.table), rows))
 
-    def rows_of(self, table: str) -> List[Tuple[Any, ...]]:
-        """Snapshot of ``table``'s rows in offset order (table rebuild)."""
-        with self._lock:
-            return [row for name, row in zip(self._tables, self._rows)
-                    if name == table]
-
-    def log_control(self, table: str, text: str) -> None:
+    def log_control(self, text: str) -> None:
         """Write a control frame (storage event) to the WAL, if attached.
 
         Control frames do not consume binlog offsets; they carry the
@@ -236,7 +225,7 @@ class Replicator:
             return
         from ..storage.persist import FRAME_CONTROL
         with self._lock:
-            self._wal.append(len(self._rows) - 1, table,
+            self._wal.append(len(self._rows) - 1, self.table,
                              text.encode("utf-8"), kind=FRAME_CONTROL)
 
     def close(self, timeout: float = 5.0) -> None:

@@ -26,11 +26,13 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from ..errors import SchemaError
 from ..obs import NULL_OBS, Observability
 from ..schema import IndexDef, Row, Schema
+from .encoding import RowCodec
 from .memtable import MemTable
 from .skiplist import ColumnBlock, TimeSeriesIndex
 
@@ -50,19 +52,23 @@ class DiskTable:
     attribute the 20–30 ms latency band the paper quotes for the disk
     engine (Section 8.1) to actual read amplification rather than an
     arbitrary sleep.
+
+    ``event_log(text)`` receives each explicit ``flush`` /
+    ``compact:<ts>`` — a control frame on the partition WAL, re-applied in
+    stream order on restore; threshold flushes are not logged.
     """
 
     def __init__(self, name: str, schema: Schema,
                  indexes: Sequence[IndexDef],
                  flush_threshold: int = 4096,
-                 replicas: int = 1,
-                 obs: Optional[Observability] = None) -> None:
+                 obs: Optional[Observability] = None,
+                 event_log: Optional[Callable[[str], None]] = None) -> None:
         if flush_threshold <= 0:
             raise SchemaError("flush_threshold must be positive")
         self.name = name
         self.schema = schema
         self.indexes = tuple(indexes)
-        self.replicas = replicas
+        self.codec = RowCodec(schema)
         self.flush_threshold = flush_threshold
         self._obs = obs or NULL_OBS
         metrics = self._obs.registry.labels(table=name)
@@ -75,28 +81,19 @@ class DiskTable:
         # exactly as Section 7.3 describes.
         runs: _Runs = {index.name: () for index in self.indexes}
         self._state: Tuple[MemTable, _Runs] = (self._new_memtable(), runs)
-        self._compactions = {index.name: 0 for index in self.indexes}
+        #: explicit flushes / compactions, each at the row count it
+        #: landed on
+        self._events: List[Tuple[int, str]] = []
         self._since_flush = 0
         self._log: List[Row] = []
         self._lock = threading.Lock()
-        self._event_log: Optional[Any] = None
+        self._event_log = event_log
         self.disk_reads = 0
         self.flushes = 0
 
     def _new_memtable(self) -> MemTable:
         return MemTable(self.name, self.schema, self.indexes,
-                        replicas=self.replicas, obs=self._obs)
-
-    def attach_event_log(self, sink: Any) -> None:
-        """Log explicit storage events (flush/compact) to ``sink(text)``.
-
-        With durability on, the database wires this to a WAL control
-        frame so recovery can re-apply explicit flushes and compactions
-        in stream order and rebuild the exact run layout.  Automatic
-        threshold flushes are *not* logged: they are deterministic from
-        row replay.
-        """
-        self._event_log = sink
+                        obs=self._obs)
 
     # ------------------------------------------------------------------
     # write path
@@ -119,10 +116,42 @@ class DiskTable:
 
     def flush(self) -> None:
         """Force the shared memtable out to one run per column family."""
-        with self._lock:
-            self._flush_locked()
+        self._explicit("flush")
+
+    def compact(self, now_ts: int) -> int:
+        """Merge each column family's runs into one, dropping what its
+        TTL expires at ``now_ts``; returns the tuples evicted.
+
+        Runs replay oldest first and a key's rows oldest first, so equal
+        timestamps keep arrival order and LATEST ranks the newest insert
+        first, as :meth:`MemTable.evict_expired` does.
+        """
+        return self._explicit(f"compact:{now_ts}")
+
+    def _explicit(self, event: str) -> int:
+        evicted = self.apply_event(event)
         if self._event_log is not None:
-            self._event_log("flush")
+            self._event_log(event)
+        return evicted
+
+    def apply_event(self, event: str) -> int:
+        """Apply one explicit storage event — ``flush`` or
+        ``compact:<ts>`` — without logging it; returns tuples evicted.
+
+        A restore re-applies logged events through here.  The event is
+        recorded at the row count it landed on, so a snapshot image
+        (:meth:`manifest`) replays it at the same point among its rows.
+        """
+        with self._lock:
+            self._events.append((len(self._log), event))
+            if event == "flush":
+                self._flush_locked()
+                return 0
+            evicted = self._compact_locked(int(event.split(":", 1)[1]))
+        self._m_compactions.inc(len(self.indexes))
+        if evicted:
+            self._m_compaction_evicted.inc(evicted)
+        return evicted
 
     def _flush_locked(self) -> None:
         if self._since_flush == 0:
@@ -135,34 +164,20 @@ class DiskTable:
         self.flushes += 1
         self._m_flushes.inc()
 
-    def compact(self, now_ts: int) -> int:
-        """Merge each column family's runs into one, dropping what its
-        TTL expires at ``now_ts``; returns the tuples evicted.
-
-        Runs replay oldest first and a key's rows oldest first, so equal
-        timestamps keep arrival order and LATEST ranks the newest insert
-        first, as :meth:`MemTable.evict_expired` does.
-        """
+    def _compact_locked(self, now_ts: int) -> int:
         width = len(self.schema)
         evicted = 0
-        with self._lock:
-            memtable, runs = self._state
-            compacted: _Runs = {}
-            for index in self.indexes:
-                merged = TimeSeriesIndex(index.ttl, width)
-                for run in runs[index.name]:
-                    # scan_all is newest-first per key: reversed, oldest.
-                    for key, ts, row in reversed(list(run.scan_all())):
-                        merged.put(key, ts, row)
-                evicted += merged.evict(now_ts)
-                compacted[index.name] = (merged,) if len(merged) else ()
-                self._compactions[index.name] += 1
-            self._state = (memtable, compacted)
-        if self._event_log is not None:
-            self._event_log(f"compact:{now_ts}")
-        self._m_compactions.inc(len(self.indexes))
-        if evicted:
-            self._m_compaction_evicted.inc(evicted)
+        memtable, runs = self._state
+        compacted: _Runs = {}
+        for index in self.indexes:
+            merged = TimeSeriesIndex(index.ttl, width)
+            for run in runs[index.name]:
+                # scan_all is newest-first per key: reversed, oldest.
+                for key, ts, row in reversed(list(run.scan_all())):
+                    merged.put(key, ts, row)
+            evicted += merged.evict(now_ts)
+            compacted[index.name] = (merged,) if len(merged) else ()
+        self._state = (memtable, compacted)
         return evicted
 
     # ------------------------------------------------------------------
@@ -171,6 +186,11 @@ class DiskTable:
     @property
     def row_count(self) -> int:
         return len(self._log)
+
+    @property
+    def memory_bytes(self) -> int:
+        """Encoded bytes of every row held, as a memory table counts."""
+        return sum(map(self.codec.encoded_size, self._log))
 
     def rows(self) -> Iterator[Row]:
         return iter(self._log)
@@ -225,11 +245,7 @@ class DiskTable:
         return sum(map(len, self._state[1].values()))
 
     def manifest(self) -> Dict[str, Any]:
-        """Run-layout bookkeeping recorded in snapshot images."""
+        """What a snapshot image needs beside the rows to rebuild this
+        table exactly: every explicit event at its row position."""
         with self._lock:
-            return {
-                "flushes": self.flushes,
-                "sstables": {name: len(family)
-                             for name, family in self._state[1].items()},
-                "compactions": dict(self._compactions),
-            }
+            return {"events": [list(event) for event in self._events]}

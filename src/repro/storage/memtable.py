@@ -50,15 +50,12 @@ class MemTable:
         name: table name.
         schema: the column layout.
         indexes: stream indexes; the first is the default access path.
-        replicas: replica count, used by the memory estimator and cluster
-            simulation (data itself is stored once in-process).
         obs: observability handle; the default disabled instance makes
             every instrument a shared no-op.
     """
 
     def __init__(self, name: str, schema: Schema,
                  indexes: Sequence[IndexDef],
-                 replicas: int = 1,
                  obs: Optional[Observability] = None) -> None:
         if not indexes:
             raise SchemaError(f"table {name!r} needs at least one index")
@@ -76,7 +73,6 @@ class MemTable:
         self.name = name
         self.schema = schema
         self.indexes: Tuple[IndexDef, ...] = tuple(indexes)
-        self.replicas = replicas
         self.codec = RowCodec(schema)
         self._structures: Dict[str, TimeSeriesIndex] = {
             index.name: TimeSeriesIndex(ttl=index.ttl, width=len(schema))

@@ -9,10 +9,10 @@ The persistence subsystem behind the paper's binlog + snapshot scheme
   checksummed per-table snapshot images pinned to a binlog offset;
 * :class:`RecoveryReport` — what a restart rebuilt and what it cost.
 
-A crashed node recovers by loading its newest snapshots and replaying
+A crashed tablet recovers by loading its newest snapshots and replaying
 the binlog frames past each snapshot's ``applied_offset`` — see
-:meth:`repro.cluster.NameServer.restart_tablet` and
-:meth:`repro.core.OpenMLDB.recover` for the two wirings.
+:meth:`repro.cluster.NameServer.restart_tablet`, which a single node's
+``OpenMLDB.recover`` also is.
 """
 
 from .recovery import RecoveryReport

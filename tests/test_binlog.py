@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from repro.errors import StorageError
 from repro.online.binlog import BinlogEntry, Replicator
 
 
@@ -119,17 +120,24 @@ class TestReplay:
     def test_entries_from_stops_before_stop(self):
         replicator = Replicator()
         rows = [(i,) for i in range(8)]
-        for i, row in enumerate(rows):
-            replicator.append_entry("ab"[i % 2], row)
+        for row in rows:
+            replicator.append_entry("t", row)
         assert replicator.entries_from(2, 5) == [
-            BinlogEntry(offset, "ab"[offset % 2], rows[offset])
+            BinlogEntry(offset, "t", rows[offset])
             for offset in (2, 3, 4)]
         assert replicator.entries_from(3, 3) == []
         assert replicator.entries_from(6, 99) \
             == replicator.entries_from(6)
         assert replicator.entries_from(9) == []
-        assert replicator.rows_of("b") == rows[1::2]
-        assert replicator.rows_of("c") == []
+        replicator.close()
+
+    def test_a_binlog_holds_one_table(self):
+        replicator = Replicator()
+        replicator.append_entry("a", (1,))
+        with pytest.raises(StorageError, match="binlog of 'a'"):
+            replicator.append_entry("b", (2,))
+        assert replicator.entries_from(0) == [BinlogEntry(0, "a", (1,))]
+        replicator.close()
         replicator.close()
 
     def test_entries_from_snapshot(self):

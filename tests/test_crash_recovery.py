@@ -164,6 +164,100 @@ class TestClusterCrashRestart:
             assert_replica_matches_peers(cluster, victim)
 
 
+class TestDiskShardCrashRestart:
+    """A tablet hosts a disk table's shards as it hosts memory ones, and
+    restores them through the one body: newest snapshot — explicit
+    flushes and compactions at the rows they landed on — then the binlog
+    tail, its control frames re-applied in stream order."""
+
+    SQL = ("SELECT uid, sum(v) OVER w AS s, count(v) OVER w AS c FROM t "
+           "WINDOW w AS (PARTITION BY uid ORDER BY ts "
+           "ROWS_RANGE BETWEEN 1h PRECEDING AND CURRENT ROW)")
+    UIDS = range(6)
+    NOW = 200_000
+
+    def build(self, data_dir, obs=None):
+        cluster = NameServer([TabletServer(f"tablet-{i}") for i in range(2)],
+                             retry_policy=FAST, data_dir=str(data_dir),
+                             obs=obs)
+        ttl = TTLSpec(kind=TTLKind.ABSOLUTE, abs_ttl_ms=60_000)
+        cluster.create_table(
+            "t", Schema.from_pairs([("uid", "int"), ("ts", "timestamp"),
+                                    ("v", "double")]),
+            [IndexDef(("uid",), "ts", ttl=ttl)], partitions=2, replicas=1,
+            storage="disk", flush_threshold=16)
+        cluster.deploy("d", self.SQL)
+        return cluster
+
+    @staticmethod
+    def stores(cluster):
+        return [shard.store for tablet in cluster.tablets.values()
+                for shard in tablet.shards()]
+
+    def observe(self, cluster):
+        state = {}
+        for uid in self.UIDS:
+            partition_id = cluster.partition_for("t", uid)
+            store = cluster.leader_of("t", partition_id).shard(
+                "t", partition_id).store
+            state[(uid, "scan")] = list(store.window_scan(("uid",), "ts",
+                                                          uid))
+            state[(uid, "latest")] = store.last_join_lookup(("uid",), uid)
+            state[(uid, "request")] = cluster.request(
+                "d", (uid, self.NOW, 0.0))
+        return repr(state)
+
+    def load(self, cluster, start, count):
+        for i in range(start, start + count):
+            cluster.put("t", (i % len(self.UIDS), i * 1_000, i / 8))
+
+    def crash_restart_each(self, cluster, entries):
+        faults = FaultInjector(cluster)
+        before = self.observe(cluster)
+        for tablet_name in sorted(cluster.tablets):
+            report = faults.crash_restart(tablet_name)
+            assert report.snapshot_rows > 0
+            assert 0 < report.replayed_entries < entries
+            assert self.observe(cluster) == before
+        return before
+
+    def test_flush_compact_snapshot_crash_restart(self, tmp_path):
+        cluster = self.build(tmp_path)
+        self.load(cluster, 0, 90)
+        for store in self.stores(cluster):
+            store.flush()
+        assert sum(store.compact(self.NOW - 100_000)
+                   for store in self.stores(cluster)) > 0
+        cluster.snapshot("t")
+        self.load(cluster, 90, 60)
+        for store in self.stores(cluster):
+            store.flush()
+        # The compaction the snapshot images carry.
+        self.crash_restart_each(cluster, 150)
+
+        assert sum(store.compact(self.NOW - 50_000)
+                   for store in self.stores(cluster)) > 0
+        self.load(cluster, 150, 20)
+        # The compaction the binlog tail carries, past the images.
+        before = self.crash_restart_each(cluster, 170)
+        cluster.close()
+
+        # Rebuilding over the directory restores the same way: the
+        # snapshot images load, and only the tail past them replays.
+        obs = Observability()
+        rebuilt = self.build(tmp_path, obs=obs)
+        binlog_entries = sum(
+            binlog.last_offset + 1
+            for binlog in rebuilt.table_info("t").binlogs.values())
+        replayed = sum(
+            obs.registry.get("tablet.rpc.replicated", tablet=name).value
+            for name in rebuilt.tablets)
+        assert binlog_entries == 170
+        assert 0 < replayed < binlog_entries
+        assert self.observe(rebuilt) == before
+        rebuilt.close()
+
+
 # ----------------------------------------------------------------------
 # single node: differential crash recovery
 
@@ -219,6 +313,13 @@ def random_inserts(rng, count):
     return inserts
 
 
+def sync_binlogs(db):
+    """The durability barrier: fsync every table's partition binlog."""
+    for table in db.cluster.tables.values():
+        for binlog in table.binlogs.values():
+            binlog.sync()
+
+
 def observe(db):
     """Every externally visible answer, as one comparable structure."""
     state = {}
@@ -254,7 +355,7 @@ class TestDifferentialCrashRecovery:
                 crashed.snapshot()
         # Acknowledged == fsync'd: the durability barrier runs, then
         # the process is abandoned without any orderly close.
-        crashed.replicator.sync()
+        sync_binlogs(crashed)
 
         # The twin never crashes; its answers define ground truth.
         twin = OpenMLDB()
@@ -278,14 +379,14 @@ class TestDifferentialCrashRecovery:
         build_catalog(first)
         for i in range(40):
             first.insert("t_abs", (KEYS[i % 3], i * 1_000, float(i)))
-        first.replicator.sync()
+        sync_binlogs(first)
 
         recovered = OpenMLDB(data_dir=str(tmp_path))
         build_catalog(recovered)
         recovered.recover()
         # Post-recovery inserts continue the durable offset sequence...
         recovered.insert("t_abs", ("k0", 99_000, 9.0))
-        recovered.replicator.sync()
+        sync_binlogs(recovered)
         recovered.close()
 
         # ...so a second crash/recover round trip sees them too.
@@ -303,11 +404,3 @@ class TestDifferentialCrashRecovery:
             db.recover()
         with pytest.raises(StorageError):
             db.snapshot()
-
-    def test_recover_requires_empty_tables(self, tmp_path):
-        db = OpenMLDB(data_dir=str(tmp_path))
-        build_catalog(db)
-        db.insert("t_abs", ("k0", 1_000, 1.0))
-        with pytest.raises(StorageError, match="empty"):
-            db.recover()
-        db.close()

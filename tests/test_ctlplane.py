@@ -276,6 +276,26 @@ class TestLiveMigration:
         cluster.close()
         twin.close()
 
+    def test_dead_leader_source_leaves_a_leader(self):
+        """A leader that died before any routed call failed it over is
+        migrated away without leaving its partition leaderless: the
+        target, caught up from the binlog under the write pause, leads."""
+        cluster = make_cluster()
+        load_rows(cluster)
+        table = cluster.table_info("ev")
+        source = table.assignment[0][0]  # the leader
+        target = next(name for name in cluster.tablets
+                      if name not in table.assignment[0])
+        cluster.tablets[source].fail()
+        report = ShardMigrator(cluster).migrate("ev", 0, source, target)
+        assert report.took_leadership
+        assert cluster.leader_of("ev", 0).name == target
+        twin = make_cluster(prefix="w")
+        load_rows(twin)
+        assert window_answers(cluster) == window_answers(twin)
+        cluster.close()
+        twin.close()
+
     def test_failed_migration_unwinds_target(self):
         cluster = make_cluster()
         load_rows(cluster)

@@ -125,7 +125,7 @@ class TestDML:
     def test_inserts_flow_to_binlog(self, db):
         db.insert("trades", ("A", 100, 1.0, 1))
         db.insert("trades", ("A", 200, 2.0, 1))
-        assert db.replicator.last_offset == 1
+        assert db.cluster.table_info("trades").binlogs[0].last_offset == 1
 
 
 class TestNullPartitionKey:
@@ -170,7 +170,7 @@ class TestOneCheckOneRow:
         row = GOOD_ROW
         db.insert("c", row)
         (stored,) = db.table("c").rows()
-        (entry,) = db.replicator.entries_from(0)
+        (entry,) = db.cluster.table_info("c").binlogs[0].entries_from(0)
         assert stored is row and entry.row is row
         db.close()
 
@@ -190,7 +190,7 @@ class TestOneCheckOneRow:
         db = self.checked_db()
         with pytest.raises(error):
             db.insert("c", row)
-        assert db.replicator.last_offset == -1
+        assert db.cluster.table_info("c").binlogs[0].last_offset == -1
         assert db.table("c").row_count == 0
         assert db.governor.used_bytes == 0
         db.close()
@@ -403,9 +403,10 @@ class TestRecoverTable:
         db.insert("t", ("a", 2))
         db.table("t").flush()
         db.table("t").compact(10)
-        db.replicator.sync()
+        binlog = db.cluster.table_info("t").binlogs[0]
+        binlog.sync()
         controls = [frame.control_text()
-                    for frame in db.replicator.wal.replay(0)
+                    for frame in binlog.wal.replay(0)
                     if not frame.is_row]
         assert controls == ["flush", "flush", "compact:10"]
         db.close()

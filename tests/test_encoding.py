@@ -321,6 +321,8 @@ WAL_ROWS = [
     ("dave", 1004, 1e300, -2 ** 31, None, False, "🙂" * 3),
 ]
 WAL_SEGMENT = "binlog-000000000000.wal"
+#: Where a node keeps the table's one partition WAL under its data_dir.
+WAL_DIR = "binlog/events/p0"
 
 
 def _wal_db(data_dir):
@@ -331,8 +333,8 @@ def _wal_db(data_dir):
 
 
 def test_checked_in_wal_segment_replays(tmp_path):
-    (tmp_path / "binlog").mkdir()
-    shutil.copy(FIXTURES / WAL_SEGMENT, tmp_path / "binlog")
+    (tmp_path / WAL_DIR).mkdir(parents=True)
+    shutil.copy(FIXTURES / WAL_SEGMENT, tmp_path / WAL_DIR)
     db = _wal_db(tmp_path)
     report = db.recover()
     assert report.replayed_entries == len(WAL_ROWS)
@@ -346,5 +348,5 @@ def test_wal_segment_bytes_are_unchanged(tmp_path):
     for row in WAL_ROWS:
         db.insert("events", row)
     db.close()
-    written = (tmp_path / "binlog" / WAL_SEGMENT).read_bytes()
+    written = (tmp_path / WAL_DIR / WAL_SEGMENT).read_bytes()
     assert written == (FIXTURES / WAL_SEGMENT).read_bytes()

@@ -225,7 +225,6 @@ def _build_db(events, deploy_at, frame, maxsize, exclude, ttl,
     db.deploy("d", FEATURE_SQL_TEMPLATE.format(frame=frame_sql, opts=opts))
     for event in events[deploy_at:]:
         db.insert("t", event)
-    db.replicator.wait_idle(timeout=5.0)
     return db
 
 
@@ -365,7 +364,6 @@ def test_double_sum_fold_incremental_and_sequential_agree():
                        "ROWS_RANGE BETWEEN 200 PRECEDING AND CURRENT ROW)")
         for ts, x in enumerate(xs):
             db.insert("t", ("u1", ts, x))
-        db.replicator.wait_idle(timeout=5.0)
         for anchor in (len(xs), len(xs) + 50):
             request = ("u1", anchor, 3.0)
             window = xs[max(anchor - 200, 0):] + [3.0]
@@ -415,7 +413,6 @@ def _sliding_tiers(xs, sql):
                 deployment.compiled, row)))
             served.append(tuple(db.request_row("d", row)))
             db.insert("t", row)
-            db.replicator.wait_idle(timeout=5.0)
         offline, _stats = db.offline_query(sql)
         return offline, folded, served
     finally:
@@ -464,7 +461,6 @@ def test_count_of_a_string_column_adds_nothing_up():
                        "ROWS BETWEEN 5 PRECEDING AND CURRENT ROW)")
         for ts, value in enumerate(("pear", None, "apple")):
             db.insert("t", ("u1", ts, value))
-        db.replicator.wait_idle(timeout=5.0)
         request = ("u1", 9, "fig")
         folded = db.online_engine.execute_request(
             db.deployments["d"].compiled, request)

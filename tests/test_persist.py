@@ -206,15 +206,13 @@ class TestSnapshotStore:
 class TestReplicatorDurability:
     def test_wal_write_through_and_restore(self, tmp_path, schema, codec):
         wal = FileBinlog(str(tmp_path))
-        replicator = Replicator(wal=wal)
-        replicator.register_codec("t", codec)
+        replicator = Replicator("t", codec, wal)
         rows = [("k0", 1, 1.0), ("k1", 2, 2.0), ("k0", 3, 3.0)]
         for row in rows:
             replicator.append_entry("t", row)
         replicator.close()
 
-        rebuilt = Replicator(wal=FileBinlog(str(tmp_path)))
-        rebuilt.register_codec("t", codec)
+        rebuilt = Replicator("t", codec, FileBinlog(str(tmp_path)))
         assert rebuilt.restore() == 3
         assert [e.row for e in rebuilt.entries_from(0)] == rows
         # New appends continue the offset sequence past the restore.
@@ -223,23 +221,11 @@ class TestReplicatorDurability:
 
     def test_restore_requires_empty_binlog(self, tmp_path, codec):
         wal = FileBinlog(str(tmp_path))
-        replicator = Replicator(wal=wal)
-        replicator.register_codec("t", codec)
+        replicator = Replicator("t", codec, wal)
         replicator.append_entry("t", ("k0", 1, 1.0))
         with pytest.raises(StorageError, match="empty"):
             replicator.restore()
         replicator.close()
-
-    def test_restore_rejects_unknown_table(self, tmp_path, codec):
-        wal = FileBinlog(str(tmp_path))
-        replicator = Replicator(wal=wal)
-        replicator.register_codec("t", codec)
-        replicator.append_entry("t", ("k0", 1, 1.0))
-        replicator.close()
-        rebuilt = Replicator(wal=FileBinlog(str(tmp_path)))
-        with pytest.raises(StorageError, match="codec"):
-            rebuilt.restore()
-        rebuilt.close()
 
     def test_close_raises_on_stuck_worker(self):
         replicator = Replicator()
@@ -266,9 +252,10 @@ class TestReplicatorDurability:
 
 
 class TestSingleNodeBinlog:
-    """What one node's binlog hands out, over two tables written
-    interleaved: the same entries before and after snapshot / recover,
-    one table's rows for a table rebuild, and a closure's own entry."""
+    """What one node's binlogs hand out, over two tables written
+    interleaved — one binlog per table: the same entries before and
+    after snapshot / recover, a table rebuild from its own binlog, and a
+    closure's own entry."""
 
     SCHEMA = Schema.from_pairs([
         ("key", "string"), ("ts", "timestamp"), ("v", "double")])
@@ -281,36 +268,45 @@ class TestSingleNodeBinlog:
         return db
 
     @staticmethod
+    def binlog(db, table):
+        return db.cluster.table_info(table).binlogs[0]
+
+    @staticmethod
     def write(db, start, count):
         for index in range(start, start + count):
             db.insert("ab"[index % 3 == 0], (f"k{index % 4}", index,
                                               float(index) / 4))
+
+    def recorded(self, db, starts):
+        return {(table, k): self.binlog(db, table).entries_from(k)
+                for table in "ab" for k in starts}
 
     def test_entries_survive_snapshot_and_recover(self, tmp_path):
         db = self.node(tmp_path)
         self.write(db, 0, 20)
         db.snapshot()
         self.write(db, 20, 10)
-        starts = (0, 1, 7, 19, 20, 29, 30)
-        recorded = {k: db.replicator.entries_from(k) for k in starts}
-        assert [entry.offset for entry in recorded[0]] == list(range(30))
-        assert {entry.table for entry in recorded[0]} == {"a", "b"}
+        starts = (0, 1, 7, 9, 10, 19, 20, 29, 30)
+        recorded = self.recorded(db, starts)
+        assert [entry.offset for entry in recorded[("a", 0)]] \
+            == list(range(20))
+        assert [entry.offset for entry in recorded[("b", 0)]] \
+            == list(range(10))
+        assert {entry.table for entry in recorded[("a", 0)]} == {"a"}
+        assert {entry.table for entry in recorded[("b", 0)]} == {"b"}
         db.snapshot()
-        assert {k: db.replicator.entries_from(k) for k in starts} \
-            == recorded
+        assert self.recorded(db, starts) == recorded
         db.close()
         fresh = self.node(tmp_path)
         fresh.recover()
-        assert {k: fresh.replicator.entries_from(k) for k in starts} \
-            == recorded
+        assert self.recorded(fresh, starts) == recorded
         fresh.close()
 
     def test_recover_table_replays_only_its_rows_in_offset_order(
             self, tmp_path):
         db = self.node(tmp_path)
         self.write(db, 0, 24)
-        want = [entry.row for entry in db.replicator.entries_from(0)
-                if entry.table == "a"]
+        want = [entry.row for entry in self.binlog(db, "a").entries_from(0)]
         b_rows = list(db.table("b").rows())
         assert db.recover_table("a") == len(want) == 16
         assert list(db.table("a").rows()) == want
@@ -320,15 +316,15 @@ class TestSingleNodeBinlog:
     def test_closure_sees_its_own_append(self, tmp_path):
         db = self.node(tmp_path)
         self.write(db, 0, 5)
+        binlog = self.binlog(db, "a")
         seen, appended = [], []
         for index in range(6):
-            table, row = "ab"[index % 2], (f"c{index}", 100 + index, 0.5)
-            offset = db.replicator.append_entry(table, row,
-                                                closure=seen.append)
-            appended.append(BinlogEntry(offset, table, row))
-        assert db.replicator.wait_idle(timeout=5.0)
+            row = (f"c{index}", 100 + index, 0.5)
+            offset = binlog.append_entry("a", row, closure=seen.append)
+            appended.append(BinlogEntry(offset, "a", row))
+        assert binlog.wait_idle(timeout=5.0)
         assert seen == appended
-        assert [entry.offset for entry in seen] == list(range(5, 11))
+        assert [entry.offset for entry in seen] == list(range(3, 9))
         db.close()
 
     def test_restore_skips_control_frames(self, tmp_path):
@@ -339,11 +335,13 @@ class TestSingleNodeBinlog:
         db.table("b").flush()
         db.table("b").compact(0)
         self.write(db, 18, 3)
-        recorded = db.replicator.entries_from(0)
+        recorded = self.recorded(db, (0,))
         db.close()
         fresh = self.node(tmp_path)
-        frames = list(fresh.replicator.wal.replay(0))
-        assert sum(not frame.is_row for frame in frames) == 3
-        assert fresh.replicator.restore() == len(recorded) == 21
-        assert fresh.replicator.entries_from(0) == recorded
+        controls = {table: sum(not frame.is_row for frame in
+                               self.binlog(fresh, table).wal.replay(0))
+                    for table in "ab"}
+        assert controls == {"a": 0, "b": 3}
+        assert len(recorded[("a", 0)]) + len(recorded[("b", 0)]) == 21
+        assert self.recorded(fresh, (0,)) == recorded
         fresh.close()
