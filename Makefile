@@ -61,8 +61,10 @@ examples:
 # and prints the server's CPU per read thread by thread, and the
 # context switches per read of server and generator; `--path rss --top 8`
 # loads each perfbench workload's preload into a NameServer in a child
-# process and prints its RSS after the load and the top tracemalloc
-# lines in bytes per row (the footprint ledger).
+# process and prints its RSS after the load, the share of rows in sealed
+# blocks, the RSS once the script is deployed and FrontendServer +
+# NetServer are started (what perfbench's server_rss_mb reads), and the
+# top tracemalloc lines in bytes per row (the footprint ledger).
 profile:
 	$(PYTHON) tools/profile.py
 

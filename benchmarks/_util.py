@@ -12,7 +12,7 @@ import time
 
 from repro import OpenMLDB
 from repro.online.engine import OnlineEngine
-from repro.storage.skiplist import PackedBlock
+from repro.storage.skiplist import ColumnBlock
 from repro.workloads.microbench import (MicroBenchConfig, build_feature_sql,
                                         generate)
 
@@ -123,7 +123,7 @@ class _WithoutSummaries:
         return getattr(self._table, name)
 
     def window_scan_blocks(self, *args, **kwargs):
-        return [PackedBlock(part._ts, part._columns, part._width)
+        return [ColumnBlock(part._ts, part._columns, part._width)
                 if part.sealed else part
                 for block in self._table.window_scan_blocks(*args, **kwargs)
                 for part in getattr(block, "blocks", (block,))]

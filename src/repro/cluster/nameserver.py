@@ -51,7 +51,6 @@ from ..online.engine import OnlineEngine
 from ..schema import IndexDef, Row, Schema
 from ..serving.deadline import current_deadline
 from ..sql.compiler import CompilationCache, CompiledQuery
-from ..storage.disk import DiskTable
 from ..storage.encoding import RowCodec
 from ..storage.persist import (FileBinlog, RecoveryReport, SnapshotStore)
 from ..storage.skiplist import ColumnBlock
@@ -467,8 +466,8 @@ class NameServer(DeploymentHost):
         for :meth:`restart_tablet`: the fresh shard loads its newest
         snapshot, then the binlog past it replays — the *durable* WAL
         frames when there is a WAL (rows through
-        :meth:`TabletServer.replicate`, a disk store's flush / compaction
-        control frames in stream order), else the in-memory entries.
+        :meth:`TabletServer.replicate`, storage events — evictions,
+        flushes, compactions — in stream order), else the in-memory entries.
         Returns ``(snapshot rows, replayed entries)``."""
         loaded = tablet.load_snapshot(table.name, partition_id)
         binlog = table.binlogs[partition_id]
@@ -476,15 +475,17 @@ class NameServer(DeploymentHost):
             return loaded, catch_up(tablet, table.name, partition_id,
                                     binlog)
         shard = tablet.shard(table.name, partition_id)
-        replayed = 0
-        for frame in binlog.wal.replay(shard.applied_offset + 1):
-            if frame.is_row:
+        applied, replayed = shard.applied_offset, 0
+        # From the image's last row: a storage event logged after it
+        # carries its offset (re-applying one the image holds is a no-op).
+        for frame in binlog.wal.replay(applied):
+            if not frame.is_row:
+                shard.store.apply_event(frame.control_text())
+            elif frame.offset > applied:
                 tablet.replicate(table.name, partition_id,
                                  table.codec.decode(frame.payload),
                                  frame.offset)
                 replayed += 1
-            elif isinstance(shard.store, DiskTable):
-                shard.store.apply_event(frame.control_text())
         return loaded, replayed
 
     # ------------------------------------------------------------------

@@ -145,11 +145,12 @@ class TabletServer:
                    storage: str = "memory", flush_threshold: int = 4096,
                    events: Optional[Callable[[str], None]] = None) -> Shard:
         """Host one partition replica in a ``storage`` engine store
-        (``"memory"`` or ``"disk"``); a disk store sends its explicit
-        flushes and compactions to ``events(text)``."""
+        (``"memory"`` or ``"disk"``) sending its storage events (TTL
+        evictions, explicit flushes and compactions) to ``events(text)``."""
         def new_store() -> Union[MemTable, DiskTable]:
             if storage == "memory":
-                return MemTable(table, schema, indexes, obs=self._obs)
+                return MemTable(table, schema, indexes, obs=self._obs,
+                                event_log=events)
             return DiskTable(table, schema, indexes,
                              flush_threshold=flush_threshold, obs=self._obs,
                              event_log=events)
@@ -190,9 +191,9 @@ class TabletServer:
         snapshot payload through the shard codec, charge the memory
         governor, and resume the shard at the image's pinned
         ``applied_offset`` so the binlog tail replay starts exactly
-        where the image ends.  A disk store's explicit flushes and
-        compactions (the manifest's ``events``) re-apply at the row
-        positions they landed on.  Returns rows installed.
+        where the image ends.  The store's storage events (the
+        manifest's ``events``) re-apply at the row positions they landed
+        on.  Returns rows installed.
 
         Raises:
             StorageError: the tablet is down, the shard is not hosted,
@@ -385,8 +386,8 @@ class TabletServer:
         """Write one shard's snapshot image; returns rows written.
 
         The image pins the shard's rows to its ``applied_offset``, so
-        restart replays only the binlog frames past it.  A disk store's
-        image carries its run-layout manifest.
+        restart replays only the binlog frames past it.  The image
+        carries the store's manifest: its storage events.
         """
         if self.snapshots is None:
             raise StorageError(f"{self.name} has no snapshot store")
@@ -397,8 +398,7 @@ class TabletServer:
         self.snapshots.write(
             self._snapshot_name(table, partition_id), payloads,
             shard.applied_offset,
-            manifest=store.manifest() if isinstance(store, DiskTable)
-            else None)
+            manifest=store.manifest())
         return len(payloads)
 
     def load_snapshot(self, table: str, partition_id: int) -> int:

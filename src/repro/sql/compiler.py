@@ -176,9 +176,9 @@ class CompiledWindow:
     Compilation emits exactly one **fold closure** per window.  Order-
     insensitive single-argument aggregates are cycle-bound into state
     groups, and each group is reduced a block at a time by C-level
-    builtins over a *column* of the block: the strided slice when the
-    argument is a bare column, otherwise the argument expression mapped
-    over the block's zipped row view.  Everything else walks that row
+    builtins over a *column* of the block: a copy of the block's column
+    when the argument is a bare column, otherwise the argument expression
+    mapped over the block's zipped row view.  Everything else walks that row
     view through the :class:`AggregateFunction` protocol.
     """
 

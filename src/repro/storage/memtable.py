@@ -14,7 +14,8 @@ from __future__ import annotations
 import datetime as _dt
 import threading
 from operator import itemgetter
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from ..errors import IndexNotFoundError, SchemaError, StorageError
 from ..obs import NULL_OBS, Observability
@@ -52,11 +53,14 @@ class MemTable:
         indexes: stream indexes; the first is the default access path.
         obs: observability handle; the default disabled instance makes
             every instrument a shared no-op.
+        event_log: receives each TTL eviction that removed a tuple
+            (``evict:<ts>``), to re-apply in stream order on restore.
     """
 
     def __init__(self, name: str, schema: Schema,
                  indexes: Sequence[IndexDef],
-                 obs: Optional[Observability] = None) -> None:
+                 obs: Optional[Observability] = None,
+                 event_log: Optional[Callable[[str], None]] = None) -> None:
         if not indexes:
             raise SchemaError(f"table {name!r} needs at least one index")
         for index in indexes:
@@ -88,6 +92,8 @@ class MemTable:
         self._log: List[Row] = []
         self._log_lock = threading.Lock()
         self._bytes = 0
+        self._events: List[Tuple[int, str]] = []  # see manifest()
+        self._event_log = event_log
         metrics = (obs or NULL_OBS).registry.labels(table=name)
         self._m_inserts = metrics.counter("storage.inserts")
         self._m_seeks = metrics.counter("storage.index.seeks")
@@ -209,13 +215,29 @@ class MemTable:
 
         Note the insertion log is retained (it backs offline scans and
         binlog replay); eviction frees the online access structures, which
-        is what bounds request-path memory.
+        is what bounds request-path memory.  An eviction that removed a
+        tuple goes to ``event_log``, so a restore repeats it.
         """
-        removed = sum(structure.evict(now_ts)
+        removed = self.apply_event(f"evict:{now_ts}")
+        if removed and self._event_log is not None:
+            self._event_log(f"evict:{now_ts}")
+        return removed
+
+    def apply_event(self, event: str) -> int:
+        """Apply one ``evict:<ts>`` without logging it (a restore
+        re-applies logged evictions here); returns tuples removed."""
+        position = len(self._log)
+        removed = sum(structure.evict(int(event.split(":", 1)[1]))
                       for structure in self._structures.values())
         if removed:
+            self._events.append((position, event))
             self._m_ttl_evicted.inc(removed)
         return removed
+
+    def manifest(self) -> Dict[str, Any]:
+        """A snapshot image's storage events: each eviction that removed
+        a tuple, at the row count it landed on."""
+        return {"events": [list(event) for event in self._events]}
 
     def key_cardinality(self, index_name: Optional[str] = None) -> int:
         """Distinct key count on an index (defaults to the first)."""

@@ -3,34 +3,36 @@
 The first level maps each **key** (e.g. user id) to a second level
 holding all tuples for that key *pre-ranked by timestamp*.  The paper's
 first level is a lock-free skiplist; no query here reads keys in key
-order, so it is a ``dict``.  The second level is stored as columns
-(:class:`_TimeList`): sealed immutable :class:`SealedBlock` s of
-``BLOCK_ROWS`` tuples, grouped ``SPAN_BLOCKS`` at a time into
-:class:`SealedSpan` s, then a hot tail of one ``array('q')`` of ascending
-timestamps plus the rows' values in one flat row-major list, rather than
-the paper's linked nodes — it keeps every property Section 7.2 relies on
-and drops the per-tuple node, pointer cells and pointer hops.  A sealed
-block holds each column once, packed (:func:`_packed`): a column equal
-to the block's timestamps *is* its ``array('q')`` of stamps, an all-int
-column the narrowest ``array`` that holds it (1–8 bytes a value), an
-all-float column an ``array('d')``, anything else a tuple — so a key's
-sealed history costs a few bytes a value beside the row tuples, not a
-pointer a cell:
+order, so it is a ``dict``.  The second level (:class:`_TimeList`) is
+sealed immutable :class:`SealedBlock` s of ``BLOCK_ROWS`` tuples,
+grouped ``SPAN_BLOCKS`` at a time into :class:`SealedSpan` s, then a hot
+tail of one ``array('q')`` of ascending timestamps plus one reference
+per row to the tuple that was put — the tuple the memtable log and the
+binlog share, as the paper's second level points at a row stored once.
+It keeps every property Section 7.2 relies on and drops the paper's
+per-tuple node and pointer hops.  A sealed block holds each column
+once, packed (:func:`_packed`): a column equal to the block's timestamps
+*is* its ``array('q')`` of stamps, an all-int column the narrowest
+``array`` that holds it (1–8 bytes a value), an all-float column an
+``array('d')``, anything else a tuple — so a key's sealed history costs
+a few bytes a value beside the row tuples, not a pointer a cell:
 
 * ``LAST JOIN`` — the most recent tuple for a key is the end of the
-  tail, O(1) once the key's time list is found.
+  tail, O(1) once the key's time list is found, and handed out as is.
 * ``PARTITION BY key ORDER BY ts ROWS BETWEEN ... PRECEDING`` — a window
   is the run between two integer bisects (O(log n) seek), handed out as
-  newest-first :class:`ColumnBlock` s whose *columns* are C-level slices
-  (strided over the tail's cells, plain over a sealed block's packed
-  columns), which is what the window fold reduces.  Spans and sealed
-  blocks the run covers whole go out by reference, with their memoized
-  reductions: the two summary levels are Section 5.1's multi-level
-  pre-aggregation, kept by storage itself, so a long window folds a few
-  dozen summaries and two edges however many rows it holds.
-* In-order arrival (the stream case) is an O(1) ``append`` + ``extend``;
-  a late tuple is a bisect plus one slice assignment, or a repacked copy
-  of the sealed block it lands in (and of the span holding that block).
+  newest-first :class:`ColumnBlock` s, every one column-major: the
+  tail's part is its rows transposed once (``zip``), a sealed block's
+  its packed columns or C-level slices of them — what the window fold
+  reduces a column at a time.  Spans and sealed blocks the run covers
+  whole go out by reference, with their memoized reductions: the two
+  summary levels are Section 5.1's multi-level pre-aggregation, kept by
+  storage itself, so a long window folds a few dozen summaries and two
+  edges however many rows it holds.
+* In-order arrival (the stream case) is an O(1) ``append`` of the stamp
+  and of the row; a late tuple is a bisect plus one ``insert``, or a
+  repacked copy of the sealed block it lands in (and of the span holding
+  that block).
 * Out-of-date data removal (TTL): expired tuples are a prefix of the
   key's history, so eviction drops whole blocks and cuts at most one.
 
@@ -55,8 +57,8 @@ from typing import (Any, Callable, Dict, Iterable, Iterator, List,
 from ..errors import StorageError
 from ..schema import TTLKind, TTLSpec
 
-__all__ = ["BLOCK_ROWS", "ColumnBlock", "PackedBlock", "SealedBlock",
-           "SealedSpan", "SPAN_BLOCKS", "TimeSeriesIndex"]
+__all__ = ["BLOCK_ROWS", "ColumnBlock", "SealedBlock", "SealedSpan",
+           "SPAN_BLOCKS", "TimeSeriesIndex"]
 
 #: Tuples per sealed block: once a key's hot tail holds more, its oldest
 #: ``BLOCK_ROWS`` are sealed.
@@ -90,38 +92,50 @@ def _packed(values: List[Any], stamps: "array[int]") -> Sequence[Any]:
     return tuple(values)
 
 
-class ColumnBlock:
-    """A run of one key's tuples, held column-sliceable.
+def _transposed(rows: Sequence[Any],
+                width: Optional[int]) -> Sequence[Sequence[Any]]:
+    """``rows`` (oldest first) as one tuple per value position — ``width``
+    None: the payloads as they are, one column."""
+    return (rows,) if width is None else tuple(zip(*rows)) or ((),) * width
 
-    What every ``window_scan_blocks`` hands out: a private copy (sliced
-    under the per-key lock, or built from rows by a caller) or a shared
-    :class:`SealedBlock`, so nothing a reader does can race a writer;
-    every accessor returns a fresh list.  This class keeps the tail's
-    layout — timestamps ascending in an ``array('q')`` and the rows'
-    values in one flat row-major list — so :meth:`column` is a single
-    strided C-level slice, oldest → newest, which is the order float sums
-    and ``Counter`` insertion must run in; :class:`PackedBlock` keeps a
-    sealed block's.
+
+class ColumnBlock:
+    """A run of one key's tuples, held as columns.
+
+    What every ``window_scan_blocks`` hands out: a private copy (the
+    tail's rows sliced under the per-key lock and transposed outside it,
+    or built from rows by a caller) or a shared :class:`SealedBlock`, so
+    nothing a reader does can race a writer.  ``_ts`` holds the
+    timestamps ascending in an ``array('q')`` and ``_columns`` one
+    sequence per value position (``width`` None: one column of opaque
+    payloads), each oldest → newest — the order float sums and
+    ``Counter`` insertion must run in.  The columns are never changed:
+    :meth:`column` copies one into a fresh list and :meth:`rows` zips
+    them back into tuples.
 
     Row-walking consumers see the same thing as before: ``len()`` is the
     row count and iteration yields ``(ts, row)`` pairs **newest-first**.
-    ``width`` None marks opaque payloads (one cell per tuple, no
-    columns).
     """
 
-    __slots__ = ("_ts", "_cells", "_width")
+    __slots__ = ("_ts", "_columns", "_width")
     sealed = False
 
-    def __init__(self, ts: "array[int]", cells: List[Any],
+    def __init__(self, ts: "array[int]", columns: Sequence[Sequence[Any]],
                  width: Optional[int]) -> None:
         self._ts = ts
-        self._cells = cells
+        self._columns = columns
         self._width = width
+
+    @classmethod
+    def of_rows(cls, ts: "array[int]", rows: Sequence[Any],
+                width: Optional[int]) -> "ColumnBlock":
+        """A block of ``rows``, oldest first, stamped ``ts``."""
+        return cls(ts, _transposed(rows, width), width)
 
     @classmethod
     def of_row(cls, ts: int, row: Sequence[Any]) -> "ColumnBlock":
         """A block holding one row (a request tuple heading its window)."""
-        return cls(array("q", (ts,)), list(row), len(row))
+        return cls.of_rows(array("q", (ts,)), (row,), len(row))
 
     @classmethod
     def from_pairs(cls, pairs_newest_first: Sequence[Tuple[int, Any]],
@@ -129,9 +143,8 @@ class ColumnBlock:
         """Build a block from newest-first ``(ts, row)`` pairs whose rows
         all have ``width`` values (merged reads)."""
         oldest_first = pairs_newest_first[::-1]
-        return cls(array("q", [ts for ts, _row in oldest_first]),
-                   list(chain.from_iterable(
-                       [row for _ts, row in oldest_first])), width)
+        return cls.of_rows(array("q", [ts for ts, _row in oldest_first]),
+                           [row for _ts, row in oldest_first], width)
 
     @classmethod
     def merged(cls, scans: Iterable[Iterable["ColumnBlock"]], width: int,
@@ -158,38 +171,6 @@ class ColumnBlock:
     def rows(self) -> List[Any]:
         """The rows as tuples, oldest → newest (the zipped row view)."""
         if self._width is None:
-            return list(self._cells)
-        return list(zip(*[iter(self._cells)] * self._width))
-
-    def column(self, position: int) -> List[Any]:
-        """One column's values, oldest → newest: a strided slice."""
-        return self._cells[position::self._width]
-
-    def newest(self, count: int) -> "ColumnBlock":
-        """The ``count`` newest tuples as a block of their own."""
-        start = len(self._ts) - count
-        return ColumnBlock(self._ts[start:],
-                           self._cells[start * (self._width or 1):],
-                           self._width)
-
-
-class PackedBlock(ColumnBlock):
-    """A run held as one column per value position (``width`` None: one
-    column of payloads), each a :func:`_packed` form — a sealed block's
-    layout, and a slice of one.  The columns are shared and never
-    changed: :meth:`column` copies one into a fresh list, :meth:`rows`
-    zips them back into tuples.  (The inherited ``_cells`` stays unset.)"""
-
-    __slots__ = ("_columns",)
-
-    def __init__(self, ts: "array[int]", columns: Sequence[Sequence[Any]],
-                 width: Optional[int]) -> None:
-        self._ts = ts
-        self._columns = columns
-        self._width = width
-
-    def rows(self) -> List[Any]:
-        if self._width is None:
             return list(self._columns[0])
         return list(zip(*self._columns))
 
@@ -198,21 +179,23 @@ class PackedBlock(ColumnBlock):
         return self._columns[position]
 
     def column(self, position: int) -> List[Any]:
+        """One column's values, oldest → newest, in a fresh list."""
         values = self._values(position)
         return values.tolist() if type(values) is array else list(values)
 
-    def part(self, lo: int, hi: int) -> "PackedBlock":
+    def part(self, lo: int, hi: int) -> "ColumnBlock":
         """Tuples ``lo`` up to ``hi`` as a block of their own."""
-        return PackedBlock(self._ts[lo:hi],
+        return ColumnBlock(self._ts[lo:hi],
                            tuple(values[lo:hi] for values in self._columns),
                            self._width)
 
-    def newest(self, count: int) -> "PackedBlock":
+    def newest(self, count: int) -> "ColumnBlock":
+        """The ``count`` newest tuples as a block of their own."""
         size = len(self._ts)
         return self.part(size - count, size)
 
 
-class SealedBlock(PackedBlock):
+class SealedBlock(ColumnBlock):
     """A sealed run of a key's history: never changed once published, so
     every reader shares it, and it remembers what folds compute on it."""
 
@@ -225,13 +208,11 @@ class SealedBlock(PackedBlock):
         self._memo: Dict[Any, Any] = {}
 
     @classmethod
-    def of_cells(cls, ts: "array[int]", cells: List[Any],
-                 width: Optional[int]) -> "SealedBlock":
-        """Seal tuples given in the tail's layout (``cells`` row-major,
-        ``width`` values a tuple), packing each column."""
-        stride = width or 1
-        return cls(ts, tuple(_packed(cells[position::stride], ts)
-                             for position in range(stride)), width)
+    def of_rows(cls, ts: "array[int]", rows: Sequence[Any],
+                width: Optional[int]) -> "SealedBlock":
+        """Seal ``rows`` (oldest first), packing each column."""
+        return cls(ts, tuple(_packed(list(values), ts)
+                             for values in _transposed(rows, width)), width)
 
     def summary(self, position: int,
                 reduce: Callable[[Sequence[Any]], Any]) -> Any:
@@ -270,11 +251,8 @@ class SealedSpan(SealedBlock):
             values += block._values(position)
         return values
 
-    def column(self, position: int) -> List[Any]:
-        return self._values(position)
-
-    def part(self, lo: int, hi: int) -> PackedBlock:
-        return PackedBlock(self._ts, tuple(
+    def part(self, lo: int, hi: int) -> ColumnBlock:
+        return ColumnBlock(self._ts, tuple(
             self._values(position) for position in range(self._width or 1)),
             self._width).part(lo, hi)
 
@@ -291,26 +269,22 @@ def _first_block_past(blocks: List[ColumnBlock], ts: int, edge: int) -> int:
     return lo
 
 
-def _place(stamps: "array[int]", cells: List[Any], ts: int,
-           row: Sequence[Any]) -> None:
+def _place(stamps: "array[int]", rows: List[Any], ts: int, row: Any) -> None:
     """Insert one tuple after every tuple not newer than it."""
     at = bisect_right(stamps, ts)
     stamps.insert(at, ts)
-    at *= len(row)  # the tuple's first cell
-    cells[at:at] = row
+    rows.insert(at, row)
 
 
 def _with_late_row(block: SealedBlock, ts: int,
-                   row: Sequence[Any]) -> List[SealedBlock]:
+                   row: Any) -> List[SealedBlock]:
     """A repacked copy of ``block`` holding one more tuple, split in two
     past ``2 * BLOCK_ROWS``."""
-    stamps, stride = block._ts[:], len(row)
-    cells = list(chain.from_iterable(zip(*block._columns)))
-    _place(stamps, cells, ts, row)
+    stamps, rows = block._ts[:], block.rows()
+    _place(stamps, rows, ts, row)
     size = len(stamps)
     half = size // 2 if size > 2 * BLOCK_ROWS else size
-    return [SealedBlock.of_cells(stamps[lo:hi],
-                                 cells[lo * stride:hi * stride], block._width)
+    return [SealedBlock.of_rows(stamps[lo:hi], rows[lo:hi], block._width)
             for lo, hi in ((0, half), (half, size)) if lo < hi]
 
 
@@ -330,11 +304,14 @@ class _TimeList:
     The history is ``_sealed`` — its first ``_spans`` entries
     :class:`SealedSpan` s, then the :class:`SealedBlock` s no span holds
     yet, all oldest first — then the hot **tail**: ``_ts``, an
-    ``array('q')`` of timestamps, ascending, and ``_cells``, the rows'
-    values in one flat row-major list, ``width`` values per tuple
-    (``width`` None: the payload is opaque and takes one cell).  Past
-    ``BLOCK_ROWS`` tuples the tail's oldest ``BLOCK_ROWS`` are sealed,
-    each column packed on its own (:meth:`SealedBlock.of_cells`), and
+    ``array('q')`` of timestamps, ascending, and ``_rows``, the very
+    tuples the host validated (``width`` None: the opaque payloads), one
+    reference a row — the row tuple the memtable log and the binlog hold
+    too, so a tail row costs a list slot and a stamp beside it.  Every
+    write is one list operation: an in-order put one ``append``, a late
+    row one ``insert``, a TTL cut one ``del``.  Past ``BLOCK_ROWS``
+    tuples the tail's oldest ``BLOCK_ROWS`` are sealed, each column
+    packed on its own (:meth:`SealedBlock.of_rows`), and
     ``SPAN_BLOCKS`` blocks outside a span become one.  Among equal
     timestamps later arrivals sit *after* earlier ones, so a
     newest-first read sees the latest arrival first.  A late tuple or a
@@ -347,16 +324,18 @@ class _TimeList:
     nothing wider than this key is ever locked.  A reader takes its run
     under the lock — slices of the edges, the spans and sealed blocks
     between — so it can never see a timestamp beside another tuple's
-    values or a window shifted by a concurrent insert or eviction.
+    values or a window shifted by a concurrent insert or eviction.  The
+    tail's slice is one reference a row; it is transposed into columns
+    after the lock is let go.
     """
 
-    __slots__ = ("_sealed", "_spans", "_ts", "_cells", "_width", "_lock")
+    __slots__ = ("_sealed", "_spans", "_ts", "_rows", "_width", "_lock")
 
     def __init__(self, width: Optional[int] = None) -> None:
         self._sealed: Sequence[SealedBlock] = ()  # a list from the first seal
         self._spans = 0
         self._ts = array("q")
-        self._cells: List[Any] = []
+        self._rows: List[Any] = []
         self._width = width
         self._lock = threading.Lock()
 
@@ -365,23 +344,23 @@ class _TimeList:
 
     def insert(self, ts: int, row: Any) -> None:
         width = self._width
-        if width is None:
-            row = (row,)
-        elif len(row) != width:
-            raise StorageError(
-                f"row has {len(row)} values, the index stores {width}")
+        if width is not None:
+            if len(row) != width:
+                raise StorageError(
+                    f"row has {len(row)} values, the index stores {width}")
+            row = tuple(row)
         with self._lock:
-            stamps, cells = self._ts, self._cells
+            stamps, rows = self._ts, self._rows
             if not stamps or ts >= stamps[-1]:
                 stamps.append(ts)  # in-order arrival: the stream case
-                cells.extend(row)
+                rows.append(row)
             else:
                 # A late tuple goes into the tail, or into a copy of the
                 # first sealed block holding a newer one.
                 sealed = self._sealed
                 index = _first_block_past(sealed, ts, -1)
                 if index == len(sealed):
-                    _place(stamps, cells, ts, row)
+                    _place(stamps, rows, ts, row)
                 elif isinstance(sealed[index], SealedSpan):
                     blocks = list(sealed[index].blocks)
                     inner = _first_block_past(blocks, ts, -1)
@@ -394,14 +373,13 @@ class _TimeList:
                         sealed[index], ts, row)
                     return
             if len(stamps) > BLOCK_ROWS:
-                cut = BLOCK_ROWS * len(row)
                 if not self._sealed:
                     self._sealed = []
                 sealed = self._sealed
-                sealed.append(SealedBlock.of_cells(stamps[:BLOCK_ROWS],
-                                                   cells[:cut], width))
+                sealed.append(SealedBlock.of_rows(stamps[:BLOCK_ROWS],
+                                                  rows[:BLOCK_ROWS], width))
                 del stamps[:BLOCK_ROWS]
-                del cells[:cut]
+                del rows[:BLOCK_ROWS]
                 first = self._spans
                 while len(sealed) - first >= SPAN_BLOCKS:
                     sealed[first:first + SPAN_BLOCKS] = [
@@ -409,13 +387,10 @@ class _TimeList:
                     first = self._spans = first + 1
 
     def newest(self) -> Optional[Tuple[int, Any]]:
-        """The most recent ``(ts, row)`` — the LAST JOIN fast path."""
+        """The most recent ``(ts, row)`` — the LAST JOIN fast path: the
+        row is the tuple that was put."""
         with self._lock:
-            if not self._ts:
-                return None
-            if self._width is None:
-                return self._ts[-1], self._cells[-1]
-            return self._ts[-1], tuple(self._cells[-self._width:])
+            return (self._ts[-1], self._rows[-1]) if self._ts else None
 
     def scan_blocks(self, start_ts: Optional[int] = None,
                     end_ts: Optional[int] = None,
@@ -429,9 +404,8 @@ class _TimeList:
         the run reaches: as they are when covered whole, else sliced —
         a span by walking its blocks.
         """
-        width = self._width
-        stride = width or 1
-        blocks = []
+        blocks: List[ColumnBlock] = []
+        tail: Tuple[Any, ...] = ()
         with self._lock:
             sealed = self._sealed
             # Oldest first; the walk pops the newest.
@@ -457,26 +431,19 @@ class _TimeList:
                     if whole:
                         blocks.append(block)
                     elif lo < hi:
-                        blocks.append(ColumnBlock(
-                            stamps[lo:hi],
-                            self._cells[lo * stride:hi * stride], width)
-                            if block is None else block.part(lo, hi))
+                        if block is None:
+                            tail = stamps[lo:hi], self._rows[lo:hi]
+                        else:
+                            blocks.append(block.part(lo, hi))
                     if lo:
-                        return blocks  # everything older is out of the run
+                        break  # everything older is out of the run
                 if not pending:
-                    return blocks
+                    break
                 block = pending.pop()
                 stamps = block._ts
-
-    def scan(self, start_ts: Optional[int] = None,
-             end_ts: Optional[int] = None,
-             limit: Optional[int] = None) -> Iterator[Tuple[int, Any]]:
-        """Yield ``(ts, row)`` newest-first within ``[end_ts, start_ts]``.
-
-        The run is taken eagerly, so a caller that stops early should
-        pass a ``limit``.
-        """
-        return chain.from_iterable(self.scan_blocks(start_ts, end_ts, limit))
+        if tail:
+            blocks.insert(0, ColumnBlock.of_rows(*tail, self._width))
+        return blocks
 
     def evict(self, kind: TTLKind, horizon: Optional[int],
               keep: int) -> int:
@@ -488,7 +455,6 @@ class _TimeList:
         cuts the longer one and ``ABS_AND_LAT`` (a tuple must violate
         both bounds) the shorter.
         """
-        stride = self._width or 1
         with self._lock:
             sealed, stamps = self._sealed, self._ts
             expired = 0 if horizon is None else bisect_left(
@@ -521,7 +487,7 @@ class _TimeList:
                     sealed[0] = _without_oldest(unit, left)
             elif left:
                 del stamps[:left]
-                del self._cells[:left * stride]
+                del self._rows[:left]
         return cut
 
 
@@ -532,9 +498,10 @@ class TimeSeriesIndex:
     window reads and LAST JOIN; ``evict`` applies the index's TTL spec.
 
     ``width`` is the number of values in every row (a table passes
-    ``len(schema)``), which lets the second level store rows as column-
-    sliceable cells.  Without it a payload is opaque — any object, kept
-    as one cell — and blocks have rows but no columns.
+    ``len(schema)``): a row of another length is refused, a list row is
+    kept as a tuple, and blocks have one column per value.  Without it a
+    payload is opaque — any object, kept as is — and a block has one
+    column of payloads.
 
     Any hashable value is a key, ``None`` (a NULL partition key) too.
     Sweeps over every key iterate ``self._keys.copy()``, one C-level
@@ -579,11 +546,13 @@ class TimeSeriesIndex:
     def scan(self, key: Any, start_ts: Optional[int] = None,
              end_ts: Optional[int] = None,
              limit: Optional[int] = None) -> Iterator[Tuple[int, Any]]:
-        """Yield ``(ts, row)`` newest-first for ``key`` within the bounds."""
-        time_list = self._keys.get(key)
-        if time_list is None:
-            return iter(())
-        return time_list.scan(start_ts=start_ts, end_ts=end_ts, limit=limit)
+        """Yield ``(ts, row)`` newest-first for ``key`` within the bounds.
+
+        The run is taken eagerly, so a caller that stops early should
+        pass a ``limit``.
+        """
+        return chain.from_iterable(
+            self.scan_blocks(key, start_ts, end_ts, limit))
 
     def scan_blocks(self, key: Any, start_ts: Optional[int] = None,
                     end_ts: Optional[int] = None,
@@ -604,7 +573,7 @@ class TimeSeriesIndex:
         """Yield every ``(key, ts, row)``, key by key (in no set order),
         ts descending within a key."""
         for key, time_list in self._keys.copy().items():
-            for ts, row in time_list.scan():
+            for ts, row in chain.from_iterable(time_list.scan_blocks()):
                 yield key, ts, row
 
     def evict(self, now_ts: int) -> int:

@@ -35,6 +35,7 @@ import random
 from typing import (Any, Callable, Dict, Iterable, Iterator, List,
                     Optional, Sequence, Set, Tuple)
 
+from ..errors import TypeMismatchError
 from ..obs import NULL_OBS, Observability
 
 __all__ = ["CDCConfig", "StreamEvent", "CDCStream", "StreamIngestor"]
@@ -236,24 +237,29 @@ class StreamIngestor:
     # ------------------------------------------------------------------
 
     def ingest(self, event: StreamEvent) -> bool:
-        """Apply one delivery; returns False for a dropped duplicate."""
+        """Apply one delivery; returns False for a dropped duplicate.  The
+        sink takes the row first, so a rejected delivery (a typed error)
+        is not seen and moves no watermark: its redelivery still lands."""
+        event_ts = event.event_ts
+        if type(event_ts) is not int:
+            raise TypeMismatchError(f"event_ts {event_ts!r} is not an int")
+        seen = self._seen.setdefault(event.source, set())
+        duplicate = event.seq in seen
+        if not duplicate:
+            self._insert(event.table, event.row)
         watermark = self._source_watermarks.get(event.source)
         if watermark is None or event.watermark > watermark:
             self._source_watermarks[event.source] = event.watermark
-        seen = self._seen.setdefault(event.source, set())
-        if event.seq in seen:
+        if duplicate:
             self.duplicates += 1
             self._m_duplicates.inc()
             return False
         seen.add(event.seq)
-        if self._max_event_ts is not None \
-                and event.event_ts < self._max_event_ts:
+        if self._max_event_ts is not None and event_ts < self._max_event_ts:
             self.out_of_order += 1
             self._m_out_of_order.inc()
-        if self._max_event_ts is None \
-                or event.event_ts > self._max_event_ts:
-            self._max_event_ts = event.event_ts
-        self._insert(event.table, event.row)
+        if self._max_event_ts is None or event_ts > self._max_event_ts:
+            self._max_event_ts = event_ts
         self.ingested += 1
         self._m_ingested.inc()
         current = self.watermark()

@@ -208,6 +208,38 @@ class TestFootprint:
         assert binlog <= 24, f"{binlog:.1f} B per row in the binlog"
         cluster.close()
 
+    def test_tail_keeps_one_reference_per_row(self):
+        """A hot tail holds the tuple that was put, not a copy of its
+        values: 20 keys of 199 rows (none seals) on two replicas cost the
+        index a stamp and a list slot per row each, and LAST JOIN hands
+        back the very tuple."""
+        cluster = NameServer([TabletServer(f"tablet-{i}") for i in range(3)])
+        cluster.create_table(
+            "f", Schema.from_pairs([("k", "bigint"), ("ts", "timestamp"),
+                                    ("a", "bigint"), ("b", "bigint"),
+                                    ("c", "bigint")]),
+            [IndexDef(("k",), "ts")], partitions=4, replicas=2)
+        rng = random.Random(11)
+        rows = [(index % 20, 1_000 + index // 20 * 10, rng.randrange(1000),
+                 rng.randrange(1000), rng.randrange(1000))
+                for index in range(20 * 199)]
+        for row in rows[:20]:  # every key's time list exists before tracing
+            cluster.put("f", row)
+        tracemalloc.start(1)
+        try:
+            for row in rows[20:]:
+                cluster.put("f", row)
+            stats = tracemalloc.take_snapshot().statistics("filename")
+        finally:
+            tracemalloc.stop()
+        index = sum(stat.size for stat in stats
+                    if stat.traceback[0].filename.endswith(
+                        "storage/skiplist.py")) / (len(rows) - 20)
+        assert index <= 48, f"{index:.1f} B per row in the index"
+        for row in rows[-20:]:
+            assert cluster.get_latest("f", row[0])[1] is row
+        cluster.close()
+
 
 class TestFailover:
     def test_failure_promotes_follower(self, cluster):

@@ -398,6 +398,62 @@ class TestDifferentialCrashRecovery:
         assert hit[0] == 99_000
         again.close()
 
+    @staticmethod
+    def _latest_two(data_dir):
+        db = OpenMLDB(data_dir=str(data_dir))
+        db.create_table("t", Schema.from_pairs(
+            [("k", "string"), ("ts", "timestamp"), ("v", "bigint")]),
+            [IndexDef(("k",), "ts",
+                      ttl=TTLSpec(kind=TTLKind.LATEST, lat_ttl=2))])
+        return db
+
+    @staticmethod
+    def _stamps(db):
+        return [ts for ts, _row in db.table("t").window_scan(
+            ("k",), "ts", "a")]
+
+    def test_ttl_eviction_survives_snapshot_and_recover(self, tmp_path):
+        """An eviction before a snapshot is in the image: neither
+        ``recover`` nor a fresh instance over the directory brings the
+        evicted rows back."""
+        db = self._latest_two(tmp_path)
+        for ts in (10, 20, 30, 40, 50):
+            db.insert("t", ("a", ts, ts))
+        assert db.evict_expired(60) == 3
+        assert self._stamps(db) == [50, 40]
+        db.snapshot()
+        db.recover()
+        assert self._stamps(db) == [50, 40]
+        sync_binlogs(db)
+        fresh = self._latest_two(tmp_path)
+        assert self._stamps(fresh) == [50, 40]
+        fresh.close()
+        db.close()
+
+    def test_ttl_eviction_in_the_binlog_tail_replays(self, tmp_path):
+        """An eviction after the snapshot is a control frame in the
+        binlog tail, re-applied among the rows it landed between — the
+        first one too, logged before any row follows the image's last."""
+        db = self._latest_two(tmp_path)
+        for ts in (10, 20, 30):
+            db.insert("t", ("a", ts, ts))
+        db.snapshot()
+        assert db.evict_expired(60) == 1
+        db.insert("t", ("a", 5, 5))  # late: behind the eviction
+        db.recover()
+        assert self._stamps(db) == [30, 20, 5]
+        db.insert("t", ("a", 40, 40))
+        assert db.evict_expired(60) == 2
+        db.insert("t", ("a", 7, 7))
+        assert self._stamps(db) == [40, 30, 7]
+        db.recover()
+        assert self._stamps(db) == [40, 30, 7]
+        sync_binlogs(db)
+        fresh = self._latest_two(tmp_path)
+        assert self._stamps(fresh) == [40, 30, 7]
+        fresh.close()
+        db.close()
+
     def test_recover_requires_data_dir(self):
         db = OpenMLDB()
         with pytest.raises(StorageError):

@@ -306,6 +306,23 @@ def test_only_a_column_equal_to_the_stamps_is_the_stamps():
     assert block.column(1) == [ts + (ts == 1_100) for ts in block._ts]
 
 
+def test_a_list_row_reads_back_as_a_tuple():
+    """A width-set index keeps a list row as a tuple, made once at put:
+    every read — in the tail, sealed, and the newest — gives tuples."""
+    index = TimeSeriesIndex(width=3)
+    for ts in range(1, 301):
+        index.put("k", ts, ["k", ts, ts / 2])
+    assert index.latest("k") == (300, ("k", 300, 150.0))
+    assert type(index.latest("k")[1]) is tuple
+    blocks = index.scan_blocks("k")
+    assert [block.sealed for block in blocks] == [False, True]
+    for block in blocks:
+        assert {type(row) for row in block.rows()} == {tuple}
+        assert block.column(1) == list(block._ts)
+    assert {type(row) for _ts, row in index.scan("k")} == {tuple}
+    assert list(index.scan("k", limit=1)) == [(300, ("k", 300, 150.0))]
+
+
 _INT_EDGES = tuple(value for bits in (7, 15, 31, 63)
                    for value in (-(1 << bits) - 1, -(1 << bits),
                                  (1 << bits) - 1, 1 << bits))

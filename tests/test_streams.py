@@ -6,14 +6,17 @@ through the offline engine yields byte-identical feature vectors at
 every watermark boundary, for both new workloads.
 """
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import OpenMLDB
-from repro.errors import ConsistencyError
+from repro.errors import ConsistencyError, OpenMLDBError
 from repro.obs import Observability
 from repro.schema import IndexDef, Schema
 from repro.streams import (CDCConfig, CDCStream, SkewMismatch, SkewReport,
-                           StreamIngestor, verify_stream_skew)
+                           StreamEvent, StreamIngestor, verify_stream_skew)
 from repro.streams.skew import _identical
 from repro.workloads import adctr, iot
 
@@ -186,6 +189,66 @@ class TestStreamIngestor:
         ingestor = StreamIngestor(lambda table, row: None, sources=3)
         with pytest.raises(ValueError, match="below requested"):
             ingestor.run(stream, boundaries=[10**15])
+
+
+def _malformed(event, kind):
+    """A bad delivery of ``event``: same source and seq, wrong content,
+    and a watermark far ahead that it must not move."""
+    wrong = {"table": {"table": "missing"}, "arity": {"row": event.row[:2]},
+             "ts": {"event_ts": str(event.event_ts)}}[kind]
+    return dataclasses.replace(event, watermark=event.watermark + 10**9,
+                               **wrong)
+
+
+_DELIVERIES = st.lists(st.tuples(
+    st.sampled_from(("k0", "k1", "k2")), st.integers(0, 50),
+    st.sampled_from((None, "table", "arity", "ts")), st.booleans()),
+    min_size=1, max_size=30)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_DELIVERIES)
+def test_rejected_deliveries_do_not_count_as_delivered(plan):
+    """Well-formed events, some preceded by a malformed delivery under the
+    same seq (unknown table, wrong arity, a non-int ts) and some
+    redelivered: only typed errors come out, and the table, its binlog and
+    the counters equal an ingest that never saw the bad deliveries."""
+    events, clean = [], []
+    for seq, (key, step, bad, redeliver) in enumerate(plan):
+        ts = 1_000 + seq * 10 - step
+        event = StreamEvent(source=seq % 2, seq=seq // 2, table="t",
+                            row=(key, ts, seq), event_ts=ts,
+                            arrival_ts=ts, watermark=ts - 50)
+        if bad is not None:
+            events.append(_malformed(event, bad))
+        events.append(event)
+        clean.append(event)
+        if redeliver:
+            events.append(dataclasses.replace(event, duplicate=True))
+            clean.append(events[-1])
+    dbs, ingestors = [], []
+    for deliveries in (events, clean):
+        db = OpenMLDB()
+        db.create_table("t", SCHEMA, indexes=[INDEX])
+        ingestor = StreamIngestor(db, sources=2)
+        for event in deliveries:
+            try:
+                ingestor.ingest(event)
+            except OpenMLDBError:
+                assert deliveries is events
+        dbs.append(db)
+        ingestors.append(ingestor)
+    got, want = ingestors
+    assert (got.ingested, got.duplicates, got.out_of_order,
+            got.watermark()) == (want.ingested, want.duplicates,
+                                 want.out_of_order, want.watermark())
+    assert want.ingested == len(plan)
+    tables = [list(db.table("t").rows()) for db in dbs]
+    binlogs = [db.cluster.table_info("t").binlogs[0].entries_from(0)
+               for db in dbs]
+    assert tables[0] == tables[1] and binlogs[0] == binlogs[1]
+    for db in dbs:
+        db.close()
 
 
 class TestSkewCheck:

@@ -41,7 +41,10 @@ tier:
   ``NameServer.put`` into ``partitions=4, replicas=2`` tables and
   prints its RSS before the load (imports plus the empty tables) and
   after it, so the traced bytes per row times the rows can be held
-  against the difference; it then loads the same rows again under
+  against the difference, and the share of rows in sealed blocks; then
+  its RSS once the workload's script is deployed and ``FrontendServer``
+  and ``NetServer`` are started — the state perfbench reads
+  ``server_rss_mb`` in; it then loads the same rows again under
   ``tracemalloc`` and prints the ``--top`` source lines by bytes still
   allocated per preload row — the footprint ledger.
 
@@ -408,6 +411,9 @@ def load_rss(spec_path, top):
     traced ledger of a second load of the same rows."""
     import tracemalloc
     from perfbench.loadgen import process_rss_mb
+    from perfbench.server import InsertAdmin
+    from repro.netserve import NetServer
+    from repro.serving import FrontendServer
     with open(spec_path, encoding="utf-8") as handle:
         spec = json.load(handle)
     with open(spec["preload"], encoding="utf-8") as handle:
@@ -423,6 +429,24 @@ def load_rss(spec_path, top):
     print(f"=== {spec['workload']}: {rows} rows, RSS {before:.2f} MB "
           f"before the load, {after:.2f} MB after "
           f"({(after - before) * 2 ** 20 / rows:.1f} B per row) ===")
+    held = sealed = 0
+    for tablet in cluster.tablets.values():
+        for shard in tablet.shards():
+            for structure in shard.store._structures.values():
+                for time_list in structure._keys.values():
+                    held += len(time_list)
+                    sealed += sum(map(len, time_list._sealed))
+    print(f"share of rows in sealed blocks: {sealed / held:.0%}")
+    # perfbench reads server_rss_mb once the script is deployed and the
+    # serving stack is up.
+    cluster.deploy(spec["deployment"], spec["sql"])
+    frontend = FrontendServer(cluster)
+    net = NetServer(frontend, admin=InsertAdmin(cluster))
+    net.start()
+    print(f"RSS {process_rss_mb(os.getpid()):.2f} MB serving (deployed, "
+          "FrontendServer + NetServer started: perfbench's server_rss_mb)")
+    net.close()
+    frontend.close()
     cluster.close()
     del cluster
     tracemalloc.start(1)
