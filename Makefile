@@ -62,9 +62,11 @@ examples:
 # context switches per read of server and generator; `--path rss --top 8`
 # loads each perfbench workload's preload into a NameServer in a child
 # process and prints its RSS after the load, the share of rows in sealed
-# blocks, the RSS once the script is deployed and FrontendServer +
-# NetServer are started (what perfbench's server_rss_mb reads), and the
-# top tracemalloc lines in bytes per row (the footprint ledger).
+# blocks and the top tracemalloc lines in bytes per row (the footprint
+# ledger), then builds perfbench's own server Stack in a second child
+# that imports only what perfbench/server.py imports and prints its RSS
+# (what perfbench's server_rss_mb reads), its module count and whether
+# asyncio and hashlib are loaded.
 profile:
 	$(PYTHON) tools/profile.py
 

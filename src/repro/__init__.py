@@ -29,16 +29,25 @@ Quickstart::
     features = db.request("demo", ("u1", 2_000, 5.00))
 """
 
-from .core import (ConsistencyReport, Deployment, ExecutionMode, OpenMLDB,
-                   verify_consistency)
 from .errors import OpenMLDBError
 from .schema import Column, IndexDef, Schema, TTLKind, TTLSpec
 from .types import ColumnType
 
 __version__ = "0.1.0"
 
+#: Loaded from :mod:`repro.core` on first access (PEP 562), so that
+#: importing a serving module does not load the offline engine.
+_FROM_CORE = ("OpenMLDB", "Deployment", "ExecutionMode",
+              "verify_consistency", "ConsistencyReport")
+
 __all__ = [
-    "OpenMLDB", "Deployment", "ExecutionMode", "verify_consistency",
-    "ConsistencyReport", "OpenMLDBError", "Schema", "Column", "IndexDef",
+    *_FROM_CORE, "OpenMLDBError", "Schema", "Column", "IndexDef",
     "TTLSpec", "TTLKind", "ColumnType", "__version__",
 ]
+
+
+def __getattr__(name: str) -> object:
+    if name not in _FROM_CORE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import core
+    return getattr(core, name)

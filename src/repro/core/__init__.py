@@ -1,11 +1,21 @@
-"""Core: the OpenMLDB session facade, deployments, and consistency."""
+"""Core: the OpenMLDB session facade, deployments, and consistency.
 
-from .consistency import ConsistencyReport, Mismatch, verify_consistency
-from .database import OpenMLDB
-from .deployment import Deployment
-from .modes import ExecutionMode, PreviewConstraints
+Names load on first access (PEP 562): the cluster imports
+:mod:`repro.core.deployment`, and that must not load the offline engine.
+"""
 
-__all__ = [
-    "OpenMLDB", "Deployment", "ExecutionMode", "PreviewConstraints",
-    "verify_consistency", "ConsistencyReport", "Mismatch",
-]
+import importlib
+
+_HOMES = {"OpenMLDB": "database", "Deployment": "deployment",
+          "ExecutionMode": "modes", "PreviewConstraints": "modes",
+          "verify_consistency": "consistency",
+          "ConsistencyReport": "consistency", "Mismatch": "consistency"}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str) -> object:
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"),
+                   name)

@@ -2,11 +2,12 @@
 
 The paper's OpenMLDB serves online feature requests to external
 processes over SQL connections; this package is that boundary for the
-reproduction.  :class:`NetServer` is an asyncio TCP frontend speaking
-the PostgreSQL v3 protocol (simple and extended query cycles), so any
-PostgreSQL driver — psycopg, JDBC, or the bundled dependency-free
-:class:`NetClient` — can execute deployed feature scripts as prepared
-statements:
+reproduction.  :class:`NetServer` is a TCP frontend on plain sockets,
+one thread per connection (a write runs on its own connection's
+thread), speaking the PostgreSQL v3 protocol (simple and extended query
+cycles), so any PostgreSQL driver — psycopg, JDBC, or the bundled
+dependency-free :class:`NetClient` — can execute deployed feature
+scripts as prepared statements:
 
     >>> server = NetServer(frontend, obs=obs)          # doctest: +SKIP
     >>> host, port = server.start()                    # doctest: +SKIP

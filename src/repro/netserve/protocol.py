@@ -1,7 +1,7 @@
 """PostgreSQL wire-protocol (v3) framing.
 
 Message *builders* (server→client and client→server) and *parsers*
-shared by the asyncio server (:mod:`repro.netserve.server`) and the
+shared by the threaded server (:mod:`repro.netserve.server`) and the
 bundled minimal client (:mod:`repro.netserve.client`).  Only the
 protocol subset the feature-serving surface needs is implemented:
 startup / trust auth, the simple query cycle, and the extended query

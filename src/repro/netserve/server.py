@@ -1,4 +1,4 @@
-"""The asyncio PostgreSQL-wire server for online feature serving.
+"""The PostgreSQL-wire server for online feature serving.
 
 :class:`NetServer` listens on a TCP port, speaks the PostgreSQL v3
 protocol (simple *and* extended query cycles — see
@@ -11,26 +11,26 @@ admission control, micro-batching, and load shedding.
 Design notes
 ------------
 
-* **One thread owns the event loop.**  ``start()`` spins up a daemon
-  thread running an asyncio loop; ``close()`` tears it down and joins.
-  The rest of the codebase stays synchronous — the server is a facade,
-  not an async rewrite of the stack.
-* **One thread hop per read.**  ``Execute`` admits the request with the
-  frontend's non-blocking ``submit`` on the loop thread and awaits the
-  ticket's future, which a serving worker completes; admission
-  (``max_queue`` / ``max_inflight`` / ``workers``) is the read path's
-  only concurrency limit.  Control statements can block on disk, so
-  they run on the loop's default executor.  Per connection,
-  statements still execute in arrival order (the protocol requires it).
-* **Backpressure is two-layered.**  Socket-level: responses go through
-  ``writer.drain()``, so a slow reader suspends its own connection
-  coroutine without affecting others.  Server-level: the frontend's
+* **One thread per connection.**  ``start()`` binds a blocking socket
+  and starts a ``netserve-accept`` thread; each admitted connection
+  gets a ``netserve-conn-<n>`` thread that answers its frames in
+  arrival order (the protocol requires it).  ``max_connections``
+  bounds them: one over the cap is refused on the accept thread.
+* **One thread hop per read.**  ``Execute`` calls the frontend's
+  ``request`` on the connection thread, which waits on the ticket a
+  serving worker completes; admission (``max_queue`` /
+  ``max_inflight`` / ``workers``) is the read path's only concurrency
+  limit.  A control statement runs inline on its own connection's
+  thread: a WAL fsync stalls that connection only.
+* **Backpressure is two-layered.**  Socket-level: a reply is one
+  blocking ``sendall``, so a slow reader stalls its own connection
+  thread without affecting others.  Server-level: the frontend's
   admission control sheds with :class:`~repro.errors.OverloadError`,
   which crosses the wire as SQLSTATE 53300/53400 — clients see a
   retryable "insufficient resources" error instead of a hung socket.
 * **Deadlines ride ``statement_timeout``.**  It becomes the frontend
   request's ``timeout_ms``, the one :class:`~repro.serving.Deadline`
-  that bounds queueing, execution and the loop's wait.  Expiry
+  that bounds queueing, execution and the connection's wait.  Expiry
   surfaces as SQLSTATE 57014 (query_canceled), as psql users expect.
 
 Protocol reference and flow diagrams: ``docs/network_protocol.md``.
@@ -38,15 +38,16 @@ Protocol reference and flow diagrams: ``docs/network_protocol.md``.
 
 from __future__ import annotations
 
-import asyncio
+import contextlib
 import itertools
+import socket
 import struct
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..errors import (DeadlineExceededError, DeploymentNotFoundError,
-                      OpenMLDBError, ParseError, ProtocolError)
+from ..errors import (DeploymentNotFoundError, OpenMLDBError, ParseError,
+                      ProtocolError)
 from ..obs import NULL_OBS, Observability
 from ..serving.describe import DeploymentDescriptor
 from ..serving.frontend import FrontendServer
@@ -149,7 +150,8 @@ class _Session:
 
 
 class NetServer:
-    """An asyncio PostgreSQL-wire frontend over a request backend.
+    """A PostgreSQL-wire frontend over a request backend, one thread per
+    connection.
 
     Args:
         backend: a :class:`~repro.serving.FrontendServer`, or a
@@ -169,8 +171,9 @@ class NetServer:
             SQLSTATE 42501.
         max_frame_bytes: refuse frames larger than this (08P01) and
             close the connection; bounds per-connection memory.
-        max_connections: concurrent-connection cap; excess connections
-            are told 53300 at startup and closed.
+        max_connections: concurrent-connection cap, and so the cap on
+            connection threads; excess connections are told 53300 at
+            startup, on the accept thread, and closed.
         default_timeout_ms: per-session ``statement_timeout`` starting
             value (clients override with ``SET statement_timeout``).
     """
@@ -194,15 +197,15 @@ class NetServer:
             FrontendServer(backend, self._obs) if self._owns_frontend
             else backend)
 
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._started = threading.Event()
-        self._start_error: Optional[BaseException] = None
+        self._listener: Optional[socket.socket] = None
+        self._accept_thread: Optional[threading.Thread] = None
         self._closed = False
-        self._lifecycle_lock = threading.Lock()
-        self._connection_count = 0
-        self._connection_lock = threading.Lock()
+        # Guards ``_closed`` and the sockets of open connections, the
+        # threads serving admitted ones, and those inside a request.
+        self._lock = threading.Lock()
+        self._sockets: Set[socket.socket] = set()
+        self._threads: Set[threading.Thread] = set()
+        self._waiting: Set[threading.Thread] = set()
         self._key_seq = itertools.count(1)
 
         registry = self._obs.registry
@@ -216,76 +219,58 @@ class NetServer:
         self._error_counters: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------
-    # lifecycle (sync facade over the loop thread)
+    # lifecycle
 
     def start(self) -> Tuple[str, int]:
         """Bind and serve; returns the listening ``(host, port)``."""
-        with self._lifecycle_lock:
-            if self._thread is not None:
+        with self._lock:
+            if self._listener is not None or self._closed:
                 raise OpenMLDBError("NetServer already started")
-            self._thread = threading.Thread(
-                target=self._run_loop, name="netserve-loop", daemon=True)
-            self._thread.start()
-        self._started.wait()
-        if self._start_error is not None:
-            error = self._start_error
-            self.close()
-            raise OpenMLDBError(f"NetServer failed to bind "
-                                f"{self._host}:{self._port}: {error}")
+            family = socket.AF_INET6 if ":" in self._host else socket.AF_INET
+            try:
+                self._listener = socket.create_server(
+                    (self._host, self._port), family=family, backlog=100)
+            except OSError as error:
+                raise OpenMLDBError(f"NetServer failed to bind "
+                                    f"{self._host}:{self._port}: {error}"
+                                    ) from None
+            self._accept_thread = threading.Thread(
+                target=self._accept_loop, name="netserve-accept",
+                daemon=True)
+            self._accept_thread.start()
         return self.address
 
     @property
     def address(self) -> Tuple[str, int]:
         """The bound ``(host, port)`` — valid after :meth:`start`."""
-        if self._server is None:
+        if self._listener is None:
             raise OpenMLDBError("NetServer is not listening")
-        sock = self._server.sockets[0]
-        name = sock.getsockname()
-        return name[0], name[1]
-
-    def _run_loop(self) -> None:
-        loop = asyncio.new_event_loop()
-        self._loop = loop
-        asyncio.set_event_loop(loop)
-        try:
-            try:
-                self._server = loop.run_until_complete(
-                    asyncio.start_server(self._serve_connection,
-                                         self._host, self._port))
-            except BaseException as exc:
-                self._start_error = exc
-                return
-            finally:
-                self._started.set()
-            loop.run_forever()
-            # close() requested: stop listening, let handlers unwind.
-            self._server.close()
-            loop.run_until_complete(self._server.wait_closed())
-            tasks = asyncio.all_tasks(loop)
-            for task in tasks:
-                task.cancel()
-            if tasks:
-                loop.run_until_complete(
-                    asyncio.gather(*tasks, return_exceptions=True))
-            loop.run_until_complete(loop.shutdown_default_executor())
-        finally:
-            loop.close()
+        return self._listener.getsockname()[:2]
 
     def close(self, timeout: float = 10.0) -> None:
-        """Stop serving, join the loop thread, close an owned frontend.
+        """Stop serving, join the threads, close an owned frontend.
 
-        Idempotent.  Open connections are cancelled, not drained — the
-        PG protocol has no server-side goodbye, and clients treat EOF
-        as disconnect.  A frontend the caller handed in stays open.
+        Idempotent.  Connections are shut down, not drained: clients
+        treat EOF as disconnect.  A thread inside a request is not
+        joined; it exits when its ticket resolves, and the ticket
+        (maybe a single-flight leader's) is never cancelled.  A
+        frontend the caller handed in stays open.
         """
-        with self._lifecycle_lock:
+        with self._lock:
             if self._closed:
                 return
             self._closed = True
-        if self._loop is not None and self._loop.is_running():
-            self._loop.call_soon_threadsafe(self._loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=timeout)
+            for sock in self._sockets:
+                with contextlib.suppress(OSError):  # the peer may be gone
+                    sock.shutdown(socket.SHUT_RDWR)
+            idle = self._threads - self._waiting
+        if self._listener is not None:
+            with contextlib.suppress(OSError):  # wakes the accept()
+                self._listener.shutdown(socket.SHUT_RDWR)
+            self._listener.close()
+            self._accept_thread.join(timeout=timeout)
+        for thread in idle:
+            thread.join(timeout=timeout)
         if self._owns_frontend:
             self._frontend.close(timeout=timeout)
 
@@ -299,78 +284,113 @@ class NetServer:
     # ------------------------------------------------------------------
     # connection handling
 
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        with self._connection_lock:
-            self._connection_count += 1
-            count = self._connection_count
-        self._m_connections.inc()
-        self._g_connections.set(count)
-        try:
-            if count > self._max_connections:
-                self._m_refused.inc()
-                await self._refuse(reader, writer)
-                return
-            await self._handle(reader, writer)
-        except (asyncio.IncompleteReadError, ConnectionError):
-            pass  # peer went away mid-message: nothing to answer
-        except asyncio.CancelledError:
-            pass  # server shutdown: drop the connection quietly
-        finally:
-            with self._connection_lock:
-                self._connection_count -= 1
-                count = self._connection_count
-            self._g_connections.set(count)
-            writer.close()
+    def _accept_loop(self) -> None:
+        while True:
             try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass
+                sock, _peer = self._listener.accept()
+            except OSError:
+                if self._closed:
+                    return  # close() shut the listener down
+                time.sleep(0.01)  # out of descriptors, say: retry shortly
+                continue
+            with self._lock:
+                if self._closed:
+                    sock.close()
+                    return
+                self._sockets.add(sock)
+                admitted = len(self._threads) < self._max_connections
+                if admitted:
+                    thread = threading.Thread(
+                        target=self._serve_connection, args=(sock,),
+                        name=f"netserve-conn-{sock.fileno()}",
+                        daemon=True)
+                    self._threads.add(thread)
+                    self._g_connections.set(len(self._threads))
+            self._m_connections.inc()
+            if admitted:
+                thread.start()
+            else:
+                self._m_refused.inc()
+                self._refuse(sock)
 
-    async def _refuse(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        """Over the connection cap: finish startup, then shed politely."""
-        if await self._startup(reader, writer, announce=False) is None:
-            return
-        await self._send(writer, wire.error_response(
-            "53300", f"too many connections "
-            f"(max_connections={self._max_connections})",
-            severity="FATAL"))
+    def _serve_connection(self, sock: socket.socket) -> None:
+        reader = sock.makefile("rb")
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._handle(sock, reader)
+        except OSError:
+            pass  # peer went away mid-message, or close() shut us down
+        finally:
+            self._release(sock, reader)
+            with self._lock:
+                self._threads.discard(threading.current_thread())
+                self._g_connections.set(len(self._threads))
 
-    async def _startup(self, reader: asyncio.StreamReader,
-                       writer: asyncio.StreamWriter,
-                       announce: bool = True) -> Optional[Dict[str, str]]:
+    def _refuse(self, sock: socket.socket) -> None:
+        """Over the cap: finish startup, then shed politely — on the
+        accept thread, under a short timeout, so it costs no thread."""
+        sock.settimeout(0.5)  # the startup's budget, per read
+        reader = sock.makefile("rb")
+        try:
+            if self._startup(sock, reader, announce=False) is not None:
+                self._send(sock, wire.error_response(
+                    "53300", f"too many connections "
+                    f"(max_connections={self._max_connections})",
+                    severity="FATAL"))
+        except OSError:
+            pass  # silent, slow or gone: drop it
+        finally:
+            self._release(sock, reader)
+
+    def _release(self, sock: socket.socket, reader: Any) -> None:
+        # Out of the set first: close() must not shut a reused fd.
+        with self._lock:
+            self._sockets.discard(sock)
+        reader.close()
+        sock.close()
+
+    def _read(self, reader: Any, count: int) -> bytes:
+        data = reader.read(count)
+        if len(data) < count:
+            raise ConnectionError("peer closed the connection")
+        return data
+
+    def _startup(self, sock: socket.socket, reader: Any,
+                 announce: bool = True) -> Optional[Dict[str, str]]:
         """Run the startup phase; returns startup params, None to drop."""
         while True:
-            raw_length = await reader.readexactly(4)
-            (length,) = struct.unpack(">i", raw_length)
+            (length,) = struct.unpack(">i", self._read(reader, 4))
             if length < 8 or length > self._max_frame_bytes:
-                await self._send(writer, wire.error_response(
+                self._send(sock, wire.error_response(
                     "08P01", f"invalid startup packet length {length}",
                     severity="FATAL"))
                 return None
-            payload = await reader.readexactly(length - 4)
+            payload = self._read(reader, length - 4)
             self._m_bytes_in.inc(length)
             (code,) = struct.unpack(">i", payload[:4])
             if code in (wire.SSL_REQUEST_CODE, wire.GSSENC_REQUEST_CODE):
-                writer.write(b"N")  # no TLS/GSS: please retry in clear
-                await writer.drain()
+                self._send(sock, b"N")  # no TLS/GSS: retry in clear
                 continue
             if code == wire.CANCEL_REQUEST_CODE:
                 return None  # cancellation is best-effort: ignore
             if code != wire.PROTOCOL_VERSION_3:
-                await self._send(writer, wire.error_response(
+                self._send(sock, wire.error_response(
                     "08P01", f"unsupported protocol code {code}",
                     severity="FATAL"))
                 return None
             break
         buf = wire.Buffer(payload[4:])
         params: Dict[str, str] = {}
-        while buf.remaining > 1:
-            key = buf.read_cstr()
-            if not key:
-                break
-            params[key] = buf.read_cstr()
+        try:
+            while buf.remaining > 1:
+                key = buf.read_cstr()
+                if not key:
+                    break
+                params[key] = buf.read_cstr()
+        except ProtocolError as exc:
+            self._send(sock, wire.error_response(
+                "08P01", str(exc), severity="FATAL"))
+            return None
         if announce:
             out = [wire.authentication_ok()]
             out.extend(wire.parameter_status(key, value)
@@ -378,47 +398,44 @@ class NetServer:
             key_id = next(self._key_seq)
             out.append(wire.backend_key_data(key_id, key_id * 7919))
             out.append(wire.ready_for_query())
-            await self._send(writer, b"".join(out))
+            self._send(sock, b"".join(out))
         return params
 
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        startup = await self._startup(reader, writer)
+    def _handle(self, sock: socket.socket, reader: Any) -> None:
+        startup = self._startup(sock, reader)
         if startup is None:
             return
         session = _Session(startup, self._default_timeout_ms)
         while True:
-            header = await reader.readexactly(5)
+            header = self._read(reader, 5)
             type_byte = header[:1]
             (length,) = struct.unpack(">i", header[1:])
             if length < 4 or length > self._max_frame_bytes:
                 self._count_error("08P01")
-                await self._send(writer, wire.error_response(
+                self._send(sock, wire.error_response(
                     "08P01", f"frame of {length} bytes exceeds "
                     f"max_frame_bytes={self._max_frame_bytes}",
                     severity="FATAL"))
                 return
-            payload = await reader.readexactly(length - 4)
+            payload = self._read(reader, length - 4)
             self._m_bytes_in.inc(length + 1)
             if type_byte == b"X":      # Terminate
                 return
-            if not await self._dispatch(writer, session, type_byte,
-                                        payload):
+            if not self._dispatch(sock, session, type_byte, payload):
                 return
 
-    async def _dispatch(self, writer: asyncio.StreamWriter,
-                        session: _Session, type_byte: bytes,
-                        payload: bytes) -> bool:
+    def _dispatch(self, sock: socket.socket,
+                  session: _Session, type_byte: bytes,
+                  payload: bytes) -> bool:
         """Handle one typed frame; False closes the connection."""
         if type_byte == b"Q":
-            await self._on_simple_query(writer, session, payload)
+            self._on_simple_query(sock, session, payload)
             return True
         if type_byte == b"S":          # Sync: recover from error state
             session.in_error = False
-            await self._send(writer, wire.ready_for_query())
+            self._send(sock, wire.ready_for_query())
             return True
-        if type_byte == b"H":          # Flush
-            await writer.drain()
+        if type_byte == b"H":          # Flush: every reply is sent already
             return True
         if session.in_error:
             # Skip-until-Sync: a failed step poisons the rest of the
@@ -430,43 +447,37 @@ class NetServer:
         handler = handlers.get(type_byte)
         if handler is None:
             self._count_error("08P01")
-            await self._send(writer, wire.error_response(
+            self._send(sock, wire.error_response(
                 "08P01", f"unexpected message type "
                 f"{type_byte.decode('latin-1')!r}", severity="FATAL"))
             return False
         try:
-            await handler(writer, session, payload)
-        except asyncio.CancelledError:
-            raise
-        except BaseException as exc:
+            handler(sock, session, payload)
+        except Exception as exc:
             session.in_error = True
-            await self._send_error(writer, exc)
+            self._send_error(sock, exc)
         return True
 
     # ------------------------------------------------------------------
     # simple query protocol
 
-    async def _on_simple_query(self, writer: asyncio.StreamWriter,
-                               session: _Session,
-                               payload: bytes) -> None:
-        sql = wire.parse_simple_query(payload)
+    def _on_simple_query(self, sock: socket.socket, session: _Session,
+                         payload: bytes) -> None:
         session.in_error = False  # a simple Query implicitly resyncs
-        for statement_sql in split_statements(sql):
-            try:
-                statement = classify(statement_sql)
-                await self._run_simple(writer, session, statement)
-            except asyncio.CancelledError:
-                raise
-            except BaseException as exc:
-                await self._send_error(writer, exc)
-                break  # remaining statements in this Q are abandoned
-        await self._send(writer, wire.ready_for_query())
+        try:
+            sql = wire.parse_simple_query(payload)
+            for statement_sql in split_statements(sql):
+                self._run_simple(sock, session, classify(statement_sql))
+        except Exception as exc:
+            # The remaining statements in this Q are abandoned.
+            self._send_error(sock, exc)
+        self._send(sock, wire.ready_for_query())
 
-    async def _run_simple(self, writer: asyncio.StreamWriter,
-                          session: _Session, statement: Any) -> None:
+    def _run_simple(self, sock: socket.socket,
+                    session: _Session, statement: Any) -> None:
         self._count_statement("simple")
         if isinstance(statement, EmptyStatement):
-            await self._send(writer, wire.empty_query_response())
+            self._send(sock, wire.empty_query_response())
             return
         if isinstance(statement, ExecuteDeployment):
             prepared = self._prepare(session, "", statement)
@@ -476,27 +487,27 @@ class NetServer:
                                  "protocol (Parse/Bind/Execute)")
             portal = _Portal(prepared, self._bind_row(prepared, [], []))
             columns = prepared.result_columns()
-            rows = await self._execute_portal(session, portal, "simple")
+            rows = self._execute_portal(session, portal, "simple")
             out = [wire.row_description(columns)]
             out.extend(wire.data_row(row) for row in rows)
             out.append(wire.command_complete(f"SELECT {len(rows)}"))
-            await self._send(writer, b"".join(out))
+            self._send(sock, b"".join(out))
             return
-        await self._run_utility(writer, session, statement,
+        self._run_utility(sock, session, statement,
                                 describe_rows=True)
 
-    async def _run_utility(self, writer: asyncio.StreamWriter,
-                           session: _Session, statement: Any, *,
-                           describe_rows: bool) -> None:
+    def _run_utility(self, sock: socket.socket,
+                     session: _Session, statement: Any, *,
+                     describe_rows: bool) -> None:
         """Execute the non-deployment forms (shared by both protocols)."""
         if isinstance(statement, TransactionNoop):
-            await self._send(writer,
+            self._send(sock,
                              wire.command_complete(statement.tag))
         elif isinstance(statement, SetOption):
             if statement.name == "statement_timeout":
                 session.timeout_ms = parse_timeout_ms(statement.value)
             session.settings[statement.name] = statement.value
-            await self._send(writer, wire.command_complete("SET"))
+            self._send(sock, wire.command_complete("SET"))
         elif isinstance(statement, ShowOption):
             value = self._show(session, statement.name)
             out = []
@@ -505,7 +516,7 @@ class NetServer:
                     [(statement.name, wire.TEXT_OID)]))
             out.append(wire.data_row([value.encode("utf-8")]))
             out.append(wire.command_complete("SHOW"))
-            await self._send(writer, b"".join(out))
+            self._send(sock, b"".join(out))
         elif isinstance(statement, SelectConstant):
             out = []
             if describe_rows:
@@ -513,10 +524,10 @@ class NetServer:
             out.append(wire.data_row(
                 [str(statement.value).encode("ascii")]))
             out.append(wire.command_complete("SELECT 1"))
-            await self._send(writer, b"".join(out))
+            self._send(sock, b"".join(out))
         elif isinstance(statement, ControlStatement):
-            tag = await self._run_control(statement)
-            await self._send(writer, wire.command_complete(tag))
+            tag = self._run_control(statement)
+            self._send(sock, wire.command_complete(tag))
         else:
             raise ProtocolError(
                 f"unhandled statement form {type(statement).__name__}")
@@ -533,14 +544,13 @@ class NetServer:
         raise _WireError("42704",
                          f"unrecognized configuration parameter {name!r}")
 
-    async def _run_control(self, statement: ControlStatement) -> str:
+    def _run_control(self, statement: ControlStatement) -> str:
         if self._admin is None:
             raise _WireError(
                 "42501", f"{statement.kind} is not allowed on this "
                 "endpoint (server started without an admin backend)")
-        # A put can fsync the WAL: off the loop, on its default executor.
-        result = await asyncio.get_running_loop().run_in_executor(
-            None, self._admin.execute, statement.sql)
+        # A put can fsync the WAL: that stalls this connection only.
+        result = self._admin.execute(statement.sql)
         if statement.kind == "INSERT":
             # The backend returns the rows written (a multi-row VALUES
             # list writes several).
@@ -550,12 +560,12 @@ class NetServer:
     # ------------------------------------------------------------------
     # extended query protocol
 
-    async def _on_parse(self, writer: asyncio.StreamWriter,
-                        session: _Session, payload: bytes) -> None:
+    def _on_parse(self, sock: socket.socket,
+                  session: _Session, payload: bytes) -> None:
         name, sql, _oids = wire.parse_parse(payload)
         statement = classify(sql)
         session.statements[name] = self._prepare(session, name, statement)
-        await self._send(writer, wire.parse_complete())
+        self._send(sock, wire.parse_complete())
 
     def _prepare(self, session: _Session, name: str,
                  statement: Any) -> _Prepared:
@@ -598,8 +608,8 @@ class NetServer:
             ordered = []
         return _Prepared(name, statement, descriptor, ordered)
 
-    async def _on_bind(self, writer: asyncio.StreamWriter,
-                       session: _Session, payload: bytes) -> None:
+    def _on_bind(self, sock: socket.socket,
+                 session: _Session, payload: bytes) -> None:
         (portal_name, statement_name, param_formats, raw_params,
          _result_formats) = wire.parse_bind(payload)
         prepared = session.statements.get(statement_name)
@@ -609,7 +619,7 @@ class NetServer:
                 f"unknown prepared statement {statement_name!r}")
         row = self._bind_row(prepared, param_formats, raw_params)
         session.portals[portal_name] = _Portal(prepared, row)
-        await self._send(writer, wire.bind_complete())
+        self._send(sock, wire.bind_complete())
 
     def _bind_row(self, prepared: _Prepared,
                   param_formats: Sequence[int],
@@ -646,8 +656,8 @@ class NetServer:
                        else arg)
         return tuple(row)
 
-    async def _on_describe(self, writer: asyncio.StreamWriter,
-                           session: _Session, payload: bytes) -> None:
+    def _on_describe(self, sock: socket.socket,
+                     session: _Session, payload: bytes) -> None:
         kind, name = wire.parse_describe(payload)
         if kind == "S":
             prepared = session.statements.get(name)
@@ -666,10 +676,10 @@ class NetServer:
         columns = prepared.result_columns()
         out.append(wire.row_description(columns)
                    if columns is not None else wire.no_data())
-        await self._send(writer, b"".join(out))
+        self._send(sock, b"".join(out))
 
-    async def _on_execute(self, writer: asyncio.StreamWriter,
-                          session: _Session, payload: bytes) -> None:
+    def _on_execute(self, sock: socket.socket,
+                    session: _Session, payload: bytes) -> None:
         portal_name, _max_rows = wire.parse_execute(payload)
         portal = session.portals.get(portal_name)
         if portal is None:
@@ -678,21 +688,21 @@ class NetServer:
         self._count_statement("extended")
         statement = portal.prepared.statement
         if isinstance(statement, EmptyStatement):
-            await self._send(writer, wire.empty_query_response())
+            self._send(sock, wire.empty_query_response())
             return
         if isinstance(statement, ExecuteDeployment):
-            rows = await self._execute_portal(session, portal, "extended")
+            rows = self._execute_portal(session, portal, "extended")
             out = [wire.data_row(row) for row in rows]
             out.append(wire.command_complete(f"SELECT {len(rows)}"))
-            await self._send(writer, b"".join(out))
+            self._send(sock, b"".join(out))
             return
         # Utility forms: Describe already sent RowDescription (or
         # NoData), so only rows + completion go out here.
-        await self._run_utility(writer, session, statement,
+        self._run_utility(sock, session, statement,
                                 describe_rows=False)
 
-    async def _on_close(self, writer: asyncio.StreamWriter,
-                        session: _Session, payload: bytes) -> None:
+    def _on_close(self, sock: socket.socket,
+                  session: _Session, payload: bytes) -> None:
         kind, name = wire.parse_close(payload)
         if kind == "S":
             session.statements.pop(name, None)
@@ -700,50 +710,41 @@ class NetServer:
             session.portals.pop(name, None)
         else:
             raise ProtocolError(f"invalid close kind {kind!r}")
-        await self._send(writer, wire.close_complete())
+        self._send(sock, wire.close_complete())
 
     # ------------------------------------------------------------------
     # execution
 
-    async def _execute_portal(self, session: _Session, portal: _Portal,
+    def _execute_portal(self, session: _Session, portal: _Portal,
                               protocol: str) -> List[List[Optional[bytes]]]:
-        """Admit one deployment request, await it on the loop, encode it.
+        """Run one deployment request through the frontend, encode it.
 
-        The session's startup ``user`` is the tenant (PostgreSQL already
-        sends it).  Single-flight followers on other connections may
-        share the ticket's future, so the wait is shielded: neither a
-        deadline nor a dropped connection cancels it.
+        The session's startup ``user`` is the tenant.  The wait inside
+        ``request`` never cancels the ticket, which single-flight
+        followers on other connections may share.
         """
         prepared = portal.prepared
         statement = prepared.statement
         assert isinstance(statement, ExecuteDeployment)
         assert portal.row is not None
-        deployment = statement.deployment
+        me = threading.current_thread()
+        with self._lock:
+            if self._closed:
+                raise ConnectionError("server is closing")
+            self._waiting.add(me)  # close() does not wait for this one
         started = time.monotonic()
-        # On the loop thread's stack, a span would parent whatever the
-        # next connection opens while this one awaits.
-        span = self._obs.tracer.detached(
-            "net.request", deployment=deployment, protocol=protocol)
-        waiter = None
         try:
-            future, deadline = self._frontend.submit(
-                deployment, portal.row, timeout_ms=session.timeout_ms,
-                tenant=session.settings.get("user", ""))
-            waiter = asyncio.wrap_future(future)
-            features = await asyncio.wait_for(
-                asyncio.shield(waiter), None if deadline is None
-                else deadline.remaining_ms() / 1_000.0)
-        except asyncio.TimeoutError:
-            raise DeadlineExceededError(
-                f"request on {deployment!r} exceeded its deadline "
-                f"while waiting for the result") from None
+            with self._obs.tracer.span(
+                    "net.request", deployment=statement.deployment,
+                    protocol=protocol):
+                features = self._frontend.request(
+                    statement.deployment, portal.row,
+                    timeout_ms=session.timeout_ms,
+                    tenant=session.settings.get("user", ""))
         finally:
-            span.finish()
             self._h_request.observe((time.monotonic() - started) * 1_000.0)
-            # Abandoned: read its outcome, or asyncio logs it unread.
-            if waiter is not None and not waiter.done():
-                waiter.add_done_callback(
-                    lambda w: w.cancelled() or w.exception())
+            with self._lock:
+                self._waiting.discard(me)
         ordered = [features.get(name)
                    for name in prepared.descriptor.output_names]
         return [[wire.encode_text(value) for value in ordered]]
@@ -751,14 +752,12 @@ class NetServer:
     # ------------------------------------------------------------------
     # plumbing
 
-    async def _send(self, writer: asyncio.StreamWriter,
-                    data: bytes) -> None:
-        writer.write(data)
+    def _send(self, sock: socket.socket, data: bytes) -> None:
+        sock.sendall(data)  # a slow reader stalls this thread alone
         self._m_bytes_out.inc(len(data))
-        await writer.drain()  # socket backpressure: slow reader, slow us
 
-    async def _send_error(self, writer: asyncio.StreamWriter,
-                          error: BaseException) -> None:
+    def _send_error(self, sock: socket.socket,
+                    error: BaseException) -> None:
         if isinstance(error, _WireError):
             sqlstate = error.sqlstate
             message = str(error)
@@ -769,8 +768,7 @@ class NetServer:
             sqlstate = "XX000"
             message = f"{type(error).__name__}: {error}"
         self._count_error(sqlstate)
-        await self._send(writer,
-                         wire.error_response(sqlstate, message))
+        self._send(sock, wire.error_response(sqlstate, message))
 
     def _count_statement(self, protocol: str) -> None:
         counter = self._statement_counters.get(protocol)
@@ -787,3 +785,4 @@ class NetServer:
                 "netserve.errors", sqlstate=sqlstate)
             self._error_counters[sqlstate] = counter
         counter.inc()
+

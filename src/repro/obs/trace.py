@@ -160,14 +160,6 @@ class Tracer:
         self._stack().append(span)
         return span
 
-    def detached(self, name: str, **tags: Any) -> Union[Span, _NullSpan]:
-        """A root span kept off this thread's stack, for an event loop:
-        there an open span would parent the next request's spans."""
-        if not self.enabled:
-            return NULL_SPAN
-        return Span(self, self._next_id(), self._next_id(), None, name,
-                    tags)
-
     def start_from(self, context: Optional[Dict[str, int]], name: str,
                    **tags: Any) -> Union[Span, _NullSpan]:
         """Resume a propagated trace context (the RPC-receive side).

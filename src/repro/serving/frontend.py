@@ -145,24 +145,6 @@ class FrontendServer:
                 :class:`~repro.errors.TenantBudgetError` before
                 admission, so its burst cannot crowd out others.
         """
-        future, deadline = self.submit(name, row, timeout_ms=timeout_ms,
-                                       priority=priority, tenant=tenant)
-        try:
-            return future.result(timeout=None if deadline is None
-                                 else deadline.remaining_ms() / 1_000.0)
-        except FutureTimeoutError:
-            raise DeadlineExceededError(
-                f"request on {name!r} exceeded its deadline while "
-                f"waiting for the result") from None
-
-    def submit(self, name: str, row: Sequence[Any], *,
-               timeout_ms: Optional[float] = None,
-               priority: str = "normal", tenant: str = ""
-               ) -> Tuple[Future, Optional[Deadline]]:
-        """:meth:`request` without the wait: admit (or shed), then return
-        the future the features arrive on and the deadline to bound the
-        wait by.  The future may be a single-flight leader's that other
-        requests share: wait on it, never cancel it."""
         try:
             rank = PRIORITIES[priority]
         except KeyError:
@@ -182,28 +164,35 @@ class FrontendServer:
         row_key = (name, tuple(row))
 
         future: Future = Future()
+        leader = future
         if self._single_flight:
             with self._flight_lock:
                 leader = self._in_flight.setdefault(row_key, future)
-            if leader is not future:
-                # Thundering herd: an identical request is already
-                # queued or executing — ride its result.
-                self._m_dedup.inc()
-                return leader, deadline
-
-        ticket = Ticket(deployment=name, row=tuple(row), priority=rank,
-                        seq=next(self._seq), future=future,
-                        deadline=deadline)
+        if leader is not future:
+            # Thundering herd: an identical request is already queued
+            # or executing — ride its result.  Other requests share the
+            # leader's future: wait on it, never cancel it.
+            self._m_dedup.inc()
+        else:
+            ticket = Ticket(deployment=name, row=row_key[1],
+                            priority=rank, seq=next(self._seq),
+                            future=future, deadline=deadline)
+            try:
+                self._admission.admit(ticket)
+            except OverloadError as exc:
+                self._count_shed(name, exc.reason)
+                self._forget(row_key, future)
+                if not future.done():
+                    future.set_exception(exc)  # fail deduped followers
+                raise
+            self._m_admitted.inc()
         try:
-            self._admission.admit(ticket)
-        except OverloadError as exc:
-            self._count_shed(name, exc.reason)
-            self._forget(row_key, future)
-            if not future.done():
-                future.set_exception(exc)  # fail any deduped followers
-            raise
-        self._m_admitted.inc()
-        return future, deadline
+            return leader.result(timeout=None if deadline is None
+                                 else deadline.remaining_ms() / 1_000.0)
+        except FutureTimeoutError:
+            raise DeadlineExceededError(
+                f"request on {name!r} exceeded its deadline while "
+                f"waiting for the result") from None
 
     def describe_deployment(self, name: str) -> Any:
         """Delegate deployment introspection to the backend.

@@ -41,12 +41,14 @@ tier:
   ``NameServer.put`` into ``partitions=4, replicas=2`` tables and
   prints its RSS before the load (imports plus the empty tables) and
   after it, so the traced bytes per row times the rows can be held
-  against the difference, and the share of rows in sealed blocks; then
-  its RSS once the workload's script is deployed and ``FrontendServer``
-  and ``NetServer`` are started — the state perfbench reads
-  ``server_rss_mb`` in; it then loads the same rows again under
-  ``tracemalloc`` and prints the ``--top`` source lines by bytes still
-  allocated per preload row — the footprint ledger.
+  against the difference, and the share of rows in sealed blocks; it
+  then loads the same rows again under ``tracemalloc`` and prints the
+  ``--top`` source lines by bytes still allocated per preload row — the
+  footprint ledger.  A second child, which imports only what
+  ``perfbench/server.py`` imports, builds perfbench's own ``Stack``
+  (load, deploy, ``FrontendServer`` and ``NetServer`` started — the
+  state perfbench reads ``server_rss_mb`` in) and prints its RSS, its
+  module count and whether ``asyncio`` and ``hashlib`` are loaded.
 
 For ``scan`` and ``long``, the same reads first run once unprofiled and
 their median wall time is printed beside the profile as ``p50``; ``long``
@@ -411,9 +413,6 @@ def load_rss(spec_path, top):
     traced ledger of a second load of the same rows."""
     import tracemalloc
     from perfbench.loadgen import process_rss_mb
-    from perfbench.server import InsertAdmin
-    from repro.netserve import NetServer
-    from repro.serving import FrontendServer
     with open(spec_path, encoding="utf-8") as handle:
         spec = json.load(handle)
     with open(spec["preload"], encoding="utf-8") as handle:
@@ -437,16 +436,6 @@ def load_rss(spec_path, top):
                     held += len(time_list)
                     sealed += sum(map(len, time_list._sealed))
     print(f"share of rows in sealed blocks: {sealed / held:.0%}")
-    # perfbench reads server_rss_mb once the script is deployed and the
-    # serving stack is up.
-    cluster.deploy(spec["deployment"], spec["sql"])
-    frontend = FrontendServer(cluster)
-    net = NetServer(frontend, admin=InsertAdmin(cluster))
-    net.start()
-    print(f"RSS {process_rss_mb(os.getpid()):.2f} MB serving (deployed, "
-          "FrontendServer + NetServer started: perfbench's server_rss_mb)")
-    net.close()
-    frontend.close()
     cluster.close()
     del cluster
     tracemalloc.start(1)
@@ -466,9 +455,27 @@ def load_rss(spec_path, top):
     return 0
 
 
+#: The serving reading's child: perfbench's own server module and what
+#: it imports, nothing of this script, so its RSS is the one perfbench
+#: reads as ``server_rss_mb``.
+SERVING_RSS_CHILD = """
+import json, sys
+from perfbench.server import Stack, rss_kb
+with open(sys.argv[1], encoding="utf-8") as handle:
+    stack = Stack(json.load(handle))
+print(f"RSS {rss_kb() / 1024:.2f} MB serving (perfbench's Stack: "
+      f"deployed, FrontendServer + NetServer started), "
+      f"{len(sys.modules)} modules, "
+      + ", ".join(f"{name} {'loaded' if name in sys.modules else 'absent'}"
+                  for name in ("asyncio", "hashlib")), flush=True)
+stack.close()
+"""
+
+
 def profile_rss(top):
     """RSS after loading each perfbench workload, and its ledger, each
-    workload in a child process of its own."""
+    workload in a child process of its own; then perfbench's serving
+    RSS, in a child that imports only what its server imports."""
     from perfbench.workloads import WORKLOADS, Model, dump_json
     for workload in WORKLOADS.values():
         with tempfile.TemporaryDirectory() as work:
@@ -479,10 +486,19 @@ def profile_rss(top):
             with open(spec_path, "w", encoding="utf-8") as handle:
                 json.dump(dict(workload.spec(), preload=preload, work=work),
                           handle)
+            env = dict(os.environ, PYTHONHASHSEED="0")
             subprocess.run(
                 [sys.executable, __file__, "--rss", spec_path,
-                 "--top", str(top)],
-                check=True, env=dict(os.environ, PYTHONHASHSEED="0"))
+                 "--top", str(top)], check=True, env=env)
+            serving_path = os.path.join(work, "serving.json")
+            with open(serving_path, "w", encoding="utf-8") as handle:
+                json.dump(dict(
+                    workload.spec(), preload=preload, obs=False,
+                    data_dir=(os.path.join(work, "serving")
+                              if workload.durable else None)), handle)
+            subprocess.run(
+                [sys.executable, "-c", SERVING_RSS_CHILD, serving_path],
+                check=True, env=env, cwd=str(_root))
     return 0
 
 
