@@ -48,7 +48,6 @@ def build_cluster(data_dir):
 def load(cluster, start, count):
     for i in range(start, start + count):
         cluster.put("t", (i % 31, i, float(i % 97)))
-    cluster.replication_barrier()
 
 
 def crash_rounds(cluster, faults, rounds):

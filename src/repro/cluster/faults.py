@@ -11,10 +11,10 @@ deterministic ways:
   lost, so the nameserver's liveness sweep declares it dead;
 * ``slow`` — RPCs to the tablet are delayed; a delay at or past the
   caller's per-RPC timeout becomes a timeout error;
-* ``drop_replication`` / ``delay_replication`` — suppress or delay
-  binlog entry delivery to one follower, making replication lag visible
-  (the ``cluster.replication.lag`` gauge) and exercising the catch-up
-  path when delivery resumes.
+* ``drop_replication`` — suppress binlog entry delivery to one
+  follower, making replication lag visible (the
+  ``cluster.replication.lag`` gauge) and exercising the catch-up path
+  when delivery resumes.
 
 The injector is consulted from two hook points: every tablet RPC guard
 (:meth:`on_rpc`, :meth:`heartbeat_ok`) and the nameserver's replication
@@ -47,7 +47,6 @@ class FaultInjector:
         self._slow_ms: Dict[str, float] = {}
         # follower name -> entries still to drop (None = until healed)
         self._drop_replication: Dict[str, Optional[int]] = {}
-        self._delay_replication_ms: Dict[str, float] = {}
         self.dropped_entries = 0
         cluster.attach_faults(self)
 
@@ -81,8 +80,7 @@ class FaultInjector:
         tablet = cluster.tablets[tablet_name]
         tablet.fail()
         tablet.wipe()
-        if cluster.auto_failover:
-            cluster.handle_failure(tablet_name)
+        cluster.handle_failure(tablet_name)
         self.heal(tablet_name)
         return cluster.restart_tablet(tablet_name)
 
@@ -107,11 +105,6 @@ class FaultInjector:
         with self._lock:
             self._drop_replication[tablet_name] = count
 
-    def delay_replication(self, tablet_name: str, delay_ms: float) -> None:
-        """Delay delivery of each replicated entry to a follower."""
-        with self._lock:
-            self._delay_replication_ms[tablet_name] = delay_ms
-
     def heal(self, tablet_name: Optional[str] = None) -> None:
         """Clear injected faults for one tablet (or every tablet)."""
         with self._lock:
@@ -119,12 +112,10 @@ class FaultInjector:
                 self._partitioned.clear()
                 self._slow_ms.clear()
                 self._drop_replication.clear()
-                self._delay_replication_ms.clear()
             else:
                 self._partitioned.discard(tablet_name)
                 self._slow_ms.pop(tablet_name, None)
                 self._drop_replication.pop(tablet_name, None)
-                self._delay_replication_ms.pop(tablet_name, None)
 
     # ------------------------------------------------------------------
     # hook points (called by tablets and the nameserver)
@@ -153,7 +144,7 @@ class FaultInjector:
     def on_replicate(self, tablet_name: str) -> bool:
         """Gate one binlog entry's delivery to a follower.
 
-        Returns False to drop the entry; may sleep to delay it.
+        Returns False to drop the entry.
         """
         with self._lock:
             if tablet_name in self._drop_replication:
@@ -170,7 +161,4 @@ class FaultInjector:
                     self.dropped_entries += 1
                     return False
                 del self._drop_replication[tablet_name]
-            delay_ms = self._delay_replication_ms.get(tablet_name, 0.0)
-        if delay_ms:
-            time.sleep(delay_ms / 1_000.0)
         return True

@@ -11,20 +11,16 @@ high-availability layer).  Responsibilities:
   exponential backoff, per-RPC timeout), re-routing after failover;
 * **replication** — each partition owns a
   :class:`~repro.online.binlog.Replicator` binlog.  A ``put`` is
-  acknowledged once the leader applied it *and* the entry is in the
-  binlog; followers apply entries from the binlog either inline
-  (``replication="sync"``, the default) or on the replicator's worker
-  thread (``replication="async"``), with per-follower lag exported as
-  the ``cluster.replication.lag`` gauge;
+  acknowledged once the leader applied it, the entry is in the binlog
+  and every reachable follower was handed it, inline; a follower that
+  missed entries (down, partitioned, delivery dropped) shows as the
+  ``cluster.replication.lag`` gauge and is caught up from the binlog.
+  The cluster starts no thread;
 * **failover** — a tablet that crashes, partitions away, or misses
   heartbeats past the timeout is declared dead; for every shard it led,
   the most caught-up live follower replays the binlog suffix it is
   missing and takes over.  Because acknowledged writes are always in
-  the binlog, a leadership change never loses one;
-* **degraded reads** — with no live leader (e.g. ``auto_failover=False``
-  or every candidate down), reads may fall back to a follower whose
-  replication lag stays within an explicit staleness bound (entries);
-  beyond the bound they raise :class:`~repro.errors.StaleReadError`.
+  the binlog, a leadership change never loses one.
 """
 
 from __future__ import annotations
@@ -43,8 +39,8 @@ from ..core.deployment import DeploymentHost
 from ..ctlplane.split import HashRouter, stable_hash
 from ..errors import (DeadlineExceededError, IndexNotFoundError,
                       MemoryLimitExceededError, RpcTimeoutError,
-                      SchemaError, ShardMovedError, StaleReadError,
-                      StorageError, TableExistsError, TableNotFoundError)
+                      SchemaError, ShardMovedError, StorageError,
+                      TableExistsError, TableNotFoundError)
 from ..obs import NULL_OBS, Observability
 from ..online.binlog import Replicator
 from ..online.engine import OnlineEngine
@@ -258,21 +254,8 @@ class NameServer(DeploymentHost):
         tablets: the cluster's tablet servers.
         obs: shared observability handle (one registry/tracer across
             nameserver and tablets, so traces stitch and series merge).
-        replication: ``"sync"`` applies binlog entries to followers
-            inline with the acknowledged write (deterministic reads);
-            ``"async"`` ships them on the replicator worker thread, so
-            followers visibly lag and catch up — closest to the paper's
-            binlog-driven replica groups.
-        auto_failover: promote followers automatically when a dead
-            tablet is detected.  With ``False`` (an operator-controlled
-            cluster), dead leaders make writes fail and reads degrade to
-            staleness-bounded followers.
         retry_policy: bounded-retry/backoff/timeout policy for every
             routed RPC.
-        heartbeat_timeout_ms: silence threshold for
-            :meth:`check_liveness`.
-        max_staleness: default staleness bound (in binlog *entries*) for
-            degraded follower reads; ``None`` disables them.
         data_dir: root directory for durability.  When set, every
             partition binlog is backed by a
             :class:`~repro.storage.persist.FileBinlog` under
@@ -282,44 +265,33 @@ class NameServer(DeploymentHost):
             :meth:`snapshot` and :meth:`restart_tablet` recover from.
             A pre-existing directory is restored as a restart is: each
             shard loads its newest snapshot, then replays the binlog
-            tail past it.
-        snapshot_retain: snapshots kept per shard before pruning.
+            tail past it.  Each shard keeps its two newest snapshots.
+
+    A dead tablet is always failed over; :meth:`check_liveness` declares
+    one dead after three seconds without a heartbeat.
     """
 
     def __init__(self, tablets: Sequence[TabletServer],
                  obs: Optional[Observability] = None,
-                 replication: str = "sync",
-                 auto_failover: bool = True,
                  retry_policy: Optional[RetryPolicy] = None,
-                 heartbeat_timeout_ms: float = 3_000.0,
-                 max_staleness: Optional[int] = None,
-                 data_dir: Optional[str] = None,
-                 snapshot_retain: int = 2) -> None:
+                 data_dir: Optional[str] = None) -> None:
         if not tablets:
             raise StorageError("cluster needs at least one tablet")
-        if replication not in ("sync", "async"):
-            raise StorageError(
-                f"replication must be 'sync' or 'async', "
-                f"got {replication!r}")
         self.tablets: Dict[str, TabletServer] = {
             tablet.name: tablet for tablet in tablets}
         self.tables: Dict[str, ClusterTable] = {}
         self.failovers = 0
-        self.replication = replication
-        self.auto_failover = auto_failover
         self.retry_policy = retry_policy or RetryPolicy()
-        self.max_staleness = max_staleness
-        self.heartbeats = HeartbeatMonitor(timeout_ms=heartbeat_timeout_ms)
+        self.heartbeats = HeartbeatMonitor()
         self.faults = None  # set via attach_faults (FaultInjector)
         self._obs = obs or NULL_OBS
         self.data_dir = data_dir
-        self.snapshot_retain = snapshot_retain
         for tablet in self.tablets.values():
             tablet.bind_obs(self._obs)
             if data_dir is not None:
                 tablet.snapshots = SnapshotStore(
                     os.path.join(data_dir, "tablets", tablet.name),
-                    retain=snapshot_retain, obs=self._obs)
+                    obs=self._obs)
         registry = self._obs.registry
         self._m_puts = registry.counter("ns.rpc.puts")
         self._m_gets = registry.counter("ns.rpc.gets")
@@ -327,7 +299,6 @@ class NameServer(DeploymentHost):
         self._m_failovers = registry.counter("ns.failovers")
         self._m_retries = registry.counter("ns.rpc.retries")
         self._m_timeouts = registry.counter("ns.rpc.timeouts")
-        self._m_stale_reads = registry.counter("ns.reads.stale")
         self._m_replayed = registry.counter("cluster.failover.replayed")
         self._m_repl_errors = registry.counter(
             "cluster.replication.errors")
@@ -529,9 +500,9 @@ class NameServer(DeploymentHost):
                         partition_id: int) -> TabletServer:
         """Like :meth:`leader_of`, but repairs leadership on the way.
 
-        If the recorded leader is dead and ``auto_failover`` is on, the
-        dead tablet's shards fail over first (the detection a ZooKeeper
-        watch would have delivered), then routing is retried once.
+        If the recorded leader is dead, the dead tablet's shards fail
+        over first (the detection a ZooKeeper watch would have
+        delivered), then routing is retried once.
         A :class:`ShardMovedError` (the partition was split away)
         propagates untouched — it is a redirect, not a failure.
         """
@@ -540,8 +511,6 @@ class NameServer(DeploymentHost):
         except ShardMovedError:
             raise
         except StorageError:
-            if not self.auto_failover:
-                raise
             if not self._failover_dead_replicas(table_name, partition_id):
                 raise
             return self.leader_of(table_name, partition_id)
@@ -721,14 +690,6 @@ class NameServer(DeploymentHost):
         return table.binlogs[partition_id].last_offset \
             - shard.applied_offset
 
-    def replication_barrier(self, timeout: float = 10.0) -> None:
-        """Wait for asynchronous replication to drain (tests/benches)."""
-        for table in list(self.tables.values()):
-            for binlog in list(table.binlogs.values()):
-                if not binlog.wait_idle(timeout=timeout):
-                    raise StorageError(
-                        f"replication did not drain within {timeout}s")
-
     # ------------------------------------------------------------------
     # data path
 
@@ -739,9 +700,9 @@ class NameServer(DeploymentHost):
 
         The partition key defaults to the first index's first key
         column.  The write is acknowledged — and its partition-local
-        offset returned — once the leader applied it and the entry is in
-        the partition binlog; follower delivery is inline ("sync") or
-        binlog-worker-driven ("async").  A dead or unreachable leader is
+        offset returned — once the leader applied it, the entry is in
+        the partition binlog and every reachable follower was handed it.
+        A dead or unreachable leader is
         failed over and the write retried under the retry policy; a
         partition split away mid-flight is transparently re-resolved
         (the :class:`ShardMovedError` redirect).
@@ -825,15 +786,8 @@ class NameServer(DeploymentHost):
             # acknowledged.
             leader.write(table.name, partition_id, row, offset,
                          timeout_ms=timeout_ms)
-            if self.replication == "sync":
-                binlog.append_entry(table.name, row)
-                self._replicate_entry(table, partition_id, offset, row)
-            else:
-                binlog.append_entry(
-                    table.name, row,
-                    closure=lambda entry, t=table, p=partition_id:
-                        self._replicate_entry(t, p, entry.offset,
-                                              entry.row))
+            binlog.append_entry(table.name, row)
+            self._replicate_entry(table, partition_id, offset, row)
         return offset
 
     def _replicate_entry(self, table: ClusterTable, partition_id: int,
@@ -878,15 +832,12 @@ class NameServer(DeploymentHost):
             gauge.set(binlog.last_offset - shard.applied_offset)
 
     def routed_read(self, table_name: str, partition_id: int,
-                    call: Any,
-                    max_staleness: Optional[int] = None) -> Any:
+                    call: Any) -> Any:
         """Run ``call(tablet, timeout_ms)`` against the partition leader.
 
         The read backbone: routes to the leader (repairing leadership if
-        needed), retries with exponential backoff on tablet failure or
-        RPC timeout, and — when no leader can be produced — degrades to
-        the most caught-up live follower if its lag fits the staleness
-        bound.  A retry is visible in the active trace as an
+        needed) and retries with exponential backoff on tablet failure
+        or RPC timeout.  A retry is visible in the active trace as an
         ``rpc.retry`` span.
 
         An ambient request deadline (installed by the serving frontend,
@@ -897,8 +848,6 @@ class NameServer(DeploymentHost):
         """
         policy = self.retry_policy
         deadline = current_deadline()
-        bound = max_staleness if max_staleness is not None \
-            else self.max_staleness
         last_error: Optional[Exception] = None
         for attempt in range(policy.attempts + 1):
             if attempt:
@@ -924,11 +873,7 @@ class NameServer(DeploymentHost):
                 raise
             except StorageError as exc:
                 last_error = exc
-                stale = self._stale_replica(table_name, partition_id,
-                                            bound)
-                if stale is None:
-                    continue
-                tablet = stale
+                continue
             timeout_ms = policy.rpc_timeout_ms
             if deadline is not None:
                 timeout_ms = deadline.clamp_ms(timeout_ms)
@@ -964,31 +909,6 @@ class NameServer(DeploymentHost):
         raise last_error if last_error is not None else StorageError(
             f"read on {table_name}[{partition_id}] failed")
 
-    def _stale_replica(self, table_name: str, partition_id: int,
-                       bound: Optional[int]) -> Optional[TabletServer]:
-        """Degraded-read fallback: best live follower within ``bound``.
-
-        Returns None when degraded reads are disabled (no bound set) or
-        no live replica hosts the shard; raises StaleReadError when the
-        best candidate exceeds the bound — too stale to serve.
-        """
-        if bound is None:
-            return None
-        table = self._table(table_name)
-        candidates = [self.tablets[name]
-                      for name in table.assignment[partition_id]]
-        best = elect_leader(candidates, table_name, partition_id)
-        if best is None:
-            return None
-        lag = self.replication_lag(table_name, partition_id, best.name)
-        if lag > bound:
-            raise StaleReadError(
-                f"no live leader for {table_name}[{partition_id}] and "
-                f"best follower {best.name} lags {lag} entries "
-                f"(> bound {bound})")
-        self._m_stale_reads.inc()
-        return best
-
     def _suspect(self, tablet_name: str) -> None:
         """A routed RPC failed against this tablet: declare it dead.
 
@@ -996,18 +916,12 @@ class NameServer(DeploymentHost):
         the caller's side; the simulation mirrors a lease-less system
         and fails the tablet over so the retry can land elsewhere.
         """
-        if self.auto_failover:
-            self.handle_failure(tablet_name)
+        self.handle_failure(tablet_name)
 
     def get_latest(self, table_name: str, key_value: Any,
-                   keys: Optional[Sequence[str]] = None,
-                   max_staleness: Optional[int] = None
+                   keys: Optional[Sequence[str]] = None
                    ) -> Optional[Tuple[int, Row]]:
-        """Read the newest row for a key through the partition leader.
-
-        ``max_staleness`` (entries) enables a degraded follower read
-        when no leader is available — see :meth:`routed_read`.
-        """
+        """Read the newest row for a key through the partition leader."""
         table = self._table(table_name)
         self._m_gets.inc()
         key_columns = tuple(keys) if keys else table.indexes[0].key_columns
@@ -1020,8 +934,7 @@ class NameServer(DeploymentHost):
                     lambda tablet, timeout_ms, pid=partition_id:
                         tablet.read_latest(
                             table_name, pid, key_columns, key_value,
-                            timeout_ms=timeout_ms),
-                    max_staleness=max_staleness)
+                            timeout_ms=timeout_ms))
             except ShardMovedError as exc:
                 last_moved = exc  # topology changed: re-resolve the key
         raise last_moved
@@ -1033,19 +946,18 @@ class NameServer(DeploymentHost):
         """One heartbeat sweep: poll every tablet, fail over the silent.
 
         A tablet is declared dead once it has not delivered a heartbeat
-        for ``heartbeat_timeout_ms`` — whether it crashed or is merely
-        partitioned away.  Returns the tablets failed over this sweep.
-        Pass ``now_ms`` explicitly for deterministic tests; it defaults
-        to the wall clock.
+        for the monitor's timeout (three seconds) — whether it crashed
+        or is merely partitioned away.  Returns the tablets failed over
+        this sweep.  Pass ``now_ms`` explicitly for deterministic tests;
+        it defaults to the wall clock.
         """
         now = time.monotonic() * 1_000.0 if now_ms is None else now_ms
         expired: List[str] = []
         for name, tablet in self.tablets.items():
             if self.heartbeats.observe(name, tablet.heartbeat(), now):
                 expired.append(name)
-        if self.auto_failover:
-            for name in expired:
-                self.handle_failure(name)
+        for name in expired:
+            self.handle_failure(name)
         return expired
 
     def handle_failure(self, tablet_name: str) -> int:
@@ -1267,7 +1179,7 @@ class NameServer(DeploymentHost):
             raise StorageError("cluster closed")
 
     def close(self) -> None:
-        """Stop every partition binlog's worker thread.  Idempotent;
+        """Close every partition binlog's WAL.  Idempotent;
         ``put``/``request`` after close raise ``StorageError``."""
         if self._closed:
             return

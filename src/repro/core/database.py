@@ -67,21 +67,19 @@ class OpenMLDB(DeploymentHost):
             cluster's: ``<data_dir>/binlog/<table>/p0/`` holds each
             table's WAL and ``<data_dir>/tablets/db/`` its snapshots.
             Re-creating a table over it restores the table — newest
-            snapshot, then the binlog tail.
-        snapshot_retain: snapshot images kept per table before pruning.
+            snapshot, then the binlog tail; each table keeps its two
+            newest snapshot images.
     """
 
     def __init__(self, offline_workers: int = 8,
                  max_memory_mb: Optional[int] = None,
                  observability: bool = False,
-                 data_dir: Optional[str] = None,
-                 snapshot_retain: int = 2) -> None:
+                 data_dir: Optional[str] = None) -> None:
         self.obs = Observability(enabled=True) if observability \
             else NULL_OBS
         self._tablet = TabletServer("db", max_memory_mb=max_memory_mb)
         self.cluster = NameServer([self._tablet], obs=self.obs,
-                                  data_dir=data_dir,
-                                  snapshot_retain=snapshot_retain)
+                                  data_dir=data_dir)
         self.governor = self._tablet.governor
         self.data_dir = data_dir
         #: table name → the tablet's one shard store of it (refreshed

@@ -98,16 +98,6 @@ class ShardMovedError(StorageError):
     """
 
 
-class StaleReadError(StorageError):
-    """Raised when a degraded follower read exceeds its staleness bound.
-
-    With no live leader, reads may fall back to a follower only while its
-    replication lag stays within the caller's explicit bound (Section 8.2's
-    graceful-degradation contract); beyond it, failing loudly is safer than
-    serving arbitrarily old features.
-    """
-
-
 class DeploymentError(OpenMLDBError):
     """Raised for invalid deployment operations (deploy/undeploy/request)."""
 
@@ -149,8 +139,7 @@ class OverloadError(ServingError):
 
     A shed request was never executed; the caller may retry later or
     degrade.  ``reason`` says which bound rejected it: ``"queue_full"``,
-    ``"evicted"`` (bumped by a higher-priority arrival), ``"inflight"``
-    (concurrency limiter), or ``"draining"``/``"closed"``.
+    ``"inflight"`` (concurrency limiter), or ``"draining"``/``"closed"``.
     """
 
     def __init__(self, message: str, deployment: str = "",

@@ -93,8 +93,12 @@ class NetClient:
         self._parameters: Dict[str, str] = {}
         self._statements: Dict[str, Tuple[int, ...]] = {}
         self._closed = False
-        self.send_raw(wire.startup_message(user, database))
-        self._await_ready()
+        try:
+            self.send_raw(wire.startup_message(user, database))
+            self._await_ready()
+        except BaseException:
+            self._sock.close()  # refused or cut off: give the fd back
+            raise
 
     # ------------------------------------------------------------------
     # low-level I/O (also the test surface for hand-built pipelines)

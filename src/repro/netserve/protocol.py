@@ -22,8 +22,8 @@ from typing import Any, List, Optional, Sequence, Tuple
 from ..errors import (DeadlineExceededError, DeploymentNotFoundError,
                       LexError, MemoryLimitExceededError, OpenMLDBError,
                       OverloadError, ParseError, PlanError, CompileError,
-                      ProtocolError, SchemaError, StaleReadError,
-                      StorageError, TableNotFoundError, TypeMismatchError)
+                      ProtocolError, SchemaError, StorageError,
+                      TableNotFoundError, TypeMismatchError)
 from ..types import ColumnType
 
 __all__ = [
@@ -86,8 +86,7 @@ _SQLSTATES: Tuple[Tuple[type, str], ...] = (
     (DeploymentNotFoundError, "26000"), # invalid_sql_statement_name
     (TableNotFoundError, "42P01"),      # undefined_table
     (MemoryLimitExceededError, "53200"),# out_of_memory
-    (StaleReadError, "58000"),          # system_error (storage family)
-    (StorageError, "58000"),
+    (StorageError, "58000"),            # system_error
     (OpenMLDBError, "XX000"),           # internal_error fallback
 )
 

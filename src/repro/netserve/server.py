@@ -15,7 +15,8 @@ Design notes
   and starts a ``netserve-accept`` thread; each admitted connection
   gets a ``netserve-conn-<n>`` thread that answers its frames in
   arrival order (the protocol requires it).  ``max_connections``
-  bounds them: one over the cap is refused on the accept thread.
+  bounds the ones still alive: one over the cap is refused on the
+  accept thread, which gives its startup 0.5 s in all.
 * **One thread hop per read.**  ``Execute`` calls the frontend's
   ``request`` on the connection thread, which waits on the ticket a
   serving worker completes; admission (``max_queue`` /
@@ -72,6 +73,10 @@ _SERVER_PARAMETERS = (
     ("is_superuser", "off"),
 )
 
+#: Seconds an over-the-cap connection gets, in all, to finish its
+#: startup before the accept thread drops it.
+_REFUSE_BUDGET_S = 0.5
+
 
 class _WireError(Exception):
     """An error born at the protocol layer with an explicit SQLSTATE."""
@@ -123,6 +128,29 @@ class _Prepared:
         return None
 
 
+class _DeadlineReader:
+    """A socket's ``read`` under one deadline for the whole exchange, so
+    a peer that trickles bytes or repeats requests cannot hold the
+    accept thread past it."""
+
+    def __init__(self, sock: socket.socket, seconds: float) -> None:
+        self._sock = sock
+        self._deadline = time.monotonic() + seconds
+
+    def read(self, count: int) -> bytes:
+        data = b""
+        while len(data) < count:
+            remaining = self._deadline - time.monotonic()
+            if remaining <= 0:
+                raise socket.timeout("startup ran past its deadline")
+            self._sock.settimeout(remaining)
+            chunk = self._sock.recv(count - len(data))
+            if not chunk:
+                break
+            data += chunk
+        return data
+
+
 class _Portal:
     """A bound statement: the prepared form plus its materialised row."""
 
@@ -140,12 +168,11 @@ class _Session:
     __slots__ = ("statements", "portals", "settings", "timeout_ms",
                  "in_error")
 
-    def __init__(self, startup: Dict[str, str],
-                 default_timeout_ms: Optional[float]) -> None:
+    def __init__(self, startup: Dict[str, str]) -> None:
         self.statements: Dict[str, _Prepared] = {}
         self.portals: Dict[str, _Portal] = {}
         self.settings: Dict[str, str] = dict(startup)
-        self.timeout_ms = default_timeout_ms
+        self.timeout_ms: Optional[float] = None  # SET statement_timeout
         self.in_error = False  # extended protocol: skip until Sync
 
 
@@ -172,10 +199,11 @@ class NetServer:
         max_frame_bytes: refuse frames larger than this (08P01) and
             close the connection; bounds per-connection memory.
         max_connections: concurrent-connection cap, and so the cap on
-            connection threads; excess connections are told 53300 at
-            startup, on the accept thread, and closed.
-        default_timeout_ms: per-session ``statement_timeout`` starting
-            value (clients override with ``SET statement_timeout``).
+            connection threads alive; excess connections are told 53300
+            at startup, on the accept thread, and closed.
+
+    A session starts with no ``statement_timeout``; a client sets one
+    with ``SET statement_timeout``.
     """
 
     def __init__(self, backend: Any, *,
@@ -183,15 +211,13 @@ class NetServer:
                  obs: Optional[Observability] = None,
                  admin: Any = None,
                  max_frame_bytes: int = 1 << 20,
-                 max_connections: int = 64,
-                 default_timeout_ms: Optional[float] = None) -> None:
+                 max_connections: int = 64) -> None:
         self._admin = admin
         self._host = host
         self._port = port
         self._obs = obs or NULL_OBS
         self._max_frame_bytes = max_frame_bytes
         self._max_connections = max_connections
-        self._default_timeout_ms = default_timeout_ms
         self._owns_frontend = not isinstance(backend, FrontendServer)
         self._frontend: FrontendServer = (
             FrontendServer(backend, self._obs) if self._owns_frontend
@@ -201,10 +227,12 @@ class NetServer:
         self._accept_thread: Optional[threading.Thread] = None
         self._closed = False
         # Guards ``_closed`` and the sockets of open connections, the
-        # threads serving admitted ones, and those inside a request.
+        # connection threads not yet joined (each counts against the
+        # cap), those past their last frame, and those inside a request.
         self._lock = threading.Lock()
         self._sockets: Set[socket.socket] = set()
         self._threads: Set[threading.Thread] = set()
+        self._finished: Set[threading.Thread] = set()
         self._waiting: Set[threading.Thread] = set()
         self._key_seq = itertools.count(1)
 
@@ -294,6 +322,13 @@ class NetServer:
                 time.sleep(0.01)  # out of descriptors, say: retry shortly
                 continue
             with self._lock:
+                # A finished thread is past its last use of the lock, so
+                # joining it here is prompt; the cap then bounds the
+                # threads still alive.
+                for thread in self._finished:
+                    thread.join()
+                self._threads -= self._finished
+                self._finished.clear()
                 if self._closed:
                     sock.close()
                     return
@@ -323,14 +358,15 @@ class NetServer:
         finally:
             self._release(sock, reader)
             with self._lock:
-                self._threads.discard(threading.current_thread())
-                self._g_connections.set(len(self._threads))
+                self._finished.add(threading.current_thread())
+                self._g_connections.set(
+                    len(self._threads) - len(self._finished))
 
     def _refuse(self, sock: socket.socket) -> None:
         """Over the cap: finish startup, then shed politely — on the
-        accept thread, under a short timeout, so it costs no thread."""
-        sock.settimeout(0.5)  # the startup's budget, per read
-        reader = sock.makefile("rb")
+        accept thread, within one short deadline, so it costs no
+        thread and cannot stall the next accept."""
+        reader = _DeadlineReader(sock, _REFUSE_BUDGET_S)
         try:
             if self._startup(sock, reader, announce=False) is not None:
                 self._send(sock, wire.error_response(
@@ -340,13 +376,14 @@ class NetServer:
         except OSError:
             pass  # silent, slow or gone: drop it
         finally:
-            self._release(sock, reader)
+            self._release(sock)
 
-    def _release(self, sock: socket.socket, reader: Any) -> None:
+    def _release(self, sock: socket.socket, reader: Any = None) -> None:
         # Out of the set first: close() must not shut a reused fd.
         with self._lock:
             self._sockets.discard(sock)
-        reader.close()
+        if reader is not None:
+            reader.close()
         sock.close()
 
     def _read(self, reader: Any, count: int) -> bytes:
@@ -405,7 +442,7 @@ class NetServer:
         startup = self._startup(sock, reader)
         if startup is None:
             return
-        session = _Session(startup, self._default_timeout_ms)
+        session = _Session(startup)
         while True:
             header = self._read(reader, 5)
             type_byte = header[:1]

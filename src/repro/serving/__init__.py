@@ -9,7 +9,7 @@ engine:
   micro-batching over a worker pool, single-flight dedup, deadline
   propagation, graceful drain, and per-deployment SLO metrics.
 * :class:`AdmissionController` / :class:`Ticket` — bounded
-  per-deployment priority queues plus a global in-flight limiter;
+  per-deployment FIFO queues plus a global in-flight limiter;
   overload sheds with :class:`~repro.errors.OverloadError`.
 * :class:`BatchPolicy` / :class:`WorkerPool` — the micro-batching
   dispatch loop (``max_batch`` / ``max_wait_ms``).
@@ -19,12 +19,12 @@ engine:
   (:class:`~repro.errors.DeadlineExceededError`).
 """
 
-from .admission import AdmissionController, PRIORITIES, Ticket
+from .admission import AdmissionController, Ticket
 from .batcher import BatchPolicy, WorkerPool
 from .deadline import Deadline, current_deadline, deadline_scope
 from .describe import DeploymentDescriptor
 from .frontend import FrontendServer
 
 __all__ = ["FrontendServer", "AdmissionController", "Ticket",
-           "PRIORITIES", "BatchPolicy", "WorkerPool", "Deadline",
-           "current_deadline", "deadline_scope", "DeploymentDescriptor"]
+           "BatchPolicy", "WorkerPool", "Deadline", "current_deadline",
+           "deadline_scope", "DeploymentDescriptor"]

@@ -1,4 +1,4 @@
-"""Admission control: bounded priority queues and a concurrency limiter.
+"""Admission control: bounded FIFO queues and a concurrency limiter.
 
 The serving frontend admits every request through one
 :class:`AdmissionController`.  Admission can fail — that is the point:
@@ -14,11 +14,7 @@ Three bounds, checked in order:
 2. **in-flight limit** — admitted-but-unfinished requests across all
    deployments (the concurrency limiter);
 3. **per-deployment queue bound** — each deployment owns a bounded
-   priority queue.  A full queue sheds the newcomer, *unless* the
-   newcomer outranks the worst queued request, in which case the worst
-   one is evicted (its future fails with ``reason="evicted"``) and the
-   newcomer takes its place — high-priority traffic displaces
-   best-effort traffic rather than queueing behind it.
+   FIFO queue; a full queue sheds the newcomer (``reason="queue_full"``).
 
 Workers pull work with :meth:`AdmissionController.next_batch`, which
 blocks until a deployment has queued requests, then returns up to
@@ -29,21 +25,17 @@ deployment cannot starve the rest.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
-import heapq
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..errors import OverloadError
 from ..obs import NULL_OBS, Observability
 from .deadline import Deadline
 
-__all__ = ["AdmissionController", "PRIORITIES", "Ticket"]
-
-#: Priority classes, lower rank serves first.  "high" models
-#: SLO-critical interactive traffic, "low" best-effort backfill.
-PRIORITIES: Dict[str, int] = {"high": 0, "normal": 1, "low": 2}
+__all__ = ["AdmissionController", "Ticket"]
 
 
 @dataclasses.dataclass
@@ -52,60 +44,13 @@ class Ticket:
 
     deployment: str
     row: Tuple[Any, ...]
-    priority: int
-    seq: int
     future: Any  # concurrent.futures.Future
     deadline: Optional[Deadline] = None
     enqueued_s: float = dataclasses.field(default_factory=time.monotonic)
 
-    @property
-    def heap_key(self) -> Tuple[int, int]:
-        return (self.priority, self.seq)
-
-
-class _DeploymentQueue:
-    """A bounded priority queue for one deployment (heap on rank, seq)."""
-
-    def __init__(self, bound: int) -> None:
-        self.bound = bound
-        self._heap: List[Tuple[Tuple[int, int], Ticket]] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def offer(self, ticket: Ticket) -> Optional[Ticket]:
-        """Admit ``ticket``, possibly evicting a worse queued one.
-
-        Returns the evicted ticket (caller sheds it), or None when the
-        queue had room.  Raises :class:`OverloadError` when the queue is
-        full and nothing queued ranks worse than the newcomer.
-        """
-        if len(self._heap) < self.bound:
-            heapq.heappush(self._heap, (ticket.heap_key, ticket))
-            return None
-        worst_index = max(range(len(self._heap)),
-                          key=lambda i: self._heap[i][0])
-        worst = self._heap[worst_index][1]
-        if ticket.priority >= worst.priority:
-            raise OverloadError(
-                f"deployment {ticket.deployment!r} queue is full "
-                f"({self.bound} queued)", deployment=ticket.deployment,
-                reason="queue_full")
-        self._heap[worst_index] = self._heap[-1]
-        self._heap.pop()
-        heapq.heapify(self._heap)
-        heapq.heappush(self._heap, (ticket.heap_key, ticket))
-        return worst
-
-    def pop_batch(self, max_batch: int) -> List[Ticket]:
-        batch = []
-        while self._heap and len(batch) < max_batch:
-            batch.append(heapq.heappop(self._heap)[1])
-        return batch
-
 
 class AdmissionController:
-    """Bounded admission with priority classes and an in-flight limit.
+    """Bounded per-deployment FIFO admission with an in-flight limit.
 
     Args:
         max_queue: per-deployment queued-request bound.
@@ -113,26 +58,20 @@ class AdmissionController:
             (queued + executing); ``None`` disables the limiter.
         obs: observability handle for queue-depth gauges and the
             in-flight gauge.
-        on_shed: callback ``(ticket, reason)`` invoked for *queued*
-            tickets the controller evicts in favour of higher-priority
-            arrivals (the caller owns the ticket's future).
     """
 
     def __init__(self, max_queue: int = 64,
                  max_inflight: Optional[int] = None,
-                 obs: Optional[Observability] = None,
-                 on_shed: Optional[Callable[[Ticket, str], None]] = None
-                 ) -> None:
+                 obs: Optional[Observability] = None) -> None:
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
         self.max_queue = max_queue
         self.max_inflight = max_inflight
         self._obs = obs or NULL_OBS
-        self._on_shed = on_shed
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)
         self._idle = threading.Condition(self._lock)
-        self._queues: Dict[str, _DeploymentQueue] = {}
+        self._queues: Dict[str, Deque[Ticket]] = {}
         self._rotation: List[str] = []
         self._next_slot = 0
         self._inflight = 0
@@ -146,7 +85,6 @@ class AdmissionController:
 
     def admit(self, ticket: Ticket) -> None:
         """Admit one request or shed it with :class:`OverloadError`."""
-        evicted: Optional[Ticket] = None
         with self._lock:
             if self._draining or self._closed:
                 state = "closed" if self._closed else "draining"
@@ -160,21 +98,19 @@ class AdmissionController:
                     deployment=ticket.deployment, reason="inflight")
             queue = self._queues.get(ticket.deployment)
             if queue is None:
-                queue = _DeploymentQueue(self.max_queue)
-                self._queues[ticket.deployment] = queue
+                queue = self._queues[ticket.deployment] = \
+                    collections.deque()
                 self._rotation.append(ticket.deployment)
-            evicted = queue.offer(ticket)  # may raise OverloadError
-            if evicted is None:
-                self._inflight += 1
-            # An eviction swaps one queued request for another: the
-            # victim's in-flight slot transfers to the newcomer, so the
-            # count is unchanged and the worker's release on the
-            # newcomer balances the victim's admission.
+            if len(queue) >= self.max_queue:
+                raise OverloadError(
+                    f"deployment {ticket.deployment!r} queue is full "
+                    f"({self.max_queue} queued)",
+                    deployment=ticket.deployment, reason="queue_full")
+            queue.append(ticket)
+            self._inflight += 1
             self._depth_gauge(ticket.deployment).set(len(queue))
             self._g_inflight.set(self._inflight)
             self._work.notify()
-        if evicted is not None and self._on_shed is not None:
-            self._on_shed(evicted, "evicted")
 
     def release(self, count: int = 1) -> None:
         """Mark ``count`` admitted requests finished (worker side)."""
@@ -212,7 +148,8 @@ class AdmissionController:
                     if remaining <= 0 or self._closed:
                         break
                     self._work.wait(timeout=remaining)
-            batch = queue.pop_batch(max_batch)
+            batch = [queue.popleft()
+                     for _ in range(min(max_batch, len(queue)))]
             self._depth_gauge(name).set(len(queue))
             return name, batch
 

@@ -5,7 +5,7 @@
 :class:`~repro.OpenMLDB` — and owns everything between "a client called
 ``request``" and "features came back":
 
-* **admission control** — bounded per-deployment priority queues plus a
+* **admission control** — bounded per-deployment FIFO queues plus a
   global in-flight limiter; past the bounds, requests are shed with
   :class:`~repro.errors.OverloadError` (see :mod:`repro.serving.admission`);
 * **micro-batching** — queued requests for one deployment execute as a
@@ -30,7 +30,6 @@ docs/observability.md for the serving metric table).
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 from concurrent.futures import Future
@@ -39,7 +38,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import DeadlineExceededError, OpenMLDBError, OverloadError
 from ..obs import NULL_OBS, Observability
-from .admission import PRIORITIES, AdmissionController, Ticket
+from .admission import AdmissionController, Ticket
 from .batcher import BatchPolicy, WorkerPool
 from .deadline import Deadline, deadline_scope
 
@@ -91,7 +90,6 @@ class FrontendServer:
         self._tenants = tenants
         self._default_timeout_ms = default_timeout_ms
         self._single_flight = single_flight
-        self._seq = itertools.count()
         self._closed = False
         self._lifecycle_lock = threading.Lock()
 
@@ -112,7 +110,7 @@ class FrontendServer:
             max_queue=max_queue,
             max_inflight=(max_inflight if max_inflight is not None
                           else 4 * max_queue),
-            obs=self._obs, on_shed=self._shed_queued)
+            obs=self._obs)
         self._pool = WorkerPool(
             self._admission, self._execute_batch, workers=workers,
             policy=BatchPolicy(max_batch=max_batch,
@@ -124,7 +122,6 @@ class FrontendServer:
 
     def request(self, name: str, row: Sequence[Any], *,
                 timeout_ms: Optional[float] = None,
-                priority: str = "normal",
                 tenant: str = "") -> Dict[str, Any]:
         """Execute one request through admission, batching, and dedup.
 
@@ -137,21 +134,12 @@ class FrontendServer:
             row: request tuple for the deployment's primary table.
             timeout_ms: per-request deadline budget; overrides the
                 frontend's ``default_timeout_ms``.
-            priority: ``"high"`` / ``"normal"`` / ``"low"`` — under
-                pressure, high outranks (and may evict) low.
             tenant: charge this tenant's rate budget (requires a
                 registry via the ``tenants`` constructor arg); an
                 over-rate tenant is shed with
                 :class:`~repro.errors.TenantBudgetError` before
                 admission, so its burst cannot crowd out others.
         """
-        try:
-            rank = PRIORITIES[priority]
-        except KeyError:
-            raise OverloadError(
-                f"unknown priority {priority!r} "
-                f"(expected one of {sorted(PRIORITIES)})",
-                deployment=name, reason="bad_priority") from None
         if self._tenants is not None and tenant:
             try:
                 self._tenants.acquire(tenant, deployment=name)
@@ -175,7 +163,6 @@ class FrontendServer:
             self._m_dedup.inc()
         else:
             ticket = Ticket(deployment=name, row=row_key[1],
-                            priority=rank, seq=next(self._seq),
                             future=future, deadline=deadline)
             try:
                 self._admission.admit(ticket)
@@ -232,11 +219,11 @@ class FrontendServer:
                 # Group storage reads by partition: consecutive
                 # requests route to the same partition leader, and
                 # identical scans share fetched rows via the backend's
-                # shared-fetch cache.
+                # shared-fetch cache.  The sort is stable: arrival order
+                # holds within a partition.
                 hint = getattr(self._backend, "request_partition", None)
                 if hint is not None:
-                    live.sort(key=lambda t: (
-                        hint(name, t.row) or 0, t.priority, t.seq))
+                    live.sort(key=lambda t: hint(name, t.row) or 0)
                 self._m_batches.inc()
                 self._h_batch_size.observe(len(live))
                 self._run_batch(name, live)
@@ -288,16 +275,6 @@ class FrontendServer:
 
     # ------------------------------------------------------------------
     # shedding bookkeeping
-
-    def _shed_queued(self, ticket: Ticket, reason: str) -> None:
-        """A queued ticket lost its slot to a higher-priority arrival."""
-        self._count_shed(ticket.deployment, reason)
-        self._forget((ticket.deployment, ticket.row), ticket.future)
-        if not ticket.future.done():
-            ticket.future.set_exception(OverloadError(
-                f"request on {ticket.deployment!r} evicted by "
-                f"higher-priority traffic", deployment=ticket.deployment,
-                reason=reason))
 
     def _count_shed(self, deployment: str, reason: str) -> None:
         key = (deployment, reason)

@@ -36,58 +36,6 @@ class TestOffsets:
         replicator.close()
 
 
-class TestClosures:
-    def test_closures_run_asynchronously_in_order(self):
-        replicator = Replicator()
-        executed = []
-        for i in range(20):
-            replicator.append_entry(
-                "t", (i,), closure=lambda entry: executed.append(
-                    entry.offset))
-        assert replicator.wait_idle(timeout=5)
-        assert executed == list(range(20))
-        replicator.close()
-
-    def test_closure_receives_entry(self):
-        replicator = Replicator()
-        received = []
-        replicator.append_entry("tbl", ("a", 1),
-                                closure=received.append)
-        replicator.wait_idle(timeout=5)
-        entry = received[0]
-        assert isinstance(entry, BinlogEntry)
-        assert entry.table == "tbl"
-        assert entry.row == ("a", 1)
-        replicator.close()
-
-    def test_failures_recorded_and_raised_by_check(self):
-        replicator = Replicator()
-
-        def boom(entry):
-            raise ValueError("kaboom")
-
-        replicator.append_entry("t", (1,), closure=boom)
-        replicator.wait_idle(timeout=5)
-        assert replicator.failures
-        with pytest.raises(RuntimeError):
-            replicator.check()
-        replicator.close()
-
-    def test_failure_does_not_stop_worker(self):
-        replicator = Replicator()
-        executed = []
-
-        def boom(entry):
-            raise ValueError
-
-        replicator.append_entry("t", (1,), closure=boom)
-        replicator.append_entry("t", (2,),
-                                closure=lambda entry: executed.append(1))
-        replicator.wait_idle(timeout=5)
-        assert executed == [1]
-        replicator.close()
-
-
 class TestReplay:
     def test_replay_from_offset(self):
         replicator = Replicator()
@@ -107,8 +55,8 @@ class TestReplay:
             totals[0] += entry.row[0]
 
         for value in (1, 2, 3):
-            replicator.append_entry("t", (value,), closure=consume)
-        replicator.wait_idle(timeout=5)
+            offset = replicator.append_entry("t", (value,))
+            consume(replicator.entries_from(offset)[0])
         assert totals[0] == 6
         # "Crash": new consumer replays everything.
         recovered = [0]

@@ -79,11 +79,9 @@ class TestClusterCrashRestart:
         faults = FaultInjector(cluster)
         for i in range(200):
             cluster.put("t", (i % 7, i, float(i)))
-        cluster.replication_barrier()
         cluster.snapshot("t")
         for i in range(200, 260):
             cluster.put("t", (i % 7, i, float(i)))
-        cluster.replication_barrier()
 
         victim = cluster.leader_of("t", 0).name
         report = faults.crash_restart(victim)
@@ -102,7 +100,6 @@ class TestClusterCrashRestart:
         cluster = make_cluster(cluster_schema, tmp_path)
         for i in range(50):
             cluster.put("t", (i, i, float(i)))
-        cluster.replication_barrier()
         tablet = next(iter(cluster.tablets.values()))
         assert any(shard.store.row_count for shard in tablet.shards())
         tablet.fail()
@@ -116,7 +113,6 @@ class TestClusterCrashRestart:
         faults = FaultInjector(cluster)
         for i in range(120):
             cluster.put("t", (i % 5, i, float(i)))
-        cluster.replication_barrier()
         victim = cluster.leader_of("t", 1).name
         report = faults.crash_restart(victim)
         assert report.snapshot_rows == 0
@@ -135,7 +131,6 @@ class TestClusterCrashRestart:
         faults = FaultInjector(cluster)
         for i in range(80):
             cluster.put("t", (i % 3, i, float(i)))
-        cluster.replication_barrier()
         cluster.snapshot()
         victim = cluster.leader_of("t", 0).name
         faults.crash_restart(victim)
@@ -156,7 +151,6 @@ class TestClusterCrashRestart:
             base = round_index * 50
             for i in range(base, base + 50):
                 cluster.put("t", (i % 4, i, float(i)))
-            cluster.replication_barrier()
             if round_index == 1:
                 cluster.snapshot()
             victim = cluster.leader_of("t", round_index % 2).name

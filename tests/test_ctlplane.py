@@ -260,7 +260,7 @@ class TestLiveMigration:
     def test_dead_source_does_not_block_migration(self):
         """The binlog, not the source, is the transfer source of truth:
         a replica that died can still be 'moved' (rebuilt elsewhere)."""
-        cluster = make_cluster(auto_failover=True)
+        cluster = make_cluster()
         load_rows(cluster)
         table = cluster.table_info("ev")
         source = table.assignment[0][1]  # a follower

@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from repro import OpenMLDB, verify_consistency
+from repro.cluster import FaultInjector, NameServer, TabletServer
 from repro.core.deployment import LongWindowOption
 from repro.errors import (DeploymentError, DeploymentNotFoundError,
                           MemoryLimitExceededError, ParseError, PlanError,
@@ -425,9 +426,9 @@ class TestEviction:
 
 class TestNoThreadOfItsOwn:
     def test_single_node_starts_no_thread(self, tmp_path):
-        # A single node keeps no ingest-time state, so nothing hands the
-        # binlog a closure and its worker thread never starts: only the
-        # cluster's replication="async" mode runs one.
+        # A single node keeps no ingest-time state, and its binlog
+        # delivers nothing in the background: no write, read, eviction,
+        # recovery or snapshot starts a thread.
         before = threading.active_count()
         db = OpenMLDB(data_dir=str(tmp_path))
         db.execute("CREATE TABLE t (k string, ts timestamp, v double, "
@@ -445,3 +446,33 @@ class TestNoThreadOfItsOwn:
         assert db.request("d", ("a", 90_000, 1.0))["c"] == 4
         assert threading.active_count() == before
         db.close()
+
+    def test_cluster_starts_no_thread(self, tmp_path):
+        # Followers are written inline with the acknowledged put, so
+        # writes, a failover, a snapshot and a restart all run on the
+        # caller's thread.
+        before = threading.active_count()
+        cluster = NameServer([TabletServer(f"tablet-{i}") for i in range(3)],
+                             data_dir=str(tmp_path))
+        faults = FaultInjector(cluster)
+        cluster.create_table(
+            "t", Schema.from_pairs([("k", "string"), ("ts", "timestamp"),
+                                    ("v", "double")]),
+            [IndexDef(("k",), "ts")], partitions=2, replicas=2)
+        rows = [(f"k{i % 5}", i, float(i)) for i in range(40)]
+        for row in rows[:20]:
+            cluster.put("t", row)
+        partition_id = cluster.partition_for("t", rows[0][0])
+        victim = cluster.leader_of("t", partition_id).name
+        faults.kill(victim)
+        for row in rows[20:]:
+            cluster.put("t", row)
+        assert cluster.leader_of("t", partition_id).name != victim
+        assert cluster.snapshot() > 0
+        cluster.tablets[victim].wipe()
+        report = cluster.restart_tablet(victim)
+        assert report.replayed_entries + report.snapshot_rows > 0
+        assert sum(cluster.leader_of("t", pid).shard("t", pid)
+                   .store.row_count for pid in (0, 1)) == 40
+        assert threading.active_count() == before
+        cluster.close()

@@ -1,18 +1,16 @@
-"""Fault-tolerance tests: replication, failover, and degraded reads.
+"""Fault-tolerance tests: replication and failover.
 
 Drives the cluster through injected faults (crash, partition, slow,
 dropped replication) and checks the availability contract: an
-acknowledged write is never lost by a leadership change, routed calls
-succeed with bounded retries, and reads degrade to staleness-bounded
-followers only when asked to.
+acknowledged write is never lost by a leadership change, and routed
+calls succeed with bounded retries.
 """
 
 import pytest
 
 from repro.cluster import (FaultInjector, HeartbeatMonitor, NameServer,
                            RetryPolicy, TabletServer)
-from repro.errors import (IndexNotFoundError, StaleReadError,
-                          StorageError)
+from repro.errors import IndexNotFoundError, StorageError
 from repro.obs import Observability
 from repro.schema import IndexDef, Schema
 
@@ -87,10 +85,10 @@ class TestHeartbeatMonitor:
 
 class TestZeroLossFailover:
     def test_kill_leader_loses_no_acknowledged_writes(self, schema):
-        """The core guarantee: async replication, a follower that missed
-        every entry, leader killed — promotion replays the binlog suffix
-        so all acknowledged writes survive."""
-        cluster = make_cluster(schema, replication="async")
+        """The core guarantee: a follower that missed every entry (its
+        deliveries dropped), leader killed — promotion replays the
+        binlog suffix so all acknowledged writes survive."""
+        cluster = make_cluster(schema)
         faults = FaultInjector(cluster)
         try:
             partition_id = cluster.partition_for("t", 7)
@@ -99,7 +97,6 @@ class TestZeroLossFailover:
                 faults.drop_replication(follower)
             for k in range(5):
                 cluster.put("t", (7, 1_000 + k, float(k)))
-            cluster.replication_barrier()
             assert faults.dropped_entries == 5
             faults.kill(leader.name)
             hit = cluster.get_latest("t", 7)
@@ -182,7 +179,7 @@ class TestReplicationLag:
         the binlog from the follower's next offset up to the new entry,
         never past it, and the follower applies every offset once, in
         order, ending with the leader's rows."""
-        cluster = make_cluster(schema, replication="async")
+        cluster = make_cluster(schema)
         faults = FaultInjector(cluster)
         try:
             partition_id = cluster.partition_for("t", 7)
@@ -205,10 +202,8 @@ class TestReplicationLag:
             faults.drop_replication(name, count=5)
             for k in range(5):
                 cluster.put("t", (7, 1_000 + k, float(k)))
-            cluster.replication_barrier()
             assert faults.dropped_entries == 5 and applied == []
             cluster.put("t", (7, 2_000, 9.0))
-            cluster.replication_barrier()
             assert reads == [(0, 5, 5)]
             assert applied == list(range(6))
             leader = cluster.leader_of("t", partition_id)
@@ -221,26 +216,10 @@ class TestReplicationLag:
         finally:
             cluster.close()
 
-    def test_async_replication_drains_at_the_barrier(self, schema):
-        cluster = make_cluster(schema, replication="async")
-        try:
-            partition_id = cluster.partition_for("t", 7)
-            for k in range(10):
-                cluster.put("t", (7, k, float(k)))
-            cluster.replication_barrier()
-            binlog = cluster.tables["t"].binlogs[partition_id]
-            assert binlog.pending == 0
-            for name in cluster.tables["t"].assignment[partition_id]:
-                assert cluster.replication_lag(
-                    "t", partition_id, name) == 0
-        finally:
-            cluster.close()
-
 
 class TestHeartbeatDetection:
     def test_partitioned_leader_expires_and_fails_over(self, schema):
-        cluster = make_cluster(schema,
-                               heartbeat_timeout_ms=3_000.0)
+        cluster = make_cluster(schema)
         faults = FaultInjector(cluster)
         cluster.put("t", (7, 100, 1.0))
         partition_id = cluster.partition_for("t", 7)
@@ -366,45 +345,6 @@ class TestRequestPathAcceptance:
         assert all(tablet.alive for tablet in cluster.tablets.values())
         cluster.put("t", (3, 1_600, 2.0))
         assert cluster.request("feat", (3, 1_700, 9.0))["s"] == before + 2.0
-
-
-class TestDegradedReads:
-    def test_follower_serves_within_staleness_bound(self, schema):
-        obs = Observability(enabled=True)
-        cluster = make_cluster(schema, auto_failover=False, obs=obs)
-        faults = FaultInjector(cluster)
-        cluster.put("t", (7, 100, 1.0))
-        partition_id = cluster.partition_for("t", 7)
-        faults.kill(cluster.leader_of("t", partition_id).name)
-        # No failover: a plain read finds no leader at all.
-        with pytest.raises(StorageError):
-            cluster.get_latest("t", 7)
-        # Sync replication left the follower fully caught up — lag 0
-        # fits even the tightest bound.
-        hit = cluster.get_latest("t", 7, max_staleness=0)
-        assert hit[0] == 100
-        assert obs.registry.get("ns.reads.stale").value == 1
-
-    def test_too_stale_follower_is_rejected(self, schema):
-        cluster = make_cluster(schema, auto_failover=False)
-        faults = FaultInjector(cluster)
-        partition_id = cluster.partition_for("t", 7)
-        for follower in follower_names(cluster, partition_id):
-            faults.drop_replication(follower)
-        for k in range(3):
-            cluster.put("t", (7, 1_000 + k, float(k)))
-        faults.kill(cluster.leader_of("t", partition_id).name)
-        with pytest.raises(StaleReadError):
-            cluster.get_latest("t", 7, max_staleness=2)
-
-    def test_nameserver_default_bound_applies(self, schema):
-        cluster = make_cluster(schema, auto_failover=False,
-                               max_staleness=10)
-        faults = FaultInjector(cluster)
-        cluster.put("t", (7, 100, 1.0))
-        partition_id = cluster.partition_for("t", 7)
-        faults.kill(cluster.leader_of("t", partition_id).name)
-        assert cluster.get_latest("t", 7)[0] == 100
 
 
 class TestReintegration:

@@ -13,6 +13,7 @@ backend.
 import gc
 import os
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -23,6 +24,8 @@ import pytest
 
 from repro.errors import DeploymentNotFoundError
 from repro.netserve import NetClient, NetServer, ServerError
+from repro.netserve import client as netclient
+from repro.netserve import protocol as wire
 from repro.obs import Observability
 from repro.schema import Schema
 from repro.serving import FrontendServer
@@ -201,3 +204,94 @@ def test_connection_churn_keeps_the_books():
         srv.close()
         frontend.close()
     assert _netserve_threads() == []
+
+
+def _repeated_ssl_requests(sock):
+    """An SSLRequest every 0.3 s, for as long as the server answers."""
+    while True:
+        sock.sendall(struct.pack(">ii", 8, wire.SSL_REQUEST_CODE))
+        if sock.recv(1) != b"N":
+            return
+        yield 0.3
+
+
+def _trickled_startup(sock):
+    """A startup packet, one byte every 0.1 s."""
+    for byte in wire.startup_message("u", "db"):
+        sock.sendall(bytes([byte]))
+        yield 0.1
+
+
+@pytest.mark.parametrize("peer", [_repeated_ssl_requests, _trickled_startup],
+                         ids=["repeated_ssl_request", "trickled_startup"])
+def test_a_refused_startup_does_not_stall_accept(peer):
+    # The refusal runs on the accept thread: a peer over the cap that
+    # keeps its startup going must not keep the next client waiting once
+    # a slot is free.
+    obs = Observability()
+    frontend = FrontendServer(GatedBackend(), max_wait_ms=0)
+    srv = NetServer(frontend, obs=obs, max_connections=1)
+    host, port = srv.start()
+    stop = threading.Event()
+
+    def pester(sock):
+        ends = time.monotonic() + 3.0
+        try:
+            for pause in peer(sock):
+                if time.monotonic() > ends or stop.wait(pause):
+                    return
+        except OSError:
+            pass  # the server gave up on it: what the test wants
+
+    def value(name):
+        return obs.registry.get(name).value
+
+    def wait_for(predicate):
+        ends = time.monotonic() + 10.0
+        while not predicate():
+            assert time.monotonic() < ends
+            stop.wait(0.005)
+
+    member = NetClient(host, port)
+    refused = socket.create_connection((host, port), timeout=10)
+    pesterer = threading.Thread(target=pester, args=(refused,))
+    try:
+        pesterer.start()
+        wait_for(lambda: value("netserve.connections.refused") == 1)
+        member.close()
+        wait_for(lambda: value("netserve.connections") == 0)
+        started = time.monotonic()
+        with NetClient(host, port) as client:
+            assert client.query("SELECT 1")[0].scalar() == "1"
+        assert time.monotonic() - started < 1.0
+    finally:
+        stop.set()
+        pesterer.join(timeout=10)
+        refused.close()
+        srv.close()
+        frontend.close()
+
+
+def test_a_refused_client_closes_its_socket(monkeypatch):
+    frontend = FrontendServer(GatedBackend(), max_wait_ms=0)
+    srv = NetServer(frontend, max_connections=1)
+    host, port = srv.start()
+    opened = []
+    create_connection = socket.create_connection
+
+    def spy(*args, **kwargs):
+        sock = create_connection(*args, **kwargs)
+        opened.append(sock)
+        return sock
+
+    monkeypatch.setattr(netclient.socket, "create_connection", spy)
+    try:
+        with NetClient(host, port):
+            assert _refused_sqlstate(host, port) == "53300"
+        assert len(opened) == 2
+        # The refused client's socket is closed when the constructor
+        # raises, not whenever the collector reaches it.
+        assert opened[1].fileno() == -1
+    finally:
+        srv.close()
+        frontend.close()

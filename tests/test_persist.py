@@ -7,14 +7,13 @@ restore wiring on top of them.
 """
 
 import os
-import threading
 
 import pytest
 
 from repro import OpenMLDB
 from repro.errors import StorageError
 from repro.obs import Observability
-from repro.online.binlog import BinlogEntry, Replicator
+from repro.online.binlog import Replicator
 from repro.schema import IndexDef, Schema
 from repro.storage.encoding import RowCodec
 from repro.storage.persist import (FRAME_CONTROL, FileBinlog, SnapshotStore)
@@ -227,26 +226,10 @@ class TestReplicatorDurability:
             replicator.restore()
         replicator.close()
 
-    def test_close_raises_on_stuck_worker(self):
-        replicator = Replicator()
-        release = threading.Event()
-
-        def stuck(entry):
-            release.wait(timeout=10.0)
-
-        replicator.append_entry("t", ("k0", 1, 1.0), closure=stuck)
-        with pytest.raises(StorageError, match="did not drain"):
-            replicator.close(timeout=0.05)
-        release.set()
-        replicator.wait_idle(timeout=5.0)
-        replicator.close()
-
     def test_close_without_wal_is_clean(self):
         replicator = Replicator()
-        seen = []
-        replicator.append_entry("t", ("k0", 1, 1.0),
-                                closure=lambda e: seen.append(e.offset))
-        replicator.wait_idle(timeout=5.0)
+        replicator.append_entry("t", ("k0", 1, 1.0))
+        seen = [entry.offset for entry in replicator.entries_from(0)]
         replicator.close()
         assert seen == [0]
 
@@ -254,8 +237,8 @@ class TestReplicatorDurability:
 class TestSingleNodeBinlog:
     """What one node's binlogs hand out, over two tables written
     interleaved — one binlog per table: the same entries before and
-    after snapshot / recover, a table rebuild from its own binlog, and a
-    closure's own entry."""
+    after snapshot / recover, and a table rebuild from its own
+    binlog."""
 
     SCHEMA = Schema.from_pairs([
         ("key", "string"), ("ts", "timestamp"), ("v", "double")])
@@ -311,20 +294,6 @@ class TestSingleNodeBinlog:
         assert db.recover_table("a") == len(want) == 16
         assert list(db.table("a").rows()) == want
         assert list(db.table("b").rows()) == b_rows
-        db.close()
-
-    def test_closure_sees_its_own_append(self, tmp_path):
-        db = self.node(tmp_path)
-        self.write(db, 0, 5)
-        binlog = self.binlog(db, "a")
-        seen, appended = [], []
-        for index in range(6):
-            row = (f"c{index}", 100 + index, 0.5)
-            offset = binlog.append_entry("a", row, closure=seen.append)
-            appended.append(BinlogEntry(offset, "a", row))
-        assert binlog.wait_idle(timeout=5.0)
-        assert seen == appended
-        assert [entry.offset for entry in seen] == list(range(3, 9))
         db.close()
 
     def test_restore_skips_control_frames(self, tmp_path):

@@ -115,45 +115,29 @@ class TestDeadline:
 # admission control
 
 
-def ticket(deployment="d", row=(1,), priority=1, seq=0):
-    return Ticket(deployment=deployment, row=row, priority=priority,
-                  seq=seq, future=Future())
+def ticket(deployment="d", row=(1,)):
+    return Ticket(deployment=deployment, row=row, future=Future())
 
 
 class TestAdmissionControl:
     def test_full_queue_sheds_with_reason(self):
         control = AdmissionController(max_queue=2)
-        control.admit(ticket(seq=0))
-        control.admit(ticket(seq=1))
+        control.admit(ticket())
+        control.admit(ticket())
         with pytest.raises(OverloadError) as err:
-            control.admit(ticket(seq=2))
+            control.admit(ticket())
         assert err.value.reason == "queue_full"
         assert err.value.deployment == "d"
         assert control.queued("d") == 2
 
-    def test_high_priority_evicts_queued_low(self):
-        shed = []
-        control = AdmissionController(
-            max_queue=1, on_shed=lambda t, reason: shed.append((t, reason)))
-        low = ticket(priority=2, seq=0)
-        control.admit(low)
-        high = ticket(priority=0, seq=1)
-        control.admit(high)  # evicts `low` instead of shedding itself
-        assert shed == [(low, "evicted")]
-        assert control.queued("d") == 1
-        # The in-flight slot transferred: one admission net.
-        assert control.inflight == 1
-        _, batch = control.next_batch(max_batch=4, max_wait_ms=0)
-        assert batch == [high]
-
     def test_inflight_limit_sheds(self):
         control = AdmissionController(max_queue=8, max_inflight=1)
-        control.admit(ticket(seq=0))
+        control.admit(ticket())
         with pytest.raises(OverloadError) as err:
-            control.admit(ticket(seq=1))
+            control.admit(ticket())
         assert err.value.reason == "inflight"
         control.release()
-        control.admit(ticket(seq=2))  # slot freed
+        control.admit(ticket())  # slot freed
 
     def test_draining_sheds_new_arrivals(self):
         control = AdmissionController(max_queue=8)
@@ -164,21 +148,20 @@ class TestAdmissionControl:
 
     def test_batches_serve_deployments_round_robin(self):
         control = AdmissionController(max_queue=8)
-        for seq in range(2):
-            control.admit(ticket(deployment="a", seq=seq))
-            control.admit(ticket(deployment="b", seq=10 + seq))
+        for _ in range(2):
+            control.admit(ticket(deployment="a"))
+            control.admit(ticket(deployment="b"))
         first, _ = control.next_batch(max_batch=8, max_wait_ms=0)
         second, _ = control.next_batch(max_batch=8, max_wait_ms=0)
         assert {first, second} == {"a", "b"}
 
-    def test_priority_orders_within_a_batch(self):
+    def test_a_batch_keeps_arrival_order(self):
         control = AdmissionController(max_queue=8)
-        normal = ticket(priority=1, seq=0)
-        high = ticket(priority=0, seq=1)
-        control.admit(normal)
-        control.admit(high)
+        first, second = ticket(row=(1,)), ticket(row=(2,))
+        control.admit(first)
+        control.admit(second)
         _, batch = control.next_batch(max_batch=8, max_wait_ms=0)
-        assert batch == [high, normal]
+        assert batch == [first, second]
 
 
 # ---------------------------------------------------------------------
@@ -192,12 +175,6 @@ class TestFrontendUnit:
             out = frontend.request("d", (1, 2))
         assert out == {"deployment": "d", "row": (1, 2)}
         assert backend.calls == 1
-
-    def test_unknown_priority_is_shed_typed(self):
-        with FrontendServer(RecordingBackend()) as frontend:
-            with pytest.raises(OverloadError) as err:
-                frontend.request("d", (1,), priority="urgent")
-        assert err.value.reason == "bad_priority"
 
     def test_single_flight_dedups_thundering_herd(self):
         gate = threading.Event()
