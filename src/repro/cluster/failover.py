@@ -10,8 +10,8 @@ story of Section 3.1 / 8.2:
 * :class:`HeartbeatMonitor` — the ZooKeeper-session stand-in.  Tablets
   are polled for heartbeats; one that stays silent past the timeout is
   declared dead, which triggers leadership transfers.
-* :func:`elect_leader` / :func:`catch_up` — promotion of the most
-  caught-up live follower, preceded by replaying the binlog suffix it
+* :func:`elect_leader` / :func:`catch_up` — election of the most
+  caught-up live follower, which first replays the binlog suffix it
   has not yet applied, so an acknowledged write is never lost by a
   leadership change.
 
@@ -22,9 +22,9 @@ matters, so tests can drive detection without sleeping.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from ..errors import StorageError
+from ..errors import MemoryLimitExceededError, StorageError
 from ..online.binlog import Replicator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -59,17 +59,20 @@ class RetryPolicy:
         return min(delay, self.max_delay_ms)
 
 
+#: Silence after which a tablet is declared dead.
+HEARTBEAT_TIMEOUT_MS = 3_000.0
+
+
 class HeartbeatMonitor:
     """Tracks per-tablet heartbeat recency and declares expiries.
 
     The nameserver calls :meth:`observe` for every tablet on each
     liveness sweep; a tablet whose last successful heartbeat is older
-    than ``timeout_ms`` is reported expired.  Time is an explicit
-    ``now_ms`` argument so tests drive the clock.
+    than :data:`HEARTBEAT_TIMEOUT_MS` is reported expired.  Time is an
+    explicit ``now_ms`` argument so tests drive the clock.
     """
 
-    def __init__(self, timeout_ms: float = 3_000.0) -> None:
-        self.timeout_ms = timeout_ms
+    def __init__(self) -> None:
         self._last_beat: Dict[str, float] = {}
 
     def observe(self, tablet_name: str, beat_ok: bool,
@@ -79,7 +82,7 @@ class HeartbeatMonitor:
         if beat_ok:
             self._last_beat[tablet_name] = now_ms
             return False
-        return (now_ms - last) >= self.timeout_ms
+        return (now_ms - last) >= HEARTBEAT_TIMEOUT_MS
 
     def last_beat_ms(self, tablet_name: str) -> Optional[float]:
         return self._last_beat.get(tablet_name)
@@ -90,20 +93,29 @@ class HeartbeatMonitor:
 
 
 def elect_leader(candidates: Sequence["TabletServer"], table_name: str,
-                 partition_id: int) -> Optional["TabletServer"]:
-    """Pick the most caught-up live follower for promotion.
+                 partition_id: int, binlog: Replicator
+                 ) -> Tuple[Optional["TabletServer"], int]:
+    """Promote the most caught-up live candidate, after it replays the
+    binlog suffix it has not applied (:func:`catch_up`).
 
-    Ties break on tablet name so elections are deterministic.  Returns
-    None when no live candidate hosts the shard.
+    Ties break on tablet name so elections are deterministic; a
+    candidate that dies (or cannot absorb the suffix) mid-replay yields
+    to the next.  Returns the new leader — None when no live candidate
+    hosts the shard — and the entries it replayed.
     """
     live: List["TabletServer"] = [
         tablet for tablet in candidates
         if tablet.alive and tablet.has_shard(table_name, partition_id)]
-    if not live:
-        return None
-    return max(live, key=lambda tablet: (
-        tablet.shard(table_name, partition_id).applied_offset,
-        tablet.name))
+    while live:
+        best = max(live, key=lambda tablet: (
+            tablet.shard(table_name, partition_id).applied_offset,
+            tablet.name))
+        try:
+            return best, catch_up(best, table_name, partition_id, binlog)
+        except (StorageError, MemoryLimitExceededError):
+            # Programming errors propagate.
+            live.remove(best)
+    return None, 0
 
 
 def catch_up(tablet: "TabletServer", table_name: str, partition_id: int,

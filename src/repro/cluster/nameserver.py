@@ -1,14 +1,21 @@
-"""Nameserver: shard placement, leadership, replication, and failover.
+"""Nameserver: placement, leadership, replication, failover, routing.
 
 Stands in for OpenMLDB's nameserver + ZooKeeper pair (Section 3.1's
-high-availability layer).  Responsibilities:
+high-availability layer).  The control plane and the data plane meet
+in one value per table, its :class:`~repro.cluster.layout.Layout`:
 
-* **placement** — assign each table partition's replica group across
-  tablets (round-robin, leader on the first replica);
-* **routing** — hash a partition key to its partition and return the
-  current leader; every routed call runs under a
-  :class:`~repro.cluster.failover.RetryPolicy` (bounded retries,
-  exponential backoff, per-RPC timeout), re-routing after failover;
+* **layout** — routing directory, replica placement, leader per
+  partition, retired ids and an epoch, replaced whole: create, split,
+  migration, failover, reintegration and restart each build the next
+  value and swap it in under one lock (:meth:`NameServer.update_layout`),
+  persisted under ``data_dir`` and shown as the
+  ``cluster.layout.epoch{table}`` gauge;
+* **routing** — every ``put`` and every read is one routed call
+  (:meth:`NameServer._routed`): it reads one layout, hashes the key to
+  its partition and calls that partition's leader.  A layout that moved
+  underneath the call is re-read at once; a timeout or a failed tablet
+  fails the tablet over and retries under a
+  :class:`~repro.cluster.failover.RetryPolicy`;
 * **replication** — each partition owns a
   :class:`~repro.online.binlog.Replicator` binlog.  A ``put`` is
   acknowledged once the leader applied it, the entry is in the binlog
@@ -17,8 +24,8 @@ high-availability layer).  Responsibilities:
   ``cluster.replication.lag`` gauge and is caught up from the binlog.
   The cluster starts no thread;
 * **failover** — a tablet that crashes, partitions away, or misses
-  heartbeats past the timeout is declared dead; for every shard it led,
-  the most caught-up live follower replays the binlog suffix it is
+  heartbeats past the timeout is declared dead; for every partition it
+  led, the most caught-up live follower replays the binlog suffix it is
   missing and takes over.  Because acknowledged writes are always in
   the binlog, a leadership change never loses one.
 """
@@ -26,17 +33,15 @@ high-availability layer).  Responsibilities:
 from __future__ import annotations
 
 import dataclasses
-import itertools
-import json
 import os
 import shutil
 import threading
 import time
-from typing import (Any, Dict, Iterator, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import (Any, Callable, Dict, FrozenSet, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from ..core.deployment import DeploymentHost
-from ..ctlplane.split import HashRouter, stable_hash
+from ..ctlplane.split import HashRouter, SplitPlan, stable_hash
 from ..errors import (DeadlineExceededError, IndexNotFoundError,
                       MemoryLimitExceededError, RpcTimeoutError,
                       SchemaError, ShardMovedError, StorageError,
@@ -49,16 +54,17 @@ from ..serving.deadline import current_deadline
 from ..sql.compiler import CompilationCache, CompiledQuery
 from ..storage.encoding import RowCodec
 from ..storage.persist import (FileBinlog, RecoveryReport, SnapshotStore)
-from ..storage.skiplist import ColumnBlock
 from .failover import HeartbeatMonitor, RetryPolicy, catch_up, elect_leader
+from .layout import Layout
 from .tablet import TabletServer
+from .view import ClusterTableView
 
 __all__ = ["ClusterTable", "NameServer"]
 
-# Bounded re-resolution retries after a ShardMovedError redirect.  Each
-# retry re-reads the routing directory, which only ever moves forward;
-# the bound exists so a programming error cannot spin forever.
-_REROUTE_ATTEMPTS = 8
+# How many newer layouts one routed call follows before it gives up.
+# Layouts only move forward; the bound exists so a programming error
+# cannot spin forever.
+_LAYOUTS_FOLLOWED = 8
 
 
 @dataclasses.dataclass
@@ -68,20 +74,11 @@ class ClusterTable:
     name: str
     schema: Schema
     indexes: Tuple[IndexDef, ...]
-    partitions: int
-    replicas: int
-    # partition id → ordered tablet names (first = initial leader)
-    assignment: Dict[int, List[str]]
     # partition id → that partition's binlog (the replication source of
     # truth: an acknowledged write is always in here)
     binlogs: Dict[int, Replicator]
-    # key hash → live partition id; splits/merges rewrite this while
-    # the table keeps serving (``partitions`` stays the base count)
-    router: HashRouter = dataclasses.field(
-        default_factory=lambda: HashRouter(1))
-    # partition ids retired by a split/merge; routing to one raises
-    # ShardMovedError so callers re-resolve instead of failing
-    retired: Set[int] = dataclasses.field(default_factory=set)
+    # routing, placement and leaders; swapped whole, never edited
+    layout: Layout
     # every replica's store engine ("memory" / "disk") and a disk
     # store's flush threshold
     storage: str = "memory"
@@ -91,160 +88,25 @@ class ClusterTable:
         self.codec = RowCodec(self.schema)
 
     @property
+    def assignment(self) -> Mapping[int, Tuple[str, ...]]:
+        """Partition id → its replica tablets (read-only)."""
+        return self.layout.placement
+
+    @property
+    def router(self) -> HashRouter:
+        """Key hash → live partition id."""
+        return self.layout.router
+
+    @property
+    def retired(self) -> FrozenSet[int]:
+        """Partition ids a split retired."""
+        return self.layout.retired
+
+    @property
     def next_offset(self) -> Dict[int, int]:
         """Partition id → the offset the next acknowledged write gets."""
         return {partition_id: binlog.last_offset + 1
                 for partition_id, binlog in self.binlogs.items()}
-
-
-class _ClusterTableView:
-    """Routed read adapter exposing the ``MemTable`` read API.
-
-    The online engine is storage-agnostic: it calls ``find_index`` /
-    ``window_scan`` / ``last_join_lookup`` on whatever "table" it is
-    given.  This view implements those against the cluster — each call
-    hashes the key to its partition, routes to the partition leader
-    through the nameserver's retry layer, and issues the (simulated)
-    RPC with the active trace context attached, so tablet-side spans
-    stitch into the request trace.  Scans on a non-partition index fan
-    out to every partition and merge newest-first, as a real
-    distributed executor must.
-    """
-
-    def __init__(self, nameserver: "NameServer",
-                 table: ClusterTable) -> None:
-        self._ns = nameserver
-        self._table = table
-
-    @property
-    def name(self) -> str:
-        return self._table.name
-
-    @property
-    def schema(self) -> Schema:
-        return self._table.schema
-
-    @property
-    def indexes(self) -> Tuple[IndexDef, ...]:
-        return self._table.indexes
-
-    def find_index(self, keys: Sequence[str],
-                   ts: Optional[str] = None) -> IndexDef:
-        for index in self._table.indexes:
-            if index.matches(keys, ts):
-                return index
-        raise IndexNotFoundError(
-            f"cluster table {self.name!r} has no index on "
-            f"keys={tuple(keys)} ts={ts!r}")
-
-    def _partitions_for(self, keys: Sequence[str],
-                        key_value: Any) -> List[int]:
-        partition_column = self._table.indexes[0].key_columns[0]
-        if tuple(keys)[0] == partition_column:
-            routing = key_value[0] if isinstance(key_value, tuple) \
-                else key_value
-            return [self._ns.partition_for(self.name, routing)]
-        return self._table.router.partition_ids()
-
-    def _rerouting(self, fn: Any) -> Any:
-        """Run ``fn`` with bounded re-resolution on topology redirects.
-
-        A split/merge/migration that lands mid-read raises
-        :class:`ShardMovedError`; re-running ``fn`` re-resolves every
-        partition against the fresh routing directory.
-        """
-        for _ in range(_REROUTE_ATTEMPTS - 1):
-            try:
-                return fn()
-            except ShardMovedError:
-                continue
-        return fn()
-
-    def window_scan(self, keys: Sequence[str], ts_column: str,
-                    key_value: Any, start_ts: Optional[int] = None,
-                    end_ts: Optional[int] = None,
-                    limit: Optional[int] = None
-                    ) -> Iterator[Tuple[int, Row]]:
-        return itertools.chain.from_iterable(self.window_scan_blocks(
-            keys, ts_column, key_value, start_ts=start_ts, end_ts=end_ts,
-            limit=limit))
-
-    def window_scan_blocks(self, keys: Sequence[str], ts_column: str,
-                           key_value: Any, start_ts: Optional[int] = None,
-                           end_ts: Optional[int] = None,
-                           limit: Optional[int] = None) -> List[ColumnBlock]:
-        """Chunked window scan over the cluster, newest-first.
-
-        A key that routes to one partition (every scan on the partition
-        column) gets that tablet's :class:`ColumnBlock` s back as they
-        are — no copy, sort or re-chunking between the store and the
-        fold.  Only the fan-out over a non-partition index merges, and
-        lays the merged rows out as a single block.
-        """
-        return self._rerouting(
-            lambda: self._window_scan_blocks_once(
-                keys, ts_column, key_value, start_ts, end_ts, limit))
-
-    def _window_scan_blocks_once(self, keys: Sequence[str], ts_column: str,
-                                 key_value: Any, start_ts: Optional[int],
-                                 end_ts: Optional[int],
-                                 limit: Optional[int]) -> List[ColumnBlock]:
-        ns = self._ns
-        ctx = ns._obs.tracer.inject()
-        scans: List[List[ColumnBlock]] = []
-        for partition_id in self._partitions_for(keys, key_value):
-            ns._m_routes.inc()
-            scans.append(ns.routed_read(
-                self.name, partition_id,
-                lambda tablet, timeout_ms, pid=partition_id:
-                    tablet.window_scan_blocks(
-                        self.name, pid, keys, ts_column, key_value,
-                        start_ts=start_ts, end_ts=end_ts, limit=limit,
-                        trace_ctx=ctx,
-                        timeout_ms=timeout_ms)))
-        if len(scans) == 1:
-            return scans[0]
-        # Rows with equal timestamps keep partition order.
-        merged = ColumnBlock.merged(scans, len(self.schema), limit)
-        return [merged] if len(merged) else []
-
-    def last_join_lookup(self, keys: Sequence[str], key_value: Any,
-                         before_ts: Optional[int] = None
-                         ) -> Optional[Tuple[int, Row]]:
-        return self._rerouting(
-            lambda: self._last_join_lookup_once(keys, key_value,
-                                                before_ts))
-
-    def _last_join_lookup_once(self, keys: Sequence[str], key_value: Any,
-                               before_ts: Optional[int]
-                               ) -> Optional[Tuple[int, Row]]:
-        ns = self._ns
-        ctx = ns._obs.tracer.inject()
-        best: Optional[Tuple[int, Row]] = None
-        for partition_id in self._partitions_for(keys, key_value):
-            ns._m_routes.inc()
-            hit = ns.routed_read(
-                self.name, partition_id,
-                lambda tablet, timeout_ms, pid=partition_id:
-                    tablet.last_join_lookup(
-                        self.name, pid, keys, key_value,
-                        before_ts=before_ts, trace_ctx=ctx,
-                        timeout_ms=timeout_ms))
-            if hit is not None and (best is None or hit[0] > best[0]):
-                best = hit
-        return best
-
-    def rows(self) -> Iterator[Row]:
-        """Full scan across leader shards (offline-mode access path)."""
-        def scan() -> List[Row]:
-            rows: List[Row] = []
-            for partition_id in self._table.router.partition_ids():
-                leader = self._ns.route_to_leader(self.name,
-                                                  partition_id)
-                rows.extend(leader.shard(self.name,
-                                         partition_id).store.rows())
-            return rows
-        return iter(self._rerouting(scan))
 
 
 class NameServer(DeploymentHost):
@@ -312,8 +174,10 @@ class NameServer(DeploymentHost):
         self._h_recovery = registry.histogram("cluster.recovery.ms")
         self._lag_gauges: Dict[Tuple[str, int, str], Any] = {}
         self._part_locks: Dict[Tuple[str, int], threading.Lock] = {}
-        self._failover_lock = threading.Lock()
-        self._views: Dict[str, _ClusterTableView] = {}
+        # Serializes every layout change (and the replica work each one
+        # rests on); no read or write takes it.
+        self._control_lock = threading.RLock()
+        self._views: Dict[str, ClusterTableView] = {}
         self._tenants: Optional[Any] = None  # TenantRegistry
         # Deploy/request/undeploy come from DeploymentHost: the cluster
         # serves routed table views.
@@ -352,60 +216,41 @@ class NameServer(DeploymentHost):
                 f"count {len(self.tablets)}")
         if storage not in ("memory", "disk"):
             raise SchemaError(f"unknown storage engine {storage!r}")
-        layout = self._load_layout(name)
-        if layout is not None:
-            router = HashRouter.from_state(layout["router"])
-            assignment = {int(pid): list(names) for pid, names
-                          in layout["assignment"].items()}
-            leaders = {int(pid): leader for pid, leader
-                       in layout["leaders"].items()}
-            retired = set(layout.get("retired", ()))
-        else:
-            router = HashRouter(partitions)
-            tablet_names = list(self.tablets)
-            assignment = {}
-            leaders = {}
-            for partition_id in range(partitions):
-                chosen = [tablet_names[(partition_id + replica)
-                                       % len(tablet_names)]
-                          for replica in range(replicas)]
-                assignment[partition_id] = chosen
-                leaders[partition_id] = chosen[0]
-            retired = set()
+        layout = None if self.data_dir is None \
+            else Layout.load(self._layout_path(name))
+        if layout is None:
+            layout = Layout.initial(list(self.tablets), partitions,
+                                    replicas)
         table = ClusterTable(
             name=name, schema=schema, indexes=tuple(indexes),
-            partitions=partitions, replicas=replicas,
-            assignment=assignment,
             binlogs={partition_id: self._build_binlog(name, schema,
                                                       partition_id)
-                     for partition_id in sorted(assignment)},
-            router=router, retired=retired, storage=storage,
+                     for partition_id in sorted(layout.placement)},
+            layout=layout, storage=storage,
             flush_threshold=flush_threshold)
-        for partition_id, chosen in assignment.items():
+        for partition_id, chosen in layout.placement.items():
             for tablet_name in chosen:
                 tablet = self.tablets.get(tablet_name)
                 if tablet is None:
                     raise StorageError(
                         f"layout for {name!r} names unknown tablet "
                         f"{tablet_name!r}")
-                self.host_replica(
-                    tablet, table, partition_id,
-                    is_leader=(tablet_name == leaders[partition_id]))
+                self.host_replica(tablet, table, partition_id)
                 self._restore_shard(tablet, table, partition_id)
-            self._part_locks[(name, partition_id)] = threading.Lock()
+            self.partition_lock(name, partition_id)
         self.tables[name] = table
-        self._views[name] = _ClusterTableView(self, table)
+        self._views[name] = ClusterTableView(self, table)
+        self._install(table, layout)
         return table
 
     def host_replica(self, tablet: TabletServer, table: ClusterTable,
-                     partition_id: int, is_leader: bool) -> None:
+                     partition_id: int) -> None:
         """Host a replica of ``table``'s partition on ``tablet``: a store
         of the table's engine, its storage events on the partition WAL."""
         binlog = table.binlogs[partition_id]
         tablet.host_shard(
             table.name, partition_id, table.schema, table.indexes,
-            is_leader=is_leader, storage=table.storage,
-            flush_threshold=table.flush_threshold,
+            storage=table.storage, flush_threshold=table.flush_threshold,
             events=binlog.log_control if binlog.wal is not None else None)
 
     def _build_binlog(self, name: str, schema: Schema,
@@ -469,62 +314,43 @@ class NameServer(DeploymentHost):
         and PYTHONHASHSEED-independent — so a durable cluster restarted
         over its ``data_dir`` routes every key exactly as the process
         that wrote it did.  The router maps the hash through the
-        linear-hashing directory, which online splits/merges rewrite.
+        linear-hashing directory, which online splits replace.
         """
-        table = self._table(table_name)
-        return table.router.route(stable_hash(key_value))
+        return self._table(table_name).layout.router.route(
+            stable_hash(key_value))
 
     def leader_of(self, table_name: str,
                   partition_id: int) -> TabletServer:
         """The current live leader, with *no* failover side effects."""
         table = self._table(table_name)
-        placement = table.assignment.get(partition_id)
-        if placement is None:
-            if partition_id in table.retired:
-                raise ShardMovedError(
-                    f"{table_name}[{partition_id}] was retired by a "
-                    f"split/merge; re-resolve the key")
-            raise StorageError(
-                f"{table_name} has no partition {partition_id}")
-        for tablet_name in placement:
-            tablet = self.tablets[tablet_name]
-            if tablet.alive \
-                    and tablet.has_shard(table_name, partition_id) \
-                    and tablet.shard(table_name,
-                                     partition_id).is_leader:
-                return tablet
-        raise StorageError(
-            f"no live leader for {table_name}[{partition_id}]")
+        layout = table.layout
+        name = layout.leaders.get(partition_id)
+        if name is None or not self.tablets[name].alive:
+            raise self._no_leader(table, layout, partition_id)
+        return self.tablets[name]
 
     def route_to_leader(self, table_name: str,
                         partition_id: int) -> TabletServer:
-        """Like :meth:`leader_of`, but repairs leadership on the way.
+        """The leader :meth:`_routed` would call: a leader that died
+        unnoticed is failed over first (the detection a ZooKeeper watch
+        would have delivered); a partition split away raises
+        :class:`ShardMovedError` — a redirect, not a failure."""
+        return self._routed(self._table(table_name),
+                            lambda layout: (partition_id,),
+                            lambda leader, *_: leader)[0]
 
-        If the recorded leader is dead, the dead tablet's shards fail
-        over first (the detection a ZooKeeper watch would have
-        delivered), then routing is retried once.
-        A :class:`ShardMovedError` (the partition was split away)
-        propagates untouched — it is a redirect, not a failure.
-        """
-        try:
-            return self.leader_of(table_name, partition_id)
-        except ShardMovedError:
-            raise
-        except StorageError:
-            if not self._failover_dead_replicas(table_name, partition_id):
-                raise
-            return self.leader_of(table_name, partition_id)
-
-    def _failover_dead_replicas(self, table_name: str,
-                                partition_id: int) -> int:
-        """Fail over every dead tablet in one partition's replica group."""
-        transfers = 0
-        placement = self._table(table_name).assignment.get(partition_id,
-                                                           ())
-        for tablet_name in list(placement):
-            if not self.tablets[tablet_name].alive:
-                transfers += self.handle_failure(tablet_name)
-        return transfers
+    @staticmethod
+    def _no_leader(table: ClusterTable, layout: Layout,
+                   partition_id: int) -> StorageError:
+        """Why ``layout`` names no live leader for the partition."""
+        if partition_id in layout.placement:
+            return StorageError(
+                f"no live leader for {table.name}[{partition_id}]")
+        if partition_id in layout.retired:
+            return ShardMovedError(
+                f"{table.name}[{partition_id}] was retired by a split; "
+                f"re-resolve the key")
+        return StorageError(f"{table.name} has no partition {partition_id}")
 
     def _table(self, name: str) -> ClusterTable:
         try:
@@ -556,9 +382,32 @@ class NameServer(DeploymentHost):
         key = (table_name, partition_id)
         lock = self._part_locks.get(key)
         if lock is None:
-            with self._failover_lock:
-                lock = self._part_locks.setdefault(key, threading.Lock())
+            lock = self._part_locks.setdefault(key, threading.Lock())
         return lock
+
+    def update_layout(self, table_name: str,
+                      build: Callable[[Layout], Layout]) -> Layout:
+        """Swap in ``build(current)`` as the table's next layout.
+
+        The one way a layout changes: under the control-plane lock, so
+        two operations never lose each other's change.  A build that
+        returns the current value changes nothing and moves no epoch.
+        Returns the layout now in force.
+        """
+        table = self._table(table_name)
+        with self._control_lock:
+            current = table.layout
+            layout = build(current)
+            if layout is not current:
+                self._install(table, layout)
+            return layout
+
+    def _install(self, table: ClusterTable, layout: Layout) -> None:
+        table.layout = layout
+        self._obs.registry.gauge("cluster.layout.epoch",
+                                 table=table.name).set(layout.epoch)
+        if self.data_dir is not None:
+            layout.save(self._layout_path(table.name))
 
     def register_partition(self, table_name: str, partition_id: int,
                            placement: Sequence[str],
@@ -567,37 +416,38 @@ class NameServer(DeploymentHost):
 
         Hosts the shard on every placement tablet, builds its binlog
         (file-backed when durable, discarding any stale WAL a previous
-        aborted split left under the same id), and registers placement.
-        The partition serves as soon as the router maps keys to it —
-        which happens later, at the split's atomic commit.
+        aborted split left under the same id), and places it in the
+        next layout.  The partition serves once the router maps keys to
+        it — which happens later, at the split's commit.
         """
         table = self._table(table_name)
-        if partition_id in table.assignment:
-            raise StorageError(
-                f"{table_name} already has partition {partition_id}")
-        binlog = self._build_binlog(table_name, table.schema,
-                                    partition_id, fresh=True)
-        table.binlogs[partition_id] = binlog
-        for tablet_name in placement:
-            self.host_replica(self.tablets[tablet_name], table,
-                              partition_id,
-                              is_leader=(tablet_name == leader))
-        table.assignment[partition_id] = list(placement)
-        table.retired.discard(partition_id)
-        self.partition_lock(table_name, partition_id)
+        with self._control_lock:
+            layout = table.layout.placed(partition_id, placement, leader)
+            binlog = self._build_binlog(table_name, table.schema,
+                                        partition_id, fresh=True)
+            table.binlogs[partition_id] = binlog
+            for tablet_name in placement:
+                self.host_replica(self.tablets[tablet_name], table,
+                                  partition_id)
+            self.partition_lock(table_name, partition_id)
+            self._install(table, layout)
         return binlog
 
-    def retire_partition(self, table_name: str,
-                         partition_id: int) -> None:
-        """Take a partition out of service after a split/merge.
+    def retire_partition(self, table_name: str, partition_id: int,
+                         split: Optional[SplitPlan] = None) -> None:
+        """Take a partition out of service: an aborted split child, or —
+        with ``split`` — a parent whose keys the children take over in
+        the same layout.
 
-        Drops the shard from its replicas, closes (and, when durable,
-        deletes) its binlog, and marks the id retired so stale routes
+        Drops the shard from its replicas and closes (and, when durable,
+        deletes) its binlog; the id stays retired, so stale routes
         raise :class:`ShardMovedError` instead of failing.  Idempotent.
         """
         table = self._table(table_name)
-        placement = table.assignment.pop(partition_id, None)
-        table.retired.add(partition_id)
+        with self._control_lock:
+            placement = table.layout.placement.get(partition_id)
+            self.update_layout(table_name, lambda layout: layout.retiring(
+                partition_id, split))
         if placement is None:
             return
         binlog = table.binlogs.pop(partition_id, None)
@@ -615,53 +465,6 @@ class NameServer(DeploymentHost):
     def _layout_path(self, table_name: str) -> str:
         return os.path.join(self.data_dir, "layout",
                             f"{table_name}.json")
-
-    def save_layout(self, table_name: str) -> None:
-        """Persist the table's routing directory and placement.
-
-        No-op without ``data_dir``.  Written atomically (tmp +
-        ``os.replace``) so a crash mid-save leaves the previous layout,
-        which is always a consistent topology: the split/merge commit
-        saves *after* the router swap, so an older layout simply means
-        the change replays from the parent's still-complete binlog.
-        """
-        if self.data_dir is None:
-            return
-        table = self._table(table_name)
-        leaders: Dict[str, str] = {}
-        for partition_id, names in list(table.assignment.items()):
-            leader = names[0]
-            for tablet_name in names:
-                tablet = self.tablets[tablet_name]
-                if tablet.alive \
-                        and tablet.has_shard(table_name, partition_id) \
-                        and tablet.shard(table_name,
-                                         partition_id).is_leader:
-                    leader = tablet_name
-                    break
-            leaders[str(partition_id)] = leader
-        state = {
-            "router": table.router.state(),
-            "assignment": {str(pid): list(names) for pid, names
-                           in table.assignment.items()},
-            "leaders": leaders,
-            "retired": sorted(table.retired),
-        }
-        path = self._layout_path(table_name)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(state, handle)
-        os.replace(tmp, path)
-
-    def _load_layout(self, table_name: str) -> Optional[Dict[str, Any]]:
-        if self.data_dir is None:
-            return None
-        path = self._layout_path(table_name)
-        if not os.path.exists(path):
-            return None
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
 
     def attach_tenants(self, registry: Any) -> None:
         """Enforce a :class:`~repro.ctlplane.TenantRegistry`'s memory
@@ -702,10 +505,9 @@ class NameServer(DeploymentHost):
         column.  The write is acknowledged — and its partition-local
         offset returned — once the leader applied it, the entry is in
         the partition binlog and every reachable follower was handed it.
-        A dead or unreachable leader is
-        failed over and the write retried under the retry policy; a
-        partition split away mid-flight is transparently re-resolved
-        (the :class:`ShardMovedError` redirect).
+        It is one routed call (:meth:`_routed`): a dead or unreachable
+        leader is failed over and the write retried, and a layout that
+        moved (a split, a migration handoff, a failover) is re-resolved.
 
         ``tenant`` charges the row's encoded size against that tenant's
         memory budget (see :meth:`attach_tenants`); an over-budget
@@ -726,60 +528,30 @@ class NameServer(DeploymentHost):
         if tenant and self._tenants is not None:
             charged = table.codec.encoded_size(row)
             self._tenants.charge(tenant, charged, table=table_name)
-        policy = self.retry_policy
-        last_error: Optional[Exception] = None
-        partition_id = -1
         try:
-            for attempt in range(policy.attempts + 1):
-                if attempt:
-                    self._m_retries.inc()
-                    time.sleep(policy.backoff_ms(attempt) / 1_000.0)
-                # Re-resolve each attempt: a split/merge may have
-                # rewritten the routing directory since the last one.
-                partition_id = self.partition_for(table_name, key_value)
-                try:
-                    leader = self.route_to_leader(table_name,
-                                                  partition_id)
-                except ShardMovedError as exc:
-                    last_error = exc
-                    continue
-                except StorageError as exc:
-                    last_error = exc
-                    continue
-                try:
-                    return self._put_on_leader(table, partition_id,
-                                               leader, row)
-                except ShardMovedError as exc:
-                    # Routed before the topology change committed: the
-                    # redirect is not the tablet's fault — just re-route.
-                    last_error = exc
-                except RpcTimeoutError as exc:
-                    self._m_timeouts.inc()
-                    last_error = exc
-                    self._suspect(leader.name)
-                except StorageError as exc:
-                    last_error = exc
-                    self._suspect(leader.name)
+            return self._routed(
+                table,
+                lambda layout: (self.partition_for(table_name, key_value),),
+                lambda leader, partition_id, timeout_ms, layout:
+                    self._put_on_leader(table, layout, partition_id,
+                                        leader, row, timeout_ms))[0]
         except BaseException:
             if charged:
                 self._tenants.release(tenant, charged)
             raise
-        if charged:
-            self._tenants.release(tenant, charged)
-        raise last_error if last_error is not None else StorageError(
-            f"put to {table_name}[{partition_id}] failed")
 
-    def _put_on_leader(self, table: ClusterTable, partition_id: int,
-                       leader: TabletServer, row: Row) -> int:
-        binlog = table.binlogs[partition_id]
-        timeout_ms = self.retry_policy.rpc_timeout_ms
+    def _put_on_leader(self, table: ClusterTable, layout: Layout,
+                       partition_id: int, leader: TabletServer, row: Row,
+                       timeout_ms: float) -> int:
         with self.partition_lock(table.name, partition_id):
-            if partition_id not in table.assignment:
-                # Split/merge retired this partition between routing
-                # and lock acquisition: redirect, don't write.
+            if table.layout.epoch != layout.epoch:
+                # The layout moved between routing and the lock (a split
+                # retired the partition, a handoff moved its leader):
+                # redirect, don't write.
                 raise ShardMovedError(
-                    f"{table.name}[{partition_id}] was retired by a "
-                    f"split/merge; re-resolve the key")
+                    f"{table.name} layout moved past epoch "
+                    f"{layout.epoch}; re-resolve the key")
+            binlog = table.binlogs[partition_id]
             offset = binlog.last_offset + 1
             # Leader applies first: if it rejects (down, timeout, memory
             # limit) nothing reaches the binlog and nothing was
@@ -787,11 +559,11 @@ class NameServer(DeploymentHost):
             leader.write(table.name, partition_id, row, offset,
                          timeout_ms=timeout_ms)
             binlog.append_entry(table.name, row)
-            self._replicate_entry(table, partition_id, offset, row)
+            self._replicate_entry(table, layout, partition_id, offset, row)
         return offset
 
-    def _replicate_entry(self, table: ClusterTable, partition_id: int,
-                         offset: int, row: Row) -> None:
+    def _replicate_entry(self, table: ClusterTable, layout: Layout,
+                         partition_id: int, offset: int, row: Row) -> None:
         """Deliver the binlog entry at ``offset`` to every follower.
 
         A follower that missed earlier entries (dropped delivery, was
@@ -801,12 +573,13 @@ class NameServer(DeploymentHost):
         the entry, and catch-up or failover repairs the replica later.
         """
         binlog = table.binlogs[partition_id]
-        for tablet_name in table.assignment[partition_id]:
+        leader = layout.leaders[partition_id]
+        for tablet_name in layout.placement[partition_id]:
             tablet = self.tablets[tablet_name]
-            shard = tablet.shard(table.name, partition_id) \
-                if tablet.has_shard(table.name, partition_id) else None
-            if shard is None or shard.is_leader:
+            if tablet_name == leader \
+                    or not tablet.has_shard(table.name, partition_id):
                 continue
+            shard = tablet.shard(table.name, partition_id)
             gauge = self._lag_gauge(table.name, partition_id, tablet_name)
             if not tablet.alive:
                 gauge.set(binlog.last_offset - shard.applied_offset)
@@ -831,92 +604,102 @@ class NameServer(DeploymentHost):
                 self._m_repl_errors.inc()
             gauge.set(binlog.last_offset - shard.applied_offset)
 
-    def routed_read(self, table_name: str, partition_id: int,
-                    call: Any) -> Any:
-        """Run ``call(tablet, timeout_ms)`` against the partition leader.
+    def _routed(self, table: ClusterTable,
+                partitions: Callable[[Layout], Sequence[int]],
+                call: Callable[[TabletServer, int, float, Layout], Any]
+                ) -> List[Any]:
+        """The one routed call: every ``put`` and every read runs here.
 
-        The read backbone: routes to the leader (repairing leadership if
-        needed) and retries with exponential backoff on tablet failure
-        or RPC timeout.  A retry is visible in the active trace as an
-        ``rpc.retry`` span.
+        Reads one layout, and runs ``call(leader, partition_id,
+        timeout_ms, layout)`` on the leader of each partition
+        ``partitions(layout)`` names; returns the answers in that order.
+        Each outcome is classified once:
+
+        * the layout moved — a :class:`ShardMovedError`, a dead leader
+          just failed over, or a live tablet that no longer hosts the
+          shard: re-read the layout and re-resolve at once, with no
+          backoff and no retry charged, following at most
+          ``_LAYOUTS_FOLLOWED`` layouts;
+        * an RPC timeout or a failed tablet: fail the tablet over, back
+          off under the :class:`RetryPolicy` (an ``rpc.retry`` span) and
+          retry, at most ``attempts`` times;
+        * an :class:`IndexNotFoundError` is the caller's: it propagates.
 
         An ambient request deadline (installed by the serving frontend,
         see :mod:`repro.serving.deadline`) clamps every per-RPC timeout
-        to the remaining budget and stops the retry loop the moment the
-        budget is spent — a request never retries past its own
-        deadline.
+        and every backoff to the remaining budget, and the tablet's RPC
+        guard refuses a call once it is spent — a call never retries
+        past its own deadline.
         """
         policy = self.retry_policy
         deadline = current_deadline()
-        last_error: Optional[Exception] = None
-        for attempt in range(policy.attempts + 1):
-            if attempt:
-                self._m_retries.inc()
-                backoff_ms = policy.backoff_ms(attempt)
-                if deadline is not None:
-                    backoff_ms = deadline.clamp_ms(backoff_ms)
-                with self._obs.tracer.span(
-                        "rpc.retry", table=table_name,
-                        partition=partition_id, attempt=attempt,
-                        error=type(last_error).__name__):
-                    time.sleep(backoff_ms / 1_000.0)
-            if deadline is not None and deadline.expired:
-                raise DeadlineExceededError(
-                    f"read on {table_name}[{partition_id}] ran out of "
-                    f"deadline budget after {attempt} attempt(s)"
-                ) from last_error
+        retries = moves = 0
+        while True:
+            layout = table.layout
+            tablet: Optional[TabletServer] = None
+            partition_id = -1
+            timeout_ms = policy.rpc_timeout_ms if deadline is None \
+                else deadline.clamp_ms(policy.rpc_timeout_ms)
             try:
-                tablet = self.route_to_leader(table_name, partition_id)
-            except ShardMovedError:
-                # The partition was split/merged away: the caller must
-                # re-resolve its key — retrying the same id is futile.
+                answers = []
+                for partition_id in partitions(layout):
+                    self._m_routes.inc()
+                    name = layout.leaders.get(partition_id)
+                    tablet = None if name is None else self.tablets[name]
+                    if tablet is None:
+                        raise self._no_leader(table, layout, partition_id)
+                    if not tablet.alive:
+                        # It died unnoticed: failing it over moves the
+                        # layout.
+                        self.handle_failure(name)
+                        raise ShardMovedError(
+                            f"{table.name}[{partition_id}] failed over "
+                            f"off {name}; re-resolve")
+                    answers.append(call(tablet, partition_id, timeout_ms,
+                                        layout))
+                return answers
+            except IndexNotFoundError:
                 raise
             except StorageError as exc:
-                last_error = exc
-                continue
-            timeout_ms = policy.rpc_timeout_ms
-            if deadline is not None:
-                timeout_ms = deadline.clamp_ms(timeout_ms)
-            try:
-                return call(tablet, timeout_ms)
-            except RpcTimeoutError as exc:
+                error = exc
+            if isinstance(error, RpcTimeoutError):
                 self._m_timeouts.inc()
-                last_error = exc
-                if deadline is not None \
-                        and timeout_ms < policy.rpc_timeout_ms:
+                if timeout_ms < policy.rpc_timeout_ms:
                     # The deadline, not the tablet, cut this call short:
                     # don't declare the tablet dead for it.
                     raise DeadlineExceededError(
-                        f"read on {table_name}[{partition_id}] exceeded "
-                        f"its deadline budget mid-RPC") from exc
-                self._suspect(tablet.name)
-            except (ShardMovedError, IndexNotFoundError):
-                # A redirect, or the caller asked for an access path no
-                # declared index serves: the live tablet that said so
-                # is not at fault — no suspicion, no retry.
-                raise
-            except StorageError as exc:
-                last_error = exc
-                if tablet.alive and not tablet.has_shard(table_name,
-                                                         partition_id):
-                    # A live migration dropped this replica's shard
-                    # after we routed to it: a topology redirect, not a
-                    # tablet failure — re-route without a failover.
-                    raise ShardMovedError(
-                        f"{table_name}[{partition_id}] moved off "
-                        f"{tablet.name} mid-read; re-resolve") from exc
-                self._suspect(tablet.name)
-        raise last_error if last_error is not None else StorageError(
-            f"read on {table_name}[{partition_id}] failed")
+                        f"call on {table.name}[{partition_id}] exceeded "
+                        f"its deadline budget mid-RPC") from error
+            elif tablet is not None and tablet.alive \
+                    and not tablet.has_shard(table.name, partition_id):
+                # A migration dropped this replica's shard after we
+                # routed to it: the layout moved, the tablet is fine.
+                error = ShardMovedError(
+                    f"{table.name}[{partition_id}] moved off "
+                    f"{tablet.name}; re-resolve")
+            if isinstance(error, ShardMovedError):
+                moves += 1
+                if moves == _LAYOUTS_FOLLOWED:
+                    raise error
+                continue
+            if tablet is not None:
+                self.handle_failure(tablet.name)
+            retries += 1
+            if retries > policy.attempts:
+                raise error
+            self._m_retries.inc()
+            backoff_ms = policy.backoff_ms(retries)
+            if deadline is not None:
+                backoff_ms = deadline.clamp_ms(backoff_ms)
+            with self._obs.tracer.span(
+                    "rpc.retry", table=table.name, partition=partition_id,
+                    attempt=retries, error=type(error).__name__):
+                self._sleep(backoff_ms)
 
-    def _suspect(self, tablet_name: str) -> None:
-        """A routed RPC failed against this tablet: declare it dead.
-
-        Timeouts (partition/slow faults) and crashes look the same from
-        the caller's side; the simulation mirrors a lease-less system
-        and fails the tablet over so the retry can land elsewhere.
-        """
-        self.handle_failure(tablet_name)
+    def _sleep(self, backoff_ms: float) -> None:
+        """The backoff between attempts — the data path's one sleep (a
+        test replaces it to run on a fake clock)."""
+        time.sleep(backoff_ms / 1_000.0)
 
     def get_latest(self, table_name: str, key_value: Any,
                    keys: Optional[Sequence[str]] = None
@@ -925,19 +708,12 @@ class NameServer(DeploymentHost):
         table = self._table(table_name)
         self._m_gets.inc()
         key_columns = tuple(keys) if keys else table.indexes[0].key_columns
-        last_moved: Optional[ShardMovedError] = None
-        for _ in range(_REROUTE_ATTEMPTS):
-            partition_id = self.partition_for(table_name, key_value)
-            try:
-                return self.routed_read(
-                    table_name, partition_id,
-                    lambda tablet, timeout_ms, pid=partition_id:
-                        tablet.read_latest(
-                            table_name, pid, key_columns, key_value,
-                            timeout_ms=timeout_ms))
-            except ShardMovedError as exc:
-                last_moved = exc  # topology changed: re-resolve the key
-        raise last_moved
+        return self._routed(
+            table, lambda layout: (self.partition_for(table_name,
+                                                      key_value),),
+            lambda tablet, partition_id, timeout_ms, _layout:
+                tablet.read_latest(table_name, partition_id, key_columns,
+                                   key_value, timeout_ms=timeout_ms))[0]
 
     # ------------------------------------------------------------------
     # liveness / failover
@@ -961,83 +737,99 @@ class NameServer(DeploymentHost):
         return expired
 
     def handle_failure(self, tablet_name: str) -> int:
-        """Fail a tablet over: promote followers for every shard it led.
+        """Fail a tablet over: a new leader for every partition it led.
 
         Each promotion replays the binlog suffix the chosen follower has
         not yet applied (most caught-up live follower wins; ties break
-        on name), so no acknowledged write is lost.  Returns the number
-        of leadership transfers (the simulation's analogue of ZooKeeper
+        on name), so no acknowledged write is lost; a partition with no
+        live follower is left leaderless.  Returns the number of
+        leadership transfers (the simulation's analogue of ZooKeeper
         watches firing).  Idempotent: failing an already-failed tablet
         transfers nothing.
         """
-        with self._failover_lock:
-            failed = self.tablets[tablet_name]
-            failed.fail()
-            transfers = 0
-            replayed_total = 0
+        with self._control_lock:
+            self.tablets[tablet_name].fail()
+            before = self.failovers
             for table in list(self.tables.values()):
-                for partition_id, tablet_names in list(
-                        table.assignment.items()):
-                    if tablet_name not in tablet_names:
-                        continue
-                    shard = failed.shard(table.name, partition_id)
-                    if not shard.is_leader:
-                        continue
-                    shard.is_leader = False
-                    candidates = [self.tablets[other]
-                                  for other in tablet_names
-                                  if other != tablet_name]
-                    binlog = table.binlogs[partition_id]
-                    while True:
-                        best = elect_leader(candidates, table.name,
-                                            partition_id)
-                        if best is None:
-                            break
-                        try:
-                            replayed_total += catch_up(
-                                best, table.name, partition_id, binlog)
-                        except (StorageError, MemoryLimitExceededError):
-                            # Candidate died (or cannot absorb the
-                            # suffix) mid-replay: elect the next.
-                            # Programming errors propagate.
-                            candidates = [c for c in candidates
-                                          if c is not best]
-                            continue
-                        best.promote(table.name, partition_id)
-                        self._lag_gauge(table.name, partition_id,
-                                        best.name).set(0)
-                        transfers += 1
-                        break
-            self.failovers += transfers
-            if transfers:
-                self._m_failovers.inc(transfers)
-            if replayed_total:
-                self._m_replayed.inc(replayed_total)
-            return transfers
+                layout = table.layout
+                leaders = {
+                    partition_id: self._elect(table, partition_id, [
+                        name for name in layout.placement[partition_id]
+                        if name != tablet_name])
+                    for partition_id, leader in layout.leaders.items()
+                    if leader == tablet_name}
+                self.update_layout(table.name,
+                                   lambda current: current.led(leaders))
+            return self.failovers - before
+
+    def _elect(self, table: ClusterTable, partition_id: int,
+               candidates: Sequence[str]) -> Optional[str]:
+        """:func:`elect_leader` among ``candidates``; None when no
+        candidate is alive."""
+        best, replayed = elect_leader(
+            [self.tablets[name] for name in candidates], table.name,
+            partition_id, table.binlogs[partition_id])
+        if best is None:
+            return None
+        self._m_replayed.inc(replayed)
+        self._lag_gauge(table.name, partition_id, best.name).set(0)
+        self.failovers += 1
+        self._m_failovers.inc()
+        return best.name
 
     def reintegrate(self, tablet_name: str) -> int:
         """Bring a recovered tablet back as a follower, caught up.
 
         Every shard it hosts replays the binlog suffix it missed while
-        down (leadership is *not* restored — it rejoins as a follower
-        unless no failover happened).  Returns entries replayed.
+        down.  Leadership is *not* handed back: it rejoins as a follower
+        of every partition that failed over, and leads only where no
+        failover happened or no replica was left to lead.  Returns
+        entries replayed.
         """
         tablet = self.tablets[tablet_name]
-        tablet.recover()
-        self.heartbeats.forget(tablet_name)
-        replayed = 0
-        for table in list(self.tables.values()):
-            for partition_id, tablet_names in list(
-                    table.assignment.items()):
-                if tablet_name not in tablet_names:
-                    continue
-                replayed += catch_up(tablet, table.name, partition_id,
-                                     table.binlogs[partition_id])
-                self._lag_gauge(table.name, partition_id,
-                                tablet_name).set(0)
+        replayed = self._rejoin(tablet, lambda table, partition_id: (
+            0, catch_up(tablet, table.name, partition_id,
+                        table.binlogs[partition_id]))).replayed_entries
         if replayed:
             self._m_catchups.inc()
         return replayed
+
+    def _rejoin(self, tablet: TabletServer,
+                restore: Callable[[ClusterTable, int], Tuple[int, int]]
+                ) -> RecoveryReport:
+        """The one rejoin body, for :meth:`reintegrate` and
+        :meth:`restart_tablet`: ``restore(table, partition_id)`` each
+        shard the tablet hosts (returning ``(snapshot rows, replayed
+        entries)``), then elect a leader for every partition left with
+        no live one (e.g. every replica crashed and this one came
+        back)."""
+        report = RecoveryReport(node=tablet.name)
+        with self._control_lock:
+            tablet.recover()
+            self.heartbeats.forget(tablet.name)
+            for table in list(self.tables.values()):
+                layout = table.layout
+                for partition_id, names in layout.placement.items():
+                    if tablet.name not in names:
+                        continue
+                    loaded, replayed = restore(table, partition_id)
+                    report.snapshot_rows += loaded
+                    report.replayed_entries += replayed
+                    applied = tablet.shard(table.name,
+                                           partition_id).applied_offset
+                    report.applied_offsets[(table.name, partition_id)] = \
+                        applied
+                    self._lag_gauge(table.name, partition_id,
+                                    tablet.name).set(
+                        table.binlogs[partition_id].last_offset - applied)
+                leaders = {
+                    partition_id: self._elect(
+                        table, partition_id, layout.placement[partition_id])
+                    for partition_id, leader in layout.leaders.items()
+                    if leader is None or not self.tablets[leader].alive}
+                self.update_layout(table.name,
+                                   lambda current: current.led(leaders))
+        return report
 
     # ------------------------------------------------------------------
     # durability: snapshots + crash-restart recovery
@@ -1054,8 +846,8 @@ class NameServer(DeploymentHost):
             else list(self.tables.values())
         rows = 0
         for table in tables:
-            for partition_id, tablet_names in list(
-                    table.assignment.items()):
+            for partition_id, tablet_names in \
+                    table.layout.placement.items():
                 with self.partition_lock(table.name, partition_id):
                     for name in tablet_names:
                         tablet = self.tablets[name]
@@ -1078,7 +870,7 @@ class NameServer(DeploymentHost):
            its pinned offset;
         3. rejoin as a caught-up follower — unless the partition lost
            its leader entirely, in which case the most caught-up live
-           replica (usually the restarted one) is promoted.
+           replica (usually the restarted one) is elected.
 
         Returns a :class:`RecoveryReport`; zero acknowledged writes are
         lost because every acknowledged write is in the binlog and the
@@ -1090,58 +882,18 @@ class NameServer(DeploymentHost):
                 f"{tablet_name} is alive; restart_tablet() recovers a "
                 f"crashed tablet")
         start = time.perf_counter()
-        report = RecoveryReport(node=tablet_name)
-        with self._failover_lock:
-            with self._obs.tracer.span("recovery.restart",
-                                       tablet=tablet_name):
-                tablet.wipe()
-                tablet.recover()
-                self.heartbeats.forget(tablet_name)
-                for table in list(self.tables.values()):
-                    for partition_id, names in list(
-                            table.assignment.items()):
-                        if tablet_name not in names:
-                            continue
-                        loaded, replayed = self._restore_shard(
-                            tablet, table, partition_id)
-                        report.snapshot_rows += loaded
-                        report.replayed_entries += replayed
-                        shard = tablet.shard(table.name, partition_id)
-                        report.applied_offsets[
-                            (table.name, partition_id)] = \
-                            shard.applied_offset
-                        self._lag_gauge(table.name, partition_id,
-                                        tablet_name).set(
-                            table.binlogs[partition_id].last_offset
-                            - shard.applied_offset)
-                        self._repair_leadership(table, partition_id)
+        with self._control_lock, self._obs.tracer.span(
+                "recovery.restart", tablet=tablet_name):
+            tablet.wipe()
+            report = self._rejoin(tablet, lambda table, partition_id:
+                                  self._restore_shard(tablet, table,
+                                                      partition_id))
         report.seconds = time.perf_counter() - start
         self._m_restarts.inc()
         self._m_recovery_replayed.inc(report.replayed_entries)
         self._m_snapshot_rows.inc(report.snapshot_rows)
         self._h_recovery.observe(report.seconds * 1_000.0)
         return report
-
-    def _repair_leadership(self, table: ClusterTable,
-                           partition_id: int) -> None:
-        """Promote a leader if the partition has none (e.g. every
-        replica crashed and one just restarted)."""
-        try:
-            self.leader_of(table.name, partition_id)
-            return
-        except StorageError:
-            pass
-        candidates = [self.tablets[name]
-                      for name in table.assignment[partition_id]]
-        best = elect_leader(candidates, table.name, partition_id)
-        if best is None:
-            return
-        binlog = table.binlogs[partition_id]
-        catch_up(best, table.name, partition_id, binlog)
-        best.promote(table.name, partition_id)
-        self._lag_gauge(table.name, partition_id, best.name).set(0)
-        self.failovers += 1
-        self._m_failovers.inc()
 
     # ------------------------------------------------------------------
     # online serving (request mode over the cluster)

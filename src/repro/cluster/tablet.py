@@ -3,10 +3,11 @@
 Production OpenMLDB shards each table into partitions hosted by tablet
 servers, with per-partition replica groups; ZooKeeper coordinates
 membership and the nameserver assigns leadership.  This in-process
-simulation keeps the same structure — shards, replicas, leader/follower
-roles, heartbeat liveness, per-tablet memory governance — so cluster
-behaviours (failover, replica reads, memory isolation per Section 8.2)
-are testable without a network.
+simulation keeps the same structure — shards, replicas, heartbeat
+liveness, per-tablet memory governance — so cluster behaviours
+(failover, replica reads, memory isolation per Section 8.2) are testable
+without a network.  Which replica leads is not the tablet's to know: it
+is the table's :class:`~repro.cluster.layout.Layout`.
 
 Every serving method passes through one RPC guard: a dead tablet raises
 :class:`~repro.errors.StorageError`, and an attached
@@ -43,19 +44,16 @@ __all__ = ["Shard", "TabletServer"]
 class Shard:
     """One partition replica of a table hosted on a tablet.
 
-    ``is_leader`` marks the replica accepting writes; followers apply
-    replicated rows and serve reads.  ``applied_offset`` is the highest
-    *contiguously* applied binlog offset — the replica holds exactly the
-    entries ``0..applied_offset``.  ``new_store`` builds an empty store
-    of the shard's engine: the first one, and the one a wipe starts over
-    from.
+    ``applied_offset`` is the highest *contiguously* applied binlog
+    offset — the replica holds exactly the entries
+    ``0..applied_offset``.  ``new_store`` builds an empty store of the
+    shard's engine: the first one, and the one a wipe starts over from.
     """
 
     table: str
     partition_id: int
     new_store: Callable[[], Union[MemTable, DiskTable]]
     store: Union[MemTable, DiskTable] = dataclasses.field(init=False)
-    is_leader: bool = False
     applied_offset: int = -1
 
     def __post_init__(self) -> None:
@@ -141,8 +139,8 @@ class TabletServer:
     # shard hosting
 
     def host_shard(self, table: str, partition_id: int, schema: Schema,
-                   indexes: Sequence[IndexDef], is_leader: bool,
-                   storage: str = "memory", flush_threshold: int = 4096,
+                   indexes: Sequence[IndexDef], storage: str = "memory",
+                   flush_threshold: int = 4096,
                    events: Optional[Callable[[str], None]] = None) -> Shard:
         """Host one partition replica in a ``storage`` engine store
         (``"memory"`` or ``"disk"``) sending its storage events (TTL
@@ -161,7 +159,7 @@ class TabletServer:
                 raise StorageError(
                     f"{self.name} already hosts {table}[{partition_id}]")
             shard = Shard(table=table, partition_id=partition_id,
-                          new_store=new_store, is_leader=is_leader)
+                          new_store=new_store)
             self._shards[key] = shard
             return shard
 
@@ -423,9 +421,3 @@ class TabletServer:
                 self.governor.release(shard.store.memory_bytes)
                 shard.store = shard.new_store()
                 shard.applied_offset = -1
-
-    def promote(self, table: str, partition_id: int) -> None:
-        self.shard(table, partition_id).is_leader = True
-
-    def demote(self, table: str, partition_id: int) -> None:
-        self.shard(table, partition_id).is_leader = False

@@ -348,7 +348,7 @@ class OpenMLDB(DeploymentHost):
         """
         table = self.cluster.table_info(name)
         self._tablet.drop_shard(name, 0)
-        self.cluster.host_replica(self._tablet, table, 0, is_leader=True)
+        self.cluster.host_replica(self._tablet, table, 0)
         replayed = catch_up(self._tablet, name, 0, table.binlogs[0])
         self._refresh(name)
         return replayed

@@ -5,7 +5,7 @@ are partitioned at ``CREATE TABLE`` time and replicas live where the
 nameserver first placed them.  This package makes the topology a
 run-time variable while the cluster keeps serving:
 
-* :mod:`~repro.ctlplane.split` — online partition split/merge over a
+* :mod:`~repro.ctlplane.split` — online partition split over a
   linear-hashing routing directory (:class:`HashRouter`), plus the
   PYTHONHASHSEED-independent :func:`stable_hash` the whole routing
   stack shares;
@@ -29,11 +29,11 @@ from __future__ import annotations
 from .migrate import MigrationReport, ShardMigrator
 from .rebalance import MigrateAction, Rebalancer, SplitAction
 from .registry import TenantBudget, TenantRegistry
-from .split import (HashRouter, MergePlan, PartitionSplitter, SplitPlan,
-                    SplitReport, stable_hash)
+from .split import (HashRouter, PartitionSplitter, SplitPlan, SplitReport,
+                    stable_hash)
 
 __all__ = [
-    "HashRouter", "MergePlan", "SplitPlan", "SplitReport",
+    "HashRouter", "SplitPlan", "SplitReport",
     "PartitionSplitter", "stable_hash",
     "MigrationReport", "ShardMigrator",
     "Rebalancer", "SplitAction", "MigrateAction",

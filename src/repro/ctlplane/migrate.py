@@ -15,8 +15,9 @@ verbatim — a migration *is* a recovery onto a different node:
    same contiguous ``replicate`` path followers and promotions use)
    until the target's lag drops under ``handoff_threshold`` entries;
 3. **handoff** — take the partition write lock (a brief write pause),
-   replay the final sliver, swap the target for the source in the
-   replica group, transfer leadership if the source led, release.
+   replay the final sliver, swap in the next layout — the target in the
+   source's place in the replica group, and in its place as leader if
+   the source led — and release.
    Acknowledged writes are in the binlog and the target applied the
    full prefix before the swap, so zero acknowledged writes are lost;
 4. **cleanup** — drop the source's shard outside the lock.
@@ -103,18 +104,8 @@ class ShardMigrator:
 
         ns = self._cluster
         table = ns.table_info(table_name)
-        if partition_id not in table.assignment:
-            raise StorageError(
-                f"{table_name} has no live partition {partition_id}")
-        placement = table.assignment[partition_id]
-        if source not in placement:
-            raise StorageError(
-                f"{source} is not a replica of "
-                f"{table_name}[{partition_id}]")
-        if target in placement:
-            raise StorageError(
-                f"{target} already replicates "
-                f"{table_name}[{partition_id}]")
+        # The move the handoff will swap in must be valid now.
+        table.layout.moved(partition_id, source, target)
         source_tablet = ns.tablets[source]
         target_tablet = ns.tablets[target]
         if not target_tablet.alive:
@@ -127,8 +118,7 @@ class ShardMigrator:
         with self._obs.tracer.span("ctl.migrate", table=table_name,
                                    partition=partition_id, source=source,
                                    target=target) as span:
-            ns.host_replica(target_tablet, table, partition_id,
-                            is_leader=False)
+            ns.host_replica(target_tablet, table, partition_id)
             try:
                 report.snapshot_rows = self._bulk_load(
                     ns, table_name, partition_id, source_tablet,
@@ -198,44 +188,32 @@ class ShardMigrator:
     def _handoff(self, ns: "NameServer", table_name: str,
                  partition_id: int, source: str, target: str,
                  report: MigrationReport):
-        """Phase 3: final catch-up and replica-group swap, writes paused."""
+        """Phase 3: final catch-up and layout swap, writes paused."""
         from ..cluster.failover import catch_up
 
-        table = ns.table_info(table_name)
-        source_tablet = ns.tablets[source]
         target_tablet = ns.tablets[target]
-        binlog = table.binlogs[partition_id]
+        binlog = ns.table_info(table_name).binlogs[partition_id]
         handoff_start = time.perf_counter()
         with ns.partition_lock(table_name, partition_id):
-            # Re-validate under the lock: a racing split may have
-            # retired the partition, and a racing failover may have
-            # already swapped the dead source out of the replica group.
-            # Either way the move is moot — fail typed, unwind, and
-            # leave the (possibly repaired) group alone.
-            placement = table.assignment.get(partition_id)
-            if placement is None or source not in placement \
-                    or target in placement:
+            try:
+                report.chased_entries += catch_up(
+                    target_tablet, table_name, partition_id, binlog)
+                # A racing split may have retired the partition, or a
+                # racing migration moved the source away: the move is no
+                # longer valid, so the swap fails typed and the target
+                # unwinds.  A source that died still leading (not yet
+                # failed over) hands over too, or the swap would leave
+                # no leader.
+                layout = ns.update_layout(
+                    table_name, lambda current: current.moved(
+                        partition_id, source, target))
+            except StorageError:
                 self._m_failed.inc()
                 self._unwind_target(target_tablet, table_name,
                                     partition_id)
-                raise StorageError(
-                    f"migration of {table_name}[{partition_id}] lost "
-                    f"a race: {source} no longer replicates it")
-            report.chased_entries += catch_up(
-                target_tablet, table_name, partition_id, binlog)
-            # A source that died still leading (not yet failed over)
-            # hands over too, or the swap would leave no leader.
-            was_leader = (
-                source_tablet.has_shard(table_name, partition_id)
-                and source_tablet.shard(table_name,
-                                        partition_id).is_leader)
-            placement[placement.index(source)] = target
-            if was_leader:
-                source_tablet.demote(table_name, partition_id)
-                target_tablet.promote(table_name, partition_id)
-            ns.save_layout(table_name)
+                raise
         return ((time.perf_counter() - handoff_start) * 1_000.0,
-                was_leader)
+                layout.leaders.get(partition_id) == target)
 
     def _unwind_target(self, target_tablet, table_name: str,
                        partition_id: int) -> None:

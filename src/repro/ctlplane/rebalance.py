@@ -138,11 +138,19 @@ class Rebalancer:
                 total += int(instrument.value)
         return total
 
+    def _leader(self, table, partition_id: int):
+        """The partition's leader in the table's layout, or None when it
+        has no live one (its replicas died; failover left it leaderless
+        or has not run yet)."""
+        name = table.layout.leaders.get(partition_id)
+        tablet = None if name is None else self._cluster.tablets[name]
+        return tablet if tablet is not None and tablet.alive else None
+
     def _partition_bytes(self, table) -> Dict[int, Tuple[int, str]]:
         """Per-partition (leader bytes, leader name) for one table."""
         sizes: Dict[int, Tuple[int, str]] = {}
-        for partition_id in list(table.assignment):
-            leader = self._cluster.leader_of(table.name, partition_id)
+        for partition_id in table.layout.placement:
+            leader = self._leader(table, partition_id)
             if leader is None:
                 continue
             shard = leader.shard(table.name, partition_id)
@@ -197,10 +205,8 @@ class Rebalancer:
         # (least-loaded, lag-healthy) target not already hosting it.
         candidates: List[Tuple[int, str, int]] = []
         for table in list(self._cluster.tables.values()):
-            for partition_id, placement in list(table.assignment.items()):
-                if busiest not in placement:
-                    continue
-                leader = self._cluster.leader_of(table.name, partition_id)
+            for partition_id in table.layout.placement:
+                leader = self._leader(table, partition_id)
                 if leader is None or leader.name != busiest:
                     continue
                 nbytes = leader.shard(table.name,

@@ -1,4 +1,4 @@
-"""Stable routing and online partition split/merge.
+"""Stable routing and online partition split.
 
 Two pieces live here:
 
@@ -9,11 +9,10 @@ Two pieces live here:
   space to partition ids through *residue classes*: entry ``(m, r)``
   owns every key with ``hash % m == r``.  Splitting is linear hashing's
   move — entry ``(m, r)`` forks into ``(2m, r)`` and ``(2m, r + m)`` —
-  so any single partition can split without touching its siblings, and
-  a merge is the exact inverse.
+  so any single partition can split without touching its siblings.
 
-* :class:`PartitionSplitter` — the online split/merge protocol over a
-  live :class:`~repro.cluster.NameServer`:
+* :class:`PartitionSplitter` — the online split protocol over a live
+  :class:`~repro.cluster.NameServer`:
 
   1. take the partition's write lock (writes pause; reads continue);
   2. freeze the partition binlog at its current offset — the fork
@@ -23,8 +22,9 @@ Two pieces live here:
      new ``(2m, ...)`` residue — children are built through the same
      ``Replicator``/``replicate`` path replication and recovery use,
      so their binlogs are immediately failover- and crash-safe;
-  4. atomically install the child routing entries and retire the
-     parent.  A request that already resolved the parent id gets
+  4. swap in the next layout, whose router holds the children and
+     whose retired ids hold the parent.  A request that already
+     resolved the parent id gets
      :class:`~repro.errors.ShardMovedError` and re-routes — installed
      routing never drops an in-flight request.
 
@@ -35,7 +35,6 @@ Two pieces live here:
 from __future__ import annotations
 
 import dataclasses
-import threading
 import time
 import zlib
 from typing import (Any, Dict, List, Optional, Tuple, TYPE_CHECKING)
@@ -99,17 +98,6 @@ class SplitPlan:
             else self.right
 
 
-@dataclasses.dataclass(frozen=True)
-class MergePlan:
-    """A planned coalescing of two sibling routing entries."""
-
-    left: int
-    right: int
-    merged: int
-    modulus: int        # the merged entry's modulus (half the children's)
-    residue: int
-
-
 class HashRouter:
     """Residue-class routing directory with linear-hashing splits.
 
@@ -117,8 +105,11 @@ class HashRouter:
     ``(partitions, r) -> r``.  Lookup walks moduli upward from the base
     until it finds the entry owning ``hash % m`` — after ``d`` splits
     of one lineage that is ``d`` dictionary probes, and the table always
-    tiles the hash space exactly (an invariant of the split/merge
-    moves).
+    tiles the hash space exactly (an invariant of the split move).
+
+    A router inside a cluster's :class:`~repro.cluster.layout.Layout`
+    is never changed: :meth:`split` and :meth:`reserve` build the next
+    one, which the nameserver swaps in with the rest of the layout.
     """
 
     def __init__(self, partitions: int) -> None:
@@ -126,7 +117,6 @@ class HashRouter:
             raise StorageError(
                 f"router needs at least one partition, got {partitions}")
         self.base = partitions
-        self._lock = threading.Lock()
         # (modulus, residue) -> partition id, and the inverse.
         self._entries: Dict[Tuple[int, int], int] = {
             (partitions, residue): residue
@@ -141,115 +131,83 @@ class HashRouter:
 
     def route(self, hashed: int) -> int:
         """Partition id owning a hash value."""
-        with self._lock:
-            modulus = self.base
-            for _ in range(MAX_SPLIT_DEPTH + 1):
-                pid = self._entries.get((modulus, hashed % modulus))
-                if pid is not None:
-                    return pid
-                modulus <<= 1
+        modulus = self.base
+        for _ in range(MAX_SPLIT_DEPTH + 1):
+            pid = self._entries.get((modulus, hashed % modulus))
+            if pid is not None:
+                return pid
+            modulus <<= 1
         raise StorageError(
             f"routing table has no entry for hash {hashed}")
 
     def partition_ids(self) -> List[int]:
         """Live partition ids, sorted (deterministic fan-out order)."""
-        with self._lock:
-            return sorted(self._homes)
+        return sorted(self._homes)
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._homes)
+    @property
+    def next_id(self) -> int:
+        """The first partition id no split has planned yet."""
+        return self._next_id
 
     # ------------------------------------------------------------------
-    # split / merge
+    # split
 
     def plan_split(self, partition_id: int) -> SplitPlan:
-        """Reserve child ids and compute the fork of one entry.
+        """Compute the fork of one entry into two fresh child ids.
 
-        Planning does not change routing; :meth:`commit_split` installs
-        it atomically.  Ids reserved by an abandoned plan are simply
-        never used.
+        Planning changes nothing; :meth:`commit_split` installs it.
         """
-        with self._lock:
-            home = self._homes.get(partition_id)
-            if home is None:
-                raise StorageError(
-                    f"cannot split partition {partition_id}: not in the "
-                    f"routing table")
-            modulus, residue = home
-            if modulus >= self.base << MAX_SPLIT_DEPTH:
-                raise StorageError(
-                    f"partition {partition_id} reached the maximum "
-                    f"split depth")
-            left, right = self._next_id, self._next_id + 1
-            self._next_id += 2
-            return SplitPlan(parent=partition_id, left=left, right=right,
-                             modulus=modulus * 2, left_residue=residue,
-                             right_residue=residue + modulus)
+        home = self._homes.get(partition_id)
+        if home is None:
+            raise StorageError(
+                f"cannot split partition {partition_id}: not in the "
+                f"routing table")
+        modulus, residue = home
+        if modulus >= self.base << MAX_SPLIT_DEPTH:
+            raise StorageError(
+                f"partition {partition_id} reached the maximum "
+                f"split depth")
+        left = self._next_id
+        return SplitPlan(parent=partition_id, left=left, right=left + 1,
+                         modulus=modulus * 2, left_residue=residue,
+                         right_residue=residue + modulus)
 
     def commit_split(self, plan: SplitPlan) -> None:
-        """Atomically replace the parent entry with its two children."""
+        """Replace the parent entry with its two children."""
         parent_home = (plan.modulus // 2, plan.left_residue)
-        with self._lock:
-            if self._homes.get(plan.parent) != parent_home:
-                raise StorageError(
-                    f"split of partition {plan.parent} lost a race: its "
-                    f"routing entry changed underneath the plan")
-            del self._entries[parent_home]
-            del self._homes[plan.parent]
-            self._entries[(plan.modulus, plan.left_residue)] = plan.left
-            self._entries[(plan.modulus, plan.right_residue)] = plan.right
-            self._homes[plan.left] = (plan.modulus, plan.left_residue)
-            self._homes[plan.right] = (plan.modulus, plan.right_residue)
+        if self._homes.get(plan.parent) != parent_home:
+            raise StorageError(
+                f"split of partition {plan.parent} lost a race: its "
+                f"routing entry changed underneath the plan")
+        del self._entries[parent_home]
+        del self._homes[plan.parent]
+        self._entries[(plan.modulus, plan.left_residue)] = plan.left
+        self._entries[(plan.modulus, plan.right_residue)] = plan.right
+        self._homes[plan.left] = (plan.modulus, plan.left_residue)
+        self._homes[plan.right] = (plan.modulus, plan.right_residue)
+        self._next_id = max(self._next_id, plan.right + 1)
 
-    def plan_merge(self, left: int, right: int) -> MergePlan:
-        """Plan coalescing two *sibling* entries back into one."""
-        with self._lock:
-            home_a = self._homes.get(left)
-            home_b = self._homes.get(right)
-            if home_a is None or home_b is None:
-                raise StorageError(
-                    f"cannot merge {left} and {right}: not in the "
-                    f"routing table")
-            (mod_a, res_a), (mod_b, res_b) = home_a, home_b
-            half = mod_a // 2
-            if mod_a != mod_b or mod_a <= self.base \
-                    or abs(res_a - res_b) != half \
-                    or res_a % half != res_b % half:
-                raise StorageError(
-                    f"partitions {left} and {right} are not split "
-                    f"siblings (entries {home_a} and {home_b})")
-            merged = self._next_id
-            self._next_id += 1
-            return MergePlan(left=left, right=right, merged=merged,
-                             modulus=half, residue=min(res_a, res_b))
+    def split(self, plan: SplitPlan) -> "HashRouter":
+        """A new router with ``plan`` committed; this one is unchanged."""
+        router = HashRouter.from_state(self.state())
+        router.commit_split(plan)
+        return router
 
-    def commit_merge(self, plan: MergePlan) -> None:
-        with self._lock:
-            child_homes = {self._homes.get(plan.left),
-                           self._homes.get(plan.right)}
-            expected = {(plan.modulus * 2, plan.residue),
-                        (plan.modulus * 2, plan.residue + plan.modulus)}
-            if child_homes != expected:
-                raise StorageError(
-                    f"merge of {plan.left}+{plan.right} lost a race: "
-                    f"routing entries changed underneath the plan")
-            for child in (plan.left, plan.right):
-                del self._entries[self._homes.pop(child)]
-            self._entries[(plan.modulus, plan.residue)] = plan.merged
-            self._homes[plan.merged] = (plan.modulus, plan.residue)
+    def reserve(self, partition_id: int) -> "HashRouter":
+        """A new router whose next plan cannot reuse ``partition_id``."""
+        router = HashRouter.from_state(self.state())
+        router._next_id = max(self._next_id, partition_id + 1)
+        return router
 
     # ------------------------------------------------------------------
     # durability (the nameserver persists this with the table layout)
 
     def state(self) -> Dict[str, Any]:
         """Plain-data snapshot, JSON-serialisable."""
-        with self._lock:
-            return {"base": self.base, "next_id": self._next_id,
-                    "entries": sorted(
-                        [modulus, residue, pid]
-                        for (modulus, residue), pid
-                        in self._entries.items())}
+        return {"base": self.base, "next_id": self._next_id,
+                "entries": sorted(
+                    [modulus, residue, pid]
+                    for (modulus, residue), pid in self._entries.items())}
 
     @classmethod
     def from_state(cls, state: Dict[str, Any]) -> "HashRouter":
@@ -264,7 +222,7 @@ class HashRouter:
 
 @dataclasses.dataclass
 class SplitReport:
-    """What one committed split (or merge) did."""
+    """What one committed split did."""
 
     table: str
     parent_ids: Tuple[int, ...]
@@ -275,7 +233,7 @@ class SplitReport:
 
 
 class PartitionSplitter:
-    """Online split/merge executor over one cluster."""
+    """Online split executor over one cluster."""
 
     def __init__(self, cluster: "NameServer",
                  obs: Optional[Observability] = None) -> None:
@@ -283,7 +241,6 @@ class PartitionSplitter:
         self._obs = obs if obs is not None else cluster.obs
         registry = self._obs.registry
         self._m_splits = registry.counter("ctl.splits")
-        self._m_merges = registry.counter("ctl.merges")
         self._m_moved = registry.counter("ctl.split.moved_entries")
         self._h_split = registry.histogram("ctl.split.ms")
 
@@ -303,12 +260,13 @@ class PartitionSplitter:
         with self._obs.tracer.span("ctl.split", table=table_name,
                                    partition=partition_id) as span:
             with ns.partition_lock(table_name, partition_id):
-                plan = table.router.plan_split(partition_id)
+                layout = table.layout
+                plan = layout.router.plan_split(partition_id)
                 binlog = table.binlogs[partition_id]
                 freeze_offset = binlog.last_offset
-                placement = list(table.assignment[partition_id])
+                placement = list(layout.placement[partition_id])
                 leader = self._leader_name(table_name, partition_id,
-                                           placement)
+                                           layout, placement)
                 key_position = table.schema.position(
                     table.indexes[0].key_columns[0])
                 children = {}
@@ -325,9 +283,7 @@ class PartitionSplitter:
                     for child in children:
                         ns.retire_partition(table_name, child)
                     raise
-                table.router.commit_split(plan)
-                ns.retire_partition(table_name, partition_id)
-                ns.save_layout(table_name)
+                ns.retire_partition(table_name, partition_id, split=plan)
             span.set_tag(left=plan.left, right=plan.right,
                          moved=sum(moved.values()))
         seconds = time.perf_counter() - start
@@ -340,72 +296,19 @@ class PartitionSplitter:
             freeze_offsets={partition_id: freeze_offset},
             moved_entries=moved, seconds=seconds)
 
-    def merge(self, table_name: str, left: int, right: int) -> SplitReport:
-        """Coalesce two split siblings back into one partition, online.
-
-        The inverse of :meth:`split`: both children's writes pause,
-        their binlogs replay (left first, then right — keys are
-        disjoint, so per-key order is preserved) into a fresh merged
-        partition hosted on the left child's replica group, then the
-        merged routing entry is installed and both children retire.
-        """
-        ns = self._cluster
-        table = ns.table_info(table_name)
-        start = time.perf_counter()
-        first, second = sorted((left, right))
-        with self._obs.tracer.span("ctl.merge", table=table_name,
-                                   left=left, right=right) as span:
-            # Lock both children in id order so concurrent merges can
-            # never deadlock.
-            with ns.partition_lock(table_name, first):
-                with ns.partition_lock(table_name, second):
-                    plan = table.router.plan_merge(left, right)
-                    placement = list(table.assignment[left])
-                    leader = self._leader_name(table_name, left, placement)
-                    merged_log = ns.register_partition(
-                        table_name, plan.merged, placement, leader)
-                    moved = 0
-                    try:
-                        for child in (left, right):
-                            for entry in table.binlogs[child] \
-                                    .entries_from(0):
-                                self._apply_entry(
-                                    ns, table_name, plan.merged,
-                                    placement, leader, merged_log,
-                                    entry.row)
-                                moved += 1
-                    except StorageError:
-                        ns.retire_partition(table_name, plan.merged)
-                        raise
-                    table.router.commit_merge(plan)
-                    for child in (left, right):
-                        ns.retire_partition(table_name, child)
-                    ns.save_layout(table_name)
-            span.set_tag(merged=plan.merged, moved=moved)
-        seconds = time.perf_counter() - start
-        self._m_merges.inc()
-        self._m_moved.inc(moved)
-        self._h_split.observe(seconds * 1_000.0)
-        return SplitReport(
-            table=table_name, parent_ids=(left, right),
-            child_ids=(plan.merged,), moved_entries={plan.merged: moved},
-            seconds=seconds)
-
     # ------------------------------------------------------------------
 
     def _leader_name(self, table_name: str, partition_id: int,
-                     placement: List[str]) -> str:
+                     layout: Any, placement: List[str]) -> str:
         """The replica to lead the children: the parent's live leader,
         else the first live replica (the parent had no leader — the
         children start in the same degraded state)."""
-        ns = self._cluster
+        tablets = self._cluster.tablets
+        leader = layout.leaders.get(partition_id)
+        if leader is not None and tablets[leader].alive:
+            return leader
         for name in placement:
-            tablet = ns.tablets[name]
-            if tablet.alive and tablet.has_shard(table_name, partition_id) \
-                    and tablet.shard(table_name, partition_id).is_leader:
-                return name
-        for name in placement:
-            if ns.tablets[name].alive:
+            if tablets[name].alive:
                 return name
         raise StorageError(
             f"cannot split {table_name}[{partition_id}]: no live replica")

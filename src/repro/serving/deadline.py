@@ -6,9 +6,10 @@ request's deadline in a thread-local slot (:func:`deadline_scope`)
 around execution; downstream layers read it back with
 :func:`current_deadline`:
 
-* the nameserver's ``routed_read`` clamps every per-RPC timeout to the
-  remaining budget and stops retrying once it is spent — a request
-  never retries past its own deadline;
+* the nameserver's one routed call (``NameServer._routed``, which every
+  ``put`` and every cluster read runs in) clamps every per-RPC timeout
+  and every backoff to the remaining budget and stops retrying once it
+  is spent — a request never retries past its own deadline;
 * the tablet RPC guard rejects calls whose deadline already expired
   before doing any work;
 * the online engine checks the budget between windows, so a request

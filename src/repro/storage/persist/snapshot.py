@@ -11,8 +11,9 @@ past its ``applied_offset``.  The store keeps that contract honest:
   optional JSON manifest (the LSM flush/compaction bookkeeping a
   :class:`~repro.storage.disk.DiskTable` needs to rebuild its run
   layout);
-* retention keeps the newest ``retain`` snapshots per table and deletes
-  the rest, so the directory stays bounded across cadenced snapshots;
+* retention keeps the newest :data:`RETAIN` snapshots per table and
+  deletes the rest, so the directory stays bounded across cadenced
+  snapshots;
 * a body CRC makes a corrupt image load as "no snapshot" (fall back to
   an older one / full binlog replay) instead of poisoning recovery.
 
@@ -37,7 +38,6 @@ import struct
 import zlib
 from typing import Any, Dict, List, Optional, Sequence
 
-from ...errors import StorageError
 from ...obs import NULL_OBS, Observability
 
 __all__ = ["Snapshot", "SnapshotStore"]
@@ -57,6 +57,11 @@ class Snapshot:
     manifest: Dict[str, Any]
 
 
+#: Images kept per table: the newest, and one older to fall back on
+#: when the newest fails its CRC.
+RETAIN = 2
+
+
 def _snapshot_filename(name: str, applied_offset: int) -> str:
     return f"{name}-{applied_offset + 1:012d}.snap"
 
@@ -64,12 +69,9 @@ def _snapshot_filename(name: str, applied_offset: int) -> str:
 class SnapshotStore:
     """Atomic, retained, CRC-checked snapshots for a set of tables."""
 
-    def __init__(self, directory: str, retain: int = 2,
+    def __init__(self, directory: str,
                  obs: Optional[Observability] = None) -> None:
-        if retain <= 0:
-            raise StorageError("snapshot retention must be positive")
         self.directory = directory
-        self.retain = retain
         os.makedirs(directory, exist_ok=True)
         obs = obs or NULL_OBS
         self._obs = obs
@@ -125,7 +127,7 @@ class SnapshotStore:
 
     def _prune(self, name: str) -> None:
         names = self._snapshots_for(name)
-        for stale in names[:-self.retain]:
+        for stale in names[:-RETAIN]:
             os.remove(os.path.join(self.directory, stale))
 
     # ------------------------------------------------------------------

@@ -403,8 +403,7 @@ class TestShardHostingRaces:
             try:
                 while not stop.is_set():
                     try:
-                        tablet.host_shard("t", 0, schema, indexes,
-                                          is_leader=False)
+                        tablet.host_shard("t", 0, schema, indexes)
                     except StorageError:
                         pass  # another thread hosts it right now
                     try:
@@ -435,7 +434,7 @@ class TestShardHostingRaces:
             ("k", "string"), ("ts", "timestamp"), ("v", "double")])
         indexes = [IndexDef(("k",), "ts")]
         tablet = TabletServer("tablet-0")
-        tablet.host_shard("t", 0, schema, indexes, is_leader=True)
+        tablet.host_shard("t", 0, schema, indexes)
         stop = threading.Event()
         errors = []
 
@@ -459,8 +458,7 @@ class TestShardHostingRaces:
                     except StorageError:
                         pass
                     try:
-                        tablet.host_shard("t", 0, schema, indexes,
-                                          is_leader=True)
+                        tablet.host_shard("t", 0, schema, indexes)
                     except StorageError:
                         pass
             except Exception as exc:  # pragma: no cover

@@ -1,4 +1,4 @@
-"""Elastic control plane: routing, split/merge, migration, tenants."""
+"""Elastic control plane: routing, split, migration, tenants."""
 
 import os
 import subprocess
@@ -97,29 +97,6 @@ class TestHashRouter:
                  for pid in router.partition_ids()}
         assert sorted(sum(owned.values(), [])) == list(range(200))
 
-    def test_merge_is_the_inverse_of_split(self):
-        router = HashRouter(2)
-        plan = router.plan_split(0)
-        router.commit_split(plan)
-        merge = router.plan_merge(plan.left, plan.right)
-        router.commit_merge(merge)
-        for hashed in range(200):
-            if hashed % 2 == 0:
-                assert router.route(hashed) == merge.merged
-            else:
-                assert router.route(hashed) == 1
-
-    def test_merge_rejects_non_siblings(self):
-        router = HashRouter(4)
-        with pytest.raises(StorageError):
-            router.plan_merge(0, 1)  # base entries are not siblings
-        plan0 = router.plan_split(0)
-        router.commit_split(plan0)
-        plan1 = router.plan_split(1)
-        router.commit_split(plan1)
-        with pytest.raises(StorageError):
-            router.plan_merge(plan0.left, plan1.left)
-
     def test_state_round_trip(self):
         router = HashRouter(3)
         router.commit_split(router.plan_split(1))
@@ -204,19 +181,6 @@ class TestOnlineSplit:
         assert window_answers(cluster) == window_answers(twin)
         cluster.close()
         twin.close()
-
-    def test_merge_restores_single_partition(self):
-        cluster = make_cluster()
-        twin = make_cluster(prefix="w")
-        load_rows(cluster, twin)
-        splitter = PartitionSplitter(cluster)
-        report = splitter.split("ev", 0)
-        merged = splitter.merge("ev", *report.child_ids)
-        assert len(merged.child_ids) == 1
-        assert window_answers(cluster) == window_answers(twin)
-        cluster.close()
-        twin.close()
-
 
 class TestLiveMigration:
     def test_migrate_preserves_answers_and_leadership(self):

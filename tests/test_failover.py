@@ -62,20 +62,20 @@ class TestRetryPolicy:
 
 class TestHeartbeatMonitor:
     def test_expires_after_silence_past_timeout(self):
-        monitor = HeartbeatMonitor(timeout_ms=3_000.0)
+        monitor = HeartbeatMonitor()
         assert monitor.observe("a", False, 0.0) is False  # seeds
         assert monitor.observe("a", False, 2_000.0) is False
         assert monitor.observe("a", False, 3_000.0) is True
 
     def test_successful_beat_resets_the_clock(self):
-        monitor = HeartbeatMonitor(timeout_ms=3_000.0)
+        monitor = HeartbeatMonitor()
         monitor.observe("a", True, 0.0)
         monitor.observe("a", True, 2_500.0)
         assert monitor.observe("a", False, 5_000.0) is False
         assert monitor.last_beat_ms("a") == 2_500.0
 
     def test_forget_erases_old_silence(self):
-        monitor = HeartbeatMonitor(timeout_ms=3_000.0)
+        monitor = HeartbeatMonitor()
         monitor.observe("a", True, 0.0)
         monitor.observe("a", False, 1_000.0)
         monitor.forget("a")
@@ -359,7 +359,8 @@ class TestReintegration:
         replayed = faults.revive(old_leader.name)
         assert replayed >= 1
         shard = old_leader.shard("t", partition_id)
-        assert not shard.is_leader  # rejoined as follower
+        # rejoined as follower
+        assert cluster.leader_of("t", partition_id) is not old_leader
         binlog = cluster.tables["t"].binlogs[partition_id]
         assert shard.applied_offset == binlog.last_offset
         assert cluster.replication_lag(

@@ -167,7 +167,7 @@ class TestSnapshotStore:
         assert len(snapshot.rows) == 5
 
     def test_retention_prunes_old_images(self, tmp_path, codec):
-        store = SnapshotStore(str(tmp_path), retain=2)
+        store = SnapshotStore(str(tmp_path))
         for offset in (1, 3, 5, 7):
             store.write("t", payloads(codec, offset + 1),
                         applied_offset=offset)
@@ -177,7 +177,7 @@ class TestSnapshotStore:
         assert store.load_latest("t").applied_offset == 7
 
     def test_corrupt_image_falls_back_to_older(self, tmp_path, codec):
-        store = SnapshotStore(str(tmp_path), retain=3)
+        store = SnapshotStore(str(tmp_path))
         store.write("t", payloads(codec, 3), applied_offset=2)
         newest = store.write("t", payloads(codec, 6), applied_offset=5)
         data = bytearray(open(newest, "rb").read())
