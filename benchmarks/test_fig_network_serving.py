@@ -59,7 +59,7 @@ def network_stack():
             cluster.put("t", (uid, 1_000 + k, float(k % 10)))
     cluster.deploy("feat", FEATURE_SQL)
     frontend = FrontendServer(cluster, obs=obs, max_queue=512,
-                              workers=4, max_batch=8, max_wait_ms=0.5,
+                              max_batch=8, max_wait_ms=0.5,
                               single_flight=False)
     server = NetServer(frontend, obs=obs, max_connections=CLIENTS + 4)
     host, port = server.start()
@@ -126,7 +126,7 @@ def test_network_path_vs_in_process(benchmark, network_stack):
 def test_wire_errors_are_typed_under_overload(benchmark, network_stack):
     """Shedding crosses the wire as SQLSTATE 53xxx, not broken sockets.
 
-    A deliberately tiny frontend (1 worker, queue of 2) behind its own
+    A deliberately tiny frontend (batch of 1, queue of 2) behind its own
     NetServer saturates instantly; clients must see clean retryable
     errors while every accepted request still completes.
     """
@@ -134,7 +134,7 @@ def test_wire_errors_are_typed_under_overload(benchmark, network_stack):
     from repro.netserve import ServerError
 
     slow_frontend = FrontendServer(
-        frontend._backend, max_queue=2, max_inflight=4, workers=1,
+        frontend._backend, max_queue=2, max_inflight=4,
         max_batch=1, max_wait_ms=0, single_flight=False)
     server = NetServer(slow_frontend)
     host, port = server.start()

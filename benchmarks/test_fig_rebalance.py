@@ -143,7 +143,7 @@ def test_tenant_shedding_keeps_neighbor_p99_in_budget():
     tenants.register("noisy", rate_per_sec=50.0, burst=10)
     cluster.attach_tenants(tenants)
     frontend = FrontendServer(cluster, tenants=tenants, obs=obs,
-                              max_queue=256, workers=2,
+                              max_queue=256,
                               single_flight=False, max_wait_ms=0)
 
     shed = [0]

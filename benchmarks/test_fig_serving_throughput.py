@@ -25,11 +25,11 @@ Two closed-loop scenarios over the simulated cluster:
    EXPERIMENTS.md, "Column blocks").
 
 2. **Load shedding vs unbounded queueing.**  A slow cluster (injected
-   per-RPC delay) saturates a 1-worker frontend.  The bounded frontend
-   sheds the excess with typed ``OverloadError`` and keeps admitted-
-   request p99 below the unbounded frontend, where every request
-   queues and the tail absorbs the whole backlog — the paper's
-   tail-latency story applied to the request path.
+   per-RPC delay) saturates a frontend that runs batches of at most 4.
+   The bounded frontend sheds the excess with typed ``OverloadError``
+   and keeps admitted-request p99 below the unbounded frontend, where
+   every request queues and the tail absorbs the whole backlog — the
+   paper's tail-latency story applied to the request path.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def test_batched_frontend_beats_serial_throughput(benchmark,
     executed_before = count("online.requests")
     assert executed_before == CLIENTS * iters  # serial: every one runs
     deduped_before = count("serving.dedup")
-    with FrontendServer(cluster, obs=obs, max_queue=256, workers=2,
+    with FrontendServer(cluster, obs=obs, max_queue=256,
                         max_batch=8, max_wait_ms=1.0) as frontend:
         front = closed_loop(
             CLIENTS, iters,
@@ -135,7 +135,7 @@ def test_shedding_bounds_tail_latency(benchmark, serving_cluster):
     try:
         def run(max_queue, max_inflight):
             with FrontendServer(cluster, obs=obs, max_queue=max_queue,
-                                max_inflight=max_inflight, workers=1,
+                                max_inflight=max_inflight,
                                 max_batch=4, max_wait_ms=0,
                                 single_flight=False) as frontend:
                 # Unique rows: no dedup — pure queueing behaviour.

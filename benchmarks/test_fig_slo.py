@@ -49,7 +49,7 @@ def ctr_cluster():
 def test_fig_slo_sustained_qps(benchmark, ctr_cluster):
     requests = list(adctr.generate_requests(CONFIG, requests=512))
 
-    with FrontendServer(ctr_cluster, workers=2, max_batch=8,
+    with FrontendServer(ctr_cluster, max_batch=8,
                         max_wait_ms=0.5, max_queue=64,
                         default_timeout_ms=BUDGET_P99_MS) as frontend:
         report = slo_search(

@@ -102,7 +102,7 @@ def concurrent_clients(host: str, port: int) -> None:
 def deadline_path(db: OpenMLDB) -> None:
     """SET statement_timeout -> serving Deadline -> SQLSTATE 57014."""
     slow = SlowBackend(db, delay_s=0.12)
-    frontend = FrontendServer(slow, workers=2, max_wait_ms=0)
+    frontend = FrontendServer(slow, max_wait_ms=0)
     server = NetServer(frontend)
     host, port = server.start()
     try:
@@ -136,7 +136,7 @@ def shed_path(db: OpenMLDB) -> None:
     gate = threading.Event()
     gated = SlowBackend(db, delay_s=0.0, gate=gate)
     frontend = FrontendServer(gated, max_queue=2, max_inflight=4,
-                              workers=1, max_wait_ms=0)
+                              max_wait_ms=0)
     server = NetServer(frontend, max_connections=16)
     host, port = server.start()
 
@@ -174,7 +174,7 @@ def shed_path(db: OpenMLDB) -> None:
     served = sum(1 for verdict in outcomes if verdict == "served")
     shed = attempts - served
     print(f"{attempts} concurrent requests against max_queue=2 / "
-          f"workers=1: {served} served, {shed} shed with retryable "
+          f"max_inflight=4: {served} served, {shed} shed with retryable "
           f"53xxx errors")
     assert shed > 0 and served > 0
 

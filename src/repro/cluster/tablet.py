@@ -48,6 +48,9 @@ class Shard:
     offset — the replica holds exactly the entries
     ``0..applied_offset``.  ``new_store`` builds an empty store of the
     shard's engine: the first one, and the one a wipe starts over from.
+    ``apply_lock`` makes a replicated entry's offset check and its apply
+    one step, so a ``put``'s delivery and a failover's catch-up never
+    both apply one offset.
     """
 
     table: str
@@ -55,6 +58,9 @@ class Shard:
     new_store: Callable[[], Union[MemTable, DiskTable]]
     store: Union[MemTable, DiskTable] = dataclasses.field(init=False)
     applied_offset: int = -1
+    apply_lock: threading.Lock = dataclasses.field(
+        init=False, repr=False, compare=False,
+        default_factory=threading.Lock)
 
     def __post_init__(self) -> None:
         self.store = self.new_store()
@@ -261,7 +267,9 @@ class TabletServer:
         Delivery is idempotent (a duplicate offset is a no-op) and
         contiguous: an entry past ``applied_offset + 1`` is rejected, so
         a dropped entry shows up as lag rather than a silent gap — the
-        catch-up path then replays the missing suffix in order.
+        catch-up path then replays the missing suffix in order.  The
+        check and the apply hold the shard's ``apply_lock``, so two
+        deliveries of one offset apply it once.
 
         Raises:
             StorageError: tablet down, shard not hosted, or a replication
@@ -271,13 +279,15 @@ class TabletServer:
         """
         self._check_serving(timeout_ms)
         shard = self.shard(table, partition_id)
-        if offset <= shard.applied_offset:
-            return shard.applied_offset
-        if offset != shard.applied_offset + 1:
-            raise StorageError(
-                f"{self.name}: replication gap on {table}[{partition_id}] "
-                f"(offset {offset}, applied {shard.applied_offset})")
-        self._store(shard, row, offset)
+        with shard.apply_lock:
+            if offset <= shard.applied_offset:
+                return shard.applied_offset
+            if offset != shard.applied_offset + 1:
+                raise StorageError(
+                    f"{self.name}: replication gap on "
+                    f"{table}[{partition_id}] (offset {offset}, "
+                    f"applied {shard.applied_offset})")
+            self._store(shard, row, offset)
         self._m_replicated.inc()
         return shard.applied_offset
 

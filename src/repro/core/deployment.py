@@ -298,7 +298,8 @@ class DeploymentHost:
         """Execute a micro-batch of request tuples for one deployment.
 
         The batch path of the serving frontend: all rows run under one
-        ``deployment.execute_batch`` span and share a per-batch window
+        ``deployment.execute_batch`` span — a root of its own, even on a
+        thread inside another span — and share a per-batch window
         scan cache, so requests that resolve to the same (partition
         key, anchor ts) scan fetch rows once (hot keys under herd
         traffic).  On a cluster, order ``rows`` by partition (see
@@ -316,7 +317,7 @@ class DeploymentHost:
         names = deployment.compiled.output_names
         outcomes: List[Any] = []
         shared: Dict[Any, Any] = {}
-        with self._obs.tracer.span("deployment.execute_batch",
+        with self._obs.tracer.root("deployment.execute_batch",
                                    deployment=name, batch=len(rows)):
             for index, row in enumerate(rows):
                 try:

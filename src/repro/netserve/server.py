@@ -17,11 +17,11 @@ Design notes
   arrival order (the protocol requires it).  ``max_connections``
   bounds the ones still alive: one over the cap is refused on the
   accept thread, which gives its startup 0.5 s in all.
-* **One thread hop per read.**  ``Execute`` calls the frontend's
-  ``request`` on the connection thread, which waits on the ticket a
-  serving worker completes; admission (``max_queue`` /
-  ``max_inflight`` / ``workers``) is the read path's only concurrency
-  limit.  A control statement runs inline on its own connection's
+* **No thread hop of its own per read.**  ``Execute`` calls the
+  frontend's ``request`` on the connection thread, which combines its
+  deployment's batch itself or waits on the ticket another connection
+  thread's batch completes; admission (``max_queue`` /
+  ``max_inflight``) is the read path's only concurrency limit.  A control statement runs inline on its own connection's
   thread: a WAL fsync stalls that connection only.
 * **Backpressure is two-layered.**  Socket-level: a reply is one
   blocking ``sendall``, so a slow reader stalls its own connection

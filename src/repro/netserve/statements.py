@@ -204,36 +204,28 @@ def classify(sql: str):
         "INSERT / DEPLOY)")
 
 
+#: A quoted string (``''`` reads as two adjacent strings, which quotes
+#: the same characters; an unterminated one runs to the end) or a
+#: semicolon: every ``;`` this finds is a top-level one.
+_QUOTED_OR_SEMICOLON = re.compile(r"'[^']*'?|;")
+
+
 def split_statements(sql: str):
     """Split a simple-query string on top-level semicolons.
 
     Quote-aware (single quotes with ``''`` escapes), because the simple
-    protocol allows multiple statements per message.
+    protocol allows multiple statements per message.  Text with no
+    ``;`` — nearly every message — is one statement as it stands.
     """
+    if ";" not in sql:
+        return [sql.strip()]
     statements = []
-    current = []
-    in_string = False
-    index = 0
-    while index < len(sql):
-        char = sql[index]
-        if in_string:
-            current.append(char)
-            if char == "'":
-                if index + 1 < len(sql) and sql[index + 1] == "'":
-                    current.append("'")
-                    index += 1
-                else:
-                    in_string = False
-        elif char == "'":
-            in_string = True
-            current.append(char)
-        elif char == ";":
-            statements.append("".join(current))
-            current = []
-        else:
-            current.append(char)
-        index += 1
-    statements.append("".join(current))
+    start = 0
+    for match in _QUOTED_OR_SEMICOLON.finditer(sql):
+        if match.group() == ";":
+            statements.append(sql[start:match.start()])
+            start = match.end()
+    statements.append(sql[start:])
     return [statement for statement in
             (piece.strip() for piece in statements) if statement] or [""]
 

@@ -160,6 +160,16 @@ class Tracer:
         self._stack().append(span)
         return span
 
+    def root(self, name: str, **tags: Any) -> Union[Span, _NullSpan]:
+        """Open a span that roots a new trace even inside another one
+        (a batch run on a caller's thread is not that caller's child)."""
+        if not self.enabled:
+            return NULL_SPAN
+        span = Span(self, self._next_id(), self._next_id(), None, name,
+                    tags)
+        self._stack().append(span)
+        return span
+
     def start_from(self, context: Optional[Dict[str, int]], name: str,
                    **tags: Any) -> Union[Span, _NullSpan]:
         """Resume a propagated trace context (the RPC-receive side).

@@ -3,16 +3,17 @@
 The paper's online half is about bounded tail latency under real
 traffic (TP99 in Figures 6–7); this package supplies the request
 lifecycle machinery a production deployment puts in front of the
-engine:
+engine, and starts no thread of its own:
 
 * :class:`FrontendServer` — the frontend itself: admission control,
-  micro-batching over a worker pool, single-flight dedup, deadline
-  propagation, graceful drain, and per-deployment SLO metrics.
+  micro-batching by flat combining (a caller runs its deployment's
+  batch on its own thread, ``max_batch`` / ``max_wait_ms``),
+  single-flight dedup, deadline propagation, graceful drain, and
+  per-deployment SLO metrics.
 * :class:`AdmissionController` / :class:`Ticket` — bounded
-  per-deployment FIFO queues plus a global in-flight limiter;
-  overload sheds with :class:`~repro.errors.OverloadError`.
-* :class:`BatchPolicy` / :class:`WorkerPool` — the micro-batching
-  dispatch loop (``max_batch`` / ``max_wait_ms``).
+  per-deployment FIFO queues, each with at most one combiner, plus a
+  global in-flight limiter; overload sheds with
+  :class:`~repro.errors.OverloadError`.
 * :class:`Deadline`, :func:`deadline_scope`, :func:`current_deadline` —
   ambient per-request deadlines that clamp every routed RPC timeout so
   a request never retries past its own budget
@@ -20,11 +21,10 @@ engine:
 """
 
 from .admission import AdmissionController, Ticket
-from .batcher import BatchPolicy, WorkerPool
 from .deadline import Deadline, current_deadline, deadline_scope
 from .describe import DeploymentDescriptor
 from .frontend import FrontendServer
 
 __all__ = ["FrontendServer", "AdmissionController", "Ticket",
-           "BatchPolicy", "WorkerPool", "Deadline", "current_deadline",
-           "deadline_scope", "DeploymentDescriptor"]
+           "Deadline", "current_deadline", "deadline_scope",
+           "DeploymentDescriptor"]

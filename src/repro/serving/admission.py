@@ -1,4 +1,5 @@
-"""Admission control: bounded FIFO queues and a concurrency limiter.
+"""Admission control: bounded FIFO queues, a concurrency limiter, and
+the per-deployment combiner role.
 
 The serving frontend admits every request through one
 :class:`AdmissionController`.  Admission can fail — that is the point:
@@ -16,11 +17,11 @@ Three bounds, checked in order:
 3. **per-deployment queue bound** — each deployment owns a bounded
    FIFO queue; a full queue sheds the newcomer (``reason="queue_full"``).
 
-Workers pull work with :meth:`AdmissionController.next_batch`, which
-blocks until a deployment has queued requests, then returns up to
-``max_batch`` of them (waiting at most ``max_wait_ms`` after the first
-to let a batch fill).  Deployments are served round-robin so one hot
-deployment cannot starve the rest.
+No worker thread drains the queues: each deployment's queue has at most
+one *combiner*, a caller running its batches on its own thread (flat
+combining, Hendler et al., SPAA 2010).  It pulls them with :meth:`take`
+and, once its own ticket is done, :meth:`leave` hands the role to the
+oldest caller still waiting, so no queued ticket is ever stranded.
 """
 
 from __future__ import annotations
@@ -40,13 +41,34 @@ __all__ = ["AdmissionController", "Ticket"]
 
 @dataclasses.dataclass
 class Ticket:
-    """One admitted request travelling through the frontend."""
+    """One admitted request travelling through the frontend.
+
+    A waiting caller blocks on ``wake``, released when the future is
+    done or the combiner role is handed to it (``baton``); ``waiting``
+    is False once it gave up at its deadline.
+    """
 
     deployment: str
     row: Tuple[Any, ...]
     future: Any  # concurrent.futures.Future
     deadline: Optional[Deadline] = None
     enqueued_s: float = dataclasses.field(default_factory=time.monotonic)
+    wake: Any = dataclasses.field(default=None, repr=False, compare=False)
+    waiting: bool = dataclasses.field(default=True, compare=False)
+    baton: bool = dataclasses.field(default=False, compare=False)
+
+
+class _Lane:
+    """One deployment's FIFO queue and its combiner state."""
+
+    __slots__ = ("queue", "combining", "fill", "fill_to", "depth")
+
+    def __init__(self, lock: threading.Lock, depth: Any) -> None:
+        self.queue: Deque[Ticket] = collections.deque()
+        self.combining = False
+        self.fill = threading.Condition(lock)
+        self.fill_to = 0  # batch size the combiner's window waits for
+        self.depth = depth  # the serving.queue.depth gauge
 
 
 class AdmissionController:
@@ -69,22 +91,22 @@ class AdmissionController:
         self.max_inflight = max_inflight
         self._obs = obs or NULL_OBS
         self._lock = threading.Lock()
-        self._work = threading.Condition(self._lock)
         self._idle = threading.Condition(self._lock)
-        self._queues: Dict[str, Deque[Ticket]] = {}
-        self._rotation: List[str] = []
-        self._next_slot = 0
+        self._lanes: Dict[str, _Lane] = {}
         self._inflight = 0
         self._draining = False
         self._closed = False
-        self._depth_gauges: Dict[str, Any] = {}
         self._g_inflight = self._obs.registry.gauge("serving.inflight")
 
     # ------------------------------------------------------------------
     # caller side
 
-    def admit(self, ticket: Ticket) -> None:
-        """Admit one request or shed it with :class:`OverloadError`."""
+    def admit(self, ticket: Ticket) -> bool:
+        """Admit one request or shed it with :class:`OverloadError`.
+
+        Returns True when the caller must combine (its deployment had
+        no combiner); otherwise ``ticket.wake`` is set for it to wait on.
+        """
         with self._lock:
             if self._draining or self._closed:
                 state = "closed" if self._closed else "draining"
@@ -96,11 +118,13 @@ class AdmissionController:
                 raise OverloadError(
                     f"in-flight limit {self.max_inflight} reached",
                     deployment=ticket.deployment, reason="inflight")
-            queue = self._queues.get(ticket.deployment)
-            if queue is None:
-                queue = self._queues[ticket.deployment] = \
-                    collections.deque()
-                self._rotation.append(ticket.deployment)
+            lane = self._lanes.get(ticket.deployment)
+            if lane is None:
+                lane = self._lanes[ticket.deployment] = _Lane(
+                    self._lock, self._obs.registry.gauge(
+                        "serving.queue.depth",
+                        deployment=ticket.deployment))
+            queue = lane.queue
             if len(queue) >= self.max_queue:
                 raise OverloadError(
                     f"deployment {ticket.deployment!r} queue is full "
@@ -108,12 +132,28 @@ class AdmissionController:
                     deployment=ticket.deployment, reason="queue_full")
             queue.append(ticket)
             self._inflight += 1
-            self._depth_gauge(ticket.deployment).set(len(queue))
+            lane.depth.set(len(queue))
             self._g_inflight.set(self._inflight)
-            self._work.notify()
+            if not lane.combining:
+                lane.combining = True
+                return True
+            ticket.wake = threading.Lock()
+            ticket.wake.acquire()
+            if lane.fill_to and len(queue) >= lane.fill_to:
+                lane.fill.notify()  # the combiner's batch is full
+            return False
+
+    def abandon(self, ticket: Ticket) -> bool:
+        """The caller gave up waiting at its deadline; True if it was
+        handed the combiner role first (and must pass it on)."""
+        with self._lock:
+            ticket.waiting = False
+            if ticket.baton:
+                ticket.wake.acquire(False)  # the handoff's release
+            return ticket.baton
 
     def release(self, count: int = 1) -> None:
-        """Mark ``count`` admitted requests finished (worker side)."""
+        """Mark ``count`` admitted requests finished."""
         with self._lock:
             self._inflight -= count
             self._g_inflight.set(self._inflight)
@@ -121,50 +161,54 @@ class AdmissionController:
                 self._idle.notify_all()
 
     # ------------------------------------------------------------------
-    # worker side
+    # combiner side
 
-    def next_batch(self, max_batch: int, max_wait_ms: float
-                   ) -> Optional[Tuple[str, List[Ticket]]]:
-        """Block until work exists; return one deployment's batch.
-
-        After the first queued request is seen, waits up to
-        ``max_wait_ms`` for the batch to fill to ``max_batch`` before
-        dispatching what is there.  Returns None once the controller is
-        closed and empty (worker shutdown signal).
-        """
+    def take(self, deployment: str, max_batch: int, max_wait_ms: float,
+             deadline: Optional[Deadline] = None) -> List[Ticket]:
+        """Pop the combiner's next batch, oldest first, holding an
+        underfull one open up to ``max_wait_ms`` (never past the
+        combiner's own ``deadline``) for it to fill to ``max_batch``."""
         with self._lock:
-            while True:
-                name = self._pick_deployment()
-                if name is not None:
-                    break
-                if self._closed:
-                    return None
-                self._work.wait(timeout=0.1)
-            queue = self._queues[name]
-            if len(queue) < max_batch and max_wait_ms > 0:
-                deadline_s = time.monotonic() + max_wait_ms / 1_000.0
-                while len(queue) < max_batch:
-                    remaining = deadline_s - time.monotonic()
-                    if remaining <= 0 or self._closed:
+            lane = self._lanes[deployment]
+            queue = lane.queue
+            if len(queue) < max_batch and max_wait_ms > 0 \
+                    and not self._closed:
+                now = time.monotonic()
+                end_s = now + max_wait_ms / 1_000.0
+                if deadline is not None:
+                    end_s = min(end_s,
+                                now + deadline.remaining_ms() / 1_000.0)
+                lane.fill_to = max_batch
+                while len(queue) < max_batch and not self._closed:
+                    remaining = end_s - time.monotonic()
+                    if remaining <= 0:
                         break
-                    self._work.wait(timeout=remaining)
+                    lane.fill.wait(remaining)
+                lane.fill_to = 0
             batch = [queue.popleft()
                      for _ in range(min(max_batch, len(queue)))]
-            self._depth_gauge(name).set(len(queue))
-            return name, batch
+            lane.depth.set(len(queue))
+            return batch
 
-    def _pick_deployment(self) -> Optional[str]:
-        """Round-robin over deployments with queued work."""
-        if not self._rotation:
-            return None
-        for step in range(len(self._rotation)):
-            name = self._rotation[(self._next_slot + step)
-                                  % len(self._rotation)]
-            if len(self._queues[name]):
-                self._next_slot = (self._next_slot + step + 1) \
-                    % len(self._rotation)
-                return name
-        return None
+    def leave(self, deployment: str) -> List[Ticket]:
+        """Release the combiner role, or hand it to the oldest queued
+        caller still waiting.  If every queued caller gave up, their
+        (expired) tickets come back for the combiner to drop first."""
+        with self._lock:
+            lane = self._lanes[deployment]
+            queue = lane.queue
+            if not queue:
+                lane.combining = False
+                return []
+            for ticket in queue:
+                if ticket.waiting:
+                    ticket.baton = True
+                    ticket.wake.release()
+                    return []
+            abandoned = list(queue)
+            queue.clear()
+            lane.depth.set(0)
+            return abandoned
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -181,9 +225,9 @@ class AdmissionController:
     def queued(self, deployment: Optional[str] = None) -> int:
         with self._lock:
             if deployment is not None:
-                queue = self._queues.get(deployment)
-                return len(queue) if queue is not None else 0
-            return sum(len(queue) for queue in self._queues.values())
+                lane = self._lanes.get(deployment)
+                return len(lane.queue) if lane is not None else 0
+            return sum(len(lane.queue) for lane in self._lanes.values())
 
     def drain(self, timeout: float = 10.0) -> bool:
         """Stop admitting; wait for every admitted request to finish.
@@ -193,23 +237,14 @@ class AdmissionController:
         """
         with self._lock:
             self._draining = True
-            self._work.notify_all()
             return self._idle.wait_for(lambda: self._inflight == 0,
                                        timeout=timeout)
 
     def close(self) -> None:
-        """Drain-stop: wake workers so they observe shutdown."""
+        """Stop admitting for good; a combiner holding a batch window
+        open dispatches at once."""
         with self._lock:
             self._draining = True
             self._closed = True
-            self._work.notify_all()
-
-    # ------------------------------------------------------------------
-
-    def _depth_gauge(self, deployment: str) -> Any:
-        gauge = self._depth_gauges.get(deployment)
-        if gauge is None:
-            gauge = self._obs.registry.gauge("serving.queue.depth",
-                                             deployment=deployment)
-            self._depth_gauges[deployment] = gauge
-        return gauge
+            for lane in self._lanes.values():
+                lane.fill.notify_all()

@@ -100,8 +100,13 @@ def deadline_scope(deadline: Optional[Deadline]
     return _NO_SCOPE if deadline is None else _installed(deadline)
 
 
+def no_ambient_deadline() -> ContextManager[None]:
+    """Clear this thread's ambient deadline for the scope."""
+    return _NO_SCOPE if current_deadline() is None else _installed(None)
+
+
 @contextlib.contextmanager
-def _installed(deadline: Deadline) -> Iterator[None]:
+def _installed(deadline: Optional[Deadline]) -> Iterator[None]:
     previous = getattr(_ambient, "deadline", None)
     _ambient.deadline = deadline
     try:

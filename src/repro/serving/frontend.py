@@ -8,20 +8,21 @@
 * **admission control** — bounded per-deployment FIFO queues plus a
   global in-flight limiter; past the bounds, requests are shed with
   :class:`~repro.errors.OverloadError` (see :mod:`repro.serving.admission`);
-* **micro-batching** — queued requests for one deployment execute as a
-  batch on a worker pool, sorted by the request row's partition so
-  storage reads group by partition leader and identical window scans
-  are shared (see :mod:`repro.serving.batcher`);
+* **micro-batching by flat combining** — no worker thread: a caller
+  that finds its deployment without a combiner runs the queued batch
+  on its own thread, sorted by the request row's partition so storage
+  reads group by partition leader and identical window scans are
+  shared; everyone else waits on its own ticket;
 * **deadline propagation** — a per-request ``timeout_ms`` becomes a
-  :class:`~repro.serving.deadline.Deadline` that rides the worker
-  thread into every routed RPC's timeout; a request that expires while
-  queued is dropped without executing;
+  :class:`~repro.serving.deadline.Deadline` that clamps every routed
+  RPC's timeout; a request that expires while queued is dropped
+  without executing, and a late result is raised, never returned;
 * **single-flight dedup** — identical concurrent requests (same
   deployment, same request row: the thundering herd on a hot key)
   compute once and fan the result out;
 * **graceful drain** — :meth:`drain` stops admissions and waits for
-  every admitted request to finish; :meth:`close` then stops the
-  workers.  Both are idempotent.
+  every admitted request to finish; :meth:`close` drains and then
+  refuses every later request.  Both are idempotent.
 
 Every stage is visible through the observability layer (queue-depth
 gauges, shed/dedup counters, batch-size and latency histograms — see
@@ -39,8 +40,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..errors import DeadlineExceededError, OpenMLDBError, OverloadError
 from ..obs import NULL_OBS, Observability
 from .admission import AdmissionController, Ticket
-from .batcher import BatchPolicy, WorkerPool
-from .deadline import Deadline, deadline_scope
+from .deadline import Deadline, deadline_scope, no_ambient_deadline
 
 __all__ = ["FrontendServer"]
 
@@ -61,9 +61,9 @@ class FrontendServer:
         max_queue: per-deployment queued-request bound (admission).
         max_inflight: global bound on admitted-but-unfinished requests;
             defaults to ``4 * max_queue``.
-        workers: worker-thread count — the execution concurrency limit.
-        max_batch / max_wait_ms: micro-batching knobs (see
-            :class:`~repro.serving.batcher.BatchPolicy`).
+        max_batch: how many requests one batch executes at most.
+        max_wait_ms: how long a combiner holds an underfull batch open
+            for company; 0 dispatches whatever is queued at once.
         default_timeout_ms: deadline applied when a request does not
             bring its own; ``None`` means no deadline by default.
         single_flight: collapse identical concurrent requests.
@@ -79,17 +79,24 @@ class FrontendServer:
                  obs: Optional[Observability] = None, *,
                  max_queue: int = 64,
                  max_inflight: Optional[int] = None,
-                 workers: int = 2,
                  max_batch: int = 8,
                  max_wait_ms: float = 1.0,
                  default_timeout_ms: Optional[float] = None,
                  single_flight: bool = True,
                  tenants: Optional[Any] = None) -> None:
+        if max_batch < 1:
+            raise ValueError("max_batch must be >= 1")
+        if max_wait_ms < 0:
+            raise ValueError("max_wait_ms must be >= 0")
         self._backend = backend
+        self._batch_call = getattr(backend, "request_batch", None)
+        self._partition_of = getattr(backend, "request_partition", None)
         self._obs = obs or NULL_OBS
         self._tenants = tenants
         self._default_timeout_ms = default_timeout_ms
         self._single_flight = single_flight
+        self._max_batch = max_batch
+        self._max_wait_ms = max_wait_ms
         self._closed = False
         self._lifecycle_lock = threading.Lock()
 
@@ -111,11 +118,6 @@ class FrontendServer:
             max_inflight=(max_inflight if max_inflight is not None
                           else 4 * max_queue),
             obs=self._obs)
-        self._pool = WorkerPool(
-            self._admission, self._execute_batch, workers=workers,
-            policy=BatchPolicy(max_batch=max_batch,
-                               max_wait_ms=max_wait_ms))
-        self._pool.start()
 
     # ------------------------------------------------------------------
     # client surface
@@ -127,7 +129,8 @@ class FrontendServer:
 
         Blocks until the features are ready (closed-loop clients), the
         request is shed (:class:`OverloadError`), or its deadline budget
-        runs out (:class:`DeadlineExceededError`).
+        runs out (:class:`DeadlineExceededError`).  The calling thread
+        may combine: run a batch of its own and others' requests.
 
         Args:
             name: deployment name.
@@ -161,25 +164,67 @@ class FrontendServer:
             # or executing — ride its result.  Other requests share the
             # leader's future: wait on it, never cancel it.
             self._m_dedup.inc()
-        else:
-            ticket = Ticket(deployment=name, row=row_key[1],
-                            future=future, deadline=deadline)
             try:
-                self._admission.admit(ticket)
-            except OverloadError as exc:
-                self._count_shed(name, exc.reason)
-                self._forget(row_key, future)
-                if not future.done():
-                    future.set_exception(exc)  # fail deduped followers
-                raise
-            self._m_admitted.inc()
+                return leader.result(
+                    timeout=None if deadline is None
+                    else deadline.remaining_ms() / 1_000.0)
+            except FutureTimeoutError:
+                raise self._late(name) from None
+        ticket = Ticket(deployment=name, row=row_key[1],
+                        future=future, deadline=deadline)
         try:
-            return leader.result(timeout=None if deadline is None
-                                 else deadline.remaining_ms() / 1_000.0)
-        except FutureTimeoutError:
-            raise DeadlineExceededError(
-                f"request on {name!r} exceeded its deadline while "
-                f"waiting for the result") from None
+            combine = self._admission.admit(ticket)
+        except OverloadError as exc:
+            self._count_shed(name, exc.reason)
+            self._forget(row_key, future)
+            if not future.done():
+                future.set_exception(exc)  # fail deduped followers
+            raise
+        self._m_admitted.inc()
+        if combine or self._wait(ticket):
+            self._combine(ticket)
+            if deadline is not None and deadline.expired:
+                raise self._late(name)
+        return future.result()
+
+    def _wait(self, ticket: Ticket) -> bool:
+        """Wait for the ticket's result; True if handed the combiner
+        role instead.  Raises :class:`DeadlineExceededError` on time."""
+        deadline = ticket.deadline
+        timeout = -1.0 if deadline is None else min(
+            deadline.remaining_ms() / 1_000.0, threading.TIMEOUT_MAX)
+        if ticket.wake.acquire(timeout=timeout):
+            return ticket.baton
+        if self._admission.abandon(ticket):
+            self._leave(ticket.deployment)  # pass the role on
+        raise self._late(ticket.deployment)
+
+    @staticmethod
+    def _late(name: str) -> DeadlineExceededError:
+        return DeadlineExceededError(f"request on {name!r} exceeded its "
+                                     f"deadline waiting for the result")
+
+    def _combine(self, ticket: Ticket) -> None:
+        """Run batches until ``ticket`` is done, then hand the role on;
+        never under this thread's ambient deadline."""
+        name = ticket.deployment
+        ticket.waiting = False  # the role is never handed back to it
+        try:
+            with no_ambient_deadline():
+                while not ticket.future.done():
+                    self._execute_batch(name, self._admission.take(
+                        name, self._max_batch, self._max_wait_ms,
+                        ticket.deadline))
+        finally:
+            self._leave(name)
+
+    def _leave(self, name: str) -> None:
+        """Hand the role on, first dropping abandoned tickets."""
+        while True:
+            abandoned = self._admission.leave(name)
+            if not abandoned:
+                return
+            self._execute_batch(name, abandoned)
 
     def describe_deployment(self, name: str) -> Any:
         """Delegate deployment introspection to the backend.
@@ -196,7 +241,7 @@ class FrontendServer:
         return describe(name)
 
     # ------------------------------------------------------------------
-    # worker side
+    # combiner side
 
     def _execute_batch(self, name: str, tickets: List[Ticket]) -> None:
         """Run one micro-batch and complete every ticket's future."""
@@ -221,26 +266,26 @@ class FrontendServer:
                 # identical scans share fetched rows via the backend's
                 # shared-fetch cache.  The sort is stable: arrival order
                 # holds within a partition.
-                hint = getattr(self._backend, "request_partition", None)
-                if hint is not None:
+                hint = self._partition_of
+                if hint is not None and len(live) > 1:
                     live.sort(key=lambda t: hint(name, t.row) or 0)
                 self._m_batches.inc()
                 self._h_batch_size.observe(len(live))
                 self._run_batch(name, live)
-        except BaseException as exc:  # never kill a worker
+        except BaseException as exc:  # never strand a waiting caller
             for ticket in tickets:
                 self._complete(ticket, exc)
         finally:
             for ticket in tickets:
                 self._forget((name, ticket.row), ticket.future)
                 if not ticket.future.done():  # defensive backstop
-                    ticket.future.set_exception(OverloadError(
+                    self._complete(ticket, OverloadError(
                         "batch executor completed without a result",
                         deployment=name, reason="internal"))
             self._admission.release(len(tickets))
 
     def _run_batch(self, name: str, live: List[Ticket]) -> None:
-        batch_call = getattr(self._backend, "request_batch", None)
+        batch_call = self._batch_call
         if batch_call is not None:
             outcomes = batch_call(
                 name, [ticket.row for ticket in live],
@@ -272,6 +317,8 @@ class FrontendServer:
             ticket.future.set_exception(outcome)
         else:
             ticket.future.set_result(outcome)
+        if ticket.wake is not None:
+            ticket.wake.release()
 
     # ------------------------------------------------------------------
     # shedding bookkeeping
@@ -314,13 +361,13 @@ class FrontendServer:
         return self._admission.drain(timeout=timeout)
 
     def close(self, timeout: float = 10.0) -> None:
-        """Drain, then stop the worker pool.  Idempotent."""
+        """Drain, then refuse every later request.  Idempotent."""
         with self._lifecycle_lock:
             if self._closed:
                 return
             self._closed = True
         self._admission.drain(timeout=timeout)
-        self._pool.stop(timeout=timeout)
+        self._admission.close()
 
     def __enter__(self) -> "FrontendServer":
         return self

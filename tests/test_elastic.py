@@ -82,7 +82,7 @@ class TestElasticSmoke:
                     outcomes.append(out)
                 seq += 1
 
-        frontend = FrontendServer(cluster, workers=2, max_wait_ms=0,
+        frontend = FrontendServer(cluster, max_wait_ms=0,
                                   single_flight=False)
         threads = [threading.Thread(target=writer, args=(slot,))
                    for slot in range(3)]
@@ -143,7 +143,7 @@ class TestElasticSmoke:
         tenants = TenantRegistry()
         tenants.register("noisy", rate_per_sec=1.0, burst=2)
         cluster.attach_tenants(tenants)
-        frontend = FrontendServer(cluster, tenants=tenants, workers=2,
+        frontend = FrontendServer(cluster, tenants=tenants,
                                   max_wait_ms=0, single_flight=False)
         shed = quiet_ok = noisy_ok = 0
         try:

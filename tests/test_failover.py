@@ -6,6 +6,8 @@ acknowledged write is never lost by a leadership change, and routed
 calls succeed with bounded retries.
 """
 
+import threading
+
 import pytest
 
 from repro.cluster import (FaultInjector, HeartbeatMonitor, NameServer,
@@ -149,6 +151,42 @@ class TestZeroLossFailover:
         faults.kill(leader.name)
         cluster.handle_failure(leader.name)
         assert cluster.leader_of("t", 0).name == current
+
+
+class TestOneApplyPerOffset:
+    def test_failover_during_a_put_applies_each_offset_once(self, schema):
+        """A failover started from inside the follower's insert of a
+        ``put``'s entry must not replay that entry a second time: the
+        follower holds one row per binlog entry."""
+        cluster = make_cluster(schema, tablets=2, partitions=1)
+        leader = cluster.leader_of("t", 0).name
+        (follower,) = follower_names(cluster, 0)
+        shard = cluster.tablets[follower].shard("t", 0)
+        cluster.put("t", (1, 100, 1.0))
+        insert = shard.store.insert
+        failover = threading.Thread(
+            target=cluster.handle_failure, args=(leader,))
+
+        def insert_then_fail_over(row):
+            if failover.ident is None:  # the first insert only
+                failover.start()
+                # The failover runs until it blocks on the entry this
+                # insert is applying (or, unfixed, applies it itself).
+                failover.join(timeout=0.5)
+            return insert(row)
+
+        shard.store.insert = insert_then_fail_over
+        try:
+            cluster.put("t", (1, 200, 2.0))
+            failover.join(timeout=30)
+            assert not failover.is_alive()
+        finally:
+            del shard.store.insert
+        binlog = cluster.tables["t"].binlogs[0]
+        assert binlog.last_offset == shard.applied_offset == 1
+        assert cluster.leader_of("t", 0).name == follower
+        assert shard.store.row_count == 2
+        cluster.close()
 
 
 class TestReplicationLag:

@@ -17,6 +17,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import NameServer, TabletServer
 from repro.core import OpenMLDB
@@ -75,6 +77,37 @@ def client(server):
 # statement classification
 
 
+def _split_by_characters(sql):
+    """The reference splitter: one character at a time, in and out of
+    single-quoted strings (``''`` stays inside one)."""
+    statements = []
+    current = []
+    in_string = False
+    index = 0
+    while index < len(sql):
+        char = sql[index]
+        if in_string:
+            current.append(char)
+            if char == "'":
+                if index + 1 < len(sql) and sql[index + 1] == "'":
+                    current.append("'")
+                    index += 1
+                else:
+                    in_string = False
+        elif char == "'":
+            in_string = True
+            current.append(char)
+        elif char == ";":
+            statements.append("".join(current))
+            current = []
+        else:
+            current.append(char)
+        index += 1
+    statements.append("".join(current))
+    return [statement for statement in
+            (piece.strip() for piece in statements) if statement] or [""]
+
+
 class TestStatements:
     def test_execute_literals(self):
         s = classify("EXECUTE feat (1, 2.5, 'a''b', NULL, true, false)")
@@ -131,6 +164,13 @@ class TestStatements:
         assert split_statements("a 'x;y'; b") == ["a 'x;y'", "b"]
         assert split_statements("a 'it''s; fine'") == ["a 'it''s; fine'"]
         assert split_statements("  ") == [""]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.sampled_from(["'", "''", ";", " ", "\n", "a", "SELECT 1"]),
+        st.characters())).map("".join))
+    def test_split_statements_matches_the_character_loop(self, sql):
+        assert split_statements(sql) == _split_by_characters(sql)
 
     def test_parse_timeout_ms(self):
         assert parse_timeout_ms("50") == 50.0
@@ -584,7 +624,7 @@ def _execute_in_thread(host, port, row, box, timeout=None):
 
 
 class TestOneHopPerRead:
-    """A wire read goes loop → serving worker → loop, nothing else."""
+    """A wire read runs on its connection's thread, batch included."""
 
     def test_reads_never_enter_an_executor_thread(self):
         backend = BatchStubBackend()
@@ -599,8 +639,9 @@ class TestOneHopPerRead:
                         == [(str(i), "2.0")]
             names = [t.name for t in threading.enumerate()]
             assert not [n for n in names if n.startswith("netserve-exec")]
+            assert not [n for n in names if n.startswith("serving-")]
             assert len(backend.batch_threads) == 20
-            assert all(n.startswith("serving-worker-")
+            assert all(n.startswith("netserve-conn-")
                        for n in backend.batch_threads)
         finally:
             srv.close()
@@ -609,38 +650,83 @@ class TestOneHopPerRead:
     def test_plain_backend_reads_through_a_frontend_the_server_owns(
             self, db):
         obs = Observability()
+        batch_threads = []
+        request_batch = db.request_batch
+
+        def recording_batch(name, rows, deadlines=None):
+            batch_threads.append(threading.current_thread().name)
+            return request_batch(name, rows, deadlines)
+
         before = set(threading.enumerate())
-        srv = NetServer(db, obs=obs)
-        workers = [t for t in set(threading.enumerate()) - before
-                   if t.name.startswith("serving-worker-")]
-        assert workers
+        db.request_batch = recording_batch  # the fixture is shared
+        try:
+            srv = NetServer(db, obs=obs)
+            assert set(threading.enumerate()) == before
+            host, port = srv.start()
+            try:
+                with NetClient(host, port) as c:
+                    c.prepare("s0", "EXECUTE feat ($1, $2, $3)")
+                    for _ in range(3):
+                        assert c.execute("s0", [1, 1_500, 0.0]).rows \
+                            == [("1", "10.0")]
+                started = set(threading.enumerate()) - before
+                assert not [t for t in started
+                            if not t.name.startswith("netserve-")]
+            finally:
+                srv.close()
+        finally:
+            del db.request_batch
+        assert obs.registry.get("serving.admitted").value == 3
+        assert len(batch_threads) == 3
+        assert all(n.startswith("netserve-conn-") for n in batch_threads)
+
+    def test_a_combined_batch_roots_its_own_trace(self):
+        # The connection thread that combines runs the batch inside its
+        # own net.request span; the batch must still root its own trace
+        # (docs/observability.md), not nest under that span.
+        instance = OpenMLDB(observability=True)
+        instance.execute("CREATE TABLE t (uid int, ts timestamp, "
+                         "v double, INDEX(KEY=uid, TS=ts))")
+        instance.execute("INSERT INTO t VALUES (1, 1000, 2.0)")
+        instance.execute(f"DEPLOY feat {FEATURE_SQL}")
+        srv = NetServer(instance, obs=instance.obs)
         host, port = srv.start()
         try:
             with NetClient(host, port) as c:
                 c.prepare("s0", "EXECUTE feat ($1, $2, $3)")
-                for _ in range(3):
-                    assert c.execute("s0", [1, 1_500, 0.0]).rows \
-                        == [("1", "10.0")]
+                assert c.execute("s0", [1, 1_500, 0.0]).rows \
+                    == [("1", "2.0")]
         finally:
             srv.close()
-        assert obs.registry.get("serving.admitted").value == 3
-        assert not [t for t in workers if t.is_alive()]
+            instance.close()
+        spans = {span["name"]: span for span in instance.obs.tracer.export()}
+        batch, request = spans["deployment.execute_batch"], \
+            spans["net.request"]
+        assert batch["parent_id"] is None and request["parent_id"] is None
+        assert batch["trace_id"] != request["trace_id"]
+        assert spans["deployment.execute"]["parent_id"] == batch["span_id"]
 
     def test_follower_of_a_timed_out_leader_gets_its_features(self):
         # The leader's connection gives up at its statement_timeout;
         # the shared ticket future is not cancelled, so a follower
         # riding it on another connection still gets the features.
+        # The leader's ticket runs in a batch another connection
+        # combines (the window holds until the batch of two is full),
+        # so the leader is free to time out while it executes.
         gate = threading.Event()
         obs = Observability()
         frontend = FrontendServer(BatchStubBackend(gate=gate), obs,
-                                  max_wait_ms=0)
+                                  max_batch=2, max_wait_ms=30_000)
         srv = NetServer(frontend)
         host, port = srv.start()
-        leader, follower = {}, {}
+        combiner, leader, follower = {}, {}, {}
         try:
+            combine = _execute_in_thread(host, port, (1, 1, 1.0),
+                                         combiner)
+            _wait_until(lambda: frontend.inflight >= 1, "never admitted")
             lead = _execute_in_thread(host, port, (7, 7, 1.0), leader,
                                       timeout="150ms")
-            _wait_until(lambda: frontend.inflight >= 1, "never admitted")
+            _wait_until(lambda: frontend.inflight >= 2, "never admitted")
             follow = _execute_in_thread(host, port, (7, 7, 1.0),
                                         follower)
             _wait_until(lambda: obs.registry.get("serving.dedup").value,
@@ -652,6 +738,8 @@ class TestOneHopPerRead:
             follow.join(timeout=10)
             assert not follow.is_alive()
             assert follower == {"rows": [("7", "2.0")]}
+            combine.join(timeout=10)
+            assert combiner == {"rows": [("1", "2.0")]}
         finally:
             gate.set()
             srv.close()
@@ -752,7 +840,7 @@ class TestConcurrencyAndComposition:
 
     def test_statement_timeout_becomes_57014(self):
         backend = StubBackend(delay_s=0.25)
-        frontend = FrontendServer(backend, workers=2, max_wait_ms=0)
+        frontend = FrontendServer(backend, max_wait_ms=0)
         srv = NetServer(frontend)
         host, port = srv.start()
         try:
@@ -796,7 +884,7 @@ class TestConcurrencyAndComposition:
         gate = threading.Event()
         backend = StubBackend(gate=gate)
         frontend = FrontendServer(backend, max_queue=1, max_inflight=1,
-                                  workers=1, max_batch=1, max_wait_ms=0,
+                                  max_batch=1, max_wait_ms=0,
                                   single_flight=False)
         srv = NetServer(frontend)
         host, port = srv.start()

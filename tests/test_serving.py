@@ -53,17 +53,27 @@ class RecordingBackend:
     def __init__(self, delay_s=0.0, gate=None):
         self.delay_s = delay_s
         self.gate = gate  # threading.Event the backend waits on
+        self.entered = threading.Event()  # set by the first call
         self.calls = 0
         self._lock = threading.Lock()
 
     def request(self, name, row):
         with self._lock:
             self.calls += 1
+        self.entered.set()
         if self.gate is not None:
             assert self.gate.wait(timeout=30)
         if self.delay_s:
             time.sleep(self.delay_s)
         return {"deployment": name, "row": tuple(row)}
+
+
+def wait_until(predicate, timeout_s=30.0):
+    """Wait on state: poll ``predicate`` until it holds (bounded)."""
+    limit = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < limit, "state never reached"
+        time.sleep(0.001)
 
 
 # ---------------------------------------------------------------------
@@ -146,22 +156,51 @@ class TestAdmissionControl:
             control.admit(ticket())
         assert err.value.reason == "draining"
 
-    def test_batches_serve_deployments_round_robin(self):
+    def test_each_deployment_batches_apart(self):
         control = AdmissionController(max_queue=8)
+        admitted = {"a": [], "b": []}
+        combiners = []
         for _ in range(2):
-            control.admit(ticket(deployment="a"))
-            control.admit(ticket(deployment="b"))
-        first, _ = control.next_batch(max_batch=8, max_wait_ms=0)
-        second, _ = control.next_batch(max_batch=8, max_wait_ms=0)
-        assert {first, second} == {"a", "b"}
+            for name in ("a", "b"):
+                admitted[name].append(ticket(deployment=name))
+                combiners.append(control.admit(admitted[name][-1]))
+        # The first caller of each deployment combines; the rest wait.
+        assert combiners == [True, True, False, False]
+        assert control.take("a", max_batch=8, max_wait_ms=0) \
+            == admitted["a"]
+        assert control.take("b", max_batch=8, max_wait_ms=0) \
+            == admitted["b"]
 
     def test_a_batch_keeps_arrival_order(self):
         control = AdmissionController(max_queue=8)
         first, second = ticket(row=(1,)), ticket(row=(2,))
         control.admit(first)
         control.admit(second)
-        _, batch = control.next_batch(max_batch=8, max_wait_ms=0)
+        batch = control.take("d", max_batch=8, max_wait_ms=0)
         assert batch == [first, second]
+
+    def test_leaving_hands_the_role_to_a_waiting_caller(self):
+        control = AdmissionController(max_queue=8)
+        mine, gone, waiting = ticket(), ticket(), ticket()
+        for each in (mine, gone, waiting):
+            control.admit(each)
+        assert control.take("d", max_batch=1, max_wait_ms=0) == [mine]
+        assert control.abandon(gone) is False
+        assert control.leave("d") == []
+        assert waiting.baton and not gone.baton
+        assert waiting.wake.acquire(blocking=False)  # woken to combine
+
+    def test_leaving_returns_what_abandoned_callers_left(self):
+        control = AdmissionController(max_queue=8)
+        mine, gone = ticket(), ticket()
+        control.admit(mine)
+        control.admit(gone)
+        assert control.take("d", max_batch=1, max_wait_ms=0) == [mine]
+        control.abandon(gone)
+        assert control.leave("d") == [gone]
+        assert control.leave("d") == []
+        # The role is free again: the next caller combines.
+        assert control.admit(ticket()) is True
 
 
 # ---------------------------------------------------------------------
@@ -180,8 +219,7 @@ class TestFrontendUnit:
         gate = threading.Event()
         backend = RecordingBackend(gate=gate)
         obs = Observability(enabled=True)
-        frontend = FrontendServer(backend, obs=obs, workers=1,
-                                  max_wait_ms=0)
+        frontend = FrontendServer(backend, obs=obs, max_wait_ms=0)
         results, started = [], threading.Barrier(4)
 
         def herd():
@@ -191,9 +229,9 @@ class TestFrontendUnit:
         threads = [threading.Thread(target=herd) for _ in range(4)]
         for thread in threads:
             thread.start()
-        # Let the herd pile onto the single in-flight key, then open
-        # the gate: one backend call serves all four clients.
-        time.sleep(0.1)
+        # Wait for the herd to pile onto the single in-flight key, then
+        # open the gate: one backend call serves all four clients.
+        wait_until(lambda: obs.registry.get("serving.dedup").value == 3)
         gate.set()
         for thread in threads:
             thread.join(timeout=30)
@@ -216,13 +254,13 @@ class TestFrontendUnit:
         gate = threading.Event()
         backend = RecordingBackend(gate=gate)
         obs = Observability(enabled=True)
-        frontend = FrontendServer(backend, obs=obs, workers=1,
+        frontend = FrontendServer(backend, obs=obs,
                                   single_flight=False, max_wait_ms=0)
         blocker = threading.Thread(
             target=lambda: frontend.request("d", (1,)))
         blocker.start()
-        while backend.calls == 0:  # worker is now held by the gate
-            time.sleep(0.001)
+        # The blocker's thread combines, and is now held by the gate.
+        assert backend.entered.wait(timeout=30)
         with pytest.raises(DeadlineExceededError):
             frontend.request("d", (2,), timeout_ms=20.0)
         gate.set()
@@ -230,6 +268,33 @@ class TestFrontendUnit:
         frontend.close()
         assert obs.registry.get("serving.deadline.expired").value >= 1
         assert backend.calls == 1  # the expired request never executed
+
+    def test_a_combiners_late_result_is_raised_not_returned(self):
+        obs = Observability(enabled=True)
+        with FrontendServer(RecordingBackend(delay_s=0.05), obs=obs,
+                            max_wait_ms=0) as frontend:
+            # The caller combines its own batch and cannot leave it
+            # early; the result lands after its deadline.
+            with pytest.raises(DeadlineExceededError):
+                frontend.request("d", (1,), timeout_ms=10.0)
+        assert obs.registry.get("serving.batches").value == 1
+
+    def test_a_batch_runs_under_no_ambient_deadline_of_its_combiner(self):
+        seen = []
+
+        class ScopeBackend(RecordingBackend):
+            def request(self, name, row):
+                seen.append(current_deadline())
+                return super().request(name, row)
+
+        with FrontendServer(ScopeBackend(), max_wait_ms=0) as frontend:
+            # The caller's thread runs the batch; a deadline installed
+            # on that thread is not the request's.
+            with deadline_scope(Deadline.after(60_000.0)):
+                frontend.request("d", (1,))
+            frontend.request("d", (2,), timeout_ms=60_000.0)
+        assert seen[0] is None
+        assert seen[1] is not None and seen[1].budget_ms == 60_000.0
 
     def test_per_row_failure_stays_per_row(self):
         class FlakyBackend(RecordingBackend):
@@ -387,7 +452,7 @@ class TestSaturationAcceptance:
         obs = Observability(enabled=True)
         backend = RecordingBackend(delay_s=0.005)
         frontend = FrontendServer(backend, obs=obs, max_queue=4,
-                                  max_inflight=8, workers=1,
+                                  max_inflight=8,
                                   max_batch=4, max_wait_ms=0,
                                   single_flight=False)
         clients = 16
@@ -418,8 +483,8 @@ class TestSaturationAcceptance:
         shed = [out for out in outcomes
                 if isinstance(out, OverloadError)]
         assert len(served) + len(shed) == clients * 6
-        # 16 clients against 1 worker, queue bound 4, in-flight bound
-        # 8: saturation sheds...
+        # 16 clients against one combiner, queue bound 4, in-flight
+        # bound 8: saturation sheds...
         assert shed
         assert {exc.reason for exc in shed} <= {
             "queue_full", "inflight", "draining"}
@@ -443,3 +508,84 @@ class TestSaturationAcceptance:
                         if series.name == "serving.queue.depth"]
         assert depth_gauges
         assert all(gauge.value == 0 for gauge in depth_gauges)
+
+
+# ---------------------------------------------------------------------
+# combining under stress
+
+
+class CountingBatchBackend:
+    """Fake batch backend: counts the rows it executed."""
+
+    def __init__(self):
+        self.executed = 0
+        self._lock = threading.Lock()
+
+    def request(self, name, row):
+        return self.request_batch(name, [row])[0]
+
+    def request_batch(self, name, rows, deadlines=None):
+        with self._lock:
+            self.executed += len(rows)
+        sum(range(2_000))  # a little work, so queues form
+        return [{"deployment": name, "row": tuple(row)} for row in rows]
+
+
+class TestCombinerStress:
+    def test_every_call_ends_typed_and_no_ticket_is_stranded(self):
+        import random
+        import sys
+
+        obs = Observability(enabled=True)
+        backend = CountingBatchBackend()
+        frontend = FrontendServer(backend, obs=obs, max_queue=3,
+                                  max_batch=4, max_wait_ms=0.2)
+        before = set(threading.enumerate())
+        wrong, kinds = [], set()
+        lock = threading.Lock()
+        stop_at = time.monotonic() + 1.0
+
+        def caller(seed):
+            rng = random.Random(seed)
+            while time.monotonic() < stop_at:
+                name = rng.choice(("a", "b"))
+                row = (rng.randrange(8),)  # duplicates: single-flight
+                timeout_ms = rng.choice((None, 0.05, 0.5, 5.0))
+                try:
+                    out = frontend.request(name, row,
+                                           timeout_ms=timeout_ms)
+                    kind = "features"
+                    ok = out == {"deployment": name, "row": row}
+                except OpenMLDBError as exc:
+                    kind, ok = type(exc).__name__, True
+                except BaseException as exc:  # noqa: BLE001 - recorded
+                    kind, ok = repr(exc), False
+                with lock:
+                    kinds.add(kind)
+                    if not ok:
+                        wrong.append(kind)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(seed,),
+                                        daemon=True)  # if one strands
+                       for seed in range(16)]
+            for thread in threads:
+                thread.start()
+            join_by = time.monotonic() + 30.0
+            for thread in threads:
+                thread.join(timeout=max(join_by - time.monotonic(), 0.0))
+        finally:
+            sys.setswitchinterval(previous)
+        assert not [thread for thread in threads if thread.is_alive()]
+        assert not wrong
+        assert "features" in kinds
+        assert frontend.inflight == 0
+        assert frontend.drain(timeout=10) is True
+        frontend.close()
+        registry = obs.registry
+        assert registry.get("serving.admitted").value \
+            == backend.executed + registry.get(
+                "serving.deadline.expired").value
+        assert set(threading.enumerate()) <= before

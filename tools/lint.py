@@ -25,9 +25,11 @@ reliably:
   ``threading.Thread(daemon=True)`` but has no paired lifecycle: a
   ``close``/``stop``/``shutdown``/``drain`` method that ``join()``\\ s
   the worker.  Daemon threads die silently at interpreter exit; without
-  an explicit drain, work queued to them (e.g. the serving frontend's
-  batches) is abandoned.  Tests and benchmarks may spawn throwaway
-  threads, so the rule is scoped to library code.
+  an explicit drain, work handed to them (e.g. a network server's open
+  connections) is abandoned.  The network server's accept and
+  connection threads are the only long-lived threads library code
+  starts.  Tests and benchmarks may spawn throwaway threads, so the
+  rule is scoped to library code.
 * **PY39** — ``key=`` passed to ``bisect_left``/``bisect_right``/
   ``insort*`` in library code (``src/``).  The parameter exists from
   Python 3.10 only, the package declares ``requires-python >= 3.9``,
