@@ -32,8 +32,11 @@ bench:
 
 # One quick benchmark as a smoke gate: catches a serving-path
 # regression (or a broken benchmark harness) without the full sweep.
+# --benchmark-disable keeps the gate from rewriting BENCH_online.json;
+# `make bench` records.
 bench-smoke:
-	$(PYTHON) -m pytest benchmarks/test_fig_serving_throughput.py -q
+	$(PYTHON) -m pytest benchmarks/test_fig_serving_throughput.py -q \
+		--benchmark-disable
 
 # Quick pre-push gate: every test named *smoke* — crash/restart
 # recovery, offline carried partials and spill, split -> migrate ->

@@ -29,17 +29,26 @@ BENCH_RESULTS_PATH = \
 #: run and must never become a headline number).
 _result_guard = None
 
+#: Set by ``benchmarks/conftest.py``: False when pytest-benchmark runs
+#: with ``--benchmark-disable`` (a gate run such as ``make
+#: bench-smoke``), so the run checks its figure but leaves
+#: ``BENCH_online.json`` as it found it.
+_recording = True
+
 
 def record_bench(figure, **medians):
     """Persist one figure's median measurements to ``BENCH_online.json``.
 
     The file at the repo root maps figure name → {metric: median}; each
     benchmark run overwrites its own figure's entry and leaves the rest,
-    so successive runs (including ``make bench-smoke``) accumulate one
-    comparable record per figure for regression tracking.
+    so successive runs accumulate one comparable record per figure for
+    regression tracking.  A run with ``--benchmark-disable`` writes
+    nothing.
     """
     if _result_guard is not None:
         _result_guard(figure)
+    if not _recording:
+        return
     try:
         results = json.loads(BENCH_RESULTS_PATH.read_text())
         if not isinstance(results, dict):

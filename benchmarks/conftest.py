@@ -29,7 +29,7 @@ from repro.workloads.microbench import (MicroBenchConfig, build_feature_sql,
 
 
 @pytest.fixture(autouse=True)
-def guard_recorded_results():
+def guard_recorded_results(request):
     """Refuse to record figures built on timed-out harness runs.
 
     Every :func:`~repro.bench.closed_loop` / paced-loop result produced
@@ -39,6 +39,8 @@ def guard_recorded_results():
     of writing the figure into ``BENCH_online.json``.  Benchmark files
     bind ``record_bench`` by value at import time, so the hook lives
     inside ``_util.record_bench`` itself rather than a monkeypatch.
+    Under ``--benchmark-disable`` the figure is still checked, but
+    ``record_bench`` writes nothing.
     """
     unfit = []
 
@@ -54,6 +56,7 @@ def guard_recorded_results():
 
     harness.result_observers.append(observe)
     _util._result_guard = guard
+    _util._recording = not request.config.getoption("benchmark_disable")
     try:
         yield
     finally:

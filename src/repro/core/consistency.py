@@ -66,21 +66,23 @@ class ConsistencyReport:
                 f"online={first.online_value!r}")
 
 
-def _values_equal(left: Any, right: Any, rel_tol: float) -> bool:
+#: Relative tolerance of a double feature comparison.
+REL_TOL = 1e-9
+
+
+def _values_equal(left: Any, right: Any) -> bool:
     if isinstance(left, float) and isinstance(right, float):
-        return math.isclose(left, right, rel_tol=rel_tol, abs_tol=1e-9)
+        return math.isclose(left, right, rel_tol=REL_TOL, abs_tol=1e-9)
     return left == right
 
 
 def verify_consistency(db: OpenMLDB, deployment_name: str,
-                       rel_tol: float = 1e-9,
                        max_mismatches: int = 100) -> ConsistencyReport:
     """Verify a deployment produces identical online and offline features.
 
     Args:
         db: the instance holding the data and the deployment.
         deployment_name: which deployment to verify.
-        rel_tol: float comparison tolerance (aggregation order may differ).
         max_mismatches: stop collecting past this many diverging values.
 
     Returns:
@@ -120,10 +122,10 @@ def verify_consistency(db: OpenMLDB, deployment_name: str,
     # Requests replay in time order, but results must align with the
     # offline output, which is in the table's insertion order — index
     # online rows by their anchor (log) position.
-    online_rows: List[Optional[Row]] = [None] * len(
-        list(db.table(plan.table).rows()))
-    # The replay instance: same schemas and indexes, empty tables.  It
-    # owns a replicator thread, so it is closed on every way out.
+    online_rows: List[Optional[Row]] = [None] * db.table(
+        plan.table).row_count
+    # The replay instance: same schemas and indexes, empty tables,
+    # closed on every way out.
     replay = OpenMLDB()
     try:
         for name in sorted(referenced):
@@ -145,7 +147,7 @@ def verify_consistency(db: OpenMLDB, deployment_name: str,
             zip(offline_rows, online_rows)):
         for column, left, right in zip(compiled.output_names, offline_row,
                                        online_row):
-            if not _values_equal(left, right, rel_tol):
+            if not _values_equal(left, right):
                 mismatches.append(Mismatch(
                     anchor_index=index, column=column,
                     offline_value=left, online_value=right))

@@ -57,7 +57,6 @@ class OpenMLDB(DeploymentHost):
     """An embedded OpenMLDB instance.
 
     Args:
-        offline_workers: simulated cluster width for batch execution.
         max_memory_mb: optional write limit (Section 8.2 isolation).
         observability: collect metrics and per-request trace spans
             (see :mod:`repro.obs`).  Off by default — the same request
@@ -71,8 +70,7 @@ class OpenMLDB(DeploymentHost):
             newest snapshot images.
     """
 
-    def __init__(self, offline_workers: int = 8,
-                 max_memory_mb: Optional[int] = None,
+    def __init__(self, max_memory_mb: Optional[int] = None,
                  observability: bool = False,
                  data_dir: Optional[str] = None) -> None:
         self.obs = Observability(enabled=True) if observability \
@@ -87,9 +85,7 @@ class OpenMLDB(DeploymentHost):
         self.tables: Dict[str, Union[MemTable, DiskTable]] = {}
         self.compile_cache = CompilationCache(obs=self.obs)
         self.online_engine = OnlineEngine(self.tables, obs=self.obs)
-        self.offline_engine = OfflineEngine(self.tables,
-                                            workers=offline_workers,
-                                            obs=self.obs)
+        self.offline_engine = OfflineEngine(self.tables, obs=self.obs)
         self._preview_cache: Dict[Tuple[str, int], List[Row]] = {}
         # Deploy/request/undeploy come from DeploymentHost; a single
         # node differs from the cluster only by serving its own tables.

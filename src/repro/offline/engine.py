@@ -22,12 +22,10 @@ The paper optimisations live here:
   realign per-window feature columns regardless of partition order.
 * **Time-aware skew resolving** (Section 6.2) — with a
   :class:`~repro.offline.skew.SkewConfig`, each window's per-key groups
-  are split into ``(key, PART_ID)`` tasks along the timestamp quantiles;
-  expanded rows provide cross-partition context, or — with
-  ``merge_partials`` and an eligible frame — each partition continues
-  from the previous one's end state
-  (:meth:`~repro.offline.partial.WindowKernel.seeded_fold`) and the
-  copies go entirely.
+  are split into ``(key, PART_ID)`` tasks along the timestamp quantiles.
+  The plan picks the cross-partition context: a ``carry_eligible``
+  window seeds each partition with the previous one's end state and
+  copies nothing; any other window prefixes expanded rows.
 * **External-sort shuffle** (:mod:`repro.offline.shuffle`) — with a
   :class:`~repro.offline.shuffle.SpillConfig`, window-source rows spill
   to sorted on-disk runs once the configured byte budget is hit, so
@@ -129,11 +127,11 @@ class OfflineStats:
                 + self.project_seconds)
 
 
-# One (key[, PART_ID]) task: (events, emit_flags, carry_chain_id).
-# carry_chain_id is None for expanded-row / plain tasks; tasks sharing
-# a chain id are consecutive partitions of one key whose window context
-# flows through carried partial states instead of expanded rows.
-_TaskUnit = Tuple[List[TaskEvent], List[bool], Optional[int]]
+# One (key[, PART_ID]) task: (events, emit_flags, continues).
+# ``continues`` marks a later partition of a carry chain: its fold is
+# seeded with the end state of the task just before it (the chain's
+# previous partition) instead of expanded rows.
+_TaskUnit = Tuple[List[TaskEvent], List[bool], bool]
 
 
 class OfflineEngine:
@@ -365,28 +363,24 @@ class OfflineEngine:
         """Decompose one window into (key[, PART_ID]) task units."""
         plan = window.plan
         resolver = SkewResolver(skew) if skew is not None else None
-        carry_ok = (skew is not None and skew.merge_partials
-                    and window.carry_eligible)
-        next_chain = 0
+        carry = window.carry_eligible
         for key, events in self._key_groups(compiled, window, anchors,
                                             spill, stats):
             if resolver is None:
-                yield events, [True] * len(events), None
+                yield events, [True] * len(events), False
                 continue
             tasks = resolver.key_tasks(
                 key, [(event[0], event) for event in events],
                 range_ms=plan.range_preceding_ms,
                 rows_preceding=plan.rows_preceding,
-                augment=not carry_ok)
+                augment=not carry)
             self._m_skew_tasks.inc(len(tasks))
-            if carry_ok and len(tasks) > 1:
-                chain = next_chain
-                next_chain += 1
+            if carry and len(tasks) > 1:
                 stats.carry_tasks += len(tasks)
                 self._m_carry_tasks.inc(len(tasks))
-                for task in tasks:
+                for position, task in enumerate(tasks):
                     yield ([tagged.row for tagged in task.rows],
-                           [True] * len(task.rows), chain)
+                           [True] * len(task.rows), position > 0)
                 continue
             expanded = sum(1 for task in tasks
                            for tagged in task.rows if tagged.expanded)
@@ -395,7 +389,7 @@ class OfflineEngine:
             for task in tasks:
                 yield ([tagged.row for tagged in task.rows],
                        [not tagged.expanded for tagged in task.rows],
-                       None)
+                       False)
 
     # ------------------------------------------------------------------
     # the execution body
@@ -418,18 +412,13 @@ class OfflineEngine:
                 kernel = WindowKernel(window)
                 slots = kernel.slots
                 task_times: List[float] = []
-                carry_states: Dict[int, List[Any]] = {}
-                for events, emit_flags, chain in self._task_units(
+                end_states: Optional[List[Any]] = None
+                for events, emit_flags, continues in self._task_units(
                         compiled, window, anchors, skew, spill, stats):
                     started = time.thread_time()
-                    if chain is None:
-                        emits = kernel.fold(events, emit_flags)
-                    else:
-                        # Carry path: continue from the end state of
-                        # this key's previous partition; this fold's end
-                        # state seeds the next one.
-                        emits, carry_states[chain] = kernel.seeded_fold(
-                            events, emit_flags, carry_states.get(chain))
+                    emits, end_states = kernel.fold(
+                        events, emit_flags,
+                        end_states if continues else None)
                     for anchor_index, values in emits:
                         row_slots = aggregate_columns[anchor_index]
                         for slot, value in zip(slots, values):

@@ -1,29 +1,31 @@
 """The offline engine's window fold and its carry path (paper Section 6).
 
 The offline engine splits a window computation into ``(key, PART_ID)``
-tasks.  :class:`WindowKernel` folds one task; it has two entry points:
+tasks.  :meth:`WindowKernel.fold` folds one task: it replays the task's
+rows through a :class:`~repro.online.incremental.SlidingWindowAggregator`.
+A task is one of three kinds, all run by that one loop:
 
-* :meth:`WindowKernel.fold` replays a task's rows through a
-  :class:`~repro.online.incremental.SlidingWindowAggregator`.  With skew
-  resolving, a later partition is prefixed with expanded-row copies of
-  the earlier rows its frames reach.
-* :meth:`WindowKernel.seeded_fold` is the **carry path**, §6.2's skew
-  plan with no expanded rows.  A hot key's partitions form a chain: each
-  continues the registry's ``create / add / result`` fold from the end
+* **plain** — a whole key's rows;
+* **expanded rows** — a later partition of a hot key, prefixed with
+  copies of the earlier rows its frames reach (emitting nothing);
+* **carried** — §6.2's skew plan with no copies.  A hot key's partitions
+  form a chain: each partition's aggregator is seeded with the end
   state of the partition before it.  The adds run in the same order as
   one serial fold, so the answer is byte-identical, doubles included.
 
-Whether a window may use the carry path is decided once, from the
-registry flags, by
+Whether a window carries is decided once, from the registry flags, by
 :attr:`~repro.sql.compiler.CompiledWindow.carry_eligible`: the frame
-never evicts and every aggregate is ``mergeable and merge_exact``.  The
-engine runs a chain in order, so it never calls ``merge``.  The flag
-still matters: an exact merge means a two-phase (map, then prefix-merge)
-plan for the chain exists, and that is what lets the makespan model
-schedule its partitions as independent tasks (larsql's parallel-safety
-analysis, SNIPPETS Snippet 1: state the property a split relies on).
-``ew_avg`` has no merge and ``drawdown``'s is exact only for positive
-series, so windows containing them fall back to expanded rows.
+never evicts and every aggregate is ``mergeable and merge_exact``.  A
+frame that never evicts keeps every aggregate's running state clean
+(time-ordered adds, no removes), so a partition's end state *is* the
+serial prefix state.  The engine runs a chain in order, so it never
+calls ``merge``.  The flag still matters: an exact merge means a
+two-phase (map, then prefix-merge) plan for the chain exists, and that
+is what lets the makespan model schedule its partitions as independent
+tasks (larsql's parallel-safety analysis, SNIPPETS Snippet 1: state the
+property a split relies on).  ``ew_avg`` has no merge and
+``drawdown``'s is exact only for positive series, so windows containing
+them fall back to expanded rows.
 """
 
 from __future__ import annotations
@@ -44,13 +46,11 @@ class WindowKernel:
     """The per-window fold of the offline engine.
 
     Wraps a :class:`~repro.sql.compiler.CompiledWindow` with the frame
-    arithmetic and exposes :meth:`fold` (a plain or expanded-row task)
-    and :meth:`seeded_fold` (one partition of a carry chain).
+    arithmetic; :meth:`fold` runs a plain, expanded-row or carried task.
     """
 
     def __init__(self, window: Any) -> None:
         plan = window.plan
-        self.window = window
         self.functions = [agg.function for agg in window.aggregates]
         self.extractors = [agg.arg_fn for agg in window.aggregates]
         self.slots = [agg.slot for agg in window.aggregates]
@@ -67,18 +67,22 @@ class WindowKernel:
         self.exclude_current_row = plan.exclude_current_row
         self.instance_not_in_window = plan.instance_not_in_window
 
-    # -- entry points --------------------------------------------------
-
     def fold(self, events: Sequence[TaskEvent],
-             emit_flags: Sequence[bool]
-             ) -> List[Tuple[int, List[Any]]]:
-        """Slide one (key[, PART_ID]) group through the window frame."""
+             emit_flags: Sequence[bool],
+             seed: Optional[List[Any]] = None
+             ) -> Tuple[List[Tuple[int, List[Any]]], List[Any]]:
+        """Slide one (key[, PART_ID]) task through the window frame.
+
+        ``seed`` is a carry chain's previous partition's end states
+        (None starts afresh; only a ``carry_eligible`` window passes
+        one).  It is advanced in place, never reused.  Returns
+        ``(emits, end_states)``: the end states seed the next partition.
+        """
         from ..online.incremental import SlidingWindowAggregator
 
         aggregator = SlidingWindowAggregator(
             self.functions, self.extractors,
-            range_ms=self.range_ms, max_rows=self.max_rows,
-            stream_ordered=not self.instance_not_in_window)
+            range_ms=self.range_ms, max_rows=self.max_rows, states=seed)
         emits: List[Tuple[int, List[Any]]] = []
         include_current = self.include_current
         for (ts, row, anchor_index), emit in zip(events, emit_flags):
@@ -105,46 +109,4 @@ class WindowKernel:
                 if emit:
                     emits.append((anchor_index, aggregator.results()))
                 aggregator.insert(ts, row)
-        return emits
-
-    def seeded_fold(self, events: Sequence[TaskEvent],
-                    emit_flags: Sequence[bool],
-                    seed: Optional[List[Any]] = None
-                    ) -> Tuple[List[Tuple[int, List[Any]]], List[Any]]:
-        """Fold one partition of a carry chain, continuing from ``seed``.
-
-        Only valid when ``window.carry_eligible``.  ``seed`` is the
-        previous partition's end state (None starts the chain); it is
-        advanced in place, never reused.  Returns ``(emits,
-        end_states)``: the end states seed the next partition.
-        """
-        functions = self.functions
-        extractors = self.extractors
-        states = ([function.create() for function in functions]
-                  if seed is None else seed)
-
-        def accumulate(row: Tuple[Any, ...]) -> None:
-            for state, function, extract in zip(states, functions,
-                                                extractors):
-                function.add(state, *extract(row))
-
-        def finalize() -> List[Any]:
-            return [function.result(state)
-                    for state, function in zip(states, functions)]
-
-        emits: List[Tuple[int, List[Any]]] = []
-        include_current = self.include_current
-        for (_ts, row, anchor_index), emit in zip(events, emit_flags):
-            if anchor_index is None:
-                accumulate(row)
-                continue
-            if include_current:
-                accumulate(row)
-                if emit:
-                    emits.append((anchor_index, finalize()))
-            else:  # EXCLUDE CURRENT_ROW (instance_not_in_window is
-                # never carry-eligible)
-                if emit:
-                    emits.append((anchor_index, finalize()))
-                accumulate(row)
-        return emits, states
+        return emits, aggregator.states

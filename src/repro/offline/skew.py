@@ -19,6 +19,11 @@ rows **along the ORDER BY timestamp**:
 5. **Compute** — window results are emitted only for
    ``EXPANDED_ROW=False`` rows; expanded rows only provide context.
 
+Step 3 is skipped where the window's plan allows carrying
+(``CompiledWindow.carry_eligible``): the engine then seeds each
+partition with the previous partition's end state
+(:mod:`repro.offline.partial`), which needs no copies at all.
+
 The output is an exact repartitioning: results equal the unpartitioned
 computation (tested property), only the task decomposition changes.
 """
@@ -40,19 +45,14 @@ class SkewConfig:
 
     ``quantile`` is the paper's skew factor: each key's data is split into
     this many time ranges (skew 2 = doubled partition count).
-    ``min_partition_rows`` avoids splitting tiny keys.
+    ``min_partition_rows`` avoids splitting tiny keys.  How partitions
+    get their cross-partition context is not a knob: the engine carries
+    end states where the window is ``carry_eligible`` and prefixes
+    expanded rows elsewhere.
     """
 
     quantile: int = 2
     min_partition_rows: int = 64
-    hll_precision: int = 12
-    #: Replace expanded-row context with carried mergeable partials
-    #: where the window frame allows it (unbounded frames whose
-    #: aggregates all have bit-exact merges) — the map-reduce form of
-    #: the same repartitioning.  Off by default: expansion works for
-    #: every frame; carrying is the optimisation that removes the
-    #: full-history copies unbounded frames otherwise need.
-    merge_partials: bool = False
 
     def __post_init__(self) -> None:
         if self.quantile < 1:
@@ -110,7 +110,7 @@ class SkewResolver:
         quantile = self.config.quantile
         if quantile <= 1 or not ts_values:
             return []
-        sketch = HyperLogLog(self.config.hll_precision)
+        sketch = HyperLogLog()
         sketch.update(ts_values)
         estimated = max(int(sketch.cardinality()), 1)
         # The estimate chooses the sampling stride: duplicate-heavy ts
@@ -160,8 +160,8 @@ class SkewResolver:
             range_ms: window time lookback (for augmentation width).
             rows_preceding: window row-count lookback (ditto).
             augment: prepend expanded-row context (step 3).  The
-                engine's carry path passes ``False`` — carried mergeable
-                partials replace the copies entirely.
+                engine passes ``False`` for a carry-eligible window —
+                carried end states replace the copies entirely.
 
         Returns:
             Tasks sorted by (key, part_id); each task's rows time-ordered

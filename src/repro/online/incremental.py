@@ -5,10 +5,12 @@ recomputing from scratch is the quadratic behaviour the paper attributes
 to static engines.  :class:`SlidingWindowAggregator` is subtract-and-evict
 running state for one stream of tuples: each arriving tuple is *added*,
 each tuple leaving the window is *subtracted* (for invertible
-aggregates, per [Tangwongsan et al., DEBS'17]).  Non-invertible or
-order-sensitive aggregates fall back to recomputation over the retained
-buffer, so correctness never depends on invertibility.  The buffer is
-kept time-sorted, so out-of-order arrivals are supported.
+aggregates, per [Tangwongsan et al., DEBS'17]).  Where a frame evicts,
+non-invertible or order-sensitive aggregates fall back to recomputation
+over the retained buffer, so correctness never depends on
+invertibility; a frame that never evicts folds them incrementally until
+an arrival breaks time order.  The buffer is kept time-sorted, so
+out-of-order arrivals are supported.
 
 It serves stream replays — the offline engine's group folds
 (:mod:`repro.offline.partial`) and the window-union processor
@@ -45,19 +47,21 @@ class SlidingWindowAggregator:
             insert evicts relative to its own timestamp: the window
             slides with the stream, matching the offline engine and the
             window-union baseline even on disordered streams.
-        stream_ordered: promise that inserts arrive in non-decreasing
-            timestamp order.  When the frame also never evicts
-            (``range_ms`` and ``max_rows`` both None), *every* aggregate
-            — including order-sensitive and non-invertible ones — can
-            fold incrementally: the running state's add sequence equals
-            the oldest→newest recomputation, so :meth:`results` is O(1)
-            per call instead of O(window).  The offline engine's group
-            folds set this (events are pre-sorted); a violating
-            out-of-order insert quietly demotes the affected aggregates
-            back to recomputation, so the promise is an optimisation,
-            never a correctness obligation.  Callers using
-            :meth:`results_with` transient rows must leave it off — that
-            path needs ``remove``.
+        states: running states to continue from — a carry chain's
+            previous partition's end states, read back from
+            ``states`` (:mod:`repro.offline.partial`); None starts
+            afresh.  They continue exactly only on a frame that never
+            evicts, fed in time order and never asked
+            :meth:`results_with`.
+
+    A frame that never evicts (``range_ms`` and ``max_rows`` both None)
+    folds *every* aggregate incrementally, order-sensitive and
+    non-invertible ones included: while inserts arrive in time order,
+    the running state's add sequence is the oldest→newest refold.  Those
+    aggregates go back to the refold the first time that cannot hold —
+    an out-of-order insert, or a transient :meth:`results_with` row
+    they cannot ``remove``.  A frame that evicts refolds them from the
+    start.
 
     The buffer is kept sorted by timestamp (ties: arrival order, i.e. a
     later arrival sorts after earlier equal-ts entries — matching the
@@ -68,7 +72,7 @@ class SlidingWindowAggregator:
                  arg_extractors: Sequence[Callable[[Any], Tuple[Any, ...]]],
                  range_ms: Optional[int] = None,
                  max_rows: Optional[int] = None,
-                 stream_ordered: bool = False) -> None:
+                 states: Optional[List[Any]] = None) -> None:
         if len(functions) != len(arg_extractors):
             raise ValueError("functions/arg_extractors length mismatch")
         self._functions = list(functions)
@@ -79,19 +83,15 @@ class SlidingWindowAggregator:
         self._ts: List[int] = []
         self._args: List[Tuple[Tuple[Any, ...], ...]] = []
         self._start = 0
-        self._states: List[Any] = [fn.create() for fn in self._functions]
-        # With ordered inserts and a frame that never evicts, the
-        # running state's add order *is* time order, so even
-        # order-sensitive / non-invertible aggregates stay clean.
-        self._stream_ordered = (stream_ordered and range_ms is None
-                                and max_rows is None)
-        if self._stream_ordered:
-            self._dirty = [False] * len(self._functions)
-        else:
-            self._dirty = [fn.order_sensitive or not fn.invertible
-                           for fn in self._functions]
-        self.recomputations = 0
-        self.incremental_updates = 0
+        self.states: List[Any] = (
+            [fn.create() for fn in self._functions] if states is None
+            else states)
+        # _dirty is either all False or this list, never edited in place.
+        self._needs_refold = [fn.order_sensitive or not fn.invertible
+                              for fn in self._functions]
+        self._dirty = ([False] * len(self._functions)
+                       if range_ms is None and max_rows is None
+                       else self._needs_refold)
 
     def __len__(self) -> int:
         return len(self._ts) - self._start
@@ -115,18 +115,11 @@ class SlidingWindowAggregator:
             position = bisect_right(ts_list, ts, self._start, len(ts_list))
             ts_list.insert(position, ts)
             self._args.insert(position, args)
-            if self._stream_ordered:
-                # The ordering promise was broken: demote the
-                # aggregates whose clean state depended on it back to
-                # recomputation over the (sorted) buffer.
-                self._stream_ordered = False
-                for index, function in enumerate(self._functions):
-                    if function.order_sensitive or not function.invertible:
-                        self._dirty[index] = True
+            # The running state's add order is no longer time order.
+            self._dirty = self._needs_refold
         for index, function in enumerate(self._functions):
             if not self._dirty[index]:
-                function.add(self._states[index], *args[index])
-                self.incremental_updates += 1
+                function.add(self.states[index], *args[index])
         self._evict(ts)
 
     def evict_to(self, now_ts: int) -> None:
@@ -151,8 +144,7 @@ class SlidingWindowAggregator:
             args = args_list[self._start]
             for index, function in enumerate(self._functions):
                 if not self._dirty[index]:
-                    function.remove(self._states[index], *args[index])
-                    self.incremental_updates += 1
+                    function.remove(self.states[index], *args[index])
             self._start += 1
         start = self._start
         if start > _COMPACT_THRESHOLD and start * 2 > len(ts_list):
@@ -165,41 +157,42 @@ class SlidingWindowAggregator:
 
     def results(self) -> List[Any]:
         """Current aggregate values, one per configured function."""
-        output: List[Any] = []
-        for index, function in enumerate(self._functions):
-            if self._dirty[index]:
-                # Recompute from the retained buffer (oldest → newest).
-                state = function.create()
-                args_list = self._args
-                for position in range(self._start, len(args_list)):
-                    function.add(state, *args_list[position][index])
-                self.recomputations += 1
-                output.append(function.result(state))
-            else:
-                output.append(function.result(self._states[index]))
-        return output
+        return [self._refold(index) if self._dirty[index]
+                else function.result(self.states[index])
+                for index, function in enumerate(self._functions)]
 
     def results_with(self, row: Any) -> List[Any]:
         """Aggregate values as if ``row`` were in the window, transiently.
 
         Used for ``INSTANCE_NOT_IN_WINDOW`` frames where the anchor row
         participates in its own window but must not persist into later
-        ones: invertible aggregates add/compute/remove; the rest
-        recompute over buffer + row.
+        ones: invertible, order-insensitive aggregates add/compute/
+        remove; the rest go back to the refold over buffer + row.
         """
+        self._dirty = self._needs_refold
         args = tuple(extractor(row) for extractor in self._extractors)
         output: List[Any] = []
         for index, function in enumerate(self._functions):
             if self._dirty[index]:
-                state = function.create()
-                args_list = self._args
-                for position in range(self._start, len(args_list)):
-                    function.add(state, *args_list[position][index])
-                function.add(state, *args[index])
-                self.recomputations += 1
-                output.append(function.result(state))
+                output.append(self._refold(index, args[index]))
             else:
-                function.add(self._states[index], *args[index])
-                output.append(function.result(self._states[index]))
-                function.remove(self._states[index], *args[index])
+                function.add(self.states[index], *args[index])
+                output.append(function.result(self.states[index]))
+                function.remove(self.states[index], *args[index])
         return output
+
+    # ------------------------------------------------------------------
+
+    def _refold(self, index: int,
+                extra: Optional[Tuple[Any, ...]] = None) -> Any:
+        """Recompute aggregate ``index`` over the retained buffer, oldest
+        → newest, then ``extra`` (a transient row's arguments)."""
+        function = self._functions[index]
+        state = function.create()
+        args_list = self._args
+        for position in range(self._start, len(args_list)):
+            function.add(state, *args_list[position][index])
+        if extra is not None:
+            function.add(state, *extra)
+        return function.result(state)
+

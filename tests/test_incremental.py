@@ -13,8 +13,7 @@ def make(functions=(("sum", ()),), range_ms=None, max_rows=None):
     extractors = [lambda row: (row,)] * len(functions)
     return SlidingWindowAggregator(
         [get_aggregate(name, *constants) for name, constants in functions],
-        extractors,
-                                   range_ms=range_ms, max_rows=max_rows)
+        extractors, range_ms=range_ms, max_rows=max_rows)
 
 
 class TestTimeWindow:
@@ -59,22 +58,77 @@ class TestMultipleFunctions:
             SlidingWindowAggregator([get_aggregate("sum")], [])
 
 
+def count_refolds(aggregator):
+    """Record each refold of ``aggregator`` (an aggregate recomputed
+    over the buffer instead of read off its running state)."""
+    calls = []
+    refold = aggregator._refold
+
+    def counted(*args):
+        calls.append(args)
+        return refold(*args)
+
+    aggregator._refold = counted
+    return calls
+
+
+def refold(name, constants, values):
+    function = get_aggregate(name, *constants)
+    state = function.create()
+    for value in values:
+        function.add(state, value)
+    return function.result(state)
+
+
 class TestDirtyFallback:
     def test_order_sensitive_recomputed(self):
         aggregator = make((("drawdown", ()),), max_rows=10)
+        refolds = count_refolds(aggregator)
         for ts, value in enumerate((100.0, 120.0, 90.0)):
             aggregator.insert(ts, value)
         assert aggregator.results() == [pytest.approx(0.25)]
-        assert aggregator.recomputations >= 1
-        assert aggregator.incremental_updates == 0
+        assert len(refolds) >= 1
 
     def test_invertible_does_not_recompute(self):
         aggregator = make(range_ms=10)
+        refolds = count_refolds(aggregator)
         for ts in range(5):
             aggregator.insert(ts, 1.0)
-        aggregator.results()
-        assert aggregator.recomputations == 0
-        assert aggregator.incremental_updates > 0
+        assert aggregator.results() == [5.0]
+        assert refolds == []
+
+
+class TestDemotion:
+    """A frame that never evicts folds ``lag`` incrementally until an
+    arrival breaks that: then it refolds, and still answers as one."""
+
+    LAG = (("lag", (1,)),)
+
+    def test_out_of_order_insert_demotes_lag(self):
+        aggregator = make(self.LAG)
+        refolds = count_refolds(aggregator)
+        aggregator.insert(10, 1.0)
+        aggregator.insert(20, 2.0)
+        assert aggregator.results() == [1.0]
+        assert refolds == []
+        aggregator.insert(15, 3.0)     # sorts between the two
+        assert repr(aggregator.results()) \
+            == repr([refold("lag", (1,), [1.0, 3.0, 2.0])])
+        assert len(refolds) == 1
+
+    def test_results_with_demotes_lag(self):
+        aggregator = make(self.LAG)
+        refolds = count_refolds(aggregator)
+        aggregator.insert(10, 1.0)
+        aggregator.insert(20, 2.0)
+        assert aggregator.results() == [1.0]
+        assert refolds == []
+        assert repr(aggregator.results_with(5.0)) \
+            == repr([refold("lag", (1,), [1.0, 2.0, 5.0])])
+        # The transient row is gone again, and lag stays demoted.
+        assert repr(aggregator.results()) \
+            == repr([refold("lag", (1,), [1.0, 2.0])])
+        assert len(refolds) == 2
 
 
 class TestEvictTo:

@@ -256,8 +256,7 @@ class TestExecutionModes:
                "UNBOUNDED PRECEDING AND CURRENT ROW)")
         engine, compiled = build(sql, {"t": table})
         plain, _ = engine.execute(compiled)
-        skew = SkewConfig(quantile=4, min_partition_rows=20,
-                          merge_partials=True)
+        skew = SkewConfig(quantile=4, min_partition_rows=20)
         rows, stats = engine.execute(compiled, skew=skew)
         assert rows_equal(rows, plain)
         assert stats.carry_tasks == 4

@@ -1,17 +1,20 @@
 """Differential test — however the offline engine's one body is run, it
-computes the same feature rows.
+computes the same feature rows, and they are the served answer.
 
-The plain run (no skew, no spill) is the reference.  Against it:
+The oracle is the online engine replaying the same rows: each primary
+row is requested just before it is stored (the replay of
+:mod:`repro.core.consistency`).  Against it:
 
-* **skew** — (key, PART_ID) splitting along ts quantiles, with
-  expanded-row context and with carried partials
-  (``merge_partials=True``: each partition continues from the previous
-  one's end state);
+* **skew** — (key, PART_ID) splitting along ts quantiles.  The plan
+  decides the context: a ``carry_eligible`` window continues each
+  partition from the previous one's end state, any other window
+  prefixes expanded rows;
 * **spill** — the shuffle through the external sorter on a tiny budget.
 
 ``test_one_body_differential`` crosses the two over a script with
-``lag``, ``ew_avg``, ``drawdown``, ``variance``, a ``WINDOW UNION`` and
-an ``EXCLUDE CURRENT_ROW`` frame.  Equality is exact (``==`` and
+``lag``, ``ew_avg``, ``drawdown``, ``variance``, disordered ``WINDOW
+UNION`` rows, and ``EXCLUDE CURRENT_ROW`` and ``INSTANCE_NOT_IN_WINDOW``
+frames that never evict.  Equality is exact (``==`` and
 ``repr``-equal), including ``sum`` / ``avg`` / ``variance`` /
 ``stddev`` over a ``double`` column whose values (±1e16, 1.0, 0.1)
 make float addition order-dependent: a carried chain must replay the
@@ -34,6 +37,7 @@ from tests.conftest import rows_equal
 from repro.obs import Observability
 from repro.offline import SkewConfig, SpillConfig
 from repro.offline.engine import OfflineEngine
+from repro.online.engine import OnlineEngine
 from repro.schema import IndexDef, Schema
 from repro.sql.compiler import compile_plan
 from repro.sql.parser import parse_select
@@ -55,8 +59,6 @@ FRAMES = (
 )
 
 SKEW = SkewConfig(quantile=3, min_partition_rows=4)
-SKEW_CARRY = SkewConfig(quantile=3, min_partition_rows=4,
-                        merge_partials=True)
 
 
 def _compile(frame):
@@ -85,7 +87,14 @@ def _identical(rows, base):
 # (w_ord), eligible with the anchor excluded (w_excl), and a bounded
 # WINDOW UNION frame that must replay expanded rows (w_union).  w_all
 # also folds the double column d, where only a fold that keeps the
-# serial order of additions reproduces the plain run's bits.
+# serial order of additions reproduces the plain run's bits.  The last
+# three never evict but cannot carry: order-sensitive and
+# non-invertible aggregates with the anchor excluded (w_ex_ord), and a
+# WINDOW UNION whose anchor joins its own window transiently (w_inst)
+# or not at all (w_inst_ex).
+ORDERED = ("lag(v, 1) OVER {w} AS lg_{w}, ew_avg(v, 0.3) OVER {w} AS ew_{w}, "
+           "drawdown(v) OVER {w} AS dd_{w}, sum(d) OVER {w} AS sd_{w}")
+UNBOUNDED = "ROWS_RANGE BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW"
 RICH_SQL = (
     "SELECT k, sum(v) OVER w_all AS s, lag(v, 2) OVER w_all AS lg, "
     "variance(v) OVER w_all AS var, min(v) OVER w_all AS mn, "
@@ -95,19 +104,45 @@ RICH_SQL = (
     "ew_avg(v, 0.3) OVER w_ord AS ew, drawdown(v) OVER w_ord AS dd, "
     "count(v) OVER w_ord AS c, "
     "sum(v) OVER w_excl AS s_ex, lag(v, 1) OVER w_excl AS lg_ex, "
-    "sum(v) OVER w_union AS s_un, max(v) OVER w_union AS mx_un "
-    "FROM t WINDOW "
-    "w_all AS (PARTITION BY k ORDER BY ts "
-    "ROWS_RANGE BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW), "
+    "sum(v) OVER w_union AS s_un, max(v) OVER w_union AS mx_un, "
+    + ", ".join(ORDERED.format(w=w)
+                for w in ("w_ex_ord", "w_inst", "w_inst_ex"))
+    + " FROM t WINDOW "
+    f"w_all AS (PARTITION BY k ORDER BY ts {UNBOUNDED}), "
     "w_ord AS (PARTITION BY k ORDER BY ts "
     "ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW), "
-    "w_excl AS (PARTITION BY k ORDER BY ts ROWS_RANGE BETWEEN "
-    "UNBOUNDED PRECEDING AND CURRENT ROW EXCLUDE CURRENT_ROW), "
+    f"w_excl AS (PARTITION BY k ORDER BY ts {UNBOUNDED} "
+    "EXCLUDE CURRENT_ROW), "
     "w_union AS (UNION u PARTITION BY k ORDER BY ts "
-    "ROWS_RANGE BETWEEN 40 PRECEDING AND CURRENT ROW)")
+    "ROWS_RANGE BETWEEN 40 PRECEDING AND CURRENT ROW), "
+    f"w_ex_ord AS (PARTITION BY k ORDER BY ts {UNBOUNDED} "
+    "EXCLUDE CURRENT_ROW), "
+    f"w_inst AS (UNION u PARTITION BY k ORDER BY ts {UNBOUNDED} "
+    "INSTANCE_NOT_IN_WINDOW), "
+    f"w_inst_ex AS (UNION u PARTITION BY k ORDER BY ts {UNBOUNDED} "
+    "EXCLUDE CURRENT_ROW INSTANCE_NOT_IN_WINDOW)")
 
 
 DOUBLES = (1e16, 0.1, -1e16, 1.0, None, 0.1, 1e16)
+
+
+def _served(tables, compiled):
+    """The online answer for each primary row: every row replays into
+    empty tables in (ts, table, sequence) order, and each primary row is
+    requested just before it is stored."""
+    fresh = {name: MemTable(name, table.schema, table.indexes)
+             for name, table in tables.items()}
+    engine = OnlineEngine(fresh)
+    replay = sorted(
+        (row[1], rank, sequence, name, row)
+        for rank, name in enumerate(("t", "u"))
+        for sequence, row in enumerate(tables[name].rows()))
+    served = [None] * tables["t"].row_count
+    for _ts, _rank, sequence, name, row in replay:
+        if name == "t":
+            served[sequence] = engine.execute_request(compiled, row)
+        fresh[name].insert(row)
+    return served
 
 
 @pytest.fixture(scope="module")
@@ -122,30 +157,34 @@ def rich():
         value = None if i % 11 == 0 else (i * 7) % 23 - 11
         tables["t"].insert((key, (i * 17) % 211, value,
                             DOUBLES[i % len(DOUBLES)]))
-    for i in range(40):
-        tables["u"].insert((KEYS[i % 3], (i * 29) % 211, i % 9 - 4, 0.1))
+    for i in range(40):      # union rows arrive out of time order too
+        tables["u"].insert((KEYS[i % 3], (i * 29) % 211, i % 9 - 4,
+                            DOUBLES[i % len(DOUBLES)]))
     catalog = {name: schema for name in tables}
     compiled = compile_plan(build_plan(parse_select(RICH_SQL), catalog),
                             catalog)
-    engine = OfflineEngine(tables, workers=4)
-    base, _ = engine.execute(compiled)
-    return engine, compiled, base
+    return OfflineEngine(tables, workers=4), compiled, _served(tables,
+                                                               compiled)
 
 
 @pytest.mark.parametrize("spill", [None, SpillConfig(memory_budget_bytes=256)],
                          ids=["memory", "spill"])
-@pytest.mark.parametrize("skew", [None, SKEW, SKEW_CARRY],
-                         ids=["no-skew", "expanded", "carried"])
+@pytest.mark.parametrize("skew", [None, SKEW], ids=["no-skew", "skew"])
 def test_one_body_differential(rich, skew, spill):
-    engine, compiled, base = rich
+    engine, compiled, served = rich
     rows, stats = engine.execute(compiled, skew=skew, spill=spill)
-    _identical(rows, base)
+    _identical(rows, served)
     assert stats.used_parallel_windows
-    assert (stats.carry_tasks > 0) == (skew is SKEW_CARRY)
-    assert stats.tasks > (3 * 4 if skew else 0)
+    # Both kinds of skew task run: carried for the eligible windows,
+    # expanded rows for the rest.
+    eligible = {name for name, window in compiled.windows.items()
+                if window.carry_eligible}
+    assert eligible == {"w_all", "w_excl"}
+    assert (stats.carry_tasks > 0) == (skew is not None)
+    assert stats.tasks > (3 * len(compiled.windows) if skew else 0)
     if spill is not None:
         assert stats.shuffle["runs"] >= 1
-        assert stats.shuffle["rows"] == 4 * 150 + 40
+        assert stats.shuffle["rows"] == 7 * 150 + 3 * 40
 
 
 events_strategy = st.lists(
@@ -164,10 +203,13 @@ def test_random_schedules_byte_identical(events, frame, workers):
     schema, compiled = _compile(frame)
     engine = OfflineEngine({"t": _table(schema, events)}, workers=workers)
     base, base_stats = engine.execute(compiled)
-    for skew in (SKEW, SKEW_CARRY):
-        rows, stats = engine.execute(compiled, skew=skew)
-        _identical(rows, base)
-        assert stats.rows == base_stats.rows
+    rows, stats = engine.execute(compiled, skew=SKEW)
+    _identical(rows, base)
+    assert stats.rows == base_stats.rows
+    # A window carries exactly when its plan allows it and a key split.
+    split = stats.tasks > len({key for key, _ts, _value in events})
+    assert (stats.carry_tasks > 0) \
+        == (split and compiled.windows["w"].carry_eligible)
 
 
 @given(events=events_strategy)
@@ -189,7 +231,7 @@ def test_spill_shuffle_byte_identical(events):
 def test_empty_table():
     schema, compiled = _compile(FRAMES[0])
     engine = OfflineEngine({"t": _table(schema, [])}, workers=4)
-    rows, stats = engine.execute(compiled, skew=SKEW_CARRY)
+    rows, stats = engine.execute(compiled, skew=SKEW)
     assert rows == []
     assert stats.rows == 0
 
@@ -210,7 +252,7 @@ def test_smoke_carried_partials_round_trip():
     schema, compiled, events = _smoke_data()
     engine = OfflineEngine({"t": _table(schema, events)}, workers=4)
     base, _ = engine.execute(compiled)
-    rows, stats = engine.execute(compiled, skew=SKEW_CARRY)
+    rows, stats = engine.execute(compiled, skew=SKEW)
     assert rows_equal(rows, base)
     assert stats.carry_tasks > 0
 
