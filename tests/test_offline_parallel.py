@@ -95,32 +95,47 @@ def _identical(rows, base):
 ORDERED = ("lag(v, 1) OVER {w} AS lg_{w}, ew_avg(v, 0.3) OVER {w} AS ew_{w}, "
            "drawdown(v) OVER {w} AS dd_{w}, sum(d) OVER {w} AS sd_{w}")
 UNBOUNDED = "ROWS_RANGE BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW"
-RICH_SQL = (
-    "SELECT k, sum(v) OVER w_all AS s, lag(v, 2) OVER w_all AS lg, "
-    "variance(v) OVER w_all AS var, min(v) OVER w_all AS mn, "
-    "distinct_count(v) OVER w_all AS dc, "
-    "sum(d) OVER w_all AS sd, avg(d) OVER w_all AS ad, "
-    "variance(d) OVER w_all AS vd, stddev(d) OVER w_all AS sdd, "
-    "ew_avg(v, 0.3) OVER w_ord AS ew, drawdown(v) OVER w_ord AS dd, "
-    "count(v) OVER w_ord AS c, "
-    "sum(v) OVER w_excl AS s_ex, lag(v, 1) OVER w_excl AS lg_ex, "
-    "sum(v) OVER w_union AS s_un, max(v) OVER w_union AS mx_un, "
-    + ", ".join(ORDERED.format(w=w)
-                for w in ("w_ex_ord", "w_inst", "w_inst_ex"))
-    + " FROM t WINDOW "
-    f"w_all AS (PARTITION BY k ORDER BY ts {UNBOUNDED}), "
-    "w_ord AS (PARTITION BY k ORDER BY ts "
-    "ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW), "
-    f"w_excl AS (PARTITION BY k ORDER BY ts {UNBOUNDED} "
-    "EXCLUDE CURRENT_ROW), "
-    "w_union AS (UNION u PARTITION BY k ORDER BY ts "
-    "ROWS_RANGE BETWEEN 40 PRECEDING AND CURRENT ROW), "
-    f"w_ex_ord AS (PARTITION BY k ORDER BY ts {UNBOUNDED} "
-    "EXCLUDE CURRENT_ROW), "
-    f"w_inst AS (UNION u PARTITION BY k ORDER BY ts {UNBOUNDED} "
-    "INSTANCE_NOT_IN_WINDOW), "
-    f"w_inst_ex AS (UNION u PARTITION BY k ORDER BY ts {UNBOUNDED} "
-    "EXCLUDE CURRENT_ROW INSTANCE_NOT_IN_WINDOW)")
+WINDOWS = {     # name -> (select items, window definition)
+    "w_all": ("sum(v) OVER w_all AS s, lag(v, 2) OVER w_all AS lg, "
+              "variance(v) OVER w_all AS var, min(v) OVER w_all AS mn, "
+              "distinct_count(v) OVER w_all AS dc, "
+              "sum(d) OVER w_all AS sd, avg(d) OVER w_all AS ad, "
+              "variance(d) OVER w_all AS vd, stddev(d) OVER w_all AS sdd",
+              f"PARTITION BY k ORDER BY ts {UNBOUNDED}"),
+    "w_ord": ("ew_avg(v, 0.3) OVER w_ord AS ew, drawdown(v) OVER w_ord AS dd, "
+              "count(v) OVER w_ord AS c",
+              "PARTITION BY k ORDER BY ts "
+              "ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW"),
+    "w_excl": ("sum(v) OVER w_excl AS s_ex, lag(v, 1) OVER w_excl AS lg_ex",
+               f"PARTITION BY k ORDER BY ts {UNBOUNDED} EXCLUDE CURRENT_ROW"),
+    "w_union": ("sum(v) OVER w_union AS s_un, max(v) OVER w_union AS mx_un",
+                "UNION u PARTITION BY k ORDER BY ts "
+                "ROWS_RANGE BETWEEN 40 PRECEDING AND CURRENT ROW"),
+    "w_ex_ord": (ORDERED.format(w="w_ex_ord"),
+                 f"PARTITION BY k ORDER BY ts {UNBOUNDED} "
+                 "EXCLUDE CURRENT_ROW"),
+    "w_inst": (ORDERED.format(w="w_inst"),
+               f"UNION u PARTITION BY k ORDER BY ts {UNBOUNDED} "
+               "INSTANCE_NOT_IN_WINDOW"),
+    "w_inst_ex": (ORDERED.format(w="w_inst_ex"),
+                  f"UNION u PARTITION BY k ORDER BY ts {UNBOUNDED} "
+                  "EXCLUDE CURRENT_ROW INSTANCE_NOT_IN_WINDOW"),
+}
+CARRIED = {"w_all", "w_excl"}       # the windows the plan lets carry
+UNIONS = {"w_union", "w_inst", "w_inst_ex"}
+
+
+def _script(names):
+    return ("SELECT k, " + ", ".join(WINDOWS[name][0] for name in names)
+            + " FROM t WINDOW "
+            + ", ".join(f"{name} AS ({WINDOWS[name][1]})" for name in names))
+
+
+# The differential's scripts: all seven windows, where a skew run takes
+# both paths, and the five that cannot carry, where every skew task
+# prefixes expanded rows.
+SCRIPTS = {"rich": list(WINDOWS),
+           "expanded": [name for name in WINDOWS if name not in CARRIED]}
 
 
 DOUBLES = (1e16, 0.1, -1e16, 1.0, None, 0.1, 1e16)
@@ -161,30 +176,38 @@ def rich():
         tables["u"].insert((KEYS[i % 3], (i * 29) % 211, i % 9 - 4,
                             DOUBLES[i % len(DOUBLES)]))
     catalog = {name: schema for name in tables}
-    compiled = compile_plan(build_plan(parse_select(RICH_SQL), catalog),
-                            catalog)
-    return OfflineEngine(tables, workers=4), compiled, _served(tables,
-                                                               compiled)
+    plans = {}
+    for script, names in SCRIPTS.items():
+        compiled = compile_plan(
+            build_plan(parse_select(_script(names)), catalog), catalog)
+        plans[script] = (compiled, _served(tables, compiled))
+    return OfflineEngine(tables, workers=4), plans
 
 
 @pytest.mark.parametrize("spill", [None, SpillConfig(memory_budget_bytes=256)],
                          ids=["memory", "spill"])
-@pytest.mark.parametrize("skew", [None, SKEW], ids=["no-skew", "skew"])
-def test_one_body_differential(rich, skew, spill):
-    engine, compiled, served = rich
+@pytest.mark.parametrize("arm", ["no-skew", "expanded", "carried"])
+def test_one_body_differential(rich, arm, spill):
+    """no-skew and carried run every window, without and with skew: a
+    carried run takes both paths, carried for the eligible windows and
+    expanded rows for the rest.  expanded runs, with skew, only the
+    windows that cannot carry."""
+    engine, plans = rich
+    compiled, served = plans["expanded" if arm == "expanded" else "rich"]
+    skew = None if arm == "no-skew" else SKEW
     rows, stats = engine.execute(compiled, skew=skew, spill=spill)
     _identical(rows, served)
     assert stats.used_parallel_windows
-    # Both kinds of skew task run: carried for the eligible windows,
-    # expanded rows for the rest.
     eligible = {name for name, window in compiled.windows.items()
                 if window.carry_eligible}
-    assert eligible == {"w_all", "w_excl"}
-    assert (stats.carry_tasks > 0) == (skew is not None)
+    assert eligible == CARRIED & set(compiled.windows)
+    assert (stats.carry_tasks > 0) == (arm == "carried")
     assert stats.tasks > (3 * len(compiled.windows) if skew else 0)
     if spill is not None:
         assert stats.shuffle["runs"] >= 1
-        assert stats.shuffle["rows"] == 7 * 150 + 3 * 40
+        assert stats.shuffle["rows"] == (
+            150 * len(compiled.windows)
+            + 40 * len(UNIONS & set(compiled.windows)))
 
 
 events_strategy = st.lists(

@@ -35,5 +35,42 @@ def test_makespan_bounds_property(tasks, workers):
     total = sum(tasks)
     lower = max(max(tasks), total / workers)
     assert lower - 1e-9 <= makespan <= total + 1e-9
-    # LPT is a 4/3-approximation of the optimum ≥ lower bound.
-    assert makespan <= lower * (4 / 3) + max(tasks) / 3 + 1e-9
+    # Any list schedule ends by the time the last-started task, begun
+    # no later than the mean load of the others, finishes (Graham).
+    assert makespan <= total / workers \
+        + (1 - 1 / workers) * max(tasks) + 1e-9
+    # LPT is within 4/3 - 1/(3m) of the optimum; the optimum, not the
+    # lower bound: six unit tasks on five workers take 2 against 1.2.
+    if len(tasks) <= 8:
+        bound = (4 / 3 - 1 / (3 * workers)) * _optimal_makespan(tasks,
+                                                                 workers)
+        assert makespan <= bound + 1e-9
+
+
+def _optimal_makespan(tasks, workers):
+    """Exhaustive optimum: each task joins an open worker or opens the
+    next one, so no relabelling of workers is tried twice."""
+    best = sum(tasks)
+
+    def place(i, loads):
+        nonlocal best
+        if max(loads, default=0.0) >= best:
+            return
+        if i == len(tasks):
+            best = max(loads, default=0.0)
+            return
+        for w in range(len(loads)):
+            loads[w] += tasks[i]
+            place(i + 1, loads)
+            loads[w] -= tasks[i]
+        if len(loads) < workers:
+            place(i + 1, loads + [tasks[i]])
+
+    place(0, [])
+    return best
+
+
+def test_optimal_makespan_oracle():
+    assert _optimal_makespan([1.0] * 6, 5) == 2.0
+    assert _optimal_makespan([3.0, 3.0, 2.0, 2.0, 2.0], 2) == 6.0
+    assert lpt_makespan([3.0, 3.0, 2.0, 2.0, 2.0], 2) == 7.0
