@@ -61,8 +61,9 @@ examples:
 # `--path put --rounds 20000` profiles the write path instead (INSERT
 # parse + NameServer.put with a WAL, on the perfbench table shape);
 # `--path wire --rounds 5000` serves perfbench's wire_point over pg-wire
-# and prints the server's CPU per read thread by thread, and the
-# context switches per read of server and generator; `--path rss --top 8`
+# and prints the server's CPU per read and per write thread by thread,
+# and the context switches per op of server and generator (one CPU, one
+# connection: it cannot show savings from overlap); `--path rss --top 8`
 # loads each perfbench workload's preload into a NameServer in a child
 # process and prints its RSS after the load, the share of rows in sealed
 # blocks and the top tracemalloc lines in bytes per row (the footprint

@@ -7,6 +7,7 @@ import contextlib
 import gc
 import json
 import pathlib
+import re
 import statistics
 import time
 
@@ -42,25 +43,57 @@ def record_bench(figure, **medians):
     The file at the repo root maps figure name → {metric: median}; each
     benchmark run overwrites its own figure's entry and leaves the rest,
     so successive runs accumulate one comparable record per figure for
-    regression tracking.  A run with ``--benchmark-disable`` writes
-    nothing.
+    regression tracking.  Only that entry's text changes: every other
+    entry, the hand-written ledger entries included, keeps its bytes and
+    its key order.  A run with ``--benchmark-disable`` writes nothing.
     """
     if _result_guard is not None:
         _result_guard(figure)
     if not _recording:
         return
     try:
-        results = json.loads(BENCH_RESULTS_PATH.read_text())
-        if not isinstance(results, dict):
-            results = {}
+        text = BENCH_RESULTS_PATH.read_text()
+        results = json.loads(text)
     except (FileNotFoundError, ValueError):
-        results = {}
-    entry = results.setdefault(figure, {})
+        text, results = "{}\n", {}
+    if not isinstance(results, dict):
+        text, results = "{}\n", {}
+    entry = results.get(figure)
+    if not isinstance(entry, dict):
+        entry = {}
     for metric, value in medians.items():
         entry[metric] = round(value, 6) if isinstance(value, float) \
             else value
-    BENCH_RESULTS_PATH.write_text(
-        json.dumps(results, indent=2, sort_keys=True) + "\n")
+    BENCH_RESULTS_PATH.write_text(_with_entry(text, figure, entry))
+
+
+_JSON_BLANKS = re.compile(r"[ \t\n\r]*")
+
+
+def _with_entry(text, name, entry):
+    """``text``, a JSON object, with the value of its top-level key
+    ``name`` replaced by ``entry`` (or ``entry`` added as its last key),
+    every other byte kept."""
+    rendered = json.dumps(entry, indent=2).replace("\n", "\n  ")
+    decoder = json.JSONDecoder()
+    position = _JSON_BLANKS.match(text, text.index("{") + 1).end()
+    last_end = None
+    while text[position] == '"':
+        key, position = json.decoder.scanstring(text, position + 1)
+        position = _JSON_BLANKS.match(text, position).end() + 1  # ":"
+        start = _JSON_BLANKS.match(text, position).end()
+        _value, end = decoder.raw_decode(text, start)
+        if key == name:
+            return text[:start] + rendered + text[end:]
+        last_end = end
+        position = _JSON_BLANKS.match(text, end).end()
+        if text[position] == ",":
+            position = _JSON_BLANKS.match(text, position + 1).end()
+    addition = f"\n  {json.dumps(name)}: {rendered}"
+    if last_end is None:
+        close = text.index("}")
+        return text[:close].rstrip() + addition + "\n" + text[close:]
+    return text[:last_end] + "," + addition + text[last_end:]
 
 
 @contextlib.contextmanager

@@ -221,9 +221,9 @@ class TabletServer:
         for position, payload in enumerate(image.rows):
             for event in due.pop(position, ()):
                 store.apply_event(event)
-            row = codec.decode(payload)
-            self.governor.charge(codec.encoded_size(row))
-            store.insert(row)
+            size = len(payload)
+            self.governor.charge(size)
+            store.insert(codec.decode(payload), size)
         for event in due.pop(len(image.rows), ()):
             store.apply_event(event)
         shard.applied_offset = image.applied_offset
@@ -297,12 +297,13 @@ class TabletServer:
         The row arrives checked — the host validated it once at its
         boundary, and every replica stores that same tuple — so the
         only check left is the memtable's own (cheap for a checked
-        row); a row it refuses hands its charge back.
+        row); the size charged is the one the store records, computed
+        once; a row the store refuses hands its charge back.
         """
         size = shard.store.codec.encoded_size(row)
         self.governor.charge(size)
         try:
-            shard.store.insert(row)
+            shard.store.insert(row, size)
         except BaseException:
             self.governor.release(size)
             raise

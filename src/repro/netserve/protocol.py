@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import datetime
 import struct
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import (DeadlineExceededError, DeploymentNotFoundError,
                       LexError, MemoryLimitExceededError, OpenMLDBError,
@@ -29,7 +29,7 @@ from ..types import ColumnType
 __all__ = [
     "PROTOCOL_VERSION_3", "SSL_REQUEST_CODE", "CANCEL_REQUEST_CODE",
     "GSSENC_REQUEST_CODE", "TYPE_OIDS", "TEXT_OID",
-    "sqlstate_for", "encode_text", "decode_parameter",
+    "sqlstate_for", "encode_text", "decode_parameter", "ParamDecoders",
     "authentication_ok", "parameter_status", "backend_key_data",
     "ready_for_query", "command_complete", "empty_query_response",
     "row_description", "data_row", "parse_complete", "bind_complete",
@@ -127,17 +127,98 @@ def encode_text(value: Any) -> Optional[bytes]:
     return str(value).encode("utf-8")
 
 
+# ----------------------------------------------------------------------
+# parameter decoding
+#
+# One decoder per (type, format), each a plain ``bytes -> value``
+# function that raises ValueError / OverflowError / struct.error on a
+# value it cannot read; the caller turns that into TypeMismatchError.
+
 _TRUE_TEXT = {"t", "true", "1", "yes", "on"}
 _FALSE_TEXT = {"f", "false", "0", "no", "off"}
 
-_BINARY_UNPACK = {
-    ColumnType.SMALLINT: ">h",
-    ColumnType.INT: ">i",
-    ColumnType.BIGINT: ">q",
-    ColumnType.TIMESTAMP: ">q",
-    ColumnType.FLOAT: ">f",
-    ColumnType.DOUBLE: ">d",
+
+# int() and float() read ASCII bytes as they read the same text; only
+# bytes they refuse are decoded and read again, for the Unicode digits
+# and blanks the text forms also take.
+
+def _text_int(raw: bytes) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        return int(raw.decode("utf-8"))
+
+
+def _text_float(raw: bytes) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        return float(raw.decode("utf-8"))
+
+
+def _text_bool(raw: bytes) -> bool:
+    text = raw.decode("utf-8")
+    lowered = text.strip().lower()
+    if lowered in _TRUE_TEXT:
+        return True
+    if lowered in _FALSE_TEXT:
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+def _text_date(raw: bytes) -> datetime.date:
+    return datetime.date.fromisoformat(raw.decode("utf-8").strip())
+
+
+def _binary_fixed(fmt: str) -> Callable[[bytes], Any]:
+    unpack = struct.Struct(fmt).unpack  # struct.error on a wrong length
+    return lambda raw: unpack(raw)[0]
+
+
+def _binary_bool(raw: bytes) -> bool:
+    if len(raw) != 1:
+        raise ValueError("boolean must be one byte")
+    return raw != b"\x00"
+
+
+def _binary_date(raw: bytes) -> datetime.date:
+    (days,) = struct.unpack(">i", raw)
+    return _POSTGRES_EPOCH_DATE + datetime.timedelta(days=days)
+
+
+_TEXT_DECODERS = {
+    ColumnType.BOOL: _text_bool,
+    ColumnType.SMALLINT: _text_int,
+    ColumnType.INT: _text_int,
+    ColumnType.BIGINT: _text_int,
+    ColumnType.TIMESTAMP: _text_int,
+    ColumnType.FLOAT: _text_float,
+    ColumnType.DOUBLE: _text_float,
+    ColumnType.DATE: _text_date,
+    ColumnType.STRING: bytes.decode,  # UTF-8
 }
+
+#: Binary format: network byte order for the fixed-width types (as
+#: psycopg sends once it knows the OID), UTF-8 for a string.
+_BINARY_DECODERS = {
+    ColumnType.BOOL: _binary_bool,
+    ColumnType.SMALLINT: _binary_fixed(">h"),
+    ColumnType.INT: _binary_fixed(">i"),
+    ColumnType.BIGINT: _binary_fixed(">q"),
+    ColumnType.TIMESTAMP: _binary_fixed(">q"),
+    ColumnType.FLOAT: _binary_fixed(">f"),
+    ColumnType.DOUBLE: _binary_fixed(">d"),
+    ColumnType.DATE: _binary_date,
+    ColumnType.STRING: bytes.decode,  # UTF-8
+}
+
+_DECODE_ERRORS = (ValueError, OverflowError, struct.error)
+
+
+def _undecodable(raw: bytes, column_type: ColumnType,
+                 error: Exception) -> TypeMismatchError:
+    return TypeMismatchError(f"cannot decode parameter {raw!r} as "
+                             f"{column_type.sql_name}: {error}")
 
 
 def decode_parameter(raw: Optional[bytes], column_type: ColumnType,
@@ -151,49 +232,42 @@ def decode_parameter(raw: Optional[bytes], column_type: ColumnType,
     """
     if raw is None:
         return None
+    decoders = _BINARY_DECODERS if binary else _TEXT_DECODERS
     try:
-        if binary:
-            return _decode_binary(raw, column_type)
-        return _decode_text(raw.decode("utf-8"), column_type)
-    except (ValueError, OverflowError, struct.error) as exc:
-        raise TypeMismatchError(
-            f"cannot decode parameter {raw!r} as "
-            f"{column_type.sql_name}: {exc}") from None
+        return decoders[column_type](raw)
+    except _DECODE_ERRORS as exc:
+        raise _undecodable(raw, column_type, exc) from None
 
 
-def _decode_text(text: str, column_type: ColumnType) -> Any:
-    if column_type in (ColumnType.SMALLINT, ColumnType.INT,
-                       ColumnType.BIGINT, ColumnType.TIMESTAMP):
-        return int(text)
-    if column_type in (ColumnType.FLOAT, ColumnType.DOUBLE):
-        return float(text)
-    if column_type is ColumnType.BOOL:
-        lowered = text.strip().lower()
-        if lowered in _TRUE_TEXT:
-            return True
-        if lowered in _FALSE_TEXT:
-            return False
-        raise ValueError(f"not a boolean: {text!r}")
-    if column_type is ColumnType.DATE:
-        return datetime.date.fromisoformat(text.strip())
-    return text
+class ParamDecoders(NamedTuple):
+    """A prepared statement's parameter types and their decoders, built
+    once when the statement is parsed and used by every Bind of it."""
 
+    types: Tuple[ColumnType, ...]
+    text: Tuple[Callable[[bytes], Any], ...]
+    binary: Tuple[Callable[[bytes], Any], ...]
 
-def _decode_binary(raw: bytes, column_type: ColumnType) -> Any:
-    fmt = _BINARY_UNPACK.get(column_type)
-    if fmt is not None:
-        if len(raw) != struct.calcsize(fmt):
-            raise ValueError(f"expected {struct.calcsize(fmt)} bytes, "
-                             f"got {len(raw)}")
-        return struct.unpack(fmt, raw)[0]
-    if column_type is ColumnType.BOOL:
-        if len(raw) != 1:
-            raise ValueError("boolean must be one byte")
-        return raw != b"\x00"
-    if column_type is ColumnType.DATE:
-        (days,) = struct.unpack(">i", raw)
-        return _POSTGRES_EPOCH_DATE + datetime.timedelta(days=days)
-    return raw.decode("utf-8")        # STRING: binary == utf-8 text
+    @classmethod
+    def of(cls, types: Sequence[ColumnType]) -> "ParamDecoders":
+        return cls(tuple(types),
+                   tuple(_TEXT_DECODERS[kind] for kind in types),
+                   tuple(_BINARY_DECODERS[kind] for kind in types))
+
+    def pick(self, formats: Sequence[int]
+             ) -> Tuple[Optional[Callable[[bytes], Any]], ...]:
+        """The decoder per parameter under Bind's format-code rule: no
+        code = all text, one code = for all, otherwise one code per
+        parameter (nonzero = binary) — None past the end of a list
+        that is too short."""
+        if not formats:
+            return self.text
+        if len(formats) == 1:
+            return self.binary if formats[0] else self.text
+        return tuple(
+            (binary if formats[index] else text)
+            if index < len(formats) else None
+            for index, (text, binary) in enumerate(zip(self.text,
+                                                       self.binary)))
 
 
 # ----------------------------------------------------------------------
@@ -231,15 +305,7 @@ class Buffer:
         return self.read_bytes(1)[0]
 
     def read_cstr(self) -> str:
-        end = self._data.find(b"\x00", self._pos)
-        if end < 0:
-            raise ProtocolError("unterminated string in message")
-        try:
-            out = self._data[self._pos:end].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ProtocolError(f"string in message is not UTF-8: {exc}"
-                                ) from None
-        self._pos = end + 1
+        out, self._pos = _cstr_at(self._data, self._pos)
         return out
 
 
@@ -410,18 +476,96 @@ def parse_parse(payload: bytes) -> Tuple[str, str, List[int]]:
     return statement, sql, oids
 
 
-def parse_bind(payload: bytes) -> Tuple[str, str, List[int],
-                                        List[Optional[bytes]], List[int]]:
-    buf = Buffer(payload)
-    portal = buf.read_cstr()
-    statement = buf.read_cstr()
-    param_formats = [buf.read_int16() for _ in range(buf.read_int16())]
-    params: List[Optional[bytes]] = []
-    for _ in range(buf.read_int16()):
-        length = buf.read_int32()
-        params.append(None if length < 0 else buf.read_bytes(length))
-    result_formats = [buf.read_int16() for _ in range(buf.read_int16())]
-    return portal, statement, param_formats, params, result_formats
+_INT16 = struct.Struct(">h").unpack_from
+_INT32 = struct.Struct(">i").unpack_from
+
+
+def _cstr_at(data: bytes, start: int) -> Tuple[str, int]:
+    """The NUL-terminated UTF-8 string at ``start``, and the offset past
+    its terminator."""
+    end = data.find(b"\x00", start)
+    if end < 0:
+        raise ProtocolError("unterminated string in message")
+    try:
+        return data[start:end].decode("utf-8"), end + 1
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"string in message is not UTF-8: {exc}"
+                            ) from None
+
+
+def parse_bind(payload: bytes,
+               decoders: Optional[Callable[[str], Optional[ParamDecoders]]]
+               = None) -> Tuple[str, str, Sequence[int], List[Any],
+                                Sequence[int]]:
+    """Read one Bind payload front to back, once:
+    ``(portal, statement, param_formats, params, result_formats)``.
+
+    ``decoders(statement)`` is asked once the statement name is read.
+    When it returns a :class:`ParamDecoders` for as many parameters as
+    the frame carries, each parameter is decoded as it is read, under
+    :meth:`ParamDecoders.pick`'s format rule; otherwise ``params`` holds
+    the raw bytes.  A NULL (length -1) is None either way.
+
+    A frame cut short raises :class:`~repro.errors.ProtocolError`
+    (08P01) wherever the cut is.  Only once the whole frame is read does
+    the first parameter that failed raise: a
+    :class:`~repro.errors.TypeMismatchError` (22P02) for a value that
+    does not decode, a ``ProtocolError`` for one past a short format
+    list.
+    """
+    portal, position = _cstr_at(payload, 0)
+    statement, position = _cstr_at(payload, position)
+    chosen = decoders(statement) if decoders is not None else None
+    params: List[Any] = []
+    append = params.append
+    failure: Optional[Exception] = None
+    try:
+        (count,) = _INT16(payload, position)
+        position += 2
+        formats = struct.unpack_from(f">{count}h", payload, position) \
+            if count > 0 else ()
+        position += 2 * len(formats)
+        (count,) = _INT16(payload, position)
+        position += 2
+        picked = chosen.pick(formats) \
+            if chosen is not None and count == len(chosen.types) else None
+        size = len(payload)
+        for index in range(count):
+            (length,) = _INT32(payload, position)
+            position += 4
+            if length < 0:
+                raw = None
+            else:
+                end = position + length
+                if end > size:
+                    raise struct.error(f"parameter {index + 1} runs "
+                                       "past the end of the frame")
+                raw = payload[position:end]
+                position = end
+            if picked is None:
+                append(raw)
+            elif failure is None:
+                decode = picked[index]
+                if decode is None:
+                    failure = ProtocolError(
+                        "parameter format count mismatch")
+                elif raw is None:
+                    append(None)
+                else:
+                    try:
+                        append(decode(raw))
+                    except _DECODE_ERRORS as exc:
+                        failure = _undecodable(raw, chosen.types[index],
+                                               exc)
+        (count,) = _INT16(payload, position)
+        result_formats = struct.unpack_from(f">{count}h", payload,
+                                            position + 2) \
+            if count > 0 else ()
+    except struct.error as exc:
+        raise ProtocolError(f"truncated Bind message: {exc}") from None
+    if failure is not None:
+        raise failure
+    return portal, statement, formats, params, result_formats
 
 
 def parse_describe(payload: bytes) -> Tuple[str, str]:

@@ -91,13 +91,14 @@ class _Prepared:
 
     ``param_types`` maps ``$n`` index → the request column's
     :class:`~repro.types.ColumnType`, resolved from the deployment's
-    input schema at Parse time — so Bind can coerce wire bytes and
-    Describe can answer ParameterDescription without touching the
-    backend again.
+    input schema at Parse time, and ``decoders`` holds their text and
+    binary decoders (None for a statement that is not an EXECUTE) — so
+    Bind decodes wire bytes as it reads them and Describe can answer
+    ParameterDescription without touching the backend again.
     """
 
     __slots__ = ("name", "statement", "descriptor", "param_types",
-                 "param_oids")
+                 "param_oids", "decoders", "_literals", "_slots")
 
     def __init__(self, name: str, statement: Any,
                  descriptor: Optional[DeploymentDescriptor],
@@ -108,6 +109,32 @@ class _Prepared:
         self.param_types = tuple(param_types)
         self.param_oids = tuple(
             wire.TYPE_OIDS[column_type] for column_type in param_types)
+        self.decoders: Optional[wire.ParamDecoders] = None
+        if isinstance(statement, ExecuteDeployment):
+            self.decoders = wire.ParamDecoders.of(param_types)
+            # The request row, as positions into the bound values
+            # followed by the statement's literal arguments.
+            self._literals = tuple(arg for arg in statement.args
+                                   if not isinstance(arg, Param))
+            literal = itertools.count(len(param_types))
+            self._slots = tuple(arg.index if isinstance(arg, Param)
+                                else next(literal)
+                                for arg in statement.args)
+
+    def bound(self, values: List[Any]) -> Optional[Tuple[Any, ...]]:
+        """The request row for one Bind's decoded ``values`` (None for a
+        statement that is not an EXECUTE)."""
+        if self.decoders is None:
+            if values:
+                raise _WireError(
+                    "42P02", "statement takes no parameters")
+            return None
+        if len(values) != len(self.param_types):
+            raise _WireError(
+                "08P01", f"bind supplies {len(values)} parameters, "
+                f"statement wants {len(self.param_types)}")
+        values.extend(self._literals)
+        return tuple(map(values.__getitem__, self._slots))
 
     def result_columns(self) -> Optional[List[Tuple[str, int]]]:
         """RowDescription columns, or None when the form returns no rows.
@@ -174,6 +201,11 @@ class _Session:
         self.settings: Dict[str, str] = dict(startup)
         self.timeout_ms: Optional[float] = None  # SET statement_timeout
         self.in_error = False  # extended protocol: skip until Sync
+
+    def decoders(self, name: str) -> Optional[wire.ParamDecoders]:
+        """The parameter decoders of prepared statement ``name``."""
+        prepared = self.statements.get(name)
+        return None if prepared is None else prepared.decoders
 
 
 class NetServer:
@@ -522,7 +554,7 @@ class NetServer:
                 raise ParseError("simple-protocol EXECUTE cannot carry "
                                  "$n placeholders; use the extended "
                                  "protocol (Parse/Bind/Execute)")
-            portal = _Portal(prepared, self._bind_row(prepared, [], []))
+            portal = _Portal(prepared, prepared.bound([]))
             columns = prepared.result_columns()
             rows = self._execute_portal(session, portal, "simple")
             out = [wire.row_description(columns)]
@@ -647,51 +679,16 @@ class NetServer:
 
     def _on_bind(self, sock: socket.socket,
                  session: _Session, payload: bytes) -> None:
-        (portal_name, statement_name, param_formats, raw_params,
-         _result_formats) = wire.parse_bind(payload)
+        portal_name, statement_name, _formats, values, _results = \
+            wire.parse_bind(payload, session.decoders)
         prepared = session.statements.get(statement_name)
         if prepared is None:
             raise _WireError(
                 "26000",
                 f"unknown prepared statement {statement_name!r}")
-        row = self._bind_row(prepared, param_formats, raw_params)
-        session.portals[portal_name] = _Portal(prepared, row)
+        session.portals[portal_name] = _Portal(prepared,
+                                               prepared.bound(values))
         self._send(sock, wire.bind_complete())
-
-    def _bind_row(self, prepared: _Prepared,
-                  param_formats: Sequence[int],
-                  raw_params: Sequence[Optional[bytes]],
-                  ) -> Optional[Tuple[Any, ...]]:
-        param_types = prepared.param_types
-        if not isinstance(prepared.statement, ExecuteDeployment):
-            if raw_params:
-                raise _WireError(
-                    "42P02", "statement takes no parameters")
-            return None
-        if len(raw_params) != len(param_types):
-            raise _WireError(
-                "08P01", f"bind supplies {len(raw_params)} parameters, "
-                f"statement wants {len(param_types)}")
-        values = []
-        for index, raw in enumerate(raw_params):
-            # Per the PG spec: no formats = all text, one format =
-            # applies to all, otherwise one per parameter.
-            if not param_formats:
-                binary = False
-            elif len(param_formats) == 1:
-                binary = bool(param_formats[0])
-            elif index < len(param_formats):
-                binary = bool(param_formats[index])
-            else:
-                raise _WireError(
-                    "08P01", "parameter format count mismatch")
-            values.append(wire.decode_parameter(
-                raw, param_types[index], binary))
-        row = []
-        for arg in prepared.statement.args:
-            row.append(values[arg.index] if isinstance(arg, Param)
-                       else arg)
-        return tuple(row)
 
     def _on_describe(self, sock: socket.socket,
                      session: _Session, payload: bytes) -> None:

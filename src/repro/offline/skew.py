@@ -31,7 +31,7 @@ computation (tested property), only the task decomposition changes.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import PlanError
 from .hyperloglog import HyperLogLog
@@ -146,17 +146,18 @@ class SkewResolver:
 
     # ------------------------------------------------------------------
 
-    def build_tasks(self, rows: Sequence[Tuple[Any, ...]],
-                    key_fn: Callable[[Tuple[Any, ...]], Any],
-                    ts_fn: Callable[[Tuple[Any, ...]], int],
-                    range_ms: Optional[int] = None,
-                    rows_preceding: Optional[int] = None,
-                    augment: bool = True) -> List[PartitionTask]:
-        """Steps 1–4: tag, augment, and redistribute ``rows``.
+    def key_tasks(self, key: Any,
+                  keyed: Sequence[Tuple[int, Tuple[Any, ...]]],
+                  range_ms: Optional[int] = None,
+                  rows_preceding: Optional[int] = None,
+                  augment: bool = True) -> List[PartitionTask]:
+        """Steps 1–4 for one key: tag, augment, and redistribute its
+        time-ordered ``(ts, row)`` rows.
+
+        The engine's spill-sorted stream arrives grouped by key, so it
+        feeds each contiguous group straight in.
 
         Args:
-            rows: the full input (any order).
-            key_fn / ts_fn: extract the partition key and ORDER BY ts.
             range_ms: window time lookback (for augmentation width).
             rows_preceding: window row-count lookback (ditto).
             augment: prepend expanded-row context (step 3).  The
@@ -164,31 +165,8 @@ class SkewResolver:
                 carried end states replace the copies entirely.
 
         Returns:
-            Tasks sorted by (key, part_id); each task's rows time-ordered
-            with expanded context first.
-        """
-        by_key: Dict[Any, List[Tuple[int, Tuple[Any, ...]]]] = {}
-        for row in rows:
-            by_key.setdefault(key_fn(row), []).append((ts_fn(row), row))
-
-        tasks: List[PartitionTask] = []
-        for key, keyed in sorted(by_key.items(), key=lambda item: str(item[0])):
-            keyed.sort(key=lambda pair: pair[0])
-            tasks.extend(self.key_tasks(key, keyed, range_ms=range_ms,
-                                        rows_preceding=rows_preceding,
-                                        augment=augment))
-        return tasks
-
-    def key_tasks(self, key: Any,
-                  keyed: Sequence[Tuple[int, Tuple[Any, ...]]],
-                  range_ms: Optional[int] = None,
-                  rows_preceding: Optional[int] = None,
-                  augment: bool = True) -> List[PartitionTask]:
-        """Split one key's time-ordered ``(ts, row)`` rows into tasks.
-
-        Factored out of :meth:`build_tasks` so the engine's spill-sorted
-        stream — which already arrives grouped by key — can feed each
-        contiguous group straight in without regrouping.
+            Tasks in part order; each task's rows time-ordered with
+            expanded context first.
         """
         if len(keyed) < self.config.min_partition_rows \
                 or self.config.quantile <= 1:

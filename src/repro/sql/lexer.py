@@ -15,19 +15,24 @@ escape for the quote itself.
 
 The scan is one compiled master pattern: each alternative is a lexeme
 class, so a statement is tokenized by C-level matching plus one
-``Token`` per lexeme — the ``INSERT`` text of every wire write passes
-through here.
+``Token`` per lexeme.  ``SELECT`` / ``CREATE TABLE`` / ``DEPLOY`` text
+comes through here; ``INSERT … VALUES`` text does not — the parser
+scans it with patterns built from the same lexeme fragments
+(:data:`WORD`, :data:`INT`, :data:`FLOAT`, :data:`STRING`,
+:data:`BLANKS`) and calls :func:`check` only on text it rejects, to
+raise the :class:`~repro.errors.LexError` tokenizing would.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from typing import List
+from typing import Iterator, List, Tuple
 
 from ..errors import LexError
 
-__all__ = ["TokenType", "Token", "tokenize"]
+__all__ = ["TokenType", "Token", "tokenize", "check", "string_value",
+           "KEYWORDS", "WORD", "INT", "FLOAT", "STRING", "BLANKS"]
 
 
 class TokenType(enum.Enum):
@@ -62,20 +67,34 @@ _INTERVAL_UNITS_MS = {
     "d": 86_400_000,
 }
 
+# The lexeme classes other patterns share.  An int is digits not
+# followed by a ".", an exponent or an interval unit that ends the word
+# ("3s" is an interval, "3sec" INT + IDENT); a float the same digits
+# with a fraction and/or an exponent.  None of them holds a capturing
+# group, a blank or a "#", so each drops into a VERBOSE pattern as is.
+WORD = r"[^\W\d]\w*"
+INT = r"\d+(?![\d.eE]|[smhd](?!\w))"
+FLOAT = r"\d+(?:\.\d*)?[eE][+-]?\d+|\d+\.\d*(?![\deE])"
+STRING = (r"'(?:[^'\\]|\\[\s\S]|'')*'"
+          r'|"(?:[^"\\]|\\[\s\S]|"")*"')
+#: Blanks and ``--`` comments between two lexemes.  A comment runs to
+#: the end of its line (the lookahead stops a failed match from
+#: re-splitting ``----`` into shorter comments), so a failed match
+#: backtracks over a run of blanks in linear time.
+BLANKS = r"\s*(?:--[^\n]*(?![^\n])\s*)*"
+
 # One match per lexeme, leading whitespace included.  The common
-# lexemes come first; an int is digits not followed by a ".", an
-# exponent or an interval unit that ends the word ("3s" is an interval,
-# "3sec" INT + IDENT); "--" is a comment, never two minuses.  Every
+# lexemes come first; "--" is a comment, never two minuses.  Every
 # non-space character matches something ("bad" becomes the LexError),
 # and "skip" also takes the end of input, so trailing blanks are one
 # match.
-_TOKEN = re.compile(r"""\s*(?:
-    (?P<word>[^\W\d]\w*)
-  | (?P<int>\d+(?![\d.eE]|[smhd](?!\w)))
+_TOKEN = re.compile(rf"""\s*(?:
+    (?P<word>{WORD})
+  | (?P<int>{INT})
   | (?P<symbol><=|>=|!=|<>|\|\||-(?!-)|[(),.*+/%=<>;])
-  | (?P<string>'(?:[^'\\]|\\[\s\S]|'')*'|"(?:[^"\\]|\\[\s\S]|"{2})*")
+  | (?P<string>{STRING})
   | (?P<interval>\d+[smhd](?!\w))
-  | (?P<float>\d+(?:\.\d*)?[eE][+-]?\d+|\d+\.\d*(?![\deE]))
+  | (?P<float>{FLOAT})
   | (?P<badexp>\d+(?:\.\d*)?[eE][+-]?)
   | (?P<skip>--[^\n]*|\Z)
   | (?P<bad>\S)
@@ -91,8 +110,16 @@ def _unescape(match: "re.Match[str]") -> str:
     return match.group(match.lastindex)
 
 
+def string_value(text: str) -> str:
+    """The value of a :data:`STRING` lexeme (quotes included)."""
+    quote, body = text[0], text[1:-1]
+    if "\\" in body or quote + quote in body:
+        body = _ESCAPES[quote].sub(_unescape, body)
+    return body
+
+
 # Enum member lookups cost a dict probe each; the scan makes one per
-# token, so it reads module-level aliases.
+# lexeme, so it reads module-level aliases.
 _KEYWORD, _IDENT, _INT, _FLOAT = (TokenType.KEYWORD, TokenType.IDENT,
                                   TokenType.INT, TokenType.FLOAT)
 _STRING, _INTERVAL, _SYMBOL = (TokenType.STRING, TokenType.INTERVAL,
@@ -125,8 +152,19 @@ def tokenize(sql: str) -> List[Token]:
         LexError: on characters outside the grammar, malformed float
             exponents or unterminated strings.
     """
-    tokens: List[Token] = []
-    append = tokens.append
+    tokens = [Token(*lexeme) for lexeme in _lexemes(sql)]
+    tokens.append(Token(TokenType.EOF, "", None, len(sql)))
+    return tokens
+
+
+def check(sql: str) -> None:
+    """Raise what :func:`tokenize` raises on ``sql``, building no token."""
+    for _lexeme in _lexemes(sql):
+        pass
+
+
+def _lexemes(sql: str) -> Iterator[Tuple[TokenType, str, object, int]]:
+    """``(type, text, value, offset)`` per lexeme, in order."""
     for match in _TOKEN.finditer(sql):
         kind = match.lastgroup
         text = match.group(kind)
@@ -134,26 +172,22 @@ def tokenize(sql: str) -> List[Token]:
         if kind == "word":
             upper = text.upper()
             if upper in KEYWORDS:
-                append(Token(_KEYWORD, upper, upper, start))
+                yield _KEYWORD, upper, upper, start
             elif text[0].isalpha() or text[0] == "_":
-                append(Token(_IDENT, text, text, start))
+                yield _IDENT, text, text, start
             else:  # a digit-like character that is not a decimal digit
                 raise LexError(f"unexpected character {text[0]!r}", start)
         elif kind == "int":
-            append(Token(_INT, text, int(text), start))
+            yield _INT, text, int(text), start
         elif kind == "symbol":
-            append(Token(_SYMBOL, text, text, start))
+            yield _SYMBOL, text, text, start
         elif kind == "string":
-            quote, body = text[0], text[1:-1]
-            if "\\" in body or quote + quote in body:
-                body = _ESCAPES[quote].sub(_unescape, body)
-            append(Token(_STRING, text, body, start))
+            yield _STRING, text, string_value(text), start
         elif kind == "float":
-            append(Token(_FLOAT, text, float(text), start))
+            yield _FLOAT, text, float(text), start
         elif kind == "interval":
-            append(Token(_INTERVAL, text,
-                         int(text[:-1]) * _INTERVAL_UNITS_MS[text[-1]],
-                         start))
+            yield (_INTERVAL, text,
+                   int(text[:-1]) * _INTERVAL_UNITS_MS[text[-1]], start)
         elif kind == "skip":
             continue
         elif kind == "badexp":
@@ -162,5 +196,3 @@ def tokenize(sql: str) -> List[Token]:
             raise LexError("unterminated string literal", start)
         else:
             raise LexError(f"unexpected character {text!r}", start)
-    append(Token(TokenType.EOF, "", None, len(sql)))
-    return tokens

@@ -18,11 +18,13 @@ tolerant treatment.
 
 from __future__ import annotations
 
+import re
 from typing import List, Optional, Tuple
 
 from ..errors import ParseError
 from . import ast
-from .lexer import Token, TokenType, tokenize
+from .lexer import (BLANKS, FLOAT, INT, KEYWORDS, STRING, WORD, Token,
+                    TokenType, check, string_value, tokenize)
 
 __all__ = ["parse", "parse_select", "Parser"]
 
@@ -35,6 +37,9 @@ _LITERALS = (TokenType.INT, TokenType.FLOAT, TokenType.STRING)
 
 def parse(sql: str):
     """Parse one SQL statement; returns the matching AST node."""
+    head = _INSERT_HEAD.match(sql)
+    if head is not None and head.group(1).upper() == "INSERT":
+        return _scan_insert(sql, head)
     return Parser(sql).parse_statement()
 
 
@@ -46,8 +51,93 @@ def parse_select(sql: str) -> ast.SelectStatement:
     return statement
 
 
+# ----------------------------------------------------------------------
+# INSERT INTO <table> VALUES (<literal>, ...)[, (...)] [;]
+#
+# The per-row statement is read straight off the text with two patterns
+# built from the lexer's own lexeme fragments, so it accepts exactly
+# what tokenizing and a token walk would: the head, then one match per
+# literal that also takes the separator after it.  Keywords compare by
+# ``str.upper()``, as the lexer does.
+
+# The first word, and — when the text is shaped like one — the INTO,
+# the table name, the VALUES and the first row's "(".  Each word is
+# whole ("(?!\w)"), as the lexer reads it.
+_INSERT_HEAD = re.compile(
+    rf"{BLANKS}({WORD})(?!\w)(?:{BLANKS}({WORD})(?!\w){BLANKS}({WORD})"
+    rf"(?!\w){BLANKS}({WORD})(?!\w){BLANKS}\()?")
+
+# One literal and the separator after it: "," before the next literal,
+# ")" "," "(" before the next row, or ")" [";"] and the end of the text
+# — the only match that ends there.  The group that matched names the
+# literal: 1 int, 2 float, 3 string, 4 word (NULL, TRUE or FALSE), 5 / 6
+# a negated int / float.
+_VALUE = re.compile(rf"""{BLANKS}(?:
+    ({INT}) | ({FLOAT}) | ({STRING}) | ({WORD})
+  | -(?!-){BLANKS}(?:({INT})|({FLOAT}))
+){BLANKS}(?:,(?!\Z)|\){BLANKS}(?:,{BLANKS}\((?!\Z)|(?:;{BLANKS})?\Z))""",
+                    re.VERBOSE)
+
+_LITERAL_WORDS = {"NULL": None, "TRUE": True, "FALSE": False}
+_SKIP_BLANKS = re.compile(BLANKS).match
+
+
+def _scan_insert(sql: str, head: "re.Match[str]") -> ast.InsertStatement:
+    into, table, values = head.group(2, 3, 4)
+    if (values is None or into.upper() != "INTO"
+            or values.upper() != "VALUES" or table.upper() in KEYWORDS
+            or not (table[0].isalpha() or table[0] == "_")):
+        raise _rejected(sql, head.end(1))
+    rows: List[Tuple[object, ...]] = []
+    row: List[object] = []
+    append = row.append
+    position = head.end()
+    end = len(sql)
+    match = _VALUE.match
+    while True:
+        literal = match(sql, position)
+        if literal is None:
+            raise _rejected(sql, position)
+        kind = literal.lastindex
+        if kind == 1:
+            append(int(literal[1]))
+        elif kind == 4:
+            word = literal[4].upper()
+            if word not in _LITERAL_WORDS:
+                raise _rejected(sql, literal.start(4))
+            append(_LITERAL_WORDS[word])
+        elif kind == 3:
+            append(string_value(literal[3]))
+        elif kind == 2:
+            append(float(literal[2]))
+        elif kind == 5:
+            append(-int(literal[5]))
+        else:
+            append(-float(literal[6]))
+        position = literal.end()
+        if position == end:
+            rows.append(tuple(row))
+            return ast.InsertStatement(table=table, rows=tuple(rows))
+        if sql[position - 1] == "(":
+            rows.append(tuple(row))
+            row = []
+            append = row.append
+
+
+def _rejected(sql: str, position: int) -> Exception:
+    """The error for INSERT text that does not scan: what tokenizing
+    raises (a :class:`~repro.errors.LexError`) if the text does not
+    lex, a :class:`ParseError` otherwise."""
+    check(sql)
+    position = _SKIP_BLANKS(sql, position).end()
+    return ParseError(f"malformed INSERT at offset {position}: "
+                      f"{sql[position:position + 24]!r}")
+
+
 class Parser:
-    """Single-statement recursive-descent parser over the token stream."""
+    """Single-statement recursive-descent parser over the token stream
+    (``SELECT``, ``CREATE TABLE``, ``DEPLOY``; :func:`parse` reads
+    ``INSERT`` text without tokens)."""
 
     def __init__(self, sql: str) -> None:
         self._sql = sql
@@ -121,9 +211,7 @@ class Parser:
     # statements
 
     def parse_statement(self):
-        if self._check_keyword("INSERT"):  # the per-row statement first
-            statement = self._parse_insert()
-        elif self._check_keyword("SELECT"):
+        if self._check_keyword("SELECT"):
             statement = self._parse_select()
         elif self._check_keyword("CREATE"):
             statement = self._parse_create_table()
@@ -227,44 +315,6 @@ class Parser:
             raise ParseError("INDEX requires both KEY= and TS=")
         return ast.IndexClause(key_columns=keys, ts_column=ts_column,
                                ttl_value=ttl_value, ttl_type=ttl_type)
-
-    def _parse_insert(self) -> ast.InsertStatement:
-        self._expect_keyword("INSERT")
-        self._expect_keyword("INTO")
-        table = self._expect_ident()
-        self._expect_keyword("VALUES")
-        rows: List[Tuple[object, ...]] = []
-        while True:
-            self._expect_symbol("(")
-            values: List[object] = []
-            while True:
-                values.append(self._parse_insert_value())
-                if not self._accept_symbol(","):
-                    break
-            self._expect_symbol(")")
-            rows.append(tuple(values))
-            if not self._accept_symbol(","):
-                break
-        return ast.InsertStatement(table=table, rows=tuple(rows))
-
-    def _parse_insert_value(self):
-        token = self._current
-        if token.type in _LITERALS:
-            self._advance()
-            return token.value
-        if self._accept_keyword("NULL"):
-            return None
-        if self._accept_keyword("TRUE"):
-            return True
-        if self._accept_keyword("FALSE"):
-            return False
-        if self._accept_symbol("-"):
-            number = self._current
-            if number.type not in (TokenType.INT, TokenType.FLOAT):
-                raise ParseError("expected number after unary minus")
-            self._advance()
-            return -number.value
-        raise ParseError(f"unsupported literal {token.text!r} in VALUES")
 
     # ------------------------------------------------------------------
     # SELECT

@@ -98,12 +98,13 @@ class DiskTable:
     # ------------------------------------------------------------------
     # write path
 
-    def insert(self, row: Sequence[Any]) -> int:
+    def insert(self, row: Sequence[Any], size: Optional[int] = None) -> int:
+        """Insert one row (``size`` as for :meth:`MemTable.insert`)."""
         with self._lock:
             offset = len(self._log)
             validated = self.schema.validate_row(row)
             self._log.append(validated)
-            self._state[0].insert(validated)
+            self._state[0].insert(validated, size)
             self._since_flush += 1
             if self._since_flush >= self.flush_threshold:
                 self._flush_locked()

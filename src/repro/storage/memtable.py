@@ -103,10 +103,16 @@ class MemTable:
     # ------------------------------------------------------------------
     # write path
 
-    def insert(self, row: Sequence[Any]) -> int:
-        """Validate and insert one row; returns its log offset."""
+    def insert(self, row: Sequence[Any], size: Optional[int] = None) -> int:
+        """Validate and insert one row; returns its log offset.
+
+        ``size`` is the row's encoded size when the caller sized it
+        already (a tablet charges its memory governor with it first), so
+        a row is sized once per host.
+        """
         validated = self.schema.validate_row(row)
-        size = self.codec.encoded_size(validated)
+        if size is None:
+            size = self.codec.encoded_size(validated)
         with self._log_lock:
             offset = len(self._log)
             self._log.append(validated)

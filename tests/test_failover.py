@@ -167,13 +167,13 @@ class TestOneApplyPerOffset:
         failover = threading.Thread(
             target=cluster.handle_failure, args=(leader,))
 
-        def insert_then_fail_over(row):
+        def insert_then_fail_over(row, size):
             if failover.ident is None:  # the first insert only
                 failover.start()
                 # The failover runs until it blocks on the entry this
                 # insert is applying (or, unfixed, applies it itself).
                 failover.join(timeout=0.5)
-            return insert(row)
+            return insert(row, size)
 
         shard.store.insert = insert_then_fail_over
         try:

@@ -20,6 +20,20 @@ KEY = lambda row: row[0]  # noqa: E731
 TS = lambda row: row[1]  # noqa: E731
 
 
+def build_tasks(resolver, rows, key_fn, ts_fn, **window):
+    """Tag, augment and redistribute ``rows`` of every key: group them
+    by key, time-order each group and hand it to ``key_tasks``, keys in
+    ``str`` order."""
+    by_key = {}
+    for row in rows:
+        by_key.setdefault(key_fn(row), []).append((ts_fn(row), row))
+    tasks = []
+    for key, keyed in sorted(by_key.items(), key=lambda item: str(item[0])):
+        keyed.sort(key=lambda pair: pair[0])
+        tasks.extend(resolver.key_tasks(key, keyed, **window))
+    return tasks
+
+
 class TestConfig:
     def test_quantile_validated(self):
         with pytest.raises(PlanError):
@@ -79,7 +93,7 @@ class TestTaskBuilding:
         resolver = SkewResolver(SkewConfig(quantile=4,
                                            min_partition_rows=100))
         rows = make_rows({"small": 10})
-        tasks = resolver.build_tasks(rows, KEY, TS, range_ms=50)
+        tasks = build_tasks(resolver, rows, KEY, TS, range_ms=50)
         assert len(tasks) == 1
         assert tasks[0].part_id == 0
 
@@ -87,7 +101,7 @@ class TestTaskBuilding:
         resolver = SkewResolver(SkewConfig(quantile=4,
                                            min_partition_rows=50))
         rows = make_rows({"hot": 1000})
-        tasks = resolver.build_tasks(rows, KEY, TS, range_ms=50)
+        tasks = build_tasks(resolver, rows, KEY, TS, range_ms=50)
         assert len(tasks) == 4
         assert {task.part_id for task in tasks} == {0, 1, 2, 3}
 
@@ -95,14 +109,14 @@ class TestTaskBuilding:
         resolver = SkewResolver(SkewConfig(quantile=4,
                                            min_partition_rows=50))
         rows = make_rows({"hot": 1000})
-        tasks = resolver.build_tasks(rows, KEY, TS, range_ms=50)
+        tasks = build_tasks(resolver, rows, KEY, TS, range_ms=50)
         assert sum(task.own_rows for task in tasks) == 1000
 
     def test_expanded_rows_flagged_and_prefixed(self):
         resolver = SkewResolver(SkewConfig(quantile=2,
                                            min_partition_rows=10))
         rows = make_rows({"hot": 200})
-        tasks = resolver.build_tasks(rows, KEY, TS, range_ms=100)
+        tasks = build_tasks(resolver, rows, KEY, TS, range_ms=100)
         later = [task for task in tasks if task.part_id > 0][0]
         expanded = [tagged for tagged in later.rows if tagged.expanded]
         assert expanded  # context from the earlier partition
@@ -114,7 +128,7 @@ class TestTaskBuilding:
         resolver = SkewResolver(SkewConfig(quantile=2,
                                            min_partition_rows=10))
         rows = make_rows({"hot": 200}, step=10)
-        tasks = resolver.build_tasks(rows, KEY, TS, range_ms=100)
+        tasks = build_tasks(resolver, rows, KEY, TS, range_ms=100)
         later = [task for task in tasks if task.part_id > 0][0]
         first_own_ts = next(tagged.ts for tagged in later.rows
                             if not tagged.expanded)
@@ -126,7 +140,7 @@ class TestTaskBuilding:
         resolver = SkewResolver(SkewConfig(quantile=2,
                                            min_partition_rows=10))
         rows = make_rows({"hot": 100})
-        tasks = resolver.build_tasks(rows, KEY, TS, rows_preceding=5)
+        tasks = build_tasks(resolver, rows, KEY, TS, rows_preceding=5)
         later = [task for task in tasks if task.part_id > 0][0]
         expanded = [tagged for tagged in later.rows if tagged.expanded]
         assert len(expanded) == 4  # rows_preceding - 1
@@ -135,7 +149,7 @@ class TestTaskBuilding:
         resolver = SkewResolver(SkewConfig(quantile=2,
                                            min_partition_rows=10))
         rows = make_rows({"hot": 100})
-        tasks = resolver.build_tasks(rows, KEY, TS)
+        tasks = build_tasks(resolver, rows, KEY, TS)
         later = [task for task in tasks if task.part_id > 0][0]
         expanded = sum(1 for tagged in later.rows if tagged.expanded)
         assert expanded == 100 - later.own_rows
@@ -143,7 +157,7 @@ class TestTaskBuilding:
     def test_multiple_keys_sorted_deterministically(self):
         resolver = SkewResolver(SkewConfig(quantile=1))
         rows = make_rows({"b": 5, "a": 5, "c": 5})
-        tasks = resolver.build_tasks(rows, KEY, TS, range_ms=10)
+        tasks = build_tasks(resolver, rows, KEY, TS, range_ms=10)
         assert [task.key for task in tasks] == ["a", "b", "c"]
 
     def test_augment_false_skips_expansion(self):
@@ -152,7 +166,7 @@ class TestTaskBuilding:
         resolver = SkewResolver(SkewConfig(quantile=4,
                                            min_partition_rows=10))
         rows = make_rows({"hot": 200})
-        tasks = resolver.build_tasks(rows, KEY, TS, augment=False)
+        tasks = build_tasks(resolver, rows, KEY, TS, augment=False)
         assert len(tasks) == 4
         assert all(not tagged.expanded
                    for task in tasks for tagged in task.rows)
@@ -164,7 +178,7 @@ class TestTaskBuilding:
         resolver = SkewResolver(SkewConfig(quantile=3,
                                            min_partition_rows=10))
         rows = make_rows({"hot": 120})
-        via_build = resolver.build_tasks(rows, KEY, TS, range_ms=50)
+        via_build = build_tasks(resolver, rows, KEY, TS, range_ms=50)
         keyed = sorted((TS(row), row) for row in rows)
         via_key = resolver.key_tasks("hot", keyed, range_ms=50)
         assert [(t.part_id, [(g.ts, g.expanded) for g in t.rows])
@@ -181,7 +195,7 @@ def test_partitioning_preserves_rows_property(count, quantile, range_steps):
     resolver = SkewResolver(SkewConfig(quantile=quantile,
                                        min_partition_rows=20))
     rows = make_rows({"k": count})
-    tasks = resolver.build_tasks(rows, KEY, TS,
+    tasks = build_tasks(resolver, rows, KEY, TS,
                                  range_ms=range_steps * 10)
     own = [tagged.ts for task in tasks for tagged in task.rows
            if not tagged.expanded]

@@ -29,12 +29,18 @@ tier:
   encode are in the profile;
 * ``wire`` — no cProfile: the perfbench ``wire_point`` workload served
   by perfbench's own stack in a child process, read ``--rounds`` times
-  over one pg-wire connection, generator and server pinned to one CPU
-  as perfbench pins them.  Prints the server's CPU per read for each of
-  its threads (``/proc/<pid>/task/*``) and the voluntary and
-  involuntary context switches per read of the server and of the
-  generator — how many threads a read touches and how often each side
-  is woken;
+  and then written ``--rounds`` times (one ``INSERT`` per simple
+  ``Query``, as perfbench writes) over one pg-wire connection,
+  generator and server pinned to one CPU as perfbench pins them.
+  Prints, for reads and for writes, the server's CPU per op for each
+  of its threads (``/proc/<pid>/task/*``) and the voluntary and
+  involuntary context switches per op of the server and of the
+  generator — how many threads an op touches, what it costs the
+  server, and how often each side is woken.  Its limit: one CPU and
+  one connection, so the server's threads take turns and never run
+  side by side — it measures CPU spent, and cannot show a saving that
+  comes from fewer thread hops or from overlap (perfbench's pair phase
+  can);
 * ``rss`` — no cProfile and no reads: for each of perfbench's four
   workloads, a child process loads the workload's preload (same schema,
   same rows, a ``data_dir`` where the workload writes a WAL) through
@@ -269,7 +275,7 @@ def build_workload(path, rounds):
             data.requests, db.close)
 
 
-WIRE_WARMUP_READS = 500
+WIRE_WARMUP_OPS = 500
 
 
 def thread_counters(pid):
@@ -316,7 +322,8 @@ def serve_wire(spec_path):
 
 
 def profile_wire(rounds):
-    """Server CPU and context switches per read, thread by thread."""
+    """Server CPU and context switches per read and per write, thread
+    by thread."""
     from perfbench import loadgen
     from perfbench.workloads import WORKLOADS, Model, dump_json
     workload = WORKLOADS["wire_point"]
@@ -328,7 +335,7 @@ def profile_wire(rounds):
             handle.write(dump_json(model.preload()))
         spec_path = os.path.join(work, "spec.json")
         with open(spec_path, "w", encoding="utf-8") as handle:
-            # Reads only, so no data_dir: the WAL is never touched.
+            # wire_point's set-up: no data_dir, so writes log no WAL.
             json.dump(dict(workload.spec(), preload=preload, data_dir=None,
                            obs=False), handle)
         child = subprocess.Popen(
@@ -344,34 +351,46 @@ def profile_wire(rounds):
                         in json.loads(child.stdout.readline()).items()}
 
             connection = loadgen.connect(port)
-            reads = model.ops(0, 1, writes=False)
-            for _ in range(WIRE_WARMUP_READS):
-                loadgen.run_op(connection, next(reads))
-            names = thread_names()
-            server_before = thread_counters(child.pid)
-            client_before = thread_counters(os.getpid())
-            started = time.perf_counter()
-            wrong = sum(not loadgen.run_op(connection, next(reads))[1]
-                        for _ in range(rounds))
-            wall = time.perf_counter() - started
-            server = counter_deltas(server_before,
-                                    thread_counters(child.pid))
-            client = counter_deltas(client_before,
-                                    thread_counters(os.getpid()))
-            names.update(thread_names())
+            measured = []
+            for writes in (False, True):
+                ops = model.ops(0, 1, writes=writes)
+                for _ in range(WIRE_WARMUP_OPS):
+                    loadgen.run_op(connection, next(ops))
+                names = thread_names()
+                server_before = thread_counters(child.pid)
+                client_before = thread_counters(os.getpid())
+                started = time.perf_counter()
+                wrong = sum(not loadgen.run_op(connection, next(ops))[1]
+                            for _ in range(rounds))
+                wall = time.perf_counter() - started
+                server = counter_deltas(server_before,
+                                        thread_counters(child.pid))
+                client = counter_deltas(client_before,
+                                        thread_counters(os.getpid()))
+                names.update(thread_names())
+                measured.append(("write" if writes else "read", wrong, wall,
+                                 server, client, names))
             connection.close()
         finally:
             child.stdin.close()
             child.wait(timeout=60)
 
+    for kind, wrong, wall, server, client, names in measured:
+        print_wire_table(kind, rounds, wrong, wall, server, client, names)
+    return 0
+
+
+def print_wire_table(kind, rounds, wrong, wall, server, client, names):
+    """One ``--path wire`` table: per-thread CPU and wake-ups per op."""
+
     def row(label, cpu_ns, voluntary, involuntary):
         print(f"{label:<24} {cpu_ns / 1e6 / rounds:>12.4f} "
               f"{voluntary / rounds:>12.2f} {involuntary / rounds:>12.2f}")
 
-    print(f"=== wire path, wire_point, {rounds} reads ({wrong} wrong), "
-          f"{wall * 1e3 / rounds:.3f} ms a read ===")
-    print(f"{'thread':<24} {'CPU-ms/read':>12} {'vol cs/read':>12} "
-          f"{'invol cs/read':>12}")
+    print(f"=== wire path, wire_point, {rounds} {kind}s ({wrong} wrong), "
+          f"{wall * 1e3 / rounds:.3f} ms a {kind} ===")
+    print(f"{'thread':<24} {'CPU-ms/' + kind:>12} {'vol cs/' + kind:>12} "
+          f"{'invol cs/' + kind:>12}")
     total = [sum(column) for column in zip(*server.values())]
     busy = 0
     for tid, counters in sorted(server.items(), key=lambda item: -item[1][0]):
@@ -381,7 +400,6 @@ def profile_wire(rounds):
             row(names.get(tid, f"tid {tid}"), *counters)
     row(f"server ({busy} busy threads)", *total)
     row("generator", *[sum(column) for column in zip(*client.values())])
-    return 0
 
 
 RSS_SEED = 13
