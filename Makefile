@@ -9,8 +9,9 @@ test:
 
 # Prefer ruff when the environment has it; otherwise fall back to the
 # stdlib AST linter (same rule family: F401/E722/E711/E712).  The
-# DOC001 doc-reference sweep is not a ruff rule, so it runs in both
-# branches (tools/lint.py runs it implicitly alongside the AST rules).
+# repo-level sweeps (DOC001 doc references, AGG001 aggregate merges,
+# DEAD001 test-only definitions) are not ruff rules, so they run in both
+# branches (tools/lint.py runs them implicitly alongside the AST rules).
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests benchmarks && \

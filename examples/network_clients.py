@@ -55,12 +55,12 @@ class SlowBackend:
     def describe_deployment(self, name):
         return self.inner.describe_deployment(name)
 
-    def request(self, name, row):
+    def request_batch(self, name, rows, deadlines):
         if self.gate is not None:
             assert self.gate.wait(timeout=30)
         if self.delay_s:
-            time.sleep(self.delay_s)
-        return self.inner.request(name, row)
+            time.sleep(self.delay_s * len(rows))
+        return self.inner.request_batch(name, rows, deadlines)
 
 
 def concurrent_clients(host: str, port: int) -> None:

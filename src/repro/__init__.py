@@ -37,8 +37,8 @@ __version__ = "0.1.0"
 
 #: Loaded from :mod:`repro.core` on first access (PEP 562), so that
 #: importing a serving module does not load the offline engine.
-_FROM_CORE = ("OpenMLDB", "Deployment", "ExecutionMode",
-              "verify_consistency", "ConsistencyReport")
+_FROM_CORE = ("OpenMLDB", "Deployment", "verify_consistency",
+              "ConsistencyReport")
 
 __all__ = [
     *_FROM_CORE, "OpenMLDBError", "Schema", "Column", "IndexDef",

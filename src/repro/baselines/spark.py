@@ -55,10 +55,6 @@ class SparkStats:
                 for seconds in tasks]
 
     @property
-    def serial_seconds(self) -> float:
-        return sum(self.stage_seconds.values())
-
-    @property
     def parallel_seconds(self) -> float:
         """Stage-barrier makespan: stages run strictly one after another
         (Spark's serial window execution), tasks within a stage are

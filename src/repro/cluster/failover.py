@@ -84,9 +84,6 @@ class HeartbeatMonitor:
             return False
         return (now_ms - last) >= HEARTBEAT_TIMEOUT_MS
 
-    def last_beat_ms(self, tablet_name: str) -> Optional[float]:
-        return self._last_beat.get(tablet_name)
-
     def forget(self, tablet_name: str) -> None:
         """Reset a tablet's record (on rejoin, so old silence is erased)."""
         self._last_beat.pop(tablet_name, None)
@@ -123,7 +120,7 @@ def catch_up(tablet: "TabletServer", table_name: str, partition_id: int,
     """Replay the binlog suffix a replica has not yet applied.
 
     This is the promotion (and rejoin) path: every acknowledged write is
-    in the partition binlog, so applying ``entries_from(applied + 1)``
+    in the partition binlog, so applying ``rows_from(applied + 1)``
     makes the replica exactly as complete as the acknowledged prefix.
     Returns the number of entries replayed.
 
@@ -131,14 +128,11 @@ def catch_up(tablet: "TabletServer", table_name: str, partition_id: int,
         StorageError: if the tablet dies mid-replay (the caller should
             elect a different candidate).
     """
-    shard = tablet.shard(table_name, partition_id)
-    replayed = 0
-    for entry in binlog.entries_from(shard.applied_offset + 1):
-        applied = tablet.replicate(table_name, partition_id, entry.row,
-                                   entry.offset)
-        if applied < entry.offset:
+    start = tablet.shard(table_name, partition_id).applied_offset + 1
+    rows = binlog.rows_from(start)
+    for offset, row in enumerate(rows, start):
+        if tablet.replicate(table_name, partition_id, row, offset) < offset:
             raise StorageError(
                 f"{tablet.name} could not apply binlog offset "
-                f"{entry.offset} for {table_name}[{partition_id}]")
-        replayed += 1
-    return replayed
+                f"{offset} for {table_name}[{partition_id}]")
+    return len(rows)

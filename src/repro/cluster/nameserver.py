@@ -102,12 +102,6 @@ class ClusterTable:
         """Partition ids a split retired."""
         return self.layout.retired
 
-    @property
-    def next_offset(self) -> Dict[int, int]:
-        """Partition id → the offset the next acknowledged write gets."""
-        return {partition_id: binlog.last_offset + 1
-                for partition_id, binlog in self.binlogs.items()}
-
 
 class NameServer(DeploymentHost):
     """Coordinates a set of tablet servers.
@@ -329,16 +323,6 @@ class NameServer(DeploymentHost):
             raise self._no_leader(table, layout, partition_id)
         return self.tablets[name]
 
-    def route_to_leader(self, table_name: str,
-                        partition_id: int) -> TabletServer:
-        """The leader :meth:`_routed` would call: a leader that died
-        unnoticed is failed over first (the detection a ZooKeeper watch
-        would have delivered); a partition split away raises
-        :class:`ShardMovedError` — a redirect, not a failure."""
-        return self._routed(self._table(table_name),
-                            lambda layout: (partition_id,),
-                            lambda leader, *_: leader)[0]
-
     @staticmethod
     def _no_leader(table: ClusterTable, layout: Layout,
                    partition_id: int) -> StorageError:
@@ -559,18 +543,20 @@ class NameServer(DeploymentHost):
             leader.write(table.name, partition_id, row, offset,
                          timeout_ms=timeout_ms)
             binlog.append_entry(table.name, row)
-            self._replicate_entry(table, layout, partition_id, offset, row)
+            self._replicate_entry(table, layout, partition_id, offset)
         return offset
 
     def _replicate_entry(self, table: ClusterTable, layout: Layout,
-                         partition_id: int, offset: int, row: Row) -> None:
+                         partition_id: int, offset: int) -> None:
         """Deliver the binlog entry at ``offset`` to every follower.
 
-        A follower that missed earlier entries (dropped delivery, was
-        down) is caught up from the binlog first, so application stays
-        contiguous.  Per-follower failures are recorded as metrics and
-        left as lag — never raised into the write path; the binlog holds
-        the entry, and catch-up or failover repairs the replica later.
+        Each reachable follower is caught up from the binlog
+        (:func:`~repro.cluster.failover.catch_up`): one that missed
+        earlier entries (dropped delivery, was down) replays them first,
+        so application stays contiguous.  Per-follower failures are
+        recorded as metrics and left as lag — never raised into the
+        write path; the binlog holds the entry, and catch-up or
+        failover repairs the replica later.
         """
         binlog = table.binlogs[partition_id]
         leader = layout.leaders[partition_id]
@@ -581,28 +567,18 @@ class NameServer(DeploymentHost):
                 continue
             shard = tablet.shard(table.name, partition_id)
             gauge = self._lag_gauge(table.name, partition_id, tablet_name)
-            if not tablet.alive:
-                gauge.set(binlog.last_offset - shard.applied_offset)
-                continue
-            if self.faults is not None \
-                    and not self.faults.on_replicate(tablet_name):
-                gauge.set(binlog.last_offset - shard.applied_offset)
-                continue
-            try:
+            if tablet.alive and (self.faults is None
+                                 or self.faults.on_replicate(tablet_name)):
                 if offset > shard.applied_offset + 1:
-                    # Repair the gap: replay the missed prefix in order.
                     self._m_catchups.inc()
-                    for missed in binlog.entries_from(
-                            shard.applied_offset + 1, offset):
-                        tablet.replicate(table.name, partition_id,
-                                         missed.row, missed.offset)
-                tablet.replicate(table.name, partition_id, row, offset)
-            except (StorageError, MemoryLimitExceededError):
-                # Only delivery failures (dead/partitioned/slow tablet,
-                # replication gap, follower past its memory limit)
-                # become lag; programming errors propagate.
-                self._m_repl_errors.inc()
-            gauge.set(binlog.last_offset - shard.applied_offset)
+                try:
+                    catch_up(tablet, table.name, partition_id, binlog)
+                except (StorageError, MemoryLimitExceededError):
+                    # Only delivery failures (dead/partitioned/slow
+                    # tablet, follower past its memory limit) become
+                    # lag; programming errors propagate.
+                    self._m_repl_errors.inc()
+            gauge.set(offset - shard.applied_offset)
 
     def _routed(self, table: ClusterTable,
                 partitions: Callable[[Layout], Sequence[int]],
@@ -903,26 +879,6 @@ class NameServer(DeploymentHost):
         return its compiled plan (``DeploymentHost.deploy``'s
         ``.compiled``)."""
         return super().deploy(name, sql).compiled
-
-    def request_partition(self, name: str,
-                          row: Sequence[Any]) -> Optional[int]:
-        """Partition hint for micro-batch grouping.
-
-        The partition the request row's primary-table key routes to, or
-        None when it cannot be derived (unknown deployment, short row).
-        The serving frontend sorts each batch by this so storage reads
-        group by partition leader.
-        """
-        deployment = self._deployments.get(name)
-        if deployment is None:
-            return None
-        table = self.tables[deployment.compiled.plan.table]
-        column = table.indexes[0].key_columns[0]
-        try:
-            key_value = row[table.schema.position(column)]
-        except (IndexError, KeyError, SchemaError):
-            return None
-        return self.partition_for(table.name, key_value)
 
     # ------------------------------------------------------------------
 

@@ -7,7 +7,7 @@ Names load on first access (PEP 562): the cluster imports
 import importlib
 
 _HOMES = {"OpenMLDB": "database", "Deployment": "deployment",
-          "ExecutionMode": "modes", "PreviewConstraints": "modes",
+          "PreviewConstraints": "modes",
           "verify_consistency": "consistency",
           "ConsistencyReport": "consistency", "Mismatch": "consistency"}
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..cluster.failover import catch_up
 from ..cluster.nameserver import NameServer
 from ..cluster.tablet import TabletServer
 from ..errors import (ParseError, PlanError, SchemaError, StorageError,
@@ -313,14 +312,15 @@ class OpenMLDB(DeploymentHost):
         """Crash recovery: restart the node's one tablet.
 
         Every table drops its rows, loads its newest intact snapshot and
-        replays the durable binlog past it — explicit disk flushes and
-        compactions re-apply in stream order — exactly as
-        :meth:`NameServer.restart_tablet` restores a cluster tablet (and
-        records the same ``cluster.recovery.*`` series).  A fresh node
-        over a crashed one's ``data_dir`` has already restored each
-        table as its DDL re-created it (catalog metadata is assumed
-        durable elsewhere, as ZooKeeper keeps it for production
-        OpenMLDB).
+        replays the durable binlog past it — TTL evictions and explicit
+        disk flushes and compactions re-apply in stream order — exactly
+        as :meth:`NameServer.restart_tablet` restores a cluster tablet
+        (and records the same ``cluster.recovery.*`` series).  It needs
+        ``data_dir``: a memory-only node logs no storage events to
+        restore.  A fresh node over a crashed one's ``data_dir`` has
+        already restored each table as its DDL re-created it (catalog
+        metadata is assumed durable elsewhere, as ZooKeeper keeps it for
+        production OpenMLDB).
         """
         self._require_data_dir("recover")
         self._tablet.fail()
@@ -333,21 +333,6 @@ class OpenMLDB(DeploymentHost):
         if self.data_dir is None:
             raise StorageError(
                 f"{what}() requires OpenMLDB(data_dir=...)")
-
-    def recover_table(self, name: str) -> int:
-        """Rebuild one table's shard by replaying its binlog.
-
-        Simulates a tablet restart (Section 5.1's failure-recovery
-        design): the store is discarded and rebuilt from the partition
-        binlog's entries; the storage summaries rebuild lazily with the
-        blocks.  Returns the number of replayed rows.
-        """
-        table = self.cluster.table_info(name)
-        self._tablet.drop_shard(name, 0)
-        self.cluster.host_replica(self._tablet, table, 0)
-        replayed = catch_up(self._tablet, name, 0, table.binlogs[0])
-        self._refresh(name)
-        return replayed
 
     def evict_expired(self, now_ts: int) -> int:
         """Run TTL eviction across the tablet's memory shards."""

@@ -302,10 +302,11 @@ class DeploymentHost:
         thread inside another span — and share a per-batch window
         scan cache, so requests that resolve to the same (partition
         key, anchor ts) scan fetch rows once (hot keys under herd
-        traffic).  On a cluster, order ``rows`` by partition (see
-        ``NameServer.request_partition``) so consecutive requests
-        route to the same leader.  ``deadlines`` is an optional
-        parallel list of :class:`~repro.serving.Deadline` budgets.
+        traffic).  Rows run in the order given — the serving frontend
+        hands them over as admitted; the cache is keyed by scan, so
+        its hits do not depend on that order.  ``deadlines`` is an
+        optional parallel list of :class:`~repro.serving.Deadline`
+        budgets.
 
         Per-row failures do not poison the batch: the returned list is
         parallel to ``rows`` and each element is either the feature

@@ -14,15 +14,7 @@ only in what data they see and what they return:
 
 from __future__ import annotations
 
-import enum
-
-__all__ = ["ExecutionMode", "PreviewConstraints"]
-
-
-class ExecutionMode(enum.Enum):
-    OFFLINE = "offline"
-    ONLINE_PREVIEW = "online_preview"
-    ONLINE_REQUEST = "online_request"
+__all__ = ["PreviewConstraints"]
 
 
 class PreviewConstraints:

@@ -2,11 +2,12 @@
 
 Sidiq et al.'s OpenMLDB performance analysis (arXiv:2509.15529) shows
 cluster throughput is governed by partition balance, so the rebalancer
-closes the loop between observation and topology: it reads the gauges
-the :mod:`repro.obs` registry already collects — per-replica
-``cluster.replication.lag`` and per-deployment ``serving.queue.depth``
-— plus per-tablet :class:`~repro.memory.governor.MemoryGovernor` byte
-accounting, and emits a bounded plan of
+closes the loop between observation and topology: it reads each
+replica's lag from replica state
+(:meth:`~repro.cluster.NameServer.replication_lag`), the
+per-deployment ``serving.queue.depth`` gauges of the :mod:`repro.obs`
+registry, and per-tablet :class:`~repro.memory.governor.MemoryGovernor`
+byte accounting, and emits a bounded plan of
 :class:`SplitAction`/:class:`MigrateAction` steps:
 
 * a partition holding more than ``split_threshold_bytes`` *and* more
@@ -15,8 +16,8 @@ accounting, and emits a bounded plan of
 * when the most-loaded tablet carries more than ``imbalance_ratio``
   times the bytes of the least-loaded live tablet, one leader shard is
   **migrated** from the former to the latter (the skew absorber);
-* a tablet whose worst ``cluster.replication.lag`` gauge exceeds
-  ``max_target_lag`` is never chosen as a migration target — moving
+* a tablet whose worst replica lag exceeds ``max_target_lag``
+  entries is never chosen as a migration target — moving
   load onto a struggling replica only amplifies the imbalance;
 * while total ``serving.queue.depth`` exceeds ``queue_depth_limit``
   the plan is capped to a single action per round — rebalancing under
@@ -75,8 +76,8 @@ class Rebalancer:
             worth its copy cost.
         imbalance_ratio: hot/mean (splits) and max/min tablet
             (migrations) ratio that counts as skew; must be > 1.
-        max_target_lag: worst acceptable ``cluster.replication.lag``
-            (entries) on a migration target.
+        max_target_lag: worst acceptable replica lag (entries behind
+            the partition binlog) on a migration target.
         queue_depth_limit: total ``serving.queue.depth`` beyond which
             the plan is capped to one action.
         max_actions: plan-size cap per round.
@@ -118,16 +119,18 @@ class Rebalancer:
                 if tablet.alive}
 
     def worst_lag(self, tablet_name: str) -> int:
-        """Worst ``cluster.replication.lag`` gauge for one tablet."""
-        worst = 0
-        for instrument in self._obs.registry.series():
-            if instrument.kind != "gauge" \
-                    or instrument.name != "cluster.replication.lag":
-                continue
-            labels = dict(instrument.labels)
-            if labels.get("tablet") == tablet_name:
-                worst = max(worst, int(instrument.value))
-        return worst
+        """Entries the tablet's most-behind replica is missing against
+        its partition binlog (:meth:`NameServer.replication_lag` over
+        every shard it hosts) — replica state, so it holds with
+        observability off too."""
+        cluster = self._cluster
+        tablet = cluster.tablets[tablet_name]
+        return max((cluster.replication_lag(table.name, partition_id,
+                                            tablet_name)
+                    for table in list(cluster.tables.values())
+                    for partition_id in table.layout.placement
+                    if tablet.has_shard(table.name, partition_id)),
+                   default=0)
 
     def total_queue_depth(self) -> int:
         """Sum of ``serving.queue.depth`` gauges across deployments."""

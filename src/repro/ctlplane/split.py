@@ -17,11 +17,14 @@ Two pieces live here:
   1. take the partition's write lock (writes pause; reads continue);
   2. freeze the partition binlog at its current offset — the fork
      point: every acknowledged write is at or before it;
-  3. host child shards on the parent's replica group and replay the
-     frozen binlog into them, each entry routed to its child by the
-     new ``(2m, ...)`` residue — children are built through the same
-     ``Replicator``/``replicate`` path replication and recovery use,
-     so their binlogs are immediately failover- and crash-safe;
+  3. host child shards on the parent's replica group, append each
+     frozen binlog entry to its child's binlog by the new ``(2m, ...)``
+     residue, then catch each child's replicas up from that binlog,
+     leader first — the one replay loop
+     (:func:`~repro.cluster.failover.catch_up`) replication, failover
+     and recovery use, so the children's binlogs are immediately
+     failover- and crash-safe; a follower that cannot apply is left
+     lagging;
   4. swap in the next layout, whose router holds the children and
      whose retired ids hold the parent.  A request that already
      resolved the parent id gets
@@ -317,32 +320,26 @@ class PartitionSplitter:
                       placement: List[str], leader: str, binlog: Any,
                       plan: SplitPlan, key_position: int,
                       children: Dict[int, Any]) -> Dict[int, int]:
-        """Replay the frozen parent binlog into the children."""
-        moved = {plan.left: 0, plan.right: 0}
-        for entry in binlog.entries_from(0):
-            child = plan.child_for(stable_hash(entry.row[key_position]))
-            self._apply_entry(ns, table_name, child, placement, leader,
-                              children[child], entry.row)
-            moved[child] += 1
-        return moved
+        """Fork the frozen parent binlog into the child binlogs, then
+        catch each child's replicas up from its binlog, leader first.
 
-    def _apply_entry(self, ns: "NameServer", table_name: str,
-                     partition_id: int, placement: List[str], leader: str,
-                     binlog: Any, row: Tuple[Any, ...]) -> None:
-        """Append one row to a child binlog and apply it to replicas.
-
-        The leader replica must apply (a child whose leader cannot hold
-        the data is a failed split); follower failures are left as
-        replication lag to be repaired by catch-up or failover, exactly
-        like the normal write path.
+        The leader must apply (a child whose leader cannot hold the data
+        is a failed split); a follower that cannot is left lagging, to
+        be repaired by catch-up or failover, like the normal write path.
         """
-        offset = binlog.append_entry(table_name, row)
-        for name in placement:
-            tablet = ns.tablets[name]
-            if not tablet.has_shard(table_name, partition_id):
-                continue
-            try:
-                tablet.replicate(table_name, partition_id, row, offset)
-            except StorageError:
-                if name == leader:
-                    raise
+        from ..cluster.failover import catch_up
+        moved = {plan.left: 0, plan.right: 0}
+        for row in binlog.rows_from(0):
+            child = plan.child_for(stable_hash(row[key_position]))
+            children[child].append_entry(table_name, row)
+            moved[child] += 1
+        for child, child_binlog in children.items():
+            catch_up(ns.tablets[leader], table_name, child, child_binlog)
+            for name in placement:
+                if name != leader:
+                    try:
+                        catch_up(ns.tablets[name], table_name, child,
+                                 child_binlog)
+                    except StorageError:
+                        pass  # left lagging
+        return moved

@@ -1,12 +1,11 @@
 """Memory management mechanisms (paper Section 8)."""
 
 from .estimator import (EngineChoice, IndexProfile, TableProfile,
-                        estimate_table_bytes, estimate_total_bytes,
-                        recommend_engine)
+                        estimate_table_bytes, recommend_engine)
 from .governor import MemoryGovernor
 
 __all__ = [
     "IndexProfile", "TableProfile", "estimate_table_bytes",
-    "estimate_total_bytes", "recommend_engine", "EngineChoice",
+    "recommend_engine", "EngineChoice",
     "MemoryGovernor",
 ]

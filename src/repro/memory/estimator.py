@@ -27,7 +27,7 @@ from ..errors import SchemaError
 from ..schema import TTLKind
 
 __all__ = ["IndexProfile", "TableProfile", "estimate_table_bytes",
-           "estimate_total_bytes", "recommend_engine", "EngineChoice"]
+           "recommend_engine", "EngineChoice"]
 
 _PK_OVERHEAD = 156  # per unique key: skiplist node + entry bookkeeping
 
@@ -79,11 +79,6 @@ def estimate_table_bytes(profile: TableProfile) -> float:
     node_term = len(profile.indexes) * profile.rows * c
     data_term = profile.data_copies * profile.rows * profile.avg_row_bytes
     return profile.replicas * (index_term + node_term + data_term)
-
-
-def estimate_total_bytes(profiles: Sequence[TableProfile]) -> float:
-    """Sum of per-table estimates (the outer Σ of the formula)."""
-    return sum(estimate_table_bytes(profile) for profile in profiles)
 
 
 def measure_memtable_bytes(table) -> int:

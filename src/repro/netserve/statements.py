@@ -51,12 +51,6 @@ class ExecuteDeployment:
     deployment: str
     args: Optional[Tuple[Union[Param, Any], ...]]  # None = all params
 
-    @property
-    def param_count(self) -> int:
-        if self.args is None:
-            raise ValueError("unresolved EXECUTE has no fixed arity")
-        return sum(1 for arg in self.args if isinstance(arg, Param))
-
 
 @dataclasses.dataclass(frozen=True)
 class SetOption:
@@ -161,12 +155,52 @@ def _parse_args(text: str) -> Tuple[Union[Param, Any], ...]:
     return tuple(args)
 
 
+def _execute(text: str) -> Optional[ExecuteDeployment]:
+    match = _EXECUTE.match(text)
+    if match is None:
+        return None
+    raw_args = match.group("args")
+    return ExecuteDeployment(
+        deployment=match.group("name"),
+        args=None if raw_args is None else _parse_args(raw_args))
+
+
+def _set(text: str) -> Optional[SetOption]:
+    match = _SET.match(text)
+    if match is None:
+        return None
+    value = match.group("value").strip()
+    if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
+        value = value[1:-1]
+    return SetOption(match.group("name").lower(), value)
+
+
+def _show(text: str) -> Optional[ShowOption]:
+    match = _SHOW.match(text)
+    return None if match is None else ShowOption(match.group("name").lower())
+
+
+def _select_constant(text: str) -> Optional[SelectConstant]:
+    match = _SELECT_CONST.match(text)
+    return None if match is None else SelectConstant(
+        int(match.group("value")))
+
+
+#: Head word → the one form that can start with it.  Each pattern needs
+#: its keyword then whitespace, so the text's first word is the keyword.
+_FORMS = {"execute": _execute, "set": _set, "show": _show,
+          "select": _select_constant}
+_CONTROL = {"create": "CREATE TABLE", "insert": "INSERT",
+            "deploy": "DEPLOY"}
+
+
 def classify(sql: str):
     """Classify one statement's text into its netserve form.
 
-    Raises :class:`~repro.errors.ParseError` (SQLSTATE 42601) for text
-    that matches no accepted form — including general SELECTs, which
-    the serving frontend deliberately refuses.
+    The head word picks the one form to try.  Raises
+    :class:`~repro.errors.ParseError` (SQLSTATE 42601) for text that
+    matches no accepted form — including general SELECTs, which the
+    serving frontend deliberately refuses.
     """
     text = sql.strip().rstrip(";").strip()
     if not text:
@@ -174,29 +208,14 @@ def classify(sql: str):
     lowered = text.lower()
     if lowered in _TXN:
         return TransactionNoop(_TXN[lowered])
-    match = _EXECUTE.match(text)
-    if match is not None:
-        raw_args = match.group("args")
-        return ExecuteDeployment(
-            deployment=match.group("name"),
-            args=None if raw_args is None else _parse_args(raw_args))
-    match = _SET.match(text)
-    if match is not None:
-        value = match.group("value").strip()
-        if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
-            value = value[1:-1]
-        return SetOption(match.group("name").lower(), value)
-    match = _SHOW.match(text)
-    if match is not None:
-        return ShowOption(match.group("name").lower())
-    match = _SELECT_CONST.match(text)
-    if match is not None:
-        return SelectConstant(int(match.group("value")))
-    head = lowered.split(None, 2)
-    if head and head[0] in ("create", "insert", "deploy"):
-        kind = {"create": "CREATE TABLE", "insert": "INSERT",
-                "deploy": "DEPLOY"}[head[0]]
-        return ControlStatement(kind=kind, sql=text)
+    head = lowered.split(None, 1)[0]
+    # casefold, as the patterns' IGNORECASE does: "ſet" is "set".
+    form = _FORMS.get(head.casefold())
+    statement = None if form is None else form(text)
+    if statement is not None:
+        return statement
+    if head in _CONTROL:
+        return ControlStatement(kind=_CONTROL[head], sql=text)
     raise ParseError(
         f"statement not served over the wire: {text.split(None, 1)[0]!r} "
         "(the network frontend serves EXECUTE <deployment>, SET, SHOW, "

@@ -90,9 +90,6 @@ class Gauge:
         with self._lock:
             self.value += amount
 
-    def dec(self, amount: float = 1) -> None:
-        self.inc(-amount)
-
     def snapshot(self) -> Dict[str, Any]:
         return {"name": self.name, "type": self.kind,
                 "labels": dict(self.labels), "value": self.value}
@@ -216,9 +213,6 @@ class _NullInstrument:
     def inc(self, amount: int = 1) -> None:
         pass
 
-    def dec(self, amount: float = 1) -> None:
-        pass
-
     def set(self, value: float) -> None:
         pass
 
@@ -299,10 +293,6 @@ class MetricsRegistry:
             instruments = list(self._series.values())
         return iter(sorted(instruments,
                            key=lambda i: (i.name, i.labels)))
-
-    @property
-    def series_count(self) -> int:
-        return len(self._series)
 
     def get(self, name: str, **labels: Any) -> Optional[Any]:
         """Fetch an existing series without creating it (any kind)."""

@@ -63,8 +63,7 @@ class OfflineStats:
     ``window_seconds`` maps window name → measured compute time.
     ``task_seconds`` lists individual (key, PART_ID) task times across all
     windows (each task's own ``thread_time``) — the inputs to the
-    makespan model.  ``serial_seconds`` is the sum of window times (a
-    serial engine's cost); ``parallel_seconds`` the LPT makespan of the
+    makespan model.  ``parallel_seconds`` is the LPT makespan of the
     window tasks on ``workers`` workers.
     """
 
@@ -85,10 +84,6 @@ class OfflineStats:
     def task_seconds(self) -> List[float]:
         return [seconds for tasks in self.window_tasks.values()
                 for seconds in tasks]
-
-    @property
-    def serial_seconds(self) -> float:
-        return sum(self.window_seconds.values())
 
     @property
     def parallel_seconds(self) -> float:
@@ -115,11 +110,6 @@ class OfflineStats:
             return lpt_makespan(self.task_seconds, self.workers)
         return sum(lpt_makespan(tasks, self.workers)
                    for tasks in self.window_tasks.values() if tasks)
-
-    @property
-    def total_serial_seconds(self) -> float:
-        return (self.serial_seconds + self.join_seconds
-                + self.project_seconds)
 
     @property
     def total_parallel_seconds(self) -> float:

@@ -82,10 +82,6 @@ class PartitionTask:
     part_id: int
     rows: List[TaggedRow]
 
-    @property
-    def own_rows(self) -> int:
-        return sum(1 for tagged in self.rows if not tagged.expanded)
-
 
 class SkewResolver:
     """Builds balanced ``(key, PART_ID)`` tasks from skewed input."""

@@ -1,13 +1,13 @@
 """Online real-time execution engine (paper Section 5)."""
 
-from .binlog import BinlogEntry, Replicator
+from .binlog import Replicator
 from .engine import EngineStats, OnlineEngine
 from .incremental import SlidingWindowAggregator
 from .window_union import (DynamicScheduler, StaticScheduler, UnionStats,
                            WindowUnionProcessor)
 
 __all__ = [
-    "OnlineEngine", "EngineStats", "Replicator", "BinlogEntry",
+    "OnlineEngine", "EngineStats", "Replicator",
     "SlidingWindowAggregator", "WindowUnionProcessor", "StaticScheduler",
     "DynamicScheduler", "UnionStats",
 ]

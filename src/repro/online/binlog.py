@@ -11,9 +11,8 @@ The binlog starts no thread.
 
 from __future__ import annotations
 
-import itertools
 import threading
-from typing import Any, List, NamedTuple, Optional, TYPE_CHECKING, Tuple
+from typing import Any, List, Optional, TYPE_CHECKING, Tuple
 
 from ..errors import StorageError
 
@@ -21,19 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from ..storage.encoding import RowCodec
     from ..storage.persist import FileBinlog
 
-__all__ = ["BinlogEntry", "Replicator"]
-
-
-class BinlogEntry(NamedTuple):
-    """One replicated update: table, row payload, and its offset.
-
-    The binlog does not keep these: it keeps each row once and builds an
-    entry when one is read (:meth:`Replicator.entries_from`).
-    """
-
-    offset: int
-    table: str
-    row: Tuple[Any, ...]
+__all__ = ["Replicator"]
 
 
 class Replicator:
@@ -129,14 +116,12 @@ class Replicator:
         with self._lock:
             return len(self._rows) - 1
 
-    def entries_from(self, offset: int,
-                     stop: Optional[int] = None) -> List[BinlogEntry]:
-        """Snapshot of the entries with ``offset <= entry.offset < stop``
-        (replay source); ``stop`` defaults to the end of the log."""
+    def rows_from(self, offset: int) -> List[Tuple[Any, ...]]:
+        """Snapshot of the rows from offset ``offset`` to the end of the
+        log (the replay source: the row at index ``i`` has offset
+        ``offset + i``)."""
         with self._lock:
-            rows = self._rows[offset:stop]
-        return list(map(BinlogEntry, range(offset, offset + len(rows)),
-                        itertools.repeat(self.table), rows))
+            return self._rows[offset:]
 
     def log_control(self, text: str) -> None:
         """Write a control frame (storage event) to the WAL, if attached.

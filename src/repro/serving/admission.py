@@ -222,13 +222,6 @@ class AdmissionController:
         with self._lock:
             return self._inflight
 
-    def queued(self, deployment: Optional[str] = None) -> int:
-        with self._lock:
-            if deployment is not None:
-                lane = self._lanes.get(deployment)
-                return len(lane.queue) if lane is not None else 0
-            return sum(len(lane.queue) for lane in self._lanes.values())
-
     def drain(self, timeout: float = 10.0) -> bool:
         """Stop admitting; wait for every admitted request to finish.
 

@@ -9,10 +9,10 @@
   global in-flight limiter; past the bounds, requests are shed with
   :class:`~repro.errors.OverloadError` (see :mod:`repro.serving.admission`);
 * **micro-batching by flat combining** — no worker thread: a caller
-  that finds its deployment without a combiner runs the queued batch
-  on its own thread, sorted by the request row's partition so storage
-  reads group by partition leader and identical window scans are
-  shared; everyone else waits on its own ticket;
+  that finds its deployment without a combiner hands the queued batch,
+  in arrival order, to the backend's ``request_batch`` on its own
+  thread (identical window scans in it are fetched once); everyone
+  else waits on its own ticket;
 * **deadline propagation** — a per-request ``timeout_ms`` becomes a
   :class:`~repro.serving.deadline.Deadline` that clamps every routed
   RPC's timeout; a request that expires while queued is dropped
@@ -37,10 +37,10 @@ from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import DeadlineExceededError, OpenMLDBError, OverloadError
+from ..errors import DeadlineExceededError, OverloadError
 from ..obs import NULL_OBS, Observability
 from .admission import AdmissionController, Ticket
-from .deadline import Deadline, deadline_scope, no_ambient_deadline
+from .deadline import Deadline, no_ambient_deadline
 
 __all__ = ["FrontendServer"]
 
@@ -49,13 +49,14 @@ class FrontendServer:
     """Admission-controlled, micro-batching request frontend.
 
     Args:
-        backend: anything with ``request(name, row) -> dict``.  If it
-            also offers ``request_batch(name, rows, deadlines=None)``
-            (the :class:`~repro.cluster.NameServer` does), batches
-            execute through it — sharing window scans across the batch;
-            otherwise the frontend falls back to per-row execution.
-            An optional ``request_partition(name, row)`` hint lets the
-            frontend group each batch by partition.
+        backend: a :class:`~repro.core.deployment.DeploymentHost` (a
+            :class:`~repro.cluster.NameServer` or a single-node
+            :class:`~repro.OpenMLDB`), or anything with its
+            ``request_batch(name, rows, deadlines)`` contract: one
+            outcome per row, in order — the feature dict or the
+            :class:`~repro.errors.OpenMLDBError` that row raised.  Every
+            batch runs through it, as admitted; ``describe_deployment``
+            is asked only by network frontends.
         obs: observability handle (share the backend's to get one
             registry across frontend and cluster).
         max_queue: per-deployment queued-request bound (admission).
@@ -89,8 +90,7 @@ class FrontendServer:
         if max_wait_ms < 0:
             raise ValueError("max_wait_ms must be >= 0")
         self._backend = backend
-        self._batch_call = getattr(backend, "request_batch", None)
-        self._partition_of = getattr(backend, "request_partition", None)
+        self._request_batch = backend.request_batch
         self._obs = obs or NULL_OBS
         self._tenants = tenants
         self._default_timeout_ms = default_timeout_ms
@@ -233,12 +233,7 @@ class FrontendServer:
         statements through the same frontend they execute through, so
         the whole serving stack stays one object to wire up.
         """
-        describe = getattr(self._backend, "describe_deployment", None)
-        if describe is None:
-            raise OpenMLDBError(
-                f"backend {type(self._backend).__name__} does not "
-                f"support deployment introspection")
-        return describe(name)
+        return self._backend.describe_deployment(name)
 
     # ------------------------------------------------------------------
     # combiner side
@@ -261,17 +256,15 @@ class FrontendServer:
                 else:
                     live.append(ticket)
             if live:
-                # Group storage reads by partition: consecutive
-                # requests route to the same partition leader, and
-                # identical scans share fetched rows via the backend's
-                # shared-fetch cache.  The sort is stable: arrival order
-                # holds within a partition.
-                hint = self._partition_of
-                if hint is not None and len(live) > 1:
-                    live.sort(key=lambda t: hint(name, t.row) or 0)
                 self._m_batches.inc()
                 self._h_batch_size.observe(len(live))
-                self._run_batch(name, live)
+                outcomes = self._request_batch(
+                    name, [ticket.row for ticket in live],
+                    deadlines=[ticket.deadline for ticket in live])
+                for ticket, outcome in zip(live, outcomes):
+                    if isinstance(outcome, DeadlineExceededError):
+                        self._m_expired.inc()
+                    self._complete(ticket, outcome)
         except BaseException as exc:  # never strand a waiting caller
             for ticket in tickets:
                 self._complete(ticket, exc)
@@ -283,30 +276,6 @@ class FrontendServer:
                         "batch executor completed without a result",
                         deployment=name, reason="internal"))
             self._admission.release(len(tickets))
-
-    def _run_batch(self, name: str, live: List[Ticket]) -> None:
-        batch_call = self._batch_call
-        if batch_call is not None:
-            outcomes = batch_call(
-                name, [ticket.row for ticket in live],
-                deadlines=[ticket.deadline for ticket in live])
-        else:
-            outcomes = []
-            for ticket in live:
-                try:
-                    with deadline_scope(ticket.deadline):
-                        outcomes.append(
-                            self._backend.request(name, ticket.row))
-                except OpenMLDBError as exc:
-                    # Only typed engine/storage/deadline failures become
-                    # per-row outcomes — matching request_batch.
-                    # Programming errors propagate (and fail the batch
-                    # loudly) instead of masquerading as request results.
-                    outcomes.append(exc)
-        for ticket, outcome in zip(live, outcomes):
-            if isinstance(outcome, DeadlineExceededError):
-                self._m_expired.inc()
-            self._complete(ticket, outcome)
 
     def _complete(self, ticket: Ticket, outcome: Any) -> None:
         if ticket.future.done():

@@ -138,9 +138,6 @@ class Token:
         self.value = value
         self.position = position
 
-    def is_keyword(self, word: str) -> bool:
-        return self.type is _KEYWORD and self.text == word
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Token({self.type.name}, {self.text!r})"
 

@@ -24,9 +24,9 @@ LAST JOIN on that index column, then drops it):
         WindowAgg(w2) ─┴─ SimpleProject(+index)
                             <source>
 
-The rewrite is purely structural — execution strategies live in the
-engines — but it is the artefact EXPLAIN shows, the unit tests assert
-on, and what the offline engine consults to group independent windows.
+The rewrite is purely structural: no engine reads the tree, and the
+offline engine runs a statement's windows from the compiled query.  It
+is the artefact EXPLAIN shows and the unit tests assert on.
 
 Also here: :func:`index_access_paths`, the Section 4.2 "index
 optimisation" check that every WINDOW / LAST JOIN in a plan is served by
@@ -35,14 +35,14 @@ a declared table index (rejecting deployments that would need scans).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping
 
 from ..errors import PlanError
 from .planner import (ConcatJoinNode, PlanNode, ProjectNode, QueryPlan,
                       SimpleProjectNode, WindowAggNode)
 
-__all__ = ["rewrite_parallel_windows", "parallel_window_groups",
-           "explain_optimized", "index_access_paths"]
+__all__ = ["rewrite_parallel_windows", "explain_optimized",
+           "index_access_paths"]
 
 
 def rewrite_parallel_windows(tree: PlanNode) -> PlanNode:
@@ -70,24 +70,6 @@ def rewrite_parallel_windows(tree: PlanNode) -> PlanNode:
                             windows=tuple(branch.window
                                           for branch in branches))
     return ProjectNode(children=(concat,))
-
-
-def parallel_window_groups(plan: QueryPlan) -> Tuple[Tuple[str, ...], ...]:
-    """Window groups that may execute concurrently after the rewrite.
-
-    Currently all windows of a statement are mutually independent (the
-    dialect has no window-over-window nesting), so the rewrite yields a
-    single group; the tuple-of-tuples shape leaves room for dependency
-    analysis.
-    """
-    optimized = rewrite_parallel_windows(plan.tree)
-    groups: List[Tuple[str, ...]] = []
-    node = optimized.children[0] if optimized.children else None
-    if isinstance(node, ConcatJoinNode):
-        groups.append(node.windows)
-    elif isinstance(node, WindowAggNode):
-        groups.append((node.window,))
-    return tuple(groups)
 
 
 def explain_optimized(plan: QueryPlan) -> str:

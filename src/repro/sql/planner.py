@@ -8,8 +8,9 @@ query plan generator* (Section 4): one plan, two runtimes, identical
 feature semantics.
 
 The plan also carries an explicit operator tree (:class:`PlanNode`) that
-the offline engine walks and the multi-window parallel optimisation of
-Section 6.1 rewrites (inserting ``SimpleProject`` / ``ConcatJoin`` nodes).
+EXPLAIN renders and the multi-window parallel optimisation of Section
+6.1 rewrites (inserting ``SimpleProject`` / ``ConcatJoin`` nodes); no
+engine walks it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# plan operator tree (used by EXPLAIN and the offline engine)
+# plan operator tree (rendered by EXPLAIN; no engine walks it)
 
 
 @dataclasses.dataclass

@@ -20,9 +20,8 @@ A row is encoded into four regions::
   offset width adapts to the total row size (1, 2 or 4 bytes), so a small
   row spends a single metadata byte per string.
 
-The module also implements :func:`spark_row_size`, the UnsafeRow-style byte
-accounting the paper compares against, reproducing its worked example
-(65-column row: 556 bytes for Spark vs. 255 bytes here).
+The paper's worked example is a 65-column row: 255 bytes here against
+556 for Spark's UnsafeRow (``tests/test_encoding.py`` models the latter).
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from ..types import ColumnType
 __all__ = [
     "RowCodec",
     "encoded_size",
-    "spark_row_size",
     "redis_row_size",
 ]
 
@@ -278,22 +276,6 @@ class RowCodec:
 def encoded_size(schema: Schema, row: Sequence[Any]) -> int:
     """One-shot compact row size (convenience wrapper over RowCodec)."""
     return RowCodec(schema).encoded_size(row)
-
-
-def spark_row_size(schema: Schema, row: Sequence[Any]) -> int:
-    """UnsafeRow-style byte accounting used as the paper's comparison point.
-
-    Layout: a NULL bit set rounded up to 8-byte words, one 8-byte word per
-    field (fixed values inline; var-length fields store offset+length in
-    the word), plus the raw bytes of each var-length value.  Reproduces the
-    paper's worked example of 556 bytes for the 65-column row.
-    """
-    words = (len(schema) + 63) // 64
-    size = 8 * words + 8 * len(schema)
-    for column, value in zip(schema.columns, row):
-        if column.type is ColumnType.STRING and value is not None:
-            size += len(value.encode("utf-8"))
-    return size
 
 
 # Redis per-entry cost model for the Trino+Redis baseline (Table 2).  A

@@ -32,10 +32,6 @@ class RecoveryReport:
     applied_offsets: Dict[Tuple[str, int], int] = \
         dataclasses.field(default_factory=dict)
 
-    @property
-    def total_rows(self) -> int:
-        return self.snapshot_rows + self.replayed_entries
-
     def describe(self) -> str:
         return (f"{self.node}: recovered {self.snapshot_rows} snapshot "
                 f"row(s) + {self.replayed_entries} replayed binlog "

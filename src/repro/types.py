@@ -19,7 +19,6 @@ __all__ = [
     "ColumnType",
     "coerce_value",
     "int_range",
-    "is_numeric",
     "python_type",
 ]
 
@@ -100,18 +99,6 @@ def python_type(column_type: ColumnType) -> type:
     if column_type is ColumnType.DATE:
         return _dt.date
     return str
-
-
-def is_numeric(column_type: ColumnType) -> bool:
-    """True for types that participate in arithmetic aggregates."""
-    return column_type in (
-        ColumnType.SMALLINT,
-        ColumnType.INT,
-        ColumnType.BIGINT,
-        ColumnType.FLOAT,
-        ColumnType.DOUBLE,
-        ColumnType.TIMESTAMP,
-    )
 
 
 def coerce_value(value: Any, column_type: ColumnType) -> Any:

@@ -25,8 +25,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from ..errors import ExecutionError
 
 __all__ = ["GLQConfig", "generate_points", "GridGLQEngine",
-           "SparkGLQEngine", "GLQResult", "RouteResult", "radius_for_n",
-           "route_for_n"]
+           "SparkGLQEngine", "GLQResult", "RouteResult", "route_for_n"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,11 +67,6 @@ def generate_points(config: GLQConfig = GLQConfig()
         lat, lon = centres[rng.randrange(config.centres)]
         yield (lat + rng.gauss(0.0, config.spread),
                lon + rng.gauss(0.0, config.spread))
-
-
-def radius_for_n(n: int, base: float = 0.05) -> float:
-    """Radius variant of the hyper-parameter: doubles per N step (N≥7)."""
-    return base * (2 ** (n - 7))
 
 
 def route_for_n(n: int) -> int:

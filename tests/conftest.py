@@ -6,8 +6,9 @@ import math
 
 import pytest
 
-from repro.errors import SchemaError, TypeMismatchError
+from repro.errors import OpenMLDBError, SchemaError, TypeMismatchError
 from repro.schema import Column, IndexDef, Schema
+from repro.serving import deadline_scope
 from repro.types import ColumnType
 
 
@@ -28,6 +29,22 @@ def rows_equal(left_rows, right_rows, rel_tol: float = 1e-9) -> bool:
             if not values_close(a, b, rel_tol):
                 return False
     return True
+
+
+class PerRowBatch:
+    """Mixin for fake serving backends: ``DeploymentHost.request_batch``'s
+    contract over the fake's own ``request``, a row at a time — each row
+    under its own deadline, a typed failure as that row's outcome."""
+
+    def request_batch(self, name, rows, deadlines):
+        outcomes = []
+        for row, deadline in zip(rows, deadlines):
+            try:
+                with deadline_scope(deadline):
+                    outcomes.append(self.request(name, row))
+            except OpenMLDBError as exc:
+                outcomes.append(exc)
+        return outcomes
 
 
 @pytest.fixture

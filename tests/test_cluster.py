@@ -87,7 +87,8 @@ class TestDataPath:
         for index in range(10):
             cluster.put("t", (f"u{index}", index, 0.0))
         table = cluster.tables["t"]
-        assert sum(table.next_offset.values()) == 10
+        assert sum(binlog.last_offset + 1
+                   for binlog in table.binlogs.values()) == 10
 
 
 class TestNullPartitionKey:
@@ -137,10 +138,10 @@ class TestOneCheckOneRow:
         held = [next(cluster.tablets[name].shard("t", partition_id)
                      .store.rows())
                 for name in table.assignment[partition_id]]
-        (entry,) = table.binlogs[partition_id].entries_from(0)
+        (logged,) = table.binlogs[partition_id].rows_from(0)
         assert len(held) == 2
         assert all(stored is row for stored in held)
-        assert entry.row is row
+        assert logged is row
 
     @pytest.mark.parametrize("durable", [False, True])
     def test_one_check_at_the_boundary_one_per_replica(
@@ -431,7 +432,7 @@ class TestServedPathDifferential:
             return stale if len(resolved) == 1 else resolve(table, key)
         monkeypatch.setattr(cluster, "partition_for", partition_for)
         with pytest.raises(ShardMovedError):
-            cluster.route_to_leader("t", stale)
+            cluster.leader_of("t", stale)
         got = cluster.request("feat", row)
         assert got == expected(row) and repr(got) == repr(expected(row))
         assert len(resolved) > 1

@@ -102,8 +102,8 @@ class TestExplain:
 
 
 class TestBinlogRecovery:
-    def test_table_rebuilt_from_binlog(self):
-        db = OpenMLDB()
+    def test_table_rebuilt_from_binlog(self, tmp_path):
+        db = OpenMLDB(data_dir=str(tmp_path))
         db.execute("CREATE TABLE t (k string, ts timestamp, v double, "
                    "INDEX(KEY=k, TS=ts))")
         for index in range(30):
@@ -114,14 +114,14 @@ class TestBinlogRecovery:
             "ROWS_RANGE BETWEEN 1d PRECEDING AND CURRENT ROW)"))
         before = db.request("d", ("a", 10_000, 0.0))
         old_table = db.table("t")
-        replayed = db.recover_table("t")
-        assert replayed == 30
+        assert db.recover().replayed_entries == 30
         assert db.table("t") is not old_table
         after = db.request("d", ("a", 10_000, 0.0))
         assert after == before
+        db.close()
 
-    def test_preagg_survives_recovery(self):
-        db = OpenMLDB()
+    def test_preagg_survives_recovery(self, tmp_path):
+        db = OpenMLDB(data_dir=str(tmp_path))
         db.execute("CREATE TABLE t (k string, ts timestamp, v double, "
                    "INDEX(KEY=k, TS=ts))")
         for index in range(50):
@@ -132,18 +132,20 @@ class TestBinlogRecovery:
             "ROWS_RANGE BETWEEN 30d PRECEDING AND CURRENT ROW)"),
             long_windows="w:1h")
         before = db.request("d", ("a", 50 * 3_600_000, 1.0))
-        db.recover_table("t")
+        db.recover()
         after = db.request("d", ("a", 50 * 3_600_000, 1.0))
         assert after == before
+        db.close()
 
-    def test_new_inserts_after_recovery(self):
-        db = OpenMLDB()
+    def test_new_inserts_after_recovery(self, tmp_path):
+        db = OpenMLDB(data_dir=str(tmp_path))
         db.execute("CREATE TABLE t (k string, ts timestamp, v double, "
                    "INDEX(KEY=k, TS=ts))")
         db.insert("t", ("a", 100, 1.0))
-        db.recover_table("t")
+        db.recover()
         db.insert("t", ("a", 200, 2.0))
         assert db.table("t").row_count == 2
+        db.close()
 
 
 class TestDeploymentIntrospection:

@@ -7,7 +7,8 @@ import textwrap
 
 import pytest
 
-from repro.cluster import NameServer, TabletServer
+from repro.cluster import FaultInjector, NameServer, TabletServer
+from repro.cluster.failover import catch_up
 from repro.ctlplane import (HashRouter, MigrateAction, PartitionSplitter,
                             Rebalancer, ShardMigrator, TenantRegistry,
                             stable_hash)
@@ -179,6 +180,36 @@ class TestOnlineSplit:
         child = report.child_ids[0]
         cluster.handle_failure(cluster.leader_of("ev", child).name)
         assert window_answers(cluster) == window_answers(twin)
+        cluster.close()
+        twin.close()
+
+    def test_unreachable_child_follower_lags_then_catches_up(self):
+        """A follower that cannot apply during the split is left lagging
+        (the split commits); caught up, it answers as the leader did."""
+        cluster = make_cluster()
+        twin = make_cluster(prefix="w")
+        load_rows(cluster, twin)
+        faults = FaultInjector(cluster)
+        layout = cluster.table_info("ev").layout
+        leader = layout.leaders[0]
+        follower = next(name for name in layout.placement[0]
+                        if name != leader)
+        faults.partition(follower)
+        report = PartitionSplitter(cluster).split("ev", 0)
+        faults.heal(follower)
+        binlogs = cluster.table_info("ev").binlogs
+        assert {child: cluster.replication_lag("ev", child, follower)
+                for child in report.child_ids} == report.moved_entries
+        assert all(report.moved_entries.values())
+        for child in report.child_ids:
+            catch_up(cluster.tablets[follower], "ev", child, binlogs[child])
+            assert cluster.replication_lag("ev", child, follower) == 0
+            rows = [repr(list(cluster.tablets[name].shard("ev", child)
+                              .store.rows()))
+                    for name in (leader, follower)]
+            assert rows[0] == rows[1]
+        cluster.handle_failure(leader)  # the follower now serves
+        assert repr(window_answers(cluster)) == repr(window_answers(twin))
         cluster.close()
         twin.close()
 
@@ -448,24 +479,33 @@ class TestRebalancer:
         cluster.close()
 
     def test_lagging_tablet_is_not_a_migration_target(self):
-        obs = Observability(enabled=True)
-        cluster = make_cluster(n_tablets=3, partitions=2, replicas=1,
-                               obs=obs)
-        load_rows(cluster, users=24, per_user=6)
-        rebalancer = Rebalancer(cluster, split_threshold_bytes=1 << 30,
-                                imbalance_ratio=1.2, max_target_lag=4)
-        plan = rebalancer.plan()
-        migrations = [a for a in plan if isinstance(a, MigrateAction)]
-        assert migrations
-        # Poison the chosen target's lag gauge and re-plan: it must be
-        # skipped (the rebalancer consumes the obs registry's gauges).
-        obs.registry.gauge("cluster.replication.lag", table="ev",
-                           partition=99,
-                           tablet=migrations[0].target).set(1_000)
-        replanned = [a for a in rebalancer.plan()
-                     if isinstance(a, MigrateAction)]
-        assert all(a.target != migrations[0].target for a in replanned)
-        cluster.close()
+        # Real lag — deliveries to the chosen target dropped — is skipped
+        # whether or not observability records a lag gauge: the
+        # rebalancer reads replica state.
+        for observed in (False, True):
+            cluster = make_cluster(n_tablets=3, partitions=3, replicas=2,
+                                   obs=Observability(enabled=observed))
+            faults = FaultInjector(cluster)
+            load_rows(cluster, users=24, per_user=6)
+            for k in range(60):  # skew: one hot key
+                cluster.put("ev", ("user-0", 2_000 + k, 1.0))
+            rebalancer = Rebalancer(cluster,
+                                    split_threshold_bytes=1 << 30,
+                                    imbalance_ratio=1.2, max_target_lag=4)
+            migrations = [a for a in rebalancer.plan()
+                          if isinstance(a, MigrateAction)]
+            assert migrations
+            target = migrations[0].target
+            faults.drop_replication(target)
+            for uid in range(24):
+                for k in range(6):
+                    cluster.put("ev", (f"user-{uid}", 5_000 + k * 100,
+                                       1.0))
+            assert rebalancer.worst_lag(target) > 4
+            replanned = [a for a in rebalancer.plan()
+                         if isinstance(a, MigrateAction)]
+            assert all(a.target != target for a in replanned), observed
+            cluster.close()
 
     def test_overload_caps_the_plan(self):
         obs = Observability(enabled=True)

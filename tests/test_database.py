@@ -171,8 +171,8 @@ class TestOneCheckOneRow:
         row = GOOD_ROW
         db.insert("c", row)
         (stored,) = db.table("c").rows()
-        (entry,) = db.cluster.table_info("c").binlogs[0].entries_from(0)
-        assert stored is row and entry.row is row
+        (logged,) = db.cluster.table_info("c").binlogs[0].rows_from(0)
+        assert stored is row and logged is row
         db.close()
 
     @pytest.mark.parametrize("durable", [False, True])
@@ -389,7 +389,7 @@ class TestMemoryIsolation:
         assert rows
 
 
-class TestRecoverTable:
+class TestRecover:
     def test_rebuilt_disk_table_keeps_logging_to_the_wal(self, tmp_path):
         # The rebuilt DiskTable used to miss the WAL event sink, so its
         # explicit flushes and compactions went unlogged and recover()
@@ -400,7 +400,7 @@ class TestRecoverTable:
                         indexes=[IndexDef(("k",), "ts")], storage="disk")
         db.insert("t", ("a", 1))
         db.table("t").flush()
-        db.recover_table("t")
+        db.recover()
         db.insert("t", ("a", 2))
         db.table("t").flush()
         db.table("t").compact(10)
@@ -423,6 +423,24 @@ class TestEviction:
         removed = db.evict_expired(now_ts=120_001)
         assert removed == 1
 
+    def test_logged_evictions_survive_recover(self, tmp_path):
+        # A TTL eviction is a logged storage event: recover() replays it
+        # at its row position, so the rebuilt table answers as the live
+        # one did (a replay of the rows alone would bring 3 rows back).
+        db = OpenMLDB(data_dir=str(tmp_path))
+        db.execute("CREATE TABLE t (k string, ts timestamp, v double, "
+                   "INDEX(KEY=k, TS=ts, TTL=1m, TTL_TYPE=absolute))")
+        db.deploy("d", "SELECT count(v) OVER w AS c FROM t WINDOW w AS "
+                       "(PARTITION BY k ORDER BY ts "
+                       "ROWS_RANGE BETWEEN 1d PRECEDING AND CURRENT ROW)")
+        for ts in range(0, 90_000, 10_000):
+            db.insert("t", ("a", ts, 1.0))
+        assert db.evict_expired(now_ts=90_000) == 3
+        assert db.request("d", ("a", 90_000, 1.0)) == {"c": 7}
+        db.recover()
+        assert db.request("d", ("a", 90_000, 1.0)) == {"c": 7}
+        db.close()
+
 
 class TestNoThreadOfItsOwn:
     def test_single_node_starts_no_thread(self, tmp_path):
@@ -441,7 +459,7 @@ class TestNoThreadOfItsOwn:
         assert db.request("d", ("a", 90_000, 1.0)) \
             == {"k": "a", "s": 4.0, "c": 4}
         assert db.evict_expired(now_ts=90_000) == 3
-        assert db.recover_table("t") == 9
+        assert db.recover().replayed_entries == 9
         assert db.snapshot() == 9
         assert db.request("d", ("a", 90_000, 1.0))["c"] == 4
         assert threading.active_count() == before

@@ -74,7 +74,7 @@ class TestHeartbeatMonitor:
         monitor.observe("a", True, 0.0)
         monitor.observe("a", True, 2_500.0)
         assert monitor.observe("a", False, 5_000.0) is False
-        assert monitor.last_beat_ms("a") == 2_500.0
+        assert monitor.observe("a", False, 5_500.0) is True
 
     def test_forget_erases_old_silence(self):
         monitor = HeartbeatMonitor()
@@ -122,7 +122,7 @@ class TestZeroLossFailover:
                 faults.kill(victim.name)
             cluster.put("t", (uid, uid, float(uid)))
         total = sum(
-            cluster.route_to_leader("t", pid).shard("t", pid)
+            cluster.leader_of("t", pid).shard("t", pid)
             .store.row_count
             for pid in range(4))
         assert total == 50
@@ -213,10 +213,11 @@ class TestReplicationLag:
         assert shard.store.row_count == 4
 
     def test_async_catch_up_reads_only_the_gap(self, schema, monkeypatch):
-        """Five dropped deliveries, then one more put: the repair reads
-        the binlog from the follower's next offset up to the new entry,
-        never past it, and the follower applies every offset once, in
-        order, ending with the leader's rows."""
+        """Five dropped deliveries, then one more put: the repair is one
+        read of the binlog from the follower's next offset to its end —
+        the new entry, since the put holds the partition lock — and the
+        follower applies every offset once, in order, ending with the
+        leader's rows."""
         cluster = make_cluster(schema)
         faults = FaultInjector(cluster)
         try:
@@ -225,32 +226,31 @@ class TestReplicationLag:
             name = follower_names(cluster, partition_id)[0]
             follower = cluster.tablets[name]
             reads, applied = [], []
-            entries_from, replicate = binlog.entries_from, follower.replicate
+            rows_from, replicate = binlog.rows_from, follower.replicate
 
-            def spy_entries_from(offset, stop=None):
-                entries = entries_from(offset, stop)
-                reads.append((offset, stop, len(entries)))
-                return entries
+            def spy_rows_from(offset):
+                rows = rows_from(offset)
+                reads.append((offset, len(rows)))
+                return rows
 
             def spy_replicate(table, pid, row, offset, *args, **kwargs):
                 applied.append(offset)
                 return replicate(table, pid, row, offset, *args, **kwargs)
-            monkeypatch.setattr(binlog, "entries_from", spy_entries_from)
+            monkeypatch.setattr(binlog, "rows_from", spy_rows_from)
             monkeypatch.setattr(follower, "replicate", spy_replicate)
             faults.drop_replication(name, count=5)
             for k in range(5):
                 cluster.put("t", (7, 1_000 + k, float(k)))
             assert faults.dropped_entries == 5 and applied == []
             cluster.put("t", (7, 2_000, 9.0))
-            assert reads == [(0, 5, 5)]
+            assert reads == [(0, 6)]
             assert applied == list(range(6))
             leader = cluster.leader_of("t", partition_id)
             shard = follower.shard("t", partition_id)
             assert shard.applied_offset == binlog.last_offset == 5
             assert list(shard.store.rows()) \
                 == list(leader.shard("t", partition_id).store.rows())
-            assert [entry.row for entry in entries_from(0)] \
-                == list(shard.store.rows())
+            assert rows_from(0) == list(shard.store.rows())
         finally:
             cluster.close()
 

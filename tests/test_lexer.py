@@ -129,8 +129,7 @@ class TestSymbols:
 class TestTokenHelpers:
     def test_is_keyword(self):
         token = tokenize("SELECT")[0]
-        assert token.is_keyword("SELECT")
-        assert not token.is_keyword("FROM")
+        assert token.type is TokenType.KEYWORD and token.text == "SELECT"
 
     def test_positions_recorded(self):
         tokens = tokenize("ab cd")

@@ -191,6 +191,56 @@ class TestBisectKey:
                                                     (5, "PY39")]
 
 
+class TestDeadDefinitions:
+    """DEAD001 — a public definition under ``src/`` that only tests use."""
+
+    def test_repo_sweep_is_clean(self):
+        findings = list(lint.check_dead_definitions(ROOT))
+        assert findings == [], findings
+
+    def test_test_only_definition_is_a_finding(self, tmp_path,
+                                               monkeypatch):
+        package = tmp_path / "src" / "pkg"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text(
+            '_HOMES = {"lazy_only": "mod"}\n'
+            "def __getattr__(name):\n"
+            "    return _HOMES[name]\n")
+        (package / "mod.py").write_text(
+            '"""`only_in_tests` named in a docstring is no use."""\n'
+            '__all__ = ["only_in_tests", "lazy_only", "used"]\n'
+            "def only_in_tests():\n"
+            '    """only_in_tests: a test calls me."""\n'
+            "def lazy_only():\n"
+            "    pass  # lazy_only\n"
+            "def used():\n"
+            "    return 1\n"
+            "def by_string():\n"
+            "    pass\n"
+            "def allowed():\n"
+            "    pass\n"
+            "class Kept:\n"
+            "    def method(self):\n"
+            "        return used(), getattr(self, 'by_string')\n"
+            "    def _private(self):\n"
+            "        pass\n")
+        (tmp_path / "tools").mkdir()
+        (tmp_path / "tools" / "run.py").write_text(
+            "from pkg.mod import Kept\nKept().method()\n")
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_mod.py").write_text(
+            "from pkg.mod import allowed, lazy_only, only_in_tests\n"
+            "only_in_tests(), lazy_only(), allowed()\n")
+        monkeypatch.setattr(lint, "DEAD_ALLOWLIST",
+                            {"allowed": "a reason"})
+        findings = list(lint.check_dead_definitions(tmp_path))
+        assert [(f[0], f[1], f[3]) for f in findings] == [
+            ("src/pkg/mod.py", 3, "DEAD001"),
+            ("src/pkg/mod.py", 5, "DEAD001")]
+        assert "'only_in_tests'" in findings[0][4]
+        assert "'lazy_only'" in findings[1][4]
+
+
 def test_execute_request_has_one_serving_call_site():
     # One request pipeline: Deployment.serve is the serving call site,
     # core/consistency.py's raw replay is the reference it is checked

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import MemoryLimitExceededError, SchemaError
 from repro.memory.estimator import (IndexProfile,
                                     TableProfile, estimate_table_bytes,
-                                    estimate_total_bytes, recommend_engine)
+                                    recommend_engine)
 from repro.memory.governor import MemoryGovernor
 from repro.schema import TTLKind
 
@@ -43,12 +43,6 @@ class TestEstimatorFormula:
         with pytest.raises(SchemaError):
             TableProfile(rows=1, avg_row_bytes=1,
                          indexes=[IndexProfile(1, 1)], data_copies=2)
-
-    def test_total_sums_tables(self):
-        profile = TableProfile(rows=10, avg_row_bytes=10,
-                               indexes=[IndexProfile(1, 1)])
-        assert estimate_total_bytes([profile, profile]) \
-            == 2 * estimate_table_bytes(profile)
 
 
 class TestEngineRecommendation:

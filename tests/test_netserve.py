@@ -38,6 +38,7 @@ from repro.schema import IndexDef, Schema
 from repro.serving import FrontendServer
 from repro.serving.describe import DeploymentDescriptor
 from repro.types import ColumnType
+from tests.conftest import PerRowBatch
 
 FEATURE_SQL = ("SELECT uid, sum(v) OVER w AS s FROM t "
                "WINDOW w AS (PARTITION BY uid ORDER BY ts "
@@ -118,7 +119,6 @@ class TestStatements:
     def test_execute_params_and_mix(self):
         s = classify("execute feat ($1, 7, $2)")
         assert s.args == (Param(0), 7, Param(1))
-        assert s.param_count == 2
 
     def test_execute_bare_means_all_params(self):
         s = classify("EXECUTE feat")
@@ -559,7 +559,7 @@ class TestEdgeCases:
 # concurrency and serving-stack composition
 
 
-class StubBackend:
+class StubBackend(PerRowBatch):
     """Deterministic backend: optional gate/delay, fixed descriptor."""
 
     SCHEMA = Schema.from_pairs([("uid", "int"), ("ts", "timestamp"),
@@ -588,7 +588,7 @@ class StubBackend:
 
 
 class BatchStubBackend(StubBackend):
-    """A stub with ``request_batch``, noting the thread each ran on."""
+    """A stub whose ``request_batch`` notes the thread each ran on."""
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)

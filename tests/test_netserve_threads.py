@@ -30,6 +30,7 @@ from repro.obs import Observability
 from repro.schema import Schema
 from repro.serving import FrontendServer
 from repro.serving.describe import DeploymentDescriptor
+from tests.conftest import PerRowBatch
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -58,7 +59,7 @@ def test_serving_imports_leave_offline_engine_and_asyncio_unloaded():
     assert done.returncode == 0, done.stderr
 
 
-class GatedBackend:
+class GatedBackend(PerRowBatch):
     """One deployment; ``request`` blocks on ``gate`` once ``entered``."""
 
     SCHEMA = Schema.from_pairs([("uid", "int"), ("ts", "timestamp"),

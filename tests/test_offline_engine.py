@@ -275,5 +275,4 @@ class TestStats:
     def test_stat_totals(self, trades):
         engine, compiled = build(ROLLING, {"trades": trades})
         _, stats = engine.execute(compiled)
-        assert stats.total_serial_seconds >= stats.serial_seconds
         assert stats.total_parallel_seconds >= stats.parallel_seconds

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import PlanError
 from repro.schema import IndexDef, Schema
 from repro.sql.optimizer import (explain_optimized, index_access_paths,
-                                 parallel_window_groups,
                                  rewrite_parallel_windows)
 from repro.sql.parser import parse_select
 from repro.sql.planner import build_plan
@@ -48,8 +47,8 @@ class TestParallelRewrite:
 
     def test_window_declaration_order_preserved(self, catalog):
         plan = build_plan(parse_select(MULTI), catalog)
-        groups = parallel_window_groups(plan)
-        assert groups == (("w1", "w2"),)
+        concat = rewrite_parallel_windows(plan.tree).children[0]
+        assert concat.windows == ("w1", "w2")
 
     def test_original_tree_not_mutated(self, catalog):
         plan = build_plan(parse_select(MULTI), catalog)

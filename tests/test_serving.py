@@ -22,6 +22,7 @@ from repro.obs import Observability
 from repro.schema import IndexDef, Schema
 from repro.serving import (AdmissionController, Deadline, FrontendServer,
                            Ticket, current_deadline, deadline_scope)
+from tests.conftest import PerRowBatch
 
 FAST = RetryPolicy(attempts=2, base_delay_ms=0.1, multiplier=2.0,
                    max_delay_ms=1.0, rpc_timeout_ms=20.0)
@@ -47,7 +48,7 @@ def make_cluster(obs=None, tablets=3, partitions=2, replicas=2,
     return cluster
 
 
-class RecordingBackend:
+class RecordingBackend(PerRowBatch):
     """Fake backend: counts calls, optionally blocks or sleeps."""
 
     def __init__(self, delay_s=0.0, gate=None):
@@ -138,7 +139,7 @@ class TestAdmissionControl:
             control.admit(ticket())
         assert err.value.reason == "queue_full"
         assert err.value.deployment == "d"
-        assert control.queued("d") == 2
+        assert control.inflight == 2
 
     def test_inflight_limit_sheds(self):
         control = AdmissionController(max_queue=8, max_inflight=1)
@@ -352,6 +353,51 @@ class TestFrontendOverCluster:
             "feat", [(3, 1_500, 9.0), ("not-an-int", 1_500, 9.0)])
         assert isinstance(outcomes[0], dict)
         assert isinstance(outcomes[1], SchemaError)
+        cluster.close()
+
+    def test_batch_runs_as_admitted_in_one_call(self):
+        # Rows queued behind a busy combiner run as one request_batch
+        # call, in arrival order even though they route to different
+        # partitions, and each ticket gets its own outcome.
+        cluster = make_cluster()
+        batches, gate = [], threading.Event()
+        request_batch = cluster.request_batch
+
+        def spy(name, rows, deadlines=None):
+            batches.append(list(rows))
+            if len(batches) == 1:
+                assert gate.wait(timeout=30)
+            return request_batch(name, rows, deadlines=deadlines)
+        cluster.request_batch = spy
+        rows = [(0, 1_500, 9.0), (4, 1_500, 9.0), (1, "x", 9.0),
+                (5, 1_500, 9.0), (2, 1_500, 9.0)]
+        partitions = [cluster.partition_for("t", row[0]) for row in rows]
+        assert partitions != sorted(partitions)
+        frontend = FrontendServer(cluster, max_batch=8, max_wait_ms=0)
+        outcomes = {}
+
+        def call(row):
+            try:
+                outcomes[row] = frontend.request("feat", row)
+            except OpenMLDBError as exc:
+                outcomes[row] = exc
+        threads = [threading.Thread(target=call, args=((7, 1_500, 9.0),))]
+        threads[0].start()
+        wait_until(lambda: len(batches) == 1)  # the combiner is busy
+        for count, row in enumerate(rows, start=2):
+            threads.append(threading.Thread(target=call, args=(row,)))
+            threads[-1].start()
+            wait_until(lambda: frontend.inflight == count)
+        gate.set()
+        for thread in threads:
+            thread.join(timeout=30)
+        frontend.close()
+        assert batches == [[(7, 1_500, 9.0)], rows]
+        for row in rows:
+            if row[1] == "x":
+                assert isinstance(outcomes[row], SchemaError)
+            else:
+                assert outcomes[row] == cluster.request("feat", row)
         cluster.close()
 
     def test_deadline_stops_retry_without_failover(self):

@@ -244,7 +244,7 @@ def test_rejected_deliveries_do_not_count_as_delivered(plan):
                                  want.out_of_order, want.watermark())
     assert want.ingested == len(plan)
     tables = [list(db.table("t").rows()) for db in dbs]
-    binlogs = [db.cluster.table_info("t").binlogs[0].entries_from(0)
+    binlogs = [db.cluster.table_info("t").binlogs[0].rows_from(0)
                for db in dbs]
     assert tables[0] == tables[1] and binlogs[0] == binlogs[1]
     for db in dbs:

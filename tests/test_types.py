@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import TypeMismatchError
-from repro.types import ColumnType, coerce_value, is_numeric, python_type
+from repro.types import ColumnType, coerce_value, python_type
 
 
 class TestFromSqlName:
@@ -94,13 +94,6 @@ class TestCoerce:
 
 
 class TestHelpers:
-    def test_is_numeric(self):
-        assert is_numeric(ColumnType.INT)
-        assert is_numeric(ColumnType.DOUBLE)
-        assert is_numeric(ColumnType.TIMESTAMP)
-        assert not is_numeric(ColumnType.STRING)
-        assert not is_numeric(ColumnType.BOOL)
-
     def test_python_type(self):
         assert python_type(ColumnType.BIGINT) is int
         assert python_type(ColumnType.DOUBLE) is float

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.workloads.glq import (GLQConfig, GridGLQEngine, SparkGLQEngine,
-                                 generate_points, radius_for_n)
+                                 generate_points)
 from repro.workloads.microbench import (MicroBenchConfig, build_feature_sql,
                                         generate)
 from repro.workloads.rtp import RTPConfig, generate_events
@@ -112,10 +112,6 @@ class TestGLQ:
         assert list(generate_points(config)) \
             == list(generate_points(config))
 
-    def test_radius_doubles_per_n(self):
-        assert radius_for_n(8) == 2 * radius_for_n(7)
-        assert radius_for_n(10) == 8 * radius_for_n(7)
-
     def test_grid_and_spark_agree(self):
         points = list(generate_points(GLQConfig(points=3000)))
         grid = GridGLQEngine(cell=0.05)
@@ -124,8 +120,7 @@ class TestGLQ:
             grid.insert(point)
             spark.insert(point)
         centre = points[0]
-        for n in (7, 8, 9):
-            radius = radius_for_n(n)
+        for radius in (0.05, 0.1, 0.2):
             left = grid.query(centre, radius)
             right = spark.query(centre, radius)
             assert left.count == right.count

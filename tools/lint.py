@@ -56,14 +56,21 @@ reliably:
   silently when a module is renamed; this rule imports each reference
   and getattr-walks the remainder.  Runs in *both* ``make lint``
   branches (with ruff, via ``tools/lint.py --docs``).
+* **DEAD001** — a public function, class or method defined under
+  ``src/`` whose name no code of ``src/``, ``benchmarks/``,
+  ``examples/``, ``tools/`` or ``perfbench/`` uses.  Docstrings,
+  comments, ``__all__`` and a PEP 562 module's lazy-export tables are
+  not code, and neither are tests: a name only a test reaches is
+  deleted, moved into the test, or listed in ``DEAD_ALLOWLIST`` with a
+  one-line reason.  Repo-level, in both ``make lint`` branches.
 
 Usage: ``python tools/lint.py PATH [PATH ...]`` — paths are files or
 directories (searched recursively for ``*.py``); markdown files and
 the DOC001 sweep are included automatically when a given directory
 contains them.  ``python tools/lint.py --docs`` runs only the
 repo-level sweeps (DOC001 over the prose docs, AGG001 over the
-aggregate registry).  Exits non-zero when findings exist,
-printing ``path:line:col CODE message`` per finding.
+aggregate registry, DEAD001 over the code).  Exits non-zero when
+findings exist, printing ``path:line:col CODE message`` per finding.
 """
 
 from __future__ import annotations
@@ -71,7 +78,7 @@ from __future__ import annotations
 import ast
 import pathlib
 import sys
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 Finding = Tuple[str, int, int, str, str]
 
@@ -475,6 +482,109 @@ def check_aggregate_merge_coverage(
                    "(src/repro/sql/compiler.py reads it)")
 
 
+#: Where a name must be used for its definition under ``src/`` to live.
+_CODE_DIRS = ("src", "benchmarks", "examples", "tools", "perfbench")
+
+#: Names DEAD001 accepts without a use in code, each with its reason.
+DEAD_ALLOWLIST: Dict[str, str] = {
+    "preview": "OpenMLDB's online-preview mode (paper §3.2), a user API",
+    "undeploy": "the user API that retires a deployment (DEPLOY's inverse)",
+    "compact": "DiskTable's explicit compaction, a user-driven storage "
+               "event the WAL logs and recovery replays",
+    "collect_until_ready": "NetClient's raw-protocol read, documented in "
+                           "docs/network_protocol.md for protocol-level "
+                           "clients",
+    "close_message": "the pg-wire Close frame; the protocol module builds "
+                     "every frontend message the server parses",
+    "last_trace": "the tracer's read of the newest trace, documented in "
+                  "docs/observability.md",
+    "to_tfrecords": "the feature-signature TFRecord export, documented in "
+                    "docs/sql_reference.md",
+    "state_groups": "the accumulators a window's aggregates share: cycle "
+                    "binding's (paper §4.1) observable outcome",
+    "imbalance": "the window-union workers' max/mean load, the "
+                 "self-adjusting union's (paper §5.2) observable outcome",
+}
+
+
+def _is_docstring(node: ast.AST, parent: ast.AST) -> bool:
+    return isinstance(parent, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                               ast.AsyncFunctionDef)) \
+        and bool(parent.body) and isinstance(parent.body[0], ast.Expr) \
+        and parent.body[0].value is node
+
+
+def _export_table_nodes(tree: ast.Module) -> Set[int]:
+    """ids of the nodes inside ``__all__`` and, in a module with a
+    PEP 562 ``__getattr__``, its module-level tables of names."""
+    lazy = any(isinstance(node, ast.FunctionDef)
+               and node.name == "__getattr__" for node in tree.body)
+    skipped: Set[int] = set()
+    for node in tree.body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+            continue
+        targets = node.targets if isinstance(node, ast.Assign) \
+            else [node.target]
+        if lazy or any(isinstance(t, ast.Name) and t.id == "__all__"
+                       for t in targets):
+            skipped.update(id(sub) for sub in ast.walk(node.value))
+    return skipped
+
+
+def _code_uses(tree: ast.Module) -> Iterator[str]:
+    """Every identifier the code uses: names, attributes, and
+    identifier-shaped strings (``getattr(x, "name")``) that are not
+    docstrings or export tables.  Imports bind; they are not uses, and
+    neither is a definition's own name."""
+    skipped = _export_table_nodes(tree)
+    for parent in ast.walk(tree):
+        for node in ast.iter_child_nodes(parent):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str) \
+                    and node.value.isidentifier() \
+                    and id(node) not in skipped \
+                    and not _is_docstring(node, parent):
+                yield node.value
+
+
+def check_dead_definitions(
+        root: pathlib.Path = REPO_ROOT) -> Iterator[Finding]:
+    """DEAD001 — a public function, class or method under ``src/``
+    whose name no code of ``_CODE_DIRS`` uses.
+
+    Tests do not count: a name only a test reaches is dead weight the
+    program carries.  ``DEAD_ALLOWLIST`` exempts a name with a reason.
+    """
+    used: Set[str] = set()
+    definitions = []
+    for directory in _CODE_DIRS:
+        for path in iter_python_files([str(root / directory)]):
+            tree = ast.parse(path.read_text(encoding="utf-8"),
+                             filename=str(path))
+            used.update(_code_uses(tree))
+            if directory == "src":
+                definitions.extend(
+                    (path, node) for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef,
+                                         ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and node.name not in DEAD_ALLOWLIST)
+    for path, node in definitions:
+        if node.name in used:
+            continue
+        kind = "class" if isinstance(node, ast.ClassDef) else "function"
+        yield (str(path.relative_to(root)), node.lineno,
+               node.col_offset + 1, "DEAD001",
+               f"{kind} {node.name!r} is used by no code (tests do "
+               "not count): delete it, or allowlist it in "
+               "DEAD_ALLOWLIST with the reason")
+
+
 _BISECT_NAMES = {"bisect", "bisect_left", "bisect_right",
                  "insort", "insort_left", "insort_right"}
 
@@ -524,6 +634,7 @@ def main(argv: List[str]) -> int:
     findings: List[Finding] = [] if docs_only else sorted(lint(paths))
     findings.extend(sorted(check_doc_references()))
     findings.extend(sorted(check_aggregate_merge_coverage()))
+    findings.extend(sorted(check_dead_definitions()))
     for path, line, col, code, message in findings:
         print(f"{path}:{line}:{col} {code} {message}")
     if findings:
