@@ -60,7 +60,8 @@ examples:
 # the summary fold, of the same fold with no summaries, and the
 # summaries read per request;
 # `--path put --rounds 20000` profiles the write path instead (INSERT
-# parse + NameServer.put with a WAL, on the perfbench table shape);
+# parse + NameServer.put with a WAL, on the perfbench table shape) and
+# prints the unprofiled us per put and its split by step;
 # `--path wire --rounds 5000` serves perfbench's wire_point over pg-wire
 # and prints the server's CPU per read and per write thread by thread,
 # and the context switches per op of server and generator (one CPU, one

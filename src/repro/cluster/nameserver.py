@@ -86,6 +86,10 @@ class ClusterTable:
 
     def __post_init__(self) -> None:
         self.codec = RowCodec(self.schema)
+        #: the partition key's position in a row: the first index's
+        #: first key column
+        self.key_position = self.schema.position(
+            self.indexes[0].key_columns[0])
 
     @property
     def assignment(self) -> Mapping[int, Tuple[str, ...]]:
@@ -499,15 +503,19 @@ class NameServer(DeploymentHost):
         :class:`~repro.errors.TenantBudgetError` before anything is
         written, and a write that ultimately fails refunds its charge.
 
-        The row is validated here, once: the leader, every follower and
-        the binlog entry all hold the tuple this check returns.
+        Each step runs once: the row is validated here — the leader,
+        every follower and the binlog entry all hold the tuple this
+        check returns, and no store checks it again — its key is hashed
+        here, and the partition comes from the layout the routed call
+        hands in, the one the partition lock re-checks.
         """
         self._check_open()
         table = self._table(table_name)
         self._m_puts.inc()
         row = table.schema.validate_row(row)
-        column = key_column or table.indexes[0].key_columns[0]
-        key_value = row[table.schema.position(column)]
+        hashed = stable_hash(row[
+            table.key_position if key_column is None
+            else table.schema.position(key_column)])
         charged = 0
         if tenant and self._tenants is not None:
             charged = table.codec.encoded_size(row)
@@ -515,7 +523,7 @@ class NameServer(DeploymentHost):
         try:
             return self._routed(
                 table,
-                lambda layout: (self.partition_for(table_name, key_value),),
+                lambda layout: (layout.router.route(hashed),),
                 lambda leader, partition_id, timeout_ms, layout:
                     self._put_on_leader(table, layout, partition_id,
                                         leader, row, timeout_ms))[0]
@@ -561,11 +569,13 @@ class NameServer(DeploymentHost):
         binlog = table.binlogs[partition_id]
         leader = layout.leaders[partition_id]
         for tablet_name in layout.placement[partition_id]:
-            tablet = self.tablets[tablet_name]
-            if tablet_name == leader \
-                    or not tablet.has_shard(table.name, partition_id):
+            if tablet_name == leader:
                 continue
-            shard = tablet.shard(table.name, partition_id)
+            tablet = self.tablets[tablet_name]
+            try:
+                shard = tablet.shard(table.name, partition_id)
+            except StorageError:
+                continue  # a migration dropped this replica
             gauge = self._lag_gauge(table.name, partition_id, tablet_name)
             if tablet.alive and (self.faults is None
                                  or self.faults.on_replicate(tablet_name)):
@@ -684,9 +694,9 @@ class NameServer(DeploymentHost):
         table = self._table(table_name)
         self._m_gets.inc()
         key_columns = tuple(keys) if keys else table.indexes[0].key_columns
+        hashed = stable_hash(key_value)
         return self._routed(
-            table, lambda layout: (self.partition_for(table_name,
-                                                      key_value),),
+            table, lambda layout: (layout.router.route(hashed),),
             lambda tablet, partition_id, timeout_ms, _layout:
                 tablet.read_latest(table_name, partition_id, key_columns,
                                    key_value, timeout_ms=timeout_ms))[0]

@@ -296,14 +296,15 @@ class TabletServer:
 
         The row arrives checked — the host validated it once at its
         boundary, and every replica stores that same tuple — so the
-        only check left is the memtable's own (cheap for a checked
-        row); the size charged is the one the store records, computed
+        store takes it as it is: handed the size, it checks nothing
+        again.  The size charged is the one the store records, computed
         once; a row the store refuses hands its charge back.
         """
-        size = shard.store.codec.encoded_size(row)
+        store = shard.store
+        size = store.codec.encoded_size(row)
         self.governor.charge(size)
         try:
-            shard.store.insert(row, size)
+            store.insert(row, size)
         except BaseException:
             self.governor.release(size)
             raise

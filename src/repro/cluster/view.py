@@ -6,6 +6,7 @@ import itertools
 from typing import (Any, Callable, Iterator, List, Optional, Sequence,
                     Tuple, TYPE_CHECKING)
 
+from ..ctlplane.split import stable_hash
 from ..errors import IndexNotFoundError
 from ..schema import IndexDef, Row, Schema
 from ..storage.skiplist import ColumnBlock
@@ -59,13 +60,13 @@ class ClusterTableView:
 
     def _partitions(self, keys: Sequence[str],
                     key_value: Any) -> Callable[[Layout], Sequence[int]]:
-        """The partitions a read on ``keys`` touches: the key's own, or
+        """The partitions a read on ``keys`` touches in the layout the
+        routed call hands in: the key's own (hashed once, here), or
         every partition for a non-partition index."""
         if tuple(keys)[0] == self._table.indexes[0].key_columns[0]:
-            routing = key_value[0] if isinstance(key_value, tuple) \
-                else key_value
-            return lambda layout: (self._ns.partition_for(self.name,
-                                                          routing),)
+            hashed = stable_hash(key_value[0] if isinstance(key_value, tuple)
+                                 else key_value)
+            return lambda layout: (layout.router.route(hashed),)
         return lambda layout: layout.router.partition_ids()
 
     def window_scan(self, keys: Sequence[str], ts_column: str,

@@ -42,7 +42,7 @@ import time
 import zlib
 from typing import (Any, Dict, List, Optional, Tuple, TYPE_CHECKING)
 
-from ..errors import StorageError
+from ..errors import MemoryLimitExceededError, StorageError
 from ..obs import Observability
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -67,7 +67,12 @@ def stable_hash(value: Any) -> int:
     type-tagged byte encoding: deterministic everywhere, and shared by
     the nameserver's routing and the split protocol's child fan-out.
     """
-    if value is None:
+    kind = type(value)
+    if kind is int:  # the common keys first; bool is not an exact int
+        payload = b"i%d" % value
+    elif kind is str:
+        payload = b"s" + value.encode("utf-8")
+    elif value is None:
         payload = b"\x00"
     elif isinstance(value, bool):
         payload = b"b1" if value else b"b0"
@@ -280,9 +285,11 @@ class PartitionSplitter:
                     moved = self._fork_entries(
                         ns, table_name, placement, leader, binlog, plan,
                         key_position, children)
-                except StorageError:
-                    # Unwind the half-built children; the parent never
-                    # stopped serving, so the split simply didn't happen.
+                except BaseException:
+                    # Any failure of the child build (a dead tablet, a
+                    # leader past its memory limit) unwinds the
+                    # half-built children; the parent never stopped
+                    # serving, so the split simply didn't happen.
                     for child in children:
                         ns.retire_partition(table_name, child)
                     raise
@@ -340,6 +347,6 @@ class PartitionSplitter:
                     try:
                         catch_up(ns.tablets[name], table_name, child,
                                  child_binlog)
-                    except StorageError:
-                        pass  # left lagging
+                    except (StorageError, MemoryLimitExceededError):
+                        pass  # left lagging, as a put's delivery leaves it
         return moved

@@ -113,15 +113,17 @@ class Replicator:
 
     @property
     def last_offset(self) -> int:
-        with self._lock:
-            return len(self._rows) - 1
+        """The newest entry's offset (-1 when empty).  Read without the
+        lock: the log only ever grows by whole appends, and its length
+        is read in one step."""
+        return len(self._rows) - 1
 
     def rows_from(self, offset: int) -> List[Tuple[Any, ...]]:
         """Snapshot of the rows from offset ``offset`` to the end of the
         log (the replay source: the row at index ``i`` has offset
-        ``offset + i``)."""
-        with self._lock:
-            return self._rows[offset:]
+        ``offset + i``).  A list slice is one step, so it needs no lock:
+        it holds a prefix-closed run of whole appends."""
+        return self._rows[offset:]
 
     def log_control(self, text: str) -> None:
         """Write a control frame (storage event) to the WAL, if attached.

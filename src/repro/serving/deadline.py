@@ -18,7 +18,9 @@ around execution; downstream layers read it back with
 Propagating ambiently (rather than threading a parameter through every
 storage call) mirrors how gRPC deadlines ride request context, and
 keeps the zero-cost property: with no deadline installed the check is
-one thread-local read.
+one thread-local read — an attribute the slot's class defaults to
+``None``, so a thread that never installed a deadline finds it without
+the failed instance lookup a bare ``threading.local`` costs.
 """
 
 from __future__ import annotations
@@ -77,12 +79,19 @@ class Deadline:
                 f"remaining_ms={self.remaining_ms():.3f})")
 
 
-_ambient = threading.local()
+class _Ambient(threading.local):
+    """This thread's ambient deadline; ``None`` until a scope installs
+    one."""
+
+    deadline: Optional[Deadline] = None
+
+
+_ambient = _Ambient()
 
 
 def current_deadline() -> Optional[Deadline]:
     """The deadline installed on this thread, if any."""
-    return getattr(_ambient, "deadline", None)
+    return _ambient.deadline
 
 
 _NO_SCOPE = contextlib.nullcontext()
@@ -107,7 +116,7 @@ def no_ambient_deadline() -> ContextManager[None]:
 
 @contextlib.contextmanager
 def _installed(deadline: Optional[Deadline]) -> Iterator[None]:
-    previous = getattr(_ambient, "deadline", None)
+    previous = _ambient.deadline
     _ambient.deadline = deadline
     try:
         yield

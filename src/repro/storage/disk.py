@@ -99,12 +99,16 @@ class DiskTable:
     # write path
 
     def insert(self, row: Sequence[Any], size: Optional[int] = None) -> int:
-        """Insert one row (``size`` as for :meth:`MemTable.insert`)."""
+        """Insert one row (``size`` as for :meth:`MemTable.insert`: given,
+        the row is a checked one and the shared memtable takes it as
+        it is)."""
+        if size is None:
+            row = self.schema.validate_row(row)
+            size = self.codec.encoded_size(row)
         with self._lock:
             offset = len(self._log)
-            validated = self.schema.validate_row(row)
-            self._log.append(validated)
-            self._state[0].insert(validated, size)
+            self._log.append(row)
+            self._state[0].insert(row, size)
             self._since_flush += 1
             if self._since_flush >= self.flush_threshold:
                 self._flush_locked()

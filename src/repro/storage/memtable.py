@@ -1,8 +1,10 @@
 """In-memory table: schema + stream-focused two-level indexes.
 
 A :class:`MemTable` owns one :class:`~repro.storage.skiplist.TimeSeriesIndex`
-per declared :class:`~repro.schema.IndexDef`.  Every insert is validated
-against the schema, appended to the insertion log and to all indexes.
+per declared :class:`~repro.schema.IndexDef`.  Every row is validated
+against the schema once — by :meth:`MemTable.insert`, or by the host
+that hands a tablet's insert a checked, sized row — then appended to the
+insertion log and to all indexes.
 
 Window reads go through :meth:`window_scan` / :meth:`last_join_lookup`,
 which pick the index matching the requested ``PARTITION BY`` / ``ORDER BY``
@@ -104,22 +106,26 @@ class MemTable:
     # write path
 
     def insert(self, row: Sequence[Any], size: Optional[int] = None) -> int:
-        """Validate and insert one row; returns its log offset.
+        """Insert one row; returns its log offset.
 
-        ``size`` is the row's encoded size when the caller sized it
-        already (a tablet charges its memory governor with it first), so
-        a row is sized once per host.
+        With no ``size`` the row is validated and sized here.  A caller
+        that passes ``size`` — the row's encoded size — hands in a row
+        its host already checked (what :meth:`Schema.validate_row`
+        returned, or a decoded image or WAL row): a tablet stores the
+        tuple its nameserver checked once and sized once for the memory
+        charge, as it is.
         """
-        validated = self.schema.validate_row(row)
         if size is None:
-            size = self.codec.encoded_size(validated)
+            row = self.schema.validate_row(row)
+            size = self.codec.encoded_size(row)
         with self._log_lock:
             offset = len(self._log)
-            self._log.append(validated)
+            self._log.append(row)
             self._bytes += size
         for key_of, ts_position, structure in self._routes:
-            structure.put(key_of(validated),
-                          normalize_ts(validated[ts_position]), validated)
+            ts = row[ts_position]
+            structure.put(key_of(row),
+                          ts if type(ts) is int else normalize_ts(ts), row)
         self._m_inserts.inc()
         return offset
 

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from repro import OpenMLDB
-from repro.ctlplane import PartitionSplitter, TenantRegistry
+from repro.ctlplane import PartitionSplitter, TenantRegistry, stable_hash
 from repro.errors import (DeadlineExceededError, DeploymentError,
                           DeploymentNotFoundError,
                           MemoryLimitExceededError, PlanError,
@@ -14,6 +14,7 @@ from repro.errors import (DeadlineExceededError, DeploymentError,
 from repro.obs import Observability
 from repro.online.engine import OnlineEngine
 from repro.schema import IndexDef, Schema
+from repro.serving.deadline import Deadline, deadline_scope
 from repro.serving.describe import DeploymentDescriptor
 from repro.storage import skiplist
 from repro.storage.memtable import MemTable
@@ -123,12 +124,25 @@ class TestOneCheckOneRow:
     and the binlog entry all hold the tuple that check returned."""
 
     @staticmethod
-    def checked_cluster(data_dir=None):
+    def checked_cluster(data_dir=None, storage="memory"):
         cluster = NameServer([TabletServer(f"tablet-{i}") for i in range(3)],
                              data_dir=data_dir)
         cluster.create_table("c", CHECKED_SCHEMA, [CHECKED_INDEX],
-                             partitions=4, replicas=2)
+                             partitions=4, replicas=2, storage=storage)
         return cluster
+
+    @staticmethod
+    def state(cluster, table_name):
+        """Every binlog, every replica and every governor, by value."""
+        table = cluster.tables[table_name]
+        return ({pid: binlog.rows_from(0)
+                 for pid, binlog in table.binlogs.items()},
+                {(tablet.name, shard.partition_id):
+                    (list(shard.store.rows()), shard.applied_offset)
+                 for tablet in cluster.tablets.values()
+                 for shard in tablet.shards()},
+                {tablet.name: tablet.governor.used_bytes
+                 for tablet in cluster.tablets.values()})
 
     def test_replicas_and_binlog_share_one_tuple(self, cluster):
         row = ("u1", 100, 1.0)
@@ -148,9 +162,59 @@ class TestOneCheckOneRow:
             self, validations, tmp_path, durable):
         cluster = self.checked_cluster(str(tmp_path) if durable else None)
         cluster.put("c", GOOD_ROW)
-        # NameServer.put, then each replica's MemTable.insert; the WAL
-        # encode and the tablet RPCs no longer re-check.
-        assert validations == [GOOD_ROW] * 3
+        # NameServer.put checks the row; the tablet RPCs, each replica's
+        # store and the WAL encode take the checked tuple as it is.
+        assert validations == [GOOD_ROW]
+        cluster.close()
+
+    def test_one_check_on_disk_shards(self, validations):
+        cluster = self.checked_cluster(storage="disk")
+        cluster.put("c", GOOD_ROW)
+        assert validations == [GOOD_ROW]
+        partition_id = cluster.partition_for("c", GOOD_ROW[0])
+        held = [next(cluster.tablets[name].shard("c", partition_id)
+                     .store.rows())
+                for name in cluster.tables["c"].assignment[partition_id]]
+        assert len(held) == 2 and all(row is GOOD_ROW for row in held)
+        cluster.close()
+
+    def test_expired_deadline_writes_nothing(self):
+        cluster = self.checked_cluster()
+        cluster.put("c", GOOD_ROW)
+        before = self.state(cluster, "c")
+        with deadline_scope(Deadline(0)):
+            with pytest.raises(DeadlineExceededError):
+                cluster.put("c", ("u2", 200, 5, 6, 2.0))
+        assert self.state(cluster, "c") == before
+        assert cluster.failovers == 0  # a spent budget fails no tablet
+        cluster.close()
+
+    def test_put_follows_a_split_between_route_and_lock(self, cluster,
+                                                        monkeypatch):
+        """The layout moves after the put routed and before it holds
+        the partition lock: the put re-routes from the new layout and
+        lands on the child that layout names."""
+        cluster.put("t", ("u1", 100, 1.0))
+        parent = cluster.partition_for("t", "u1")
+        lock_of, split = cluster.partition_lock, []
+
+        def partition_lock(table_name, partition_id):
+            if not split:
+                split.append(partition_id)
+                PartitionSplitter(cluster).split(table_name, partition_id)
+            return lock_of(table_name, partition_id)
+        monkeypatch.setattr(cluster, "partition_lock", partition_lock)
+        row = ("u1", 200, 2.0)
+        offset = cluster.put("t", row)
+        table = cluster.tables["t"]
+        child = table.layout.router.route(stable_hash("u1"))
+        assert split == [parent] and parent in table.retired
+        assert child not in (parent, *range(4))
+        assert offset == 1 and table.binlogs[child].rows_from(0) \
+            == [("u1", 100, 1.0), row]
+        assert all(cluster.tablets[name].shard("t", child).store
+                   .last_join_lookup(("user",), "u1")[1] is row
+                   for name in table.assignment[child])
         cluster.close()
 
     @pytest.mark.parametrize("case", sorted(BAD_ROWS))
@@ -421,21 +485,25 @@ class TestServedPathDifferential:
         row = requests[5]
         assert cluster.request("feat", row) == expected(row)
         stale = cluster.partition_for("t", row[0])
-        PartitionSplitter(cluster).split("t", stale)
-        # The next read resolved its partition before the split landed:
-        # the retired id raises ShardMovedError inside the routed block
-        # scan and the view re-resolves against the fresh directory.
-        resolve, resolved = cluster.partition_for, []
+        # The next read routes from the layout it read, then the split
+        # lands before its block scan runs: the retired id raises
+        # ShardMovedError inside the routed block scan and the view
+        # re-resolves against the fresh directory.
+        leader = cluster.leader_of("t", stale)
+        scan, scanned = leader.window_scan_blocks, []
 
-        def partition_for(table, key):
-            resolved.append(key)
-            return stale if len(resolved) == 1 else resolve(table, key)
-        monkeypatch.setattr(cluster, "partition_for", partition_for)
+        def window_scan_blocks(table, partition_id, *args, **kwargs):
+            scanned.append((table, partition_id))
+            if scanned == [("t", stale)]:
+                PartitionSplitter(cluster).split("t", stale)
+            return scan(table, partition_id, *args, **kwargs)
+        monkeypatch.setattr(leader, "window_scan_blocks",
+                            window_scan_blocks)
+        got = cluster.request("feat", row)
         with pytest.raises(ShardMovedError):
             cluster.leader_of("t", stale)
-        got = cluster.request("feat", row)
         assert got == expected(row) and repr(got) == repr(expected(row))
-        assert len(resolved) > 1
+        assert scanned[0] == ("t", stale) and len(scanned) > 1
         want = [expected(r) for r in requests]
         assert cluster.request_batch("feat", requests) == want
         cluster.close()

@@ -12,8 +12,8 @@ from repro.cluster.failover import catch_up
 from repro.ctlplane import (HashRouter, MigrateAction, PartitionSplitter,
                             Rebalancer, ShardMigrator, TenantRegistry,
                             stable_hash)
-from repro.errors import (ShardMovedError, StorageError,
-                          TenantBudgetError)
+from repro.errors import (MemoryLimitExceededError, ShardMovedError,
+                          StorageError, TenantBudgetError)
 from repro.obs import Observability
 from repro.schema import IndexDef, Schema
 
@@ -212,6 +212,45 @@ class TestOnlineSplit:
         assert repr(window_answers(cluster)) == repr(window_answers(twin))
         cluster.close()
         twin.close()
+
+    def test_split_past_the_memory_limit_unwinds(self, monkeypatch):
+        """A child leader that runs out of memory mid-build fails the
+        split, and the split unwinds whole: the parent keeps its keys,
+        no child stays placed or hosted, and every byte the half-built
+        children charged is handed back."""
+        tablets = [TabletServer(f"m{i}", max_memory_mb=1) for i in range(2)]
+        cluster = NameServer(tablets)
+        cluster.create_table("ev", SCHEMA, [IndexDef(("uid",), "ts")],
+                             partitions=2, replicas=2)
+        # Small rows first, so a child's replay charges some of them
+        # before a wide row finds the tablet full.
+        load_rows(cluster)
+        with pytest.raises(MemoryLimitExceededError):
+            for k in range(10_000):
+                cluster.put("ev", (f"user-{k % 16}".ljust(1_000, "x"),
+                                   5_000 + k, float(k)))
+        table = cluster.table_info("ev")
+        layout, answers = table.layout, window_answers(cluster)
+        used = [tablet.governor.used_bytes for tablet in tablets]
+        peaks = list(used)
+        for slot, tablet in enumerate(tablets):
+            def charge(nbytes, governor=tablet.governor,
+                       charge=tablet.governor.charge, slot=slot):
+                charge(nbytes)
+                peaks[slot] = max(peaks[slot], governor.used_bytes)
+            monkeypatch.setattr(tablet.governor, "charge", charge)
+
+        with pytest.raises(MemoryLimitExceededError):
+            PartitionSplitter(cluster).split("ev", 0)
+        assert peaks != used  # the children were part built
+        assert dict(table.layout.placement) == dict(layout.placement)
+        assert table.layout.router.partition_ids() == [0, 1]
+        assert sorted(table.binlogs) == [0, 1]
+        assert not any(tablet.has_shard("ev", child)
+                       for tablet in tablets for child in (2, 3))
+        assert [tablet.governor.used_bytes for tablet in tablets] == used
+        assert window_answers(cluster) == answers
+        cluster.close()
 
 class TestLiveMigration:
     def test_migrate_preserves_answers_and_leadership(self):

@@ -1,0 +1,30 @@
+"""``tools/profile.py --path put`` runs end to end and prints its split.
+
+A smoke run at a tiny ``--rounds``: the profile, the unprofiled µs per
+put (in memory and with the WAL) and one line per step of a put.
+"""
+
+import pathlib
+import re
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+STEPS = ("check", "route", "leader apply", "binlog append",
+         "follower catch-up", "the rest")
+
+
+def test_put_path_smoke():
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "profile.py"), "--path", "put",
+         "--rounds", "40", "--top", "3"],
+        capture_output=True, text=True, timeout=60, check=True)
+    lines = result.stdout.splitlines()
+    assert any(line.startswith("=== put path, 40 operations")
+               for line in lines)
+    (head,) = [index for index, line in enumerate(lines)
+               if re.match(r"=== put path — [\d.]+ us per put unprofiled, "
+                           r"[\d.]+ us with the WAL", line)]
+    split = [re.fullmatch(r"\s+(.+?)\s+-?[\d.]+ us", line)
+             for line in lines[head + 1:head + 1 + len(STEPS)]]
+    assert [match and match.group(1) for match in split] == list(STEPS)

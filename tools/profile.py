@@ -26,7 +26,15 @@ tier:
   plus ``NameServer.put`` of its row, on the perfbench table shape
   (``k, ts, a, b, c``, 2,000 keys, ``partitions=4, replicas=2``) with a
   ``data_dir``, so the row check, both replicas, the binlog and the WAL
-  encode are in the profile;
+  encode are in the profile.  Beside it, unprofiled: the wall time per
+  ``NameServer.put`` of a parsed row, in memory and with the WAL, and
+  the in-memory put split into its steps, each timed on its own over
+  the same rows — the row check, the route (hash and directory
+  lookup), the leader's ``TabletServer.write``, the binlog append, and
+  a follower's ``catch_up`` of the new entry — plus the rest (the
+  routed call, the partition lock, the lag gauge).  Each figure is the
+  fastest of ten equal chunks of ``--rounds`` operations, after a
+  preload of four rows per key;
 * ``wire`` — no cProfile: the perfbench ``wire_point`` workload served
   by perfbench's own stack in a child process, read ``--rounds`` times
   and then written ``--rounds`` times (one ``INSERT`` per simple
@@ -94,6 +102,7 @@ sys.path.append(str(_root / "benchmarks"))
 
 import argparse   # noqa: E402
 import cProfile   # noqa: E402
+import itertools  # noqa: E402
 import json       # noqa: E402
 import os         # noqa: E402
 import pstats     # noqa: E402
@@ -106,6 +115,9 @@ import time       # noqa: E402
 
 from repro import OpenMLDB                              # noqa: E402
 from repro.cluster import NameServer, TabletServer      # noqa: E402
+from repro.cluster.failover import catch_up             # noqa: E402
+from repro.ctlplane.split import HashRouter, stable_hash  # noqa: E402
+from repro.online.binlog import Replicator              # noqa: E402
 from repro.schema import IndexDef, Schema               # noqa: E402
 from repro.sql.parser import parse                      # noqa: E402
 from repro.workloads.microbench import (MicroBenchConfig,  # noqa: E402
@@ -117,36 +129,120 @@ CONFIG = MicroBenchConfig(keys=120, rows_per_key=100, windows=2,
 
 
 PUT_KEYS = 2_000
+PUT_PRELOAD = 4 * PUT_KEYS
+PUT_CHUNKS = 10
+PUT_SCHEMA = Schema.from_pairs([("k", "bigint"), ("ts", "timestamp"),
+                                ("a", "bigint"), ("b", "bigint"),
+                                ("c", "bigint")])
+PUT_INDEX = IndexDef(("k",), "ts")
+
+
+def put_rows(count):
+    """The write workload's rows: ``PUT_KEYS`` keys round-robin, each
+    key's timestamps ascending."""
+    rng = random.Random(17)
+    return [(index % PUT_KEYS, 1_000_000 + index // PUT_KEYS * 10,
+             rng.randrange(10), rng.randrange(10), rng.randrange(10))
+            for index in range(count)]
+
+
+def put_cluster(data_dir=None):
+    cluster = NameServer(
+        [TabletServer(f"tablet-{index}") for index in range(3)],
+        data_dir=data_dir)
+    cluster.create_table("t", PUT_SCHEMA, [PUT_INDEX], partitions=4,
+                         replicas=2)
+    return cluster
 
 
 def build_put_workload(rounds):
     """The write path: (INSERT text → parse → NameServer.put, texts,
     close), after a preload that gives every key a history."""
     data_dir = tempfile.TemporaryDirectory()
-    cluster = NameServer(
-        [TabletServer(f"tablet-{index}") for index in range(3)],
-        data_dir=data_dir.name)
-    cluster.create_table(
-        "t", Schema.from_pairs([("k", "bigint"), ("ts", "timestamp"),
-                                ("a", "bigint"), ("b", "bigint"),
-                                ("c", "bigint")]),
-        [IndexDef(("k",), "ts")], partitions=4, replicas=2)
-    rng = random.Random(17)
-    texts = [f"INSERT INTO t VALUES ({index % PUT_KEYS},"
-             f"{1_000_000 + index // PUT_KEYS * 10},{rng.randrange(10)},"
-             f"{rng.randrange(10)},{rng.randrange(10)})"
-             for index in range(4 * PUT_KEYS + 20 + rounds)]
+    cluster = put_cluster(data_dir.name)
+    texts = [f"INSERT INTO t VALUES ({','.join(map(str, row))})"
+             for row in put_rows(PUT_PRELOAD + 20 + rounds)]
 
     def insert(text):
         for row in parse(text).rows:
             cluster.put("t", row)
-    for text in texts[:4 * PUT_KEYS]:
+    for text in texts[:PUT_PRELOAD]:
         insert(text)
 
     def close():
         cluster.close()
         data_dir.cleanup()
-    return insert, texts[4 * PUT_KEYS:], close
+    return insert, texts[PUT_PRELOAD:], close
+
+
+def per_op_us(operations, preload, rows):
+    """Wall microseconds per call of each ``operations[i](row)`` over
+    ``rows``, once each has run untimed over ``preload``: the fastest of
+    ``PUT_CHUNKS`` equal consecutive chunks, the operations taking turns
+    chunk by chunk so that each sees the same spells of machine speed."""
+    for operation in operations:
+        for row in preload:
+            operation(row)
+    size = max(len(rows) // PUT_CHUNKS, 1)
+    best = [float("inf")] * len(operations)
+    for start in range(0, len(rows), size):
+        chunk = rows[start:start + size]
+        for slot, operation in enumerate(operations):
+            started = time.perf_counter()
+            for row in chunk:
+                operation(row)
+            best[slot] = min(best[slot],
+                             (time.perf_counter() - started) / len(chunk))
+    return [us * 1e6 for us in best]
+
+
+def put_split(rounds):
+    """Unprofiled wall time per put, whole and step by step:
+    ``[(label, us)]``."""
+    rows = put_rows(PUT_PRELOAD + rounds)
+    with tempfile.TemporaryDirectory() as directory:
+        memory, durable = put_cluster(), put_cluster(directory)
+        router = HashRouter(4)
+        leader = TabletServer("leader")
+        leader.host_shard("t", 0, PUT_SCHEMA, [PUT_INDEX])
+        offsets = itertools.count()
+
+        def apply(row):
+            leader.write("t", 0, row, next(offsets))
+        binlog, source = Replicator("t"), Replicator("t")
+        follower = TabletServer("follower")
+        follower.host_shard("t", 0, PUT_SCHEMA, [PUT_INDEX])
+
+        def deliver(row):
+            source.append_entry("t", row)
+            catch_up(follower, "t", 0, source)
+        labels = ("put", "put with the WAL", "check", "route",
+                  "leader apply", "binlog append", "follower catch-up")
+        timings = dict(zip(labels, per_op_us(
+            [lambda row: memory.put("t", row),
+             lambda row: durable.put("t", row),
+             PUT_SCHEMA.validate_row,
+             lambda row: router.route(stable_hash(row[0])),
+             apply,
+             lambda row: binlog.append_entry("t", row),
+             deliver],
+            rows[:PUT_PRELOAD], rows[PUT_PRELOAD:])))
+        memory.close()
+        durable.close()
+    # A delivery appends to its own binlog first.
+    timings["follower catch-up"] -= timings["binlog append"]
+    timings["the rest"] = timings["put"] - sum(
+        timings[label] for label in labels[2:])
+    return list(timings.items())
+
+
+def print_put_split(split, rounds):
+    (_, memory), (_, durable), *steps = split
+    print(f"=== put path — {memory:.2f} us per put unprofiled, "
+          f"{durable:.2f} us with the WAL (fastest of {PUT_CHUNKS} "
+          f"chunks of {max(rounds // PUT_CHUNKS, 1)}) ===")
+    for label, us in steps:
+        print(f"    {label:<18} {us:6.2f} us")
 
 
 SCAN_KEYS, SCAN_ROWS, SCAN_STEP, SCAN_BASE_TS = 20, 2_000, 10, 1_000_000
@@ -559,6 +655,7 @@ def main(argv=None):
     # Reads only: replaying INSERTs would insert rows twice.
     p50 = p50_us(operation, requests, args.rounds) \
         if args.path in ("scan", "long") else None
+    split = put_split(args.rounds) if args.path == "put" else None
 
     profiler = cProfile.Profile()
     profiler.enable()
@@ -579,6 +676,8 @@ def main(argv=None):
     if p50 is not None:
         print(f"=== {args.path} path — p50 {p50:.0f} us over "
               f"{args.rounds} unprofiled operations ===")
+    if split is not None:
+        print_put_split(split, args.rounds)
     return 0
 
 
