@@ -1,7 +1,7 @@
 """Figure 12 — multi-window parallel optimisation.
 
 Paper shape: on queries with several independent windows, parallelising
-the window operators (ConcatJoin/SimpleProject rewrite, Section 6.1)
+the window operators (the ConcatJoin/SimpleProject segment, Section 6.1)
 yields ~4.6–5.3× over Spark across small/medium/large windows, because
 the user-perceived time collapses to the longest single window.
 """
@@ -57,17 +57,17 @@ def run_case(window_rows):
     compiled = compile_plan(build_plan(parse_select(sql), catalog), catalog)
     engine = OfflineEngine({"t": table}, workers=WORKERS)
     with gc_paused():
-        _r, parallel_stats = engine.execute(compiled, parallel_windows=True)
-    with gc_paused():
-        _r, serial_stats = engine.execute(compiled, parallel_windows=False)
+        _r, stats = engine.execute(compiled)
 
     spark = SparkBatchEngine(sql, catalog, workers=WORKERS)
     spark.load("t", rows)
     with gc_paused():
         _r, spark_stats = spark.run()
-    return (spark_stats.parallel_seconds,
-            serial_stats.total_parallel_seconds,
-            parallel_stats.total_parallel_seconds)
+    # Both arms from the one run's task times: windows as stages
+    # (serial) and pooled into one schedule (parallel).
+    rest = stats.join_seconds + stats.project_seconds
+    return (spark_stats.parallel_seconds, stats.staged_seconds + rest,
+            stats.total_parallel_seconds)
 
 
 @pytest.mark.benchmark(group="fig12")

@@ -75,8 +75,7 @@ def run_openmldb(schema, rows, sql, skew=None):
     from repro.offline.engine import OfflineEngine
     engine = OfflineEngine({"t": table}, workers=WORKERS)
     with gc_paused():
-        _rows, stats = engine.execute(compiled, parallel_windows=True,
-                                      skew=skew)
+        _rows, stats = engine.execute(compiled, skew=skew)
     return stats.total_parallel_seconds
 
 

@@ -2,8 +2,9 @@
 
 Runs the FEBench-inspired trip feature script — four windows of very
 different spans over one stream, conditional and categorical aggregates
-— through both execution modes, shows the multi-window parallel plan
-via EXPLAIN, and checks consistency.
+— through both execution modes, shows via EXPLAIN the compiled query
+both run (its four windows pooled under one ConcatJoin), and checks
+consistency.
 
 Run:  python examples/ride_hailing_features.py
 """
@@ -24,7 +25,7 @@ def main() -> None:
     db.insert_many("trips", trips)
     sql = feature_sql()
 
-    print("optimised plan (multi-window parallel segment):")
+    print("compiled query (what both engines run):")
     print(db.explain(sql))
 
     db.deploy("driver_features", sql)
@@ -39,10 +40,9 @@ def main() -> None:
 
     rows, stats = db.offline_query(sql)
     print(f"\noffline backfill: {len(rows)} feature rows, "
-          f"windows ran {'in parallel' if stats.used_parallel_windows else 'serially'} "
-          f"({stats.tasks} tasks, "
-          f"modelled makespan {stats.parallel_seconds * 1000:.1f} ms on "
-          f"{stats.workers} workers)")
+          f"{stats.tasks} tasks; modelled makespan on {stats.workers} "
+          f"workers {stats.parallel_seconds * 1000:.1f} ms with the "
+          f"windows pooled, {stats.staged_seconds * 1000:.1f} ms staged")
 
     report = verify_consistency(db, "driver_features")
     print(f"consistency: {report.rows_compared} rows, "

@@ -34,7 +34,6 @@ from ..schema import Column, IndexDef, Row, Schema, TTLKind, TTLSpec
 from ..sql import ast
 from ..sql.compiler import CompilationCache
 from ..sql.parser import parse
-from ..sql.planner import build_plan
 from ..storage.disk import DiskTable
 from ..storage.memtable import MemTable
 from ..storage.persist import RecoveryReport
@@ -224,42 +223,24 @@ class OpenMLDB(DeploymentHost):
                         ts_column=clause.ts_column, ttl=ttl)
 
     # ------------------------------------------------------------------
-    # online request mode: deploy / request / undeploy are DeploymentHost's
-
-    def explain(self, sql: str, optimized: bool = True) -> str:
-        """EXPLAIN: render the operator tree for a SELECT.
-
-        With ``optimized=True`` the multi-window parallel rewrite
-        (Section 6.1) is applied, showing the ConcatJoin/SimpleProject
-        segment the offline engine exploits.
-        """
-        from ..sql.optimizer import explain_optimized
-        statement = parse(sql)
-        if not isinstance(statement, ast.SelectStatement):
-            raise ParseError("explain expects a SELECT")
-        plan = build_plan(statement, self.catalog())
-        return explain_optimized(plan) if optimized else plan.explain()
+    # deploy / request / undeploy / explain are DeploymentHost's
 
     # ------------------------------------------------------------------
     # offline mode
 
-    def offline_query(self, sql: str, parallel_windows: bool = True,
-                      skew: Optional[SkewConfig] = None
+    def offline_query(self, sql: str, skew: Optional[SkewConfig] = None
                       ) -> Tuple[List[Row], OfflineStats]:
         statement = parse(sql)
         if not isinstance(statement, ast.SelectStatement):
             raise ParseError("offline_query expects a SELECT")
-        return self.offline_query_statement(
-            statement, parallel_windows=parallel_windows, skew=skew)
+        return self.offline_query_statement(statement, skew=skew)
 
     def offline_query_statement(self, statement: ast.SelectStatement,
-                                parallel_windows: bool = True,
                                 skew: Optional[SkewConfig] = None
                                 ) -> Tuple[List[Row], OfflineStats]:
         compiled = self.compile_cache.get_or_compile(
             statement, self.catalog())
-        return self.offline_engine.execute(
-            compiled, parallel_windows=parallel_windows, skew=skew)
+        return self.offline_engine.execute(compiled, skew=skew)
 
     # ------------------------------------------------------------------
     # online preview mode

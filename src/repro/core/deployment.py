@@ -35,13 +35,12 @@ import time
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import (DeploymentError, DeploymentNotFoundError,
-                      OpenMLDBError)
+                      OpenMLDBError, ParseError)
 from ..schema import Row
 from ..serving.deadline import Deadline, deadline_scope
 from ..serving.describe import DeploymentDescriptor
 from ..sql import ast
-from ..sql.compiler import CompiledQuery
-from ..sql.optimizer import index_access_paths
+from ..sql.compiler import CompiledQuery, explain, index_access_paths
 from ..sql.parser import parse
 
 __all__ = ["Deployment", "DeploymentHost", "LongWindowOption",
@@ -133,12 +132,8 @@ class Deployment:
         elif not isinstance(statement, ast.DeployStatement):
             raise DeploymentError("deploy() expects a SELECT or DEPLOY")
         option = long_windows or statement.option("long_windows")
-        tables = host._serving_tables
-        compiled = host._compile_cache.get_or_compile(
-            statement.select,
-            {table: view.schema for table, view in tables.items()})
-        index_access_paths(compiled.plan, {
-            table: list(view.indexes) for table, view in tables.items()})
+        compiled, indexes = host._compile(statement.select)
+        index_access_paths(compiled.plan, indexes)
         options = parse_long_windows(option) if option else ()
         for entry in options:
             window = compiled.windows.get(entry.window)
@@ -228,6 +223,26 @@ class DeploymentHost:
 
     def _check_open(self) -> None:
         """Raise if the host stopped serving (hosts that close override)."""
+
+    def _compile(self, statement: ast.SelectStatement
+                 ) -> Tuple[CompiledQuery, Dict[str, Any]]:
+        """``statement`` compiled, through the cache, against the tables
+        this host serves — and those tables' indexes."""
+        tables = self._serving_tables
+        compiled = self._compile_cache.get_or_compile(
+            statement, {table: view.schema for table, view in tables.items()})
+        return compiled, {table: view.indexes
+                          for table, view in tables.items()}
+
+    def explain(self, sql: str) -> str:
+        """EXPLAIN a SELECT: the compiled query both engines run
+        (:func:`repro.sql.compiler.explain`), compiled as a deploy
+        compiles it — so deploying the script next is a cache hit, and
+        an index a deploy would reject shows as ``none``."""
+        statement = parse(sql)
+        if not isinstance(statement, ast.SelectStatement):
+            raise ParseError("explain expects a SELECT")
+        return explain(*self._compile(statement))
 
     def deploy(self, name: str, sql: str,
                long_windows: Optional[str] = None) -> Deployment:

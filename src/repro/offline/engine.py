@@ -16,10 +16,12 @@ those times (:mod:`repro.offline.scheduling`), not real workers.
 
 The paper optimisations live here:
 
-* **Multi-window parallel optimisation** (Section 6.1) — windows without
-  dependencies run as independent tasks; a hidden *index column* keyed to
-  each anchor row lets the final ``ConcatJoin`` (a LAST JOIN on the index)
-  realign per-window feature columns regardless of partition order.
+* **Multi-window parallel optimisation** (Section 6.1) — every window's
+  tasks pool into one schedule; the anchor position is the hidden
+  *index column*: each task emits ``(anchor_index, values)`` and the
+  final projection writes them back by index, whatever the partition
+  order — the ``ConcatJoin`` over ``SimpleProject(+index)`` that EXPLAIN
+  shows.
 * **Time-aware skew resolving** (Section 6.2) — with a
   :class:`~repro.offline.skew.SkewConfig`, each window's per-key groups
   are split into ``(key, PART_ID)`` tasks along the timestamp quantiles.
@@ -64,7 +66,8 @@ class OfflineStats:
     ``task_seconds`` lists individual (key, PART_ID) task times across all
     windows (each task's own ``thread_time``) — the inputs to the
     makespan model.  ``parallel_seconds`` is the LPT makespan of the
-    window tasks on ``workers`` workers.
+    window tasks pooled on ``workers`` workers; ``staged_seconds`` the
+    same tasks run one window after another.
     """
 
     rows: int = 0
@@ -74,7 +77,6 @@ class OfflineStats:
     join_seconds: float = 0.0
     project_seconds: float = 0.0
     workers: int = 1
-    used_parallel_windows: bool = False  # windows pooled into one schedule
     used_skew_resolver: bool = False
     tasks: int = 0
     carry_tasks: int = 0                 # tasks seeded with carried partials
@@ -87,12 +89,8 @@ class OfflineStats:
 
     @property
     def parallel_seconds(self) -> float:
-        """Distributed makespan under the run's window-execution mode.
-
-        With the multi-window parallel optimisation every window's tasks
-        pool into one schedule; without it, windows are stage barriers —
-        each window's tasks schedule independently and the stages add up
-        (within-window key parallelism exists either way, as in Spark).
+        """Distributed makespan with the multi-window parallel
+        optimisation: every window's tasks pool into one schedule.
 
         A carry chain's partitions are scheduled as independent tasks
         too.  That is sound because ``carry_eligible`` guarantees every
@@ -104,12 +102,16 @@ class OfflineStats:
         why it stays byte-identical on doubles: a prefix merge would
         re-associate float addition.
         """
-        if not self.window_tasks:
-            return 0.0
-        if self.used_parallel_windows:
-            return lpt_makespan(self.task_seconds, self.workers)
+        return lpt_makespan(self.task_seconds, self.workers)
+
+    @property
+    def staged_seconds(self) -> float:
+        """Distributed makespan without it: each window is a stage
+        barrier, its tasks scheduled on their own and the stages added
+        (within-window key parallelism exists either way, as in Spark).
+        """
         return sum(lpt_makespan(tasks, self.workers)
-                   for tasks in self.window_tasks.values() if tasks)
+                   for tasks in self.window_tasks.values())
 
     @property
     def total_parallel_seconds(self) -> float:
@@ -157,7 +159,6 @@ class OfflineEngine:
     # ------------------------------------------------------------------
 
     def execute(self, compiled: CompiledQuery,
-                parallel_windows: bool = True,
                 skew: Optional[SkewConfig] = None,
                 spill: Optional[SpillConfig] = None
                 ) -> Tuple[List[Row], OfflineStats]:
@@ -169,10 +170,9 @@ class OfflineEngine:
         with self._obs.tracer.span("offline.execute",
                                    table=compiled.plan.table,
                                    workers=self.workers) as root:
-            return self._execute(compiled, parallel_windows, skew, spill,
-                                 root)
+            return self._execute(compiled, skew, spill, root)
 
-    def _execute(self, compiled: CompiledQuery, parallel_windows: bool,
+    def _execute(self, compiled: CompiledQuery,
                  skew: Optional[SkewConfig],
                  spill: Optional[SpillConfig], root: Any
                  ) -> Tuple[List[Row], OfflineStats]:
@@ -201,11 +201,6 @@ class OfflineEngine:
         window_jobs = [(name, window)
                        for name, window in compiled.windows.items()
                        if window.aggregates]
-
-        # The flag is what the makespan model reads: a single window
-        # has nothing to pool, whatever the caller asked for.
-        stats.used_parallel_windows = (parallel_windows
-                                       and len(window_jobs) > 1)
         self._run_windows(compiled, window_jobs, anchors, skew, spill,
                           stats, aggregate_columns, root)
 

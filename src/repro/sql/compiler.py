@@ -33,7 +33,7 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
 
 from ..errors import CompileError, PlanError
 from ..obs import NULL_OBS, Observability
-from ..schema import Row, Schema
+from ..schema import IndexDef, Row, Schema
 from ..storage.memtable import normalize_ts
 from ..storage.skiplist import ColumnBlock
 from ..types import ColumnType
@@ -45,7 +45,8 @@ from .planner import (AggregateBinding, JoinPlan, QueryPlan, WindowPlan,
 
 __all__ = [
     "CompiledAggregate", "CompiledWindow", "CompiledJoin", "CompiledQuery",
-    "CompilationCache", "compile_plan",
+    "CompilationCache", "compile_plan", "pick_index", "index_access_paths",
+    "explain",
 ]
 
 
@@ -114,13 +115,12 @@ def _distinct_summary(values: List[Any]) -> Optional[frozenset]:
 
 
 def _pieces(group: "_StateGroup", blocks: Sequence[ColumnBlock],
-            row_views: Sequence[List[Row]],
-            summarize: Optional[Callable[[List[Any]], Any]]) -> List[Any]:
+            row_views: Sequence[List[Row]]) -> List[Any]:
     """The group's argument over each block, oldest block first: a
     sealed block's memoized ``summarize`` result when the group has one,
     else the column slice of a bare column or the expression over the
     rows."""
-    position = group.position
+    position, summarize = group.position, group.summarize
     if position is None:
         return [list(map(group.scalar_fn, rows)) for rows in row_views]
     if summarize is None:
@@ -159,6 +159,9 @@ class _StateGroup:
     position: Optional[int]
     #: The bare column's type; None for an expression argument.
     column_type: Optional[ColumnType]
+    #: What a sealed block's memoized summary holds for this group;
+    #: None when the fold reads its column or rows instead.
+    summarize: Optional[Callable[[List[Any]], Any]] = None
 
 
 class CompiledWindow:
@@ -259,36 +262,40 @@ class CompiledWindow:
         A group over a bare int or double column, or a count-only group
         over any bare column, reads a sealed block's (or span's)
         memoized summary instead of its column; the fold returns how
-        many sealed blocks and spans it read so.
+        many sealed blocks and spans it read so.  Only a window that
+        reads one stored source sees sealed blocks: the online engine
+        merges several into one fresh block.
         """
+        plan = self.plan
+        one_source = len(plan.union_tables) \
+            + (not plan.instance_not_in_window) == 1
         sumcounts = []
         multisets = []
-        summarizes = False
         for group, state in enumerate(self._groups):
             members = [compiled for compiled in self._aggregates
                        if compiled.shared_group == group]
             names = {compiled.binding.func_name for compiled in members}
             outs = tuple((c.binding.func_name, c.binding.constants, c.slot)
                          for c in members)
-            summarize = None
-            summarized = state.column_type in _SUMMARIZED_TYPES
+            summarized = one_source \
+                and state.column_type in _SUMMARIZED_TYPES
             if state.family == "sumcount":
                 totals = bool(names & {"sum", "avg"})
-                if state.position is not None and not totals:
-                    summarize = _count_summary
+                if one_source and state.position is not None \
+                        and not totals:
+                    state.summarize = _count_summary
                 elif summarized:
-                    summarize = ExactSum.of
+                    state.summarize = ExactSum.of
                 sumcounts.append((state, totals,
-                                  state.column_type in _FLOAT_TYPES,
-                                  summarize, outs))
+                                  state.column_type in _FLOAT_TYPES, outs))
             else:
                 distinct_type = Counter if "topn_frequency" in names \
                     else set if "distinct_count" in names else None
                 if summarized and distinct_type is not Counter:
-                    summarize = _distinct_summary if distinct_type \
+                    state.summarize = _distinct_summary if distinct_type \
                         else _extremes_summary
-                multisets.append((state, distinct_type, summarize, outs))
-            summarizes = summarizes or summarize is not None
+                multisets.append((state, distinct_type, outs))
+        summarizes = any(state.summarize for state in self._groups)
         generic_programs = tuple(
             (compiled.arg_fn, compiled.function, compiled.slot)
             for compiled in self._aggregates
@@ -305,9 +312,9 @@ class CompiledWindow:
             ordered = blocks[::-1]
             row_views = [block.rows() for block in ordered] \
                 if walks_rows else ()
-            for group, totals, floats, summarize, outs in sumcounts:
+            for group, totals, floats, outs in sumcounts:
                 state = ExactSum()
-                for piece in _pieces(group, ordered, row_views, summarize):
+                for piece in _pieces(group, ordered, row_views):
                     if type(piece) is ExactSum:
                         state.absorb(piece)
                     elif not totals:
@@ -319,12 +326,12 @@ class CompiledWindow:
                             state.extend(_present(piece), floats)
                 for func_name, _constants, slot in outs:
                     results[slot] = _sumcount_result(func_name, state)
-            for group, distinct_type, summarize, outs in multisets:
+            for group, distinct_type, outs in multisets:
                 lowest = highest = distinct = None
                 # Summaries stand in for their blocks' columns, in time
                 # order: the first of equal extremes (0.0 and -0.0) wins
                 # as in a fold over the bare values.
-                value_lists = _pieces(group, ordered, row_views, summarize)
+                value_lists = _pieces(group, ordered, row_views)
                 if distinct_type is not None:
                     distinct = distinct_type()
                     for values in value_lists:
@@ -377,6 +384,16 @@ class CompiledWindow:
     @property
     def aggregates(self) -> Tuple[CompiledAggregate, ...]:
         return tuple(self._aggregates)
+
+    def fold_path(self, compiled: CompiledAggregate) -> str:
+        """How the fold reads a sealed block for one aggregate: its
+        memoized ``summary``, its ``column`` slice, or ``rows``."""
+        if compiled.shared_group is None:
+            return "rows"
+        group = self._groups[compiled.shared_group]
+        if group.summarize is not None:
+            return "summary"
+        return "rows" if group.position is None else "column"
 
     # -- tier decisions, derived once from the registry flags ----------
 
@@ -622,3 +639,125 @@ def compile_plan(plan: QueryPlan,
                  catalog: Mapping[str, Schema]) -> CompiledQuery:
     """Compile a logical plan against ``catalog``."""
     return CompiledQuery(plan, catalog)
+
+
+# ----------------------------------------------------------------------
+# index access paths (Section 4.2) and EXPLAIN
+
+#: table name → its declared indexes.
+TableIndexes = Mapping[str, Sequence[IndexDef]]
+
+
+def pick_index(table_indexes: TableIndexes, table: str,
+               keys: Sequence[str], ts: Optional[str] = None
+               ) -> Optional[str]:
+    """The first declared index on ``table`` serving ``PARTITION BY
+    keys [ORDER BY ts]``, or None: the lookup would need a full scan."""
+    for index in table_indexes.get(table, ()):
+        if index.matches(tuple(keys), ts):
+            return index.name
+    return None
+
+
+def index_access_paths(plan: QueryPlan, table_indexes: TableIndexes
+                       ) -> Dict[str, str]:
+    """Section 4.2's index optimisation: operator label → the index
+    serving it, for every window source and LAST JOIN of ``plan``.
+
+    Raises:
+        PlanError: when any access path would need a full scan — a
+            deployment is rejected then, never a request.
+    """
+    paths = [(f"window {name} over {table}", table,
+              window.partition_columns, window.order_column)
+             for name, window in plan.windows.items()
+             for table in (plan.table, *window.union_tables)]
+    paths.extend((f"last join {join.right_table}", join.right_table,
+                  [column for _expr, column in join.eq_keys], None)
+                 for join in plan.joins)
+    chosen: Dict[str, str] = {}
+    for label, table, keys, ts in paths:
+        index = pick_index(table_indexes, table, keys, ts)
+        if index is None:
+            raise PlanError(
+                f"{label}: no index on {table}({tuple(keys)} ORDER BY "
+                f"{ts}); the plan would need a full scan")
+        chosen[label] = index
+    return chosen
+
+
+def _sql(expr: ast.Expr) -> str:
+    """Compact SQL text of an expression, for EXPLAIN."""
+    if isinstance(expr, ast.Literal):
+        return "NULL" if expr.value is None else repr(expr.value)
+    if isinstance(expr, ast.FuncCall):
+        return f"{expr.name}({', '.join(map(_sql, expr.args))})"
+    if isinstance(expr, ast.BinaryOp):
+        return f"({_sql(expr.left)} {expr.op} {_sql(expr.right)})"
+    if isinstance(expr, ast.UnaryOp):
+        operand = _sql(expr.operand)
+        return f"({operand} {expr.op})" if expr.op.startswith("IS") \
+            else f"({expr.op} {operand})"
+    return str(expr) if isinstance(expr, ast.ColumnRef) else "CASE ... END"
+
+
+def _frame(plan: WindowPlan) -> str:
+    if plan.rows_preceding is not None:
+        start = f"ROWS {plan.rows_preceding - 1} PRECEDING"
+    elif plan.range_preceding_ms is not None:
+        start = f"ROWS_RANGE {plan.range_preceding_ms}ms PRECEDING"
+    else:
+        start = "UNBOUNDED PRECEDING"
+    flags = (plan.maxsize is not None and f"MAXSIZE {plan.maxsize}",
+             plan.exclude_current_row and "EXCLUDE CURRENT_ROW",
+             plan.instance_not_in_window and "INSTANCE_NOT_IN_WINDOW")
+    return ", ".join([start, *filter(None, flags)])
+
+
+def explain(compiled: CompiledQuery, table_indexes: TableIndexes) -> str:
+    """EXPLAIN: the compiled query both engines run, one operator a
+    line (docs/architecture.md §1 reads an example).  Only windows with
+    aggregates run, so only they are shown; an index no declared one
+    serves — a deployment would be rejected — shows as ``none``."""
+    plan = compiled.plan
+    lines = [f"Project({', '.join(compiled.output_names)})"]
+    running = [name for name, window in compiled.windows.items()
+               if window.aggregates]
+    indent = "  "
+    if len(running) > 1:
+        lines.append(f"  ConcatJoin({', '.join(running)}) over "
+                     "SimpleProject(+index)")
+        indent = "    "
+    for name in running:
+        window = compiled.windows[name]
+        window_plan = window.plan
+        lines.append(f"{indent}WindowAgg({name}) {_frame(window_plan)}")
+        indexes = [(pick_index(table_indexes, table,
+                               window_plan.partition_columns,
+                               window_plan.order_column), table)
+                   for table in (plan.table, *window_plan.union_tables)]
+        details = ["index: " + ", ".join(f"{index or 'none'} ({table})"
+                                         for index, table in indexes)]
+        for path in ("summary", "column", "rows"):
+            calls = [_sql(agg.binding.call) for agg in window.aggregates
+                     if window.fold_path(agg) == path]
+            if calls:
+                details.append(f"{path}: {', '.join(calls)}")
+        details.append(f"state_groups: {window.state_groups}")
+        if name in compiled.merged_windows:
+            details.append(f"reuses: {compiled.merged_windows[name]}")
+        details.append("skew: carry end states" if window.carry_eligible
+                       else "skew: expand rows")
+        lines.extend(f"{indent}  {detail}" for detail in details)
+    for join in compiled.joins:
+        join_plan = join.plan
+        keys = ", ".join(f"{_sql(expr)} = {join_plan.right_alias}.{column}"
+                         for expr, column in join_plan.eq_keys)
+        if join_plan.residual is not None:
+            keys += f" filter {_sql(join_plan.residual)}"
+        index = pick_index(table_indexes, join_plan.right_table,
+                           join.key_columns)
+        lines.append(f"  LastJoin({join_plan.right_table}) index="
+                     f"{index or 'none'} on {keys}")
+    lines.append(f"  DataProvider({plan.table})")
+    return "\n".join(lines)

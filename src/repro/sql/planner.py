@@ -7,10 +7,8 @@ execution engines — the concrete mechanism behind the paper's *unified
 query plan generator* (Section 4): one plan, two runtimes, identical
 feature semantics.
 
-The plan also carries an explicit operator tree (:class:`PlanNode`) that
-EXPLAIN renders and the multi-window parallel optimisation of Section
-6.1 rewrites (inserting ``SimpleProject`` / ``ConcatJoin`` nodes); no
-engine walks it.
+EXPLAIN renders the compiled query built from it
+(:func:`repro.sql.compiler.explain`), the artefact both engines run.
 """
 
 from __future__ import annotations
@@ -24,90 +22,8 @@ from . import ast
 from .functions import is_aggregate
 
 __all__ = [
-    "AggregateBinding", "WindowPlan", "JoinPlan", "QueryPlan",
-    "PlanNode", "DataProviderNode", "LastJoinNode", "WindowAggNode",
-    "SimpleProjectNode", "ConcatJoinNode", "ProjectNode", "build_plan",
+    "AggregateBinding", "WindowPlan", "JoinPlan", "QueryPlan", "build_plan",
 ]
-
-
-# ----------------------------------------------------------------------
-# plan operator tree (rendered by EXPLAIN; no engine walks it)
-
-
-@dataclasses.dataclass
-class PlanNode:
-    """Base operator node; children execute before their parent."""
-
-    children: Tuple["PlanNode", ...] = ()
-
-    def label(self) -> str:
-        return type(self).__name__
-
-    def explain(self, indent: int = 0) -> str:
-        lines = ["  " * indent + self.label()]
-        for child in self.children:
-            lines.append(child.explain(indent + 1))
-        return "\n".join(lines)
-
-
-@dataclasses.dataclass
-class DataProviderNode(PlanNode):
-    """Scan of one table (the paper's DATA_PROVIDER)."""
-
-    table: str = ""
-
-    def label(self) -> str:
-        return f"DataProvider({self.table})"
-
-
-@dataclasses.dataclass
-class LastJoinNode(PlanNode):
-    join: Optional["JoinPlan"] = None
-
-    def label(self) -> str:
-        assert self.join is not None
-        return f"LastJoin({self.join.right_table})"
-
-
-@dataclasses.dataclass
-class WindowAggNode(PlanNode):
-    window: str = ""
-
-    def label(self) -> str:
-        return f"WindowAgg({self.window})"
-
-
-@dataclasses.dataclass
-class SimpleProjectNode(PlanNode):
-    """Pass-through projection; marks the start of a parallel segment and
-    the point where the hidden index column is added (Section 6.1)."""
-
-    add_index_column: bool = False
-
-    def label(self) -> str:
-        suffix = "+index" if self.add_index_column else ""
-        return f"SimpleProject({suffix})"
-
-
-@dataclasses.dataclass
-class ConcatJoinNode(PlanNode):
-    """Concatenates window outputs on the hidden index column, marking the
-    end of a parallel segment (Section 6.1)."""
-
-    windows: Tuple[str, ...] = ()
-
-    def label(self) -> str:
-        return f"ConcatJoin({', '.join(self.windows)})"
-
-
-@dataclasses.dataclass
-class ProjectNode(PlanNode):
-    def label(self) -> str:
-        return "Project"
-
-
-# ----------------------------------------------------------------------
-# flat plan descriptors
 
 
 @dataclasses.dataclass(frozen=True)
@@ -156,8 +72,8 @@ class WindowPlan:
 class JoinPlan:
     """A LAST JOIN with its equi-key split out for index lookups.
 
-    ``eq_keys`` pairs a left-side expression with a right-side column; the
-    optimizer requires the right table to have a matching index (the
+    ``eq_keys`` pairs a left-side expression with a right-side column; a
+    deployment requires the right table to have a matching index (the
     "index optimizations to critical information ... in LAST JOIN" of
     Section 4.2).  ``residual`` holds whatever condition remains.
     """
@@ -181,11 +97,6 @@ class QueryPlan:
     joins: Tuple[JoinPlan, ...]
     windows: Dict[str, WindowPlan]
     output_names: Tuple[str, ...]
-    tree: PlanNode
-
-    def explain(self) -> str:
-        """Human-readable operator tree (stable across engines)."""
-        return self.tree.explain()
 
 
 # ----------------------------------------------------------------------
@@ -351,12 +262,10 @@ def build_plan(statement: ast.SelectStatement,
             aggregates=tuple(per_window[spec.name]),
         )
 
-    output_names = _output_names(statement, table_schema, catalog)
-    tree = _build_tree(statement, joins, windows)
     return QueryPlan(
         statement=statement, table=statement.table, table_alias=alias,
         table_schema=table_schema, joins=joins, windows=windows,
-        output_names=output_names, tree=tree)
+        output_names=_output_names(statement, table_schema, catalog))
 
 
 def _plan_join(clause: ast.LastJoinClause,
@@ -453,14 +362,3 @@ def _output_names(statement: ast.SelectStatement, table_schema: Schema,
             names.append(f"expr_{len(names)}")
     return tuple(names)
 
-
-def _build_tree(statement: ast.SelectStatement,
-                joins: Tuple[JoinPlan, ...],
-                windows: Dict[str, WindowPlan]) -> PlanNode:
-    """Baseline (serial) operator tree; the optimizer may rewrite it."""
-    node: PlanNode = DataProviderNode(table=statement.table)
-    for join in joins:
-        node = LastJoinNode(children=(node,), join=join)
-    for name in windows:
-        node = WindowAggNode(children=(node,), window=name)
-    return ProjectNode(children=(node,))

@@ -3,7 +3,8 @@
 import pytest
 
 from repro import OpenMLDB, verify_consistency
-from repro.errors import PlanError
+from repro.errors import ParseError, PlanError
+from repro.sql.parser import parse_select
 
 
 class TestConsistencyOutOfOrderInserts:
@@ -80,7 +81,7 @@ class TestDeployTimeIndexValidation:
 
 
 class TestExplain:
-    def test_optimized_explain_shows_rewrite(self):
+    def test_explain_then_deploy_is_a_cache_hit(self):
         db = OpenMLDB()
         db.execute("CREATE TABLE t (k string, j string, ts timestamp, "
                    "v double, INDEX(KEY=k, TS=ts), INDEX(KEY=j, TS=ts))")
@@ -89,15 +90,17 @@ class TestExplain:
                "ROWS BETWEEN 1 PRECEDING AND CURRENT ROW), "
                "w2 AS (PARTITION BY j ORDER BY ts "
                "ROWS BETWEEN 2 PRECEDING AND CURRENT ROW)")
-        optimized = db.explain(sql)
-        assert "ConcatJoin(w1, w2)" in optimized
-        assert "SimpleProject(+index)" in optimized
-        serial = db.explain(sql, optimized=False)
-        assert "ConcatJoin" not in serial
+        assert "ConcatJoin(w1, w2) over SimpleProject(+index)" \
+            in db.explain(sql)
+        assert (db.compile_cache.hits, db.compile_cache.misses) == (0, 1)
+        compiled = db.deploy("d", sql).compiled
+        assert (db.compile_cache.hits, db.compile_cache.misses) == (1, 1)
+        assert compiled is db.compile_cache.get_or_compile(
+            parse_select(sql), db.catalog())
 
     def test_explain_rejects_non_select(self):
         db = OpenMLDB()
-        with pytest.raises(Exception):
+        with pytest.raises(ParseError, match="explain expects a SELECT"):
             db.explain("INSERT INTO t VALUES (1)")
 
 

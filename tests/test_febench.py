@@ -52,6 +52,9 @@ class TestFeatureScript:
         assert report.consistent, report.mismatches[:3]
 
     def test_offline_uses_parallel_windows(self, loaded_db):
+        # EXPLAIN's ConcatJoin names the windows the offline run pools.
         _rows, stats = loaded_db.offline_query(feature_sql())
-        assert stats.used_parallel_windows
         assert len(stats.window_seconds) == 4
+        concat = f"ConcatJoin({', '.join(stats.window_tasks)}) over " \
+            "SimpleProject(+index)"
+        assert concat in loaded_db.explain(feature_sql())

@@ -128,29 +128,31 @@ class TestBatchSemantics:
 
 
 class TestParallelWindows:
-    MULTI = ("SELECT sym, sum(px) OVER w1 AS a, count(px) OVER w2 AS b "
-             "FROM trades WINDOW "
-             "w1 AS (PARTITION BY sym ORDER BY ts "
-             "ROWS BETWEEN 1 PRECEDING AND CURRENT ROW), "
-             "w2 AS (PARTITION BY sym ORDER BY ts "
-             "ROWS BETWEEN 2 PRECEDING AND CURRENT ROW)")
+    WINDOWS = ("FROM trades WINDOW "
+               "w1 AS (PARTITION BY sym ORDER BY ts "
+               "ROWS BETWEEN 1 PRECEDING AND CURRENT ROW), "
+               "w2 AS (PARTITION BY sym ORDER BY ts "
+               "ROWS BETWEEN 2 PRECEDING AND CURRENT ROW)")
+    MULTI = "SELECT sym, sum(px) OVER w1 AS a, count(px) OVER w2 AS b " \
+        + WINDOWS
 
     def test_parallel_equals_serial(self, trades):
+        # The pooled run realigns each window's column on the anchor
+        # index: it equals that window run on its own.
         engine, compiled = build(self.MULTI, {"trades": trades})
-        parallel_rows, parallel_stats = engine.execute(
-            compiled, parallel_windows=True)
-        serial_rows, serial_stats = engine.execute(
-            compiled, parallel_windows=False)
-        assert rows_equal(parallel_rows, serial_rows)
-        assert parallel_stats.used_parallel_windows
-        assert not serial_stats.used_parallel_windows
+        rows, _ = engine.execute(compiled)
+        for position, item in ((1, "sum(px) OVER w1"),
+                               (2, "count(px) OVER w2")):
+            _, alone = build(f"SELECT sym, {item} AS x {self.WINDOWS}",
+                             {"trades": trades})
+            assert rows_equal([(row[0], row[position]) for row in rows],
+                              engine.execute(alone)[0])
 
     def test_parallel_makespan_not_worse(self):
         # Pooled scheduling must not lose to staged window barriers.
         # Both schedules are evaluated over the SAME measured task
         # times (one run), so timer noise between runs cannot flip the
         # comparison — this checks the makespan model, not the clock.
-        from repro.offline.scheduling import lpt_makespan
         schema = Schema.from_pairs([
             ("sym", "string"), ("ts", "timestamp"), ("px", "double")])
         table = MemTable("trades", schema, [IndexDef(("sym",), "ts")])
@@ -158,16 +160,12 @@ class TestParallelWindows:
             for index in range(400):
                 table.insert((f"s{key}", index * 10, float(index % 7)))
         engine, compiled = build(self.MULTI, {"trades": table})
-        _, stats = engine.execute(compiled, parallel_windows=True)
-        assert stats.used_parallel_windows
-        pooled = stats.parallel_seconds
-        staged = sum(lpt_makespan(tasks, stats.workers)
-                     for tasks in stats.window_tasks.values() if tasks)
-        assert pooled <= staged + 1e-9
+        _, stats = engine.execute(compiled)
+        assert stats.parallel_seconds <= stats.staged_seconds + 1e-9
 
     def test_task_accounting(self, trades):
         engine, compiled = build(self.MULTI, {"trades": trades})
-        _, stats = engine.execute(compiled, parallel_windows=True)
+        _, stats = engine.execute(compiled)
         # Two windows × two keys = four tasks.
         assert stats.tasks == 4
         assert len(stats.window_seconds) == 2
@@ -227,11 +225,10 @@ class TestSkewResolving:
 
 class TestExecutionModes:
     def test_single_window_never_reports_parallel_windows(self, trades):
-        # Regression: the flag used to echo the *request*; it must
-        # reflect the path actually taken — one window never pools.
+        # One window has nothing to pool: both schedules are one stage.
         engine, compiled = build(ROLLING, {"trades": trades})
-        _, stats = engine.execute(compiled, parallel_windows=True)
-        assert not stats.used_parallel_windows
+        _, stats = engine.execute(compiled)
+        assert stats.parallel_seconds == stats.staged_seconds
 
     def test_spill_stats_surface(self, trades):
         from repro.offline import SpillConfig

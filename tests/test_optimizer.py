@@ -1,11 +1,11 @@
-"""Tests for plan rewrites (Sections 4.2 / 6.1)."""
+"""Tests for the index optimisation (Section 4.2): every window and LAST
+JOIN of a deployed plan must be served by a declared index."""
 
 import pytest
 
 from repro.errors import PlanError
 from repro.schema import IndexDef, Schema
-from repro.sql.optimizer import (explain_optimized, index_access_paths,
-                                 rewrite_parallel_windows)
+from repro.sql.compiler import index_access_paths
 from repro.sql.parser import parse_select
 from repro.sql.planner import build_plan
 
@@ -27,34 +27,6 @@ MULTI = ("SELECT sum(v) OVER w1 AS a, sum(v) OVER w2 AS b FROM t WINDOW "
          "ROWS BETWEEN 1 PRECEDING AND CURRENT ROW), "
          "w2 AS (PARTITION BY j ORDER BY ts "
          "ROWS BETWEEN 2 PRECEDING AND CURRENT ROW)")
-
-
-class TestParallelRewrite:
-    def test_serial_chain_becomes_concat_join(self, catalog):
-        plan = build_plan(parse_select(MULTI), catalog)
-        rendered = explain_optimized(plan)
-        assert "ConcatJoin(w1, w2)" in rendered
-        assert "SimpleProject(+index)" in rendered
-        # The serial form had nested WindowAggs; the rewrite flattens.
-        assert "WindowAgg(w1)" in rendered and "WindowAgg(w2)" in rendered
-
-    def test_single_window_untouched(self, catalog):
-        sql = ("SELECT sum(v) OVER w1 AS a FROM t WINDOW w1 AS "
-               "(PARTITION BY k ORDER BY ts "
-               "ROWS BETWEEN 1 PRECEDING AND CURRENT ROW)")
-        plan = build_plan(parse_select(sql), catalog)
-        assert rewrite_parallel_windows(plan.tree) is plan.tree
-
-    def test_window_declaration_order_preserved(self, catalog):
-        plan = build_plan(parse_select(MULTI), catalog)
-        concat = rewrite_parallel_windows(plan.tree).children[0]
-        assert concat.windows == ("w1", "w2")
-
-    def test_original_tree_not_mutated(self, catalog):
-        plan = build_plan(parse_select(MULTI), catalog)
-        before = plan.explain()
-        rewrite_parallel_windows(plan.tree)
-        assert plan.explain() == before
 
 
 class TestIndexAccessPaths:

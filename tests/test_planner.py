@@ -195,26 +195,6 @@ class TestOutputNames:
             plan_sql("SELECT key FROM nope", catalog)
 
 
-class TestPlanTree:
-    def test_serial_tree_shape(self, catalog):
-        plan = plan_sql(
-            "SELECT sum(v) OVER w1 AS a, sum(q) OVER w2 AS b, dim.attr AS x "
-            "FROM t LAST JOIN dim ON t.key = dim.key WINDOW "
-            "w1 AS (PARTITION BY key ORDER BY ts "
-            "ROWS BETWEEN 1 PRECEDING AND CURRENT ROW), "
-            "w2 AS (PARTITION BY cat ORDER BY ts "
-            "ROWS BETWEEN 2 PRECEDING AND CURRENT ROW)", catalog)
-        rendered = plan.explain()
-        assert "Project" in rendered
-        assert "WindowAgg(w1)" in rendered
-        assert "WindowAgg(w2)" in rendered
-        assert "LastJoin(dim)" in rendered
-        assert "DataProvider(t)" in rendered
-        # Serial shape: each line deeper than the previous.
-        lines = rendered.splitlines()
-        assert len(lines) == 5
-
-
 class TestAggregateRegistryErrors:
     def test_unknown_aggregate_is_a_plan_error(self, catalog):
         with pytest.raises(PlanError, match="unknown aggregate"):

@@ -1,5 +1,6 @@
 """Tests for the self-adjusted window union (paper Section 5.2)."""
 
+import dataclasses
 import random
 
 import pytest
@@ -30,6 +31,26 @@ def processor(scheduler, incremental=True, range_ms=5_000,
         arg_extractors=[lambda row: (row,)] * 2,
         scheduler=scheduler, range_ms=range_ms,
         incremental=incremental, rebalance_every=rebalance_every)
+
+
+def counted_run(scheduler, stream):
+    """One incremental run's stats with each worker's load counted in
+    tuples, the scheduler fed one unit of cost per tuple: a count, where
+    measured seconds would let a stalled run move the placement and the
+    loads."""
+    tuples = [0] * scheduler.workers
+    worker_for, record = scheduler.worker_for, scheduler.record
+
+    def counting_worker_for(key):
+        worker = worker_for(key)
+        tuples[worker] += 1
+        return worker
+
+    scheduler.worker_for = counting_worker_for
+    scheduler.record = lambda key, _seconds: record(key, 1.0)
+    stats = processor(scheduler, incremental=True,
+                      rebalance_every=250).run(iter(stream))
+    return dataclasses.replace(stats, worker_loads=tuples)
 
 
 class TestSchedulers:
@@ -112,14 +133,11 @@ class TestStats:
 
     def test_dynamic_balances_better_than_static(self):
         stream = skewed_stream(tuples=5000, hot_fraction=0.75)
-        static_stats = processor(
-            StaticScheduler(workers=4), incremental=True,
-            rebalance_every=250).run(iter(stream))
-        dynamic_stats = processor(
-            DynamicScheduler(workers=4, share_factor=1.2),
-            incremental=True, rebalance_every=250).run(iter(stream))
+        static_stats = counted_run(StaticScheduler(workers=4), stream)
+        dynamic_stats = counted_run(
+            DynamicScheduler(workers=4, share_factor=1.2), stream)
         # With 75% of traffic on one key, static placement pins ~3/4 of
-        # the load to one worker; sharing must visibly flatten it.
+        # the tuples to one worker; sharing must visibly flatten it.
         assert dynamic_stats.imbalance < static_stats.imbalance * 0.9
 
     def test_incremental_beats_recompute_on_large_windows(self):

@@ -500,8 +500,6 @@ DEAD_ALLOWLIST: Dict[str, str] = {
                   "docs/observability.md",
     "to_tfrecords": "the feature-signature TFRecord export, documented in "
                     "docs/sql_reference.md",
-    "state_groups": "the accumulators a window's aggregates share: cycle "
-                    "binding's (paper §4.1) observable outcome",
     "imbalance": "the window-union workers' max/mean load, the "
                  "self-adjusting union's (paper §5.2) observable outcome",
 }
