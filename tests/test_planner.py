@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import PlanError
-from repro.schema import Schema
+from repro.schema import IndexDef, Schema
+from repro.sql.compiler import compile_plan, explain
 from repro.sql.parser import parse_select
 from repro.sql.planner import build_plan
 
@@ -193,6 +194,31 @@ class TestOutputNames:
     def test_unknown_table_rejected(self, catalog):
         with pytest.raises(PlanError):
             plan_sql("SELECT key FROM nope", catalog)
+
+
+class TestPlanTree:
+    def test_serial_tree_shape(self, catalog):
+        plan = plan_sql(
+            "SELECT sum(v) OVER w1 AS a, sum(q) OVER w2 AS b, dim.attr AS x "
+            "FROM t LAST JOIN dim ON t.key = dim.key WINDOW "
+            "w1 AS (PARTITION BY key ORDER BY ts "
+            "ROWS BETWEEN 1 PRECEDING AND CURRENT ROW), "
+            "w2 AS (PARTITION BY cat ORDER BY ts "
+            "ROWS BETWEEN 2 PRECEDING AND CURRENT ROW)", catalog)
+        rendered = explain(compile_plan(plan, catalog), {
+            "t": [IndexDef(("key",), "ts"), IndexDef(("cat",), "ts")],
+            "dim": [IndexDef(("key",), "dts")]})
+        assert "WindowAgg(w1)" in rendered
+        assert "WindowAgg(w2)" in rendered
+        # The operator chain: Project over the windows, then the join,
+        # then the provider, one operator a line under the projection.
+        operators = [line.split("(")[0].strip()
+                     for line in rendered.splitlines()
+                     if len(line) - len(line.lstrip()) <= 2]
+        assert operators == ["Project", "ConcatJoin", "LastJoin",
+                             "DataProvider"]
+        assert rendered.splitlines()[-2].strip().startswith("LastJoin(dim)")
+        assert rendered.splitlines()[-1] == "  DataProvider(t)"
 
 
 class TestAggregateRegistryErrors:
