@@ -522,11 +522,10 @@ class NameServer(DeploymentHost):
             self._tenants.charge(tenant, charged, table=table_name)
         try:
             return self._routed(
-                table,
-                lambda layout: (layout.router.route(hashed),),
+                table, hashed,
                 lambda leader, partition_id, timeout_ms, layout:
                     self._put_on_leader(table, layout, partition_id,
-                                        leader, row, timeout_ms))[0]
+                                        leader, row, timeout_ms))
         except BaseException:
             if charged:
                 self._tenants.release(tenant, charged)
@@ -590,16 +589,16 @@ class NameServer(DeploymentHost):
                     self._m_repl_errors.inc()
             gauge.set(offset - shard.applied_offset)
 
-    def _routed(self, table: ClusterTable,
-                partitions: Callable[[Layout], Sequence[int]],
+    def _routed(self, table: ClusterTable, hashed: Optional[int],
                 call: Callable[[TabletServer, int, float, Layout], Any]
-                ) -> List[Any]:
+                ) -> Any:
         """The one routed call: every ``put`` and every read runs here.
 
         Reads one layout, and runs ``call(leader, partition_id,
-        timeout_ms, layout)`` on the leader of each partition
-        ``partitions(layout)`` names; returns the answers in that order.
-        Each outcome is classified once:
+        timeout_ms, layout)`` on the leader of the partition owning the
+        key hash ``hashed``, returning its answer — or, with ``hashed``
+        None, on the leader of every partition in id order, returning
+        the list of answers.  Each outcome is classified once:
 
         * the layout moved — a :class:`ShardMovedError`, a dead leader
           just failed over, or a live tablet that no longer hosts the
@@ -627,20 +626,14 @@ class NameServer(DeploymentHost):
             timeout_ms = policy.rpc_timeout_ms if deadline is None \
                 else deadline.clamp_ms(policy.rpc_timeout_ms)
             try:
+                if hashed is not None:
+                    partition_id = layout.router.route(hashed)
+                    tablet = self._leader(table, layout, partition_id)
+                    return call(tablet, partition_id, timeout_ms, layout)
                 answers = []
-                for partition_id in partitions(layout):
-                    self._m_routes.inc()
-                    name = layout.leaders.get(partition_id)
-                    tablet = None if name is None else self.tablets[name]
-                    if tablet is None:
-                        raise self._no_leader(table, layout, partition_id)
-                    if not tablet.alive:
-                        # It died unnoticed: failing it over moves the
-                        # layout.
-                        self.handle_failure(name)
-                        raise ShardMovedError(
-                            f"{table.name}[{partition_id}] failed over "
-                            f"off {name}; re-resolve")
+                for partition_id in layout.router.partition_ids():
+                    tablet = None  # not the last partition's, on a raise
+                    tablet = self._leader(table, layout, partition_id)
                     answers.append(call(tablet, partition_id, timeout_ms,
                                         layout))
                 return answers
@@ -682,6 +675,23 @@ class NameServer(DeploymentHost):
                     attempt=retries, error=type(error).__name__):
                 self._sleep(backoff_ms)
 
+    def _leader(self, table: ClusterTable, layout: Layout,
+                partition_id: int) -> TabletServer:
+        """The live leader of ``partition_id`` in ``layout``; raises
+        (inside :meth:`_routed`) for none or a dead one."""
+        self._m_routes.inc()
+        name = layout.leaders.get(partition_id)
+        if name is None:
+            raise self._no_leader(table, layout, partition_id)
+        tablet = self.tablets[name]
+        if not tablet.alive:
+            # It died unnoticed: failing it over moves the layout.
+            self.handle_failure(name)
+            raise ShardMovedError(
+                f"{table.name}[{partition_id}] failed over off {name}; "
+                "re-resolve")
+        return tablet
+
     def _sleep(self, backoff_ms: float) -> None:
         """The backoff between attempts — the data path's one sleep (a
         test replaces it to run on a fake clock)."""
@@ -694,12 +704,11 @@ class NameServer(DeploymentHost):
         table = self._table(table_name)
         self._m_gets.inc()
         key_columns = tuple(keys) if keys else table.indexes[0].key_columns
-        hashed = stable_hash(key_value)
         return self._routed(
-            table, lambda layout: (layout.router.route(hashed),),
+            table, stable_hash(key_value),
             lambda tablet, partition_id, timeout_ms, _layout:
                 tablet.read_latest(table_name, partition_id, key_columns,
-                                   key_value, timeout_ms=timeout_ms))[0]
+                                   key_value, timeout_ms=timeout_ms))
 
     # ------------------------------------------------------------------
     # liveness / failover

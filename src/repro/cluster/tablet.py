@@ -29,7 +29,7 @@ from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
 
 from ..errors import DeadlineExceededError, StorageError
 from ..memory.governor import MemoryGovernor
-from ..obs import NULL_OBS, Observability
+from ..obs import NULL_OBS, NULL_SPAN, Observability
 from ..schema import IndexDef, Row, Schema
 from ..serving.deadline import current_deadline
 from ..storage.disk import DiskTable
@@ -334,30 +334,30 @@ class TabletServer:
         """Scan one partition's window rows, resuming the caller's trace.
 
         Returns the store's newest-first
-        :class:`~repro.storage.skiplist.ColumnBlock` s as they are.  ``trace_ctx`` is what the nameserver's
+        :class:`~repro.storage.skiplist.ColumnBlock` s as they are (the
+        store picks the index).  ``trace_ctx`` is what the nameserver's
         :meth:`Tracer.inject` produced — the same trace-context
         propagation a real RPC carries, which stitches the tablet-side
-        spans into the request trace.
+        ``window.scan`` span into the request trace; its ``rows`` tag is
+        counted only when the span records.
         """
         self._check_serving(timeout_ms)
         self._m_scans.inc()
         store = self.shard(table, partition_id).store
-        tracer = self._obs.tracer
-        with tracer.start_from(trace_ctx, "index.seek", tablet=self.name,
-                               table=table, partition=partition_id) as seek:
-            index = store.find_index(keys, ts_column)
-            seek.set_tag(index=index.name)
-        with tracer.start_from(trace_ctx, "window.scan", tablet=self.name,
-                               table=table, partition=partition_id) as span:
-            blocks = list(store.window_scan_blocks(
+        with self._obs.tracer.start_from(
+                trace_ctx, "window.scan", tablet=self.name, table=table,
+                partition=partition_id) as span:
+            blocks = store.window_scan_blocks(
                 keys, ts_column, key_value, start_ts=start_ts,
-                end_ts=end_ts, limit=limit))
-            span.set_tag(rows=sum(map(len, blocks)))
+                end_ts=end_ts, limit=limit)
+            if span is not NULL_SPAN:
+                span.set_tag(rows=sum(map(len, blocks)))
         return blocks
 
     def last_join_lookup(self, table: str, partition_id: int,
                          keys: Sequence[str], key_value: Any,
                          before_ts: Optional[int] = None,
+                         ts_column: Optional[str] = None,
                          trace_ctx: Optional[Dict[str, int]] = None,
                          timeout_ms: Optional[float] = None
                          ) -> Optional[Tuple[int, Row]]:
@@ -369,7 +369,8 @@ class TabletServer:
                 trace_ctx, "index.seek", tablet=self.name, table=table,
                 partition=partition_id) as span:
             hit = store.last_join_lookup(keys, key_value,
-                                         before_ts=before_ts)
+                                         before_ts=before_ts,
+                                         ts_column=ts_column)
             span.set_tag(hit=hit is not None)
         return hit
 

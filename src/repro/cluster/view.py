@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import itertools
-from typing import (Any, Callable, Iterator, List, Optional, Sequence,
-                    Tuple, TYPE_CHECKING)
+from typing import (Any, Iterator, List, Optional, Sequence, Tuple,
+                    TYPE_CHECKING)
 
 from ..ctlplane.split import stable_hash
 from ..errors import IndexNotFoundError
 from ..schema import IndexDef, Row, Schema
 from ..storage.skiplist import ColumnBlock
-from .layout import Layout
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .nameserver import ClusterTable, NameServer
@@ -58,16 +57,14 @@ class ClusterTableView:
             f"cluster table {self.name!r} has no index on "
             f"keys={tuple(keys)} ts={ts!r}")
 
-    def _partitions(self, keys: Sequence[str],
-                    key_value: Any) -> Callable[[Layout], Sequence[int]]:
-        """The partitions a read on ``keys`` touches in the layout the
-        routed call hands in: the key's own (hashed once, here), or
-        every partition for a non-partition index."""
-        if tuple(keys)[0] == self._table.indexes[0].key_columns[0]:
-            hashed = stable_hash(key_value[0] if isinstance(key_value, tuple)
-                                 else key_value)
-            return lambda layout: (layout.router.route(hashed),)
-        return lambda layout: layout.router.partition_ids()
+    def _hashed(self, keys: Sequence[str], key_value: Any) -> Optional[int]:
+        """The routed call's key hash for a read on ``keys``: the key's
+        (hashed once, here) on the partition column, else None — every
+        partition, for a non-partition index."""
+        if keys[0] != self._table.indexes[0].key_columns[0]:
+            return None
+        return stable_hash(key_value[0] if isinstance(key_value, tuple)
+                           else key_value)
 
     def window_scan(self, keys: Sequence[str], ts_column: str,
                     key_value: Any, start_ts: Optional[int] = None,
@@ -91,31 +88,38 @@ class ClusterTableView:
         lays the merged rows out as a single block.
         """
         ctx = self._ns._obs.tracer.inject()
+        hashed = self._hashed(keys, key_value)
+        name = self._table.name
         scans = self._ns._routed(
-            self._table, self._partitions(keys, key_value),
+            self._table, hashed,
             lambda tablet, partition_id, timeout_ms, _layout:
                 tablet.window_scan_blocks(
-                    self.name, partition_id, keys, ts_column, key_value,
+                    name, partition_id, keys, ts_column, key_value,
                     start_ts=start_ts, end_ts=end_ts, limit=limit,
                     trace_ctx=ctx, timeout_ms=timeout_ms))
-        if len(scans) == 1:
-            return scans[0]
+        if hashed is not None:
+            return scans
         # Rows with equal timestamps keep partition order.
         merged = ColumnBlock.merged(scans, len(self.schema), limit)
         return [merged] if len(merged) else []
 
     def last_join_lookup(self, keys: Sequence[str], key_value: Any,
-                         before_ts: Optional[int] = None
+                         before_ts: Optional[int] = None,
+                         ts_column: Optional[str] = None
                          ) -> Optional[Tuple[int, Row]]:
         ctx = self._ns._obs.tracer.inject()
+        hashed = self._hashed(keys, key_value)
+        hits = self._ns._routed(
+            self._table, hashed,
+            lambda tablet, partition_id, timeout_ms, _layout:
+                tablet.last_join_lookup(
+                    self.name, partition_id, keys, key_value,
+                    before_ts=before_ts, ts_column=ts_column,
+                    trace_ctx=ctx, timeout_ms=timeout_ms))
+        if hashed is not None:
+            return hits
         best: Optional[Tuple[int, Row]] = None
-        for hit in self._ns._routed(
-                self._table, self._partitions(keys, key_value),
-                lambda tablet, partition_id, timeout_ms, _layout:
-                    tablet.last_join_lookup(
-                        self.name, partition_id, keys, key_value,
-                        before_ts=before_ts, trace_ctx=ctx,
-                        timeout_ms=timeout_ms)):
+        for hit in hits:
             if hit is not None and (best is None or hit[0] > best[0]):
                 best = hit
         return best

@@ -4,10 +4,9 @@ Sidiq et al.'s OpenMLDB performance analysis (arXiv:2509.15529) shows
 cluster throughput is governed by partition balance, so the rebalancer
 closes the loop between observation and topology: it reads each
 replica's lag from replica state
-(:meth:`~repro.cluster.NameServer.replication_lag`), the
-per-deployment ``serving.queue.depth`` gauges of the :mod:`repro.obs`
-registry, and per-tablet :class:`~repro.memory.governor.MemoryGovernor`
-byte accounting, and emits a bounded plan of
+(:meth:`~repro.cluster.NameServer.replication_lag`) and per-tablet
+:class:`~repro.memory.governor.MemoryGovernor` byte accounting, and
+emits a bounded plan (at most ``max_actions`` steps) of
 :class:`SplitAction`/:class:`MigrateAction` steps:
 
 * a partition holding more than ``split_threshold_bytes`` *and* more
@@ -18,10 +17,7 @@ byte accounting, and emits a bounded plan of
   **migrated** from the former to the latter (the skew absorber);
 * a tablet whose worst replica lag exceeds ``max_target_lag``
   entries is never chosen as a migration target — moving
-  load onto a struggling replica only amplifies the imbalance;
-* while total ``serving.queue.depth`` exceeds ``queue_depth_limit``
-  the plan is capped to a single action per round — rebalancing under
-  overload must not add to the overload.
+  load onto a struggling replica only amplifies the imbalance.
 
 :meth:`Rebalancer.run_once` executes the plan through a
 :class:`~repro.ctlplane.split.PartitionSplitter` and a
@@ -78,8 +74,6 @@ class Rebalancer:
             (migrations) ratio that counts as skew; must be > 1.
         max_target_lag: worst acceptable replica lag (entries behind
             the partition binlog) on a migration target.
-        queue_depth_limit: total ``serving.queue.depth`` beyond which
-            the plan is capped to one action.
         max_actions: plan-size cap per round.
     """
 
@@ -88,7 +82,6 @@ class Rebalancer:
                  split_threshold_bytes: int = 64 * 1024,
                  imbalance_ratio: float = 2.0,
                  max_target_lag: int = 256,
-                 queue_depth_limit: int = 64,
                  max_actions: int = 4,
                  obs: Optional[Observability] = None) -> None:
         if imbalance_ratio <= 1.0:
@@ -100,7 +93,6 @@ class Rebalancer:
         self._split_threshold = split_threshold_bytes
         self._ratio = imbalance_ratio
         self._max_target_lag = max_target_lag
-        self._queue_limit = queue_depth_limit
         self._max_actions = max_actions
         self._obs = obs if obs is not None else cluster.obs
         registry = self._obs.registry
@@ -132,15 +124,6 @@ class Rebalancer:
                     if tablet.has_shard(table.name, partition_id)),
                    default=0)
 
-    def total_queue_depth(self) -> int:
-        """Sum of ``serving.queue.depth`` gauges across deployments."""
-        total = 0
-        for instrument in self._obs.registry.series():
-            if instrument.kind == "gauge" \
-                    and instrument.name == "serving.queue.depth":
-                total += int(instrument.value)
-        return total
-
     def _leader(self, table, partition_id: int):
         """The partition's leader in the table's layout, or None when it
         has no live one (its replicas died; failover left it leaderless
@@ -166,9 +149,6 @@ class Rebalancer:
     def plan(self) -> List[Action]:
         """Emit a bounded list of actions for the current load shape."""
         actions: List[Action] = []
-        budget = self._max_actions
-        if self.total_queue_depth() > self._queue_limit:
-            budget = 1  # overloaded: tread lightly
         for table in list(self._cluster.tables.values()):
             sizes = self._partition_bytes(table)
             if not sizes:
@@ -176,7 +156,7 @@ class Rebalancer:
             mean = sum(b for b, _ in sizes.values()) / len(sizes)
             for partition_id, (nbytes, _leader) in sorted(
                     sizes.items(), key=lambda kv: -kv[1][0]):
-                if len(actions) >= budget:
+                if len(actions) >= self._max_actions:
                     break
                 if nbytes >= self._split_threshold \
                         and nbytes > self._ratio * max(mean, 1.0):
@@ -184,7 +164,7 @@ class Rebalancer:
                         table.name, partition_id,
                         reason=f"hot: {nbytes}B > "
                                f"{self._ratio:g}x mean {mean:.0f}B"))
-        if len(actions) < budget:
+        if len(actions) < self._max_actions:
             migration = self._plan_migration()
             if migration is not None:
                 actions.append(migration)

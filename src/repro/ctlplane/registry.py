@@ -96,14 +96,6 @@ class TenantRegistry:
             self._tenants[name] = budget
         return budget
 
-    def tenants(self) -> Dict[str, TenantBudget]:
-        with self._lock:
-            return dict(self._tenants)
-
-    def budget(self, name: str) -> Optional[TenantBudget]:
-        with self._lock:
-            return self._tenants.get(name)
-
     # ------------------------------------------------------------------
     # rate budget (request path)
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import datetime
 import struct
-from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, Mapping, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from ..errors import (DeadlineExceededError, DeploymentNotFoundError,
                       LexError, MemoryLimitExceededError, OpenMLDBError,
@@ -30,6 +31,7 @@ __all__ = [
     "PROTOCOL_VERSION_3", "SSL_REQUEST_CODE", "CANCEL_REQUEST_CODE",
     "GSSENC_REQUEST_CODE", "TYPE_OIDS", "TEXT_OID",
     "sqlstate_for", "encode_text", "decode_parameter", "ParamDecoders",
+    "data_row_encoder",
     "authentication_ok", "parameter_status", "backend_key_data",
     "ready_for_query", "command_complete", "empty_query_response",
     "row_description", "data_row", "parse_complete", "bind_complete",
@@ -391,6 +393,45 @@ def data_row(values: Sequence[Optional[bytes]]) -> bytes:
     return _frame(b"D", b"".join(parts))
 
 
+_PACK_INT32 = struct.Struct(">i").pack
+_NULL_FIELD = _PACK_INT32(-1)
+
+#: :func:`encode_text` by exact value type, for the types a feature
+#: takes; any other type goes through :func:`encode_text` itself.
+_TEXT_ENCODERS: Dict[type, Callable[[Any], bytes]] = {
+    int: b"%d".__mod__,
+    float: lambda value: repr(value).encode("ascii"),
+    str: str.encode,
+    bool: lambda value: b"t" if value else b"f",
+}
+
+
+def data_row_encoder(names: Sequence[str]
+                     ) -> Callable[[Mapping[str, Any]], bytes]:
+    """The DataRow encoder of one result shape, chosen once (when a
+    statement is parsed): ``encode(features)`` is the whole frame of
+    ``features[name]`` for each of ``names`` in order, as
+    :func:`data_row` of :func:`encode_text` of each would build it —
+    in one pass, the field count and the frame head computed once."""
+    names = tuple(names)
+    head = struct.pack(">h", len(names))
+    encoders = _TEXT_ENCODERS
+
+    def encode(features: Mapping[str, Any]) -> bytes:
+        parts = [head]
+        for name in names:
+            value = features.get(name)
+            if value is None:
+                parts.append(_NULL_FIELD)
+            else:
+                text = encoders.get(type(value), encode_text)(value)
+                parts.append(_PACK_INT32(len(text)))
+                parts.append(text)
+        body = b"".join(parts)
+        return b"D" + _PACK_INT32(len(body) + 4) + body
+    return encode
+
+
 def error_response(sqlstate: str, message: str, *,
                    severity: str = "ERROR",
                    detail: Optional[str] = None) -> bytes:
@@ -575,8 +616,11 @@ def parse_describe(payload: bytes) -> Tuple[str, str]:
 
 
 def parse_execute(payload: bytes) -> Tuple[str, int]:
-    buf = Buffer(payload)
-    return buf.read_cstr(), buf.read_int32()
+    portal, position = _cstr_at(payload, 0)
+    if len(payload) - position < 4:
+        raise ProtocolError(f"truncated message: wanted 4 bytes, "
+                            f"have {len(payload) - position}")
+    return portal, _INT32(payload, position)[0]
 
 
 def parse_close(payload: bytes) -> Tuple[str, str]:

@@ -77,6 +77,13 @@ _SERVER_PARAMETERS = (
 #: startup before the accept thread drops it.
 _REFUSE_BUDGET_S = 0.5
 
+#: The frames every read sends unchanged, built once.
+_BIND_COMPLETE = wire.bind_complete()
+_READY_FOR_QUERY = wire.ready_for_query()
+_SELECT_1 = wire.command_complete("SELECT 1")
+
+_FRAME_LENGTH = struct.Struct(">i").unpack_from
+
 
 class _WireError(Exception):
     """An error born at the protocol layer with an explicit SQLSTATE."""
@@ -94,11 +101,14 @@ class _Prepared:
     input schema at Parse time, and ``decoders`` holds their text and
     binary decoders (None for a statement that is not an EXECUTE) — so
     Bind decodes wire bytes as it reads them and Describe can answer
-    ParameterDescription without touching the backend again.
+    ParameterDescription without touching the backend again.  Its
+    reply is chosen at Parse too: ``encode_row`` turns the features an
+    EXECUTE returns into the whole DataRow frame.
     """
 
     __slots__ = ("name", "statement", "descriptor", "param_types",
-                 "param_oids", "decoders", "_literals", "_slots")
+                 "param_oids", "decoders", "encode_row", "_literals",
+                 "_slots")
 
     def __init__(self, name: str, statement: Any,
                  descriptor: Optional[DeploymentDescriptor],
@@ -110,6 +120,8 @@ class _Prepared:
         self.param_oids = tuple(
             wire.TYPE_OIDS[column_type] for column_type in param_types)
         self.decoders: Optional[wire.ParamDecoders] = None
+        self.encode_row = None if descriptor is None \
+            else wire.data_row_encoder(descriptor.output_names)
         if isinstance(statement, ExecuteDeployment):
             self.decoders = wire.ParamDecoders.of(param_types)
             # The request row, as positions into the bound values
@@ -193,7 +205,7 @@ class _Session:
     """Per-connection state: prepared statements, portals, settings."""
 
     __slots__ = ("statements", "portals", "settings", "timeout_ms",
-                 "in_error")
+                 "in_error", "binding")
 
     def __init__(self, startup: Dict[str, str]) -> None:
         self.statements: Dict[str, _Prepared] = {}
@@ -201,10 +213,13 @@ class _Session:
         self.settings: Dict[str, str] = dict(startup)
         self.timeout_ms: Optional[float] = None  # SET statement_timeout
         self.in_error = False  # extended protocol: skip until Sync
+        #: The prepared statement the Bind being read names.
+        self.binding: Optional[_Prepared] = None
 
     def decoders(self, name: str) -> Optional[wire.ParamDecoders]:
-        """The parameter decoders of prepared statement ``name``."""
-        prepared = self.statements.get(name)
+        """The parameter decoders of prepared statement ``name``, which
+        becomes ``binding``: a Bind looks its statement up once."""
+        prepared = self.binding = self.statements.get(name)
         return None if prepared is None else prepared.decoders
 
 
@@ -267,6 +282,11 @@ class NetServer:
         self._finished: Set[threading.Thread] = set()
         self._waiting: Set[threading.Thread] = set()
         self._key_seq = itertools.count(1)
+        # Frames answered in an extended-protocol pipeline; Sync, Flush
+        # and a simple Query are answered in _dispatch itself.
+        self._handlers = {b"B": self._on_bind, b"E": self._on_execute,
+                          b"P": self._on_parse, b"D": self._on_describe,
+                          b"C": self._on_close}
 
         registry = self._obs.registry
         self._g_connections = registry.gauge("netserve.connections")
@@ -466,7 +486,7 @@ class NetServer:
                        for key, value in _SERVER_PARAMETERS)
             key_id = next(self._key_seq)
             out.append(wire.backend_key_data(key_id, key_id * 7919))
-            out.append(wire.ready_for_query())
+            out.append(_READY_FOR_QUERY)
             self._send(sock, b"".join(out))
         return params
 
@@ -478,7 +498,7 @@ class NetServer:
         while True:
             header = self._read(reader, 5)
             type_byte = header[:1]
-            (length,) = struct.unpack(">i", header[1:])
+            (length,) = _FRAME_LENGTH(header, 1)
             if length < 4 or length > self._max_frame_bytes:
                 self._count_error("08P01")
                 self._send(sock, wire.error_response(
@@ -497,35 +517,35 @@ class NetServer:
                   session: _Session, type_byte: bytes,
                   payload: bytes) -> bool:
         """Handle one typed frame; False closes the connection."""
-        if type_byte == b"Q":
-            self._on_simple_query(sock, session, payload)
+        handler = self._handlers.get(type_byte)
+        if handler is not None:
+            if session.in_error:
+                # Skip-until-Sync: a failed step poisons the rest of
+                # the pipeline; queued messages are discarded, not
+                # executed.
+                return True
+            try:
+                handler(sock, session, payload)
+            except Exception as exc:
+                session.in_error = True
+                self._send_error(sock, exc)
             return True
         if type_byte == b"S":          # Sync: recover from error state
             session.in_error = False
-            self._send(sock, wire.ready_for_query())
+            self._send(sock, _READY_FOR_QUERY)
             return True
-        if type_byte == b"H":          # Flush: every reply is sent already
+        if type_byte == b"Q":
+            self._on_simple_query(sock, session, payload)
             return True
-        if session.in_error:
-            # Skip-until-Sync: a failed step poisons the rest of the
-            # pipeline; queued messages are discarded, not executed.
+        if type_byte == b"H" or session.in_error:
+            # Flush: every reply is sent already.  Anything else in a
+            # failed pipeline is skipped until Sync.
             return True
-        handlers = {b"P": self._on_parse, b"B": self._on_bind,
-                    b"D": self._on_describe, b"E": self._on_execute,
-                    b"C": self._on_close}
-        handler = handlers.get(type_byte)
-        if handler is None:
-            self._count_error("08P01")
-            self._send(sock, wire.error_response(
-                "08P01", f"unexpected message type "
-                f"{type_byte.decode('latin-1')!r}", severity="FATAL"))
-            return False
-        try:
-            handler(sock, session, payload)
-        except Exception as exc:
-            session.in_error = True
-            self._send_error(sock, exc)
-        return True
+        self._count_error("08P01")
+        self._send(sock, wire.error_response(
+            "08P01", f"unexpected message type "
+            f"{type_byte.decode('latin-1')!r}", severity="FATAL"))
+        return False
 
     # ------------------------------------------------------------------
     # simple query protocol
@@ -540,7 +560,7 @@ class NetServer:
         except Exception as exc:
             # The remaining statements in this Q are abandoned.
             self._send_error(sock, exc)
-        self._send(sock, wire.ready_for_query())
+        self._send(sock, _READY_FOR_QUERY)
 
     def _run_simple(self, sock: socket.socket,
                     session: _Session, statement: Any) -> None:
@@ -555,12 +575,9 @@ class NetServer:
                                  "$n placeholders; use the extended "
                                  "protocol (Parse/Bind/Execute)")
             portal = _Portal(prepared, prepared.bound([]))
-            columns = prepared.result_columns()
-            rows = self._execute_portal(session, portal, "simple")
-            out = [wire.row_description(columns)]
-            out.extend(wire.data_row(row) for row in rows)
-            out.append(wire.command_complete(f"SELECT {len(rows)}"))
-            self._send(sock, b"".join(out))
+            self._send(sock, wire.row_description(prepared.result_columns())
+                       + self._execute_portal(session, portal, "simple")
+                       + _SELECT_1)
             return
         self._run_utility(sock, session, statement,
                                 describe_rows=True)
@@ -592,7 +609,7 @@ class NetServer:
                 out.append(wire.row_description([("?column?", 23)]))
             out.append(wire.data_row(
                 [str(statement.value).encode("ascii")]))
-            out.append(wire.command_complete("SELECT 1"))
+            out.append(_SELECT_1)
             self._send(sock, b"".join(out))
         elif isinstance(statement, ControlStatement):
             tag = self._run_control(statement)
@@ -681,14 +698,14 @@ class NetServer:
                  session: _Session, payload: bytes) -> None:
         portal_name, statement_name, _formats, values, _results = \
             wire.parse_bind(payload, session.decoders)
-        prepared = session.statements.get(statement_name)
+        prepared = session.binding
         if prepared is None:
             raise _WireError(
                 "26000",
                 f"unknown prepared statement {statement_name!r}")
         session.portals[portal_name] = _Portal(prepared,
                                                prepared.bound(values))
-        self._send(sock, wire.bind_complete())
+        self._send(sock, _BIND_COMPLETE)
 
     def _on_describe(self, sock: socket.socket,
                      session: _Session, payload: bytes) -> None:
@@ -725,10 +742,8 @@ class NetServer:
             self._send(sock, wire.empty_query_response())
             return
         if isinstance(statement, ExecuteDeployment):
-            rows = self._execute_portal(session, portal, "extended")
-            out = [wire.data_row(row) for row in rows]
-            out.append(wire.command_complete(f"SELECT {len(rows)}"))
-            self._send(sock, b"".join(out))
+            self._send(sock, self._execute_portal(session, portal,
+                                                  "extended") + _SELECT_1)
             return
         # Utility forms: Describe already sent RowDescription (or
         # NoData), so only rows + completion go out here.
@@ -750,38 +765,39 @@ class NetServer:
     # execution
 
     def _execute_portal(self, session: _Session, portal: _Portal,
-                              protocol: str) -> List[List[Optional[bytes]]]:
-        """Run one deployment request through the frontend, encode it.
+                        protocol: str) -> bytes:
+        """Run one deployment request through the frontend; its DataRow.
 
         The session's startup ``user`` is the tenant.  The wait inside
         ``request`` never cancels the ticket, which single-flight
-        followers on other connections may share.
+        riders on other connections may share.  The thread is marked
+        as waiting before it checks ``_closed`` — set operations under
+        the GIL, no lock — so :meth:`close`, which sets ``_closed``
+        before it reads the set, either sees the mark or is seen.
         """
         prepared = portal.prepared
         statement = prepared.statement
-        assert isinstance(statement, ExecuteDeployment)
-        assert portal.row is not None
         me = threading.current_thread()
-        with self._lock:
+        waiting = self._waiting
+        waiting.add(me)  # close() does not wait for this one
+        try:
             if self._closed:
                 raise ConnectionError("server is closing")
-            self._waiting.add(me)  # close() does not wait for this one
-        started = time.monotonic()
-        try:
-            with self._obs.tracer.span(
-                    "net.request", deployment=statement.deployment,
-                    protocol=protocol):
-                features = self._frontend.request(
-                    statement.deployment, portal.row,
-                    timeout_ms=session.timeout_ms,
-                    tenant=session.settings.get("user", ""))
+            started = time.monotonic()
+            try:
+                with self._obs.tracer.span(
+                        "net.request", deployment=statement.deployment,
+                        protocol=protocol):
+                    features = self._frontend.request(
+                        statement.deployment, portal.row,
+                        timeout_ms=session.timeout_ms,
+                        tenant=session.settings.get("user", ""))
+            finally:
+                self._h_request.observe(
+                    (time.monotonic() - started) * 1_000.0)
         finally:
-            self._h_request.observe((time.monotonic() - started) * 1_000.0)
-            with self._lock:
-                self._waiting.discard(me)
-        ordered = [features.get(name)
-                   for name in prepared.descriptor.output_names]
-        return [[wire.encode_text(value) for value in ordered]]
+            waiting.discard(me)
+        return prepared.encode_row(features)
 
     # ------------------------------------------------------------------
     # plumbing

@@ -248,13 +248,15 @@ class OfflineEngine:
                 table = self._tables[join.plan.right_table]
                 matched: Optional[Row] = None
                 if join.residual_fn is None:
-                    hit = table.last_join_lookup(join.key_columns, key_value)
+                    hit = table.last_join_lookup(join.key_columns, key_value,
+                                                 ts_column=join.order_by)
                     matched = hit[1] if hit is not None else None
                 else:
                     # Residual scan through the chunked API: candidate
                     # rows arrive a block at a time, same as the online
                     # engine's window fetches.
-                    index = table.find_index(join.key_columns)
+                    index = table.find_index(join.key_columns,
+                                             join.order_by)
                     for block in table.window_scan_blocks(
                             join.key_columns, index.ts_column, key_value):
                         for _ts, candidate in block:

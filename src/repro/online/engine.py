@@ -171,22 +171,25 @@ class OnlineEngine:
         """
         span_of = self._obs.tracer.span  # bound once per request
         deadline = current_deadline()
-        plan = compiled.plan
-        validated = plan.table_schema.validate_row(request_row)
+        validated = compiled.plan.table_schema.validate_row(request_row)
         counters = _RequestCounters()
         try:
-            # Build the combined row: primary columns then each join's.
-            combined: List[Any] = [None] * compiled.combined_width
-            combined[:len(validated)] = validated
-            for join in compiled.joins:
-                with span_of("index.seek",
-                             table=join.plan.right_table) as span:
-                    matched = self._resolve_join(join, combined, counters)
-                    span.set_tag(hit=matched is not None)
-                if matched is not None:
-                    combined[join.start_slot:
-                             join.start_slot + join.right_width] = matched
-            combined_tuple = tuple(combined)
+            # The combined row: primary columns then each join's.
+            combined_tuple = validated
+            if compiled.joins:
+                combined: List[Any] = [None] * compiled.combined_width
+                combined[:len(validated)] = validated
+                for join in compiled.joins:
+                    with span_of("index.seek",
+                                 table=join.plan.right_table) as span:
+                        matched = self._resolve_join(join, combined,
+                                                     counters)
+                        span.set_tag(hit=matched is not None)
+                    if matched is not None:
+                        combined[join.start_slot:
+                                 join.start_slot + join.right_width] = \
+                            matched
+                combined_tuple = tuple(combined)
 
             if compiled.where_fn is not None \
                     and compiled.where_fn(combined_tuple) is not True:
@@ -197,25 +200,22 @@ class OnlineEngine:
             # that the compiler recognised as identical definitions.
             aggregate_values: List[Any] = [None] * compiled.aggregate_count
             fetched: Dict[str, List[ColumnBlock]] = {}
-            for name, window in compiled.windows.items():
-                if not window.aggregates:
-                    continue
+            for name, window, scan in compiled.running_windows:
                 if deadline is not None:
                     deadline.check("request")
                 # Merged siblings share a scan but carry distinct
                 # aggregate slots.
-                canonical = compiled.merged_windows.get(name, name)
-                if canonical not in fetched:
+                blocks = fetched.get(scan)
+                if blocks is None:
                     rows_before = counters.rows_scanned
                     with span_of("window.scan", window=name) as span:
-                        fetched[canonical] = self._window_blocks(
+                        blocks = fetched[scan] = self._window_blocks(
                             compiled, window, validated, counters,
-                            shared_fetch, canonical)
+                            shared_fetch, scan)
                         span.set_tag(rows=counters.rows_scanned
                                      - rows_before)
                 with span_of("agg.fold", window=name):
-                    results, summarized = window.compute_blocks(
-                        fetched[canonical])
+                    results, summarized = window.compute_blocks(blocks)
                 counters.summary_blocks += summarized
                 for slot, value in results.items():
                     aggregate_values[slot] = value
@@ -239,14 +239,15 @@ class OnlineEngine:
         key_value = join.key_fn(tuple(combined))
         counters.join_lookups += 1
         if join.residual_fn is None:
-            hit = table.last_join_lookup(join.key_columns, key_value)
+            hit = table.last_join_lookup(join.key_columns, key_value,
+                                         ts_column=join.order_by)
             return hit[1] if hit is not None else None
         # Residual condition: walk candidates newest-first until one
         # passes.  A scan copies its run out, so fetch a growing newest
         # prefix: an early hit never pays for the key's whole history.
         # (Inserts between rounds can only push rows further back, so
         # skipping ``seen`` re-probes a row at worst, never misses one.)
-        index = table.find_index(join.key_columns)
+        index = table.find_index(join.key_columns, join.order_by)
         seen, limit = 0, 32
         while True:
             candidates = list(table.window_scan(
@@ -336,9 +337,9 @@ class OnlineEngine:
             return []  # e.g. ROWS BETWEEN 0 PRECEDING: only the request row
         plan = window.plan
         if len(sources) == 1:
-            return list(sources[0].window_scan_blocks(
+            return sources[0].window_scan_blocks(
                 plan.partition_columns, plan.order_column, key,
-                start_ts=anchor_ts, end_ts=end_ts, limit=limit))
+                start_ts=anchor_ts, end_ts=end_ts, limit=limit)
         # A union: the ``limit`` newest of the merge need at most
         # ``limit`` from each source.
         merged = ColumnBlock.merged(

@@ -239,25 +239,9 @@ class Schema:
                     f"column {column.name!r}: {exc}") from None
         return tuple(coerced)
 
-    def row_dict(self, row: Sequence[Any]) -> Dict[str, Any]:
-        """Return ``row`` as a name→value mapping (for display/tests)."""
-        return dict(zip(self.column_names, row))
-
     def project(self, names: Sequence[str]) -> "Schema":
         """Return a new schema containing only ``names`` (in given order)."""
         return Schema(self.column(name) for name in names)
-
-    def concat(self, other: "Schema", prefix: str = "") -> "Schema":
-        """Concatenate two schemas, optionally prefixing ``other``'s names.
-
-        Used for join outputs.  Name collisions raise unless a prefix
-        disambiguates them.
-        """
-        renamed = [
-            Column(f"{prefix}{column.name}", column.type, column.nullable)
-            for column in other.columns
-        ]
-        return Schema(list(self._columns) + renamed)
 
     def union_compatible(self, other: "Schema") -> bool:
         """True if ``other`` has the same column types in the same order.

@@ -27,7 +27,6 @@ oldest caller still waiting, so no queued ticket is ever stranded.
 from __future__ import annotations
 
 import collections
-import dataclasses
 import threading
 import time
 from typing import Any, Deque, Dict, List, Optional, Tuple
@@ -39,23 +38,32 @@ from .deadline import Deadline
 __all__ = ["AdmissionController", "Ticket"]
 
 
-@dataclasses.dataclass
 class Ticket:
-    """One admitted request travelling through the frontend.
+    """One request travelling through the frontend, and its outcome.
 
-    A waiting caller blocks on ``wake``, released when the future is
-    done or the combiner role is handed to it (``baton``); ``waiting``
-    is False once it gave up at its deadline.
+    Once ``done``, ``outcome`` holds the answer: the feature dict, or
+    the exception the caller raises.  A waiting caller blocks on
+    ``wake``, released when the ticket is done or the combiner role is
+    handed to it (``baton``); ``waiting`` is False once it gave up at
+    its deadline.  Single-flight riders each add a held lock to
+    ``riders``, released when the ticket is done.
     """
 
-    deployment: str
-    row: Tuple[Any, ...]
-    future: Any  # concurrent.futures.Future
-    deadline: Optional[Deadline] = None
-    enqueued_s: float = dataclasses.field(default_factory=time.monotonic)
-    wake: Any = dataclasses.field(default=None, repr=False, compare=False)
-    waiting: bool = dataclasses.field(default=True, compare=False)
-    baton: bool = dataclasses.field(default=False, compare=False)
+    __slots__ = ("deployment", "row", "deadline", "enqueued_s", "wake",
+                 "waiting", "baton", "done", "outcome", "riders")
+
+    def __init__(self, deployment: str, row: Tuple[Any, ...],
+                 deadline: Optional[Deadline] = None) -> None:
+        self.deployment = deployment
+        self.row = row
+        self.deadline = deadline
+        self.enqueued_s = time.monotonic()
+        self.wake: Optional[threading.Lock] = None
+        self.waiting = True
+        self.baton = False
+        self.done = False
+        self.outcome: Any = None
+        self.riders: Optional[List[threading.Lock]] = None
 
 
 class _Lane:
@@ -157,8 +165,8 @@ class AdmissionController:
         with self._lock:
             self._inflight -= count
             self._g_inflight.set(self._inflight)
-            if self._inflight == 0:
-                self._idle.notify_all()
+            if self._inflight == 0 and self._draining:
+                self._idle.notify_all()  # only drain() waits on it
 
     # ------------------------------------------------------------------
     # combiner side

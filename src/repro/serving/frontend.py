@@ -12,14 +12,17 @@
   that finds its deployment without a combiner hands the queued batch,
   in arrival order, to the backend's ``request_batch`` on its own
   thread (identical window scans in it are fetched once); everyone
-  else waits on its own ticket;
+  else waits on its own ticket.  The :class:`Ticket` carries the
+  outcome: there is no future, and a combiner reads its own answer
+  off its ticket;
 * **deadline propagation** — a per-request ``timeout_ms`` becomes a
   :class:`~repro.serving.deadline.Deadline` that clamps every routed
   RPC's timeout; a request that expires while queued is dropped
   without executing, and a late result is raised, never returned;
 * **single-flight dedup** — identical concurrent requests (same
   deployment, same request row: the thundering herd on a hot key)
-  compute once and fan the result out;
+  compute once: each rider waits on its leader's ticket and gets its
+  outcome;
 * **graceful drain** — :meth:`drain` stops admissions and waits for
   every admitted request to finish; :meth:`close` drains and then
   refuses every later request.  Both are idempotent.
@@ -33,8 +36,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import DeadlineExceededError, OverloadError
@@ -101,7 +102,7 @@ class FrontendServer:
         self._lifecycle_lock = threading.Lock()
 
         self._flight_lock = threading.Lock()
-        self._in_flight: Dict[Tuple[str, Tuple[Any, ...]], Future] = {}
+        self._in_flight: Dict[Tuple[str, Tuple[Any, ...]], Ticket] = {}
 
         registry = self._obs.registry
         self._m_admitted = registry.counter("serving.admitted")
@@ -152,48 +153,41 @@ class FrontendServer:
         budget = timeout_ms if timeout_ms is not None \
             else self._default_timeout_ms
         deadline = Deadline.after(budget) if budget is not None else None
-        row_key = (name, tuple(row))
-
-        future: Future = Future()
-        leader = future
+        ticket = Ticket(name, tuple(row), deadline)
         if self._single_flight:
             with self._flight_lock:
-                leader = self._in_flight.setdefault(row_key, future)
-        if leader is not future:
-            # Thundering herd: an identical request is already queued
-            # or executing — ride its result.  Other requests share the
-            # leader's future: wait on it, never cancel it.
-            self._m_dedup.inc()
-            try:
-                return leader.result(
-                    timeout=None if deadline is None
-                    else deadline.remaining_ms() / 1_000.0)
-            except FutureTimeoutError:
-                raise self._late(name) from None
-        ticket = Ticket(deployment=name, row=row_key[1],
-                        future=future, deadline=deadline)
+                leader = self._in_flight.setdefault((name, ticket.row),
+                                                    ticket)
+                if leader is not ticket:
+                    wake = _ride(leader)
+            if leader is not ticket:
+                # Thundering herd: an identical request is already
+                # queued or executing — ride its outcome, never cancel
+                # its ticket.
+                self._m_dedup.inc()
+                if not leader.done and not wake.acquire(
+                        timeout=_timeout_s(deadline)) \
+                        and not leader.done:
+                    raise self._late(name)
+                return _outcome(leader)
         try:
             combine = self._admission.admit(ticket)
         except OverloadError as exc:
             self._count_shed(name, exc.reason)
-            self._forget(row_key, future)
-            if not future.done():
-                future.set_exception(exc)  # fail deduped followers
+            self._forget(name, [ticket])
+            _settle(ticket, exc)  # fail its riders
             raise
         self._m_admitted.inc()
         if combine or self._wait(ticket):
             self._combine(ticket)
             if deadline is not None and deadline.expired:
                 raise self._late(name)
-        return future.result()
+        return _outcome(ticket)
 
     def _wait(self, ticket: Ticket) -> bool:
-        """Wait for the ticket's result; True if handed the combiner
+        """Wait for the ticket's outcome; True if handed the combiner
         role instead.  Raises :class:`DeadlineExceededError` on time."""
-        deadline = ticket.deadline
-        timeout = -1.0 if deadline is None else min(
-            deadline.remaining_ms() / 1_000.0, threading.TIMEOUT_MAX)
-        if ticket.wake.acquire(timeout=timeout):
+        if ticket.wake.acquire(timeout=_timeout_s(ticket.deadline)):
             return ticket.baton
         if self._admission.abandon(ticket):
             self._leave(ticket.deployment)  # pass the role on
@@ -211,7 +205,7 @@ class FrontendServer:
         ticket.waiting = False  # the role is never handed back to it
         try:
             with no_ambient_deadline():
-                while not ticket.future.done():
+                while not ticket.done:
                     self._execute_batch(name, self._admission.take(
                         name, self._max_batch, self._max_wait_ms,
                         ticket.deadline))
@@ -239,7 +233,7 @@ class FrontendServer:
     # combiner side
 
     def _execute_batch(self, name: str, tickets: List[Ticket]) -> None:
-        """Run one micro-batch and complete every ticket's future."""
+        """Run one micro-batch and settle every ticket in it."""
         now = time.monotonic()
         live: List[Ticket] = []
         try:
@@ -269,25 +263,20 @@ class FrontendServer:
             for ticket in tickets:
                 self._complete(ticket, exc)
         finally:
+            self._forget(name, tickets)
             for ticket in tickets:
-                self._forget((name, ticket.row), ticket.future)
-                if not ticket.future.done():  # defensive backstop
+                if not ticket.done:  # defensive backstop
                     self._complete(ticket, OverloadError(
                         "batch executor completed without a result",
                         deployment=name, reason="internal"))
             self._admission.release(len(tickets))
 
     def _complete(self, ticket: Ticket, outcome: Any) -> None:
-        if ticket.future.done():
+        if ticket.done:
             return
         self._h_request.observe(
             (time.monotonic() - ticket.enqueued_s) * 1_000.0)
-        if isinstance(outcome, BaseException):
-            ticket.future.set_exception(outcome)
-        else:
-            ticket.future.set_result(outcome)
-        if ticket.wake is not None:
-            ticket.wake.release()
+        _settle(ticket, outcome)
 
     # ------------------------------------------------------------------
     # shedding bookkeeping
@@ -301,13 +290,17 @@ class FrontendServer:
             self._shed_counters[key] = counter
         counter.inc()
 
-    def _forget(self, row_key: Tuple[str, Tuple[Any, ...]],
-                future: Future) -> None:
+    def _forget(self, name: str, tickets: List[Ticket]) -> None:
+        """Drop the single-flight entries ``tickets`` lead: a later
+        identical request computes afresh."""
         if not self._single_flight:
             return
+        in_flight = self._in_flight
         with self._flight_lock:
-            if self._in_flight.get(row_key) is future:
-                del self._in_flight[row_key]
+            for ticket in tickets:
+                key = (name, ticket.row)
+                if in_flight.get(key) is ticket:
+                    del in_flight[key]
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -343,3 +336,42 @@ class FrontendServer:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
+
+
+def _timeout_s(deadline: Optional[Deadline]) -> float:
+    """A lock wait's timeout for ``deadline``: -1 (none) without one."""
+    return -1.0 if deadline is None else min(
+        deadline.remaining_ms() / 1_000.0, threading.TIMEOUT_MAX)
+
+
+def _ride(leader: Ticket) -> threading.Lock:
+    """Add a held lock to ``leader``'s riders, under the flight lock;
+    :func:`_settle` releases it.  The rider checks ``leader.done``
+    after this, and settling sets ``done`` before it reads ``riders``,
+    so a rider is never left waiting on a ticket already settled."""
+    wake = threading.Lock()
+    wake.acquire()
+    if leader.riders is None:
+        leader.riders = [wake]
+    else:
+        leader.riders.append(wake)
+    return wake
+
+
+def _settle(ticket: Ticket, outcome: Any) -> None:
+    """Give ``ticket`` its outcome and wake its caller and riders."""
+    ticket.outcome = outcome
+    ticket.done = True
+    if ticket.wake is not None:
+        ticket.wake.release()
+    if ticket.riders is not None:
+        for wake in ticket.riders:
+            wake.release()
+
+
+def _outcome(ticket: Ticket) -> Dict[str, Any]:
+    """A settled ticket's features, or its error raised."""
+    outcome = ticket.outcome
+    if isinstance(outcome, BaseException):
+        raise outcome
+    return outcome

@@ -34,7 +34,6 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
 from ..errors import CompileError, PlanError
 from ..obs import NULL_OBS, Observability
 from ..schema import IndexDef, Row, Schema
-from ..storage.memtable import normalize_ts
 from ..storage.skiplist import ColumnBlock
 from ..types import ColumnType
 from . import ast
@@ -419,12 +418,6 @@ class CompiledWindow:
     def order_value(self, row: Row) -> Any:
         return row[self.order_position]
 
-    def compute(self, rows_newest_first: Sequence[Row]) -> Dict[int, Any]:
-        """Fold the window's rows and return ``{slot: result}``."""
-        pairs = [(normalize_ts(self.order_value(row)), row)
-                 for row in rows_newest_first]
-        return self._fold((ColumnBlock.from_pairs(pairs, self.width),))[0]
-
     def compute_blocks(self,
                        blocks_newest_first: Sequence[ColumnBlock]
                        ) -> Tuple[Dict[int, Any], int]:
@@ -443,8 +436,10 @@ class CompiledJoin:
     """A LAST JOIN ready for index lookups.
 
     ``key_fn`` maps the left row (combined tuple so far) to the right
-    table's index key; ``residual_fn`` (if any) filters candidate right
-    rows newest-first; ``right_width`` pads with NULLs on a miss.
+    table's index key; ``order_by`` names the column "last" is by —
+    both engines read the index ordered by it (None: the first index on
+    the key); ``residual_fn`` (if any) filters candidate right rows
+    newest-first; ``right_width`` pads with NULLs on a miss.
     """
 
     plan: JoinPlan
@@ -489,6 +484,12 @@ class CompiledQuery:
                 self.merged_windows[name] = original
             self.windows[name] = CompiledWindow(
                 window_plan, plan.table_schema, window_scope)
+        #: ``(name, window, the window whose scan it shares)`` for each
+        #: window with aggregates — the ones a request runs.
+        self.running_windows: Tuple[Tuple[str, CompiledWindow, str], ...] = \
+            tuple((name, window, self.merged_windows.get(name, name))
+                  for name, window in self.windows.items()
+                  if window.aggregates)
 
         # Combined-row scope: primary columns then each join's columns.
         combined = Scope()
@@ -673,7 +674,7 @@ def index_access_paths(plan: QueryPlan, table_indexes: TableIndexes
              for name, window in plan.windows.items()
              for table in (plan.table, *window.union_tables)]
     paths.extend((f"last join {join.right_table}", join.right_table,
-                  [column for _expr, column in join.eq_keys], None)
+                  [column for _expr, column in join.eq_keys], join.order_by)
                  for join in plan.joins)
     chosen: Dict[str, str] = {}
     for label, table, keys, ts in paths:
@@ -721,8 +722,7 @@ def explain(compiled: CompiledQuery, table_indexes: TableIndexes) -> str:
     serves — a deployment would be rejected — shows as ``none``."""
     plan = compiled.plan
     lines = [f"Project({', '.join(compiled.output_names)})"]
-    running = [name for name, window in compiled.windows.items()
-               if window.aggregates]
+    running = [name for name, _window, _scan in compiled.running_windows]
     indent = "  "
     if len(running) > 1:
         lines.append(f"  ConcatJoin({', '.join(running)}) over "
@@ -756,7 +756,7 @@ def explain(compiled: CompiledQuery, table_indexes: TableIndexes) -> str:
         if join_plan.residual is not None:
             keys += f" filter {_sql(join_plan.residual)}"
         index = pick_index(table_indexes, join_plan.right_table,
-                           join.key_columns)
+                           join.key_columns, join.order_by)
         lines.append(f"  LastJoin({join_plan.right_table}) index="
                      f"{index or 'none'} on {keys}")
     lines.append(f"  DataProvider({plan.table})")

@@ -263,16 +263,6 @@ class AggregateFunction:
         """Extract the aggregate's value from ``state``."""
         raise NotImplementedError
 
-    def compute(self, rows_newest_first: List[Tuple[Any, ...]]) -> Any:
-        """One-shot evaluation over pre-extracted argument tuples."""
-        state = self.create()
-        # Order-sensitive aggregates consume oldest→newest.
-        iterable = (reversed(rows_newest_first) if self.order_sensitive
-                    else rows_newest_first)
-        for values in iterable:
-            self.add(state, *values)
-        return self.result(state)
-
 
 # ----------------------------------------------------------------------
 # standard aggregates

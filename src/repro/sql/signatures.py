@@ -69,7 +69,7 @@ class MulticlassLabeler:
     """Maps categorical label values onto dense class ids (0, 1, 2, ...).
 
     The assignment is first-seen order, which is deterministic for a
-    fixed dataset order; ``classes`` exposes the mapping for inference.
+    fixed dataset order.
     """
 
     def __init__(self) -> None:
@@ -79,10 +79,6 @@ class MulticlassLabeler:
         if value not in self._classes:
             self._classes[value] = len(self._classes)
         return self._classes[value]
-
-    @property
-    def classes(self) -> Dict[Any, int]:
-        return dict(self._classes)
 
 
 class SignatureSchema:

@@ -239,9 +239,10 @@ class DiskTable:
         return scans[0] if scans else []
 
     def last_join_lookup(self, keys: Sequence[str], key_value: Any,
-                         before_ts: Optional[int] = None
+                         before_ts: Optional[int] = None,
+                         ts_column: Optional[str] = None
                          ) -> Optional[Tuple[int, Row]]:
-        ts_column = self.find_index(keys).ts_column
+        ts_column = self.find_index(keys, ts_column).ts_column
         return next(self.window_scan(keys, ts_column, key_value,
                                      start_ts=before_ts, limit=1), None)
 

@@ -222,7 +222,7 @@ class TestOneCheckOneRow:
         row, error = BAD_ROWS[case]
         cluster = self.checked_cluster()
         tenants = TenantRegistry()
-        tenants.register("acme", memory_bytes=1 << 20)
+        budget = tenants.register("acme", memory_bytes=1 << 20)
         cluster.attach_tenants(tenants)
         with pytest.raises(error):
             cluster.put("c", row, tenant="acme")
@@ -232,7 +232,7 @@ class TestOneCheckOneRow:
         assert all(shard.store.row_count == 0 and shard.applied_offset == -1
                    for tablet in cluster.tablets.values()
                    for shard in tablet.shards())
-        assert tenants.budget("acme").used_bytes == 0
+        assert budget.used_bytes == 0
         assert all(tablet.governor.used_bytes == 0
                    for tablet in cluster.tablets.values())
         cluster.close()

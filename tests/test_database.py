@@ -312,6 +312,12 @@ class TestDeployAndRequest:
         if not deploy_first:
             db.deploy("fast", sql, long_windows="w:1d")
         drawdown = get_aggregate("drawdown")
+
+        def drawdown_of(values):
+            state = drawdown.create()
+            for value in values:
+                drawdown.add(state, value)
+            return drawdown.result(state)
         for sym in ("A", "B"):
             for hour in (200, 203.5, 230):
                 anchor = int(hour * 3_600_000)
@@ -321,7 +327,7 @@ class TestDeployAndRequest:
                 values = [row[2] for row in window] + [7.0]
                 want = {"sym": sym, "total": math.fsum(values),
                         "back": values[-2],
-                        "dd": drawdown.compute([(v,) for v in values[::-1]])}
+                        "dd": drawdown_of(values)}
                 got = db.request("fast", (sym, anchor, 7.0, 1))
                 assert got == want and repr(got) == repr(want)
         assert db.online_engine.stats.summary_blocks > 0

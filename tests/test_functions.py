@@ -13,8 +13,18 @@ from repro.sql.functions import (SCALARS, ExactSum, aggregate_arity,
 def one_shot(name, values, *constants):
     """Fold values (newest-first list of arg tuples) through an aggregate."""
     function = get_aggregate(name, *constants)
-    return function.compute([v if isinstance(v, tuple) else (v,)
-                             for v in values])
+    return fold(function, [v if isinstance(v, tuple) else (v,)
+                           for v in values])
+
+
+def fold(function, rows_newest_first):
+    """``create`` / ``add`` / ``result`` over argument tuples, oldest
+    first for an order-sensitive aggregate."""
+    state = function.create()
+    for values in (reversed(rows_newest_first) if function.order_sensitive
+                   else rows_newest_first):
+        function.add(state, *values)
+    return function.result(state)
 
 
 class TestStandardAggregates:

@@ -10,8 +10,17 @@ from repro.sql.functions import get_aggregate, get_scalar
 
 def one_shot(name, values, *constants):
     function = get_aggregate(name, *constants)
-    return function.compute([v if isinstance(v, tuple) else (v,)
-                             for v in values])
+    return fold(function, [v if isinstance(v, tuple) else (v,)
+                           for v in values])
+
+
+def fold(function, rows_newest_first):
+    """``create`` / ``add`` / ``result`` over argument tuples."""
+    state = function.create()
+    for values in (reversed(rows_newest_first) if function.order_sensitive
+                   else rows_newest_first):
+        function.add(state, *values)
+    return function.result(state)
 
 
 class TestVarianceFamily:

@@ -240,6 +240,39 @@ class TestDeadDefinitions:
         assert "'only_in_tests'" in findings[0][4]
         assert "'lazy_only'" in findings[1][4]
 
+    def test_spellings_and_same_named_bindings_are_no_use(self, tmp_path):
+        # A method is reached only as an attribute: a local variable of
+        # its name, a string spelling it and a binding of its name are
+        # not uses of it.
+        package = tmp_path / "src" / "pkg"
+        package.mkdir(parents=True)
+        (package / "mod.py").write_text(
+            'TAGS = ("spelled",)\n'
+            "class Labeler:\n"
+            "    def classes(self):\n"
+            "        return {}\n"
+            "    def spelled(self):\n"
+            "        pass\n"
+            "    def read(self):\n"
+            "        return 1\n"
+            "def rebound():\n"
+            "    pass\n"
+            "def by_attribute():\n"
+            "    pass\n")
+        (tmp_path / "tools").mkdir()
+        (tmp_path / "tools" / "run.py").write_text(
+            "import pkg.mod\n"
+            "from pkg.mod import Labeler\n"
+            "classes = {}\n"
+            "print(classes)\n"
+            "rebound = None\n"
+            "Labeler().read()\n"
+            "pkg.mod.by_attribute()\n")
+        findings = list(lint.check_dead_definitions(tmp_path))
+        assert sorted((f[1], f[4].split(" is ")[0]) for f in findings) == [
+            (3, "method 'classes'"), (5, "method 'spelled'"),
+            (9, "function 'rebound'")]
+
 
 def test_execute_request_has_one_serving_call_site():
     # One request pipeline: Deployment.serve is the serving call site,

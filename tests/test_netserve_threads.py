@@ -2,9 +2,10 @@
 
 A process that serves features over the wire imports the cluster, the
 wire server, the serving frontend and the SQL parser — and none of the
-offline engine, asyncio or the TLS and hash stacks behind them.  A
-:class:`~repro.netserve.NetServer` runs one accept thread plus one
-thread per admitted connection, refuses a connection over its cap
+offline engine, asyncio, ``concurrent.futures`` (the frontend's
+tickets carry their own outcomes) or the TLS and hash stacks behind
+them.  A :class:`~repro.netserve.NetServer` runs one accept thread plus
+one thread per admitted connection, refuses a connection over its cap
 without a thread, and gives every thread and descriptor back on
 ``close()``, promptly even while a request is still blocked in the
 backend.
@@ -38,6 +39,7 @@ _FOOTPRINT = """
 import sys
 import repro.cluster, repro.netserve, repro.serving, repro.sql.parser
 loaded = [name for name in ("asyncio", "ssl", "hashlib",
+                            "concurrent.futures",
                             "repro.offline.engine", "repro.core.database")
           if name in sys.modules]
 assert not loaded, loaded

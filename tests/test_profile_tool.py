@@ -1,7 +1,9 @@
-"""``tools/profile.py --path put`` runs end to end and prints its split.
+"""``tools/profile.py`` runs end to end and prints its splits.
 
-A smoke run at a tiny ``--rounds``: the profile, the unprofiled µs per
-put (in memory and with the WAL) and one line per step of a put.
+Smoke runs at a tiny ``--rounds``: ``--path put`` prints the profile,
+the unprofiled µs per put (in memory and with the WAL) and one line per
+step of a put; ``--path wire`` prints the per-thread tables and the
+warm per-boundary split of a read.
 """
 
 import pathlib
@@ -28,3 +30,25 @@ def test_put_path_smoke():
     split = [re.fullmatch(r"\s+(.+?)\s+-?[\d.]+ us", line)
              for line in lines[head + 1:head + 1 + len(STEPS)]]
     assert [match and match.group(1) for match in split] == list(STEPS)
+
+
+BOUNDARIES = ("NameServer.request_batch", "FrontendServer(max_wait_ms=0)",
+              "wire round trip")
+
+
+def test_wire_path_smoke():
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "profile.py"), "--path",
+         "wire", "--rounds", "40"],
+        capture_output=True, text=True, timeout=120, check=True)
+    lines = result.stdout.splitlines()
+    assert any(line.startswith("=== wire path, wire_point, 40 reads (0 "
+                               "wrong)") for line in lines)
+    (head,) = [index for index, line in enumerate(lines)
+               if line == "=== wire path, warm split of 40 reads: median "
+                          "us per read at each boundary ==="]
+    split = [re.fullmatch(r"(.+?)\s+([\d.]+) us  \(\+-?[\d.]+\)", line)
+             for line in lines[head + 1:head + 1 + len(BOUNDARIES)]]
+    assert [match and match.group(1) for match in split] \
+        == list(BOUNDARIES)
+    assert all(float(match.group(2)) > 0 for match in split)

@@ -10,7 +10,6 @@ registry.
 
 import threading
 import time
-from concurrent.futures import Future
 
 import pytest
 
@@ -127,7 +126,7 @@ class TestDeadline:
 
 
 def ticket(deployment="d", row=(1,)):
-    return Ticket(deployment=deployment, row=row, future=Future())
+    return Ticket(deployment=deployment, row=row)
 
 
 class TestAdmissionControl:

@@ -77,7 +77,8 @@ class TestMulticlassLabeler:
         assert labeler.label("cat") == 0
         assert labeler.label("dog") == 1
         assert labeler.label("cat") == 0
-        assert labeler.classes == {"cat": 0, "dog": 1}
+        assert [labeler.label(value) for value in ("bird", "dog")] \
+            == [2, 1]
 
 
 class TestLibSVM:

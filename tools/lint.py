@@ -57,12 +57,15 @@ reliably:
   and getattr-walks the remainder.  Runs in *both* ``make lint``
   branches (with ruff, via ``tools/lint.py --docs``).
 * **DEAD001** — a public function, class or method defined under
-  ``src/`` whose name no code of ``src/``, ``benchmarks/``,
-  ``examples/``, ``tools/`` or ``perfbench/`` uses.  Docstrings,
-  comments, ``__all__`` and a PEP 562 module's lazy-export tables are
-  not code, and neither are tests: a name only a test reaches is
-  deleted, moved into the test, or listed in ``DEAD_ALLOWLIST`` with a
-  one-line reason.  Repo-level, in both ``make lint`` branches.
+  ``src/`` that no code of ``src/``, ``benchmarks/``, ``examples/``,
+  ``tools/`` or ``perfbench/`` reads: a function or class needs a name
+  load, an attribute load or an import of its name, a method an
+  attribute load (``x.name`` or ``getattr(x, "name")``).  A string
+  that spells the name (a docstring, ``__all__``, a lazy-export table,
+  a dict key) is no use, nor is a binding of the same name, nor a
+  test: a name only a test reaches is deleted, moved into the test, or
+  listed in ``DEAD_ALLOWLIST`` with a one-line reason.  Repo-level, in
+  both ``make lint`` branches.
 
 Usage: ``python tools/lint.py PATH [PATH ...]`` — paths are files or
 directories (searched recursively for ``*.py``); markdown files and
@@ -505,77 +508,83 @@ DEAD_ALLOWLIST: Dict[str, str] = {
 }
 
 
-def _is_docstring(node: ast.AST, parent: ast.AST) -> bool:
-    return isinstance(parent, (ast.Module, ast.ClassDef, ast.FunctionDef,
-                               ast.AsyncFunctionDef)) \
-        and bool(parent.body) and isinstance(parent.body[0], ast.Expr) \
-        and parent.body[0].value is node
+#: Calls whose constant second argument names an attribute they read.
+_GETATTR_CALLS = {"getattr", "hasattr"}
 
 
-def _export_table_nodes(tree: ast.Module) -> Set[int]:
-    """ids of the nodes inside ``__all__`` and, in a module with a
-    PEP 562 ``__getattr__``, its module-level tables of names."""
-    lazy = any(isinstance(node, ast.FunctionDef)
-               and node.name == "__getattr__" for node in tree.body)
-    skipped: Set[int] = set()
-    for node in tree.body:
-        if not isinstance(node, (ast.Assign, ast.AnnAssign)):
-            continue
-        targets = node.targets if isinstance(node, ast.Assign) \
-            else [node.target]
-        if lazy or any(isinstance(t, ast.Name) and t.id == "__all__"
-                       for t in targets):
-            skipped.update(id(sub) for sub in ast.walk(node.value))
-    return skipped
+def _code_uses(tree: ast.Module) -> Tuple[Set[str], Set[str]]:
+    """What the code reads: ``(names, attributes)``.
+
+    ``names`` are bare-name loads and imported names — how a module's
+    function or class is reached; ``attributes`` are attribute loads
+    and ``getattr(x, "name")`` reads — how a method is.  A binding
+    (an assignment, a parameter, a definition) is not a use, and
+    neither is a string that merely spells the name (a docstring,
+    ``__all__``, a dict key)."""
+    names: Set[str] = set()
+    attributes: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.ctx, ast.Load):
+            attributes.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Name) \
+                and node.func.id in _GETATTR_CALLS \
+                and len(node.args) >= 2 \
+                and isinstance(node.args[1], ast.Constant) \
+                and isinstance(node.args[1].value, str):
+            attributes.add(node.args[1].value)
+    return names, attributes
 
 
-def _code_uses(tree: ast.Module) -> Iterator[str]:
-    """Every identifier the code uses: names, attributes, and
-    identifier-shaped strings (``getattr(x, "name")``) that are not
-    docstrings or export tables.  Imports bind; they are not uses, and
-    neither is a definition's own name."""
-    skipped = _export_table_nodes(tree)
+def _public_definitions(tree: ast.Module
+                        ) -> Iterator[Tuple[ast.AST, bool]]:
+    """Every public function and class, and whether it is a method
+    (reachable only as an attribute)."""
     for parent in ast.walk(tree):
         for node in ast.iter_child_nodes(parent):
-            if isinstance(node, ast.Name):
-                yield node.id
-            elif isinstance(node, ast.Attribute):
-                yield node.attr
-            elif isinstance(node, ast.Constant) \
-                    and isinstance(node.value, str) \
-                    and node.value.isidentifier() \
-                    and id(node) not in skipped \
-                    and not _is_docstring(node, parent):
-                yield node.value
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) \
+                    and not node.name.startswith("_") \
+                    and node.name not in DEAD_ALLOWLIST:
+                yield node, isinstance(parent, ast.ClassDef)
 
 
 def check_dead_definitions(
         root: pathlib.Path = REPO_ROOT) -> Iterator[Finding]:
     """DEAD001 — a public function, class or method under ``src/``
-    whose name no code of ``_CODE_DIRS`` uses.
+    that no code of ``_CODE_DIRS`` reads.
 
-    Tests do not count: a name only a test reaches is dead weight the
-    program carries.  ``DEAD_ALLOWLIST`` exempts a name with a reason.
+    A module-level function or class is used by a name load, an
+    attribute load or an import of its name; a method only by an
+    attribute load (``x.name`` or ``getattr(x, "name")``).  Tests do
+    not count: a name only a test reaches is dead weight the program
+    carries.  ``DEAD_ALLOWLIST`` exempts a name with a reason.
     """
-    used: Set[str] = set()
+    names: Set[str] = set()
+    attributes: Set[str] = set()
     definitions = []
     for directory in _CODE_DIRS:
         for path in iter_python_files([str(root / directory)]):
             tree = ast.parse(path.read_text(encoding="utf-8"),
                              filename=str(path))
-            used.update(_code_uses(tree))
+            loaded, read = _code_uses(tree)
+            names |= loaded
+            attributes |= read
             if directory == "src":
                 definitions.extend(
-                    (path, node) for node in ast.walk(tree)
-                    if isinstance(node, (ast.FunctionDef,
-                                         ast.AsyncFunctionDef,
-                                         ast.ClassDef))
-                    and not node.name.startswith("_")
-                    and node.name not in DEAD_ALLOWLIST)
-    for path, node in definitions:
-        if node.name in used:
+                    (path, node, method)
+                    for node, method in _public_definitions(tree))
+    for path, node, method in definitions:
+        if node.name in attributes \
+                or (not method and node.name in names):
             continue
-        kind = "class" if isinstance(node, ast.ClassDef) else "function"
+        kind = "class" if isinstance(node, ast.ClassDef) \
+            else "method" if method else "function"
         yield (str(path.relative_to(root)), node.lineno,
                node.col_offset + 1, "DEAD001",
                f"{kind} {node.name!r} is used by no code (tests do "

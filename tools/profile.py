@@ -48,7 +48,13 @@ tier:
   one connection, so the server's threads take turns and never run
   side by side — it measures CPU spent, and cannot show a saving that
   comes from fewer thread hops or from overlap (perfbench's pair phase
-  can);
+  can).  Then, in this process over the same data, a warm split that
+  places a saving layer by layer: the median µs per read of the same
+  rows (at most 5,000) at ``NameServer.request_batch`` of one row, at a
+  ``FrontendServer(max_wait_ms=0)`` over it (no batch window, so no
+  idle wait), and as a prepared read's round trip over the wire to a
+  ``NetServer`` over that frontend (client included), each with the
+  difference to the boundary inside it;
 * ``rss`` — no cProfile and no reads: for each of perfbench's four
   workloads, a child process loads the workload's preload (same schema,
   same rows, a ``data_dir`` where the workload writes a WAL) through
@@ -372,6 +378,7 @@ def build_workload(path, rounds):
 
 
 WIRE_WARMUP_OPS = 500
+WIRE_SPLIT_READS = 5_000
 
 
 def thread_counters(pid):
@@ -473,7 +480,69 @@ def profile_wire(rounds):
 
     for kind, wrong, wall, server, client, names in measured:
         print_wire_table(kind, rounds, wrong, wall, server, client, names)
+    print_wire_split(rounds)
     return 0
+
+
+def wire_split(rounds):
+    """Median warm µs per read of the same rows at three boundaries,
+    innermost first: ``NameServer.request_batch`` of one row, a
+    ``FrontendServer(max_wait_ms=0)`` over it, and a prepared read
+    over the wire to a ``NetServer`` over that frontend (a round trip
+    from this process, client included)."""
+    from perfbench import loadgen
+    from perfbench.server import Stack
+    from perfbench.workloads import WORKLOADS, Model, dump_json
+    from repro.netserve import NetServer
+    from repro.serving import FrontendServer
+    workload = WORKLOADS["wire_point"]
+    model = Model(workload, 13)
+    with tempfile.TemporaryDirectory() as work:
+        preload = os.path.join(work, "preload.json")
+        with open(preload, "w", encoding="utf-8") as handle:
+            handle.write(dump_json(model.preload()))
+        stack = Stack(dict(workload.spec(), preload=preload, data_dir=None,
+                           obs=False))
+    ops = model.ops(0, 1, writes=False)
+    rows = [(op.key, op.ts, *op.values)
+            for op in itertools.islice(ops, min(rounds, WIRE_SPLIT_READS))]
+    name = stack.spec["deployment"]
+    cluster = stack.cluster
+    frontend = FrontendServer(cluster, max_wait_ms=0)
+    net = NetServer(frontend)
+    connection = loadgen.connect(net.start()[1])
+    layers = (("NameServer.request_batch",
+               lambda row: cluster.request_batch(name, [row])),
+              ("FrontendServer(max_wait_ms=0)",
+               lambda row: frontend.request(name, row)),
+              ("wire round trip", connection.execute))
+    split = []
+    try:
+        for label, call in layers:
+            for row in rows[:WIRE_WARMUP_OPS]:
+                call(row)
+            took = []
+            for row in rows:
+                started = time.perf_counter()
+                call(row)
+                took.append(time.perf_counter() - started)
+            split.append((label, statistics.median(took) * 1e6))
+    finally:
+        connection.close()
+        net.close()
+        frontend.close()
+        stack.close()
+    return len(rows), split
+
+
+def print_wire_split(rounds):
+    reads, split = wire_split(rounds)
+    print(f"=== wire path, warm split of {reads} reads: median us per read "
+          "at each boundary ===")
+    inner = 0.0
+    for label, us in split:
+        print(f"{label:<32} {us:>9.1f} us  (+{us - inner:.1f})")
+        inner = us
 
 
 def print_wire_table(kind, rounds, wrong, wall, server, client, names):
