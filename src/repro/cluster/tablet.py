@@ -356,7 +356,6 @@ class TabletServer:
 
     def last_join_lookup(self, table: str, partition_id: int,
                          keys: Sequence[str], key_value: Any,
-                         before_ts: Optional[int] = None,
                          ts_column: Optional[str] = None,
                          trace_ctx: Optional[Dict[str, int]] = None,
                          timeout_ms: Optional[float] = None
@@ -369,7 +368,6 @@ class TabletServer:
                 trace_ctx, "index.seek", tablet=self.name, table=table,
                 partition=partition_id) as span:
             hit = store.last_join_lookup(keys, key_value,
-                                         before_ts=before_ts,
                                          ts_column=ts_column)
             span.set_tag(hit=hit is not None)
         return hit

@@ -104,7 +104,6 @@ class ClusterTableView:
         return [merged] if len(merged) else []
 
     def last_join_lookup(self, keys: Sequence[str], key_value: Any,
-                         before_ts: Optional[int] = None,
                          ts_column: Optional[str] = None
                          ) -> Optional[Tuple[int, Row]]:
         ctx = self._ns._obs.tracer.inject()
@@ -114,7 +113,7 @@ class ClusterTableView:
             lambda tablet, partition_id, timeout_ms, _layout:
                 tablet.last_join_lookup(
                     self.name, partition_id, keys, key_value,
-                    before_ts=before_ts, ts_column=ts_column,
+                    ts_column=ts_column,
                     trace_ctx=ctx, timeout_ms=timeout_ms))
         if hashed is not None:
             return hits

@@ -23,11 +23,14 @@ The paper optimisations live here:
   order — the ``ConcatJoin`` over ``SimpleProject(+index)`` that EXPLAIN
   shows.
 * **Time-aware skew resolving** (Section 6.2) — with a
-  :class:`~repro.offline.skew.SkewConfig`, each window's per-key groups
-  are split into ``(key, PART_ID)`` tasks along the timestamp quantiles.
-  The plan picks the cross-partition context: a ``carry_eligible``
-  window seeds each partition with the previous one's end state and
-  copies nothing; any other window prefixes expanded rows.
+  :class:`~repro.offline.skew.SkewConfig`, each window's per-key groups,
+  already time-sorted by the shuffle, are cut at their exact timestamp
+  quantiles into ``(key, PART_ID)`` slices
+  (:func:`~repro.offline.skew.key_slices`).  The plan picks the
+  cross-partition context: a ``carry_eligible`` window seeds each
+  partition with the previous one's end state and copies nothing; any
+  other window's slice starts early, with context rows that emit
+  nothing.
 * **External-sort shuffle** (:mod:`repro.offline.shuffle`) — with a
   :class:`~repro.offline.shuffle.SpillConfig`, window-source rows spill
   to sorted on-disk runs once the configured byte budget is hit, so
@@ -53,7 +56,7 @@ from ..storage.memtable import normalize_ts
 from .partial import TaskEvent, WindowKernel
 from .scheduling import lpt_makespan
 from .shuffle import ExternalSorter, SpillConfig
-from .skew import SkewConfig, SkewResolver
+from .skew import SkewConfig, key_slices
 
 __all__ = ["OfflineEngine", "OfflineStats"]
 
@@ -119,11 +122,12 @@ class OfflineStats:
                 + self.project_seconds)
 
 
-# One (key[, PART_ID]) task: (events, emit_flags, continues).
-# ``continues`` marks a later partition of a carry chain: its fold is
-# seeded with the end state of the task just before it (the chain's
-# previous partition) instead of expanded rows.
-_TaskUnit = Tuple[List[TaskEvent], List[bool], bool]
+# One (key[, PART_ID]) task: (events, skip, continues).  The first
+# ``skip`` events are context rows of earlier partitions: they feed the
+# window and emit nothing.  ``continues`` marks a later partition of a
+# carry chain: its fold is seeded with the end state of the task just
+# before it (the chain's previous partition) instead.
+_TaskUnit = Tuple[List[TaskEvent], int, bool]
 
 
 class OfflineEngine:
@@ -349,34 +353,26 @@ class OfflineEngine:
                     ) -> Iterator[_TaskUnit]:
         """Decompose one window into (key[, PART_ID]) task units."""
         plan = window.plan
-        resolver = SkewResolver(skew) if skew is not None else None
         carry = window.carry_eligible
-        for key, events in self._key_groups(compiled, window, anchors,
-                                            spill, stats):
-            if resolver is None:
-                yield events, [True] * len(events), False
+        for _key, events in self._key_groups(compiled, window, anchors,
+                                             spill, stats):
+            if skew is None:
+                yield events, 0, False
                 continue
-            tasks = resolver.key_tasks(
-                key, [(event[0], event) for event in events],
+            slices = key_slices(
+                [event[0] for event in events], skew,
                 range_ms=plan.range_preceding_ms,
-                rows_preceding=plan.rows_preceding,
-                augment=not carry)
-            self._m_skew_tasks.inc(len(tasks))
-            if carry and len(tasks) > 1:
-                stats.carry_tasks += len(tasks)
-                self._m_carry_tasks.inc(len(tasks))
-                for position, task in enumerate(tasks):
-                    yield ([tagged.row for tagged in task.rows],
-                           [True] * len(task.rows), position > 0)
-                continue
-            expanded = sum(1 for task in tasks
-                           for tagged in task.rows if tagged.expanded)
+                rows_preceding=plan.rows_preceding, context=not carry)
+            self._m_skew_tasks.inc(len(slices))
+            chained = carry and len(slices) > 1
+            if chained:
+                stats.carry_tasks += len(slices)
+                self._m_carry_tasks.inc(len(slices))
+            expanded = sum(own - start for start, own, _end in slices)
             if expanded:
                 self._m_skew_expanded.inc(expanded)
-            for task in tasks:
-                yield ([tagged.row for tagged in task.rows],
-                       [not tagged.expanded for tagged in task.rows],
-                       False)
+            for position, (start, own, end) in enumerate(slices):
+                yield events[start:end], own - start, chained and position > 0
 
     # ------------------------------------------------------------------
     # the execution body
@@ -400,11 +396,11 @@ class OfflineEngine:
                 slots = kernel.slots
                 task_times: List[float] = []
                 end_states: Optional[List[Any]] = None
-                for events, emit_flags, continues in self._task_units(
+                for events, skip, continues in self._task_units(
                         compiled, window, anchors, skew, spill, stats):
                     started = time.thread_time()
                     emits, end_states = kernel.fold(
-                        events, emit_flags,
+                        events, skip,
                         end_states if continues else None)
                     for anchor_index, values in emits:
                         row_slots = aggregate_columns[anchor_index]

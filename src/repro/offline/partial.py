@@ -7,7 +7,8 @@ A task is one of three kinds, all run by that one loop:
 
 * **plain** — a whole key's rows;
 * **expanded rows** — a later partition of a hot key, prefixed with
-  copies of the earlier rows its frames reach (emitting nothing);
+  the earlier rows its frames reach (``skip`` of them, emitting
+  nothing);
 * **carried** — §6.2's skew plan with no copies.  A hot key's partitions
   form a chain: each partition's aggregator is seeded with the end
   state of the partition before it.  The adds run in the same order as
@@ -36,9 +37,9 @@ __all__ = ["WindowKernel", "TaskEvent"]
 
 
 # One task event: (ts, row, anchor_index or None).  anchor_index is the
-# primary-row position for instance rows, None for context-only rows
-# (WINDOW UNION contributions and skew-expanded copies carry emit=False
-# separately, in the parallel emit_flags sequence).
+# primary-row position for instance rows, None for WINDOW UNION rows,
+# which only feed the window.  A task's leading skew context rows keep
+# their anchor_index; the fold's ``skip`` count silences them.
 TaskEvent = Tuple[int, Tuple[Any, ...], Optional[int]]
 
 
@@ -67,16 +68,17 @@ class WindowKernel:
         self.exclude_current_row = plan.exclude_current_row
         self.instance_not_in_window = plan.instance_not_in_window
 
-    def fold(self, events: Sequence[TaskEvent],
-             emit_flags: Sequence[bool],
+    def fold(self, events: Sequence[TaskEvent], skip: int = 0,
              seed: Optional[List[Any]] = None
              ) -> Tuple[List[Tuple[int, List[Any]]], List[Any]]:
         """Slide one (key[, PART_ID]) task through the window frame.
 
-        ``seed`` is a carry chain's previous partition's end states
-        (None starts afresh; only a ``carry_eligible`` window passes
-        one).  It is advanced in place, never reused.  Returns
-        ``(emits, end_states)``: the end states seed the next partition.
+        The first ``skip`` events are context: they enter the frame as
+        usual and emit nothing.  ``seed`` is a carry chain's previous
+        partition's end states (None starts afresh; only a
+        ``carry_eligible`` window passes one).  It is advanced in place,
+        never reused.  Returns ``(emits, end_states)``: the end states
+        seed the next partition.
         """
         from ..online.incremental import SlidingWindowAggregator
 
@@ -85,7 +87,8 @@ class WindowKernel:
             range_ms=self.range_ms, max_rows=self.max_rows, states=seed)
         emits: List[Tuple[int, List[Any]]] = []
         include_current = self.include_current
-        for (ts, row, anchor_index), emit in zip(events, emit_flags):
+        for position, (ts, row, anchor_index) in enumerate(events):
+            emit = position >= skip
             if anchor_index is None:
                 aggregator.insert(ts, row)
                 continue

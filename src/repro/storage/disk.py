@@ -239,12 +239,11 @@ class DiskTable:
         return scans[0] if scans else []
 
     def last_join_lookup(self, keys: Sequence[str], key_value: Any,
-                         before_ts: Optional[int] = None,
                          ts_column: Optional[str] = None
                          ) -> Optional[Tuple[int, Row]]:
         ts_column = self.find_index(keys, ts_column).ts_column
-        return next(self.window_scan(keys, ts_column, key_value,
-                                     start_ts=before_ts, limit=1), None)
+        return next(self.window_scan(keys, ts_column, key_value, limit=1),
+                    None)
 
     def sstable_count(self) -> int:
         """Runs held across every column family."""

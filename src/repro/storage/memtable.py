@@ -204,23 +204,17 @@ class MemTable:
             key_value, start_ts=start_ts, end_ts=end_ts, limit=limit)
 
     def last_join_lookup(self, keys: Sequence[str], key_value: Any,
-                         before_ts: Optional[int] = None,
                          ts_column: Optional[str] = None
                          ) -> Optional[Tuple[int, Row]]:
         """Return the most recent ``(ts, row)`` matching ``key_value``.
 
         "Most recent" is by ``ts_column`` (a LAST JOIN's ``ORDER BY``)
         through the index ordered by it; left out, by the first index
-        on ``keys``.  With ``before_ts`` set, returns the newest row at
-        or before that timestamp.
+        on ``keys``.
         """
         index = self.find_index(keys, ts_column)
-        structure = self._structures[index.name]
         self._m_seeks.inc()
-        if before_ts is None:
-            return structure.latest(key_value)
-        return next(structure.scan(key_value, start_ts=before_ts, limit=1),
-                    None)
+        return self._structures[index.name].latest(key_value)
 
     # ------------------------------------------------------------------
     # maintenance

@@ -290,7 +290,9 @@ class TestDiskMatchesMemory:
                      list(table.window_scan(cols, "ts", key,
                                             start_ts=start_ts,
                                             end_ts=end_ts, limit=limit)),
-                     table.last_join_lookup(cols, key, before_ts=start_ts))
+                     list(table.window_scan(cols, "ts", key,
+                                            start_ts=start_ts, limit=1)),
+                     table.last_join_lookup(cols, key))
                     for cols, values in keys.items() for key in values
                     for start_ts, end_ts, limit in reads]
 

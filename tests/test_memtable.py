@@ -85,7 +85,8 @@ class TestLastJoinLookup:
     def test_before_ts(self, table):
         table.insert(("a", 10, 1.0, "x"))
         table.insert(("a", 20, 2.0, "y"))
-        hit = table.last_join_lookup(("key",), "a", before_ts=15)
+        hit = next(table.window_scan(("key",), "ts", "a", start_ts=15,
+                                     limit=1))
         assert hit[0] == 10
 
     def test_miss_returns_none(self, table):
@@ -142,8 +143,8 @@ class TestMultipleIndexes:
             [6.0], [None, 3.5, 5.0]]  # oldest → newest within a block
         assert table.last_join_lookup(("label",), "red") \
             == (70, arrivals[5])
-        assert table.last_join_lookup(("key",), "a", before_ts=49) \
-            == (30, arrivals[3])
+        assert list(table.window_scan(("key",), "ts", "a", start_ts=49,
+                                      limit=1)) == [(30, arrivals[3])]
         assert table.evict_expired(1_000) == 1  # "red" keeps its 4 newest
         assert list(table.window_scan(("label",), "ts", "red")) \
             == by_label[:4]

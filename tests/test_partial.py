@@ -151,12 +151,21 @@ class TestCarryChain:
         doubles = [1e16, 0.1, -1e16, 1.0, None, 0.1, 1e16, -1e16, 1.0]
         events = [(ts, ("k", ts, 0, doubles[ts % len(doubles)]), ts)
                   for ts in range(60)]
-        flags = [True] * len(events)
         chained, seed = [], None
         for lo, hi in ((0, 7), (7, 8), (8, 33), (33, 60)):
-            emits, seed = kernel.fold(events[lo:hi], flags[lo:hi], seed)
+            emits, seed = kernel.fold(events[lo:hi], 0, seed)
             chained.extend(emits)
-        assert repr(chained) == repr(kernel.fold(events, flags)[0])
+        assert repr(chained) == repr(kernel.fold(events)[0])
+
+    def test_skipped_context_rows_emit_nothing(self):
+        # A later skew partition starts early; its first ``skip`` rows
+        # only fill the frame, so it emits what the plain fold emits
+        # for its own rows.
+        kernel = WindowKernel(_window(["sum(d)", "lag(d, 1)"], "4"))
+        events = [(ts, ("k", ts, 0, float(ts % 7)), ts) for ts in range(40)]
+        plain = kernel.fold(events)[0]
+        emits, _states = kernel.fold(events[21:], 4)
+        assert repr(emits) == repr(plain[25:])
 
 
 class TestHistogramStateShipping:
