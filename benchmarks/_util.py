@@ -18,7 +18,8 @@ from repro.workloads.microbench import (MicroBenchConfig, build_feature_sql,
                                         generate)
 
 __all__ = ["build_openmldb", "fold_without_summaries", "gc_paused",
-           "medians_ms", "openmldb_for_config", "record_bench"]
+           "median_of_runs", "medians_ms", "openmldb_for_config",
+           "record_bench"]
 
 BENCH_RESULTS_PATH = \
     pathlib.Path(__file__).resolve().parent.parent / "BENCH_online.json"
@@ -112,6 +113,17 @@ def gc_paused():
     finally:
         if was_enabled:
             gc.enable()
+
+
+def median_of_runs(run):
+    """The median of what three calls of ``run`` return (a makespan in
+    seconds), each call with the collector paused.  A gate comparing
+    single-shot makespans of a few ms reads the box, not the code."""
+    results = []
+    for _ in range(3):
+        with gc_paused():
+            results.append(run())
+    return statistics.median(results)
 
 
 def medians_ms(arms, rounds=40, warmup=5):

@@ -3,14 +3,15 @@
 Paper shape: on skewed data OpenMLDB is ~4× faster than Spark even
 without the skew resolver; enabling it (skew 2 = doubled partitions,
 skew 4) lifts the gap to ~10× and beats the unoptimised engine by >2×,
-because hot keys split into time-quantile tasks.
+because hot keys split into time-quantile tasks.  Each arm's makespan
+is the median of three runs.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from _util import gc_paused, record_bench
+from _util import median_of_runs, record_bench
 from repro.baselines import SparkBatchEngine
 from repro.bench import print_table, speedup
 from repro.offline.engine import OfflineEngine
@@ -62,37 +63,37 @@ def test_fig13_skew_optimisation(benchmark, skew_setup):
 
     spark = SparkBatchEngine(SQL, {"t": schema}, workers=WORKERS)
     spark.load("t", rows)
-    with gc_paused():
-        _r, spark_stats = spark.run()
-    spark_seconds = spark_stats.parallel_seconds
+    spark_seconds = median_of_runs(lambda: spark.run()[1].parallel_seconds)
 
-    with gc_paused():
-        reference_rows, no_opt_stats = engine.execute(compiled)
+    outputs = {}
+
+    def openmldb(name, query, skew=None):
+        """The arm's median makespan; its last run's rows and stats
+        stay in ``outputs[name]``."""
+        def run():
+            outputs[name] = engine.execute(query, skew=skew)
+            return outputs[name][1].total_parallel_seconds
+        return median_of_runs(run)
+
     timings = {"spark": spark_seconds,
-               "openmldb (no skew opt)":
-                   no_opt_stats.total_parallel_seconds}
+               "openmldb (no skew opt)": openmldb("plain", compiled)}
     for quantile in (2, 4):
-        with gc_paused():
-            skew_rows_out, stats = engine.execute(
-                compiled, skew=SkewConfig(quantile=quantile,
-                                          min_partition_rows=100))
-        assert len(skew_rows_out) == len(reference_rows)
-        timings[f"openmldb (skew {quantile})"] = \
-            stats.total_parallel_seconds
+        timings[f"openmldb (skew {quantile})"] = openmldb(
+            quantile, compiled, SkewConfig(quantile=quantile,
+                                           min_partition_rows=100))
+        assert len(outputs[quantile][0]) == len(outputs["plain"][0])
 
     # Carried partials replace expanded-row context where the plan
     # allows it: an unbounded frame over the same rows.  Its results
     # must stay identical to the same script's no-skew run.
-    with gc_paused():
-        carry_reference, _ = engine.execute(carry_compiled)
-        carry_rows_out, carry_stats = engine.execute(
-            carry_compiled, skew=SkewConfig(quantile=4,
-                                            min_partition_rows=100))
+    carry_reference, _ = engine.execute(carry_compiled)
+    timings["openmldb (skew 4, carried partials, unbounded frame)"] = \
+        openmldb("carry", carry_compiled,
+                 SkewConfig(quantile=4, min_partition_rows=100))
+    carry_rows_out, carry_stats = outputs["carry"]
     assert carry_stats.carry_tasks > 0
     assert carry_rows_out == carry_reference
     assert repr(carry_rows_out) == repr(carry_reference)
-    timings["openmldb (skew 4, carried partials, unbounded frame)"] = \
-        carry_stats.total_parallel_seconds
 
     table_rows = [[name, seconds, speedup(spark_seconds, seconds)]
                   for name, seconds in timings.items()]

@@ -4,14 +4,14 @@ Paper shape: 2.6× speedup on single-window queries, 6.3× on
 multi-window (parallel window optimisation), 7.2× on skewed data (the
 time-aware skew resolver).  We run the same scripts through the Spark
 baseline and the offline engine and compare makespans on the simulated
-8-worker cluster.
+8-worker cluster, each arm's the median of three runs.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from _util import gc_paused, record_bench
+from _util import median_of_runs, record_bench
 from repro.baselines import SparkBatchEngine
 from repro.bench import print_table, speedup
 from repro.offline.skew import SkewConfig
@@ -74,17 +74,14 @@ def run_openmldb(schema, rows, sql, skew=None):
     compiled = compile_plan(build_plan(parse_select(sql), catalog), catalog)
     from repro.offline.engine import OfflineEngine
     engine = OfflineEngine({"t": table}, workers=WORKERS)
-    with gc_paused():
-        _rows, stats = engine.execute(compiled, skew=skew)
-    return stats.total_parallel_seconds
+    return median_of_runs(lambda: engine.execute(
+        compiled, skew=skew)[1].total_parallel_seconds)
 
 
 def run_spark(schema, rows, sql):
     spark = SparkBatchEngine(sql, {"t": schema}, workers=WORKERS)
     spark.load("t", rows)
-    with gc_paused():
-        _rows, stats = spark.run()
-    return stats.parallel_seconds
+    return median_of_runs(lambda: spark.run()[1].parallel_seconds)
 
 
 @pytest.mark.benchmark(group="fig8")

@@ -484,15 +484,14 @@ class NameServer(DeploymentHost):
     # ------------------------------------------------------------------
     # data path
 
-    def put(self, table_name: str, row: Row,
-            key_column: Optional[str] = None,
-            tenant: str = "") -> int:
+    def put(self, table_name: str, row: Row, tenant: str = "") -> int:
         """Write one row through the partition leader, replicating it.
 
-        The partition key defaults to the first index's first key
-        column.  The write is acknowledged — and its partition-local
-        offset returned — once the leader applied it, the entry is in
-        the partition binlog and every reachable follower was handed it.
+        The partition key is the first index's first key column — the
+        column every read routes by.  The write is acknowledged — and
+        its partition-local offset returned — once the leader applied
+        it, the entry is in the partition binlog and every reachable
+        follower was handed it.
         It is one routed call (:meth:`_routed`): a dead or unreachable
         leader is failed over and the write retried, and a layout that
         moved (a split, a migration handoff, a failover) is re-resolved.
@@ -513,9 +512,7 @@ class NameServer(DeploymentHost):
         table = self._table(table_name)
         self._m_puts.inc()
         row = table.schema.validate_row(row)
-        hashed = stable_hash(row[
-            table.key_position if key_column is None
-            else table.schema.position(key_column)])
+        hashed = stable_hash(row[table.key_position])
         charged = 0
         if tenant and self._tenants is not None:
             charged = table.codec.encoded_size(row)
@@ -700,15 +697,15 @@ class NameServer(DeploymentHost):
     def get_latest(self, table_name: str, key_value: Any,
                    keys: Optional[Sequence[str]] = None
                    ) -> Optional[Tuple[int, Row]]:
-        """Read the newest row for a key through the partition leader."""
+        """The newest ``(ts, row)`` for a key on the first index over
+        ``keys`` (default: the first index's): the table view's routed
+        :meth:`~repro.cluster.view.ClusterTableView.last_join_lookup` —
+        one partition for a partition-column key, every partition
+        otherwise."""
         table = self._table(table_name)
         self._m_gets.inc()
-        key_columns = tuple(keys) if keys else table.indexes[0].key_columns
-        return self._routed(
-            table, stable_hash(key_value),
-            lambda tablet, partition_id, timeout_ms, _layout:
-                tablet.read_latest(table_name, partition_id, key_columns,
-                                   key_value, timeout_ms=timeout_ms))
+        return self._views[table_name].last_join_lookup(
+            tuple(keys) if keys else table.indexes[0].key_columns, key_value)
 
     # ------------------------------------------------------------------
     # liveness / failover

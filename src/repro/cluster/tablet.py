@@ -310,15 +310,6 @@ class TabletServer:
             raise
         shard.applied_offset = offset
 
-    def read_latest(self, table: str, partition_id: int,
-                    keys: Sequence[str], key_value: Any,
-                    timeout_ms: Optional[float] = None
-                    ) -> Optional[Tuple[int, Row]]:
-        self._check_serving(timeout_ms)
-        self._m_reads.inc()
-        return self.shard(table, partition_id).store.last_join_lookup(
-            keys, key_value)
-
     # ------------------------------------------------------------------
     # serving-path reads (trace-context aware — the simulated RPC surface)
 

@@ -1,10 +1,8 @@
-"""The cluster's read adapter: a table as the online engine sees it."""
+"""The cluster's read adapter: a table as the engines see it."""
 
 from __future__ import annotations
 
-import itertools
-from typing import (Any, Iterator, List, Optional, Sequence, Tuple,
-                    TYPE_CHECKING)
+from typing import Any, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..ctlplane.split import stable_hash
 from ..errors import IndexNotFoundError
@@ -20,15 +18,16 @@ __all__ = ["ClusterTableView"]
 class ClusterTableView:
     """Routed read adapter exposing the ``MemTable`` read API.
 
-    The online engine is storage-agnostic: it calls ``find_index`` /
-    ``window_scan`` / ``last_join_lookup`` on whatever "table" it is
-    given.  This view implements those against the cluster — each call
-    is one routed call (:meth:`NameServer._routed`): it hashes the key
-    to its partition and issues the (simulated) RPC to the partition
-    leader with the active trace context attached, so tablet-side spans
-    stitch into the request trace.  Scans on a non-partition index fan
-    out to every partition of one layout and merge newest-first, as a
-    real distributed executor must.
+    Both engines are storage-agnostic: they call ``find_index`` /
+    ``window_scan_blocks`` / ``last_join_lookup`` on whatever "table"
+    they are given.  This view implements those against the cluster —
+    each call is one routed call (:meth:`NameServer._routed`): it hashes
+    the key to its partition and issues the (simulated) RPC to the
+    partition leader with the active trace context attached, so
+    tablet-side spans stitch into the request trace.  A read on a
+    non-partition index fans out to every partition of one layout and
+    merges newest-first, as a real distributed executor must;
+    :meth:`NameServer.get_latest` is this view's ``last_join_lookup``.
     """
 
     def __init__(self, nameserver: "NameServer",
@@ -65,15 +64,6 @@ class ClusterTableView:
             return None
         return stable_hash(key_value[0] if isinstance(key_value, tuple)
                            else key_value)
-
-    def window_scan(self, keys: Sequence[str], ts_column: str,
-                    key_value: Any, start_ts: Optional[int] = None,
-                    end_ts: Optional[int] = None,
-                    limit: Optional[int] = None
-                    ) -> Iterator[Tuple[int, Row]]:
-        return itertools.chain.from_iterable(self.window_scan_blocks(
-            keys, ts_column, key_value, start_ts=start_ts, end_ts=end_ts,
-            limit=limit))
 
     def window_scan_blocks(self, keys: Sequence[str], ts_column: str,
                            key_value: Any, start_ts: Optional[int] = None,

@@ -11,8 +11,8 @@ architecture diagram (Figure 2) does:
   cluster;
 * **offline mode** — ``offline_query()`` batch execution with
   multi-window parallelism and skew resolving;
-* **online preview mode** — ``preview()`` with complexity constraints and
-  a result cache;
+* **online preview mode** — ``preview()`` with complexity constraints,
+  run against the current rows (no result cache);
 * memory governance — an optional ``max_memory_mb`` making writes fail
   (but not reads) past it (Section 8.2).
 
@@ -84,7 +84,6 @@ class OpenMLDB(DeploymentHost):
         self.compile_cache = CompilationCache(obs=self.obs)
         self.online_engine = OnlineEngine(self.tables, obs=self.obs)
         self.offline_engine = OfflineEngine(self.tables, obs=self.obs)
-        self._preview_cache: Dict[Tuple[str, int], List[Row]] = {}
         # Deploy/request/undeploy come from DeploymentHost; a single
         # node differs from the cluster only by serving its own tables.
         self._host_deployments(
@@ -248,17 +247,14 @@ class OpenMLDB(DeploymentHost):
     def preview(self, sql: str, limit: int = 10) -> List[Row]:
         """Online preview: limited batch run with complexity constraints.
 
-        Results are served from a cache keyed on (sql, limit) — the
-        paper's "retrieves results from a data cache".
+        Every call runs on the rows held now.  The paper's preview
+        "retrieves results from a data cache"; this one keeps none, so
+        a preview after an insert sees the insert.
         """
         if limit > PreviewConstraints.MAX_ROWS:
             raise PlanError(
                 f"preview limit {limit} exceeds "
                 f"{PreviewConstraints.MAX_ROWS}")
-        cache_key = (sql, limit)
-        cached = self._preview_cache.get(cache_key)
-        if cached is not None:
-            return cached
         statement = parse(sql)
         if not isinstance(statement, ast.SelectStatement):
             raise ParseError("preview expects a SELECT")
@@ -271,9 +267,7 @@ class OpenMLDB(DeploymentHost):
                     > PreviewConstraints.MAX_PARTITION_COLUMNS:
                 raise PlanError("preview: too many partition key columns")
         rows, _stats = self.offline_query_statement(statement)
-        result = rows[:limit]
-        self._preview_cache[cache_key] = result
-        return result
+        return rows[:limit]
 
     # ------------------------------------------------------------------
     # maintenance / recovery

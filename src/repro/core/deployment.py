@@ -124,7 +124,9 @@ class Deployment:
         serves is rejected here, at deploy time, with
         :class:`~repro.errors.PlanError` — never per request.  So is a
         ``long_windows`` entry naming a window that is not a plain
-        ``ROWS_RANGE`` window of the script.
+        ``ROWS_RANGE`` window of the script, and a script with two
+        output columns of one name: a served row is a name → value
+        mapping, so the later would hide the earlier.
         """
         statement = parse(sql)
         if isinstance(statement, ast.SelectStatement):
@@ -134,6 +136,12 @@ class Deployment:
         option = long_windows or statement.option("long_windows")
         compiled, indexes = host._compile(statement.select)
         index_access_paths(compiled.plan, indexes)
+        names = compiled.output_names
+        for position, column in enumerate(names):
+            if column in names[:position]:
+                raise DeploymentError(
+                    f"output column {column!r} appears more than once; "
+                    "give each an alias (AS)")
         options = parse_long_windows(option) if option else ()
         for entry in options:
             window = compiled.windows.get(entry.window)
@@ -159,15 +167,14 @@ class Deployment:
     # ------------------------------------------------------------------
     # serve / describe
 
-    def serve(self, row: Sequence[Any], deadline: Optional[Deadline] = None,
-              shared_fetch: Optional[Dict[Any, Any]] = None) -> Row:
+    def serve(self, row: Sequence[Any],
+              deadline: Optional[Deadline] = None) -> Row:
         """Answer one request tuple: the one serving call site of
         ``OnlineEngine.execute_request``.
 
         Runs under ``deadline`` (None keeps any ambient one) and the
         ``deployment.execute`` root span; the host's request histogram
-        observes failed requests too.  ``shared_fetch`` is the
-        per-batch window scan cache of :meth:`DeploymentHost.request_batch`.
+        observes failed requests too.
         """
         host = self._host
         if host._m_requests is not None:
@@ -176,8 +183,7 @@ class Deployment:
         try:
             with deadline_scope(deadline), host._obs.tracer.span(
                     "deployment.execute", deployment=self.name):
-                return host._engine.execute_request(
-                    self.compiled, row, shared_fetch=shared_fetch)
+                return host._engine.execute_request(self.compiled, row)
         finally:
             host._h_request.observe((time.perf_counter() - start) * 1_000)
 
@@ -314,14 +320,10 @@ class DeploymentHost:
 
         The batch path of the serving frontend: all rows run under one
         ``deployment.execute_batch`` span — a root of its own, even on a
-        thread inside another span — and share a per-batch window
-        scan cache, so requests that resolve to the same (partition
-        key, anchor ts) scan fetch rows once (hot keys under herd
-        traffic).  Rows run in the order given — the serving frontend
-        hands them over as admitted; the cache is keyed by scan, so
-        its hits do not depend on that order.  ``deadlines`` is an
-        optional parallel list of :class:`~repro.serving.Deadline`
-        budgets.
+        thread inside another span — in the order given (the serving
+        frontend hands them over as admitted), each a request of its
+        own.  ``deadlines`` is an optional parallel list of
+        :class:`~repro.serving.Deadline` budgets.
 
         Per-row failures do not poison the batch: the returned list is
         parallel to ``rows`` and each element is either the feature
@@ -332,14 +334,12 @@ class DeploymentHost:
         deployment = self._deployment(name)
         names = deployment.compiled.output_names
         outcomes: List[Any] = []
-        shared: Dict[Any, Any] = {}
         with self._obs.tracer.root("deployment.execute_batch",
                                    deployment=name, batch=len(rows)):
             for index, row in enumerate(rows):
                 try:
                     outcome: Any = dict(zip(names, deployment.serve(
-                        row, deadlines[index] if deadlines else None,
-                        shared)))
+                        row, deadlines[index] if deadlines else None)))
                 except OpenMLDBError as exc:
                     outcome = exc
                 outcomes.append(outcome)

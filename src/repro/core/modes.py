@@ -6,8 +6,8 @@ only in what data they see and what they return:
 * **OFFLINE** — batch computation over full table history; every stored
   row of the primary table yields one feature row.
 * **ONLINE_PREVIEW** — the same batch semantics restricted to a small
-  limit, answered from a result cache where possible, with query
-  complexity constraints so exploratory runs cannot disturb serving.
+  limit, run on the rows held now, with query complexity constraints
+  so exploratory runs cannot disturb serving.
 * **ONLINE_REQUEST** — one request tuple in, one feature row out; the
   tuple is treated as virtually inserted.
 """

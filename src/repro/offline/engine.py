@@ -80,7 +80,6 @@ class OfflineStats:
     join_seconds: float = 0.0
     project_seconds: float = 0.0
     workers: int = 1
-    used_skew_resolver: bool = False
     tasks: int = 0
     carry_tasks: int = 0                 # tasks seeded with carried partials
     shuffle: Dict[str, int] = dataclasses.field(default_factory=dict)
@@ -182,8 +181,7 @@ class OfflineEngine:
                  ) -> Tuple[List[Row], OfflineStats]:
         tracer = self._obs.tracer
         plan = compiled.plan
-        stats = OfflineStats(workers=self.workers,
-                             used_skew_resolver=skew is not None)
+        stats = OfflineStats(workers=self.workers)
         primary = self._tables[plan.table]
         anchors: List[Row] = list(primary.rows())
         stats.rows = len(anchors)
@@ -241,6 +239,9 @@ class OfflineEngine:
 
     def _resolve_joins(self, compiled: CompiledQuery,
                        anchors: Sequence[Row]) -> List[Row]:
+        """Each anchor's combined row, its LAST JOINs resolved by
+        :meth:`~repro.sql.compiler.CompiledJoin.lookup` — the online
+        engine's body."""
         if not compiled.joins:
             return [tuple(anchor) for anchor in anchors]
         combined_rows: List[Row] = []
@@ -248,31 +249,8 @@ class OfflineEngine:
             combined: List[Any] = [None] * compiled.combined_width
             combined[:len(anchor)] = anchor
             for join in compiled.joins:
-                key_value = join.key_fn(tuple(combined))
-                table = self._tables[join.plan.right_table]
-                matched: Optional[Row] = None
-                if join.residual_fn is None:
-                    hit = table.last_join_lookup(join.key_columns, key_value,
-                                                 ts_column=join.order_by)
-                    matched = hit[1] if hit is not None else None
-                else:
-                    # Residual scan through the chunked API: candidate
-                    # rows arrive a block at a time, same as the online
-                    # engine's window fetches.
-                    index = table.find_index(join.key_columns,
-                                             join.order_by)
-                    for block in table.window_scan_blocks(
-                            join.key_columns, index.ts_column, key_value):
-                        for _ts, candidate in block:
-                            probe = list(combined)
-                            probe[join.start_slot:
-                                  join.start_slot
-                                  + join.right_width] = candidate
-                            if join.residual_fn(tuple(probe)) is True:
-                                matched = candidate
-                                break
-                        if matched is not None:
-                            break
+                matched, _tested = join.lookup(
+                    self._tables[join.plan.right_table], combined)
                 if matched is not None:
                     combined[join.start_slot:
                              join.start_slot + join.right_width] = matched

@@ -7,9 +7,11 @@ feature script runs against it, and a single feature row comes back.
 There is one request body, :meth:`OnlineEngine.execute_request`, and it
 is always instrumented.  Per request:
 
-1. Resolve each ``LAST JOIN`` through the right table's stream index —
-   the newest matching tuple is the last element of the key's
-   time-ordered array (``index.seek`` span).
+1. Resolve each ``LAST JOIN`` with :meth:`CompiledJoin.lookup
+   <repro.sql.compiler.CompiledJoin.lookup>`, the body the offline
+   engine runs too: the newest matching tuple is the last element of
+   the key's time-ordered array, and a residual condition walks a
+   growing newest prefix of the key's blocks (``index.seek`` span).
 2. For every window, fetch the window as column blocks from the storage
    layer's chunked ``window_scan_blocks`` (``window.scan``; window
    unions merge several tables' block streams newest-first) and reduce
@@ -43,14 +45,14 @@ from ..errors import ExecutionError
 from ..obs import NULL_OBS, Observability
 from ..schema import Row
 from ..serving.deadline import current_deadline
-from ..sql.compiler import CompiledJoin, CompiledQuery, CompiledWindow
+from ..sql.compiler import CompiledQuery, CompiledWindow
 from ..storage.memtable import normalize_ts
 from ..storage.skiplist import ColumnBlock
 
 __all__ = ["OnlineEngine", "EngineStats"]
 
 _COUNTER_FIELDS = ("rows_scanned", "scan_blocks", "summary_blocks",
-                   "join_lookups", "shared_scan_hits")
+                   "join_lookups")
 
 
 class _RequestCounters:
@@ -68,7 +70,6 @@ class _RequestCounters:
         self.scan_blocks = 0
         self.summary_blocks = 0
         self.join_lookups = 0
-        self.shared_scan_hits = 0
 
 
 @dataclasses.dataclass
@@ -84,7 +85,6 @@ class EngineStats:
     scan_blocks: int = 0
     summary_blocks: int = 0
     join_lookups: int = 0
-    shared_scan_hits: int = 0
     _lock: threading.Lock = dataclasses.field(
         default_factory=threading.Lock, repr=False, compare=False)
 
@@ -96,7 +96,6 @@ class EngineStats:
             self.scan_blocks += counters.scan_blocks
             self.summary_blocks += counters.summary_blocks
             self.join_lookups += counters.join_lookups
-            self.shared_scan_hits += counters.shared_scan_hits
 
 
 class OnlineEngine:
@@ -124,8 +123,6 @@ class OnlineEngine:
         self._m_summary_blocks = registry.counter(
             "online.fold.summary_blocks")
         self._m_join_lookups = registry.counter("online.join_lookups")
-        self._m_shared_scans = registry.counter(
-            "online.batch.shared_scans")
 
     def _publish(self, counters: _RequestCounters) -> None:
         """Mirror one request's deltas into the ``online.*`` series.
@@ -143,24 +140,16 @@ class OnlineEngine:
             self._m_summary_blocks.inc(counters.summary_blocks)
         if counters.join_lookups:
             self._m_join_lookups.inc(counters.join_lookups)
-        if counters.shared_scan_hits:
-            self._m_shared_scans.inc(counters.shared_scan_hits)
 
     # ------------------------------------------------------------------
 
-    def execute_request(
-            self, compiled: CompiledQuery, request_row: Sequence[Any],
-            shared_fetch: Optional[Dict[Any, List[ColumnBlock]]] = None
-    ) -> Row:
+    def execute_request(self, compiled: CompiledQuery,
+                        request_row: Sequence[Any]) -> Row:
         """Run one request tuple through a compiled deployment.
 
         Args:
             compiled: the compiled feature script.
             request_row: a tuple matching the primary table's schema.
-            shared_fetch: micro-batching hook — a dict shared across the
-                requests of one batch; window scans that resolve to the
-                same (window, partition key, anchor ts) are fetched once
-                and reused (hot keys under herd traffic).
 
         Returns:
             The projected feature row.
@@ -180,11 +169,13 @@ class OnlineEngine:
                 combined: List[Any] = [None] * compiled.combined_width
                 combined[:len(validated)] = validated
                 for join in compiled.joins:
+                    counters.join_lookups += 1
                     with span_of("index.seek",
                                  table=join.plan.right_table) as span:
-                        matched = self._resolve_join(join, combined,
-                                                     counters)
+                        matched, tested = join.lookup(
+                            self._tables[join.plan.right_table], combined)
                         span.set_tag(hit=matched is not None)
+                    counters.rows_scanned += tested
                     if matched is not None:
                         combined[join.start_slot:
                                  join.start_slot + join.right_width] = \
@@ -210,8 +201,7 @@ class OnlineEngine:
                     rows_before = counters.rows_scanned
                     with span_of("window.scan", window=name) as span:
                         blocks = fetched[scan] = self._window_blocks(
-                            compiled, window, validated, counters,
-                            shared_fetch, scan)
+                            compiled, window, validated, counters)
                         span.set_tag(rows=counters.rows_scanned
                                      - rows_before)
                 with span_of("agg.fold", window=name):
@@ -231,56 +221,12 @@ class OnlineEngine:
         return projected
 
     # ------------------------------------------------------------------
-    # joins
-
-    def _resolve_join(self, join: CompiledJoin, combined: List[Any],
-                      counters: _RequestCounters) -> Optional[Row]:
-        table = self._tables[join.plan.right_table]
-        key_value = join.key_fn(tuple(combined))
-        counters.join_lookups += 1
-        if join.residual_fn is None:
-            hit = table.last_join_lookup(join.key_columns, key_value,
-                                         ts_column=join.order_by)
-            return hit[1] if hit is not None else None
-        # Residual condition: walk candidates newest-first until one
-        # passes.  A scan copies its run out, so fetch a growing newest
-        # prefix: an early hit never pays for the key's whole history.
-        # (Inserts between rounds can only push rows further back, so
-        # skipping ``seen`` re-probes a row at worst, never misses one.)
-        index = table.find_index(join.key_columns, join.order_by)
-        seen, limit = 0, 32
-        while True:
-            candidates = list(table.window_scan(
-                join.key_columns, index.ts_column, key_value, limit=limit))
-            for _ts, candidate in candidates[seen:]:
-                probe = list(combined)
-                probe[join.start_slot:
-                      join.start_slot + join.right_width] = candidate
-                counters.rows_scanned += 1
-                if join.residual_fn(tuple(probe)) is True:
-                    return candidate
-            if len(candidates) < limit:
-                return None
-            seen, limit = len(candidates), limit * 8
-
-    # ------------------------------------------------------------------
     # windows
 
     def _window_blocks(self, compiled: CompiledQuery,
                        window: CompiledWindow, request_row: Row,
-                       counters: _RequestCounters,
-                       shared: Optional[Dict[Any, List[ColumnBlock]]] = None,
-                       cache_name: Optional[str] = None
-                       ) -> List[ColumnBlock]:
-        """Fetch a window as newest-first blocks, request row first.
-
-        With ``shared`` (one dict per micro-batch), the *stored* blocks
-        of a scan are cached under ``(window, partition key, anchor
-        ts)`` and reused by later requests in the batch that resolve to
-        the identical scan — the request row itself is prepended per
-        request as a block of its own, so requests sharing a
-        key/timestamp but carrying different payloads stay correct.
-        """
+                       counters: _RequestCounters) -> List[ColumnBlock]:
+        """Fetch a window as newest-first blocks, request row first."""
         plan = window.plan
         primary = compiled.plan.table
         key = window.partition_key(request_row)
@@ -295,25 +241,17 @@ class OnlineEngine:
             end_ts = None
             limit = None
 
-        cache_key = (cache_name, key, anchor_ts) \
-            if shared is not None and cache_name is not None else None
-        stored = shared.get(cache_key) if cache_key is not None else None
-        if stored is None:
-            # INSTANCE_NOT_IN_WINDOW: stored instance-table rows never
-            # enter the window — only union-table rows (the request row
-            # itself still participates unless EXCLUDE CURRENT_ROW).
-            sources = [] if plan.instance_not_in_window \
-                else [self._tables[primary]]
-            sources.extend(self._tables[union_table]
-                           for union_table in plan.union_tables)
-            stored = self._fetch_stored_blocks(
-                sources, window, key, anchor_ts, end_ts, limit)
-            counters.rows_scanned += sum(map(len, stored))
-            counters.scan_blocks += len(stored)
-            if cache_key is not None:
-                shared[cache_key] = stored
-        else:
-            counters.shared_scan_hits += 1
+        # INSTANCE_NOT_IN_WINDOW: stored instance-table rows never enter
+        # the window — only union-table rows (the request row itself
+        # still participates unless EXCLUDE CURRENT_ROW).
+        sources = [] if plan.instance_not_in_window \
+            else [self._tables[primary]]
+        sources.extend(self._tables[union_table]
+                       for union_table in plan.union_tables)
+        stored = self._fetch_stored_blocks(
+            sources, window, key, anchor_ts, end_ts, limit)
+        counters.rows_scanned += sum(map(len, stored))
+        counters.scan_blocks += len(stored)
 
         blocks: List[ColumnBlock] = [] if plan.exclude_current_row \
             else [ColumnBlock.of_row(anchor_ts, request_row)]

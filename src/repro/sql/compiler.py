@@ -19,7 +19,8 @@ compilation optimisations appear here explicitly:
 Compiled artefacts are engine-agnostic: the online engine feeds them rows
 fetched from the two-level indexes, the offline engine feeds them sorted
 partition slices — one compiled plan, two runtimes (the paper's
-consistency guarantee).
+consistency guarantee).  A LAST JOIN is one body for both:
+:meth:`CompiledJoin.lookup` reads the right table's current rows.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import dataclasses
 import threading
 import time
 from collections import Counter
+from itertools import chain
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
@@ -449,6 +451,42 @@ class CompiledJoin:
     order_by: Optional[str]
     right_width: int
     start_slot: int = 0  # first slot of the right table in the combined row
+
+    def lookup(self, table: Any, combined: Sequence[Any]
+               ) -> Tuple[Optional[Row], int]:
+        """The right row of ``table`` that ``combined`` (the combined row
+        so far) joins to, or None, and how many candidates the residual
+        condition tested — the LAST JOIN body both engines run.
+
+        Without a residual condition the newest row on the key is one
+        index seek.  With one, candidates are walked newest-first until
+        one passes.  A block scan copies the tail's part out, so it
+        fetches a growing newest prefix: an early hit never pays for the
+        key's whole history.  (Inserts between rounds can only push rows
+        further back, so skipping ``seen`` re-probes a row at worst,
+        never misses one.)
+        """
+        key_value = self.key_fn(tuple(combined))
+        if self.residual_fn is None:
+            hit = table.last_join_lookup(self.key_columns, key_value,
+                                         ts_column=self.order_by)
+            return (hit[1] if hit is not None else None), 0
+        ts_column = table.find_index(self.key_columns,
+                                     self.order_by).ts_column
+        probe = list(combined)
+        end = self.start_slot + self.right_width
+        seen, limit, tested = 0, 32, 0
+        while True:
+            candidates = list(chain.from_iterable(table.window_scan_blocks(
+                self.key_columns, ts_column, key_value, limit=limit)))
+            for _ts, candidate in candidates[seen:]:
+                probe[self.start_slot:end] = candidate
+                tested += 1
+                if self.residual_fn(tuple(probe)) is True:
+                    return candidate, tested
+            if len(candidates) < limit:
+                return None, tested
+            seen, limit = len(candidates), limit * 8
 
 
 class CompiledQuery:

@@ -204,15 +204,6 @@ class DiskTable:
                    ts: Optional[str] = None) -> IndexDef:
         return self._state[0].find_index(keys, ts)
 
-    def window_scan(self, keys: Sequence[str], ts_column: str,
-                    key_value: Any, start_ts: Optional[int] = None,
-                    end_ts: Optional[int] = None,
-                    limit: Optional[int] = None
-                    ) -> Iterator[Tuple[int, Row]]:
-        return itertools.chain.from_iterable(self.window_scan_blocks(
-            keys, ts_column, key_value, start_ts=start_ts, end_ts=end_ts,
-            limit=limit))
-
     def window_scan_blocks(self, keys: Sequence[str], ts_column: str,
                            key_value: Any, start_ts: Optional[int] = None,
                            end_ts: Optional[int] = None,
@@ -242,8 +233,8 @@ class DiskTable:
                          ts_column: Optional[str] = None
                          ) -> Optional[Tuple[int, Row]]:
         ts_column = self.find_index(keys, ts_column).ts_column
-        return next(self.window_scan(keys, ts_column, key_value, limit=1),
-                    None)
+        return next(itertools.chain.from_iterable(self.window_scan_blocks(
+            keys, ts_column, key_value, limit=1)), None)
 
     def sstable_count(self) -> int:
         """Runs held across every column family."""

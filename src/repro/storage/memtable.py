@@ -6,7 +6,7 @@ against the schema once — by :meth:`MemTable.insert`, or by the host
 that hands a tablet's insert a checked, sized row — then appended to the
 insertion log and to all indexes.
 
-Window reads go through :meth:`window_scan` / :meth:`last_join_lookup`,
+Window reads go through :meth:`window_scan_blocks` / :meth:`last_join_lookup`,
 which pick the index matching the requested ``PARTITION BY`` / ``ORDER BY``
 columns; full scans (offline mode) iterate the insertion log.
 """
@@ -170,29 +170,16 @@ class MemTable:
     def structure(self, index_name: str) -> TimeSeriesIndex:
         return self._structures[index_name]
 
-    def window_scan(self, keys: Sequence[str], ts_column: str,
-                    key_value: Any, start_ts: Optional[int] = None,
-                    end_ts: Optional[int] = None,
-                    limit: Optional[int] = None
-                    ) -> Iterator[Tuple[int, Row]]:
-        """Yield ``(ts, row)`` newest-first for one partition key.
-
-        ``start_ts``/``end_ts`` bound the window as in
-        ``ROWS_RANGE BETWEEN end_ts AND start_ts`` (both inclusive);
-        ``limit`` caps the number of rows (``ROWS BETWEEN n PRECEDING``).
-        """
-        index = self.find_index(keys, ts_column)
-        self._m_scans.inc()
-        return self._structures[index.name].scan(
-            key_value, start_ts=start_ts, end_ts=end_ts, limit=limit)
-
     def window_scan_blocks(self, keys: Sequence[str], ts_column: str,
                            key_value: Any, start_ts: Optional[int] = None,
                            end_ts: Optional[int] = None,
                            limit: Optional[int] = None) -> List[ColumnBlock]:
-        """Chunked :meth:`window_scan`: newest-first
+        """One partition key's rows, newest-first, as
         :class:`~repro.storage.skiplist.ColumnBlock` s.
 
+        ``start_ts``/``end_ts`` bound the window as in
+        ``ROWS_RANGE BETWEEN end_ts AND start_ts`` (both inclusive);
+        ``limit`` caps the number of rows (``ROWS BETWEEN n PRECEDING``).
         One key seek and a bisect per edge, then the sealed blocks
         between the edges by reference and slices of the edges — the
         shape the window fold reduces column-at-a-time; iterating a

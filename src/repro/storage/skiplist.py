@@ -494,8 +494,9 @@ class _TimeList:
 class TimeSeriesIndex:
     """The full two-level structure behind one table index.
 
-    ``put`` routes a row to its key's time list; ``scan``/``latest`` serve
-    window reads and LAST JOIN; ``evict`` applies the index's TTL spec.
+    ``put`` routes a row to its key's time list; ``scan_blocks`` and
+    ``latest`` serve window reads and LAST JOIN; ``evict`` applies the
+    index's TTL spec.
 
     ``width`` is the number of values in every row (a table passes
     ``len(schema)``): a row of another length is refused, a list row is
@@ -543,25 +544,13 @@ class TimeSeriesIndex:
             return None
         return time_list.newest()
 
-    def scan(self, key: Any, start_ts: Optional[int] = None,
-             end_ts: Optional[int] = None,
-             limit: Optional[int] = None) -> Iterator[Tuple[int, Any]]:
-        """Yield ``(ts, row)`` newest-first for ``key`` within the bounds.
-
-        The run is taken eagerly, so a caller that stops early should
-        pass a ``limit``.
-        """
-        return chain.from_iterable(
-            self.scan_blocks(key, start_ts, end_ts, limit))
-
     def scan_blocks(self, key: Any, start_ts: Optional[int] = None,
                     end_ts: Optional[int] = None,
                     limit: Optional[int] = None) -> List[ColumnBlock]:
-        """Newest-first :class:`ColumnBlock` s for ``key``.
-
-        The chunked counterpart of :meth:`scan`: the same run, as the
-        tail's part and the sealed blocks (see
-        :meth:`_TimeList.scan_blocks`).
+        """Newest-first :class:`ColumnBlock` s for ``key`` within the
+        bounds: the tail's part and the sealed blocks (see
+        :meth:`_TimeList.scan_blocks`); iterating them yields
+        ``(ts, row)`` pairs.
         """
         time_list = self._keys.get(key)
         if time_list is None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from itertools import chain
 from typing import Any, Iterator, List, Tuple
 
 from ..schema import TTLSpec
@@ -71,7 +72,8 @@ class OpenMLDBTopN:
     def top_n(self, key: Any, n: int) -> List[Tuple[Any, float]]:
         best: List[Tuple[Any, float]] = []
         seen = set()
-        for _rank, payload in self._index.scan(key):
+        for _rank, payload in chain.from_iterable(
+                self._index.scan_blocks(key)):
             item, score, _ts = payload
             if item in seen:
                 continue

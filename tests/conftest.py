@@ -31,6 +31,11 @@ def rows_equal(left_rows, right_rows, rel_tol: float = 1e-9) -> bool:
     return True
 
 
+def scanned(blocks):
+    """A block scan's ``(ts, row)`` pairs, newest first, in one list."""
+    return [pair for block in blocks for pair in block]
+
+
 class PerRowBatch:
     """Mixin for fake serving backends: ``DeploymentHost.request_batch``'s
     contract over the fake's own ``request``, a row at a time — each row

@@ -19,7 +19,8 @@ from repro.serving.describe import DeploymentDescriptor
 from repro.storage import skiplist
 from repro.storage.memtable import MemTable
 from repro.cluster import NameServer, TabletServer
-from tests.conftest import BAD_ROWS, CHECKED_INDEX, CHECKED_SCHEMA, GOOD_ROW
+from tests.conftest import (BAD_ROWS, CHECKED_INDEX, CHECKED_SCHEMA, GOOD_ROW,
+                            scanned)
 
 
 @pytest.fixture
@@ -83,6 +84,26 @@ class TestDataPath:
 
     def test_get_latest_miss(self, cluster):
         assert cluster.get_latest("t", "ghost") is None
+
+    def test_get_latest_on_a_secondary_index_reads_every_partition(self):
+        # Partitioned by ``a``: a ``b`` value's rows sit on every
+        # partition, so the newest one is found only by asking them all.
+        schema = Schema.from_pairs([("a", "string"), ("b", "string"),
+                                    ("ts", "timestamp")])
+        indexes = [IndexDef(("a",), "ts"), IndexDef(("b",), "ts")]
+        cluster = NameServer([TabletServer(f"tablet-{i}") for i in range(3)])
+        cluster.create_table("t", schema, indexes, partitions=4)
+        reference = MemTable("t", schema, indexes)
+        for i in range(40):
+            row = (f"a{i}", f"b{i % 5}", 1_000 + i)
+            cluster.put("t", row)
+            reference.insert(row)
+        for b in [f"b{i}" for i in range(5)] + ["ghost"]:
+            assert cluster.get_latest("t", b, keys=("b",)) \
+                == reference.last_join_lookup(("b",), b)
+        assert cluster.get_latest("t", "b4", keys=("b",))[0] == 1_039
+        assert cluster.get_latest("t", "a7") == (1_007, ("a7", "b2", 1_007))
+        cluster.close()
 
     def test_offsets_are_per_partition_monotone(self, cluster):
         for index in range(10):
@@ -410,30 +431,31 @@ class TestServedPathDifferential:
         def expected(row):
             return dict(zip(compiled.output_names,
                             engine.execute_request(compiled, row)))
-        return cluster, expected, requests
+        return cluster, expected, requests, local
 
     def test_request_and_batch_match_local_engine(self, monkeypatch):
         # Blocks seal at 8 tuples (16 at most, with late rows), so every
         # key's history is mostly sealed blocks and the served folds
         # read their memoized summaries.
         monkeypatch.setattr(skiplist, "BLOCK_ROWS", 8)
-        cluster, expected, requests = self._twins()
+        cluster, expected, requests, local = self._twins()
         want = [expected(row) for row in requests]
         got = [cluster.request("feat", row) for row in requests]
         assert got == want and repr(got) == repr(want)
         batch = cluster.request_batch("feat", requests)
         assert batch == want and repr(batch) == repr(want)
-        # A single-partition scan hands over the tablet's own blocks.
+        # A single-partition scan hands over the tablet's own blocks,
+        # which hold what a single table holding the same rows holds.
         view = cluster._views["t"]
         blocks = view.window_scan_blocks(("uid",), "ts", 3)
         assert len(blocks) > 1 and all(len(b) <= 16 for b in blocks)
-        assert [pair for block in blocks for pair in block] \
-            == list(view.window_scan(("uid",), "ts", 3))
+        assert scanned(blocks) \
+            == scanned(local.window_scan_blocks(("uid",), "ts", 3))
         cluster.close()
 
     @pytest.mark.parametrize("kind", ["single", "cluster"])
     def test_both_hosts_run_one_deployment_body(self, kind):
-        host, expected, requests = self._twins(kind)
+        host, expected, requests, _local = self._twins(kind)
         want = [expected(row) for row in requests]
         got = [host.request("feat", row) for row in requests]
         assert got == want and repr(got) == repr(want)
@@ -481,7 +503,7 @@ class TestServedPathDifferential:
         host.close()
 
     def test_split_between_reads_re_resolves(self, monkeypatch):
-        cluster, expected, requests = self._twins()
+        cluster, expected, requests, _local = self._twins()
         row = requests[5]
         assert cluster.request("feat", row) == expected(row)
         stale = cluster.partition_for("t", row[0])

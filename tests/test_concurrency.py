@@ -20,6 +20,7 @@ from repro.sql.compiler import compile_plan
 from repro.sql.parser import parse_select
 from repro.sql.planner import build_plan
 from repro.storage.skiplist import BLOCK_ROWS, ColumnBlock, TimeSeriesIndex
+from tests.conftest import scanned
 
 
 class TestSkiplistReadersWriters:
@@ -38,8 +39,8 @@ class TestSkiplistReadersWriters:
             try:
                 while not stop.is_set():
                     for key in ("k0", "k3"):
-                        stamps = [ts for ts, _ in index.scan(key,
-                                                             limit=50)]
+                        stamps = [ts for ts, _ in scanned(
+                            index.scan_blocks(key, limit=50))]
                         # Reads must observe a consistent (sorted) view.
                         assert stamps == sorted(stamps, reverse=True)
                         index.latest(key)
@@ -116,7 +117,7 @@ class TestSkiplistReadersWriters:
                for tid in range(threads_n)])
         assert not errors, errors
         assert index.key_count == keys_n
-        assert {key: {row for _ts, row in index.scan(key)}
+        assert {key: {row for _ts, row in scanned(index.scan_blocks(key))}
                 for key in range(keys_n)} == offered
         assert len(index) == sum(map(len, offered.values()))
 
@@ -188,7 +189,7 @@ class TestSkiplistReadersWriters:
                 index.put(key, 0, "put")
         assert raced
         assert len(index) == 500 + len(raced)
-        assert all(list(index.scan(key))[-1] == (0, "put")
+        assert all(scanned(index.scan_blocks(key))[-1] == (0, "put")
                    for key in range(500))
 
 
@@ -288,7 +289,7 @@ def _one_key_race(width, check=None):
                 for rid in range(4)]
     _race(threads)  # interleavings inside one op
     assert not errors, errors
-    left = list(index.scan("k"))
+    left = scanned(index.scan_blocks("k"))
     assert len(left) == len(index) \
         == writers * per_writer - evicted[0]
     assert len({row for _ts, row in left}) == len(left)
@@ -503,8 +504,9 @@ class TestTTLEvictionRaces:
         def scanner():
             try:
                 while not stop.is_set():
-                    stamps = [ts for ts, _ in table.window_scan(
-                        ("k",), "ts", "a", limit=100)]
+                    stamps = [ts for ts, _ in scanned(
+                        table.window_scan_blocks(("k",), "ts", "a",
+                                                 limit=100))]
                     assert stamps == sorted(stamps, reverse=True)
                     table.last_join_lookup(("k",), "a")
             except Exception as exc:  # pragma: no cover
@@ -542,8 +544,8 @@ class TestDiskFlushRaces:
 
         def reader():
             while not done.is_set():
-                reads.append([ts for ts, _row in table.window_scan(
-                    ("k",), "ts", "a")][::-1])
+                reads.append([ts for ts, _row in scanned(
+                    table.window_scan_blocks(("k",), "ts", "a"))][::-1])
 
         _race([threading.Thread(target=writer),
                threading.Thread(target=reader)])

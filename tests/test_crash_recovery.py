@@ -28,6 +28,7 @@ from repro.core.database import OpenMLDB
 from repro.errors import StorageError
 from repro.obs import Observability
 from repro.schema import IndexDef, Schema, TTLKind, TTLSpec
+from tests.conftest import scanned
 
 FAST = RetryPolicy(attempts=2, base_delay_ms=0.1, multiplier=2.0,
                    max_delay_ms=1.0, rpc_timeout_ms=20.0)
@@ -194,8 +195,8 @@ class TestDiskShardCrashRestart:
             partition_id = cluster.partition_for("t", uid)
             store = cluster.leader_of("t", partition_id).shard(
                 "t", partition_id).store
-            state[(uid, "scan")] = list(store.window_scan(("uid",), "ts",
-                                                          uid))
+            state[(uid, "scan")] = scanned(store.window_scan_blocks(
+                ("uid",), "ts", uid))
             state[(uid, "latest")] = store.last_join_lookup(("uid",), uid)
             state[(uid, "request")] = cluster.request(
                 "d", (uid, self.NOW, 0.0))
@@ -320,8 +321,8 @@ def observe(db):
     for name in ("t_abs", "t_lat", "t_or", "t_and"):
         table = db.table(name)
         for key in KEYS:
-            state[(name, key, "scan")] = list(
-                table.window_scan(("k",), "ts", key))
+            state[(name, key, "scan")] = scanned(
+                table.window_scan_blocks(("k",), "ts", key))
             state[(name, key, "latest")] = table.last_join_lookup(
                 ("k",), key)
     for key in KEYS:
@@ -402,8 +403,8 @@ class TestDifferentialCrashRecovery:
 
     @staticmethod
     def _stamps(db):
-        return [ts for ts, _row in db.table("t").window_scan(
-            ("k",), "ts", "a")]
+        return [ts for ts, _row in scanned(db.table("t").window_scan_blocks(
+            ("k",), "ts", "a"))]
 
     def test_ttl_eviction_survives_snapshot_and_recover(self, tmp_path):
         """An eviction before a snapshot is in the image: neither

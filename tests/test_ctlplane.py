@@ -16,6 +16,7 @@ from repro.errors import (MemoryLimitExceededError, ShardMovedError,
                           StorageError, TenantBudgetError)
 from repro.obs import Observability
 from repro.schema import IndexDef, Schema
+from tests.conftest import scanned
 
 SCHEMA = Schema.from_pairs([
     ("uid", "string"), ("ts", "timestamp"), ("amt", "double")])
@@ -41,7 +42,8 @@ def load_rows(*clusters, users=16, per_user=4):
 def window_answers(cluster, users=16):
     """Per-user window_scan results — the byte-identical oracle."""
     view = cluster._views["ev"]
-    return {uid: list(view.window_scan(("uid",), "ts", f"user-{uid}"))
+    return {uid: scanned(view.window_scan_blocks(("uid",), "ts",
+                                                 f"user-{uid}"))
             for uid in range(users)}
 
 

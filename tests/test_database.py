@@ -214,6 +214,25 @@ class TestDeployAndRequest:
         with pytest.raises(DeploymentError):
             db.deploy("d", ROLLING)
 
+    def test_repeated_output_names_are_rejected(self):
+        # A served row is a name -> value mapping: a second ``k`` would
+        # hide the first.
+        db = OpenMLDB()
+        for name in ("t", "d"):
+            db.execute(f"CREATE TABLE {name} (k string, ts timestamp, "
+                       "v double, INDEX(KEY=k, TS=ts))")
+        db.insert("d", ("a", 500, 99.0))
+        join = " FROM t LAST JOIN d ORDER BY d.ts ON t.k = d.k"
+        with pytest.raises(DeploymentError, match="'k'.*alias"):
+            db.deploy("j", "SELECT *" + join)
+        assert "j" not in db.deployments
+        db.deploy("j", "SELECT t.k, t.ts, t.v, d.k AS dk, d.ts AS dts, "
+                       "d.v AS dv" + join)
+        assert db.request("j", ("a", 2_000, 7.0)) == {
+            "k": "a", "ts": 2_000, "v": 7.0,
+            "dk": "a", "dts": 500, "dv": 99.0}
+        db.close()
+
     def test_undeploy(self, db):
         db.deploy("d", ROLLING)
         db.undeploy("d")
@@ -359,8 +378,15 @@ class TestOfflineAndPreview:
             db.insert("trades", ("A", index, 1.0, 1))
         first = db.preview(ROLLING, limit=5)
         assert len(first) == 5
-        second = db.preview(ROLLING, limit=5)
-        assert second is first  # served from the preview cache
+        assert db.preview(ROLLING, limit=5) == first
+
+    def test_preview_sees_rows_inserted_since_the_last_preview(self, db):
+        sql = "SELECT sym, px FROM trades"
+        db.insert("trades", ("a", 100, 1.0, 1))
+        assert db.preview(sql) == [("a", 1.0)]
+        db.insert("trades", ("a", 200, 6.0, 1))
+        assert db.preview(sql) == db.offline_query(sql)[0] \
+            == [("a", 1.0), ("a", 6.0)]
 
     def test_preview_row_cap(self, db):
         with pytest.raises(PlanError):

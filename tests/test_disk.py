@@ -7,6 +7,7 @@ from repro.schema import IndexDef, Schema, TTLKind, TTLSpec
 from repro.storage import disk as disk_module, skiplist
 from repro.storage.disk import DiskTable
 from repro.storage.memtable import MemTable
+from tests.conftest import scanned
 
 
 @pytest.fixture
@@ -20,9 +21,9 @@ class TestDiskTable:
         for ts in range(25):  # crosses two flush thresholds
             disk_table.insert(("a", ts, float(ts), "x"))
         assert disk_table.sstable_count() >= 2 or disk_table.flushes >= 2
-        scanned = [ts for ts, _ in disk_table.window_scan(
-            ("key",), "ts", "a")]
-        assert scanned == list(range(24, -1, -1))
+        stamps = [ts for ts, _ in scanned(disk_table.window_scan_blocks(
+            ("key",), "ts", "a"))]
+        assert stamps == list(range(24, -1, -1))
 
     def test_last_join_lookup(self, disk_table):
         disk_table.insert(("a", 5, 1.0, "x"))
@@ -35,11 +36,11 @@ class TestDiskTable:
         for ts in range(0, 100, 10):
             disk_table.insert(("a", ts, 0.0, "x"))
         disk_table.flush()
-        bounded = [ts for ts, _ in disk_table.window_scan(
-            ("key",), "ts", "a", start_ts=70, end_ts=40)]
+        bounded = [ts for ts, _ in scanned(disk_table.window_scan_blocks(
+            ("key",), "ts", "a", start_ts=70, end_ts=40))]
         assert bounded == [70, 60, 50, 40]
-        limited = list(disk_table.window_scan(("key",), "ts", "a",
-                                              limit=2))
+        limited = scanned(disk_table.window_scan_blocks(("key",), "ts", "a",
+                                                        limit=2))
         assert len(limited) == 2
 
     def test_limit_zero_and_bounds_across_memtable_and_sst(
@@ -51,21 +52,21 @@ class TestDiskTable:
             disk_table.insert(("a", ts, float(ts), "x"))
         assert disk_table.flushes == 1
         scan = (("key",), "ts", "a")
-        assert list(disk_table.window_scan(*scan, limit=0)) == []
+        assert scanned(disk_table.window_scan_blocks(*scan, limit=0)) == []
         assert list(disk_table.window_scan_blocks(*scan, limit=0)) == []
-        assert list(disk_table.window_scan(*scan, start_ts=104,
-                                           limit=0)) == []
-        across = [ts for ts, _ in disk_table.window_scan(
-            *scan, start_ts=120, end_ts=80)]
+        assert scanned(disk_table.window_scan_blocks(*scan, start_ts=104,
+                                                     limit=0)) == []
+        across = [ts for ts, _ in scanned(disk_table.window_scan_blocks(
+            *scan, start_ts=120, end_ts=80))]
         assert across == [120, 110, 100, 90, 80]
-        assert [ts for ts, _ in disk_table.window_scan(
-            *scan, start_ts=125, limit=3)] == [120, 110, 100]
+        assert [ts for ts, _ in scanned(disk_table.window_scan_blocks(
+            *scan, start_ts=125, limit=3))] == [120, 110, 100]
         # Blocks are the memtable's type: pairs newest-first, columns
         # oldest → newest.
         blocks = list(disk_table.window_scan_blocks(
             *scan, start_ts=120, end_ts=80))
-        assert [pair for block in blocks for pair in block] == list(
-            disk_table.window_scan(*scan, start_ts=120, end_ts=80))
+        assert scanned(blocks) == [(ts, ("a", ts, float(ts), "x"))
+                                   for ts in (120, 110, 100, 90, 80)]
         assert [value for block in reversed(blocks)
                 for value in block.column(2)] == [
             80.0, 90.0, 100.0, 110.0, 120.0]
@@ -80,8 +81,8 @@ class TestDiskTable:
         table.flush()
         evicted = table.compact(now_ts=1000)
         assert evicted == 4
-        assert [ts for ts, _ in table.window_scan(("key",), "ts", "a")] \
-            == [990]
+        assert [ts for ts, _ in scanned(table.window_scan_blocks(
+            ("key",), "ts", "a"))] == [990]
 
     def test_rows_log_preserved(self, disk_table):
         for ts in range(15):
@@ -93,7 +94,7 @@ class TestDiskTable:
         for ts in range(25):
             disk_table.insert(("a", ts, 0.0, "x"))
         before = disk_table.disk_reads
-        list(disk_table.window_scan(("key",), "ts", "a"))
+        scanned(disk_table.window_scan_blocks(("key",), "ts", "a"))
         assert disk_table.disk_reads > before
 
     def test_compact_handles_duplicate_keys_with_none_columns(
@@ -113,9 +114,9 @@ class TestDiskTable:
         table.insert(("a", 10, 2.5, None))
         table.flush()
         table.compact(now_ts=1_000)  # must not raise
-        scanned = list(table.window_scan(("key",), "ts", "a"))
-        assert len(scanned) == 4
-        assert all(ts == 10 for ts, _ in scanned)
+        pairs = scanned(table.window_scan_blocks(("key",), "ts", "a"))
+        assert len(pairs) == 4
+        assert all(ts == 10 for ts, _ in pairs)
 
     def test_latest_ttl_ranks_newest_first_across_flushes(self):
         """Regression: LATEST-TTL compaction evicted the *newest* dups.
@@ -136,7 +137,7 @@ class TestDiskTable:
         for row in rows:
             mem.insert(row)
         mem.evict_expired(now_ts=100)
-        expected = list(mem.window_scan(("key",), "ts", "a"))
+        expected = scanned(mem.window_scan_blocks(("key",), "ts", "a"))
         assert [row[2] for _, row in expected] == ["mid", "third"]
 
         disk = DiskTable("d", schema, indexes, flush_threshold=100)
@@ -147,7 +148,8 @@ class TestDiskTable:
             disk.insert(row)
         disk.flush()
         disk.compact(now_ts=100)
-        assert list(disk.window_scan(("key",), "ts", "a")) == expected
+        assert scanned(disk.window_scan_blocks(("key",), "ts", "a")) \
+            == expected
 
     def test_latest_ttl_within_one_flush_keeps_insertion_rank(self):
         schema = Schema.from_pairs([
@@ -159,8 +161,8 @@ class TestDiskTable:
         table.insert(("a", 10, "new"))
         table.flush()
         table.compact(now_ts=100)
-        survivors = [row for _, row in table.window_scan(
-            ("key",), "ts", "a")]
+        survivors = [row for _, row in scanned(table.window_scan_blocks(
+            ("key",), "ts", "a"))]
         assert survivors == [("a", 10, "new")]
 
     def test_shared_memtable_across_column_families(self, events_schema):
@@ -169,8 +171,8 @@ class TestDiskTable:
             IndexDef(("label",), "ts"),
         ], flush_threshold=100)
         table.insert(("a", 1, 0.0, "red"))
-        by_key = list(table.window_scan(("key",), "ts", "a"))
-        by_label = list(table.window_scan(("label",), "ts", "red"))
+        by_key = scanned(table.window_scan_blocks(("key",), "ts", "a"))
+        by_label = scanned(table.window_scan_blocks(("label",), "ts", "red"))
         assert len(by_key) == 1 and len(by_label) == 1
 
     def test_null_keys_order_first_through_flush_and_compact(self):
@@ -190,7 +192,8 @@ class TestDiskTable:
         keys = {("k",): ks, ("k", "g"): [(k, g) for k in ks for g in gs]}
 
         def scans(table):
-            return {(cols, key): list(table.window_scan(cols, "ts", key))
+            return {(cols, key): scanned(table.window_scan_blocks(
+                        cols, "ts", key))
                     for cols, values in keys.items() for key in values}
         expected = scans(memory)
         assert all(expected.values())
@@ -213,7 +216,7 @@ class TestDiskTable:
             table.insert((f"beta{index}", index, 0.0))
         assert table.flushes == 2
         before = table.disk_reads
-        list(table.window_scan(("k",), "ts", "alpha3"))
+        scanned(table.window_scan_blocks(("k",), "ts", "alpha3"))
         # Only the alpha run holds the key; the beta run is not read.
         assert table.disk_reads == before + 1
 
@@ -224,8 +227,9 @@ class TestDiskTable:
                           flush_threshold=5)
         for index in range(25):
             table.insert((f"k{index % 4}", index, float(index)))
-        scanned = [ts for ts, _ in table.window_scan(("k",), "ts", "k1")]
-        assert scanned == sorted(
+        stamps = [ts for ts, _ in scanned(table.window_scan_blocks(
+            ("k",), "ts", "k1"))]
+        assert stamps == sorted(
             (index for index in range(25) if index % 4 == 1),
             reverse=True)
 
@@ -243,15 +247,15 @@ class TestDiskTable:
 
         class ReadingMemTable(MemTable):
             def __init__(self, *args, **kwargs):
-                reads.append([ts for ts, _row in table.window_scan(
-                    ("k",), "ts", "a")])
+                reads.append([ts for ts, _row in scanned(
+                    table.window_scan_blocks(("k",), "ts", "a"))])
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(disk_module, "MemTable", ReadingMemTable)
         table.flush()
         assert reads == [[4, 3, 2, 1, 0]]
-        assert [ts for ts, _row in table.window_scan(("k",), "ts", "a")] \
-            == [4, 3, 2, 1, 0]
+        assert [ts for ts, _row in scanned(table.window_scan_blocks(
+            ("k",), "ts", "a"))] == [4, 3, 2, 1, 0]
 
 
 _KEYS = (None, 1, 2)
@@ -287,11 +291,11 @@ class TestDiskMatchesMemory:
 
         def answers(table):
             return [(cols, key, start_ts, end_ts, limit,
-                     list(table.window_scan(cols, "ts", key,
-                                            start_ts=start_ts,
-                                            end_ts=end_ts, limit=limit)),
-                     list(table.window_scan(cols, "ts", key,
-                                            start_ts=start_ts, limit=1)),
+                     scanned(table.window_scan_blocks(
+                         cols, "ts", key, start_ts=start_ts, end_ts=end_ts,
+                         limit=limit)),
+                     scanned(table.window_scan_blocks(
+                         cols, "ts", key, start_ts=start_ts, limit=1)),
                      table.last_join_lookup(cols, key))
                     for cols, values in keys.items() for key in values
                     for start_ts, end_ts, limit in reads]

@@ -15,6 +15,7 @@ from repro.errors import OpenMLDBError, TenantBudgetError
 from repro.obs import Observability
 from repro.schema import IndexDef, Schema
 from repro.serving import FrontendServer
+from tests.conftest import scanned
 
 FAST = RetryPolicy(attempts=4, base_delay_ms=0.1, multiplier=2.0,
                    max_delay_ms=2.0, rpc_timeout_ms=50.0)
@@ -38,7 +39,7 @@ def make_cluster(n_tablets=4, obs=None):
 
 def window_answers(cluster, uids):
     view = cluster._views["ev"]
-    return {uid: list(view.window_scan(("uid",), "ts", uid))
+    return {uid: scanned(view.window_scan_blocks(("uid",), "ts", uid))
             for uid in uids}
 
 

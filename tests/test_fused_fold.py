@@ -51,6 +51,7 @@ from repro.sql import ast
 from repro.storage import skiplist
 from repro.storage.skiplist import (BLOCK_ROWS, SPAN_BLOCKS, SealedSpan,
                                     TimeSeriesIndex)
+from tests.conftest import scanned
 
 KEYS = ("u1", "u2", "u3")
 
@@ -715,7 +716,7 @@ def test_mutating_returned_lists_leaves_storage_unchanged(width):
     index = TimeSeriesIndex(width=width)
     for ts in range(3 * BLOCK_ROWS):
         index.put("k", ts, (ts, ts * 2, ts * 3))
-    before = list(index.scan("k"))
+    before = scanned(index.scan_blocks("k"))
     blocks = index.scan_blocks("k")
     assert sum(block.sealed for block in blocks) == 2
     for block in blocks:
@@ -723,5 +724,5 @@ def test_mutating_returned_lists_leaves_storage_unchanged(width):
         rows.clear()
         column = block.column(0)
         column[:] = [None] * len(column)
-    assert list(index.scan("k")) == before
+    assert scanned(index.scan_blocks("k")) == before
     assert index.scan_blocks("k")[-1] is blocks[-1]  # shared, not copied

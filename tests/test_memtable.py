@@ -7,6 +7,7 @@ from repro.schema import IndexDef, Schema, TTLKind, TTLSpec
 from repro.storage.memtable import MemTable, normalize_ts
 from repro.storage import skiplist
 from repro.storage.skiplist import ColumnBlock, TimeSeriesIndex
+from tests.conftest import scanned
 
 
 @pytest.fixture
@@ -49,25 +50,26 @@ class TestInsertAndScan:
         for ts in (10, 30, 20):
             table.insert(("a", ts, float(ts), "x"))
         result = [ts for ts, _row in
-                  table.window_scan(("key",), "ts", "a")]
+                  scanned(table.window_scan_blocks(("key",), "ts", "a"))]
         assert result == [30, 20, 10]
 
     def test_window_scan_bounds(self, table):
         for ts in range(0, 100, 10):
             table.insert(("a", ts, float(ts), "x"))
-        result = [ts for ts, _row in table.window_scan(
-            ("key",), "ts", "a", start_ts=50, end_ts=30)]
+        result = [ts for ts, _row in scanned(table.window_scan_blocks(
+            ("key",), "ts", "a", start_ts=50, end_ts=30))]
         assert result == [50, 40, 30]
 
     def test_window_scan_limit(self, table):
         for ts in range(10):
             table.insert(("a", ts, 0.0, "x"))
-        result = list(table.window_scan(("key",), "ts", "a", limit=3))
+        result = scanned(table.window_scan_blocks(("key",), "ts", "a",
+                                                  limit=3))
         assert len(result) == 3
 
     def test_unknown_index_raises(self, table):
         with pytest.raises(IndexNotFoundError):
-            table.window_scan(("label",), "ts", "x")
+            scanned(table.window_scan_blocks(("label",), "ts", "x"))
 
     def test_validation_on_insert(self, table):
         with pytest.raises(Exception):
@@ -85,8 +87,8 @@ class TestLastJoinLookup:
     def test_before_ts(self, table):
         table.insert(("a", 10, 1.0, "x"))
         table.insert(("a", 20, 2.0, "y"))
-        hit = next(table.window_scan(("key",), "ts", "a", start_ts=15,
-                                     limit=1))
+        hit = scanned(table.window_scan_blocks(("key",), "ts", "a",
+                                               start_ts=15, limit=1))[0]
         assert hit[0] == 10
 
     def test_miss_returns_none(self, table):
@@ -101,8 +103,8 @@ class TestMultipleIndexes:
         ])
         table.insert(("a", 1, 1.0, "red"))
         table.insert(("b", 2, 2.0, "red"))
-        by_key = list(table.window_scan(("key",), "ts", "a"))
-        by_label = list(table.window_scan(("label",), "ts", "red"))
+        by_key = scanned(table.window_scan_blocks(("key",), "ts", "a"))
+        by_label = scanned(table.window_scan_blocks(("label",), "ts", "red"))
         assert len(by_key) == 1
         assert len(by_label) == 2
 
@@ -127,10 +129,10 @@ class TestMultipleIndexes:
                     ("a", 70, 7.0, "red")]
         for row in arrivals:
             table.insert(row)
-        by_key = list(table.window_scan(("key",), "ts", "a"))
+        by_key = scanned(table.window_scan_blocks(("key",), "ts", "a"))
         assert by_key == [(70, arrivals[5]), (50, arrivals[0]),
                           (30, arrivals[3]), (10, arrivals[2])]
-        by_label = list(table.window_scan(("label",), "ts", "red"))
+        by_label = scanned(table.window_scan_blocks(("label",), "ts", "red"))
         assert by_label == [(70, arrivals[5]), (60, arrivals[1]),
                             (50, arrivals[0]), (30, arrivals[4]),
                             (30, arrivals[3])]
@@ -143,20 +145,20 @@ class TestMultipleIndexes:
             [6.0], [None, 3.5, 5.0]]  # oldest → newest within a block
         assert table.last_join_lookup(("label",), "red") \
             == (70, arrivals[5])
-        assert list(table.window_scan(("key",), "ts", "a", start_ts=49,
-                                      limit=1)) == [(30, arrivals[3])]
+        assert scanned(table.window_scan_blocks(
+            ("key",), "ts", "a", start_ts=49, limit=1)) == [(30, arrivals[3])]
         assert table.evict_expired(1_000) == 1  # "red" keeps its 4 newest
-        assert list(table.window_scan(("label",), "ts", "red")) \
+        assert scanned(table.window_scan_blocks(("label",), "ts", "red")) \
             == by_label[:4]
-        assert list(table.window_scan(("key",), "ts", "a")) == by_key
+        assert scanned(table.window_scan_blocks(("key",), "ts", "a")) == by_key
 
     def test_composite_key(self, events_schema):
         table = MemTable("t", events_schema,
                          [IndexDef(("key", "label"), "ts")])
         table.insert(("a", 1, 1.0, "red"))
         table.insert(("a", 2, 2.0, "blue"))
-        rows = list(table.window_scan(("key", "label"), "ts",
-                                      ("a", "red")))
+        rows = scanned(table.window_scan_blocks(("key", "label"), "ts",
+                                                ("a", "red")))
         assert len(rows) == 1
 
 
@@ -191,7 +193,7 @@ class TestColumnBlocks:
         index.put("k", 1, ("k", 1, 1.0))
         with pytest.raises(StorageError):
             index.put("k", 2, ("k", 2))
-        assert list(index.scan("k")) == [(1, ("k", 1, 1.0))]
+        assert scanned(index.scan_blocks("k")) == [(1, ("k", 1, 1.0))]
 
 
 class TestSubscribersAndMemory:
@@ -215,7 +217,7 @@ class TestEviction:
             table.insert(("a", ts, 0.0, "x"))
         removed = table.evict_expired(now_ts=1000)
         assert removed == 2
-        assert len(list(table.window_scan(("key",), "ts", "a"))) == 1
+        assert len(scanned(table.window_scan_blocks(("key",), "ts", "a"))) == 1
         assert table.row_count == 3  # the log backs offline scans
 
 

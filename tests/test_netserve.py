@@ -315,6 +315,25 @@ class TestSimpleProtocol:
             == [("2", "a;'b")]
 
 
+    def test_deploy_with_repeated_output_names_is_refused(self, client):
+        # Two ``k`` columns would reach the wire as the second's value
+        # twice: the DataRow encoder reads a served row back by name.
+        for name in ("wire_dup_t", "wire_dup_d"):
+            client.query(f"CREATE TABLE {name} (k string, ts timestamp, "
+                         "v double, INDEX(KEY=k, TS=ts))")
+        client.query("INSERT INTO wire_dup_d VALUES ('a', 500, 99.0)")
+        join = (" FROM wire_dup_t LAST JOIN wire_dup_d ORDER BY "
+                "wire_dup_d.ts ON wire_dup_t.k = wire_dup_d.k")
+        with pytest.raises(ServerError) as err:
+            client.query("DEPLOY wire_dup SELECT *" + join)
+        assert "'k'" in err.value.message and "alias" in err.value.message
+        client.query("DEPLOY wire_dup SELECT wire_dup_t.k, wire_dup_t.ts, "
+                     "wire_dup_t.v, wire_dup_d.k AS dk, wire_dup_d.ts AS "
+                     "dts, wire_dup_d.v AS dv" + join)
+        assert client.query("EXECUTE wire_dup ('a', 2000, 7.0)")[0].rows \
+            == [("a", "2000", "7.0", "a", "500", "99.0")]
+
+
 class TestExtendedProtocol:
     def test_prepare_describes_parameters(self, client):
         oids = client.prepare("s_desc", "EXECUTE feat ($1, $2, $3)")

@@ -343,7 +343,6 @@ class TestFrontendOverCluster:
         outcomes = cluster.request_batch("feat", rows)
         assert all(outcome == outcomes[0] for outcome in outcomes)
         assert outcomes[0] == cluster.request("feat", (3, 1_500, 9.0))
-        assert obs.registry.get("online.batch.shared_scans").value >= 3
         cluster.close()
 
     def test_batch_isolates_per_row_errors(self):

@@ -9,6 +9,7 @@ from repro.schema import IndexDef, Schema, TTLKind, TTLSpec
 from repro.storage import skiplist
 from repro.storage.disk import DiskTable
 from repro.storage.skiplist import SealedSpan, TimeSeriesIndex
+from tests.conftest import scanned
 from tests.test_fused_fold import _ttls
 
 
@@ -25,26 +26,28 @@ class TestTimeSeriesIndex:
         index = TimeSeriesIndex()
         for ts in (10, 30, 20, 40):
             index.put("k", ts, ts)
-        assert [ts for ts, _ in index.scan("k")] == [40, 30, 20, 10]
+        assert [ts for ts, _ in scanned(index.scan_blocks("k"))] \
+            == [40, 30, 20, 10]
 
     def test_scan_bounds_inclusive(self):
         index = TimeSeriesIndex()
         for ts in range(10, 60, 10):
             index.put("k", ts, ts)
-        result = [ts for ts, _ in index.scan("k", start_ts=40, end_ts=20)]
+        result = [ts for ts, _ in scanned(
+            index.scan_blocks("k", start_ts=40, end_ts=20))]
         assert result == [40, 30, 20]
 
     def test_scan_limit(self):
         index = TimeSeriesIndex()
         for ts in range(100):
             index.put("k", ts, ts)
-        assert len(list(index.scan("k", limit=7))) == 7
+        assert len(scanned(index.scan_blocks("k", limit=7))) == 7
 
     def test_duplicate_timestamps_kept(self):
         index = TimeSeriesIndex()
         index.put("k", 5, "first")
         index.put("k", 5, "second")
-        rows = [row for _ts, row in index.scan("k")]
+        rows = [row for _ts, row in scanned(index.scan_blocks("k"))]
         assert sorted(rows) == ["first", "second"]
         assert len(index) == 2
 
@@ -52,7 +55,8 @@ class TestTimeSeriesIndex:
         index = TimeSeriesIndex()
         for ts in (50, 10, 40, 20, 30):
             index.put("k", ts, ts)
-        assert [ts for ts, _ in index.scan("k")] == [50, 40, 30, 20, 10]
+        assert [ts for ts, _ in scanned(index.scan_blocks("k"))] \
+            == [50, 40, 30, 20, 10]
 
     def test_scan_all_covers_every_key(self):
         index = TimeSeriesIndex()
@@ -80,27 +84,29 @@ class TestTTLEviction:
         removed = index.evict(now_ts=1000)
         # horizon = 700: tuples at ts < 700 go (ts 0..600 → 7 tuples).
         assert removed == 7
-        assert [ts for ts, _ in index.scan("k")] == [900, 800, 700]
+        assert [ts for ts, _ in scanned(index.scan_blocks("k"))] \
+            == [900, 800, 700]
 
     def test_latest_eviction(self):
         index = self._filled(TTLSpec(kind=TTLKind.LATEST, lat_ttl=4))
         removed = index.evict(now_ts=1000)
         assert removed == 6
-        assert [ts for ts, _ in index.scan("k")] == [900, 800, 700, 600]
+        assert [ts for ts, _ in scanned(index.scan_blocks("k"))] \
+            == [900, 800, 700, 600]
 
     def test_abs_or_lat_takes_stricter(self):
         spec = TTLSpec(kind=TTLKind.ABS_OR_LAT, abs_ttl_ms=300, lat_ttl=8)
         index = self._filled(spec)
         index.evict(now_ts=1000)
         # absolute keeps 3, latest keeps 8 → OR evicts to the stricter 3.
-        assert len(list(index.scan("k"))) == 3
+        assert len(scanned(index.scan_blocks("k"))) == 3
 
     def test_abs_and_lat_takes_looser(self):
         spec = TTLSpec(kind=TTLKind.ABS_AND_LAT, abs_ttl_ms=300, lat_ttl=8)
         index = self._filled(spec)
         index.evict(now_ts=1000)
         # a tuple must violate BOTH bounds: keep max(3, 8) = 8.
-        assert len(list(index.scan("k"))) == 8
+        assert len(scanned(index.scan_blocks("k"))) == 8
 
     def test_unbounded_never_evicts(self):
         index = self._filled(TTLSpec())
@@ -111,7 +117,7 @@ class TestTTLEviction:
         index = self._filled(TTLSpec(kind=TTLKind.ABSOLUTE, abs_ttl_ms=1))
         removed = index.evict(now_ts=10 ** 9)
         assert removed == 10
-        assert list(index.scan("k")) == []
+        assert scanned(index.scan_blocks("k")) == []
 
     def test_eviction_only_touches_expired_keys(self):
         index = TimeSeriesIndex(
@@ -134,7 +140,7 @@ def test_scan_matches_sorted_reference(puts):
         index.put(key, ts, (key, ts))
         reference.setdefault(key, []).append(ts)
     for key, stamps in reference.items():
-        got = [ts for ts, _row in index.scan(key)]
+        got = [ts for ts, _row in scanned(index.scan_blocks(key))]
         assert got == sorted(stamps, reverse=True)
 
 
@@ -240,8 +246,9 @@ def _run_model(ops, ttl, block_rows):
             _, key, start_ts, end_ts, limit = op
             expected = _model_scan(model.get(key, []), start_ts, end_ts,
                                    limit)
-            assert list(index.scan(key, start_ts=start_ts, end_ts=end_ts,
-                                   limit=limit)) == expected
+            assert scanned(index.scan_blocks(
+                key, start_ts=start_ts, end_ts=end_ts,
+                limit=limit)) == expected
             blocks = list(index.scan_blocks(
                 key, start_ts=start_ts, end_ts=end_ts, limit=limit))
             # A sealed block grows by late rows until it splits in two;
@@ -319,8 +326,10 @@ def test_a_list_row_reads_back_as_a_tuple():
     for block in blocks:
         assert {type(row) for row in block.rows()} == {tuple}
         assert block.column(1) == list(block._ts)
-    assert {type(row) for _ts, row in index.scan("k")} == {tuple}
-    assert list(index.scan("k", limit=1)) == [(300, ("k", 300, 150.0))]
+    assert {type(row) for _ts, row in scanned(index.scan_blocks("k"))} \
+        == {tuple}
+    assert scanned(index.scan_blocks("k", limit=1)) \
+        == [(300, ("k", 300, 150.0))]
 
 
 _INT_EDGES = tuple(value for bits in (7, 15, 31, 63)
@@ -431,7 +440,7 @@ class _IndexStore:
         return row
 
     def scan(self, key, start_ts, end_ts, limit):
-        return self.index.scan(key, start_ts, end_ts, limit)
+        return scanned(self.index.scan_blocks(key, start_ts, end_ts, limit))
 
     def blocks(self, key, start_ts, end_ts, limit):
         return self.index.scan_blocks(key, start_ts, end_ts, limit)
@@ -491,8 +500,9 @@ class _DiskStore:
         return row
 
     def scan(self, key, start_ts, end_ts, limit):
-        return self.table.window_scan(*self._scanned, key, start_ts=start_ts,
-                                      end_ts=end_ts, limit=limit)
+        return scanned(self.table.window_scan_blocks(
+            *self._scanned, key, start_ts=start_ts, end_ts=end_ts,
+            limit=limit))
 
     def blocks(self, key, start_ts, end_ts, limit):
         return self.table.window_scan_blocks(
