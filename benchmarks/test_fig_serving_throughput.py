@@ -6,8 +6,7 @@ Two closed-loop scenarios over the simulated cluster:
    (the thundering-herd shape of production feature serving: many
    concurrent lookups for the same entity).  Direct serial requests
    execute every window scan; the micro-batching frontend collapses
-   identical concurrent requests (single-flight) and shares window
-   scans inside each batch.  The gate is what single-flight
+   identical concurrent requests (single-flight).  The gate is what single-flight
    *guarantees*, as counts: each of the 192 requests is either
    executed or answered by an in-flight twin, the engine executes at
    most one per distinct row per iteration (48), so at least 144 are
@@ -17,8 +16,10 @@ Two closed-loop scenarios over the simulated cluster:
    which is why the recorded 180 is not the floor.  The throughput
    ratio is recorded, not gated: it used to be ``≥ 2×``, which
    measures how expensive the scan the herd skips is against the
-   frontend's fixed 1 ms batching window, and so broke each time the
-   scan got cheaper with nothing in the frontend changed — at 600-row
+   frontend's batching window (then a 1 ms wait for every underfull
+   batch; now only a lone request waits, and a batch with company goes
+   at once), and so broke each time the scan got cheaper with nothing
+   in the frontend changed — at 600-row
    windows when the second level became contiguous (the windows were
    grown to 3,000 rows to keep it), and at 3,000 rows when the fold
    went columnar (five runs: 2.0–2.6×, parent 3.0–4.1× —

@@ -7,7 +7,8 @@ engine, and starts no thread of its own:
 
 * :class:`FrontendServer` — the frontend itself: admission control,
   micro-batching by flat combining (a caller runs its deployment's
-  batch on its own thread, ``max_batch`` / ``max_wait_ms``),
+  batch of up to ``max_batch`` on its own thread; only a lone request
+  waits ``max_wait_ms`` for company),
   single-flight dedup, deadline propagation, graceful drain, and
   per-deployment SLO metrics.
 * :class:`AdmissionController` / :class:`Ticket` — bounded

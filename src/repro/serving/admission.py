@@ -69,13 +69,12 @@ class Ticket:
 class _Lane:
     """One deployment's FIFO queue and its combiner state."""
 
-    __slots__ = ("queue", "combining", "fill", "fill_to", "depth")
+    __slots__ = ("queue", "combining", "fill", "depth")
 
     def __init__(self, lock: threading.Lock, depth: Any) -> None:
         self.queue: Deque[Ticket] = collections.deque()
         self.combining = False
-        self.fill = threading.Condition(lock)
-        self.fill_to = 0  # batch size the combiner's window waits for
+        self.fill = threading.Condition(lock)  # a lone ticket got company
         self.depth = depth  # the serving.queue.depth gauge
 
 
@@ -147,8 +146,8 @@ class AdmissionController:
                 return True
             ticket.wake = threading.Lock()
             ticket.wake.acquire()
-            if lane.fill_to and len(queue) >= lane.fill_to:
-                lane.fill.notify()  # the combiner's batch is full
+            if len(queue) == 2:
+                lane.fill.notify()  # a lone ticket has company
             return False
 
     def abandon(self, ticket: Ticket) -> bool:
@@ -173,26 +172,25 @@ class AdmissionController:
 
     def take(self, deployment: str, max_batch: int, max_wait_ms: float,
              deadline: Optional[Deadline] = None) -> List[Ticket]:
-        """Pop the combiner's next batch, oldest first, holding an
-        underfull one open up to ``max_wait_ms`` (never past the
-        combiner's own ``deadline``) for it to fill to ``max_batch``."""
+        """Pop the combiner's next batch: up to ``max_batch`` queued
+        tickets, oldest first.  A lone ticket waits up to
+        ``max_wait_ms`` (never past the combiner's own ``deadline``)
+        for company; once a second is queued the batch goes at once."""
         with self._lock:
             lane = self._lanes[deployment]
             queue = lane.queue
-            if len(queue) < max_batch and max_wait_ms > 0 \
+            if len(queue) < min(2, max_batch) and max_wait_ms > 0 \
                     and not self._closed:
                 now = time.monotonic()
                 end_s = now + max_wait_ms / 1_000.0
                 if deadline is not None:
                     end_s = min(end_s,
                                 now + deadline.remaining_ms() / 1_000.0)
-                lane.fill_to = max_batch
-                while len(queue) < max_batch and not self._closed:
+                while len(queue) < 2 and not self._closed:
                     remaining = end_s - time.monotonic()
                     if remaining <= 0:
                         break
                     lane.fill.wait(remaining)
-                lane.fill_to = 0
             batch = [queue.popleft()
                      for _ in range(min(max_batch, len(queue)))]
             lane.depth.set(len(queue))

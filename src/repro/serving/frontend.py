@@ -11,8 +11,9 @@
 * **micro-batching by flat combining** — no worker thread: a caller
   that finds its deployment without a combiner hands the queued batch,
   in arrival order, to the backend's ``request_batch`` on its own
-  thread (identical window scans in it are fetched once); everyone
-  else waits on its own ticket.  The :class:`Ticket` carries the
+  thread; everyone else waits on its own ticket.  Only a lone request
+  waits (``max_wait_ms``) for company: a batch with two or more goes
+  at once.  The :class:`Ticket` carries the
   outcome: there is no future, and a combiner reads its own answer
   off its ticket;
 * **deadline propagation** — a per-request ``timeout_ms`` becomes a
@@ -64,8 +65,9 @@ class FrontendServer:
         max_inflight: global bound on admitted-but-unfinished requests;
             defaults to ``4 * max_queue``.
         max_batch: how many requests one batch executes at most.
-        max_wait_ms: how long a combiner holds an underfull batch open
-            for company; 0 dispatches whatever is queued at once.
+        max_wait_ms: how long a lone request waits for company; a
+            batch with two or more queued goes at once, and 0 sends a
+            lone request at once too.
         default_timeout_ms: deadline applied when a request does not
             bring its own; ``None`` means no deadline by default.
         single_flight: collapse identical concurrent requests.

@@ -461,10 +461,13 @@ class CompiledJoin:
         Without a residual condition the newest row on the key is one
         index seek.  With one, candidates are walked newest-first until
         one passes.  A block scan copies the tail's part out, so it
-        fetches a growing newest prefix: an early hit never pays for the
-        key's whole history.  (Inserts between rounds can only push rows
-        further back, so skipping ``seen`` re-probes a row at worst,
-        never misses one.)
+        fetches rounds of 32, 256, 2,048, … rows: an early hit never
+        pays for the key's whole history.  Each round resumes at the
+        oldest ``ts`` the last one read and skips the rows of that
+        ``ts`` already tested, so only they are read twice.  (A row
+        inserted between rounds at that ``ts`` may be skipped in place
+        of one tested before: the answer is one an earlier lookup
+        could give.)
         """
         key_value = self.key_fn(tuple(combined))
         if self.residual_fn is None:
@@ -475,10 +478,11 @@ class CompiledJoin:
                                      self.order_by).ts_column
         probe = list(combined)
         end = self.start_slot + self.right_width
-        seen, limit, tested = 0, 32, 0
+        resume, seen, limit, tested = None, 0, 32, 0
         while True:
             candidates = list(chain.from_iterable(table.window_scan_blocks(
-                self.key_columns, ts_column, key_value, limit=limit)))
+                self.key_columns, ts_column, key_value, start_ts=resume,
+                limit=limit)))
             for _ts, candidate in candidates[seen:]:
                 probe[self.start_slot:end] = candidate
                 tested += 1
@@ -486,7 +490,10 @@ class CompiledJoin:
                     return candidate, tested
             if len(candidates) < limit:
                 return None, tested
-            seen, limit = len(candidates), limit * 8
+            resume, seen = candidates[-1][0], 1
+            while seen < limit and candidates[-seen - 1][0] == resume:
+                seen += 1
+            limit *= 8
 
 
 class CompiledQuery:

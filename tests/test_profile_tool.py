@@ -2,8 +2,8 @@
 
 Smoke runs at a tiny ``--rounds``: ``--path put`` prints the profile,
 the unprofiled µs per put (in memory and with the WAL) and one line per
-step of a put; ``--path wire`` prints the per-thread tables and the
-warm per-boundary split of a read.
+step of a put; ``--path wire`` prints the per-thread tables, the pair
+segment's line and the warm per-boundary split of a read.
 """
 
 import pathlib
@@ -44,6 +44,12 @@ def test_wire_path_smoke():
     lines = result.stdout.splitlines()
     assert any(line.startswith("=== wire path, wire_point, 40 reads (0 "
                                "wrong)") for line in lines)
+    (pair,) = [match for match in (re.fullmatch(
+        r"=== wire path, wire_point, pair: 2 connections x 40 ops \(0 "
+        r"wrong\), (\d+) ops/s, ([\d.]+) server CPU-ms/op, mean batch "
+        r"([\d.]+) ===", line) for line in lines) if match]
+    assert int(pair.group(1)) > 0 and float(pair.group(2)) > 0
+    assert 1.0 <= float(pair.group(3)) <= 2.0  # two closed loops
     (head,) = [index for index, line in enumerate(lines)
                if line == "=== wire path, warm split of 40 reads: median "
                           "us per read at each boundary ==="]

@@ -204,6 +204,152 @@ class TestAdmissionControl:
 
 
 # ---------------------------------------------------------------------
+# the batching window: a lone ticket waits for company, a pair goes
+
+
+class WatchedFill(threading.Condition):
+    """A lane's fill condition that reports (or forbids) a wait."""
+
+    def __init__(self, lock, forbid=False):
+        super().__init__(lock)
+        self.forbid = forbid
+        self.waiting = threading.Event()
+
+    def wait(self, timeout=None):
+        assert not self.forbid, "take waited for company"
+        self.waiting.set()  # still under the lock the admit needs
+        return super().wait(timeout)
+
+
+def watch_fill(control, deployment="d", forbid=False):
+    lane = control._lanes[deployment]
+    lane.fill = WatchedFill(control._lock, forbid=forbid)
+    return lane.fill
+
+
+class TestBatchWindow:
+    def lone_take(self, control):
+        """A combiner's take over its lone ticket, on a thread."""
+        taken = []
+        taker = threading.Thread(target=lambda: taken.append(control.take(
+            "d", max_batch=8, max_wait_ms=30_000)), daemon=True)
+        taker.start()
+        return taker, taken
+
+    def test_a_lone_ticket_waits_until_company_arrives(self):
+        control = AdmissionController(max_queue=8)
+        mine, company = ticket(row=(1,)), ticket(row=(2,))
+        assert control.admit(mine) is True
+        fill = watch_fill(control)
+        taker, taken = self.lone_take(control)
+        assert fill.waiting.wait(timeout=5)
+        assert control.admit(company) is False  # notifies the combiner
+        taker.join(timeout=5)
+        assert not taker.is_alive()
+        assert taken == [[mine, company]]
+
+    def test_close_releases_a_lone_ticket(self):
+        control = AdmissionController(max_queue=8)
+        mine = ticket()
+        control.admit(mine)
+        fill = watch_fill(control)
+        taker, taken = self.lone_take(control)
+        assert fill.waiting.wait(timeout=5)
+        control.close()
+        taker.join(timeout=5)
+        assert not taker.is_alive()
+        assert taken == [[mine]]
+
+    def test_max_batch_one_never_waits(self):
+        control = AdmissionController(max_queue=8)
+        mine = ticket()
+        control.admit(mine)
+        watch_fill(control, forbid=True)
+        assert control.take("d", max_batch=1, max_wait_ms=30_000) \
+            == [mine]
+
+    def test_a_pair_goes_at_once_capped_at_max_batch(self):
+        control = AdmissionController(max_queue=8)
+        tickets = [ticket(row=(i,)) for i in range(3)]
+        for each in tickets:
+            control.admit(each)
+        watch_fill(control, forbid=True)
+        assert control.take("d", max_batch=2, max_wait_ms=30_000) \
+            == tickets[:2]
+        assert control.take("d", max_batch=8, max_wait_ms=0) \
+            == tickets[2:]
+
+    def test_two_concurrent_requests_do_not_wait_out_the_window(self):
+        obs = Observability(enabled=True)
+        frontend = FrontendServer(RecordingBackend(), obs=obs,
+                                  max_wait_ms=30_000)
+        results, started = {}, threading.Barrier(2)
+
+        def call(key):
+            started.wait()
+            results[key] = frontend.request("d", (key,))
+
+        threads = [threading.Thread(target=call, args=(key,), daemon=True)
+                   for key in (1, 2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=5)
+        assert not [thread for thread in threads if thread.is_alive()]
+        frontend.close()
+        assert results == {key: {"deployment": "d", "row": (key,)}
+                           for key in (1, 2)}
+        assert obs.registry.get("serving.batches").value == 1
+
+    def test_tickets_queued_during_a_batch_go_in_the_next(self):
+        sizes, queued = [], threading.Semaphore(0)
+        later = []
+
+        class Backend(PerRowBatch):
+            def request(self, name, row):
+                return {"row": tuple(row)}
+
+            def request_batch(self, name, rows, deadlines):
+                sizes.append(len(rows))
+                if len(sizes) == 1:  # queue two behind this batch
+                    for key in (3, 4):
+                        later.append(threading.Thread(
+                            target=call, args=(key,), daemon=True))
+                        later[-1].start()
+                    for _ in range(2):
+                        assert queued.acquire(timeout=5)
+                return super().request_batch(name, rows, deadlines)
+
+        frontend = FrontendServer(Backend(), max_wait_ms=30_000)
+        admit = frontend._admission.admit
+
+        def counting_admit(each):
+            combine = admit(each)
+            if each.row[0] in (3, 4):
+                queued.release()
+            return combine
+        frontend._admission.admit = counting_admit
+        results = {}
+
+        def call(key):
+            results[key] = frontend.request("d", (key,))
+
+        first = [threading.Thread(target=call, args=(key,), daemon=True)
+                 for key in (1, 2)]
+        for thread in first:
+            thread.start()
+        for thread in first:
+            thread.join(timeout=5)
+        for thread in later:  # started inside the first batch
+            thread.join(timeout=5)
+        assert not [thread for thread in first + later
+                    if thread.is_alive()]
+        frontend.close()
+        assert sizes == [2, 2]
+        assert results == {key: {"row": (key,)} for key in (1, 2, 3, 4)}
+
+
+# ---------------------------------------------------------------------
 # the frontend over fake backends
 
 

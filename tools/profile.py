@@ -47,8 +47,12 @@ tier:
   server, and how often each side is woken.  Its limit: one CPU and
   one connection, so the server's threads take turns and never run
   side by side — it measures CPU spent, and cannot show a saving that
-  comes from fewer thread hops or from overlap (perfbench's pair phase
-  can).  Then, in this process over the same data, a warm split that
+  comes from fewer thread hops or from overlap.  So a pair segment
+  follows, perfbench's pair phase in small: the workload's 90/10 mix on
+  two connections, each on its own generator thread over its own half
+  of the keys, ``--rounds`` ops each, printing the ops per second, the
+  server's CPU per op and the mean batch the frontend ran.  Then, in
+  this process over the same data, a warm split that
   places a saving layer by layer: the median µs per read of the same
   rows (at most 5,000) at ``NameServer.request_batch`` of one row, at a
   ``FrontendServer(max_wait_ms=0)`` over it (no batch window, so no
@@ -409,16 +413,27 @@ def counter_deltas(before, after):
 def serve_wire(spec_path):
     """The ``--serve`` child: perfbench's stack built from a launcher
     spec.  Prints its port, then answers every stdin line with
-    ``{native thread id: thread name}``; stdin closing stops it."""
+    ``{"threads": {native thread id: thread name}, "batches": [batches
+    run, rows in them]}``; stdin closing stops it."""
     from perfbench.server import Stack
     with open(spec_path, encoding="utf-8") as handle:
         stack = Stack(json.load(handle))
+    batches = [0, 0]
+    request_batch = stack.frontend._request_batch
+
+    def counted(name, rows, deadlines):
+        batches[0] += 1
+        batches[1] += len(rows)
+        return request_batch(name, rows, deadlines)
+
+    stack.frontend._request_batch = counted
     try:
         print(json.dumps({"port": stack.port}), flush=True)
         for _line in sys.stdin:
-            print(json.dumps({thread.native_id: thread.name
-                              for thread in threading.enumerate()}),
-                  flush=True)
+            print(json.dumps({"threads": {
+                thread.native_id: thread.name
+                for thread in threading.enumerate()},
+                "batches": batches}), flush=True)
     finally:
         stack.close()
     return 0
@@ -447,11 +462,14 @@ def profile_wire(rounds):
         try:
             port = json.loads(child.stdout.readline())["port"]
 
-            def thread_names():
+            def ask():
                 child.stdin.write("threads\n")
                 child.stdin.flush()
-                return {int(tid): name for tid, name
-                        in json.loads(child.stdout.readline()).items()}
+                return json.loads(child.stdout.readline())
+
+            def thread_names():
+                return {int(tid): name
+                        for tid, name in ask()["threads"].items()}
 
             connection = loadgen.connect(port)
             measured = []
@@ -474,14 +492,66 @@ def profile_wire(rounds):
                 measured.append(("write" if writes else "read", wrong, wall,
                                  server, client, names))
             connection.close()
+            pair = wire_pair(model, port, child.pid, ask, rounds)
         finally:
             child.stdin.close()
             child.wait(timeout=60)
 
     for kind, wrong, wall, server, client, names in measured:
         print_wire_table(kind, rounds, wrong, wall, server, client, names)
+    print_wire_pair(rounds, *pair)
     print_wire_split(rounds)
     return 0
+
+
+def wire_pair(model, port, server_pid, ask, rounds):
+    """perfbench's pair phase in small: the workload's mix on two
+    connections, each closed-loop on its own generator thread over its
+    own half of the keys, ``rounds`` ops each.  Returns the ops that
+    answered wrong, the wall seconds, the server's CPU seconds and the
+    batches and rows the frontend ran meanwhile."""
+    from perfbench import loadgen
+    connections = [loadgen.connect(port) for _ in range(2)]
+    streams = [model.ops(stream, 2) for stream in range(2)]
+    for connection, ops in zip(connections, streams):
+        for _ in range(WIRE_WARMUP_OPS):
+            loadgen.run_op(connection, next(ops))
+    wrong = [0, 0]
+    start = threading.Barrier(3)
+
+    def drive(index):
+        start.wait()
+        connection, ops = connections[index], streams[index]
+        wrong[index] = sum(not loadgen.run_op(connection, next(ops))[1]
+                           for _ in range(rounds))
+
+    threads = [threading.Thread(target=drive, args=(index,))
+               for index in range(2)]
+    for thread in threads:
+        thread.start()
+    batches_before = ask()["batches"]
+    server_before = sum(counters[0] for counters
+                        in thread_counters(server_pid).values())
+    start.wait()
+    started = time.perf_counter()
+    for thread in threads:
+        thread.join()
+    wall = time.perf_counter() - started
+    server_ns = sum(counters[0] for counters
+                    in thread_counters(server_pid).values()) - server_before
+    batches = [after - before for after, before
+               in zip(ask()["batches"], batches_before)]
+    for connection in connections:
+        connection.close()
+    return sum(wrong), wall, server_ns / 1e9, batches
+
+
+def print_wire_pair(rounds, wrong, wall, server_s, batches):
+    ops = 2 * rounds
+    print(f"=== wire path, wire_point, pair: 2 connections x {rounds} ops "
+          f"({wrong} wrong), {ops / wall:.0f} ops/s, "
+          f"{server_s * 1e3 / ops:.4f} server CPU-ms/op, mean batch "
+          f"{batches[1] / max(batches[0], 1):.2f} ===")
 
 
 def wire_split(rounds):
