@@ -12,14 +12,18 @@ is always instrumented.  Per request:
    engine runs too: the newest matching tuple is the last element of
    the key's time-ordered array, and a residual condition walks a
    growing newest prefix of the key's blocks (``index.seek`` span).
-2. For every window, fetch the window as column blocks from the storage
-   layer's chunked ``window_scan_blocks`` (``window.scan``; window
-   unions merge several tables' block streams newest-first) and reduce
-   them with the window's **fold** (``agg.fold``).  A long window's
-   blocks are mostly spans and sealed blocks carrying memoized
-   summaries, so the fold is Section 5.1's query refinement: summaries
-   in the middle, raw rows only at the two edges.  Every window on
-   every host takes this one path.
+2. For every group of windows that share a scan
+   (:attr:`CompiledQuery.scans`), fetch the widest window as column
+   blocks from the storage layer's chunked ``window_scan_blocks``
+   (``window.scan``; window unions merge several tables' block streams
+   newest-first) — one storage read per key, however many windows nest
+   in it.  Each narrower window of the group takes a newest-first cut
+   of those blocks (:func:`_trim`: whole blocks pass through, one is
+   sliced).  Every window's blocks are reduced with its **fold**
+   (``agg.fold``).  A long window's blocks are mostly spans and sealed
+   blocks carrying memoized summaries, so the fold is Section 5.1's
+   query refinement: summaries in the middle, raw rows only at the two
+   edges.  Every window on every host takes this one path.
 3. Project the output row (``encode``).
 
 The engine keeps no per-request state across calls; window state lives
@@ -39,15 +43,17 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from typing import (Any, Dict, List, Mapping, Optional, Sequence)
+from bisect import bisect_left
+from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ExecutionError
 from ..obs import NULL_OBS, Observability
 from ..schema import Row
 from ..serving.deadline import current_deadline
 from ..sql.compiler import CompiledQuery, CompiledWindow
+from ..sql.planner import WindowPlan
 from ..storage.memtable import normalize_ts
-from ..storage.skiplist import ColumnBlock
+from ..storage.skiplist import ColumnBlock, SealedSpan
 
 __all__ = ["OnlineEngine", "EngineStats"]
 
@@ -187,28 +193,40 @@ class OnlineEngine:
                 raise ExecutionError(
                     "request tuple filtered out by WHERE predicate")
 
-            # Window aggregates, with row fetches shared between windows
-            # that the compiler recognised as identical definitions.
+            # Window aggregates: one storage scan per group of windows
+            # the compiler found sharing one (``compiled.scans``); its
+            # narrower windows cut the scanned run.
             aggregate_values: List[Any] = [None] * compiled.aggregate_count
-            fetched: Dict[str, List[ColumnBlock]] = {}
-            for name, window, scan in compiled.running_windows:
-                if deadline is not None:
-                    deadline.check("request")
-                # Merged siblings share a scan but carry distinct
-                # aggregate slots.
-                blocks = fetched.get(scan)
-                if blocks is None:
-                    rows_before = counters.rows_scanned
-                    with span_of("window.scan", window=name) as span:
-                        blocks = fetched[scan] = self._window_blocks(
-                            compiled, window, validated, counters)
-                        span.set_tag(rows=counters.rows_scanned
-                                     - rows_before)
-                with span_of("agg.fold", window=name):
-                    results, summarized = window.compute_blocks(blocks)
-                counters.summary_blocks += summarized
-                for slot, value in results.items():
-                    aggregate_values[slot] = value
+            for scan in compiled.scans:
+                stored: Optional[List[ColumnBlock]] = None
+                for name, window, cut in scan:
+                    if deadline is not None:
+                        deadline.check("request")
+                    plan = window.plan
+                    anchor_ts = normalize_ts(window.order_value(validated))
+                    end_ts, limit = _frame_bounds(plan, anchor_ts)
+                    if stored is None:
+                        with span_of("window.scan", window=name) as span:
+                            blocks = stored = self._scan(
+                                compiled, window, validated, anchor_ts,
+                                end_ts, limit)
+                            rows = sum(map(len, stored))
+                            counters.rows_scanned += rows
+                            counters.scan_blocks += len(stored)
+                            span.set_tag(rows=rows)
+                    else:
+                        blocks = _trim(stored, end_ts, limit) if cut \
+                            else stored
+                    if not plan.exclude_current_row:
+                        blocks = [ColumnBlock.of_row(anchor_ts, validated),
+                                  *blocks]
+                    if plan.maxsize is not None:
+                        blocks = _trim(blocks, None, plan.maxsize)
+                    with span_of("agg.fold", window=name):
+                        results, summarized = window.compute_blocks(blocks)
+                    counters.summary_blocks += summarized
+                    for slot, value in results.items():
+                        aggregate_values[slot] = value
             extended = combined_tuple + tuple(aggregate_values)
             with span_of("encode"):
                 projected = compiled.project(extended)
@@ -223,48 +241,11 @@ class OnlineEngine:
     # ------------------------------------------------------------------
     # windows
 
-    def _window_blocks(self, compiled: CompiledQuery,
-                       window: CompiledWindow, request_row: Row,
-                       counters: _RequestCounters) -> List[ColumnBlock]:
-        """Fetch a window as newest-first blocks, request row first."""
-        plan = window.plan
-        primary = compiled.plan.table
-        key = window.partition_key(request_row)
-        anchor_ts = normalize_ts(window.order_value(request_row))
-        if plan.is_range_frame:
-            end_ts: Optional[int] = anchor_ts - plan.range_preceding_ms
-            limit: Optional[int] = None
-        elif plan.rows_preceding is not None:
-            end_ts = None
-            limit = plan.rows_preceding - 1  # preceding rows only
-        else:
-            end_ts = None
-            limit = None
-
-        # INSTANCE_NOT_IN_WINDOW: stored instance-table rows never enter
-        # the window — only union-table rows (the request row itself
-        # still participates unless EXCLUDE CURRENT_ROW).
-        sources = [] if plan.instance_not_in_window \
-            else [self._tables[primary]]
-        sources.extend(self._tables[union_table]
-                       for union_table in plan.union_tables)
-        stored = self._fetch_stored_blocks(
-            sources, window, key, anchor_ts, end_ts, limit)
-        counters.rows_scanned += sum(map(len, stored))
-        counters.scan_blocks += len(stored)
-
-        blocks: List[ColumnBlock] = [] if plan.exclude_current_row \
-            else [ColumnBlock.of_row(anchor_ts, request_row)]
-        blocks.extend(stored)
-        if plan.maxsize is not None:
-            blocks = _cap_blocks(blocks, plan.maxsize)
-        return blocks
-
-    def _fetch_stored_blocks(self, sources: List[Any],
-                             window: CompiledWindow, key: Any,
-                             anchor_ts: int, end_ts: Optional[int],
-                             limit: Optional[int]) -> List[ColumnBlock]:
-        """Scan the window's sources into newest-first blocks.
+    def _scan(self, compiled: CompiledQuery, window: CompiledWindow,
+              request_row: Row, anchor_ts: int, end_ts: Optional[int],
+              limit: Optional[int]) -> List[ColumnBlock]:
+        """Read a window's stored rows as newest-first blocks: ``ts`` in
+        ``[end_ts, anchor_ts]``, the ``limit`` newest.
 
         A single-source window hands the storage layer's blocks to the
         fold unchanged — memtables, disk tables and cluster table views
@@ -274,6 +255,14 @@ class OnlineEngine:
         if limit is not None and limit <= 0:
             return []  # e.g. ROWS BETWEEN 0 PRECEDING: only the request row
         plan = window.plan
+        key = window.partition_key(request_row)
+        # INSTANCE_NOT_IN_WINDOW: stored instance-table rows never enter
+        # the window — only union-table rows (the request row itself
+        # still participates unless EXCLUDE CURRENT_ROW).
+        sources = [] if plan.instance_not_in_window \
+            else [self._tables[compiled.plan.table]]
+        sources.extend(self._tables[union_table]
+                       for union_table in plan.union_tables)
         if len(sources) == 1:
             return sources[0].window_scan_blocks(
                 plan.partition_columns, plan.order_column, key,
@@ -288,16 +277,49 @@ class OnlineEngine:
         return [merged] if len(merged) else []
 
 
-def _cap_blocks(blocks: List[ColumnBlock],
-                maxsize: int) -> List[ColumnBlock]:
-    """Truncate a block list to at most ``maxsize`` total rows."""
-    capped: List[ColumnBlock] = []
-    remaining = maxsize
-    for block in blocks:
-        if remaining <= 0:
+def _frame_bounds(plan: WindowPlan, anchor_ts: int
+                  ) -> Tuple[Optional[int], Optional[int]]:
+    """``(end_ts, limit)`` of a window's stored rows: the oldest ``ts`` a
+    ``ROWS_RANGE`` frame keeps, the preceding rows a ``ROWS`` frame
+    keeps (None: no bound)."""
+    if plan.range_preceding_ms is not None:
+        return anchor_ts - plan.range_preceding_ms, None
+    if plan.rows_preceding is not None:
+        return None, plan.rows_preceding - 1
+    return None, None
+
+
+def _trim(blocks: Sequence[ColumnBlock], end_ts: Optional[int],
+          limit: Optional[int]) -> List[ColumnBlock]:
+    """The newest run of newest-first ``blocks`` with ``ts >= end_ts``
+    (the bound ``_TimeList.scan_blocks`` bisects to), capped to its
+    ``limit`` newest tuples.
+
+    It walks as the storage scan does: a block the run covers whole
+    goes through as it is — a sealed one with its memoized summaries —
+    a span the run ends in is opened into its blocks, and only the
+    block the run ends in is sliced.
+    """
+    kept: List[ColumnBlock] = []
+    pending = list(reversed(blocks))  # oldest first; the walk pops the newest
+    while pending:
+        block = pending.pop()
+        stamps = block._ts
+        size = len(stamps)
+        lo = 0
+        if end_ts is not None and size and stamps[0] < end_ts:
+            lo = bisect_left(stamps, end_ts)
+        if limit is not None:
+            lo = max(lo, size - limit)
+        if not lo:
+            kept.append(block)
+            if limit is not None:
+                limit -= size
+        elif lo >= size:
             break
-        if len(block) > remaining:
-            block = block.newest(remaining)
-        capped.append(block)
-        remaining -= len(block)
-    return capped
+        elif isinstance(block, SealedSpan):
+            pending.extend(block.blocks)
+        else:
+            kept.append(block.part(lo, size))
+            break
+    return kept

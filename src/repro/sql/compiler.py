@@ -4,8 +4,9 @@ This is the reproduction of the paper's LLVM/JIT layer.  Three of its
 compilation optimisations appear here explicitly:
 
 * **Parsing optimisation** — identical aggregate calls were already merged
-  by the planner; identical window definitions share one
-  :class:`CompiledWindow` evaluation.
+  by the planner; windows that read the same partition of the same
+  sources share one storage scan per request (:func:`_shared_scans`):
+  the widest frame's, which narrower frames cut.
 * **Cycle binding** — aggregates over the same argument expressions share
   *intermediate state*: ``sum``/``count``/``avg`` over one column fold a
   single ``(total, count)`` accumulator; ``min``/``max``/``distinct_count``
@@ -26,6 +27,7 @@ consistency guarantee).  A LAST JOIN is one body for both:
 from __future__ import annotations
 
 import dataclasses
+import math
 import threading
 import time
 from collections import Counter
@@ -119,15 +121,16 @@ def _pieces(group: "_StateGroup", blocks: Sequence[ColumnBlock],
             row_views: Sequence[List[Row]]) -> List[Any]:
     """The group's argument over each block, oldest block first: a
     sealed block's memoized ``summarize`` result when the group has one,
-    else the column slice of a bare column or the expression over the
+    else a bare column as the block holds it (an ``array``, a tuple, a
+    span's list — never changed here) or the expression over the
     rows."""
     position, summarize = group.position, group.summarize
     if position is None:
         return [list(map(group.scalar_fn, rows)) for rows in row_views]
     if summarize is None:
-        return [block.column(position) for block in blocks]
+        return [block.values(position) for block in blocks]
     return [block.summary(position, summarize) if block.sealed
-            else block.column(position) for block in blocks]
+            else block.values(position) for block in blocks]
 
 
 @dataclasses.dataclass
@@ -156,7 +159,7 @@ class _StateGroup:
     family: str
     scalar_fn: RowFn
     #: The argument's position in the row when it is a bare column — the
-    #: fold then reads the block's column slice instead of its rows.
+    #: fold then reads the block's column instead of its rows.
     position: Optional[int]
     #: The bare column's type; None for an expression argument.
     column_type: Optional[ColumnType]
@@ -180,7 +183,7 @@ class CompiledWindow:
     Compilation emits exactly one **fold closure** per window.  Order-
     insensitive single-argument aggregates are cycle-bound into state
     groups, and each group is reduced a block at a time by C-level
-    builtins over a *column* of the block: a copy of the block's column
+    builtins over a *column* of the block: the block's column as held
     when the argument is a bare column, otherwise the argument expression
     mapped over the block's zipped row view.  Everything else walks that row
     view through the :class:`AggregateFunction` protocol.
@@ -496,6 +499,63 @@ class CompiledJoin:
             limit *= 8
 
 
+def _reach(plan: WindowPlan) -> Tuple[str, float]:
+    """A frame's kind and how far back it reaches: ``("rows", count)``,
+    ``("range", ms)`` or ``("unbounded", inf)``."""
+    if plan.rows_preceding is not None:
+        return "rows", plan.rows_preceding
+    if plan.range_preceding_ms is not None:
+        return "range", plan.range_preceding_ms
+    return "unbounded", math.inf
+
+
+#: One storage scan a request makes: its windows as ``(name, window,
+#: cut)``, the scanned (widest) one first.  ``cut`` marks a narrower
+#: frame, which takes a newest-first cut of the scan; the others read it
+#: whole.
+SharedScan = Tuple[Tuple[str, CompiledWindow, bool], ...]
+
+
+def _shared_scans(running: Sequence[Tuple[str, CompiledWindow]]
+                  ) -> Tuple[SharedScan, ...]:
+    """Group windows into one storage scan each (the plan-level window
+    merge of Section 5).
+
+    Windows over the same partition columns, order column and sources
+    read the same newest-first run of one key, each up to its own
+    frame's bound — ``EXCLUDE CURRENT_ROW`` and ``MAXSIZE`` act on that
+    run afterwards, so they share too.  Frames of one kind nest: the
+    widest ``ROWS_RANGE`` frame's run holds every narrower one's as a
+    newest prefix (cut by ``ts``), the longest ``ROWS`` frame's every
+    shorter one's (cut by count).  An unbounded frame's run holds any
+    frame's, so it serves both kinds; without one a ``ROWS`` and a
+    ``ROWS_RANGE`` frame scan apart.  The widest window (the first
+    declared on a tie) is scanned; the others cut its run unless their
+    frame is the same.
+    """
+    classes: Dict[Tuple[Any, ...], List[Tuple[str, CompiledWindow]]] = {}
+    for name, window in running:
+        plan = window.plan
+        classes.setdefault(
+            (plan.partition_columns, plan.order_column,
+             plan.instance_not_in_window, plan.union_tables),
+            []).append((name, window))
+    scans = []
+    for members in classes.values():
+        reaches = {name: _reach(window.plan) for name, window in members}
+        unbounded = any(kind == "unbounded" for kind, _ in reaches.values())
+        groups: Dict[str, List[Tuple[str, CompiledWindow]]] = {}
+        for name, window in members:
+            kind = "unbounded" if unbounded else reaches[name][0]
+            groups.setdefault(kind, []).append((name, window))
+        for group in groups.values():
+            widest = max(group, key=lambda member: reaches[member[0]][1])
+            scans.append(((*widest, False),) + tuple(
+                (name, window, reaches[name] != reaches[widest[0]])
+                for name, window in group if name != widest[0]))
+    return tuple(scans)
+
+
 class CompiledQuery:
     """The full compiled artefact shared by both engines."""
 
@@ -513,28 +573,18 @@ class CompiledQuery:
             # Allow both alias- and name-qualified references.
             window_scope.add_alias(plan.table, plan.table_alias)
 
-        self.windows: Dict[str, CompiledWindow] = {}
-        window_signatures: Dict[Tuple[Any, ...], str] = {}
-        self.merged_windows: Dict[str, str] = {}
-        for name, window_plan in plan.windows.items():
-            # Parsing optimisation: identical window definitions (same
-            # partition/order/frame/union) share a signature; engines may
-            # fetch their rows once.
-            spec = window_plan.spec
-            signature = (spec.partition_by, spec.order_by, spec.frame_type,
-                         spec.start, spec.end, spec.union_tables,
-                         spec.exclude_current_row, spec.maxsize)
-            original = window_signatures.setdefault(signature, name)
-            if original != name:
-                self.merged_windows[name] = original
-            self.windows[name] = CompiledWindow(
-                window_plan, plan.table_schema, window_scope)
-        #: ``(name, window, the window whose scan it shares)`` for each
-        #: window with aggregates — the ones a request runs.
-        self.running_windows: Tuple[Tuple[str, CompiledWindow, str], ...] = \
-            tuple((name, window, self.merged_windows.get(name, name))
-                  for name, window in self.windows.items()
+        self.windows: Dict[str, CompiledWindow] = {
+            name: CompiledWindow(window_plan, plan.table_schema,
+                                 window_scope)
+            for name, window_plan in plan.windows.items()}
+        #: ``(name, window)`` for each window with aggregates — the ones
+        #: a request runs — in declaration order.
+        self.running_windows: Tuple[Tuple[str, CompiledWindow], ...] = \
+            tuple((name, window) for name, window in self.windows.items()
                   if window.aggregates)
+        #: The storage scans a request makes (see :data:`SharedScan`).
+        self.scans: Tuple[SharedScan, ...] = _shared_scans(
+            self.running_windows)
 
         # Combined-row scope: primary columns then each join's columns.
         combined = Scope()
@@ -592,6 +642,12 @@ class CompiledQuery:
         self.output_names = plan.output_names
         if len(self.output_names) != len(self.projections):
             raise CompileError("projection/output name arity mismatch")
+
+    def shared_reads(self) -> Dict[str, str]:
+        """``{window: "reuses w" or "cut from w"}`` for each window that
+        reads window ``w``'s scan (what EXPLAIN prints)."""
+        return {name: f"{'cut from' if cut else 'reuses'} {scan[0][0]}"
+                for scan in self.scans for name, _window, cut in scan[1:]}
 
     def _star_slots(self, star: ast.Star, combined: Scope) -> List[RowFn]:
         if star.table is None:
@@ -767,7 +823,8 @@ def explain(compiled: CompiledQuery, table_indexes: TableIndexes) -> str:
     serves — a deployment would be rejected — shows as ``none``."""
     plan = compiled.plan
     lines = [f"Project({', '.join(compiled.output_names)})"]
-    running = [name for name, _window, _scan in compiled.running_windows]
+    running = [name for name, _window in compiled.running_windows]
+    shared = compiled.shared_reads()
     indent = "  "
     if len(running) > 1:
         lines.append(f"  ConcatJoin({', '.join(running)}) over "
@@ -789,8 +846,8 @@ def explain(compiled: CompiledQuery, table_indexes: TableIndexes) -> str:
             if calls:
                 details.append(f"{path}: {', '.join(calls)}")
         details.append(f"state_groups: {window.state_groups}")
-        if name in compiled.merged_windows:
-            details.append(f"reuses: {compiled.merged_windows[name]}")
+        if name in shared:
+            details.append(f"scan: {shared[name]}")
         details.append("skew: carry end states" if window.carry_eligible
                        else "skew: expand rows")
         lines.extend(f"{indent}  {detail}" for detail in details)

@@ -110,8 +110,8 @@ class ColumnBlock:
     sequence per value position (``width`` None: one column of opaque
     payloads), each oldest → newest — the order float sums and
     ``Counter`` insertion must run in.  The columns are never changed:
-    :meth:`column` copies one into a fresh list and :meth:`rows` zips
-    them back into tuples.
+    :meth:`values` hands one out as held, :meth:`column` copies one into
+    a fresh list and :meth:`rows` zips them back into tuples.
 
     Row-walking consumers see the same thing as before: ``len()`` is the
     row count and iteration yields ``(ts, row)`` pairs **newest-first**.
@@ -174,25 +174,22 @@ class ColumnBlock:
             return list(self._columns[0])
         return list(zip(*self._columns))
 
-    def _values(self, position: int) -> Sequence[Any]:
-        """One column as held: shared, so never to be changed."""
+    def values(self, position: int) -> Sequence[Any]:
+        """One column as held, oldest → newest (an ``array``, a tuple, a
+        span's list): shared, so never to be changed."""
         return self._columns[position]
 
     def column(self, position: int) -> List[Any]:
         """One column's values, oldest → newest, in a fresh list."""
-        values = self._values(position)
+        values = self.values(position)
         return values.tolist() if type(values) is array else list(values)
 
     def part(self, lo: int, hi: int) -> "ColumnBlock":
-        """Tuples ``lo`` up to ``hi`` as a block of their own."""
+        """Tuples ``lo`` up to ``hi`` as a block of their own (never
+        called on a span: a cut opens it into its blocks)."""
         return ColumnBlock(self._ts[lo:hi],
                            tuple(values[lo:hi] for values in self._columns),
                            self._width)
-
-    def newest(self, count: int) -> "ColumnBlock":
-        """The ``count`` newest tuples as a block of their own."""
-        size = len(self._ts)
-        return self.part(size - count, size)
 
 
 class SealedBlock(ColumnBlock):
@@ -221,9 +218,9 @@ class SealedBlock(ColumnBlock):
         (None) is answered with the column."""
         memo, key = self._memo, (position, reduce)
         if key not in memo:
-            memo[key] = reduce(self._values(position))
+            memo[key] = reduce(self.values(position))
         found = memo[key]
-        return self.column(position) if found is None else found
+        return self.values(position) if found is None else found
 
 
 class SealedSpan(SealedBlock):
@@ -245,16 +242,11 @@ class SealedSpan(SealedBlock):
     def rows(self) -> List[Any]:
         return [row for block in self.blocks for row in block.rows()]
 
-    def _values(self, position: int) -> List[Any]:
+    def values(self, position: int) -> List[Any]:
         values: List[Any] = []
         for block in self.blocks:
-            values += block._values(position)
+            values += block.values(position)
         return values
-
-    def part(self, lo: int, hi: int) -> ColumnBlock:
-        return ColumnBlock(self._ts, tuple(
-            self._values(position) for position in range(self._width or 1)),
-            self._width).part(lo, hi)
 
 
 def _first_block_past(blocks: List[ColumnBlock], ts: int, edge: int) -> int:

@@ -82,24 +82,60 @@ class TestCycleBinding:
         assert results[0] == pytest.approx(0.5)
 
 
+def shared_scans(compiled):
+    """``compiled.scans`` as ``[[(name, cut), ...], ...]``."""
+    return [[(name, cut) for name, _window, cut in scan]
+            for scan in compiled.scans]
+
+
+def two_windows(first, second, catalog, union=""):
+    return compiled_for(
+        "SELECT sum(v) OVER w1 AS a, sum(w) OVER w2 AS b FROM t "
+        f"WINDOW w1 AS ({union}PARTITION BY key ORDER BY ts {first}), "
+        f"w2 AS (PARTITION BY key ORDER BY ts {second})", catalog)
+
+
 class TestMergedWindows:
     def test_identical_definitions_share_signature(self, catalog):
-        compiled = compiled_for(
-            "SELECT sum(v) OVER w1 AS a, sum(w) OVER w2 AS b FROM t "
-            "WINDOW w1 AS (PARTITION BY key ORDER BY ts "
-            "ROWS BETWEEN 9 PRECEDING AND CURRENT ROW), "
-            "w2 AS (PARTITION BY key ORDER BY ts "
-            "ROWS BETWEEN 9 PRECEDING AND CURRENT ROW)", catalog)
-        assert compiled.merged_windows == {"w2": "w1"}
+        compiled = two_windows(
+            "ROWS BETWEEN 9 PRECEDING AND CURRENT ROW",
+            "ROWS BETWEEN 9 PRECEDING AND CURRENT ROW", catalog)
+        assert shared_scans(compiled) == [[("w1", False), ("w2", False)]]
 
     def test_different_frames_not_merged(self, catalog):
-        compiled = compiled_for(
-            "SELECT sum(v) OVER w1 AS a, sum(w) OVER w2 AS b FROM t "
-            "WINDOW w1 AS (PARTITION BY key ORDER BY ts "
-            "ROWS BETWEEN 9 PRECEDING AND CURRENT ROW), "
-            "w2 AS (PARTITION BY key ORDER BY ts "
-            "ROWS BETWEEN 5 PRECEDING AND CURRENT ROW)", catalog)
-        assert compiled.merged_windows == {}
+        # A ROWS and a ROWS_RANGE frame bound different runs.
+        compiled = two_windows(
+            "ROWS BETWEEN 9 PRECEDING AND CURRENT ROW",
+            "ROWS_RANGE BETWEEN 5s PRECEDING AND CURRENT ROW", catalog)
+        assert shared_scans(compiled) == [[("w1", False)], [("w2", False)]]
+
+    @pytest.mark.parametrize("first, second, scans", [
+        # The widest of one kind is scanned, first declared or not.
+        ("ROWS BETWEEN 5 PRECEDING AND CURRENT ROW",
+         "ROWS BETWEEN 9 PRECEDING AND CURRENT ROW",
+         [[("w2", False), ("w1", True)]]),
+        ("ROWS_RANGE BETWEEN 20s PRECEDING AND CURRENT ROW",
+         "ROWS_RANGE BETWEEN 2s PRECEDING AND CURRENT ROW MAXSIZE 3 "
+         "EXCLUDE CURRENT_ROW",
+         [[("w1", False), ("w2", True)]]),
+        # An unbounded frame serves either kind.
+        ("ROWS BETWEEN 5 PRECEDING AND CURRENT ROW",
+         "ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW",
+         [[("w2", False), ("w1", True)]]),
+        ("ROWS_RANGE BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW",
+         "ROWS_RANGE BETWEEN 2s PRECEDING AND CURRENT ROW",
+         [[("w1", False), ("w2", True)]]),
+    ])
+    def test_nested_frames_cut_the_widest(self, catalog, first, second,
+                                          scans):
+        assert shared_scans(two_windows(first, second, catalog)) == scans
+
+    def test_other_sources_scan_apart(self, catalog):
+        compiled = two_windows(
+            "ROWS BETWEEN 9 PRECEDING AND CURRENT ROW",
+            "ROWS BETWEEN 5 PRECEDING AND CURRENT ROW", catalog,
+            union="UNION t2 ")
+        assert shared_scans(compiled) == [[("w1", False)], [("w2", False)]]
 
 
 class TestCompilationCache:

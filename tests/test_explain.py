@@ -46,10 +46,17 @@ Project(a, e, b, c, x)
       index: idx_k_ts (t)
       summary: count(v)
       state_groups: 1
-      reuses: w1
+      scan: reuses w1
       skew: expand rows
   LastJoin(dim) index=idx_k_dts on t.k = dim.k
   DataProvider(t)"""
+
+NESTED = (
+    "SELECT sum(v) OVER wl AS a, max(v) OVER ws AS b FROM t WINDOW "
+    "wl AS (PARTITION BY k ORDER BY ts "
+    "ROWS_RANGE BETWEEN 20s PRECEDING AND CURRENT ROW), "
+    "ws AS (PARTITION BY k ORDER BY ts "
+    "ROWS_RANGE BETWEEN 2s PRECEDING AND CURRENT ROW MAXSIZE 5)")
 
 SUMMARY = ("SELECT k, sum(v) OVER w AS s, max(v) OVER w AS m FROM t WINDOW "
            "w AS (PARTITION BY k ORDER BY ts "
@@ -96,6 +103,23 @@ Project(k, s, m)
     summary: sum(v), max(v)
     state_groups: 2
     skew: carry end states
+  DataProvider(t)"""
+
+    def test_nested_window_is_cut_from_the_widest(self):
+        assert make_db().explain(NESTED) == """\
+Project(a, b)
+  ConcatJoin(wl, ws) over SimpleProject(+index)
+    WindowAgg(wl) ROWS_RANGE 20000ms PRECEDING
+      index: idx_k_ts (t)
+      summary: sum(v)
+      state_groups: 1
+      skew: expand rows
+    WindowAgg(ws) ROWS_RANGE 2000ms PRECEDING, MAXSIZE 5
+      index: idx_k_ts (t)
+      summary: max(v)
+      state_groups: 1
+      scan: cut from wl
+      skew: expand rows
   DataProvider(t)"""
 
     def test_union_window_names_every_source(self):
@@ -153,8 +177,9 @@ Project(k, s, m)
             assert f"state_groups: {window.state_groups}" in details
             assert ("skew: carry end states" in details) \
                 == window.carry_eligible
-            reuses = compiled.merged_windows.get(name)
-            assert (f"reuses: {reuses}" in details) == (reuses is not None)
+            reads = compiled.shared_reads()
+            assert [line for line in details if line.startswith("scan:")] \
+                == ([f"scan: {reads[name]}"] if name in reads else [])
 
 
 class TestTruth:
@@ -173,6 +198,21 @@ class TestTruth:
         assert "summary: sum(v), max(v)" in window_lines(
             db.explain(SUMMARY), "w")
         assert db.online_engine.stats.summary_blocks > 0
+
+    def test_a_cut_window_opens_no_scan(self):
+        db = OpenMLDB(observability=True)
+        db.execute("CREATE TABLE t (k string, j string, ts timestamp, "
+                   "v double, s string, INDEX(KEY=k, TS=ts))")
+        for index in range(100):
+            db.insert("t", ("a", "x", index * 100, float(index % 7), "s"))
+        assert "scan: cut from wl" in window_lines(db.explain(NESTED), "ws")
+        db.deploy("d", NESTED)
+        db.request("d", ("a", "x", 10_000, 1.0, "s"))
+        spans = [(span["name"], span["tags"].get("window"))
+                 for span in db.obs.tracer.last_trace()]
+        assert ("window.scan", "wl") in spans
+        assert ("window.scan", "ws") not in spans
+        assert ("agg.fold", "ws") in spans
 
     def test_rows_window_reads_no_summary(self):
         db = self._requested(ROWS)

@@ -180,12 +180,6 @@ class TestColumnBlocks:
             == list(merged)[:3]
         assert len(ColumnBlock.merged([[], []], 2)) == 0
 
-    def test_newest_of_a_block(self):
-        block = ColumnBlock.from_pairs(
-            [(3, ("k", 3)), (2, ("k", 2)), (1, ("k", 1))], 2)
-        assert list(block.newest(2)) == [(3, ("k", 3)), (2, ("k", 2))]
-        assert len(block.newest(0)) == 0
-
     def test_row_width_is_enforced(self):
         """A short row would shift every later row of the key by a
         cell; an index told its width refuses it instead."""

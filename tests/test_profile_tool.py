@@ -3,7 +3,9 @@
 Smoke runs at a tiny ``--rounds``: ``--path put`` prints the profile,
 the unprofiled µs per put (in memory and with the WAL) and one line per
 step of a put; ``--path wire`` prints the per-thread tables, the pair
-segment's line and the warm per-boundary split of a read.
+segment's line and the warm per-boundary split of a read; ``--path
+scan`` prints the storage scans per read and each window's scan and
+fold µs.
 """
 
 import pathlib
@@ -58,3 +60,21 @@ def test_wire_path_smoke():
     assert [match and match.group(1) for match in split] \
         == list(BOUNDARIES)
     assert all(float(match.group(2)) > 0 for match in split)
+
+
+def test_scan_path_smoke():
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "profile.py"), "--path",
+         "scan", "--rounds", "30", "--top", "3"],
+        capture_output=True, text=True, timeout=120, check=True)
+    lines = result.stdout.splitlines()
+    (head,) = [index for index, line in enumerate(lines) if re.fullmatch(
+        r"=== scan path — split of 30 traced reads: 1\.00 storage scans "
+        r"per read, [\d.]+ us per read ===", line)]
+    # The 200-row window is a cut of the 2,000-row window's scan.
+    assert re.fullmatch(r"\s+wl\s+scan\s+[\d.]+ us \(\s*[\d.]+ in the "
+                        r"tablet\)\s+fold\s+[\d.]+ us", lines[head + 1])
+    assert re.fullmatch(r"\s+ws\s+cut from wl\s+fold\s+[\d.]+ us",
+                        lines[head + 2])
+    assert re.fullmatch(r"=== scan path — p50 \d+ us over 30 unprofiled "
+                        r"operations ===", lines[-1])

@@ -17,7 +17,13 @@ tier:
   ``scan_heavy`` shape rebuilt here (20 keys x 2,000 rows of ``k, ts, a,
   b, c``, a 2,000-row and a 200-row window, 9 aggregates and a LAST
   JOIN, 3 tablets, ``partitions=4, replicas=2``), read through
-  ``NameServer.request`` at each key's newest timestamp;
+  ``NameServer.request`` at each key's newest timestamp.  After the
+  profile, a split of up to 1,000 of the same reads with the tracer
+  switched on: storage scans per read (tablet-side ``window.scan``
+  spans), the median µs per read, and per window the median µs of its
+  ``window.scan`` span (and of the tablet's span inside it) and of its
+  ``agg.fold`` span — a window cut from another's scan names that
+  window instead of a scan time;
 * ``long`` — one long window in process: Figure 11's shape (one key,
   86,000 hourly rows of a ``double`` ``px``, a 2,000-day window of sum /
   count / max) deployed with ``long_windows``, so the storage fold
@@ -127,6 +133,7 @@ from repro import OpenMLDB                              # noqa: E402
 from repro.cluster import NameServer, TabletServer      # noqa: E402
 from repro.cluster.failover import catch_up             # noqa: E402
 from repro.ctlplane.split import HashRouter, stable_hash  # noqa: E402
+from repro.obs import Observability                     # noqa: E402
 from repro.online.binlog import Replicator              # noqa: E402
 from repro.schema import IndexDef, Schema               # noqa: E402
 from repro.sql.parser import parse                      # noqa: E402
@@ -273,9 +280,11 @@ SCAN_SQL = (
 
 def build_scan_workload(rounds):
     """Long windows on the served path: (NameServer.request, request
-    rows at each key's newest timestamp, close)."""
+    rows at each key's newest timestamp, close, a report of the per-window
+    split)."""
+    obs = Observability(enabled=False)  # the tracer is switched on below
     cluster = NameServer(
-        [TabletServer(f"tablet-{index}") for index in range(3)])
+        [TabletServer(f"tablet-{index}") for index in range(3)], obs=obs)
     cluster.create_table(
         "t", Schema.from_pairs([("k", "bigint"), ("ts", "timestamp"),
                                 ("a", "bigint"), ("b", "bigint"),
@@ -293,13 +302,77 @@ def build_scan_workload(rounds):
                               rng.randrange(10)))
     for key in range(SCAN_KEYS):
         cluster.put("d", (key, SCAN_BASE_TS - 1, rng.randrange(1000)))
-    cluster.deploy("scan", SCAN_SQL)
+    compiled = cluster.deploy("scan", SCAN_SQL)
     newest = SCAN_BASE_TS + (SCAN_ROWS - 1) * SCAN_STEP
     requests = [(rng.randrange(SCAN_KEYS), newest, rng.randrange(10),
                  rng.randrange(10), rng.randrange(10))
                 for _ in range(rounds)]
-    return (lambda row: cluster.request("scan", row)), requests, \
-        cluster.close
+
+    def operation(row):
+        return cluster.request("scan", row)
+
+    def report():
+        print_scan_split(compiled, traced_spans(
+            obs.tracer, operation, requests[:SCAN_SPLIT_READS]))
+    return operation, requests, cluster.close, report
+
+
+#: Reads the ``--path scan`` split traces.
+SCAN_SPLIT_READS = 1_000
+
+
+def traced_spans(tracer, operation, requests):
+    """The spans of ``requests`` read with ``tracer`` switched on: what
+    the one instrumented request path records, and nothing else."""
+    tracer.reset()
+    tracer.enabled = True
+    try:
+        for row in requests:
+            operation(row)
+    finally:
+        tracer.enabled = False
+    spans = tracer.export()
+    tracer.reset()
+    return spans
+
+
+def print_scan_split(compiled, spans):
+    """Storage scans per read and the median µs per read, then each
+    window's median ``window.scan`` µs (and the part of it inside the
+    tablet) and ``agg.fold`` µs.  A window served by a cut of another's
+    scan opens no ``window.scan`` span: it names that window instead."""
+    reads = sum(span["name"] == "deployment.execute" for span in spans)
+    total = statistics.median(
+        span["duration_ms"] * 1_000 for span in spans
+        if span["name"] == "deployment.execute")
+    # The engine's span of a window's read carries the window; the
+    # tablet's span inside it, which is the storage read, the tablet.
+    window_of = {span["span_id"]: span["tags"].get("window")
+                 for span in spans if span["name"] == "window.scan"}
+    durations = {}
+    for span in spans:
+        name, tags = span["name"], span["tags"]
+        if "tablet" in tags and name == "window.scan":
+            key = ("tablet", window_of.get(span["parent_id"]))
+        elif "window" in tags:
+            key = (name, tags["window"])
+        else:
+            continue
+        durations.setdefault(key, []).append(span["duration_ms"] * 1_000)
+    storage = sum(map(len, (values for (kind, _window), values
+                            in durations.items() if kind == "tablet")))
+    print(f"=== scan path — split of {reads} traced reads: "
+          f"{storage / reads:.2f} storage scans per read, "
+          f"{total:.1f} us per read ===")
+    shared = compiled.shared_reads()
+    for name, _window in compiled.running_windows:
+        scan = durations.get(("window.scan", name))
+        fold = statistics.median(durations[("agg.fold", name)])
+        read = f"{shared.get(name, ''):<31}" if not scan else (
+            f"scan {statistics.median(scan):6.1f} us ("
+            f"{statistics.median(durations[('tablet', name)]):5.1f} in the "
+            "tablet)")
+        print(f"    {name:<4} {read}   fold {fold:6.1f} us")
 
 
 LONG_ROWS, LONG_HOUR = 86_000, 3_600_000
@@ -355,8 +428,6 @@ def build_workload(path, rounds):
     """Load the canned workload; returns (operation, requests, close)."""
     if path == "put":
         return build_put_workload(rounds)
-    if path == "scan":
-        return build_scan_workload(rounds)
     data = generate(CONFIG, request_count=160)
     sql = build_feature_sql(CONFIG)
     if path == "cluster":
@@ -785,6 +856,8 @@ def main(argv=None):
     report = None
     if args.path == "long":
         operation, requests, close, report = build_long_workload(args.rounds)
+    elif args.path == "scan":
+        operation, requests, close, report = build_scan_workload(args.rounds)
     else:
         operation, requests, close = build_workload(args.path, args.rounds)
     for row in requests[:20]:  # warm caches outside the profile
