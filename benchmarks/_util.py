@@ -166,9 +166,10 @@ def openmldb_for_config(config: MicroBenchConfig, request_count=80):
 
 class _WithoutSummaries:
     """A table as a fold with no block summaries sees it: scans hand out
-    sealed blocks and spans as plain (not sealed) blocks over the same
-    packed columns, so the fold reads every value.  A test-side view,
-    not a production switch."""
+    sealed blocks, spans, the published tail and cuts of them as plain
+    blocks (neither sealed nor memoizing) over the same columns, so the
+    fold reads every value.  A test-side view, not a production
+    switch."""
 
     def __init__(self, table):
         self._table = table
@@ -178,7 +179,7 @@ class _WithoutSummaries:
 
     def window_scan_blocks(self, *args, **kwargs):
         return [ColumnBlock(part._ts, part._columns, part._width)
-                if part.sealed else part
+                if part.memoizes else part
                 for block in self._table.window_scan_blocks(*args, **kwargs)
                 for part in getattr(block, "blocks", (block,))]
 

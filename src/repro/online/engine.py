@@ -23,7 +23,9 @@ is always instrumented.  Per request:
    (``agg.fold``).  A long window's blocks are mostly spans and sealed
    blocks carrying memoized summaries, so the fold is Section 5.1's
    query refinement: summaries in the middle, raw rows only at the two
-   edges.  Every window on every host takes this one path.
+   edges — and only on a key's first two reads after a write: from the
+   second on, the published tail and the cut edges memoize too.  Every window on every host
+   takes this one path.
 3. Project the output row (``encode``).
 
 The engine keeps no per-request state across calls; window state lives
@@ -296,9 +298,10 @@ def _trim(blocks: Sequence[ColumnBlock], end_ts: Optional[int],
     ``limit`` newest tuples.
 
     It walks as the storage scan does: a block the run covers whole
-    goes through as it is — a sealed one with its memoized summaries —
+    goes through as it is — a shared one with its memoized summaries —
     a span the run ends in is opened into its blocks, and only the
-    block the run ends in is sliced.
+    block the run ends in is cut (a cut of a shared block answers from
+    that block's memo).
     """
     kept: List[ColumnBlock] = []
     pending = list(reversed(blocks))  # oldest first; the walk pops the newest

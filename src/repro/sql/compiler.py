@@ -59,7 +59,7 @@ __all__ = [
 #: Column types whose values storage holds as Python floats.
 _FLOAT_TYPES = (ColumnType.FLOAT, ColumnType.DOUBLE)
 
-#: Column types whose sealed blocks memoize sum / min / max / distinct
+#: Column types whose blocks memoize sum / min / max / distinct
 #: summaries: ints and doubles (never NaN — storage rejects it).
 _SUMMARIZED_TYPES = (ColumnType.SMALLINT, ColumnType.INT,
                      ColumnType.BIGINT) + _FLOAT_TYPES
@@ -95,10 +95,13 @@ def _present(values: List[Any]) -> List[Any]:
     return [value for value in values if value is not None]
 
 
-# Block summaries, memoized by ``SealedBlock.summary``: each is exact
-# however a window splits into blocks — sums are exact
+# Block summaries, memoized by ``SharedBlock.summary`` (and a cut's):
+# each is exact however a window splits into blocks — sums are exact
 # (:class:`ExactSum`), and min/max and set union taken in time order
-# are the flat fold's own answer.
+# are the flat fold's own answer.  A key's first read after a write
+# computes its tail's and edges' summaries where the fold would have
+# reduced their columns, so each tries the column as it is and filters
+# NULLs out only when one is in it, as the fold does.
 
 def _count_summary(values: List[Any]) -> ExactSum:
     return ExactSum(count=len(values) - values.count(None))  # count only
@@ -106,30 +109,36 @@ def _count_summary(values: List[Any]) -> ExactSum:
 
 def _extremes_summary(values: List[Any]) -> Tuple[Any, ...]:
     """Values with the column's min and max — a lone NULL if none."""
-    present = _present(values)
-    return (min(present), max(present)) if present else (None,)
+    try:
+        return min(values), max(values)
+    except TypeError:  # a NULL does not compare
+        present = _present(values)
+        return (min(present), max(present)) if present else (None,)
 
 
 def _distinct_summary(values: List[Any]) -> Optional[frozenset]:
     """The distinct values while there are ≤ 64 — a memo never outgrows
     the column it summarizes — else None: the column itself."""
-    found = frozenset(_present(values))
+    found = frozenset(values)
+    if None in found:
+        found = found.difference((None,))
     return found if len(found) <= 64 else None
 
 
 def _pieces(group: "_StateGroup", blocks: Sequence[ColumnBlock],
             row_views: Sequence[List[Row]]) -> List[Any]:
-    """The group's argument over each block, oldest block first: a
-    sealed block's memoized ``summarize`` result when the group has one,
-    else a bare column as the block holds it (an ``array``, a tuple, a
-    span's list — never changed here) or the expression over the
-    rows."""
+    """The group's argument over each block, oldest block first: the
+    memoized ``summarize`` result of a block that memoizes (a sealed
+    block or span, a key's published tail, a cut of one) when the group
+    has one, else a bare column as the block holds it (an ``array``, a
+    tuple, a span's list — never changed here) or the expression over
+    the rows."""
     position, summarize = group.position, group.summarize
     if position is None:
         return [list(map(group.scalar_fn, rows)) for rows in row_views]
     if summarize is None:
         return [block.values(position) for block in blocks]
-    return [block.summary(position, summarize) if block.sealed
+    return [block.summary(position, summarize) if block.memoizes
             else block.values(position) for block in blocks]
 
 
@@ -163,7 +172,7 @@ class _StateGroup:
     position: Optional[int]
     #: The bare column's type; None for an expression argument.
     column_type: Optional[ColumnType]
-    #: What a sealed block's memoized summary holds for this group;
+    #: What a block's memoized summary holds for this group;
     #: None when the fold reads its column or rows instead.
     summarize: Optional[Callable[[List[Any]], Any]] = None
 
@@ -251,9 +260,9 @@ class CompiledWindow:
         * ``multiset`` — a ``set`` of the values when distinct_count is
           asked for, a :class:`Counter` only when topn_frequency needs
           multiplicity (fed oldest → newest: ties print the first-seen
-          key), and min/max read off its keys; a min/max-only group
-          skips the container and compares per-block ``min``/``max``
-          across blocks.
+          key), and min/max read off its keys when a member asks for
+          them; a min/max-only group skips the container and compares
+          per-block ``min``/``max`` across blocks.
 
         NULLs never cost the fast path a pass of its own: adding or
         comparing one raises ``TypeError``, and only then is the block
@@ -264,11 +273,12 @@ class CompiledWindow:
         view.
 
         A group over a bare int or double column, or a count-only group
-        over any bare column, reads a sealed block's (or span's)
-        memoized summary instead of its column; the fold returns how
-        many sealed blocks and spans it read so.  Only a window that
-        reads one stored source sees sealed blocks: the online engine
-        merges several into one fresh block.
+        over any bare column, reads the memoized summary of a block that
+        memoizes (a sealed block or span, a key's published tail, a cut
+        of one) instead of its column; the fold returns how many sealed
+        blocks and spans it read so.  Only a window that reads one
+        stored source sees such blocks: the online engine merges several
+        into one fresh block.
         """
         plan = self.plan
         one_source = len(plan.union_tables) \
@@ -298,7 +308,8 @@ class CompiledWindow:
                 if summarized and distinct_type is not Counter:
                     state.summarize = _distinct_summary if distinct_type \
                         else _extremes_summary
-                multisets.append((state, distinct_type, outs))
+                multisets.append((state, distinct_type,
+                                  bool(names & {"min", "max"}), outs))
         summarizes = any(state.summarize for state in self._groups)
         generic_programs = tuple(
             (compiled.arg_fn, compiled.function, compiled.slot)
@@ -330,7 +341,7 @@ class CompiledWindow:
                             state.extend(_present(piece), floats)
                 for func_name, _constants, slot in outs:
                     results[slot] = _sumcount_result(func_name, state)
-            for group, distinct_type, outs in multisets:
+            for group, distinct_type, extremes, outs in multisets:
                 lowest = highest = distinct = None
                 # Summaries stand in for their blocks' columns, in time
                 # order: the first of equal extremes (0.0 and -0.0) wins
@@ -344,7 +355,7 @@ class CompiledWindow:
                         distinct.discard(None)
                     else:
                         distinct.pop(None, None)
-                    if distinct:
+                    if extremes and distinct:
                         lowest, highest = min(distinct), max(distinct)
                 else:
                     for values in value_lists:
@@ -386,11 +397,20 @@ class CompiledWindow:
         return len(self._groups)
 
     @property
+    def summaries(self) -> Tuple[Tuple[Optional[int], Any], ...]:
+        """Per state group, the ``(position, reduce)`` the fold asks a
+        memoizing block's ``summary`` for — ``reduce`` None where it
+        reads the group's column or rows instead."""
+        return tuple((group.position, group.summarize)
+                     for group in self._groups)
+
+    @property
     def aggregates(self) -> Tuple[CompiledAggregate, ...]:
         return tuple(self._aggregates)
 
     def fold_path(self, compiled: CompiledAggregate) -> str:
-        """How the fold reads a sealed block for one aggregate: its
+        """How the fold reads a block that memoizes (a sealed block or
+        span, a published tail, a cut of one) for one aggregate: its
         memoized ``summary``, its ``column`` slice, or ``rows``."""
         if compiled.shared_group is None:
             return "rows"

@@ -125,9 +125,16 @@ class ExactSum:
     @classmethod
     def of(cls, values: List[Any]) -> "ExactSum":
         """The sum of a column's non-NULL values, compacted (what a
-        sealed block memoizes)."""
+        block memoizes)."""
+        try:
+            total = sum(values)
+        except TypeError:  # a NULL does not add: skip them
+            values = [value for value in values if value is not None]
+            total = sum(values)
+        if type(total) is int:  # no float among them
+            return cls(total, None, len(values))
         state = cls()
-        state.extend([value for value in values if value is not None])
+        state.extend(values)
         state.floats = _partials(state.floats)
         return state
 

@@ -28,7 +28,12 @@ a few bytes a value beside the row tuples, not a pointer a cell:
   whole go out by reference, with their memoized reductions: the two
   summary levels are Section 5.1's multi-level pre-aggregation, kept by
   storage itself, so a long window folds a few dozen summaries and two
-  edges however many rows it holds.
+  edges however many rows it holds.  Between two writes to a key the
+  edges memoize too, from their second read: the tail's newest rows
+  are published as a :class:`SharedBlock` that memoizes like a sealed
+  one until the tail next changes, and a cut of a shared block asked
+  for again (:class:`CutBlock`) keeps its summaries in that block's
+  memo, one cut a reduction.
 * In-order arrival (the stream case) is an O(1) ``append`` of the stamp
   and of the row; a late tuple is a bisect plus one ``insert``, or a
   repacked copy of the sealed block it lands in (and of the span holding
@@ -57,8 +62,8 @@ from typing import (Any, Callable, Dict, Iterable, Iterator, List,
 from ..errors import StorageError
 from ..schema import TTLKind, TTLSpec
 
-__all__ = ["BLOCK_ROWS", "ColumnBlock", "SealedBlock", "SealedSpan",
-           "SPAN_BLOCKS", "TimeSeriesIndex"]
+__all__ = ["BLOCK_ROWS", "ColumnBlock", "CutBlock", "SealedBlock",
+           "SealedSpan", "SharedBlock", "SPAN_BLOCKS", "TimeSeriesIndex"]
 
 #: Tuples per sealed block: once a key's hot tail holds more, its oldest
 #: ``BLOCK_ROWS`` are sealed.
@@ -103,9 +108,9 @@ class ColumnBlock:
     """A run of one key's tuples, held as columns.
 
     What every ``window_scan_blocks`` hands out: a private copy (the
-    tail's rows sliced under the per-key lock and transposed outside it,
-    or built from rows by a caller) or a shared :class:`SealedBlock`, so
-    nothing a reader does can race a writer.  ``_ts`` holds the
+    tail's rows transposed under the per-key lock, or built from rows by
+    a caller) or a shared block no writer changes, so nothing a reader
+    does can race a writer.  ``_ts`` holds the
     timestamps ascending in an ``array('q')`` and ``_columns`` one
     sequence per value position (``width`` None: one column of opaque
     payloads), each oldest → newest — the order float sums and
@@ -115,10 +120,15 @@ class ColumnBlock:
 
     Row-walking consumers see the same thing as before: ``len()`` is the
     row count and iteration yields ``(ts, row)`` pairs **newest-first**.
+
+    A plain block memoizes nothing; a :class:`SharedBlock` and a
+    :class:`CutBlock` of one answer :meth:`summary` from a memo
+    (``memoizes``).  ``sealed`` marks sealed history alone.
     """
 
     __slots__ = ("_ts", "_columns", "_width")
     sealed = False
+    memoizes = False
 
     def __init__(self, ts: "array[int]", columns: Sequence[Sequence[Any]],
                  width: Optional[int]) -> None:
@@ -192,17 +202,96 @@ class ColumnBlock:
                            self._width)
 
 
-class SealedBlock(ColumnBlock):
-    """A sealed run of a key's history: never changed once published, so
-    every reader shares it, and it remembers what folds compute on it."""
+#: A memo key's tag for the last cut asked for and its summaries (see
+#: :class:`CutBlock` and :meth:`SealedBlock.part`).
+_LAST_CUT = "cut"
+
+
+class SharedBlock(ColumnBlock):
+    """A block every reader shares and no writer ever changes — a key's
+    published tail (:meth:`_TimeList.scan_blocks`) or, as a
+    :class:`SealedBlock`, a run of its sealed history — that remembers
+    what folds compute on it.
+
+    ``_memo`` maps ``(position, reduce)`` to ``reduce`` over the whole
+    column, ``(_LAST_CUT, position, reduce)`` to the last
+    :class:`CutBlock`'s ``(lo, hi)`` with its answer — one cut a
+    reduction, so a window edge sliding on by a row a write replaces its
+    entry instead of piling one up — and, in a sealed block,
+    ``_LAST_CUT`` to the last cut :meth:`SealedBlock.part` was asked
+    for.
+    """
 
     __slots__ = ("_memo",)
-    sealed = True
+    memoizes = True
 
     def __init__(self, ts: "array[int]", columns: Sequence[Sequence[Any]],
                  width: Optional[int]) -> None:
         super().__init__(ts, columns, width)
         self._memo: Dict[Any, Any] = {}
+
+    def summary(self, position: int,
+                reduce: Callable[[Sequence[Any]], Any]) -> Any:
+        """``reduce`` over the column as held (a packed ``array``, a
+        tuple, a span's list), computed once.  A reduction that declines
+        (None) is answered with the column."""
+        memo, key = self._memo, (position, reduce)
+        found = memo.get(key, memo)  # the memo itself: not held yet
+        if found is memo:
+            found = memo[key] = reduce(self.values(position))
+        return self.values(position) if found is None else found
+
+    def memoized(self, position: int,
+                 reduce: Callable[[Sequence[Any]], Any]) -> bool:
+        """Whether :meth:`summary` answers without reducing."""
+        return (position, reduce) in self._memo
+
+    def part(self, lo: int, hi: int) -> ColumnBlock:
+        return CutBlock(self, lo, hi)
+
+
+class CutBlock(ColumnBlock):
+    """Tuples ``lo`` up to ``hi`` of a :class:`SharedBlock` — a window's
+    edge, asked for twice in a row — whose summaries live in the memo
+    of the block it was cut from, under that block's last cut: a read
+    that cuts the same rows again reduces nothing."""
+
+    __slots__ = ("_source", "_cut")
+    memoizes = True
+
+    def __init__(self, source: SharedBlock, lo: int, hi: int) -> None:
+        super().__init__(source._ts[lo:hi],
+                         tuple(values[lo:hi] for values in source._columns),
+                         source._width)
+        self._source = source
+        self._cut = (lo, hi)
+
+    def summary(self, position: int,
+                reduce: Callable[[Sequence[Any]], Any]) -> Any:
+        """As :meth:`SharedBlock.summary`, memoized for this cut only."""
+        memo, key = self._source._memo, (_LAST_CUT, position, reduce)
+        held = memo.get(key)
+        if held is None or held[0] != self._cut:
+            held = memo[key] = (self._cut, reduce(self.values(position)))
+        found = held[1]
+        return self.values(position) if found is None else found
+
+    def memoized(self, position: int,
+                 reduce: Callable[[Sequence[Any]], Any]) -> bool:
+        held = self._source._memo.get((_LAST_CUT, position, reduce))
+        return held is not None and held[0] == self._cut
+
+    def part(self, lo: int, hi: int) -> ColumnBlock:
+        first = self._cut[0]
+        return self._source.part(first + lo, first + hi)
+
+
+class SealedBlock(SharedBlock):
+    """A sealed run of a key's history: never changed once published, so
+    every reader shares it, and it remembers what folds compute on it."""
+
+    __slots__ = ()
+    sealed = True
 
     @classmethod
     def of_rows(cls, ts: "array[int]", rows: Sequence[Any],
@@ -211,16 +300,17 @@ class SealedBlock(ColumnBlock):
         return cls(ts, tuple(_packed(list(values), ts)
                              for values in _transposed(rows, width)), width)
 
-    def summary(self, position: int,
-                reduce: Callable[[Sequence[Any]], Any]) -> Any:
-        """``reduce`` over the column as held (a packed ``array``, a
-        tuple, a span's list), computed once.  A reduction that declines
-        (None) is answered with the column."""
-        memo, key = self._memo, (position, reduce)
-        if key not in memo:
-            memo[key] = reduce(self.values(position))
-        found = memo[key]
-        return self.values(position) if found is None else found
+    def part(self, lo: int, hi: int) -> ColumnBlock:
+        """A cut asked for again (the same window edge, no write to the
+        key since) memoizes as a :class:`CutBlock`; a new one is a plain
+        slice — an edge that moves with every write costs a fold no
+        more than it did.  (A published tail needs no such gate: it is
+        published on its second read.)"""
+        memo, cut = self._memo, (lo, hi)
+        if memo.get(_LAST_CUT) == cut:
+            return CutBlock(self, lo, hi)
+        memo[_LAST_CUT] = cut
+        return ColumnBlock.part(self, lo, hi)
 
 
 class SealedSpan(SealedBlock):
@@ -289,6 +379,11 @@ def _without_oldest(block: SealedBlock, count: int) -> SealedBlock:
         for values in block._columns), block._width)
 
 
+#: ``_TimeList._tail`` after the first read of the tail's newest rows
+#: since it last changed: the second such read publishes them.
+_READ_ONCE = "read once"
+
+
 class _TimeList:
     """Per-key second level: the key's tuples pre-ranked by timestamp
     (Section 7.2), stored as columns.
@@ -311,17 +406,32 @@ class _TimeList:
     repacks it, split in two past ``2 * BLOCK_ROWS``), and the span
     holding it with a rebuilt span, whose summaries start afresh.
 
+    The second read that reaches the tail's newest row since the tail
+    last changed publishes its part of the tail as ``_tail``, a
+    :class:`SharedBlock` of the tail's newest rows (as many as the
+    widest such read asked for), kept until the tail next changes — an
+    append (and the seal it may bring), a late row into the tail, a TTL
+    cut into it — so the later reads between two writes fold it from
+    its memo; a narrower read cuts it.  The first read transposes a
+    private block, as every read once did: a key read once between
+    writes pays nothing for the memo.  Sealed blocks and spans need no
+    such care: a late row or a TTL cut replaces them with fresh ones.
+
     Concurrency: a per-key lock is held around each bisect + slice and
     around each mutation (append, seal, late insert, prefix delete);
     nothing wider than this key is ever locked.  A reader takes its run
     under the lock — slices of the edges, the spans and sealed blocks
     between — so it can never see a timestamp beside another tuple's
     values or a window shifted by a concurrent insert or eviction.  The
-    tail's slice is one reference a row; it is transposed into columns
-    after the lock is let go.
+    tail's part is transposed into columns under the lock too — one
+    C-level ``zip``, during which no other thread runs anyway — and
+    published there, so a published block is the tail's newest rows
+    exactly: every mutation of the tail clears ``_tail`` under the same
+    lock.
     """
 
-    __slots__ = ("_sealed", "_spans", "_ts", "_rows", "_width", "_lock")
+    __slots__ = ("_sealed", "_spans", "_ts", "_rows", "_width", "_lock",
+                 "_tail")
 
     def __init__(self, width: Optional[int] = None) -> None:
         self._sealed: Sequence[SealedBlock] = ()  # a list from the first seal
@@ -330,6 +440,9 @@ class _TimeList:
         self._rows: List[Any] = []
         self._width = width
         self._lock = threading.Lock()
+        # None, _READ_ONCE (read once since the tail last changed) or
+        # the published block of the tail's newest rows.
+        self._tail: Any = None
 
     def __len__(self) -> int:
         return sum(map(len, self._sealed)) + len(self._ts)
@@ -364,6 +477,7 @@ class _TimeList:
                     sealed[index:index + 1] = _with_late_row(
                         sealed[index], ts, row)
                     return
+            self._tail = None  # the tail changed: its block is stale
             if len(stamps) > BLOCK_ROWS:
                 if not self._sealed:
                     self._sealed = []
@@ -392,12 +506,12 @@ class _TimeList:
 
         ``start_ts`` is the *newest* bound, ``end_ts`` the oldest —
         mirroring ``ROWS_RANGE BETWEEN x PRECEDING AND CURRENT ROW``.
-        The tail's part comes first, then the spans and sealed blocks
-        the run reaches: as they are when covered whole, else sliced —
-        a span by walking its blocks.
+        The tail's part comes first — the published tail block, whole or
+        cut, when it holds that part — then the spans and sealed blocks
+        the run reaches: as they are when covered whole, else cut — a
+        span by walking its blocks.
         """
         blocks: List[ColumnBlock] = []
-        tail: Tuple[Any, ...] = ()
         with self._lock:
             sealed = self._sealed
             # Oldest first; the walk pops the newest.
@@ -423,19 +537,34 @@ class _TimeList:
                     if whole:
                         blocks.append(block)
                     elif lo < hi:
-                        if block is None:
-                            tail = stamps[lo:hi], self._rows[lo:hi]
-                        else:
-                            blocks.append(block.part(lo, hi))
+                        blocks.append(self._tail_part(lo, hi) if block is None
+                                      else block.part(lo, hi))
                     if lo:
                         break  # everything older is out of the run
                 if not pending:
                     break
                 block = pending.pop()
                 stamps = block._ts
-        if tail:
-            blocks.insert(0, ColumnBlock.of_rows(*tail, self._width))
         return blocks
+
+    def _tail_part(self, lo: int, hi: int) -> ColumnBlock:
+        """The tail's tuples ``lo`` up to ``hi`` as a block (under the
+        lock): the published block or a cut of it when it holds them,
+        else transposed from the rows — and published when they reach
+        the newest row and it is not the tail's first such read."""
+        stamps, held = self._ts, self._tail
+        size = len(stamps)
+        if type(held) is SharedBlock and (first := size - len(held)) <= lo:
+            return held if (lo, hi) == (first, size) \
+                else held.part(lo - first, hi - first)
+        if hi == size and held is not None:
+            self._tail = SharedBlock.of_rows(
+                stamps[lo:hi], self._rows[lo:hi], self._width)
+            return self._tail
+        if hi == size:
+            self._tail = _READ_ONCE
+        return ColumnBlock.of_rows(stamps[lo:hi], self._rows[lo:hi],
+                                   self._width)
 
     def evict(self, kind: TTLKind, horizon: Optional[int],
               keep: int) -> int:
@@ -480,6 +609,7 @@ class _TimeList:
             elif left:
                 del stamps[:left]
                 del self._rows[:left]
+                self._tail = None
         return cut
 
 

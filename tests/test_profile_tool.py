@@ -4,8 +4,9 @@ Smoke runs at a tiny ``--rounds``: ``--path put`` prints the profile,
 the unprofiled µs per put (in memory and with the WAL) and one line per
 step of a put; ``--path wire`` prints the per-thread tables, the pair
 segment's line and the warm per-boundary split of a read; ``--path
-scan`` prints the storage scans per read and each window's scan and
-fold µs.
+scan`` prints the storage scans per read, each window's scan and fold
+µs, and the memo ledger (values folded raw and summaries answered from
+memos, for a key's first, second and later reads after a write).
 """
 
 import pathlib
@@ -76,5 +77,24 @@ def test_scan_path_smoke():
                         r"tablet\)\s+fold\s+[\d.]+ us", lines[head + 1])
     assert re.fullmatch(r"\s+ws\s+cut from wl\s+fold\s+[\d.]+ us",
                         lines[head + 2])
+    # The memo ledger: a key's first read after a write folds its tail
+    # and edges raw; the repeats answer them from memos.
+    assert re.fullmatch(r"=== scan path — memo ledger: \d+ writes a key, "
+                        r"each followed by \d+ reads; per read ===",
+                        lines[head + 3])
+    ledger = [re.fullmatch(
+        r"\s+(first read after a write|second read|each later read)\s+"
+        r"([\d.]+) values folded raw, summaries from a memo: tail "
+        r"([\d.]+), cut ([\d.]+), sealed ([\d.]+); \s*[\d.]+ us", line)
+        for line in lines[head + 4:head + 7]]
+    assert [match and match.group(1) for match in ledger] \
+        == ["first read after a write", "second read", "each later read"]
+    first, second, later = ([float(value) for value in match.groups()[1:]]
+                            for match in ledger)
+    # raw values, then summaries from the tail, cut and sealed memos
+    assert first[1] == first[2] == 0 and first[3] > 0
+    assert second[1] == 0 and second[3] > 0
+    assert later[1] > 0 and later[2] > 0 and later[3] > 0
+    assert later[0] < first[0] / 100
     assert re.fullmatch(r"=== scan path — p50 \d+ us over 30 unprofiled "
                         r"operations ===", lines[-1])

@@ -23,7 +23,12 @@ tier:
   spans), the median µs per read, and per window the median µs of its
   ``window.scan`` span (and of the tablet's span inside it) and of its
   ``agg.fold`` span — a window cut from another's scan names that
-  window instead of a scan time;
+  window instead of a scan time.  Then a memo ledger: every key written
+  ``LEDGER_WRITES`` times, each write followed by ``LEDGER_READS``
+  reads, printing per read the values the folds reduced raw and the
+  summaries answered from memos (a key's published ``tail``, a ``cut``
+  edge, a ``sealed`` block or span) and the median µs, for the first
+  read after a write, the second and the later ones;
 * ``long`` — one long window in process: Figure 11's shape (one key,
   86,000 hourly rows of a ``double`` ``px``, a 2,000-day window of sum /
   count / max) deployed with ``long_windows``, so the storage fold
@@ -137,6 +142,7 @@ from repro.obs import Observability                     # noqa: E402
 from repro.online.binlog import Replicator              # noqa: E402
 from repro.schema import IndexDef, Schema               # noqa: E402
 from repro.sql.parser import parse                      # noqa: E402
+from repro.storage.skiplist import CutBlock             # noqa: E402
 from repro.workloads.microbench import (MicroBenchConfig,  # noqa: E402
                                         build_feature_sql, generate)
 
@@ -314,11 +320,96 @@ def build_scan_workload(rounds):
     def report():
         print_scan_split(compiled, traced_spans(
             obs.tracer, operation, requests[:SCAN_SPLIT_READS]))
+        newest_of = dict.fromkeys(range(SCAN_KEYS), newest)
+
+        def write(key):
+            newest_of[key] += SCAN_STEP
+            cluster.put("t", (key, newest_of[key], rng.randrange(10),
+                              rng.randrange(10), rng.randrange(10)))
+
+        def read(key):
+            """One read at ``key``'s newest ``ts``: its wall µs."""
+            row = (key, newest_of[key], 1, 2, 3)
+            started = time.perf_counter()
+            operation(row)
+            return (time.perf_counter() - started) * 1e6
+        print_memo_ledger(compiled, write, read)
     return operation, requests, cluster.close, report
 
 
 #: Reads the ``--path scan`` split traces.
 SCAN_SPLIT_READS = 1_000
+
+#: The ``--path scan`` memo ledger: writes per key, and reads of the key
+#: after each write (the first, then the repeats).
+LEDGER_WRITES, LEDGER_READS = 10, 9
+
+
+def print_memo_ledger(compiled, write, read):
+    """Per read, the values each window's fold reduced raw and the
+    summaries a memo answered, by the kind of block that held it — a
+    key's published ``tail``, a ``cut`` of a block, a ``sealed`` block
+    or span — for a key's first read after a write (its tail and moved
+    edges fold raw), its second (they are published and reduced into
+    memos) and the later ones before its next write; then the median µs
+    of each kind of read, timed with nothing counting."""
+    kinds = (("first", "first read after a write"),
+             ("second", "second read"), ("later", "each later read"))
+    tallies = {kind: {} for kind, _label in kinds}
+    tally = {}
+
+    def counting(window):
+        fold, summaries = window.compute_blocks, window.summaries
+
+        def compute_blocks(blocks):
+            for block in blocks:
+                kind = "sealed" if block.sealed else "cut" \
+                    if isinstance(block, CutBlock) else "tail"
+                for position, reduce in summaries:
+                    if reduce is not None and block.memoizes \
+                            and block.memoized(position, reduce):
+                        tally[kind] = tally.get(kind, 0) + 1
+                    else:
+                        tally["raw"] = tally.get("raw", 0) + len(block)
+            return fold(blocks)
+        return compute_blocks
+
+    def rounds():
+        """Each key written ``LEDGER_WRITES`` times, each write followed
+        by ``LEDGER_READS`` reads: yields (read's kind, its µs)."""
+        for _ in range(LEDGER_WRITES):
+            for key in range(SCAN_KEYS):
+                write(key)
+                for index in range(LEDGER_READS):
+                    yield kinds[min(index, 2)][0], read(key)
+
+    windows = [window for _name, window in compiled.running_windows]
+    for window in windows:
+        window.compute_blocks = counting(window)
+    try:
+        reads = dict.fromkeys(tallies, 0)
+        for kind, _us in rounds():
+            reads[kind] += 1
+            into = tallies[kind]
+            for name, count in tally.items():
+                into[name] = into.get(name, 0) + count
+            tally.clear()
+    finally:
+        for window in windows:
+            del window.compute_blocks
+    timings = {kind: [] for kind in tallies}
+    for kind, us in rounds():
+        timings[kind].append(us)
+    print(f"=== scan path — memo ledger: {LEDGER_WRITES} writes a key, "
+          f"each followed by {LEDGER_READS} reads; per read ===")
+    for kind, label in kinds:
+        counts = {name: count / reads[kind]
+                  for name, count in tallies[kind].items()}
+        print(f"    {label:<24} {counts.get('raw', 0):7.1f} values folded "
+              f"raw, summaries from a memo: "
+              + ", ".join(f"{name} {counts.get(name, 0):.1f}"
+                          for name in ("tail", "cut", "sealed"))
+              + f"; {statistics.median(timings[kind]):6.1f} us")
 
 
 def traced_spans(tracer, operation, requests):
